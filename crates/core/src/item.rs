@@ -1,6 +1,9 @@
 //! DHT payloads and node-to-node messages of the query processor.
 
-use pier_dht::msg::DhtMsg;
+use std::mem::size_of;
+use std::sync::Arc;
+
+use pier_dht::msg::{DhtMsg, Entry};
 use pier_simnet::Wire;
 
 use crate::agg::GroupAccs;
@@ -26,10 +29,12 @@ impl Side {
 }
 
 /// Everything PIER stores in or ships through the DHT.
-// Variant sizes intentionally differ: a `Mini` projection IS the small
-// fast path next to a full `Row`/`Tagged` tuple; boxing would add an
-// allocation to the hottest path for no wire-size benefit.
-#[allow(clippy::large_enum_variant)]
+///
+/// One `QpItem` sits inline in every store slot, queued event, `Action`
+/// and pending DHT op, so its size is paid per item *held*, whatever the
+/// variant. The hot variants (`Row`, `Tagged`, `Mini`, `Partial`) fit 64
+/// bytes; anything cold and fat goes behind an `Arc` — see the guards
+/// below the message types.
 #[derive(Clone, Debug)]
 pub enum QpItem {
     /// A base-table tuple published by a wrapper (§2.2's "natural
@@ -66,8 +71,10 @@ pub enum QpItem {
         group: Vec<Value>,
         accs: GroupAccs,
     },
-    /// A query descriptor (multicast payload).
-    Query(QueryDesc),
+    /// A query descriptor (multicast payload). One per query install
+    /// and ~0.5 KB, so it is shared: the multicast to N nodes and the N
+    /// installed instances all hold the submitter's one allocation.
+    Query(Arc<QueryDesc>),
     /// Best-effort uninstall notice (multicast payload): receivers tear
     /// the query down — cancel timers, stop renewing, drop operator
     /// state — and its DHT soft state then ages out within one lifetime
@@ -93,7 +100,6 @@ impl Wire for QpItem {
 
 /// The complete message type of a PIER node: the DHT sublayer's protocol
 /// plus the query processor's direct (IP) messages.
-#[allow(clippy::large_enum_variant)] // see QpItem: payload variants dominate by design
 #[derive(Clone, Debug)]
 pub enum PierMsg {
     Dht(DhtMsg<QpItem>),
@@ -131,6 +137,13 @@ impl Wire for PierMsg {
         }
     }
 }
+
+// Bytes per stored item and per queued message are the simulator's
+// capacity at 10^4 nodes; a variant that outgrows these belongs behind
+// an `Arc` (or `Box`), not inline.
+const _: () = assert!(size_of::<QpItem>() <= 64);
+const _: () = assert!(size_of::<Entry<QpItem>>() <= 104);
+const _: () = assert!(size_of::<PierMsg>() <= 208);
 
 #[cfg(test)]
 mod tests {

@@ -117,7 +117,10 @@ impl TimerAction {
 
 /// Per-query operator state at one node.
 struct QueryInstance {
-    desc: QueryDesc,
+    /// The multicast descriptor itself, shared with every other node's
+    /// instance: handlers clone the `Arc` and borrow operator specs from
+    /// it instead of copying them out per event.
+    desc: Arc<QueryDesc>,
     /// Schema-aware projection plan: what every rehash, stage republish,
     /// and initiator ship carries, with expressions remapped onto the
     /// pruned layouts (binary joins and pipelines alike).
@@ -164,7 +167,7 @@ struct QueryInstance {
 }
 
 impl QueryInstance {
-    fn new(desc: QueryDesc, view: Option<Arc<PipelineSchema>>) -> Self {
+    fn new(desc: Arc<QueryDesc>, view: Option<Arc<PipelineSchema>>) -> Self {
         QueryInstance {
             desc,
             view,
@@ -180,6 +183,43 @@ impl QueryInstance {
             acc_seen: std::collections::BTreeSet::new(),
             timers: Vec::new(),
         }
+    }
+
+    /// Fold one input row into the query's aggregation state. One-shot
+    /// aggregates fold directly into the (drained-at-flush) group
+    /// accumulators. Windowed epoch queries buffer `(valid_until, row)`
+    /// so each epoch flush can re-aggregate exactly the contributions
+    /// still inside the window; unwindowed epoch queries fold into
+    /// persistent running accumulators snapshotted at each flush.
+    fn accumulate(
+        &mut self,
+        replicated: bool,
+        agg: &AggSpec,
+        row: &Tuple,
+        valid_until: Time,
+        ident: u64,
+    ) {
+        // Under replication, anti-entropy can re-fire a probe whose
+        // output this node already folded in (a healed copy re-stored
+        // after a sweep): contributions are identity-deduplicated.
+        // `ident == 0` (never issued) is exempt.
+        if replicated && ident != 0 && !self.acc_seen.insert(ident) {
+            return;
+        }
+        let groups = if agg.epoch.is_some() {
+            if self.desc.window.is_some() {
+                self.win_rows.push((valid_until, row.clone()));
+                return;
+            }
+            &mut self.run_groups
+        } else {
+            &mut self.local_groups
+        };
+        let group: Vec<Value> = agg.group_cols.iter().map(|&c| row.get(c).clone()).collect();
+        groups
+            .entry(group)
+            .or_insert_with(|| GroupAccs::new(&agg.aggs))
+            .update(&agg.aggs, row);
     }
 }
 
@@ -606,7 +646,7 @@ impl PierNode {
         let mut env = PierEnv { ctx };
         let mut events = Vec::new();
         self.dht
-            .multicast(&mut env, QpItem::Query(desc), &mut events);
+            .multicast(&mut env, QpItem::Query(Arc::new(desc)), &mut events);
         self.pump(ctx, events);
     }
 
@@ -668,12 +708,12 @@ impl PierNode {
         if !self.cancelled.contains(&qid) {
             self.cancelled.push_back(qid);
         }
-        let stages = match self.reg.queries.get(&qid).map(|i| &i.desc.op) {
-            Some(QueryOp::MultiJoin(m)) | Some(QueryOp::MultiJoinAgg { join: m, .. }) => {
-                m.stages.len()
-            }
-            _ => 0,
-        };
+        let stages = self
+            .reg
+            .queries
+            .get(&qid)
+            .and_then(|i| i.desc.op.multi_join())
+            .map_or(0, |m| m.stages.len());
         if let Some(inst) = self.reg.uninstall(qid) {
             for token in inst.timers {
                 self.timer_actions.remove(&token);
@@ -813,7 +853,7 @@ impl PierNode {
     // Query installation
     // ------------------------------------------------------------------
 
-    fn install_query(&mut self, ctx: &mut Ctx<PierMsg>, desc: QueryDesc) {
+    fn install_query(&mut self, ctx: &mut Ctx<PierMsg>, desc: Arc<QueryDesc>) {
         let qid = desc.qid;
         if self.reg.queries.contains_key(&qid) || self.cancelled.contains(&qid) {
             // Duplicate multicast delivery, or a descriptor whose Cancel
@@ -846,7 +886,7 @@ impl PierNode {
             _ => None,
         };
         self.reg
-            .install(qid, QueryInstance::new(desc.clone(), view));
+            .install(qid, QueryInstance::new(Arc::clone(&desc), view));
         // A standing unwindowed query carrying its own renewal period
         // runs a per-query renewal loop from install on — no node-global
         // `start_renewals` required.
@@ -859,14 +899,16 @@ impl PierNode {
         match &desc.op {
             QueryOp::Scan { scan, project } => {
                 self.route_ns(scan.ns, qid, NsRole::BaseLeft);
-                let rows = self.local_live(scan, ctx.now);
-                for (iid, _, row) in rows {
-                    let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
+                let mut outs = Vec::new();
+                for_each_live(&self.dht, scan, ctx.now, |iid, _, row| {
+                    let out = Tuple::new(project.iter().map(|e| e.eval(row)).collect());
+                    outs.push((iid, out));
+                });
+                for (iid, out) in outs {
                     self.emit_result(ctx, qid, desc.initiator, iid as u64, out);
                 }
             }
             QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => {
-                let j = j.clone();
                 self.route_ns(qns::rehash(qid), qid, NsRole::RehashNq);
                 self.route_ns(j.left.ns, qid, NsRole::BaseLeft);
                 self.route_ns(j.right.ns, qid, NsRole::BaseRight);
@@ -884,16 +926,15 @@ impl PierNode {
                         self.semi_rehash(ctx, qid, Side::Left);
                         self.semi_rehash(ctx, qid, Side::Right);
                     }
-                    JoinStrategy::BloomFilter => self.bloom_start(ctx, qid, &j),
+                    JoinStrategy::BloomFilter => self.bloom_start(ctx, qid, j),
                 }
                 // Replay rehash state that arrived before installation.
                 self.replay_rehash_ns(ctx, qid, pre_installed);
                 if let QueryOp::JoinAgg { agg, .. } = &desc.op {
-                    self.schedule_agg_timers(ctx, qid, agg.clone(), true);
+                    self.schedule_agg_timers(ctx, qid, agg, true);
                 }
             }
             QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => {
-                let m = m.clone();
                 for k in 0..m.stages.len() {
                     self.route_ns(qns::stage(qid, k), qid, NsRole::MStage(k as u16));
                 }
@@ -907,37 +948,38 @@ impl PierNode {
                     .map(|k| self.dht.store.lscan(qns::stage(qid, k)).cloned().collect())
                     .collect();
                 for t in 0..m.n_tables() {
-                    self.mj_rehash_table(ctx, qid, &m, t);
+                    self.mj_rehash_table(ctx, qid, m, t);
                 }
                 // Replay stage state that arrived before installation.
                 for (k, snap) in snapshots.into_iter().enumerate() {
-                    self.mj_replay(ctx, qid, &m, k, snap);
+                    self.mj_replay(ctx, qid, m, k, snap);
                 }
                 if let QueryOp::MultiJoinAgg { agg, .. } = &desc.op {
-                    self.schedule_agg_timers(ctx, qid, agg.clone(), true);
+                    self.schedule_agg_timers(ctx, qid, agg, true);
                 }
             }
             QueryOp::Agg { scan, agg } => {
                 self.route_ns(scan.ns, qid, NsRole::BaseLeft);
                 let now = ctx.now;
                 let window = desc.window;
-                let entries = self.local_live(scan, now);
-                let agg = agg.clone();
-                for (iid, expires, row) in entries {
-                    // A windowed contribution ages out `window` after it
-                    // is first seen, and never outlives its base row.
-                    let valid = match window {
-                        Some(w) => expires.min(now + w),
-                        None => Time::MAX,
-                    };
-                    self.accumulate(qid, &agg, &row, valid, iid as u64);
+                let replicated = self.replicated();
+                if let Some(inst) = self.reg.queries.get_mut(&qid) {
+                    for_each_live(&self.dht, scan, now, |iid, expires, row| {
+                        // A windowed contribution ages out `window` after
+                        // it is first seen, and never outlives its base row.
+                        let valid = match window {
+                            Some(w) => expires.min(now + w),
+                            None => Time::MAX,
+                        };
+                        inst.accumulate(replicated, agg, row, valid, iid as u64);
+                    });
                 }
                 if agg.hierarchical {
-                    self.schedule_hier_flush(ctx, qid, &agg);
+                    self.schedule_hier_flush(ctx, qid, agg);
                 } else {
                     if agg.epoch.is_none() {
                         // Epoch queries flush on their timer instead.
-                        self.flush_partials(ctx, qid, &agg);
+                        self.flush_partials(ctx, qid, agg);
                     }
                     self.schedule_agg_timers(ctx, qid, agg, false);
                 }
@@ -949,34 +991,13 @@ impl PierNode {
         self.reg.route(ns, qid, role);
     }
 
-    /// Locally stored, live, selection-passing rows of a base table with
-    /// their soft-state expiries. Expired-but-unswept rows (the sweep
-    /// runs on the maintenance tick) never enter a dataflow.
-    fn local_live(&self, scan: &ScanSpec, now: Time) -> Vec<(u32, Time, Tuple)> {
-        self.dht
-            .lscan(scan.ns)
-            .filter(|e| e.expires > now)
-            .filter_map(|e| match &e.val {
-                QpItem::Row(t) => Some((e.iid, e.expires, t.decode())),
-                _ => None,
-            })
-            .filter(|(_, _, t)| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
-            .collect()
-    }
-
-    /// [`Self::local_entries`] without the expiries.
-    fn local_rows(&self, scan: &ScanSpec, now: Time) -> Vec<Tuple> {
-        self.local_live(scan, now)
-            .into_iter()
-            .map(|(_, _, t)| t)
-            .collect()
-    }
-
-    fn join_spec(&self, qid: u64) -> Option<JoinSpec> {
-        match &self.reg.queries.get(&qid)?.desc.op {
-            QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => Some(j.clone()),
-            _ => None,
-        }
+    /// The installed descriptor of a query — the very allocation its
+    /// submitter multicast, shared by every node's instance. Handlers
+    /// hold this clone (a refcount bump) and borrow the operator specs
+    /// from it, which keeps `self` free for the `&mut` calls the
+    /// dataflow makes.
+    pub fn query_desc(&self, qid: u64) -> Option<Arc<QueryDesc>> {
+        self.reg.queries.get(&qid).map(|i| Arc::clone(&i.desc))
     }
 
     /// Rehash resourceID for a join value: either the value hash, or one
@@ -1002,10 +1023,11 @@ impl PierNode {
         side: Side,
         filter: Option<&BloomFilter>,
     ) {
-        let Some(j) = self.join_spec(qid) else { return };
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
         };
+        let desc = Arc::clone(&inst.desc);
+        let Some(j) = desc.op.join() else { return };
         if inst.rehashed[side as usize] {
             return;
         }
@@ -1016,38 +1038,50 @@ impl PierNode {
             Side::Left => (&j.left, &view.keep_base, stage.join_idx_left),
             Side::Right => (&j.right, &stage.keep_right, stage.join_idx_right),
         };
-        let rows = self.local_live(scan, ctx.now);
         let nq = qns::rehash(qid);
         let lifetime = self.soft_lifetime(qid);
         let join_col = scan.join_col.unwrap();
-        let puts: Vec<(Rid, u32, QpItem)> = rows
-            .into_iter()
-            .filter_map(|(base_iid, _, row)| {
-                let join = row.get(join_col).clone();
-                if let Some(f) = filter {
-                    if !f.contains(join.hash64()) {
-                        return None;
-                    }
-                }
-                let projected = row.project(keep);
-                debug_assert_eq!(projected.get(join_idx), &join);
-                let rid = Self::rehash_rid(&join, j.computation_nodes);
-                let iid = self.derived_iid(base_iid, side as u64);
-                let item = QpItem::Tagged {
-                    qid,
-                    side,
-                    join,
-                    row: FlatRow::from_tuple(&projected),
-                };
-                Some((rid, iid, item))
-            })
-            .collect();
+        // The store cannot be scanned and put into at once: pass one
+        // builds the items, `put_rehashed` names and puts them.
+        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
+            let join = row.get(join_col);
+            if filter.is_some_and(|f| !f.contains(join.hash64())) {
+                return;
+            }
+            let projected = row.project(keep);
+            debug_assert_eq!(projected.get(join_idx), join);
+            let rid = Self::rehash_rid(join, j.computation_nodes);
+            let item = QpItem::Tagged {
+                qid,
+                side,
+                join: join.clone(),
+                row: FlatRow::from_tuple(&projected),
+            };
+            puts.push((rid, base_iid, item));
+        });
+        self.put_rehashed(ctx, qid, nq, side as u64, lifetime, puts);
+    }
+
+    /// Second pass of a bulk rehash: give each item the scan built its
+    /// instanceID — derived from the *base* row's, which is what `puts`
+    /// carries — and put it into `ns`, in scan order.
+    fn put_rehashed(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        ns: Ns,
+        salt: u64,
+        lifetime: Dur,
+        puts: Vec<(Rid, u32, QpItem)>,
+    ) {
         let mut env = PierEnv { ctx };
         let mut events = Vec::new();
-        for (rid, iid, item) in puts {
-            self.record_rehash(qid, nq, rid, iid, &item);
+        for (rid, base_iid, item) in puts {
+            let iid = self.derived_iid(base_iid, salt);
+            self.record_rehash(qid, ns, rid, iid, &item);
             self.dht
-                .put(&mut env, nq, rid, iid, item, lifetime, &mut events);
+                .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
         }
         self.pump(ctx, events);
     }
@@ -1101,10 +1135,9 @@ impl PierNode {
             return;
         };
         let view = inst.view.clone().expect("join view");
-        let initiator = inst.desc.initiator;
-        let is_joinagg = matches!(inst.desc.op, QueryOp::JoinAgg { .. });
-        let agg = match &inst.desc.op {
-            QueryOp::JoinAgg { agg, .. } => Some(agg.clone()),
+        let desc = Arc::clone(&inst.desc);
+        let agg = match &desc.op {
+            QueryOp::JoinAgg { agg, .. } => Some(agg),
             _ => None,
         };
         let now = ctx.now;
@@ -1141,13 +1174,11 @@ impl PierNode {
                 let shipped = joined.project(&stage.emit);
                 let out = Tuple::new(view.project.iter().map(|e| e.eval(&shipped)).collect());
                 let ident = Self::pair_ident(my_iid, other_iid);
-                if is_joinagg {
-                    if let Some(a) = &agg {
-                        let valid = self.window_valid(qid, my_expires.min(other_expires));
-                        self.accumulate(qid, a, &out, valid, ident);
-                    }
+                if let Some(a) = agg {
+                    let valid = self.window_valid(qid, my_expires.min(other_expires));
+                    self.accumulate(qid, a, &out, valid, ident);
                 } else {
-                    self.emit_result(ctx, qid, initiator, ident, out);
+                    self.emit_result(ctx, qid, desc.initiator, ident, out);
                 }
             }
         }
@@ -1166,13 +1197,6 @@ impl PierNode {
     // ------------------------------------------------------------------
     // Multi-way join pipelines (left-deep chains of §4.1 stages)
     // ------------------------------------------------------------------
-
-    fn mj_spec(&self, qid: u64) -> Option<MultiJoinSpec> {
-        match &self.reg.queries.get(&qid)?.desc.op {
-            QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => Some(m.clone()),
-            _ => None,
-        }
-    }
 
     /// [`Self::derived_iid`] salt of pipeline table `t` — the bulk and
     /// the incremental rehash of the same base row must coincide.
@@ -1202,34 +1226,21 @@ impl PierNode {
         };
         let (scan, stage_k, side, join_col) = Self::mj_table_role(m, t);
         let keep = view.keep_for_table(t);
-        let rows = self.local_live(scan, ctx.now);
         let ns = qns::stage(qid, stage_k);
         let lifetime = self.soft_lifetime(qid);
-        let puts: Vec<(Rid, u32, QpItem)> = rows
-            .into_iter()
-            .map(|(base_iid, _, row)| {
-                let join = row.get(join_col).clone();
-                let iid = self.derived_iid(base_iid, Self::mj_salt(t));
-                (
-                    join.hash64(),
-                    iid,
-                    QpItem::Tagged {
-                        qid,
-                        side,
-                        join,
-                        row: FlatRow::from_tuple(&row.project(keep)),
-                    },
-                )
-            })
-            .collect();
-        let mut env = PierEnv { ctx };
-        let mut events = Vec::new();
-        for (rid, iid, item) in puts {
-            self.record_rehash(qid, ns, rid, iid, &item);
-            self.dht
-                .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
-        }
-        self.pump(ctx, events);
+        // Two passes, as in `rehash_side`.
+        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
+            let join = row.get(join_col);
+            let item = QpItem::Tagged {
+                qid,
+                side,
+                join: join.clone(),
+                row: FlatRow::from_tuple(&row.project(keep)),
+            };
+            puts.push((join.hash64(), base_iid, item));
+        });
+        self.put_rehashed(ctx, qid, ns, Self::mj_salt(t), lifetime, puts);
     }
 
     /// Continuous pipelines: one newly published base tuple of table `t`
@@ -1279,8 +1290,11 @@ impl PierNode {
             return;
         };
         let (side, join, row) = (*side, join.clone(), row.decode());
-        let Some(m) = self.mj_spec(qid) else { return };
-        let Some(view) = self.reg.queries.get(&qid).and_then(|i| i.view.clone()) else {
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return;
+        };
+        let desc = Arc::clone(&inst.desc);
+        let (Some(m), Some(view)) = (desc.op.multi_join(), inst.view.clone()) else {
             return;
         };
         let matches: Vec<(u32, Tuple, Time)> = self
@@ -1315,7 +1329,7 @@ impl PierNode {
                 self.mj_advance(
                     ctx,
                     qid,
-                    &m,
+                    m,
                     &view,
                     k,
                     joined.project(&stage.emit),
@@ -1376,18 +1390,16 @@ impl PierNode {
                 .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
             self.pump(ctx, events);
         } else {
-            let Some(inst) = self.reg.queries.get(&qid) else {
+            let Some(desc) = self.query_desc(qid) else {
                 return;
             };
-            let initiator = inst.desc.initiator;
             let out = Tuple::new(view.project.iter().map(|e| e.eval(&row)).collect());
-            match &inst.desc.op {
+            match &desc.op {
                 QueryOp::MultiJoinAgg { agg, .. } => {
-                    let agg = agg.clone();
                     let valid = self.window_valid(qid, ctx.now + lifetime);
-                    self.accumulate(qid, &agg, &out, valid, ident);
+                    self.accumulate(qid, agg, &out, valid, ident);
                 }
-                _ => self.emit_result(ctx, qid, initiator, ident, out),
+                _ => self.emit_result(ctx, qid, desc.initiator, ident, out),
             }
         }
     }
@@ -1465,16 +1477,23 @@ impl PierNode {
     // ------------------------------------------------------------------
 
     fn fm_start(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let Some(j) = self.join_spec(qid) else { return };
+        let Some(desc) = self.query_desc(qid) else {
+            return;
+        };
+        let Some(j) = desc.op.join() else { return };
         // The right table must already be hashed on the join attribute.
         debug_assert_eq!(
             j.right.join_col,
             Some(j.right.pkey_col),
             "Fetch Matches requires the fetched table hashed on the join key"
         );
-        let rows = self.local_live(&j.left, ctx.now);
+        // Each probing row is kept until its fetch completes.
+        let mut rows = Vec::new();
+        for_each_live(&self.dht, &j.left, ctx.now, |iid, _, row| {
+            rows.push((iid, row.clone()));
+        });
         let mut work = Vec::new();
-        for (left_iid, _, left_row) in rows {
+        for (left_iid, left_row) in rows {
             let join = left_row.get(j.left.join_col.unwrap()).clone();
             let token = self.token();
             self.get_purpose.insert(
@@ -1503,11 +1522,11 @@ impl PierNode {
         left_row: Tuple,
         items: Vec<Entry<QpItem>>,
     ) {
-        let Some(j) = self.join_spec(qid) else { return };
-        let Some(inst) = self.reg.queries.get(&qid) else {
+        let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let initiator = inst.desc.initiator;
+        let Some(j) = desc.op.join() else { return };
+        let initiator = desc.initiator;
         let join = left_row.get(j.left.join_col.unwrap()).clone();
         for e in items {
             let QpItem::Row(right_flat) = &e.val else {
@@ -1537,10 +1556,11 @@ impl PierNode {
     // ------------------------------------------------------------------
 
     fn semi_rehash(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
-        let Some(j) = self.join_spec(qid) else { return };
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
         };
+        let desc = Arc::clone(&inst.desc);
+        let Some(j) = desc.op.join() else { return };
         if inst.rehashed[side as usize] {
             return;
         }
@@ -1549,38 +1569,25 @@ impl PierNode {
             Side::Left => &j.left,
             Side::Right => &j.right,
         };
-        let rows = self.local_live(scan, ctx.now);
         let nq = qns::rehash(qid);
         let lifetime = self.soft_lifetime(qid);
         let join_col = scan.join_col.unwrap();
         let pkey_col = scan.pkey_col;
-        let puts: Vec<(Rid, u32, QpItem)> = rows
-            .into_iter()
-            .map(|(base_iid, _, row)| {
-                let join = row.get(join_col).clone();
-                let pkey = row.get(pkey_col).clone();
-                let rid = Self::rehash_rid(&join, j.computation_nodes);
-                let iid = self.derived_iid(base_iid, side as u64);
-                (
-                    rid,
-                    iid,
-                    QpItem::Mini {
-                        qid,
-                        side,
-                        pkey,
-                        join,
-                    },
-                )
-            })
-            .collect();
-        let mut env = PierEnv { ctx };
-        let mut events = Vec::new();
-        for (rid, iid, item) in puts {
-            self.record_rehash(qid, nq, rid, iid, &item);
-            self.dht
-                .put(&mut env, nq, rid, iid, item, lifetime, &mut events);
-        }
-        self.pump(ctx, events);
+        // Two passes, as in `rehash_side`.
+        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
+            let join = row.get(join_col).clone();
+            let pkey = row.get(pkey_col).clone();
+            let rid = Self::rehash_rid(&join, j.computation_nodes);
+            let item = QpItem::Mini {
+                qid,
+                side,
+                pkey,
+                join,
+            };
+            puts.push((rid, base_iid, item));
+        });
+        self.put_rehashed(ctx, qid, nq, side as u64, lifetime, puts);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1595,7 +1602,8 @@ impl PierNode {
         pkey: &Value,
         join: &Value,
     ) {
-        if self.join_spec(qid).is_none() {
+        let is_join = |i: &QueryInstance| i.desc.op.join().is_some();
+        if !self.reg.queries.get(&qid).is_some_and(is_join) {
             return;
         }
         // Find live opposite-side minis with the same join value
@@ -1642,7 +1650,10 @@ impl PierNode {
         pk_r: Value,
         ident: u64,
     ) {
-        let Some(j) = self.join_spec(qid) else { return };
+        let Some(desc) = self.query_desc(qid) else {
+            return;
+        };
+        let Some(j) = desc.op.join() else { return };
         let pair = self.token();
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
@@ -1699,10 +1710,11 @@ impl PierNode {
         side: Side,
         items: Vec<Entry<QpItem>>,
     ) {
-        let Some(j) = self.join_spec(qid) else { return };
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
         };
+        let desc = Arc::clone(&inst.desc);
+        let Some(j) = desc.op.join() else { return };
         let Some(p) = inst.pairs.get_mut(&pair) else {
             return;
         };
@@ -1721,7 +1733,7 @@ impl PierNode {
             return;
         }
         let p = inst.pairs.remove(&pair).unwrap();
-        let initiator = inst.desc.initiator;
+        let initiator = desc.initiator;
         let lefts: Vec<Tuple> = p
             .left
             .unwrap()
@@ -1764,9 +1776,10 @@ impl PierNode {
         let mut work = Vec::new();
         for (side, scan) in [(Side::Left, &j.left), (Side::Right, &j.right)] {
             let mut filter = BloomFilter::new(j.bloom_bits, 4);
-            for row in self.local_rows(scan, ctx.now) {
-                filter.insert(row.get(scan.join_col.unwrap()).hash64());
-            }
+            let join_col = scan.join_col.unwrap();
+            for_each_live(&self.dht, scan, ctx.now, |_, _, row| {
+                filter.insert(row.get(join_col).hash64());
+            });
             work.push((side, filter));
         }
         let mut env = PierEnv { ctx };
@@ -1805,18 +1818,18 @@ impl PierNode {
     }
 
     fn bloom_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
-        let Some(j) = self.join_spec(qid) else { return };
-        {
-            let Some(inst) = self.reg.queries.get_mut(&qid) else {
-                return;
-            };
-            if inst.bloom_flushed[side as usize] {
-                return;
-            }
-            inst.bloom_flushed[side as usize] = true;
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        let Some(bloom_bits) = inst.desc.op.join().map(|j| j.bloom_bits) else {
+            return;
+        };
+        if inst.bloom_flushed[side as usize] {
+            return;
         }
+        inst.bloom_flushed[side as usize] = true;
         let ns = qns::bloom(qid, side == Side::Right);
-        let mut merged = BloomFilter::new(j.bloom_bits, 4);
+        let mut merged = BloomFilter::new(bloom_bits, 4);
         for e in self.dht.store.lscan(ns) {
             if let QpItem::Bloom { filter, .. } = &e.val {
                 merged.union(filter);
@@ -1855,39 +1868,12 @@ impl PierNode {
     // Aggregation (flat DHT grouping + hierarchical extension)
     // ------------------------------------------------------------------
 
-    /// Fold one input row into the query's aggregation state. One-shot
-    /// aggregates fold directly into the (drained-at-flush) group
-    /// accumulators. Windowed epoch queries buffer `(valid_until, row)`
-    /// so each epoch flush can re-aggregate exactly the contributions
-    /// still inside the window; unwindowed epoch queries fold into
-    /// persistent running accumulators snapshotted at each flush.
+    /// [`QueryInstance::accumulate`] on an installed query.
     fn accumulate(&mut self, qid: u64, agg: &AggSpec, row: &Tuple, valid_until: Time, ident: u64) {
         let replicated = self.replicated();
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
-            return;
-        };
-        // Under replication, anti-entropy can re-fire a probe whose
-        // output this node already folded in (a healed copy re-stored
-        // after a sweep): contributions are identity-deduplicated.
-        // `ident == 0` (never issued) is exempt.
-        if replicated && ident != 0 && !inst.acc_seen.insert(ident) {
-            return;
+        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+            inst.accumulate(replicated, agg, row, valid_until, ident);
         }
-        let windowed = inst.desc.window.is_some();
-        let groups = if agg.epoch.is_some() {
-            if windowed {
-                inst.win_rows.push((valid_until, row.clone()));
-                return;
-            }
-            &mut inst.run_groups
-        } else {
-            &mut inst.local_groups
-        };
-        let group: Vec<Value> = agg.group_cols.iter().map(|&c| row.get(c).clone()).collect();
-        groups
-            .entry(group)
-            .or_insert_with(|| GroupAccs::new(&agg.aggs))
-            .update(&agg.aggs, row);
     }
 
     /// Groups to report at a flush instant: the transient accumulators
@@ -1956,7 +1942,7 @@ impl PierNode {
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         qid: u64,
-        agg: AggSpec,
+        agg: &AggSpec,
         joinagg: bool,
     ) {
         if let Some(epoch) = agg.epoch {
@@ -1981,31 +1967,18 @@ impl PierNode {
         self.arm_timer(ctx, qid, agg.harvest, TimerAction::AggHarvest { qid });
     }
 
-    /// The query's aggregation spec, whatever the operator shape.
-    fn agg_spec(&self, qid: u64) -> Option<AggSpec> {
-        match self.reg.queries.get(&qid).map(|i| &i.desc.op) {
-            Some(QueryOp::Agg { agg, .. })
-            | Some(QueryOp::JoinAgg { agg, .. })
-            | Some(QueryOp::MultiJoinAgg { agg, .. }) => Some(agg.clone()),
-            _ => None,
-        }
-    }
-
     /// Continuous aggregation re-arms its timers every epoch instead of
     /// tearing the query down after one harvest. An epoch spec inside a
     /// non-continuous descriptor does not re-arm: the query emits one
     /// round and falls silent like any other one-shot.
     fn rearm_epoch(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, action: TimerAction) {
-        if !self
-            .reg
-            .queries
-            .get(&qid)
-            .is_some_and(|i| i.desc.continuous)
-        {
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return;
+        };
+        if !inst.desc.continuous {
             return;
         }
-        let epoch = self.agg_spec(qid).and_then(|a| a.epoch);
-        if let Some(epoch) = epoch {
+        if let Some(epoch) = inst.desc.op.agg().and_then(|a| a.epoch) {
             self.arm_timer(ctx, qid, epoch, action);
         }
     }
@@ -2013,16 +1986,11 @@ impl PierNode {
     /// Finalize every group whose partials landed here; apply HAVING;
     /// ship results to the initiator.
     fn agg_harvest(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let Some(inst) = self.reg.queries.get(&qid) else {
+        let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let agg = match &inst.desc.op {
-            QueryOp::Agg { agg, .. }
-            | QueryOp::JoinAgg { agg, .. }
-            | QueryOp::MultiJoinAgg { agg, .. } => agg.clone(),
-            _ => return,
-        };
-        let initiator = inst.desc.initiator;
+        let Some(agg) = desc.op.agg() else { return };
+        let initiator = desc.initiator;
         let na = qns::agg(qid);
         let now = ctx.now;
         let mut merged: BTreeMap<Vec<Value>, GroupAccs> = BTreeMap::new();
@@ -2072,15 +2040,14 @@ impl PierNode {
     }
 
     fn hier_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let Some(inst) = self.reg.queries.get(&qid) else {
+        let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let agg = match &inst.desc.op {
-            QueryOp::Agg { agg, .. } => agg.clone(),
-            _ => return,
+        let QueryOp::Agg { agg, .. } = &desc.op else {
+            return;
         };
-        let initiator = inst.desc.initiator;
-        let groups = self.harvest_groups(qid, &agg, ctx.now);
+        let initiator = desc.initiator;
+        let groups = self.harvest_groups(qid, agg, ctx.now);
         let me = self.dht.me();
         if me == 0 {
             // Root: finalize.
@@ -2158,13 +2125,12 @@ impl PierNode {
         }
         let QpItem::Row(row) = &entry.val else { return };
         let row = row.decode();
-        let initiator = inst.desc.initiator;
-        let window = inst.desc.window;
-        match inst.desc.op.clone() {
+        let desc = Arc::clone(&inst.desc);
+        match &desc.op {
             QueryOp::Scan { scan, project } => {
                 if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
                     let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
-                    self.emit_result(ctx, qid, initiator, entry.iid as u64, out);
+                    self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, out);
                 }
             }
             QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => {
@@ -2173,11 +2139,11 @@ impl PierNode {
                 } else {
                     Side::Right
                 };
-                self.rehash_one(ctx, qid, &j, side, entry.iid, row);
+                self.rehash_one(ctx, qid, j, side, entry.iid, row);
             }
             QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => {
                 if let NsRole::MBase(t) = role {
-                    self.mj_rehash_one(ctx, qid, &m, t as usize, entry.iid, row);
+                    self.mj_rehash_one(ctx, qid, m, t as usize, entry.iid, row);
                 }
             }
             QueryOp::Agg { scan, agg } => {
@@ -2191,11 +2157,11 @@ impl PierNode {
                 if !scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
                     return;
                 }
-                let valid = match window {
+                let valid = match desc.window {
                     Some(w) => entry.expires.min(ctx.now + w),
                     None => Time::MAX,
                 };
-                self.accumulate(qid, &agg, &row, valid, entry.iid as u64);
+                self.accumulate(qid, agg, &row, valid, entry.iid as u64);
             }
         }
     }
@@ -2299,10 +2265,9 @@ impl PierNode {
                     return;
                 }
                 let view = inst.view.clone().expect("join view");
-                let initiator = inst.desc.initiator;
-                let is_joinagg = matches!(inst.desc.op, QueryOp::JoinAgg { .. });
-                let agg = match &inst.desc.op {
-                    QueryOp::JoinAgg { agg, .. } => Some(agg.clone()),
+                let desc = Arc::clone(&inst.desc);
+                let agg = match &desc.op {
+                    QueryOp::JoinAgg { agg, .. } => Some(agg),
                     _ => None,
                 };
                 let (l, r) = if *sa == Side::Left {
@@ -2316,13 +2281,11 @@ impl PierNode {
                     let shipped = joined.project(&stage.emit);
                     let out = Tuple::new(view.project.iter().map(|e| e.eval(&shipped)).collect());
                     let ident = Self::pair_ident(a.iid, b.iid);
-                    if is_joinagg {
-                        if let Some(ag) = &agg {
-                            let valid = self.window_valid(qid, a.expires.min(b.expires));
-                            self.accumulate(qid, ag, &out, valid, ident);
-                        }
+                    if let Some(ag) = agg {
+                        let valid = self.window_valid(qid, a.expires.min(b.expires));
+                        self.accumulate(qid, ag, &out, valid, ident);
                     } else {
-                        self.emit_result(ctx, qid, initiator, ident, out);
+                        self.emit_result(ctx, qid, desc.initiator, ident, out);
                     }
                 }
             }
@@ -2397,6 +2360,30 @@ impl PierNode {
             return true;
         }
         self.results_seen.entry(qid).or_default().insert(ident)
+    }
+}
+
+/// Stream the locally stored, live, selection-passing rows of a base
+/// table to `f` as `(instanceID, expiry, row)`, in `lscan` order. Every
+/// row is decoded into one scratch tuple, so a consumer that keeps none
+/// of them costs no allocation per row. Expired-but-unswept rows (the
+/// sweep runs on the maintenance tick) never enter a dataflow.
+fn for_each_live(
+    dht: &Dht<QpItem>,
+    scan: &ScanSpec,
+    now: Time,
+    mut f: impl FnMut(u32, Time, &Tuple),
+) {
+    let mut row = Tuple::new(Vec::new());
+    for e in dht.lscan(scan.ns) {
+        let QpItem::Row(flat) = &e.val else { continue };
+        if e.expires <= now {
+            continue;
+        }
+        flat.decode_into(&mut row);
+        if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
+            f(e.iid, e.expires, &row);
+        }
     }
 }
 
@@ -2477,10 +2464,11 @@ impl App for PierNode {
                     false
                 };
                 if extend {
-                    let wait = match &self.reg.queries[&qid].desc.op {
-                        QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => j.bloom_wait,
-                        _ => Dur::from_secs(10),
-                    };
+                    let wait = self.reg.queries[&qid]
+                        .desc
+                        .op
+                        .join()
+                        .map_or(Dur::from_secs(10), |j| j.bloom_wait);
                     self.arm_timer(ctx, qid, wait, TimerAction::BloomFlush { qid, side });
                 } else {
                     self.bloom_flush(ctx, qid, side);
@@ -2493,8 +2481,10 @@ impl App for PierNode {
                 self.retire_if_one_shot(qid);
             }
             Some(TimerAction::PartialFlush { qid }) => {
-                if let Some(agg) = self.agg_spec(qid) {
-                    self.flush_partials(ctx, qid, &agg);
+                if let Some(desc) = self.query_desc(qid) {
+                    if let Some(agg) = desc.op.agg() {
+                        self.flush_partials(ctx, qid, agg);
+                    }
                 }
                 self.rearm_epoch(ctx, qid, TimerAction::PartialFlush { qid });
             }

@@ -301,6 +301,34 @@ pub enum QueryOp {
     MultiJoinAgg { join: MultiJoinSpec, agg: AggSpec },
 }
 
+impl QueryOp {
+    /// The binary join this operator runs, if it is one.
+    pub fn join(&self) -> Option<&JoinSpec> {
+        match self {
+            QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => Some(j),
+            _ => None,
+        }
+    }
+
+    /// The multi-way pipeline this operator runs, if it is one.
+    pub fn multi_join(&self) -> Option<&MultiJoinSpec> {
+        match self {
+            QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The aggregation this operator ends in, whatever feeds it.
+    pub fn agg(&self) -> Option<&AggSpec> {
+        match self {
+            QueryOp::Agg { agg, .. }
+            | QueryOp::JoinAgg { agg, .. }
+            | QueryOp::MultiJoinAgg { agg, .. } => Some(agg),
+            _ => None,
+        }
+    }
+}
+
 /// A complete query as multicast to all nodes.
 #[derive(Clone, Debug)]
 pub struct QueryDesc {

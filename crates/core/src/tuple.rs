@@ -84,10 +84,24 @@ impl Tuple {
     /// Decode one tuple from the front of `bytes`; returns the tuple and
     /// the number of bytes consumed. `None` on a malformed buffer.
     pub fn decode_from(bytes: &[u8]) -> Option<(Tuple, usize)> {
+        let mut t = Tuple::new(Vec::new());
+        let used = t.decode_into(bytes)?;
+        Some((t, used))
+    }
+
+    /// [`Self::decode_from`] into `self`, replacing its values but
+    /// keeping their buffer: a scan that looks at each row only in
+    /// passing decodes them all through one scratch tuple. Returns the
+    /// number of bytes consumed; on `None` the contents are unspecified.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> Option<usize> {
         let mut pos = 0usize;
         let arity = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
         pos += 4;
-        let mut vals = Vec::with_capacity(arity);
+        let vals = &mut self.vals;
+        vals.clear();
+        // Every value takes at least its tag byte, which bounds what a
+        // malformed header can make us reserve.
+        vals.reserve_exact(arity.min(bytes.len()));
         for _ in 0..arity {
             let tag = *bytes.get(pos)?;
             pos += 1;
@@ -121,7 +135,7 @@ impl Tuple {
                 _ => return None,
             });
         }
-        Some((Tuple::new(vals), pos))
+        Some(pos)
     }
 }
 
@@ -208,6 +222,14 @@ impl FlatRow {
         Tuple::decode_from(&self.bytes)
             .expect("FlatRow holds a well-formed encoding")
             .0
+    }
+
+    /// [`Self::decode`] into a reused scratch tuple (see
+    /// [`Tuple::decode_into`]).
+    pub fn decode_into(&self, scratch: &mut Tuple) {
+        scratch
+            .decode_into(&self.bytes)
+            .expect("FlatRow holds a well-formed encoding");
     }
 
     /// Wire bytes of the row, identical to `self.decode().wire_size()`.

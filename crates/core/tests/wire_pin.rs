@@ -1,0 +1,342 @@
+//! The wire model must not follow the memory layout: `wire_size()` of one
+//! exemplar of every `QpItem`, `PierMsg`, `DhtMsg` and `CanMsg` variant,
+//! pinned to the byte. Simulated delivery times and every traffic figure
+//! are functions of these numbers alone, so a change to how a message is
+//! *held* (boxed, shared, reordered) that moves one of them has changed
+//! the model, not just the representation.
+
+use std::sync::Arc;
+
+use pier_core::agg::GroupAccs;
+use pier_core::expr::Expr;
+use pier_core::item::{PierMsg, QpItem, Side};
+use pier_core::plan::{AggCall, AggFunc, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
+use pier_core::tuple;
+use pier_core::tuple::FlatRow;
+use pier_core::value::Value;
+use pier_core::BloomFilter;
+use pier_dht::geom::{Point, Zone};
+use pier_dht::msg::{CanMsg, ChordMsg, DhtMsg, Entry, RepairScope};
+use pier_simnet::time::Time;
+use pier_simnet::Wire;
+
+/// A 1 036-byte R row of the §5.1 workload.
+fn wide_row() -> FlatRow {
+    FlatRow::from_tuple(&tuple![7i64, 3i64, 60i64, 12i64, Value::Pad(1000)])
+}
+
+/// A 28-byte S row.
+fn narrow_row() -> FlatRow {
+    FlatRow::from_tuple(&tuple![3i64, 70i64, 21i64])
+}
+
+fn tagged() -> QpItem {
+    QpItem::Tagged {
+        qid: 1,
+        side: Side::Right,
+        join: Value::I64(3),
+        row: narrow_row(),
+    }
+}
+
+fn accs() -> GroupAccs {
+    GroupAccs::new(&[
+        AggCall {
+            func: AggFunc::Count,
+            arg: None,
+        },
+        AggCall {
+            func: AggFunc::Max,
+            arg: Some(Expr::col(1)),
+        },
+    ])
+}
+
+fn group() -> Vec<Value> {
+    vec![Value::I64(1), Value::str("ab")]
+}
+
+/// The workload join as a one-shot descriptor.
+fn query() -> QpItem {
+    let left = ScanSpec::new("R", 5, 0)
+        .with_pred(Expr::gt(Expr::col(2), Expr::lit(49i64)))
+        .with_join_col(1);
+    let right = ScanSpec::new("S", 3, 0)
+        .with_pred(Expr::gt(Expr::col(1), Expr::lit(49i64)))
+        .with_join_col(0);
+    let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+    j.project = vec![Expr::col(0), Expr::col(5), Expr::col(4)];
+    QpItem::Query(Arc::new(QueryDesc::one_shot(1, 0, QueryOp::Join(j))))
+}
+
+fn entry(val: QpItem) -> Entry<QpItem> {
+    Entry {
+        ns: 1,
+        rid: 2,
+        iid: 3,
+        key: 4,
+        expires: Time::ZERO,
+        val,
+    }
+}
+
+fn two_entries() -> Vec<Entry<QpItem>> {
+    vec![entry(QpItem::Row(wide_row())), entry(tagged())]
+}
+
+fn neighbors() -> Vec<(u32, Vec<Zone>)> {
+    vec![(1, vec![Zone::whole(4)]), (2, vec![Zone::whole(4); 2])]
+}
+
+#[test]
+fn every_variant_keeps_its_wire_size() {
+    let table: Vec<(&str, usize, usize)> = vec![
+        // ---- QpItem
+        ("QpItem::Row", QpItem::Row(wide_row()).wire_size(), 1038),
+        ("QpItem::Tagged", tagged().wire_size(), 47),
+        (
+            "QpItem::Mini",
+            QpItem::Mini {
+                qid: 1,
+                side: Side::Left,
+                pkey: Value::I64(7),
+                join: Value::I64(3),
+            }
+            .wire_size(),
+            27,
+        ),
+        (
+            "QpItem::Bloom",
+            QpItem::Bloom {
+                qid: 1,
+                side: Side::Left,
+                filter: BloomFilter::new(1024, 4),
+            }
+            .wire_size(),
+            147,
+        ),
+        (
+            "QpItem::Partial",
+            QpItem::Partial {
+                qid: 1,
+                group: group(),
+                accs: accs(),
+            }
+            .wire_size(),
+            34,
+        ),
+        ("QpItem::Query", query().wire_size(), 143),
+        ("QpItem::Cancel", QpItem::Cancel { qid: 1 }.wire_size(), 10),
+        // ---- PierMsg
+        (
+            "PierMsg::Dht",
+            PierMsg::Dht(DhtMsg::Put {
+                entry: entry(tagged()),
+            })
+            .wire_size(),
+            131,
+        ),
+        (
+            "PierMsg::Result",
+            PierMsg::Result {
+                qid: 1,
+                ident: 9,
+                row: wide_row(),
+            }
+            .wire_size(),
+            1100,
+        ),
+        (
+            "PierMsg::AggUp",
+            PierMsg::AggUp {
+                qid: 1,
+                group: group(),
+                accs: accs(),
+            }
+            .wire_size(),
+            80,
+        ),
+        // ---- DhtMsg
+        (
+            "DhtMsg::Can",
+            DhtMsg::<QpItem>::Can(CanMsg::Lookup {
+                key: 1,
+                token: 2,
+                origin: 0,
+                ttl: 64,
+            })
+            .wire_size(),
+            70,
+        ),
+        (
+            "DhtMsg::Chord",
+            DhtMsg::Chord(ChordMsg::Bcast {
+                id: 1,
+                origin: 0,
+                payload: query(),
+                limit: 7,
+            })
+            .wire_size(),
+            211,
+        ),
+        (
+            "DhtMsg::LookupReply",
+            DhtMsg::<QpItem>::LookupReply { token: 1, key: 2 }.wire_size(),
+            64,
+        ),
+        (
+            "DhtMsg::Put",
+            DhtMsg::Put {
+                entry: entry(QpItem::Row(wide_row())),
+            }
+            .wire_size(),
+            1122,
+        ),
+        (
+            "DhtMsg::Get",
+            DhtMsg::<QpItem>::Get {
+                ns: 1,
+                rid: 2,
+                token: 3,
+                origin: 0,
+            }
+            .wire_size(),
+            76,
+        ),
+        (
+            "DhtMsg::GetReply",
+            DhtMsg::GetReply {
+                token: 3,
+                items: two_entries(),
+            }
+            .wire_size(),
+            1213,
+        ),
+        (
+            "DhtMsg::MoveItems",
+            DhtMsg::MoveItems {
+                items: two_entries(),
+            }
+            .wire_size(),
+            1205,
+        ),
+        (
+            "DhtMsg::Replicate",
+            DhtMsg::Replicate {
+                entry: entry(tagged()),
+            }
+            .wire_size(),
+            131,
+        ),
+        (
+            "DhtMsg::RepairRequest (zones)",
+            DhtMsg::<QpItem>::RepairRequest {
+                scope: RepairScope::Zones(vec![Zone::whole(4); 3]),
+            }
+            .wire_size(),
+            244,
+        ),
+        (
+            "DhtMsg::RepairRequest (ring)",
+            DhtMsg::<QpItem>::RepairRequest {
+                scope: RepairScope::Ring { from: 1, to: 2 },
+            }
+            .wire_size(),
+            64,
+        ),
+        (
+            "DhtMsg::RepairReply",
+            DhtMsg::RepairReply {
+                items: two_entries(),
+            }
+            .wire_size(),
+            1205,
+        ),
+        // ---- CanMsg
+        (
+            "CanMsg::JoinLocate",
+            CanMsg::<QpItem>::JoinLocate {
+                joiner: 1,
+                p: Point::from_key(5, 4),
+                ttl: 64,
+            }
+            .wire_size(),
+            38,
+        ),
+        (
+            "CanMsg::JoinOffer",
+            CanMsg::JoinOffer {
+                zone: Zone::whole(4),
+                neighbors: neighbors(),
+                items: two_entries(),
+            }
+            .wire_size(),
+            1421,
+        ),
+        (
+            "CanMsg::NeighborUpdate",
+            CanMsg::<QpItem>::NeighborUpdate {
+                zones: vec![Zone::whole(4); 2],
+            }
+            .wire_size(),
+            132,
+        ),
+        (
+            "CanMsg::Heartbeat",
+            CanMsg::<QpItem>::Heartbeat {
+                zones: vec![Zone::whole(4)],
+                neighbors: neighbors(),
+            }
+            .wire_size(),
+            268,
+        ),
+        (
+            "CanMsg::Takeover",
+            CanMsg::<QpItem>::Takeover {
+                dead: 3,
+                zones: vec![Zone::whole(4); 2],
+            }
+            .wire_size(),
+            132,
+        ),
+        (
+            "CanMsg::Leave",
+            CanMsg::Leave {
+                zones: vec![Zone::whole(4)],
+                items: two_entries(),
+                neighbors: vec![1, 2, 3],
+            }
+            .wire_size(),
+            1237,
+        ),
+        (
+            "CanMsg::Lookup",
+            CanMsg::<QpItem>::Lookup {
+                key: 1,
+                token: 2,
+                origin: 0,
+                ttl: 64,
+            }
+            .wire_size(),
+            22,
+        ),
+        (
+            "CanMsg::Mcast",
+            CanMsg::Mcast {
+                id: 1,
+                origin: 0,
+                rect: Zone::whole(4),
+                payload: query(),
+                ttl: 64,
+            }
+            .wire_size(),
+            221,
+        ),
+    ];
+    let moved: Vec<String> = table
+        .iter()
+        .filter(|(_, got, pinned)| got != pinned)
+        .map(|(name, got, pinned)| format!("{name}: {got} B, pinned {pinned} B"))
+        .collect();
+    assert!(moved.is_empty(), "wire sizes moved:\n{}", moved.join("\n"));
+}

@@ -325,19 +325,18 @@ impl<V: Wire + Clone> Dht<V> {
         entry: Entry<V>,
         events: &mut Vec<DhtEvent<V>>,
     ) {
-        let is_new = self.store.store(entry.clone());
-        if is_new {
+        self.replicate(env, &entry);
+        if let Some(stored) = self.store.store_new(entry) {
             events.push(DhtEvent::NewData {
-                entry: entry.clone(),
+                entry: stored.clone(),
             });
         }
-        self.replicate(env, entry);
     }
 
     /// Fan a primary-stored entry out to the replica set (k - 1 peers).
     /// Runs on stores *and* renewals, so replica expiries track the
     /// primary's and copies at ex-replica peers simply age out.
-    fn replicate(&mut self, env: &mut dyn DhtEnv<V>, entry: Entry<V>) {
+    fn replicate(&mut self, env: &mut dyn DhtEnv<V>, entry: &Entry<V>) {
         if self.cfg.replication <= 1 {
             return;
         }
@@ -677,12 +676,10 @@ impl<V: Wire + Clone> Dht<V> {
                     if entry.expires > now && self.owns_key(entry.key) {
                         match self.store.store_no_regress(entry.clone()) {
                             Some(true) => {
-                                events.push(DhtEvent::NewData {
-                                    entry: entry.clone(),
-                                });
-                                self.replicate(env, entry);
+                                self.replicate(env, &entry);
+                                events.push(DhtEvent::NewData { entry });
                             }
-                            Some(false) => self.replicate(env, entry),
+                            Some(false) => self.replicate(env, &entry),
                             None => {}
                         }
                     }
@@ -1003,12 +1000,10 @@ impl<V: Wire + Clone> Dht<V> {
         let promoted = self.replicas.extract_not_owned(|k| !owned.contains(&k));
         for entry in promoted {
             if entry.expires > now {
+                self.replicate(env, &entry);
                 if self.store.store_no_regress(entry.clone()) == Some(true) {
-                    events.push(DhtEvent::NewData {
-                        entry: entry.clone(),
-                    });
+                    events.push(DhtEvent::NewData { entry });
                 }
-                self.replicate(env, entry);
             }
         }
     }
@@ -1028,7 +1023,7 @@ impl<V: Wire + Clone> Dht<V> {
             .filter(|e| e.expires > now)
             .cloned()
             .collect();
-        for entry in live {
+        for entry in &live {
             self.replicate(env, entry);
         }
     }

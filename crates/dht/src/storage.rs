@@ -47,6 +47,13 @@ impl<V> StorageManager<V> {
     /// Returns `true` when the item is new (not a renewal), which is what
     /// drives `newData` callbacks.
     pub fn store(&mut self, entry: Entry<V>) -> bool {
+        self.store_new(entry).is_some()
+    }
+
+    /// [`Self::store`], returning the stored copy when the item is new —
+    /// so the caller clones for its `newData` upcall only then, and a
+    /// renewal moves straight into place.
+    pub fn store_new(&mut self, entry: Entry<V>) -> Option<&Entry<V>> {
         let bucket = self
             .by_ns
             .entry(entry.ns)
@@ -55,11 +62,11 @@ impl<V> StorageManager<V> {
             .or_default();
         if let Some(existing) = bucket.iter_mut().find(|e| e.iid == entry.iid) {
             *existing = entry;
-            false
+            None
         } else {
             bucket.push(entry);
             self.len += 1;
-            true
+            bucket.last()
         }
     }
 

@@ -562,20 +562,21 @@ impl<A: App> EngineCore<A> {
         self.push_event(deliver_at, from, oseq, EventKind::Deliver { from, to, msg });
     }
 
-    /// Route a batch of buffered sends in key order. Receivers must all
-    /// be owned by this core (the sharded barrier partitions by
-    /// destination shard before calling this).
-    pub(crate) fn route_batch(&mut self, mut batch: Vec<SendRec<A::Msg>>) {
+    /// Route a batch of buffered sends in key order, leaving `batch`
+    /// empty with its capacity intact. Receivers must all be owned by
+    /// this core (the sharded barrier partitions by destination shard
+    /// before calling this).
+    pub(crate) fn route_batch(&mut self, batch: &mut Vec<SendRec<A::Msg>>) {
         batch.sort_unstable_by_key(SendRec::key);
-        for rec in batch {
+        for rec in batch.drain(..) {
             self.route_rec(rec);
         }
     }
 
     /// Hand the accumulated inter-node sends to the caller (the sharded
-    /// barrier), leaving the buffer empty.
-    pub(crate) fn take_outbound(&mut self) -> Vec<SendRec<A::Msg>> {
-        std::mem::take(&mut self.outbound)
+    /// barrier), leaving the buffer empty but allocated.
+    pub(crate) fn drain_outbound(&mut self) -> std::vec::Drain<'_, SendRec<A::Msg>> {
+        self.outbound.drain(..)
     }
 
     /// Sequential-mode flush: once every event at the send instant has
@@ -591,8 +592,12 @@ impl<A: App> EngineCore<A> {
         if self.queue.peek().is_some_and(|ev| ev.key.at <= t) {
             return;
         }
-        let batch = std::mem::take(&mut self.outbound);
-        self.route_batch(batch);
+        // Routing only enqueues deliveries, so `outbound` stays empty
+        // while its buffer is out; handing it back keeps the capacity
+        // for the next send instant.
+        let mut batch = std::mem::take(&mut self.outbound);
+        self.route_batch(&mut batch);
+        self.outbound = batch;
     }
 
     fn push_event(&mut self, at: Time, origin: NodeId, oseq: u64, kind: EventKind<A::Msg>) {

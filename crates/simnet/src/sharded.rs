@@ -102,20 +102,24 @@ impl ShardMap {
     }
 }
 
-/// Coordinator → worker commands for one barrier round.
+/// Coordinator → worker commands for one barrier round. The send
+/// buffers ping-pong between coordinator and worker — filled on one
+/// side, drained on the other, handed back empty — so a window costs no
+/// allocation once their capacity has settled.
 enum Cmd<M> {
     /// Route these sends (addressed to this shard's nodes), then report
     /// the earliest queued event time.
     Route(Vec<SendRec<M>>),
     /// Execute the window `[now, H)`, then hand back the outbound sends
-    /// partitioned by destination shard.
-    Execute(Time),
+    /// partitioned by destination shard into these (empty) buffers.
+    Execute(Time, Vec<Vec<SendRec<M>>>),
     /// Run is over: return the core through the join handle.
     Exit,
 }
 
 enum Reply<M> {
-    NextAt(Option<Time>),
+    /// Earliest queued event, plus the routed batch's buffer, emptied.
+    NextAt(Option<Time>, Vec<SendRec<M>>),
     Outbound(Vec<Vec<SendRec<M>>>),
 }
 
@@ -249,15 +253,19 @@ impl<A: App> ShardedSim<A> {
         // revive on_start actions) sit in the cores' outbound buffers;
         // partition them by destination shard so the first Route phase
         // sees them — otherwise the gmin scan could miss pending work.
+        let map = &self.map;
         let mut inbound: Vec<Vec<SendRec<A::Msg>>> = (0..w).map(|_| Vec::new()).collect();
-        for s in 0..w {
-            for rec in self.cores[s].take_outbound() {
-                inbound[self.map.shard_of(rec.to)].push(rec);
+        for core in &mut self.cores {
+            for rec in core.drain_outbound() {
+                inbound[map.shard_of(rec.to)].push(rec);
             }
         }
+        // Per-worker destination buffers for the Execute phase.
+        let mut parts_of: Vec<Vec<Vec<SendRec<A::Msg>>>> = (0..w)
+            .map(|_| (0..w).map(|_| Vec::new()).collect())
+            .collect();
 
         let cores = std::mem::take(&mut self.cores);
-        let map = &self.map;
         let lookahead = self.lookahead;
         let exclusive = deadline.next();
 
@@ -273,15 +281,13 @@ impl<A: App> ShardedSim<A> {
                 handles.push(scope.spawn(move || {
                     while let Ok(cmd) = cmd_rx.recv() {
                         match cmd {
-                            Cmd::Route(batch) => {
-                                core.route_batch(batch);
-                                let _ = reply_tx.send(Reply::NextAt(core.next_at()));
+                            Cmd::Route(mut batch) => {
+                                core.route_batch(&mut batch);
+                                let _ = reply_tx.send(Reply::NextAt(core.next_at(), batch));
                             }
-                            Cmd::Execute(h) => {
+                            Cmd::Execute(h, mut parts) => {
                                 core.execute_window(h);
-                                let mut parts: Vec<Vec<SendRec<A::Msg>>> =
-                                    (0..w).map(|_| Vec::new()).collect();
-                                for rec in core.take_outbound() {
+                                for rec in core.drain_outbound() {
                                     parts[map.shard_of(rec.to)].push(rec);
                                 }
                                 let _ = reply_tx.send(Reply::Outbound(parts));
@@ -301,10 +307,11 @@ impl<A: App> ShardedSim<A> {
                     tx.send(Cmd::Route(batch)).expect("worker alive");
                 }
                 let mut gmin: Option<Time> = None;
-                for rx in &reply_rxs {
-                    let Ok(Reply::NextAt(t)) = rx.recv() else {
+                for (s, rx) in reply_rxs.iter().enumerate() {
+                    let Ok(Reply::NextAt(t, routed)) = rx.recv() else {
                         unreachable!("worker died mid-run");
                     };
+                    inbound[s] = routed;
                     gmin = match (gmin, t) {
                         (Some(a), Some(b)) => Some(a.min(b)),
                         (a, b) => a.or(b),
@@ -319,16 +326,18 @@ impl<A: App> ShardedSim<A> {
                 // Phase W: the conservative window. `t ≤ deadline` and
                 // `lookahead > 0` guarantee `h > t`: progress.
                 let h = exclusive.min(t + lookahead);
-                for tx in &cmd_txs {
-                    tx.send(Cmd::Execute(h)).expect("worker alive");
+                for (s, tx) in cmd_txs.iter().enumerate() {
+                    let parts = std::mem::take(&mut parts_of[s]);
+                    tx.send(Cmd::Execute(h, parts)).expect("worker alive");
                 }
-                for rx in &reply_rxs {
-                    let Ok(Reply::Outbound(parts)) = rx.recv() else {
+                for (s, rx) in reply_rxs.iter().enumerate() {
+                    let Ok(Reply::Outbound(mut parts)) = rx.recv() else {
                         unreachable!("worker died mid-run");
                     };
-                    for (d, part) in parts.into_iter().enumerate() {
-                        inbound[d].extend(part);
+                    for (d, part) in parts.iter_mut().enumerate() {
+                        inbound[d].append(part);
                     }
+                    parts_of[s] = parts;
                 }
             }
 
