@@ -1,0 +1,222 @@
+//! Absolute per-operator-shape pins: on a 16-node `Sim` at one seed,
+//! every join dataflow shape must process exactly this many engine
+//! events, move exactly this many messages and bytes, and deliver
+//! exactly this many results. The cross-engine suites compare engines
+//! to each other and the `benchmark/` continuity pins cover three
+//! workloads; this table is what makes a change to rehash, probe,
+//! replay, stage republish or the result sink visible per shape.
+//!
+//! The numbers were taken before the binary and N-way executors were
+//! merged into one pipeline; every `replication = 1` row held across
+//! that merge without edits.
+
+use pier::qp::plan::QueryDesc;
+use pier::qp::sql::parse_continuous_query;
+use pier::qp::testkit::*;
+use pier::qp::{parse_query, Catalog, JoinStrategy, PierNode};
+use pier::simnet::time::Dur;
+use pier::simnet::{NetConfig, NodeId, Sim};
+use pier::workload::{RsParams, RsWorkload};
+use pier_dht::DhtConfig;
+
+const N: usize = 16;
+const SEED: u64 = 15;
+const LIFE: Dur = Dur(100_000 * 1_000_000);
+
+/// `(events_processed, NetStats.messages, NetStats.bytes, results)`.
+type Pin = (u64, u64, u64, usize);
+
+fn workload() -> RsWorkload {
+    RsWorkload::generate(RsParams {
+        s_rows: 24,
+        t_rows: 60,
+        seed: SEED,
+        ..Default::default()
+    })
+}
+
+fn sim_with(cfg: DhtConfig) -> Sim<PierNode> {
+    stabilized_pier_sim(N, cfg, NetConfig::latency_only(SEED))
+}
+
+/// Publish the first `num / den` of every table (round-robin from the home
+/// nodes) and let the puts land.
+fn publish_head(sim: &mut Sim<PierNode>, wl: &RsWorkload, num: usize, den: usize) {
+    for (name, rows) in [("R", &wl.r), ("S", &wl.s), ("T", &wl.t)] {
+        publish_round_robin(sim, name, &rows[..rows.len() * num / den], 0, LIFE);
+    }
+    settle_publish(sim);
+}
+
+/// Publish the rest of every table from node 3 — after install, so the
+/// rows flow through the incremental `rehash_one` path.
+fn publish_tail(sim: &mut Sim<PierNode>, wl: &RsWorkload, num: usize, den: usize) {
+    for (name, rows) in [("R", &wl.r), ("S", &wl.s), ("T", &wl.t)] {
+        let tail = rows[rows.len() * num / den..].to_vec();
+        sim.with_node(3, |node, ctx| node.publish_rows(ctx, name, tail, 0, LIFE));
+    }
+}
+
+fn read(sim: &Sim<PierNode>, qid: u64) -> Pin {
+    let stats = sim.stats();
+    (
+        sim.events_processed(),
+        stats.messages,
+        stats.bytes,
+        sim.node(0).unwrap().query_results(qid).len(),
+    )
+}
+
+/// All data published up front, one query, run to quiescence.
+fn one_shot(desc: QueryDesc) -> Pin {
+    let wl = workload();
+    let mut sim = sim_with(DhtConfig::static_network());
+    publish_head(&mut sim, &wl, 1, 1);
+    let qid = desc.qid;
+    sim.with_node(0, |node, ctx| node.submit(ctx, desc));
+    sim.run_for(Dur::from_secs(90));
+    read(&sim, qid)
+}
+
+/// Half the data before install, half published after it.
+fn standing(desc: QueryDesc) -> Pin {
+    let wl = workload();
+    let mut sim = sim_with(DhtConfig::static_network());
+    publish_head(&mut sim, &wl, 1, 2);
+    let qid = desc.qid;
+    sim.with_node(0, |node, ctx| node.submit(ctx, desc));
+    sim.run_for(Dur::from_secs(30));
+    publish_tail(&mut sim, &wl, 1, 2);
+    sim.run_for(Dur::from_secs(60));
+    read(&sim, qid)
+}
+
+const JOIN_AGG_SQL: &str = "SELECT S.num2, count(*), sum(R.num3) FROM R, S \
+                            WHERE R.num1 = S.pkey GROUP BY S.num2";
+const MULTI_AGG_SQL: &str = "SELECT T.num2, count(*) FROM R, S, T \
+                             WHERE R.num1 = S.pkey AND S.num3 = T.pkey GROUP BY T.num2";
+
+fn sql_one_shot(sql: &str, qid: u64) -> QueryDesc {
+    let op = parse_query(sql, &Catalog::workload(), JoinStrategy::SymmetricHash).unwrap();
+    let mut desc = QueryDesc::one_shot(qid, 0, op);
+    desc.n_nodes = N as u32;
+    desc
+}
+
+#[test]
+fn one_shot_join_per_strategy() {
+    let wl = workload();
+    let want: [Pin; 4] = [
+        (4888, 1752, 501721, 30),
+        (4950, 1814, 398678, 30),
+        (5425, 2289, 493147, 30),
+        (4852, 1714, 465724, 30),
+    ];
+    for (strategy, want) in JoinStrategy::ALL.into_iter().zip(want) {
+        let mut desc = wl.query(1, 0, strategy);
+        desc.n_nodes = N as u32;
+        assert_eq!(one_shot(desc), want, "{}", strategy.name());
+    }
+}
+
+#[test]
+fn standing_join_rehashes_late_rows() {
+    let wl = workload();
+    let op = wl.query(2, 0, JoinStrategy::SymmetricHash).op;
+    assert_eq!(
+        standing(QueryDesc::standing(2, 0, op, None)),
+        (4872, 1736, 492314, 30)
+    );
+}
+
+#[test]
+fn windowed_standing_join() {
+    let wl = workload();
+    let op = wl.query(3, 0, JoinStrategy::SymmetricHash).op;
+    // The window (20 s) is shorter than the run: state rehashed at
+    // install has aged out by the time the last rows could meet it.
+    assert_eq!(
+        standing(QueryDesc::standing(3, 0, op, Some(Dur::from_secs(20)))),
+        (4854, 1718, 479847, 17)
+    );
+}
+
+#[test]
+fn join_agg_one_shot_and_epoch() {
+    assert_eq!(
+        one_shot(sql_one_shot(JOIN_AGG_SQL, 4)),
+        (5551, 2383, 419797, 22)
+    );
+    let sql = format!("{JOIN_AGG_SQL} EPOCH 20 SECONDS");
+    let mut desc = parse_continuous_query(
+        &sql,
+        &Catalog::workload(),
+        JoinStrategy::SymmetricHash,
+        5,
+        0,
+    )
+    .unwrap();
+    desc.n_nodes = N as u32;
+    assert_eq!(standing(desc), (6005, 2725, 445112, 66));
+}
+
+#[test]
+fn three_way_pipeline_pruned_and_full_width() {
+    let wl = workload();
+    assert_eq!(
+        one_shot(wl.multi_query_narrow(6, 0, true)),
+        (5243, 2107, 399161, 13)
+    );
+    assert_eq!(
+        one_shot(wl.multi_query_narrow(7, 0, false)),
+        (5228, 2092, 547992, 13)
+    );
+}
+
+#[test]
+fn standing_three_way_pipeline_rehashes_late_rows() {
+    let wl = workload();
+    let op = wl.multi_query(10, 0).op;
+    assert_eq!(
+        standing(QueryDesc::standing(10, 0, op, None)),
+        (5237, 2101, 557906, 13)
+    );
+}
+
+#[test]
+fn three_way_pipeline_with_aggregation() {
+    assert_eq!(
+        one_shot(sql_one_shot(MULTI_AGG_SQL, 8)),
+        (6603, 3435, 502609, 10)
+    );
+}
+
+/// The 2-table join at `replication = 2`: the node holding the most
+/// rehash state is killed once the initial dataflow completed, and
+/// anti-entropy heals its share. Recall and zero-duplicate assertions
+/// live in `replication_failover.rs`; this row pins the traffic.
+#[test]
+fn replicated_join_with_one_kill() {
+    let wl = workload();
+    let cfg = DhtConfig {
+        keepalive: Dur::from_secs(1),
+        fail_after: Dur::from_secs(5),
+        ..DhtConfig::default()
+    }
+    .with_replication(2);
+    let mut sim = sim_with(cfg);
+    publish_head(&mut sim, &wl, 1, 1);
+    let qid = 9;
+    let op = wl.query(qid, 0, JoinStrategy::SymmetricHash).op;
+    let desc = QueryDesc::standing(qid, 0, op, None);
+    sim.with_node(0, |node, ctx| node.submit(ctx, desc));
+    sim.run_for(Dur::from_secs(30));
+    let now = sim.now();
+    let victim = (1..N as NodeId)
+        .max_by_key(|&i| sim.node(i).unwrap().query_soft_state(now, qid, 0))
+        .unwrap();
+    sim.fail_node(victim);
+    sim.run_for(Dur::from_secs(60));
+    assert_eq!(wl.expected(JoinStrategy::SymmetricHash).len(), 30);
+    assert_eq!((victim, read(&sim, qid)), (14, (11426, 8385, 3463694, 30)));
+}
