@@ -715,11 +715,12 @@ pub fn pruning() {
 
 /// The §2.1 intrusion triage run as a *standing* 3-way join-aggregate:
 /// reports trickle in every epoch while the query re-emits per-attacker
-/// `count(*)` / `max(severity)` groups, for ≥ 3× the legacy 600 s
-/// rehash horizon. The rehash-renewal loop keeps advisory/reputation
-/// join state alive, so per-epoch recall and precision stay 1.0 against
-/// `reference_epochs` — hard-asserted (CI gate; pre-renewal, rehashed
-/// state silently aged out and late reports lost their joins). Prints
+/// `count(*)` / `max(severity)` groups, for ≥ 3× the 600 s horizon of
+/// unrenewed rehash state. The query's own `RENEW` period keeps
+/// advisory/reputation join state alive, so per-epoch recall and
+/// precision stay 1.0 against `reference_epochs` — hard-asserted (CI
+/// gate; unrenewed, rehashed state ages out and late reports lose
+/// their joins). Prints
 /// recall and DHT traffic per epoch and writes
 /// `results/BENCH_continuous.json`.
 pub fn continuous() {
@@ -730,7 +731,7 @@ pub fn continuous() {
 
     let n = 16usize;
     let epoch = Dur::from_secs(120);
-    // 16 epochs × 120 s = 1920 s ≈ 3.2 × the old 600 s fallback.
+    // 16 epochs × 120 s = 1920 s ≈ 3.2 × the unrenewed 600 s horizon.
     let n_epochs: usize = if full_scale() { 24 } else { 16 };
     let legacy_horizon_s = 600.0;
     let per_batch = 24usize;
@@ -739,8 +740,11 @@ pub fn continuous() {
     let seed = 4242u64;
 
     let catalog = Catalog::intrusion();
+    // The query renews its own rehash state; its horizon derives from
+    // the period (3 × 150 s = 450 s ≪ the run length).
+    let sql = intrusion::triage_standing_sql(None, epoch.as_micros() / 1_000_000);
     let desc = parse_continuous_query(
-        &intrusion::triage_standing_sql(None, epoch.as_micros() / 1_000_000),
+        &format!("{sql} RENEW 150 SECONDS"),
         &catalog,
         JoinStrategy::SymmetricHash,
         1010,
@@ -754,13 +758,6 @@ pub fn continuous() {
         DhtConfig::static_network(),
         NetConfig::latency_only(seed),
     );
-    // The renewal loop every node runs; the rehash fallback horizon
-    // derives from it (3 × 150 s = 450 s ≪ the run length).
-    for i in 0..n {
-        sim.with_app(i as NodeId, |node, ctx| {
-            node.start_renewals(ctx, Dur::from_secs(150));
-        });
-    }
     let advisories = intrusion::advisories(distinct_fp, seed);
     let reputation = intrusion::reputations(distinct_addr, seed);
     let batch0 = intrusion::intrusions_from(0, per_batch, distinct_fp, distinct_addr, seed);

@@ -95,7 +95,14 @@ pub fn run_join(cfg: &JoinRun) -> RunMetrics {
     let expected = wl.expected(cfg.strategy);
     let mut join = wl.join_spec(cfg.strategy);
     join.computation_nodes = cfg.computation_nodes;
-    execute_workload_query(cfg, &wl, QueryOp::Join(join), expected, false, true)
+    execute_workload_query(
+        cfg,
+        &wl,
+        QueryOp::Join { join, agg: None },
+        expected,
+        false,
+        true,
+    )
 }
 
 /// Execute the 3-way pipeline extension of the workload (R ⨝ S ⨝ T as
@@ -104,7 +111,10 @@ pub fn run_join(cfg: &JoinRun) -> RunMetrics {
 pub fn run_multi_join(cfg: &JoinRun) -> RunMetrics {
     let wl = RsWorkload::generate(cfg.params);
     let expected = wl.expected_multi();
-    let op = QueryOp::MultiJoin(wl.multi_join_spec());
+    let op = QueryOp::Join {
+        join: wl.multi_join_spec(),
+        agg: None,
+    };
     execute_workload_query(cfg, &wl, op, expected, true, true)
 }
 
@@ -114,7 +124,10 @@ pub fn run_multi_join(cfg: &JoinRun) -> RunMetrics {
 pub fn run_multi_join_pruning(cfg: &JoinRun, prune: bool) -> RunMetrics {
     let wl = RsWorkload::generate(cfg.params);
     let expected = wl.expected_multi_narrow();
-    let op = QueryOp::MultiJoin(wl.multi_join_spec_narrow());
+    let op = QueryOp::Join {
+        join: wl.multi_join_spec_narrow(),
+        agg: None,
+    };
     execute_workload_query(cfg, &wl, op, expected, true, prune)
 }
 

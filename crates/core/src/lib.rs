@@ -38,8 +38,8 @@ pub use optimizer::{
     TableRate,
 };
 pub use plan::{
-    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, PipelineSchema,
-    QueryDesc, QueryOp, ScanSpec, StageCol, StageSchema, StageView,
+    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, PipelineSchema, QueryDesc,
+    QueryOp, ScanSpec, StageCol, StageSchema, StageView,
 };
 pub use planner::plan_sql;
 pub use sql::parse_query;

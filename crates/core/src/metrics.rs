@@ -102,6 +102,9 @@ pub struct MetricsRegistry {
     pub admitted_installs: u64,
     /// Installs rejected by quota (admission control) on this node.
     pub rejected_installs: u64,
+    /// Install multicasts dropped because the descriptor's join spec was
+    /// malformed (it would have panicked an operator).
+    pub malformed_installs: u64,
     /// Publishes shed by per-tenant token-bucket backpressure.
     pub shed_publishes: u64,
     /// Wire bytes of those shed publishes (traffic that never entered
@@ -267,8 +270,12 @@ impl MetricsSnapshot {
             let _ = writeln!(
                 out,
                 "      \"admitted_installs\": {}, \"rejected_installs\": {}, \
-                 \"shed_publishes\": {}, \"shed_bytes\": {},",
-                r.admitted_installs, r.rejected_installs, r.shed_publishes, r.shed_bytes
+                 \"malformed_installs\": {}, \"shed_publishes\": {}, \"shed_bytes\": {},",
+                r.admitted_installs,
+                r.rejected_installs,
+                r.malformed_installs,
+                r.shed_publishes,
+                r.shed_bytes
             );
             let _ = writeln!(out, "      \"occupancy\": [{}],", occ.join(", "));
             let _ = writeln!(out, "      \"queries\": [");

@@ -1,0 +1,338 @@
+//! Aggregation (flat DHT grouping + hierarchical extension): the
+//! accumulate half of the join sink, the flush/harvest timers, and the
+//! tree variant's flushes.
+
+use std::collections::BTreeMap;
+
+use pier_dht::msg::Entry;
+use pier_dht::Rid;
+use pier_simnet::app::Ctx;
+use pier_simnet::time::{Dur, Time};
+
+use super::{for_each_live, PierEnv, PierNode, QueryInstance, TimerAction};
+use crate::agg::GroupAccs;
+use crate::item::{PierMsg, QpItem};
+use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
+use crate::tuple::Tuple;
+use crate::value::Value;
+
+/// resourceID of a group's partials: hash of the group values.
+fn group_rid(group: &[Value]) -> Rid {
+    let mut h: u64 = 0x67_72_6f_75_70;
+    for v in group {
+        h = pier_dht::geom::hash2(h, v.hash64());
+    }
+    h
+}
+
+type Groups = BTreeMap<Vec<Value>, GroupAccs>;
+
+/// Fold one input row into its group's accumulators.
+fn fold(groups: &mut Groups, agg: &AggSpec, row: &Tuple) {
+    let group: Vec<Value> = agg.group_cols.iter().map(|&c| row.get(c).clone()).collect();
+    groups
+        .entry(group)
+        .or_insert_with(|| GroupAccs::new(&agg.aggs))
+        .update(&agg.aggs, row);
+}
+
+/// Merge one group's partial accumulators into `groups`.
+fn merge(groups: &mut Groups, group: &[Value], accs: &GroupAccs) {
+    match groups.get_mut(group) {
+        Some(g) => g.merge(accs),
+        None => {
+            groups.insert(group.to_vec(), accs.clone());
+        }
+    }
+}
+
+impl QueryInstance {
+    /// Fold one input row into the query's aggregation state. One-shot
+    /// aggregates fold directly into the (drained-at-flush) group
+    /// accumulators. Windowed epoch queries buffer `(valid_until, row)`
+    /// so each epoch flush can re-aggregate exactly the contributions
+    /// still inside the window; unwindowed epoch queries fold into
+    /// persistent running accumulators snapshotted at each flush.
+    pub(super) fn accumulate(
+        &mut self,
+        replicated: bool,
+        agg: &AggSpec,
+        row: &Tuple,
+        valid_until: Time,
+        ident: u64,
+    ) {
+        // Under replication, anti-entropy can re-fire a probe whose
+        // output this node already folded in (a healed copy re-stored
+        // after a sweep): contributions are identity-deduplicated.
+        // `ident == 0` (never issued) is exempt.
+        if replicated && ident != 0 && !self.acc_seen.insert(ident) {
+            return;
+        }
+        if agg.epoch.is_none() {
+            fold(&mut self.local_groups, agg, row);
+        } else if self.desc.window.is_some() {
+            self.win_rows.push((valid_until, row.clone()));
+        } else {
+            fold(&mut self.run_groups, agg, row);
+        }
+    }
+}
+
+/// How long a base row counts toward a windowed aggregate: `window`
+/// after it is first seen, and never past its own expiry.
+fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
+    window.map_or(Time::MAX, |w| expires.min(now + w))
+}
+
+impl PierNode {
+    /// Install-time half of a single-table aggregation: fold the local
+    /// fragment, then flush (or schedule the tree / epoch flushes).
+    pub(super) fn agg_start(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        desc: &QueryDesc,
+        scan: &ScanSpec,
+        agg: &AggSpec,
+    ) {
+        let (qid, now) = (desc.qid, ctx.now);
+        let replicated = self.replicated();
+        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+            for_each_live(&self.dht, scan, now, |iid, expires, row| {
+                let valid = base_valid(desc.window, now, expires);
+                inst.accumulate(replicated, agg, row, valid, iid as u64);
+            });
+        }
+        if agg.hierarchical {
+            self.schedule_hier_flush(ctx, desc, agg);
+        } else {
+            if agg.epoch.is_none() {
+                // Epoch queries flush on their timer instead.
+                self.flush_partials(ctx, qid, agg);
+            }
+            self.schedule_agg_timers(ctx, qid, agg, false);
+        }
+    }
+
+    /// Epoch-driven continuous aggregation: a newly published base row
+    /// (already past the scan predicate) joins the window and is
+    /// (re-)reported at the next epoch flush. Without an epoch the
+    /// aggregate stays one-shot — there is no re-emission to carry the
+    /// update.
+    pub(super) fn agg_new_row(
+        &mut self,
+        now: Time,
+        desc: &QueryDesc,
+        agg: &AggSpec,
+        entry: &Entry<QpItem>,
+        row: &Tuple,
+    ) {
+        if agg.epoch.is_some() {
+            let valid = base_valid(desc.window, now, entry.expires);
+            self.accumulate(desc.qid, agg, row, valid, entry.iid as u64);
+        }
+    }
+
+    /// [`QueryInstance::accumulate`] on an installed query.
+    pub(super) fn accumulate(
+        &mut self,
+        qid: u64,
+        agg: &AggSpec,
+        row: &Tuple,
+        valid_until: Time,
+        ident: u64,
+    ) {
+        let replicated = self.replicated();
+        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+            inst.accumulate(replicated, agg, row, valid_until, ident);
+        }
+    }
+
+    /// Groups to report at a flush instant: the transient accumulators
+    /// drained (one-shot inputs; received hierarchical child partials),
+    /// plus — for epoch queries — either a fresh aggregation of every
+    /// window contribution still alive (expired contributions thereby
+    /// age out of the window between epochs) or a snapshot of the
+    /// running totals.
+    fn harvest_groups(&mut self, qid: u64, agg: &AggSpec, now: Time) -> Groups {
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return Groups::new();
+        };
+        let mut groups = std::mem::take(&mut inst.local_groups);
+        if agg.epoch.is_some() {
+            inst.win_rows.retain(|(valid, _)| *valid > now);
+            for (_, row) in &inst.win_rows {
+                fold(&mut groups, agg, row);
+            }
+            for (group, accs) in &inst.run_groups {
+                merge(&mut groups, group, accs);
+            }
+        }
+        groups
+    }
+
+    /// Finalize groups: apply HAVING, evaluate the output expressions,
+    /// ship to the initiator. Aggregate emissions legitimately repeat
+    /// every epoch: ident 0 exempts them from initiator-side dedup.
+    fn emit_groups(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        desc: &QueryDesc,
+        agg: &AggSpec,
+        groups: Groups,
+    ) {
+        for (group, accs) in groups {
+            let virt = accs.output_row(&group);
+            if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
+                let out = Tuple::new(agg.output.iter().map(|e| e.eval(&virt)).collect());
+                self.emit_result(ctx, desc.qid, desc.initiator, 0, out);
+            }
+        }
+    }
+
+    /// Push local partials into the NA namespace (flat aggregation).
+    /// Epoch queries re-publish under the same instanceID every epoch —
+    /// a renewal — with a one-epoch lifetime, so a group that ages out
+    /// of this node's window stops contributing by the next harvest.
+    pub(super) fn flush_partials(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, agg: &AggSpec) {
+        let groups = self.harvest_groups(qid, agg, ctx.now);
+        let na = qns::agg(qid);
+        let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for (group, accs) in groups {
+            let rid = group_rid(&group);
+            let me = self.dht.me();
+            self.dht.put(
+                &mut env,
+                na,
+                rid,
+                me,
+                QpItem::Partial { qid, group, accs },
+                lifetime,
+                &mut events,
+            );
+        }
+        self.pump(ctx, events);
+    }
+
+    pub(super) fn schedule_agg_timers(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        agg: &AggSpec,
+        joinagg: bool,
+    ) {
+        if let Some(epoch) = agg.epoch {
+            // Epoch-driven continuous aggregation: partials flush just
+            // after each epoch boundary (the short lag lets the join
+            // outputs probed right after the query multicast — rehash
+            // puts are still in flight at install — make epoch 0), and
+            // every surviving group is harvested and re-emitted half an
+            // epoch later. Both timers re-arm on fire, so the standing
+            // query never tears down.
+            let lag = Dur::from_micros((epoch.as_micros() / 4).min(5_000_000));
+            self.arm_timer(ctx, qid, lag, TimerAction::PartialFlush { qid });
+            let half = Dur::from_micros(epoch.as_micros() / 2);
+            self.arm_timer(ctx, qid, half, TimerAction::AggHarvest { qid });
+            return;
+        }
+        if joinagg {
+            // NQ nodes accumulate join outputs, then flush halfway.
+            let half = Dur::from_micros(agg.harvest.as_micros() / 2);
+            self.arm_timer(ctx, qid, half, TimerAction::PartialFlush { qid });
+        }
+        self.arm_timer(ctx, qid, agg.harvest, TimerAction::AggHarvest { qid });
+    }
+
+    /// Continuous aggregation re-arms its timers every epoch instead of
+    /// tearing the query down after one harvest. An epoch spec inside a
+    /// non-continuous descriptor does not re-arm: the query emits one
+    /// round and falls silent like any other one-shot.
+    pub(super) fn rearm_epoch(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, action: TimerAction) {
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return;
+        };
+        if !inst.desc.continuous {
+            return;
+        }
+        if let Some(epoch) = inst.desc.op.agg().and_then(|a| a.epoch) {
+            self.arm_timer(ctx, qid, epoch, action);
+        }
+    }
+
+    /// Finalize every group whose partials landed here; apply HAVING;
+    /// ship results to the initiator.
+    pub(super) fn agg_harvest(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+        let Some(desc) = self.query_desc(qid) else {
+            return;
+        };
+        let Some(agg) = desc.op.agg() else { return };
+        let now = ctx.now;
+        let mut merged = Groups::new();
+        // Expired partials (a publisher whose group aged out of its
+        // window, or a dead node) are skipped even before the sweep
+        // collects them.
+        for e in self.dht.store.lscan(qns::agg(qid)) {
+            match &e.val {
+                QpItem::Partial {
+                    group,
+                    accs,
+                    qid: q,
+                } if *q == qid && e.expires > now => merge(&mut merged, group, accs),
+                _ => {}
+            }
+        }
+        self.emit_groups(ctx, &desc, agg, merged);
+    }
+
+    /// Hierarchical aggregation: stagger flushes so deeper nodes send
+    /// before their parents, merging along a binary tree over node ids.
+    /// Epoch queries stagger within each epoch and re-arm every epoch.
+    pub(super) fn schedule_hier_flush(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        desc: &QueryDesc,
+        agg: &AggSpec,
+    ) {
+        let qid = desc.qid;
+        let n = desc.n_nodes.max(1);
+        let max_depth = 64 - (n as u64).leading_zeros() as u64;
+        let me = self.dht.me() as u64;
+        let depth = 64 - (me + 1).leading_zeros() as u64;
+        // Deeper levels flush earlier.
+        let slot = max_depth.saturating_sub(depth) + 1;
+        let span = agg.epoch.unwrap_or(agg.harvest);
+        let delay = Dur::from_micros(span.as_micros() * slot / (max_depth + 2));
+        self.arm_timer(ctx, qid, delay, TimerAction::HierFlush { qid });
+    }
+
+    pub(super) fn hier_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+        let Some(desc) = self.query_desc(qid) else {
+            return;
+        };
+        let QueryOp::Agg { agg, .. } = &desc.op else {
+            return;
+        };
+        let groups = self.harvest_groups(qid, agg, ctx.now);
+        let me = self.dht.me();
+        if me == 0 {
+            // Root: finalize.
+            self.emit_groups(ctx, &desc, agg, groups);
+        } else {
+            let parent = (me - 1) / 2;
+            for (group, accs) in groups {
+                ctx.send(parent, PierMsg::AggUp { qid, group, accs });
+            }
+        }
+    }
+
+    pub(super) fn on_agg_up(&mut self, qid: u64, group: Vec<Value>, accs: GroupAccs) {
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        inst.local_groups
+            .entry(group)
+            .and_modify(|m| m.merge(&accs))
+            .or_insert(accs);
+    }
+}

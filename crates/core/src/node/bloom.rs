@@ -1,0 +1,150 @@
+//! The Bloom-filter rewrite of a two-table join (§4.2): every node
+//! publishes a filter fragment per side, collectors OR and multicast
+//! them, and each side's rehash ([`PierNode::rehash_table`]) is gated by
+//! the filter over the opposite table's keys.
+
+use pier_simnet::app::Ctx;
+
+use super::{for_each_live, NsRole, PierEnv, PierNode, TimerAction};
+use crate::bloom::BloomFilter;
+use crate::item::{PierMsg, QpItem, Side};
+use crate::plan::qns;
+
+/// How many times a collector extends its deadline for slow fragments.
+const MAX_DEADLINE_EXTENSIONS: u8 = 60;
+
+impl PierNode {
+    pub(super) fn bloom_start(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+        let Some((desc, view)) = self.join_plan(qid) else {
+            return;
+        };
+        let Some(j) = desc.op.join() else { return };
+        // Publish a filter fragment per local side. Fragments are
+        // collector metadata, not window or renewal state: whatever the
+        // query's horizon, they must outlive the collector's flush
+        // deadline — including every congestion extension (≤ 60 ×
+        // bloom_wait) — so a slow collector never ORs an
+        // already-expired fragment set.
+        let lifetime = Self::query_horizon(&desc).max(j.bloom_wait.saturating_mul(64));
+        let mut work = Vec::new();
+        for side in [Side::Left, Side::Right] {
+            let mut filter = BloomFilter::new(j.bloom_bits, 4);
+            let (_, _, join_col) = view.table_role(side as usize);
+            for_each_live(&self.dht, j.table(side as usize), ctx.now, |_, _, row| {
+                filter.insert(row.get(join_col).hash64());
+            });
+            work.push((side, filter));
+        }
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for (side, filter) in work {
+            let ns = qns::bloom(qid, side == Side::Right);
+            let me = self.dht.me();
+            self.dht.put(
+                &mut env,
+                ns,
+                0,
+                me,
+                QpItem::Bloom { qid, side, filter },
+                lifetime,
+                &mut events,
+            );
+        }
+        // If we own a collector key, schedule the OR-and-multicast: a
+        // deadline as fallback, plus an early flush once fragments from
+        // every node have arrived (see `on_bloom_fragment`).
+        for side in [Side::Left, Side::Right] {
+            let ns = qns::bloom(qid, side == Side::Right);
+            if self.dht.owns_key(pier_dht::key_of(ns, 0)) {
+                let action = TimerAction::BloomFlush { qid, side };
+                self.arm_timer(ctx, qid, j.bloom_wait, action);
+            }
+            self.reg.route(ns, qid, NsRole::BloomCollector(side));
+        }
+        self.pump(ctx, events);
+    }
+
+    /// A fragment landed at this collector: flush early once every
+    /// participant's is in.
+    pub(super) fn on_bloom_fragment(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
+        if self.fragments_missing(qid, side) == Some(false) {
+            self.bloom_flush(ctx, qid, side);
+        }
+    }
+
+    /// Is this collector still waiting for fragments of `side`? `None`
+    /// when it cannot tell (query gone, or participant count unknown).
+    fn fragments_missing(&self, qid: u64, side: Side) -> Option<bool> {
+        let expecting = self.reg.queries.get(&qid)?.desc.n_nodes as usize;
+        let have = self.dht.store.ns_len(qns::bloom(qid, side == Side::Right));
+        (expecting > 0).then_some(have < expecting)
+    }
+
+    /// A collector's deadline: if fragments are known to be still in
+    /// flight (congestion), extend the window instead of multicasting a
+    /// truncated filter.
+    pub(super) fn bloom_deadline(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
+        let missing = self.fragments_missing(qid, side) == Some(true);
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        let Some(wait) = inst.desc.op.join().map(|j| j.bloom_wait) else {
+            return;
+        };
+        let s = side as usize;
+        if missing && inst.bloom_waits[s] < MAX_DEADLINE_EXTENSIONS && !inst.bloom_flushed[s] {
+            inst.bloom_waits[s] += 1;
+            self.arm_timer(ctx, qid, wait, TimerAction::BloomFlush { qid, side });
+        } else {
+            self.bloom_flush(ctx, qid, side);
+        }
+    }
+
+    /// OR the collected fragments of `side` and multicast the result.
+    fn bloom_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        let Some(bloom_bits) = inst.desc.op.join().map(|j| j.bloom_bits) else {
+            return;
+        };
+        if std::mem::replace(&mut inst.bloom_flushed[side as usize], true) {
+            return;
+        }
+        let mut filter = BloomFilter::new(bloom_bits, 4);
+        for e in self.dht.store.lscan(qns::bloom(qid, side == Side::Right)) {
+            if let QpItem::Bloom {
+                filter: fragment, ..
+            } = &e.val
+            {
+                filter.union(fragment);
+            }
+        }
+        // "The filters are OR-ed together and then multicast to all nodes
+        // storing the opposite table" — our multicast reaches all nodes;
+        // non-holders simply have nothing to rehash.
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        self.dht
+            .multicast(&mut env, QpItem::Bloom { qid, side, filter }, &mut events);
+        self.pump(ctx, events);
+    }
+
+    /// The OR-ed filter over `side`'s keys arrived: it gates the rehash
+    /// of the *opposite* table.
+    pub(super) fn on_bloom_filter(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        side: Side,
+        filter: BloomFilter,
+    ) {
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        if std::mem::replace(&mut inst.got_filter[side as usize], true) {
+            return;
+        }
+        self.rehash_table(ctx, qid, side.opposite() as usize, Some(&filter));
+    }
+}

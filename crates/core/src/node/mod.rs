@@ -1,0 +1,795 @@
+//! The PIER node: DHT stack + query processor in one automaton (Fig. 1).
+//!
+//! The query processor is push-based (§3.3): there is no iterator loop,
+//! only reactions to DHT upcalls — a query multicast installs operator
+//! state, `newData` callbacks drive probing, `get` completions drive
+//! fetching, timers drive Bloom collection and aggregate harvests, and
+//! result tuples flow directly to the initiating node.
+//!
+//! This module holds the node's state, the query lifecycle (install,
+//! uninstall, timers) and the upcall dispatch; the operators live in
+//! plain `impl PierNode` blocks beside it: `pipeline` (the one join
+//! dataflow), `fetch` and `bloom` (the three other strategies of a
+//! two-table join), `agg`, `renewal`, and the typed client surface in
+//! `service`.
+
+mod agg;
+mod bloom;
+mod fetch;
+mod pipeline;
+mod renewal;
+mod service;
+
+use renewal::{PubRecord, SoftPub};
+
+pub use service::{NodeRequest, NodeResponse, PublishReport};
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
+
+use pier_dht::env::DhtEnv;
+use pier_dht::event::DhtEvent;
+use pier_dht::msg::Entry;
+use pier_dht::{Dht, DhtConfig, Ns, DHT_TICK_TOKEN};
+use pier_simnet::app::{App, Ctx};
+use pier_simnet::time::{Dur, Time};
+use pier_simnet::NodeId;
+use rand::Rng;
+
+use crate::agg::GroupAccs;
+use crate::item::{PierMsg, QpItem, Side};
+use crate::metrics::MetricsRegistry;
+use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
+use crate::tenant::TenantGovernor;
+use crate::tuple::{FlatRow, Tuple};
+use crate::value::Value;
+
+/// Adapter: the DHT sublayer speaks `DhtMsg<QpItem>`, wrapped in
+/// [`PierMsg::Dht`] on the wire.
+struct PierEnv<'a, 'b> {
+    ctx: &'a mut Ctx<'b, PierMsg>,
+}
+
+impl<'a, 'b> DhtEnv<QpItem> for PierEnv<'a, 'b> {
+    fn now(&self) -> Time {
+        self.ctx.now
+    }
+    fn me(&self) -> NodeId {
+        self.ctx.me
+    }
+    fn send(&mut self, to: NodeId, msg: pier_dht::msg::DhtMsg<QpItem>) {
+        self.ctx.send(to, PierMsg::Dht(msg));
+    }
+    fn timer(&mut self, after: Dur, token: u64) {
+        self.ctx.set_timer(after, token);
+    }
+    fn rand64(&mut self) -> u64 {
+        self.ctx.rng.gen()
+    }
+}
+
+/// What an outstanding DHT `get` was issued for.
+enum GetPurpose {
+    /// Fetch Matches: probing the right table for one left tuple
+    /// (`left_iid` is the probing tuple's instanceID, kept so the
+    /// result identity can name both constituents; `left_expires` so a
+    /// windowed aggregate knows how long the result stays valid).
+    FmProbe {
+        qid: u64,
+        left_iid: u32,
+        left_expires: Time,
+        left_row: Tuple,
+    },
+    /// Symmetric semi-join: fetching one side of a matched pair.
+    SemiFetch { qid: u64, pair: u64, side: Side },
+}
+
+impl GetPurpose {
+    /// The query this fetch belongs to (uninstall drops its fetches).
+    fn qid(&self) -> u64 {
+        match self {
+            GetPurpose::FmProbe { qid, .. } | GetPurpose::SemiFetch { qid, .. } => *qid,
+        }
+    }
+}
+
+/// Deferred work bound to a timer token.
+enum TimerAction {
+    /// Bloom collector: OR the collected fragments and multicast.
+    BloomFlush { qid: u64, side: Side },
+    /// Flat aggregation: finalize locally-owned groups, emit results.
+    /// Re-armed every epoch for continuous aggregation.
+    AggHarvest { qid: u64 },
+    /// Push locally accumulated partials into `NA` (join-aggregation
+    /// halfway flush; epoch-boundary flush for continuous aggregates).
+    PartialFlush { qid: u64 },
+    /// Hierarchical aggregation: send merged partials to the tree
+    /// parent. Re-armed every epoch for continuous aggregation.
+    HierFlush { qid: u64 },
+    /// Republish this node's published base rows, every `every` (the
+    /// renewal loop of §3.2.3 / Fig. 6).
+    Renew { every: Dur },
+    /// Republish one standing query's rehash soft state every
+    /// [`QueryDesc::renew_every`]. Cancelled by uninstall, so renewal
+    /// stops and the query's DHT state ages out within one horizon.
+    RenewQuery { qid: u64 },
+}
+
+impl TimerAction {
+    /// The query a timer action belongs to, if any — uninstall cancels
+    /// exactly these.
+    fn qid(&self) -> Option<u64> {
+        match self {
+            TimerAction::BloomFlush { qid, .. }
+            | TimerAction::AggHarvest { qid }
+            | TimerAction::PartialFlush { qid }
+            | TimerAction::HierFlush { qid }
+            | TimerAction::RenewQuery { qid } => Some(*qid),
+            TimerAction::Renew { .. } => None,
+        }
+    }
+}
+
+/// What a join handler works from: the descriptor and the checked
+/// schema built from it at install (two refcount bumps).
+type JoinPlan = (Arc<QueryDesc>, Arc<PipelineSchema>);
+
+/// Per-query operator state at one node.
+struct QueryInstance {
+    /// The multicast descriptor itself, shared with every other node's
+    /// instance: handlers clone the `Arc` and borrow operator specs from
+    /// it instead of copying them out per event.
+    desc: Arc<QueryDesc>,
+    /// Joins only: the schema-aware projection plan — what every
+    /// rehash, stage republish, and initiator ship carries, with
+    /// expressions remapped onto the pruned layouts. Built (and the
+    /// descriptor's join spec thereby checked) once, at install.
+    view: Option<Arc<PipelineSchema>>,
+    /// Whether the OR-ed Bloom filter over each side has arrived (and
+    /// gated the opposite side's rehash).
+    got_filter: [bool; 2],
+    /// Whether this node (as collector) already multicast each OR-ed
+    /// filter — set by the early count-based flush or the timer.
+    bloom_flushed: [bool; 2],
+    /// How often the collector deadline has been extended while waiting
+    /// for slow fragments.
+    bloom_waits: [u8; 2],
+    /// Semi-join pair assembly.
+    pairs: BTreeMap<u64, PairFetch>,
+    /// Local pre-aggregation (join-agg at NQ nodes, hierarchical agg).
+    local_groups: BTreeMap<Vec<Value>, GroupAccs>,
+    /// Epoch-driven *windowed* aggregation: every input contribution (a
+    /// base row or a join output) with the instant it ages out of the
+    /// sliding window. The per-epoch flush re-aggregates the still-live
+    /// contributions, so expired ones fall out of the window between
+    /// epochs. Bounded by the window length.
+    win_rows: Vec<(Time, Tuple)>,
+    /// Epoch-driven *unwindowed* aggregation: persistent running
+    /// accumulators, folded incrementally and snapshotted (not drained)
+    /// at each epoch flush — O(groups) state, O(new rows) per epoch,
+    /// where a contribution buffer would grow forever.
+    run_groups: BTreeMap<Vec<Value>, GroupAccs>,
+    /// Rehash / stage soft state this node published for the query and
+    /// renews ([`PierNode::record_rehash`]; empty unless the query
+    /// carries a renewal period). Dropped at uninstall, so renewal
+    /// stops and the state ages out within one horizon.
+    rehash_pubs: Vec<SoftPub>,
+    /// Contribution identities already folded into this query's
+    /// aggregation state (`replication > 1` only): a probe re-run by a
+    /// healed replica must not double-count a join output or base row
+    /// the dead primary's probe already accumulated here.
+    acc_seen: BTreeSet<u64>,
+    /// Outstanding timer tokens of this query. Uninstall cancels them
+    /// all (removes their [`TimerAction`]s), so a torn-down query holds
+    /// no entry in any node-level map.
+    timers: Vec<u64>,
+}
+
+impl QueryInstance {
+    fn new(desc: Arc<QueryDesc>, view: Option<Arc<PipelineSchema>>) -> Self {
+        QueryInstance {
+            desc,
+            view,
+            got_filter: [false, false],
+            bloom_flushed: [false, false],
+            bloom_waits: [0, 0],
+            pairs: BTreeMap::new(),
+            local_groups: BTreeMap::new(),
+            win_rows: Vec::new(),
+            run_groups: BTreeMap::new(),
+            rehash_pubs: Vec::new(),
+            acc_seen: BTreeSet::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
+/// Semi-join: the two full-tuple fetches of one matched mini pair,
+/// indexed by [`Side`].
+struct PairFetch {
+    /// Fetched rows (with their expiry) whose primary key is the one
+    /// the mini named; `None` until that side's fetch completes.
+    rows: [Option<Vec<(Time, Tuple)>>; 2],
+    pkeys: [Value; 2],
+    /// Identity of the mini pair that triggered the fetches — the
+    /// emitted results inherit it for initiator-side dedup.
+    ident: u64,
+}
+
+/// Why a namespace is interesting to a query at this node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum NsRole {
+    /// Rehash namespace of join stage `k`: arrivals probe.
+    Stage(u16),
+    /// Base table `t` of the query (0 = scan input / pipeline head;
+    /// `t >= 1` is join stage `t - 1`'s right input): arrivals flow into
+    /// a standing query incrementally.
+    Base(u16),
+    /// Bloom collector for the fragments of one side.
+    BloomCollector(Side),
+}
+
+/// The node's ledger of installed queries: every per-query structure —
+/// operator state, rehash publications, timer tokens (inside each
+/// [`QueryInstance`]) and the namespace routing table — lives here, so
+/// install and uninstall are single entry points and a torn-down query
+/// leaves nothing behind. Teardown is driven by [`PierNode::cancel`] (any shape) or by
+/// one-shot aggregates retiring at their terminal harvest; a one-shot
+/// *join* has no terminal event — its results trickle until the soft
+/// state ages out — so it stays installed until explicitly cancelled.
+#[derive(Default)]
+struct QueryRegistry {
+    queries: BTreeMap<u64, QueryInstance>,
+    /// Why each namespace is interesting, and to which queries: drives
+    /// `newData` dispatch; stripped per query at uninstall.
+    ns_routes: BTreeMap<Ns, Vec<(u64, NsRole)>>,
+}
+
+impl QueryRegistry {
+    fn install(&mut self, qid: u64, inst: QueryInstance) {
+        self.queries.insert(qid, inst);
+    }
+
+    fn route(&mut self, ns: Ns, qid: u64, role: NsRole) {
+        let routes = self.ns_routes.entry(ns).or_default();
+        if !routes.contains(&(qid, role)) {
+            routes.push((qid, role));
+        }
+    }
+
+    /// Remove a query and every route pointing at it. Returns the
+    /// instance so the caller can cancel its timers.
+    fn uninstall(&mut self, qid: u64) -> Option<QueryInstance> {
+        let inst = self.queries.remove(&qid)?;
+        self.ns_routes.retain(|_, routes| {
+            routes.retain(|&(q, _)| q != qid);
+            !routes.is_empty()
+        });
+        Some(inst)
+    }
+}
+
+/// One PIER node.
+pub struct PierNode {
+    pub dht: Dht<QpItem>,
+    bootstrap: Option<NodeId>,
+    /// Every installed query's state, owned in one place.
+    reg: QueryRegistry,
+    /// Result log at the initiator: arrival time and tuple, per query.
+    /// Survives uninstall, so an initiator can tear a query down and
+    /// still read what it produced.
+    pub results: BTreeMap<u64, Vec<(Time, Tuple)>>,
+    /// Result identities already logged, per query (`replication > 1`
+    /// only — see [`PierMsg::Result`]). A healed replica re-running a
+    /// probe the dead primary already answered re-sends the same
+    /// logical result; the initiator drops the re-emission here.
+    results_seen: BTreeMap<u64, BTreeSet<u64>>,
+    get_purpose: BTreeMap<u64, GetPurpose>,
+    timer_actions: BTreeMap<u64, TimerAction>,
+    /// Recently cancelled qids (bounded FIFO): a `Cancel` that overtakes
+    /// its query's still-in-flight install multicast must not let the
+    /// late-arriving descriptor resurrect the query and renew forever.
+    cancelled: VecDeque<u64>,
+    next_token: u64,
+    published: Vec<PubRecord>,
+    iid_seq: u32,
+    /// Tenancy governance: admission control at install time and
+    /// publish-side token buckets ([`crate::tenant`]). Harnesses
+    /// configure quotas/rates directly (Sim) or via
+    /// [`NodeRequest::SetQuota`] / [`NodeRequest::SetTableRate`].
+    pub governor: TenantGovernor,
+    /// Per-query counters and node-level admission/backpressure totals
+    /// ([`crate::metrics`]); snapshot with [`Self::node_metrics`].
+    pub metrics: MetricsRegistry,
+}
+
+/// How many cancelled qids the tombstone FIFO remembers.
+const CANCEL_TOMBSTONES: usize = 512;
+
+impl PierNode {
+    /// A node that creates (`bootstrap = None`) or joins an overlay.
+    pub fn new(cfg: DhtConfig, me: NodeId, bootstrap: Option<NodeId>) -> Self {
+        Self::with_dht(Dht::new(cfg, me), bootstrap)
+    }
+
+    /// A node with a pre-built DHT stack (balanced bootstrap).
+    pub fn with_dht(dht: Dht<QpItem>, bootstrap: Option<NodeId>) -> Self {
+        PierNode {
+            dht,
+            bootstrap,
+            reg: QueryRegistry::default(),
+            results: BTreeMap::new(),
+            results_seen: BTreeMap::new(),
+            get_purpose: BTreeMap::new(),
+            timer_actions: BTreeMap::new(),
+            cancelled: VecDeque::new(),
+            next_token: 1,
+            published: Vec::new(),
+            iid_seq: 0,
+            governor: TenantGovernor::new(),
+            metrics: MetricsRegistry::default(),
+        }
+    }
+
+    fn token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token
+    }
+
+    /// Globally unique instanceID: publisher id in the high bits, local
+    /// sequence in the low bits. Two publishers must never collide on
+    /// (ns, rid, iid) or their puts would overwrite each other.
+    fn fresh_iid(&mut self) -> u32 {
+        self.iid_seq = (self.iid_seq + 1) & 0x3_FFFF;
+        (self.dht.me() << 18) | self.iid_seq
+    }
+
+    /// Is the exactly-once machinery for churn active? Under the paper's
+    /// `replication = 1` every identity below stays a fresh instanceID
+    /// and no dedup set is consulted.
+    fn replicated(&self) -> bool {
+        self.dht.cfg.replication > 1
+    }
+
+    /// InstanceID of a derived publication (rehash, mini, stage tuple)
+    /// under replication: a deterministic function of the *source*
+    /// entry's globally-unique instanceID and a salt naming the role
+    /// (side / pipeline table / stage). When anti-entropy heals a base
+    /// row onto a new owner, its re-rehash then lands on the SAME
+    /// (ns, rid, iid) as the dead owner's publication — a renewal, not
+    /// new data — so downstream probes do not fire twice. The salt keeps
+    /// a self-join's two sides from colliding on one instanceID.
+    fn derived_iid(&mut self, source_iid: u32, salt: u64) -> u32 {
+        if self.replicated() {
+            pier_dht::geom::hash2(source_iid as u64, 0x5eed_0000 | salt) as u32
+        } else {
+            self.fresh_iid()
+        }
+    }
+
+    /// Identity of a two-constituent result: the constituent instanceIDs
+    /// packed order-independently (probe direction must not matter).
+    /// Exact — two results collide only if built from the same pair.
+    fn pair_ident(a: u32, b: u32) -> u64 {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        ((lo as u64) << 32) | hi as u64
+    }
+
+    /// Results received so far for a query this node initiated.
+    pub fn query_results(&self, qid: u64) -> &[(Time, Tuple)] {
+        self.results.get(&qid).map_or(&[], |v| v.as_slice())
+    }
+
+    /// Local uninstall: remove the query from the registry (dropping its
+    /// operator state and rehash-renewal ledger, so renewal stops),
+    /// cancel its outstanding timers, forget its in-flight fetches, and
+    /// purge the local store's share of the query's derived namespaces.
+    /// Shares held by peers that missed the cancel still age out within
+    /// one soft-state lifetime — expiry is the reclamation fallback,
+    /// not the only path. A bounded tombstone guards against a `Cancel`
+    /// overtaking its query's still-in-flight install multicast.
+    fn uninstall_query(&mut self, qid: u64) {
+        self.governor.release(qid);
+        self.metrics.on_uninstall(qid);
+        if self.cancelled.len() == CANCEL_TOMBSTONES {
+            self.cancelled.pop_front();
+        }
+        if !self.cancelled.contains(&qid) {
+            self.cancelled.push_back(qid);
+        }
+        if let Some(inst) = self.reg.uninstall(qid) {
+            for token in inst.timers {
+                self.timer_actions.remove(&token);
+            }
+            let stages = inst.desc.op.join().map_or(0, |j| j.stages.len());
+            for ns in qns::all(qid, stages) {
+                self.dht.store.remove_ns(ns);
+            }
+        }
+        self.get_purpose.retain(|_, p| p.qid() != qid);
+    }
+
+    /// One-shot queries complete at their terminal harvest; retire them
+    /// so `timer_actions`, the registry, and the routing table return to
+    /// baseline instead of growing for the process lifetime.
+    fn retire_if_one_shot(&mut self, qid: u64) {
+        if self
+            .reg
+            .queries
+            .get(&qid)
+            .is_some_and(|i| !i.desc.continuous)
+        {
+            self.uninstall_query(qid);
+        }
+    }
+
+    /// Arm a timer owned by one query: the token is recorded on the
+    /// instance so uninstall can cancel it.
+    fn arm_timer(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, after: Dur, action: TimerAction) {
+        let token = self.token();
+        self.timer_actions.insert(token, action);
+        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+            inst.timers.push(token);
+        }
+        ctx.set_timer(after, token);
+    }
+
+    /// Forget a fired token on its owning query (the timer no longer
+    /// needs cancelling at uninstall).
+    fn release_timer(&mut self, qid: u64, token: u64) {
+        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+            inst.timers.retain(|&t| t != token);
+        }
+    }
+
+    /// React to the upcalls one DHT operation produced.
+    fn pump(&mut self, ctx: &mut Ctx<PierMsg>, events: Vec<DhtEvent<QpItem>>) {
+        for ev in events {
+            match ev {
+                DhtEvent::Multicast { origin: _, payload } => match payload {
+                    QpItem::Query(desc) => self.install_query(ctx, desc),
+                    QpItem::Cancel { qid } => self.uninstall_query(qid),
+                    QpItem::Bloom { qid, side, filter } => {
+                        self.on_bloom_filter(ctx, qid, side, filter)
+                    }
+                    _ => {}
+                },
+                DhtEvent::NewData { entry } => self.on_new_data(ctx, entry),
+                DhtEvent::GetResult { token, items } => self.on_get_result(ctx, token, items),
+                DhtEvent::Joined | DhtEvent::LocationMapChanged => {}
+            }
+        }
+    }
+
+    fn install_query(&mut self, ctx: &mut Ctx<PierMsg>, desc: Arc<QueryDesc>) {
+        let qid = desc.qid;
+        if self.reg.queries.contains_key(&qid) || self.cancelled.contains(&qid) {
+            // Duplicate multicast delivery, or a descriptor whose Cancel
+            // (or one-shot retirement) already happened here — a late
+            // install must not resurrect a torn-down query.
+            return;
+        }
+        // A descriptor comes from the network: check its join spec once,
+        // here, and refuse a malformed one as a counted drop. Everything
+        // downstream reads the checked schema instead of re-validating
+        // (or unwrapping) per event.
+        let view = match desc.op.join() {
+            None => None,
+            Some(j) => match PipelineSchema::new(j, desc.prune) {
+                Ok(view) => Some(Arc::new(view)),
+                Err(_) => {
+                    self.metrics.malformed_installs += 1;
+                    return;
+                }
+            },
+        };
+        // Admission control: commit the query's priced budget against
+        // its tenant's quota, or refuse the install outright. Every node
+        // runs the same check on the same descriptor against the same
+        // quota table, so the overlay-wide verdict is uniform; the
+        // initiator's `try_submit` dry-run means a rejection here is
+        // only reachable when quotas changed mid-flight or the submitter
+        // bypassed governance with a raw `submit`.
+        let priced = match self.governor.admit(&desc) {
+            Ok(priced) => priced,
+            Err(_) => {
+                self.metrics.rejected_installs += 1;
+                return;
+            }
+        };
+        self.metrics.on_install(qid, desc.tenant, priced, ctx.now);
+        self.reg
+            .install(qid, QueryInstance::new(Arc::clone(&desc), view));
+        // A standing unwindowed query carrying a renewal period renews
+        // its own rehash state from install on.
+        if let Some(every) = renewal::period(&desc) {
+            self.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
+        }
+
+        match &desc.op {
+            QueryOp::Scan { scan, project } => {
+                self.reg.route(scan.ns, qid, NsRole::Base(0));
+                let mut outs = Vec::new();
+                for_each_live(&self.dht, scan, ctx.now, |iid, _, row| {
+                    let out = Tuple::new(project.iter().map(|e| e.eval(row)).collect());
+                    outs.push((iid, out));
+                });
+                for (iid, out) in outs {
+                    self.emit_result(ctx, qid, desc.initiator, iid as u64, out);
+                }
+            }
+            QueryOp::Join { join: j, agg } => {
+                let n = j.stages.len();
+                for k in 0..n {
+                    self.reg
+                        .route(qns::stage_of(qid, n, k), qid, NsRole::Stage(k as u16));
+                }
+                for t in 0..=n {
+                    self.reg.route(j.table(t).ns, qid, NsRole::Base(t as u16));
+                }
+                // Snapshot per-stage rehash state that raced ahead of the
+                // query multicast, *before* our own rehash adds to it.
+                let stored = |k| self.dht.store.lscan(qns::stage_of(qid, n, k));
+                let raced: Vec<(usize, Vec<Entry<QpItem>>)> = (0..n)
+                    .map(|k| (k, stored(k).cloned().collect::<Vec<_>>()))
+                    .filter(|(_, stored)| !stored.is_empty())
+                    .collect();
+                match j.strategy {
+                    JoinStrategy::SymmetricHash => {
+                        for t in 0..=n {
+                            self.rehash_table(ctx, qid, t, None);
+                        }
+                    }
+                    JoinStrategy::FetchMatches => self.fm_start(ctx, qid),
+                    JoinStrategy::SymmetricSemiJoin => {
+                        self.semi_rehash(ctx, qid, Side::Left);
+                        self.semi_rehash(ctx, qid, Side::Right);
+                    }
+                    JoinStrategy::BloomFilter => self.bloom_start(ctx, qid),
+                }
+                // Replay stage state that arrived before installation.
+                for (k, stored) in raced {
+                    self.replay(ctx, qid, k, stored);
+                }
+                if let Some(agg) = agg {
+                    self.schedule_agg_timers(ctx, qid, agg, true);
+                }
+            }
+            QueryOp::Agg { scan, agg } => {
+                self.reg.route(scan.ns, qid, NsRole::Base(0));
+                self.agg_start(ctx, &desc, scan, agg);
+            }
+        }
+    }
+
+    /// The installed descriptor of a query — the very allocation its
+    /// submitter multicast, shared by every node's instance. Handlers
+    /// hold this clone (a refcount bump) and borrow the operator specs
+    /// from it, which keeps `self` free for the `&mut` calls the
+    /// dataflow makes.
+    pub fn query_desc(&self, qid: u64) -> Option<Arc<QueryDesc>> {
+        self.reg.queries.get(&qid).map(|i| Arc::clone(&i.desc))
+    }
+
+    /// The plan of an installed join — `None` for a query that is gone
+    /// or not a join.
+    fn join_plan(&self, qid: u64) -> Option<JoinPlan> {
+        let inst = self.reg.queries.get(&qid)?;
+        Some((Arc::clone(&inst.desc), Arc::clone(inst.view.as_ref()?)))
+    }
+
+    fn on_new_data(&mut self, ctx: &mut Ctx<PierMsg>, entry: Entry<QpItem>) {
+        let Some(routes) = self.reg.ns_routes.get(&entry.ns) else {
+            return;
+        };
+        let routes = routes.clone();
+        for (qid, role) in routes {
+            match role {
+                NsRole::Stage(k) => self.probe(ctx, qid, k as usize, &entry),
+                NsRole::Base(t) => self.on_base_new_data(ctx, qid, t as usize, &entry),
+                NsRole::BloomCollector(side) => self.on_bloom_fragment(ctx, qid, side),
+            }
+        }
+    }
+
+    /// Continuous queries: a newly published base tuple flows through the
+    /// installed pipeline incrementally.
+    fn on_base_new_data(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        t: usize,
+        entry: &Entry<QpItem>,
+    ) {
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return;
+        };
+        if !inst.desc.continuous {
+            return;
+        }
+        let QpItem::Row(row) = &entry.val else { return };
+        let row = row.decode();
+        let desc = Arc::clone(&inst.desc);
+        match &desc.op {
+            QueryOp::Scan { scan, project } => {
+                if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
+                    let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
+                    self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, out);
+                }
+            }
+            QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
+            QueryOp::Agg { scan, agg } => {
+                if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
+                    self.agg_new_row(ctx.now, &desc, agg, entry, &row);
+                }
+            }
+        }
+    }
+
+    fn on_get_result(&mut self, ctx: &mut Ctx<PierMsg>, token: u64, items: Vec<Entry<QpItem>>) {
+        match self.get_purpose.remove(&token) {
+            Some(GetPurpose::FmProbe {
+                qid,
+                left_iid,
+                left_expires,
+                left_row,
+            }) => self.fm_complete(ctx, qid, (left_iid, left_expires, left_row), items),
+            Some(GetPurpose::SemiFetch { qid, pair, side }) => {
+                self.semi_complete(ctx, qid, pair, side, items)
+            }
+            None => {}
+        }
+    }
+
+    /// The one sink of every join strategy: an output row either folds
+    /// into the query's aggregation or ships to the initiator. `ident`
+    /// names the result by its constituents (exactly-once under
+    /// replication); `valid_until` is the expiry of its shortest-lived
+    /// constituent — how long a *windowed* aggregate keeps counting it
+    /// (unwindowed continuous aggregates are running totals).
+    fn finish(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        desc: &QueryDesc,
+        out: Tuple,
+        ident: u64,
+        valid_until: Time,
+    ) {
+        match desc.op.agg() {
+            Some(agg) => {
+                let valid = desc.window.map_or(Time::MAX, |_| valid_until);
+                self.accumulate(desc.qid, agg, &out, valid, ident);
+            }
+            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, out),
+        }
+    }
+
+    fn emit_result(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        initiator: NodeId,
+        ident: u64,
+        row: Tuple,
+    ) {
+        self.metrics.on_result(qid, row.wire_size());
+        if initiator == ctx.me {
+            if self.record_result(qid, ident) {
+                self.results.entry(qid).or_default().push((ctx.now, row));
+            }
+        } else {
+            let row = FlatRow::from_tuple(&row);
+            ctx.send(initiator, PierMsg::Result { qid, ident, row });
+        }
+    }
+
+    /// Initiator-side admission of one result: `false` when it is a
+    /// replication-era duplicate (same logical identity already logged —
+    /// a healed replica re-ran a probe the dead primary had answered).
+    /// At `replication = 1` every result is admitted, unconditionally.
+    fn record_result(&mut self, qid: u64, ident: u64) -> bool {
+        if !self.replicated() || ident == 0 {
+            return true;
+        }
+        self.results_seen.entry(qid).or_default().insert(ident)
+    }
+}
+
+/// Stream the locally stored, live, selection-passing rows of a base
+/// table to `f` as `(instanceID, expiry, row)`, in `lscan` order. Every
+/// row is decoded into one scratch tuple, so a consumer that keeps none
+/// of them costs no allocation per row. Expired-but-unswept rows (the
+/// sweep runs on the maintenance tick) never enter a dataflow.
+fn for_each_live(
+    dht: &Dht<QpItem>,
+    scan: &ScanSpec,
+    now: Time,
+    mut f: impl FnMut(u32, Time, &Tuple),
+) {
+    let mut row = Tuple::new(Vec::new());
+    for e in dht.lscan(scan.ns) {
+        let QpItem::Row(flat) = &e.val else { continue };
+        if e.expires <= now {
+            continue;
+        }
+        flat.decode_into(&mut row);
+        if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
+            f(e.iid, e.expires, &row);
+        }
+    }
+}
+
+impl App for PierNode {
+    type Msg = PierMsg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<PierMsg>) {
+        let bootstrap = self.bootstrap;
+        if self.dht.is_joined() {
+            ctx.set_timer(self.dht.cfg.tick, DHT_TICK_TOKEN);
+        } else {
+            let mut env = PierEnv { ctx };
+            self.dht.start(&mut env, bootstrap);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, msg: PierMsg) {
+        match msg {
+            PierMsg::Dht(m) => {
+                let mut env = PierEnv { ctx };
+                let mut events = Vec::new();
+                self.dht.handle_message(&mut env, from, m, &mut events);
+                self.pump(ctx, events);
+            }
+            PierMsg::Result { qid, ident, row } => {
+                if self.record_result(qid, ident) {
+                    self.results
+                        .entry(qid)
+                        .or_default()
+                        .push((ctx.now, row.decode()));
+                }
+            }
+            PierMsg::AggUp { qid, group, accs } => self.on_agg_up(qid, group, accs),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<PierMsg>, token: u64) {
+        if token == DHT_TICK_TOKEN {
+            let mut env = PierEnv { ctx };
+            let mut events = Vec::new();
+            self.dht.handle_timer(&mut env, token, &mut events);
+            self.pump(ctx, events);
+            return;
+        }
+        let fired = self.timer_actions.remove(&token);
+        if let Some(qid) = fired.as_ref().and_then(TimerAction::qid) {
+            self.release_timer(qid, token);
+        }
+        match fired {
+            Some(TimerAction::BloomFlush { qid, side }) => self.bloom_deadline(ctx, qid, side),
+            Some(TimerAction::AggHarvest { qid }) => {
+                self.agg_harvest(ctx, qid);
+                self.rearm_epoch(ctx, qid, TimerAction::AggHarvest { qid });
+                // The harvest is a one-shot aggregate's terminal event.
+                self.retire_if_one_shot(qid);
+            }
+            Some(TimerAction::PartialFlush { qid }) => {
+                if let Some(desc) = self.query_desc(qid) {
+                    if let Some(agg) = desc.op.agg() {
+                        self.flush_partials(ctx, qid, agg);
+                    }
+                }
+                self.rearm_epoch(ctx, qid, TimerAction::PartialFlush { qid });
+            }
+            Some(TimerAction::HierFlush { qid }) => {
+                self.hier_flush(ctx, qid);
+                self.rearm_epoch(ctx, qid, TimerAction::HierFlush { qid });
+                // A one-shot tree flush is this node's terminal event
+                // (parents flush after their children sent partials up).
+                self.retire_if_one_shot(qid);
+            }
+            Some(TimerAction::Renew { every }) => self.renew_all(ctx, every),
+            Some(TimerAction::RenewQuery { qid }) => self.renew_query(ctx, qid),
+            None => {}
+        }
+    }
+}

@@ -1,0 +1,331 @@
+//! The one join dataflow: a left-deep pipeline of §4.1 symmetric hash
+//! join stages. Every base table is rehashed into its stage's namespace,
+//! arriving state probes the opposite side (`newData`), and a match
+//! either feeds the next stage or reaches the sink
+//! ([`PierNode::finish`]). A two-table join is the one-stage case.
+
+use pier_dht::msg::Entry;
+use pier_dht::{Ns, Rid};
+use pier_simnet::app::Ctx;
+use pier_simnet::time::{Dur, Time};
+
+use super::{for_each_live, JoinPlan, PierEnv, PierNode};
+use crate::bloom::BloomFilter;
+use crate::item::{PierMsg, QpItem, Side};
+use crate::plan::qns;
+use crate::tuple::{FlatRow, Tuple};
+use crate::value::Value;
+
+impl PierNode {
+    /// Rehash resourceID for a join value: either the value hash, or one
+    /// of `m` buckets when the computation is confined to m nodes.
+    pub(super) fn rehash_rid(join: &Value, computation_nodes: Option<u32>) -> Rid {
+        let h = join.hash64();
+        match computation_nodes {
+            Some(m) => h % m.max(1) as u64,
+            None => h,
+        }
+    }
+
+    /// Rehash this node's local fragment of pipeline table `t` into its
+    /// stage namespace, projected onto the stage schema: only the
+    /// columns some later stage or the final SELECT reads ship. The
+    /// Bloom strategy gates the rehash by a filter over the opposite
+    /// table's keys.
+    pub(super) fn rehash_table(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        t: usize,
+        filter: Option<&BloomFilter>,
+    ) {
+        let Some((desc, view)) = self.join_plan(qid) else {
+            return;
+        };
+        let Some(j) = desc.op.join() else { return };
+        let (k, side, join_col) = view.table_role(t);
+        let keep = view.keep_for_table(t);
+        // The store cannot be scanned and put into at once: pass one
+        // builds the items, `put_rehashed` names and puts them.
+        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, row| {
+            let join = row.get(join_col);
+            if filter.is_some_and(|f| !f.contains(join.hash64())) {
+                return;
+            }
+            let item = QpItem::Tagged {
+                qid,
+                side,
+                join: join.clone(),
+                row: FlatRow::from_tuple(&row.project(keep)),
+            };
+            puts.push((Self::rehash_rid(join, j.computation_nodes), base_iid, item));
+        });
+        let ns = qns::stage_of(qid, j.stages.len(), k);
+        let lifetime = Self::soft_lifetime(&desc);
+        self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts);
+    }
+
+    /// Second pass of a bulk rehash: give each item the scan built its
+    /// instanceID — derived from the *base* row's, which is what `puts`
+    /// carries — and put it into `ns`, in scan order.
+    pub(super) fn put_rehashed(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        ns: Ns,
+        salt: u64,
+        lifetime: Dur,
+        puts: Vec<(Rid, u32, QpItem)>,
+    ) {
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for (rid, base_iid, item) in puts {
+            let iid = self.derived_iid(base_iid, salt);
+            self.record_rehash(qid, ns, rid, iid, &item);
+            self.dht
+                .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
+        }
+        self.pump(ctx, events);
+    }
+
+    /// Put one item of a query's stage soft state and react to whatever
+    /// the put stirs up locally.
+    #[allow(clippy::too_many_arguments)] // Table 3's put plus the owning query
+    fn put_soft(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        ns: Ns,
+        rid: Rid,
+        iid: u32,
+        item: QpItem,
+        lifetime: Dur,
+    ) {
+        self.record_rehash(qid, ns, rid, iid, &item);
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        self.dht
+            .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
+        self.pump(ctx, events);
+    }
+
+    /// Continuous joins: one newly published base tuple of table `t`
+    /// flows into its stage namespace — the incremental analogue of
+    /// [`Self::rehash_table`], landing on the same instanceID.
+    pub(super) fn rehash_one(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        t: usize,
+        base_iid: u32,
+        row: Tuple,
+    ) {
+        let Some((desc, view)) = self.join_plan(qid) else {
+            return;
+        };
+        let Some(j) = desc.op.join() else { return };
+        if !j.table(t).pred.as_ref().is_none_or(|p| p.matches(&row)) {
+            return;
+        }
+        let (k, side, join_col) = view.table_role(t);
+        let join = row.get(join_col).clone();
+        let rid = Self::rehash_rid(&join, j.computation_nodes);
+        let iid = self.derived_iid(base_iid, t as u64);
+        let item = QpItem::Tagged {
+            qid,
+            side,
+            join,
+            row: FlatRow::from_tuple(&row.project(view.keep_for_table(t))),
+        };
+        let ns = qns::stage_of(qid, j.stages.len(), k);
+        self.put_soft(ctx, qid, ns, rid, iid, item, Self::soft_lifetime(&desc));
+    }
+
+    /// Probe an arriving stage-`k` entry against the opposite side
+    /// (§4.1): "each node registers ... a newData callback; when a tuple
+    /// arrives, a get is issued to find matches in the other table; this
+    /// get is expected to stay local."
+    pub(super) fn probe(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        k: usize,
+        entry: &Entry<QpItem>,
+    ) {
+        let (side, join, row) = match &entry.val {
+            QpItem::Tagged {
+                side, join, row, ..
+            } => (*side, join, row),
+            QpItem::Mini {
+                side, pkey, join, ..
+            } => return self.probe_mini(ctx, qid, entry, *side, pkey, join),
+            _ => return,
+        };
+        let Some(plan) = self.join_plan(qid) else {
+            return;
+        };
+        let (_, view) = &plan;
+        let stage = &view.stages[k];
+        // Expired-but-unswept partners (the sweep runs on the
+        // maintenance tick) must not join.
+        let now = ctx.now;
+        let partners: Vec<(u32, FlatRow, Time)> = self
+            .dht
+            .store
+            .get(entry.ns, entry.rid)
+            .iter()
+            .filter(|e| e.iid != entry.iid && e.expires > now)
+            .filter_map(|e| match &e.val {
+                QpItem::Tagged {
+                    side: s,
+                    join: jv,
+                    row: r,
+                    ..
+                } if *s == side.opposite() && jv == join => Some((e.iid, r.clone(), e.expires)),
+                _ => None,
+            })
+            .collect();
+        if partners.is_empty() {
+            return;
+        }
+        let row = row.decode();
+        for (other_iid, other, other_expires) in partners {
+            // The accumulated intermediate is always the left operand.
+            // Both operands are already projected onto the stage schema.
+            let other = other.decode();
+            let out = match side {
+                Side::Left => stage.join(&row, &other),
+                Side::Right => stage.join(&other, &row),
+            };
+            if let Some(out) = out {
+                let until = entry.expires.min(other_expires);
+                let ident = Self::pair_ident(entry.iid, other_iid);
+                self.advance(ctx, &plan, k, out, until, ident);
+            }
+        }
+    }
+
+    /// A stage-`k` match (already projected onto the stage's outgoing
+    /// schema): feed the next stage, or finish. `until` is the expiry of
+    /// the shortest-lived constituent: restarting the window here would
+    /// let late arrivals join state that already aged out. `ident` names
+    /// the match by its constituent instanceIDs: under replication the
+    /// republished intermediate's iid and the final result's dedup
+    /// identity both derive from it, so a probe re-run by a healed stage
+    /// replica renews rather than duplicates.
+    fn advance(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        (desc, view): &JoinPlan,
+        k: usize,
+        row: Tuple,
+        until: Time,
+        ident: u64,
+    ) {
+        if until <= ctx.now {
+            // A constituent already aged out (expired-but-unswept soft
+            // state): neither republish nor emit — a last-stage match
+            // against expired state would be a phantom result.
+            return;
+        }
+        let Some(j) = desc.op.join() else { return };
+        let Some(next) = view.stages.get(k + 1) else {
+            let out = Tuple::new(view.project.iter().map(|e| e.eval(&row)).collect());
+            return self.finish(ctx, desc, out, ident, until);
+        };
+        let qid = desc.qid;
+        // Publish the intermediate as soft state in the next stage's
+        // namespace, keyed by its join value there.
+        let join = row.get(next.join_idx_left).clone();
+        let rid = Self::rehash_rid(&join, j.computation_nodes);
+        let iid = if self.replicated() {
+            pier_dht::geom::hash2(ident, 0x6d6a_0000 | k as u64) as u32
+        } else {
+            self.fresh_iid()
+        };
+        let item = QpItem::Tagged {
+            qid,
+            side: Side::Left,
+            join,
+            row: FlatRow::from_tuple(&row),
+        };
+        let ns = qns::stage_of(qid, j.stages.len(), k + 1);
+        self.put_soft(ctx, qid, ns, rid, iid, item, until.since(ctx.now));
+    }
+
+    /// Probe stage-`k` entries that were stored before this node learned
+    /// about the query (multicast races the first rehash puts). Entries
+    /// are replayed in a fixed order, each pairing only with its
+    /// predecessors — replaying the i-th entry against a store holding
+    /// all of them would double-count.
+    pub(super) fn replay(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        k: usize,
+        mut entries: Vec<Entry<QpItem>>,
+    ) {
+        let Some(plan) = self.join_plan(qid) else {
+            return;
+        };
+        let (_, view) = &plan;
+        entries.sort_by_key(|e| (e.rid, e.iid));
+        for i in 0..entries.len() {
+            for p in 0..i {
+                let (a, b) = (&entries[i], &entries[p]);
+                if a.rid != b.rid {
+                    continue;
+                }
+                let ident = Self::pair_ident(a.iid, b.iid);
+                match (&a.val, &b.val) {
+                    (
+                        QpItem::Tagged {
+                            side: sa,
+                            join: ja,
+                            row: ra,
+                            ..
+                        },
+                        QpItem::Tagged {
+                            side: sb,
+                            join: jb,
+                            row: rb,
+                            ..
+                        },
+                    ) if sa != sb && ja == jb => {
+                        let (l, r) = if *sa == Side::Left {
+                            (ra, rb)
+                        } else {
+                            (rb, ra)
+                        };
+                        if let Some(out) = view.stages[k].join(&l.decode(), &r.decode()) {
+                            self.advance(ctx, &plan, k, out, a.expires.min(b.expires), ident);
+                        }
+                    }
+                    (
+                        QpItem::Mini {
+                            side: sa,
+                            pkey: pa,
+                            join: ja,
+                            ..
+                        },
+                        QpItem::Mini {
+                            side: sb,
+                            pkey: pb,
+                            join: jb,
+                            ..
+                        },
+                    ) if sa != sb && ja == jb && a.expires.min(b.expires) > ctx.now => {
+                        let (pk_l, pk_r) = if *sa == Side::Left {
+                            (pa, pb)
+                        } else {
+                            (pb, pa)
+                        };
+                        self.semi_pair(ctx, qid, pk_l.clone(), pk_r.clone(), ident);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}

@@ -1,0 +1,205 @@
+//! Publishing base rows, and soft-state renewal (§3.2.3 / Fig. 6) with
+//! one owner per job: the node loop ([`PierNode::start_renewals`])
+//! republishes the base rows this node published and nothing else; a
+//! standing query's rehash and stage state is renewed only by its own
+//! [`TimerAction::RenewQuery`] loop, at the period its descriptor
+//! carries.
+
+use pier_dht::{Ns, Rid};
+use pier_simnet::app::Ctx;
+use pier_simnet::time::Dur;
+use pier_simnet::Wire;
+
+use super::{PierEnv, PierNode, PublishReport, TimerAction};
+use crate::item::{PierMsg, QpItem};
+use crate::plan::QueryDesc;
+use crate::tuple::{FlatRow, Tuple};
+
+/// A published item retained for renewal.
+pub(super) struct PubRecord {
+    ns: Ns,
+    rid: Rid,
+    iid: u32,
+    item: QpItem,
+    lifetime: Dur,
+}
+
+/// Rehash / stage-namespace soft state this node published on behalf of
+/// a continuous, unwindowed query — republished by the query's renewal
+/// loop so a standing join outlives one horizon (lifetime is derived at
+/// renewal time from the renewal period).
+pub(super) struct SoftPub {
+    ns: Ns,
+    rid: Rid,
+    iid: u32,
+    item: QpItem,
+}
+
+/// Lifetime of rehash-layer soft state of a query that carries neither
+/// a window nor a renewal period: long enough for any one-shot.
+const REHASH_HORIZON: Dur = Dur(600_000_000);
+
+/// The period at which a query renews its rehash-layer state, if it
+/// does: continuous and unwindowed only — windowed state must age out,
+/// and a one-shot completes well inside one horizon.
+pub(super) fn period(desc: &QueryDesc) -> Option<Dur> {
+    desc.renew_every
+        .filter(|_| desc.continuous && desc.window.is_none())
+}
+
+impl PierNode {
+    /// Publish rows of a table into the DHT, resourceID = primary key.
+    /// Retains the rows so the renewal loop can republish them.
+    /// Unmetered (tenant 0 — backpressure never sheds the default
+    /// tenant unless a quota is registered for it).
+    pub fn publish_rows(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        table: &str,
+        rows: Vec<Tuple>,
+        pkey_col: usize,
+        lifetime: Dur,
+    ) {
+        self.publish_rows_from(ctx, 0, table, rows, pkey_col, lifetime);
+    }
+
+    /// Tenant-attributed publish with token-bucket backpressure: each
+    /// row's wire bytes are charged against `tenant`'s bucket
+    /// ([`crate::tenant::TenantGovernor::try_publish`]); rows the
+    /// bucket refuses are *shed* — they never enter the DHT, never
+    /// join the renewal ledger, and are tallied in the node's
+    /// [`crate::MetricsRegistry`] (`shed_publishes` / `shed_bytes`). This is
+    /// the slow-tenant isolation boundary: a hot tenant's flood is
+    /// clipped here, at ingress, before it can occupy the overlay.
+    pub fn publish_rows_from(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        tenant: u32,
+        table: &str,
+        rows: Vec<Tuple>,
+        pkey_col: usize,
+        lifetime: Dur,
+    ) -> PublishReport {
+        let ns = pier_dht::ns_of(table);
+        let mut report = PublishReport::default();
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for row in rows {
+            let rid = row.get(pkey_col).hash64();
+            let item = QpItem::Row(FlatRow::from_tuple(&row));
+            let bytes = item.wire_size();
+            if !self.governor.try_publish(tenant, env.ctx.now, bytes as f64) {
+                self.metrics.on_shed(bytes);
+                report.shed += 1;
+                continue;
+            }
+            let iid = self.fresh_iid();
+            self.dht
+                .put(&mut env, ns, rid, iid, item.clone(), lifetime, &mut events);
+            self.published.push(PubRecord {
+                ns,
+                rid,
+                iid,
+                item,
+                lifetime,
+            });
+            report.accepted += 1;
+        }
+        self.pump(ctx, events);
+        report
+    }
+
+    /// Number of rows this node has published (for harness assertions).
+    pub fn published_count(&self) -> usize {
+        self.published.len()
+    }
+
+    /// Start the renewal loop: republish every published base row every
+    /// `every`.
+    pub fn start_renewals(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
+        let token = self.token();
+        self.timer_actions
+            .insert(token, TimerAction::Renew { every });
+        ctx.set_timer(every, token);
+    }
+
+    pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for rec in &self.published {
+            self.dht.renew(
+                &mut env,
+                rec.ns,
+                rec.rid,
+                rec.iid,
+                rec.item.clone(),
+                rec.lifetime,
+                &mut events,
+            );
+        }
+        self.start_renewals(ctx, every);
+        self.pump(ctx, events);
+    }
+
+    /// Soft-state horizon of one query when no window applies: three of
+    /// its own renewal periods (state must comfortably outlive the gap
+    /// between renewals), else the fixed [`REHASH_HORIZON`].
+    pub(super) fn query_horizon(desc: &QueryDesc) -> Dur {
+        desc.renew_every
+            .map_or(REHASH_HORIZON, |every| every.saturating_mul(3))
+    }
+
+    /// Lifetime of rehash / stage / semi-join soft state for a query:
+    /// the sliding window when set (windowed state must age out), else
+    /// the renewal-derived horizon.
+    pub(super) fn soft_lifetime(desc: &QueryDesc) -> Dur {
+        desc.window.unwrap_or_else(|| Self::query_horizon(desc))
+    }
+
+    /// Account a rehash-layer put, and retain it when the query will
+    /// renew it ([`period`]).
+    pub(super) fn record_rehash(&mut self, qid: u64, ns: Ns, rid: Rid, iid: u32, item: &QpItem) {
+        self.metrics.on_rehash(qid, item.wire_size());
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        if period(&inst.desc).is_some() {
+            inst.rehash_pubs.push(SoftPub {
+                ns,
+                rid,
+                iid,
+                item: item.clone(),
+            });
+        }
+    }
+
+    /// Per-query renewal ([`TimerAction::RenewQuery`]): republish this
+    /// standing query's rehash soft state with its own 3× horizon and
+    /// re-arm. Renewal replaces the same (ns, rid, iid) without
+    /// re-firing `newData`, so no probe runs twice.
+    pub(super) fn renew_query(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return; // uninstalled between arm and fire
+        };
+        let Some(every) = period(&inst.desc) else {
+            return;
+        };
+        let horizon = Self::query_horizon(&inst.desc);
+        let mut env = PierEnv { ctx };
+        let mut events = Vec::new();
+        for rec in &inst.rehash_pubs {
+            self.dht.renew(
+                &mut env,
+                rec.ns,
+                rec.rid,
+                rec.iid,
+                rec.item.clone(),
+                horizon,
+                &mut events,
+            );
+        }
+        self.metrics.on_renewal(qid, ctx.now);
+        self.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
+        self.pump(ctx, events);
+    }
+}

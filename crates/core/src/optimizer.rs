@@ -345,35 +345,23 @@ pub fn price_query(desc: &QueryDesc, rate_of: &dyn Fn(Ns) -> TableRate) -> f64 {
             bloom_bytes: 2048.0,
         }
     };
-    let pipeline_price = |m: &crate::plan::MultiJoinSpec| {
-        let base = rate_of(m.base.ns);
-        let mut rows = base.rows_per_sec;
-        let mut bytes = base.avg_tuple_bytes;
-        let mut cur_sel = sel(m.base.pred.is_some());
-        let mut total = 0.0;
-        for stage in &m.stages {
-            let s = stage_stats(rows, bytes, cur_sel, &stage.right);
-            total += traffic_model(JoinStrategy::SymmetricHash, &s);
-            rows = s.results().max(f64::MIN_POSITIVE);
-            bytes = s.bytes_result;
-            cur_sel = 1.0;
-        }
-        total
-    };
     match &desc.op {
-        QueryOp::Scan { scan, .. } => scan_term(scan),
-        QueryOp::Agg { scan, .. } => scan_term(scan),
-        QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => {
-            let l = rate_of(j.left.ns);
-            let s = stage_stats(
-                l.rows_per_sec,
-                l.avg_tuple_bytes,
-                sel(j.left.pred.is_some()),
-                &j.right,
-            );
-            traffic_model(j.strategy, &s)
+        QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => scan_term(scan),
+        QueryOp::Join { join: j, .. } => {
+            let head = rate_of(j.left.ns);
+            let mut rows = head.rows_per_sec;
+            let mut bytes = head.avg_tuple_bytes;
+            let mut cur_sel = sel(j.left.pred.is_some());
+            let mut total = 0.0;
+            for stage in &j.stages {
+                let s = stage_stats(rows, bytes, cur_sel, &stage.right);
+                total += traffic_model(j.strategy, &s);
+                rows = s.results().max(f64::MIN_POSITIVE);
+                bytes = s.bytes_result;
+                cur_sel = 1.0;
+            }
+            total
         }
-        QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => pipeline_price(m),
     }
 }
 

@@ -17,7 +17,8 @@ use pier_simnet::time::Dur;
 use pier_simnet::NodeId;
 
 use crate::expr::Expr;
-use crate::tuple::ColType;
+use crate::item::Side;
+use crate::tuple::{ColType, Tuple};
 
 /// The four distributed equi-join strategies of §4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -91,58 +92,12 @@ impl ScanSpec {
     }
 }
 
-/// A binary equi-join.
-#[derive(Clone, Debug)]
-pub struct JoinSpec {
-    pub strategy: JoinStrategy,
-    pub left: ScanSpec,
-    pub right: ScanSpec,
-    /// Predicate evaluated above the join, over `left ++ right` base
-    /// columns — e.g. the workload's `f(R.num3, S.num3) > constant3`.
-    pub post_pred: Option<Expr>,
-    /// Output expressions over `left ++ right` base columns.
-    pub project: Vec<Expr>,
-    /// Restrict the rehash namespace to this many buckets, confining the
-    /// join computation to ≤ m nodes (the Fig. 3 "computation nodes").
-    pub computation_nodes: Option<u32>,
-    /// Bloom strategy: how long collectors gather fragment filters
-    /// before OR-ing and multicasting them.
-    pub bloom_wait: Dur,
-    /// Bloom strategy: filter shape (bits), sized for the table.
-    pub bloom_bits: u32,
-}
-
-impl JoinSpec {
-    pub fn new(strategy: JoinStrategy, left: ScanSpec, right: ScanSpec) -> Self {
-        assert!(left.join_col.is_some() && right.join_col.is_some());
-        JoinSpec {
-            strategy,
-            left,
-            right,
-            post_pred: None,
-            project: Vec::new(),
-            computation_nodes: None,
-            // Fallback flush deadline; collectors flush early once every
-            // node's fragment has arrived (count-based).
-            bloom_wait: Dur::from_secs(10),
-            bloom_bits: 1 << 16,
-        }
-    }
-
-    /// Default projection: every column of both sides.
-    pub fn all_columns(&self) -> Vec<Expr> {
-        (0..self.left.arity + self.right.arity)
-            .map(Expr::col)
-            .collect()
-    }
-}
-
-/// One stage of a left-deep multi-way join pipeline.
+/// One stage of a left-deep join pipeline.
 ///
 /// Stage `k` joins the accumulated intermediate relation (the
 /// concatenation of every table joined so far) with one more base table:
 /// intermediates arrive tagged [`crate::item::Side::Left`] in the stage's
-/// namespace ([`qns::stage`]), the base table's fragments are rehashed
+/// namespace ([`qns::stage_of`]), the base table's fragments are rehashed
 /// into the same namespace tagged `Right`, and matches are concatenated
 /// and fed to stage `k + 1` — the §4.1 pipelining symmetric hash join,
 /// chained.
@@ -156,41 +111,105 @@ pub struct JoinStage {
     /// supply it, so star as well as chain queries lower to a pipeline.
     pub left_col: usize,
     /// Predicate over `accumulated ++ right`, applied to each stage
-    /// output: the conjuncts that first become evaluable here.
+    /// output: the conjuncts that first become evaluable here (for a
+    /// two-table join, e.g. the workload's `f(R.num3, S.num3) >
+    /// constant3`).
     pub stage_pred: Option<Expr>,
 }
 
-/// A left-deep multi-way equi-join pipeline over `1 + stages.len()`
-/// base-table accesses (3 or more tables; binary joins use [`JoinSpec`]
-/// and keep their four-strategy repertoire).
+/// A left-deep equi-join pipeline over `1 + stages.len()` base-table
+/// accesses. A two-table join is the one-stage pipeline
+/// ([`JoinSpec::new`]) and may run under any of the four §4 strategies;
+/// longer pipelines chain symmetric-hash stages.
 ///
 /// Expressions (`stage_pred`, `project`) are indexed over the *full*
 /// concatenation of the constituent tuples; the executed dataflow ships
-/// pruned tuples under [`PipelineSchema::build`], which keeps per stage
-/// only the join keys still needed later, the columns of
-/// not-yet-evaluable predicates, and the final SELECT columns — so wide
-/// pass-through columns (e.g. the workload's `R.pad`) stop riding
-/// stages that never read them.
+/// pruned tuples under [`PipelineSchema`], which keeps per stage only
+/// the join keys still needed later, the columns of not-yet-evaluable
+/// predicates, and the final SELECT columns — so wide pass-through
+/// columns (e.g. the workload's `R.pad`) stop riding stages that never
+/// read them.
 #[derive(Clone, Debug)]
-pub struct MultiJoinSpec {
+pub struct JoinSpec {
+    /// One-stage joins only; pipelines are always `SymmetricHash`.
+    pub strategy: JoinStrategy,
     /// The pipeline head: the first table, scanned and rehashed into
     /// stage 0 on `stages[0].left_col`.
-    pub base: ScanSpec,
+    pub left: ScanSpec,
     /// The remaining tables, joined in left-deep order.
     pub stages: Vec<JoinStage>,
     /// Output expressions over the full concatenation of all tables.
     pub project: Vec<Expr>,
+    /// Restrict each rehash namespace to this many buckets, confining
+    /// the join computation to ≤ m nodes (the Fig. 3 "computation nodes").
+    pub computation_nodes: Option<u32>,
+    /// Bloom strategy: how long collectors gather fragment filters
+    /// before OR-ing and multicasting them.
+    pub bloom_wait: Dur,
+    /// Bloom strategy: filter shape (bits), sized for the table.
+    pub bloom_bits: u32,
 }
 
-impl MultiJoinSpec {
-    pub fn new(base: ScanSpec, stages: Vec<JoinStage>) -> Self {
-        assert!(!stages.is_empty(), "a pipeline needs at least two tables");
-        assert!(stages[0].left_col < base.arity);
-        MultiJoinSpec {
-            base,
+impl JoinSpec {
+    /// A two-table join: `left` and `right` joined on their `join_col`s.
+    pub fn new(strategy: JoinStrategy, left: ScanSpec, right: ScanSpec) -> Self {
+        let stage = JoinStage {
+            right,
+            left_col: left.join_col.expect("left join column"),
+            stage_pred: None,
+        };
+        Self::checked(strategy, left, vec![stage])
+    }
+
+    /// A symmetric-hash pipeline: `head` joined with each stage's table
+    /// in order.
+    pub fn pipeline(head: ScanSpec, stages: Vec<JoinStage>) -> Self {
+        Self::checked(JoinStrategy::SymmetricHash, head, stages)
+    }
+
+    fn checked(strategy: JoinStrategy, left: ScanSpec, stages: Vec<JoinStage>) -> Self {
+        let j = JoinSpec {
+            strategy,
+            left,
             stages,
             project: Vec::new(),
+            computation_nodes: None,
+            // Fallback flush deadline; collectors flush early once every
+            // node's fragment has arrived (count-based).
+            bloom_wait: Dur::from_secs(10),
+            bloom_bits: 1 << 16,
+        };
+        if let Err(why) = j.check() {
+            panic!("malformed join spec: {why}");
         }
+        j
+    }
+
+    /// Is the spec executable? The constructors assert it; a node checks
+    /// it once per descriptor arriving from the network
+    /// ([`PipelineSchema::new`]), so no handler re-checks per event.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.stages.is_empty() {
+            return Err("a join needs at least two tables");
+        }
+        let mut arity = self.left.arity;
+        for st in &self.stages {
+            if st.left_col >= arity {
+                return Err("left join column out of range");
+            }
+            if st.right.join_col.is_none_or(|c| c >= st.right.arity) {
+                return Err("right join column missing or out of range");
+            }
+            arity += st.right.arity;
+        }
+        if self.strategy != JoinStrategy::SymmetricHash && self.stages.len() > 1 {
+            return Err("only symmetric hash joins chain into pipelines");
+        }
+        let right = &self.stages[0].right;
+        if self.strategy == JoinStrategy::FetchMatches && right.join_col != Some(right.pkey_col) {
+            return Err("Fetch Matches requires the fetched table hashed on the join key");
+        }
+        Ok(())
     }
 
     /// Number of base tables in the pipeline.
@@ -198,14 +217,19 @@ impl MultiJoinSpec {
         1 + self.stages.len()
     }
 
+    /// Pipeline table `t`: the head for `t = 0`, else stage `t - 1`'s
+    /// right input.
+    pub fn table(&self, t: usize) -> &ScanSpec {
+        match t.checked_sub(1) {
+            None => &self.left,
+            Some(k) => &self.stages[k].right,
+        }
+    }
+
     /// Arity of the accumulated schema after stage `k` completes (the
     /// concatenation of tables `0 ..= k + 1`).
     pub fn arity_after(&self, k: usize) -> usize {
-        self.base.arity
-            + self.stages[..=k]
-                .iter()
-                .map(|s| s.right.arity)
-                .sum::<usize>()
+        (0..=k + 1).map(|t| self.table(t).arity).sum()
     }
 
     /// Arity of the full concatenation of every table.
@@ -289,31 +313,21 @@ impl AggSpec {
 pub enum QueryOp {
     /// Scan-select-project: results flow straight to the initiator.
     Scan { scan: ScanSpec, project: Vec<Expr> },
-    /// Distributed binary equi-join.
-    Join(JoinSpec),
-    /// Left-deep multi-way join pipeline (3+ tables).
-    MultiJoin(MultiJoinSpec),
     /// Single-table grouped aggregation.
     Agg { scan: ScanSpec, agg: AggSpec },
-    /// Join feeding a grouped aggregation (e.g. §2.1's weighted query).
-    JoinAgg { join: JoinSpec, agg: AggSpec },
-    /// Multi-way pipeline feeding a grouped aggregation.
-    MultiJoinAgg { join: MultiJoinSpec, agg: AggSpec },
+    /// Distributed equi-join over two or more tables, optionally feeding
+    /// a grouped aggregation (e.g. §2.1's weighted query).
+    Join {
+        join: JoinSpec,
+        agg: Option<AggSpec>,
+    },
 }
 
 impl QueryOp {
-    /// The binary join this operator runs, if it is one.
+    /// The join this operator runs, if it is one.
     pub fn join(&self) -> Option<&JoinSpec> {
         match self {
-            QueryOp::Join(j) | QueryOp::JoinAgg { join: j, .. } => Some(j),
-            _ => None,
-        }
-    }
-
-    /// The multi-way pipeline this operator runs, if it is one.
-    pub fn multi_join(&self) -> Option<&MultiJoinSpec> {
-        match self {
-            QueryOp::MultiJoin(m) | QueryOp::MultiJoinAgg { join: m, .. } => Some(m),
+            QueryOp::Join { join, .. } => Some(join),
             _ => None,
         }
     }
@@ -321,10 +335,9 @@ impl QueryOp {
     /// The aggregation this operator ends in, whatever feeds it.
     pub fn agg(&self) -> Option<&AggSpec> {
         match self {
-            QueryOp::Agg { agg, .. }
-            | QueryOp::JoinAgg { agg, .. }
-            | QueryOp::MultiJoinAgg { agg, .. } => Some(agg),
-            _ => None,
+            QueryOp::Agg { agg, .. } => Some(agg),
+            QueryOp::Join { agg, .. } => agg.as_ref(),
+            QueryOp::Scan { .. } => None,
         }
     }
 }
@@ -343,9 +356,9 @@ pub struct QueryDesc {
     pub window: Option<Dur>,
     /// Per-query renewal period (SQL: `RENEW n SECONDS`): an unwindowed
     /// standing query republishes its rehash soft state this often, with
-    /// the 3× fallback horizon derived from it — replacing the single
-    /// node-global renewal period, so tenants with different liveness
-    /// needs coexist. `None` falls back to the node-global loop.
+    /// a 3× horizon derived from it, so tenants with different liveness
+    /// needs coexist. `None` means the state is never renewed: it lives
+    /// one fixed horizon (600 s) from its put, enough for a one-shot.
     pub renew_every: Option<Dur>,
     /// How many nodes participate (used by hierarchical aggregation to
     /// shape its tree; harnesses set it when building the query).
@@ -353,7 +366,7 @@ pub struct QueryDesc {
     /// Schema-aware column pruning: when set (the default), every
     /// rehash, stage republish, and initiator ship carries only the
     /// columns some downstream operator still reads
-    /// ([`PipelineSchema::build`]). `false` reinstates full-width
+    /// ([`PipelineSchema`]). `false` reinstates full-width
     /// intermediates — kept as a measurable baseline (`exp_pruning`).
     pub prune: bool,
     /// Owning tenant, for admission control and per-tenant metrics
@@ -381,7 +394,7 @@ impl QueryDesc {
     /// dataflow; newly published base tuples flow through incrementally,
     /// and `window` bounds the lifetime of rehashed soft state (a
     /// sliding time window). Unwindowed continuous state is kept alive
-    /// by the rehash-renewal loop ([`crate::node::PierNode`]).
+    /// past one horizon by per-query renewal ([`Self::with_renewal`]).
     pub fn standing(qid: u64, initiator: NodeId, op: QueryOp, window: Option<Dur>) -> Self {
         QueryDesc {
             window,
@@ -417,9 +430,18 @@ impl QueryDesc {
             32 + s.table.len() + s.pred.as_ref().map_or(0, Expr::wire_size)
         }
         fn join_sz(j: &JoinSpec) -> usize {
+            // Pipelines frame each stage (its `left_col`); the two-table
+            // encoding predates them and carries none.
+            let framing = if j.stages.len() > 1 { 8 } else { 0 };
             16 + scan_sz(&j.left)
-                + scan_sz(&j.right)
-                + j.post_pred.as_ref().map_or(0, Expr::wire_size)
+                + j.stages
+                    .iter()
+                    .map(|s| {
+                        framing
+                            + scan_sz(&s.right)
+                            + s.stage_pred.as_ref().map_or(0, Expr::wire_size)
+                    })
+                    .sum::<usize>()
                 + j.project.iter().map(Expr::wire_size).sum::<usize>()
         }
         fn agg_sz(a: &AggSpec) -> usize {
@@ -432,26 +454,13 @@ impl QueryDesc {
                 + a.having.as_ref().map_or(0, Expr::wire_size)
                 + if a.epoch.is_some() { 8 } else { 0 }
         }
-        fn multi_sz(m: &MultiJoinSpec) -> usize {
-            16 + scan_sz(&m.base)
-                + m.stages
-                    .iter()
-                    .map(|s| {
-                        8 + scan_sz(&s.right) + s.stage_pred.as_ref().map_or(0, Expr::wire_size)
-                    })
-                    .sum::<usize>()
-                + m.project.iter().map(Expr::wire_size).sum::<usize>()
-        }
         24 + if self.renew_every.is_some() { 8 } else { 0 }
             + match &self.op {
                 QueryOp::Scan { scan, project } => {
                     scan_sz(scan) + project.iter().map(Expr::wire_size).sum::<usize>()
                 }
-                QueryOp::Join(j) => join_sz(j),
-                QueryOp::MultiJoin(m) => multi_sz(m),
                 QueryOp::Agg { scan, agg } => scan_sz(scan) + agg_sz(agg),
-                QueryOp::JoinAgg { join, agg } => join_sz(join) + agg_sz(agg),
-                QueryOp::MultiJoinAgg { join, agg } => multi_sz(join) + agg_sz(agg),
+                QueryOp::Join { join, agg } => join_sz(join) + agg.as_ref().map_or(0, agg_sz),
             }
     }
 }
@@ -461,16 +470,28 @@ pub mod qns {
     use pier_dht::geom::hash2;
     use pier_dht::Ns;
 
-    /// Rehash namespace `NQ` for a join (§4.1).
+    /// Rehash namespace `NQ` of a two-table join (§4.1).
     pub fn rehash(qid: u64) -> Ns {
         hash2(0x4e51, qid) // "NQ"
     }
 
-    /// Rehash namespace for stage `k` of a multi-way pipeline: each
+    /// Rehash namespace `NS_k` for stage `k` of a longer pipeline: each
     /// stage's intermediate state lives in its own namespace so probes
     /// never cross stages.
     pub fn stage(qid: u64, k: usize) -> Ns {
         hash2(0x4e53_0000 + k as u64, qid) // "NS" + stage index
+    }
+
+    /// Where stage `k` of an `n_stages`-stage join keeps its state. The
+    /// naming is frozen wire format — the byte-exact traffic pins hash
+    /// these namespaces into overlay keys — so the one-stage join keeps
+    /// `NQ` rather than becoming `NS_0`.
+    pub fn stage_of(qid: u64, n_stages: usize, k: usize) -> Ns {
+        if n_stages == 1 {
+            rehash(qid)
+        } else {
+            stage(qid, k)
+        }
     }
 
     /// Bloom collector namespace for one side.
@@ -481,6 +502,15 @@ pub mod qns {
     /// Aggregation partials namespace `NA`.
     pub fn agg(qid: u64) -> Ns {
         hash2(0x4e41, qid)
+    }
+
+    /// Every namespace a query of at most `n_stages` stages may have
+    /// derived state in — what uninstall purges and the storage audit
+    /// counts.
+    pub fn all(qid: u64, n_stages: usize) -> impl Iterator<Item = Ns> {
+        [rehash(qid), agg(qid), bloom(qid, false), bloom(qid, true)]
+            .into_iter()
+            .chain((0..n_stages).map(move |k| stage(qid, k)))
     }
 }
 
@@ -560,6 +590,8 @@ pub struct StageView {
     pub join_idx_left: usize,
     /// Position of the join value within the pruned right projection.
     pub join_idx_right: usize,
+    /// The join column within the right table's own (unpruned) schema.
+    pub join_col_right: usize,
     /// Stage predicate remapped over `pruned_left ++ pruned_right`.
     pub pred: Option<Expr>,
     /// Positions of `pruned_left ++ pruned_right` that survive into the
@@ -569,11 +601,22 @@ pub struct StageView {
     pub out_globals: Vec<usize>,
 }
 
+impl StageView {
+    /// Join one pruned left intermediate with one pruned right row whose
+    /// join values already matched: the outgoing intermediate, or `None`
+    /// when the stage predicate rejects the pair.
+    pub fn join(&self, left: &Tuple, right: &Tuple) -> Option<Tuple> {
+        let joined = left.concat(right);
+        self.pred
+            .as_ref()
+            .is_none_or(|p| p.matches(&joined))
+            .then(|| joined.project(&self.emit))
+    }
+}
+
 /// Schema-aware projection plan for a join pipeline — the one pruning
-/// mechanism behind every strategy and every pipeline stage. A binary
-/// join is the one-stage case ([`PipelineSchema::binary`]); an N-way
-/// pipeline gets one [`StageView`] per [`JoinStage`]
-/// ([`PipelineSchema::build`]).
+/// mechanism behind every strategy and every pipeline stage, with one
+/// [`StageView`] per [`JoinStage`].
 ///
 /// The minimal column set per edge is: join keys still needed by later
 /// stages ∪ columns of not-yet-evaluable residual predicates ∪ final
@@ -581,6 +624,10 @@ pub struct StageView {
 /// backward pass, then every expression is remapped onto the pruned
 /// layouts by a forward pass. Built deterministically from the shipped
 /// spec, so every node derives the same layouts without coordination.
+///
+/// Holding one also certifies the spec it was built from: construction
+/// runs [`JoinSpec::check`], so the executor reads join columns from
+/// here instead of re-validating the descriptor on every event.
 #[derive(Clone, Debug)]
 pub struct PipelineSchema {
     /// Columns of the pipeline head (the base / left table) kept when
@@ -589,88 +636,40 @@ pub struct PipelineSchema {
     pub stages: Vec<StageView>,
     /// Output expressions remapped over the final pruned intermediate.
     pub project: Vec<Expr>,
-}
-
-/// Per-stage inputs to the shared required-columns analysis.
-struct StageInput<'a> {
-    arity: usize,
-    /// Join column within the right table's own schema.
-    join_col: usize,
-    /// Join column within the accumulated schema (global index).
-    left_col: usize,
-    /// Predicate over `accumulated ++ right`, global basis.
-    pred: Option<&'a Expr>,
+    /// The stage-0 join column within the head's own (unpruned) schema.
+    pub join_col_base: usize,
 }
 
 impl PipelineSchema {
-    /// The pruning plan of a multi-way pipeline; `prune = false` keeps
-    /// every column on every edge (the measurable full-width baseline).
-    pub fn build(m: &MultiJoinSpec, prune: bool) -> PipelineSchema {
-        let mut off = m.base.arity;
-        let stages: Vec<StageInput> = m
-            .stages
-            .iter()
-            .map(|s| {
-                let inp = StageInput {
-                    arity: s.right.arity,
-                    join_col: s.right.join_col.expect("stage join col"),
-                    left_col: s.left_col,
-                    pred: s.stage_pred.as_ref(),
-                };
-                off += s.right.arity;
-                inp
-            })
-            .collect();
-        Self::analyze(m.base.arity, &stages, &m.project, prune)
-    }
-
-    /// The pruning plan of a binary join: the one-stage pipeline whose
-    /// base is the left table and whose single stage joins the right.
-    pub fn binary(j: &JoinSpec, prune: bool) -> PipelineSchema {
-        let stage = StageInput {
-            arity: j.right.arity,
-            join_col: j.right.join_col.expect("join col"),
-            left_col: j.left.join_col.expect("join col"),
-            pred: j.post_pred.as_ref(),
-        };
-        Self::analyze(j.left.arity, &[stage], &j.project, prune)
-    }
-
-    fn analyze(
-        base_arity: usize,
-        stages: &[StageInput],
-        project: &[Expr],
-        prune: bool,
-    ) -> PipelineSchema {
-        let n = stages.len();
+    /// The pruning plan of a join; `prune = false` keeps every column on
+    /// every edge (the measurable full-width baseline). Refuses a spec
+    /// that fails [`JoinSpec::check`].
+    pub fn new(j: &JoinSpec, prune: bool) -> Result<PipelineSchema, &'static str> {
+        j.check()?;
+        let n = j.stages.len();
+        let right_col = |k: usize| j.stages[k].right.join_col.expect("checked");
         // Global offset of each stage's right table.
-        let mut offsets = Vec::with_capacity(n);
-        let mut o = base_arity;
-        for s in stages {
-            offsets.push(o);
-            o += s.arity;
-        }
+        let offsets: Vec<usize> = (0..n)
+            .map(|k| j.arity_after(k) - j.stages[k].right.arity)
+            .collect();
 
         // Backward pass: `needed_after[k]` = global columns the
         // intermediate republished after stage k must carry.
         let mut needed_after: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut keep_right: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut keep_base: Vec<usize> = Vec::new();
-        {
-            let mut proj_cols = Vec::new();
-            for e in project {
-                e.columns(&mut proj_cols);
-            }
-            needed_after[n - 1] = proj_cols;
+        for e in &j.project {
+            e.columns(&mut needed_after[n - 1]);
         }
         for k in (0..n).rev() {
+            let st = &j.stages[k];
             if prune {
                 let mut in_play = needed_after[k].clone();
-                if let Some(p) = stages[k].pred {
+                if let Some(p) = &st.stage_pred {
                     p.columns(&mut in_play);
                 }
-                in_play.push(stages[k].left_col);
-                in_play.push(offsets[k] + stages[k].join_col);
+                in_play.push(st.left_col);
+                in_play.push(offsets[k] + right_col(k));
                 in_play.sort_unstable();
                 in_play.dedup();
                 keep_right[k] = in_play
@@ -687,10 +686,10 @@ impl PipelineSchema {
                     keep_base = need_left;
                 }
             } else {
-                needed_after[k] = (0..offsets[k] + stages[k].arity).collect();
-                keep_right[k] = (0..stages[k].arity).collect();
+                needed_after[k] = (0..offsets[k] + st.right.arity).collect();
+                keep_right[k] = (0..st.right.arity).collect();
                 if k == 0 {
-                    keep_base = (0..base_arity).collect();
+                    keep_base = (0..j.left.arity).collect();
                 }
             }
         }
@@ -699,6 +698,7 @@ impl PipelineSchema {
         let mut in_left: Vec<usize> = keep_base.clone();
         let mut views = Vec::with_capacity(n);
         for k in 0..n {
+            let st = &j.stages[k];
             let basis: Vec<usize> = in_left
                 .iter()
                 .copied()
@@ -710,14 +710,16 @@ impl PipelineSchema {
             views.push(StageView {
                 join_idx_left: in_left
                     .iter()
-                    .position(|&c| c == stages[k].left_col)
+                    .position(|&c| c == st.left_col)
                     .expect("left join column kept"),
                 join_idx_right: keep_right[k]
                     .iter()
-                    .position(|&c| c == stages[k].join_col)
+                    .position(|&c| c == right_col(k))
                     .expect("right join column kept"),
-                pred: stages[k]
-                    .pred
+                join_col_right: right_col(k),
+                pred: st
+                    .stage_pred
+                    .as_ref()
                     .map(|p| p.remap_cols(&pos).expect("stage pred columns kept")),
                 emit: out_globals
                     .iter()
@@ -729,13 +731,25 @@ impl PipelineSchema {
             in_left = out_globals;
         }
         let pos = |g: usize| in_left.iter().position(|&b| b == g);
-        PipelineSchema {
+        Ok(PipelineSchema {
             keep_base,
-            project: project
+            project: j
+                .project
                 .iter()
                 .map(|e| e.remap_cols(&pos).expect("projected column kept"))
                 .collect(),
             stages: views,
+            join_col_base: j.stages[0].left_col,
+        })
+    }
+
+    /// How pipeline table `t` enters the dataflow: the stage whose
+    /// namespace it is rehashed into, the side it is tagged with there,
+    /// and its join column within its own (unpruned) schema.
+    pub fn table_role(&self, t: usize) -> (usize, Side, usize) {
+        match t.checked_sub(1) {
+            None => (0, Side::Left, self.join_col_base),
+            Some(k) => (k, Side::Right, self.stages[k].join_col_right),
         }
     }
 
@@ -797,7 +811,7 @@ mod tests {
             .with_pred(Expr::gt(Expr::col(1), Expr::lit(50i64)))
             .with_join_col(0);
         let mut j = JoinSpec::new(strategy, left, right);
-        j.post_pred = Some(Expr::gt(
+        j.stages[0].stage_pred = Some(Expr::gt(
             Expr::Call(Func::WorkloadF, vec![Expr::col(3), Expr::col(7)]),
             Expr::lit(30i64),
         ));
@@ -808,7 +822,7 @@ mod tests {
     #[test]
     fn binary_schema_keeps_only_relevant_columns() {
         let j = workload_join(JoinStrategy::SymmetricHash);
-        let v = PipelineSchema::binary(&j, true);
+        let v = PipelineSchema::new(&j, true).unwrap();
         // Left keeps pkey(0), num1(1, join), num3(3), pad(4).
         assert_eq!(v.keep_base, vec![0, 1, 3, 4]);
         // Right keeps pkey(0, join+projected), num3(2).
@@ -816,7 +830,7 @@ mod tests {
         assert_eq!(v.stages[0].join_idx_left, 1);
         assert_eq!(v.stages[0].join_idx_right, 0);
         // Unpruned baseline keeps everything in place.
-        let full = PipelineSchema::binary(&j, false);
+        let full = PipelineSchema::new(&j, false).unwrap();
         assert_eq!(full.keep_base, vec![0, 1, 2, 3, 4]);
         assert_eq!(full.stages[0].keep_right, vec![0, 1, 2]);
         assert_eq!(full.project, j.project);
@@ -825,7 +839,7 @@ mod tests {
     #[test]
     fn binary_schema_remaps_exprs_consistently() {
         let j = workload_join(JoinStrategy::SymmetricHash);
-        let v = PipelineSchema::binary(&j, true);
+        let v = PipelineSchema::new(&j, true).unwrap();
         // Build a full joined row and its projected counterpart; both
         // evaluations must agree.
         let full = crate::tuple![1i64, 10i64, 60i64, 7i64, 1000i64, 10i64, 60i64, 8i64];
@@ -837,7 +851,7 @@ mod tests {
             .chain(st.keep_right.iter().map(|&c| full.vals[c + 5].clone()))
             .collect();
         let narrow = crate::tuple::Tuple::new(narrow_vals);
-        let full_pred = j.post_pred.as_ref().unwrap();
+        let full_pred = j.stages[0].stage_pred.as_ref().unwrap();
         let narrow_pred = st.pred.as_ref().unwrap();
         assert_eq!(full_pred.matches(&full), narrow_pred.matches(&narrow));
         // The initiator ship: emit the surviving columns, then project.
@@ -851,7 +865,7 @@ mod tests {
     fn pipeline_schema_drops_pad_nobody_reads() {
         // workload_multi projects R.pkey, S.pkey, T.num2 — never R.pad.
         let m = workload_multi();
-        let v = PipelineSchema::build(&m, true);
+        let v = PipelineSchema::new(&m, true).unwrap();
         // R ships only pkey (projected) and num1 (stage-0 join key).
         assert_eq!(v.keep_base, vec![0, 1]);
         // S ships pkey (join + projected) and num3 (stage-1 join key).
@@ -869,7 +883,7 @@ mod tests {
     #[test]
     fn pipeline_schema_matches_full_evaluation() {
         let m = workload_multi();
-        let v = PipelineSchema::build(&m, true);
+        let v = PipelineSchema::new(&m, true).unwrap();
         // One full R ++ S ++ T row that survives the stage predicate.
         let full = crate::tuple![
             1i64, 10i64, 60i64, 7i64, 1000i64, // R
@@ -908,7 +922,7 @@ mod tests {
     fn stage_schema_predicts_wire_bytes() {
         use crate::tuple::ColType;
         let m = workload_multi();
-        let v = PipelineSchema::build(&m, true);
+        let v = PipelineSchema::new(&m, true).unwrap();
         let i64w = (ColType::I64, 8u32);
         let tables = vec![
             vec![i64w, i64w, i64w, i64w, (ColType::Pad, 1000)], // R
@@ -930,7 +944,7 @@ mod tests {
             assert!(mid.position(4).is_none(), "pad is on no edge");
         }
         // Unpruned, the same edges carry the pad.
-        let full = PipelineSchema::build(&m, false);
+        let full = PipelineSchema::new(&m, false).unwrap();
         assert_eq!(full.rehash_schema(0, &tables).wire_bytes(), 4 + 32 + 1000);
         assert!(full.intermediate_schema(0, &tables).position(4).is_some());
     }
@@ -943,9 +957,13 @@ mod tests {
         assert_ne!(qns::stage(1, 0), qns::stage(1, 1));
         assert_ne!(qns::stage(1, 0), qns::stage(2, 0));
         assert_ne!(qns::stage(1, 0), qns::rehash(1));
+        // The frozen naming: one stage lives in NQ, more in NS_k.
+        assert_eq!(qns::stage_of(1, 1, 0), qns::rehash(1));
+        assert_eq!(qns::stage_of(1, 2, 1), qns::stage(1, 1));
+        assert_eq!(qns::all(1, 2).count(), 6);
     }
 
-    fn workload_multi() -> MultiJoinSpec {
+    fn workload_multi() -> JoinSpec {
         // R ⨝ S on R.num1 = S.pkey, then (R ++ S) ⨝ T on S.num3 = T.pkey.
         let base = ScanSpec::new("R", 5, 0);
         let s1 = JoinStage {
@@ -958,7 +976,7 @@ mod tests {
             left_col: 7, // S.num3 within R ++ S
             stage_pred: Some(Expr::gt(Expr::col(9), Expr::lit(50i64))),
         };
-        let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+        let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
         m.project = vec![Expr::col(0), Expr::col(5), Expr::col(8)];
         m
     }
@@ -975,7 +993,14 @@ mod tests {
 
     #[test]
     fn multi_join_descriptor_wire_size_is_modest() {
-        let d = QueryDesc::one_shot(11, 0, QueryOp::MultiJoin(workload_multi()));
+        let d = QueryDesc::one_shot(
+            11,
+            0,
+            QueryOp::Join {
+                join: workload_multi(),
+                agg: None,
+            },
+        );
         let sz = d.wire_size();
         assert!(sz > 80 && sz < 1500, "desc size {sz}");
     }
@@ -983,13 +1008,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn multi_join_requires_at_least_one_stage() {
-        let _ = MultiJoinSpec::new(ScanSpec::new("R", 5, 0), Vec::new());
+        let _ = JoinSpec::pipeline(ScanSpec::new("R", 5, 0), Vec::new());
     }
 
     #[test]
     fn descriptor_wire_size_is_modest() {
         let j = workload_join(JoinStrategy::BloomFilter);
-        let d = QueryDesc::one_shot(9, 0, QueryOp::Join(j));
+        let d = QueryDesc::one_shot(9, 0, QueryOp::Join { join: j, agg: None });
         let sz = d.wire_size();
         assert!(sz > 50 && sz < 1000, "desc size {sz}");
     }

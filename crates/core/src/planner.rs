@@ -64,24 +64,20 @@ pub fn plan_sql(
         return lower_parsed(&parsed, &order, JoinStrategy::SymmetricHash);
     }
     let mut op = lower_parsed(&parsed, &from_order, JoinStrategy::SymmetricHash)?;
-    let join = match &mut op {
-        QueryOp::Join(j) => Some(j),
-        QueryOp::JoinAgg { join, .. } => Some(join),
-        _ => None,
-    };
-    if let Some(j) = join {
+    if let QueryOp::Join { join: j, .. } = &mut op {
+        let right_scan = &j.stages[0].right;
         let left = catalog
             .get(&j.left.table)
             .ok_or_else(|| format!("no stats for {}", j.left.table))?;
         let right = catalog
-            .get(&j.right.table)
-            .ok_or_else(|| format!("no stats for {}", j.right.table))?;
+            .get(&right_scan.table)
+            .ok_or_else(|| format!("no stats for {}", right_scan.table))?;
         // Default selectivity estimate for predicates we cannot derive:
         // the classical 1/2 for range predicates, 1 when absent.
         let sel = |has_pred: bool| if has_pred { 0.5 } else { 1.0 };
         // Byte-accurate widths: rehashes ship the pruned projection the
         // executor will actually use; fetches move full base tuples.
-        let schema = PipelineSchema::binary(j, true);
+        let schema = PipelineSchema::new(j, true)?;
         let result_cols = &schema.stages[0].out_globals;
         let la = j.left.arity;
         let (res_l, res_r): (Vec<usize>, Vec<usize>) =
@@ -95,15 +91,16 @@ pub fn plan_sql(
             ship_r: left.ship_bytes(&schema.keep_base) as f64,
             ship_s: right.ship_bytes(&schema.stages[0].keep_right) as f64,
             sel_r: sel(j.left.pred.is_some()),
-            sel_s: sel(j.right.pred.is_some()),
+            sel_s: sel(right_scan.pred.is_some()),
             match_r: 0.9,
             bytes_result: (left.ship_bytes(&res_l) + right.ship_bytes(&res_r)) as f64,
             bloom_bytes: (left.stats.rows as f64).max(2048.0),
         };
-        j.strategy = choose_strategy(net, &stats, objective);
         // Fetch Matches is only valid when the fetched table is hashed on
         // the join key (resourceID = pkey, §4.1).
-        if j.strategy == JoinStrategy::FetchMatches && j.right.join_col != Some(j.right.pkey_col) {
+        let fm_valid = right_scan.join_col == Some(right_scan.pkey_col);
+        j.strategy = choose_strategy(net, &stats, objective);
+        if j.strategy == JoinStrategy::FetchMatches && !fm_valid {
             j.strategy = JoinStrategy::SymmetricHash;
         }
     }
@@ -146,7 +143,9 @@ mod tests {
             Objective::Latency,
         )
         .unwrap();
-        let QueryOp::Join(j) = op else { panic!() };
+        let QueryOp::Join { join: j, .. } = op else {
+            panic!()
+        };
         assert_eq!(j.strategy, JoinStrategy::SymmetricHash);
     }
 
@@ -159,7 +158,9 @@ mod tests {
             Objective::Traffic,
         )
         .unwrap();
-        let QueryOp::Join(j) = op else { panic!() };
+        let QueryOp::Join { join: j, .. } = op else {
+            panic!()
+        };
         assert_ne!(j.strategy, JoinStrategy::SymmetricHash);
     }
 
@@ -176,7 +177,9 @@ mod tests {
                 objective,
             )
             .unwrap();
-            let QueryOp::Join(j) = op else { panic!() };
+            let QueryOp::Join { join: j, .. } = op else {
+                panic!()
+            };
             assert_ne!(j.strategy, JoinStrategy::FetchMatches);
         }
     }
@@ -201,8 +204,10 @@ mod tests {
             Objective::Traffic,
         )
         .unwrap();
-        let QueryOp::MultiJoin(m) = op else { panic!() };
-        assert_eq!(m.base.table, "T");
+        let QueryOp::Join { join: m, .. } = op else {
+            panic!()
+        };
+        assert_eq!(m.left.table, "T");
         assert_eq!(m.stages[0].right.table, "S");
         assert_eq!(m.stages[1].right.table, "R");
         // T.pkey sits at accumulated column 0; R joins S.pkey at

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use pier_simnet::time::{Dur, Time};
 
-use crate::plan::{AggSpec, JoinSpec, MultiJoinSpec, PipelineSchema, QueryOp};
+use crate::plan::{AggSpec, JoinSpec, PipelineSchema, QueryOp};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -19,105 +19,136 @@ use crate::value::Value;
 /// oracles.
 pub type TimedRows = Vec<(Time, Tuple)>;
 
-/// Centralized nested-loop evaluation of a join spec over full tables.
-pub fn reference_join(j: &JoinSpec, left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    let jl = j.left.join_col.expect("join col");
-    let jr = j.right.join_col.expect("join col");
-    for l in left {
-        if !j.left.pred.as_ref().is_none_or(|p| p.matches(l)) {
-            continue;
+/// One pipeline table's rows with their publication instants.
+type Timed<'a> = Vec<(Time, &'a Tuple)>;
+
+/// The one centralized join evaluator behind the four oracles below:
+/// left-deep nested loops over `rows[t]` (pipeline table `t`), exactly
+/// mirroring the distributed dataflow's concatenation order, predicates,
+/// and final projection. With a `window`, a result exists iff every
+/// constituent was simultaneously inside it, i.e. `max(t) − min(t) <
+/// window`: the later arrival probes while the earlier one's rehashed
+/// soft state (lifetime = window) is still live, and intermediates
+/// inherit the shortest-lived constituent's remaining lifetime, so the
+/// pairwise rule composes across stages into exactly this span check.
+fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
+    /// Extend one accumulated row, whose constituents were published
+    /// within `lo..=hi`, through stages `k..`.
+    fn extend(
+        (j, rows, window): (&JoinSpec, &[Timed], Option<Dur>),
+        k: usize,
+        (lo, hi, acc): (Time, Time, &Tuple),
+        out: &mut Vec<Tuple>,
+    ) {
+        let Some(st) = j.stages.get(k) else {
+            out.push(Tuple::new(j.project.iter().map(|e| e.eval(acc)).collect()));
+            return;
+        };
+        let jr = st.right.join_col.expect("join col");
+        for &(at, r) in &rows[k + 1] {
+            if acc.get(st.left_col) != r.get(jr) {
+                continue;
+            }
+            if !st.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
+                continue;
+            }
+            let (lo, hi) = (lo.min(at), hi.max(at));
+            if window.is_some_and(|w| hi.since(lo) >= w) {
+                continue; // never co-live inside the window
+            }
+            let joined = acc.concat(r);
+            if st.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
+                extend((j, rows, window), k + 1, (lo, hi, &joined), out);
+            }
         }
-        for r in right {
-            if l.get(jl) != r.get(jr) {
-                continue;
-            }
-            if !j.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
-                continue;
-            }
-            let joined = l.concat(r);
-            if !j.post_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                continue;
-            }
-            out.push(Tuple::new(
-                j.project.iter().map(|e| e.eval(&joined)).collect(),
-            ));
+    }
+    let mut out = Vec::new();
+    for &(at, l) in &rows[0] {
+        if j.left.pred.as_ref().is_none_or(|p| p.matches(l)) {
+            extend((j, rows, window), 0, (at, at, l), &mut out);
         }
     }
     out
 }
 
-/// Centralized left-deep evaluation of a multi-way join pipeline over
-/// named base tables: stage by stage, exactly mirroring the distributed
-/// dataflow's concatenation order, predicates, and final projection.
-pub fn reference_multijoin(m: &MultiJoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
-    let empty: Vec<Tuple> = Vec::new();
-    let get = |name: &str| tables.get(name).unwrap_or(&empty);
-    let mut acc: Vec<Tuple> = get(&m.base.table)
-        .iter()
-        .filter(|t| m.base.pred.as_ref().is_none_or(|p| p.matches(t)))
-        .cloned()
-        .collect();
-    for st in &m.stages {
-        let jr = st.right.join_col.expect("stage join col");
-        let right: Vec<&Tuple> = get(&st.right.table)
-            .iter()
-            .filter(|t| st.right.pred.as_ref().is_none_or(|p| p.matches(t)))
-            .collect();
-        let mut next = Vec::new();
-        for a in &acc {
-            for r in &right {
-                if a.get(st.left_col) != r.get(jr) {
-                    continue;
-                }
-                let joined = a.concat(r);
-                if st.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                    next.push(joined);
-                }
-            }
-        }
-        acc = next;
-    }
-    acc.iter()
-        .map(|t| Tuple::new(m.project.iter().map(|e| e.eval(t)).collect()))
+/// The rows of each pipeline table, looked up by name.
+fn tables_of<'a, R>(
+    j: &JoinSpec,
+    tables: &'a HashMap<String, Vec<R>>,
+    timed: impl Fn(&'a R) -> (Time, &'a Tuple),
+) -> Vec<Timed<'a>> {
+    (0..j.n_tables())
+        .map(|t| {
+            let rows = tables.get(&j.table(t).table);
+            rows.into_iter().flatten().map(&timed).collect()
+        })
         .collect()
 }
 
-/// Centralized evaluation of a multi-way pipeline *through the pruned
-/// dataflow*: tuples are projected onto the same per-edge
-/// [`PipelineSchema`] layouts the distributed executor ships, and every
-/// predicate and output expression is evaluated in its remapped form.
-/// Agreement with [`reference_multijoin`] (which works over full-width
-/// concatenations) certifies that projection pushdown preserves the
-/// result multiset — the invariant the proptests pin.
-pub fn reference_pipeline(m: &MultiJoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
-    let v = PipelineSchema::build(m, true);
-    let empty: Vec<Tuple> = Vec::new();
-    let get = |name: &str| tables.get(name).unwrap_or(&empty);
-    // Base rehash: scan predicate on the full row, then project.
-    let mut acc: Vec<Tuple> = get(&m.base.table)
-        .iter()
-        .filter(|t| m.base.pred.as_ref().is_none_or(|p| p.matches(t)))
-        .map(|t| t.project(&v.keep_base))
-        .collect();
-    for (k, st) in m.stages.iter().enumerate() {
-        let view = &v.stages[k];
-        let jr = view.join_idx_right;
-        let jl = view.join_idx_left;
-        let right: Vec<Tuple> = get(&st.right.table)
-            .iter()
-            .filter(|t| st.right.pred.as_ref().is_none_or(|p| p.matches(t)))
-            .map(|t| t.project(&view.keep_right))
-            .collect();
+/// Centralized evaluation of a two-table join over full tables.
+pub fn reference_join(j: &JoinSpec, left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
+    fn at_zero(rows: &[Tuple]) -> Timed<'_> {
+        rows.iter().map(|r| (Time::ZERO, r)).collect()
+    }
+    eval_join(j, &[at_zero(left), at_zero(right)], None)
+}
+
+/// Centralized left-deep evaluation of a join over named base tables.
+pub fn reference_multijoin(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+    eval_join(j, &tables_of(j, tables, |r| (Time::ZERO, r)), None)
+}
+
+/// Centralized evaluation of a continuous *windowed* two-table join: a
+/// pair joins iff `|t_left − t_right| < window`.
+pub fn reference_windowed_join(
+    j: &JoinSpec,
+    left: &TimedRows,
+    right: &TimedRows,
+    window: Dur,
+) -> Vec<Tuple> {
+    fn by_ref(rows: &TimedRows) -> Timed<'_> {
+        rows.iter().map(|(t, r)| (*t, r)).collect()
+    }
+    eval_join(j, &[by_ref(left), by_ref(right)], Some(window))
+}
+
+/// Centralized evaluation of a continuous *windowed* join over named
+/// base tables.
+pub fn reference_windowed_multijoin(
+    j: &JoinSpec,
+    tables: &HashMap<String, TimedRows>,
+    window: Dur,
+) -> Vec<Tuple> {
+    eval_join(j, &tables_of(j, tables, |(t, r)| (*t, r)), Some(window))
+}
+
+/// Centralized evaluation of a join *through the pruned dataflow*:
+/// tuples are projected onto the same per-edge [`PipelineSchema`] layouts
+/// the distributed executor ships, and every predicate and output
+/// expression is evaluated in its remapped form. Agreement with
+/// [`reference_multijoin`] (which works over full-width concatenations)
+/// certifies that projection pushdown preserves the result multiset —
+/// the invariant the proptests pin.
+pub fn reference_pipeline(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+    let v = PipelineSchema::new(j, true).expect("well-formed join spec");
+    // Each table's rehash: scan predicate on the full row, then project.
+    let shipped = |t: usize| -> Vec<Tuple> {
+        let scan = j.table(t);
+        let rows = tables.get(&scan.table);
+        rows.into_iter()
+            .flatten()
+            .filter(|r| scan.pred.as_ref().is_none_or(|p| p.matches(r)))
+            .map(|r| r.project(v.keep_for_table(t)))
+            .collect()
+    };
+    let mut acc = shipped(0);
+    for (k, view) in v.stages.iter().enumerate() {
+        let right = shipped(k + 1);
         let mut next = Vec::new();
         for a in &acc {
             for r in &right {
-                if a.get(jl) != r.get(jr) {
-                    continue;
-                }
-                let joined = a.concat(r);
-                if view.pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                    next.push(joined.project(&view.emit));
+                if a.get(view.join_idx_left) == r.get(view.join_idx_right) {
+                    next.extend(view.join(a, r));
                 }
             }
         }
@@ -125,95 +156,6 @@ pub fn reference_pipeline(m: &MultiJoinSpec, tables: &HashMap<String, Vec<Tuple>
     }
     acc.iter()
         .map(|t| Tuple::new(v.project.iter().map(|e| e.eval(t)).collect()))
-        .collect()
-}
-
-/// Centralized evaluation of a continuous *windowed* binary equi-join:
-/// a pair joins iff the two rows were ever simultaneously inside the
-/// window — the later arrival probes while the earlier one's rehashed
-/// soft state (lifetime = window) is still live, i.e.
-/// `|t_left − t_right| < window`. This is the engine's expiry-correct
-/// probe rule, stated declaratively.
-pub fn reference_windowed_join(
-    j: &JoinSpec,
-    left: &TimedRows,
-    right: &TimedRows,
-    window: Dur,
-) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    let jl = j.left.join_col.expect("join col");
-    let jr = j.right.join_col.expect("join col");
-    for (tl, l) in left {
-        if !j.left.pred.as_ref().is_none_or(|p| p.matches(l)) {
-            continue;
-        }
-        for (tr, r) in right {
-            if l.get(jl) != r.get(jr) {
-                continue;
-            }
-            if !j.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
-                continue;
-            }
-            let (early, late) = if tl <= tr { (*tl, *tr) } else { (*tr, *tl) };
-            if late.since(early) >= window {
-                continue; // never co-live inside the window
-            }
-            let joined = l.concat(r);
-            if !j.post_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                continue;
-            }
-            out.push(Tuple::new(
-                j.project.iter().map(|e| e.eval(&joined)).collect(),
-            ));
-        }
-    }
-    out
-}
-
-/// Centralized evaluation of a continuous *windowed* multi-way
-/// pipeline. A result exists iff every constituent was simultaneously
-/// inside the window, i.e. `max(t) − min(t) < window`: intermediates
-/// inherit the shortest-lived constituent's remaining lifetime, so the
-/// pairwise rule composes across stages into exactly this span check.
-pub fn reference_windowed_multijoin(
-    m: &MultiJoinSpec,
-    tables: &HashMap<String, TimedRows>,
-    window: Dur,
-) -> Vec<Tuple> {
-    let empty: TimedRows = Vec::new();
-    let get = |name: &str| tables.get(name).unwrap_or(&empty);
-    // Accumulated intermediates carry their constituents' time span.
-    let mut acc: Vec<(Time, Time, Tuple)> = get(&m.base.table)
-        .iter()
-        .filter(|(_, t)| m.base.pred.as_ref().is_none_or(|p| p.matches(t)))
-        .map(|(at, t)| (*at, *at, t.clone()))
-        .collect();
-    for st in &m.stages {
-        let jr = st.right.join_col.expect("stage join col");
-        let right: Vec<&(Time, Tuple)> = get(&st.right.table)
-            .iter()
-            .filter(|(_, t)| st.right.pred.as_ref().is_none_or(|p| p.matches(t)))
-            .collect();
-        let mut next = Vec::new();
-        for (min_t, max_t, a) in &acc {
-            for (rt, r) in &right {
-                if a.get(st.left_col) != r.get(jr) {
-                    continue;
-                }
-                let (lo, hi) = ((*min_t).min(*rt), (*max_t).max(*rt));
-                if hi.since(lo) >= window {
-                    continue;
-                }
-                let joined = a.concat(r);
-                if st.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                    next.push((lo, hi, joined));
-                }
-            }
-        }
-        acc = next;
-    }
-    acc.iter()
-        .map(|(_, _, t)| Tuple::new(m.project.iter().map(|e| e.eval(t)).collect()))
         .collect()
 }
 
@@ -300,11 +242,6 @@ pub fn reference_eval(op: &QueryOp, tables: &HashMap<String, Vec<Tuple>>) -> Vec
             .filter(|t| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
             .map(|t| Tuple::new(project.iter().map(|e| e.eval(t)).collect()))
             .collect(),
-        QueryOp::Join(j) => reference_join(j, get(&j.left.table), get(&j.right.table)),
-        QueryOp::MultiJoin(m) => reference_multijoin(m, tables),
-        QueryOp::MultiJoinAgg { join, agg } => {
-            reference_agg(agg, &reference_multijoin(join, tables))
-        }
         QueryOp::Agg { scan, agg } => {
             let rows: Vec<Tuple> = get(&scan.table)
                 .iter()
@@ -313,9 +250,12 @@ pub fn reference_eval(op: &QueryOp, tables: &HashMap<String, Vec<Tuple>>) -> Vec
                 .collect();
             reference_agg(agg, &rows)
         }
-        QueryOp::JoinAgg { join, agg } => {
-            let joined = reference_join(join, get(&join.left.table), get(&join.right.table));
-            reference_agg(agg, &joined)
+        QueryOp::Join { join, agg } => {
+            let joined = reference_multijoin(join, tables);
+            match agg {
+                Some(agg) => reference_agg(agg, &joined),
+                None => joined,
+            }
         }
     }
 }
@@ -395,7 +335,7 @@ mod tests {
 
     #[test]
     fn reference_multijoin_chains_three_tables() {
-        use crate::plan::{JoinStage, MultiJoinSpec};
+        use crate::plan::JoinStage;
         // A(k, x) ⨝ B(x, y) on A.x = B.x, then ⨝ C(y, v) on B.y = C.y,
         // with a stage predicate on C.v.
         let base = ScanSpec::new("A", 2, 0);
@@ -409,7 +349,7 @@ mod tests {
             left_col: 3, // B.y within A ++ B
             stage_pred: Some(Expr::gt(Expr::col(5), Expr::lit(10i64))),
         };
-        let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+        let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
         m.project = vec![Expr::col(0), Expr::col(5)]; // A.k, C.v
         let mut tables = HashMap::new();
         tables.insert(
@@ -431,7 +371,13 @@ mod tests {
             &[tuple![1i64, 100i64], tuple![3i64, 100i64]]
         ));
         // And through the QueryOp wrapper.
-        let via_op = reference_eval(&crate::plan::QueryOp::MultiJoin(m.clone()), &tables);
+        let via_op = reference_eval(
+            &QueryOp::Join {
+                join: m.clone(),
+                agg: None,
+            },
+            &tables,
+        );
         assert!(same_multiset(&out, &via_op));
         // The pruned dataflow agrees with the full-width evaluation.
         let pruned = reference_pipeline(&m, &tables);
@@ -458,7 +404,7 @@ mod tests {
 
     #[test]
     fn windowed_multijoin_bounds_the_constituent_span() {
-        use crate::plan::{JoinStage, MultiJoinSpec};
+        use crate::plan::JoinStage;
         let base = ScanSpec::new("A", 2, 0);
         let s1 = JoinStage {
             right: ScanSpec::new("B", 2, 0).with_join_col(0),
@@ -470,7 +416,7 @@ mod tests {
             left_col: 3,
             stage_pred: None,
         };
-        let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+        let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
         m.project = vec![Expr::col(0), Expr::col(5)];
         let at = |s: u64| pier_simnet::time::Time(s * 1_000_000);
         let mut tables = HashMap::new();

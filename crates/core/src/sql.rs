@@ -15,9 +15,10 @@
 //! which covers all three §2.1 intrusion-detection examples and the §5.1
 //! workload query, plus N-table equi-join chains and stars. The parser
 //! resolves names against the [`Catalog`] and emits a fully
-//! index-resolved [`QueryOp`]: binary joins keep the four-strategy
-//! repertoire of §4; three or more tables lower to a left-deep
-//! [`MultiJoinSpec`] pipeline of chained symmetric hash joins. Parsing
+//! index-resolved [`QueryOp`]: two or more tables lower to one
+//! left-deep [`JoinSpec`] pipeline — two-table joins keep the
+//! four-strategy repertoire of §4, longer pipelines chain symmetric
+//! hash joins. Parsing
 //! and lowering are split (`parse_sql` / `lower_parsed`, crate-internal)
 //! so the cost-based planner can choose the join order between the two.
 //!
@@ -27,7 +28,7 @@
 //! surviving group each epoch ([`crate::plan::AggSpec::epoch`]), and
 //! `RENEW` — unwindowed queries only — gives the query its own renewal
 //! period for that soft state ([`crate::plan::QueryDesc::renew_every`]),
-//! so multi-tenant standing queries need no node-global renewal loop.
+//! which is the only thing that renews it.
 //! Use [`parse_continuous_query`] to get the full [`QueryDesc`];
 //! [`parse_query`] (and the planner) reject all three clauses since a
 //! bare [`QueryOp`] cannot honor them.
@@ -38,8 +39,7 @@ use pier_simnet::NodeId;
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, Expr, Func};
 use crate::plan::{
-    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, QueryDesc,
-    QueryOp, ScanSpec,
+    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
 };
 use crate::value::Value;
 
@@ -985,10 +985,10 @@ fn narrow_agg_input(agg: &mut AggSpec) -> Vec<Expr> {
 }
 
 /// Lower a parsed query under a specific join order (a permutation of
-/// the FROM tables). One table lowers to a scan or aggregation; two
-/// tables to a binary [`JoinSpec`] under the given strategy; three or
-/// more to a left-deep [`MultiJoinSpec`] pipeline of chained symmetric
-/// hash joins (the `strategy` argument applies to binary joins only).
+/// the FROM tables). One table lowers to a scan or aggregation; two or
+/// more to a left-deep [`JoinSpec`] pipeline — two tables under the
+/// given strategy, longer pipelines as chained symmetric hash joins (the
+/// `strategy` argument applies to two-table joins only).
 pub(crate) fn lower_parsed(
     p: &ParsedQuery,
     order: &[usize],
@@ -1043,41 +1043,9 @@ pub(crate) fn lower_parsed(
                 })
             }
         }
-        2 => {
-            let mut edges = cls.edges.into_iter();
-            let (jl, jr_global) = edges
-                .next()
-                .ok_or_else(|| "two-table query needs an equality join predicate".to_string())?;
-            let arity_l = resolver.tables[0].schema.arity();
-            let left = make_scan(&resolver.tables[0], std::mem::take(&mut cls.scan_preds[0]))
-                .with_join_col(jl);
-            let right = make_scan(&resolver.tables[1], std::mem::take(&mut cls.scan_preds[1]))
-                .with_join_col(jr_global - arity_l);
-            let mut join = JoinSpec::new(strategy, left, right);
-            let mut post = cls.cross_preds;
-            // Extra cross-table equalities are checked above the join.
-            for (a, b) in edges {
-                post.push(Expr::eq(Expr::col(a), Expr::col(b)));
-            }
-            join.post_pred = if post.is_empty() {
-                None
-            } else {
-                Some(Expr::conjunction(post))
-            };
-            if has_agg {
-                // The aggregation consumes only the columns it reads.
-                let mut agg = build_agg(&resolver, &p.select, &p.group_by, &p.having)?;
-                agg.epoch = p.epoch;
-                join.project = narrow_agg_input(&mut agg);
-                Ok(QueryOp::JoinAgg { join, agg })
-            } else {
-                join.project = lower_select(&resolver)?;
-                Ok(QueryOp::Join(join))
-            }
-        }
         _ => {
-            // Left-deep multi-way pipeline: stage k joins ordered table
-            // k + 1 against the accumulated prefix.
+            // Left-deep pipeline: stage k joins ordered table k + 1
+            // against the accumulated prefix (one stage for two tables).
             let n_stages = n - 1;
             let mut stage_join: Vec<Option<(usize, usize)>> = vec![None; n_stages];
             let mut stage_preds: Vec<Vec<Expr>> = vec![Vec::new(); n_stages];
@@ -1106,7 +1074,7 @@ pub(crate) fn lower_parsed(
             for (k, sj) in stage_join.iter().enumerate() {
                 if sj.is_none() {
                     return Err(format!(
-                        "no equality predicate connects table '{}' to the preceding \
+                        "no equality join predicate connects table '{}' to the preceding \
                          tables (cross products are unsupported)",
                         resolver.tables[k + 1].table
                     ));
@@ -1128,16 +1096,23 @@ pub(crate) fn lower_parsed(
                     }
                 })
                 .collect();
-            let mut m = MultiJoinSpec::new(base, stages);
+            let mut join = JoinSpec::pipeline(base, stages);
+            if n_stages == 1 {
+                join.strategy = strategy;
+                join.check()?;
+            }
             if has_agg {
                 // The aggregation consumes only the columns it reads.
                 let mut agg = build_agg(&resolver, &p.select, &p.group_by, &p.having)?;
                 agg.epoch = p.epoch;
-                m.project = narrow_agg_input(&mut agg);
-                Ok(QueryOp::MultiJoinAgg { join: m, agg })
+                join.project = narrow_agg_input(&mut agg);
+                Ok(QueryOp::Join {
+                    join,
+                    agg: Some(agg),
+                })
             } else {
-                m.project = lower_select(&resolver)?;
-                Ok(QueryOp::MultiJoin(m))
+                join.project = lower_select(&resolver)?;
+                Ok(QueryOp::Join { join, agg: None })
             }
         }
     }
@@ -1219,14 +1194,14 @@ mod tests {
             JoinStrategy::SymmetricHash,
         )
         .unwrap();
-        let QueryOp::Join(j) = op else {
+        let QueryOp::Join { join: j, agg: None } = op else {
             panic!("expected join")
         };
-        assert_eq!(j.left.join_col, Some(1));
-        assert_eq!(j.right.join_col, Some(0));
+        assert_eq!(j.stages[0].left_col, 1);
+        assert_eq!(j.stages[0].right.join_col, Some(0));
         assert!(j.left.pred.is_some());
-        assert!(j.right.pred.is_some());
-        assert!(j.post_pred.is_some());
+        assert!(j.stages[0].right.pred.is_some());
+        assert!(j.stages[0].stage_pred.is_some());
         assert_eq!(j.project.len(), 3);
     }
 
@@ -1259,12 +1234,16 @@ mod tests {
             JoinStrategy::SymmetricHash,
         )
         .unwrap();
-        let QueryOp::JoinAgg { join, agg } = op else {
+        let QueryOp::Join {
+            join,
+            agg: Some(agg),
+        } = op
+        else {
             panic!("expected join+agg")
         };
         // intrusions.address is col 2; reputation.address is col 0.
-        assert_eq!(join.left.join_col, Some(2));
-        assert_eq!(join.right.join_col, Some(0));
+        assert_eq!(join.stages[0].left_col, 2);
+        assert_eq!(join.stages[0].right.join_col, Some(0));
         assert_eq!(agg.aggs.len(), 2); // count(*), sum(weight)
         assert!(agg.having.is_some());
     }
@@ -1272,16 +1251,18 @@ mod tests {
     #[test]
     fn parses_the_compromised_nodes_join() {
         let (_, intr) = catalogs();
-        let op = parse_query(
-            "SELECT S.source FROM spamGateways AS S, robots AS R \
-             WHERE S.smtpGWDomain = R.clientDomain",
-            &intr,
-            JoinStrategy::FetchMatches,
-        )
-        .unwrap();
-        let QueryOp::Join(j) = op else { panic!() };
-        assert_eq!(j.strategy, JoinStrategy::FetchMatches);
+        let sql = "SELECT S.source FROM spamGateways AS S, robots AS R \
+                   WHERE S.smtpGWDomain = R.clientDomain";
+        let op = parse_query(sql, &intr, JoinStrategy::SymmetricSemiJoin).unwrap();
+        let QueryOp::Join { join: j, .. } = op else {
+            panic!()
+        };
+        assert_eq!(j.strategy, JoinStrategy::SymmetricSemiJoin);
         assert_eq!(j.project.len(), 1);
+        // robots is hashed on its id, not clientDomain: Fetch Matches
+        // would fetch nothing, so the lowering refuses it.
+        let err = parse_query(sql, &intr, JoinStrategy::FetchMatches).unwrap_err();
+        assert!(err.contains("Fetch Matches"), "{err}");
     }
 
     #[test]
@@ -1326,7 +1307,7 @@ mod tests {
             JoinStrategy::SymmetricHash,
         )
         .unwrap();
-        let QueryOp::MultiJoin(m) = op else {
+        let QueryOp::Join { join: m, agg: None } = op else {
             panic!("expected multi-join")
         };
         assert_eq!(m.n_tables(), 3);
@@ -1334,7 +1315,7 @@ mod tests {
         assert_eq!(m.stages[0].right.join_col, Some(0)); // S.pkey
         assert_eq!(m.stages[1].left_col, 7); // S.num3 within R ++ S
         assert_eq!(m.stages[1].right.join_col, Some(0)); // T.pkey
-        assert!(m.base.pred.is_some(), "R.num2 pushed to the R scan");
+        assert!(m.left.pred.is_some(), "R.num2 pushed to the R scan");
         assert!(m.stages[0].right.pred.is_none());
         assert!(m.stages[1].right.pred.is_some(), "T.num2 pushed to T");
         assert!(
@@ -1357,7 +1338,11 @@ mod tests {
             JoinStrategy::SymmetricHash,
         )
         .unwrap();
-        let QueryOp::MultiJoinAgg { join, agg } = op else {
+        let QueryOp::Join {
+            join,
+            agg: Some(agg),
+        } = op
+        else {
             panic!("expected multi-join agg")
         };
         // Star: both stages join against intrusions' columns.

@@ -48,7 +48,7 @@ fn many_to_many_join_produces_all_combinations() {
         let expected = reference_join(&j, &left_rows, &right_rows);
         assert_eq!(expected.len(), 12);
         let mut sim = setup(8, 1, &[("L", &left_rows), ("Rt", &right_rows)]);
-        let desc = QueryDesc::one_shot(1, 0, QueryOp::Join(j));
+        let desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join: j, agg: None });
         let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
         assert!(
             same_multiset(&expected, &rows_of(&results)),
@@ -74,7 +74,7 @@ fn single_bucket_rehash_survives_rid_collisions() {
     let expected = reference_join(&j, &left_rows, &right_rows);
     assert_eq!(expected.len(), 60); // 30 × 2 partners each
     let mut sim = setup(6, 2, &[("L", &left_rows), ("Rt", &right_rows)]);
-    let desc = QueryDesc::one_shot(2, 0, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(2, 0, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
     assert!(same_multiset(&expected, &rows_of(&results)));
 }
@@ -104,10 +104,30 @@ fn concurrent_queries_are_isolated() {
 
     // Submit both at once from different initiators.
     sim.with_app(0, |node, ctx| {
-        node.submit(ctx, QueryDesc::one_shot(10, 0, QueryOp::Join(j1)))
+        node.submit(
+            ctx,
+            QueryDesc::one_shot(
+                10,
+                0,
+                QueryOp::Join {
+                    join: j1,
+                    agg: None,
+                },
+            ),
+        )
     });
     sim.with_app(5, |node, ctx| {
-        node.submit(ctx, QueryDesc::one_shot(11, 5, QueryOp::Join(j2)))
+        node.submit(
+            ctx,
+            QueryDesc::one_shot(
+                11,
+                5,
+                QueryOp::Join {
+                    join: j2,
+                    agg: None,
+                },
+            ),
+        )
     });
     sim.run_for(Dur::from_secs(60));
     let r1: Vec<Tuple> = sim
@@ -140,7 +160,7 @@ fn duplicate_query_submission_does_not_duplicate_results() {
     j.project = vec![Expr::col(0)];
     let expected = reference_join(&j, &rows, &srows);
     let mut sim = setup(8, 4, &[("T", &rows), ("U", &srows)]);
-    let desc = QueryDesc::one_shot(20, 0, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(20, 0, QueryOp::Join { join: j, agg: None });
     let desc2 = desc.clone();
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(2));
@@ -177,7 +197,7 @@ fn string_keyed_join() {
     let expected = reference_join(&j, &gw, &rb);
     assert!(!expected.is_empty());
     let mut sim = setup(6, 5, &[("G", &gw), ("B", &rb)]);
-    let desc = QueryDesc::one_shot(30, 1, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(30, 1, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 1, desc, Dur::from_secs(60));
     assert!(same_multiset(&expected, &rows_of(&results)));
 }
@@ -200,7 +220,7 @@ fn null_join_values_behave_consistently() {
     j.project = vec![Expr::col(0), Expr::col(2)];
     let expected = reference_join(&j, &l, &r);
     let mut sim = setup(5, 6, &[("L", &l), ("Rt", &r)]);
-    let desc = QueryDesc::one_shot(40, 0, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(40, 0, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
     assert!(same_multiset(&expected, &rows_of(&results)));
 }
@@ -219,8 +239,86 @@ fn fully_selective_predicates_yield_empty_results() {
         let mut j = JoinSpec::new(strategy, left, right);
         j.project = vec![Expr::col(0)];
         let mut sim = setup(6, 7, &[("T", &rows), ("U", &srows)]);
-        let desc = QueryDesc::one_shot(50, 0, QueryOp::Join(j));
+        let desc = QueryDesc::one_shot(50, 0, QueryOp::Join { join: j, agg: None });
         let results = run_query(&mut sim, 0, desc, Dur::from_secs(40));
         assert!(results.is_empty(), "{}", strategy.name());
+    }
+}
+
+/// A descriptor arrives from the network: one whose join spec is
+/// malformed (built here as struct literals, bypassing the asserting
+/// constructors) must be refused at install as a counted drop on every
+/// node — never a panic at some later event — and must not disturb a
+/// well-formed query installed beside it.
+#[test]
+fn malformed_join_descriptors_are_counted_drops() {
+    use pier_core::plan::JoinStage;
+    let left_rows: Vec<Tuple> = (0..6i64).map(|k| tuple![k, k % 3]).collect();
+    let right_rows: Vec<Tuple> = (0..3i64).map(|k| tuple![k, k]).collect();
+    let good = || {
+        let left = ScanSpec::new("L", 2, 0).with_join_col(1);
+        let right = ScanSpec::new("Rt", 2, 0).with_join_col(0);
+        let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+        j.project = vec![Expr::col(0), Expr::col(3)];
+        j
+    };
+    let stage = |join_col: Option<usize>, left_col: usize| JoinStage {
+        right: ScanSpec {
+            join_col,
+            ..ScanSpec::new("Rt", 2, 0)
+        },
+        left_col,
+        stage_pred: None,
+    };
+    let with = |strategy: JoinStrategy, stages: Vec<JoinStage>| JoinSpec {
+        strategy,
+        stages,
+        ..good()
+    };
+    let shj = JoinStrategy::SymmetricHash;
+    let malformed = [
+        ("no stage", with(shj, vec![])),
+        ("no right join column", with(shj, vec![stage(None, 1)])),
+        (
+            "right join column out of range",
+            with(shj, vec![stage(Some(2), 1)]),
+        ),
+        (
+            "left join column out of range",
+            with(shj, vec![stage(Some(0), 2)]),
+        ),
+        (
+            "second stage's left column out of range",
+            with(shj, vec![stage(Some(0), 1), stage(Some(0), 4)]),
+        ),
+        (
+            "Fetch Matches on a non-key column",
+            with(JoinStrategy::FetchMatches, vec![stage(Some(1), 1)]),
+        ),
+        (
+            "a semi-join pipeline",
+            with(
+                JoinStrategy::SymmetricSemiJoin,
+                vec![stage(Some(0), 1), stage(Some(0), 1)],
+            ),
+        ),
+    ];
+    let expected = reference_join(&good(), &left_rows, &right_rows);
+    assert_eq!(expected.len(), 6);
+    for (what, join) in malformed {
+        let mut sim = setup(4, 9, &[("L", &left_rows), ("Rt", &right_rows)]);
+        let bad = QueryDesc::one_shot(61, 1, QueryOp::Join { join, agg: None });
+        sim.with_node(1, |node, ctx| node.submit(ctx, bad));
+        let join = good();
+        let ok = QueryDesc::one_shot(62, 0, QueryOp::Join { join, agg: None });
+        let results = run_query(&mut sim, 0, ok, Dur::from_secs(30));
+        assert!(same_multiset(&expected, &rows_of(&results)), "{what}");
+        let snap = metrics_snapshot(&sim);
+        let dropped = |n: &pier_core::NodeMetrics| n.registry.malformed_installs;
+        assert_eq!(snap.nodes.iter().map(dropped).sum::<u64>(), 4, "{what}");
+        assert!(
+            snap.nodes.iter().all(|n| n.installed_queries == 1),
+            "{what}"
+        );
     }
 }

@@ -10,9 +10,7 @@ use std::collections::HashMap;
 use pier_core::catalog::Catalog;
 use pier_core::expr::Expr;
 use pier_core::node::PierNode;
-use pier_core::plan::{
-    AggSpec, JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, QueryDesc, QueryOp, ScanSpec,
-};
+use pier_core::plan::{AggSpec, JoinSpec, JoinStage, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier_core::semantics::{precision, recall, reference_epochs, same_multiset, TimedRows};
 use pier_core::sql::parse_continuous_query;
 use pier_core::testkit::*;
@@ -73,7 +71,12 @@ fn binary_probe_skips_expired_unswept_partner() {
     let right = ScanSpec::new("B", 2, 0).with_join_col(1);
     let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     j.project = vec![Expr::col(0), Expr::col(2)];
-    let desc = QueryDesc::standing(90, 0, QueryOp::Join(j), Some(Dur::from_secs(20)));
+    let desc = QueryDesc::standing(
+        90,
+        0,
+        QueryOp::Join { join: j, agg: None },
+        Some(Dur::from_secs(20)),
+    );
 
     let mut sim: Sim<PierNode> =
         stabilized_pier_sim(8, lazy_sweep_cfg(), NetConfig::latency_only(17));
@@ -124,9 +127,14 @@ fn final_stage_match_against_expired_intermediate_is_dropped() {
         left_col: 3,
         stage_pred: None,
     };
-    let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+    let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
     m.project = vec![Expr::col(0), Expr::col(5)];
-    let desc = QueryDesc::standing(91, 0, QueryOp::MultiJoin(m), Some(Dur::from_secs(25)));
+    let desc = QueryDesc::standing(
+        91,
+        0,
+        QueryOp::Join { join: m, agg: None },
+        Some(Dur::from_secs(25)),
+    );
 
     let mut sim: Sim<PierNode> =
         stabilized_pier_sim(8, lazy_sweep_cfg(), NetConfig::latency_only(19));
@@ -418,29 +426,24 @@ fn hierarchical_epoch_aggregate_reemits_per_epoch() {
 
 #[test]
 fn standing_binary_join_renews_post_install_rehash_state() {
-    // Regression: the continuous binary-join newData path (`rehash_one`)
-    // must put with the renewal-derived lifetime AND enroll the state in
-    // the renewal loop. A left row published after install joins a right
-    // row arriving well past the fallback horizon (3 × 30 s = 90 s).
+    // Regression: the continuous join newData path (`rehash_one`) must
+    // put with the renewal-derived lifetime AND enroll the state in the
+    // query's renewal loop. A left row published after install joins a
+    // right row arriving well past the query's horizon (3 × 30 s = 90 s).
     let left = ScanSpec::new("A", 2, 0).with_join_col(1);
     let right = ScanSpec::new("B", 2, 0).with_join_col(1);
     let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     j.project = vec![Expr::col(0), Expr::col(2)];
-    let desc = QueryDesc::standing(97, 0, QueryOp::Join(j), None);
+    let desc = QueryDesc::standing(97, 0, QueryOp::Join { join: j, agg: None }, None)
+        .with_renewal(Dur::from_secs(30));
 
-    let n = 8;
     let mut sim: Sim<PierNode> =
-        stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(43));
-    for i in 0..n {
-        sim.with_app(i as NodeId, |node, ctx| {
-            node.start_renewals(ctx, Dur::from_secs(30));
-        });
-    }
+        stabilized_pier_sim(8, DhtConfig::static_network(), NetConfig::latency_only(43));
     sim.run_for(Dur::from_secs(2));
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(3));
 
-    // Published AFTER install: flows through rehash_one, not rehash_side.
+    // Published AFTER install: flows through rehash_one, not rehash_table.
     publish_round_robin(
         &mut sim,
         "A",
@@ -448,8 +451,8 @@ fn standing_binary_join_renews_post_install_rehash_state() {
         0,
         Dur::from_secs(100_000),
     );
-    // Past the legacy 600 s lifetime and many renewal horizons later,
-    // the partner arrives.
+    // Past the unrenewed 600 s lifetime and many renewal horizons
+    // later, the partner arrives.
     sim.run_for(Dur::from_secs(650));
     publish_round_robin(
         &mut sim,
@@ -475,8 +478,8 @@ fn standing_binary_join_renews_post_install_rehash_state() {
 #[test]
 fn standing_triage_joinagg_outlives_fallback_horizon() {
     // The paper's intrusion triage as a standing 3-way join-aggregate
-    // (scaled down: renewals every 30 s derive a 90 s fallback horizon;
-    // the run covers 300 s ≈ 3.3 horizons). Recall and precision stay
+    // (scaled down: `RENEW 30 SECONDS` derives a 90 s horizon; the run
+    // covers 300 s ≈ 3.3 horizons). Recall and precision stay
     // 1.0 against the per-epoch oracle — pre-renewal, rehashed advisory
     // and reputation state aged out and late reports lost their joins.
     let n = 10usize;
@@ -484,7 +487,7 @@ fn standing_triage_joinagg_outlives_fallback_horizon() {
     let n_epochs = 5usize;
     let catalog = Catalog::intrusion();
     let desc = parse_continuous_query(
-        &pier_workload_sql(None, 60),
+        &format!("{} RENEW 30 SECONDS", pier_workload_sql(None, 60)),
         &catalog,
         JoinStrategy::SymmetricHash,
         96,
@@ -494,11 +497,6 @@ fn standing_triage_joinagg_outlives_fallback_horizon() {
     let op = desc.op.clone();
 
     let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(41));
-    for i in 0..n {
-        sim.with_app(i as NodeId, |node, ctx| {
-            node.start_renewals(ctx, Dur::from_secs(30));
-        });
-    }
     let advisories: Vec<Tuple> = (0..3i64)
         .map(|f| tuple![format!("fp{f}").as_str(), f + 5])
         .collect();
@@ -576,8 +574,8 @@ fn residual(sim: &Sim<PierNode>, qid: u64, stages: usize) -> usize {
 
 #[test]
 fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
-    // Two standing unwindowed joins share an overlay with a 30 s
-    // renewal loop (fallback horizon 3 × 30 = 90 s). Cancelling one
+    // Two standing unwindowed joins, each renewing every 30 s (horizon
+    // 3 × 30 = 90 s), share an overlay. Cancelling one
     // must (a) stop its dataflow, (b) cancel its timers and free its
     // renewal ledger everywhere, (c) leave zero residual soft state in
     // its qns::* namespaces one horizon later, and (d) leave the other
@@ -589,16 +587,12 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
         let r = ScanSpec::new(right, 2, 0).with_join_col(1);
         let mut j = JoinSpec::new(strategy, l, r);
         j.project = vec![Expr::col(0), Expr::col(2)];
-        QueryDesc::standing(qid, 0, QueryOp::Join(j), None)
+        QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, None)
+            .with_renewal(Dur::from_secs(30))
     };
     let n = 8;
     let mut sim: Sim<PierNode> =
         stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(53));
-    for i in 0..n {
-        sim.with_app(i as NodeId, |node, ctx| {
-            node.start_renewals(ctx, Dur::from_secs(30));
-        });
-    }
     sim.run_for(Dur::from_secs(2));
     sim.with_app(0, |node, ctx| {
         node.submit(ctx, mk(200, JoinStrategy::BloomFilter, "A", "B"))
@@ -638,7 +632,7 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
         assert_eq!(
             node.timer_action_count(),
             1,
-            "node {i}: only the node-global renewal timer remains"
+            "node {i}: only the surviving tenant's renewal timer remains"
         );
         assert!(node.has_query(201), "the other tenant survives");
     }
@@ -683,16 +677,15 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
 
 #[test]
 fn per_query_renewal_outlives_horizon_without_node_loop() {
-    // A standing join carrying its own RENEW period must keep its
-    // rehash state alive with *no* node-global renewal loop running —
-    // while an identical query without one ages out at the legacy
-    // 600 s horizon. Fails before per-query renewal existed.
+    // A standing join carrying its own RENEW period keeps its rehash
+    // state alive; an identical query without one ages out at the fixed
+    // 600 s horizon. Nothing else renews rehash state.
     let mk = |qid: u64, left: &str, right: &str, renew: Option<Dur>| {
         let l = ScanSpec::new(left, 2, 0).with_join_col(1);
         let r = ScanSpec::new(right, 2, 0).with_join_col(1);
         let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, l, r);
         j.project = vec![Expr::col(0), Expr::col(2)];
-        let mut d = QueryDesc::standing(qid, 0, QueryOp::Join(j), None);
+        let mut d = QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, None);
         d.renew_every = renew;
         d
     };
@@ -718,7 +711,7 @@ fn per_query_renewal_outlives_horizon_without_node_loop() {
         0,
         Dur::from_secs(100_000),
     );
-    // Far past the legacy 600 s fallback, the partners arrive.
+    // Far past the unrenewed 600 s horizon, the partners arrive.
     sim.run_for(Dur::from_secs(700));
     publish_round_robin(
         &mut sim,
@@ -749,7 +742,7 @@ fn per_query_renewal_outlives_horizon_without_node_loop() {
     assert_eq!(
         sim.app(0).unwrap().query_results(211).len(),
         0,
-        "without any renewal the same join ages out at the fallback horizon"
+        "without a renewal period the same join ages out at the fixed horizon"
     );
 }
 
@@ -804,7 +797,14 @@ fn one_shot_queries_release_timers_and_instances() {
     let mut agg2 = agg();
     agg2.group_cols = vec![0];
     agg2.aggs[0].arg = None;
-    let mut desc = QueryDesc::one_shot(226, 0, QueryOp::JoinAgg { join: j, agg: agg2 });
+    let mut desc = QueryDesc::one_shot(
+        226,
+        0,
+        QueryOp::Join {
+            join: j,
+            agg: Some(agg2),
+        },
+    );
     desc.n_nodes = n as u32;
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
 

@@ -13,8 +13,7 @@ use std::collections::HashMap;
 
 use pier_core::expr::Expr;
 use pier_core::plan::{
-    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, QueryDesc,
-    QueryOp, ScanSpec,
+    AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
 };
 use pier_core::semantics::{
     reference_eval, reference_windowed_join, reference_windowed_multijoin, same_multiset, TimedRows,
@@ -99,7 +98,7 @@ proptest! {
         let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
         j.project = vec![Expr::col(0), Expr::col(2)];
         let window = random_window(&mut rng);
-        let desc = QueryDesc::standing(70, 0, QueryOp::Join(j.clone()), Some(window));
+        let desc = QueryDesc::standing(70, 0, QueryOp::Join { join: j.clone(), agg: None }, Some(window));
 
         let n_events = rng.gen_range(5..10usize);
         let mut schedule: Schedule = (0..n_events)
@@ -142,10 +141,10 @@ proptest! {
             left_col: 3,
             stage_pred: None,
         };
-        let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+        let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
         m.project = vec![Expr::col(0), Expr::col(5)];
         let window = random_window(&mut rng);
-        let desc = QueryDesc::standing(71, 0, QueryOp::MultiJoin(m.clone()), Some(window));
+        let desc = QueryDesc::standing(71, 0, QueryOp::Join { join: m.clone(), agg: None }, Some(window));
 
         // Join values from tiny domains so chains actually form:
         // A(id, x), B(x, y) keyed on x, C(y, v) keyed on y.
@@ -292,7 +291,7 @@ fn tenant_desc(kind: TenantKind, qid: u64, rng: &mut SmallRng, scale_us: u64) ->
             let r = ScanSpec::new("B", 2, 0).with_join_col(0);
             let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, l, r);
             j.project = vec![Expr::col(0), Expr::col(3)];
-            QueryDesc::standing(qid, 0, QueryOp::Join(j), window)
+            QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, window)
         }
         TenantKind::MultiWay => {
             let base = ScanSpec::new("A", 2, 0);
@@ -306,9 +305,9 @@ fn tenant_desc(kind: TenantKind, qid: u64, rng: &mut SmallRng, scale_us: u64) ->
                 left_col: 3,
                 stage_pred: None,
             };
-            let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+            let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
             m.project = vec![Expr::col(0), Expr::col(5)];
-            QueryDesc::standing(qid, 0, QueryOp::MultiJoin(m), window)
+            QueryDesc::standing(qid, 0, QueryOp::Join { join: m, agg: None }, window)
         }
         TenantKind::Aggregate => {
             let agg = AggSpec::new(

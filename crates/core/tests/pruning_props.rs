@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use pier_core::expr::Expr;
 use pier_core::plan::{
-    JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, PipelineSchema, QueryDesc, QueryOp, ScanSpec,
+    JoinSpec, JoinStage, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec,
 };
 use pier_core::semantics::{
     precision, recall, reference_eval, reference_multijoin, reference_pipeline, same_multiset,
@@ -46,7 +46,7 @@ fn tables(rng: &mut SmallRng) -> HashMap<String, Vec<Tuple>> {
 
 /// A random 3-way spec over A ⨝ B ⨝ C: random join columns, a random
 /// optional predicate at each stage, and a random SELECT subset.
-fn random_spec(rng: &mut SmallRng) -> MultiJoinSpec {
+fn random_spec(rng: &mut SmallRng) -> JoinSpec {
     let mut base = ScanSpec::new("A", 3, 0);
     if rng.gen_range(0..2) == 1 {
         base = base.with_pred(Expr::gt(
@@ -74,7 +74,7 @@ fn random_spec(rng: &mut SmallRng) -> MultiJoinSpec {
             )
         }),
     };
-    let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+    let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
     // Random non-empty SELECT column subset (duplicates allowed).
     let n_sel = rng.gen_range(1..5usize);
     m.project = (0..n_sel).map(|_| Expr::col(rng.gen_range(0..9))).collect();
@@ -109,7 +109,7 @@ proptest! {
         let right = ScanSpec::new("B", 3, 0).with_join_col(rng.gen_range(0..3));
         let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
         if rng.gen_range(0..2) == 1 {
-            j.post_pred = Some(Expr::gt(
+            j.stages[0].stage_pred = Some(Expr::gt(
                 Expr::col(rng.gen_range(0..6)),
                 Expr::lit(rng.gen_range(0..4i64)),
             ));
@@ -119,13 +119,13 @@ proptest! {
             .collect();
         let full = pier_core::semantics::reference_join(&j, &tabs["A"], &tabs["B"]);
         // Walk the pruned dataflow centrally.
-        let v = PipelineSchema::binary(&j, true);
+        let v = PipelineSchema::new(&j, true).unwrap();
         let st = &v.stages[0];
         let mut pruned = Vec::new();
         for a in &tabs["A"] {
             let ap = a.project(&v.keep_base);
             for b in &tabs["B"] {
-                if ap.get(st.join_idx_left) != b.get(j.right.join_col.unwrap()) {
+                if ap.get(st.join_idx_left) != b.get(j.stages[0].right.join_col.unwrap()) {
                     continue;
                 }
                 let joined = ap.concat(&b.project(&st.keep_right));
@@ -160,9 +160,9 @@ proptest! {
             j.project = (0..rng.gen_range(1..4usize))
                 .map(|_| Expr::col(rng.gen_range(0..6)))
                 .collect();
-            QueryOp::Join(j)
+            QueryOp::Join { join: j, agg: None }
         } else {
-            QueryOp::MultiJoin(random_spec(&mut rng))
+            QueryOp::Join { join: random_spec(&mut rng), agg: None }
         };
         let expected = reference_eval(&op, &tabs);
 

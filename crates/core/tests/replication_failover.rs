@@ -62,7 +62,15 @@ fn kill_heal_exact(strategy: JoinStrategy, qid: u64, seed: u64) {
     publish_round_robin(&mut sim, "A", &a, 0, Dur::from_secs(3600));
     publish_round_robin(&mut sim, "B", &b, 0, Dur::from_secs(3600));
     settle_publish(&mut sim);
-    let desc = QueryDesc::standing(qid, 0, QueryOp::Join(spec), None);
+    let desc = QueryDesc::standing(
+        qid,
+        0,
+        QueryOp::Join {
+            join: spec,
+            agg: None,
+        },
+        None,
+    );
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(30));
     let got: Vec<Tuple> = sim

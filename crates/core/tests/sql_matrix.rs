@@ -116,6 +116,15 @@ fn plain_join_each_strategy() {
             10 + i as u64,
             *strategy,
         );
+        // Every strategy ends in the same sink, so every strategy feeds
+        // an aggregation (Fetch Matches and the semi-join once shipped
+        // their raw join rows to the initiator instead).
+        check(
+            "SELECT d.id, count(*), sum(e.salary) FROM emp e, dept d \
+             WHERE e.dept = d.id GROUP BY d.id",
+            60 + i as u64,
+            *strategy,
+        );
     }
 }
 

@@ -52,7 +52,7 @@ fn workload_join(strategy: JoinStrategy) -> JoinSpec {
         .with_pred(Expr::gt(Expr::col(1), Expr::lit(49i64)))
         .with_join_col(0);
     let mut j = JoinSpec::new(strategy, left, right);
-    j.post_pred = Some(Expr::gt(
+    j.stages[0].stage_pred = Some(Expr::gt(
         Expr::Call(Func::WorkloadF, vec![Expr::col(3), Expr::col(7)]),
         Expr::lit(29i64),
     ));
@@ -75,7 +75,11 @@ fn run_strategy(strategy: JoinStrategy, n_nodes: usize, seed: u64) -> (Vec<Tuple
     publish_round_robin(&mut sim, "S", &s, 0, Dur::from_secs(3600));
     settle_publish(&mut sim);
 
-    let desc = QueryDesc::one_shot(seed.wrapping_mul(31) + strategy as u64, 0, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(
+        seed.wrapping_mul(31) + strategy as u64,
+        0,
+        QueryOp::Join { join: j, agg: None },
+    );
     let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
     (expected, rows_of(&results))
 }
@@ -158,7 +162,7 @@ fn computation_nodes_constraint_preserves_results() {
     publish_round_robin(&mut sim, "R", &r, 0, Dur::from_secs(3600));
     publish_round_robin(&mut sim, "S", &s, 0, Dur::from_secs(3600));
     settle_publish(&mut sim);
-    let desc = QueryDesc::one_shot(777, 3, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(777, 3, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 3, desc, Dur::from_secs(60));
     assert!(
         same_multiset(&expected, &rows_of(&results)),
@@ -173,7 +177,7 @@ fn empty_tables_produce_empty_results_without_hanging() {
     let j = workload_join(JoinStrategy::SymmetricHash);
     let mut sim = stabilized_pier_sim(6, DhtConfig::static_network(), NetConfig::latency_only(9));
     settle_publish(&mut sim);
-    let desc = QueryDesc::one_shot(5, 0, QueryOp::Join(j));
+    let desc = QueryDesc::one_shot(5, 0, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 0, desc, Dur::from_secs(30));
     assert!(results.is_empty());
 }

@@ -7,7 +7,7 @@
 
 use pier_core::expr::{Expr, Func};
 use pier_core::item::{QpItem, Side};
-use pier_core::plan::{JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, PipelineSchema, ScanSpec};
+use pier_core::plan::{JoinSpec, JoinStage, JoinStrategy, PipelineSchema, ScanSpec};
 use pier_core::tuple;
 use pier_core::tuple::{ColType, FlatRow, Tuple};
 use pier_core::value::Value;
@@ -23,7 +23,7 @@ fn workload_join(strategy: JoinStrategy) -> JoinSpec {
         .with_pred(Expr::gt(Expr::col(1), Expr::lit(49i64)))
         .with_join_col(0);
     let mut j = JoinSpec::new(strategy, left, right);
-    j.post_pred = Some(Expr::gt(
+    j.stages[0].stage_pred = Some(Expr::gt(
         Expr::Call(Func::WorkloadF, vec![Expr::col(3), Expr::col(7)]),
         Expr::lit(49i64),
     ));
@@ -51,7 +51,7 @@ fn pad_value_contributes_exact_wire_bytes() {
 #[test]
 fn symmetric_hash_rehash_bytes_reflect_dropped_columns() {
     let j = workload_join(JoinStrategy::SymmetricHash);
-    let v = PipelineSchema::binary(&j, true);
+    let v = PipelineSchema::new(&j, true).unwrap();
     // R keeps pkey, num1, num3, pad (num2 was consumed by the pushed
     // scan predicate): 4 + 3·8 + 1000 bytes projected.
     let projected = r_row().project(&v.keep_base);
@@ -98,7 +98,7 @@ fn fetch_matches_moves_full_base_tuples() {
 
 /// The narrow 3-way pipeline: R ⨝ S ⨝ T with SELECT R.pkey, S.pkey,
 /// T.pkey — pad read by nobody.
-fn narrow_multi() -> MultiJoinSpec {
+fn narrow_multi() -> JoinSpec {
     let base = ScanSpec::new("R", 5, 0);
     let s1 = JoinStage {
         right: ScanSpec::new("S", 3, 0).with_join_col(0),
@@ -110,7 +110,7 @@ fn narrow_multi() -> MultiJoinSpec {
         left_col: 7,
         stage_pred: None,
     };
-    let mut m = MultiJoinSpec::new(base, vec![s1, s2]);
+    let mut m = JoinSpec::pipeline(base, vec![s1, s2]);
     m.project = vec![Expr::col(0), Expr::col(5), Expr::col(8)];
     m
 }
@@ -118,11 +118,11 @@ fn narrow_multi() -> MultiJoinSpec {
 #[test]
 fn stage_republish_bytes_exclude_the_pad() {
     let m = narrow_multi();
-    let v = PipelineSchema::build(&m, true);
+    let v = PipelineSchema::new(&m, true).unwrap();
     // R's rehash: pkey + num1 only — 1008 bytes lighter than unpruned.
     let projected = r_row().project(&v.keep_base);
     assert_eq!(projected.wire_size(), 4 + 2 * 8);
-    let full = PipelineSchema::build(&m, false);
+    let full = PipelineSchema::new(&m, false).unwrap();
     assert_eq!(
         r_row().project(&full.keep_base).wire_size(),
         4 + 4 * 8 + 1000
@@ -143,7 +143,7 @@ fn stage_republish_bytes_exclude_the_pad() {
 #[test]
 fn stage_schema_predictions_match_shipped_bytes() {
     let m = narrow_multi();
-    let v = PipelineSchema::build(&m, true);
+    let v = PipelineSchema::new(&m, true).unwrap();
     let i64w = (ColType::I64, 8u32);
     let tables = vec![
         vec![i64w, i64w, i64w, i64w, (ColType::Pad, 1000)],

@@ -66,7 +66,11 @@ fn query() -> QpItem {
         .with_join_col(0);
     let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     j.project = vec![Expr::col(0), Expr::col(5), Expr::col(4)];
-    QpItem::Query(Arc::new(QueryDesc::one_shot(1, 0, QueryOp::Join(j))))
+    QpItem::Query(Arc::new(QueryDesc::one_shot(
+        1,
+        0,
+        QueryOp::Join { join: j, agg: None },
+    )))
 }
 
 fn entry(val: QpItem) -> Entry<QpItem> {

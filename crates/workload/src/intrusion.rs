@@ -245,7 +245,11 @@ mod tests {
         .unwrap();
         assert!(desc.continuous);
         assert!(desc.window.is_some());
-        let QueryOp::MultiJoinAgg { join, agg } = &desc.op else {
+        let QueryOp::Join {
+            join,
+            agg: Some(agg),
+        } = &desc.op
+        else {
             panic!("expected a 3-way join aggregate")
         };
         assert_eq!(join.n_tables(), 3);
@@ -281,10 +285,10 @@ mod tests {
         assert!(matches!(flat.op, QueryOp::Agg { .. }));
         let two = parse(&tenant_severity_sql(3, 30, 40), 2);
         assert_eq!(two.renew_every.unwrap().as_secs_f64(), 40.0);
-        assert!(matches!(two.op, QueryOp::JoinAgg { .. }));
+        assert!(matches!(two.op, QueryOp::Join { agg: Some(_), .. }));
         let three = parse(&tenant_triage_sql(3, 30, 40), 3);
         assert_eq!(three.renew_every.unwrap().as_secs_f64(), 40.0);
-        let QueryOp::MultiJoinAgg { join, .. } = &three.op else {
+        let QueryOp::Join { join, agg: Some(_) } = &three.op else {
             panic!("expected a 3-way join aggregate")
         };
         assert_eq!(join.n_tables(), 3);

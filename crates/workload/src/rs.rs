@@ -20,9 +20,7 @@
 //! (`S.num3` is uniform in `0..100`).
 
 use pier_core::expr::{Expr, Func};
-use pier_core::plan::{
-    JoinSpec, JoinStage, JoinStrategy, MultiJoinSpec, QueryDesc, QueryOp, ScanSpec,
-};
+use pier_core::plan::{JoinSpec, JoinStage, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier_core::tuple::Tuple;
 use pier_core::value::Value;
 use rand::rngs::SmallRng;
@@ -138,7 +136,7 @@ impl RsWorkload {
             .with_pred(Expr::gt(Expr::col(1), Expr::lit(Self::cutoff(p.sel_s_pct))))
             .with_join_col(0);
         let mut j = JoinSpec::new(strategy, left, right);
-        j.post_pred = Some(Expr::gt(
+        j.stages[0].stage_pred = Some(Expr::gt(
             Expr::Call(Func::WorkloadF, vec![Expr::col(3), Expr::col(7)]),
             Expr::lit(Self::cutoff(p.sel_f_pct)),
         ));
@@ -150,9 +148,13 @@ impl RsWorkload {
         j
     }
 
+    fn one_shot(qid: u64, initiator: u32, join: JoinSpec) -> QueryDesc {
+        QueryDesc::one_shot(qid, initiator, QueryOp::Join { join, agg: None })
+    }
+
     /// A complete one-shot query descriptor.
     pub fn query(&self, qid: u64, initiator: u32, strategy: JoinStrategy) -> QueryDesc {
-        QueryDesc::one_shot(qid, initiator, QueryOp::Join(self.join_spec(strategy)))
+        Self::one_shot(qid, initiator, self.join_spec(strategy))
     }
 
     /// Ground-truth result multiset via the reference evaluator.
@@ -169,7 +171,7 @@ impl RsWorkload {
     ///   AND R.num2 > constant1 AND T.num2 > constant2
     ///   AND f(R.num3, S.num3) > constant3
     /// ```
-    pub fn multi_join_spec(&self) -> MultiJoinSpec {
+    pub fn multi_join_spec(&self) -> JoinSpec {
         let p = &self.params;
         let base = ScanSpec::new("R", 5, 0)
             .with_pred(Expr::gt(Expr::col(2), Expr::lit(Self::cutoff(p.sel_r_pct))));
@@ -189,7 +191,7 @@ impl RsWorkload {
             left_col: 7, // S.num3 within R ++ S
             stage_pred: None,
         };
-        let mut m = MultiJoinSpec::new(base, vec![s_stage, t_stage]);
+        let mut m = JoinSpec::pipeline(base, vec![s_stage, t_stage]);
         // SELECT R.pkey, S.pkey, T.pkey, R.pad
         m.project = vec![Expr::col(0), Expr::col(5), Expr::col(8), Expr::col(4)];
         m
@@ -197,7 +199,7 @@ impl RsWorkload {
 
     /// A complete one-shot 3-way pipeline query descriptor.
     pub fn multi_query(&self, qid: u64, initiator: u32) -> QueryDesc {
-        QueryDesc::one_shot(qid, initiator, QueryOp::MultiJoin(self.multi_join_spec()))
+        Self::one_shot(qid, initiator, self.multi_join_spec())
     }
 
     /// Ground-truth multiset for [`Self::multi_join_spec`].
@@ -212,7 +214,7 @@ impl RsWorkload {
     /// ```sql
     /// SELECT R.pkey, S.pkey, T.pkey FROM R, S, T ...
     /// ```
-    pub fn multi_join_spec_narrow(&self) -> MultiJoinSpec {
+    pub fn multi_join_spec_narrow(&self) -> JoinSpec {
         let mut m = self.multi_join_spec();
         m.project = vec![Expr::col(0), Expr::col(5), Expr::col(8)];
         m
@@ -221,12 +223,7 @@ impl RsWorkload {
     /// A one-shot descriptor for [`Self::multi_join_spec_narrow`];
     /// `prune = false` reinstates full-width intermediates (baseline).
     pub fn multi_query_narrow(&self, qid: u64, initiator: u32, prune: bool) -> QueryDesc {
-        QueryDesc::one_shot(
-            qid,
-            initiator,
-            QueryOp::MultiJoin(self.multi_join_spec_narrow()),
-        )
-        .with_prune(prune)
+        Self::one_shot(qid, initiator, self.multi_join_spec_narrow()).with_prune(prune)
     }
 
     /// Ground-truth multiset for [`Self::multi_join_spec_narrow`].
@@ -335,7 +332,7 @@ mod tests {
                 / wl.r.len() as f64;
         let sel_s =
             wl.s.iter()
-                .filter(|t| j.right.pred.as_ref().unwrap().matches(t))
+                .filter(|t| j.stages[0].right.pred.as_ref().unwrap().matches(t))
                 .count() as f64
                 / wl.s.len() as f64;
         assert!((sel_r - 0.3).abs() < 0.05, "sel_r {sel_r}");

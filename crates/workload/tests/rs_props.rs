@@ -100,7 +100,7 @@ fn predicate_selectivity_matches_dialed_percentages() {
                 / wl.r.len() as f64;
         let frac_s =
             wl.s.iter()
-                .filter(|t| j.right.pred.as_ref().unwrap().matches(t))
+                .filter(|t| j.stages[0].right.pred.as_ref().unwrap().matches(t))
                 .count() as f64
                 / wl.s.len() as f64;
         assert!(

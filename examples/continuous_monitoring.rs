@@ -31,7 +31,7 @@ fn main() {
     let right = ScanSpec::new("packets2", 5, 0).with_join_col(3);
     let mut join = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     join.project = vec![Expr::col(1), Expr::col(6), Expr::col(3)];
-    let mut desc = QueryDesc::one_shot(1, 0, QueryOp::Join(join));
+    let mut desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
     desc.continuous = true;
     desc.window = Some(Dur::from_secs(60));
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));

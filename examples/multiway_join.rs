@@ -53,10 +53,10 @@ fn main() {
         Objective::Traffic,
     )
     .expect("plan");
-    let QueryOp::MultiJoin(m) = &op else {
+    let QueryOp::Join { join: m, .. } = &op else {
         panic!("expected a pipeline");
     };
-    let order: Vec<&str> = std::iter::once(m.base.table.as_str())
+    let order: Vec<&str> = std::iter::once(m.left.table.as_str())
         .chain(m.stages.iter().map(|s| s.right.table.as_str()))
         .collect();
     println!("pipeline order: {}", order.join(" -> "));

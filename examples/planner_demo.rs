@@ -48,7 +48,7 @@ fn main() {
     for objective in [Objective::Latency, Objective::Traffic] {
         let op = plan_sql(SQL, &catalog, &net_params, objective).expect("plan");
         let chosen = match &op {
-            QueryOp::Join(j) => j.strategy,
+            QueryOp::Join { join: j, .. } => j.strategy,
             _ => unreachable!(),
         };
         println!("objective {objective:?} -> strategy: {}", chosen.name());

@@ -42,7 +42,14 @@ fn main() {
 
         // 4. Node 0 submits the query; the descriptor is multicast to
         //    all nodes and results flow straight back to node 0.
-        let desc = pier::qp::plan::QueryDesc::one_shot(1, 0, QueryOp::Join(wl.join_spec(strategy)));
+        let desc = pier::qp::plan::QueryDesc::one_shot(
+            1,
+            0,
+            QueryOp::Join {
+                join: wl.join_spec(strategy),
+                agg: None,
+            },
+        );
         let results = run_query(&mut sim, 0, desc, Dur::from_secs(300));
 
         // 5. Compare with the centralized reference evaluation.

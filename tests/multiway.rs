@@ -103,11 +103,11 @@ fn planner_ordered_pipeline_end_to_end() {
         Objective::Traffic,
     )
     .unwrap();
-    let QueryOp::MultiJoin(m) = &op else {
+    let QueryOp::Join { join: m, .. } = &op else {
         panic!("expected a pipeline")
     };
     assert_eq!(
-        m.base.table, "S",
+        m.left.table, "S",
         "greedy order starts at the smallest table"
     );
     assert_eq!(

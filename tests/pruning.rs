@@ -68,7 +68,7 @@ fn pad_rides_no_intermediate_until_the_final_ship() {
         Objective::Traffic,
     )
     .unwrap();
-    let QueryOp::MultiJoin(m) = &op else {
+    let QueryOp::Join { join: m, .. } = &op else {
         panic!("expected a pipeline")
     };
     let n_stages = m.stages.len();
