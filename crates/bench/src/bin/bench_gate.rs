@@ -1,7 +1,9 @@
 //! Bench-trajectory gate (CI): `bench_gate <baseline_dir> <fresh_dir>`
 //! compares the committed `BENCH_*.json` artifacts against freshly
 //! regenerated ones and exits non-zero on a >15% regression in any
-//! experiment's headline metric (see `pier_bench::gate::HEADLINES`).
+//! experiment's headline metric (see `pier_bench::gate::HEADLINES`) or
+//! on any difference in an exactly-gated simulated outcome
+//! (`pier_bench::gate::EXACT`).
 use std::path::Path;
 use std::process::exit;
 
@@ -18,7 +20,7 @@ fn main() {
         }
         Err(report) => {
             print!("{report}");
-            eprintln!("bench-trajectory gate: FAILED (>15% headline regression)");
+            eprintln!("bench-trajectory gate: FAILED (headline regression or exact-key mismatch)");
             exit(1);
         }
     }

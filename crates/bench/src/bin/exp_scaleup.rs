@@ -5,15 +5,16 @@
 //! and hard-asserts recall 1.0 vs the reference evaluator at every
 //! point — the 10^4-node run must complete *correctly*, not just fast.
 //!
-//! After the sequential ladder, the 10^4-node point is re-run through
-//! the sharded engine at W ∈ {1, 2, 4, …, `--shards N`} (default 4):
-//! every width must reproduce the sequential result rows and event
-//! count bit-for-bit, and on ≥ 4-core hosts W = 4 must reach ≥ 2.5×
-//! sequential throughput.
+//! After the one-core ladder, the 10^4-node point is re-run on
+//! W ∈ {2, 4, …, `--shards N`} cores (default 4; W = 1 is the ladder
+//! row itself — a one-shard engine runs the same inline loop): every
+//! width must reproduce the one-core result rows and event count
+//! bit-for-bit, and on ≥ 4-core hosts W = 4 must reach ≥ 2.5× one-core
+//! throughput.
 //!
-//! Writes `results/BENCH_scaleup.json` (CI bench-trajectory artifact,
-//! gated Higher-is-better on both `events_per_sec` and
-//! `events_per_sec_sharded`).
+//! Writes `results/BENCH_scaleup.json` (CI bench-trajectory artifact:
+//! `events`, `results` and `identical` gated exact-equal row for row;
+//! the wall-clock `events_per_sec{,_sharded}` recorded, not gated).
 fn main() {
     let mut shards = 4usize;
     let mut args = std::env::args().skip(1);

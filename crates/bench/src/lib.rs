@@ -2,8 +2,8 @@
 //!
 //! Experiment harness for PIER (Huebsch et al., VLDB 2003): shared
 //! infrastructure for the binaries under `src/bin/` that regenerate
-//! every table and figure of the paper's §5, plus the criterion
-//! micro-benchmarks under `benches/`.
+//! every table and figure of the paper's §5. (Micro-operation timings
+//! live in the performance ledger, `benchmark/src/micro.rs`.)
 //!
 //! Each `exp_*` binary wraps one function of [`experiments`], prints a
 //! human-readable table, and writes CSV under `results/`; the
@@ -151,7 +151,7 @@ fn execute_workload_query(
     sim.run_for(Dur::from_secs(30));
 
     // Snapshot traffic after load, before the query.
-    let pre_stats = sim.stats().clone();
+    let pre_stats = sim.stats();
     let meter_pre: u64 = (0..cfg.n_nodes)
         .map(|i| sim.app(i as u32).unwrap().dht.meter.query_traffic())
         .sum();
@@ -311,6 +311,19 @@ mod tests {
         assert!((m.recall - 1.0).abs() < 1e-9, "recall {}", m.recall);
         assert!(m.t_last > 0.0);
         assert!(m.traffic_mb > 0.0);
+    }
+
+    #[test]
+    fn deployed_join_runs_on_both_backends() {
+        use experiments::deployed_join_run;
+        let cfg = DhtConfig::static_network;
+        let sim = stabilized_pier_sim(8, cfg(), NetConfig::latency_only(77));
+        let cluster = pier_core::testkit::stabilized_pier_cluster(8, cfg(), 77);
+        let (_, on_sim) = deployed_join_run(sim, Dur::from_secs(1));
+        let (_, on_cluster) = deployed_join_run(cluster, Dur::from_millis(50));
+        // Same workload, same oracle: the backends agree on the answer.
+        assert!(on_sim > 0);
+        assert_eq!(on_sim, on_cluster);
     }
 
     #[test]

@@ -176,10 +176,10 @@ pub struct NodeMetrics {
     pub node: NodeId,
     /// Queries currently installed here.
     pub installed_queries: usize,
-    /// Pending transport messages in this node's actor mailbox. Only
-    /// meaningful under the wall-clock actor runtime (`Cluster`); the
-    /// deterministic simulators have a global event queue instead of
-    /// per-node mailboxes, and report 0.
+    /// Pending network messages in this node's actor mailbox, as the
+    /// node itself reports it: 0, because an actor cannot see its own
+    /// mailbox and the simulator has a global event queue instead. The
+    /// live gauge of a wall-clock deployment is `Cluster::mailbox_depth`.
     pub mailbox_depth: usize,
     /// Live soft-state items per namespace
     /// ([`pier_dht::storage::StorageManager::occupancy`]) — base

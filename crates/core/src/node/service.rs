@@ -77,11 +77,10 @@ impl PierNode {
 
     /// This node's [`NodeMetrics`] at `now`: registry counters plus the
     /// live gauges (installed queries, soft-state occupancy by
-    /// namespace). `mailbox_depth` is a *transport* gauge the node
-    /// cannot see from inside its own loop; it is reported as 0 here
-    /// and overlaid by the harness where a real mailbox exists
-    /// (`Cluster::mailbox_depth` — the simulators have a global event
-    /// queue instead and legitimately report 0).
+    /// namespace). `mailbox_depth` is a gauge of the actor runtime that
+    /// the node cannot see from inside its own loop; it is reported as
+    /// 0 here, and read from `Cluster::mailbox_depth` where a real
+    /// mailbox exists (the simulator has a global event queue instead).
     pub fn node_metrics(&self, now: Time) -> NodeMetrics {
         NodeMetrics {
             node: self.dht.me(),

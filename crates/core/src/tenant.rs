@@ -24,7 +24,7 @@
 //!
 //! All container state is `BTreeMap`-backed and all arithmetic is
 //! driven by engine [`Time`], so governance decisions are bit-identical
-//! across Sim, ShardedSim, and Cluster runs of the same trace.
+//! across `Sim` (at any shard count) and `Cluster` runs of the same trace.
 
 use std::collections::BTreeMap;
 use std::fmt;

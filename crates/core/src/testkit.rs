@@ -2,30 +2,30 @@
 //! building stabilized PIER networks, publishing partitioned tables, and
 //! running queries to completion.
 //!
-//! Helpers are generic over [`PierEngine`], so the same workload drives
-//! the sequential [`Sim`] and the sharded
-//! [`ShardedSim`] interchangeably — the
-//! scale-up benchmarks rely on this to compare the two bit-for-bit.
+//! Two families. The `*_by_request` helpers and [`deployment_snapshot`]
+//! drive any [`Deployment`] — [`Sim`] at any shard count or the
+//! wall-clock [`Cluster`] — through typed [`NodeRequest`]s only, so a
+//! cross-backend suite is one generic body. The [`PierEngine`] helpers
+//! reach into a [`Sim`] by closure injection and read node state in
+//! place; they predate the first family and stay because the read-only
+//! performance ledger (`benchmark/`) is written against them.
 
 use pier_dht::can::balanced_overlay;
 use pier_dht::chord::balanced_chord_overlay;
 use pier_dht::{Dht, DhtConfig};
 use pier_simnet::time::{Dur, Time};
-use pier_simnet::{Cluster, NetConfig, NetStats, NodeId, ShardMap, ShardedSim, Sim};
+use pier_simnet::{Cluster, Deployment, NetConfig, NetStats, NodeId, ShardMap, ShardedSim, Sim};
 
 use crate::item::PierMsg;
 use crate::metrics::MetricsSnapshot;
-use crate::node::PierNode;
+use crate::node::{NodeRequest, PierNode};
 use crate::plan::QueryDesc;
 use crate::tuple::Tuple;
 
 /// Convenience for Msg type naming in closures.
 pub type PierCtx<'a> = pier_simnet::app::Ctx<'a, PierMsg>;
 
-/// The engine surface the harness helpers need, implemented by both
-/// simulator variants. (The wall-clock actor-runtime `Cluster` is
-/// driven differently — real sleeps, typed requests through handles —
-/// and stays out of scope.)
+/// The closure-injection surface of a simulator hosting PIER nodes.
 pub trait PierEngine {
     fn node_count(&self) -> usize;
     fn now(&self) -> Time;
@@ -38,8 +38,7 @@ pub trait PierEngine {
     ) -> Option<R>;
     /// Read-only access to a live node.
     fn node(&self, id: NodeId) -> Option<&PierNode>;
-    /// Engine traffic counters (owned: the sharded engine merges its
-    /// per-shard stats on demand).
+    /// Engine traffic counters.
     fn net_stats(&self) -> NetStats;
     fn events_processed(&self) -> u64;
 }
@@ -65,38 +64,10 @@ impl PierEngine for Sim<PierNode> {
         self.app(id)
     }
     fn net_stats(&self) -> NetStats {
-        self.stats().clone()
-    }
-    fn events_processed(&self) -> u64 {
-        Sim::events_processed(self)
-    }
-}
-
-impl PierEngine for ShardedSim<PierNode> {
-    fn node_count(&self) -> usize {
-        ShardedSim::node_count(self)
-    }
-    fn now(&self) -> Time {
-        ShardedSim::now(self)
-    }
-    fn run_for(&mut self, d: Dur) {
-        ShardedSim::run_for(self, d)
-    }
-    fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut PierNode, &mut PierCtx) -> R,
-    ) -> Option<R> {
-        self.with_app(id, f)
-    }
-    fn node(&self, id: NodeId) -> Option<&PierNode> {
-        self.app(id)
-    }
-    fn net_stats(&self) -> NetStats {
         self.stats()
     }
     fn events_processed(&self) -> u64 {
-        ShardedSim::events_processed(self)
+        Sim::events_processed(self)
     }
 }
 
@@ -117,33 +88,49 @@ pub fn stabilized_pier_nodes(n: usize, cfg: &DhtConfig) -> Vec<PierNode> {
     }
 }
 
-/// Build a simulator of `n` PIER nodes on a pre-stabilized overlay.
-pub fn stabilized_pier_sim(n: usize, cfg: DhtConfig, net: NetConfig) -> Sim<PierNode> {
-    let mut sim = Sim::new(net);
-    for node in stabilized_pier_nodes(n, &cfg) {
+fn seated(mut sim: Sim<PierNode>, n: usize, cfg: &DhtConfig) -> Sim<PierNode> {
+    for node in stabilized_pier_nodes(n, cfg) {
         sim.add_node(node);
     }
     sim
 }
 
-/// Build a sharded simulator of `n` PIER nodes on a pre-stabilized
-/// overlay — same nodes, same seed derivation, same results as
-/// [`stabilized_pier_sim`], executed across `map.shards()` workers.
+/// Build a simulator of `n` PIER nodes on a pre-stabilized overlay.
+pub fn stabilized_pier_sim(n: usize, cfg: DhtConfig, net: NetConfig) -> Sim<PierNode> {
+    seated(Sim::new(net), n, &cfg)
+}
+
+/// [`stabilized_pier_sim`] partitioned across `map.shards()` cores —
+/// same nodes, same seed derivation, same results.
 pub fn stabilized_pier_sharded(
     n: usize,
     cfg: DhtConfig,
     net: NetConfig,
     map: ShardMap,
-) -> ShardedSim<PierNode> {
-    let mut sim = ShardedSim::new(net, map);
-    for node in stabilized_pier_nodes(n, &cfg) {
-        sim.add_node(node);
-    }
-    sim
+) -> Sim<PierNode> {
+    seated(ShardedSim::new(net, map), n, &cfg)
 }
 
-/// Publish `rows` from their home nodes: row `i` is published by node
-/// `i % n` (data in its "natural habitat", copied into the DHT).
+/// Spawn a wall-clock cluster of `n` PIER nodes on a pre-stabilized
+/// overlay — the same automata [`stabilized_pier_sim`] seats.
+pub fn stabilized_pier_cluster(n: usize, cfg: DhtConfig, seed: u64) -> Cluster<PierNode> {
+    Cluster::spawn(stabilized_pier_nodes(n, &cfg), seed)
+}
+
+/// Round-robin partitioning of a table over `n` home nodes: row `i`
+/// belongs to node `i % n` (data in its "natural habitat"). Yields each
+/// home that got any rows, with its fragment.
+pub fn fragments(rows: &[Tuple], n: usize) -> impl Iterator<Item = (NodeId, Vec<Tuple>)> {
+    let mut per_node: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+    for (i, row) in rows.iter().enumerate() {
+        per_node[i % n].push(row.clone());
+    }
+    let homes = per_node.into_iter().enumerate();
+    homes.filter_map(|(i, batch)| (!batch.is_empty()).then_some((i as NodeId, batch)))
+}
+
+/// Publish `rows` from their home nodes ([`fragments`]), copying each
+/// fragment into the DHT by closure injection.
 pub fn publish_round_robin(
     sim: &mut impl PierEngine,
     table: &str,
@@ -151,19 +138,72 @@ pub fn publish_round_robin(
     pkey_col: usize,
     lifetime: Dur,
 ) {
-    let n = sim.node_count();
-    let mut per_node: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-    for (i, row) in rows.iter().enumerate() {
-        per_node[i % n].push(row.clone());
-    }
-    for (i, batch) in per_node.into_iter().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        sim.with_node(i as NodeId, |node, ctx| {
+    for (home, batch) in fragments(rows, sim.node_count()) {
+        sim.with_node(home, |node, ctx| {
             node.publish_rows(ctx, table, batch, pkey_col, lifetime);
         });
     }
+}
+
+/// [`publish_round_robin`] on any backend: each home node is *asked* to
+/// publish its fragment.
+pub fn publish_by_request(
+    net: &mut impl Deployment<PierNode>,
+    table: &str,
+    rows: &[Tuple],
+    pkey_col: usize,
+    lifetime: Dur,
+) {
+    for (home, rows) in fragments(rows, net.node_count()) {
+        let table = table.to_string();
+        net.request(
+            home,
+            NodeRequest::PublishRows {
+                table,
+                rows,
+                pkey_col,
+                lifetime,
+            },
+        );
+    }
+}
+
+/// Submit `desc` at `initiator` by request and let the deployment run
+/// until the answer stops growing: the result count is polled once per
+/// `tick` of the backend's own clock (virtual or wall) and the query
+/// counts as finished after ten ticks without a new row, or after 200
+/// regardless. Returns the timed results, relative to submission.
+pub fn run_query_by_request(
+    net: &mut impl Deployment<PierNode>,
+    initiator: NodeId,
+    desc: QueryDesc,
+    tick: Dur,
+) -> Vec<(Dur, Tuple)> {
+    let qid = desc.qid;
+    let t0 = net.now();
+    net.request(initiator, NodeRequest::Submit(Box::new(desc)));
+    let (mut last, mut quiet) = (0, 0);
+    for _ in 0..200 {
+        net.settle(tick);
+        let count = net
+            .request(initiator, NodeRequest::ResultCount(qid))
+            .map_or(0, |r| r.into_count());
+        quiet = if count == last && count > 0 {
+            quiet + 1
+        } else {
+            0
+        };
+        if quiet > 10 {
+            break;
+        }
+        last = count;
+    }
+    net.request(initiator, NodeRequest::TimedResults(qid))
+        .map(|r| r.into_timed_results())
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(t, row)| (t.since(t0), row))
+        .collect()
 }
 
 /// Submit a query at `initiator` and run the simulation for `settle`.
@@ -212,14 +252,12 @@ pub fn settle_publish(sim: &mut impl PierEngine) {
     sim.run_for(Dur::from_secs(8));
 }
 
-/// Deployment-wide [`MetricsSnapshot`] of a simulator engine: every
-/// live node's [`crate::metrics::NodeMetrics`] plus the engine's own
-/// [`NetStats`] — so the snapshot's `net` section *is* the ground
+/// Deployment-wide [`MetricsSnapshot`] of a simulator, read in place:
+/// every live node's [`crate::metrics::NodeMetrics`] plus the engine's
+/// own [`NetStats`] — so the snapshot's `net` section *is* the ground
 /// truth, checkable byte-for-byte via
 /// [`crate::metrics::net_stats_json`]. Failed nodes are skipped (their
-/// state is frozen mid-failure, not observable health). Mailbox depth
-/// is 0 under the simulators — they run a global event queue, not
-/// per-node mailboxes.
+/// state is frozen mid-failure, not observable health).
 pub fn metrics_snapshot(sim: &impl PierEngine) -> MetricsSnapshot {
     let now = sim.now();
     MetricsSnapshot {
@@ -232,28 +270,19 @@ pub fn metrics_snapshot(sim: &impl PierEngine) -> MetricsSnapshot {
     }
 }
 
-/// [`MetricsSnapshot`] of a wall-clock [`Cluster`]: per-node metrics
-/// gathered through the typed request surface
-/// ([`crate::node::NodeRequest::Metrics`]), with each node's
-/// transport-side mailbox depth overlaid (the one gauge the actor
-/// cannot see from inside its own loop). Killed nodes are skipped,
-/// mirroring [`metrics_snapshot`].
-pub fn cluster_metrics_snapshot(cluster: &Cluster<PierNode>) -> MetricsSnapshot {
-    let mut nodes = Vec::new();
-    for id in 0..cluster.node_count() as NodeId {
-        let Some(handle) = cluster.handle(id) else {
-            continue;
-        };
-        let Some(resp) = handle.request(crate::node::NodeRequest::Metrics) else {
-            continue;
-        };
-        let mut m = resp.into_metrics();
-        m.mailbox_depth = cluster.mailbox_depth(id);
-        nodes.push(m);
-    }
+/// [`metrics_snapshot`] of any backend, gathered through the typed
+/// request surface ([`NodeRequest::Metrics`]); killed nodes answer
+/// nothing and are skipped. A node cannot see its own mailbox from
+/// inside its loop, so `mailbox_depth` is 0 as reported; on a
+/// [`Cluster`] read that gauge from `Cluster::mailbox_depth`.
+pub fn deployment_snapshot(net: &mut impl Deployment<PierNode>) -> MetricsSnapshot {
+    let nodes = (0..net.node_count() as NodeId)
+        .filter_map(|id| net.request(id, NodeRequest::Metrics))
+        .map(|resp| resp.into_metrics())
+        .collect();
     MetricsSnapshot {
-        at: cluster.now(),
+        at: net.now(),
         nodes,
-        net: cluster.stats(),
+        net: net.stats(),
     }
 }

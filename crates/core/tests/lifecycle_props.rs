@@ -449,7 +449,7 @@ proptest! {
     #[test]
     fn lifecycle_interleaving_reclaims_on_cluster(seed in any::<u64>()) {
         use pier_core::NodeRequest;
-        use pier_simnet::Cluster;
+        use pier_simnet::{Cluster, Deployment};
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC1C5);
         let n = 3usize;
         let n_tenants = 3usize;
@@ -466,10 +466,10 @@ proptest! {
                 PierNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st), None)
             })
             .collect();
-        let cluster = Cluster::spawn(apps, seed);
+        let mut cluster = Cluster::spawn(apps, seed);
         let mut next_id = 0i64;
         for ev in interleaving(&mut rng, n_tenants) {
-            std::thread::sleep(std::time::Duration::from_millis(rng.gen_range(20..60u64)));
+            cluster.settle(Dur::from_millis(rng.gen_range(20..60u64)));
             match ev {
                 LifecycleEvent::Install(t) => {
                     let desc = tenant_desc(kinds[t], 400 + t as u64, &mut rng, scale_us);
@@ -491,9 +491,7 @@ proptest! {
             }
         }
         // One horizon (50 × 20 ms = 1 s) plus sweep ticks and margin.
-        std::thread::sleep(std::time::Duration::from_millis(
-            TENANT_HORIZON_UNITS * 20 + 500,
-        ));
+        cluster.settle(Dur::from_millis(TENANT_HORIZON_UNITS * 20 + 500));
         for i in 0..n as NodeId {
             let (installed, timers, residuals) = cluster
                 .request(i, NodeRequest::LifecycleAudit {

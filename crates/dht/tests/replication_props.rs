@@ -19,7 +19,7 @@
 use pier_dht::harness::{stabilized_can_sim, DhtNode, DhtRequest};
 use pier_dht::{ns_of, DhtConfig, DhtEvent, Ns};
 use pier_simnet::time::{Dur, Time};
-use pier_simnet::{Fault, FaultDriver, FaultScript, NetConfig, NodeId, Sim};
+use pier_simnet::{Deployment, FaultDriver, FaultScript, NetConfig, NodeId, Sim};
 use proptest::prelude::*;
 
 type V = Vec<u8>;
@@ -59,15 +59,7 @@ fn publish_all(sim: &mut Sim<DhtNode<V>>, ns: Ns) {
 /// anti-entropy, and a final sweep horizon.
 fn run_script(sim: &mut Sim<DhtNode<V>>, script: FaultScript) {
     let t0 = sim.now();
-    let mut drv = FaultDriver::new(script);
-    while let Some(at) = drv.next_at() {
-        sim.run_until(t0 + at);
-        drv.advance(sim.now().since(t0), |f| {
-            if let Fault::Kill { node } = *f {
-                sim.fail_node(node);
-            }
-        });
-    }
+    FaultDriver::new(script).replay(sim, t0, |_| unreachable!("kill-only script"));
     // Final failure: detection (5 s) + takeover + repair + one re-home
     // cycle + one expiry sweep.
     sim.run_for(Dur::from_secs(25));
@@ -198,7 +190,7 @@ fn cluster_kill_heals_from_replicas() {
         .enumerate()
         .map(|(i, st)| DhtNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st)))
         .collect();
-    let cluster = pier_simnet::Cluster::spawn(apps, 42);
+    let mut cluster = pier_simnet::Cluster::spawn(apps, 42);
     for rid in 0..30u64 {
         cluster.request(
             0,
@@ -211,7 +203,7 @@ fn cluster_kill_heals_from_replicas() {
             },
         );
     }
-    std::thread::sleep(std::time::Duration::from_millis(1500));
+    cluster.settle(Dur::from_millis(1500));
     // Kill the most loaded non-querying node.
     let victim = (1..n as NodeId)
         .max_by_key(|&i| {
@@ -227,7 +219,7 @@ fn cluster_kill_heals_from_replicas() {
     assert!(lost > 0, "victim must hold items for the test to bite");
     cluster.kill(victim);
     // Detection (2 s) + takeover + anti-entropy, wall clock.
-    std::thread::sleep(std::time::Duration::from_millis(4500));
+    cluster.settle(Dur::from_millis(4500));
     for rid in 0..30u64 {
         cluster.request(
             0,
@@ -238,7 +230,7 @@ fn cluster_kill_heals_from_replicas() {
             },
         );
     }
-    std::thread::sleep(std::time::Duration::from_millis(1500));
+    cluster.settle(Dur::from_millis(1500));
     let answered = cluster
         .request(0, DhtRequest::NonEmptyGetResults)
         .expect("querying node alive")

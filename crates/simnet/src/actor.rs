@@ -8,9 +8,9 @@
 //!
 //! * a **node actor** owns all mutable state (the [`App`] automaton,
 //!   its timers, its RNG) and runs a single select loop over an
-//!   inbound mailbox of envelopes — network messages delivered by
-//!   a [`crate::transport::Transport`], typed requests from clients,
-//!   and lifecycle control (revive / stop);
+//!   inbound mailbox of envelopes — network messages pushed by its
+//!   peers over the cluster's links, typed requests from clients, and
+//!   lifecycle control (revive / stop);
 //! * a [`NodeHandle`] is the *only* way benches, tests, and
 //!   co-resident apps interact with a running actor. It is cheap to
 //!   clone and sends typed [`Service::Req`] messages; there is no
@@ -57,7 +57,7 @@ pub trait Service: App {
 
 /// Everything that can land in an actor's mailbox.
 pub(crate) enum Envelope<A: Service> {
-    /// A network message delivered by the transport.
+    /// A network message pushed by a peer over the links.
     Msg { from: NodeId, msg: A::Msg },
     /// A typed request from a [`NodeHandle`]; `reply` is `None` for
     /// fire-and-forget casts. Dropping the reply sender unanswered
@@ -66,10 +66,10 @@ pub(crate) enum Envelope<A: Service> {
         req: A::Req,
         reply: Option<Sender<A::Resp>>,
     },
-    /// Re-seat a fresh automaton at this id (see `Cluster::revive`).
-    Revive(A),
-    /// Wake the thread so it notices a freshly raised kill flag; no
-    /// other effect.
+    /// Re-seat a fresh automaton at this id, living in life epoch
+    /// `epoch` (see `Cluster::revive`).
+    Revive { app: A, epoch: u64 },
+    /// Wake the thread so it notices a kill; no other effect.
     Nudge,
     /// Shut the thread down for good (cluster teardown).
     Stop,
@@ -187,9 +187,9 @@ where
             let mut timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>> = BinaryHeap::new();
             let mut actions: Vec<Action<A::Msg>> = Vec::new();
 
-            // Apply buffered actions: sends go out through the
-            // transport links (which classify drops and account
-            // stats); timers stay actor-local.
+            // Apply buffered actions: sends go out through the links
+            // (which classify drops and account stats); timers stay
+            // actor-local.
             let flush =
                 |actions: &mut Vec<Action<A::Msg>>,
                  timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64)>>| {
@@ -213,108 +213,78 @@ where
             }
             flush(&mut actions, &mut timers);
 
-            // Death must be abrupt: the kill flag is checked before
+            // Death must be abrupt: the life epoch is checked before
             // *every* dispatch, so a killed node never drains its
             // backlog the way a queued `Stop` would — matching
-            // `Sim::fail_node`, which freezes state instantly. A killed
-            // actor *parks* rather than exiting: it keeps discarding
-            // mailbox traffic until a `Revive` re-seats it or the
-            // cluster shuts down.
-            let dead = || !links.alive(me);
-            // Timers that came due while the node was dead would have
-            // dispatched into a corpse; drop them so a revived
-            // successor only sees timers still in the future — the
-            // simulator's exact behaviour, where due-while-dead timer
-            // events dissolve against the empty slot.
-            let prune_due = |timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64)>>| {
-                let now = Instant::now();
-                while timers
-                    .peek()
-                    .is_some_and(|std::cmp::Reverse((d, _))| *d <= now)
-                {
-                    timers.pop();
-                }
-            };
-            'life: loop {
-                // Live: dispatch messages, requests, and timers.
-                loop {
-                    if dead() {
-                        break;
+            // `Sim::fail_node`, which freezes state instantly. The
+            // automaton is dead once the epoch has moved past the one
+            // it was seated in; a revive that raced the kill moves it
+            // further still, so the old automaton stays dead. A killed
+            // actor does not exit: it keeps discarding mailbox traffic
+            // (state frozen at the kill instant for post-mortem
+            // inspection) until a `Revive` re-seats it or the cluster
+            // shuts down.
+            let mut seated = 0;
+            let dead = |seated: u64| links.epoch(me) > seated;
+            loop {
+                let timeout = match timers.peek() {
+                    Some(std::cmp::Reverse((deadline, _))) if !dead(seated) => {
+                        deadline.saturating_duration_since(Instant::now())
                     }
-                    let timeout = timers
-                        .peek()
-                        .map(|std::cmp::Reverse((deadline, _))| {
-                            deadline.saturating_duration_since(Instant::now())
-                        })
-                        .unwrap_or(Duration::from_millis(200));
-                    match rx.recv_timeout(timeout) {
-                        Ok(Envelope::Msg { from, msg }) => {
-                            links.note_dequeue(me);
-                            if dead() {
-                                break;
-                            }
+                    _ => Duration::from_millis(200),
+                };
+                match rx.recv_timeout(timeout) {
+                    Ok(Envelope::Msg { from, msg }) => {
+                        links.note_dequeue(me);
+                        if !dead(seated) {
                             let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
                             app.on_message(&mut ctx, from, msg);
                         }
-                        Ok(Envelope::Request { req, reply }) => {
-                            if dead() {
-                                break;
-                            }
+                    }
+                    // A request discarded here drops its reply channel,
+                    // so the blocked client observes `None`.
+                    Ok(Envelope::Request { req, reply }) => {
+                        if !dead(seated) {
                             let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
                             let resp = app.on_request(&mut ctx, req);
                             if let Some(reply) = reply {
                                 let _ = reply.send(resp);
                             }
                         }
-                        // A kill can race a revive: if the flag flipped
-                        // back before we ever parked, the re-seat still
-                        // must happen.
-                        Ok(Envelope::Revive(new_app)) => {
-                            app = new_app;
-                            rng = SmallRng::seed_from_u64(actor_seed(seed, me));
-                            prune_due(&mut timers);
-                            let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
-                            app.on_start(&mut ctx);
-                        }
-                        Ok(Envelope::Nudge) => {}
-                        Ok(Envelope::Stop) => break 'life,
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break 'life,
                     }
-                    flush(&mut actions, &mut timers);
-                    // Fire all due timers.
-                    while let Some(std::cmp::Reverse((deadline, token))) = timers.peek().copied() {
-                        if deadline > Instant::now() || dead() {
-                            break;
+                    Ok(Envelope::Revive { app: fresh, epoch }) => {
+                        app = fresh;
+                        seated = epoch;
+                        rng = SmallRng::seed_from_u64(actor_seed(seed, me));
+                        // Timers that came due while the node was dead
+                        // would have dispatched into a corpse; drop them
+                        // so the successor only sees timers still in the
+                        // future — the simulator's exact behaviour,
+                        // where due-while-dead timer events dissolve
+                        // against the empty slot.
+                        let now = Instant::now();
+                        while timers
+                            .peek()
+                            .is_some_and(|std::cmp::Reverse((d, _))| *d <= now)
+                        {
+                            timers.pop();
                         }
-                        timers.pop();
                         let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
-                        app.on_timer(&mut ctx, token);
-                        flush(&mut actions, &mut timers);
+                        app.on_start(&mut ctx);
                     }
+                    Ok(Envelope::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+                    Ok(Envelope::Nudge) | Err(RecvTimeoutError::Timeout) => {}
                 }
-                // Parked dead: discard everything except a revival or
-                // teardown. State stays frozen at the kill instant for
-                // post-mortem inspection; discarded requests drop their
-                // reply channels, so blocked clients observe `None`.
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(200)) {
-                        Ok(Envelope::Revive(new_app)) => {
-                            app = new_app;
-                            rng = SmallRng::seed_from_u64(actor_seed(seed, me));
-                            prune_due(&mut timers);
-                            links.set_alive(me);
-                            let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
-                            app.on_start(&mut ctx);
-                            flush(&mut actions, &mut timers);
-                            continue 'life;
-                        }
-                        Ok(Envelope::Stop) => break 'life,
-                        Ok(Envelope::Msg { .. }) => links.note_dequeue(me),
-                        Ok(_) => {}
-                        Err(RecvTimeoutError::Timeout) => prune_due(&mut timers),
-                        Err(RecvTimeoutError::Disconnected) => break 'life,
+                flush(&mut actions, &mut timers);
+                // Fire all due timers.
+                while let Some(std::cmp::Reverse((deadline, token))) = timers.peek().copied() {
+                    if deadline > Instant::now() || dead(seated) {
+                        break;
                     }
+                    timers.pop();
+                    let mut ctx = Ctx::new(now_of(start), me, &mut rng, &mut actions);
+                    app.on_timer(&mut ctx, token);
+                    flush(&mut actions, &mut timers);
                 }
             }
             app

@@ -1,4 +1,4 @@
-//! The node automaton interface shared by both engines.
+//! The node automaton interface shared by both backends.
 
 use crate::time::{Dur, Time};
 use crate::{NodeId, Wire};
@@ -16,8 +16,8 @@ use rand::rngs::SmallRng;
 ///
 /// Automata (and their messages) are `Send`: the actor-runtime
 /// [`crate::cluster::Cluster`] moves each one onto its own OS thread,
-/// and the sharded [`crate::sharded::ShardedSim`] moves whole shards of
-/// them onto worker threads at every window barrier.
+/// and a multi-core [`crate::Sim`] moves whole shards of them onto
+/// worker threads at every run.
 pub trait App: Sized + Send {
     /// Message type exchanged between nodes of this application.
     type Msg: Wire + Clone + Send;

@@ -2,19 +2,17 @@
 //! deployment-shaped substitute for the paper's 64-PC cluster (§5.8).
 //!
 //! A [`Cluster`] spawns one free-running [`crate::actor`] per node over
-//! a [`ChannelTransport`] — real time, real scheduling jitter, no
-//! global barrier, no lock-step of any kind. The same [`Service`]
-//! automata run unchanged under the deterministic simulator via
-//! [`crate::transport::SimTransport`].
+//! in-process channels — real time, real scheduling jitter, no global
+//! barrier, no lock-step of any kind. The same [`Service`] automata run
+//! unchanged under the deterministic [`crate::Sim`], and one
+//! [`crate::Deployment`] drives either.
 //!
 //! Interaction is exclusively through typed messages: benches and
 //! tests hold [`NodeHandle`]s and exchange `Req`/`Resp` values with
-//! the actors (the closure `call`/`cast` API of the former
-//! `threaded::Cluster` is gone). Faults ([`Cluster::kill`],
-//! [`Cluster::revive`], [`Cluster::set_inbound_drop`]) act on the
-//! transport's per-link flags, mirroring `Sim`'s semantics exactly, so
-//! a seeded [`crate::fault::FaultScript`] replays identically on both
-//! engines.
+//! the actors. Faults ([`Cluster::kill`], [`Cluster::revive`],
+//! [`Cluster::set_inbound_drop`]) act on the links' per-node fault
+//! state, mirroring `Sim`'s semantics exactly, so a seeded
+//! [`crate::fault::FaultScript`] replays identically on both backends.
 //!
 //! Actor threads are joined on [`Cluster::shutdown`] *and* on `Drop`,
 //! so a panicking test unwinds without leaking detached workers.
@@ -30,15 +28,15 @@ use crossbeam::channel::unbounded;
 use crate::actor::{spawn_actor, Envelope, NodeHandle, Service};
 use crate::stats::NetStats;
 use crate::time::Time;
-use crate::transport::{ChannelTransport, Links};
+use crate::transport::Links;
 use crate::NodeId;
 
-/// A running set of node actors connected by a [`ChannelTransport`].
+/// A running set of node actors connected by in-process channels.
 pub struct Cluster<A: Service + 'static>
 where
     A::Msg: Send + 'static,
 {
-    transport: ChannelTransport<A>,
+    links: Arc<Links<A>>,
     handles: Vec<NodeHandle<A>>,
     actors: Vec<JoinHandle<A>>,
     start: Instant,
@@ -89,7 +87,7 @@ where
             })
             .collect();
         Cluster {
-            transport: ChannelTransport::new(links),
+            links,
             handles,
             actors,
             start,
@@ -125,7 +123,7 @@ where
     /// [`Self::revive`]; its frozen app is still collected at
     /// [`Self::shutdown`] if never revived.
     pub fn kill(&self, id: NodeId) {
-        self.transport.links().kill(id);
+        self.links.kill(id);
     }
 
     /// Re-seat a fresh automaton at a killed id — the cluster analogue
@@ -137,34 +135,28 @@ where
     /// simulator's handling of a dead node's queued timer events.
     /// Returns `false` if `id` is out of range or still alive.
     pub fn revive(&self, id: NodeId, app: A) -> bool {
-        self.transport.links().revive(id, app)
+        self.links.revive(id, app)
     }
 
     /// Has `id` not been killed? The cluster twin of [`crate::Sim::alive`].
     pub fn alive(&self, id: NodeId) -> bool {
-        self.transport.links().alive(id)
+        self.links.alive(id)
     }
 
     /// Open or close a message-drop window on a node's inbound side
-    /// (checked by the transport at send time; the node stays alive).
+    /// (checked on the link at send time; the node stays alive).
     pub fn set_inbound_drop(&self, id: NodeId, dropping: bool) {
-        self.transport.links().set_inbound_drop(id, dropping);
+        self.links.set_inbound_drop(id, dropping);
     }
 
     pub fn node_count(&self) -> usize {
         self.handles.len()
     }
 
-    /// Snapshot of the transport's traffic counters, in the same
-    /// [`NetStats`] vocabulary as the simulator engines.
+    /// Snapshot of the links' traffic counters, in the same
+    /// [`NetStats`] vocabulary as the simulator.
     pub fn stats(&self) -> NetStats {
-        self.transport.links().stats()
-    }
-
-    /// The underlying transport (for driving through the generic
-    /// [`crate::transport::Transport`] surface).
-    pub fn transport_mut(&mut self) -> &mut ChannelTransport<A> {
-        &mut self.transport
+        self.links.stats()
     }
 
     /// Network messages currently waiting in `id`'s actor mailbox — the
@@ -172,7 +164,7 @@ where
     /// actor hovers near zero; a sustained rise means the node is
     /// dispatching slower than peers are sending.
     pub fn mailbox_depth(&self, id: NodeId) -> usize {
-        self.transport.links().mailbox_depth(id)
+        self.links.mailbox_depth(id)
     }
 
     /// Wall-clock time since cluster start, in engine [`Time`] units.
@@ -188,7 +180,7 @@ where
 
     fn stop_all(&self) {
         for id in 0..self.handles.len() as NodeId {
-            if let Some(tx) = self.transport.links().sender(id) {
+            if let Some(tx) = self.links.sender(id) {
                 let _ = tx.send(Envelope::Stop);
             }
         }
@@ -285,6 +277,15 @@ mod tests {
         }
     }
 
+    /// Poll `done` until it holds (bounded: a wedged cluster fails the
+    /// assertion that follows instead of hanging the suite).
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn token_ring_completes_three_laps() {
         let n = 8u32;
@@ -296,15 +297,7 @@ mod tests {
             })
             .collect();
         let cluster = Cluster::spawn(apps, 11);
-        // Wait until node 0 reports 3 laps (bounded busy-wait).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let laps = cluster.request(0, RingReq::Laps).unwrap();
-            if laps >= 3 || Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| cluster.request(0, RingReq::Laps).unwrap() >= 3);
         std::thread::sleep(Duration::from_millis(20)); // let timers fire
         let apps = cluster.shutdown();
         assert_eq!(apps[0].laps, 3);
@@ -321,10 +314,7 @@ mod tests {
             })
             .collect();
         let cluster = Cluster::spawn(apps, 5);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while cluster.request(0, RingReq::Laps).unwrap() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| cluster.request(0, RingReq::Laps).unwrap() >= 3);
         let stats = cluster.stats();
         assert!(stats.messages >= 6, "messages {}", stats.messages);
         assert_eq!(stats.bytes, stats.messages * 64);
@@ -405,6 +395,69 @@ mod tests {
         assert_eq!(apps[1].seen, 0, "killed node drained its inbox");
     }
 
+    /// Slow handler that tallies its dispatches where the test can see
+    /// them after the automaton itself has been replaced. A request
+    /// makes node 0 send `n` messages to node 1.
+    struct Slow {
+        dispatched: Arc<AtomicUsize>,
+    }
+    impl App for Slow {
+        type Msg = Byte;
+        fn on_start(&mut self, _ctx: &mut Ctx<Byte>) {}
+        fn on_message(&mut self, _ctx: &mut Ctx<Byte>, _from: NodeId, _msg: Byte) {
+            self.dispatched.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<Byte>, _token: u64) {}
+    }
+    impl Service for Slow {
+        type Req = u32;
+        type Resp = ();
+        fn on_request(&mut self, ctx: &mut Ctx<Byte>, n: u32) {
+            for _ in 0..n {
+                ctx.send(1, Byte(0));
+            }
+        }
+    }
+
+    #[test]
+    fn kill_stays_abrupt_when_a_revive_races_it() {
+        // kill + revive back to back, before the actor looks: the old
+        // automaton must not go on draining its pre-kill backlog just
+        // because the node reads "alive" again by the time it checks.
+        let slow = || Slow {
+            dispatched: Arc::new(AtomicUsize::new(0)),
+        };
+        let (old, heir) = (slow(), slow());
+        let (old_tally, heir_tally) = (Arc::clone(&old.dispatched), Arc::clone(&heir.dispatched));
+        let cluster = Cluster::spawn(vec![slow(), old], 19);
+        cluster.request(0, 200).unwrap();
+        // Node 1 needs 400 ms for the burst; wait until all of it is
+        // enqueued and the first messages are being handled.
+        wait_until(|| cluster.stats().messages >= 200 && old_tally.load(Ordering::SeqCst) > 0);
+        cluster.kill(1);
+        assert!(cluster.revive(1, heir));
+        let at_kill = old_tally.load(Ordering::SeqCst);
+        assert!(
+            at_kill < 100,
+            "the backlog must still be loaded at the kill"
+        );
+        assert!(cluster.mailbox_depth(1) > 0, "the gauge shows the backlog");
+        // The heir answers once the dead process's backlog is discarded.
+        cluster.request(1, 0).unwrap();
+        assert_eq!(cluster.mailbox_depth(1), 0, "discards count as dequeues");
+        cluster.shutdown();
+        // At most the handler that was already running finishes.
+        let after = old_tally.load(Ordering::SeqCst);
+        assert!(
+            after <= at_kill + 1,
+            "old automaton dispatched {} messages after its kill",
+            after - at_kill
+        );
+        // The backlog was addressed to the dead process, not its heir.
+        assert_eq!(heir_tally.load(Ordering::SeqCst), 0);
+    }
+
     #[test]
     fn sends_to_killed_nodes_classify_as_dropped_to_failed() {
         // Traffic to dead nodes must land in `dropped_to_failed`, not
@@ -416,10 +469,7 @@ mod tests {
             .request(0, CountReq::Burst { to: 1, n: 10 })
             .unwrap();
         // The sends flush on node 0's actor after the request returns.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while cluster.stats().dropped_to_failed < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_until(|| cluster.stats().dropped_to_failed >= 10);
         let stats = cluster.stats();
         assert_eq!(stats.dropped_to_failed, 10);
         assert_eq!(stats.messages, 0);

@@ -6,12 +6,23 @@
 //! costs of query processing are ignored, and cross-traffic does not
 //! exist, matching the paper's two stated simplifications.
 //!
+//! # One engine, two run loops
+//!
+//! [`Sim`] owns one `EngineCore` per shard — event queue, slab, node
+//! slots, traffic stats — and a [`ShardMap`] assigning nodes to cores.
+//! [`Sim::run_until`] selects its loop from the one thing it can
+//! observe, the core count: a single core runs the sequential loop
+//! inline on the caller's thread (no thread, no channel, no lookahead
+//! requirement, no allocation); several cores run the conservative
+//! time-window barrier of [`crate::sharded`]. Both loops stay because
+//! each is the only one that serves its side: the barrier needs a
+//! positive minimum link latency and pays a thread hand-off per window,
+//! the inline loop cannot use a second CPU.
+//!
 //! # Shard-invariant event ordering
 //!
-//! Since the sharded engine landed ([`crate::sharded::ShardedSim`]), all
-//! engine state lives in `EngineCore` — one core per shard, or a single
-//! core for the sequential [`Sim`] — and events are ordered by a key that
-//! is a pure function of event *content*, not of engine scheduling:
+//! Events are ordered by a key that is a pure function of event
+//! *content*, not of engine scheduling:
 //!
 //! ```text
 //! (at, origin, oseq)
@@ -22,8 +33,8 @@
 //! advances only when the node itself runs, and each node runs the same
 //! dispatch sequence under any partitioning (see the window invariant in
 //! `sharded.rs`), this key is identical no matter how nodes are spread
-//! across shards — which is what makes the sharded engine bit-identical
-//! to this sequential one.
+//! across cores — which is what makes every shard count bit-identical
+//! to the single-core run.
 //!
 //! The same reasoning forces *routing* (the flow-level bandwidth model,
 //! which reserves the receiver's inbound link in send order) to happen in
@@ -31,7 +42,7 @@
 //! buffered as `SendRec`s and flushed key-sorted once the engine moves
 //! past their send instant. Per-node RNG streams are seeded from the run
 //! seed and the `NodeId` alone, so a node draws the same randomness under
-//! any engine.
+//! any shard map.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,6 +52,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::app::{Action, App, Ctx};
+use crate::sharded::{run_windowed, ShardMap};
 use crate::stats::NetStats;
 use crate::time::{Dur, Time};
 use crate::topology::Topology;
@@ -180,10 +192,6 @@ impl CalendarQueue {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.ring_len == 0 && self.far.is_empty()
-    }
-
     fn push(&mut self, ev: EvRef) {
         let b = bucket_of(ev.key.at);
         debug_assert!(b >= self.cursor, "push into the past");
@@ -302,10 +310,10 @@ impl<M> SendRec<M> {
 
 /// The shard-runnable heart of the engine: event queue, slab, node
 /// slots, traffic stats, and the flow-level network model for the
-/// nodes it owns. The sequential [`Sim`] wraps exactly one core that
-/// owns every node; [`crate::sharded::ShardedSim`] runs one core per
-/// worker thread, each owning a partition of the nodes, and drains the
-/// cores' `outbound` buffers across shards at its window barrier.
+/// nodes it owns. A one-core [`Sim`] runs it inline; with several, each
+/// core owns a partition of the nodes and runs on a worker thread, and
+/// the window barrier drains the cores' `outbound` buffers across
+/// shards.
 pub(crate) struct EngineCore<A: App> {
     cfg: NetConfig,
     now: Time,
@@ -317,9 +325,9 @@ pub(crate) struct EngineCore<A: App> {
     nodes: Vec<Option<Box<Slot<A>>>>,
     stats: NetStats,
     events_processed: u64,
-    /// Inter-node sends awaiting key-sorted routing; in the sequential
-    /// engine they flush as soon as the clock moves past their send
-    /// instant, in the sharded engine at the next window barrier.
+    /// Inter-node sends awaiting key-sorted routing; the inline loop
+    /// flushes them as soon as the clock moves past their send instant,
+    /// the windowed loop at the next barrier.
     outbound: Vec<SendRec<A::Msg>>,
     scratch: Vec<Action<A::Msg>>,
     batch: Vec<(NodeId, A::Msg)>,
@@ -349,18 +357,13 @@ impl<A: App> EngineCore<A> {
         )
     }
 
-    /// Make the slot vector cover global ids `0..n` (foreign slots stay
-    /// `None`).
-    pub(crate) fn ensure_len(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize_with(n, || None);
-        }
-    }
-
     /// Seat `app` at global id `id` (owned by this core) and run its
     /// `on_start` at the current time.
     pub(crate) fn add_local(&mut self, id: NodeId, app: A) {
-        self.ensure_len(id as usize + 1);
+        // Cover global ids `0..=id`; foreign slots stay `None`.
+        if self.nodes.len() <= id as usize {
+            self.nodes.resize_with(id as usize + 1, || None);
+        }
         let rng = self.seed_rng(id);
         self.nodes[id as usize] = Some(Box::new(Slot {
             app: Some(app),
@@ -370,7 +373,7 @@ impl<A: App> EngineCore<A> {
             inbound_drop: false,
         }));
         self.stats.ensure_nodes(id as usize + 1);
-        self.dispatch(id, |app, ctx| app.on_start(ctx));
+        self.with_app(id, |app, ctx| app.on_start(ctx));
     }
 
     pub(crate) fn fail(&mut self, id: NodeId) {
@@ -406,7 +409,7 @@ impl<A: App> EngineCore<A> {
         slot.app = Some(app);
         slot.rng = rng;
         slot.inbound_free = now;
-        self.dispatch(id, |app, ctx| app.on_start(ctx));
+        self.with_app(id, |app, ctx| app.on_start(ctx));
         true
     }
 
@@ -420,8 +423,14 @@ impl<A: App> EngineCore<A> {
         self.now
     }
 
-    /// Raise the clock to `to` (used at the end of a bounded run and by
-    /// the sharded barrier to align cores between runs).
+    /// The conservative window width: no message is heard sooner than
+    /// this after it is sent.
+    pub(crate) fn lookahead(&self) -> Dur {
+        self.cfg.topology.min_latency()
+    }
+
+    /// Raise the clock to `to` (at the end of a bounded run, which also
+    /// aligns the cores of a windowed run with each other).
     pub(crate) fn raise_now(&mut self, to: Time) {
         if self.now < to {
             self.now = to;
@@ -443,6 +452,8 @@ impl<A: App> EngineCore<A> {
             .and_then(|s| s.app.as_ref())
     }
 
+    /// Run `f` as one handler of node `id` and apply the actions it
+    /// emits; `None` (and nothing runs) if the node has failed.
     pub(crate) fn with_app<R>(
         &mut self,
         id: NodeId,
@@ -458,22 +469,6 @@ impl<A: App> EngineCore<A> {
         self.apply_actions(id, &mut actions);
         self.scratch = actions;
         Some(r)
-    }
-
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>)) {
-        let Some(Some(slot)) = self.nodes.get_mut(id as usize) else {
-            return;
-        };
-        let Some(app) = slot.app.as_mut() else {
-            return;
-        };
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx::new(self.now, id, &mut slot.rng, &mut actions);
-            f(app, &mut ctx);
-        }
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
     }
 
     /// Allocate the next event-ordering sequence number of node `id`.
@@ -579,7 +574,7 @@ impl<A: App> EngineCore<A> {
         self.outbound.drain(..)
     }
 
-    /// Sequential-mode flush: once every event at the send instant has
+    /// Inline-loop flush: once every event at the send instant has
     /// run (so no earlier-keyed send can still appear), route the
     /// buffer key-sorted. All buffered sends share one send instant —
     /// the clock cannot advance past it without flushing here first.
@@ -612,10 +607,6 @@ impl<A: App> EngineCore<A> {
     /// their delivery time is not known until they are routed).
     pub(crate) fn next_at(&self) -> Option<Time> {
         self.queue.peek().map(|e| e.key.at)
-    }
-
-    pub(crate) fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.outbound.is_empty()
     }
 
     /// Process the next queued event — and, for a delivery, the run of
@@ -673,46 +664,36 @@ impl<A: App> EngineCore<A> {
                     }
                     batch.push((from, msg));
                 }
-                if alive {
-                    self.dispatch_batch(to, &mut batch);
-                } else {
-                    batch.clear();
-                }
+                // One `Ctx` for the whole batch: the accumulated actions
+                // apply once, in handler order. (Dead receiver: dropped.)
+                self.with_app(to, |app, ctx| {
+                    for (from, msg) in batch.drain(..) {
+                        app.on_message(ctx, from, msg);
+                    }
+                });
+                batch.clear();
                 self.batch = batch;
             }
             EventKind::Timer { node, token } => {
-                self.dispatch(node, |app, ctx| app.on_timer(ctx, token));
+                self.with_app(node, |app, ctx| app.on_timer(ctx, token));
             }
         }
         true
     }
 
-    /// Deliver a batch of same-instant messages through a single `Ctx`,
-    /// applying the accumulated actions once, in handler order.
-    fn dispatch_batch(&mut self, to: NodeId, batch: &mut Vec<(NodeId, A::Msg)>) {
-        let Some(Some(slot)) = self.nodes.get_mut(to as usize) else {
-            batch.clear();
-            return;
-        };
-        let Some(app) = slot.app.as_mut() else {
-            batch.clear();
-            return;
-        };
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx::new(self.now, to, &mut slot.rng, &mut actions);
-            for (from, msg) in batch.drain(..) {
-                app.on_message(&mut ctx, from, msg);
+    /// The inline run loop: process every event up to and including
+    /// `deadline`, routing buffered sends as the clock passes them.
+    pub(crate) fn run_until(&mut self, deadline: Time) {
+        loop {
+            self.flush_due();
+            match self.next_at() {
+                Some(at) if at <= deadline => {
+                    self.step_inner();
+                }
+                _ => break,
             }
         }
-        self.apply_actions(to, &mut actions);
-        self.scratch = actions;
-    }
-
-    /// Flush-aware single step for the sequential engine.
-    pub(crate) fn step(&mut self) -> bool {
-        self.flush_due();
-        self.step_inner()
+        self.raise_now(deadline);
     }
 
     /// Execute every queued event with `at < end` (window-exclusive),
@@ -727,36 +708,65 @@ impl<A: App> EngineCore<A> {
     }
 }
 
-/// The discrete-event simulator hosting many [`App`] automata.
+/// The discrete-event simulator hosting many [`App`] automata, on one
+/// core or partitioned over several (see the module docs).
 pub struct Sim<A: App> {
-    core: EngineCore<A>,
+    cores: Vec<EngineCore<A>>,
+    map: ShardMap,
     node_count: usize,
 }
 
 impl<A: App> Sim<A> {
+    /// The one-core engine: every event runs inline on the caller's
+    /// thread, and any topology (zero-latency links included) is fine.
     pub fn new(cfg: NetConfig) -> Self {
         Sim {
-            core: EngineCore::new(cfg),
+            cores: vec![EngineCore::new(cfg)],
+            map: ShardMap::round_robin(1),
             node_count: 0,
         }
+    }
+
+    /// Engine over `map.shards()` cores. Panics if the topology's
+    /// `min_latency` is zero (no conservative lookahead).
+    pub(crate) fn sharded(cfg: NetConfig, map: ShardMap) -> Self {
+        assert!(
+            cfg.topology.min_latency() > Dur::ZERO,
+            "sharded execution needs a positive minimum link latency"
+        );
+        Sim {
+            cores: (0..map.shards())
+                .map(|_| EngineCore::new(cfg.clone()))
+                .collect(),
+            map,
+            node_count: 0,
+        }
+    }
+
+    fn core_of(&self, id: NodeId) -> &EngineCore<A> {
+        &self.cores[self.map.shard_of(id)]
+    }
+
+    fn core_of_mut(&mut self, id: NodeId) -> &mut EngineCore<A> {
+        &mut self.cores[self.map.shard_of(id)]
     }
 
     /// Add a node and run its `on_start` handler at the current time.
     pub fn add_node(&mut self, app: A) -> NodeId {
         let id = self.node_count as NodeId;
         self.node_count += 1;
-        self.core.add_local(id, app);
+        self.core_of_mut(id).add_local(id, app);
         id
     }
 
     /// Abruptly fail a node: its state is gone, and all in-flight or
     /// future traffic addressed to it is dropped (§5.6).
     pub fn fail_node(&mut self, id: NodeId) {
-        self.core.fail(id);
+        self.core_of_mut(id).fail(id);
     }
 
     pub fn alive(&self, id: NodeId) -> bool {
-        self.core.alive(id)
+        self.core_of(id).alive(id)
     }
 
     /// Re-seat a previously failed node with a fresh automaton — a new
@@ -765,7 +775,7 @@ impl<A: App> Sim<A> {
     /// inbound link starts idle. Returns `false` if `id` never existed
     /// or is still alive.
     pub fn revive(&mut self, id: NodeId, app: A) -> bool {
-        self.core.revive(id, app)
+        self.core_of_mut(id).revive(id, app)
     }
 
     /// Open (`true`) or close (`false`) a message-drop window on a
@@ -773,7 +783,7 @@ impl<A: App> Sim<A> {
     /// is discarded at send time — the node keeps its state and its
     /// timers keep firing, unlike [`Self::fail_node`].
     pub fn set_inbound_drop(&mut self, id: NodeId, dropping: bool) {
-        self.core.set_inbound_drop(id, dropping);
+        self.core_of_mut(id).set_inbound_drop(id, dropping);
     }
 
     pub fn node_count(&self) -> usize {
@@ -781,24 +791,32 @@ impl<A: App> Sim<A> {
     }
 
     pub fn alive_count(&self) -> usize {
-        self.core.alive_count()
+        self.cores.iter().map(|c| c.alive_count()).sum()
     }
 
+    /// The engine clock. Every run leaves all cores at the same instant.
     pub fn now(&self) -> Time {
-        self.core.now()
+        self.cores[0].now()
     }
 
-    pub fn stats(&self) -> &NetStats {
-        self.core.stats()
+    /// Traffic statistics, merged over the cores. The counters are
+    /// plain sums, so the totals do not depend on the shard map.
+    pub fn stats(&self) -> NetStats {
+        let mut total = NetStats::new(self.node_count);
+        for core in &self.cores {
+            total.merge(core.stats());
+        }
+        total
     }
 
+    /// Total events processed.
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
+        self.cores.iter().map(|c| c.events_processed()).sum()
     }
 
     /// Read-only access to a live node's automaton.
     pub fn app(&self, id: NodeId) -> Option<&A> {
-        self.core.app(id)
+        self.core_of(id).app(id)
     }
 
     /// Inject an external call into a node (e.g. "submit this query"),
@@ -809,28 +827,16 @@ impl<A: App> Sim<A> {
         id: NodeId,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>) -> R,
     ) -> Option<R> {
-        self.core.with_app(id, f)
-    }
-
-    /// Process the next event (routing any due buffered sends first).
-    /// Returns `false` when nothing is pending.
-    pub fn step(&mut self) -> bool {
-        self.core.step()
+        self.core_of_mut(id).with_app(id, f)
     }
 
     /// Run until the clock reaches `deadline` (events at exactly
-    /// `deadline` are processed) or the queue drains.
+    /// `deadline` are processed) or every queue drains.
     pub fn run_until(&mut self, deadline: Time) {
-        loop {
-            self.core.flush_due();
-            match self.core.next_at() {
-                Some(at) if at <= deadline => {
-                    self.core.step_inner();
-                }
-                _ => break,
-            }
+        match &mut self.cores[..] {
+            [core] => core.run_until(deadline),
+            _ => run_windowed(&mut self.cores, &self.map, deadline),
         }
-        self.core.raise_now(deadline);
     }
 
     pub fn run_for(&mut self, d: Dur) {
@@ -838,22 +844,22 @@ impl<A: App> Sim<A> {
         self.run_until(deadline);
     }
 
-    /// Run until no events remain or `max_events` more steps have run.
+    /// Run, one event instant at a time, until nothing is pending or at
+    /// least `max_events` more events have run. Returns whether the
+    /// engine is idle; the clock stops at the last instant processed.
     pub fn run_idle(&mut self, max_events: u64) -> bool {
-        for _ in 0..max_events {
-            if !self.step() {
-                return true;
+        let budget = self.events_processed() + max_events;
+        // A zero-length run routes the sends injected since the last run
+        // (every run routes its own), so from here on the next pending
+        // instant is always the earliest queued event.
+        self.run_until(self.now());
+        while let Some(at) = self.cores.iter().filter_map(|c| c.next_at()).min() {
+            if self.events_processed() >= budget {
+                return false;
             }
+            self.run_until(at);
         }
-        self.core.is_idle()
-    }
-
-    /// Time of the next *queued* event, if any. Sends buffered by a
-    /// handler or [`Self::with_app`] injection that have not yet been
-    /// routed are not reflected here (their delivery instant is not
-    /// known until the flow model runs at the next step).
-    pub fn peek_next_time(&self) -> Option<Time> {
-        self.core.next_at()
+        true
     }
 }
 
@@ -862,11 +868,26 @@ mod tests {
     use super::*;
     use crate::topology::FullMesh;
 
-    /// Ping automaton: node 0 sends to 1 on start; 1 echoes; 0 records RTT.
+    /// Ping automaton: an initiator pings its peer on start, a responder
+    /// (no peer) echoes; both record what they hear.
     struct Ping {
         peer: Option<NodeId>,
-        echo_at: Option<Time>,
         got: Vec<(Time, u32)>,
+    }
+
+    impl Ping {
+        fn responder() -> Self {
+            Ping {
+                peer: None,
+                got: vec![],
+            }
+        }
+        fn initiator(peer: NodeId) -> Self {
+            Ping {
+                peer: Some(peer),
+                got: vec![],
+            }
+        }
     }
 
     #[derive(Clone, Debug)]
@@ -888,7 +909,6 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<Num>, from: NodeId, msg: Num) {
             self.got.push((ctx.now, msg.0));
             if self.peer.is_none() {
-                self.echo_at = Some(ctx.now);
                 ctx.send(from, Num(msg.0 + 1, 100));
             }
         }
@@ -905,22 +925,68 @@ mod tests {
         }
     }
 
+    /// Sends one 1.25 MB message (1 s at 10 Mbps) at its target on start
+    /// and records when anything arrives.
+    struct Blast {
+        target: Option<NodeId>,
+        got: Vec<Time>,
+    }
+    impl Blast {
+        fn at(target: Option<NodeId>) -> Self {
+            Blast {
+                target,
+                got: vec![],
+            }
+        }
+    }
+    impl App for Blast {
+        type Msg = Num;
+        fn on_start(&mut self, ctx: &mut Ctx<Num>) {
+            if let Some(t) = self.target {
+                ctx.send(t, Num(0, 1_250_000));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Num>, _from: NodeId, _msg: Num) {
+            self.got.push(ctx.now);
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<Num>, _token: u64) {}
+    }
+
+    /// Arms one timer per entry of `secs` on start (token = seconds), in
+    /// the listed order, and records every firing.
+    struct Timers {
+        secs: Vec<u64>,
+        fired: Vec<(Time, u64)>,
+    }
+    impl App for Timers {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<()>) {
+            for &s in &self.secs {
+                ctx.set_timer(Dur::from_secs(s), s);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<()>, _from: NodeId, _msg: ()) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<()>, token: u64) {
+            self.fired.push((ctx.now, token));
+        }
+    }
+    fn timers_sim(secs: &[u64]) -> (Sim<Timers>, NodeId) {
+        let mut sim = Sim::new(mesh_cfg(None));
+        let n = sim.add_node(Timers {
+            secs: secs.to_vec(),
+            fired: vec![],
+        });
+        (sim, n)
+    }
+
     #[test]
     fn round_trip_takes_two_latencies() {
         let mut sim = Sim::new(mesh_cfg(None));
-        let b = Ping {
-            peer: None,
-            echo_at: None,
-            got: vec![],
-        };
+        let b = Ping::responder();
         // Node 1 must exist before node 0 pings it, so add the responder
         // first and then the initiator pointing at it.
         let responder = sim.add_node(b);
-        let a = Ping {
-            peer: Some(responder),
-            echo_at: None,
-            got: vec![],
-        };
+        let a = Ping::initiator(responder);
         let initiator = sim.add_node(a);
         sim.run_idle(1000);
         let app = sim.app(initiator).unwrap();
@@ -934,41 +1000,10 @@ mod tests {
         // Two 1,250,000-byte messages at 10 Mbps = 1 s transmission each.
         // Sent back-to-back from different sources, they serialize on the
         // receiver's inbound link: deliveries at 1.1 s and 2.1 s.
-        struct Blast {
-            target: Option<NodeId>,
-            got: Vec<Time>,
-        }
-        impl App for Blast {
-            type Msg = Num;
-            fn on_start(&mut self, ctx: &mut Ctx<Num>) {
-                if let Some(t) = self.target {
-                    ctx.send(t, Num(0, 1_250_000));
-                }
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<Num>, _from: NodeId, _msg: Num) {
-                self.got.push(ctx.now);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<Num>, _token: u64) {}
-        }
-        let mut sim: Sim<Blast> = Sim::new(NetConfig {
-            topology: Arc::new(FullMesh {
-                latency: Dur::from_millis(100),
-            }),
-            inbound_bps: Some(10e6),
-            seed: 3,
-        });
-        let sink = sim.add_node(Blast {
-            target: None,
-            got: vec![],
-        });
-        sim.add_node(Blast {
-            target: Some(sink),
-            got: vec![],
-        });
-        sim.add_node(Blast {
-            target: Some(sink),
-            got: vec![],
-        });
+        let mut sim = Sim::new(mesh_cfg(Some(10e6)));
+        let sink = sim.add_node(Blast::at(None));
+        sim.add_node(Blast::at(Some(sink)));
+        sim.add_node(Blast::at(Some(sink)));
         sim.run_idle(100);
         let got = &sim.app(sink).unwrap().got;
         assert_eq!(got.len(), 2);
@@ -981,17 +1016,9 @@ mod tests {
     #[test]
     fn failed_node_drops_traffic_and_state() {
         let mut sim = Sim::new(mesh_cfg(None));
-        let responder = sim.add_node(Ping {
-            peer: None,
-            echo_at: None,
-            got: vec![],
-        });
+        let responder = sim.add_node(Ping::responder());
         sim.fail_node(responder);
-        let initiator = sim.add_node(Ping {
-            peer: Some(responder),
-            echo_at: None,
-            got: vec![],
-        });
+        let initiator = sim.add_node(Ping::initiator(responder));
         sim.run_idle(100);
         assert!(sim.app(responder).is_none());
         assert!(sim.app(initiator).unwrap().got.is_empty());
@@ -1001,17 +1028,9 @@ mod tests {
     #[test]
     fn drop_window_discards_then_heals() {
         let mut sim = Sim::new(mesh_cfg(None));
-        let responder = sim.add_node(Ping {
-            peer: None,
-            echo_at: None,
-            got: vec![],
-        });
+        let responder = sim.add_node(Ping::responder());
         sim.set_inbound_drop(responder, true);
-        let initiator = sim.add_node(Ping {
-            peer: Some(responder),
-            echo_at: None,
-            got: vec![],
-        });
+        let initiator = sim.add_node(Ping::initiator(responder));
         sim.run_idle(100);
         // The ping was discarded in the window; the responder is alive
         // but heard nothing.
@@ -1030,23 +1049,7 @@ mod tests {
 
     #[test]
     fn timers_fire_in_order_and_run_until_advances_clock() {
-        struct Timers {
-            fired: Vec<(Time, u64)>,
-        }
-        impl App for Timers {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                ctx.set_timer(Dur::from_secs(3), 3);
-                ctx.set_timer(Dur::from_secs(1), 1);
-                ctx.set_timer(Dur::from_secs(2), 2);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<()>, _from: NodeId, _msg: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<()>, token: u64) {
-                self.fired.push((ctx.now, token));
-            }
-        }
-        let mut sim: Sim<Timers> = Sim::new(mesh_cfg(None));
-        let n = sim.add_node(Timers { fired: vec![] });
+        let (mut sim, n) = timers_sim(&[3, 1, 2]);
         sim.run_until(Time::from_secs_f64(1.5));
         assert_eq!(sim.app(n).unwrap().fired, vec![(Time(1_000_000), 1)]);
         assert_eq!(sim.now(), Time::from_secs_f64(1.5));
@@ -1061,24 +1064,11 @@ mod tests {
         // second of the dead node's inbound link, so the drops landed
         // at 1.1 s and 2.1 s and the link stayed "busy"; post-fix both
         // are classified at propagation arrival (0.1 s).
-        struct Blast {
-            target: Option<NodeId>,
-        }
-        impl App for Blast {
-            type Msg = Num;
-            fn on_start(&mut self, ctx: &mut Ctx<Num>) {
-                if let Some(t) = self.target {
-                    ctx.send(t, Num(0, 1_250_000));
-                }
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<Num>, _from: NodeId, _msg: Num) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<Num>, _token: u64) {}
-        }
-        let mut sim: Sim<Blast> = Sim::new(mesh_cfg(Some(10e6)));
-        let sink = sim.add_node(Blast { target: None });
+        let mut sim = Sim::new(mesh_cfg(Some(10e6)));
+        let sink = sim.add_node(Blast::at(None));
         sim.fail_node(sink);
-        sim.add_node(Blast { target: Some(sink) });
-        sim.add_node(Blast { target: Some(sink) });
+        sim.add_node(Blast::at(Some(sink)));
+        sim.add_node(Blast::at(Some(sink)));
         sim.run_idle(100);
         assert_eq!(sim.stats().dropped_to_failed, 2);
         assert_eq!(sim.now(), Time::from_secs_f64(0.1));
@@ -1087,35 +1077,13 @@ mod tests {
     #[test]
     fn revive_reseats_a_failed_node() {
         let mut sim = Sim::new(mesh_cfg(Some(10e6)));
-        let responder = sim.add_node(Ping {
-            peer: None,
-            echo_at: None,
-            got: vec![],
-        });
-        let initiator = sim.add_node(Ping {
-            peer: Some(responder),
-            echo_at: None,
-            got: vec![],
-        });
-        assert!(!sim.revive(
-            responder,
-            Ping {
-                peer: None,
-                echo_at: None,
-                got: vec![],
-            }
-        )); // still alive
+        let responder = sim.add_node(Ping::responder());
+        let initiator = sim.add_node(Ping::initiator(responder));
+        assert!(!sim.revive(responder, Ping::responder())); // still alive
         sim.fail_node(responder);
         sim.run_idle(100);
         assert_eq!(sim.stats().dropped_to_failed, 1);
-        assert!(sim.revive(
-            responder,
-            Ping {
-                peer: None,
-                echo_at: None,
-                got: vec![],
-            }
-        ));
+        assert!(sim.revive(responder, Ping::responder()));
         assert!(sim.alive(responder));
         // A fresh ping now round-trips against the revived state.
         sim.with_app(initiator, |app, ctx| {
@@ -1125,37 +1093,14 @@ mod tests {
         sim.run_idle(100);
         assert_eq!(sim.app(responder).unwrap().got.len(), 1);
         assert_eq!(sim.app(initiator).unwrap().got.len(), 1);
-        assert!(!sim.revive(
-            999,
-            Ping {
-                peer: None,
-                echo_at: None,
-                got: vec![],
-            }
-        )); // never existed
+        assert!(!sim.revive(999, Ping::responder())); // never existed
     }
 
     #[test]
     fn far_horizon_timers_survive_the_ring() {
         // 120 s and 200 s are beyond the ~67 s calendar horizon, so
         // these park in the overflow heap and must refill correctly.
-        struct Timers {
-            fired: Vec<(Time, u64)>,
-        }
-        impl App for Timers {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                ctx.set_timer(Dur::from_secs(200), 200);
-                ctx.set_timer(Dur::from_secs(1), 1);
-                ctx.set_timer(Dur::from_secs(120), 120);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<()>, _from: NodeId, _msg: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<()>, token: u64) {
-                self.fired.push((ctx.now, token));
-            }
-        }
-        let mut sim: Sim<Timers> = Sim::new(mesh_cfg(None));
-        let n = sim.add_node(Timers { fired: vec![] });
+        let (mut sim, n) = timers_sim(&[200, 1, 120]);
         sim.run_idle(10);
         assert_eq!(
             sim.app(n).unwrap().fired,
@@ -1209,16 +1154,8 @@ mod tests {
     fn deterministic_across_runs() {
         let run = || {
             let mut sim = Sim::new(mesh_cfg(Some(10e6)));
-            let responder = sim.add_node(Ping {
-                peer: None,
-                echo_at: None,
-                got: vec![],
-            });
-            let initiator = sim.add_node(Ping {
-                peer: Some(responder),
-                echo_at: None,
-                got: vec![],
-            });
+            let responder = sim.add_node(Ping::responder());
+            let initiator = sim.add_node(Ping::initiator(responder));
             sim.run_idle(100);
             (
                 sim.app(initiator).unwrap().got.clone(),

@@ -3,19 +3,20 @@
 //! The paper's churn experiments (§5.6, Fig. 6) fail nodes on a schedule
 //! and measure what the query layer still delivers. This module is that
 //! schedule as a first-class object: a [`FaultScript`] is a seeded,
-//! time-ordered list of kill and message-drop-window events, and a
-//! [`FaultDriver`] replays it against *any* engine — the discrete-event
-//! [`crate::Sim`] (virtual clock) or the actor-runtime
-//! [`crate::cluster::Cluster`] (wall clock) — through a caller-supplied
-//! apply closure. The driver's trace records each fault at its *script*
-//! time, not the engine instant it was applied at, so the same seed and
-//! script produce byte-identical traces on both engines: the
-//! cross-engine determinism the test harness pins.
+//! time-ordered list of kill, join and message-drop-window events, and
+//! [`FaultDriver::replay`] runs it against *any* [`Deployment`] — the
+//! discrete-event [`crate::Sim`] (virtual clock) or the actor-runtime
+//! [`crate::cluster::Cluster`] (wall clock). The driver's trace records
+//! each fault at its *script* time, not the instant it was applied at,
+//! so the same seed and script produce byte-identical traces on every
+//! backend: the cross-engine determinism the test harness pins.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::time::Dur;
+use crate::actor::Service;
+use crate::deployment::Deployment;
+use crate::time::{Dur, Time};
 use crate::NodeId;
 
 /// One fault, ready to apply to an engine.
@@ -32,9 +33,8 @@ pub enum Fault {
     /// End of a message-drop window: the link heals.
     DropEnd { node: NodeId },
     /// A replacement node joins at a previously killed id — a fresh
-    /// process at the same address, with none of the old state. The
-    /// apply closure is expected to construct the newcomer and hand it
-    /// to `Sim::revive` / `ShardedSim::revive` / `Cluster::revive`.
+    /// process at the same address, with none of the old state
+    /// ([`Deployment::apply`] asks its caller to construct the newcomer).
     Join { node: NodeId },
 }
 
@@ -175,9 +175,11 @@ impl FaultScript {
 
 /// Replays a [`FaultScript`] against an engine and records the trace.
 ///
-/// The driver is clocked by the *caller*: call [`FaultDriver::advance`]
-/// with the time elapsed since the experiment started (virtual for Sim,
-/// wall for Cluster) and an apply closure that executes each due fault.
+/// [`FaultDriver::replay`] is the whole loop. Underneath, the driver is
+/// clocked by the *caller*: [`FaultDriver::advance`] takes the time
+/// elapsed since the experiment started (virtual for Sim, wall for
+/// Cluster) and an apply closure that executes each due fault, for
+/// harnesses that interleave their own actions with the script.
 /// Polling cadence does not change the trace — only which faults have
 /// fired by the end, and they fire in script order regardless.
 #[derive(Debug)]
@@ -212,14 +214,26 @@ impl FaultDriver {
         fired
     }
 
+    /// Replay every remaining fault against `net`, script time counted
+    /// from `t0` on `net`'s clock: settle to the next fault instant,
+    /// apply what is due, repeat. `make_replacement` builds the
+    /// newcomer of each [`Fault::Join`].
+    pub fn replay<A: Service>(
+        &mut self,
+        net: &mut impl Deployment<A>,
+        t0: Time,
+        mut make_replacement: impl FnMut(NodeId) -> A,
+    ) {
+        while let Some(at) = self.next_at() {
+            net.settle((t0 + at).since(net.now()));
+            self.advance(net.now().since(t0), |f| net.apply(f, &mut make_replacement));
+        }
+    }
+
     /// Script time of the next pending fault, if any — callers can run
     /// the engine exactly up to it instead of polling blindly.
     pub fn next_at(&self) -> Option<Dur> {
         self.script.events.get(self.next).map(|e| e.at)
-    }
-
-    pub fn finished(&self) -> bool {
-        self.next == self.script.events.len()
     }
 
     /// Everything applied so far, in script time: the cross-engine
@@ -332,10 +346,10 @@ mod tests {
             applied,
             vec![Fault::Kill { node: 1 }, Fault::DropStart { node: 3 }]
         );
-        assert!(!drv.finished());
+        assert!(drv.next_at().is_some());
 
         drv.advance(Dur::from_secs(60), |f| applied.push(*f));
-        assert!(drv.finished());
+        assert_eq!(drv.next_at(), None);
         assert_eq!(drv.advance(Dur::from_secs(99), |_| panic!("replayed")), 0);
         // The trace is in script time, independent of polling cadence.
         let ats: Vec<Dur> = drv.trace().iter().map(|e| e.at).collect();

@@ -4,27 +4,29 @@
 //!
 //! The paper runs the *same code base* both under simulation (up to 10,000
 //! nodes) and deployed on a 64-PC cluster (§5.2). This crate provides that
-//! split: a node is an event-driven automaton implementing [`App`], and two
-//! engines can host it unchanged:
+//! split as **one engine, two backends, one driver**: a node is an
+//! event-driven automaton implementing [`App`] (plus [`Service`] for
+//! typed requests), and it runs unchanged on
 //!
-//! * [`Sim`] — a deterministic discrete-event simulator with a virtual
+//! * [`Sim`] — the deterministic discrete-event simulator: a virtual
 //!   microsecond clock, a pluggable latency [`topology::Topology`], and a
 //!   flow-level bandwidth model that queues messages on the receiver's
-//!   inbound link (the paper's "congestion occurs at the last hop" model).
-//! * [`sharded::ShardedSim`] — the same simulator partitioned across
-//!   worker threads with a conservative time-window barrier; bit-identical
-//!   results to [`Sim`] at any shard count, for the 10^4-node-and-beyond
-//!   runs a single core can't sustain.
+//!   inbound link (the paper's "congestion occurs at the last hop"
+//!   model). It owns one event core per shard and picks its run loop from
+//!   the core count: one core runs inline on the caller's thread, several
+//!   run under the conservative time-window barrier of [`sharded`] —
+//!   bit-identical results at any shard count, for the
+//!   10^4-node-and-beyond runs a single core can't sustain;
 //! * [`cluster::Cluster`] — the actor runtime: one free-running OS
-//!   thread per node actor over a [`transport::ChannelTransport`], wall
-//!   clock, no barrier; our stand-in for the paper's real cluster
-//!   deployment (§5.8). Consumers talk to actors only through typed
+//!   thread per node actor over in-process channels, wall clock, no
+//!   barrier; our stand-in for the paper's real cluster deployment
+//!   (§5.8). Consumers talk to actors only through typed
 //!   [`actor::NodeHandle`] requests.
 //!
-//! Between actors sits the pluggable [`transport::Transport`] layer:
-//! [`transport::ChannelTransport`] carries the cluster's traffic,
-//! [`transport::SimTransport`] presents the same surface over the
-//! unchanged deterministic engines.
+//! [`Deployment`] is the one surface a harness drives either through —
+//! kill / revive / drop windows / typed requests / settle / stats — so a
+//! test, an experiment, or a seeded [`FaultScript`] is written once and
+//! instantiated per backend.
 //!
 //! Message sizes are modeled by the [`Wire`] trait so that bandwidth and
 //! traffic accounting reflect on-the-wire bytes rather than Rust object
@@ -33,24 +35,25 @@
 pub mod actor;
 pub mod app;
 pub mod cluster;
+pub mod deployment;
 pub mod engine;
 pub mod fault;
 pub mod sharded;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod transport;
+mod transport;
 
 pub use actor::{NodeHandle, Service};
 pub use app::{Action, App, Ctx};
 pub use cluster::Cluster;
+pub use deployment::Deployment;
 pub use engine::{NetConfig, Sim};
 pub use fault::{Fault, FaultDriver, FaultScript, Scheduled};
 pub use sharded::{ShardMap, ShardedSim};
 pub use stats::{AtomicNetStats, NetStats};
 pub use time::{Dur, Time};
 pub use topology::{FullMesh, Topology, TransitStub, TransitStubParams};
-pub use transport::{ChannelTransport, SimTransport, Transport};
 
 /// Identifier of a physical node slot in an engine.
 ///

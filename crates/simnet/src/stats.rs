@@ -58,7 +58,7 @@ impl NetStats {
 
     /// Fold another engine's counters into this one. All fields are
     /// plain sums, so merging per-shard stats in any order yields the
-    /// same totals the sequential engine would have accumulated.
+    /// same totals a one-core run would have accumulated.
     pub fn merge(&mut self, other: &NetStats) {
         self.messages += other.messages;
         self.bytes += other.bytes;
@@ -87,8 +87,8 @@ impl NetStats {
 }
 
 /// Concurrent twin of [`NetStats`]: the same counters as atomics, for
-/// engines whose senders run on many threads at once (the actor
-/// runtime's [`crate::transport::ChannelTransport`]).
+/// backends whose senders run on many threads at once (the actor
+/// runtime's channel links).
 ///
 /// There is exactly one accounting vocabulary across engines — a
 /// [`Self::snapshot`] is a plain [`NetStats`], so cross-engine parity

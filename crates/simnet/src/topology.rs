@@ -21,7 +21,7 @@ pub trait Topology: Send + Sync {
 
     /// Lower bound on [`Self::latency`] over all *distinct* pairs — the
     /// lookahead of the conservative sharded engine
-    /// ([`crate::sharded::ShardedSim`]): no message sent at time `t` can
+    /// (a multi-core [`crate::Sim`]): no message sent at time `t` can
     /// arrive anywhere before `t + min_latency()`, so shards may safely
     /// execute a window of that width past the global minimum without
     /// hearing from each other. Must be positive for the sharded engine

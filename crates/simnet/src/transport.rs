@@ -1,91 +1,47 @@
-//! The message-carrying layer between node actors, pluggable per
-//! deployment shape.
+//! The channel backend's link state: what a [`crate::Cluster`] and its
+//! actors share to carry messages between mailboxes.
 //!
-//! A [`Transport`] moves application messages from a source node into
-//! the destination's mailbox and owns the per-link fault surface (kill
-//! flags, inbound drop windows) plus the traffic accounting
-//! ([`NetStats`]) for everything it carries. Two backends ship today:
+//! A send is an immediate push into the destination's FIFO mailbox —
+//! wall clock, no global barrier of any kind — after the destination's
+//! fault state has classified it, mirroring the simulator's routing
+//! exactly (see [`crate::Deployment`] for the contract). Everything
+//! crossing a link is a value, not a closure, which is what keeps a
+//! socket backend a one-file change.
 //!
-//! * [`ChannelTransport`] — in-process channels, one free-running OS
-//!   thread per actor, wall-clock time. A send is an immediate mailbox
-//!   push; there is no global barrier of any kind. This is the
-//!   deployment shape (`Cluster` is built on it), and the template for
-//!   a future socket transport: everything crossing it is a value, not
-//!   a closure.
-//! * [`SimTransport`] — an adapter presenting the same surface over
-//!   the *unchanged* deterministic engines ([`Sim`] / [`ShardedSim`]).
-//!   The engine's event queue is the mailbox, its latency/bandwidth
-//!   model the link; a send is injected at the source exactly as if
-//!   the automaton had emitted it, so every determinism pin (exact
-//!   delivery times, bit-identical sharded execution) holds unchanged.
+//! # The life epoch
 //!
-//! What the trait deliberately does *not* promise: cross-pair ordering
-//! or reliability under faults. Per src→dst pair, messages arrive in
-//! send order (FIFO channels; deterministic single-path latency in the
-//! sim); messages to killed destinations or into open drop windows are
-//! counted and discarded, never queued.
+//! Each node has one monotone counter: even while a process is seated
+//! at the id, odd while it is killed. [`Links::kill`] and
+//! [`Links::revive`] each advance it by one, and an actor remembers the
+//! epoch its automaton was seated in — so "has this automaton been
+//! killed?" is `epoch > seated`, which stays true after a revive that
+//! raced the kill. A plain alive/dead flag cannot tell those apart: the
+//! revive would flip it back before the actor looked, and the old
+//! automaton would go on draining its pre-kill backlog.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::channel::Sender;
 
 use crate::actor::{Envelope, Service};
-use crate::app::App;
-use crate::sharded::ShardedSim;
 use crate::stats::{AtomicNetStats, NetStats};
-use crate::time::Dur;
-use crate::{NodeId, Sim, Wire};
+use crate::{NodeId, Wire};
 
-/// Engine-agnostic control surface of a message-carrying backend.
-///
-/// `send` injects a message from `src` as if `src`'s automaton had
-/// emitted it; the fault hooks mirror the engines' (`kill` is abrupt,
-/// `set_inbound_drop` opens a lossy window while the node stays
-/// alive); `settle` lets in-flight traffic drain — virtual time under
-/// the simulator, wall time under channels. The conformance suite in
-/// `tests/transport_conformance.rs` pins that both backends classify
-/// identical traffic identically through this surface.
-pub trait Transport<A: App> {
-    /// Deliver `msg` from `src` toward `dst`'s mailbox (or classify it
-    /// as dropped, per the fault state). No-op if `src` is dead.
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg);
-    /// Abrupt node failure: `dst` stops receiving instantly; traffic
-    /// addressed to it counts as `dropped_to_failed`, not traffic.
-    fn kill(&mut self, node: NodeId);
-    /// Re-seat a fresh automaton at a killed id. `false` if the id is
-    /// out of range or still alive.
-    fn revive(&mut self, node: NodeId, app: A) -> bool;
-    /// Has `node` not been killed?
-    fn alive(&self, node: NodeId) -> bool;
-    /// Open or close a message-drop window on `node`'s inbound side.
-    fn set_inbound_drop(&mut self, node: NodeId, dropping: bool);
-    fn node_count(&self) -> usize;
-    /// Traffic counters, in the one cross-engine vocabulary.
-    fn stats(&self) -> NetStats;
-    /// Let in-flight traffic drain for `d` — virtual for simulator
-    /// backends, wall-clock for channel backends.
-    fn settle(&mut self, d: Dur);
-}
-
-// ---------------------------------------------------------------------
-// Channel backend: the shared send-side state of a running actor set.
-// ---------------------------------------------------------------------
-
-/// Send-side state shared by every actor of one channel transport:
-/// mailbox senders, per-node fault flags, and the traffic counters.
-/// Every actor holds an `Arc<Links>`; a send consults the destination's
-/// fault flags, accounts the outcome, and pushes into its mailbox.
+/// Send-side state shared by every actor of one cluster: mailbox
+/// senders, per-node fault state, and the traffic counters. Every actor
+/// holds an `Arc<Links>`; a send consults the destination's fault
+/// state, accounts the outcome, and pushes into its mailbox.
 pub(crate) struct Links<A: Service> {
     senders: Vec<Sender<Envelope<A>>>,
-    killed: Vec<AtomicBool>,
+    /// Life epoch per node (see the module docs): even = alive.
+    epoch: Vec<AtomicU64>,
     drop_inbound: Vec<AtomicBool>,
     stats: AtomicNetStats,
     /// Network messages currently enqueued per mailbox: incremented on
     /// a delivered `Envelope::Msg`, decremented when the actor dequeues
-    /// it (dispatched live or discarded parked-dead). The depth gauge
-    /// behind `Cluster::mailbox_depth` — a sustained rise on one node
-    /// is the backlog signature of an overloaded or wedged actor.
+    /// it (dispatched live or discarded dead). The depth gauge behind
+    /// `Cluster::mailbox_depth` — a sustained rise on one node is the
+    /// backlog signature of an overloaded or wedged actor.
     depth: Vec<AtomicUsize>,
 }
 
@@ -94,7 +50,7 @@ impl<A: Service> Links<A> {
         let n = senders.len();
         Links {
             senders,
-            killed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            epoch: (0..n).map(|_| AtomicU64::new(0)).collect(),
             drop_inbound: (0..n).map(|_| AtomicBool::new(false)).collect(),
             stats: AtomicNetStats::new(n),
             depth: (0..n).map(|_| AtomicUsize::new(0)).collect(),
@@ -116,7 +72,7 @@ impl<A: Service> Links<A> {
         }
         // Liveness next: traffic to a dead node is not traffic, it is
         // a drop — exactly how the simulator classifies it.
-        if self.killed[dst as usize].load(Ordering::Relaxed) {
+        if !self.alive(dst) {
             if dst != src {
                 self.stats.record_dropped_to_failed();
             }
@@ -145,18 +101,33 @@ impl<A: Service> Links<A> {
             .map_or(0, |d| d.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn alive(&self, id: NodeId) -> bool {
-        self.killed
+    /// Current life epoch of `id` (0 for an id out of range). `SeqCst`
+    /// throughout: the epoch orders a kill against the dispatches of
+    /// the actor it kills.
+    pub(crate) fn epoch(&self, id: NodeId) -> u64 {
+        self.epoch
             .get(id as usize)
-            .is_some_and(|f| !f.load(Ordering::Relaxed))
+            .map_or(0, |e| e.load(Ordering::SeqCst))
     }
 
-    /// Abruptly kill `node`: raise the flag (checked before every
+    pub(crate) fn alive(&self, id: NodeId) -> bool {
+        let epoch = self.epoch.get(id as usize);
+        epoch.is_some_and(|e| e.load(Ordering::SeqCst).is_multiple_of(2))
+    }
+
+    /// Abruptly kill `node`: advance its epoch (checked before every
     /// dispatch, so death is immediate even with a loaded mailbox) and
-    /// nudge the actor awake so it notices promptly.
+    /// nudge the actor awake so it notices promptly. No-op on a node
+    /// that is already dead.
     pub(crate) fn kill(&self, node: NodeId) {
-        if let (Some(flag), Some(tx)) = (self.killed.get(node as usize), self.sender(node)) {
-            flag.store(true, Ordering::Relaxed);
+        let (Some(epoch), Some(tx)) = (self.epoch.get(node as usize), self.sender(node)) else {
+            return;
+        };
+        let alive = |e: u64| e.is_multiple_of(2).then_some(e + 1);
+        if epoch
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, alive)
+            .is_ok()
+        {
             let _ = tx.send(Envelope::Nudge);
         }
     }
@@ -164,19 +135,23 @@ impl<A: Service> Links<A> {
     /// Re-seat a fresh automaton at a killed id. Returns `false` if
     /// `node` is out of range or still alive.
     pub(crate) fn revive(&self, node: NodeId, app: A) -> bool {
-        let (Some(flag), Some(tx)) = (self.killed.get(node as usize), self.sender(node)) else {
+        let (Some(epoch), Some(tx)) = (self.epoch.get(node as usize), self.sender(node)) else {
             return false;
         };
-        if !flag.load(Ordering::Relaxed) {
+        let dead = epoch.load(Ordering::SeqCst);
+        if dead.is_multiple_of(2) {
             return false;
         }
-        if tx.send(Envelope::Revive(app)).is_err() {
+        // The envelope names the epoch the newcomer lives in, so the
+        // actor seats it correctly even if it gets there before the
+        // store below. Liveness flips right after the send: peers route
+        // traffic to the newcomer at once, and it queues behind the
+        // `Revive` to be dispatched afterwards.
+        let seated = dead + 1;
+        if tx.send(Envelope::Revive { app, epoch: seated }).is_err() {
             return false;
         }
-        // Flip liveness immediately so peers route traffic to the
-        // newcomer; anything arriving before the actor processes the
-        // `Revive` queues behind it and is dispatched afterwards.
-        flag.store(false, Ordering::Relaxed);
+        epoch.store(seated, Ordering::SeqCst);
         true
     }
 
@@ -186,178 +161,11 @@ impl<A: Service> Links<A> {
         }
     }
 
-    pub(crate) fn set_alive(&self, id: NodeId) {
-        if let Some(f) = self.killed.get(id as usize) {
-            f.store(false, Ordering::Relaxed);
-        }
-    }
-
     pub(crate) fn sender(&self, id: NodeId) -> Option<&Sender<Envelope<A>>> {
         self.senders.get(id as usize)
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.senders.len()
-    }
-
     pub(crate) fn stats(&self) -> NetStats {
         self.stats.snapshot()
-    }
-}
-
-/// The free-running in-process backend: crossbeam channels into
-/// per-actor mailboxes, wall-clock time, no barrier.
-///
-/// `Cluster` owns one of these; it is also usable directly (the
-/// conformance suite drives it through the [`Transport`] surface).
-pub struct ChannelTransport<A: Service> {
-    links: Arc<Links<A>>,
-}
-
-impl<A: Service> ChannelTransport<A> {
-    pub(crate) fn new(links: Arc<Links<A>>) -> Self {
-        ChannelTransport { links }
-    }
-
-    pub(crate) fn links(&self) -> &Arc<Links<A>> {
-        &self.links
-    }
-}
-
-impl<A: Service> Transport<A> for ChannelTransport<A> {
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
-        if self.links.alive(src) {
-            self.links.send(src, dst, msg);
-        }
-    }
-
-    fn kill(&mut self, node: NodeId) {
-        self.links.kill(node);
-    }
-
-    fn revive(&mut self, node: NodeId, app: A) -> bool {
-        self.links.revive(node, app)
-    }
-
-    fn alive(&self, node: NodeId) -> bool {
-        self.links.alive(node)
-    }
-
-    fn set_inbound_drop(&mut self, node: NodeId, dropping: bool) {
-        self.links.set_inbound_drop(node, dropping);
-    }
-
-    fn node_count(&self) -> usize {
-        self.links.node_count()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.links.stats()
-    }
-
-    fn settle(&mut self, d: Dur) {
-        std::thread::sleep(std::time::Duration::from_micros(d.as_micros()));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Simulator backend: adapter over the unchanged deterministic engines.
-// ---------------------------------------------------------------------
-
-/// [`Transport`] facade over a deterministic engine, leaving the engine
-/// itself untouched: sends are injected at the source automaton, faults
-/// map onto the engine's own hooks, and `settle` advances virtual time.
-pub struct SimTransport<E> {
-    engine: E,
-}
-
-impl<E> SimTransport<E> {
-    pub fn new(engine: E) -> Self {
-        SimTransport { engine }
-    }
-
-    /// The wrapped engine, for observation (reading node state, clocks).
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
-    }
-
-    /// Unwrap back into the engine.
-    pub fn into_engine(self) -> E {
-        self.engine
-    }
-}
-
-impl<A: App> Transport<A> for SimTransport<Sim<A>> {
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
-        // Injected exactly as an automaton emission: same routing, same
-        // latency model, same classification — `with_app` on a dead
-        // source is a no-op, like a dead process sending nothing.
-        self.engine.with_app(src, move |_, ctx| ctx.send(dst, msg));
-    }
-
-    fn kill(&mut self, node: NodeId) {
-        self.engine.fail_node(node);
-    }
-
-    fn revive(&mut self, node: NodeId, app: A) -> bool {
-        self.engine.revive(node, app)
-    }
-
-    fn alive(&self, node: NodeId) -> bool {
-        self.engine.alive(node)
-    }
-
-    fn set_inbound_drop(&mut self, node: NodeId, dropping: bool) {
-        self.engine.set_inbound_drop(node, dropping);
-    }
-
-    fn node_count(&self) -> usize {
-        self.engine.node_count()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.engine.stats().clone()
-    }
-
-    fn settle(&mut self, d: Dur) {
-        self.engine.run_for(d);
-    }
-}
-
-impl<A: App> Transport<A> for SimTransport<ShardedSim<A>> {
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: A::Msg) {
-        self.engine.with_app(src, move |_, ctx| ctx.send(dst, msg));
-    }
-
-    fn kill(&mut self, node: NodeId) {
-        self.engine.fail_node(node);
-    }
-
-    fn revive(&mut self, node: NodeId, app: A) -> bool {
-        self.engine.revive(node, app)
-    }
-
-    fn alive(&self, node: NodeId) -> bool {
-        self.engine.alive(node)
-    }
-
-    fn set_inbound_drop(&mut self, node: NodeId, dropping: bool) {
-        self.engine.set_inbound_drop(node, dropping);
-    }
-
-    fn node_count(&self) -> usize {
-        self.engine.node_count()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.engine.stats()
-    }
-
-    fn settle(&mut self, d: Dur) {
-        self.engine.run_for(d);
     }
 }

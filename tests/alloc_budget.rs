@@ -4,8 +4,8 @@
 //! small join stays inside a pinned bytes-per-event budget.
 //!
 //! The counters are per thread. The test harness runs every test on a
-//! thread of its own and `Sim` is single-threaded, so the tests of this
-//! binary do not see each other's allocations.
+//! thread of its own and a one-core `Sim` runs on its caller's, so the
+//! tests of this binary do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +16,7 @@ use pier::qp::semantics::same_multiset;
 use pier::qp::testkit::*;
 use pier::simnet::time::Dur;
 use pier::simnet::topology::FullMesh;
-use pier::simnet::{App, Ctx, NetConfig, NodeId, Sim, Wire};
+use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
 use pier::workload::{RsParams, RsWorkload};
 use pier_dht::DhtConfig;
 
@@ -112,10 +112,11 @@ impl App for TimerEcho {
     }
 }
 
-#[test]
-fn steady_state_event_loop_allocates_nothing() {
+/// One lap of the calendar ring in steady state, on an engine built
+/// by `build`.
+fn steady_lap_allocates_nothing(build: impl FnOnce(NetConfig) -> Sim<TimerEcho>) {
     const N: u32 = 64;
-    let mut sim: Sim<TimerEcho> = Sim::new(NetConfig {
+    let mut sim = build(NetConfig {
         topology: Arc::new(FullMesh { latency: LATENCY }),
         inbound_bps: None,
         seed: 5,
@@ -139,6 +140,19 @@ fn steady_state_event_loop_allocates_nothing() {
         (0, 0),
         "{allocs} allocations ({bytes} B) over {events} steady-state events"
     );
+}
+
+#[test]
+fn steady_state_event_loop_allocates_nothing() {
+    steady_lap_allocates_nothing(Sim::new);
+}
+
+/// A one-shard engine is the same inline loop: a `run_for` sets up no
+/// channel and spawns no worker (either would allocate on this thread),
+/// and every event is counted here because it runs here.
+#[test]
+fn one_shard_event_loop_allocates_nothing() {
+    steady_lap_allocates_nothing(|cfg| ShardedSim::new(cfg, ShardMap::round_robin(1)));
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
-//! Cross-engine parity: the same seeded query must yield the *identical
-//! result multiset* on the discrete-event simulator and on the
-//! wall-clock actor-runtime cluster. Both engines drive the same
-//! `PierNode` automaton, so any divergence is an engine bug, not
-//! query-processor behavior.
+//! Cross-engine parity: the same seeded run must come out the same on
+//! every backend — the one-core simulator, the simulator partitioned
+//! over several cores, and the wall-clock actor-runtime cluster. All of
+//! them drive the same `PierNode` automaton, so any divergence is an
+//! engine bug, not query-processor behavior.
+//!
+//! Each test is one body, generic over [`Deployment`], instantiated per
+//! backend; nodes are reached through typed requests only.
 
 use pier::qp::plan::JoinStrategy;
 use pier::qp::semantics::same_multiset;
@@ -10,157 +13,110 @@ use pier::qp::testkit::*;
 use pier::qp::{NodeRequest, PierNode, Tuple};
 use pier::simnet::time::{Dur, Time};
 use pier::simnet::{
-    App, Cluster, Ctx, Fault, FaultDriver, FaultScript, NetConfig, NodeId, Scheduled, Service,
-    ShardMap, Sim, Wire,
+    App, Cluster, Ctx, Deployment, FaultDriver, FaultScript, NetConfig, NetStats, NodeId,
+    Scheduled, Service, ShardMap, ShardedSim, Sim, Wire,
 };
 use pier::workload::{RsParams, RsWorkload};
 use pier_dht::DhtConfig;
 
-fn workload() -> RsWorkload {
-    RsWorkload::generate(RsParams {
-        s_rows: 15,
-        seed: 77,
-        ..Default::default()
-    })
+fn lifetime() -> Dur {
+    Dur::from_secs(100_000)
 }
 
-/// Round-robin partitioning shared by both engines so each node holds
-/// the same fragment under either engine.
-fn fragments(rows: &[Tuple], n: usize) -> Vec<Vec<Tuple>> {
-    let mut per_node: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-    for (i, row) in rows.iter().enumerate() {
-        per_node[i % n].push(row.clone());
-    }
-    per_node
+fn sim(n: usize, seed: u64) -> Sim<PierNode> {
+    stabilized_pier_sim(
+        n,
+        DhtConfig::static_network(),
+        NetConfig::latency_only(seed),
+    )
 }
 
-fn run_on_sim(wl: &RsWorkload, n: usize) -> Vec<Tuple> {
-    let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(77));
-    publish_round_robin(&mut sim, "R", &wl.r, 0, Dur::from_secs(100_000));
-    publish_round_robin(&mut sim, "S", &wl.s, 0, Dur::from_secs(100_000));
-    settle_publish(&mut sim);
+fn sharded(n: usize, seed: u64, w: usize) -> Sim<PierNode> {
+    stabilized_pier_sharded(
+        n,
+        DhtConfig::static_network(),
+        NetConfig::latency_only(seed),
+        ShardMap::round_robin(w),
+    )
+}
+
+fn cluster(n: usize, seed: u64) -> Cluster<PierNode> {
+    stabilized_pier_cluster(n, DhtConfig::static_network(), seed)
+}
+
+/// Publish the workload's tables from their home nodes, run its join
+/// from node 0, and return the rows. `tick` is the backend's time
+/// scale: how long a publish or a result needs to cross the network.
+fn workload_join(mut net: impl Deployment<PierNode>, wl: &RsWorkload, tick: Dur) -> Vec<Tuple> {
+    publish_by_request(&mut net, "R", &wl.r, 0, lifetime());
+    publish_by_request(&mut net, "S", &wl.s, 0, lifetime());
+    net.settle(tick.saturating_mul(8));
     let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-    rows_of(&run_query(&mut sim, 0, desc, Dur::from_secs(60)))
-}
-
-fn run_on_cluster(wl: &RsWorkload, n: usize) -> Vec<Tuple> {
-    let cfg = DhtConfig::static_network();
-    let states = pier_dht::can::balanced_overlay(n, cfg.dims, Time::ZERO);
-    let apps: Vec<PierNode> = states
-        .into_iter()
-        .enumerate()
-        .map(|(i, st)| {
-            PierNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st), None)
-        })
-        .collect();
-    let cluster = Cluster::spawn(apps, 77);
-    let r_frags = fragments(&wl.r, n);
-    let s_frags = fragments(&wl.s, n);
-    for (i, (r, s)) in r_frags.into_iter().zip(s_frags).enumerate() {
-        for (table, rows) in [("R", r), ("S", s)] {
-            cluster.request(
-                i as NodeId,
-                NodeRequest::PublishRows {
-                    table: table.to_string(),
-                    rows,
-                    pkey_col: 0,
-                    lifetime: Dur::from_secs(100_000),
-                },
-            );
-        }
-    }
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-    cluster.request(0, NodeRequest::Submit(Box::new(desc)));
-    // Wait until the result count is stable for a while (wall clock).
-    let mut last = 0;
-    let mut stable = 0;
-    for _ in 0..200 {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let c = cluster
-            .request(0, NodeRequest::ResultCount(1))
-            .expect("initiator alive")
-            .into_count();
-        if c == last && c > 0 {
-            stable += 1;
-            if stable > 10 {
-                break;
-            }
-        } else {
-            stable = 0;
-        }
-        last = c;
-    }
-    let rows: Vec<Tuple> = cluster
-        .request(0, NodeRequest::TimedResults(1))
-        .expect("initiator alive")
-        .into_timed_results()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
-    cluster.shutdown();
-    rows
+    rows_of(&run_query_by_request(&mut net, 0, desc, tick))
 }
 
 #[test]
 fn sim_and_cluster_agree_on_the_workload_join() {
-    let wl = workload();
+    let wl = RsWorkload::generate(RsParams {
+        s_rows: 15,
+        seed: 77,
+        ..Default::default()
+    });
     let n = 6;
     let expected = wl.expected(JoinStrategy::SymmetricHash);
     assert!(!expected.is_empty());
-    let sim_rows = run_on_sim(&wl, n);
-    let cluster_rows = run_on_cluster(&wl, n);
-    // Each engine matches the centralized reference...
-    assert!(
-        same_multiset(&expected, &sim_rows),
-        "sim vs reference: {} vs {}",
-        sim_rows.len(),
-        expected.len()
-    );
-    assert!(
-        same_multiset(&expected, &cluster_rows),
-        "cluster vs reference: {} vs {}",
-        cluster_rows.len(),
-        expected.len()
-    );
-    // ...and therefore each other: identical multisets across engines.
-    assert!(same_multiset(&sim_rows, &cluster_rows));
+    // Simulated links take 100 ms, channels microseconds.
+    let second = Dur::from_secs(1);
+    let runs = [
+        ("sim", workload_join(sim(n, 77), &wl, second)),
+        ("sim W=2", workload_join(sharded(n, 77, 2), &wl, second)),
+        (
+            "cluster",
+            workload_join(cluster(n, 77), &wl, Dur::from_millis(50)),
+        ),
+    ];
+    // Each backend matches the centralized reference, and therefore
+    // every other: identical multisets across engines.
+    for (backend, rows) in &runs {
+        assert!(
+            same_multiset(&expected, rows),
+            "{backend} vs reference: {} vs {}",
+            rows.len(),
+            expected.len()
+        );
+    }
 }
 
-/// Idle PIER nodes for fault-harness replay (no query traffic needed).
-fn idle_nodes(n: usize) -> Vec<PierNode> {
-    let cfg = DhtConfig::static_network();
-    pier_dht::can::balanced_overlay(n, cfg.dims, Time::ZERO)
-        .into_iter()
-        .enumerate()
-        .map(|(i, st)| {
-            PierNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st), None)
-        })
-        .collect()
+/// A replacement automaton for `id` — a fresh process at the same
+/// address, the newcomer of a `Fault::Join` on any backend.
+fn replacement_node(id: NodeId, n: usize) -> PierNode {
+    stabilized_pier_nodes(n, &DhtConfig::static_network()).swap_remove(id as usize)
+}
+
+/// Replay `script` to its end on idle PIER nodes (no query traffic
+/// needed) and return the driver's trace.
+fn replayed_trace(mut net: impl Deployment<PierNode>, script: &FaultScript) -> Vec<Scheduled> {
+    let n = net.node_count();
+    let mut drv = FaultDriver::new(script.clone());
+    let t0 = net.now();
+    drv.replay(&mut net, t0, |id| replacement_node(id, n));
+    for v in script.killed() {
+        assert!(net.alive(v), "node {v} must be back up after its Join");
+    }
+    drv.trace().to_vec()
 }
 
 /// The same seeded fault script, replayed on the virtual-clock simulator
-/// and on the wall-clock cluster, must leave byte-identical traces: the
-/// trace records *script* time, so neither the engine's clock nor the
-/// polling cadence shows through. This is what makes a churn experiment
-/// reproducible across the paper's "same code, simulated or deployed"
-/// split.
-/// A replacement automaton for `id` — a fresh process at the same
-/// address, used to execute [`Fault::Join`] on any engine.
-fn replacement_node(id: NodeId, n: usize) -> PierNode {
-    let cfg = DhtConfig::static_network();
-    let st = pier_dht::can::balanced_overlay(n, cfg.dims, Time::ZERO)
-        .into_iter()
-        .nth(id as usize)
-        .expect("id within overlay");
-    PierNode::with_dht(pier_dht::Dht::with_can(cfg, id, st), None)
-}
-
+/// (at any width) and on the wall-clock cluster, must leave
+/// byte-identical traces: the trace records *script* time, so neither
+/// the backend's clock nor its scheduling shows through. This is what
+/// makes a churn experiment reproducible across the paper's "same code,
+/// simulated or deployed" split.
 #[test]
 fn fault_scripts_replay_identically_on_both_engines() {
     let candidates: Vec<NodeId> = (1..6).collect();
     // Kills with scheduled rejoins of replacement nodes, plus a drop
-    // window — all three fault kinds replay on both engines.
+    // window — all three fault kinds replay on every backend.
     let script = FaultScript::churn_with_rejoin(
         4242,
         Dur::from_secs(2),
@@ -169,55 +125,21 @@ fn fault_scripts_replay_identically_on_both_engines() {
         Dur::from_millis(450),
     )
     .with_drop_window(0, Dur::from_millis(300), Dur::from_millis(700));
-    let killed = script.killed();
-    assert_eq!(killed.len(), 3);
+    assert_eq!(script.killed().len(), 3);
     assert_eq!(script.joined().len(), 3);
 
-    // Simulator replay: run exactly up to each fault instant.
-    let mut sim = stabilized_pier_sim(6, DhtConfig::static_network(), NetConfig::latency_only(1));
-    let mut sim_drv = FaultDriver::new(script.clone());
-    let t0 = sim.now();
-    while let Some(at) = sim_drv.next_at() {
-        sim.run_until(t0 + at);
-        sim_drv.advance(sim.now().since(t0), |f| match *f {
-            Fault::Kill { node } => sim.fail_node(node),
-            Fault::DropStart { node } => sim.set_inbound_drop(node, true),
-            Fault::DropEnd { node } => sim.set_inbound_drop(node, false),
-            Fault::Join { node } => {
-                assert!(sim.revive(node, replacement_node(node, 6)));
-            }
-        });
-    }
-    for &v in &killed {
-        assert!(
-            sim.alive(v),
-            "node {v} must be back up after its Join fault"
+    let sim_trace = replayed_trace(sim(6, 1), &script);
+    assert_eq!(sim_trace.len(), script.events().len());
+    for w in [2, 4] {
+        assert_eq!(
+            sim_trace,
+            replayed_trace(sharded(6, 1, w), &script),
+            "W={w}"
         );
     }
-    let sim_trace: Vec<Scheduled> = sim_drv.trace().to_vec();
-
-    // Cluster replay: coarse wall-clock polling.
-    let cluster = Cluster::spawn(idle_nodes(6), 1);
-    let mut cluster_drv = FaultDriver::new(script);
-    while !cluster_drv.finished() {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cluster_drv.advance(cluster.now().since(Time::ZERO), |f| match *f {
-            Fault::Kill { node } => cluster.kill(node),
-            Fault::DropStart { node } => cluster.set_inbound_drop(node, true),
-            Fault::DropEnd { node } => cluster.set_inbound_drop(node, false),
-            Fault::Join { node } => {
-                assert!(cluster.revive(node, replacement_node(node, 6)));
-            }
-        });
-    }
-    for &v in &killed {
-        assert!(cluster.alive(v), "cluster node {v} rejoined");
-    }
-    cluster.shutdown();
-
     assert_eq!(
         sim_trace,
-        cluster_drv.trace(),
+        replayed_trace(cluster(6, 1), &script),
         "identical seed + script must trace identically on both engines"
     );
 }
@@ -242,7 +164,7 @@ impl App for Quiet {
 }
 
 /// The one probe request: emit a `Probe` toward each destination, from
-/// inside the actor loop — so the sends cross the transport exactly as
+/// inside the node — so the sends cross the network exactly as
 /// automaton traffic does.
 impl Service for Quiet {
     type Req = Vec<NodeId>;
@@ -255,111 +177,98 @@ impl Service for Quiet {
     }
 }
 
-/// Both engines must *classify* identical sends identically under the
-/// same seeded `FaultScript`: a send to a live peer is traffic, a send
-/// to a killed node is `dropped_to_failed`, a send into an open drop
-/// window is `dropped_in_window`. Pre-fix, the Cluster counted
-/// dead-node sends as `messages`/`bytes` (incremented before the
-/// channel send) and had no `dropped_to_failed` bucket at all.
-#[test]
-fn stats_classify_identically_on_both_engines() {
-    // One scripted kill of node 2, plus a drop window [300 ms, 700 ms)
-    // on node 3. Probes: node 0 sends into the open window at script
-    // time 500 ms, then to a live node and the dead node at the end.
+/// One scripted kill of node 2, plus a drop window [300 ms, 700 ms) on
+/// node 3. Probes: node 0 sends into the open window at script time
+/// 500 ms, then to a live node and the dead node at the end.
+fn classified(mut net: impl Deployment<Quiet>) -> NetStats {
     let script = FaultScript::churn(4242, Dur::from_secs(1), 1, &[2]).with_drop_window(
         3,
         Dur::from_millis(300),
         Dur::from_millis(400),
     );
     assert_eq!(script.killed(), vec![2]);
-    let mid = Dur::from_millis(500);
-
-    // --- Simulator replay.
-    let mut sim: Sim<Quiet> = Sim::new(NetConfig::latency_only(7));
-    for _ in 0..4 {
-        sim.add_node(Quiet);
-    }
-    let mut drv = FaultDriver::new(script.clone());
-    sim.run_until(Time::ZERO + mid);
-    drv.advance(mid, |f| match *f {
-        Fault::Kill { node } => sim.fail_node(node),
-        Fault::DropStart { node } => sim.set_inbound_drop(node, true),
-        Fault::DropEnd { node } => sim.set_inbound_drop(node, false),
-        Fault::Join { .. } => unreachable!("script schedules no joins"),
-    });
-    sim.with_app(0, |_, ctx| ctx.send(3, Probe)).unwrap();
-    while let Some(at) = drv.next_at() {
-        sim.run_until(Time::ZERO + at);
-        drv.advance(at, |f| match *f {
-            Fault::Kill { node } => sim.fail_node(node),
-            Fault::DropStart { node } => sim.set_inbound_drop(node, true),
-            Fault::DropEnd { node } => sim.set_inbound_drop(node, false),
-            Fault::Join { .. } => unreachable!("script schedules no joins"),
-        });
-    }
-    sim.with_app(0, |_, ctx| {
-        ctx.send(1, Probe);
-        ctx.send(2, Probe);
-    })
-    .unwrap();
-    sim.run_idle(100);
-    let sim_counts = (
-        sim.stats().messages,
-        sim.stats().bytes,
-        sim.stats().dropped_to_failed,
-        sim.stats().dropped_in_window,
-    );
-
-    // --- Cluster replay: the driver is caller-clocked, so the same
-    // script *stages* replay deterministically against the wall clock.
-    let cluster = Cluster::spawn(vec![Quiet, Quiet, Quiet, Quiet], 7);
+    let no_joins = |_| -> Quiet { unreachable!("script schedules no joins") };
     let mut drv = FaultDriver::new(script);
-    drv.advance(mid, |f| match *f {
-        Fault::Kill { node } => cluster.kill(node),
-        Fault::DropStart { node } => cluster.set_inbound_drop(node, true),
-        Fault::DropEnd { node } => cluster.set_inbound_drop(node, false),
-        Fault::Join { .. } => unreachable!("script schedules no joins"),
-    });
-    cluster.request(0, vec![3]).unwrap();
-    // Sends flush on node 0's thread after the request returns: wait
-    // for the window drop to be accounted before healing the window.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    while cluster.stats().dropped_in_window < 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    while let Some(at) = drv.next_at() {
-        drv.advance(at, |f| match *f {
-            Fault::Kill { node } => cluster.kill(node),
-            Fault::DropStart { node } => cluster.set_inbound_drop(node, true),
-            Fault::DropEnd { node } => cluster.set_inbound_drop(node, false),
-            Fault::Join { .. } => unreachable!("script schedules no joins"),
-        });
-    }
-    cluster.request(0, vec![1, 2]).unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    while (cluster.stats().messages < 1 || cluster.stats().dropped_to_failed < 1)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    let stats = cluster.stats();
-    let cluster_counts = (
-        stats.messages,
-        stats.bytes,
-        stats.dropped_to_failed,
-        stats.dropped_in_window,
-    );
-    cluster.shutdown();
+    let t0 = net.now();
+    let mid = Dur::from_millis(500);
+    net.settle(mid);
+    drv.advance(mid, |f| net.apply(f, no_joins));
+    net.request(0, vec![3]).unwrap();
+    // The rest of the script: settling to the window's end classifies
+    // the probe before the window heals.
+    drv.replay(&mut net, t0, no_joins);
+    net.request(0, vec![1, 2]).unwrap();
+    net.settle(Dur::from_millis(200));
+    net.stats()
+}
 
-    assert_eq!(sim_counts, (1, 64, 1, 1));
-    assert_eq!(sim_counts, cluster_counts);
+/// Every backend must *classify* identical sends identically under the
+/// same seeded `FaultScript`: a send to a live peer is traffic, a send
+/// to a killed node is `dropped_to_failed`, a send into an open drop
+/// window is `dropped_in_window`.
+#[test]
+fn stats_classify_identically_on_both_engines() {
+    let quiet_sim = |mut sim: Sim<Quiet>| {
+        for _ in 0..4 {
+            sim.add_node(Quiet);
+        }
+        sim
+    };
+    let counts = |s: NetStats| {
+        (
+            s.messages,
+            s.bytes,
+            s.dropped_to_failed,
+            s.dropped_in_window,
+        )
+    };
+    let one_core = classified(quiet_sim(Sim::new(NetConfig::latency_only(7))));
+    let two_cores = classified(quiet_sim(ShardedSim::new(
+        NetConfig::latency_only(7),
+        ShardMap::round_robin(2),
+    )));
+    let threads = classified(Cluster::spawn(vec![Quiet, Quiet, Quiet, Quiet], 7));
+    assert_eq!(counts(one_core.clone()), (1, 64, 1, 1));
+    assert_eq!(one_core, two_cores);
+    assert_eq!(one_core, threads);
+}
+
+/// Everything observable of one scripted run: the fault trace, result
+/// rows, traffic counters, and the final clock.
+type Observed = (Vec<Scheduled>, Vec<Tuple>, NetStats, Time);
+
+/// A live query workload under a churn script, driven through typed
+/// requests only.
+fn churned_join(
+    mut net: impl Deployment<PierNode>,
+    wl: &RsWorkload,
+    script: &FaultScript,
+) -> Observed {
+    let n = net.node_count();
+    publish_by_request(&mut net, "R", &wl.r, 0, lifetime());
+    publish_by_request(&mut net, "S", &wl.s, 0, lifetime());
+    net.settle(Dur::from_secs(8));
+    let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
+    net.request(0, NodeRequest::Submit(Box::new(desc)));
+    let mut drv = FaultDriver::new(script.clone());
+    let t0 = net.now();
+    drv.replay(&mut net, t0, |id| replacement_node(id, n));
+    net.settle(Dur::from_secs(20));
+    let rows = net
+        .request(0, NodeRequest::TimedResults(1))
+        .map(|r| r.into_timed_results())
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(_, row)| row)
+        .collect();
+    (drv.trace().to_vec(), rows, net.stats(), net.now())
 }
 
 /// The sharded engine's determinism pin: one seeded churn-with-rejoin
 /// script over a live query workload must produce **byte-identical**
 /// stats, fault traces, and result rows under W ∈ {1, 2, 4} shards and
-/// under the sequential `Sim`. This is the contract that lets the
-/// scale-up benchmarks swap engines freely.
+/// on the one-core `Sim`. This is the contract that lets the scale-up
+/// benchmarks swap engines freely.
 #[test]
 fn churn_scripts_are_byte_identical_under_sharding() {
     const N: usize = 12;
@@ -377,89 +286,15 @@ fn churn_scripts_are_byte_identical_under_sharding() {
     )
     .with_drop_window(0, Dur::from_secs(10), Dur::from_secs(5));
 
-    // Drives the same scripted run on any engine; returns everything
-    // observable: the fault trace, result rows, merged stats, the event
-    // count, and the final clock.
-    fn drive<E: PierEngine>(
-        mut sim: E,
-        wl: &RsWorkload,
-        script: &FaultScript,
-        fail: impl Fn(&mut E, NodeId),
-        revive: impl Fn(&mut E, NodeId) -> bool,
-        drop: impl Fn(&mut E, NodeId, bool),
-    ) -> (Vec<Scheduled>, Vec<Tuple>, u64, u64, Vec<u64>, Time) {
-        publish_round_robin(&mut sim, "R", &wl.r, 0, Dur::from_secs(100_000));
-        publish_round_robin(&mut sim, "S", &wl.s, 0, Dur::from_secs(100_000));
-        settle_publish(&mut sim);
-        let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-        sim.with_node(0, |node, ctx| node.submit(ctx, desc));
-        let mut drv = FaultDriver::new(script.clone());
-        let t0 = sim.now();
-        while let Some(at) = drv.next_at() {
-            let target = t0 + at;
-            sim.run_for(target.since(sim.now()));
-            drv.advance(sim.now().since(t0), |f| match *f {
-                Fault::Kill { node } => fail(&mut sim, node),
-                Fault::DropStart { node } => drop(&mut sim, node, true),
-                Fault::DropEnd { node } => drop(&mut sim, node, false),
-                Fault::Join { node } => {
-                    assert!(revive(&mut sim, node));
-                }
-            });
-        }
-        sim.run_for(Dur::from_secs(20));
-        let rows = sim
-            .node(0)
-            .map(|n| {
-                rows_of(
-                    &n.query_results(1)
-                        .iter()
-                        .map(|(t, r)| (t.since(t0), r.clone()))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .unwrap_or_default();
-        let stats = sim.net_stats();
-        (
-            drv.trace().to_vec(),
-            rows,
-            stats.messages,
-            stats.bytes,
-            stats.inbound_bytes.clone(),
-            sim.now(),
-        )
-    }
-
-    let cfg = DhtConfig::static_network();
-    let seq = drive(
-        stabilized_pier_sim(N, cfg.clone(), NetConfig::latency_only(5)),
-        &wl,
-        &script,
-        |s, id| s.fail_node(id),
-        |s, id| s.revive(id, replacement_node(id, N)),
-        |s, id, on| s.set_inbound_drop(id, on),
-    );
+    let seq = churned_join(sim(N, 5), &wl, &script);
     assert!(!seq.1.is_empty(), "workload must produce results");
+    assert_eq!(seq.0.len(), script.events().len());
 
     for w in [1usize, 2, 4] {
-        let sharded = drive(
-            stabilized_pier_sharded(
-                N,
-                cfg.clone(),
-                NetConfig::latency_only(5),
-                ShardMap::round_robin(w),
-            ),
-            &wl,
-            &script,
-            |s, id| s.fail_node(id),
-            |s, id| s.revive(id, replacement_node(id, N)),
-            |s, id, on| s.set_inbound_drop(id, on),
-        );
+        let sharded = churned_join(sharded(N, 5, w), &wl, &script);
         assert_eq!(seq.0, sharded.0, "fault traces diverge at W={w}");
         assert_eq!(seq.1, sharded.1, "result rows diverge at W={w}");
-        assert_eq!(seq.2, sharded.2, "message counts diverge at W={w}");
-        assert_eq!(seq.3, sharded.3, "byte counts diverge at W={w}");
-        assert_eq!(seq.4, sharded.4, "inbound bytes diverge at W={w}");
-        assert_eq!(seq.5, sharded.5, "clocks diverge at W={w}");
+        assert_eq!(seq.2, sharded.2, "traffic counters diverge at W={w}");
+        assert_eq!(seq.3, sharded.3, "clocks diverge at W={w}");
     }
 }

@@ -9,7 +9,7 @@ use pier::qp::testkit::*;
 use pier::qp::PierNode;
 use pier::simnet::time::Dur;
 use pier::simnet::topology::TransitStub;
-use pier::simnet::{NetConfig, Sim};
+use pier::simnet::{Deployment, NetConfig, Sim};
 use pier::workload::{RsParams, RsWorkload};
 use pier_dht::DhtConfig;
 use std::sync::Arc;
@@ -123,93 +123,38 @@ fn query_during_churn_degrades_gracefully() {
     assert!(p > 0.999, "no fabricated results: precision {p}");
 }
 
-#[test]
-fn threaded_cluster_runs_the_same_query() {
-    // The Fig. 8 configuration in miniature: real threads, wall clock.
-    let (t30, count) = pier_bench_threaded(8);
-    assert!(count >= 30, "got {count} results");
-    assert!(t30.is_some());
-}
-
-/// Minimal threaded run (mirrors pier-bench's fig8 helper without
-/// depending on the bench crate).
-fn pier_bench_threaded(n: usize) -> (Option<f64>, usize) {
-    use pier::qp::NodeRequest;
-    use pier::simnet::time::Time;
-    use pier::simnet::{Cluster, NodeId};
-
+/// The Fig. 8 configuration in miniature, on any backend: publish by
+/// request, run the join until its answer is stable, and report the
+/// time to the 30th tuple and the result count.
+fn deployed_join(mut net: impl Deployment<PierNode>, tick: Dur) -> (Option<Dur>, usize) {
     let wl = RsWorkload::generate(RsParams {
         s_rows: 40,
         seed: 8,
         ..Default::default()
     });
-    let cfg = DhtConfig::static_network();
-    let states = pier_dht::can::balanced_overlay(n, cfg.dims, Time::ZERO);
-    let apps: Vec<PierNode> = states
-        .into_iter()
-        .enumerate()
-        .map(|(i, st)| {
-            PierNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st), None)
-        })
-        .collect();
-    let cluster = Cluster::spawn(apps, 7);
-    let mut per_node: Vec<(Vec<pier::qp::Tuple>, Vec<pier::qp::Tuple>)> =
-        vec![(Vec::new(), Vec::new()); n];
-    for (i, row) in wl.r.iter().enumerate() {
-        per_node[i % n].0.push(row.clone());
-    }
-    for (i, row) in wl.s.iter().enumerate() {
-        per_node[i % n].1.push(row.clone());
-    }
-    for (i, (r, s)) in per_node.into_iter().enumerate() {
-        for (table, rows) in [("R", r), ("S", s)] {
-            cluster.request(
-                i as NodeId,
-                NodeRequest::PublishRows {
-                    table: table.to_string(),
-                    rows,
-                    pkey_col: 0,
-                    lifetime: Dur::from_secs(100_000),
-                },
-            );
-        }
-    }
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    publish_by_request(&mut net, "R", &wl.r, 0, Dur::from_secs(100_000));
+    publish_by_request(&mut net, "S", &wl.s, 0, Dur::from_secs(100_000));
+    net.settle(tick.saturating_mul(8));
     let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-    let t0 = cluster.now();
-    cluster.request(0, NodeRequest::Submit(Box::new(desc)));
-    let mut last = 0;
-    let mut stable = 0;
-    for _ in 0..100 {
-        std::thread::sleep(std::time::Duration::from_millis(40));
-        let c = cluster
-            .request(0, NodeRequest::ResultCount(1))
-            .expect("initiator alive")
-            .into_count();
-        if c == last && c > 0 {
-            stable += 1;
-            if stable > 5 {
-                break;
-            }
-        } else {
-            stable = 0;
-        }
-        last = c;
+    let results = run_query_by_request(&mut net, 0, desc, tick);
+    (time_to_kth(&results, 30), results.len())
+}
+
+#[test]
+fn threaded_cluster_runs_the_same_query() {
+    // Real threads, wall clock — and the same body on the simulator.
+    let cfg = DhtConfig::static_network;
+    let backends = [
+        deployed_join(stabilized_pier_cluster(8, cfg(), 7), Dur::from_millis(40)),
+        deployed_join(
+            stabilized_pier_sim(8, cfg(), NetConfig::latency_only(7)),
+            Dur::from_secs(1),
+        ),
+    ];
+    for (t30, count) in backends {
+        assert!(count >= 30, "got {count} results");
+        assert!(t30.is_some());
     }
-    let times: Vec<_> = cluster
-        .request(0, NodeRequest::TimedResults(1))
-        .expect("initiator alive")
-        .into_timed_results()
-        .into_iter()
-        .map(|(t, _)| t)
-        .collect();
-    cluster.shutdown();
-    let mut rel: Vec<f64> = times
-        .iter()
-        .map(|t| t.since(t0).as_secs_f64() * 1e3)
-        .collect();
-    rel.sort_by(f64::total_cmp);
-    (rel.get(29).copied(), rel.len())
 }
 
 #[test]

@@ -10,11 +10,9 @@ use pier::qp::plan::JoinStrategy;
 use pier::qp::semantics::same_multiset;
 use pier::qp::tenant::{AdmissionError, Quota};
 use pier::qp::testkit::*;
-use pier::qp::{
-    Expr, NodeRequest, PierNode, QueryDesc, QueryOp, ScanSpec, TableRate, Tuple, Value,
-};
-use pier::simnet::time::{Dur, Time};
-use pier::simnet::{Cluster, NetConfig, NodeId};
+use pier::qp::{Expr, PierNode, QueryDesc, QueryOp, ScanSpec, TableRate, Tuple, Value};
+use pier::simnet::time::Dur;
+use pier::simnet::{Deployment, NetConfig, NodeId};
 use pier::workload::{RsParams, RsWorkload};
 use pier_dht::DhtConfig;
 
@@ -230,38 +228,41 @@ fn token_bucket_shedding_keeps_cotenant_recall() {
 // Snapshot vs NetStats ground truth
 // ---------------------------------------------------------------------
 
-#[test]
-fn metrics_snapshot_matches_netstats_on_sim() {
+/// Run the workload join by typed request, then hold the
+/// request-gathered snapshot to the backend's own `NetStats` — typed
+/// equality and byte-for-byte JSON equality — and to what the join did.
+fn snapshot_matches_netstats(net: &mut impl Deployment<PierNode>, tick: Dur) {
     let wl = RsWorkload::generate(RsParams {
         s_rows: 15,
         seed: 77,
         ..Default::default()
     });
-    let n = 6;
-    let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(77));
-    publish_round_robin(&mut sim, "R", &wl.r, 0, lifetime());
-    publish_round_robin(&mut sim, "S", &wl.s, 0, lifetime());
-    settle_publish(&mut sim);
+    publish_by_request(net, "R", &wl.r, 0, lifetime());
+    publish_by_request(net, "S", &wl.s, 0, lifetime());
+    net.settle(tick.saturating_mul(8));
+    // Returns once the wire has gone quiet: result count stable.
     let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-    let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
+    let results = run_query_by_request(net, 0, desc, tick);
     assert!(same_multiset(
         &wl.expected(JoinStrategy::SymmetricHash),
         &rows_of(&results)
     ));
 
-    let snap = metrics_snapshot(&sim);
-    // Typed equality and byte-for-byte JSON equality against the
-    // engine's own counters.
-    assert_eq!(snap.net, sim.net_stats());
-    assert_eq!(net_stats_json(&snap.net), net_stats_json(&sim.net_stats()));
-    assert!(snap.to_json().contains(&net_stats_json(&sim.net_stats())));
+    let snap = deployment_snapshot(net);
+    let truth = net.stats();
+    assert_eq!(snap.net, truth, "snapshot == engine NetStats (typed)");
+    assert_eq!(
+        net_stats_json(&snap.net),
+        net_stats_json(&truth),
+        "snapshot == engine NetStats (byte-for-byte JSON)"
+    );
+    assert!(snap.to_json().contains(&net_stats_json(&truth)));
 
     // The per-query surface saw the join: every node installed it, and
     // the registry's result counter covers the initiator's multiset.
-    assert_eq!(snap.nodes.len(), n);
+    assert_eq!(snap.nodes.len(), net.node_count());
     for node in &snap.nodes {
         assert_eq!(node.registry.admitted_installs, 1, "node {}", node.node);
-        assert_eq!(node.mailbox_depth, 0, "simulators have no mailboxes");
         assert!(!node.occupancy.is_empty(), "published base state is live");
     }
     assert_eq!(
@@ -276,69 +277,18 @@ fn metrics_snapshot_matches_netstats_on_sim() {
 }
 
 #[test]
-fn metrics_snapshot_matches_netstats_on_cluster() {
-    let n = 4;
-    let cfg = DhtConfig::static_network();
-    let states = pier_dht::can::balanced_overlay(n, cfg.dims, Time::ZERO);
-    let apps: Vec<PierNode> = states
-        .into_iter()
-        .enumerate()
-        .map(|(i, st)| {
-            PierNode::with_dht(pier_dht::Dht::with_can(cfg.clone(), i as NodeId, st), None)
-        })
-        .collect();
-    let cluster = Cluster::spawn(apps, 42);
-
-    cluster.request(
-        1,
-        NodeRequest::PublishRows {
-            table: "T".to_string(),
-            rows: rows(0, 20),
-            pkey_col: 0,
-            lifetime: lifetime(),
-        },
-    );
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    cluster.request(0, NodeRequest::Submit(Box::new(scan_query(7, 0, "T", 0))));
-
-    // Wait until the wire goes quiet: result count stable.
-    let mut last = 0;
-    let mut stable = 0;
-    for _ in 0..200 {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let c = cluster
-            .request(0, NodeRequest::ResultCount(7))
-            .expect("initiator alive")
-            .into_count();
-        if c == last && c > 0 {
-            stable += 1;
-            if stable > 10 {
-                break;
-            }
-        } else {
-            stable = 0;
-        }
-        last = c;
-    }
-    assert_eq!(last, 20, "the standing scan saw every published row");
-
-    let snap = cluster_metrics_snapshot(&cluster);
-    let truth = cluster.stats();
-    assert_eq!(snap.net, truth, "snapshot == engine NetStats (typed)");
+fn metrics_snapshot_matches_netstats_on_sim() {
+    let mut sim = stabilized_pier_sim(6, DhtConfig::static_network(), NetConfig::latency_only(77));
+    snapshot_matches_netstats(&mut sim, Dur::from_secs(1));
+    // Reading the nodes in place gives the same snapshot.
     assert_eq!(
-        net_stats_json(&snap.net),
-        net_stats_json(&truth),
-        "snapshot == engine NetStats (byte-for-byte JSON)"
+        metrics_snapshot(&sim).to_json(),
+        deployment_snapshot(&mut sim).to_json()
     );
-    assert_eq!(snap.nodes.len(), n);
-    for node in &snap.nodes {
-        assert_eq!(node.registry.admitted_installs, 1);
-        assert_eq!(
-            node.mailbox_depth, 0,
-            "a quiesced actor's mailbox is empty (node {})",
-            node.node
-        );
-    }
-    assert_eq!(snap.total(|q| q.results_shipped), 20);
-    cluster.shutdown();
+}
+
+#[test]
+fn metrics_snapshot_matches_netstats_on_cluster() {
+    let mut cluster = stabilized_pier_cluster(6, DhtConfig::static_network(), 77);
+    snapshot_matches_netstats(&mut cluster, Dur::from_millis(50));
 }
