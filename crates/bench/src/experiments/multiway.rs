@@ -1,0 +1,53 @@
+//! Multi-way join pipelines (§7 "richer queries", built).
+
+use pier_core::plan::JoinStrategy;
+use pier_simnet::time::Dur;
+use pier_simnet::NetConfig;
+
+use super::{params_for_nodes, seeds};
+use crate::{average, full_scale, run_join, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
+
+/// Binary workload join vs the 3-way pipeline extension across network
+/// sizes: time-to-last, aggregate query traffic, and recall. The
+/// pipeline pays one extra rehash per added table but stays fully
+/// pipelined, so its latency grows by roughly one stage depth, not
+/// multiplicatively.
+pub fn multiway() {
+    let node_counts: Vec<usize> = if full_scale() {
+        vec![16, 64, 256, 1024]
+    } else {
+        vec![8, 16, 32]
+    };
+    let mut art = Artifact::new("multiway");
+    for &n in &node_counts {
+        let cfg = |seed| {
+            let mut params = params_for_nodes(n, seed);
+            params.t_rows = 80;
+            let mut run = JoinRun::new(
+                n,
+                JoinStrategy::SymmetricHash,
+                params,
+                NetConfig::paper_baseline(seed),
+            );
+            run.settle = Dur::from_secs(600);
+            run
+        };
+        let two: Vec<RunMetrics> = seeds().iter().map(|&s| run_join(&cfg(s))).collect();
+        let three: Vec<RunMetrics> = seeds().iter().map(|&s| run_multi_join(&cfg(s))).collect();
+        art.row([
+            ("nodes", n.into()),
+            ("2way_t_last_s", Cell::f(average(&two, |m| m.t_last), 2)),
+            ("3way_t_last_s", Cell::f(average(&three, |m| m.t_last), 2)),
+            (
+                "2way_traffic_mb",
+                Cell::f(average(&two, |m| m.traffic_mb), 2),
+            ),
+            (
+                "3way_traffic_mb",
+                Cell::f(average(&three, |m| m.traffic_mb), 2),
+            ),
+            ("3way_recall", Cell::f(average(&three, |m| m.recall), 2)),
+        ]);
+    }
+    art.emit();
+}

@@ -1,15 +1,22 @@
 //! # pier-bench
 //!
-//! Experiment harness for PIER (Huebsch et al., VLDB 2003): shared
-//! infrastructure for the binaries under `src/bin/` that regenerate
-//! every table and figure of the paper's §5. (Micro-operation timings
-//! live in the performance ledger, `benchmark/src/micro.rs`.)
+//! Experiment harness for PIER (Huebsch et al., VLDB 2003): one binary,
+//! `pier_bench`, over the registry [`experiments::EXPERIMENTS`], which
+//! regenerates every table and figure of the paper's §5 plus this
+//! repository's extensions. (Micro-operation timings live in the
+//! performance ledger, `benchmark/src/micro.rs`.)
 //!
-//! Each `exp_*` binary wraps one function of [`experiments`], prints a
-//! human-readable table, and writes CSV under `results/`; the
-//! experiment-binary index lives in the repository `README.md`. Run
+//! `pier_bench list` prints the index (also in the repository
+//! `README.md`), `pier_bench <name>…` runs the named experiments in the
+//! order given, `pier_bench all` the whole registry, `pier_bench gated`
+//! those whose artifact is committed. Each experiment builds one
+//! [`Artifact`], which prints a table and writes
+//! `results/BENCH_<name>.json`; a committed artifact holds only
+//! seed-determined values, so the regression gate is
+//! `pier_bench gated && git diff --exit-code -- results/`. Run
 //! parameters default to minutes-scale networks; [`full_scale`]
-//! (`PIER_FULL=1`) switches to paper-scale ones.
+//! (`PIER_FULL=1`) switches to paper-scale ones, written under
+//! `results/full/`.
 //!
 //! The building blocks here — [`JoinRun`] describing one distributed
 //! join run and [`RunMetrics`] carrying its measured outcomes
@@ -17,9 +24,11 @@
 //! traffic, recall) — are shared by the experiments and reusable from
 //! tests.
 
-pub mod gate;
+mod artifact;
+pub mod experiments;
 
-use std::fmt::Write as _;
+pub use artifact::{Artifact, Cell};
+
 use std::path::PathBuf;
 
 use pier_core::plan::{JoinStrategy, QueryDesc, QueryOp};
@@ -120,7 +129,7 @@ pub fn run_multi_join(cfg: &JoinRun) -> RunMetrics {
 
 /// Execute the narrow-SELECT 3-way pipeline (`R.pad` published but read
 /// by nobody downstream) with schema-aware pruning on or off — the
-/// `exp_pruning` measurement core.
+/// `pruning` experiment's measurement core.
 pub fn run_multi_join_pruning(cfg: &JoinRun, prune: bool) -> RunMetrics {
     let wl = RsWorkload::generate(cfg.params);
     let expected = wl.expected_multi_narrow();
@@ -189,9 +198,10 @@ fn execute_workload_query(
     }
 }
 
-/// Average a metric extractor over several seeds.
-pub fn average<F: Fn(u64) -> f64>(seeds: &[u64], f: F) -> f64 {
-    let vals: Vec<f64> = seeds
+/// Average `f` over `items` (seeds, runs, samples), skipping non-finite
+/// values; NaN when none is finite.
+pub fn average<T: Copy>(items: &[T], f: impl Fn(T) -> f64) -> f64 {
+    let vals: Vec<f64> = items
         .iter()
         .map(|&s| f(s))
         .filter(|v| v.is_finite())
@@ -203,81 +213,17 @@ pub fn average<F: Fn(u64) -> f64>(seeds: &[u64], f: F) -> f64 {
     }
 }
 
-/// A simple results table: header + rows, printed aligned and saved as
-/// CSV under `results/<name>.csv`.
-pub struct ResultTable {
-    pub name: String,
-    pub header: Vec<String>,
-    pub rows: Vec<Vec<String>>,
-}
-
-impl ResultTable {
-    pub fn new(name: &str, header: &[&str]) -> Self {
-        ResultTable {
-            name: name.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len());
-        self.rows.push(cells);
-    }
-
-    pub fn fmt_cell(v: f64) -> String {
-        if v.is_nan() {
-            "-".to_string()
-        } else if v >= 100.0 {
-            format!("{v:.0}")
-        } else {
-            format!("{v:.2}")
-        }
-    }
-
-    /// Print to stdout and write `results/<name>.csv`.
-    pub fn emit(&self) {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let line = |cells: &[String], widths: &[usize], out: &mut String| {
-            for (i, c) in cells.iter().enumerate() {
-                let _ = write!(out, "{:>w$}  ", c, w = widths[i]);
-            }
-            out.push('\n');
-        };
-        line(&self.header, &widths, &mut out);
-        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            line(row, &widths, &mut out);
-        }
-        println!("\n== {} ==\n{out}", self.name);
-
-        let dir = results_dir();
-        let _ = std::fs::create_dir_all(&dir);
-        let mut csv = self.header.join(",");
-        csv.push('\n');
-        for row in &self.rows {
-            csv.push_str(&row.join(","));
-            csv.push('\n');
-        }
-        let _ = std::fs::write(dir.join(format!("{}.csv", self.name)), csv);
-    }
-}
-
-/// Where experiment outputs land (workspace `results/`).
+/// Where artifacts land: the workspace `results/`, or `results/full/`
+/// at paper scale so a `PIER_FULL=1` run cannot overwrite the committed
+/// smoke-scale artifacts.
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.join("results")
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    if full_scale() {
+        results.join("full")
+    } else {
+        results
+    }
 }
 
 /// Paper-style label for a strategy (figure legends).
@@ -332,13 +278,58 @@ mod tests {
         assert!((avg - 2.0).abs() < 1e-9);
     }
 
+    /// The committed file format, byte for byte: every cell kind, the
+    /// `scaleup` shape (a ladder row and a W-sweep row with different
+    /// keys, wall-clock values as host cells) and a row lacking an
+    /// optional key. Host cells show in the table and nowhere else.
     #[test]
-    fn table_formatting_and_csv() {
-        let mut t = ResultTable::new("unit_test_table", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.emit();
-        let csv = std::fs::read_to_string(results_dir().join("unit_test_table.csv")).unwrap();
-        assert!(csv.starts_with("a,b\n1,2"));
+    fn artifact_renders_the_committed_layout() {
+        let mut art = Artifact::new("golden");
+        art.meta("workload", format!("{} \"quoted\" shapes", 2));
+        art.meta("run_s", Cell::f(1919.6, 0));
+        art.meta("host_cores", Cell::from(8usize).host());
+        art.row([
+            ("nodes", 100usize.into()),
+            ("events", 35_111u64.into()),
+            ("best_wall_s", Cell::f(0.0061, 3).host()),
+            ("recall", Cell::f(1.0, 4)),
+        ]);
+        art.row([
+            ("nodes", 100usize.into()),
+            ("w", 2u32.into()),
+            ("speedup_vs_seq", Cell::f(1.3456, 3).host()),
+            ("identical", true.into()),
+        ]);
+        for k in [1usize, 2] {
+            let slo = (k >= 2).then(|| ("slo_recall", Cell::f(0.98437, 4)));
+            let cells = [("tier", "mid".into()), ("k", k.into())].into_iter();
+            art.row(cells.chain(slo).chain([("t_30th", Cell::f(f64::NAN, 2))]));
+        }
+        let json = r#"{
+  "experiment": "golden",
+  "workload": "2 \"quoted\" shapes",
+  "run_s": 1920,
+  "rows": [
+    {"nodes": 100, "events": 35111, "recall": 1.0000},
+    {"nodes": 100, "w": 2, "identical": true},
+    {"tier": "mid", "k": 1, "t_30th": null},
+    {"tier": "mid", "k": 2, "slo_recall": 0.9844, "t_30th": null}
+  ]
+}
+"#;
+        assert_eq!(art.json(), json);
+        let table = r#"
+== golden ==
+workload: 2 \"quoted\" shapes
+run_s: 1920
+host_cores: 8
+nodes  events  best_wall_s  recall  w  speedup_vs_seq  identical  tier  k  t_30th  slo_recall
+---------------------------------------------------------------------------------------------
+  100   35111        0.006  1.0000  -               -          -     -  -       -           -
+  100       -            -       -  2           1.346       true     -  -       -           -
+    -       -            -       -  -               -          -   mid  1    null           -
+    -       -            -       -  -               -          -   mid  2    null      0.9844
+"#;
+        assert_eq!(art.table(), table);
     }
 }
-pub mod experiments;

@@ -389,14 +389,6 @@ impl<A: App> EngineCore<A> {
             .is_some_and(|s| s.app.is_some())
     }
 
-    /// Number of owned, live nodes.
-    pub(crate) fn alive_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|s| s.as_ref().is_some_and(|s| s.app.is_some()))
-            .count()
-    }
-
     pub(crate) fn revive(&mut self, id: NodeId, app: A) -> bool {
         let now = self.now;
         let rng = self.seed_rng(id);
@@ -788,10 +780,6 @@ impl<A: App> Sim<A> {
 
     pub fn node_count(&self) -> usize {
         self.node_count
-    }
-
-    pub fn alive_count(&self) -> usize {
-        self.cores.iter().map(|c| c.alive_count()).sum()
     }
 
     /// The engine clock. Every run leaves all cores at the same instant.
