@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Layering guard: the provider does not know its overlay.
+#
+# crates/dht/src/dht.rs is the provider of §3.2.3: pending lookups,
+# both stores, replication, repair, re-homing, multicast dedup. What it
+# asks of the routing layer goes through the methods of `Overlay`
+# (crates/dht/src/overlay.rs, the paper's Table 1), each a two-arm
+# delegation to CanState / ChordState. The provider file therefore names
+# no geometry type and no overlay message, never matches on the overlay
+# and needs no `unreachable!` to hand a message to its own helper; the
+# only two places it may name a variant are the `with_can` /
+# `with_chord` constructors. Comment lines are not checked: prose may
+# name what code may not.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+FILE=crates/dht/src/dht.rs
+FORBIDDEN='CanMsg|ChordMsg|FindPurpose|ring_of_key|geom::|\bZone\b|\bPoint\b|unreachable!|match &(mut )?self\.overlay|let Overlay::'
+VARIANT='Overlay::(Can|Chord)'
+
+code=$(grep -nvE '^[[:space:]]*//' "$FILE")
+hits=$(echo "$code" | grep -E "$FORBIDDEN" || true)
+variants=$(echo "$code" | grep -E "$VARIANT" || true)
+
+status=0
+if [ -n "$hits" ]; then
+    echo "layering guard: $FILE names overlay internals — that code belongs behind a method of Overlay (crates/dht/src/overlay.rs), implemented in can.rs / chord.rs" >&2
+    echo "$hits" >&2
+    status=1
+fi
+if [ "$(echo -n "$variants" | grep -c '')" -gt 2 ]; then
+    echo "layering guard: $FILE names an Overlay variant outside with_can / with_chord — add a method to Overlay (crates/dht/src/overlay.rs) instead of matching here" >&2
+    echo "$variants" >&2
+    status=1
+fi
+if [ "$status" -eq 0 ]; then
+    echo "layering guard: OK ($FILE is overlay-agnostic)"
+fi
+exit "$status"

@@ -123,6 +123,14 @@ pub enum PierMsg {
     },
 }
 
+/// The DHT sublayer speaks `DhtMsg<QpItem>`; on the wire it travels
+/// inside this envelope (what lets `pier_dht::CtxEnv` host it).
+impl From<DhtMsg<QpItem>> for PierMsg {
+    fn from(msg: DhtMsg<QpItem>) -> Self {
+        PierMsg::Dht(msg)
+    }
+}
+
 impl Wire for PierMsg {
     fn wire_size(&self) -> usize {
         match self {

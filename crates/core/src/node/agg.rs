@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 
 use pier_dht::msg::Entry;
-use pier_dht::Rid;
+use pier_dht::{CtxEnv, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, PierEnv, PierNode, QueryInstance, TimerAction};
+use super::{for_each_live, PierNode, QueryInstance, TimerAction};
 use crate::agg::GroupAccs;
 use crate::item::{PierMsg, QpItem};
 use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
@@ -197,7 +197,7 @@ impl PierNode {
         let groups = self.harvest_groups(qid, agg, ctx.now);
         let na = qns::agg(qid);
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (group, accs) in groups {
             let rid = group_rid(&group);

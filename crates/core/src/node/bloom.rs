@@ -3,9 +3,10 @@
 //! them, and each side's rehash ([`PierNode::rehash_table`]) is gated by
 //! the filter over the opposite table's keys.
 
+use pier_dht::CtxEnv;
 use pier_simnet::app::Ctx;
 
-use super::{for_each_live, NsRole, PierEnv, PierNode, TimerAction};
+use super::{for_each_live, NsRole, PierNode, TimerAction};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
@@ -35,7 +36,7 @@ impl PierNode {
             });
             work.push((side, filter));
         }
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (side, filter) in work {
             let ns = qns::bloom(qid, side == Side::Right);
@@ -123,7 +124,7 @@ impl PierNode {
         // "The filters are OR-ed together and then multicast to all nodes
         // storing the opposite table" — our multicast reaches all nodes;
         // non-holders simply have nothing to rehash.
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Bloom { qid, side, filter }, &mut events);

@@ -6,11 +6,11 @@
 //! [`PierNode::finish`], like the pipeline's last stage.
 
 use pier_dht::msg::Entry;
-use pier_dht::Rid;
+use pier_dht::{CtxEnv, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
-use super::{for_each_live, GetPurpose, PairFetch, PierEnv, PierNode};
+use super::{for_each_live, GetPurpose, PairFetch, PierNode};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
 use crate::tuple::Tuple;
@@ -48,7 +48,7 @@ impl PierNode {
             );
             work.push((rid, token));
         }
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (rid, token) in work {
             self.dht.get(&mut env, right_ns, rid, token, &mut events);
@@ -203,7 +203,7 @@ impl PierNode {
                 ident,
             },
         );
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (side, ns, rid) in [(Side::Left, left_ns, rid_l), (Side::Right, right_ns, rid_r)] {
             let token = self.token();

@@ -27,14 +27,12 @@ pub use service::{NodeRequest, NodeResponse, PublishReport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use pier_dht::env::DhtEnv;
 use pier_dht::event::DhtEvent;
 use pier_dht::msg::Entry;
-use pier_dht::{Dht, DhtConfig, Ns, DHT_TICK_TOKEN};
+use pier_dht::{CtxEnv, Dht, DhtConfig, Ns, DHT_TICK_TOKEN};
 use pier_simnet::app::{App, Ctx};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::NodeId;
-use rand::Rng;
 
 use crate::agg::GroupAccs;
 use crate::item::{PierMsg, QpItem, Side};
@@ -43,30 +41,6 @@ use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpe
 use crate::tenant::TenantGovernor;
 use crate::tuple::{FlatRow, Tuple};
 use crate::value::Value;
-
-/// Adapter: the DHT sublayer speaks `DhtMsg<QpItem>`, wrapped in
-/// [`PierMsg::Dht`] on the wire.
-struct PierEnv<'a, 'b> {
-    ctx: &'a mut Ctx<'b, PierMsg>,
-}
-
-impl<'a, 'b> DhtEnv<QpItem> for PierEnv<'a, 'b> {
-    fn now(&self) -> Time {
-        self.ctx.now
-    }
-    fn me(&self) -> NodeId {
-        self.ctx.me
-    }
-    fn send(&mut self, to: NodeId, msg: pier_dht::msg::DhtMsg<QpItem>) {
-        self.ctx.send(to, PierMsg::Dht(msg));
-    }
-    fn timer(&mut self, after: Dur, token: u64) {
-        self.ctx.set_timer(after, token);
-    }
-    fn rand64(&mut self) -> u64 {
-        self.ctx.rng.gen()
-    }
-}
 
 /// What an outstanding DHT `get` was issued for.
 enum GetPurpose {
@@ -727,7 +701,7 @@ impl App for PierNode {
         if self.dht.is_joined() {
             ctx.set_timer(self.dht.cfg.tick, DHT_TICK_TOKEN);
         } else {
-            let mut env = PierEnv { ctx };
+            let mut env = CtxEnv { ctx };
             self.dht.start(&mut env, bootstrap);
         }
     }
@@ -735,7 +709,7 @@ impl App for PierNode {
     fn on_message(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, msg: PierMsg) {
         match msg {
             PierMsg::Dht(m) => {
-                let mut env = PierEnv { ctx };
+                let mut env = CtxEnv { ctx };
                 let mut events = Vec::new();
                 self.dht.handle_message(&mut env, from, m, &mut events);
                 self.pump(ctx, events);
@@ -754,7 +728,7 @@ impl App for PierNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<PierMsg>, token: u64) {
         if token == DHT_TICK_TOKEN {
-            let mut env = PierEnv { ctx };
+            let mut env = CtxEnv { ctx };
             let mut events = Vec::new();
             self.dht.handle_timer(&mut env, token, &mut events);
             self.pump(ctx, events);

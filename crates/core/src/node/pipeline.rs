@@ -5,11 +5,11 @@
 //! ([`PierNode::finish`]). A two-table join is the one-stage case.
 
 use pier_dht::msg::Entry;
-use pier_dht::{Ns, Rid};
+use pier_dht::{CtxEnv, Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, JoinPlan, PierEnv, PierNode};
+use super::{for_each_live, JoinPlan, PierNode};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
@@ -78,7 +78,7 @@ impl PierNode {
         lifetime: Dur,
         puts: Vec<(Rid, u32, QpItem)>,
     ) {
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (rid, base_iid, item) in puts {
             let iid = self.derived_iid(base_iid, salt);
@@ -103,7 +103,7 @@ impl PierNode {
         lifetime: Dur,
     ) {
         self.record_rehash(qid, ns, rid, iid, &item);
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         self.dht
             .put(&mut env, ns, rid, iid, item, lifetime, &mut events);

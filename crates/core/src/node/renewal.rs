@@ -5,12 +5,12 @@
 //! [`TimerAction::RenewQuery`] loop, at the period its descriptor
 //! carries.
 
-use pier_dht::{Ns, Rid};
+use pier_dht::{CtxEnv, Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 use pier_simnet::Wire;
 
-use super::{PierEnv, PierNode, PublishReport, TimerAction};
+use super::{PierNode, PublishReport, TimerAction};
 use crate::item::{PierMsg, QpItem};
 use crate::plan::QueryDesc;
 use crate::tuple::{FlatRow, Tuple};
@@ -82,7 +82,7 @@ impl PierNode {
     ) -> PublishReport {
         let ns = pier_dht::ns_of(table);
         let mut report = PublishReport::default();
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for row in rows {
             let rid = row.get(pkey_col).hash64();
@@ -124,7 +124,7 @@ impl PierNode {
     }
 
     pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for rec in &self.published {
             self.dht.renew(
@@ -185,7 +185,7 @@ impl PierNode {
             return;
         };
         let horizon = Self::query_horizon(&inst.desc);
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for rec in &inst.rehash_pubs {
             self.dht.renew(

@@ -4,10 +4,11 @@
 
 use std::sync::Arc;
 
+use pier_dht::CtxEnv;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{PierEnv, PierNode};
+use super::PierNode;
 use crate::item::{PierMsg, QpItem};
 use crate::metrics::NodeMetrics;
 use crate::plan::{qns, QueryDesc};
@@ -18,7 +19,7 @@ impl PierNode {
     /// Submit a query: multicast the descriptor to all nodes (§3.3).
     pub fn submit(&mut self, ctx: &mut Ctx<PierMsg>, desc: QueryDesc) {
         self.results.entry(desc.qid).or_default();
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Query(Arc::new(desc)), &mut events);
@@ -59,7 +60,7 @@ impl PierNode {
     /// within one lifetime (§3.2.3 reclamation-by-expiry). Results
     /// already collected at the initiator stay readable.
     pub fn cancel(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let mut env = PierEnv { ctx };
+        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Cancel { qid }, &mut events);

@@ -10,8 +10,6 @@
 //! place; they predate the first family and stay because the read-only
 //! performance ledger (`benchmark/`) is written against them.
 
-use pier_dht::can::balanced_overlay;
-use pier_dht::chord::balanced_chord_overlay;
 use pier_dht::{Dht, DhtConfig};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{Cluster, Deployment, NetConfig, NetStats, NodeId, ShardMap, ShardedSim, Sim};
@@ -74,18 +72,10 @@ impl PierEngine for Sim<PierNode> {
 /// Pre-stabilized PIER automata for ids `0..n` on the configured
 /// overlay — the common substrate of every engine builder here.
 pub fn stabilized_pier_nodes(n: usize, cfg: &DhtConfig) -> Vec<PierNode> {
-    match cfg.overlay {
-        pier_dht::OverlayKind::Can => balanced_overlay(n, cfg.dims, Time::ZERO)
-            .into_iter()
-            .enumerate()
-            .map(|(i, st)| PierNode::with_dht(Dht::with_can(cfg.clone(), i as NodeId, st), None))
-            .collect(),
-        pier_dht::OverlayKind::Chord => balanced_chord_overlay(n, Time::ZERO)
-            .into_iter()
-            .enumerate()
-            .map(|(i, st)| PierNode::with_dht(Dht::with_chord(cfg.clone(), i as NodeId, st), None))
-            .collect(),
-    }
+    Dht::stabilized(n, cfg)
+        .into_iter()
+        .map(|dht| PierNode::with_dht(dht, None))
+        .collect()
 }
 
 fn seated(mut sim: Sim<PierNode>, n: usize, cfg: &DhtConfig) -> Sim<PierNode> {

@@ -12,20 +12,19 @@
 //! a (recent, consistent) candidate set and deterministically elect the
 //! same claimant — smallest (volume, id) — avoiding most claim races.
 //! Residual races are healed by the relinquish rule in
-//! [`CanState::handle_takeover`].
+//! `CanState::handle_takeover`.
 
 use std::collections::BTreeMap;
 
 use pier_simnet::time::Time;
 use pier_simnet::{NodeId, Wire};
 
-use crate::env::{send_metered, DhtEnv};
+use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::{Point, Zone};
-use crate::msg::{CanMsg, DhtMsg, Entry};
-use crate::storage::StorageManager;
-use crate::traffic::TrafficMeter;
-use crate::DhtConfig;
+use crate::msg::{CanMsg, DhtMsg, Entry, RepairScope};
+use crate::overlay::{LookupStep, Routed};
+use crate::{DhtConfig, ROUTE_TTL};
 
 /// What this node knows about one neighbor.
 #[derive(Debug, Clone)]
@@ -63,6 +62,16 @@ pub struct CanState {
     pending_claims: BTreeMap<NodeId, PendingClaim>,
 }
 
+/// Where greedy routing sends a point from here.
+enum Route {
+    /// One of our zones contains it.
+    Here,
+    /// Forward to this neighbor, the one nearest to it.
+    Via(NodeId),
+    /// Not ours and no neighbors (a lone or not-yet-joined node).
+    Stuck,
+}
+
 #[derive(Debug, Clone)]
 struct PendingClaim {
     zones: Vec<Zone>,
@@ -92,29 +101,15 @@ impl CanState {
         self.joined = true;
     }
 
-    /// Install a precomputed zone + neighbor set (balanced bootstrap).
-    pub fn install(&mut self, zones: Vec<Zone>, neighbors: BTreeMap<NodeId, NeighborInfo>) {
-        self.zones = zones;
-        self.neighbors = neighbors;
-        self.joined = true;
-    }
-
     /// Ask `bootstrap` to locate a random point for us to join at.
-    pub fn start_join<V: Wire + Clone>(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        bootstrap: NodeId,
-    ) {
-        let p = Point::from_key(env.rand64(), self.d);
-        send_metered(
-            env,
-            meter,
+    pub fn start_join<V: Wire>(&mut self, io: &mut Lend<'_, V>, bootstrap: NodeId) {
+        let p = Point::from_key(io.env.rand64(), self.d);
+        io.send(
             bootstrap,
             DhtMsg::Can(CanMsg::JoinLocate {
                 joiner: self.me,
                 p,
-                ttl: crate::ROUTE_TTL,
+                ttl: ROUTE_TTL,
             }),
         );
     }
@@ -123,13 +118,9 @@ impl CanState {
         self.zones.iter().any(|z| z.contains(p, self.d))
     }
 
-    /// Squared distance from our closest zone to `p`.
-    pub fn min_dist2(&self, p: Point) -> u128 {
-        self.zones
-            .iter()
-            .map(|z| z.dist2(p, self.d))
-            .min()
-            .unwrap_or(u128::MAX)
+    /// Do we own the point `key` hashes to in this overlay's `d`?
+    pub fn owns_key(&self, key: u64) -> bool {
+        self.owns_point(Point::from_key(key, self.d))
     }
 
     /// Greedy next hop: the neighbor whose zone is nearest to `p`
@@ -150,6 +141,35 @@ impl CanState {
             .map(|(_, id)| id)
     }
 
+    /// The one routing decision every routed message takes: handle `p`
+    /// here, hand it to the neighbor nearest to it, or hold it.
+    fn route(&self, p: Point) -> Route {
+        if self.owns_point(p) {
+            Route::Here
+        } else {
+            self.next_hop(p).map_or(Route::Stuck, Route::Via)
+        }
+    }
+
+    /// One provider lookup step (Table 1's `lookup`): resolved here, or
+    /// the message to forward and to whom.
+    pub fn lookup_step<V>(&self, key: u64, token: u64, origin: NodeId) -> LookupStep<V> {
+        match self.route(Point::from_key(key, self.d)) {
+            Route::Here => LookupStep::Owner(self.me),
+            Route::Via(next) => LookupStep::Forward(
+                next,
+                DhtMsg::Can(CanMsg::Lookup {
+                    key,
+                    token,
+                    origin,
+                    ttl: ROUTE_TTL,
+                }),
+            ),
+            // No neighbors: single-node overlay; retried on tick.
+            Route::Stuck => LookupStep::Stuck,
+        }
+    }
+
     /// Total volume owned — the takeover tie-break metric (the smallest
     /// node absorbs the dead zone, which keeps the partition balanced).
     pub fn volume(&self) -> u128 {
@@ -168,28 +188,37 @@ impl CanState {
         ids
     }
 
+    /// The peers asked for repair data: every neighbor — the union of
+    /// all placement targets whose primaries could have replicated into
+    /// the region we now own.
+    pub fn repair_peers(&self) -> Vec<NodeId> {
+        self.neighbors.keys().copied().collect()
+    }
+
+    /// Our current ownership region, as an anti-entropy repair scope.
+    pub fn repair_scope(&self) -> RepairScope {
+        RepairScope::Zones(self.zones.clone())
+    }
+
+    /// Does `key` fall inside a requester's `scope`? Judged in the
+    /// dimensionality this node's zones actually have; a ring scope
+    /// covers nothing here.
+    pub fn covers(&self, scope: &RepairScope, key: u64) -> bool {
+        let RepairScope::Zones(zones) = scope else {
+            return false;
+        };
+        let p = Point::from_key(key, self.d);
+        zones.iter().any(|z| z.contains(p, self.d))
+    }
+
     fn adjacent_to_mine(&self, zones: &[Zone]) -> bool {
         zones
             .iter()
             .any(|z| self.zones.iter().any(|m| m.is_neighbor(z, self.d)))
     }
 
-    /// Integrate a zone announcement from `from`.
-    pub fn handle_neighbor_update(&mut self, now: Time, from: NodeId, zones: Vec<Zone>) {
-        self.integrate_announcement(now, from, zones, None);
-    }
-
-    /// Integrate a heartbeat (zones + the sender's neighbor map).
-    pub fn handle_heartbeat(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        zones: Vec<Zone>,
-        their_neighbors: Vec<(NodeId, Vec<Zone>)>,
-    ) {
-        self.integrate_announcement(now, from, zones, Some(their_neighbors));
-    }
-
+    /// Integrate a zone announcement from `from`; a heartbeat also
+    /// carries the sender's neighbor map.
     fn integrate_announcement(
         &mut self,
         now: Time,
@@ -215,16 +244,141 @@ impl CanState {
         }
     }
 
+    /// Dispatch one CAN message. Returns what is left for the provider:
+    /// a multicast payload to deliver here, or nothing.
+    pub fn handle<V: Wire + Clone>(
+        &mut self,
+        io: &mut Lend<'_, V>,
+        from: NodeId,
+        msg: CanMsg<V>,
+    ) -> Routed<V> {
+        match msg {
+            CanMsg::JoinLocate { joiner, p, ttl } => match self.route(p) {
+                Route::Here => self.handle_join_locate(io, joiner, p),
+                Route::Via(next) if ttl > 0 => io.send(
+                    next,
+                    DhtMsg::Can(CanMsg::JoinLocate {
+                        joiner,
+                        p,
+                        ttl: ttl - 1,
+                    }),
+                ),
+                _ => {}
+            },
+            CanMsg::JoinOffer {
+                zone,
+                neighbors,
+                items,
+            } => self.handle_join_offer(io, zone, neighbors, items),
+            CanMsg::NeighborUpdate { zones } => {
+                self.integrate_announcement(io.env.now(), from, zones, None);
+            }
+            CanMsg::Heartbeat { zones, neighbors } => {
+                self.integrate_announcement(io.env.now(), from, zones, Some(neighbors));
+            }
+            CanMsg::Takeover { dead, zones } => self.handle_takeover(io, from, dead, zones),
+            CanMsg::Leave {
+                zones,
+                items,
+                neighbors,
+            } => self.handle_leave(io, from, zones, items, neighbors),
+            CanMsg::Lookup {
+                key,
+                token,
+                origin,
+                ttl,
+            } => match self.route(Point::from_key(key, self.d)) {
+                Route::Here => io.send(origin, DhtMsg::LookupReply { token, key }),
+                Route::Via(next) if ttl > 0 => io.send(
+                    next,
+                    DhtMsg::Can(CanMsg::Lookup {
+                        key,
+                        token,
+                        origin,
+                        ttl: ttl - 1,
+                    }),
+                ),
+                _ => {}
+            },
+            CanMsg::Mcast {
+                id,
+                origin,
+                rect,
+                payload,
+                ttl,
+            } => return self.route_mcast(io, id, origin, rect, payload, ttl),
+        }
+        Routed::Nothing
+    }
+
+    /// Start a multicast: route the whole-space rectangle like any other
+    /// fragment. The initiator rarely owns the center of the space, and
+    /// its own delivery arrives when the flood reaches its zone.
+    pub fn multicast<V: Wire + Clone>(
+        &self,
+        io: &mut Lend<'_, V>,
+        id: u64,
+        origin: NodeId,
+        payload: V,
+    ) -> Routed<V> {
+        self.route_mcast(io, id, origin, Zone::whole(self.d), payload, ROUTE_TTL)
+    }
+
+    /// Route a multicast fragment toward its rectangle's center. The
+    /// owner of the center delivers, then recurses into the parts of the
+    /// rectangle its zone does not cover (directed flood).
+    fn route_mcast<V: Wire + Clone>(
+        &self,
+        io: &mut Lend<'_, V>,
+        id: u64,
+        origin: NodeId,
+        rect: Zone,
+        payload: V,
+        ttl: u16,
+    ) -> Routed<V> {
+        let d = self.d;
+        let center = rect.center(d);
+        match self.route(center) {
+            Route::Here => {
+                let zone = self.zones.iter().find(|z| z.contains(center, d));
+                let covered = zone.and_then(|z| z.intersection(&rect, d));
+                if let Some(covered) = covered.filter(|_| ttl > 0) {
+                    for sub in rect.subtract(&covered, d) {
+                        // A fragment that lands in another of our zones
+                        // asks for a second delivery; one is enough.
+                        self.route_mcast(io, id, origin, sub, payload.clone(), ttl - 1);
+                    }
+                }
+                Routed::Deliver {
+                    id,
+                    origin,
+                    payload,
+                }
+            }
+            Route::Via(next) => {
+                io.send(
+                    next,
+                    DhtMsg::Can(CanMsg::Mcast {
+                        id,
+                        origin,
+                        rect,
+                        payload,
+                        ttl,
+                    }),
+                );
+                Routed::Nothing
+            }
+            Route::Stuck => Routed::Nothing,
+        }
+    }
+
     /// A joiner's chosen point landed in our zone: split it and hand half
     /// (plus the items it covers) to the joiner.
-    pub fn handle_join_locate<V: Wire + Clone>(
+    fn handle_join_locate<V: Wire + Clone>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        store: &mut StorageManager<V>,
+        io: &mut Lend<'_, V>,
         joiner: NodeId,
         p: Point,
-        events: &mut Vec<DhtEvent<V>>,
     ) {
         if joiner == self.me || !self.joined {
             return;
@@ -248,7 +402,7 @@ impl CanState {
         // Hand off stored items no longer covered by our zones.
         let d = self.d;
         let zones = self.zones.clone();
-        let items = store.extract_not_owned(|key| {
+        let items = io.store.extract_not_owned(|key| {
             let pt = Point::from_key(key, d);
             zones.iter().any(|z| z.contains(pt, d))
         });
@@ -260,9 +414,7 @@ impl CanState {
                 .iter()
                 .map(|(&id, info)| (id, info.zones.clone())),
         );
-        send_metered(
-            env,
-            meter,
+        io.send(
             joiner,
             DhtMsg::Can(CanMsg::JoinOffer {
                 zone: theirs,
@@ -274,10 +426,10 @@ impl CanState {
         // Announce our shrunken zone to everyone who knew the old one —
         // *before* pruning, so ex-neighbors drop us instead of holding a
         // stale entry that would later trigger a bogus takeover.
-        let now = env.now();
+        let now = io.env.now();
         self.neighbors
             .insert(joiner, NeighborInfo::new(vec![theirs], now));
-        self.announce(env, meter);
+        self.announce(io);
         let my_zones = self.zones.clone();
         let dd = self.d;
         self.neighbors.retain(|_, info| {
@@ -285,28 +437,24 @@ impl CanState {
                 .iter()
                 .any(|z| my_zones.iter().any(|m| m.is_neighbor(z, dd)))
         });
-        events.push(DhtEvent::LocationMapChanged);
+        io.events.push(DhtEvent::LocationMapChanged);
     }
 
     /// We received our zone assignment: install it and introduce
     /// ourselves to the neighborhood.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_join_offer<V: Wire + Clone>(
+    fn handle_join_offer<V: Wire + Clone>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        store: &mut StorageManager<V>,
+        io: &mut Lend<'_, V>,
         zone: Zone,
         candidates: Vec<(NodeId, Vec<Zone>)>,
         items: Vec<Entry<V>>,
-        events: &mut Vec<DhtEvent<V>>,
     ) {
         if self.joined {
             return; // duplicate offer from a retried join
         }
         self.zones = vec![zone];
         self.joined = true;
-        let now = env.now();
+        let now = io.env.now();
         for (id, zones) in candidates {
             if id != self.me && self.adjacent_to_mine(&zones) {
                 self.neighbors.insert(id, NeighborInfo::new(zones, now));
@@ -315,19 +463,17 @@ impl CanState {
         for e in items {
             // Transferred items are not "new data": they were already
             // announced at the previous owner.
-            store.store(e);
+            io.store.store(e);
         }
-        self.announce(env, meter);
-        events.push(DhtEvent::Joined);
-        events.push(DhtEvent::LocationMapChanged);
+        self.announce(io);
+        io.events.push(DhtEvent::Joined);
+        io.events.push(DhtEvent::LocationMapChanged);
     }
 
     /// Broadcast our current zone list to every neighbor.
-    fn announce<V: Wire + Clone>(&self, env: &mut dyn DhtEnv<V>, meter: &mut TrafficMeter) {
+    fn announce<V: Wire>(&self, io: &mut Lend<'_, V>) {
         for &id in self.neighbors.keys() {
-            send_metered(
-                env,
-                meter,
+            io.send(
                 id,
                 DhtMsg::Can(CanMsg::NeighborUpdate {
                     zones: self.zones.clone(),
@@ -339,13 +485,12 @@ impl CanState {
     /// Another node claims a dead node's zones. Claim race backstop: if
     /// we also absorbed any of these zones and the other claimant has the
     /// smaller id, we relinquish ours.
-    pub fn handle_takeover<V>(
+    fn handle_takeover<V>(
         &mut self,
-        now: Time,
+        io: &mut Lend<'_, V>,
         from: NodeId,
         dead: NodeId,
         zones: Vec<Zone>,
-        events: &mut Vec<DhtEvent<V>>,
     ) {
         self.neighbors.remove(&dead);
         self.pending_claims.remove(&dead);
@@ -374,28 +519,21 @@ impl CanState {
             }
             self.zones = kept;
             if changed {
-                events.push(DhtEvent::LocationMapChanged);
+                io.events.push(DhtEvent::LocationMapChanged);
             }
         }
-        self.handle_neighbor_update(now, from, zones);
+        self.integrate_announcement(io.env.now(), from, zones, None);
     }
 
     /// Graceful departure (Table 1 `leave()`): hand zones and items to
     /// the best neighbor (merge-compatible if possible, else smallest).
-    pub fn leave<V: Wire + Clone>(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        store: &mut StorageManager<V>,
-    ) -> bool {
+    pub fn leave<V: Wire>(&mut self, io: &mut Lend<'_, V>) {
         let Some(target) = self.pick_leave_target() else {
-            return false;
+            return; // no neighbor to hand over to
         };
-        let items: Vec<Entry<V>> = store.extract_not_owned(|_| false);
+        let items: Vec<Entry<V>> = io.store.extract_not_owned(|_| false);
         let neighbor_ids: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        send_metered(
-            env,
-            meter,
+        io.send(
             target,
             DhtMsg::Can(CanMsg::Leave {
                 zones: std::mem::take(&mut self.zones),
@@ -407,9 +545,7 @@ impl CanState {
         // them drop us immediately instead of waiting out the keepalive).
         for id in neighbor_ids {
             if id != target {
-                send_metered(
-                    env,
-                    meter,
+                io.send(
                     id,
                     DhtMsg::Can(CanMsg::Takeover {
                         dead: self.me,
@@ -420,7 +556,6 @@ impl CanState {
         }
         self.joined = false;
         self.neighbors.clear();
-        true
     }
 
     fn pick_leave_target(&self) -> Option<NodeId> {
@@ -448,22 +583,18 @@ impl CanState {
     }
 
     /// Absorb a leaving neighbor's zones and items.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_leave<V: Wire + Clone>(
+    fn handle_leave<V: Wire>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        store: &mut StorageManager<V>,
+        io: &mut Lend<'_, V>,
         from: NodeId,
         zones: Vec<Zone>,
         items: Vec<Entry<V>>,
         leaver_neighbors: Vec<NodeId>,
-        events: &mut Vec<DhtEvent<V>>,
     ) {
         self.neighbors.remove(&from);
         self.absorb_zones(zones);
         for e in items {
-            store.store(e);
+            io.store.store(e);
         }
         // Announce to our neighborhood *and* the leaver's, so nodes on
         // the far side of the absorbed zone learn the new owner at once.
@@ -474,16 +605,14 @@ impl CanState {
             }
         }
         for id in audience {
-            send_metered(
-                env,
-                meter,
+            io.send(
                 id,
                 DhtMsg::Can(CanMsg::NeighborUpdate {
                     zones: self.zones.clone(),
                 }),
             );
         }
-        events.push(DhtEvent::LocationMapChanged);
+        io.events.push(DhtEvent::LocationMapChanged);
     }
 
     fn absorb_zones(&mut self, zones: Vec<Zone>) {
@@ -504,17 +633,11 @@ impl CanState {
 
     /// Periodic maintenance: keepalives out, failure detection + takeover
     /// election in.
-    pub fn tick<V: Wire + Clone>(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        cfg: &DhtConfig,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
+    pub fn tick<V: Wire>(&mut self, io: &mut Lend<'_, V>, cfg: &DhtConfig) {
         if !self.joined || !cfg.maintenance {
             return;
         }
-        let now = env.now();
+        let now = io.env.now();
         if now.since(self.last_heartbeat) >= cfg.keepalive {
             self.last_heartbeat = now;
             let neighbor_map: Vec<(NodeId, Vec<Zone>)> = self
@@ -523,9 +646,7 @@ impl CanState {
                 .map(|(&id, info)| (id, info.zones.clone()))
                 .collect();
             for &id in self.neighbors.keys() {
-                send_metered(
-                    env,
-                    meter,
+                io.send(
                     id,
                     DhtMsg::Can(CanMsg::Heartbeat {
                         zones: self.zones.clone(),
@@ -561,14 +682,7 @@ impl CanState {
                 .map(|(id, _)| *id)
                 .collect();
             if candidates[0].1 == self.me {
-                self.claim(
-                    env,
-                    meter,
-                    dead_id,
-                    dead_info.zones.clone(),
-                    &dead_audience,
-                    events,
-                );
+                self.claim(io, dead_id, dead_info.zones.clone(), &dead_audience);
             } else {
                 // Someone else should claim; if they were a casualty too,
                 // fall back down the list on a timer.
@@ -596,7 +710,7 @@ impl CanState {
             match p.candidates.get(p.attempt).copied() {
                 Some((_, id)) if id == self.me => {
                     let audience: Vec<NodeId> = p.candidates.iter().map(|&(_, id)| id).collect();
-                    self.claim(env, meter, dead_id, p.zones.clone(), &audience, events);
+                    self.claim(io, dead_id, p.zones.clone(), &audience);
                 }
                 Some(_) => {
                     p.deadline = now + cfg.keepalive + cfg.keepalive;
@@ -605,7 +719,7 @@ impl CanState {
                 // List exhausted: claim it ourselves as a last resort.
                 None => {
                     let audience: Vec<NodeId> = p.candidates.iter().map(|&(_, id)| id).collect();
-                    self.claim(env, meter, dead_id, p.zones.clone(), &audience, events);
+                    self.claim(io, dead_id, p.zones.clone(), &audience);
                 }
             }
         }
@@ -613,17 +727,15 @@ impl CanState {
 
     /// Absorb a dead node's zones and announce the takeover to everyone
     /// who might care (our neighbors plus the dead node's).
-    fn claim<V: Wire + Clone>(
+    fn claim<V: Wire>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
+        io: &mut Lend<'_, V>,
         dead_id: NodeId,
         zones: Vec<Zone>,
         extra_audience: &[NodeId],
-        events: &mut Vec<DhtEvent<V>>,
     ) {
         self.absorb_zones(zones);
-        events.push(DhtEvent::LocationMapChanged);
+        io.events.push(DhtEvent::LocationMapChanged);
         let mut audience: Vec<NodeId> = self.neighbors.keys().copied().collect();
         for &id in extra_audience {
             if id != self.me && id != dead_id && !audience.contains(&id) {
@@ -631,9 +743,7 @@ impl CanState {
             }
         }
         for id in audience {
-            send_metered(
-                env,
-                meter,
+            io.send(
                 id,
                 DhtMsg::Can(CanMsg::Takeover {
                     dead: dead_id,
@@ -713,9 +823,39 @@ mod tests {
     use super::*;
     use crate::env::RecordingEnv;
     use crate::geom::SPACE;
+    use crate::storage::StorageManager;
+    use crate::traffic::TrafficMeter;
     use pier_simnet::time::Dur;
 
     type V = Vec<u8>;
+
+    /// Everything a handler under test borrows, owned in one place.
+    struct Rig {
+        env: RecordingEnv<V>,
+        meter: TrafficMeter,
+        store: StorageManager<V>,
+        events: Vec<DhtEvent<V>>,
+    }
+
+    impl Rig {
+        fn new(me: NodeId) -> Self {
+            Rig {
+                env: RecordingEnv::new(me),
+                meter: TrafficMeter::default(),
+                store: StorageManager::new(),
+                events: Vec::new(),
+            }
+        }
+
+        fn io(&mut self) -> Lend<'_, V> {
+            Lend {
+                env: &mut self.env,
+                meter: &mut self.meter,
+                store: &mut self.store,
+                events: &mut self.events,
+            }
+        }
+    }
 
     #[test]
     fn first_node_owns_everything() {
@@ -730,13 +870,11 @@ mod tests {
     fn join_locate_splits_and_offers_half() {
         let mut owner = CanState::new(2, 0);
         owner.start_first();
-        let mut env: RecordingEnv<V> = RecordingEnv::new(0);
-        let mut meter = TrafficMeter::default();
-        let mut store: StorageManager<V> = StorageManager::new();
+        let mut rig = Rig::new(0);
         // Seed items on both sides of the future split (dim 0 halves).
         for k in 0..200u64 {
             let key = crate::geom::splitmix64(k);
-            store.store(Entry {
+            rig.store.store(Entry {
                 ns: 1,
                 rid: k,
                 iid: 0,
@@ -745,16 +883,16 @@ mod tests {
                 val: vec![],
             });
         }
-        let total = store.len();
+        let total = rig.store.len();
         let p = Point::from_key(12345, 2);
-        let mut events = Vec::new();
-        owner.handle_join_locate(&mut env, &mut meter, &mut store, 7, p, &mut events);
+        owner.handle_join_locate(&mut rig.io(), 7, p);
 
         assert_eq!(owner.zones.len(), 1);
         assert!(!owner.owns_point(p), "point side went to the joiner");
         assert!(owner.neighbors.contains_key(&7));
         // The offer carries the complementary half and the items in it.
-        let offer = env
+        let offer = rig
+            .env
             .sent
             .iter()
             .find_map(|(to, m)| match m {
@@ -765,10 +903,11 @@ mod tests {
             })
             .expect("join offer sent");
         assert!(offer.0.contains(p, 2));
-        assert_eq!(offer.1 + store.len(), total);
+        assert_eq!(offer.1 + rig.store.len(), total);
         assert!(offer.1 > 0, "some items moved");
         // Remaining items are all inside the kept zone.
-        assert!(store
+        assert!(rig
+            .store
             .iter_all()
             .all(|e| owner.owns_point(Point::from_key(e.key, 2))));
     }
@@ -776,16 +915,11 @@ mod tests {
     #[test]
     fn join_offer_installs_zone_and_introduces() {
         let mut joiner = CanState::new(2, 7);
-        let mut env: RecordingEnv<V> = RecordingEnv::new(7);
-        let mut meter = TrafficMeter::default();
-        let mut store: StorageManager<V> = StorageManager::new();
+        let mut rig = Rig::new(7);
         let whole = Zone::whole(2);
         let (a, b) = whole.split(0);
-        let mut events = Vec::new();
         joiner.handle_join_offer(
-            &mut env,
-            &mut meter,
-            &mut store,
+            &mut rig.io(),
             b,
             vec![(0, vec![a])],
             vec![Entry {
@@ -796,14 +930,14 @@ mod tests {
                 expires: Time(u64::MAX),
                 val: vec![1, 2],
             }],
-            &mut events,
         );
         assert!(joiner.joined);
         assert_eq!(joiner.zones, vec![b]);
         assert!(joiner.neighbors.contains_key(&0));
-        assert_eq!(store.len(), 1);
-        assert!(events.iter().any(|e| matches!(e, DhtEvent::Joined)));
-        assert!(env
+        assert_eq!(rig.store.len(), 1);
+        assert!(rig.events.iter().any(|e| matches!(e, DhtEvent::Joined)));
+        assert!(rig
+            .env
             .sent
             .iter()
             .any(|(to, m)| *to == 0 && matches!(m, DhtMsg::Can(CanMsg::NeighborUpdate { .. }))));
@@ -815,7 +949,7 @@ mod tests {
         c.start_first();
         let (a, b) = Zone::whole(2).split(0);
         c.zones = vec![a];
-        c.handle_neighbor_update(Time(1), 5, vec![b]);
+        c.integrate_announcement(Time(1), 5, vec![b], None);
         assert!(c.neighbors.contains_key(&5));
         // A faraway sliver not adjacent to us: neighbor dropped.
         let mut far = b;
@@ -823,7 +957,7 @@ mod tests {
         far.hi[0] = b.lo[0] + SPACE / 4;
         far.lo[1] = 0;
         far.hi[1] = SPACE / 4;
-        c.handle_neighbor_update(Time(2), 5, vec![far]);
+        c.integrate_announcement(Time(2), 5, vec![far], None);
         assert!(!c.neighbors.contains_key(&5));
     }
 
@@ -839,16 +973,14 @@ mod tests {
         c.joined = true;
         c.neighbors
             .insert(5, NeighborInfo::new(vec![right], Time(0)));
-        let mut env: RecordingEnv<V> = RecordingEnv::new(0);
-        let mut meter = TrafficMeter::default();
-        let mut store: StorageManager<V> = StorageManager::new();
-        let mut events = Vec::new();
+        let mut rig = Rig::new(0);
         // Pick a point in the left half to force a split of our zone.
         let mut p = Point { c: [0; 8] };
         p.c[0] = 1;
         p.c[1] = 1;
-        c.handle_join_locate(&mut env, &mut meter, &mut store, 7, p, &mut events);
-        let updated: Vec<NodeId> = env
+        c.handle_join_locate(&mut rig.io(), 7, p);
+        let updated: Vec<NodeId> = rig
+            .env
             .sent
             .iter()
             .filter_map(|(to, m)| match m {
@@ -869,18 +1001,17 @@ mod tests {
         let mut info = NeighborInfo::new(vec![b], Time::ZERO);
         info.their_neighbors = vec![(0, vec![a])];
         c.neighbors.insert(1, info);
-        let mut env: RecordingEnv<V> = RecordingEnv::new(0);
-        env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
-        let mut meter = TrafficMeter::default();
-        let mut events = Vec::new();
-        c.tick(&mut env, &mut meter, &cfg, &mut events);
+        let mut rig = Rig::new(0);
+        rig.env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
+        c.tick(&mut rig.io(), &cfg);
         assert!(!c.neighbors.contains_key(&1));
         // We absorbed the dead zone; zones merged back to the whole space.
         assert_eq!(c.zones, vec![Zone::whole(2)]);
-        assert!(events
+        assert!(rig
+            .events
             .iter()
             .any(|e| matches!(e, DhtEvent::LocationMapChanged)));
-        assert!(meter.maintenance > 0);
+        assert!(rig.meter.maintenance > 0);
     }
 
     #[test]
@@ -908,11 +1039,9 @@ mod tests {
             let mut info = NeighborInfo::new(vec![dead_zone], Time::ZERO);
             info.their_neighbors = shared_map.clone();
             c.neighbors.insert(dead_id, info);
-            let mut env: RecordingEnv<V> = RecordingEnv::new(me);
-            env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
-            let mut meter = TrafficMeter::default();
-            let mut events = Vec::new();
-            c.tick(&mut env, &mut meter, &cfg, &mut events);
+            let mut rig = Rig::new(me);
+            rig.env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
+            c.tick(&mut rig.io(), &cfg);
             if c.zones.len() > 1 || c.zones[0] != zones[me as usize] {
                 claims += 1;
             }
@@ -929,17 +1058,15 @@ mod tests {
         c.joined = true;
         c.neighbors
             .insert(1, NeighborInfo::new(vec![b], Time::ZERO));
-        let mut env: RecordingEnv<V> = RecordingEnv::new(0);
-        let mut meter = TrafficMeter::default();
-        let mut events = Vec::new();
-        env.now = Time::ZERO + cfg.keepalive + Dur::from_millis(1);
-        c.neighbors.get_mut(&1).unwrap().last_seen = env.now;
-        c.tick(&mut env, &mut meter, &cfg, &mut events);
-        let hb1 = env.sent.len();
+        let mut rig = Rig::new(0);
+        rig.env.now = Time::ZERO + cfg.keepalive + Dur::from_millis(1);
+        c.neighbors.get_mut(&1).unwrap().last_seen = rig.env.now;
+        c.tick(&mut rig.io(), &cfg);
+        let hb1 = rig.env.sent.len();
         assert!(hb1 >= 1);
         // Immediately ticking again sends nothing new.
-        c.tick(&mut env, &mut meter, &cfg, &mut events);
-        assert_eq!(env.sent.len(), hb1);
+        c.tick(&mut rig.io(), &cfg);
+        assert_eq!(rig.env.sent.len(), hb1);
     }
 
     #[test]

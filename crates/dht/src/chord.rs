@@ -2,22 +2,22 @@
 //!
 //! The paper validates PIER's DHT-agnostic design by also deploying over
 //! Chord, "which required a fairly minimal integration effort" (§3.2). We
-//! reproduce that: Chord plugs in behind the same routing-layer API as
-//! CAN. 64-bit ring, finger tables, successor lists, periodic
-//! stabilization, and a finger-tree broadcast standing in for CAN's
-//! directed-flood multicast.
+//! reproduce that: Chord plugs in behind the same routing-layer seam as
+//! CAN ([`crate::overlay::Overlay`]). 64-bit ring, finger tables,
+//! successor lists, periodic stabilization, and a finger-tree broadcast
+//! standing in for CAN's directed-flood multicast.
 
 use std::collections::HashMap;
 
 use pier_simnet::time::Time;
 use pier_simnet::{NodeId, Wire};
 
-use crate::env::{send_metered, DhtEnv};
+use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::splitmix64;
-use crate::msg::{ChordMsg, DhtMsg, FindPurpose};
-use crate::traffic::TrafficMeter;
-use crate::DhtConfig;
+use crate::msg::{ChordMsg, DhtMsg, FindPurpose, RepairScope};
+use crate::overlay::{LookupStep, Routed};
+use crate::{DhtConfig, ROUTE_TTL};
 
 /// Number of finger-table entries (64-bit ring).
 pub const FINGERS: usize = 64;
@@ -93,22 +93,15 @@ impl ChordState {
     }
 
     /// Ask `bootstrap` to find our successor.
-    pub fn start_join<V: Wire + Clone>(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        bootstrap: NodeId,
-    ) {
-        send_metered(
-            env,
-            meter,
+    pub fn start_join<V: Wire>(&mut self, io: &mut Lend<'_, V>, bootstrap: NodeId) {
+        io.send(
             bootstrap,
             DhtMsg::Chord(ChordMsg::FindSucc {
                 target: self.ring,
                 token: 0,
                 origin: self.me,
                 purpose: FindPurpose::Join,
-                ttl: crate::ROUTE_TTL,
+                ttl: ROUTE_TTL,
             }),
         );
     }
@@ -130,6 +123,11 @@ impl ChordState {
         }
     }
 
+    /// Do we own the ring position `key` hashes to?
+    pub fn owns_key(&self, key: u64) -> bool {
+        self.owns_pos(ring_of_key(key))
+    }
+
     /// Replica placement rule for Chord: the first `count` distinct
     /// entries of the successor list, the classic "store at the k-1
     /// successors" scheme — exactly the nodes whose ownership range will
@@ -148,15 +146,37 @@ impl ChordState {
         out
     }
 
-    /// The ring interval `(from, to]` this node currently owns — the
-    /// anti-entropy repair scope after a predecessor failure widened it.
-    pub fn owned_interval(&self) -> (u64, u64) {
-        match self.predecessor {
-            // No predecessor: a joined node claims the whole ring
-            // (`in_open_closed` treats `from == to` as everything).
-            None => (self.ring, self.ring),
-            Some((pring, _)) => (pring, self.ring),
+    /// The peers asked for repair data: the successor list plus the
+    /// predecessor — the union of all placement targets whose primaries
+    /// could have replicated into the range we now own.
+    pub fn repair_peers(&self) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self.successors.iter().map(|&(_, id)| id).collect();
+        if let Some((_, p)) = self.predecessor {
+            ids.push(p);
         }
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|&id| id != self.me);
+        ids
+    }
+
+    /// The ring interval `(from, to]` this node currently owns, as an
+    /// anti-entropy repair scope (a predecessor failure widens it).
+    pub fn repair_scope(&self) -> RepairScope {
+        // No predecessor: a joined node claims the whole ring
+        // (`in_open_closed` treats `from == to` as everything).
+        let from = self.predecessor.map_or(self.ring, |(pring, _)| pring);
+        RepairScope::Ring {
+            from,
+            to: self.ring,
+        }
+    }
+
+    /// Does `key` fall inside a requester's `scope`? A zone scope covers
+    /// nothing on a ring.
+    pub fn covers(&self, scope: &RepairScope, key: u64) -> bool {
+        matches!(scope, RepairScope::Ring { from, to }
+            if in_open_closed(*from, ring_of_key(key), *to))
     }
 
     /// Closest node strictly preceding `pos` among fingers + successors.
@@ -204,35 +224,153 @@ impl ChordState {
         }
     }
 
-    /// Install the join result: our successor.
-    pub fn complete_join<V: Wire + Clone>(
+    /// One provider lookup step (Table 1's `lookup`): the owner if it is
+    /// known here, else the message to forward and to whom.
+    pub fn lookup_step<V>(&self, key: u64, token: u64, origin: NodeId) -> LookupStep<V> {
+        let target = ring_of_key(key);
+        match self.find_succ_step(target) {
+            Ok((_, owner)) => LookupStep::Owner(owner),
+            Err(next) => LookupStep::Forward(
+                next,
+                DhtMsg::Chord(ChordMsg::FindSucc {
+                    target,
+                    token,
+                    origin,
+                    purpose: FindPurpose::Lookup,
+                    ttl: ROUTE_TTL,
+                }),
+            ),
+        }
+    }
+
+    /// Dispatch one Chord message. Returns what is left for the
+    /// provider: a lookup this reply resolved, a broadcast payload to
+    /// deliver here, or nothing.
+    pub fn handle<V: Wire + Clone>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        succ_ring: u64,
-        succ: NodeId,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
+        io: &mut Lend<'_, V>,
+        from: NodeId,
+        msg: ChordMsg<V>,
+    ) -> Routed<V> {
+        match msg {
+            ChordMsg::FindSucc {
+                target,
+                token,
+                origin,
+                purpose,
+                ttl,
+            } => match self.find_succ_step(target) {
+                Ok((succ_ring, succ)) => io.send(
+                    origin,
+                    DhtMsg::Chord(ChordMsg::FoundSucc {
+                        token,
+                        target,
+                        purpose,
+                        succ_ring,
+                        succ,
+                    }),
+                ),
+                Err(next) if ttl > 0 => io.send(
+                    next,
+                    DhtMsg::Chord(ChordMsg::FindSucc {
+                        target,
+                        token,
+                        origin,
+                        purpose,
+                        ttl: ttl - 1,
+                    }),
+                ),
+                Err(_) => {}
+            },
+            ChordMsg::FoundSucc {
+                token,
+                purpose,
+                succ_ring,
+                succ,
+                ..
+            } => match purpose {
+                FindPurpose::Join => self.complete_join(io, succ_ring, succ),
+                FindPurpose::Finger(k) => self.set_finger(k as usize, succ_ring, succ),
+                FindPurpose::Lookup => return Routed::Resolved { token, owner: succ },
+            },
+            ChordMsg::GetNeighborhood => {
+                let reply = ChordMsg::Neighborhood {
+                    pred: self.predecessor,
+                    succs: self.successors.clone(),
+                };
+                io.send(from, DhtMsg::Chord(reply));
+            }
+            ChordMsg::Neighborhood { pred, succs } => {
+                self.handle_neighborhood(io, from, pred, succs);
+            }
+            ChordMsg::Notify { ring } => self.handle_notify(io.env.now(), from, ring, io.events),
+            ChordMsg::Bcast {
+                id,
+                origin,
+                payload,
+                limit,
+            } => return self.broadcast(io, id, origin, payload, limit),
+        }
+        Routed::Nothing
+    }
+
+    /// Start a broadcast: this node is the root of a tree covering the
+    /// whole ring.
+    pub fn multicast<V: Wire + Clone>(
+        &self,
+        io: &mut Lend<'_, V>,
+        id: u64,
+        origin: NodeId,
+        payload: V,
+    ) -> Routed<V> {
+        self.broadcast(io, id, origin, payload, self.ring)
+    }
+
+    /// Forward `payload` to our children in the broadcast tree covering
+    /// `(self.ring, limit)` and hand it back for local delivery.
+    fn broadcast<V: Wire + Clone>(
+        &self,
+        io: &mut Lend<'_, V>,
+        id: u64,
+        origin: NodeId,
+        payload: V,
+        limit: u64,
+    ) -> Routed<V> {
+        for (child, child_limit) in self.broadcast_children(limit) {
+            io.send(
+                child,
+                DhtMsg::Chord(ChordMsg::Bcast {
+                    id,
+                    origin,
+                    payload: payload.clone(),
+                    limit: child_limit,
+                }),
+            );
+        }
+        Routed::Deliver {
+            id,
+            origin,
+            payload,
+        }
+    }
+
+    /// Install the join result: our successor.
+    fn complete_join<V: Wire>(&mut self, io: &mut Lend<'_, V>, succ_ring: u64, succ: NodeId) {
         if self.joined {
             return;
         }
         self.joined = true;
         if succ != self.me {
             self.successors = vec![(succ_ring, succ)];
-            self.succ_last_seen = env.now();
-            send_metered(
-                env,
-                meter,
-                succ,
-                DhtMsg::Chord(ChordMsg::Notify { ring: self.ring }),
-            );
+            self.succ_last_seen = io.env.now();
+            io.send(succ, DhtMsg::Chord(ChordMsg::Notify { ring: self.ring }));
         }
-        events.push(DhtEvent::Joined);
-        events.push(DhtEvent::LocationMapChanged);
+        io.events.push(DhtEvent::Joined);
+        io.events.push(DhtEvent::LocationMapChanged);
     }
 
     /// `notify(x)`: x believes it might be our predecessor.
-    pub fn handle_notify<V>(
+    fn handle_notify<V>(
         &mut self,
         now: Time,
         from: NodeId,
@@ -261,15 +399,14 @@ impl ChordState {
     }
 
     /// Stabilization reply from our successor.
-    pub fn handle_neighborhood<V: Wire + Clone>(
+    fn handle_neighborhood<V: Wire>(
         &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
+        io: &mut Lend<'_, V>,
         from: NodeId,
         pred: Option<(u64, NodeId)>,
         succs: Vec<(u64, NodeId)>,
     ) {
-        let now = env.now();
+        let now = io.env.now();
         if self.successor().map(|(_, id)| id) == Some(from) {
             self.succ_last_seen = now;
         }
@@ -297,18 +434,13 @@ impl ChordState {
         self.successors = list;
         if let Some((_, sid)) = self.successor() {
             if sid != self.me {
-                send_metered(
-                    env,
-                    meter,
-                    sid,
-                    DhtMsg::Chord(ChordMsg::Notify { ring: self.ring }),
-                );
+                io.send(sid, DhtMsg::Chord(ChordMsg::Notify { ring: self.ring }));
             }
         }
     }
 
     /// Record a finger-table lookup result.
-    pub fn set_finger(&mut self, k: usize, ring: u64, id: NodeId) {
+    fn set_finger(&mut self, k: usize, ring: u64, id: NodeId) {
         if k < FINGERS {
             self.fingers[k] = Some((ring, id));
         }
@@ -316,17 +448,11 @@ impl ChordState {
 
     /// Periodic stabilization: probe the successor, refresh one finger,
     /// expire silent neighbors.
-    pub fn tick<V: Wire + Clone>(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        meter: &mut TrafficMeter,
-        cfg: &DhtConfig,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
+    pub fn tick<V: Wire>(&mut self, io: &mut Lend<'_, V>, cfg: &DhtConfig) {
         if !self.joined || !cfg.maintenance {
             return;
         }
-        let now = env.now();
+        let now = io.env.now();
         // Successor failure: drop and promote the next in the list.
         if let Some((_, sid)) = self.successor() {
             if now.since(self.succ_last_seen) > cfg.fail_after {
@@ -337,19 +463,19 @@ impl ChordState {
                     }
                 });
                 self.succ_last_seen = now;
-                events.push(DhtEvent::LocationMapChanged);
+                io.events.push(DhtEvent::LocationMapChanged);
             }
         }
         // Predecessor timeout widens our owned range until a new notify.
         if let Some((_, _pid)) = self.predecessor {
             if now.since(self.pred_last_seen) > cfg.fail_after {
                 self.predecessor = None;
-                events.push(DhtEvent::LocationMapChanged);
+                io.events.push(DhtEvent::LocationMapChanged);
             }
         }
         if let Some((_, sid)) = self.successor() {
             if sid != self.me {
-                send_metered(env, meter, sid, DhtMsg::Chord(ChordMsg::GetNeighborhood));
+                io.send(sid, DhtMsg::Chord(ChordMsg::GetNeighborhood));
             }
         }
         // Refresh one finger per tick.
@@ -358,16 +484,14 @@ impl ChordState {
         let target = self.ring.wrapping_add(1u64 << k);
         match self.find_succ_step(target) {
             Ok((r, id)) => self.set_finger(k, r, id),
-            Err(next) => send_metered(
-                env,
-                meter,
+            Err(next) => io.send(
                 next,
                 DhtMsg::Chord(ChordMsg::FindSucc {
                     target,
                     token: 0,
                     origin: self.me,
                     purpose: FindPurpose::Finger(k as u8),
-                    ttl: crate::ROUTE_TTL,
+                    ttl: ROUTE_TTL,
                 }),
             ),
         }

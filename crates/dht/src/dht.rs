@@ -6,27 +6,47 @@
 //! it rather than hopping along the overlay — "the bandwidth savings of
 //! not having a large message hop along the overlay network outweighs the
 //! small chance" of a stale lookup, which is healed by retry/re-homing.
+//!
+//! The provider does not know which overlay it runs on. Everything it
+//! asks of the routing layer goes through the methods of [`Overlay`]
+//! (`overlay.rs`, the paper's Table 1), and what it lends downward for
+//! such a call — host, meter, primary store, upcall list — travels as
+//! one [`Lend`]. What stays here is what is the same on every overlay:
+//! pending lookups and their retries, both stores, replication,
+//! anti-entropy repair, re-homing, multicast dedup and the tick.
 
 use std::collections::BTreeMap;
 
-use pier_simnet::time::Time;
+use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NodeId, Wire};
 
 use crate::can::CanState;
-use crate::chord::{ring_of_key, ChordState};
-use crate::env::{send_metered, DhtEnv};
+use crate::chord::ChordState;
+use crate::env::{DhtEnv, Lend};
 use crate::event::DhtEvent;
-use crate::geom::{Point, Zone};
-use crate::msg::{CanMsg, ChordMsg, DhtMsg, Entry, FindPurpose, RepairScope};
+use crate::msg::{DhtMsg, Entry};
+pub use crate::overlay::Overlay;
+use crate::overlay::{LookupStep, Routed};
 use crate::storage::StorageManager;
 use crate::traffic::TrafficMeter;
-use crate::{key_of, DhtConfig, Ns, OverlayKind, Rid, DHT_TICK_TOKEN, ROUTE_TTL};
+use crate::{key_of, DhtConfig, Ns, Rid, DHT_TICK_TOKEN};
 
-/// The routing layer in use on this node.
-#[derive(Debug, Clone)]
-pub enum Overlay {
-    Can(CanState),
-    Chord(ChordState),
+/// Re-issue an unanswered lookup, or a join that got no offer, after
+/// this long (lookups back off exponentially from here).
+const LOOKUP_RETRY: Dur = Dur(4 * 1_000_000);
+
+/// Lend the routing layer — or one of the provider's own sends — what
+/// it needs for one call. A macro, not a method: the borrows must stay
+/// field-wise, so `self.overlay` can be borrowed beside them.
+macro_rules! lend {
+    ($dht:ident, $env:ident, $events:ident) => {
+        &mut Lend {
+            env: $env,
+            meter: &mut $dht.meter,
+            store: &mut $dht.store,
+            events: $events,
+        }
+    };
 }
 
 enum Pending<V> {
@@ -66,10 +86,31 @@ pub struct Dht<V> {
 
 impl<V: Wire + Clone> Dht<V> {
     pub fn new(cfg: DhtConfig, me: NodeId) -> Self {
-        let overlay = match cfg.overlay {
-            OverlayKind::Can => Overlay::Can(CanState::new(cfg.dims, me)),
-            OverlayKind::Chord => Overlay::Chord(ChordState::new(me)),
-        };
+        let overlay = Overlay::new(&cfg, me);
+        Self::with_overlay(cfg, me, overlay)
+    }
+
+    /// Construct a node with a pre-stabilized CAN state (balanced
+    /// bootstrap for large experiments).
+    pub fn with_can(cfg: DhtConfig, me: NodeId, can: CanState) -> Self {
+        Self::with_overlay(cfg, me, Overlay::Can(can))
+    }
+
+    /// Construct a node with a pre-stabilized Chord state.
+    pub fn with_chord(cfg: DhtConfig, me: NodeId, chord: ChordState) -> Self {
+        Self::with_overlay(cfg, me, Overlay::Chord(chord))
+    }
+
+    /// Pre-stabilized stacks for ids `0..n` on the overlay `cfg` names.
+    pub fn stabilized(n: usize, cfg: &DhtConfig) -> Vec<Self> {
+        Overlay::stabilized(n, cfg)
+            .into_iter()
+            .enumerate()
+            .map(|(i, overlay)| Self::with_overlay(cfg.clone(), i as NodeId, overlay))
+            .collect()
+    }
+
+    fn with_overlay(cfg: DhtConfig, me: NodeId, overlay: Overlay) -> Self {
         Dht {
             cfg,
             overlay,
@@ -88,44 +129,16 @@ impl<V: Wire + Clone> Dht<V> {
         }
     }
 
-    /// Construct a node with a pre-stabilized CAN state (balanced
-    /// bootstrap for large experiments).
-    pub fn with_can(cfg: DhtConfig, me: NodeId, can: CanState) -> Self {
-        let mut d = Self::new(cfg, me);
-        d.overlay = Overlay::Can(can);
-        d
-    }
-
-    /// Construct a node with a pre-stabilized Chord state.
-    pub fn with_chord(cfg: DhtConfig, me: NodeId, chord: ChordState) -> Self {
-        let mut d = Self::new(cfg, me);
-        d.overlay = Overlay::Chord(chord);
-        d
-    }
-
     pub fn me(&self) -> NodeId {
         self.me
     }
 
     pub fn is_joined(&self) -> bool {
-        match &self.overlay {
-            Overlay::Can(c) => c.joined,
-            Overlay::Chord(c) => c.joined,
-        }
-    }
-
-    pub fn can(&self) -> Option<&CanState> {
-        match &self.overlay {
-            Overlay::Can(c) => Some(c),
-            _ => None,
-        }
+        self.overlay.joined()
     }
 
     pub fn chord(&self) -> Option<&ChordState> {
-        match &self.overlay {
-            Overlay::Chord(c) => Some(c),
-            _ => None,
-        }
+        self.overlay.chord()
     }
 
     /// Start the node: create a new overlay (`bootstrap = None`) or join
@@ -133,27 +146,23 @@ impl<V: Wire + Clone> Dht<V> {
     pub fn start(&mut self, env: &mut dyn DhtEnv<V>, bootstrap: Option<NodeId>) {
         self.bootstrap = bootstrap;
         match bootstrap {
-            None => match &mut self.overlay {
-                Overlay::Can(c) => c.start_first(),
-                Overlay::Chord(c) => c.start_first(),
-            },
-            Some(b) => {
-                self.join_sent = env.now();
-                match &mut self.overlay {
-                    Overlay::Can(c) => c.start_join(env, &mut self.meter, b),
-                    Overlay::Chord(c) => c.start_join(env, &mut self.meter, b),
-                }
-            }
+            None => self.overlay.start_first(),
+            Some(b) => self.join_via(env, b),
         }
         env.timer(self.cfg.tick, DHT_TICK_TOKEN);
     }
 
+    /// Send (or re-send) the join request; the routing layer reports
+    /// success as a `Joined` upcall when the reply arrives.
+    fn join_via(&mut self, env: &mut dyn DhtEnv<V>, bootstrap: NodeId) {
+        self.join_sent = env.now();
+        let events = &mut Vec::new(); // a join request raises no upcall
+        self.overlay.start_join(lend!(self, env, events), bootstrap);
+    }
+
     /// Does this node currently own `key`?
     pub fn owns_key(&self, key: u64) -> bool {
-        match &self.overlay {
-            Overlay::Can(c) => c.owns_point(Point::from_key(key, c.d)),
-            Overlay::Chord(c) => c.owns_pos(ring_of_key(key)),
-        }
+        self.overlay.owns(key)
     }
 
     /// Provider `put` (Table 3): store `val` under (ns, rid, iid) with a
@@ -166,7 +175,7 @@ impl<V: Wire + Clone> Dht<V> {
         rid: Rid,
         iid: u32,
         val: V,
-        lifetime: pier_simnet::time::Dur,
+        lifetime: Dur,
         events: &mut Vec<DhtEvent<V>>,
     ) {
         let key = key_of(ns, rid);
@@ -196,7 +205,7 @@ impl<V: Wire + Clone> Dht<V> {
         rid: Rid,
         iid: u32,
         val: V,
-        lifetime: pier_simnet::time::Dur,
+        lifetime: Dur,
         events: &mut Vec<DhtEvent<V>>,
     ) {
         self.put(env, ns, rid, iid, val, lifetime, events);
@@ -247,53 +256,19 @@ impl<V: Wire + Clone> Dht<V> {
         events: &mut Vec<DhtEvent<V>>,
     ) {
         let id = env.rand64();
-        let can_rect = match &self.overlay {
-            Overlay::Can(c) => Some(Zone::whole(c.d)),
-            Overlay::Chord(_) => None,
-        };
-        if let Some(rect) = can_rect {
-            // Route the whole-space rectangle like any other fragment: the
-            // initiator rarely owns the center of the space, and its own
-            // delivery arrives when the flood reaches its zone.
-            self.route_can_mcast(
-                env,
-                CanMsg::Mcast {
-                    id,
-                    origin: self.me,
-                    rect,
-                    payload,
-                    ttl: ROUTE_TTL,
-                },
-                events,
-            );
-            return;
-        }
-        let children = match &self.overlay {
-            Overlay::Chord(c) => c.broadcast_children(c.ring),
-            Overlay::Can(_) => unreachable!(),
-        };
-        self.deliver_mcast(env.now(), id, self.me, &payload, events);
-        for (child, limit) in children {
-            send_metered(
-                env,
-                &mut self.meter,
-                child,
-                DhtMsg::Chord(ChordMsg::Bcast {
-                    id,
-                    origin: self.me,
-                    payload: payload.clone(),
-                    limit,
-                }),
-            );
-        }
+        let routed = self
+            .overlay
+            .multicast(lend!(self, env, events), id, self.me, payload);
+        self.act_on(env, routed, events);
     }
 
-    /// Graceful departure (Table 1's `leave()`).
+    /// Graceful departure (Table 1's `leave()`). The node stays out: it
+    /// forgets its bootstrap, so the tick's join retry does not bring
+    /// it back.
     pub fn leave(&mut self, env: &mut dyn DhtEnv<V>) {
-        if let Overlay::Can(c) = &mut self.overlay {
-            c.leave(env, &mut self.meter, &mut self.store);
-        }
-        // Chord leave: soft state ages out; successors stabilize around us.
+        self.bootstrap = None;
+        let events = &mut Vec::new(); // leaving raises no upcall
+        self.overlay.leave(lend!(self, env, events));
     }
 
     /// Live items for a `get`: the primary store, plus — under k > 1 —
@@ -325,7 +300,7 @@ impl<V: Wire + Clone> Dht<V> {
         entry: Entry<V>,
         events: &mut Vec<DhtEvent<V>>,
     ) {
-        self.replicate(env, &entry);
+        self.replicate(env, &entry, events);
         if let Some(stored) = self.store.store_new(entry) {
             events.push(DhtEvent::NewData {
                 entry: stored.clone(),
@@ -333,35 +308,26 @@ impl<V: Wire + Clone> Dht<V> {
         }
     }
 
-    /// Fan a primary-stored entry out to the replica set (k - 1 peers).
-    /// Runs on stores *and* renewals, so replica expiries track the
-    /// primary's and copies at ex-replica peers simply age out.
-    fn replicate(&mut self, env: &mut dyn DhtEnv<V>, entry: &Entry<V>) {
+    /// Fan a primary-stored entry out to the replica set: the k - 1
+    /// peers the overlay's placement rule names. Runs on stores *and*
+    /// renewals, so replica expiries track the primary's and copies at
+    /// ex-replica peers simply age out.
+    fn replicate(
+        &mut self,
+        env: &mut dyn DhtEnv<V>,
+        entry: &Entry<V>,
+        events: &mut Vec<DhtEvent<V>>,
+    ) {
         if self.cfg.replication <= 1 {
             return;
         }
-        for peer in self.replica_targets() {
-            send_metered(
-                env,
-                &mut self.meter,
+        for peer in self.overlay.replica_peers(self.cfg.replication - 1) {
+            lend!(self, env, events).send(
                 peer,
                 DhtMsg::Replicate {
                     entry: entry.clone(),
                 },
             );
-        }
-    }
-
-    /// The peers holding this node's replica copies, by the overlay's
-    /// placement rule (CAN: lowest-id neighbors; Chord: successor list).
-    fn replica_targets(&self) -> Vec<NodeId> {
-        let extra = self.cfg.replication.saturating_sub(1);
-        if extra == 0 {
-            return Vec::new();
-        }
-        match &self.overlay {
-            Overlay::Can(c) => c.replica_peers(extra),
-            Overlay::Chord(c) => c.replica_peers(extra),
         }
     }
 
@@ -394,55 +360,10 @@ impl<V: Wire + Clone> Dht<V> {
         token: u64,
         events: &mut Vec<DhtEvent<V>>,
     ) {
-        enum Step {
-            SendCan(NodeId),
-            Resolved(NodeId),
-            SendChord(NodeId, u64),
-            Stuck,
-        }
-        let step = match &self.overlay {
-            Overlay::Can(c) => {
-                let p = Point::from_key(key, c.d);
-                match c.next_hop(p) {
-                    Some(next) => Step::SendCan(next),
-                    // No neighbors: single-node overlay; retried on tick.
-                    None => Step::Stuck,
-                }
-            }
-            Overlay::Chord(c) => {
-                let pos = ring_of_key(key);
-                match c.find_succ_step(pos) {
-                    Ok((_, owner)) => Step::Resolved(owner),
-                    Err(next) => Step::SendChord(next, pos),
-                }
-            }
-        };
-        match step {
-            Step::SendCan(next) => send_metered(
-                env,
-                &mut self.meter,
-                next,
-                DhtMsg::Can(CanMsg::Lookup {
-                    key,
-                    token,
-                    origin: self.me,
-                    ttl: ROUTE_TTL,
-                }),
-            ),
-            Step::Resolved(owner) => self.resolve_lookup(env, token, owner, events),
-            Step::SendChord(next, pos) => send_metered(
-                env,
-                &mut self.meter,
-                next,
-                DhtMsg::Chord(ChordMsg::FindSucc {
-                    target: pos,
-                    token,
-                    origin: self.me,
-                    purpose: FindPurpose::Lookup,
-                    ttl: ROUTE_TTL,
-                }),
-            ),
-            Step::Stuck => {}
+        match self.overlay.lookup_step(key, token, self.me) {
+            LookupStep::Owner(owner) => self.resolve_lookup(env, token, owner, events),
+            LookupStep::Forward(next, msg) => lend!(self, env, events).send(next, msg),
+            LookupStep::Stuck => {}
         }
     }
 
@@ -462,7 +383,7 @@ impl<V: Wire + Clone> Dht<V> {
                 if owner == self.me {
                     self.store_entry(env, entry, events);
                 } else {
-                    send_metered(env, &mut self.meter, owner, DhtMsg::Put { entry });
+                    lend!(self, env, events).send(owner, DhtMsg::Put { entry });
                 }
             }
             Pending::Get {
@@ -478,15 +399,14 @@ impl<V: Wire + Clone> Dht<V> {
                     });
                 } else {
                     self.awaiting_get.insert(token, user_token);
-                    send_metered(
-                        env,
-                        &mut self.meter,
+                    let origin = self.me;
+                    lend!(self, env, events).send(
                         owner,
                         DhtMsg::Get {
                             ns,
                             rid,
                             token,
-                            origin: self.me,
+                            origin,
                         },
                     );
                 }
@@ -494,103 +414,28 @@ impl<V: Wire + Clone> Dht<V> {
         }
     }
 
-    fn deliver_mcast(
+    /// Act on what the routing layer left for the provider.
+    fn act_on(
         &mut self,
-        now: Time,
-        id: u64,
-        origin: NodeId,
-        payload: &V,
+        env: &mut dyn DhtEnv<V>,
+        routed: Routed<V>,
         events: &mut Vec<DhtEvent<V>>,
     ) {
-        if self.seen_mcast.insert(id, now).is_none() {
-            events.push(DhtEvent::Multicast {
+        match routed {
+            Routed::Nothing => {}
+            Routed::Resolved { token, owner } => self.resolve_lookup(env, token, owner, events),
+            Routed::Deliver {
+                id,
                 origin,
-                payload: payload.clone(),
-            });
-        }
-    }
-
-    /// Handle a multicast rectangle we own the center of: deliver, then
-    /// recurse into the uncovered sub-rectangles (directed flood).
-    #[allow(clippy::too_many_arguments)]
-    fn process_can_mcast(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        id: u64,
-        origin: NodeId,
-        rect: Zone,
-        payload: V,
-        ttl: u16,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
-        self.deliver_mcast(env.now(), id, origin, &payload, events);
-        let Overlay::Can(c) = &self.overlay else {
-            return;
-        };
-        let d = c.d;
-        let center = rect.center(d);
-        let Some(zone) = c.zones.iter().find(|z| z.contains(center, d)).copied() else {
-            return; // routing raced a zone change; retried by sender's TTL
-        };
-        let Some(covered) = zone.intersection(&rect, d) else {
-            return;
-        };
-        let subs = rect.subtract(&covered, d);
-        if ttl == 0 {
-            return;
-        }
-        for sub in subs {
-            self.route_can_mcast(
-                env,
-                CanMsg::Mcast {
-                    id,
-                    origin,
-                    rect: sub,
-                    payload: payload.clone(),
-                    ttl: ttl - 1,
-                },
-                events,
-            );
-        }
-    }
-
-    /// Route a CAN mcast fragment toward its rectangle's center; handle
-    /// locally if we own it.
-    fn route_can_mcast(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        msg: CanMsg<V>,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
-        let CanMsg::Mcast {
-            id,
-            origin,
-            rect,
-            payload,
-            ttl,
-        } = msg
-        else {
-            unreachable!()
-        };
-        let Overlay::Can(c) = &self.overlay else {
-            return;
-        };
-        let center = rect.center(c.d);
-        if c.owns_point(center) {
-            self.process_can_mcast(env, id, origin, rect, payload, ttl, events);
-        } else if let Some(next) = c.next_hop(center) {
-            send_metered(
-                env,
-                &mut self.meter,
-                next,
-                DhtMsg::Can(CanMsg::Mcast {
-                    id,
-                    origin,
-                    rect,
-                    payload,
-                    ttl,
-                }),
-            );
+                payload,
+            } => {
+                // Dedup is the provider's: both overlays can reach a node
+                // twice (a CAN node with several zones, a Chord ring
+                // mid-stabilization).
+                if self.seen_mcast.insert(id, env.now()).is_none() {
+                    events.push(DhtEvent::Multicast { origin, payload });
+                }
+            }
         }
     }
 
@@ -604,8 +449,10 @@ impl<V: Wire + Clone> Dht<V> {
     ) {
         let before = events.len();
         match msg {
-            DhtMsg::Can(m) => self.handle_can(env, from, m, events),
-            DhtMsg::Chord(m) => self.handle_chord(env, from, m, events),
+            msg @ (DhtMsg::Can(_) | DhtMsg::Chord(_)) => {
+                let routed = self.overlay.handle(lend!(self, env, events), from, msg);
+                self.act_on(env, routed, events);
+            }
             DhtMsg::LookupReply { token, .. } => {
                 self.resolve_lookup(env, token, from, events);
             }
@@ -619,12 +466,7 @@ impl<V: Wire + Clone> Dht<V> {
                 origin,
             } => {
                 let items = self.live_items(ns, rid, env.now());
-                send_metered(
-                    env,
-                    &mut self.meter,
-                    origin,
-                    DhtMsg::GetReply { token, items },
-                );
+                lend!(self, env, events).send(origin, DhtMsg::GetReply { token, items });
             }
             DhtMsg::GetReply { token, items } => {
                 if let Some(user_token) = self.awaiting_get.remove(&token) {
@@ -651,18 +493,17 @@ impl<V: Wire + Clone> Dht<V> {
             }
             DhtMsg::RepairRequest { scope } => {
                 let now = env.now();
-                let d = self.cfg.dims;
                 let mut seen = std::collections::HashSet::new();
                 let items: Vec<Entry<V>> = self
                     .store
                     .iter_all()
                     .chain(self.replicas.iter_all())
-                    .filter(|e| e.expires > now && scope.covers(e.key, d))
+                    .filter(|e| e.expires > now && self.overlay.covers(&scope, e.key))
                     .filter(|e| seen.insert((e.ns, e.rid, e.iid)))
                     .cloned()
                     .collect();
                 if !items.is_empty() {
-                    send_metered(env, &mut self.meter, from, DhtMsg::RepairReply { items });
+                    lend!(self, env, events).send(from, DhtMsg::RepairReply { items });
                 }
             }
             DhtMsg::RepairReply { items } => {
@@ -676,10 +517,10 @@ impl<V: Wire + Clone> Dht<V> {
                     if entry.expires > now && self.owns_key(entry.key) {
                         match self.store.store_no_regress(entry.clone()) {
                             Some(true) => {
-                                self.replicate(env, &entry);
+                                self.replicate(env, &entry, events);
                                 events.push(DhtEvent::NewData { entry });
                             }
-                            Some(false) => self.replicate(env, &entry),
+                            Some(false) => self.replicate(env, &entry, events),
                             None => {}
                         }
                     }
@@ -687,232 +528,6 @@ impl<V: Wire + Clone> Dht<V> {
             }
         }
         self.maybe_repair(env, before, events);
-    }
-
-    fn handle_can(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        from: NodeId,
-        msg: CanMsg<V>,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
-        let Overlay::Can(c) = &mut self.overlay else {
-            return;
-        };
-        match msg {
-            CanMsg::JoinLocate { joiner, p, ttl } => {
-                if c.owns_point(p) {
-                    c.handle_join_locate(env, &mut self.meter, &mut self.store, joiner, p, events);
-                } else if ttl > 0 {
-                    if let Some(next) = c.next_hop(p) {
-                        send_metered(
-                            env,
-                            &mut self.meter,
-                            next,
-                            DhtMsg::Can(CanMsg::JoinLocate {
-                                joiner,
-                                p,
-                                ttl: ttl - 1,
-                            }),
-                        );
-                    }
-                }
-            }
-            CanMsg::JoinOffer {
-                zone,
-                neighbors,
-                items,
-            } => {
-                c.handle_join_offer(
-                    env,
-                    &mut self.meter,
-                    &mut self.store,
-                    zone,
-                    neighbors,
-                    items,
-                    events,
-                );
-            }
-            CanMsg::NeighborUpdate { zones } => {
-                c.handle_neighbor_update(env.now(), from, zones);
-            }
-            CanMsg::Heartbeat { zones, neighbors } => {
-                c.handle_heartbeat(env.now(), from, zones, neighbors);
-            }
-            CanMsg::Takeover { dead, zones } => {
-                c.handle_takeover(env.now(), from, dead, zones, events);
-            }
-            CanMsg::Leave {
-                zones,
-                items,
-                neighbors,
-            } => {
-                c.handle_leave(
-                    env,
-                    &mut self.meter,
-                    &mut self.store,
-                    from,
-                    zones,
-                    items,
-                    neighbors,
-                    events,
-                );
-            }
-            CanMsg::Lookup {
-                key,
-                token,
-                origin,
-                ttl,
-            } => {
-                let p = Point::from_key(key, c.d);
-                if c.owns_point(p) {
-                    send_metered(
-                        env,
-                        &mut self.meter,
-                        origin,
-                        DhtMsg::LookupReply { token, key },
-                    );
-                } else if ttl > 0 {
-                    if let Some(next) = c.next_hop(p) {
-                        send_metered(
-                            env,
-                            &mut self.meter,
-                            next,
-                            DhtMsg::Can(CanMsg::Lookup {
-                                key,
-                                token,
-                                origin,
-                                ttl: ttl - 1,
-                            }),
-                        );
-                    }
-                }
-            }
-            CanMsg::Mcast {
-                id,
-                origin,
-                rect,
-                payload,
-                ttl,
-            } => {
-                self.route_can_mcast(
-                    env,
-                    CanMsg::Mcast {
-                        id,
-                        origin,
-                        rect,
-                        payload,
-                        ttl,
-                    },
-                    events,
-                );
-            }
-        }
-    }
-
-    fn handle_chord(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        from: NodeId,
-        msg: ChordMsg<V>,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
-        let Overlay::Chord(c) = &mut self.overlay else {
-            return;
-        };
-        match msg {
-            ChordMsg::FindSucc {
-                target,
-                token,
-                origin,
-                purpose,
-                ttl,
-            } => match c.find_succ_step(target) {
-                Ok((succ_ring, succ)) => {
-                    send_metered(
-                        env,
-                        &mut self.meter,
-                        origin,
-                        DhtMsg::Chord(ChordMsg::FoundSucc {
-                            token,
-                            target,
-                            purpose,
-                            succ_ring,
-                            succ,
-                        }),
-                    );
-                }
-                Err(next) => {
-                    if ttl > 0 {
-                        send_metered(
-                            env,
-                            &mut self.meter,
-                            next,
-                            DhtMsg::Chord(ChordMsg::FindSucc {
-                                target,
-                                token,
-                                origin,
-                                purpose,
-                                ttl: ttl - 1,
-                            }),
-                        );
-                    }
-                }
-            },
-            ChordMsg::FoundSucc {
-                token,
-                target,
-                purpose,
-                succ_ring,
-                succ,
-            } => match purpose {
-                FindPurpose::Join => {
-                    c.complete_join(env, &mut self.meter, succ_ring, succ, events);
-                }
-                FindPurpose::Finger(k) => {
-                    let _ = target;
-                    c.set_finger(k as usize, succ_ring, succ);
-                }
-                FindPurpose::Lookup => {
-                    self.resolve_lookup(env, token, succ, events);
-                }
-            },
-            ChordMsg::GetNeighborhood => {
-                let reply = ChordMsg::Neighborhood {
-                    pred: c.predecessor,
-                    succs: c.successors.clone(),
-                };
-                send_metered(env, &mut self.meter, from, DhtMsg::Chord(reply));
-            }
-            ChordMsg::Neighborhood { pred, succs } => {
-                c.handle_neighborhood(env, &mut self.meter, from, pred, succs);
-            }
-            ChordMsg::Notify { ring } => {
-                c.handle_notify(env.now(), from, ring, events);
-            }
-            ChordMsg::Bcast {
-                id,
-                origin,
-                payload,
-                limit,
-            } => {
-                let children = c.broadcast_children(limit);
-                self.deliver_mcast(env.now(), id, origin, &payload, events);
-                for (child, child_limit) in children {
-                    send_metered(
-                        env,
-                        &mut self.meter,
-                        child,
-                        DhtMsg::Chord(ChordMsg::Bcast {
-                            id,
-                            origin,
-                            payload: payload.clone(),
-                            limit: child_limit,
-                        }),
-                    );
-                }
-            }
-        }
     }
 
     /// Handle a host timer. Returns `true` if the token belonged to the
@@ -961,18 +576,10 @@ impl<V: Wire + Clone> Dht<V> {
         }
         self.last_repair = now;
         self.promote_replicas(env, events);
-        self.reseed_replicas(env);
-        let scope = match &self.overlay {
-            Overlay::Can(c) => RepairScope::Zones(c.zones.clone()),
-            Overlay::Chord(c) => {
-                let (from, to) = c.owned_interval();
-                RepairScope::Ring { from, to }
-            }
-        };
-        for peer in self.repair_peers() {
-            send_metered(
-                env,
-                &mut self.meter,
+        self.reseed_replicas(env, events);
+        let scope = self.overlay.repair_scope();
+        for peer in self.overlay.repair_peers() {
+            lend!(self, env, events).send(
                 peer,
                 DhtMsg::RepairRequest {
                     scope: scope.clone(),
@@ -1000,7 +607,7 @@ impl<V: Wire + Clone> Dht<V> {
         let promoted = self.replicas.extract_not_owned(|k| !owned.contains(&k));
         for entry in promoted {
             if entry.expires > now {
-                self.replicate(env, &entry);
+                self.replicate(env, &entry, events);
                 if self.store.store_no_regress(entry.clone()) == Some(true) {
                     events.push(DhtEvent::NewData { entry });
                 }
@@ -1015,7 +622,7 @@ impl<V: Wire + Clone> Dht<V> {
     /// the k-durability guarantee on the next failure. Copies left at
     /// ex-replicas are harmless — they age out with the entry's own
     /// lifetime and serve as extra repair sources meanwhile.
-    fn reseed_replicas(&mut self, env: &mut dyn DhtEnv<V>) {
+    fn reseed_replicas(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
         let now = env.now();
         let live: Vec<Entry<V>> = self
             .store
@@ -1024,29 +631,8 @@ impl<V: Wire + Clone> Dht<V> {
             .cloned()
             .collect();
         for entry in &live {
-            self.replicate(env, entry);
+            self.replicate(env, entry, events);
         }
-    }
-
-    /// The peers this node asks for repair data: every CAN neighbor, or
-    /// the Chord successor list plus predecessor — the union of all
-    /// placement targets whose primaries could have replicated into the
-    /// region we now own.
-    fn repair_peers(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = match &self.overlay {
-            Overlay::Can(c) => c.neighbors.keys().copied().collect(),
-            Overlay::Chord(c) => {
-                let mut v: Vec<NodeId> = c.successors.iter().map(|&(_, id)| id).collect();
-                if let Some((_, p)) = c.predecessor {
-                    v.push(p);
-                }
-                v
-            }
-        };
-        ids.sort_unstable();
-        ids.dedup();
-        ids.retain(|&id| id != self.me);
-        ids
     }
 
     /// Periodic work: overlay maintenance, soft-state expiry, lookup
@@ -1054,10 +640,7 @@ impl<V: Wire + Clone> Dht<V> {
     fn tick(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
         self.tick_count += 1;
         let now = env.now();
-        match &mut self.overlay {
-            Overlay::Can(c) => c.tick(env, &mut self.meter, &self.cfg, events),
-            Overlay::Chord(c) => c.tick(env, &mut self.meter, &self.cfg, events),
-        }
+        self.overlay.tick(lend!(self, env, events), &self.cfg);
         self.store.sweep_expired(now);
         if self.cfg.replication > 1 {
             // Replica copies age out exactly like primaries: a replica
@@ -1069,12 +652,8 @@ impl<V: Wire + Clone> Dht<V> {
         // Retry join if the offer never arrived.
         if !self.is_joined() {
             if let Some(b) = self.bootstrap {
-                if now.since(self.join_sent) > self.cfg.lookup_retry {
-                    self.join_sent = now;
-                    match &mut self.overlay {
-                        Overlay::Can(c) => c.start_join(env, &mut self.meter, b),
-                        Overlay::Chord(c) => c.start_join(env, &mut self.meter, b),
-                    }
+                if now.since(self.join_sent) > LOOKUP_RETRY {
+                    self.join_via(env, b);
                 }
             }
         }
@@ -1086,10 +665,7 @@ impl<V: Wire + Clone> Dht<V> {
             .pending
             .iter()
             .filter(|(_, p)| {
-                let backoff = self
-                    .cfg
-                    .lookup_retry
-                    .saturating_mul(1u64 << p.retries.min(5));
+                let backoff = LOOKUP_RETRY.saturating_mul(1u64 << p.retries.min(5));
                 now.since(p.issued) > backoff
             })
             .map(|(&t, _)| t)
@@ -1104,21 +680,19 @@ impl<V: Wire + Clone> Dht<V> {
             if give_up {
                 self.pending.remove(&token);
                 self.awaiting_get.remove(&token);
-            } else if self.owns_key(key) {
-                // Ownership shifted to us while the lookup was in flight.
-                self.resolve_lookup(env, token, self.me, events);
             } else {
+                // Resolves here if ownership shifted to us meanwhile.
                 self.send_lookup(env, key, token, events);
             }
         }
 
         // Drop old multicast dedup records.
-        let horizon = pier_simnet::time::Dur::from_secs(120);
+        let horizon = Dur::from_secs(120);
         self.seen_mcast.retain(|_, t| now.since(*t) < horizon);
 
         // Re-home items we no longer own (every few ticks): the
         // self-healing that follows overlay churn.
-        if self.cfg.rehome && self.is_joined() && self.tick_count.is_multiple_of(4) {
+        if self.cfg.maintenance && self.is_joined() && self.tick_count.is_multiple_of(4) {
             let not_mine: std::collections::HashSet<u64> = self
                 .store
                 .iter_all()

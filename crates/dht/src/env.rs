@@ -1,11 +1,14 @@
 //! Environment abstraction decoupling the DHT from the hosting engine.
 //!
 //! The DHT layer never talks to an engine directly; it emits sends and
-//! timers through [`DhtEnv`]. The query processor (pier-core) wraps its
-//! own `Ctx<PierMsg>` in an adapter, and the test harness in this crate
-//! wraps a bare `Ctx<DhtMsg<V>>`.
+//! timers through [`DhtEnv`]. One adapter, [`CtxEnv`], serves both hosts:
+//! the query processor's `Ctx<PierMsg>` and this crate's test harness on
+//! a bare `Ctx<DhtMsg<V>>`.
 
+use crate::event::DhtEvent;
 use crate::msg::DhtMsg;
+use crate::storage::StorageManager;
+use crate::traffic::TrafficMeter;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NodeId, Wire};
@@ -21,16 +24,24 @@ pub trait DhtEnv<V> {
     fn rand64(&mut self) -> u64;
 }
 
-/// Send a message through the environment, charging the sender-side
-/// [`crate::traffic::TrafficMeter`].
-pub fn send_metered<V: Wire>(
-    env: &mut dyn DhtEnv<V>,
-    meter: &mut crate::traffic::TrafficMeter,
-    to: NodeId,
-    msg: DhtMsg<V>,
-) {
-    meter.record(&msg);
-    env.send(to, msg);
+/// What the provider lends its routing layer for the length of one
+/// call: the host, the sender-side traffic meter, the primary store
+/// (joins and leaves hand items over with their zones) and the upcall
+/// list. The provider sends through the same lend, so every outgoing
+/// message is metered in [`Lend::send`] and nowhere else.
+pub struct Lend<'a, V> {
+    pub env: &'a mut dyn DhtEnv<V>,
+    pub meter: &'a mut TrafficMeter,
+    pub store: &'a mut StorageManager<V>,
+    pub events: &'a mut Vec<DhtEvent<V>>,
+}
+
+impl<V: Wire> Lend<'_, V> {
+    /// Send `msg`, charging it to the meter by category.
+    pub fn send(&mut self, to: NodeId, msg: DhtMsg<V>) {
+        self.meter.record(&msg);
+        self.env.send(to, msg);
+    }
 }
 
 /// An environment that records everything — for unit tests of protocol
@@ -74,13 +85,14 @@ impl<V> DhtEnv<V> for RecordingEnv<V> {
     }
 }
 
-/// Adapter for hosts whose message type is exactly `DhtMsg<V>` (the DHT
-/// test harness; PIER proper wraps `DhtMsg` in its own envelope).
-pub struct CtxEnv<'a, 'b, V: Wire + Clone> {
-    pub ctx: &'a mut Ctx<'b, DhtMsg<V>>,
+/// Adapter for a host automaton whose message type `M` carries
+/// `DhtMsg<V>`: `DhtMsg<V>` itself (the DHT test harness) or an envelope
+/// that wraps it (`pier_core`'s `PierMsg`).
+pub struct CtxEnv<'a, 'b, M> {
+    pub ctx: &'a mut Ctx<'b, M>,
 }
 
-impl<'a, 'b, V: Wire + Clone> DhtEnv<V> for CtxEnv<'a, 'b, V> {
+impl<V, M: From<DhtMsg<V>>> DhtEnv<V> for CtxEnv<'_, '_, M> {
     fn now(&self) -> Time {
         self.ctx.now
     }
@@ -88,7 +100,7 @@ impl<'a, 'b, V: Wire + Clone> DhtEnv<V> for CtxEnv<'a, 'b, V> {
         self.ctx.me
     }
     fn send(&mut self, to: NodeId, msg: DhtMsg<V>) {
-        self.ctx.send(to, msg);
+        self.ctx.send(to, msg.into());
     }
     fn timer(&mut self, after: Dur, token: u64) {
         self.ctx.set_timer(after, token);

@@ -13,7 +13,7 @@ use crate::dht::Dht;
 use crate::env::CtxEnv;
 use crate::event::DhtEvent;
 use crate::msg::DhtMsg;
-use crate::{DhtConfig, Ns, Rid};
+use crate::{DhtConfig, Ns, OverlayKind, Rid};
 
 /// Test harness automaton: one DHT stack, an event log, nothing else.
 pub struct DhtNode<V: Wire + Clone> {
@@ -161,33 +161,34 @@ impl<V: Wire + Clone + Send + 'static> Service for DhtNode<V> {
     }
 }
 
-/// Build a simulator hosting `n` pre-stabilized CAN nodes (balanced
-/// bootstrap). Returns the sim; node ids are `0..n`.
-pub fn stabilized_can_sim<V: Wire + Clone + Send + 'static>(
+/// Build a simulator hosting `n` pre-stabilized nodes (balanced
+/// bootstrap) on the overlay `cfg` names. Node ids are `0..n`.
+pub fn stabilized_sim<V: Wire + Clone + Send + 'static>(
     n: usize,
     cfg: DhtConfig,
     net: pier_simnet::NetConfig,
 ) -> pier_simnet::Sim<DhtNode<V>> {
     let mut sim = pier_simnet::Sim::new(net);
-    let states = crate::can::balanced_overlay(n, cfg.dims, Time::ZERO);
-    for (i, st) in states.into_iter().enumerate() {
-        let dht = Dht::with_can(cfg.clone(), i as NodeId, st);
+    for dht in Dht::stabilized(n, &cfg) {
         sim.add_node(DhtNode::with_dht(dht));
     }
     sim
 }
 
-/// Build a simulator hosting `n` pre-stabilized Chord nodes.
+/// [`stabilized_sim`] on CAN, whatever overlay `cfg` names.
+pub fn stabilized_can_sim<V: Wire + Clone + Send + 'static>(
+    n: usize,
+    cfg: DhtConfig,
+    net: pier_simnet::NetConfig,
+) -> pier_simnet::Sim<DhtNode<V>> {
+    stabilized_sim(n, cfg.with_overlay(OverlayKind::Can), net)
+}
+
+/// [`stabilized_sim`] on Chord, whatever overlay `cfg` names.
 pub fn stabilized_chord_sim<V: Wire + Clone + Send + 'static>(
     n: usize,
     cfg: DhtConfig,
     net: pier_simnet::NetConfig,
 ) -> pier_simnet::Sim<DhtNode<V>> {
-    let mut sim = pier_simnet::Sim::new(net);
-    let states = crate::chord::balanced_chord_overlay(n, Time::ZERO);
-    for (i, st) in states.into_iter().enumerate() {
-        let dht = Dht::with_chord(cfg.clone(), i as NodeId, st);
-        sim.add_node(DhtNode::with_dht(dht));
-    }
-    sim
+    stabilized_sim(n, cfg.with_overlay(OverlayKind::Chord), net)
 }

@@ -1,8 +1,10 @@
 //! # pier-dht
 //!
-//! The DHT tier of PIER (Figure 1 of the paper): an overlay routing layer
-//! ([CAN](can) by default, [Chord](chord) as the validation alternative),
-//! a main-memory [storage manager](storage), and the
+//! The DHT tier of PIER (Figure 1 of the paper), split as §3.2 splits
+//! it: a routing layer ([CAN](can) by default, [Chord](chord) as the
+//! validation alternative, both behind the one seam of
+//! [`overlay::Overlay`] — the paper's Table 1), a main-memory
+//! [storage manager](storage) (Table 2), and the overlay-agnostic
 //! [provider](dht::Dht) that ties them together behind the
 //! `put`/`get`/`renew`/`multicast`/`lscan`/`newData` API of Table 3.
 //!
@@ -19,11 +21,12 @@ pub mod event;
 pub mod geom;
 pub mod harness;
 pub mod msg;
+pub mod overlay;
 pub mod storage;
 pub mod traffic;
 
 pub use crate::dht::{Dht, Overlay};
-pub use env::{CtxEnv, DhtEnv, RecordingEnv};
+pub use env::{CtxEnv, DhtEnv, Lend, RecordingEnv};
 pub use event::DhtEvent;
 pub use msg::{DhtMsg, Entry};
 pub use storage::StorageManager;
@@ -67,6 +70,8 @@ pub fn ns_of(name: &str) -> Ns {
 #[derive(Debug, Clone)]
 pub struct DhtConfig {
     /// CAN dimensionality (paper: d = 4, giving N^(1/4) average hops).
+    /// Read only where an overlay is constructed; a running node asks
+    /// its own routing state.
     pub dims: usize,
     pub overlay: OverlayKind,
     /// Maintenance tick period.
@@ -75,13 +80,11 @@ pub struct DhtConfig {
     pub keepalive: Dur,
     /// Silence after which a neighbor is declared dead (paper: 15 s).
     pub fail_after: Dur,
-    /// Master switch for background maintenance traffic; experiments on
-    /// stabilized static networks turn it off to isolate query traffic.
+    /// Master switch for background upkeep: heartbeats, failure
+    /// detection, re-homing of stored items whose keys this node no
+    /// longer owns. Experiments on stabilized static networks turn it
+    /// off to isolate query traffic.
     pub maintenance: bool,
-    /// Re-issue unanswered lookups after this long.
-    pub lookup_retry: Dur,
-    /// Periodically move stored items whose keys we no longer own.
-    pub rehome: bool,
     /// Soft-state replication factor: total live copies per item (the
     /// primary plus `replication - 1` replicas at neighboring zones /
     /// successors). The paper runs k = 1 — soft state lost on failure is
@@ -100,8 +103,6 @@ impl Default for DhtConfig {
             keepalive: Dur::from_secs(2),
             fail_after: Dur::from_secs(15),
             maintenance: true,
-            lookup_retry: Dur::from_secs(4),
-            rehome: true,
             replication: 1,
         }
     }
@@ -113,7 +114,6 @@ impl DhtConfig {
     pub fn static_network() -> Self {
         DhtConfig {
             maintenance: false,
-            rehome: false,
             ..Default::default()
         }
     }

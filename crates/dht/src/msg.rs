@@ -132,20 +132,6 @@ pub enum RepairScope {
 }
 
 impl RepairScope {
-    /// Does `key` fall inside this scope? `d` is the CAN dimensionality
-    /// (ignored for ring scopes).
-    pub fn covers(&self, key: u64, d: usize) -> bool {
-        match self {
-            RepairScope::Zones(zones) => {
-                let p = Point::from_key(key, d);
-                zones.iter().any(|z| z.contains(p, d))
-            }
-            RepairScope::Ring { from, to } => {
-                crate::chord::in_open_closed(*from, crate::chord::ring_of_key(key), *to)
-            }
-        }
-    }
-
     fn wire_size(&self) -> usize {
         match self {
             RepairScope::Zones(zones) => 4 + zones.len() * ZONE_BYTES,
