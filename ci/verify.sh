@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# The whole `Verify:` chain, in order, stopping at the first failure —
+# what every CHANGES.md entry asks to stay green and what CI runs split
+# over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
+# and test, the lints, the three source guards, the performance
+# ledger's own tests, the bench-trajectory gate, and every example.
+# Run from anywhere; takes a few minutes.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+step() {
+    echo "== $*" >&2
+    "$@"
+}
+
+step cargo build --release
+step cargo test -q
+step cargo clippy --workspace --all-targets -- -D warnings
+step cargo fmt --check
+RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps
+step ci/determinism_guard.sh
+step ci/sleep_guard.sh
+step ci/layering_guard.sh
+step cargo test --offline --manifest-path benchmark/Cargo.toml
+# The gate: re-run the committed experiments; git is the comparator.
+step cargo run --release -p pier_bench -- gated
+step git diff --exit-code -- results/
+for src in examples/*.rs; do
+    step cargo run --release --example "$(basename "$src" .rs)"
+done
+echo "verify: OK" >&2

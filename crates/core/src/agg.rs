@@ -10,7 +10,6 @@ use crate::value::Value;
 #[derive(Clone, Debug, PartialEq)]
 pub enum AggState {
     Count(i64),
-    SumI(i64),
     SumF(f64),
     Min(Option<Value>),
     Max(Option<Value>),
@@ -32,11 +31,6 @@ impl AggState {
     pub fn update(&mut self, v: Option<&Value>) {
         match self {
             AggState::Count(c) => *c += 1,
-            AggState::SumI(s) => {
-                if let Some(v) = v.and_then(Value::as_i64) {
-                    *s += v;
-                }
-            }
             AggState::SumF(s) => {
                 if let Some(v) = v.and_then(Value::as_f64) {
                     *s += v;
@@ -72,7 +66,6 @@ impl AggState {
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumI(a), AggState::SumI(b)) => *a += b,
             (AggState::SumF(a), AggState::SumF(b)) => *a += b,
             (AggState::Min(a), AggState::Min(b)) => {
                 if let Some(bv) = b.as_ref().filter(|bv| !bv.is_null()) {
@@ -100,7 +93,6 @@ impl AggState {
     pub fn finalize(&self) -> Value {
         match self {
             AggState::Count(c) => Value::I64(*c),
-            AggState::SumI(s) => Value::I64(*s),
             AggState::SumF(s) => {
                 // Integral sums surface as integers so `count * sum`
                 // expressions stay in integer arithmetic when possible.
@@ -123,7 +115,7 @@ impl AggState {
 
     pub fn wire_size(&self) -> usize {
         match self {
-            AggState::Count(_) | AggState::SumI(_) | AggState::SumF(_) => 9,
+            AggState::Count(_) | AggState::SumF(_) => 9,
             AggState::Min(m) | AggState::Max(m) => 1 + m.as_ref().map_or(0, Value::wire_size),
             AggState::Avg { .. } => 17,
         }

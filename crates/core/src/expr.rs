@@ -171,6 +171,33 @@ impl Expr {
         })
     }
 
+    /// Rewrite every column reference through `map`, in place: the
+    /// re-indexing of a tree whose shape does not change (FROM order →
+    /// join order, global → table-local), which needs no new nodes.
+    pub fn map_cols(&mut self, map: &dyn Fn(usize) -> usize) {
+        match self {
+            Expr::Col(i) => *i = map(*i),
+            Expr::Lit(_) => {}
+            Expr::Not(e) => e.map_cols(map),
+            Expr::Bin(_, l, r) => {
+                l.map_cols(map);
+                r.map_cols(map);
+            }
+            Expr::Call(_, args) => args.iter_mut().for_each(|a| a.map_cols(map)),
+        }
+    }
+
+    /// Does every column reference index a tuple of `arity` columns?
+    pub fn cols_within(&self, arity: usize) -> bool {
+        match self {
+            Expr::Col(i) => *i < arity,
+            Expr::Lit(_) => true,
+            Expr::Not(e) => e.cols_within(arity),
+            Expr::Bin(_, l, r) => l.cols_within(arity) && r.cols_within(arity),
+            Expr::Call(_, args) => args.iter().all(|a| a.cols_within(arity)),
+        }
+    }
+
     /// Columns referenced by this expression.
     pub fn columns(&self, out: &mut Vec<usize>) {
         match self {

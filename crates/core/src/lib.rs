@@ -39,7 +39,7 @@ pub use optimizer::{
 };
 pub use plan::{
     AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, PipelineSchema, QueryDesc,
-    QueryOp, ScanSpec, StageCol, StageSchema, StageView,
+    QueryOp, ScanSpec, StageView,
 };
 pub use planner::plan_sql;
 pub use sql::parse_query;

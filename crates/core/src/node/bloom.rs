@@ -5,11 +5,17 @@
 
 use pier_dht::CtxEnv;
 use pier_simnet::app::Ctx;
+use pier_simnet::time::Dur;
 
 use super::{for_each_live, NsRole, PierNode, TimerAction};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
+
+/// How long a collector gathers fragment filters before OR-ing and
+/// multicasting them — a fallback: it flushes early once every node's
+/// fragment has arrived (count-based).
+const BLOOM_WAIT: Dur = Dur(10 * 1_000_000);
 
 /// How many times a collector extends its deadline for slow fragments.
 const MAX_DEADLINE_EXTENSIONS: u8 = 60;
@@ -24,9 +30,9 @@ impl PierNode {
         // collector metadata, not window or renewal state: whatever the
         // query's horizon, they must outlive the collector's flush
         // deadline — including every congestion extension (≤ 60 ×
-        // bloom_wait) — so a slow collector never ORs an
+        // `BLOOM_WAIT`) — so a slow collector never ORs an
         // already-expired fragment set.
-        let lifetime = Self::query_horizon(&desc).max(j.bloom_wait.saturating_mul(64));
+        let lifetime = Self::query_horizon(&desc).max(BLOOM_WAIT.saturating_mul(64));
         let mut work = Vec::new();
         for side in [Side::Left, Side::Right] {
             let mut filter = BloomFilter::new(j.bloom_bits, 4);
@@ -58,7 +64,7 @@ impl PierNode {
             let ns = qns::bloom(qid, side == Side::Right);
             if self.dht.owns_key(pier_dht::key_of(ns, 0)) {
                 let action = TimerAction::BloomFlush { qid, side };
-                self.arm_timer(ctx, qid, j.bloom_wait, action);
+                self.arm_timer(ctx, qid, BLOOM_WAIT, action);
             }
             self.reg.route(ns, qid, NsRole::BloomCollector(side));
         }
@@ -89,13 +95,10 @@ impl PierNode {
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
         };
-        let Some(wait) = inst.desc.op.join().map(|j| j.bloom_wait) else {
-            return;
-        };
         let s = side as usize;
         if missing && inst.bloom_waits[s] < MAX_DEADLINE_EXTENSIONS && !inst.bloom_flushed[s] {
             inst.bloom_waits[s] += 1;
-            self.arm_timer(ctx, qid, wait, TimerAction::BloomFlush { qid, side });
+            self.arm_timer(ctx, qid, BLOOM_WAIT, TimerAction::BloomFlush { qid, side });
         } else {
             self.bloom_flush(ctx, qid, side);
         }

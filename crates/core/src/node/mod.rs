@@ -443,19 +443,18 @@ impl PierNode {
             // install must not resurrect a torn-down query.
             return;
         }
-        // A descriptor comes from the network: check its join spec once,
-        // here, and refuse a malformed one as a counted drop. Everything
-        // downstream reads the checked schema instead of re-validating
-        // (or unwrapping) per event.
-        let view = match desc.op.join() {
-            None => None,
-            Some(j) => match PipelineSchema::new(j, desc.prune) {
-                Ok(view) => Some(Arc::new(view)),
-                Err(_) => {
-                    self.metrics.malformed_installs += 1;
-                    return;
-                }
-            },
+        // A descriptor comes from the network: certify it once, here —
+        // every index it carries against the arity it is evaluated over
+        // — and refuse a malformed one as a counted drop. Everything
+        // downstream reads the checked descriptor (a join, through its
+        // schema) instead of re-validating or unwrapping per event.
+        let view = desc.check().and_then(|()| {
+            let view = |j| PipelineSchema::new(j, desc.prune).map(Arc::new);
+            desc.op.join().map(view).transpose()
+        });
+        let Ok(view) = view else {
+            self.metrics.malformed_installs += 1;
+            return;
         };
         // Admission control: commit the query's priced budget against
         // its tenant's quota, or refuse the install outright. Every node

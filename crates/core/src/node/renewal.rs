@@ -109,11 +109,6 @@ impl PierNode {
         report
     }
 
-    /// Number of rows this node has published (for harness assertions).
-    pub fn published_count(&self) -> usize {
-        self.published.len()
-    }
-
     /// Start the renewal loop: republish every published base row every
     /// `every`.
     pub fn start_renewals(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {

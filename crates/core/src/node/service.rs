@@ -239,22 +239,6 @@ impl NodeResponse {
         }
     }
 
-    /// Unwrap a [`NodeResponse::Admission`].
-    pub fn into_admission(self) -> Result<f64, AdmissionError> {
-        match self {
-            NodeResponse::Admission(r) => r,
-            other => panic!("expected Admission, got {other:?}"),
-        }
-    }
-
-    /// Unwrap a [`NodeResponse::Publish`].
-    pub fn into_publish_report(self) -> PublishReport {
-        match self {
-            NodeResponse::Publish(r) => r,
-            other => panic!("expected Publish, got {other:?}"),
-        }
-    }
-
     /// Unwrap a [`NodeResponse::Metrics`].
     pub fn into_metrics(self) -> NodeMetrics {
         match self {

@@ -4,6 +4,12 @@
 //! paper itself derives: the §5.5.1 analytical latency model (validated
 //! there against Table 4) and a Figure-4-shaped traffic model, and pick
 //! the cheapest of the four strategies under a chosen objective.
+//!
+//! Every plan is costed the same way: each input is a [`TableCard`],
+//! one pipeline stage is priced in one place (`JoinStats::stage`), and
+//! the stage's output is the next stage's left card — the fold the
+//! join-order search ([`greedy_join_order`]), the planner's strategy
+//! choice and admission pricing ([`price_query`]) all run.
 
 use crate::plan::{JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier_dht::Ns;
@@ -53,7 +59,7 @@ pub struct JoinStats {
     /// On-the-wire sizes of the *pruned* rehash projections — what the
     /// schema-aware dataflow actually rehashes per tuple (join key ∪
     /// residual-predicate ∪ output columns; see
-    /// [`crate::plan::StageSchema`]). Equal to `bytes_*` when nothing
+    /// [`crate::plan::PipelineSchema`]). Equal to `bytes_*` when nothing
     /// can be pruned.
     pub ship_r: f64,
     pub ship_s: f64,
@@ -66,6 +72,21 @@ pub struct JoinStats {
     pub bytes_result: f64,
     /// Bloom filter size per fragment, bytes.
     pub bloom_bytes: f64,
+}
+
+/// Fraction of (selected) left rows assumed to find a join partner —
+/// the §5.1 workload's 90 %, used wherever the model has no better
+/// estimate.
+const MATCH_FRACTION: f64 = 0.9;
+
+/// Selectivity assumed for a predicate the model cannot derive: the
+/// classical ½ for a range predicate, 1 when there is none.
+pub(crate) fn default_selectivity(has_pred: bool) -> f64 {
+    if has_pred {
+        0.5
+    } else {
+        1.0
+    }
 }
 
 impl JoinStats {
@@ -84,11 +105,46 @@ impl JoinStats {
             // cannot drop it: rehashes ship (nearly) full tuples.
             ship_r: 1024.0,
             ship_s: 100.0,
-            sel_r: 0.5,
+            // R's range predicate keeps half its rows — the case the
+            // default is named after.
+            sel_r: default_selectivity(true),
             sel_s,
-            match_r: 0.9,
+            match_r: MATCH_FRACTION,
             bytes_result: 1024.0,
             bloom_bytes: 8192.0,
+        }
+    }
+
+    /// One pipeline stage: `left` (a base table, or the intermediate the
+    /// previous stage left behind) joined with the base table `right`.
+    /// Rehashes move the pruned widths, fetches the full ones, and a
+    /// result is as wide as what both sides shipped.
+    pub(crate) fn stage(left: &TableCard, right: &TableCard) -> JoinStats {
+        JoinStats {
+            rows_r: left.rows,
+            rows_s: right.rows,
+            bytes_r: left.bytes,
+            bytes_s: right.bytes,
+            ship_r: left.ship_bytes,
+            ship_s: right.ship_bytes,
+            sel_r: left.sel,
+            sel_s: right.sel,
+            match_r: MATCH_FRACTION,
+            bytes_result: left.ship_bytes + right.ship_bytes,
+            bloom_bytes: 2048.0,
+        }
+    }
+
+    /// What this stage hands the next one as its left input: the
+    /// estimated result rows at the result width, already selected (its
+    /// local predicates are applied, so `sel = 1`) and with nothing left
+    /// to prune.
+    pub(crate) fn output(&self) -> TableCard {
+        TableCard {
+            rows: self.results(),
+            bytes: self.bytes_result,
+            ship_bytes: self.bytes_result,
+            sel: 1.0,
         }
     }
 
@@ -228,40 +284,30 @@ pub fn greedy_join_order(cards: &[TableCard], edges: &[(usize, usize)]) -> Vec<u
 
     let mut order = vec![start];
     let mut remaining: Vec<usize> = (0..n).filter(|&i| i != start).collect();
-    // The accumulated intermediate: its local predicates are already
-    // applied, so sel = 1 from here on; its width is the sum of the
-    // *pruned* contributions of the tables joined so far.
-    let mut cur_rows = cards[start].effective_rows();
-    let mut cur_bytes = cards[start].ship_bytes;
+    // The accumulated intermediate, as a card: the head's selected rows
+    // at its pruned width.
+    let head = &cards[start];
+    let mut acc = TableCard {
+        rows: head.effective_rows(),
+        bytes: head.ship_bytes,
+        ship_bytes: head.ship_bytes,
+        sel: 1.0,
+    };
     while !remaining.is_empty() {
         let connected = |i: usize| {
             edges
                 .iter()
                 .any(|&(a, b)| (a == i && order.contains(&b)) || (b == i && order.contains(&a)))
         };
-        let stage_stats = |i: usize| JoinStats {
-            rows_r: cur_rows,
-            rows_s: cards[i].rows,
-            bytes_r: cur_bytes,
-            bytes_s: cards[i].bytes,
-            ship_r: cur_bytes,
-            ship_s: cards[i].ship_bytes,
-            sel_r: 1.0,
-            sel_s: cards[i].sel,
-            match_r: 0.9,
-            bytes_result: cur_bytes + cards[i].ship_bytes,
-            bloom_bytes: 2048.0,
-        };
-        let cost = |i: usize| traffic_model(JoinStrategy::SymmetricHash, &stage_stats(i));
+        let stage = |i: usize| JoinStats::stage(&acc, &cards[i]);
+        let cost = |i: usize| traffic_model(JoinStrategy::SymmetricHash, &stage(i));
         let next = argmin(
             &mut remaining.iter().copied().filter(|&i| connected(i)),
             &cost,
         )
         .or_else(|| argmin(&mut remaining.iter().copied(), &cost))
         .unwrap();
-        let stats = stage_stats(next);
-        cur_rows = stats.results();
-        cur_bytes += cards[next].ship_bytes;
+        acc = stage(next).output();
         order.push(next);
         remaining.retain(|&i| i != next);
     }
@@ -320,45 +366,32 @@ impl Default for TableRate {
 /// (the same chaining [`greedy_join_order`] uses); scans and
 /// aggregations price as their input's selected arrival bytes (what
 /// gets shipped or rehashed into the aggregation namespace). Predicate
-/// selectivity uses the planner's classical ½ default.
+/// selectivity is the model's default (`default_selectivity`).
 pub fn price_query(desc: &QueryDesc, rate_of: &dyn Fn(Ns) -> TableRate) -> f64 {
-    let sel = |pred: bool| if pred { 0.5 } else { 1.0 };
-    let scan_term = |s: &ScanSpec| {
+    // A base-table scan as a card: arrivals per second at full width
+    // (the rate book knows no per-column widths, so nothing prunes).
+    let card = |s: &ScanSpec| {
         let r = rate_of(s.ns);
-        r.rows_per_sec * sel(s.pred.is_some()) * r.avg_tuple_bytes
-    };
-    // Stats of one pipeline stage: left input at (rows/sec, bytes)
-    // joining a base-table scan.
-    let stage_stats = |l_rows: f64, l_bytes: f64, l_sel: f64, right: &ScanSpec| {
-        let r = rate_of(right.ns);
-        JoinStats {
-            rows_r: l_rows,
-            rows_s: r.rows_per_sec,
-            bytes_r: l_bytes,
-            bytes_s: r.avg_tuple_bytes,
-            ship_r: l_bytes,
-            ship_s: r.avg_tuple_bytes,
-            sel_r: l_sel,
-            sel_s: sel(right.pred.is_some()),
-            match_r: 0.9,
-            bytes_result: l_bytes + r.avg_tuple_bytes,
-            bloom_bytes: 2048.0,
+        TableCard {
+            rows: r.rows_per_sec,
+            bytes: r.avg_tuple_bytes,
+            ship_bytes: r.avg_tuple_bytes,
+            sel: default_selectivity(s.pred.is_some()),
         }
     };
     match &desc.op {
-        QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => scan_term(scan),
+        QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => {
+            let c = card(scan);
+            c.effective_rows() * c.bytes
+        }
         QueryOp::Join { join: j, .. } => {
-            let head = rate_of(j.left.ns);
-            let mut rows = head.rows_per_sec;
-            let mut bytes = head.avg_tuple_bytes;
-            let mut cur_sel = sel(j.left.pred.is_some());
+            let mut left = card(&j.left);
             let mut total = 0.0;
             for stage in &j.stages {
-                let s = stage_stats(rows, bytes, cur_sel, &stage.right);
+                let s = JoinStats::stage(&left, &card(&stage.right));
                 total += traffic_model(j.strategy, &s);
-                rows = s.results().max(f64::MIN_POSITIVE);
-                bytes = s.bytes_result;
-                cur_sel = 1.0;
+                left = s.output();
+                left.rows = left.rows.max(f64::MIN_POSITIVE);
             }
             total
         }

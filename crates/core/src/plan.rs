@@ -5,9 +5,10 @@
 //! rehashing, probing, fetching, aggregating — with results flowing
 //! directly to the initiator. Expressions in a descriptor are indexed
 //! over the *full* concatenation of the base schemas; the schema-aware
-//! dataflow layer ([`PipelineSchema`] / [`StageSchema`]) computes, per
-//! dataflow edge, the minimal column set any downstream operator still
-//! reads, and remaps every expression onto that pruned layout. The
+//! dataflow layer ([`PipelineSchema`]) computes, per dataflow edge, the
+//! minimal column set any downstream operator still reads, and remaps
+//! every expression onto that pruned layout (what those columns weigh
+//! on the wire is [`crate::catalog::TableDef::ship_bytes`]'s job). The
 //! §4.2 lesson — on a DHT, *what bytes you rehash* dominates cost — is
 //! thereby an architectural invariant: no operator ships a column
 //! nobody downstream reads.
@@ -18,7 +19,7 @@ use pier_simnet::NodeId;
 
 use crate::expr::Expr;
 use crate::item::Side;
-use crate::tuple::{ColType, Tuple};
+use crate::tuple::Tuple;
 
 /// The four distributed equi-join strategies of §4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,6 +91,17 @@ impl ScanSpec {
         self.join_col = Some(col);
         self
     }
+
+    /// Does every index the scan carries fit its base schema?
+    fn check(&self) -> Result<(), &'static str> {
+        if self.pkey_col >= self.arity || self.join_col.is_some_and(|c| c >= self.arity) {
+            return Err("key or join column out of range");
+        }
+        if !self.pred.as_ref().is_none_or(|p| p.cols_within(self.arity)) {
+            return Err("scan predicate column out of range");
+        }
+        Ok(())
+    }
 }
 
 /// One stage of a left-deep join pipeline.
@@ -143,9 +155,6 @@ pub struct JoinSpec {
     /// Restrict each rehash namespace to this many buckets, confining
     /// the join computation to ≤ m nodes (the Fig. 3 "computation nodes").
     pub computation_nodes: Option<u32>,
-    /// Bloom strategy: how long collectors gather fragment filters
-    /// before OR-ing and multicasting them.
-    pub bloom_wait: Dur,
     /// Bloom strategy: filter shape (bits), sized for the table.
     pub bloom_bits: u32,
 }
@@ -174,9 +183,6 @@ impl JoinSpec {
             stages,
             project: Vec::new(),
             computation_nodes: None,
-            // Fallback flush deadline; collectors flush early once every
-            // node's fragment has arrived (count-based).
-            bloom_wait: Dur::from_secs(10),
             bloom_bits: 1 << 16,
         };
         if let Err(why) = j.check() {
@@ -185,22 +191,33 @@ impl JoinSpec {
         j
     }
 
-    /// Is the spec executable? The constructors assert it; a node checks
-    /// it once per descriptor arriving from the network
-    /// ([`PipelineSchema::new`]), so no handler re-checks per event.
+    /// Is the spec executable — the join shape sound, and every index it
+    /// carries (join columns, primary keys, the columns of scan and
+    /// stage predicates and of the projection) inside the arity it is
+    /// evaluated over? The constructors assert it; a node checks it once
+    /// per descriptor arriving from the network ([`QueryDesc::check`]),
+    /// so no handler re-checks per event.
     pub fn check(&self) -> Result<(), &'static str> {
         if self.stages.is_empty() {
             return Err("a join needs at least two tables");
         }
+        self.left.check()?;
         let mut arity = self.left.arity;
         for st in &self.stages {
+            st.right.check()?;
             if st.left_col >= arity {
                 return Err("left join column out of range");
             }
-            if st.right.join_col.is_none_or(|c| c >= st.right.arity) {
-                return Err("right join column missing or out of range");
+            if st.right.join_col.is_none() {
+                return Err("right join column missing");
             }
             arity += st.right.arity;
+            if !st.stage_pred.as_ref().is_none_or(|p| p.cols_within(arity)) {
+                return Err("stage predicate column out of range");
+            }
+        }
+        if !self.project.iter().all(|e| e.cols_within(arity)) {
+            return Err("projected column out of range");
         }
         if self.strategy != JoinStrategy::SymmetricHash && self.stages.len() > 1 {
             return Err("only symmetric hash joins chain into pipelines");
@@ -305,6 +322,28 @@ impl AggSpec {
     pub fn with_epoch(mut self, epoch: Dur) -> Self {
         self.epoch = Some(epoch);
         self
+    }
+
+    /// Does the spec only read columns that exist — groups and
+    /// aggregate arguments within its `input_arity`-column input,
+    /// `output` and `having` within `[groups..., aggregates...]`?
+    fn check(&self, input_arity: usize) -> Result<(), &'static str> {
+        let args = self.aggs.iter().filter_map(|call| call.arg.as_ref());
+        if !self.group_cols.iter().all(|&g| g < input_arity)
+            || !args.into_iter().all(|a| a.cols_within(input_arity))
+        {
+            return Err("aggregation input column out of range");
+        }
+        let virt = self.group_cols.len() + self.aggs.len();
+        if !self
+            .output
+            .iter()
+            .chain(&self.having)
+            .all(|e| e.cols_within(virt))
+        {
+            return Err("aggregation output column out of range");
+        }
+        Ok(())
     }
 }
 
@@ -424,6 +463,34 @@ impl QueryDesc {
         self
     }
 
+    /// The certificate a node demands of a descriptor off the network
+    /// before installing it: every index the descriptor carries — key
+    /// and join columns, group columns, every column of every predicate,
+    /// projection, aggregate argument, output and `HAVING` expression —
+    /// lies inside the arity of the tuple it will be evaluated over, and
+    /// a join's shape is executable ([`JoinSpec::check`]). Past it, no
+    /// handler can index a tuple out of range on this descriptor's
+    /// account.
+    pub fn check(&self) -> Result<(), &'static str> {
+        match &self.op {
+            QueryOp::Scan { scan, project } => {
+                scan.check()?;
+                if !project.iter().all(|e| e.cols_within(scan.arity)) {
+                    return Err("projected column out of range");
+                }
+                Ok(())
+            }
+            QueryOp::Agg { scan, agg } => {
+                scan.check()?;
+                agg.check(scan.arity)
+            }
+            QueryOp::Join { join, agg } => {
+                join.check()?;
+                agg.as_ref().map_or(Ok(()), |a| a.check(join.project.len()))
+            }
+        }
+    }
+
     /// Rough wire size of the descriptor for the multicast payload.
     pub fn wire_size(&self) -> usize {
         fn scan_sz(s: &ScanSpec) -> usize {
@@ -511,69 +578,6 @@ pub mod qns {
         [rehash(qid), agg(qid), bloom(qid, false), bloom(qid, true)]
             .into_iter()
             .chain((0..n_stages).map(move |k| stage(qid, k)))
-    }
-}
-
-/// One typed column of a [`StageSchema`], with its wire width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageCol {
-    /// Column index over the full concatenation of the pipeline tables.
-    pub global: usize,
-    pub ty: ColType,
-    /// Estimated wire bytes of one value of this column.
-    pub width: u32,
-}
-
-/// The schema of one dataflow edge: the ordered, typed column list a
-/// tuple carries at that point, with per-column byte widths — the unit
-/// the byte-accurate traffic model ([`crate::optimizer`]) and the wire
-/// audits reason about.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageSchema {
-    /// Columns in tuple order (ascending global index).
-    pub cols: Vec<StageCol>,
-}
-
-impl StageSchema {
-    /// Assemble from kept global columns and per-table `(type, width)`
-    /// column info, where `tables[t]` describes pipeline table `t` and
-    /// `offsets[t]` is its global offset.
-    fn assemble(
-        globals: &[usize],
-        tables: &[Vec<(ColType, u32)>],
-        offsets: &[usize],
-    ) -> StageSchema {
-        let cols = globals
-            .iter()
-            .map(|&g| {
-                let t = offsets
-                    .iter()
-                    .rposition(|&o| o <= g)
-                    .expect("global column offset");
-                let (ty, width) = tables[t][g - offsets[t]];
-                StageCol {
-                    global: g,
-                    ty,
-                    width,
-                }
-            })
-            .collect();
-        StageSchema { cols }
-    }
-
-    pub fn arity(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Predicted wire bytes of one tuple on this edge (values plus the
-    /// per-tuple header of [`crate::tuple::Tuple::wire_size`]).
-    pub fn wire_bytes(&self) -> usize {
-        crate::tuple::TUPLE_HEADER_BYTES + self.cols.iter().map(|c| c.width as usize).sum::<usize>()
-    }
-
-    /// Position of a global column within this schema, if kept.
-    pub fn position(&self, global: usize) -> Option<usize> {
-        self.cols.iter().position(|c| c.global == global)
     }
 }
 
@@ -762,38 +766,6 @@ impl PipelineSchema {
             &self.stages[t - 1].keep_right
         }
     }
-
-    /// Global offset of each pipeline table within the concatenation.
-    fn table_offsets(tables: &[Vec<(ColType, u32)>]) -> Vec<usize> {
-        tables
-            .iter()
-            .scan(0, |o, cols| {
-                let cur = *o;
-                *o += cols.len();
-                Some(cur)
-            })
-            .collect()
-    }
-
-    /// Typed, byte-width schema of what table `t`'s rehash ships, given
-    /// per-table `(type, width)` column info in pipeline order.
-    pub fn rehash_schema(&self, t: usize, tables: &[Vec<(ColType, u32)>]) -> StageSchema {
-        let offsets = Self::table_offsets(tables);
-        let globals: Vec<usize> = self
-            .keep_for_table(t)
-            .iter()
-            .map(|&c| c + offsets[t])
-            .collect();
-        StageSchema::assemble(&globals, tables, &offsets)
-    }
-
-    /// Typed, byte-width schema of the intermediate republished after
-    /// stage `k` (for the last stage: what the initiator ship carries,
-    /// before output expressions are evaluated).
-    pub fn intermediate_schema(&self, k: usize, tables: &[Vec<(ColType, u32)>]) -> StageSchema {
-        let offsets = Self::table_offsets(tables);
-        StageSchema::assemble(&self.stages[k].out_globals, tables, &offsets)
-    }
 }
 
 #[cfg(test)]
@@ -920,33 +892,51 @@ mod tests {
 
     #[test]
     fn stage_schema_predicts_wire_bytes() {
-        use crate::tuple::ColType;
+        use crate::catalog::{Catalog, TableStats};
+        use crate::tuple::{ColType, TUPLE_HEADER_BYTES};
         let m = workload_multi();
         let v = PipelineSchema::new(&m, true).unwrap();
-        let i64w = (ColType::I64, 8u32);
-        let tables = vec![
-            vec![i64w, i64w, i64w, i64w, (ColType::Pad, 1000)], // R
-            vec![i64w, i64w, i64w],                             // S
-            vec![i64w, i64w, i64w],                             // T
-        ];
+        // A catalog whose R statistics equal the real row: the residual
+        // of `avg_tuple_bytes` lands on the pad, so every width is exact.
+        let mut catalog = Catalog::workload();
+        let stats = TableStats {
+            rows: 1,
+            avg_tuple_bytes: 4 + 32 + 1000,
+        };
+        catalog.set_stats("R", stats);
+        let def = |t: usize| catalog.get(&m.table(t).table).unwrap();
+        // Predicted wire bytes of an intermediate carrying the global
+        // columns `cols`: each table's share, under one header.
+        let mid_bytes = |cols: &[usize]| {
+            let mut offset = 0;
+            let mut bytes = TUPLE_HEADER_BYTES;
+            for t in 0..m.n_tables() {
+                let own = offset..offset + m.table(t).arity;
+                let cols = cols.iter().filter(|c| own.contains(c));
+                let cols: Vec<usize> = cols.map(|c| c - offset).collect();
+                bytes += def(t).ship_bytes(&cols) as usize - TUPLE_HEADER_BYTES;
+                offset = own.end;
+            }
+            bytes
+        };
         // R's rehash ships two i64 columns — the 1 KB pad is dropped.
-        let r_ship = v.rehash_schema(0, &tables);
-        assert_eq!(r_ship.arity(), 2);
-        assert_eq!(r_ship.wire_bytes(), 4 + 16);
-        assert_eq!(r_ship.cols[0].ty, ColType::I64);
+        let r_ship = def(0).ship_bytes(v.keep_for_table(0)) as usize;
+        assert_eq!(v.keep_for_table(0).len(), 2);
+        assert_eq!(r_ship, 4 + 16);
+        assert_eq!(def(0).schema.fields[v.keep_base[0]].ty, ColType::I64);
         // And the prediction matches the actual projected tuple.
         let r_row = crate::tuple![3i64, 4i64, 5i64, 6i64, crate::value::Value::Pad(1000)];
-        assert_eq!(r_row.project(&v.keep_base).wire_size(), r_ship.wire_bytes());
+        assert_eq!(r_row.project(&v.keep_base).wire_size(), r_ship);
         // Stage intermediates stay three i64 columns wide.
         for k in 0..2 {
-            let mid = v.intermediate_schema(k, &tables);
-            assert_eq!(mid.wire_bytes(), 4 + 24, "stage {k}");
-            assert!(mid.position(4).is_none(), "pad is on no edge");
+            let mid = &v.stages[k].out_globals;
+            assert_eq!(mid_bytes(mid), 4 + 24, "stage {k}");
+            assert!(!mid.contains(&4), "pad is on no edge");
         }
         // Unpruned, the same edges carry the pad.
         let full = PipelineSchema::new(&m, false).unwrap();
-        assert_eq!(full.rehash_schema(0, &tables).wire_bytes(), 4 + 32 + 1000);
-        assert!(full.intermediate_schema(0, &tables).position(4).is_some());
+        assert_eq!(def(0).ship_bytes(full.keep_for_table(0)), 4 + 32 + 1000);
+        assert!(full.stages[0].out_globals.contains(&4));
     }
 
     #[test]

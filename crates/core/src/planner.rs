@@ -1,21 +1,24 @@
 //! The declarative top of the stack: SQL in, cost-optimized distributed
-//! plan out. Ties together the parser ([`crate::sql`]), the catalog's
-//! statistics, and the §5.5.1-based cost model ([`crate::optimizer`]):
-//! binary joins get the cheapest of the four §4 strategies for the
-//! chosen objective; N-way joins additionally get a greedy cost-based
-//! join order ([`crate::optimizer::greedy_join_order`]) before lowering
-//! to a left-deep symmetric-hash pipeline. Costing is byte-accurate:
-//! the required-columns analysis of the SQL layer combines with the
-//! catalog's per-column widths ([`crate::catalog::TableDef::col_widths`])
-//! so both the join order and the strategy choice react to *where wide
-//! columns get dropped* by projection pushdown.
+//! plan out. Ties together the bound query ([`crate::sql`]), the
+//! catalog's statistics, and the §5.5.1-based cost model
+//! ([`crate::optimizer`]): each FROM table becomes one
+//! [`TableCard`] — catalog rows and width, the default selectivity of
+//! its pushed-down predicate, and the byte-accurate width of the
+//! columns the bound query says it ships
+//! ([`crate::catalog::TableDef::ship_bytes`]) — so both decisions react
+//! to *where wide columns get dropped* by projection pushdown. N-way
+//! joins get a greedy cost-based join order
+//! ([`crate::optimizer::greedy_join_order`]) before lowering to a
+//! left-deep symmetric-hash pipeline; binary joins get the cheapest of
+//! the four §4 strategies for the chosen objective.
 
 use crate::catalog::Catalog;
 use crate::optimizer::{
-    choose_strategy, greedy_join_order, CostParams, JoinStats, Objective, TableCard,
+    choose_strategy, default_selectivity, greedy_join_order, CostParams, JoinStats, Objective,
+    TableCard,
 };
-use crate::plan::{JoinStrategy, PipelineSchema, QueryOp};
-use crate::sql::{lower_parsed, parse_sql, plan_info};
+use crate::plan::{JoinStrategy, QueryOp};
+use crate::sql::{lower_parsed, parse_one_shot};
 
 /// Parse `sql` and, for join queries, pick the cheapest strategy (and,
 /// for 3+-table queries, the join order) for the objective using catalog
@@ -26,81 +29,39 @@ pub fn plan_sql(
     net: &CostParams,
     objective: Objective,
 ) -> Result<QueryOp, String> {
-    let parsed = parse_sql(sql, catalog)?;
-    if parsed.window.is_some() || parsed.epoch.is_some() || parsed.renew.is_some() {
-        // A bare QueryOp has nowhere to carry the window, and an epoch
-        // or renewal period only makes sense on a standing descriptor;
-        // see `sql::parse_continuous_query` for standing queries.
-        return Err(
-            "WINDOW/EPOCH/RENEW make a query continuous — use parse_continuous_query".into(),
-        );
-    }
-    let from_order: Vec<usize> = (0..parsed.n_tables()).collect();
-    if parsed.n_tables() >= 3 {
-        // Greedy cost-based join-order search over catalog cardinalities
-        // (pipelines chain symmetric-hash stages; the binary strategy
-        // repertoire does not apply). Widths are per-column: a table
-        // contributes only its *shipped* columns to intermediates.
-        let info = plan_info(&parsed)?;
-        let cards: Vec<TableCard> = info
-            .table_names
-            .iter()
-            .zip(&info.has_pred)
-            .zip(&info.ship_cols)
-            .map(|((name, &has_pred), ship)| {
-                let def = catalog
-                    .get(name)
-                    .ok_or_else(|| format!("no stats for {name}"))?;
-                Ok(TableCard {
-                    rows: def.stats.rows as f64,
-                    bytes: def.stats.avg_tuple_bytes as f64,
-                    ship_bytes: def.ship_bytes(ship) as f64,
-                    // The classical 1/2 for predicates we cannot derive.
-                    sel: if has_pred { 0.5 } else { 1.0 },
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let order = greedy_join_order(&cards, &info.edges);
-        return lower_parsed(&parsed, &order, JoinStrategy::SymmetricHash);
-    }
-    let mut op = lower_parsed(&parsed, &from_order, JoinStrategy::SymmetricHash)?;
-    if let QueryOp::Join { join: j, .. } = &mut op {
-        let right_scan = &j.stages[0].right;
-        let left = catalog
-            .get(&j.left.table)
-            .ok_or_else(|| format!("no stats for {}", j.left.table))?;
-        let right = catalog
-            .get(&right_scan.table)
-            .ok_or_else(|| format!("no stats for {}", right_scan.table))?;
-        // Default selectivity estimate for predicates we cannot derive:
-        // the classical 1/2 for range predicates, 1 when absent.
-        let sel = |has_pred: bool| if has_pred { 0.5 } else { 1.0 };
-        // Byte-accurate widths: rehashes ship the pruned projection the
-        // executor will actually use; fetches move full base tuples.
-        let schema = PipelineSchema::new(j, true)?;
-        let result_cols = &schema.stages[0].out_globals;
-        let la = j.left.arity;
-        let (res_l, res_r): (Vec<usize>, Vec<usize>) =
-            result_cols.iter().copied().partition(|&c| c < la);
-        let res_r: Vec<usize> = res_r.into_iter().map(|c| c - la).collect();
-        let stats = JoinStats {
-            rows_r: left.stats.rows as f64,
-            rows_s: right.stats.rows as f64,
-            bytes_r: left.stats.avg_tuple_bytes as f64,
-            bytes_s: right.stats.avg_tuple_bytes as f64,
-            ship_r: left.ship_bytes(&schema.keep_base) as f64,
-            ship_s: right.ship_bytes(&schema.stages[0].keep_right) as f64,
-            sel_r: sel(j.left.pred.is_some()),
-            sel_s: sel(right_scan.pred.is_some()),
-            match_r: 0.9,
-            bytes_result: (left.ship_bytes(&res_l) + right.ship_bytes(&res_r)) as f64,
-            bloom_bytes: (left.stats.rows as f64).max(2048.0),
-        };
+    let parsed = parse_one_shot(sql, catalog)?;
+    let cards: Vec<TableCard> = parsed
+        .tables
+        .iter()
+        .zip(parsed.shipped_cols(true))
+        .map(|(t, ship)| TableCard {
+            rows: t.def.stats.rows as f64,
+            bytes: t.def.stats.avg_tuple_bytes as f64,
+            ship_bytes: t.def.ship_bytes(&ship) as f64,
+            sel: default_selectivity(t.has_pred()),
+        })
+        .collect();
+    // Greedy cost-based join-order search (FROM order for up to two
+    // tables; longer pipelines chain symmetric-hash stages, so the
+    // binary strategy repertoire does not apply to them).
+    let order = greedy_join_order(&cards, &parsed.join_edges());
+    let mut op = lower_parsed(&parsed, &order, JoinStrategy::SymmetricHash)?;
+    let QueryOp::Join { join: j, .. } = &mut op else {
+        return Ok(op);
+    };
+    if let [left, right] = &cards[..] {
+        // A result carries what the output reads of each side; filters
+        // are sized for the left table's keys.
+        let out = parsed.shipped_cols(false);
+        let out_bytes = |t: usize| parsed.tables[t].def.ship_bytes(&out[t]) as f64;
+        let mut stats = JoinStats::stage(left, right);
+        stats.bytes_result = out_bytes(0) + out_bytes(1);
+        stats.bloom_bytes = left.rows.max(2048.0);
+        j.strategy = choose_strategy(net, &stats, objective);
         // Fetch Matches is only valid when the fetched table is hashed on
         // the join key (resourceID = pkey, §4.1).
-        let fm_valid = right_scan.join_col == Some(right_scan.pkey_col);
-        j.strategy = choose_strategy(net, &stats, objective);
-        if j.strategy == JoinStrategy::FetchMatches && !fm_valid {
+        let fetched = &j.stages[0].right;
+        if j.strategy == JoinStrategy::FetchMatches && fetched.join_col != Some(fetched.pkey_col) {
             j.strategy = JoinStrategy::SymmetricHash;
         }
     }

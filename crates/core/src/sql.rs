@@ -13,14 +13,24 @@
 //! ```
 //!
 //! which covers all three §2.1 intrusion-detection examples and the §5.1
-//! workload query, plus N-table equi-join chains and stars. The parser
-//! resolves names against the [`Catalog`] and emits a fully
-//! index-resolved [`QueryOp`]: two or more tables lower to one
-//! left-deep [`JoinSpec`] pipeline — two-table joins keep the
-//! four-strategy repertoire of §4, longer pipelines chain symmetric
-//! hash joins. Parsing
-//! and lowering are split (`parse_sql` / `lower_parsed`, crate-internal)
-//! so the cost-based planner can choose the join order between the two.
+//! workload query, plus N-table equi-join chains and stars. The front
+//! end runs in four steps, each owning one decision:
+//!
+//! 1. **lex / parse** (`Parser`) — the grammar. Names are still strings.
+//! 2. **bind + classify** (`parse_sql`, once per statement) — every name
+//!    becomes a column index over the concatenation of the FROM tables
+//!    *in FROM order*, and every WHERE conjunct becomes a pushed-down
+//!    scan predicate, a join edge, or a residual. The result, a
+//!    `ParsedQuery`, is what the cost-based planner reads: which tables
+//!    are filtered, how they connect, which columns ever ship.
+//! 3. **order** — FROM order ([`parse_query`]) or the planner's
+//!    cost-based choice ([`crate::planner::plan_sql`]).
+//! 4. **re-index** (`lower_parsed`) — the bound expressions are mapped
+//!    from FROM order to the chosen order and assembled into a fully
+//!    index-resolved [`QueryOp`]: two or more tables lower to one
+//!    left-deep [`JoinSpec`] pipeline — two-table joins keep the
+//!    four-strategy repertoire of §4, longer pipelines chain symmetric
+//!    hash joins. No name is looked up after step 2.
 //!
 //! `WINDOW`, `EPOCH`, and `RENEW` make a query *standing* (continuous,
 //! §3.2.3 / §7): `WINDOW` bounds the lifetime of rehashed soft state (a
@@ -33,10 +43,12 @@
 //! [`parse_query`] (and the planner) reject all three clauses since a
 //! bare [`QueryOp`] cannot honor them.
 
+use std::fmt;
+
 use pier_simnet::time::Dur;
 use pier_simnet::NodeId;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableDef};
 use crate::expr::{BinOp, Expr, Func};
 use crate::plan::{
     AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
@@ -47,7 +59,7 @@ use crate::value::Value;
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Tok {
     Ident(String),
     Int(i64),
@@ -56,100 +68,70 @@ enum Tok {
     Sym(&'static str),
 }
 
+/// The symbols of the grammar, two-character ones first so `<=` wins
+/// over `<`. `!=` is read as `<>`.
+const SYMBOLS: [&str; 16] = [
+    "<=", "<>", ">=", "!=", "(", ")", ",", ".", "*", "+", "-", "/", "%", "=", "<", ">",
+];
+
 fn lex(input: &str) -> Result<Vec<Tok>, String> {
     let mut out = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' | ')' | ',' | '.' | '*' | '+' | '-' | '/' | '%' | '=' => {
-                out.push(Tok::Sym(match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '.' => ".",
-                    '*' => "*",
-                    '+' => "+",
-                    '-' => "-",
-                    '/' => "/",
-                    '%' => "%",
-                    _ => "=",
-                }));
-                i += 1;
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Tok::Sym("<="));
-                    i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
-                    out.push(Tok::Sym("<>"));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Tok::Sym(">="));
-                    i += 2;
-                } else {
-                    out.push(Tok::Sym(">"));
-                    i += 1;
-                }
-            }
-            '!' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Tok::Sym("<>"));
-                i += 2;
-            }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                while i < chars.len() && chars[i] != '\'' {
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                if i >= chars.len() {
-                    return Err("unterminated string literal".into());
-                }
-                i += 1;
-                out.push(Tok::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                if text.contains('.') {
-                    out.push(Tok::Float(text.parse().map_err(|e| format!("{e}"))?));
-                } else {
-                    out.push(Tok::Int(text.parse().map_err(|e| format!("{e}"))?));
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                out.push(Tok::Ident(chars[start..i].iter().collect()));
-            }
-            ';' => i += 1,
-            other => return Err(format!("unexpected character '{other}'")),
-        }
+    let mut rest = input;
+    while let Some(c) = rest.chars().next() {
+        // Length of the leading run of characters satisfying `p`.
+        let run = |p: fn(char) -> bool| rest.find(|c| !p(c)).unwrap_or(rest.len());
+        let len = if matches!(c, ' ' | '\t' | '\n' | '\r' | ';') {
+            1
+        } else if let Some(&sym) = SYMBOLS.iter().find(|sym| rest.starts_with(**sym)) {
+            out.push(Tok::Sym(if sym == "!=" { "<>" } else { sym }));
+            sym.len()
+        } else if c == '\'' {
+            let end = rest[1..].find('\'');
+            let end = end.ok_or("unterminated string literal")?;
+            out.push(Tok::Str(rest[1..=end].to_string()));
+            end + 2
+        } else if c.is_ascii_digit() {
+            let len = run(|c| c.is_ascii_digit() || c == '.');
+            let text = &rest[..len];
+            out.push(if text.contains('.') {
+                Tok::Float(text.parse().map_err(|e| format!("{e}"))?)
+            } else {
+                Tok::Int(text.parse().map_err(|e| format!("{e}"))?)
+            });
+            len
+        } else if c.is_ascii_alphabetic() || c == '_' {
+            let len = run(|c| c.is_ascii_alphanumeric() || c == '_');
+            out.push(Tok::Ident(rest[..len].to_string()));
+            len
+        } else {
+            return Err(format!("unexpected character '{c}'"));
+        };
+        rest = &rest[len..];
     }
     Ok(out)
 }
 
 // ---------------------------------------------------------------------
-// Parser AST (pre-resolution)
+// Parser AST (names still strings)
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
+/// A column name as written: `field` or `qualifier.field`.
+struct ColName {
+    qualifier: Option<String>,
+    field: String,
+}
+
+impl fmt::Display for ColName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.qualifier {
+            Some(q) => write!(f, "{q}.{}", self.field),
+            None => f.write_str(&self.field),
+        }
+    }
+}
+
 enum PExpr {
-    Col(String),
+    Col(ColName),
     Lit(Value),
     Bin(BinOp, Box<PExpr>, Box<PExpr>),
     Not(Box<PExpr>),
@@ -157,9 +139,17 @@ enum PExpr {
     Agg(AggFunc, Option<Box<PExpr>>),
 }
 
+/// One SELECT item; `expr: None` is `*`.
+struct SelectItem {
+    expr: Option<PExpr>,
+    alias: Option<String>,
+}
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// An aggregate call was parsed somewhere in the statement.
+    saw_agg: bool,
 }
 
 impl Parser {
@@ -167,47 +157,31 @@ impl Parser {
         self.toks.get(self.pos)
     }
 
+    /// Take the next token out of the stream (nothing re-reads a
+    /// consumed position).
     fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let t = std::mem::replace(self.toks.get_mut(self.pos)?, Tok::Sym(""));
+        self.pos += 1;
+        Some(t)
     }
 
-    fn kw(&mut self, word: &str) -> bool {
-        if let Some(Tok::Ident(w)) = self.peek() {
-            if w.eq_ignore_ascii_case(word) {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
+    /// Consume the next token if it is the keyword (any case) or the
+    /// symbol `want`.
+    fn eat(&mut self, want: &str) -> bool {
+        let hit = match self.peek() {
+            Some(Tok::Ident(w)) => w.eq_ignore_ascii_case(want),
+            Some(Tok::Sym(s)) => *s == want,
+            _ => false,
+        };
+        self.pos += hit as usize;
+        hit
     }
 
-    fn expect_kw(&mut self, word: &str) -> Result<(), String> {
-        if self.kw(word) {
+    fn expect(&mut self, want: &str) -> Result<(), String> {
+        if self.eat(want) {
             Ok(())
         } else {
-            Err(format!("expected {word} at token {:?}", self.peek()))
-        }
-    }
-
-    fn sym(&mut self, s: &str) -> bool {
-        if let Some(Tok::Sym(have)) = self.peek() {
-            if *have == s {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_sym(&mut self, s: &str) -> Result<(), String> {
-        if self.sym(s) {
-            Ok(())
-        } else {
-            Err(format!("expected '{s}' at token {:?}", self.peek()))
+            Err(format!("expected {want} at token {:?}", self.peek()))
         }
     }
 
@@ -218,6 +192,40 @@ impl Parser {
         }
     }
 
+    /// The rest of a column name whose first identifier is `first`.
+    fn col_name(&mut self, first: String) -> Result<ColName, String> {
+        Ok(if self.eat(".") {
+            ColName {
+                qualifier: Some(first),
+                field: self.ident()?,
+            }
+        } else {
+            ColName {
+                qualifier: None,
+                field: first,
+            }
+        })
+    }
+
+    /// Does a table alias follow (an identifier that is not a keyword)?
+    fn at_alias(&self) -> bool {
+        const KEYWORDS: [&str; 11] = [
+            "WHERE", "GROUP", "HAVING", "AND", "OR", "AS", "SELECT", "FROM", "WINDOW", "EPOCH",
+            "RENEW",
+        ];
+        matches!(self.peek(), Some(Tok::Ident(w))
+            if !KEYWORDS.iter().any(|k| w.eq_ignore_ascii_case(k)))
+    }
+
+    /// An optional `KEYWORD duration` clause.
+    fn duration_clause(&mut self, keyword: &str) -> Result<Option<Dur>, String> {
+        if self.eat(keyword) {
+            self.duration().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     /// A duration literal with an optional unit (seconds by default).
     fn duration(&mut self) -> Result<Dur, String> {
         let n = match self.next() {
@@ -225,11 +233,11 @@ impl Parser {
             Some(Tok::Float(x)) if x >= 0.0 => x,
             other => return Err(format!("expected a duration, got {other:?}")),
         };
-        let scale = if self.kw("SECONDS") || self.kw("S") {
+        let scale = if self.eat("SECONDS") || self.eat("S") {
             1.0
-        } else if self.kw("MS") || self.kw("MILLISECONDS") {
+        } else if self.eat("MS") || self.eat("MILLISECONDS") {
             1e-3
-        } else if self.kw("MINUTES") {
+        } else if self.eat("MINUTES") {
             60.0
         } else {
             1.0
@@ -241,79 +249,47 @@ impl Parser {
         Ok(d)
     }
 
-    // expr := or
     fn expr(&mut self) -> Result<PExpr, String> {
-        let mut left = self.and_expr()?;
-        while self.kw("OR") {
-            let right = self.and_expr()?;
-            left = PExpr::Bin(BinOp::Or, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.binary(0)
     }
 
-    fn and_expr(&mut self) -> Result<PExpr, String> {
-        let mut left = self.cmp_expr()?;
-        while self.kw("AND") {
-            let right = self.cmp_expr()?;
-            left = PExpr::Bin(BinOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn cmp_expr(&mut self) -> Result<PExpr, String> {
-        let left = self.add_expr()?;
-        let op = match self.peek() {
-            Some(Tok::Sym("=")) => Some(BinOp::Eq),
-            Some(Tok::Sym("<>")) => Some(BinOp::Ne),
-            Some(Tok::Sym("<")) => Some(BinOp::Lt),
-            Some(Tok::Sym("<=")) => Some(BinOp::Le),
-            Some(Tok::Sym(">")) => Some(BinOp::Gt),
-            Some(Tok::Sym(">=")) => Some(BinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.add_expr()?;
-            Ok(PExpr::Bin(op, Box::new(left), Box::new(right)))
-        } else {
-            Ok(left)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<PExpr, String> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Sym("+")) => BinOp::Add,
-                Some(Tok::Sym("-")) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.mul_expr()?;
-            left = PExpr::Bin(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn mul_expr(&mut self) -> Result<PExpr, String> {
+    /// Binary operators at `min_prec` or tighter, by precedence
+    /// climbing ([`binop`] has the table). All associate to the left,
+    /// except that comparisons do not chain: `a < b < c` is refused.
+    fn binary(&mut self, min_prec: u8) -> Result<PExpr, String> {
         let mut left = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Sym("*")) => BinOp::Mul,
-                Some(Tok::Sym("/")) => BinOp::Div,
-                Some(Tok::Sym("%")) => BinOp::Mod,
-                _ => break,
-            };
+        // The loosest operator this level may still take: operators
+        // arrive tightest first (the right operand swallowed anything
+        // tighter), and a comparison bars a second one.
+        let mut ceiling = u8::MAX;
+        while let Some((op, prec)) = self.peek().and_then(binop) {
+            if prec < min_prec || prec > ceiling {
+                break;
+            }
             self.pos += 1;
-            let right = self.unary_expr()?;
+            let right = self.binary(prec + 1)?;
             left = PExpr::Bin(op, Box::new(left), Box::new(right));
+            ceiling = if prec == COMPARISON { prec - 1 } else { prec };
         }
         Ok(left)
     }
 
     fn unary_expr(&mut self) -> Result<PExpr, String> {
-        if self.kw("NOT") {
+        if self.eat("NOT") {
             return Ok(PExpr::Not(Box::new(self.unary_expr()?)));
+        }
+        if self.eat("-") {
+            // The sign folds into a numeric literal; anything else is
+            // negated as `0 - x`.
+            return Ok(match self.unary_expr()? {
+                PExpr::Lit(Value::I64(i)) => PExpr::Lit(Value::I64(i.wrapping_neg())),
+                PExpr::Lit(Value::F64(x)) => PExpr::Lit(Value::F64(-x)),
+                other => PExpr::Bin(
+                    BinOp::Sub,
+                    Box::new(PExpr::Lit(Value::I64(0))),
+                    Box::new(other),
+                ),
+            });
         }
         self.primary()
     }
@@ -325,22 +301,22 @@ impl Parser {
             Some(Tok::Str(s)) => Ok(PExpr::Lit(Value::str(&s))),
             Some(Tok::Sym("(")) => {
                 let e = self.expr()?;
-                self.expect_sym(")")?;
+                self.expect(")")?;
                 Ok(e)
             }
             Some(Tok::Ident(word)) => {
                 // Aggregate / scalar function call?
-                if self.peek() == Some(&Tok::Sym("(")) {
-                    self.pos += 1;
+                if self.eat("(") {
                     let lower = word.to_ascii_lowercase();
                     if let Some(func) = agg_func(&lower) {
+                        self.saw_agg = true;
                         // count(*) has no argument.
-                        if self.sym("*") {
-                            self.expect_sym(")")?;
+                        if self.eat("*") {
+                            self.expect(")")?;
                             return Ok(PExpr::Agg(func, None));
                         }
                         let arg = self.expr()?;
-                        self.expect_sym(")")?;
+                        self.expect(")")?;
                         return Ok(PExpr::Agg(func, Some(Box::new(arg))));
                     }
                     let func =
@@ -349,24 +325,43 @@ impl Parser {
                     if self.peek() != Some(&Tok::Sym(")")) {
                         loop {
                             args.push(self.expr()?);
-                            if !self.sym(",") {
+                            if !self.eat(",") {
                                 break;
                             }
                         }
                     }
-                    self.expect_sym(")")?;
+                    self.expect(")")?;
                     return Ok(PExpr::Call(func, args));
                 }
-                // Qualified column?
-                if self.sym(".") {
-                    let field = self.ident()?;
-                    return Ok(PExpr::Col(format!("{word}.{field}")));
-                }
-                Ok(PExpr::Col(word))
+                Ok(PExpr::Col(self.col_name(word)?))
             }
             other => Err(format!("unexpected token {other:?}")),
         }
     }
+}
+
+/// Precedence of the comparison operators (see [`binop`]).
+const COMPARISON: u8 = 2;
+
+/// A binary operator token and its precedence (higher binds tighter):
+/// `OR` < `AND` < comparisons < `+ -` < `* / %`.
+fn binop(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::Ident(w) if w.eq_ignore_ascii_case("OR") => (BinOp::Or, 0),
+        Tok::Ident(w) if w.eq_ignore_ascii_case("AND") => (BinOp::And, 1),
+        Tok::Sym("=") => (BinOp::Eq, COMPARISON),
+        Tok::Sym("<>") => (BinOp::Ne, COMPARISON),
+        Tok::Sym("<") => (BinOp::Lt, COMPARISON),
+        Tok::Sym("<=") => (BinOp::Le, COMPARISON),
+        Tok::Sym(">") => (BinOp::Gt, COMPARISON),
+        Tok::Sym(">=") => (BinOp::Ge, COMPARISON),
+        Tok::Sym("+") => (BinOp::Add, 3),
+        Tok::Sym("-") => (BinOp::Sub, 3),
+        Tok::Sym("*") => (BinOp::Mul, 4),
+        Tok::Sym("/") => (BinOp::Div, 4),
+        Tok::Sym("%") => (BinOp::Mod, 4),
+        _ => return None,
+    })
 }
 
 fn agg_func(name: &str) -> Option<AggFunc> {
@@ -390,152 +385,6 @@ fn scalar_func(name: &str) -> Option<Func> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Name resolution & lowering
-// ---------------------------------------------------------------------
-
-/// One FROM-clause table, pre-resolution. Column offsets are *not*
-/// stored here: they depend on the join order chosen at lowering time.
-#[derive(Clone)]
-pub(crate) struct FromTable {
-    alias: String,
-    table: String,
-    schema: crate::tuple::SchemaRef,
-    pkey_col: usize,
-}
-
-/// Parsed SELECT item.
-#[derive(Clone)]
-struct SelectItem {
-    expr: PExpr,
-    alias: Option<String>,
-}
-
-/// A parsed-but-not-yet-lowered query: FROM tables in syntactic order,
-/// the star-expanded SELECT list, the WHERE conjuncts, and grouping.
-///
-/// Lowering ([`lower_parsed`]) binds a *join order* — a permutation of
-/// the FROM tables — before any column index is baked in, which is what
-/// lets the planner reorder N-way joins cost-based while `parse_query`
-/// keeps the syntactic order.
-pub(crate) struct ParsedQuery {
-    tables: Vec<FromTable>,
-    select: Vec<SelectItem>,
-    conjuncts: Vec<PExpr>,
-    group_by: Vec<String>,
-    having: Option<PExpr>,
-    /// `WINDOW n`: sliding soft-state window of a standing query.
-    pub(crate) window: Option<Dur>,
-    /// `EPOCH n`: re-emission period of a continuous aggregate.
-    pub(crate) epoch: Option<Dur>,
-    /// `RENEW n`: per-query renewal period of an unwindowed standing
-    /// query's rehash soft state.
-    pub(crate) renew: Option<Dur>,
-}
-
-impl ParsedQuery {
-    pub(crate) fn n_tables(&self) -> usize {
-        self.tables.len()
-    }
-}
-
-/// A FROM table placed at a definite offset within the concatenated
-/// schema of one particular join order.
-struct ResolvedTable {
-    alias: String,
-    table: String,
-    schema: crate::tuple::SchemaRef,
-    pkey_col: usize,
-    offset: usize,
-}
-
-struct Resolver {
-    tables: Vec<ResolvedTable>,
-}
-
-impl Resolver {
-    /// Place `tables[order[0]], tables[order[1]], ...` at cumulative
-    /// offsets.
-    fn new(tables: &[FromTable], order: &[usize]) -> Resolver {
-        let mut out = Vec::with_capacity(order.len());
-        let mut offset = 0;
-        for &i in order {
-            let t = &tables[i];
-            out.push(ResolvedTable {
-                alias: t.alias.clone(),
-                table: t.table.clone(),
-                schema: t.schema.clone(),
-                pkey_col: t.pkey_col,
-                offset,
-            });
-            offset += t.schema.arity();
-        }
-        Resolver { tables: out }
-    }
-
-    /// Which ordered table a global column index belongs to.
-    fn table_of(&self, col: usize) -> usize {
-        self.tables
-            .iter()
-            .rposition(|t| t.offset <= col)
-            .expect("column offset")
-    }
-
-    /// Resolve a (possibly qualified) column name to a global index over
-    /// the concatenated FROM schemas.
-    fn col(&self, name: &str) -> Result<usize, String> {
-        if let Some((prefix, field)) = name.split_once('.') {
-            for t in &self.tables {
-                if t.alias.eq_ignore_ascii_case(prefix) || t.table.eq_ignore_ascii_case(prefix) {
-                    return t
-                        .schema
-                        .col(field)
-                        .map(|i| i + t.offset)
-                        .ok_or_else(|| format!("no column '{field}' in {}", t.table));
-                }
-            }
-            return Err(format!("unknown table qualifier '{prefix}'"));
-        }
-        let mut hit = None;
-        for t in &self.tables {
-            if let Some(i) = t.schema.col(name) {
-                if hit.is_some() {
-                    return Err(format!("ambiguous column '{name}'"));
-                }
-                hit = Some(i + t.offset);
-            }
-        }
-        hit.ok_or_else(|| format!("unknown column '{name}'"))
-    }
-
-    /// Lower a scalar (non-aggregate) expression to indexed form.
-    fn lower(&self, e: &PExpr) -> Result<Expr, String> {
-        Ok(match e {
-            PExpr::Col(name) => Expr::Col(self.col(name)?),
-            PExpr::Lit(v) => Expr::Lit(v.clone()),
-            PExpr::Bin(op, l, r) => Expr::bin(*op, self.lower(l)?, self.lower(r)?),
-            PExpr::Not(inner) => Expr::Not(Box::new(self.lower(inner)?)),
-            PExpr::Call(f, args) => Expr::Call(
-                *f,
-                args.iter()
-                    .map(|a| self.lower(a))
-                    .collect::<Result<_, _>>()?,
-            ),
-            PExpr::Agg(..) => return Err("aggregate in scalar context".into()),
-        })
-    }
-}
-
-fn contains_agg(e: &PExpr) -> bool {
-    match e {
-        PExpr::Agg(..) => true,
-        PExpr::Col(_) | PExpr::Lit(_) => false,
-        PExpr::Not(i) => contains_agg(i),
-        PExpr::Bin(_, l, r) => contains_agg(l) || contains_agg(r),
-        PExpr::Call(_, args) => args.iter().any(contains_agg),
-    }
-}
-
 /// Split a conjunctive predicate into its top-level conjuncts.
 fn conjuncts(e: PExpr, out: &mut Vec<PExpr>) {
     match e {
@@ -547,418 +396,401 @@ fn conjuncts(e: PExpr, out: &mut Vec<PExpr>) {
     }
 }
 
-/// Parse a SQL string against a catalog into a [`ParsedQuery`], leaving
-/// join order and strategy unbound.
-pub(crate) fn parse_sql(sql: &str, catalog: &Catalog) -> Result<ParsedQuery, String> {
+// ---------------------------------------------------------------------
+// The bound query
+// ---------------------------------------------------------------------
+
+/// One FROM-clause table of a bound query.
+pub(crate) struct FromTable<'a> {
+    alias: String,
+    pub(crate) def: &'a TableDef,
+    /// Where the table's columns start in the FROM-order concatenation.
+    offset: usize,
+    /// The WHERE conjuncts that read this table alone, over its own
+    /// columns: pushed down to its scan under any join order.
+    preds: Vec<Expr>,
+}
+
+impl FromTable<'_> {
+    /// Does a pushed-down predicate filter this table's scan?
+    pub(crate) fn has_pred(&self) -> bool {
+        !self.preds.is_empty()
+    }
+
+    fn scan(&self) -> ScanSpec {
+        let schema = &self.def.schema;
+        let mut scan = ScanSpec::new(&schema.name, schema.arity(), self.def.pkey_col);
+        if self.has_pred() {
+            scan.pred = Some(Expr::conjunction(self.preds.clone()));
+        }
+        scan
+    }
+}
+
+/// What a bound query emits.
+enum Output {
+    /// The SELECT list over base columns.
+    Rows(Vec<Expr>),
+    /// A grouped aggregation: `group_cols` and aggregate arguments over
+    /// base columns, `output` (the SELECT list) and `having` over
+    /// `[groups..., aggregates...]`, which no join order moves.
+    Groups(AggSpec),
+}
+
+/// Rewrite the base columns an aggregation reads through `map`.
+fn map_agg_input(agg: &mut AggSpec, map: &dyn Fn(usize) -> usize) {
+    for g in &mut agg.group_cols {
+        *g = map(*g);
+    }
+    for arg in agg.aggs.iter_mut().filter_map(|call| call.arg.as_mut()) {
+        arg.map_cols(map);
+    }
+}
+
+/// A query with every name bound and its WHERE clause classified, join
+/// order and strategy still open. Base columns are indexed over the
+/// concatenation of the FROM tables *in FROM order*; lowering
+/// ([`lower_parsed`]) re-indexes them for the join order it is given,
+/// which is what lets the planner cost the query and reorder an N-way
+/// join without any name being looked up again.
+pub(crate) struct ParsedQuery<'a> {
+    pub(crate) tables: Vec<FromTable<'a>>,
+    output: Output,
+    /// Cross-table equality conjuncts `a = b` as column pairs, the end
+    /// in the earlier FROM table first; conjunct order preserved.
+    edges: Vec<(usize, usize)>,
+    /// The remaining cross-table conjuncts, evaluable only above a join.
+    residuals: Vec<Expr>,
+    /// `WINDOW n`: sliding soft-state window of a standing query.
+    window: Option<Dur>,
+    /// `EPOCH n`: re-emission period of a continuous aggregate.
+    epoch: Option<Dur>,
+    /// `RENEW n`: per-query renewal period of an unwindowed standing
+    /// query's rehash soft state.
+    renew: Option<Dur>,
+}
+
+/// Which FROM table a column of the FROM-order concatenation is in.
+fn table_of(tables: &[FromTable], col: usize) -> usize {
+    tables
+        .iter()
+        .rposition(|t| t.offset <= col)
+        .expect("the first table starts at column 0")
+}
+
+impl ParsedQuery<'_> {
+    /// The join graph: equality edges as FROM-order table-index pairs.
+    pub(crate) fn join_edges(&self) -> Vec<(usize, usize)> {
+        let t = |c| table_of(&self.tables, c);
+        self.edges.iter().map(|&(a, b)| (t(a), t(b))).collect()
+    }
+
+    /// Per FROM table, the columns (own indices, ascending) the
+    /// dataflow carries whatever the join order: those the output reads
+    /// (SELECT, GROUP BY, aggregate arguments) and, with `through_joins`,
+    /// the join keys and residual-predicate columns too. Columns read
+    /// only by a pushed-down predicate are evaluated at the data's home
+    /// node and never ship.
+    pub(crate) fn shipped_cols(&self, through_joins: bool) -> Vec<Vec<usize>> {
+        let mut cols = Vec::new();
+        match &self.output {
+            Output::Rows(exprs) => exprs.iter().for_each(|e| e.columns(&mut cols)),
+            Output::Groups(agg) => {
+                cols.extend(&agg.group_cols);
+                let args = agg.aggs.iter().filter_map(|call| call.arg.as_ref());
+                args.for_each(|a| a.columns(&mut cols));
+            }
+        }
+        if through_joins {
+            self.residuals.iter().for_each(|e| e.columns(&mut cols));
+            cols.extend(self.edges.iter().flat_map(|&(a, b)| [a, b]));
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        self.tables
+            .iter()
+            .map(|t| {
+                let own = t.offset..t.offset + t.def.schema.arity();
+                let of_table = cols.iter().filter(|c| own.contains(c));
+                of_table.map(|c| c - t.offset).collect()
+            })
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bind: names → indices, WHERE → join graph — once
+// ---------------------------------------------------------------------
+
+/// Name resolution state while a statement is bound.
+struct Binder<'q, 'a> {
+    tables: &'q [FromTable<'a>],
+    /// GROUP BY columns of an aggregate query.
+    group_cols: Vec<usize>,
+    /// Distinct aggregate calls met so far, in first-use order.
+    aggs: Vec<AggCall>,
+    /// SELECT aliases bound so far (aggregate queries: `HAVING cnt > 10`).
+    aliases: Vec<(String, Expr)>,
+}
+
+impl Binder<'_, '_> {
+    /// The one place a column name becomes an index (over the
+    /// FROM-order concatenation).
+    fn resolve(&self, name: &ColName) -> Result<usize, String> {
+        let field = &name.field;
+        if let Some(q) = &name.qualifier {
+            let named = |t: &&FromTable| {
+                t.alias.eq_ignore_ascii_case(q) || t.def.schema.name.eq_ignore_ascii_case(q)
+            };
+            let t = self
+                .tables
+                .iter()
+                .find(named)
+                .ok_or_else(|| format!("unknown table qualifier '{q}'"))?;
+            let col = t.def.schema.col(field);
+            return col
+                .map(|i| i + t.offset)
+                .ok_or_else(|| format!("no column '{field}' in {}", t.def.schema.name));
+        }
+        let mut hits = self
+            .tables
+            .iter()
+            .filter_map(|t| Some(t.def.schema.col(field)? + t.offset));
+        match (hits.next(), hits.next()) {
+            (Some(col), None) => Ok(col),
+            (None, _) => Err(format!("unknown column '{field}'")),
+            (Some(_), Some(_)) => Err(format!("ambiguous column '{field}'")),
+        }
+    }
+
+    /// A base column as the output of an aggregation sees it: its
+    /// position among the GROUP BY columns.
+    fn grouped(&self, col: usize, name: &dyn fmt::Display) -> Result<Expr, String> {
+        let at = self.group_cols.iter().position(|&g| g == col);
+        at.map(Expr::Col)
+            .ok_or_else(|| format!("column '{name}' not in GROUP BY"))
+    }
+
+    /// Bind one expression. Over base columns (`grouped = false`) a name
+    /// is a column of the FROM-order concatenation and an aggregate call
+    /// is an error; over an aggregation's `[groups..., aggregates...]`
+    /// row (`grouped = true`) a name is a SELECT alias or a GROUP BY
+    /// column, and an aggregate call is registered (once per distinct
+    /// call) and becomes a reference to its result.
+    fn expr(&mut self, e: PExpr, grouped: bool) -> Result<Expr, String> {
+        Ok(match e {
+            PExpr::Lit(v) => Expr::Lit(v),
+            PExpr::Bin(op, l, r) => Expr::bin(op, self.expr(*l, grouped)?, self.expr(*r, grouped)?),
+            PExpr::Not(inner) => Expr::Not(Box::new(self.expr(*inner, grouped)?)),
+            PExpr::Call(f, args) => {
+                let args = args.into_iter().map(|a| self.expr(a, grouped));
+                Expr::Call(f, args.collect::<Result<_, _>>()?)
+            }
+            PExpr::Col(name) if !grouped => Expr::Col(self.resolve(&name)?),
+            PExpr::Col(name) => {
+                let aliased = |(a, _): &&(String, Expr)| {
+                    name.qualifier.is_none() && a.eq_ignore_ascii_case(&name.field)
+                };
+                match self.aliases.iter().find(aliased) {
+                    Some((_, bound)) => bound.clone(),
+                    None => self.grouped(self.resolve(&name)?, &name)?,
+                }
+            }
+            PExpr::Agg(..) if !grouped => return Err("aggregate in scalar context".into()),
+            PExpr::Agg(func, arg) => {
+                let arg = arg.map(|a| self.expr(*a, false)).transpose()?;
+                let known = self
+                    .aggs
+                    .iter()
+                    .position(|c| c.func == func && c.arg == arg);
+                let at = known.unwrap_or_else(|| {
+                    self.aggs.push(AggCall { func, arg });
+                    self.aggs.len() - 1
+                });
+                Expr::Col(self.group_cols.len() + at)
+            }
+        })
+    }
+}
+
+/// Classify bound WHERE conjuncts over the join graph: a conjunct over
+/// one table (or none) is pushed to that table's scan, rewritten over
+/// the table's own columns; `a = b` across two tables is a join edge;
+/// anything else is a residual. Returns `(edges, residuals)`.
+fn classify(tables: &mut [FromTable], conjuncts: Vec<Expr>) -> (Vec<(usize, usize)>, Vec<Expr>) {
+    let (mut edges, mut residuals) = (Vec::new(), Vec::new());
+    let mut cols = Vec::new();
+    for mut e in conjuncts {
+        cols.clear();
+        e.columns(&mut cols);
+        let t = cols.first().map_or(0, |&c| table_of(tables, c));
+        if cols.iter().all(|&c| table_of(tables, c) == t) {
+            let offset = tables[t].offset;
+            e.map_cols(&|c| c - offset);
+            tables[t].preds.push(e);
+            continue;
+        }
+        if let Expr::Bin(BinOp::Eq, a, b) = &e {
+            if let (&Expr::Col(a), &Expr::Col(b)) = (a.as_ref(), b.as_ref()) {
+                let in_from_order = table_of(tables, a) < table_of(tables, b);
+                edges.push(if in_from_order { (a, b) } else { (b, a) });
+                continue;
+            }
+        }
+        residuals.push(e);
+    }
+    (edges, residuals)
+}
+
+/// Parse a SQL string and bind it against a catalog: the grammar, then
+/// every name resolved and the WHERE conjuncts classified, exactly
+/// once. Join order and strategy stay open ([`lower_parsed`]).
+pub(crate) fn parse_sql<'a>(sql: &str, catalog: &'a Catalog) -> Result<ParsedQuery<'a>, String> {
     let mut p = Parser {
         toks: lex(sql)?,
         pos: 0,
+        saw_agg: false,
     };
-    p.expect_kw("SELECT")?;
-    let mut items: Vec<SelectItem> = Vec::new();
+    p.expect("SELECT")?;
+    let mut select: Vec<SelectItem> = Vec::new();
     loop {
-        if p.sym("*") {
-            items.push(SelectItem {
-                expr: PExpr::Col("*".into()),
+        select.push(if p.eat("*") {
+            SelectItem {
+                expr: None,
                 alias: None,
-            });
+            }
         } else {
-            let expr = p.expr()?;
-            let alias = if p.kw("AS") { Some(p.ident()?) } else { None };
-            items.push(SelectItem { expr, alias });
-        }
-        if !p.sym(",") {
+            SelectItem {
+                expr: Some(p.expr()?),
+                alias: if p.eat("AS") { Some(p.ident()?) } else { None },
+            }
+        });
+        if !p.eat(",") {
             break;
         }
     }
-    p.expect_kw("FROM")?;
+    p.expect("FROM")?;
     let mut tables: Vec<FromTable> = Vec::new();
+    let mut arity = 0;
     loop {
         let table = p.ident()?;
         let def = catalog
             .get(&table)
             .ok_or_else(|| format!("unknown table '{table}'"))?;
         // Optional alias, with or without AS — but stop at keywords.
-        let alias = if p.kw("AS") {
+        let alias = if p.eat("AS") || p.at_alias() {
             p.ident()?
-        } else if let Some(Tok::Ident(w)) = p.peek() {
-            let kw = [
-                "WHERE", "GROUP", "HAVING", "AND", "OR", "AS", "SELECT", "FROM", "WINDOW", "EPOCH",
-                "RENEW",
-            ];
-            if kw.iter().any(|k| w.eq_ignore_ascii_case(k)) {
-                table.clone()
-            } else {
-                p.ident()?
-            }
         } else {
-            table.clone()
+            table
         };
+        if tables.iter().any(|t| t.alias.eq_ignore_ascii_case(&alias)) {
+            return Err(format!(
+                "'{alias}' names two tables in FROM — give each occurrence its own alias"
+            ));
+        }
         tables.push(FromTable {
             alias,
-            table: def.schema.name.clone(),
-            schema: def.schema.clone(),
-            pkey_col: def.pkey_col,
+            def,
+            offset: arity,
+            preds: Vec::new(),
         });
-        if !p.sym(",") {
+        arity += def.schema.arity();
+        if !p.eat(",") {
             break;
         }
     }
-
-    let where_expr = if p.kw("WHERE") { Some(p.expr()?) } else { None };
-    let group_by: Vec<String> = if p.kw("GROUP") {
-        p.expect_kw("BY")?;
-        let mut cols = Vec::new();
+    let mut where_conjuncts = Vec::new();
+    if p.eat("WHERE") {
+        conjuncts(p.expr()?, &mut where_conjuncts);
+    }
+    let mut group_by: Vec<ColName> = Vec::new();
+    if p.eat("GROUP") {
+        p.expect("BY")?;
         loop {
-            let mut name = p.ident()?;
-            if p.sym(".") {
-                name = format!("{name}.{}", p.ident()?);
-            }
-            cols.push(name);
-            if !p.sym(",") {
+            let first = p.ident()?;
+            group_by.push(p.col_name(first)?);
+            if !p.eat(",") {
                 break;
             }
         }
-        cols
-    } else {
-        Vec::new()
-    };
-    let having = if p.kw("HAVING") {
+    }
+    let having = if p.eat("HAVING") {
         Some(p.expr()?)
     } else {
         None
     };
-    let window = if p.kw("WINDOW") {
-        Some(p.duration()?)
-    } else {
-        None
-    };
-    let epoch = if p.kw("EPOCH") {
-        Some(p.duration()?)
-    } else {
-        None
-    };
-    let renew = if p.kw("RENEW") {
-        Some(p.duration()?)
-    } else {
-        None
-    };
+    let window = p.duration_clause("WINDOW")?;
+    let epoch = p.duration_clause("EPOCH")?;
+    let renew = p.duration_clause("RENEW")?;
     if p.peek().is_some() {
         return Err(format!("trailing tokens at {:?}", p.peek()));
     }
 
-    // Expand `*` in FROM order so output columns are order-independent:
-    // qualified names re-resolve correctly under any join order.
-    let mut select: Vec<SelectItem> = Vec::new();
-    for item in items {
-        if item.expr == PExpr::Col("*".into()) {
+    // GROUP BY, HAVING or any aggregate call makes the query an
+    // aggregation; its SELECT list and HAVING then bind over the
+    // aggregation's output row.
+    let is_agg = !group_by.is_empty() || having.is_some() || p.saw_agg;
+    let mut binder = Binder {
+        tables: &tables,
+        group_cols: Vec::new(),
+        aggs: Vec::new(),
+        aliases: Vec::new(),
+    };
+    let where_conjuncts: Vec<Expr> = where_conjuncts
+        .into_iter()
+        .map(|c| binder.expr(c, false))
+        .collect::<Result<_, _>>()?;
+    let group_cols = group_by.iter().map(|g| binder.resolve(g));
+    binder.group_cols = group_cols.collect::<Result<_, _>>()?;
+    let mut output = Vec::with_capacity(select.len());
+    for item in select {
+        let Some(e) = item.expr else {
+            // `*`: every column of every table, in FROM order.
             for t in &tables {
-                for f in &t.schema.fields {
-                    select.push(SelectItem {
-                        expr: PExpr::Col(format!("{}.{}", t.alias, f.name)),
-                        alias: None,
+                for (c, field) in t.def.schema.fields.iter().enumerate() {
+                    output.push(if is_agg {
+                        let name = format_args!("{}.{}", t.alias, field.name);
+                        binder.grouped(t.offset + c, &name)?
+                    } else {
+                        Expr::Col(t.offset + c)
                     });
                 }
             }
-        } else {
-            select.push(item);
+            continue;
+        };
+        let bound = binder.expr(e, is_agg)?;
+        if let (true, Some(alias)) = (is_agg, item.alias) {
+            binder.aliases.push((alias, bound.clone()));
         }
+        output.push(bound);
     }
-
-    let mut cs = Vec::new();
-    if let Some(w) = where_expr {
-        conjuncts(w, &mut cs);
-    }
-
+    let having = having.map(|h| binder.expr(h, true)).transpose()?;
+    let Binder {
+        group_cols, aggs, ..
+    } = binder;
+    let output = if is_agg {
+        let mut agg = AggSpec::new(group_cols, aggs);
+        agg.output = output;
+        agg.having = having;
+        Output::Groups(agg)
+    } else {
+        Output::Rows(output)
+    };
+    let (edges, residuals) = classify(&mut tables, where_conjuncts);
     Ok(ParsedQuery {
         tables,
-        select,
-        conjuncts: cs,
-        group_by,
-        having,
+        output,
+        edges,
+        residuals,
         window,
         epoch,
         renew,
     })
 }
 
-/// WHERE conjuncts classified against one join order.
-struct Classified {
-    /// Single-table predicates per ordered table, remapped to each
-    /// table's local columns (pushed to the scan).
-    scan_preds: Vec<Vec<Expr>>,
-    /// Cross-table equality edges as global column pairs, the end in the
-    /// earlier-ordered table first; conjunct order preserved.
-    edges: Vec<(usize, usize)>,
-    /// Remaining conjuncts, evaluable only above a join (global basis).
-    cross_preds: Vec<Expr>,
-}
-
-fn classify(resolver: &Resolver, conjs: &[PExpr]) -> Result<Classified, String> {
-    let n = resolver.tables.len();
-    let mut out = Classified {
-        scan_preds: vec![Vec::new(); n],
-        edges: Vec::new(),
-        cross_preds: Vec::new(),
-    };
-    for pe in conjs {
-        let lowered = resolver.lower(pe)?;
-        let mut cols = Vec::new();
-        lowered.columns(&mut cols);
-        let mut ts: Vec<usize> = cols.iter().map(|&c| resolver.table_of(c)).collect();
-        ts.sort_unstable();
-        ts.dedup();
-        if ts.len() <= 1 {
-            // Single-table (or constant) predicate: push to that scan.
-            let t = ts.first().copied().unwrap_or(0);
-            let off = resolver.tables[t].offset;
-            let local = lowered
-                .remap_cols(&|c| Some(c - off))
-                .map_err(|e| e.to_string())?;
-            out.scan_preds[t].push(local);
-            continue;
-        }
-        if let Expr::Bin(BinOp::Eq, a, b) = &lowered {
-            if let (Expr::Col(x), Expr::Col(y)) = (a.as_ref(), b.as_ref()) {
-                let (tx, ty) = (resolver.table_of(*x), resolver.table_of(*y));
-                if tx != ty {
-                    let (lo, hi) = if tx < ty { (*x, *y) } else { (*y, *x) };
-                    out.edges.push((lo, hi));
-                    continue;
-                }
-            }
-        }
-        out.cross_preds.push(lowered);
-    }
-    Ok(out)
-}
-
-/// Columns a parsed expression reads, descending into aggregate
-/// arguments (which scalar lowering rejects), as global indices.
-fn pexpr_columns(resolver: &Resolver, e: &PExpr, out: &mut Vec<usize>) -> Result<(), String> {
-    match e {
-        PExpr::Col(name) => {
-            let c = resolver.col(name)?;
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-        PExpr::Lit(_) => {}
-        PExpr::Not(i) => pexpr_columns(resolver, i, out)?,
-        PExpr::Bin(_, l, r) => {
-            pexpr_columns(resolver, l, out)?;
-            pexpr_columns(resolver, r, out)?;
-        }
-        PExpr::Call(_, args) => {
-            for a in args {
-                pexpr_columns(resolver, a, out)?;
-            }
-        }
-        PExpr::Agg(_, arg) => {
-            if let Some(a) = arg {
-                pexpr_columns(resolver, a, out)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Join-graph summary the cost-based planner needs to pick an order:
-/// per-table predicate presence, the equality edges as FROM-order
-/// table-index pairs, and the required-columns analysis — which columns
-/// of each table the dataflow must ever ship (join keys, columns of
-/// residual cross-table predicates, and SELECT / GROUP BY /
-/// aggregate-argument columns; columns read only by pushed-down scan
-/// predicates are evaluated at the data's home node and never ship).
-pub(crate) struct PlanInfo {
-    pub(crate) table_names: Vec<String>,
-    pub(crate) has_pred: Vec<bool>,
-    pub(crate) edges: Vec<(usize, usize)>,
-    /// Per FROM-order table: shipped columns as local indices, sorted.
-    pub(crate) ship_cols: Vec<Vec<usize>>,
-}
-
-pub(crate) fn plan_info(p: &ParsedQuery) -> Result<PlanInfo, String> {
-    let order: Vec<usize> = (0..p.tables.len()).collect();
-    let resolver = Resolver::new(&p.tables, &order);
-    let cls = classify(&resolver, &p.conjuncts)?;
-    let mut shipped: Vec<usize> = Vec::new();
-    for item in &p.select {
-        pexpr_columns(&resolver, &item.expr, &mut shipped)?;
-    }
-    for g in &p.group_by {
-        let c = resolver.col(g)?;
-        if !shipped.contains(&c) {
-            shipped.push(c);
-        }
-    }
-    if let Some(h) = &p.having {
-        // HAVING may reference select aliases; those resolve to columns
-        // already collected from the SELECT list, so skip unknown names.
-        let mut cols = Vec::new();
-        if pexpr_columns(&resolver, h, &mut cols).is_ok() {
-            for c in cols {
-                if !shipped.contains(&c) {
-                    shipped.push(c);
-                }
-            }
-        }
-    }
-    for e in &cls.cross_preds {
-        e.columns(&mut shipped);
-    }
-    for &(a, b) in &cls.edges {
-        for c in [a, b] {
-            if !shipped.contains(&c) {
-                shipped.push(c);
-            }
-        }
-    }
-    let mut ship_cols: Vec<Vec<usize>> = vec![Vec::new(); p.tables.len()];
-    for c in shipped {
-        let t = resolver.table_of(c);
-        ship_cols[t].push(c - resolver.tables[t].offset);
-    }
-    for cols in &mut ship_cols {
-        cols.sort_unstable();
-        cols.dedup();
-    }
-    Ok(PlanInfo {
-        table_names: p.tables.iter().map(|t| t.table.clone()).collect(),
-        has_pred: cls.scan_preds.iter().map(|v| !v.is_empty()).collect(),
-        edges: cls
-            .edges
-            .iter()
-            .map(|&(a, b)| (resolver.table_of(a), resolver.table_of(b)))
-            .collect(),
-        ship_cols,
-    })
-}
-
-/// Aggregate lowering: collect distinct aggregate calls from SELECT and
-/// HAVING, then rewrite both onto the `[groups..., aggs...]` basis.
-fn build_agg(
-    resolver: &Resolver,
-    select: &[SelectItem],
-    group_by: &[String],
-    having: &Option<PExpr>,
-) -> Result<AggSpec, String> {
-    let group_cols: Vec<usize> = group_by
-        .iter()
-        .map(|g| resolver.col(g))
-        .collect::<Result<_, _>>()?;
-    // Collect distinct aggregate calls.
-    let mut calls: Vec<(AggFunc, Option<PExpr>)> = Vec::new();
-    fn collect(e: &PExpr, calls: &mut Vec<(AggFunc, Option<PExpr>)>) {
-        match e {
-            PExpr::Agg(f, arg) => {
-                let key = (*f, arg.as_deref().cloned());
-                if !calls.contains(&key) {
-                    calls.push(key);
-                }
-            }
-            PExpr::Bin(_, l, r) => {
-                collect(l, calls);
-                collect(r, calls);
-            }
-            PExpr::Not(i) => collect(i, calls),
-            PExpr::Call(_, args) => args.iter().for_each(|a| collect(a, calls)),
-            _ => {}
-        }
-    }
-    for item in select {
-        collect(&item.expr, &mut calls);
-    }
-    if let Some(h) = having {
-        collect(h, &mut calls);
-    }
-    // Lower an expression onto the [groups..., aggs...] basis.
-    struct AggLower<'a> {
-        resolver: &'a Resolver,
-        group_cols: &'a [usize],
-        calls: &'a [(AggFunc, Option<PExpr>)],
-        aliases: &'a [(String, Expr)],
-    }
-    impl AggLower<'_> {
-        fn lower(&self, e: &PExpr) -> Result<Expr, String> {
-            match e {
-                PExpr::Agg(f, arg) => {
-                    let idx = self
-                        .calls
-                        .iter()
-                        .position(|(cf, ca)| cf == f && ca.as_ref() == arg.as_deref())
-                        .unwrap();
-                    Ok(Expr::Col(self.group_cols.len() + idx))
-                }
-                PExpr::Col(name) => {
-                    // A select alias (e.g. HAVING cnt > 10)?
-                    if let Some((_, e)) = self
-                        .aliases
-                        .iter()
-                        .find(|(a, _)| a.eq_ignore_ascii_case(name))
-                    {
-                        return Ok(e.clone());
-                    }
-                    let base = self.resolver.col(name)?;
-                    self.group_cols
-                        .iter()
-                        .position(|&g| g == base)
-                        .map(Expr::Col)
-                        .ok_or_else(|| format!("column '{name}' not in GROUP BY"))
-                }
-                PExpr::Lit(v) => Ok(Expr::Lit(v.clone())),
-                PExpr::Bin(op, l, r) => Ok(Expr::bin(*op, self.lower(l)?, self.lower(r)?)),
-                PExpr::Not(i) => Ok(Expr::Not(Box::new(self.lower(i)?))),
-                PExpr::Call(f, args) => Ok(Expr::Call(
-                    *f,
-                    args.iter()
-                        .map(|a| self.lower(a))
-                        .collect::<Result<_, _>>()?,
-                )),
-            }
-        }
-    }
-    let agg_calls: Vec<AggCall> = calls
-        .iter()
-        .map(|(f, arg)| {
-            Ok(AggCall {
-                func: *f,
-                arg: arg.as_ref().map(|a| resolver.lower(a)).transpose()?,
-            })
-        })
-        .collect::<Result<_, String>>()?;
-    let mut aliases: Vec<(String, Expr)> = Vec::new();
-    let mut output = Vec::new();
-    for item in select {
-        let lower = AggLower {
-            resolver,
-            group_cols: &group_cols,
-            calls: &calls,
-            aliases: &aliases,
-        };
-        let e = lower.lower(&item.expr)?;
-        if let Some(a) = &item.alias {
-            aliases.push((a.clone(), e.clone()));
-        }
-        output.push(e);
-    }
-    let having_expr = having
-        .as_ref()
-        .map(|h| {
-            AggLower {
-                resolver,
-                group_cols: &group_cols,
-                calls: &calls,
-                aliases: &aliases,
-            }
-            .lower(h)
-        })
-        .transpose()?;
-    let mut spec = AggSpec::new(group_cols, agg_calls);
-    spec.output = output;
-    spec.having = having_expr;
-    Ok(spec)
-}
+// ---------------------------------------------------------------------
+// Lower: a join order → QueryOp
+// ---------------------------------------------------------------------
 
 /// Narrow a join's output projection to the columns its aggregation
 /// reads (GROUP BY keys and aggregate arguments), remapping the
@@ -967,27 +799,26 @@ fn build_agg(
 /// column the aggregation ignores. Returns the projection expressions.
 fn narrow_agg_input(agg: &mut AggSpec) -> Vec<Expr> {
     let mut used = agg.group_cols.clone();
-    for call in &agg.aggs {
-        if let Some(a) = &call.arg {
-            a.columns(&mut used);
-        }
+    for arg in agg.aggs.iter().filter_map(|call| call.arg.as_ref()) {
+        arg.columns(&mut used);
     }
     used.sort_unstable();
     used.dedup();
-    let map = |c: usize| used.iter().position(|&u| u == c);
-    agg.group_cols = agg.group_cols.iter().map(|&c| map(c).unwrap()).collect();
-    for call in &mut agg.aggs {
-        if let Some(a) = &mut call.arg {
-            *a = a.remap_cols(&map).expect("agg argument column kept");
-        }
-    }
+    let narrowed = |c: usize| {
+        let at = used.iter().position(|&u| u == c);
+        at.expect("aggregation input column kept")
+    };
+    map_agg_input(agg, &narrowed);
     used.into_iter().map(Expr::col).collect()
 }
 
-/// Lower a parsed query under a specific join order (a permutation of
-/// the FROM tables). One table lowers to a scan or aggregation; two or
-/// more to a left-deep [`JoinSpec`] pipeline — two tables under the
-/// given strategy, longer pipelines as chained symmetric hash joins (the
+/// Lower a bound query under a specific join order (a permutation of
+/// the FROM tables): a pure re-indexing of the already-bound
+/// expressions from FROM order to `order`, with each join edge oriented
+/// and each residual assigned to the first stage that can evaluate it.
+/// One table lowers to a scan or aggregation; two or more to a
+/// left-deep [`JoinSpec`] pipeline — two tables under the given
+/// strategy, longer pipelines as chained symmetric hash joins (the
 /// `strategy` argument applies to two-table joins only).
 pub(crate) fn lower_parsed(
     p: &ParsedQuery,
@@ -995,127 +826,135 @@ pub(crate) fn lower_parsed(
     strategy: JoinStrategy,
 ) -> Result<QueryOp, String> {
     let n = p.tables.len();
-    {
-        let mut seen = vec![false; n];
-        if order.len() != n {
-            return Err("join order must cover every FROM table".into());
-        }
-        for &i in order {
-            if i >= n || seen[i] {
-                return Err("join order is not a permutation".into());
-            }
-            seen[i] = true;
-        }
+    if order.len() != n {
+        return Err("join order must cover every FROM table".into());
     }
-    let resolver = Resolver::new(&p.tables, order);
-    let mut cls = classify(&resolver, &p.conjuncts)?;
-
-    let has_agg = !p.group_by.is_empty()
-        || p.select.iter().any(|i| contains_agg(&i.expr))
-        || p.having.as_ref().is_some_and(contains_agg);
-    if p.epoch.is_some() && !has_agg {
-        return Err("EPOCH requires aggregation (GROUP BY or aggregate calls)".into());
-    }
-
-    let make_scan = |t: &ResolvedTable, preds: Vec<Expr>| {
-        let mut s = ScanSpec::new(&t.table, t.schema.arity(), t.pkey_col);
-        if !preds.is_empty() {
-            s.pred = Some(Expr::conjunction(preds));
+    // Where each FROM table sits in the order, and where its columns
+    // start in the order's concatenation.
+    let mut pos = vec![usize::MAX; n];
+    let mut start = vec![0; n];
+    let mut arity = 0;
+    for (at, &i) in order.iter().enumerate() {
+        if i >= n || pos[i] != usize::MAX {
+            return Err("join order is not a permutation".into());
         }
-        s
+        pos[i] = at;
+        start[i] = arity;
+        arity += p.tables[i].def.schema.arity();
+    }
+    let from_table = |c: usize| table_of(&p.tables, c);
+    let reindex = |c: usize| {
+        let t = from_table(c);
+        c - p.tables[t].offset + start[t]
     };
-
-    let lower_select = |resolver: &Resolver| -> Result<Vec<Expr>, String> {
-        p.select.iter().map(|i| resolver.lower(&i.expr)).collect()
-    };
-
-    match n {
-        1 => {
-            let scan = make_scan(&resolver.tables[0], std::mem::take(&mut cls.scan_preds[0]));
-            if has_agg {
-                let mut agg = build_agg(&resolver, &p.select, &p.group_by, &p.having)?;
-                agg.epoch = p.epoch;
-                Ok(QueryOp::Agg { scan, agg })
-            } else {
-                Ok(QueryOp::Scan {
-                    scan,
-                    project: lower_select(&resolver)?,
-                })
-            }
+    let output = match &p.output {
+        Output::Rows(exprs) => {
+            let mut project = exprs.clone();
+            project.iter_mut().for_each(|e| e.map_cols(&reindex));
+            Output::Rows(project)
         }
-        _ => {
-            // Left-deep pipeline: stage k joins ordered table k + 1
-            // against the accumulated prefix (one stage for two tables).
-            let n_stages = n - 1;
-            let mut stage_join: Vec<Option<(usize, usize)>> = vec![None; n_stages];
-            let mut stage_preds: Vec<Vec<Expr>> = vec![Vec::new(); n_stages];
-            for (lo, hi) in cls.edges {
-                let th = resolver.table_of(hi);
-                let k = th - 1;
-                if stage_join[k].is_none() {
-                    stage_join[k] = Some((lo, hi - resolver.tables[th].offset));
-                } else {
-                    // A second edge into the same table: checked as a
-                    // stage predicate over the accumulated schema.
-                    stage_preds[k].push(Expr::eq(Expr::col(lo), Expr::col(hi)));
-                }
-            }
-            for e in cls.cross_preds {
-                let mut cols = Vec::new();
-                e.columns(&mut cols);
-                let k = cols
-                    .iter()
-                    .map(|&c| resolver.table_of(c))
-                    .max()
-                    .expect("cross pred has columns")
-                    - 1;
-                stage_preds[k].push(e);
-            }
-            for (k, sj) in stage_join.iter().enumerate() {
-                if sj.is_none() {
-                    return Err(format!(
-                        "no equality join predicate connects table '{}' to the preceding \
-                         tables (cross products are unsupported)",
-                        resolver.tables[k + 1].table
-                    ));
-                }
-            }
-            let base = make_scan(&resolver.tables[0], std::mem::take(&mut cls.scan_preds[0]));
-            let stages: Vec<JoinStage> = (0..n_stages)
-                .map(|k| {
-                    let (left_col, right_col) = stage_join[k].unwrap();
-                    let preds = std::mem::take(&mut cls.scan_preds[k + 1]);
-                    JoinStage {
-                        right: make_scan(&resolver.tables[k + 1], preds).with_join_col(right_col),
-                        left_col,
-                        stage_pred: if stage_preds[k].is_empty() {
-                            None
-                        } else {
-                            Some(Expr::conjunction(std::mem::take(&mut stage_preds[k])))
-                        },
-                    }
-                })
-                .collect();
-            let mut join = JoinSpec::pipeline(base, stages);
-            if n_stages == 1 {
-                join.strategy = strategy;
-                join.check()?;
-            }
-            if has_agg {
-                // The aggregation consumes only the columns it reads.
-                let mut agg = build_agg(&resolver, &p.select, &p.group_by, &p.having)?;
-                agg.epoch = p.epoch;
-                join.project = narrow_agg_input(&mut agg);
-                Ok(QueryOp::Join {
-                    join,
-                    agg: Some(agg),
-                })
-            } else {
-                join.project = lower_select(&resolver)?;
-                Ok(QueryOp::Join { join, agg: None })
-            }
+        Output::Groups(agg) => {
+            let mut agg = agg.clone();
+            agg.epoch = p.epoch;
+            map_agg_input(&mut agg, &reindex);
+            Output::Groups(agg)
+        }
+    };
+    if n == 1 {
+        let scan = p.tables[0].scan();
+        return Ok(match output {
+            Output::Rows(project) => QueryOp::Scan { scan, project },
+            Output::Groups(agg) => QueryOp::Agg { scan, agg },
+        });
+    }
+
+    // Left-deep pipeline: stage k joins ordered table k + 1 against the
+    // accumulated prefix (one stage for two tables).
+    let mut stage_join: Vec<Option<(usize, usize)>> = vec![None; n - 1];
+    let mut stage_preds: Vec<Vec<Expr>> = vec![Vec::new(); n - 1];
+    for &(a, b) in &p.edges {
+        // The end in the earlier-ordered table is the accumulated side.
+        let (lo, hi) = if pos[from_table(a)] < pos[from_table(b)] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let right = from_table(hi);
+        let k = pos[right] - 1;
+        if stage_join[k].is_none() {
+            stage_join[k] = Some((reindex(lo), hi - p.tables[right].offset));
+        } else {
+            // A second edge into the same table: checked as a stage
+            // predicate over the accumulated schema.
+            stage_preds[k].push(Expr::eq(Expr::col(reindex(lo)), Expr::col(reindex(hi))));
         }
     }
+    let mut cols = Vec::new();
+    for e in &p.residuals {
+        cols.clear();
+        e.columns(&mut cols);
+        let last = cols.iter().map(|&c| pos[from_table(c)]).max();
+        let mut e = e.clone();
+        e.map_cols(&reindex);
+        stage_preds[last.expect("a residual spans two tables") - 1].push(e);
+    }
+    let stages = stage_join
+        .into_iter()
+        .zip(stage_preds)
+        .zip(&order[1..])
+        .map(|((join, preds), &i)| {
+            let table = &p.tables[i];
+            let (left_col, right_col) = join.ok_or_else(|| {
+                format!(
+                    "no equality join predicate connects table '{}' to the preceding \
+                     tables (cross products are unsupported)",
+                    table.def.schema.name
+                )
+            })?;
+            Ok(JoinStage {
+                right: table.scan().with_join_col(right_col),
+                left_col,
+                stage_pred: (!preds.is_empty()).then(|| Expr::conjunction(preds)),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut join = JoinSpec::pipeline(p.tables[order[0]].scan(), stages);
+    if n == 2 {
+        join.strategy = strategy;
+        join.check()?;
+    }
+    Ok(match output {
+        Output::Rows(project) => {
+            join.project = project;
+            QueryOp::Join { join, agg: None }
+        }
+        Output::Groups(mut agg) => {
+            // The aggregation consumes only the columns it reads.
+            join.project = narrow_agg_input(&mut agg);
+            QueryOp::Join {
+                join,
+                agg: Some(agg),
+            }
+        }
+    })
+}
+
+/// Parse and bind a one-shot query — the front half [`parse_query`] and
+/// [`crate::planner::plan_sql`] share. A bare [`QueryOp`] has nowhere to
+/// carry a window, and an epoch or renewal period only makes sense on a
+/// standing descriptor — silently wrapping either in a one-shot would
+/// be a different query — so the standing clauses are refused here.
+pub(crate) fn parse_one_shot<'a>(
+    sql: &str,
+    catalog: &'a Catalog,
+) -> Result<ParsedQuery<'a>, String> {
+    let parsed = parse_sql(sql, catalog)?;
+    if parsed.window.is_some() || parsed.epoch.is_some() || parsed.renew.is_some() {
+        return Err(
+            "WINDOW/EPOCH/RENEW make a query continuous — use parse_continuous_query".into(),
+        );
+    }
+    Ok(parsed)
 }
 
 /// Parse a SQL string against a catalog, producing a resolved query op
@@ -1128,17 +967,8 @@ pub fn parse_query(
     catalog: &Catalog,
     strategy: JoinStrategy,
 ) -> Result<QueryOp, String> {
-    let parsed = parse_sql(sql, catalog)?;
-    if parsed.window.is_some() || parsed.epoch.is_some() || parsed.renew.is_some() {
-        // A bare QueryOp has nowhere to carry the window, and an epoch
-        // or renewal period only makes sense on a standing descriptor —
-        // silently wrapping either in a one-shot would be a different
-        // query.
-        return Err(
-            "WINDOW/EPOCH/RENEW make a query continuous — use parse_continuous_query".into(),
-        );
-    }
-    let order: Vec<usize> = (0..parsed.n_tables()).collect();
+    let parsed = parse_one_shot(sql, catalog)?;
+    let order: Vec<usize> = (0..parsed.tables.len()).collect();
     lower_parsed(&parsed, &order, strategy)
 }
 
@@ -1162,12 +992,13 @@ pub fn parse_continuous_query(
         // would widen the window arbitrarily.
         return Err("RENEW applies to unwindowed queries (windowed state must age out)".into());
     }
-    let order: Vec<usize> = (0..parsed.n_tables()).collect();
-    let window = parsed.window;
-    let renew = parsed.renew;
+    if parsed.epoch.is_some() && matches!(parsed.output, Output::Rows(_)) {
+        return Err("EPOCH requires aggregation (GROUP BY or aggregate calls)".into());
+    }
+    let order: Vec<usize> = (0..parsed.tables.len()).collect();
     let op = lower_parsed(&parsed, &order, strategy)?;
-    let mut desc = QueryDesc::standing(qid, initiator, op, window);
-    desc.renew_every = renew;
+    let mut desc = QueryDesc::standing(qid, initiator, op, parsed.window);
+    desc.renew_every = parsed.renew;
     Ok(desc)
 }
 
@@ -1569,6 +1400,69 @@ mod tests {
         .unwrap_err()
         .contains("join predicate"));
         assert!(parse_query("FROM R", &wl, JoinStrategy::SymmetricHash).is_err());
+    }
+
+    #[test]
+    fn unary_minus_negates_literals_and_expressions() {
+        let (wl, _) = catalogs();
+        let shj = JoinStrategy::SymmetricHash;
+        let op = parse_query(
+            "SELECT -pkey, 2 - -3, - -num2, -1.5 FROM S WHERE num2 > -5",
+            &wl,
+            shj,
+        )
+        .unwrap();
+        let QueryOp::Scan { project, scan } = op else {
+            panic!()
+        };
+        // The sign folds into a literal…
+        assert_eq!(scan.pred, Some(Expr::gt(Expr::col(1), Expr::lit(-5i64))));
+        assert_eq!(project[3], Expr::lit(-1.5));
+        // …and negates anything else, binding tighter than `-` between.
+        let t = tuple![10i64, 3i64, 9i64];
+        let vals: Vec<Value> = project.iter().map(|e| e.eval(&t)).collect();
+        assert_eq!(vals[..3], [Value::I64(-10), Value::I64(5), Value::I64(3)]);
+        // A sign still needs an operand, and durations stay unsigned.
+        assert!(parse_query("SELECT pkey FROM S WHERE num2 > -", &wl, shj).is_err());
+        let windowed = "SELECT pkey FROM S WINDOW -5 SECONDS";
+        assert!(super::parse_continuous_query(windowed, &wl, shj, 1, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_a_repeated_alias_by_name() {
+        let (wl, _) = catalogs();
+        for from in ["R, R", "R x, S x", "R S, S", "R AS t, S AS T"] {
+            let sql = format!("SELECT 1 FROM {from} WHERE 1 = 1");
+            let err = parse_query(&sql, &wl, JoinStrategy::SymmetricHash).unwrap_err();
+            assert!(err.contains("names two tables in FROM"), "{from}: {err}");
+        }
+        // Distinct aliases over one table bind each to its own columns.
+        let op = parse_query(
+            "SELECT a.pkey, b.pkey FROM S a, S b WHERE a.num2 = b.pkey",
+            &wl,
+            JoinStrategy::SymmetricHash,
+        )
+        .unwrap();
+        let join = op.join().unwrap();
+        assert_eq!(join.stages[0].left_col, 1);
+        assert_eq!(join.project[1], Expr::col(3));
+    }
+
+    #[test]
+    fn comparisons_do_not_chain_and_having_implies_aggregation() {
+        let (wl, _) = catalogs();
+        let shj = JoinStrategy::SymmetricHash;
+        for sql in [
+            "SELECT pkey FROM S WHERE 1 < num2 < 9",
+            "SELECT pkey FROM S WHERE num2 > 1 AND num3 > 2 > 1",
+        ] {
+            let err = parse_query(sql, &wl, shj).unwrap_err();
+            assert!(err.contains("trailing tokens"), "{sql}: {err}");
+        }
+        // HAVING makes the query an aggregation: a bare column must be
+        // grouped (the clause is never silently dropped).
+        let err = parse_query("SELECT pkey FROM S HAVING pkey > 1", &wl, shj).unwrap_err();
+        assert!(err.contains("not in GROUP BY"), "{err}");
     }
 
     #[test]

@@ -7,9 +7,8 @@ use std::sync::Arc;
 use crate::value::Value;
 
 /// Wire bytes of the per-tuple header — shared by the actual accounting
-/// ([`Tuple::wire_size`]) and the predictions
-/// ([`crate::plan::StageSchema::wire_bytes`],
-/// [`crate::catalog::TableDef::ship_bytes`]) so "predicted bytes ==
+/// ([`Tuple::wire_size`]) and the prediction
+/// ([`crate::catalog::TableDef::ship_bytes`]) so "predicted bytes ==
 /// shipped bytes" holds by construction.
 pub const TUPLE_HEADER_BYTES: usize = 4;
 

@@ -245,14 +245,15 @@ fn fully_selective_predicates_yield_empty_results() {
     }
 }
 
-/// A descriptor arrives from the network: one whose join spec is
-/// malformed (built here as struct literals, bypassing the asserting
-/// constructors) must be refused at install as a counted drop on every
-/// node — never a panic at some later event — and must not disturb a
-/// well-formed query installed beside it.
+/// A descriptor arrives from the network: a malformed one — a broken
+/// join shape, or any index past the arity of the tuple it would be
+/// evaluated over (built here as struct literals, bypassing the
+/// asserting constructors) — must be refused at install as a counted
+/// drop on every node — never a panic at some later event — and must
+/// not disturb a well-formed query installed beside it.
 #[test]
 fn malformed_join_descriptors_are_counted_drops() {
-    use pier_core::plan::JoinStage;
+    use pier_core::plan::{AggCall, AggFunc, AggSpec, JoinStage};
     let left_rows: Vec<Tuple> = (0..6i64).map(|k| tuple![k, k % 3]).collect();
     let right_rows: Vec<Tuple> = (0..3i64).map(|k| tuple![k, k]).collect();
     let good = || {
@@ -270,10 +271,20 @@ fn malformed_join_descriptors_are_counted_drops() {
         left_col,
         stage_pred: None,
     };
-    let with = |strategy: JoinStrategy, stages: Vec<JoinStage>| JoinSpec {
-        strategy,
-        stages,
-        ..good()
+    let with = |strategy: JoinStrategy, stages: Vec<JoinStage>| {
+        let join = JoinSpec {
+            strategy,
+            stages,
+            ..good()
+        };
+        QueryOp::Join { join, agg: None }
+    };
+    let count_by = |group_col: usize| {
+        let count = AggCall {
+            func: AggFunc::Count,
+            arg: None,
+        };
+        AggSpec::new(vec![group_col], vec![count])
     };
     let shj = JoinStrategy::SymmetricHash;
     let malformed = [
@@ -302,12 +313,77 @@ fn malformed_join_descriptors_are_counted_drops() {
                 vec![stage(Some(0), 1), stage(Some(0), 1)],
             ),
         ),
+        (
+            "projected column past the concatenated arity",
+            QueryOp::Join {
+                join: JoinSpec {
+                    project: vec![Expr::col(0), Expr::col(4)],
+                    ..good()
+                },
+                agg: None,
+            },
+        ),
+        (
+            "stage predicate column past the concatenated arity",
+            with(
+                shj,
+                vec![JoinStage {
+                    stage_pred: Some(Expr::gt(Expr::col(4), Expr::lit(0i64))),
+                    ..stage(Some(0), 1)
+                }],
+            ),
+        ),
+        (
+            "group column past the scan's arity",
+            QueryOp::Agg {
+                scan: ScanSpec::new("L", 2, 0),
+                agg: count_by(2),
+            },
+        ),
+        (
+            "group column past the join's projected arity",
+            QueryOp::Join {
+                join: good(),
+                agg: Some(count_by(2)),
+            },
+        ),
+        (
+            "primary key past the arity under the semi-join rewrite",
+            QueryOp::Join {
+                join: JoinSpec {
+                    strategy: JoinStrategy::SymmetricSemiJoin,
+                    left: ScanSpec {
+                        pkey_col: 2,
+                        ..ScanSpec::new("L", 2, 0)
+                    },
+                    ..good()
+                },
+                agg: None,
+            },
+        ),
+        (
+            "scan projection past the arity",
+            QueryOp::Scan {
+                scan: ScanSpec::new("L", 2, 0),
+                project: vec![Expr::col(2)],
+            },
+        ),
+        (
+            "HAVING column past the aggregation's output row",
+            QueryOp::Agg {
+                scan: ScanSpec::new("L", 2, 0),
+                agg: AggSpec {
+                    having: Some(Expr::gt(Expr::col(2), Expr::lit(0i64))),
+                    ..count_by(1)
+                },
+            },
+        ),
     ];
     let expected = reference_join(&good(), &left_rows, &right_rows);
     assert_eq!(expected.len(), 6);
-    for (what, join) in malformed {
+    for (what, op) in malformed {
         let mut sim = setup(4, 9, &[("L", &left_rows), ("Rt", &right_rows)]);
-        let bad = QueryDesc::one_shot(61, 1, QueryOp::Join { join, agg: None });
+        let bad = QueryDesc::one_shot(61, 1, op);
         sim.with_node(1, |node, ctx| node.submit(ctx, bad));
         let join = good();
         let ok = QueryDesc::one_shot(62, 0, QueryOp::Join { join, agg: None });

@@ -2,14 +2,16 @@
 //! so the byte model must be exact. These tests pin the precise wire
 //! size of what each strategy ships for the §5.1 workload join — with
 //! `Value::Pad(n)` contributing its full `n` bytes and projected tuples
-//! reflecting every dropped column — and check the [`StageSchema`]
-//! predictions against the actual shipped items.
+//! reflecting every dropped column — and check the catalog's byte
+//! predictions (`TableDef::ship_bytes` over the [`PipelineSchema`]'s
+//! kept columns) against the actual shipped items.
 
+use pier_core::catalog::{Catalog, TableStats};
 use pier_core::expr::{Expr, Func};
 use pier_core::item::{QpItem, Side};
 use pier_core::plan::{JoinSpec, JoinStage, JoinStrategy, PipelineSchema, ScanSpec};
 use pier_core::tuple;
-use pier_core::tuple::{ColType, FlatRow, Tuple};
+use pier_core::tuple::{FlatRow, Tuple, TUPLE_HEADER_BYTES};
 use pier_core::value::Value;
 use pier_simnet::Wire;
 
@@ -144,18 +146,21 @@ fn stage_republish_bytes_exclude_the_pad() {
 fn stage_schema_predictions_match_shipped_bytes() {
     let m = narrow_multi();
     let v = PipelineSchema::new(&m, true).unwrap();
-    let i64w = (ColType::I64, 8u32);
-    let tables = vec![
-        vec![i64w, i64w, i64w, i64w, (ColType::Pad, 1000)],
-        vec![i64w, i64w, i64w],
-        vec![i64w, i64w, i64w],
-    ];
+    // A catalog whose R statistics equal the real row: the residual of
+    // `avg_tuple_bytes` lands on the pad, so every width is exact.
+    let mut catalog = Catalog::workload();
+    let stats = TableStats {
+        rows: 1,
+        avg_tuple_bytes: r_row().wire_size() as u64,
+    };
+    catalog.set_stats("R", stats);
+    let def = |t: usize| catalog.get(&m.table(t).table).unwrap();
     assert_eq!(
-        v.rehash_schema(0, &tables).wire_bytes(),
+        def(0).ship_bytes(v.keep_for_table(0)) as usize,
         r_row().project(&v.keep_base).wire_size()
     );
     assert_eq!(
-        v.rehash_schema(1, &tables).wire_bytes(),
+        def(1).ship_bytes(v.keep_for_table(1)) as usize,
         s_row().project(&v.stages[0].keep_right).wire_size()
     );
     let s_proj = s_row().project(&v.stages[0].keep_right);
@@ -163,8 +168,16 @@ fn stage_schema_predictions_match_shipped_bytes() {
         .project(&v.keep_base)
         .concat(&s_proj)
         .project(&v.stages[0].emit);
-    assert_eq!(
-        v.intermediate_schema(0, &tables).wire_bytes(),
-        mid.wire_size()
-    );
+    // The stage-0 intermediate: each table's share of `out_globals`,
+    // under one header.
+    let mut offset = 0;
+    let mut predicted = TUPLE_HEADER_BYTES;
+    for t in 0..m.n_tables() {
+        let own = offset..offset + m.table(t).arity;
+        let cols = v.stages[0].out_globals.iter().filter(|c| own.contains(c));
+        let cols: Vec<usize> = cols.map(|c| c - offset).collect();
+        predicted += def(t).ship_bytes(&cols) as usize - TUPLE_HEADER_BYTES;
+        offset = own.end;
+    }
+    assert_eq!(predicted, mid.wire_size());
 }

@@ -708,9 +708,4 @@ impl<V: Wire + Clone> Dht<V> {
             }
         }
     }
-
-    /// Number of distinct in-flight lookups (for tests/diagnostics).
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
 }

@@ -18,7 +18,7 @@
 //! so a panicking test unwinds without leaking detached workers.
 
 use std::mem;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -40,6 +40,8 @@ where
     handles: Vec<NodeHandle<A>>,
     actors: Vec<JoinHandle<A>>,
     start: Instant,
+    /// Actor threads still running, for the drop regression test.
+    #[cfg(test)]
     live_actors: Arc<AtomicUsize>,
 }
 
@@ -91,6 +93,7 @@ where
             handles,
             actors,
             start,
+            #[cfg(test)]
             live_actors,
         }
     }
@@ -172,12 +175,6 @@ where
         Time(self.start.elapsed().as_micros() as u64)
     }
 
-    /// Actor threads currently running (live, parked-dead, or shutting
-    /// down). Reaches zero once the cluster is shut down or dropped.
-    pub fn live_actor_threads(&self) -> usize {
-        self.live_actors.load(Ordering::SeqCst)
-    }
-
     fn stop_all(&self) {
         for id in 0..self.handles.len() as NodeId {
             if let Some(tx) = self.links.sender(id) {
@@ -223,6 +220,7 @@ mod tests {
     use crate::time::Dur;
     use crate::{NodeId, Wire};
     use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[derive(Clone, Debug)]
