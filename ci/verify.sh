@@ -16,6 +16,12 @@ step() {
 
 step cargo build --release
 step cargo test -q
+# The wall-clock suites once more on one CPU: the `Cluster`'s worker pool
+# must not depend on having as many cores as workers.
+if command -v taskset >/dev/null; then
+    step taskset -c 0 cargo test -q -p pier_simnet --lib cluster::
+    step taskset -c 0 cargo test -q -p pier_simnet --test deployment_conformance --test cluster_pin
+fi
 step cargo clippy --workspace --all-targets -- -D warnings
 step cargo fmt --check
 RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps

@@ -41,7 +41,7 @@ pub const EXPERIMENTS: &[Experiment] = registry![
     paper::fig4_5: "Fig. 4 + 5 — selectivity sweep: traffic and time to last tuple per strategy",
     paper::fig6: "Fig. 6 — recall under churn per soft-state refresh period",
     paper::fig7: "Fig. 7 — scale-up on the transit-stub topology",
-    paper::fig8: "Fig. 8 — the threaded Cluster deployment (wall-clock, host cells)",
+    paper::fig8: "Fig. 8 — the Cluster deployment, 2 to 1 024 nodes (wall-clock, host cells)",
     multiway::multiway: "binary workload join vs its 3-way pipeline extension",
     pruning::pruning: "projection pushdown: rehash traffic, pruning on vs off (committed)",
     continuous::continuous: "standing 3-way triage over 3+ soft-state horizons (committed)",

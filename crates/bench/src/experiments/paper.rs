@@ -342,14 +342,19 @@ fn churn_recall(n: usize, failures_per_min: u32, refresh_s: u64) -> f64 {
     average(&recalls, |r| r)
 }
 
-/// Figure 8: the workload join on the thread-per-node `Cluster`. Its
-/// milliseconds are this host's scheduler, so they are a host cell;
-/// the result count is the backend-independent answer.
+/// Figure 8: the workload join on the wall-clock `Cluster`, from the
+/// paper's 64 nodes up to 1 024. Its milliseconds are this host's
+/// scheduler, so they are a host cell; the result count is the
+/// backend-independent answer, asserted equal to the simulator's on
+/// the same nodes and workload.
 pub fn fig8() {
     let mut art = Artifact::new("fig8");
-    for n in [2usize, 4, 8, 16, 32, 64] {
+    for n in [2usize, 4, 8, 16, 32, 64, 256, 1024] {
         let cluster = stabilized_pier_cluster(n, DhtConfig::static_network(), 77);
         let (t30, count) = deployed_join_run(cluster, Dur::from_millis(50));
+        let sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(77));
+        let (_, expected) = deployed_join_run(sim, Dur::from_secs(1));
+        assert_eq!(count, expected, "Cluster and Sim disagree at {n} nodes");
         art.row([
             ("nodes", n.into()),
             ("t_30th_ms", Cell::f(t30.unwrap_or(f64::NAN), 1).host()),

@@ -140,20 +140,6 @@ impl Expr {
         self.eval(t).truthy()
     }
 
-    /// Shift all column references by `delta` — used to rebase predicates
-    /// onto the right-hand side of a concatenated join tuple.
-    pub fn shift_cols(&self, delta: usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(i + delta),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Not(e) => Expr::Not(Box::new(e.shift_cols(delta))),
-            Expr::Bin(op, l, r) => Expr::bin(*op, l.shift_cols(delta), r.shift_cols(delta)),
-            Expr::Call(f, args) => {
-                Expr::Call(*f, args.iter().map(|a| a.shift_cols(delta)).collect())
-            }
-        }
-    }
-
     /// Remap column references through `map[i] -> new index`; `None`
     /// means the column was projected away (returns Err).
     pub fn remap_cols(&self, map: &dyn Fn(usize) -> Option<usize>) -> Result<Expr, String> {
@@ -373,8 +359,6 @@ mod tests {
     #[test]
     fn shift_and_remap_columns() {
         let e = Expr::eq(Expr::col(1), Expr::lit(5i64));
-        let shifted = e.shift_cols(3);
-        assert_eq!(shifted, Expr::eq(Expr::col(4), Expr::lit(5i64)));
         let remapped = e
             .remap_cols(&|i| if i == 1 { Some(0) } else { None })
             .unwrap();

@@ -253,11 +253,6 @@ impl JoinSpec {
     pub fn arity(&self) -> usize {
         self.arity_after(self.stages.len() - 1)
     }
-
-    /// Default projection: every column of every table.
-    pub fn all_columns(&self) -> Vec<Expr> {
-        (0..self.arity()).map(Expr::col).collect()
-    }
 }
 
 /// Aggregate functions (§3.3 lists grouping and aggregation among the
@@ -978,7 +973,6 @@ mod tests {
         assert_eq!(m.arity_after(0), 8);
         assert_eq!(m.arity_after(1), 11);
         assert_eq!(m.arity(), 11);
-        assert_eq!(m.all_columns().len(), 11);
     }
 
     #[test]

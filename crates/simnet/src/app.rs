@@ -1,4 +1,5 @@
-//! The node automaton interface shared by both backends.
+//! The node automaton interface shared by both backends: [`App`], the
+//! three event callbacks, and [`Service`], typed requests on top.
 
 use crate::time::{Dur, Time};
 use crate::{NodeId, Wire};
@@ -8,16 +9,16 @@ use rand::rngs::SmallRng;
 ///
 /// All node-local logic (DHT routing, storage, query processing) lives
 /// behind these three callbacks, so the identical code runs under the
-/// discrete-event [`crate::Sim`] and the wall-clock actor runtime
-/// ([`crate::cluster::Cluster`]).
+/// discrete-event [`crate::Sim`] and the wall-clock
+/// [`crate::cluster::Cluster`].
 ///
 /// Callbacks receive a [`Ctx`] through which the node sends messages, sets
 /// timers, and draws deterministic randomness. Handlers must not block.
 ///
-/// Automata (and their messages) are `Send`: the actor-runtime
-/// [`crate::cluster::Cluster`] moves each one onto its own OS thread,
-/// and a multi-core [`crate::Sim`] moves whole shards of them onto
-/// worker threads at every run.
+/// Automata (and their messages) are `Send`: a
+/// [`crate::cluster::Cluster`] seats each one on a worker thread of its
+/// pool, and a multi-core [`crate::Sim`] moves whole shards of them
+/// onto worker threads at every run.
 pub trait App: Sized + Send {
     /// Message type exchanged between nodes of this application.
     type Msg: Wire + Clone + Send;
@@ -33,6 +34,26 @@ pub trait App: Sized + Send {
     fn on_timer(&mut self, ctx: &mut Ctx<Self::Msg>, token: u64);
 }
 
+/// An [`App`] that also answers typed requests from outside the node.
+///
+/// Requests are how a driver reaches a running node on every backend:
+/// instead of shipping a `FnOnce(&mut A)` into the engine, a client
+/// sends a `Req` value and the node answers with a `Resp`, both
+/// executing inside the node's own handler with a full [`Ctx`] (so a
+/// request handler may send messages and set timers like any other
+/// callback). This keeps the wire between client and node serializable
+/// in principle — the prerequisite for a multi-process transport.
+pub trait Service: App {
+    /// Typed request accepted through [`crate::Deployment::request`] or
+    /// a [`crate::NodeHandle`].
+    type Req: Send + 'static;
+    /// Typed response returned to the requester.
+    type Resp: Send + 'static;
+
+    /// Handle one request, as one handler of the node.
+    fn on_request(&mut self, ctx: &mut Ctx<Self::Msg>, req: Self::Req) -> Self::Resp;
+}
+
 /// An action emitted by a node handler, applied by the engine after the
 /// handler returns.
 #[derive(Debug)]
@@ -46,7 +67,7 @@ pub enum Action<M> {
 /// Handler context: the node's view of the engine during one callback.
 pub struct Ctx<'a, M> {
     /// Current engine time (virtual under simulation, wall-clock offset
-    /// under the actor runtime).
+    /// since spawn on a `Cluster`).
     pub now: Time,
     /// This node's id.
     pub me: NodeId,

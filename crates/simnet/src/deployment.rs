@@ -4,15 +4,15 @@
 //! cluster" (§5.2); [`Deployment`] is what a harness needs to say the
 //! same. A test, experiment, or fault script written against it runs
 //! unchanged on the deterministic [`Sim`] (any shard count, virtual
-//! clock) and on the actor-runtime [`Cluster`] (one thread per node,
-//! wall clock). It is the client side of the client/node split: a
+//! clock) and on the [`Cluster`] (a worker pool pacing the same event
+//! core by the wall clock). It is the client side of the client/node split: a
 //! driver never touches a node's state, it sends the node typed
 //! [`Service`] requests and reads the answers.
 //!
 //! There is deliberately no raw `send`: traffic enters a deployment the
 //! way real traffic does, through a request whose handler emits it from
 //! inside the node — so injected sends cross the network model (or the
-//! channel links) exactly as automaton traffic does, and no backend
+//! workers' inboxes) exactly as automaton traffic does, and no backend
 //! needs a second injection path.
 //!
 //! What the surface does *not* promise: cross-pair ordering, or
@@ -21,7 +21,7 @@
 //! counted and discarded, never queued. `tests/deployment_conformance.rs`
 //! pins that every backend classifies identical traffic identically.
 
-use crate::actor::Service;
+use crate::app::Service;
 use crate::cluster::Cluster;
 use crate::engine::Sim;
 use crate::fault::Fault;
@@ -127,7 +127,7 @@ where
     fn request(&mut self, node: NodeId, req: A::Req) -> Option<A::Resp> {
         Cluster::request(self, node, req)
     }
-    /// The one wall-clock wait: actors run free, so letting the
+    /// The one wall-clock wait: workers run free, so letting the
     /// deployment run is letting time pass.
     fn settle(&mut self, d: Dur) {
         std::thread::sleep(std::time::Duration::from_micros(d.as_micros()));

@@ -313,7 +313,9 @@ impl<M> SendRec<M> {
 /// nodes it owns. A one-core [`Sim`] runs it inline; with several, each
 /// core owns a partition of the nodes and runs on a worker thread, and
 /// the window barrier drains the cores' `outbound` buffers across
-/// shards.
+/// shards. A [`crate::Cluster`] worker owns one too, paced by the wall
+/// clock instead of a barrier, and drains `outbound` into the other
+/// workers' inboxes.
 pub(crate) struct EngineCore<A: App> {
     cfg: NetConfig,
     now: Time,
@@ -376,10 +378,10 @@ impl<A: App> EngineCore<A> {
         self.with_app(id, |app, ctx| app.on_start(ctx));
     }
 
-    pub(crate) fn fail(&mut self, id: NodeId) {
-        if let Some(Some(slot)) = self.nodes.get_mut(id as usize) {
-            slot.app = None;
-        }
+    /// Unseat `id`'s automaton and hand it back; the slot (RNG, event
+    /// counter, queued events) stays.
+    pub(crate) fn fail(&mut self, id: NodeId) -> Option<A> {
+        self.nodes.get_mut(id as usize)?.as_mut()?.app.take()
     }
 
     pub(crate) fn alive(&self, id: NodeId) -> bool {
@@ -517,13 +519,8 @@ impl<A: App> EngineCore<A> {
             to,
             msg,
         } = rec;
-        if self
-            .nodes
-            .get(to as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|s| s.inbound_drop)
-        {
-            self.stats.dropped_in_window += 1;
+        let dest = self.nodes.get(to as usize).and_then(|s| s.as_ref());
+        if !self.stats.admit(dest.is_some_and(|s| s.inbound_drop)) {
             return;
         }
         let latency = self.cfg.topology.latency(from, to);
@@ -627,11 +624,7 @@ impl<A: App> EngineCore<A> {
                 let alive = self.alive(to);
                 let mut batch = std::mem::take(&mut self.batch);
                 if from != to {
-                    if alive {
-                        self.stats.record_delivery(to, msg.wire_size());
-                    } else {
-                        self.stats.dropped_to_failed += 1;
-                    }
+                    self.stats.land(to, &msg, alive);
                 }
                 batch.push((from, msg));
                 while self.queue.peek().is_some_and(|next| {
@@ -648,11 +641,7 @@ impl<A: App> EngineCore<A> {
                     };
                     self.events_processed += 1;
                     if from != to {
-                        if alive {
-                            self.stats.record_delivery(to, msg.wire_size());
-                        } else {
-                            self.stats.dropped_to_failed += 1;
-                        }
+                        self.stats.land(to, &msg, alive);
                     }
                     batch.push((from, msg));
                 }

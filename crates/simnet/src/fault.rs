@@ -5,7 +5,7 @@
 //! schedule as a first-class object: a [`FaultScript`] is a seeded,
 //! time-ordered list of kill, join and message-drop-window events, and
 //! [`FaultDriver::replay`] runs it against *any* [`Deployment`] — the
-//! discrete-event [`crate::Sim`] (virtual clock) or the actor-runtime
+//! discrete-event [`crate::Sim`] (virtual clock) or the
 //! [`crate::cluster::Cluster`] (wall clock). The driver's trace records
 //! each fault at its *script* time, not the instant it was applied at,
 //! so the same seed and script produce byte-identical traces on every
@@ -14,7 +14,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::actor::Service;
+use crate::app::Service;
 use crate::deployment::Deployment;
 use crate::time::{Dur, Time};
 use crate::NodeId;

@@ -4,7 +4,7 @@
 //!
 //! The paper runs the *same code base* both under simulation (up to 10,000
 //! nodes) and deployed on a 64-PC cluster (§5.2). This crate provides that
-//! split as **one engine, two backends, one driver**: a node is an
+//! split as **one engine, two clocks, one driver**: a node is an
 //! event-driven automaton implementing [`App`] (plus [`Service`] for
 //! typed requests), and it runs unchanged on
 //!
@@ -17,11 +17,11 @@
 //!   run under the conservative time-window barrier of [`sharded`] —
 //!   bit-identical results at any shard count, for the
 //!   10^4-node-and-beyond runs a single core can't sustain;
-//! * [`cluster::Cluster`] — the actor runtime: one free-running OS
-//!   thread per node actor over in-process channels, wall clock, no
-//!   barrier; our stand-in for the paper's real cluster deployment
-//!   (§5.8). Consumers talk to actors only through typed
-//!   [`actor::NodeHandle`] requests.
+//! * [`cluster::Cluster`] — the same event core paced by the wall
+//!   clock: a fixed pool of worker threads, each owning the core of
+//!   its share of the nodes and one inbox, no barrier; our stand-in
+//!   for the paper's real cluster deployment (§5.8). Consumers talk to
+//!   nodes only through typed [`NodeHandle`] requests.
 //!
 //! [`Deployment`] is the one surface a harness drives either through —
 //! kill / revive / drop windows / typed requests / settle / stats — so a
@@ -32,7 +32,6 @@
 //! traffic accounting reflect on-the-wire bytes rather than Rust object
 //! sizes.
 
-pub mod actor;
 pub mod app;
 pub mod cluster;
 pub mod deployment;
@@ -42,16 +41,14 @@ pub mod sharded;
 pub mod stats;
 pub mod time;
 pub mod topology;
-mod transport;
 
-pub use actor::{NodeHandle, Service};
-pub use app::{Action, App, Ctx};
-pub use cluster::Cluster;
+pub use app::{Action, App, Ctx, Service};
+pub use cluster::{Cluster, NodeHandle};
 pub use deployment::Deployment;
 pub use engine::{NetConfig, Sim};
 pub use fault::{Fault, FaultDriver, FaultScript, Scheduled};
 pub use sharded::{ShardMap, ShardedSim};
-pub use stats::{AtomicNetStats, NetStats};
+pub use stats::NetStats;
 pub use time::{Dur, Time};
 pub use topology::{FullMesh, Topology, TransitStub, TransitStubParams};
 

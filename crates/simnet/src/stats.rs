@@ -4,9 +4,7 @@
 //! inbound traffic at a node (§5 intro). The engine charges every
 //! delivered message here; harnesses snapshot/diff around a query window.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::NodeId;
+use crate::{NodeId, Wire};
 
 /// Cumulative network statistics maintained by an engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -43,6 +41,30 @@ impl NetStats {
         self.bytes += bytes as u64;
         self.ensure_nodes(to as usize + 1);
         self.inbound_bytes[to as usize] += bytes as u64;
+    }
+
+    /// The send-time half of fault classification, the same on every
+    /// backend: a message into an open inbound-drop window is counted
+    /// and goes no further. Returns whether it travels on.
+    pub(crate) fn admit(&mut self, dropping: bool) -> bool {
+        if dropping {
+            self.dropped_in_window += 1;
+        }
+        !dropping
+    }
+
+    /// The arrival-time half: a message reaching a live node is
+    /// traffic, one reaching a dead node is a drop. Returns whether
+    /// there is anyone to dispatch it to. (The simulator's two halves
+    /// are a link latency apart; the wall-clock backend's links have
+    /// none, so it asks both at hand-off.)
+    pub(crate) fn land(&mut self, to: NodeId, msg: &impl Wire, alive: bool) -> bool {
+        if alive {
+            self.record_delivery(to, msg.wire_size());
+        } else {
+            self.dropped_to_failed += 1;
+        }
+        alive
     }
 
     /// Max inbound bytes over all nodes — the paper's "maximum inbound
@@ -86,71 +108,6 @@ impl NetStats {
     }
 }
 
-/// Concurrent twin of [`NetStats`]: the same counters as atomics, for
-/// backends whose senders run on many threads at once (the actor
-/// runtime's channel links).
-///
-/// There is exactly one accounting vocabulary across engines — a
-/// [`Self::snapshot`] is a plain [`NetStats`], so cross-engine parity
-/// tests compare one type instead of field-by-field. Per-counter
-/// updates are exact; a snapshot taken while senders are active is
-/// approximately consistent (each counter individually correct).
-#[derive(Debug)]
-pub struct AtomicNetStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    inbound_bytes: Vec<AtomicU64>,
-    dropped_to_failed: AtomicU64,
-    dropped_in_window: AtomicU64,
-}
-
-impl AtomicNetStats {
-    /// Counters for a fixed population of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        AtomicNetStats {
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            inbound_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            dropped_to_failed: AtomicU64::new(0),
-            dropped_in_window: AtomicU64::new(0),
-        }
-    }
-
-    /// Charge one delivered message of `bytes` into node `to`.
-    pub fn record_delivery(&self, to: NodeId, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        if let Some(b) = self.inbound_bytes.get(to as usize) {
-            b.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// A message addressed to a failed node: a drop, not traffic.
-    pub fn record_dropped_to_failed(&self) {
-        self.dropped_to_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A message discarded by an injected drop window.
-    pub fn record_dropped_in_window(&self) {
-        self.dropped_in_window.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Materialize the counters as the engine-agnostic [`NetStats`].
-    pub fn snapshot(&self) -> NetStats {
-        NetStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            inbound_bytes: self
-                .inbound_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            dropped_to_failed: self.dropped_to_failed.load(Ordering::Relaxed),
-            dropped_in_window: self.dropped_in_window.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,27 +137,6 @@ mod tests {
         s.record_delivery(5, 10);
         assert_eq!(s.inbound_bytes.len(), 6);
         assert_eq!(s.inbound_bytes[5], 10);
-    }
-
-    #[test]
-    fn atomic_snapshot_matches_sequential_accounting() {
-        let atomic = AtomicNetStats::new(3);
-        let mut seq = NetStats::new(3);
-        atomic.record_delivery(1, 100);
-        seq.record_delivery(1, 100);
-        atomic.record_delivery(2, 50);
-        seq.record_delivery(2, 50);
-        atomic.record_dropped_to_failed();
-        seq.dropped_to_failed += 1;
-        atomic.record_dropped_in_window();
-        seq.dropped_in_window += 1;
-        let snap = atomic.snapshot();
-        assert_eq!(snap.messages, seq.messages);
-        assert_eq!(snap.bytes, seq.bytes);
-        assert_eq!(snap.inbound_bytes, seq.inbound_bytes);
-        assert_eq!(snap.dropped_to_failed, seq.dropped_to_failed);
-        assert_eq!(snap.dropped_in_window, seq.dropped_in_window);
-        assert_eq!(snap.max_inbound(), 100);
     }
 
     #[test]

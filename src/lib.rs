@@ -7,8 +7,9 @@
 //!
 //! This umbrella crate re-exports the workspace layers:
 //!
-//! * [`simnet`] — network engines: the deterministic simulators and the
-//!   actor-runtime cluster behind a pluggable transport.
+//! * [`simnet`] — the network engine under two clocks: the
+//!   deterministic simulator and the wall-clock cluster, behind one
+//!   `Deployment` driver.
 //! * [`dht`] — CAN and Chord overlays, storage manager, provider,
 //!   content-based multicast, soft state.
 //! * [`qp`] — the PIER query processor: tuples, expressions, the
