@@ -27,7 +27,7 @@
 //! at the id, odd while it is killed. A kill and a revive each advance
 //! it by one; an automaton remembers the epoch it was seated in, and a
 //! message the epoch it was addressed to. "Has this automaton been
-//! killed?" is `epoch != seated`, checked before *every* dispatch — so
+//! killed?" is `epoch > seated`, checked before *every* dispatch — so
 //! a kill from the driver's thread stops the very next handler on the
 //! worker's, backlog undispatched, and stays true after a revive that
 //! raced it. A plain alive/dead flag cannot tell those apart: the
@@ -95,6 +95,9 @@ struct Shared<A: Service> {
     /// handler.
     stats: Vec<Mutex<NetStats>>,
     lives: Vec<Life>,
+    /// Held across a revive's post-then-flip, so that two revives of
+    /// one id cannot both seat an heir.
+    reviving: Mutex<()>,
     start: Instant,
 }
 
@@ -110,12 +113,6 @@ impl<A: Service> Shared<A> {
 
     fn alive(&self, id: NodeId) -> bool {
         self.epoch(id).is_some_and(|e| e.is_multiple_of(2))
-    }
-
-    /// `app` as the process living in `epoch` at some id.
-    fn seat(self: &Arc<Self>, app: A, epoch: u64) -> Seat<A> {
-        let shared = Arc::clone(self);
-        Seat { app, epoch, shared }
     }
 
     /// Queue `item` for the worker that owns node `id`; `None` if that
@@ -162,8 +159,9 @@ impl<A: Service> NodeHandle<A> {
         if !self.alive() {
             return None;
         }
-        let (tx, rx) = bounded(1);
-        self.post(req, Some(tx))?;
+        let (to, (tx, rx)) = (self.id, bounded(1));
+        let reply = Some(tx);
+        self.shared.post(to, Item::Request { to, req, reply })?;
         // The worker answers or drops the reply sender — node dead at
         // dispatch, worker stopped with the request still queued —
         // which disconnects: a request never waits on a corpse.
@@ -173,12 +171,8 @@ impl<A: Service> NodeHandle<A> {
     /// Fire-and-forget request: dispatched on the node's worker,
     /// response discarded.
     pub fn cast(&self, req: A::Req) {
-        let _ = self.post(req, None);
-    }
-
-    fn post(&self, req: A::Req, reply: Option<Sender<A::Resp>>) -> Option<()> {
-        let to = self.id;
-        self.shared.post(to, Item::Request { to, req, reply })
+        let (to, reply) = (self.id, None);
+        let _ = self.shared.post(to, Item::Request { to, req, reply });
     }
 }
 
@@ -195,8 +189,11 @@ struct Seat<A: Service> {
 }
 
 impl<A: Service> Seat<A> {
+    /// Not killed since it was seated. `<`, not only `==`: a worker can
+    /// reach a `Revive` before the driver has flipped the node alive,
+    /// and the heir it seats then is already the living process.
     fn live(&self, me: NodeId) -> bool {
-        self.shared.epoch(me) == Some(self.epoch)
+        self.shared.epoch(me).is_some_and(|e| e <= self.epoch)
     }
 }
 
@@ -308,8 +305,8 @@ impl<A: Service> Worker<A> {
                     // Addressed to the process of `epoch`: neither a
                     // corpse nor its heir may dispatch it.
                     self.core.with_app(to, |seat, ctx| {
-                        if seat.epoch == epoch && seat.live(to) {
-                            seat.app.on_message(ctx, from, msg);
+                        if seat.epoch == epoch {
+                            seat.on_message(ctx, from, msg);
                         }
                     });
                 }
@@ -368,11 +365,13 @@ where
             inboxes,
             stats: (0..width).map(|_| Mutex::new(NetStats::new(n))).collect(),
             lives: (0..n).map(|_| Life::default()).collect(),
+            reviving: Mutex::new(()),
             start: Instant::now(),
         });
         let mut seats: Vec<Vec<(NodeId, Seat<A>)>> = (0..width).map(|_| Vec::new()).collect();
         for (id, app) in (0..).zip(apps) {
-            seats[shared.map.shard_of(id)].push((id, shared.seat(app, 0)));
+            let (epoch, shared) = (0, Arc::clone(&shared));
+            seats[shared.map.shard_of(id)].push((id, Seat { app, epoch, shared }));
         }
         // The links of this backend are the inboxes: no latency, no
         // bandwidth limit. Of the net config a core here reads only the
@@ -462,16 +461,20 @@ where
     /// simulator's handling of a dead node's queued timer events.
     /// Returns `false` if `id` is out of range or still alive.
     pub fn revive(&self, id: NodeId, app: A) -> bool {
+        // A kill leaves an odd epoch alone, so under this lock nothing
+        // else moves a dead node's: the store below overwrites `dead`
+        // and nothing newer.
+        let _one_at_a_time = self.shared.reviving.lock().expect("revive does not panic");
         let Some(dead) = self.shared.epoch(id).filter(|e| !e.is_multiple_of(2)) else {
             return false;
         };
-        // The seat names the epoch the newcomer lives in, so the worker
-        // seats it correctly even if it gets there before the store
-        // below. Liveness flips right after the post: peers address
-        // the newcomer at once, and their traffic queues behind the
-        // `Revive` to be dispatched afterwards.
-        let epoch = dead + 1;
-        let seat = self.shared.seat(app, epoch);
+        // The seat names the epoch the newcomer lives in, so it is live
+        // to the worker even if that gets there before the flip. The
+        // flip comes right after the post, not before: peers address
+        // the newcomer at once, and their traffic must queue behind
+        // the `Revive` to be dispatched afterwards.
+        let (epoch, shared) = (dead + 1, Arc::clone(&self.shared));
+        let seat = Seat { app, epoch, shared };
         if self.shared.post(id, Item::Revive { id, seat }).is_none() {
             return false;
         }
@@ -844,6 +847,81 @@ mod tests {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
+        }
+        cluster.shutdown();
+    }
+
+    /// Tallies its `on_start`s where the test can see them.
+    struct Starter {
+        tag: u32,
+        started: Arc<AtomicUsize>,
+    }
+    impl App for Starter {
+        type Msg = Byte;
+        fn on_start(&mut self, _ctx: &mut Ctx<Byte>) {
+            self.started.fetch_add(1, Ordering::SeqCst);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<Byte>, _from: NodeId, _msg: Byte) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<Byte>, _token: u64) {}
+    }
+    impl Service for Starter {
+        type Req = ();
+        type Resp = u32;
+        fn on_request(&mut self, _ctx: &mut Ctx<Byte>, _req: ()) -> u32 {
+            self.tag
+        }
+    }
+
+    #[test]
+    fn every_heir_starts() {
+        // The worker may reach the `Revive` before the driver has
+        // flipped the node alive; the heir must run `on_start` all the
+        // same (a PIER node arms its maintenance timers there).
+        let started = Arc::new(AtomicUsize::new(0));
+        let starter = |tag| Starter {
+            tag,
+            started: Arc::clone(&started),
+        };
+        let cluster = Cluster::spawn(vec![starter(0), starter(0)], 37);
+        // Both first processes have started once both have answered.
+        assert_eq!(
+            (cluster.request(0, ()), cluster.request(1, ())),
+            (Some(0), Some(0))
+        );
+        for round in 1..=500 {
+            cluster.kill(1);
+            assert!(cluster.revive(1, starter(round)));
+            // Queued behind the `Revive`: answered by the started heir.
+            assert_eq!(cluster.request(1, ()), Some(round));
+            assert_eq!(started.load(Ordering::SeqCst), 2 + round as usize);
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn racing_revives_seat_one_heir_the_winners() {
+        let started = Arc::new(AtomicUsize::new(0));
+        let starter = |tag| Starter {
+            tag,
+            started: Arc::clone(&started),
+        };
+        let cluster = Cluster::spawn(vec![starter(0), starter(0)], 41);
+        // Both first processes have started once both have answered.
+        assert_eq!(
+            (cluster.request(0, ()), cluster.request(1, ())),
+            (Some(0), Some(0))
+        );
+        for round in 1..=200 {
+            cluster.kill(1);
+            let (cluster, starter) = (&cluster, &starter);
+            let won: Vec<bool> = std::thread::scope(|s| {
+                let racers = [1, 2].map(|tag| s.spawn(move || cluster.revive(1, starter(tag))));
+                racers.map(|r| r.join().unwrap()).into()
+            });
+            assert_eq!(won.iter().filter(|w| **w).count(), 1, "round {round}");
+            let winner = if won[0] { 1 } else { 2 };
+            assert_eq!(cluster.request(1, ()), Some(winner), "round {round}");
+            assert_eq!(started.load(Ordering::SeqCst), 2 + round);
         }
         cluster.shutdown();
     }
