@@ -844,6 +844,7 @@ impl<A: App> Sim<A> {
 mod tests {
     use super::*;
     use crate::topology::FullMesh;
+    use proptest::prelude::*;
 
     /// Ping automaton: an initiator pings its peer on start, a responder
     /// (no peer) echoes; both record what they hear.
@@ -1141,5 +1142,91 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    // -----------------------------------------------------------------
+    // The calendar queue against a binary heap
+    // -----------------------------------------------------------------
+
+    /// One bucket and one lap of the ring, in µs.
+    const WIDTH: u64 = 1 << BUCKET_BITS;
+    const LAP: u64 = N_BUCKETS as u64 * WIDTH;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `CalendarQueue` is a priority queue on `EvRef`: under any
+        /// interleaving of pushes and pops the engine can produce —
+        /// every push at or after the clock, the clock never past the
+        /// earliest pending event — it pops exactly what a binary heap
+        /// pops, and `peek` names the next `pop` without disturbing it.
+        /// Pushes aim at the current bucket, the next one, both sides of
+        /// the ring's edge, the overflow heap, anywhere in the ring, and
+        /// the current instant (ties, broken by origin and oseq).
+        #[test]
+        fn calendar_queue_pops_in_heap_order(
+            draws in prop::collection::vec(any::<u64>(), 1..800),
+        ) {
+            let mut queue = CalendarQueue::new();
+            let mut model: BinaryHeap<Reverse<EvRef>> = BinaryHeap::new();
+            let mut now = 0u64;
+            let mut oseq = 0u64;
+            let mut popped = 0usize;
+            for draw in draws {
+                let r = draw / 12;
+                let at = match draw % 12 {
+                    0 | 1 => now + r % WIDTH,
+                    2 => now + WIDTH + r % WIDTH,
+                    3 => now + LAP - 2 * WIDTH + r % (4 * WIDTH),
+                    4 => now + LAP + r % (3 * LAP),
+                    5 => now + r % LAP,
+                    6 => now,
+                    7 => {
+                        // A bounded run ends: the clock rises, never
+                        // past the earliest pending event.
+                        let to = now + r % (2 * LAP);
+                        now = queue.peek().map_or(to, |ev| to.min(ev.key.at.as_micros()));
+                        continue;
+                    }
+                    _ => {
+                        let want = model.pop().map(|Reverse(ev)| ev);
+                        prop_assert!(queue.peek() == want);
+                        let got = queue.pop();
+                        prop_assert!(got == want);
+                        if let Some(ev) = got {
+                            prop_assert!(ev.key.at.as_micros() >= now);
+                            now = ev.key.at.as_micros();
+                            popped += 1;
+                        }
+                        continue;
+                    }
+                };
+                // A peek before the push: reading must not move the
+                // cursor, or a push behind the peeked bucket would land
+                // in the past.
+                if r & 1 == 1 {
+                    prop_assert!(queue.peek() == model.peek().map(|r| r.0));
+                }
+                oseq += 1;
+                let ev = EvRef {
+                    key: EvKey {
+                        at: Time(at),
+                        origin: (r >> 32) as NodeId % 4,
+                        oseq,
+                    },
+                    slot: oseq as u32,
+                };
+                queue.push(ev);
+                model.push(Reverse(ev));
+            }
+            // Drain: everything pushed comes out, in order.
+            while let Some(Reverse(want)) = model.pop() {
+                prop_assert!(queue.peek() == Some(want));
+                prop_assert!(queue.pop() == Some(want));
+                popped += 1;
+            }
+            prop_assert!(queue.pop().is_none() && queue.peek().is_none());
+            prop_assert_eq!(popped as u64, oseq);
+        }
     }
 }
