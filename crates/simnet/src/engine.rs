@@ -173,8 +173,19 @@ impl<M> EventSlab<M> {
 /// empty. `peek` is read-only — the cursor commits forward only in
 /// `pop`, so pushes racing a raised wall clock (e.g. after `run_until`
 /// advanced `now` past the last event) still land correctly.
+///
+/// Bucket capacity follows the events, not the slots: a slot below the
+/// cursor owns no buffer. An empty slot has none until an event lands in
+/// it, and when the cursor leaves a drained bucket its buffer goes to
+/// `spare`, from where the next slot to receive its first event takes
+/// it. Resident capacity is therefore bounded by the peak number of
+/// buckets populated at once, however many slots a run touches, and a
+/// periodic load stops allocating once its buffers have circulated —
+/// whether or not its period is a whole number of buckets.
 struct CalendarQueue {
     ring: Vec<Vec<EvRef>>,
+    /// Emptied bucket buffers (capacity kept) awaiting a slot.
+    spare: Vec<Vec<EvRef>>,
     far: BinaryHeap<Reverse<EvRef>>,
     /// Absolute bucket index of the current (sorted) bucket.
     cursor: u64,
@@ -186,6 +197,7 @@ impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
             ring: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             far: BinaryHeap::new(),
             cursor: 0,
             ring_len: 0,
@@ -199,16 +211,30 @@ impl CalendarQueue {
             self.far.push(Reverse(ev));
             return;
         }
-        let slot = (b % N_BUCKETS as u64) as usize;
-        if b == self.cursor {
+        let current = b == self.cursor;
+        let v = self.bucket_mut(b);
+        if current {
             // Keep the current bucket sorted descending (pop from back).
-            let v = &mut self.ring[slot];
             let idx = v.partition_point(|e| *e > ev);
             v.insert(idx, ev);
         } else {
-            self.ring[slot].push(ev);
+            v.push(ev);
         }
+    }
+
+    /// The buffer of ring bucket `b`, about to receive an event: a slot
+    /// that owns none takes a spare before it would allocate. Which
+    /// buffer a bucket fills cannot show in the pop order — a bucket is
+    /// sorted when it becomes current.
+    fn bucket_mut(&mut self, b: u64) -> &mut Vec<EvRef> {
         self.ring_len += 1;
+        let v = &mut self.ring[(b % N_BUCKETS as u64) as usize];
+        if v.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *v = spare;
+            }
+        }
+        v
     }
 
     /// Earliest pending event, without moving the cursor.
@@ -256,6 +282,12 @@ impl CalendarQueue {
     /// mixes two absolute buckets.
     fn advance_to(&mut self, b: u64) {
         debug_assert!(b >= self.cursor);
+        // The cursor only ever leaves a drained bucket: shelve its buffer.
+        let left = std::mem::take(&mut self.ring[(self.cursor % N_BUCKETS as u64) as usize]);
+        debug_assert!(left.is_empty());
+        if left.capacity() > 0 {
+            self.spare.push(left);
+        }
         self.cursor = b;
         let horizon = self.cursor + N_BUCKETS as u64;
         while self
@@ -264,9 +296,7 @@ impl CalendarQueue {
             .is_some_and(|Reverse(ev)| bucket_of(ev.key.at) < horizon)
         {
             let Reverse(ev) = self.far.pop().expect("peeked above");
-            let slot = (bucket_of(ev.key.at) % N_BUCKETS as u64) as usize;
-            self.ring[slot].push(ev);
-            self.ring_len += 1;
+            self.bucket_mut(bucket_of(ev.key.at)).push(ev);
         }
         let slot = (self.cursor % N_BUCKETS as u64) as usize;
         self.ring[slot].sort_unstable_by(|a, b| b.cmp(a));
