@@ -289,7 +289,7 @@ fn every_variant_keeps_its_wire_size() {
             "CanMsg::Heartbeat",
             CanMsg::<QpItem>::Heartbeat {
                 zones: vec![Zone::whole(4)],
-                neighbors: neighbors(),
+                neighbors: neighbors().into(),
             }
             .wire_size(),
             268,

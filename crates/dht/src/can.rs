@@ -22,7 +22,7 @@ use pier_simnet::{NodeId, Wire};
 use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::{Point, Zone};
-use crate::msg::{CanMsg, DhtMsg, Entry, RepairScope};
+use crate::msg::{CanMsg, DhtMsg, Entry, NeighborMap, RepairScope};
 use crate::overlay::{LookupStep, Routed};
 use crate::{DhtConfig, ROUTE_TTL};
 
@@ -32,8 +32,9 @@ pub struct NeighborInfo {
     pub zones: Vec<Zone>,
     pub last_seen: Time,
     /// The neighbor's own neighbor map, from its last heartbeat. This is
-    /// the shared candidate set for takeover election when it fails.
-    pub their_neighbors: Vec<(NodeId, Vec<Zone>)>,
+    /// the shared candidate set for takeover election when it fails —
+    /// shared in memory too: every neighbor holds the sender's one map.
+    pub their_neighbors: NeighborMap,
 }
 
 impl NeighborInfo {
@@ -41,7 +42,7 @@ impl NeighborInfo {
         NeighborInfo {
             zones,
             last_seen,
-            their_neighbors: Vec::new(),
+            their_neighbors: NeighborMap::default(),
         }
     }
 }
@@ -211,6 +212,14 @@ impl CanState {
         zones.iter().any(|z| z.contains(p, self.d))
     }
 
+    /// Our neighbor table as a heartbeat advertises it.
+    fn neighbor_map(&self) -> NeighborMap {
+        self.neighbors
+            .iter()
+            .map(|(&id, info)| (id, info.zones.clone()))
+            .collect()
+    }
+
     fn adjacent_to_mine(&self, zones: &[Zone]) -> bool {
         zones
             .iter()
@@ -224,7 +233,7 @@ impl CanState {
         now: Time,
         from: NodeId,
         zones: Vec<Zone>,
-        their_neighbors: Option<Vec<(NodeId, Vec<Zone>)>>,
+        their_neighbors: Option<NeighborMap>,
     ) {
         if from == self.me {
             return;
@@ -640,11 +649,7 @@ impl CanState {
         let now = io.env.now();
         if now.since(self.last_heartbeat) >= cfg.keepalive {
             self.last_heartbeat = now;
-            let neighbor_map: Vec<(NodeId, Vec<Zone>)> = self
-                .neighbors
-                .iter()
-                .map(|(&id, info)| (id, info.zones.clone()))
-                .collect();
+            let neighbor_map = self.neighbor_map();
             for &id in self.neighbors.keys() {
                 io.send(
                     id,
@@ -656,18 +661,18 @@ impl CanState {
             }
         }
         // Failure detection (the paper assumes 15 s, §5.6).
-        let dead: Vec<(NodeId, NeighborInfo)> = self
+        let dead: Vec<NodeId> = self
             .neighbors
             .iter()
             .filter(|(_, info)| now.since(info.last_seen) > cfg.fail_after)
-            .map(|(&id, info)| (id, info.clone()))
+            .map(|(&id, _)| id)
             .collect();
-        for (dead_id, dead_info) in dead {
-            self.neighbors.remove(&dead_id);
+        for dead_id in dead {
+            let dead_info = self.neighbors.remove(&dead_id).expect("collected above");
             // Elect the claimant over the *dead node's* neighbor set (its
             // last advertised map), which every surviving neighbor shares.
             let mut candidates: Vec<(u128, NodeId)> = vec![(self.volume(), self.me)];
-            for (id, zones) in &dead_info.their_neighbors {
+            for (id, zones) in dead_info.their_neighbors.iter() {
                 if *id == dead_id || *id == self.me {
                     continue;
                 }
@@ -682,14 +687,14 @@ impl CanState {
                 .map(|(id, _)| *id)
                 .collect();
             if candidates[0].1 == self.me {
-                self.claim(io, dead_id, dead_info.zones.clone(), &dead_audience);
+                self.claim(io, dead_id, dead_info.zones, &dead_audience);
             } else {
                 // Someone else should claim; if they were a casualty too,
                 // fall back down the list on a timer.
                 self.pending_claims.insert(
                     dead_id,
                     PendingClaim {
-                        zones: dead_info.zones.clone(),
+                        zones: dead_info.zones,
                         candidates,
                         attempt: 0,
                         deadline: now + cfg.keepalive + cfg.keepalive,
@@ -710,7 +715,7 @@ impl CanState {
             match p.candidates.get(p.attempt).copied() {
                 Some((_, id)) if id == self.me => {
                     let audience: Vec<NodeId> = p.candidates.iter().map(|&(_, id)| id).collect();
-                    self.claim(io, dead_id, p.zones.clone(), &audience);
+                    self.claim(io, dead_id, p.zones, &audience);
                 }
                 Some(_) => {
                     p.deadline = now + cfg.keepalive + cfg.keepalive;
@@ -719,7 +724,7 @@ impl CanState {
                 // List exhausted: claim it ourselves as a last resort.
                 None => {
                     let audience: Vec<NodeId> = p.candidates.iter().map(|&(_, id)| id).collect();
-                    self.claim(io, dead_id, p.zones.clone(), &audience);
+                    self.claim(io, dead_id, p.zones, &audience);
                 }
             }
         }
@@ -801,15 +806,7 @@ pub fn balanced_overlay(n: usize, d: usize, now: Time) -> Vec<CanState> {
         }
     }
     // Populate second-hop maps so takeover election works from t=0.
-    let maps: Vec<Vec<(NodeId, Vec<Zone>)>> = states
-        .iter()
-        .map(|s| {
-            s.neighbors
-                .iter()
-                .map(|(&id, info)| (id, info.zones.clone()))
-                .collect()
-        })
-        .collect();
+    let maps: Vec<NeighborMap> = states.iter().map(CanState::neighbor_map).collect();
     for s in &mut states {
         for (id, info) in s.neighbors.iter_mut() {
             info.their_neighbors = maps[*id as usize].clone();
@@ -999,7 +996,7 @@ mod tests {
         c.zones = vec![a];
         c.joined = true;
         let mut info = NeighborInfo::new(vec![b], Time::ZERO);
-        info.their_neighbors = vec![(0, vec![a])];
+        info.their_neighbors = vec![(0, vec![a])].into();
         c.neighbors.insert(1, info);
         let mut rig = Rig::new(0);
         rig.env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
@@ -1022,7 +1019,7 @@ mod tests {
         let zones = balanced_zones(4, d);
         let dead_id: NodeId = 3;
         let dead_zone = zones[3];
-        let shared_map: Vec<(NodeId, Vec<Zone>)> = (0..3u32)
+        let shared_map: NeighborMap = (0..3u32)
             .filter(|&i| dead_zone.is_neighbor(&zones[i as usize], d))
             .map(|i| (i, vec![zones[i as usize]]))
             .collect();

@@ -1,5 +1,7 @@
 //! DHT wire messages and their size model.
 
+use std::sync::Arc;
+
 use crate::geom::{Point, Zone};
 use crate::{Ns, Rid};
 use pier_simnet::time::Time;
@@ -12,6 +14,12 @@ pub const HEADER_BYTES: usize = 48;
 /// Bytes for one serialized zone (d × two 8-byte bounds, d ≤ 8; we charge
 /// the paper-default d = 4).
 const ZONE_BYTES: usize = 64;
+
+/// One CAN node's neighbor table as it advertises it: each neighbor and
+/// its zones. Built once per keepalive and held by reference — the
+/// heartbeat to every neighbor and the second-hop view each of them
+/// keeps are refcounts on the sender's one map, not copies of it.
+pub type NeighborMap = Arc<[(NodeId, Vec<Zone>)]>;
 
 /// A stored DHT object: the provider naming scheme of §3.2.3.
 ///
@@ -55,7 +63,7 @@ pub enum CanMsg<V> {
     /// a failed node a *consistent* candidate set for takeover election).
     Heartbeat {
         zones: Vec<Zone>,
-        neighbors: Vec<(NodeId, Vec<Zone>)>,
+        neighbors: NeighborMap,
     },
     /// Claimant absorbed a dead node's zones.
     Takeover { dead: NodeId, zones: Vec<Zone> },

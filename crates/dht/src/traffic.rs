@@ -116,7 +116,7 @@ mod tests {
         });
         let hb: DhtMsg<Vec<u8>> = DhtMsg::Can(CanMsg::Heartbeat {
             zones: vec![],
-            neighbors: vec![],
+            neighbors: Default::default(),
         });
         m.record(&put);
         m.record(&lk);
