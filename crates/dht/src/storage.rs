@@ -17,6 +17,12 @@ use pier_simnet::time::Time;
 pub struct StorageManager<V> {
     by_ns: BTreeMap<Ns, BTreeMap<Rid, Vec<Entry<V>>>>,
     len: usize,
+    /// A lower bound on the earliest stored expiry, so that a sweep with
+    /// nothing due is one comparison. Every store lowers it, a sweep's
+    /// pass recomputes it, and removals leave it alone: a bound that is
+    /// stale-low costs one real sweep, one that is high would keep an
+    /// expired item — so it is never raised except by that pass.
+    next_expiry: Time,
 }
 
 impl<V> Default for StorageManager<V> {
@@ -24,6 +30,7 @@ impl<V> Default for StorageManager<V> {
         StorageManager {
             by_ns: BTreeMap::new(),
             len: 0,
+            next_expiry: Time::MAX,
         }
     }
 }
@@ -54,6 +61,8 @@ impl<V> StorageManager<V> {
     /// so the caller clones for its `newData` upcall only then, and a
     /// renewal moves straight into place.
     pub fn store_new(&mut self, entry: Entry<V>) -> Option<&Entry<V>> {
+        // New or renewed alike: `store` may also shorten a lifetime.
+        self.next_expiry = self.next_expiry.min(entry.expires);
         let bucket = self
             .by_ns
             .entry(entry.ns)
@@ -176,17 +185,28 @@ impl<V> StorageManager<V> {
     /// Drop expired items (soft-state aging, §3.2.3). Returns the number
     /// discarded.
     pub fn sweep_expired(&mut self, now: Time) -> usize {
+        if now < self.next_expiry {
+            return 0;
+        }
         let mut removed = 0;
+        let mut next = Time::MAX;
         self.by_ns.retain(|_, m| {
             m.retain(|_, v| {
                 let before = v.len();
-                v.retain(|e| e.expires > now);
+                v.retain(|e| {
+                    let live = e.expires > now;
+                    if live {
+                        next = next.min(e.expires);
+                    }
+                    live
+                });
                 removed += before - v.len();
                 !v.is_empty()
             });
             !m.is_empty()
         });
         self.len -= removed;
+        self.next_expiry = next;
         removed
     }
 
@@ -217,6 +237,7 @@ impl<V> StorageManager<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(ns: Ns, rid: Rid, iid: u32, key: u64, expires: u64, val: u32) -> Entry<u32> {
         Entry {
@@ -336,5 +357,103 @@ mod tests {
         assert!(moved.iter().all(|e| e.key % 2 == 1));
         assert_eq!(s.len(), 5);
         assert!(s.iter_all().all(|e| e.key % 2 == 0));
+    }
+
+    /// The store without its bound: a flat list, swept unconditionally.
+    #[derive(Default)]
+    struct FlatStore(Vec<Entry<u32>>);
+
+    impl FlatStore {
+        fn store(&mut self, e: Entry<u32>) {
+            let same = |x: &Entry<u32>| (x.ns, x.rid, x.iid) == (e.ns, e.rid, e.iid);
+            match self.0.iter().position(same) {
+                Some(i) => self.0[i] = e,
+                None => self.0.push(e),
+            }
+        }
+
+        /// Remove what `gone` selects; how many went.
+        fn remove(&mut self, gone: impl Fn(&Entry<u32>) -> bool) -> usize {
+            let before = self.0.len();
+            self.0.retain(|e| !gone(e));
+            before - self.0.len()
+        }
+    }
+
+    fn sorted(mut items: Vec<Entry<u32>>) -> Vec<Entry<u32>> {
+        items.sort_by_key(|e| (e.ns, e.rid, e.iid));
+        items
+    }
+
+    proptest! {
+        /// Under any sequence of stores, renewals (later *and* earlier
+        /// expiries), removals, hand-offs and sweeps, `next_expiry` never
+        /// exceeds the earliest stored expiry — so the early return can
+        /// never keep an expired item — and every sweep removes exactly
+        /// what the unconditional pass over a flat list removes.
+        #[test]
+        fn sweep_bound_is_a_lower_bound_and_sweeps_are_exact(
+            draws in prop::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let mut s = StorageManager::new();
+            let mut flat = FlatStore::default();
+            let mut now = 0u64;
+            for draw in draws {
+                let r = draw / 8;
+                let (ns, rid, iid) = (r % 3, (r >> 8) % 4, ((r >> 16) % 2) as u32);
+                match draw % 8 {
+                    // Few distinct names, so many stores are renewals;
+                    // expiries fall on both sides of the clock's pace.
+                    0..=2 => {
+                        let e = entry(ns, rid, iid, r >> 24, now + (r >> 32) % 40, 0);
+                        flat.store(e.clone());
+                        s.store(e);
+                    }
+                    3 => {
+                        let n = flat.remove(|e| (e.ns, e.rid) == (ns, rid));
+                        prop_assert_eq!(s.remove(ns, rid), n);
+                    }
+                    4 => {
+                        let n = flat.remove(|e| e.ns == ns);
+                        prop_assert_eq!(s.remove_ns(ns), n);
+                    }
+                    5 => {
+                        let n = flat.remove(|e| e.key % 2 == 1);
+                        prop_assert_eq!(s.extract_not_owned(|k| k % 2 == 0).len(), n);
+                    }
+                    _ => {
+                        now += (r >> 40) % 12;
+                        let n = flat.remove(|e| e.expires <= Time(now));
+                        prop_assert_eq!(s.sweep_expired(Time(now)), n);
+                    }
+                }
+                prop_assert_eq!(s.len(), flat.0.len());
+                prop_assert_eq!(
+                    sorted(s.iter_all().cloned().collect()),
+                    sorted(flat.0.clone())
+                );
+                if let Some(earliest) = flat.0.iter().map(|e| e.expires).min() {
+                    prop_assert!(s.next_expiry <= earliest);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_bound_follows_stores_and_sweeps_not_removals() {
+        let mut s = StorageManager::new();
+        s.store(entry(1, 10, 0, 1, 100, 1));
+        s.store(entry(2, 20, 0, 2, 300, 2));
+        assert_eq!(s.next_expiry, Time(100));
+        assert_eq!(s.sweep_expired(Time(99)), 0);
+        // The pass that removes the earliest item re-derives the bound…
+        assert_eq!(s.sweep_expired(Time(100)), 1);
+        assert_eq!(s.next_expiry, Time(300));
+        // …a removal leaves it (stale-low: one real sweep finds nothing)…
+        s.remove(2, 20);
+        assert_eq!(s.next_expiry, Time(300));
+        assert_eq!(s.sweep_expired(Time(300)), 0);
+        // …and an empty store has nothing to wait for.
+        assert_eq!(s.next_expiry, Time::MAX);
     }
 }
