@@ -275,6 +275,14 @@ impl CalendarQueue {
         Some(ev)
     }
 
+    /// Buffers of at least `min` capacity the queue holds, in slots and
+    /// on the spare list alike.
+    #[cfg(test)]
+    fn resident_buffers(&self, min: usize) -> usize {
+        let all = self.ring.iter().chain(&self.spare);
+        all.filter(|v| v.capacity() >= min).count()
+    }
+
     /// Commit the cursor to bucket `b`: refill the ring from the
     /// overflow heap up to the new horizon, then sort the new current
     /// bucket. Refilled events land only in slots whose previous
@@ -1172,6 +1180,38 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// The 10^4-node maintenance tick as the queue sees it: every event
+    /// of a bucket re-arms itself one period on, and the period is not a
+    /// whole number of buckets, so each round lands in a slot no earlier
+    /// round touched. A hundred drained buckets later the capacity of
+    /// two is resident — the bucket being drained and the one being
+    /// filled — not of a hundred.
+    #[test]
+    fn drained_buckets_hand_their_capacity_on() {
+        const NODES: u64 = 10_000;
+        const PERIOD: u64 = 500_000;
+        let tick = |round: u64, node: u64| EvRef {
+            key: EvKey {
+                at: Time(round * PERIOD),
+                origin: node as NodeId,
+                oseq: round,
+            },
+            slot: node as u32,
+        };
+        let mut queue = CalendarQueue::new();
+        for node in 0..NODES {
+            queue.push(tick(1, node));
+        }
+        for round in 1..=100 {
+            for node in 0..NODES {
+                assert!(queue.pop() == Some(tick(round, node)));
+                queue.push(tick(round + 1, node));
+            }
+        }
+        assert_eq!(queue.resident_buffers(NODES as usize), 2);
+        assert_eq!(queue.resident_buffers(1), 2);
     }
 
     // -----------------------------------------------------------------

@@ -1,7 +1,9 @@
 //! Allocation budgets of the message plane, counted by this binary's own
 //! `#[global_allocator]`: the engine's steady state allocates nothing, a
-//! query install multicast shares one descriptor among all nodes, and a
-//! small join stays inside a pinned bytes-per-event budget.
+//! query install multicast shares one descriptor among all nodes, a CAN
+//! keepalive shares one neighbour map among all neighbours, a resting
+//! overlay stays inside a bytes-per-node budget, and a small join inside
+//! a pinned bytes-per-event budget.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -14,17 +16,21 @@ use std::sync::Arc;
 use pier::qp::plan::JoinStrategy;
 use pier::qp::semantics::same_multiset;
 use pier::qp::testkit::*;
+use pier::qp::PierNode;
 use pier::simnet::time::Dur;
 use pier::simnet::topology::FullMesh;
 use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
 use pier::workload::{RsParams, RsWorkload};
-use pier_dht::DhtConfig;
+use pier_dht::{DhtConfig, Overlay};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: requested minus released (wrapping, so a
+    /// block freed on another thread than it came from cannot panic).
+    static LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Count one allocator request. `try_with`: the allocator still runs
@@ -32,6 +38,11 @@ thread_local! {
 fn note(size: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
+}
+
+fn note_freed(size: usize) {
+    let _ = LIVE.try_with(|c| c.set(c.get().wrapping_sub(size as u64)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -44,12 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_freed(layout.size());
         // SAFETY: `ptr` and `layout` come from this allocator, that is
         // from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_freed(layout.size());
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,14 +83,11 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 // (i) the engine's steady state
 // ---------------------------------------------------------------------
 
-/// One calendar-queue bucket (2^14 µs); the ring has 4096 of them.
-const BUCKET: u64 = 1 << 14;
-/// Timer period and link latency are whole buckets and the period
-/// divides the ring, so every lap of the ring loads every bucket exactly
-/// as the lap before did.
-const PERIOD: Dur = Dur(64 * BUCKET);
-const LATENCY: Dur = Dur(8 * BUCKET);
-const LAP: Dur = Dur(4096 * BUCKET);
+/// The DHT's maintenance period: 30.5 calendar-queue buckets (2^14 µs
+/// each), so successive firings land in slots of the 4096-slot ring that
+/// no earlier one touched, for 1024 periods on end.
+const PERIOD: Dur = Dur(500_000);
+const LATENCY: Dur = Dur(100_000);
 
 #[derive(Clone, Debug)]
 enum Ball {
@@ -112,9 +122,10 @@ impl App for TimerEcho {
     }
 }
 
-/// One lap of the calendar ring in steady state, on an engine built
-/// by `build`.
-fn steady_lap_allocates_nothing(build: impl FnOnce(NetConfig) -> Sim<TimerEcho>) {
+/// The steady state of an engine built by `build`: once every buffer
+/// has been round once, nothing is allocated and nothing is released,
+/// however many fresh ring slots the run goes on to touch.
+fn steady_state_allocates_nothing(build: impl FnOnce(NetConfig) -> Sim<TimerEcho>) {
     const N: u32 = 64;
     let mut sim = build(NetConfig {
         topology: Arc::new(FullMesh { latency: LATENCY }),
@@ -126,25 +137,27 @@ fn steady_lap_allocates_nothing(build: impl FnOnce(NetConfig) -> Sim<TimerEcho>)
             partner: (i + 1) % N,
         });
     }
-    // Warm-up: one lap of the ring, plus the first period (whose buckets
-    // saw no traffic on the first lap), so every bucket, the event slab
-    // and the send/action/batch buffers have reached their capacity.
-    sim.run_for(LAP + PERIOD);
-    let before = sim.events_processed();
-    let ((), allocs, bytes) = counted(|| sim.run_for(LAP));
+    // Warm-up: two periods. The queue holds three bucket buffers (next
+    // timers, pings, pongs) and hands them from drained slot to fresh
+    // slot; they, the event slab and the send/action/batch buffers have
+    // all reached their capacity.
+    sim.run_for(Dur(2 * PERIOD.0));
+    let (before, live) = (sim.events_processed(), LIVE.get());
+    let ((), allocs, bytes) = counted(|| sim.run_for(Dur::from_secs(199)));
     let events = sim.events_processed() - before;
-    // 64 periods × (timer + ping + pong) per node.
-    assert_eq!(events, 64 * 3 * N as u64);
+    // 398 periods × (timer + ping + pong) per node.
+    assert_eq!(events, 398 * 3 * N as u64);
     assert_eq!(
         (allocs, bytes),
         (0, 0),
         "{allocs} allocations ({bytes} B) over {events} steady-state events"
     );
+    assert_eq!(LIVE.get(), live, "live bytes moved over 199 s at rest");
 }
 
 #[test]
 fn steady_state_event_loop_allocates_nothing() {
-    steady_lap_allocates_nothing(Sim::new);
+    steady_state_allocates_nothing(Sim::new);
 }
 
 /// A one-shard engine is the same inline loop: a `run_for` sets up no
@@ -152,7 +165,7 @@ fn steady_state_event_loop_allocates_nothing() {
 /// and every event is counted here because it runs here.
 #[test]
 fn one_shard_event_loop_allocates_nothing() {
-    steady_lap_allocates_nothing(|cfg| ShardedSim::new(cfg, ShardMap::round_robin(1)));
+    steady_state_allocates_nothing(|cfg| ShardedSim::new(cfg, ShardMap::round_robin(1)));
 }
 
 // ---------------------------------------------------------------------
@@ -204,7 +217,74 @@ fn install_multicast_shares_one_descriptor() {
 const INSTALL_ALLOCS_PER_NODE: f64 = 34.0;
 
 // ---------------------------------------------------------------------
-// (iii) a small join
+// (iii) the CAN neighbour maps
+// ---------------------------------------------------------------------
+
+/// For every node: each neighbour's second-hop view of it is one and the
+/// same allocation, held by the neighbours and nobody else.
+fn assert_one_map_per_node(sim: &Sim<PierNode>) {
+    let can = |id: NodeId| match &sim.app(id).expect("alive").dht.overlay {
+        Overlay::Can(can) => can,
+        Overlay::Chord(_) => unreachable!("a CAN deployment"),
+    };
+    for sender in 0..sim.node_count() as NodeId {
+        let hearers: Vec<NodeId> = can(sender).neighbors.keys().copied().collect();
+        let view = |hearer: NodeId| &can(hearer).neighbors[&sender].their_neighbors;
+        let shared = Arc::clone(view(hearers[0]));
+        for &hearer in &hearers {
+            assert!(
+                Arc::ptr_eq(&shared, view(hearer)),
+                "node {hearer} holds a deep copy of node {sender}'s map"
+            );
+        }
+        assert_eq!(Arc::strong_count(&shared), hearers.len() + 1);
+        assert!(shared.iter().map(|(id, _)| *id).eq(hearers));
+    }
+}
+
+/// The heartbeat twin of `install_multicast_shares_one_descriptor`: a
+/// keepalive builds the sender's map once, and what its N neighbours
+/// keep of it is N references.
+#[test]
+fn keepalive_shares_one_neighbour_map() {
+    let mut sim = stabilized_pier_sim(64, DhtConfig::default(), NetConfig::latency_only(17));
+    assert_one_map_per_node(&sim);
+    let first_view = |sim: &Sim<PierNode>| match &sim.app(0).unwrap().dht.overlay {
+        Overlay::Can(can) => Arc::clone(&can.neighbors.values().next().unwrap().their_neighbors),
+        Overlay::Chord(_) => unreachable!("a CAN deployment"),
+    };
+    let at_rest = first_view(&sim);
+    // One keepalive: sent by the tick at 2 s, heard one latency later.
+    sim.run_for(Dur::from_millis(2_200));
+    assert!(
+        !Arc::ptr_eq(&at_rest, &first_view(&sim)),
+        "no heartbeat yet"
+    );
+    drop(at_rest);
+    assert_one_map_per_node(&sim);
+}
+
+/// A reintroduced per-neighbour copy of the second-hop maps fails here
+/// by name, at a size a test can afford.
+#[test]
+fn resting_overlay_stays_inside_its_bytes_per_node_budget() {
+    const N: usize = 2_000;
+    let before = LIVE.get();
+    let sim = stabilized_pier_sim(N, DhtConfig::default(), NetConfig::latency_only(17));
+    let per_node = LIVE.get().wrapping_sub(before) as f64 / N as f64;
+    assert!(
+        per_node <= REST_BYTES_PER_NODE,
+        "{per_node:.0} bytes live per node of a resting {N}-node overlay"
+    );
+    drop(sim);
+}
+
+/// Measured: 4 280 (with a copy of its map at every neighbour: 13 784);
+/// the budget is about 20 % above.
+const REST_BYTES_PER_NODE: f64 = 5_200.0;
+
+// ---------------------------------------------------------------------
+// (iv) a small join
 // ---------------------------------------------------------------------
 
 #[test]
