@@ -175,13 +175,14 @@ impl<M> EventSlab<M> {
 /// advanced `now` past the last event) still land correctly.
 ///
 /// Bucket capacity follows the events, not the slots: a slot below the
-/// cursor owns no buffer. An empty slot has none until an event lands in
-/// it, and when the cursor leaves a drained bucket its buffer goes to
-/// `spare`, from where the next slot to receive its first event takes
-/// it. Resident capacity is therefore bounded by the peak number of
-/// buckets populated at once, however many slots a run touches, and a
-/// periodic load stops allocating once its buffers have circulated —
-/// whether or not its period is a whole number of buckets.
+/// cursor owns no buffer. An empty slot ahead of the cursor has none
+/// until an event lands in it, and when the cursor leaves a drained
+/// bucket its buffer goes to `spare`, from where the next slot to
+/// receive its first event takes it. Resident capacity is therefore
+/// bounded by the peak number of buckets populated at once, however
+/// many slots a run touches, and a periodic load stops allocating once
+/// its buffers have circulated — whether or not its period is a whole
+/// number of buckets.
 struct CalendarQueue {
     ring: Vec<Vec<EvRef>>,
     /// Emptied bucket buffers (capacity kept) awaiting a slot.
@@ -220,6 +221,7 @@ impl CalendarQueue {
         } else {
             v.push(ev);
         }
+        self.ring_len += 1;
     }
 
     /// The buffer of ring bucket `b`, about to receive an event: a slot
@@ -227,7 +229,6 @@ impl CalendarQueue {
     /// buffer a bucket fills cannot show in the pop order — a bucket is
     /// sorted when it becomes current.
     fn bucket_mut(&mut self, b: u64) -> &mut Vec<EvRef> {
-        self.ring_len += 1;
         let v = &mut self.ring[(b % N_BUCKETS as u64) as usize];
         if v.capacity() == 0 {
             if let Some(spare) = self.spare.pop() {
@@ -275,14 +276,6 @@ impl CalendarQueue {
         Some(ev)
     }
 
-    /// Buffers of at least `min` capacity the queue holds, in slots and
-    /// on the spare list alike.
-    #[cfg(test)]
-    fn resident_buffers(&self, min: usize) -> usize {
-        let all = self.ring.iter().chain(&self.spare);
-        all.filter(|v| v.capacity() >= min).count()
-    }
-
     /// Commit the cursor to bucket `b`: refill the ring from the
     /// overflow heap up to the new horizon, then sort the new current
     /// bucket. Refilled events land only in slots whose previous
@@ -305,9 +298,18 @@ impl CalendarQueue {
         {
             let Reverse(ev) = self.far.pop().expect("peeked above");
             self.bucket_mut(bucket_of(ev.key.at)).push(ev);
+            self.ring_len += 1;
         }
         let slot = (self.cursor % N_BUCKETS as u64) as usize;
         self.ring[slot].sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Buffers of at least `min` capacity the queue holds, in slots and
+    /// on the spare list alike.
+    #[cfg(test)]
+    fn resident_buffers(&self, min: usize) -> usize {
+        let all = self.ring.iter().chain(&self.spare);
+        all.filter(|v| v.capacity() >= min).count()
     }
 }
 
