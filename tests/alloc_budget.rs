@@ -21,6 +21,7 @@ use pier::simnet::time::Dur;
 use pier::simnet::topology::FullMesh;
 use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
 use pier::workload::{RsParams, RsWorkload};
+use pier_dht::can::CanState;
 use pier_dht::{DhtConfig, Overlay};
 
 struct CountingAlloc;
@@ -220,16 +221,20 @@ const INSTALL_ALLOCS_PER_NODE: f64 = 34.0;
 // (iii) the CAN neighbour maps
 // ---------------------------------------------------------------------
 
+/// Node `id`'s CAN routing state.
+fn can_of(sim: &Sim<PierNode>, id: NodeId) -> &CanState {
+    match &sim.app(id).expect("alive").dht.overlay {
+        Overlay::Can(can) => can,
+        Overlay::Chord(_) => unreachable!("a CAN deployment"),
+    }
+}
+
 /// For every node: each neighbour's second-hop view of it is one and the
 /// same allocation, held by the neighbours and nobody else.
 fn assert_one_map_per_node(sim: &Sim<PierNode>) {
-    let can = |id: NodeId| match &sim.app(id).expect("alive").dht.overlay {
-        Overlay::Can(can) => can,
-        Overlay::Chord(_) => unreachable!("a CAN deployment"),
-    };
     for sender in 0..sim.node_count() as NodeId {
-        let hearers: Vec<NodeId> = can(sender).neighbors.keys().copied().collect();
-        let view = |hearer: NodeId| &can(hearer).neighbors[&sender].their_neighbors;
+        let hearers: Vec<NodeId> = can_of(sim, sender).neighbors.keys().copied().collect();
+        let view = |hearer: NodeId| &can_of(sim, hearer).neighbors[&sender].their_neighbors;
         let shared = Arc::clone(view(hearers[0]));
         for &hearer in &hearers {
             assert!(
@@ -249,9 +254,13 @@ fn assert_one_map_per_node(sim: &Sim<PierNode>) {
 fn keepalive_shares_one_neighbour_map() {
     let mut sim = stabilized_pier_sim(64, DhtConfig::default(), NetConfig::latency_only(17));
     assert_one_map_per_node(&sim);
-    let first_view = |sim: &Sim<PierNode>| match &sim.app(0).unwrap().dht.overlay {
-        Overlay::Can(can) => Arc::clone(&can.neighbors.values().next().unwrap().their_neighbors),
-        Overlay::Chord(_) => unreachable!("a CAN deployment"),
+    let first_view = |sim: &Sim<PierNode>| {
+        let first = can_of(sim, 0)
+            .neighbors
+            .values()
+            .next()
+            .expect("has neighbours");
+        Arc::clone(&first.their_neighbors)
     };
     let at_rest = first_view(&sim);
     // One keepalive: sent by the tick at 2 s, heard one latency later.
