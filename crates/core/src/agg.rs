@@ -149,9 +149,11 @@ impl GroupAccs {
         }
     }
 
-    /// The virtual output row `[group values..., finalized aggs...]`.
-    pub fn output_row(&self, group: &[Value]) -> Tuple {
-        let mut vals: Vec<Value> = group.to_vec();
+    /// The virtual output row `[group values..., finalized aggs...]`,
+    /// built in the group key's own buffer, grown once.
+    pub fn output_row(&self, group: Vec<Value>) -> Tuple {
+        let mut vals = group;
+        vals.reserve_exact(self.states.len());
         vals.extend(self.states.iter().map(AggState::finalize));
         Tuple::new(vals)
     }
@@ -199,7 +201,7 @@ mod tests {
         for v in [3i64, 1, 4, 1, 5] {
             g.update(&calls, &tuple![v]);
         }
-        let out = g.output_row(&[Value::str("k")]);
+        let out = g.output_row(vec![Value::str("k")]);
         assert_eq!(out.get(1), &Value::I64(5)); // count
         assert_eq!(out.get(2), &Value::I64(14)); // sum (integral)
         assert_eq!(out.get(3), &Value::I64(1)); // min
@@ -232,7 +234,7 @@ mod tests {
     fn empty_group_finalizes_to_neutral_values() {
         let calls = calls();
         let g = GroupAccs::new(&calls);
-        let out = g.output_row(&[]);
+        let out = g.output_row(vec![]);
         assert_eq!(out.get(0), &Value::I64(0));
         assert_eq!(out.get(2), &Value::Null);
         assert_eq!(out.get(4), &Value::Null);
@@ -248,15 +250,15 @@ mod tests {
         for v in [Value::Null, Value::I64(4), Value::Null, Value::I64(2)] {
             g.update(&calls, &Tuple::new(vec![v]));
         }
-        let out = g.output_row(&[]);
+        let out = g.output_row(vec![]);
         assert_eq!(out.get(0), &Value::I64(4), "count(*) still counts rows");
         assert_eq!(out.get(2), &Value::I64(2), "min skips nulls");
         assert_eq!(out.get(3), &Value::I64(4), "max skips nulls");
         // All-null input finalizes to NULL, like the empty group.
         let mut all_null = GroupAccs::new(&calls);
         all_null.update(&calls, &tuple![Value::Null]);
-        assert_eq!(all_null.output_row(&[]).get(2), &Value::Null);
-        assert_eq!(all_null.output_row(&[]).get(3), &Value::Null);
+        assert_eq!(all_null.output_row(vec![]).get(2), &Value::Null);
+        assert_eq!(all_null.output_row(vec![]).get(3), &Value::Null);
     }
 
     #[test]
@@ -270,7 +272,7 @@ mod tests {
         b.states[2] = AggState::Min(Some(Value::Null));
         b.states[3] = AggState::Max(Some(Value::Null));
         a.merge(&b);
-        let out = a.output_row(&[]);
+        let out = a.output_row(vec![]);
         assert_eq!(out.get(2), &Value::I64(7));
         assert_eq!(out.get(3), &Value::I64(7));
     }
@@ -284,6 +286,6 @@ mod tests {
         let mut g = GroupAccs::new(&calls);
         g.update(&calls, &tuple![Value::Null]);
         g.update(&calls, &tuple![1i64]);
-        assert_eq!(g.output_row(&[]).get(0), &Value::I64(2));
+        assert_eq!(g.output_row(vec![]).get(0), &Value::I64(2));
     }
 }

@@ -8,8 +8,8 @@
 
 use std::fmt;
 
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::tuple::{Columns, Tuple};
+use crate::value::{ValRef, Value};
 
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,54 +90,78 @@ impl Expr {
         }
     }
 
-    /// Evaluate against a tuple.
-    pub fn eval(&self, t: &Tuple) -> Value {
+    /// Evaluate over anything that hands out columns — a [`Tuple`] or
+    /// an encoded row read in place ([`crate::tuple::RowRef`]). Columns
+    /// and literals are borrowed, everything computed is a scalar, so
+    /// evaluation never touches the heap.
+    pub fn eval_ref<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> ValRef<'a> {
         match self {
-            Expr::Col(i) => t.vals.get(*i).cloned().unwrap_or(Value::Null),
-            Expr::Lit(v) => v.clone(),
-            Expr::Not(e) => Value::Bool(!e.eval(t).truthy()),
+            Expr::Col(i) => row.col(*i),
+            Expr::Lit(v) => v.as_ref(),
+            Expr::Not(e) => ValRef::Bool(!e.eval_ref(row).truthy()),
             Expr::Bin(op, l, r) => {
-                let lv = l.eval(t);
+                let lv = l.eval_ref(row);
                 match op {
                     // Short-circuit logicals.
                     BinOp::And => {
-                        if !lv.truthy() {
-                            return Value::Bool(false);
-                        }
-                        return Value::Bool(r.eval(t).truthy());
+                        return ValRef::Bool(lv.truthy() && r.eval_ref(row).truthy());
                     }
                     BinOp::Or => {
-                        if lv.truthy() {
-                            return Value::Bool(true);
-                        }
-                        return Value::Bool(r.eval(t).truthy());
+                        return ValRef::Bool(lv.truthy() || r.eval_ref(row).truthy());
                     }
                     _ => {}
                 }
-                let rv = r.eval(t);
+                let rv = r.eval_ref(row);
                 match op {
-                    BinOp::Eq => Value::Bool(lv == rv),
-                    BinOp::Ne => Value::Bool(lv != rv),
-                    BinOp::Lt => Value::Bool(lv < rv),
-                    BinOp::Le => Value::Bool(lv <= rv),
-                    BinOp::Gt => Value::Bool(lv > rv),
-                    BinOp::Ge => Value::Bool(lv >= rv),
+                    BinOp::Eq => ValRef::Bool(lv == rv),
+                    BinOp::Ne => ValRef::Bool(lv != rv),
+                    BinOp::Lt => ValRef::Bool(lv < rv),
+                    BinOp::Le => ValRef::Bool(lv <= rv),
+                    BinOp::Gt => ValRef::Bool(lv > rv),
+                    BinOp::Ge => ValRef::Bool(lv >= rv),
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        arith(*op, &lv, &rv)
+                        arith(*op, lv, rv)
                     }
                     BinOp::And | BinOp::Or => unreachable!(),
                 }
             }
             Expr::Call(f, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| a.eval(t)).collect();
-                call(*f, &vals)
+                let mut vals = args.iter().map(|a| a.eval_ref(row));
+                match f {
+                    Func::WorkloadF => {
+                        let x = vals.next().and_then(|v| v.as_i64());
+                        let y = vals.next().and_then(|v| v.as_i64());
+                        match (x, y) {
+                            (Some(x), Some(y)) => ValRef::I64((x + y).rem_euclid(100)),
+                            _ => ValRef::Null,
+                        }
+                    }
+                    Func::Abs => match vals.next() {
+                        Some(ValRef::I64(i)) => ValRef::I64(i.abs()),
+                        Some(ValRef::F64(x)) => ValRef::F64(x.abs()),
+                        _ => ValRef::Null,
+                    },
+                    Func::Min => vals.min().unwrap_or(ValRef::Null),
+                    Func::Max => vals.max().unwrap_or(ValRef::Null),
+                }
             }
         }
     }
 
+    /// Evaluate against a tuple, to an owned value. A bare column or
+    /// literal shares the `Arc<str>` it holds (a projection copies no
+    /// strings); anything else is [`Self::eval_ref`]'s answer, owned.
+    pub fn eval(&self, t: &Tuple) -> Value {
+        match self {
+            Expr::Col(i) => t.vals.get(*i).cloned().unwrap_or(Value::Null),
+            Expr::Lit(v) => v.clone(),
+            _ => self.eval_ref(t).to_value(),
+        }
+    }
+
     /// Evaluate as a predicate.
-    pub fn matches(&self, t: &Tuple) -> bool {
-        self.eval(t).truthy()
+    pub fn matches<R: Columns + ?Sized>(&self, row: &R) -> bool {
+        self.eval_ref(row).truthy()
     }
 
     /// Remap column references through `map[i] -> new index`; `None`
@@ -218,25 +242,25 @@ impl Expr {
     }
 }
 
-fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
+fn arith<'a>(op: BinOp, l: ValRef<'_>, r: ValRef<'_>) -> ValRef<'a> {
     // Integer arithmetic when both sides are integers; else float.
-    if let (Value::I64(a), Value::I64(b)) = (l, r) {
+    if let (ValRef::I64(a), ValRef::I64(b)) = (l, r) {
         return match op {
-            BinOp::Add => Value::I64(a.wrapping_add(*b)),
-            BinOp::Sub => Value::I64(a.wrapping_sub(*b)),
-            BinOp::Mul => Value::I64(a.wrapping_mul(*b)),
+            BinOp::Add => ValRef::I64(a.wrapping_add(b)),
+            BinOp::Sub => ValRef::I64(a.wrapping_sub(b)),
+            BinOp::Mul => ValRef::I64(a.wrapping_mul(b)),
             BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
+                if b == 0 {
+                    ValRef::Null
                 } else {
-                    Value::I64(a / b)
+                    ValRef::I64(a / b)
                 }
             }
             BinOp::Mod => {
-                if *b == 0 {
-                    Value::Null
+                if b == 0 {
+                    ValRef::Null
                 } else {
-                    Value::I64(a.rem_euclid(*b))
+                    ValRef::I64(a.rem_euclid(b))
                 }
             }
             _ => unreachable!(),
@@ -244,45 +268,26 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
     }
     match (l.as_f64(), r.as_f64()) {
         (Some(a), Some(b)) => match op {
-            BinOp::Add => Value::F64(a + b),
-            BinOp::Sub => Value::F64(a - b),
-            BinOp::Mul => Value::F64(a * b),
+            BinOp::Add => ValRef::F64(a + b),
+            BinOp::Sub => ValRef::F64(a - b),
+            BinOp::Mul => ValRef::F64(a * b),
             BinOp::Div => {
                 if b == 0.0 {
-                    Value::Null
+                    ValRef::Null
                 } else {
-                    Value::F64(a / b)
+                    ValRef::F64(a / b)
                 }
             }
             BinOp::Mod => {
                 if b == 0.0 {
-                    Value::Null
+                    ValRef::Null
                 } else {
-                    Value::F64(a.rem_euclid(b))
+                    ValRef::F64(a.rem_euclid(b))
                 }
             }
             _ => unreachable!(),
         },
-        _ => Value::Null,
-    }
-}
-
-fn call(f: Func, args: &[Value]) -> Value {
-    match f {
-        Func::WorkloadF => match (
-            args.first().and_then(Value::as_i64),
-            args.get(1).and_then(Value::as_i64),
-        ) {
-            (Some(x), Some(y)) => Value::I64((x + y).rem_euclid(100)),
-            _ => Value::Null,
-        },
-        Func::Abs => match args.first() {
-            Some(Value::I64(i)) => Value::I64(i.abs()),
-            Some(Value::F64(x)) => Value::F64(x.abs()),
-            _ => Value::Null,
-        },
-        Func::Min => args.iter().min().cloned().unwrap_or(Value::Null),
-        Func::Max => args.iter().max().cloned().unwrap_or(Value::Null),
+        _ => ValRef::Null,
     }
 }
 

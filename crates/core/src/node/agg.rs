@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use pier_dht::msg::Entry;
-use pier_dht::{CtxEnv, Rid};
+use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
@@ -181,7 +181,7 @@ impl PierNode {
         groups: Groups,
     ) {
         for (group, accs) in groups {
-            let virt = accs.output_row(&group);
+            let virt = accs.output_row(group);
             if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
                 let out = Tuple::new(agg.output.iter().map(|e| e.eval(&virt)).collect());
                 self.emit_result(ctx, desc.qid, desc.initiator, 0, out);
@@ -197,7 +197,7 @@ impl PierNode {
         let groups = self.harvest_groups(qid, agg, ctx.now);
         let na = qns::agg(qid);
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for (group, accs) in groups {
             let rid = group_rid(&group);

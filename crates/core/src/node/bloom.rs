@@ -3,7 +3,6 @@
 //! them, and each side's rehash ([`PierNode::rehash_table`]) is gated by
 //! the filter over the opposite table's keys.
 
-use pier_dht::CtxEnv;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 
@@ -42,7 +41,7 @@ impl PierNode {
             });
             work.push((side, filter));
         }
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for (side, filter) in work {
             let ns = qns::bloom(qid, side == Side::Right);
@@ -127,7 +126,7 @@ impl PierNode {
         // "The filters are OR-ed together and then multicast to all nodes
         // storing the opposite table" — our multicast reaches all nodes;
         // non-holders simply have nothing to rehash.
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Bloom { qid, side, filter }, &mut events);

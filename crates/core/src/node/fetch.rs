@@ -6,7 +6,7 @@
 //! [`PierNode::finish`], like the pipeline's last stage.
 
 use pier_dht::msg::Entry;
-use pier_dht::{CtxEnv, Rid};
+use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
@@ -48,7 +48,7 @@ impl PierNode {
             );
             work.push((rid, token));
         }
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for (rid, token) in work {
             self.dht.get(&mut env, right_ns, rid, token, &mut events);
@@ -203,13 +203,13 @@ impl PierNode {
                 ident,
             },
         );
-        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (side, ns, rid) in [(Side::Left, left_ns, rid_l), (Side::Right, right_ns, rid_r)] {
             let token = self.token();
             self.get_purpose
                 .insert(token, GetPurpose::SemiFetch { qid, pair, side });
-            self.dht.get(&mut env, ns, rid, token, &mut events);
+            let env = &mut self.reg.env(ctx);
+            self.dht.get(env, ns, rid, token, &mut events);
         }
         self.pump(ctx, events);
     }

@@ -28,8 +28,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use pier_dht::event::DhtEvent;
-use pier_dht::msg::Entry;
-use pier_dht::{CtxEnv, Dht, DhtConfig, Ns, DHT_TICK_TOKEN};
+use pier_dht::msg::{DhtMsg, Entry};
+use pier_dht::{CtxEnv, Dht, DhtConfig, DhtEnv, Ns, DHT_TICK_TOKEN};
 use pier_simnet::app::{App, Ctx};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::NodeId;
@@ -231,6 +231,17 @@ impl QueryRegistry {
         }
     }
 
+    /// The host for one provider call: the engine context, with the
+    /// routing table as the list of `newData` registrations. Borrows
+    /// only the registry, so the call can borrow `PierNode::dht` beside
+    /// it.
+    fn env<'a, 'b>(&'a self, ctx: &'a mut Ctx<'b, PierMsg>) -> NodeEnv<'a, 'b> {
+        NodeEnv {
+            host: CtxEnv { ctx },
+            reg: self,
+        }
+    }
+
     /// Remove a query and every route pointing at it. Returns the
     /// instance so the caller can cancel its timers.
     fn uninstall(&mut self, qid: u64) -> Option<QueryInstance> {
@@ -240,6 +251,37 @@ impl QueryRegistry {
             !routes.is_empty()
         });
         Some(inst)
+    }
+}
+
+/// What the provider sees of a PIER node: [`CtxEnv`], plus the answer to
+/// "did anyone register `newData` for this namespace?" read off the
+/// registry's routing table — the very map [`PierNode`] dispatches the
+/// upcall by, so an upcall the provider skips is one the dispatch would
+/// have dropped, and the node keeps no second list to fall out of step.
+struct NodeEnv<'a, 'b> {
+    host: CtxEnv<'a, 'b, PierMsg>,
+    reg: &'a QueryRegistry,
+}
+
+impl DhtEnv<QpItem> for NodeEnv<'_, '_> {
+    fn now(&self) -> Time {
+        DhtEnv::<QpItem>::now(&self.host)
+    }
+    fn me(&self) -> NodeId {
+        DhtEnv::<QpItem>::me(&self.host)
+    }
+    fn send(&mut self, to: NodeId, msg: DhtMsg<QpItem>) {
+        self.host.send(to, msg);
+    }
+    fn timer(&mut self, after: Dur, token: u64) {
+        DhtEnv::<QpItem>::timer(&mut self.host, after, token);
+    }
+    fn rand64(&mut self) -> u64 {
+        DhtEnv::<QpItem>::rand64(&mut self.host)
+    }
+    fn wants_new_data(&self, ns: Ns) -> bool {
+        self.reg.ns_routes.contains_key(&ns)
     }
 }
 
@@ -552,11 +594,13 @@ impl PierNode {
     }
 
     fn on_new_data(&mut self, ctx: &mut Ctx<PierMsg>, entry: Entry<QpItem>) {
-        let Some(routes) = self.reg.ns_routes.get(&entry.ns) else {
-            return;
-        };
-        let routes = routes.clone();
-        for (qid, role) in routes {
+        // The route list is re-read at every step, not copied: nothing
+        // below installs or uninstalls a query (only a multicast or a
+        // timer does), so the list stands still while it is walked.
+        let route = |reg: &QueryRegistry, i: usize| reg.ns_routes.get(&entry.ns)?.get(i).copied();
+        let mut i = 0;
+        while let Some((qid, role)) = route(&self.reg, i) {
+            i += 1;
             match role {
                 NsRole::Stage(k) => self.probe(ctx, qid, k as usize, &entry),
                 NsRole::Base(t) => self.on_base_new_data(ctx, qid, t as usize, &entry),
@@ -580,22 +624,26 @@ impl PierNode {
         if !inst.desc.continuous {
             return;
         }
-        let QpItem::Row(row) = &entry.val else { return };
-        let row = row.decode();
+        let QpItem::Row(flat) = &entry.val else {
+            return;
+        };
         let desc = Arc::clone(&inst.desc);
+        // Select on the encoded row; only a row that passes is decoded.
+        let pred = match &desc.op {
+            QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => &scan.pred,
+            QueryOp::Join { join, .. } => &join.table(t).pred,
+        };
+        if pred.as_ref().is_some_and(|p| !p.matches(&flat.view())) {
+            return;
+        }
+        let row = flat.decode();
         match &desc.op {
-            QueryOp::Scan { scan, project } => {
-                if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
-                    let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
-                    self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, out);
-                }
+            QueryOp::Scan { project, .. } => {
+                let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
+                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, out);
             }
             QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
-            QueryOp::Agg { scan, agg } => {
-                if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
-                    self.agg_new_row(ctx.now, &desc, agg, entry, &row);
-                }
-            }
+            QueryOp::Agg { agg, .. } => self.agg_new_row(ctx.now, &desc, agg, entry, &row),
         }
     }
 
@@ -669,10 +717,12 @@ impl PierNode {
 }
 
 /// Stream the locally stored, live, selection-passing rows of a base
-/// table to `f` as `(instanceID, expiry, row)`, in `lscan` order. Every
-/// row is decoded into one scratch tuple, so a consumer that keeps none
-/// of them costs no allocation per row. Expired-but-unswept rows (the
-/// sweep runs on the maintenance tick) never enter a dataflow.
+/// table to `f` as `(instanceID, expiry, row)`, in `lscan` order. The
+/// selection runs on the encoded row; a row that passes is decoded into
+/// one scratch tuple, so a row the predicate turns away costs no
+/// allocation and neither does a consumer that keeps none of the rest.
+/// Expired-but-unswept rows (the sweep runs on the maintenance tick)
+/// never enter a dataflow.
 fn for_each_live(
     dht: &Dht<QpItem>,
     scan: &ScanSpec,
@@ -685,10 +735,11 @@ fn for_each_live(
         if e.expires <= now {
             continue;
         }
-        flat.decode_into(&mut row);
-        if scan.pred.as_ref().is_none_or(|p| p.matches(&row)) {
-            f(e.iid, e.expires, &row);
+        if scan.pred.as_ref().is_some_and(|p| !p.matches(&flat.view())) {
+            continue;
         }
+        flat.decode_into(&mut row);
+        f(e.iid, e.expires, &row);
     }
 }
 
@@ -700,17 +751,16 @@ impl App for PierNode {
         if self.dht.is_joined() {
             ctx.set_timer(self.dht.cfg.tick, DHT_TICK_TOKEN);
         } else {
-            let mut env = CtxEnv { ctx };
-            self.dht.start(&mut env, bootstrap);
+            self.dht.start(&mut self.reg.env(ctx), bootstrap);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, msg: PierMsg) {
         match msg {
             PierMsg::Dht(m) => {
-                let mut env = CtxEnv { ctx };
                 let mut events = Vec::new();
-                self.dht.handle_message(&mut env, from, m, &mut events);
+                self.dht
+                    .handle_message(&mut self.reg.env(ctx), from, m, &mut events);
                 self.pump(ctx, events);
             }
             PierMsg::Result { qid, ident, row } => {
@@ -727,9 +777,9 @@ impl App for PierNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<PierMsg>, token: u64) {
         if token == DHT_TICK_TOKEN {
-            let mut env = CtxEnv { ctx };
             let mut events = Vec::new();
-            self.dht.handle_timer(&mut env, token, &mut events);
+            self.dht
+                .handle_timer(&mut self.reg.env(ctx), token, &mut events);
             self.pump(ctx, events);
             return;
         }
@@ -764,5 +814,52 @@ impl App for PierNode {
             Some(TimerAction::RenewQuery { qid }) => self.renew_query(ctx, qid),
             None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::stabilized_pier_sim;
+    use pier_simnet::NetConfig;
+
+    /// One group's partial, as `flush_partials` puts it.
+    fn partial(qid: u64) -> QpItem {
+        QpItem::Partial {
+            qid,
+            group: vec![Value::str("sig-0001")],
+            accs: GroupAccs::new(&[]),
+        }
+    }
+
+    /// `newData` is a subscription: a put into a namespace no installed
+    /// query routed stores the item and builds no upcall — the `events`
+    /// list is not even allocated — while the same put into a routed
+    /// namespace raises it.
+    #[test]
+    fn new_data_is_raised_only_for_a_routed_namespace() {
+        let mut sim =
+            stabilized_pier_sim(1, DhtConfig::static_network(), NetConfig::latency_only(3));
+        let (unrouted, routed) = (qns::agg(7), qns::agg(8));
+        sim.with_app(0, |node, ctx| {
+            assert_eq!(node.installed_query_count(), 0);
+            let mut events = Vec::new();
+            let life = Dur::from_secs(60);
+            let env = &mut node.reg.env(ctx);
+            node.dht
+                .put(env, unrouted, 1, 0, partial(7), life, &mut events);
+            assert!(events.is_empty());
+            assert_eq!(events.capacity(), 0);
+            assert_eq!(node.dht.lscan(unrouted).count(), 1, "stored all the same");
+
+            node.reg.route(routed, 8, NsRole::Stage(0));
+            let env = &mut node.reg.env(ctx);
+            node.dht
+                .put(env, routed, 1, 0, partial(8), life, &mut events);
+            assert!(matches!(
+                events.as_slice(),
+                [DhtEvent::NewData { entry }] if entry.ns == routed
+            ));
+        });
     }
 }

@@ -5,7 +5,7 @@
 //! ([`PierNode::finish`]). A two-table join is the one-stage case.
 
 use pier_dht::msg::Entry;
-use pier_dht::{CtxEnv, Ns, Rid};
+use pier_dht::{Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
@@ -78,13 +78,12 @@ impl PierNode {
         lifetime: Dur,
         puts: Vec<(Rid, u32, QpItem)>,
     ) {
-        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for (rid, base_iid, item) in puts {
             let iid = self.derived_iid(base_iid, salt);
             self.record_rehash(qid, ns, rid, iid, &item);
-            self.dht
-                .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
+            let env = &mut self.reg.env(ctx);
+            self.dht.put(env, ns, rid, iid, item, lifetime, &mut events);
         }
         self.pump(ctx, events);
     }
@@ -103,16 +102,16 @@ impl PierNode {
         lifetime: Dur,
     ) {
         self.record_rehash(qid, ns, rid, iid, &item);
-        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
-        self.dht
-            .put(&mut env, ns, rid, iid, item, lifetime, &mut events);
+        let env = &mut self.reg.env(ctx);
+        self.dht.put(env, ns, rid, iid, item, lifetime, &mut events);
         self.pump(ctx, events);
     }
 
-    /// Continuous joins: one newly published base tuple of table `t`
-    /// flows into its stage namespace — the incremental analogue of
-    /// [`Self::rehash_table`], landing on the same instanceID.
+    /// Continuous joins: one newly published base tuple of table `t`,
+    /// already past that table's selection, flows into its stage
+    /// namespace — the incremental analogue of [`Self::rehash_table`],
+    /// landing on the same instanceID.
     pub(super) fn rehash_one(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -125,9 +124,6 @@ impl PierNode {
             return;
         };
         let Some(j) = desc.op.join() else { return };
-        if !j.table(t).pred.as_ref().is_none_or(|p| p.matches(&row)) {
-            return;
-        }
         let (k, side, join_col) = view.table_role(t);
         let join = row.get(join_col).clone();
         let rid = Self::rehash_rid(&join, j.computation_nodes);

@@ -5,7 +5,7 @@
 //! [`TimerAction::RenewQuery`] loop, at the period its descriptor
 //! carries.
 
-use pier_dht::{CtxEnv, Ns, Rid};
+use pier_dht::{Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 use pier_simnet::Wire;
@@ -82,20 +82,20 @@ impl PierNode {
     ) -> PublishReport {
         let ns = pier_dht::ns_of(table);
         let mut report = PublishReport::default();
-        let mut env = CtxEnv { ctx };
         let mut events = Vec::new();
         for row in rows {
             let rid = row.get(pkey_col).hash64();
             let item = QpItem::Row(FlatRow::from_tuple(&row));
             let bytes = item.wire_size();
-            if !self.governor.try_publish(tenant, env.ctx.now, bytes as f64) {
+            if !self.governor.try_publish(tenant, ctx.now, bytes as f64) {
                 self.metrics.on_shed(bytes);
                 report.shed += 1;
                 continue;
             }
             let iid = self.fresh_iid();
+            let env = &mut self.reg.env(ctx);
             self.dht
-                .put(&mut env, ns, rid, iid, item.clone(), lifetime, &mut events);
+                .put(env, ns, rid, iid, item.clone(), lifetime, &mut events);
             self.published.push(PubRecord {
                 ns,
                 rid,
@@ -119,7 +119,7 @@ impl PierNode {
     }
 
     pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for rec in &self.published {
             self.dht.renew(
@@ -180,7 +180,7 @@ impl PierNode {
             return;
         };
         let horizon = Self::query_horizon(&inst.desc);
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for rec in &inst.rehash_pubs {
             self.dht.renew(

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use pier_dht::CtxEnv;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
@@ -19,7 +18,7 @@ impl PierNode {
     /// Submit a query: multicast the descriptor to all nodes (§3.3).
     pub fn submit(&mut self, ctx: &mut Ctx<PierMsg>, desc: QueryDesc) {
         self.results.entry(desc.qid).or_default();
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Query(Arc::new(desc)), &mut events);
@@ -60,7 +59,7 @@ impl PierNode {
     /// within one lifetime (§3.2.3 reclamation-by-expiry). Results
     /// already collected at the initiator stay readable.
     pub fn cancel(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let mut env = CtxEnv { ctx };
+        let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         self.dht
             .multicast(&mut env, QpItem::Cancel { qid }, &mut events);

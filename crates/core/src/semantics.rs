@@ -222,7 +222,7 @@ pub fn reference_agg(agg: &AggSpec, rows: &[Tuple]) -> Vec<Tuple> {
     }
     let mut out = Vec::new();
     for (key, accs) in groups {
-        let virt = accs.output_row(&key);
+        let virt = accs.output_row(key);
         if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
             out.push(Tuple::new(
                 agg.output.iter().map(|e| e.eval(&virt)).collect(),

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::value::Value;
+use crate::value::{ValRef, Value};
 
 /// Wire bytes of the per-tuple header — shared by the actual accounting
 /// ([`Tuple::wire_size`]) and the prediction
@@ -93,48 +93,143 @@ impl Tuple {
     /// passing decodes them all through one scratch tuple. Returns the
     /// number of bytes consumed; on `None` the contents are unspecified.
     pub fn decode_into(&mut self, bytes: &[u8]) -> Option<usize> {
-        let mut pos = 0usize;
-        let arity = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
-        pos += 4;
+        let arity = read_arity(bytes)?;
         let vals = &mut self.vals;
         vals.clear();
         // Every value takes at least its tag byte, which bounds what a
         // malformed header can make us reserve.
         vals.reserve_exact(arity.min(bytes.len()));
+        let mut pos = 4;
         for _ in 0..arity {
-            let tag = *bytes.get(pos)?;
-            pos += 1;
-            vals.push(match tag {
-                TAG_NULL => Value::Null,
-                TAG_FALSE => Value::Bool(false),
-                TAG_TRUE => Value::Bool(true),
-                TAG_I64 => {
-                    let v = i64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    Value::I64(v)
-                }
-                TAG_F64 => {
-                    let v = u64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    Value::F64(f64::from_bits(v))
-                }
-                TAG_STR => {
-                    let len =
-                        u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-                    pos += 4;
-                    let s = std::str::from_utf8(bytes.get(pos..pos + len)?).ok()?;
-                    pos += len;
-                    Value::Str(Arc::from(s))
-                }
-                TAG_PAD => {
-                    let n = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?);
-                    pos += 4;
-                    Value::Pad(n)
-                }
-                _ => return None,
-            });
+            let (v, next) = read_value(bytes, pos)?;
+            vals.push(v.to_value());
+            pos = next;
         }
         Some(pos)
+    }
+}
+
+/// The column count an encoded tuple opens with.
+fn read_arity(bytes: &[u8]) -> Option<usize> {
+    Some(u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize)
+}
+
+/// Read the encoded value that starts at `pos`, borrowing a string from
+/// `bytes`; returns it with the position of the next value. `None` on an
+/// unknown tag, a value running past the buffer, or a string that is not
+/// UTF-8 — the one definition of well-formed that [`Tuple::decode_into`]
+/// and [`RowRef`] share.
+fn read_value(bytes: &[u8], mut pos: usize) -> Option<(ValRef<'_>, usize)> {
+    let tag = *bytes.get(pos)?;
+    pos += 1;
+    let v = match tag {
+        TAG_NULL => ValRef::Null,
+        TAG_FALSE => ValRef::Bool(false),
+        TAG_TRUE => ValRef::Bool(true),
+        TAG_I64 => {
+            let v = i64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
+            pos += 8;
+            ValRef::I64(v)
+        }
+        TAG_F64 => {
+            let v = u64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
+            pos += 8;
+            ValRef::F64(f64::from_bits(v))
+        }
+        TAG_STR => {
+            let len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
+            pos += 4;
+            let s = std::str::from_utf8(bytes.get(pos..pos + len)?).ok()?;
+            pos += len;
+            ValRef::Str(s)
+        }
+        TAG_PAD => {
+            let n = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?);
+            pos += 4;
+            ValRef::Pad(n)
+        }
+        _ => return None,
+    };
+    Some((v, pos))
+}
+
+/// Anything that can hand out a column as a borrowed value — what an
+/// [`crate::expr::Expr`] is evaluated over. A column index past the end
+/// reads as NULL.
+pub trait Columns {
+    fn col(&self, i: usize) -> ValRef<'_>;
+}
+
+impl<R: Columns + ?Sized> Columns for &R {
+    fn col(&self, i: usize) -> ValRef<'_> {
+        (**self).col(i)
+    }
+}
+
+impl Columns for Tuple {
+    fn col(&self, i: usize) -> ValRef<'_> {
+        self.vals.get(i).map_or(ValRef::Null, Value::as_ref)
+    }
+}
+
+/// A well-formed encoded tuple, read in place: a predicate looks at the
+/// columns it names without the row being decoded, and nothing here
+/// touches the heap. A column is found by walking the encoding from the
+/// front, which for the handful of columns a row has costs less than
+/// any index that would have to be stored somewhere.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    /// Exactly one tuple's encoding, checked by [`Self::new`].
+    bytes: &'a [u8],
+    arity: usize,
+}
+
+impl<'a> RowRef<'a> {
+    /// View the tuple encoded at the front of `bytes`. Accepts exactly
+    /// what [`Tuple::decode_from`] accepts — same tags, same bounds,
+    /// same UTF-8 check, trailing bytes ignored — so a row that can be
+    /// filtered here can be decoded afterwards.
+    pub fn new(bytes: &'a [u8]) -> Option<RowRef<'a>> {
+        let arity = read_arity(bytes)?;
+        let mut pos = 4;
+        for _ in 0..arity {
+            pos = read_value(bytes, pos)?.1;
+        }
+        Some(RowRef {
+            bytes: &bytes[..pos],
+            arity,
+        })
+    }
+
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The encoding viewed: what [`Tuple::decode_from`] would consume.
+    pub fn encoded(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Column `i`, or NULL past the end.
+    pub fn get(&self, i: usize) -> ValRef<'a> {
+        if i >= self.arity {
+            return ValRef::Null;
+        }
+        let mut pos = 4;
+        for _ in 0..i {
+            pos = self.value_at(pos).1;
+        }
+        self.value_at(pos).0
+    }
+
+    fn value_at(&self, pos: usize) -> (ValRef<'a>, usize) {
+        read_value(self.bytes, pos).expect("checked by RowRef::new")
+    }
+}
+
+impl Columns for RowRef<'_> {
+    fn col(&self, i: usize) -> ValRef<'_> {
+        self.get(i)
     }
 }
 
@@ -229,6 +324,11 @@ impl FlatRow {
         scratch
             .decode_into(&self.bytes)
             .expect("FlatRow holds a well-formed encoding");
+    }
+
+    /// Read the row where it lies (see [`RowRef`]).
+    pub fn view(&self) -> RowRef<'_> {
+        RowRef::new(&self.bytes).expect("FlatRow holds a well-formed encoding")
     }
 
     /// Wire bytes of the row, identical to `self.decode().wire_size()`.

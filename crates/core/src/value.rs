@@ -10,61 +10,102 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A scalar value.
-#[derive(Clone, Debug)]
-pub enum Value {
+/// A scalar, generic in how it holds a string. Everything a value
+/// *means* — truthiness, the numeric views, equality, order, hash and
+/// wire size — is defined once, here, for the owned [`Value`] and the
+/// borrowed [`ValRef`] alike.
+#[derive(Clone, Copy, Debug)]
+pub enum Scalar<S> {
     Null,
     Bool(bool),
     I64(i64),
     F64(f64),
-    Str(Arc<str>),
+    Str(S),
     /// Opaque padding of the given wire length (see module docs).
     Pad(u32),
 }
+
+/// A scalar value, owned.
+pub type Value = Scalar<Arc<str>>;
+
+/// A scalar value that borrows its string: what a column of an encoded
+/// row, a column of a [`crate::tuple::Tuple`] and a literal all look
+/// like to the expression evaluator, none of them copied. `Copy`, and
+/// never the owner of heap memory.
+pub type ValRef<'a> = Scalar<&'a str>;
 
 impl Value {
     pub fn str(s: &str) -> Value {
         Value::Str(Arc::from(s))
     }
+}
+
+impl ValRef<'_> {
+    /// The owned value. A string is copied into a fresh `Arc<str>`.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValRef::Null => Value::Null,
+            ValRef::Bool(b) => Value::Bool(b),
+            ValRef::I64(i) => Value::I64(i),
+            ValRef::F64(f) => Value::F64(f),
+            ValRef::Str(s) => Value::str(s),
+            ValRef::Pad(n) => Value::Pad(n),
+        }
+    }
+}
+
+impl<S: AsRef<str>> Scalar<S> {
+    /// The same value, borrowing the string.
+    pub fn as_ref(&self) -> ValRef<'_> {
+        match self {
+            Scalar::Null => ValRef::Null,
+            Scalar::Bool(b) => ValRef::Bool(*b),
+            Scalar::I64(i) => ValRef::I64(*i),
+            Scalar::F64(f) => ValRef::F64(*f),
+            Scalar::Str(s) => ValRef::Str(s.as_ref()),
+            Scalar::Pad(n) => ValRef::Pad(*n),
+        }
+    }
 
     pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
+        matches!(self, Scalar::Null)
     }
 
     /// Truthiness for predicate evaluation (SQL-ish: NULL is false).
     pub fn truthy(&self) -> bool {
         match self {
-            Value::Bool(b) => *b,
-            Value::I64(i) => *i != 0,
-            Value::F64(f) => *f != 0.0,
-            Value::Null => false,
-            Value::Str(s) => !s.is_empty(),
-            Value::Pad(_) => true,
+            Scalar::Bool(b) => *b,
+            Scalar::I64(i) => *i != 0,
+            Scalar::F64(f) => *f != 0.0,
+            Scalar::Null => false,
+            Scalar::Str(s) => !s.as_ref().is_empty(),
+            Scalar::Pad(_) => true,
         }
     }
 
     /// Numeric view (for arithmetic and cross-type comparison).
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::I64(i) => Some(*i as f64),
-            Value::F64(f) => Some(*f),
-            Value::Bool(b) => Some(*b as i64 as f64),
+            Scalar::I64(i) => Some(*i as f64),
+            Scalar::F64(f) => Some(*f),
+            Scalar::Bool(b) => Some(*b as i64 as f64),
             _ => None,
         }
     }
 
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::I64(i) => Some(*i),
-            Value::F64(f) => Some(*f as i64),
-            Value::Bool(b) => Some(*b as i64),
+            Scalar::I64(i) => Some(*i),
+            Scalar::F64(f) => Some(*f as i64),
+            Scalar::Bool(b) => Some(*b as i64),
             _ => None,
         }
     }
 
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Scalar::Str(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -72,12 +113,12 @@ impl Value {
     /// Bytes this value occupies on the wire.
     pub fn wire_size(&self) -> usize {
         match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::I64(_) => 8,
-            Value::F64(_) => 8,
-            Value::Str(s) => 4 + s.len(),
-            Value::Pad(n) => *n as usize,
+            Scalar::Null => 1,
+            Scalar::Bool(_) => 1,
+            Scalar::I64(_) => 8,
+            Scalar::F64(_) => 8,
+            Scalar::Str(s) => 4 + s.as_ref().len(),
+            Scalar::Pad(n) => *n as usize,
         }
     }
 
@@ -85,23 +126,24 @@ impl Value {
     pub fn hash64(&self) -> u64 {
         use pier_dht::geom::{hash2, hash_str};
         match self {
-            Value::Null => 0x6e75_6c6c,
-            Value::Bool(b) => hash2(1, *b as u64),
-            Value::I64(i) => hash2(2, *i as u64),
-            Value::F64(f) => hash2(3, f.to_bits()),
-            Value::Str(s) => hash2(4, hash_str(s)),
-            Value::Pad(n) => hash2(5, *n as u64),
+            Scalar::Null => 0x6e75_6c6c,
+            Scalar::Bool(b) => hash2(1, *b as u64),
+            Scalar::I64(i) => hash2(2, *i as u64),
+            Scalar::F64(f) => hash2(3, f.to_bits()),
+            Scalar::Str(s) => hash2(4, hash_str(s.as_ref())),
+            Scalar::Pad(n) => hash2(5, *n as u64),
         }
     }
 }
 
-impl PartialEq for Value {
+impl<S: AsRef<str>> PartialEq for Scalar<S> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Pad(a), Value::Pad(b)) => a == b,
+            (Scalar::Null, Scalar::Null) => true,
+            (Scalar::Bool(a), Scalar::Bool(b)) => a == b,
+            (Scalar::Str(a), Scalar::Str(b)) => a.as_ref() == b.as_ref(),
+            (Scalar::Pad(a), Scalar::Pad(b)) => a == b,
             // Numeric cross-type equality.
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => x == y,
@@ -111,33 +153,33 @@ impl PartialEq for Value {
     }
 }
 
-impl Eq for Value {}
+impl<S: AsRef<str>> Eq for Scalar<S> {}
 
-impl Hash for Value {
+impl<S: AsRef<str>> Hash for Scalar<S> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash64());
     }
 }
 
-impl PartialOrd for Value {
+impl<S: AsRef<str>> PartialOrd for Scalar<S> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Value {
+impl<S: AsRef<str>> Ord for Scalar<S> {
     fn cmp(&self, other: &Self) -> Ordering {
-        fn rank(v: &Value) -> u8 {
+        fn rank<S>(v: &Scalar<S>) -> u8 {
             match v {
-                Value::Null => 0,
-                Value::Bool(_) | Value::I64(_) | Value::F64(_) => 1,
-                Value::Str(_) => 2,
-                Value::Pad(_) => 3,
+                Scalar::Null => 0,
+                Scalar::Bool(_) | Scalar::I64(_) | Scalar::F64(_) => 1,
+                Scalar::Str(_) => 2,
+                Scalar::Pad(_) => 3,
             }
         }
         match (self, other) {
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Pad(a), Value::Pad(b)) => a.cmp(b),
+            (Scalar::Str(a), Scalar::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Scalar::Pad(a), Scalar::Pad(b)) => a.cmp(b),
             (a, b) if rank(a) == 1 && rank(b) == 1 => {
                 let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
                 x.partial_cmp(&y).unwrap_or(Ordering::Equal)
@@ -147,15 +189,15 @@ impl Ord for Value {
     }
 }
 
-impl fmt::Display for Value {
+impl<S: AsRef<str>> fmt::Display for Scalar<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::I64(i) => write!(f, "{i}"),
-            Value::F64(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "'{s}'"),
-            Value::Pad(n) => write!(f, "<pad:{n}>"),
+            Scalar::Null => write!(f, "NULL"),
+            Scalar::Bool(b) => write!(f, "{b}"),
+            Scalar::I64(i) => write!(f, "{i}"),
+            Scalar::F64(x) => write!(f, "{x}"),
+            Scalar::Str(s) => write!(f, "'{}'", s.as_ref()),
+            Scalar::Pad(n) => write!(f, "<pad:{n}>"),
         }
     }
 }

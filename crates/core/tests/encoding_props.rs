@@ -1,14 +1,52 @@
 //! Property tests of the flat tuple wire encoding: encode/decode
 //! identity and wire-size agreement across random stage schemas —
 //! arbitrary column mixes, NULLs in any column, and strings at the
-//! catalog's maximum width.
+//! catalog's maximum width — and of the view that reads an encoded row
+//! in place: it accepts exactly what the decoder accepts, every column
+//! it hands out is the decoded one, and an expression evaluates over it
+//! to what it evaluates to over the decoded tuple.
+
+mod common;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pier_core::tuple::{wire_of_encoded, FlatRow, Tuple};
+use pier_core::tuple::{wire_of_encoded, FlatRow, RowRef, Tuple};
 use pier_core::{ColType, Value};
+
+/// The view and the decoder agree on `bytes`: both refuse it, or both
+/// accept the same prefix and read the same columns out of it. Compared
+/// by `Debug` form, which tells `-0.0` from `0.0` and NaN from NaN.
+fn view_is_the_decoder(bytes: &[u8]) -> Result<(), String> {
+    match (RowRef::new(bytes), Tuple::decode_from(bytes)) {
+        (None, None) => Ok(()),
+        (Some(view), Some((t, consumed))) => {
+            if view.encoded().len() != consumed || view.arity() != t.arity() {
+                return Err(format!(
+                    "view spans {} bytes, {} columns; decoder {consumed}, {}",
+                    view.encoded().len(),
+                    view.arity(),
+                    t.arity()
+                ));
+            }
+            // Two columns past the end as well: both read NULL there.
+            for i in 0..t.arity() + 2 {
+                let want = t.vals.get(i).cloned().unwrap_or(Value::Null);
+                let got = view.get(i).to_value();
+                if format!("{got:?}") != format!("{want:?}") {
+                    return Err(format!("column {i}: view {got:?}, decoder {want:?}"));
+                }
+            }
+            Ok(())
+        }
+        (view, decoded) => Err(format!(
+            "view accepts: {}, decoder accepts: {}",
+            view.is_some(),
+            decoded.is_some()
+        )),
+    }
+}
 
 /// A random stage schema: per-column (type, catalog width). Width only
 /// matters for Str (max byte length) and Pad (wire length).
@@ -123,6 +161,54 @@ proptest! {
         // impossible here, the header pins arity) is rejected.
         for cut in 0..buf.len() {
             prop_assert!(Tuple::decode_from(&buf[..cut]).is_none());
+            prop_assert!(RowRef::new(&buf[..cut]).is_none());
         }
+    }
+
+    #[test]
+    fn the_view_is_never_laxer_than_the_decoder(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let schema = random_schema(&mut rng);
+        let t = random_tuple(&mut rng, &schema);
+        let mut buf = Vec::new();
+        t.encode_into(&mut buf);
+        prop_assert_eq!(view_is_the_decoder(&buf), Ok(()));
+        // Trailing bytes are not the row's.
+        let mut longer = buf.clone();
+        longer.extend_from_slice(&[0xEE; 3]);
+        prop_assert_eq!(view_is_the_decoder(&longer), Ok(()));
+
+        // A header that lies about the arity, either way.
+        for arity in [t.arity().wrapping_sub(1), t.arity() + 1, u32::MAX as usize] {
+            let mut bad = buf.clone();
+            bad[0..4].copy_from_slice(&(arity as u32).to_le_bytes());
+            prop_assert_eq!(view_is_the_decoder(&bad), Ok(()));
+        }
+        // Any byte replaced by any other: tags the encoding does not
+        // have, lengths that overrun, strings that stop being UTF-8.
+        for _ in 0..16 {
+            let mut bad = buf.clone();
+            let at = rng.gen_range(0..bad.len());
+            bad[at] = match rng.gen_range(0..3u32) {
+                0 => 0xFF, // never valid in UTF-8, never a tag
+                1 => rng.gen_range(0..8u32) as u8, // a tag, or just past them
+                _ => rng.gen::<u64>() as u8,
+            };
+            prop_assert_eq!(view_is_the_decoder(&bad), Ok(()));
+        }
+    }
+
+    #[test]
+    fn an_expression_reads_the_same_off_the_encoded_row(seed in any::<u64>()) {
+        // The expression pin's generators: every operator and built-in
+        // over NULLs, NaN, -0.0, integers past 2^53, non-ASCII strings.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let t = common::random_tuple(&mut rng);
+        let e = common::random_expr(&mut rng, 3);
+        let flat = FlatRow::from_tuple(&t);
+        let view = flat.view();
+        let (on_row, on_tuple) = (e.eval_ref(&view).to_value(), e.eval(&t));
+        prop_assert_eq!(format!("{on_row:?}"), format!("{on_tuple:?}"), "{} @ {}", e, t);
+        prop_assert_eq!(e.matches(&view), e.matches(&t));
     }
 }

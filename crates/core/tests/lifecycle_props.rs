@@ -248,7 +248,7 @@ proptest! {
         for p in &parts {
             merged.merge(p);
         }
-        let out = merged.output_row(&[]);
+        let out = merged.output_row(vec![]);
         let vals: Vec<Value> = rows.iter().map(|r| r.get(1).clone()).collect();
         for (i, call) in calls.iter().enumerate() {
             let expect = naive_agg(call.func, &vals);

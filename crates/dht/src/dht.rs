@@ -302,9 +302,11 @@ impl<V: Wire + Clone> Dht<V> {
     ) {
         self.replicate(env, &entry, events);
         if let Some(stored) = self.store.store_new(entry) {
-            events.push(DhtEvent::NewData {
-                entry: stored.clone(),
-            });
+            if env.wants_new_data(stored.ns) {
+                events.push(DhtEvent::NewData {
+                    entry: stored.clone(),
+                });
+            }
         }
     }
 
@@ -518,7 +520,9 @@ impl<V: Wire + Clone> Dht<V> {
                         match self.store.store_no_regress(entry.clone()) {
                             Some(true) => {
                                 self.replicate(env, &entry, events);
-                                events.push(DhtEvent::NewData { entry });
+                                if env.wants_new_data(entry.ns) {
+                                    events.push(DhtEvent::NewData { entry });
+                                }
                             }
                             Some(false) => self.replicate(env, &entry, events),
                             None => {}
@@ -608,7 +612,9 @@ impl<V: Wire + Clone> Dht<V> {
         for entry in promoted {
             if entry.expires > now {
                 self.replicate(env, &entry, events);
-                if self.store.store_no_regress(entry.clone()) == Some(true) {
+                if self.store.store_no_regress(entry.clone()) == Some(true)
+                    && env.wants_new_data(entry.ns)
+                {
                     events.push(DhtEvent::NewData { entry });
                 }
             }

@@ -9,19 +9,31 @@ use crate::event::DhtEvent;
 use crate::msg::DhtMsg;
 use crate::storage::StorageManager;
 use crate::traffic::TrafficMeter;
+use crate::Ns;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NodeId, Wire};
 use rand::Rng;
 
 /// What the DHT needs from its host: a clock, an identity, a network,
-/// timers, and randomness.
+/// timers, randomness — and which namespaces it registered `newData`
+/// for.
 pub trait DhtEnv<V> {
     fn now(&self) -> Time;
     fn me(&self) -> NodeId;
     fn send(&mut self, to: NodeId, msg: DhtMsg<V>);
     fn timer(&mut self, after: Dur, token: u64);
     fn rand64(&mut self) -> u64;
+
+    /// Table 3's `newData(namespace)` is a registration: does the host
+    /// want the upcall for an item new to `ns`? The provider asks as it
+    /// stores the item and, on a no, builds nothing — no copy of the
+    /// entry, no [`DhtEvent::NewData`]. The item is stored either way,
+    /// so a host that registers later finds it by `lscan`. A host that
+    /// does not answer hears about every namespace.
+    fn wants_new_data(&self, _ns: Ns) -> bool {
+        true
+    }
 }
 
 /// What the provider lends its routing layer for the length of one

@@ -16,7 +16,10 @@ pub enum DhtEvent<V> {
     /// `locationMapChange` callback).
     LocationMapChanged,
     /// A new item arrived in a local partition (Table 3's `newData`);
-    /// renewals of existing instances do not re-fire.
+    /// renewals of existing instances do not re-fire. Raised only for a
+    /// namespace the host subscribed to
+    /// ([`crate::DhtEnv::wants_new_data`]); an item nobody asked about
+    /// is stored and that is all.
     NewData { entry: Entry<V> },
     /// Completion of an asynchronous `get`; `token` is caller-chosen.
     GetResult { token: u64, items: Vec<Entry<V>> },

@@ -2,8 +2,10 @@
 //! `#[global_allocator]`: the engine's steady state allocates nothing, a
 //! query install multicast shares one descriptor among all nodes, a CAN
 //! keepalive shares one neighbour map among all neighbours, a resting
-//! overlay stays inside a bytes-per-node budget, and a small join inside
-//! a pinned bytes-per-event budget.
+//! overlay stays inside a bytes-per-node budget, a small join inside a
+//! pinned bytes-per-event budget, and a row is read where it lies: a
+//! scan allocates nothing for a row its predicate turns away, and a
+//! `newData` upcall nobody registered for is not built.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -13,16 +15,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pier::qp::plan::JoinStrategy;
+use pier::qp::agg::GroupAccs;
+use pier::qp::expr::{Expr, Func};
+use pier::qp::plan::{AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier::qp::semantics::same_multiset;
 use pier::qp::testkit::*;
-use pier::qp::PierNode;
-use pier::simnet::time::Dur;
+use pier::qp::tuple::FlatRow;
+use pier::qp::{tuple, PierMsg, PierNode, QpItem, Tuple, Value};
+use pier::simnet::time::{Dur, Time};
 use pier::simnet::topology::FullMesh;
 use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
 use pier::workload::{RsParams, RsWorkload};
 use pier_dht::can::CanState;
-use pier_dht::{DhtConfig, Overlay};
+use pier_dht::{key_of, ns_of, DhtConfig, DhtMsg, Entry, Overlay};
 
 struct CountingAlloc;
 
@@ -326,3 +331,160 @@ fn small_join_stays_inside_its_byte_budget() {
 
 /// Measured: 531; the budget is about 20 % above.
 const JOIN_BYTES_PER_EVENT: f64 = 640.0;
+
+// ---------------------------------------------------------------------
+// (v) rows are read where they lie
+// ---------------------------------------------------------------------
+
+/// One node that owns every key: a put, a publish and a query install
+/// all run to completion inside the call that makes them, so what is
+/// counted around the call is the query processor's and not the event
+/// queue's.
+fn lone_node() -> Sim<PierNode> {
+    let cfg = DhtConfig {
+        tick: Dur::from_secs(3600),
+        ..DhtConfig::static_network()
+    };
+    stabilized_pier_sim(1, cfg, NetConfig::latency_only(5))
+}
+
+/// `standing_tenants`' rows: an id and two strings.
+fn intrusion_rows(n: usize) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| {
+            let (fp, addr) = (format!("sig-{:04}", i % 97), format!("10.0.{}.7", i % 13));
+            tuple![i as i64, fp.as_str(), addr.as_str()]
+        })
+        .collect()
+}
+
+/// `SELECT address, count(*) FROM intrusions WHERE fingerprint = ..
+/// GROUP BY address`, standing, its first epoch an hour away.
+fn standing_count(qid: u64, fingerprint: &str) -> QueryDesc {
+    let scan =
+        ScanSpec::new("intrusions", 3, 0).with_pred(Expr::eq(Expr::col(1), Expr::lit(fingerprint)));
+    let count = AggCall {
+        func: AggFunc::Count,
+        arg: None,
+    };
+    let agg = AggSpec::new(vec![2], vec![count]).with_epoch(Dur::from_secs(3600));
+    QueryDesc::standing(qid, 0, QueryOp::Agg { scan, agg }, None)
+}
+
+fn publish(sim: &mut Sim<PierNode>, rows: Vec<Tuple>) {
+    let life = Dur::from_secs(100_000);
+    sim.with_app(0, |node, ctx| {
+        node.publish_rows(ctx, "intrusions", rows, 0, life)
+    });
+}
+
+fn install(sim: &mut Sim<PierNode>, desc: QueryDesc) {
+    let qid = desc.qid;
+    sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+    assert!(sim.app(0).unwrap().has_query(qid));
+}
+
+/// Install scans every stored row of the table. A row the predicate
+/// turns away is looked at in its encoding and never decoded, so what
+/// the install allocates does not depend on how many there are. (Decoded
+/// first and asked second, each cost its two strings.)
+#[test]
+fn install_over_rows_that_do_not_match_allocates_nothing_per_row() {
+    let install_allocs = |rows: usize| {
+        let mut sim = lone_node();
+        publish(&mut sim, intrusion_rows(rows));
+        assert_eq!(
+            sim.app(0).unwrap().dht.lscan(ns_of("intrusions")).count(),
+            rows
+        );
+        let desc = standing_count(1, "no such signature");
+        let ((), allocs, _) = counted(|| install(&mut sim, desc));
+        allocs
+    };
+    assert_eq!(install_allocs(100), install_allocs(1_000));
+}
+
+/// A published row is offered to every standing query over its table;
+/// each asks its predicate of the encoded row, and only one that says
+/// yes decodes it. (Decoded per query before the predicate was asked:
+/// a `Vec` and two strings for each of them.)
+#[test]
+fn a_row_no_standing_query_wants_costs_the_same_under_5_as_under_50() {
+    let publish_allocs = |queries: u64| {
+        let mut sim = lone_node();
+        for q in 0..queries {
+            install(&mut sim, standing_count(q + 1, &format!("sig-{q:04}")));
+        }
+        // The first row pays for the table's index in the store and for
+        // this thread's encode buffer; the second is the one counted.
+        publish(&mut sim, vec![tuple![1i64, "sig-9999", "10.0.0.7"]]);
+        let rows = vec![tuple![2i64, "sig-9999", "10.0.0.8"]];
+        let ((), allocs, _) = counted(|| publish(&mut sim, rows));
+        allocs
+    };
+    assert_eq!(publish_allocs(5), publish_allocs(50));
+}
+
+/// A put arriving for a namespace no query routed is stored and that is
+/// all: against the same put with the namespace routed, it saves exactly
+/// the copy of the entry and the upcall list that would have carried it.
+#[test]
+fn a_put_nobody_subscribed_to_builds_no_upcall() {
+    let ns = ns_of("intrusions");
+    let partial = |rid: u64| {
+        let count = AggCall {
+            func: AggFunc::Count,
+            arg: None,
+        };
+        let entry = Entry {
+            ns,
+            rid,
+            iid: 0,
+            key: key_of(ns, rid),
+            expires: Time::ZERO + Dur::from_secs(3_000),
+            val: QpItem::Partial {
+                qid: 9,
+                group: vec![Value::str("10.0.0.7")],
+                accs: GroupAccs::new(&[count]),
+            },
+        };
+        PierMsg::Dht(DhtMsg::Put { entry })
+    };
+    let put_allocs = |routed: bool| {
+        let mut sim = lone_node();
+        if routed {
+            // Routes the table's namespace; a partial is not a row, so
+            // the upcall is dispatched and then ignored.
+            install(&mut sim, standing_count(1, "sig-0001"));
+        }
+        let mut deliver = |msg| sim.with_app(0, |node, ctx| node.on_message(ctx, 0, msg));
+        deliver(partial(1)); // the namespace's first item pays for its index
+        let msg = partial(2);
+        let (_, allocs, _) = counted(|| deliver(msg));
+        allocs
+    };
+    let original = partial(3);
+    let (_, copy, _) = counted(|| original.clone());
+    assert!(copy >= 2, "a partial's copy is its group and its states");
+    assert_eq!(put_allocs(true), put_allocs(false) + copy + 1);
+}
+
+/// The evaluator borrows columns and literals and computes scalars: a
+/// string equality and the §5.1 `f(R.num3, S.num3) > c` allocate nothing,
+/// over a decoded tuple or over the encoded row.
+#[test]
+fn predicates_allocate_nothing_on_either_row_kind() {
+    let row = tuple![7i64, "sig-0001", 60i64, 70i64];
+    let flat = FlatRow::from_tuple(&row);
+    let view = flat.view();
+    let f = Expr::Call(Func::WorkloadF, vec![Expr::col(2), Expr::col(3)]);
+    for (pred, want) in [
+        (Expr::eq(Expr::col(1), Expr::lit("sig-0001")), true),
+        (Expr::eq(Expr::col(1), Expr::lit("sig-0002")), false),
+        (Expr::gt(f, Expr::lit(29i64)), true),
+    ] {
+        let (hits, allocs, _) = counted(|| (pred.matches(&row), pred.matches(&view)));
+        assert_eq!(hits, (want, want), "{pred}");
+        assert_eq!(allocs, 0, "{pred}");
+    }
+}
