@@ -3,8 +3,8 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test, the lints, the three source guards, the performance
-# ledger's own tests and its 10^4-node smoke, the bench-trajectory gate,
-# and every example.
+# ledger's own tests, its 10^4-node smoke and its traced standing-query
+# smoke, the bench-trajectory gate, and every example.
 # Run from anywhere; takes a few minutes.
 set -euo pipefail
 
@@ -33,6 +33,10 @@ step cargo test --offline --manifest-path benchmark/Cargo.toml
 # The 10^4-node continuity pins (3 375 669 events, 1 181 results); exits
 # non-zero on a wrong answer or a moved pin.
 step benchmark/run.sh --workload scaleup_10k --seed 11 --reps 1
+# The 1 000 standing aggregates, traced: the only run that reads the
+# layer counters, so the only one that checks the `rejected installs =
+# 1` / `shed publishes = 510` pins beside 1 427 173 events.
+step benchmark/run.sh --workload standing_tenants --seed 11 --reps 1 --trace 1
 # The gate: re-run the committed experiments; git is the comparator.
 step cargo run --release -p pier_bench -- gated
 step git diff --exit-code -- results/

@@ -242,7 +242,7 @@ impl Expr {
     }
 }
 
-fn arith<'a>(op: BinOp, l: ValRef<'_>, r: ValRef<'_>) -> ValRef<'a> {
+fn arith(op: BinOp, l: ValRef<'_>, r: ValRef<'_>) -> ValRef<'static> {
     // Integer arithmetic when both sides are integers; else float.
     if let (ValRef::I64(a), ValRef::I64(b)) = (l, r) {
         return match op {

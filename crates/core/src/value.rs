@@ -84,7 +84,7 @@ impl<S: AsRef<str>> Scalar<S> {
     }
 
     /// Numeric view (for arithmetic and cross-type comparison).
-    #[inline]
+    #[inline] // with `eq`: the oracle's nested-loop join compares keys 10^8 times
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Scalar::I64(i) => Some(*i as f64),

@@ -358,16 +358,17 @@ fn intrusion_rows(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
+const COUNT_STAR: AggCall = AggCall {
+    func: AggFunc::Count,
+    arg: None,
+};
+
 /// `SELECT address, count(*) FROM intrusions WHERE fingerprint = ..
 /// GROUP BY address`, standing, its first epoch an hour away.
 fn standing_count(qid: u64, fingerprint: &str) -> QueryDesc {
     let scan =
         ScanSpec::new("intrusions", 3, 0).with_pred(Expr::eq(Expr::col(1), Expr::lit(fingerprint)));
-    let count = AggCall {
-        func: AggFunc::Count,
-        arg: None,
-    };
-    let agg = AggSpec::new(vec![2], vec![count]).with_epoch(Dur::from_secs(3600));
+    let agg = AggSpec::new(vec![2], vec![COUNT_STAR]).with_epoch(Dur::from_secs(3600));
     QueryDesc::standing(qid, 0, QueryOp::Agg { scan, agg }, None)
 }
 
@@ -432,10 +433,6 @@ fn a_row_no_standing_query_wants_costs_the_same_under_5_as_under_50() {
 fn a_put_nobody_subscribed_to_builds_no_upcall() {
     let ns = ns_of("intrusions");
     let partial = |rid: u64| {
-        let count = AggCall {
-            func: AggFunc::Count,
-            arg: None,
-        };
         let entry = Entry {
             ns,
             rid,
@@ -445,7 +442,7 @@ fn a_put_nobody_subscribed_to_builds_no_upcall() {
             val: QpItem::Partial {
                 qid: 9,
                 group: vec![Value::str("10.0.0.7")],
-                accs: GroupAccs::new(&[count]),
+                accs: GroupAccs::new(&[COUNT_STAR]),
             },
         };
         PierMsg::Dht(DhtMsg::Put { entry })
