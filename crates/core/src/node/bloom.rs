@@ -41,10 +41,20 @@ impl PierNode {
             });
             work.push((side, filter));
         }
+        // Register for the collector namespaces before anything is put
+        // into them: `newData` is raised only for a routed namespace, and
+        // where this node is the collector its own fragment is stored
+        // inside the `put` below — it may be the one that completes the
+        // count.
+        let bloom_ns = |side| qns::bloom(qid, side == Side::Right);
+        for side in [Side::Left, Side::Right] {
+            self.reg
+                .route(bloom_ns(side), qid, NsRole::BloomCollector(side));
+        }
         let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for (side, filter) in work {
-            let ns = qns::bloom(qid, side == Side::Right);
+            let ns = bloom_ns(side);
             let me = self.dht.me();
             self.dht.put(
                 &mut env,
@@ -60,12 +70,10 @@ impl PierNode {
         // deadline as fallback, plus an early flush once fragments from
         // every node have arrived (see `on_bloom_fragment`).
         for side in [Side::Left, Side::Right] {
-            let ns = qns::bloom(qid, side == Side::Right);
-            if self.dht.owns_key(pier_dht::key_of(ns, 0)) {
+            if self.dht.owns_key(pier_dht::key_of(bloom_ns(side), 0)) {
                 let action = TimerAction::BloomFlush { qid, side };
                 self.arm_timer(ctx, qid, BLOOM_WAIT, action);
             }
-            self.reg.route(ns, qid, NsRole::BloomCollector(side));
         }
         self.pump(ctx, events);
     }

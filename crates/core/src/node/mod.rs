@@ -257,8 +257,11 @@ impl QueryRegistry {
 /// What the provider sees of a PIER node: [`CtxEnv`], plus the answer to
 /// "did anyone register `newData` for this namespace?" read off the
 /// registry's routing table — the very map [`PierNode`] dispatches the
-/// upcall by, so an upcall the provider skips is one the dispatch would
-/// have dropped, and the node keeps no second list to fall out of step.
+/// upcall by, so the node keeps no second list to fall out of step. The
+/// provider reads it as it stores, the dispatch after the operation
+/// returns: a handler must [`QueryRegistry::route`] a namespace *before*
+/// it puts into it, or the upcall for an item stored locally inside that
+/// `put` is never built.
 struct NodeEnv<'a, 'b> {
     host: CtxEnv<'a, 'b, PierMsg>,
     reg: &'a QueryRegistry,

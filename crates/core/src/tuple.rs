@@ -201,15 +201,6 @@ impl<'a> RowRef<'a> {
         })
     }
 
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// The encoding viewed: what [`Tuple::decode_from`] would consume.
-    pub fn encoded(&self) -> &'a [u8] {
-        self.bytes
-    }
-
     /// Column `i`, or NULL past the end.
     pub fn get(&self, i: usize) -> ValRef<'a> {
         if i >= self.arity {

@@ -132,6 +132,33 @@ fn bloom_filter_join_matches_reference() {
     );
 }
 
+/// The collector's own fragment is stored inside `bloom_start`'s `put`;
+/// when it is the one that completes the count — always, on one node —
+/// its `newData` must reach the collector, so the filter is multicast at
+/// once and not at the 10 s fallback deadline.
+#[test]
+fn bloom_collector_counts_its_own_fragment() {
+    let (r, s) = tables(5, 20);
+    let j = workload_join(JoinStrategy::BloomFilter);
+    let expected = reference_join(&j, &r, &s);
+    assert!(!expected.is_empty());
+
+    let mut sim = stabilized_pier_sim(1, DhtConfig::static_network(), NetConfig::latency_only(5));
+    publish_round_robin(&mut sim, "R", &r, 0, Dur::from_secs(3600));
+    publish_round_robin(&mut sim, "S", &s, 0, Dur::from_secs(3600));
+    settle_publish(&mut sim);
+
+    let mut desc = QueryDesc::one_shot(55, 0, QueryOp::Join { join: j, agg: None });
+    desc.n_nodes = 1;
+    let results = run_query(&mut sim, 0, desc, Dur::from_secs(5));
+    assert!(
+        same_multiset(&expected, &rows_of(&results)),
+        "expected {} got {} before the collector's deadline",
+        expected.len(),
+        results.len()
+    );
+}
+
 #[test]
 fn all_strategies_agree_on_a_bigger_network() {
     let mut outputs = Vec::new();

@@ -29,8 +29,10 @@ pub trait DhtEnv<V> {
     /// want the upcall for an item new to `ns`? The provider asks as it
     /// stores the item and, on a no, builds nothing — no copy of the
     /// entry, no [`DhtEvent::NewData`]. The item is stored either way,
-    /// so a host that registers later finds it by `lscan`. A host that
-    /// does not answer hears about every namespace.
+    /// so a host that registers later finds it by `lscan` — and only by
+    /// `lscan`: the answer is taken at store time, inside the call, so
+    /// register before a `put` whose item may land on this very node.
+    /// A host that does not answer hears about every namespace.
     fn wants_new_data(&self, _ns: Ns) -> bool {
         true
     }
