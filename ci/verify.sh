@@ -2,9 +2,10 @@
 # The whole `Verify:` chain, in order, stopping at the first failure —
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
-# and test, the lints, the three source guards, the performance
-# ledger's own tests, its 10^4-node smoke and its traced standing-query
-# smoke, the bench-trajectory gate, and every example.
+# and test (the pins CI re-runs by name are in it: cross_engine,
+# frontend_pin, agg_pin), the lints, the three source guards, the
+# performance ledger's own tests, its 10^4-node smoke and its traced
+# standing-query smoke, the bench-trajectory gate, and every example.
 # Run from anywhere; takes a few minutes.
 set -euo pipefail
 

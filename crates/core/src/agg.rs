@@ -27,6 +27,19 @@ impl AggState {
         }
     }
 
+    /// Is this the state [`AggState::new`] starts `func` from, whatever
+    /// it has accumulated since?
+    fn is_of(&self, func: AggFunc) -> bool {
+        matches!(
+            (self, func),
+            (AggState::Count(_), AggFunc::Count)
+                | (AggState::SumF(_), AggFunc::Sum)
+                | (AggState::Min(_), AggFunc::Min)
+                | (AggState::Max(_), AggFunc::Max)
+                | (AggState::Avg { .. }, AggFunc::Avg)
+        )
+    }
+
     /// Fold one input value in (None for `count(*)`).
     pub fn update(&mut self, v: Option<&Value>) {
         match self {
@@ -122,7 +135,11 @@ impl AggState {
     }
 }
 
-/// A group's accumulators across all aggregate calls of a query.
+/// A group's accumulators across all aggregate calls of a query. Plain
+/// and owned: the oracles fold through it at full speed. Where a group
+/// is handed on — a node's running totals, the partial put from them,
+/// the copy an owner stores — it travels as an `Arc<GroupAccs>` and the
+/// sharing is the node's business (`node::agg`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GroupAccs {
     pub states: Vec<AggState>,
@@ -133,6 +150,14 @@ impl GroupAccs {
         GroupAccs {
             states: calls.iter().map(|c| AggState::new(c.func)).collect(),
         }
+    }
+
+    /// Does this partial hold one state per call of `calls`, each of the
+    /// call's kind? What a partial that arrived from the network is
+    /// asked before it is merged with a query's own.
+    pub fn fits(&self, calls: &[AggCall]) -> bool {
+        self.states.len() == calls.len()
+            && self.states.iter().zip(calls).all(|(s, c)| s.is_of(c.func))
     }
 
     /// Fold an input row into every accumulator.
@@ -149,13 +174,12 @@ impl GroupAccs {
         }
     }
 
-    /// The virtual output row `[group values..., finalized aggs...]`,
-    /// built in the group key's own buffer, grown once.
-    pub fn output_row(&self, group: Vec<Value>) -> Tuple {
-        let mut vals = group;
-        vals.reserve_exact(self.states.len());
-        vals.extend(self.states.iter().map(AggState::finalize));
-        Tuple::new(vals)
+    /// Write the virtual output row `[group values..., finalized
+    /// aggs...]` into `row`, reusing its buffer.
+    pub fn output_row(&self, group: &[Value], row: &mut Tuple) {
+        row.vals.clear();
+        row.vals.extend_from_slice(group);
+        row.vals.extend(self.states.iter().map(AggState::finalize));
     }
 
     pub fn wire_size(&self) -> usize {
@@ -194,6 +218,12 @@ mod tests {
         ]
     }
 
+    fn output(g: &GroupAccs, group: &[Value]) -> Tuple {
+        let mut row = tuple![Value::str("left over from the last group")];
+        g.output_row(group, &mut row);
+        row
+    }
+
     #[test]
     fn accumulate_then_finalize() {
         let calls = calls();
@@ -201,7 +231,7 @@ mod tests {
         for v in [3i64, 1, 4, 1, 5] {
             g.update(&calls, &tuple![v]);
         }
-        let out = g.output_row(vec![Value::str("k")]);
+        let out = output(&g, &[Value::str("k")]);
         assert_eq!(out.get(1), &Value::I64(5)); // count
         assert_eq!(out.get(2), &Value::I64(14)); // sum (integral)
         assert_eq!(out.get(3), &Value::I64(1)); // min
@@ -234,7 +264,7 @@ mod tests {
     fn empty_group_finalizes_to_neutral_values() {
         let calls = calls();
         let g = GroupAccs::new(&calls);
-        let out = g.output_row(vec![]);
+        let out = output(&g, &[]);
         assert_eq!(out.get(0), &Value::I64(0));
         assert_eq!(out.get(2), &Value::Null);
         assert_eq!(out.get(4), &Value::Null);
@@ -250,15 +280,15 @@ mod tests {
         for v in [Value::Null, Value::I64(4), Value::Null, Value::I64(2)] {
             g.update(&calls, &Tuple::new(vec![v]));
         }
-        let out = g.output_row(vec![]);
+        let out = output(&g, &[]);
         assert_eq!(out.get(0), &Value::I64(4), "count(*) still counts rows");
         assert_eq!(out.get(2), &Value::I64(2), "min skips nulls");
         assert_eq!(out.get(3), &Value::I64(4), "max skips nulls");
         // All-null input finalizes to NULL, like the empty group.
         let mut all_null = GroupAccs::new(&calls);
         all_null.update(&calls, &tuple![Value::Null]);
-        assert_eq!(all_null.output_row(vec![]).get(2), &Value::Null);
-        assert_eq!(all_null.output_row(vec![]).get(3), &Value::Null);
+        assert_eq!(output(&all_null, &[]).get(2), &Value::Null);
+        assert_eq!(output(&all_null, &[]).get(3), &Value::Null);
     }
 
     #[test]
@@ -272,7 +302,7 @@ mod tests {
         b.states[2] = AggState::Min(Some(Value::Null));
         b.states[3] = AggState::Max(Some(Value::Null));
         a.merge(&b);
-        let out = a.output_row(vec![]);
+        let out = output(&a, &[]);
         assert_eq!(out.get(2), &Value::I64(7));
         assert_eq!(out.get(3), &Value::I64(7));
     }
@@ -286,6 +316,19 @@ mod tests {
         let mut g = GroupAccs::new(&calls);
         g.update(&calls, &tuple![Value::Null]);
         g.update(&calls, &tuple![1i64]);
-        assert_eq!(g.output_row(vec![]).get(0), &Value::I64(2));
+        assert_eq!(output(&g, &[]).get(0), &Value::I64(2));
+    }
+
+    #[test]
+    fn fits_asks_for_one_state_of_each_calls_kind() {
+        let calls = calls();
+        let mut g = GroupAccs::new(&calls);
+        g.update(&calls, &tuple![3i64]);
+        assert!(g.fits(&calls));
+        assert!(!g.fits(&calls[..4]), "a state too many");
+        assert!(!GroupAccs::new(&calls[..4]).fits(&calls), "a state short");
+        let swapped: Vec<AggCall> = calls.iter().rev().cloned().collect();
+        assert!(!g.fits(&swapped), "the right count of the wrong kinds");
+        assert!(GroupAccs::new(&[]).fits(&[]));
     }
 }

@@ -65,11 +65,19 @@ pub enum QpItem {
         side: Side,
         filter: BloomFilter,
     },
-    /// A partial aggregate for one group.
+    /// A partial aggregate for one group. Both halves are shared, not
+    /// copied: `group` is the one allocation made when the publishing
+    /// node first saw the group — its running totals are keyed by it,
+    /// every epoch's put carries it, and the owner's store and harvest
+    /// hold it — and `accs` is the publisher's accumulators as they stood
+    /// at the flush. A stored partial is an immutable snapshot: the
+    /// publisher's next row copies the accumulators before it writes
+    /// (`Arc::make_mut` where it folds), and an owner merging stored
+    /// partials writes into a copy of its own.
     Partial {
         qid: u64,
-        group: Vec<Value>,
-        accs: GroupAccs,
+        group: Arc<[Value]>,
+        accs: Arc<GroupAccs>,
     },
     /// A query descriptor (multicast payload). One per query install
     /// and ~0.5 KB, so it is shared: the multicast to N nodes and the N
@@ -115,11 +123,14 @@ pub enum PierMsg {
         ident: u64,
         row: FlatRow,
     },
-    /// A partial aggregate climbing the hierarchical aggregation tree.
+    /// A partial aggregate climbing the hierarchical aggregation tree:
+    /// the child's group key and accumulators, shared as in
+    /// [`QpItem::Partial`]; the parent keys its received partials by the
+    /// same allocation.
     AggUp {
         qid: u64,
-        group: Vec<Value>,
-        accs: GroupAccs,
+        group: Arc<[Value]>,
+        accs: Arc<GroupAccs>,
     },
 }
 

@@ -2,7 +2,10 @@
 //! accumulate half of the join sink, the flush/harvest timers, and the
 //! tree variant's flushes.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pier_dht::msg::Entry;
 use pier_dht::Rid;
@@ -25,25 +28,80 @@ fn group_rid(group: &[Value]) -> Rid {
     h
 }
 
-type Groups = BTreeMap<Vec<Value>, GroupAccs>;
+/// Accumulators by group key, in key order. The key is allocated once,
+/// when the node first sees the group, and shared from there on: by the
+/// scratch maps a flush or harvest builds, by every partial put or sent
+/// for the group, and by the owner's store. The accumulators are shared
+/// the same way and copied on write (`Arc::make_mut`): a flush's
+/// snapshot is a refcount bump, what is stored or in flight never
+/// changes, and only a group that received a row since its last flush
+/// copies its accumulators, once, at that row.
+pub(super) type Groups = BTreeMap<Arc<[Value]>, Arc<GroupAccs>>;
 
-/// Fold one input row into its group's accumulators.
-fn fold(groups: &mut Groups, agg: &AggSpec, row: &Tuple) {
-    let group: Vec<Value> = agg.group_cols.iter().map(|&c| row.get(c).clone()).collect();
-    groups
-        .entry(group)
-        .or_insert_with(|| GroupAccs::new(&agg.aggs))
-        .update(&agg.aggs, row);
+/// Row-sized buffers the fold and the emit reuse: per thread, so a node
+/// carries none of them. A buffer keeps the last row's values until it
+/// is next filled.
+#[derive(Default)]
+struct Scratch {
+    /// The group key of the row being folded, to probe with.
+    key: Vec<Value>,
+    /// The virtual row `[group values..., finalized aggs...]`.
+    virt: Tuple,
+    /// The output row evaluated over it.
+    out: Tuple,
 }
 
-/// Merge one group's partial accumulators into `groups`.
-fn merge(groups: &mut Groups, group: &[Value], accs: &GroupAccs) {
-    match groups.get_mut(group) {
-        Some(g) => g.merge(accs),
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Run `f` with this thread's scratch rows, taken out for the duration
+/// (nothing on the way re-enters; if something did, it would find empty
+/// rows and allocate its own).
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let r = f(&mut scratch);
+    SCRATCH.set(scratch);
+    r
+}
+
+/// Fold one input row into its group's accumulators. The probe key is
+/// built in a scratch row; only a group seen for the first time
+/// allocates its (from then on shared) key.
+fn fold(groups: &mut Groups, agg: &AggSpec, row: &Tuple) {
+    with_scratch(|Scratch { key, .. }| {
+        key.clear();
+        key.extend(agg.group_cols.iter().map(|&c| row.get(c).clone()));
+        match groups.get_mut(key.as_slice()) {
+            Some(accs) => Arc::make_mut(accs).update(&agg.aggs, row),
+            None => {
+                let mut accs = GroupAccs::new(&agg.aggs);
+                accs.update(&agg.aggs, row);
+                groups.insert(Arc::from(key.as_slice()), Arc::new(accs));
+            }
+        }
+    })
+}
+
+/// Merge one group's partial accumulators into `groups`. A group not
+/// there yet shares the partial's key and accumulators; the first merge
+/// into it afterwards copies them, once.
+fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<GroupAccs>) {
+    match groups.get_mut(&**group) {
+        Some(g) => Arc::make_mut(g).merge(accs),
         None => {
-            groups.insert(group.to_vec(), accs.clone());
+            groups.insert(Arc::clone(group), Arc::clone(accs));
         }
     }
+}
+
+/// Does a partial that arrived from the network have the shape the
+/// installed spec gives its own? One that does not (another query's
+/// arity under a colliding namespace, a peer running another plan) is
+/// skipped where it would be merged: zipped against states of other
+/// kinds it would be silently truncated or mis-added.
+fn fits(agg: &AggSpec, group: &[Value], accs: &GroupAccs) -> bool {
+    group.len() == agg.group_cols.len() && accs.fits(&agg.aggs)
 }
 
 impl QueryInstance {
@@ -75,6 +133,28 @@ impl QueryInstance {
         } else {
             fold(&mut self.run_groups, agg, row);
         }
+    }
+
+    /// Groups to report at a flush instant, where they have to be built:
+    /// the transient accumulators drained (one-shot inputs; received
+    /// hierarchical child partials), a fresh aggregation of every window
+    /// contribution still alive (expired contributions thereby age out
+    /// of the window between epochs), and the running totals merged in.
+    /// `None` when there is nothing transient — an unwindowed epoch
+    /// query: its running totals are the report as they stand.
+    fn build_report(&mut self, agg: &AggSpec, now: Time) -> Option<Groups> {
+        self.win_rows.retain(|(valid, _)| *valid > now);
+        if self.local_groups.is_empty() && self.win_rows.is_empty() {
+            return None;
+        }
+        let mut groups = std::mem::take(&mut self.local_groups);
+        for (_, row) in &self.win_rows {
+            fold(&mut groups, agg, row);
+        }
+        for (group, accs) in &self.run_groups {
+            merge(&mut groups, group, accs);
+        }
+        Some(groups)
     }
 }
 
@@ -147,70 +227,60 @@ impl PierNode {
         }
     }
 
-    /// Groups to report at a flush instant: the transient accumulators
-    /// drained (one-shot inputs; received hierarchical child partials),
-    /// plus — for epoch queries — either a fresh aggregation of every
-    /// window contribution still alive (expired contributions thereby
-    /// age out of the window between epochs) or a snapshot of the
-    /// running totals.
-    fn harvest_groups(&mut self, qid: u64, agg: &AggSpec, now: Time) -> Groups {
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
-            return Groups::new();
-        };
-        let mut groups = std::mem::take(&mut inst.local_groups);
-        if agg.epoch.is_some() {
-            inst.win_rows.retain(|(valid, _)| *valid > now);
-            for (_, row) in &inst.win_rows {
-                fold(&mut groups, agg, row);
-            }
-            for (group, accs) in &inst.run_groups {
-                merge(&mut groups, group, accs);
-            }
-        }
-        groups
-    }
-
     /// Finalize groups: apply HAVING, evaluate the output expressions,
-    /// ship to the initiator. Aggregate emissions legitimately repeat
-    /// every epoch: ident 0 exempts them from initiator-side dedup.
+    /// ship to the initiator — each group finalized into one reused
+    /// virtual row and evaluated into one reused output row, so a result
+    /// costs the copy that leaves. Aggregate emissions legitimately
+    /// repeat every epoch: ident 0 exempts them from initiator-side
+    /// dedup.
     fn emit_groups(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         desc: &QueryDesc,
         agg: &AggSpec,
-        groups: Groups,
+        groups: &Groups,
     ) {
-        for (group, accs) in groups {
-            let virt = accs.output_row(group);
-            if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
-                let out = Tuple::new(agg.output.iter().map(|e| e.eval(&virt)).collect());
-                self.emit_result(ctx, desc.qid, desc.initiator, 0, out);
+        with_scratch(|Scratch { virt, out, .. }| {
+            for (group, accs) in groups {
+                accs.output_row(group, virt);
+                if agg.having.as_ref().is_none_or(|h| h.matches(virt)) {
+                    out.vals.clear();
+                    out.vals.extend(agg.output.iter().map(|e| e.eval(virt)));
+                    self.emit_result(ctx, desc.qid, desc.initiator, 0, Cow::Borrowed(out));
+                }
             }
-        }
+        });
     }
 
     /// Push local partials into the NA namespace (flat aggregation).
     /// Epoch queries re-publish under the same instanceID every epoch —
     /// a renewal — with a one-epoch lifetime, so a group that ages out
     /// of this node's window stops contributing by the next harvest.
+    /// A put shares the group's key and its accumulators as they stand:
+    /// renewing a group that received no row since the last flush costs
+    /// the put and nothing else.
     pub(super) fn flush_partials(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, agg: &AggSpec) {
-        let groups = self.harvest_groups(qid, agg, ctx.now);
+        let now = ctx.now;
+        let inst = self.reg.queries.get_mut(&qid);
+        let built = inst.and_then(|inst| inst.build_report(agg, now));
+        let Some(inst) = self.reg.queries.get(&qid) else {
+            return;
+        };
+        let groups = built.as_ref().unwrap_or(&inst.run_groups);
         let na = qns::agg(qid);
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
+        let me = self.dht.me();
         let mut env = self.reg.env(ctx);
         let mut events = Vec::new();
         for (group, accs) in groups {
-            let rid = group_rid(&group);
-            let me = self.dht.me();
-            self.dht.put(
-                &mut env,
-                na,
-                rid,
-                me,
-                QpItem::Partial { qid, group, accs },
-                lifetime,
-                &mut events,
-            );
+            let partial = QpItem::Partial {
+                qid,
+                group: Arc::clone(group),
+                accs: Arc::clone(accs),
+            };
+            let rid = group_rid(group);
+            self.dht
+                .put(&mut env, na, rid, me, partial, lifetime, &mut events);
         }
         self.pump(ctx, events);
     }
@@ -271,18 +341,20 @@ impl PierNode {
         let mut merged = Groups::new();
         // Expired partials (a publisher whose group aged out of its
         // window, or a dead node) are skipped even before the sweep
-        // collects them.
+        // collects them; so is one that is not shaped like this query's.
         for e in self.dht.store.lscan(qns::agg(qid)) {
             match &e.val {
                 QpItem::Partial {
                     group,
                     accs,
                     qid: q,
-                } if *q == qid && e.expires > now => merge(&mut merged, group, accs),
+                } if *q == qid && e.expires > now && fits(agg, group, accs) => {
+                    merge(&mut merged, group, accs)
+                }
                 _ => {}
             }
         }
-        self.emit_groups(ctx, &desc, agg, merged);
+        self.emit_groups(ctx, &desc, agg, &merged);
     }
 
     /// Hierarchical aggregation: stagger flushes so deeper nodes send
@@ -313,11 +385,17 @@ impl PierNode {
         let QueryOp::Agg { agg, .. } = &desc.op else {
             return;
         };
-        let groups = self.harvest_groups(qid, agg, ctx.now);
+        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+            return;
+        };
+        // Sent or emitted, the report leaves this node: with nothing
+        // transient it is the running totals, shared.
+        let built = inst.build_report(agg, ctx.now);
+        let groups = built.unwrap_or_else(|| inst.run_groups.clone());
         let me = self.dht.me();
         if me == 0 {
             // Root: finalize.
-            self.emit_groups(ctx, &desc, agg, groups);
+            self.emit_groups(ctx, &desc, agg, &groups);
         } else {
             let parent = (me - 1) / 2;
             for (group, accs) in groups {
@@ -326,13 +404,19 @@ impl PierNode {
         }
     }
 
-    pub(super) fn on_agg_up(&mut self, qid: u64, group: Vec<Value>, accs: GroupAccs) {
+    /// A child's partial, kept until this node's own tree flush — unless
+    /// it is not shaped like this query's ([`fits`]).
+    pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<GroupAccs>) {
         let Some(inst) = self.reg.queries.get_mut(&qid) else {
             return;
         };
+        let agg = inst.desc.op.agg();
+        if !agg.is_some_and(|agg| fits(agg, &group, &accs)) {
+            return;
+        }
         inst.local_groups
             .entry(group)
-            .and_modify(|m| m.merge(&accs))
+            .and_modify(|m| Arc::make_mut(m).merge(&accs))
             .or_insert(accs);
     }
 }

@@ -24,6 +24,7 @@ use renewal::{PubRecord, SoftPub};
 
 pub use service::{NodeRequest, NodeResponse, PublishReport};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -34,7 +35,6 @@ use pier_simnet::app::{App, Ctx};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::NodeId;
 
-use crate::agg::GroupAccs;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
 use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
@@ -131,7 +131,7 @@ struct QueryInstance {
     /// Semi-join pair assembly.
     pairs: BTreeMap<u64, PairFetch>,
     /// Local pre-aggregation (join-agg at NQ nodes, hierarchical agg).
-    local_groups: BTreeMap<Vec<Value>, GroupAccs>,
+    local_groups: agg::Groups,
     /// Epoch-driven *windowed* aggregation: every input contribution (a
     /// base row or a join output) with the instant it ages out of the
     /// sliding window. The per-epoch flush re-aggregates the still-live
@@ -141,8 +141,10 @@ struct QueryInstance {
     /// Epoch-driven *unwindowed* aggregation: persistent running
     /// accumulators, folded incrementally and snapshotted (not drained)
     /// at each epoch flush — O(groups) state, O(new rows) per epoch,
-    /// where a contribution buffer would grow forever.
-    run_groups: BTreeMap<Vec<Value>, GroupAccs>,
+    /// where a contribution buffer would grow forever. The snapshot
+    /// shares a group's key and accumulators; the group's next row
+    /// copies the accumulators before it writes.
+    run_groups: agg::Groups,
     /// Rehash / stage soft state this node published for the query and
     /// renews ([`PierNode::record_rehash`]; empty unless the query
     /// carries a renewal period). Dropped at uninstall, so renewal
@@ -533,7 +535,7 @@ impl PierNode {
                     outs.push((iid, out));
                 });
                 for (iid, out) in outs {
-                    self.emit_result(ctx, qid, desc.initiator, iid as u64, out);
+                    self.emit_result(ctx, qid, desc.initiator, iid as u64, Cow::Owned(out));
                 }
             }
             QueryOp::Join { join: j, agg } => {
@@ -643,7 +645,7 @@ impl PierNode {
         match &desc.op {
             QueryOp::Scan { project, .. } => {
                 let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
-                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, out);
+                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, Cow::Owned(out));
             }
             QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
             QueryOp::Agg { agg, .. } => self.agg_new_row(ctx.now, &desc, agg, entry, &row),
@@ -684,7 +686,7 @@ impl PierNode {
                 let valid = desc.window.map_or(Time::MAX, |_| valid_until);
                 self.accumulate(desc.qid, agg, &out, valid, ident);
             }
-            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, out),
+            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, Cow::Owned(out)),
         }
     }
 
@@ -694,12 +696,13 @@ impl PierNode {
         qid: u64,
         initiator: NodeId,
         ident: u64,
-        row: Tuple,
+        row: Cow<Tuple>,
     ) {
         self.metrics.on_result(qid, row.wire_size());
         if initiator == ctx.me {
             if self.record_result(qid, ident) {
-                self.results.entry(qid).or_default().push((ctx.now, row));
+                let log = self.results.entry(qid).or_default();
+                log.push((ctx.now, row.into_owned()));
             }
         } else {
             let row = FlatRow::from_tuple(&row);
@@ -823,6 +826,7 @@ impl App for PierNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::GroupAccs;
     use crate::testkit::stabilized_pier_sim;
     use pier_simnet::NetConfig;
 
@@ -830,8 +834,8 @@ mod tests {
     fn partial(qid: u64) -> QpItem {
         QpItem::Partial {
             qid,
-            group: vec![Value::str("sig-0001")],
-            accs: GroupAccs::new(&[]),
+            group: [Value::str("sig-0001")].into(),
+            accs: GroupAccs::new(&[]).into(),
         }
     }
 

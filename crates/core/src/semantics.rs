@@ -221,8 +221,9 @@ pub fn reference_agg(agg: &AggSpec, rows: &[Tuple]) -> Vec<Tuple> {
             .update(&agg.aggs, row);
     }
     let mut out = Vec::new();
+    let mut virt = Tuple::new(Vec::new());
     for (key, accs) in groups {
-        let virt = accs.output_row(key);
+        accs.output_row(&key, &mut virt);
         if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
             out.push(Tuple::new(
                 agg.output.iter().map(|e| e.eval(&virt)).collect(),

@@ -13,7 +13,7 @@ use crate::value::{ValRef, Value};
 pub const TUPLE_HEADER_BYTES: usize = 4;
 
 /// A relational tuple: a flat vector of values.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Tuple {
     pub vals: Vec<Value>,
 }

@@ -3,18 +3,20 @@
 
 use std::collections::HashMap;
 
+use pier_core::agg::{AggState, GroupAccs};
 use pier_core::catalog::Catalog;
 use pier_core::expr::Expr;
-use pier_core::plan::{AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
+use pier_core::plan::{qns, AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier_core::semantics::{reference_eval, same_multiset};
 use pier_core::sql::{parse_continuous_query, parse_query};
 use pier_core::testkit::*;
 use pier_core::tuple;
 use pier_core::tuple::Tuple;
 use pier_core::value::Value;
-use pier_dht::DhtConfig;
+use pier_core::{PierMsg, QpItem};
+use pier_dht::{key_of, DhtConfig, DhtMsg, Entry};
 use pier_simnet::time::Dur;
-use pier_simnet::NetConfig;
+use pier_simnet::{App, NetConfig, NodeId};
 
 /// Synthetic intrusion fingerprints: node-spread reports, some frequent.
 fn intrusion_rows(n: usize) -> Vec<Tuple> {
@@ -178,6 +180,96 @@ fn epoch_join_aggregate_under_fetch_matches() {
             same_multiset(&expected, &in_epoch),
             "epoch {k}: expected {expected:?} got {in_epoch:?}"
         );
+    }
+}
+
+/// Partials that are not shaped like the query's own — what a peer on
+/// another plan, or another query under a colliding namespace, would put
+/// into `qns::agg(qid)` or send up the tree — are skipped where they
+/// would be merged. Merged, the state kinds that disagree trip a
+/// `debug_assert`, a surplus state is zip-truncated into the count, and
+/// a key of another arity is emitted as a group of its own.
+#[test]
+fn foreign_shaped_partials_are_skipped() {
+    let (count, max) = (AggState::Count(100), AggState::Max(Some(Value::I64(999))));
+    let fp0 = || vec![Value::str("fp0")];
+    let foreign: Vec<(Vec<Value>, Vec<AggState>)> = vec![
+        (fp0(), vec![AggState::SumF(100.0), max.clone()]),
+        (fp0(), vec![count.clone()]),
+        (fp0(), vec![count.clone(), max.clone(), count.clone()]),
+        (vec![Value::str("fp0"), Value::str("x")], vec![count, max]),
+    ];
+    let rows = intrusion_rows(60);
+    let mut tables = HashMap::new();
+    tables.insert("intrusions".to_string(), rows.clone());
+
+    for hierarchical in [false, true] {
+        let (n, qid, epoch) = (8, 47 + hierarchical as u64, Dur::from_secs(20));
+        let mut desc = parse_continuous_query(
+            "SELECT fingerprint, count(*), max(id) FROM intrusions \
+             GROUP BY fingerprint EPOCH 20 SECONDS",
+            &Catalog::intrusion(),
+            JoinStrategy::SymmetricHash,
+            qid,
+            0,
+        )
+        .unwrap();
+        desc.n_nodes = n as u32;
+        if let QueryOp::Agg { agg, .. } = &mut desc.op {
+            agg.hierarchical = hierarchical;
+        }
+        let expected = reference_eval(&desc.op, &tables);
+        assert_eq!(expected.len(), 7);
+
+        let mut sim =
+            stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(12));
+        publish_round_robin(&mut sim, "intrusions", &rows, 0, Dur::from_secs(3600));
+        settle_publish(&mut sim);
+        let t0 = sim.now();
+        sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+        // Mid-epoch, every epoch: after the flat flush (5 s) and before
+        // the harvest (10 s); between the tree's leaf and root flushes.
+        for k in 0..3 {
+            sim.run_for(Dur::from_secs(20 * k + 7) - sim.now().since(t0));
+            let expires = sim.now() + epoch;
+            for id in 0..n as NodeId {
+                for (i, (group, states)) in foreign.iter().enumerate() {
+                    let (group, states) = (group.clone().into(), states.clone());
+                    let accs = GroupAccs { states }.into();
+                    let msg = if hierarchical {
+                        PierMsg::AggUp { qid, group, accs }
+                    } else {
+                        let (ns, rid, iid) = (qns::agg(qid), i as u64, 1 << 20);
+                        let val = QpItem::Partial { qid, group, accs };
+                        let key = key_of(ns, rid);
+                        PierMsg::Dht(DhtMsg::Put {
+                            entry: Entry {
+                                ns,
+                                rid,
+                                iid,
+                                key,
+                                expires,
+                                val,
+                            },
+                        })
+                    };
+                    sim.with_app(id, |node, ctx| node.on_message(ctx, id, msg));
+                }
+            }
+        }
+        sim.run_for(Dur::from_secs(60) - sim.now().since(t0));
+        let results = sim.app(0).unwrap().query_results(qid);
+        for k in 0..3u64 {
+            let in_epoch: Vec<Tuple> = results
+                .iter()
+                .filter(|(t, _)| t.since(t0).as_micros() / epoch.as_micros() == k)
+                .map(|(_, r)| r.clone())
+                .collect();
+            assert!(
+                same_multiset(&expected, &in_epoch),
+                "hier={hierarchical} epoch {k}: expected {expected:?} got {in_epoch:?}"
+            );
+        }
     }
 }
 

@@ -248,7 +248,8 @@ proptest! {
         for p in &parts {
             merged.merge(p);
         }
-        let out = merged.output_row(vec![]);
+        let mut out = Tuple::default();
+        merged.output_row(&[], &mut out);
         let vals: Vec<Value> = rows.iter().map(|r| r.get(1).clone()).collect();
         for (i, call) in calls.iter().enumerate() {
             let expect = naive_agg(call.func, &vals);

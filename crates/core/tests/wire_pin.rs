@@ -123,8 +123,8 @@ fn every_variant_keeps_its_wire_size() {
             "QpItem::Partial",
             QpItem::Partial {
                 qid: 1,
-                group: group(),
-                accs: accs(),
+                group: group().into(),
+                accs: accs().into(),
             }
             .wire_size(),
             34,
@@ -154,8 +154,8 @@ fn every_variant_keeps_its_wire_size() {
             "PierMsg::AggUp",
             PierMsg::AggUp {
                 qid: 1,
-                group: group(),
-                accs: accs(),
+                group: group().into(),
+                accs: accs().into(),
             }
             .wire_size(),
             80,

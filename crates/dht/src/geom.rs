@@ -193,26 +193,31 @@ impl Zone {
     }
 
     /// Guillotine decomposition of `self \ inner` into at most `2d`
-    /// disjoint boxes. `inner` must be contained in `self`. Used by the
-    /// multicast directed flood to hand unfinished space to sub-trees.
-    pub fn subtract(&self, inner: &Zone, d: usize) -> Vec<Zone> {
-        let mut out = Vec::with_capacity(2 * d);
-        let mut cur = *self;
-        for i in 0..d {
-            if cur.lo[i] < inner.lo[i] {
-                let mut slab = cur;
+    /// disjoint boxes, yielded as they are cut (per dimension, the slab
+    /// below `inner` and then the one above). `inner` must be contained
+    /// in `self`. Used by the multicast directed flood to hand unfinished
+    /// space to sub-trees: once per delivery, so the slabs are not
+    /// collected.
+    pub fn subtract(&self, inner: &Zone, d: usize) -> impl Iterator<Item = Zone> {
+        let (mut cur, inner) = (*self, *inner);
+        (0..2 * d).filter_map(move |cut| {
+            let i = cut / 2;
+            let mut slab = cur;
+            if cut % 2 == 0 {
+                if cur.lo[i] >= inner.lo[i] {
+                    return None;
+                }
                 slab.hi[i] = inner.lo[i];
-                out.push(slab);
                 cur.lo[i] = inner.lo[i];
-            }
-            if inner.hi[i] < cur.hi[i] {
-                let mut slab = cur;
+            } else {
+                if inner.hi[i] >= cur.hi[i] {
+                    return None;
+                }
                 slab.lo[i] = inner.hi[i];
-                out.push(slab);
                 cur.hi[i] = inner.hi[i];
             }
-        }
-        out
+            Some(slab)
+        })
     }
 
     /// Whether two zones merge into a single box (same extent in all dims
@@ -356,7 +361,12 @@ mod tests {
         inner.hi[0] = SPACE / 2;
         inner.lo[1] = SPACE / 8;
         inner.hi[1] = SPACE / 2;
-        let parts = outer.subtract(&inner, 2);
+        let parts: Vec<Zone> = outer.subtract(&inner, 2).collect();
+        // Per dimension, the slab below `inner` and then the one above.
+        let cuts: Vec<(u64, u64)> = parts.iter().map(|z| (z.lo[0], z.hi[0])).collect();
+        let (q, h) = (SPACE / 4, SPACE / 2);
+        assert_eq!(cuts, [(0, q), (h, SPACE), (q, h), (q, h)]);
+        assert_eq!((parts[2].hi[1], parts[3].lo[1]), (SPACE / 8, h));
         let vol: u128 = parts.iter().map(|z| z.volume(2)).sum();
         assert_eq!(vol + inner.volume(2), outer.volume(2));
         // Parts are pairwise disjoint and disjoint from inner.
@@ -432,8 +442,7 @@ mod tests {
             let zones = random_partition(16, seed, D);
             let whole = Zone::whole(D);
             for z in &zones {
-                let parts = whole.subtract(z, D);
-                let vol: u128 = parts.iter().map(|q| q.volume(D)).sum();
+                let vol: u128 = whole.subtract(z, D).map(|q| q.volume(D)).sum();
                 prop_assert_eq!(vol + z.volume(D), whole.volume(D));
             }
         }
