@@ -3,9 +3,10 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins CI re-runs by name are in it: cross_engine,
-# frontend_pin, agg_pin), the lints, the three source guards, the
-# performance ledger's own tests, its 10^4-node smoke and its traced
-# standing-query smoke, the bench-trajectory gate, and every example.
+# frontend_pin, agg_pin, dataflow_pin, wire_audit), the lints, the three
+# source guards, the performance ledger's own tests, its join smoke, its
+# 10^4-node smoke and its traced standing-query smoke, the
+# bench-trajectory gate, and every example.
 # Run from anywhere; takes a few minutes.
 set -euo pipefail
 
@@ -31,6 +32,9 @@ step ci/determinism_guard.sh
 step ci/sleep_guard.sh
 step ci/layering_guard.sh
 step cargo test --offline --manifest-path benchmark/Cargo.toml
+# The paper's R ⋈ S on 256 nodes: its continuity pins (582 413 events,
+# 4 748 results) and its answer against the oracle.
+step benchmark/run.sh --workload join_wan --seed 11 --reps 1
 # The 10^4-node continuity pins (3 375 669 events, 1 181 results); exits
 # non-zero on a wrong answer or a moved pin.
 step benchmark/run.sh --workload scaleup_10k --seed 11 --reps 1

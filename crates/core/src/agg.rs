@@ -3,8 +3,8 @@
 //! aggregation.
 
 use crate::plan::{AggCall, AggFunc};
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::tuple::{Columns, Tuple};
+use crate::value::{ValRef, Value};
 
 /// Mergeable partial state of one aggregate.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,12 +40,13 @@ impl AggState {
         )
     }
 
-    /// Fold one input value in (None for `count(*)`).
-    pub fn update(&mut self, v: Option<&Value>) {
+    /// Fold one input value in (None for `count(*)`). Only a new MIN or
+    /// MAX is copied out of it.
+    pub fn update(&mut self, v: Option<ValRef<'_>>) {
         match self {
             AggState::Count(c) => *c += 1,
             AggState::SumF(s) => {
-                if let Some(v) = v.and_then(Value::as_f64) {
+                if let Some(v) = v.and_then(|v| v.as_f64()) {
                     *s += v;
                 }
             }
@@ -54,20 +55,20 @@ impl AggState {
             // would make every null-bearing MIN collapse to NULL.
             AggState::Min(m) => {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
-                    if m.as_ref().is_none_or(|cur| v < cur) {
-                        *m = Some(v.clone());
+                    if m.as_ref().is_none_or(|cur| v < cur.as_ref()) {
+                        *m = Some(v.to_value());
                     }
                 }
             }
             AggState::Max(m) => {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
-                    if m.as_ref().is_none_or(|cur| v > cur) {
-                        *m = Some(v.clone());
+                    if m.as_ref().is_none_or(|cur| v > cur.as_ref()) {
+                        *m = Some(v.to_value());
                     }
                 }
             }
             AggState::Avg { sum, n } => {
-                if let Some(v) = v.and_then(Value::as_f64) {
+                if let Some(v) = v.and_then(|v| v.as_f64()) {
                     *sum += v;
                     *n += 1;
                 }
@@ -160,11 +161,11 @@ impl GroupAccs {
             && self.states.iter().zip(calls).all(|(s, c)| s.is_of(c.func))
     }
 
-    /// Fold an input row into every accumulator.
-    pub fn update(&mut self, calls: &[AggCall], row: &Tuple) {
+    /// Fold an input row into every accumulator: a tuple, or a row read
+    /// where it lies. Arguments are evaluated borrowed.
+    pub fn update<R: Columns + ?Sized>(&mut self, calls: &[AggCall], row: &R) {
         for (state, call) in self.states.iter_mut().zip(calls) {
-            let arg = call.arg.as_ref().map(|e| e.eval(row));
-            state.update(arg.as_ref());
+            state.update(call.arg.as_ref().map(|e| e.eval_ref(row)));
         }
     }
 

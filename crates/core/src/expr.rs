@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::tuple::{Columns, Tuple};
+use crate::tuple::Columns;
 use crate::value::{ValRef, Value};
 
 /// Binary operators.
@@ -90,9 +90,10 @@ impl Expr {
         }
     }
 
-    /// Evaluate over anything that hands out columns — a [`Tuple`] or
-    /// an encoded row read in place ([`crate::tuple::RowRef`]). Columns
-    /// and literals are borrowed, everything computed is a scalar, so
+    /// Evaluate over anything that hands out columns — a
+    /// [`crate::tuple::Tuple`], an encoded row read in place
+    /// ([`crate::tuple::RowRef`]) or a view over one. Columns and
+    /// literals are borrowed, everything computed is a scalar, so
     /// evaluation never touches the heap.
     pub fn eval_ref<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> ValRef<'a> {
         match self {
@@ -148,14 +149,15 @@ impl Expr {
         }
     }
 
-    /// Evaluate against a tuple, to an owned value. A bare column or
-    /// literal shares the `Arc<str>` it holds (a projection copies no
-    /// strings); anything else is [`Self::eval_ref`]'s answer, owned.
-    pub fn eval(&self, t: &Tuple) -> Value {
+    /// Evaluate to an owned value. A bare column of a row that holds
+    /// owned values ([`Columns::value`]) or a literal shares the
+    /// `Arc<str>` it holds (a projection of a tuple copies no strings);
+    /// anything else is [`Self::eval_ref`]'s answer, owned.
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Value {
         match self {
-            Expr::Col(i) => t.vals.get(*i).cloned().unwrap_or(Value::Null),
+            Expr::Col(i) => row.value(*i),
             Expr::Lit(v) => v.clone(),
-            _ => self.eval_ref(t).to_value(),
+            _ => self.eval_ref(row).to_value(),
         }
     }
 
@@ -239,6 +241,34 @@ impl Expr {
             Expr::Bin(_, l, r) => 2 + l.wire_size() + r.wire_size(),
             Expr::Call(_, args) => 2 + args.iter().map(Expr::wire_size).sum::<usize>(),
         }
+    }
+}
+
+/// Expressions evaluated over a row, read as the row of their values: a
+/// query's output row before anything is built for it. A column is
+/// evaluated each time it is read.
+pub struct Projection<'a, R: ?Sized> {
+    exprs: &'a [Expr],
+    row: &'a R,
+}
+
+impl<'a, R: Columns + ?Sized> Projection<'a, R> {
+    pub fn new(exprs: &'a [Expr], row: &'a R) -> Self {
+        Projection { exprs, row }
+    }
+}
+
+impl<R: Columns + ?Sized> Columns for Projection<'_, R> {
+    fn arity(&self) -> usize {
+        self.exprs.len()
+    }
+    fn col(&self, i: usize) -> ValRef<'_> {
+        self.exprs
+            .get(i)
+            .map_or(ValRef::Null, |e| e.eval_ref(self.row))
+    }
+    fn value(&self, i: usize) -> Value {
+        self.exprs.get(i).map_or(Value::Null, |e| e.eval(self.row))
     }
 }
 

@@ -2,8 +2,9 @@
 //! accumulate half of the join sink, the flush/harvest timers, and the
 //! tree variant's flushes.
 
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -14,10 +15,11 @@ use pier_simnet::time::{Dur, Time};
 
 use super::{for_each_live, PierNode, QueryInstance, TimerAction};
 use crate::agg::GroupAccs;
+use crate::expr::Projection;
 use crate::item::{PierMsg, QpItem};
 use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::tuple::{Columns, Select, Tuple};
+use crate::value::{ValRef, Value};
 
 /// resourceID of a group's partials: hash of the group values.
 fn group_rid(group: &[Value]) -> Rid {
@@ -38,49 +40,86 @@ fn group_rid(group: &[Value]) -> Rid {
 /// copies its accumulators, once, at that row.
 pub(super) type Groups = BTreeMap<Arc<[Value]>, Arc<GroupAccs>>;
 
-/// Row-sized buffers the fold and the emit reuse: per thread, so a node
-/// carries none of them. A buffer keeps the last row's values until it
-/// is next filled.
-#[derive(Default)]
-struct Scratch {
-    /// The group key of the row being folded, to probe with.
-    key: Vec<Value>,
-    /// The virtual row `[group values..., finalized aggs...]`.
-    virt: Tuple,
-    /// The output row evaluated over it.
-    out: Tuple,
+/// A group key the map can be probed with: a stored key, or the group
+/// columns of the row being folded, read where they lie. Ordered as
+/// `[Value]` orders itself — element by element with `Scalar::cmp`, then
+/// by length — so a borrowed probe finds exactly the group an owned key
+/// would, and the map's order (put order, emission order) is the keys'.
+trait GroupKey {
+    fn len(&self) -> usize;
+    fn at(&self, i: usize) -> ValRef<'_>;
+}
+
+impl GroupKey for Arc<[Value]> {
+    fn len(&self) -> usize {
+        <[Value]>::len(self)
+    }
+    fn at(&self, i: usize) -> ValRef<'_> {
+        self[i].as_ref()
+    }
+}
+
+impl<R: Columns + ?Sized> GroupKey for Select<'_, R> {
+    fn len(&self) -> usize {
+        self.arity()
+    }
+    fn at(&self, i: usize) -> ValRef<'_> {
+        self.col(i)
+    }
+}
+
+impl Ord for dyn GroupKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let n = self.len().min(other.len());
+        (0..n)
+            .map(|i| self.at(i).cmp(&other.at(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.len().cmp(&other.len()))
+    }
+}
+
+impl PartialOrd for dyn GroupKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn GroupKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn GroupKey + '_ {}
+
+impl<'a> Borrow<dyn GroupKey + 'a> for Arc<[Value]> {
+    fn borrow(&self) -> &(dyn GroupKey + 'a) {
+        self
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
+    /// The virtual row `[group values..., finalized aggs...]` every
+    /// emitted group is finalized into: per thread, so a node carries
+    /// none. It keeps the last group's values until it is next filled.
+    static VIRT: RefCell<Tuple> = RefCell::default();
 }
 
-/// Run `f` with this thread's scratch rows, taken out for the duration
-/// (nothing on the way re-enters; if something did, it would find empty
-/// rows and allocate its own).
-fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    let mut scratch = SCRATCH.take();
-    let r = f(&mut scratch);
-    SCRATCH.set(scratch);
-    r
-}
-
-/// Fold one input row into its group's accumulators. The probe key is
-/// built in a scratch row; only a group seen for the first time
-/// allocates its (from then on shared) key.
-fn fold(groups: &mut Groups, agg: &AggSpec, row: &Tuple) {
-    with_scratch(|Scratch { key, .. }| {
-        key.clear();
-        key.extend(agg.group_cols.iter().map(|&c| row.get(c).clone()));
-        match groups.get_mut(key.as_slice()) {
-            Some(accs) => Arc::make_mut(accs).update(&agg.aggs, row),
-            None => {
-                let mut accs = GroupAccs::new(&agg.aggs);
-                accs.update(&agg.aggs, row);
-                groups.insert(Arc::from(key.as_slice()), Arc::new(accs));
-            }
+/// Fold one input row, read where it lies, into its group's
+/// accumulators. The group is found by its columns as they lie; only a
+/// group seen for the first time allocates its (from then on shared)
+/// key.
+fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
+    let key = Select::new(row, &agg.group_cols);
+    match groups.get_mut(&key as &dyn GroupKey) {
+        Some(accs) => Arc::make_mut(accs).update(&agg.aggs, row),
+        None => {
+            let mut accs = GroupAccs::new(&agg.aggs);
+            accs.update(&agg.aggs, row);
+            let key = (0..key.arity()).map(|i| key.value(i)).collect();
+            groups.insert(key, Arc::new(accs));
         }
-    })
+    }
 }
 
 /// Merge one group's partial accumulators into `groups`. A group not
@@ -111,11 +150,11 @@ impl QueryInstance {
     /// so each epoch flush can re-aggregate exactly the contributions
     /// still inside the window; unwindowed epoch queries fold into
     /// persistent running accumulators snapshotted at each flush.
-    pub(super) fn accumulate(
+    pub(super) fn accumulate<R: Columns + ?Sized>(
         &mut self,
         replicated: bool,
         agg: &AggSpec,
-        row: &Tuple,
+        row: &R,
         valid_until: Time,
         ident: u64,
     ) {
@@ -129,7 +168,7 @@ impl QueryInstance {
         if agg.epoch.is_none() {
             fold(&mut self.local_groups, agg, row);
         } else if self.desc.window.is_some() {
-            self.win_rows.push((valid_until, row.clone()));
+            self.win_rows.push((valid_until, row.to_tuple()));
         } else {
             fold(&mut self.run_groups, agg, row);
         }
@@ -179,7 +218,7 @@ impl PierNode {
         if let Some(inst) = self.reg.queries.get_mut(&qid) {
             for_each_live(&self.dht, scan, now, |iid, expires, row| {
                 let valid = base_valid(desc.window, now, expires);
-                inst.accumulate(replicated, agg, row, valid, iid as u64);
+                inst.accumulate(replicated, agg, &row, valid, iid as u64);
             });
         }
         if agg.hierarchical {
@@ -204,7 +243,7 @@ impl PierNode {
         desc: &QueryDesc,
         agg: &AggSpec,
         entry: &Entry<QpItem>,
-        row: &Tuple,
+        row: &impl Columns,
     ) {
         if agg.epoch.is_some() {
             let valid = base_valid(desc.window, now, entry.expires);
@@ -213,11 +252,11 @@ impl PierNode {
     }
 
     /// [`QueryInstance::accumulate`] on an installed query.
-    pub(super) fn accumulate(
+    pub(super) fn accumulate<R: Columns + ?Sized>(
         &mut self,
         qid: u64,
         agg: &AggSpec,
-        row: &Tuple,
+        row: &R,
         valid_until: Time,
         ident: u64,
     ) {
@@ -229,10 +268,10 @@ impl PierNode {
 
     /// Finalize groups: apply HAVING, evaluate the output expressions,
     /// ship to the initiator — each group finalized into one reused
-    /// virtual row and evaluated into one reused output row, so a result
-    /// costs the copy that leaves. Aggregate emissions legitimately
-    /// repeat every epoch: ident 0 exempts them from initiator-side
-    /// dedup.
+    /// virtual row and the output evaluated over it as it is encoded, so
+    /// a result costs the copy that leaves. Aggregate emissions
+    /// legitimately repeat every epoch: ident 0 exempts them from
+    /// initiator-side dedup.
     fn emit_groups(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -240,16 +279,17 @@ impl PierNode {
         agg: &AggSpec,
         groups: &Groups,
     ) {
-        with_scratch(|Scratch { virt, out, .. }| {
-            for (group, accs) in groups {
-                accs.output_row(group, virt);
-                if agg.having.as_ref().is_none_or(|h| h.matches(virt)) {
-                    out.vals.clear();
-                    out.vals.extend(agg.output.iter().map(|e| e.eval(virt)));
-                    self.emit_result(ctx, desc.qid, desc.initiator, 0, Cow::Borrowed(out));
-                }
+        // Taken out for the duration: nothing on the way re-enters (if
+        // something did, it would find an empty row and allocate its own).
+        let mut virt = VIRT.take();
+        for (group, accs) in groups {
+            accs.output_row(group, &mut virt);
+            if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
+                let out = Projection::new(&agg.output, &virt);
+                self.emit_result(ctx, desc.qid, desc.initiator, 0, &out);
             }
-        });
+        }
+        VIRT.set(virt);
     }
 
     /// Push local partials into the NA namespace (flat aggregation).

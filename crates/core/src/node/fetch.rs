@@ -2,19 +2,20 @@
 //! (§4.1) probes the right table in place, one DHT `get` per left row;
 //! the symmetric semi-join rewrite (§4.2) rehashes only `(pkey, join)`
 //! minis and fetches the full tuples of matched pairs. Both evaluate
-//! over full-width base rows (a fetch cannot be pruned) and end in
-//! [`PierNode::finish`], like the pipeline's last stage.
+//! over full-width base rows (a fetch cannot be pruned), read side by
+//! side where they lie, and end in [`PierNode::finish`], like the
+//! pipeline's last stage.
 
 use pier_dht::msg::Entry;
 use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
-use super::{for_each_live, GetPurpose, PairFetch, PierNode};
+use super::{for_each_live, live_row, GetPurpose, PairFetch, PierNode};
 use crate::item::{PierMsg, QpItem, Side};
-use crate::plan::qns;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::plan::{qns, ScanSpec};
+use crate::tuple::{Columns, Concat, FlatRow};
+use crate::value::{ValRef, Value};
 
 impl PierNode {
     // ------------------------------------------------------------------
@@ -27,15 +28,15 @@ impl PierNode {
         };
         let Some(j) = desc.op.join() else { return };
         let (_, _, join_col) = view.table_role(0);
-        // Each probing row is kept until its fetch completes.
+        // Each probing row is kept, encoded, until its fetch completes.
         let mut rows = Vec::new();
         for_each_live(&self.dht, &j.left, ctx.now, |iid, expires, row| {
-            rows.push((iid, expires, row.clone()));
+            let rid = row.col(join_col).hash64();
+            rows.push((rid, iid, expires, FlatRow::from_columns(&row)));
         });
         let right_ns = j.stages[0].right.ns;
         let mut work = Vec::new();
-        for (left_iid, left_expires, left_row) in rows {
-            let rid = left_row.get(join_col).hash64();
+        for (rid, left_iid, left_expires, left_row) in rows {
             let token = self.token();
             self.get_purpose.insert(
                 token,
@@ -60,7 +61,7 @@ impl PierNode {
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         qid: u64,
-        (left_iid, left_expires, left_row): (u32, Time, Tuple),
+        (left_iid, left_expires, left_row): (u32, Time, FlatRow),
         items: Vec<Entry<QpItem>>,
     ) {
         let Some((desc, view)) = self.join_plan(qid) else {
@@ -70,31 +71,26 @@ impl PierNode {
         let stage = &j.stages[0];
         let (_, _, left_col) = view.table_role(0);
         let (_, _, right_col) = view.table_role(1);
+        let left_row = left_row.view();
         let join = left_row.get(left_col);
         for e in items {
             let QpItem::Row(right_flat) = &e.val else {
                 continue;
             };
-            let right_row = &right_flat.decode();
             // "Selections on non-DHT attributes cannot be pushed into the
             // DHT": the right-side predicate is evaluated here, after the
             // fetch (§4.1).
+            let Some(right_row) = live_row(&stage.right, right_flat) else {
+                continue;
+            };
             if right_row.get(right_col) != join {
                 continue; // resourceID hash collision
             }
-            if !stage
-                .right
-                .pred
-                .as_ref()
-                .is_none_or(|p| p.matches(right_row))
-            {
-                continue;
-            }
-            let joined = left_row.concat(right_row);
+            let joined = Concat::new(left_row, right_row);
             if stage.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                let out = Tuple::new(j.project.iter().map(|e| e.eval(&joined)).collect());
                 let ident = Self::pair_ident(left_iid, e.iid);
-                self.finish(ctx, &desc, out, ident, left_expires.min(e.expires));
+                let until = left_expires.min(e.expires);
+                self.finish(ctx, &desc, &joined, &j.project, ident, until);
             }
         }
     }
@@ -115,8 +111,8 @@ impl PierNode {
         // Two passes, as in `rehash_table`.
         let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
         for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
-            let join = row.get(join_col).clone();
-            let pkey = row.get(scan.pkey_col).clone();
+            let join = row.get(join_col).to_value();
+            let pkey = row.get(scan.pkey_col).to_value();
             let rid = Self::rehash_rid(&join, j.computation_nodes);
             let item = QpItem::Mini {
                 qid,
@@ -232,17 +228,17 @@ impl PierNode {
         let Some(p) = inst.pairs.get_mut(&pair) else {
             return;
         };
-        // Only the rows the mini named: a resourceID may collide.
-        let pkey_col = j.table(side as usize).pkey_col;
-        let pkey = &p.pkeys[side as usize];
+        // Only the rows the mini named (a resourceID may collide), and
+        // only of the table's width.
+        let scan = j.table(side as usize);
+        let pkey = p.pkeys[side as usize].as_ref();
         p.rows[side as usize] = Some(
             items
-                .iter()
-                .filter_map(|e| match &e.val {
-                    QpItem::Row(t) => Some((e.expires, t.decode())),
+                .into_iter()
+                .filter_map(|e| match e.val {
+                    QpItem::Row(t) if named(scan, &t, pkey) => Some((e.expires, t)),
                     _ => None,
                 })
-                .filter(|(_, t)| t.get(pkey_col) == pkey)
                 .collect(),
         );
         if p.rows.iter().any(Option::is_none) {
@@ -259,16 +255,22 @@ impl PierNode {
         let post = &j.stages[0].stage_pred;
         for (li, (l_expires, l)) in lefts.iter().enumerate() {
             for (ri, (r_expires, r)) in rights.iter().enumerate() {
-                let joined = l.concat(r);
+                let joined = Concat::new(l.view(), r.view());
                 if post.as_ref().is_none_or(|pp| pp.matches(&joined)) {
-                    let out = Tuple::new(j.project.iter().map(|e| e.eval(&joined)).collect());
                     // One mini pair normally yields one row per side
                     // (resourceID = primary key); the index mix only
                     // disambiguates pkey-collision multiplicities.
                     let ident = pier_dht::geom::hash2(ident, ((li as u64) << 32) | ri as u64);
-                    self.finish(ctx, &desc, out, ident, *l_expires.min(r_expires));
+                    let until = *l_expires.min(r_expires);
+                    self.finish(ctx, &desc, &joined, &j.project, ident, until);
                 }
             }
         }
     }
+}
+
+/// Is a fetched row one of `scan`'s, with the primary key a mini named?
+fn named(scan: &ScanSpec, row: &FlatRow, pkey: ValRef<'_>) -> bool {
+    let row = row.view();
+    row.arity() == scan.arity && row.get(scan.pkey_col) == pkey
 }

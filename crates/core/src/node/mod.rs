@@ -24,7 +24,6 @@ use renewal::{PubRecord, SoftPub};
 
 pub use service::{NodeRequest, NodeResponse, PublishReport};
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -35,11 +34,12 @@ use pier_simnet::app::{App, Ctx};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::NodeId;
 
+use crate::expr::{Expr, Projection};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
 use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
 use crate::tenant::TenantGovernor;
-use crate::tuple::{FlatRow, Tuple};
+use crate::tuple::{Columns, FlatRow, RowRef, Tuple};
 use crate::value::Value;
 
 /// What an outstanding DHT `get` was issued for.
@@ -52,7 +52,7 @@ enum GetPurpose {
         qid: u64,
         left_iid: u32,
         left_expires: Time,
-        left_row: Tuple,
+        left_row: FlatRow,
     },
     /// Symmetric semi-join: fetching one side of a matched pair.
     SemiFetch { qid: u64, pair: u64, side: Side },
@@ -184,8 +184,9 @@ impl QueryInstance {
 /// indexed by [`Side`].
 struct PairFetch {
     /// Fetched rows (with their expiry) whose primary key is the one
-    /// the mini named; `None` until that side's fetch completes.
-    rows: [Option<Vec<(Time, Tuple)>>; 2],
+    /// the mini named, as stored; `None` until that side's fetch
+    /// completes.
+    rows: [Option<Vec<(Time, FlatRow)>>; 2],
     pkeys: [Value; 2],
     /// Identity of the mini pair that triggered the fetches — the
     /// emitted results inherit it for initiator-side dedup.
@@ -529,13 +530,14 @@ impl PierNode {
         match &desc.op {
             QueryOp::Scan { scan, project } => {
                 self.reg.route(scan.ns, qid, NsRole::Base(0));
+                // Encoded as they will ship while the store is borrowed;
+                // shipped (or logged, at the initiator) after.
                 let mut outs = Vec::new();
                 for_each_live(&self.dht, scan, ctx.now, |iid, _, row| {
-                    let out = Tuple::new(project.iter().map(|e| e.eval(row)).collect());
-                    outs.push((iid, out));
+                    outs.push((iid, FlatRow::from_columns(&Projection::new(project, &row))));
                 });
                 for (iid, out) in outs {
-                    self.emit_result(ctx, qid, desc.initiator, iid as u64, Cow::Owned(out));
+                    self.emit_encoded(ctx, qid, desc.initiator, iid as u64, out);
                 }
             }
             QueryOp::Join { join: j, agg } => {
@@ -633,19 +635,18 @@ impl PierNode {
             return;
         };
         let desc = Arc::clone(&inst.desc);
-        // Select on the encoded row; only a row that passes is decoded.
-        let pred = match &desc.op {
-            QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => &scan.pred,
-            QueryOp::Join { join, .. } => &join.table(t).pred,
+        let scan = match &desc.op {
+            QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => scan,
+            QueryOp::Join { join, .. } => join.table(t),
         };
-        if pred.as_ref().is_some_and(|p| !p.matches(&flat.view())) {
+        // The row is read where it lies, all the way to the sink.
+        let Some(row) = live_row(scan, flat) else {
             return;
-        }
-        let row = flat.decode();
+        };
         match &desc.op {
             QueryOp::Scan { project, .. } => {
-                let out = Tuple::new(project.iter().map(|e| e.eval(&row)).collect());
-                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, Cow::Owned(out));
+                let out = Projection::new(project, &row);
+                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, &out);
             }
             QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
             QueryOp::Agg { agg, .. } => self.agg_new_row(ctx.now, &desc, agg, entry, &row),
@@ -667,46 +668,76 @@ impl PierNode {
         }
     }
 
-    /// The one sink of every join strategy: an output row either folds
-    /// into the query's aggregation or ships to the initiator. `ident`
-    /// names the result by its constituents (exactly-once under
-    /// replication); `valid_until` is the expiry of its shortest-lived
-    /// constituent — how long a *windowed* aggregate keeps counting it
-    /// (unwindowed continuous aggregates are running totals).
-    fn finish(
+    /// The one sink of every join strategy: a match, still as the
+    /// strategy holds it (two stored rows side by side, or the columns
+    /// that leave the last stage), and the `project` that makes it an
+    /// output row. The output row either folds into the query's
+    /// aggregation, read where it lies, or is encoded once and ships to
+    /// the initiator. `ident` names the result by its constituents
+    /// (exactly-once under replication); `valid_until` is the expiry of
+    /// its shortest-lived constituent — how long a *windowed* aggregate
+    /// keeps counting it (unwindowed continuous aggregates are running
+    /// totals).
+    fn finish<R: Columns + ?Sized>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         desc: &QueryDesc,
-        out: Tuple,
+        row: &R,
+        project: &[Expr],
         ident: u64,
         valid_until: Time,
     ) {
+        let out = Projection::new(project, row);
         match desc.op.agg() {
             Some(agg) => {
                 let valid = desc.window.map_or(Time::MAX, |_| valid_until);
                 self.accumulate(desc.qid, agg, &out, valid, ident);
             }
-            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, Cow::Owned(out)),
+            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, &out),
         }
     }
 
-    fn emit_result(
+    /// Deliver one result row to the initiator: encoded once and shipped,
+    /// or — when this node is the initiator — built into its result log.
+    fn emit_result<R: Columns + ?Sized>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         qid: u64,
         initiator: NodeId,
         ident: u64,
-        row: Cow<Tuple>,
+        row: &R,
     ) {
-        self.metrics.on_result(qid, row.wire_size());
         if initiator == ctx.me {
-            if self.record_result(qid, ident) {
-                let log = self.results.entry(qid).or_default();
-                log.push((ctx.now, row.into_owned()));
-            }
+            let row = row.to_tuple();
+            self.metrics.on_result(qid, row.wire_size());
+            self.log_result(ctx.now, qid, ident, row);
         } else {
-            let row = FlatRow::from_tuple(&row);
+            self.emit_encoded(ctx, qid, initiator, ident, FlatRow::from_columns(row));
+        }
+    }
+
+    /// [`Self::emit_result`] of a row already in its shipped form.
+    fn emit_encoded(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        qid: u64,
+        initiator: NodeId,
+        ident: u64,
+        row: FlatRow,
+    ) {
+        self.metrics.on_result(qid, row.wire());
+        if initiator == ctx.me {
+            self.log_result(ctx.now, qid, ident, row.decode());
+        } else {
             ctx.send(initiator, PierMsg::Result { qid, ident, row });
+        }
+    }
+
+    /// The initiator's result log: the one place a result is kept as a
+    /// tuple.
+    fn log_result(&mut self, now: Time, qid: u64, ident: u64, row: Tuple) {
+        if self.record_result(qid, ident) {
+            self.results.entry(qid).or_default().push((now, row));
         }
     }
 
@@ -722,30 +753,37 @@ impl PierNode {
     }
 }
 
-/// Stream the locally stored, live, selection-passing rows of a base
-/// table to `f` as `(instanceID, expiry, row)`, in `lscan` order. The
-/// selection runs on the encoded row; a row that passes is decoded into
-/// one scratch tuple, so a row the predicate turns away costs no
-/// allocation and neither does a consumer that keeps none of the rest.
-/// Expired-but-unswept rows (the sweep runs on the maintenance tick)
-/// never enter a dataflow.
-fn for_each_live(
-    dht: &Dht<QpItem>,
+/// A stored base row as `scan` reads it: viewed in place, and `None`
+/// unless it has the scan's arity and passes its selection. A row of
+/// another width (another table's rows under a colliding name, a
+/// publisher with another schema) is skipped here, where it is first
+/// viewed — read further, its missing columns would be NULLs — and
+/// uncounted until the node has a dropped-row counter.
+fn live_row<'a>(scan: &ScanSpec, flat: &'a FlatRow) -> Option<RowRef<'a>> {
+    let row = flat.view();
+    let wanted = row.arity() == scan.arity && scan.pred.as_ref().is_none_or(|p| p.matches(&row));
+    wanted.then_some(row)
+}
+
+/// Stream the locally stored, live rows of a base table that `scan`
+/// selects ([`live_row`]) to `f` as `(instanceID, expiry, row)`, in
+/// `lscan` order, each read where it lies: nothing is decoded, so a
+/// consumer allocates only what it keeps. Expired-but-unswept rows (the
+/// sweep runs on the maintenance tick) never enter a dataflow.
+fn for_each_live<'a>(
+    dht: &'a Dht<QpItem>,
     scan: &ScanSpec,
     now: Time,
-    mut f: impl FnMut(u32, Time, &Tuple),
+    mut f: impl FnMut(u32, Time, RowRef<'a>),
 ) {
-    let mut row = Tuple::new(Vec::new());
     for e in dht.lscan(scan.ns) {
         let QpItem::Row(flat) = &e.val else { continue };
         if e.expires <= now {
             continue;
         }
-        if scan.pred.as_ref().is_some_and(|p| !p.matches(&flat.view())) {
-            continue;
+        if let Some(row) = live_row(scan, flat) {
+            f(e.iid, e.expires, row);
         }
-        flat.decode_into(&mut row);
-        f(e.iid, e.expires, &row);
     }
 }
 

@@ -12,14 +12,17 @@ use pier_simnet::time::{Dur, Time};
 use super::{for_each_live, JoinPlan, PierNode};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
-use crate::plan::qns;
-use crate::tuple::{FlatRow, Tuple};
-use crate::value::Value;
+use crate::plan::{qns, PipelineSchema};
+use crate::tuple::{Columns, Concat, FlatRow, RowRef, Select};
+use crate::value::Scalar;
 
 impl PierNode {
     /// Rehash resourceID for a join value: either the value hash, or one
     /// of `m` buckets when the computation is confined to m nodes.
-    pub(super) fn rehash_rid(join: &Value, computation_nodes: Option<u32>) -> Rid {
+    pub(super) fn rehash_rid<S: AsRef<str>>(
+        join: &Scalar<S>,
+        computation_nodes: Option<u32>,
+    ) -> Rid {
         let h = join.hash64();
         match computation_nodes {
             Some(m) => h % m.max(1) as u64,
@@ -29,9 +32,9 @@ impl PierNode {
 
     /// Rehash this node's local fragment of pipeline table `t` into its
     /// stage namespace, projected onto the stage schema: only the
-    /// columns some later stage or the final SELECT reads ship. The
-    /// Bloom strategy gates the rehash by a filter over the opposite
-    /// table's keys.
+    /// columns some later stage or the final SELECT reads ship, encoded
+    /// straight from the stored row. The Bloom strategy gates the rehash
+    /// by a filter over the opposite table's keys.
     pub(super) fn rehash_table(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -49,17 +52,18 @@ impl PierNode {
         // builds the items, `put_rehashed` names and puts them.
         let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
         for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, row| {
-            let join = row.get(join_col);
+            let join = row.col(join_col);
             if filter.is_some_and(|f| !f.contains(join.hash64())) {
                 return;
             }
+            let rid = Self::rehash_rid(&join, j.computation_nodes);
             let item = QpItem::Tagged {
                 qid,
                 side,
-                join: join.clone(),
-                row: FlatRow::from_tuple(&row.project(keep)),
+                join: join.to_value(),
+                row: FlatRow::from_columns(&Select::new(&row, keep)),
             };
-            puts.push((Self::rehash_rid(join, j.computation_nodes), base_iid, item));
+            puts.push((rid, base_iid, item));
         });
         let ns = qns::stage_of(qid, j.stages.len(), k);
         let lifetime = Self::soft_lifetime(&desc);
@@ -118,21 +122,21 @@ impl PierNode {
         qid: u64,
         t: usize,
         base_iid: u32,
-        row: Tuple,
+        row: RowRef<'_>,
     ) {
         let Some((desc, view)) = self.join_plan(qid) else {
             return;
         };
         let Some(j) = desc.op.join() else { return };
         let (k, side, join_col) = view.table_role(t);
-        let join = row.get(join_col).clone();
+        let join = row.col(join_col);
         let rid = Self::rehash_rid(&join, j.computation_nodes);
         let iid = self.derived_iid(base_iid, t as u64);
         let item = QpItem::Tagged {
             qid,
             side,
-            join,
-            row: FlatRow::from_tuple(&row.project(view.keep_for_table(t))),
+            join: join.to_value(),
+            row: FlatRow::from_columns(&Select::new(&row, view.keep_for_table(t))),
         };
         let ns = qns::stage_of(qid, j.stages.len(), k);
         self.put_soft(ctx, qid, ns, rid, iid, item, Self::soft_lifetime(&desc));
@@ -141,7 +145,8 @@ impl PierNode {
     /// Probe an arriving stage-`k` entry against the opposite side
     /// (§4.1): "each node registers ... a newData callback; when a tuple
     /// arrives, a get is issued to find matches in the other table; this
-    /// get is expected to stay local."
+    /// get is expected to stay local." Each pair is joined where both
+    /// rows lie.
     pub(super) fn probe(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -162,9 +167,12 @@ impl PierNode {
             return;
         };
         let (_, view) = &plan;
-        let stage = &view.stages[k];
+        let Some(row) = stage_row(view, k, side, row) else {
+            return;
+        };
         // Expired-but-unswept partners (the sweep runs on the
-        // maintenance tick) must not join.
+        // maintenance tick) must not join. The store cannot be read
+        // while a match is put: the partners' rows are held by refcount.
         let now = ctx.now;
         let partners: Vec<(u32, FlatRow, Time)> = self
             .dht
@@ -182,40 +190,54 @@ impl PierNode {
                 _ => None,
             })
             .collect();
-        if partners.is_empty() {
-            return;
-        }
-        let row = row.decode();
         for (other_iid, other, other_expires) in partners {
-            // The accumulated intermediate is always the left operand.
-            // Both operands are already projected onto the stage schema.
-            let other = other.decode();
-            let out = match side {
-                Side::Left => stage.join(&row, &other),
-                Side::Right => stage.join(&other, &row),
+            let Some(other) = stage_row(view, k, side.opposite(), &other) else {
+                continue;
             };
-            if let Some(out) = out {
-                let until = entry.expires.min(other_expires);
-                let ident = Self::pair_ident(entry.iid, other_iid);
-                self.advance(ctx, &plan, k, out, until, ident);
-            }
+            // The accumulated intermediate is always the left operand.
+            let joined = match side {
+                Side::Left => Concat::new(row, other),
+                Side::Right => Concat::new(other, row),
+            };
+            let until = entry.expires.min(other_expires);
+            let ident = Self::pair_ident(entry.iid, other_iid);
+            self.join_pair(ctx, &plan, k, &joined, until, ident);
         }
     }
 
-    /// A stage-`k` match (already projected onto the stage's outgoing
-    /// schema): feed the next stage, or finish. `until` is the expiry of
-    /// the shortest-lived constituent: restarting the window here would
-    /// let late arrivals join state that already aged out. `ident` names
-    /// the match by its constituent instanceIDs: under replication the
-    /// republished intermediate's iid and the final result's dedup
-    /// identity both derive from it, so a probe re-run by a healed stage
-    /// replica renews rather than duplicates.
-    fn advance(
+    /// One pair of stage-`k` rows whose join values matched, side by
+    /// side: if the stage predicate passes it, the columns that leave
+    /// [`Self::advance`].
+    fn join_pair(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        plan: &JoinPlan,
+        k: usize,
+        joined: &Concat<'_>,
+        until: Time,
+        ident: u64,
+    ) {
+        let (_, view) = plan;
+        if let Some(emit) = view.stages[k].pass(joined) {
+            self.advance(ctx, plan, k, &Select::new(joined, emit), until, ident);
+        }
+    }
+
+    /// A stage-`k` match (the columns that leave the stage, read in
+    /// place): feed the next stage, encoded once as the row republished
+    /// there, or finish. `until` is the expiry of the shortest-lived
+    /// constituent: restarting the window here would let late arrivals
+    /// join state that already aged out. `ident` names the match by its
+    /// constituent instanceIDs: under replication the republished
+    /// intermediate's iid and the final result's dedup identity both
+    /// derive from it, so a probe re-run by a healed stage replica
+    /// renews rather than duplicates.
+    fn advance<R: Columns + ?Sized>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         (desc, view): &JoinPlan,
         k: usize,
-        row: Tuple,
+        row: &R,
         until: Time,
         ident: u64,
     ) {
@@ -227,13 +249,12 @@ impl PierNode {
         }
         let Some(j) = desc.op.join() else { return };
         let Some(next) = view.stages.get(k + 1) else {
-            let out = Tuple::new(view.project.iter().map(|e| e.eval(&row)).collect());
-            return self.finish(ctx, desc, out, ident, until);
+            return self.finish(ctx, desc, row, &view.project, ident, until);
         };
         let qid = desc.qid;
         // Publish the intermediate as soft state in the next stage's
         // namespace, keyed by its join value there.
-        let join = row.get(next.join_idx_left).clone();
+        let join = row.col(next.join_idx_left);
         let rid = Self::rehash_rid(&join, j.computation_nodes);
         let iid = if self.replicated() {
             pier_dht::geom::hash2(ident, 0x6d6a_0000 | k as u64) as u32
@@ -243,8 +264,8 @@ impl PierNode {
         let item = QpItem::Tagged {
             qid,
             side: Side::Left,
-            join,
-            row: FlatRow::from_tuple(&row),
+            join: join.to_value(),
+            row: FlatRow::from_columns(row),
         };
         let ns = qns::stage_of(qid, j.stages.len(), k + 1);
         self.put_soft(ctx, qid, ns, rid, iid, item, until.since(ctx.now));
@@ -294,8 +315,11 @@ impl PierNode {
                         } else {
                             (rb, ra)
                         };
-                        if let Some(out) = view.stages[k].join(&l.decode(), &r.decode()) {
-                            self.advance(ctx, &plan, k, out, a.expires.min(b.expires), ident);
+                        let l = stage_row(view, k, Side::Left, l);
+                        let r = stage_row(view, k, Side::Right, r);
+                        if let (Some(l), Some(r)) = (l, r) {
+                            let until = a.expires.min(b.expires);
+                            self.join_pair(ctx, &plan, k, &Concat::new(l, r), until, ident);
                         }
                     }
                     (
@@ -324,4 +348,19 @@ impl PierNode {
             }
         }
     }
+}
+
+/// A stored stage-`k` row tagged `side`, viewed in place — or `None` if
+/// it is not as wide as the stage's pruned layout for that side says
+/// (another plan's row under a colliding namespace): read on, its
+/// missing columns would join as NULLs. Skipped where it is first viewed,
+/// and uncounted until the node has a dropped-row counter.
+fn stage_row<'a>(
+    view: &PipelineSchema,
+    k: usize,
+    side: Side,
+    row: &'a FlatRow,
+) -> Option<RowRef<'a>> {
+    let row = row.view();
+    (row.arity() == view.width(k, side)).then_some(row)
 }

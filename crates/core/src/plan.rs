@@ -19,7 +19,7 @@ use pier_simnet::NodeId;
 
 use crate::expr::Expr;
 use crate::item::Side;
-use crate::tuple::Tuple;
+use crate::tuple::Columns;
 
 /// The four distributed equi-join strategies of §4.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -601,15 +601,15 @@ pub struct StageView {
 }
 
 impl StageView {
-    /// Join one pruned left intermediate with one pruned right row whose
-    /// join values already matched: the outgoing intermediate, or `None`
-    /// when the stage predicate rejects the pair.
-    pub fn join(&self, left: &Tuple, right: &Tuple) -> Option<Tuple> {
-        let joined = left.concat(right);
+    /// A pair whose join values already matched, as `pruned_left ++
+    /// pruned_right` — a concatenated tuple, or two stored rows read side
+    /// by side: whether the stage predicate passes it, and if so which of
+    /// its columns leave as the outgoing intermediate.
+    pub fn pass<R: Columns + ?Sized>(&self, joined: &R) -> Option<&[usize]> {
         self.pred
             .as_ref()
-            .is_none_or(|p| p.matches(&joined))
-            .then(|| joined.project(&self.emit))
+            .is_none_or(|p| p.matches(joined))
+            .then_some(&self.emit)
     }
 }
 
@@ -759,6 +759,17 @@ impl PipelineSchema {
             &self.keep_base
         } else {
             &self.stages[t - 1].keep_right
+        }
+    }
+
+    /// How many columns a row tagged `side` in stage `k`'s namespace
+    /// has: the pruned intermediate on the left (the head's kept columns
+    /// at stage 0), the pruned right input on the right.
+    pub fn width(&self, k: usize, side: Side) -> usize {
+        match (side, k.checked_sub(1)) {
+            (Side::Right, _) => self.stages[k].keep_right.len(),
+            (Side::Left, None) => self.keep_base.len(),
+            (Side::Left, Some(prev)) => self.stages[prev].emit.len(),
         }
     }
 }

@@ -148,7 +148,10 @@ pub fn reference_pipeline(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) ->
         for a in &acc {
             for r in &right {
                 if a.get(view.join_idx_left) == r.get(view.join_idx_right) {
-                    next.extend(view.join(a, r));
+                    let joined = a.concat(r);
+                    if let Some(emit) = view.pass(&joined) {
+                        next.push(joined.project(emit));
+                    }
                 }
             }
         }

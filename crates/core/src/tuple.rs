@@ -53,60 +53,65 @@ impl Tuple {
     /// for the layout). The buffer is reusable across calls; nothing
     /// before its current length is touched.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.vals.len() as u32).to_le_bytes());
-        for v in &self.vals {
-            match v {
-                Value::Null => buf.push(TAG_NULL),
-                Value::Bool(false) => buf.push(TAG_FALSE),
-                Value::Bool(true) => buf.push(TAG_TRUE),
-                Value::I64(i) => {
-                    buf.push(TAG_I64);
-                    buf.extend_from_slice(&i.to_le_bytes());
-                }
-                Value::F64(f) => {
-                    buf.push(TAG_F64);
-                    buf.extend_from_slice(&f.to_bits().to_le_bytes());
-                }
-                Value::Str(s) => {
-                    buf.push(TAG_STR);
-                    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(s.as_bytes());
-                }
-                Value::Pad(n) => {
-                    buf.push(TAG_PAD);
-                    buf.extend_from_slice(&n.to_le_bytes());
-                }
-            }
-        }
+        encode_row(self, buf);
     }
 
     /// Decode one tuple from the front of `bytes`; returns the tuple and
     /// the number of bytes consumed. `None` on a malformed buffer.
     pub fn decode_from(bytes: &[u8]) -> Option<(Tuple, usize)> {
-        let mut t = Tuple::new(Vec::new());
-        let used = t.decode_into(bytes)?;
-        Some((t, used))
-    }
-
-    /// [`Self::decode_from`] into `self`, replacing its values but
-    /// keeping their buffer: a scan that looks at each row only in
-    /// passing decodes them all through one scratch tuple. Returns the
-    /// number of bytes consumed; on `None` the contents are unspecified.
-    pub fn decode_into(&mut self, bytes: &[u8]) -> Option<usize> {
         let arity = read_arity(bytes)?;
-        let vals = &mut self.vals;
-        vals.clear();
         // Every value takes at least its tag byte, which bounds what a
         // malformed header can make us reserve.
-        vals.reserve_exact(arity.min(bytes.len()));
+        let mut vals = Vec::with_capacity(arity.min(bytes.len()));
         let mut pos = 4;
         for _ in 0..arity {
             let (v, next) = read_value(bytes, pos)?;
             vals.push(v.to_value());
             pos = next;
         }
-        Some(pos)
+        Some((Tuple::new(vals), pos))
     }
+}
+
+/// Append the encoding of one value to `buf` — the one value encoder
+/// behind [`Tuple::encode_into`] and [`FlatRow::from_columns`].
+fn encode_value(v: ValRef<'_>, buf: &mut Vec<u8>) {
+    match v {
+        ValRef::Null => buf.push(TAG_NULL),
+        ValRef::Bool(false) => buf.push(TAG_FALSE),
+        ValRef::Bool(true) => buf.push(TAG_TRUE),
+        ValRef::I64(i) => {
+            buf.push(TAG_I64);
+            buf.extend_from_slice(&i.to_le_bytes());
+        }
+        ValRef::F64(f) => {
+            buf.push(TAG_F64);
+            buf.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        ValRef::Str(s) => {
+            buf.push(TAG_STR);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
+        }
+        ValRef::Pad(n) => {
+            buf.push(TAG_PAD);
+            buf.extend_from_slice(&n.to_le_bytes());
+        }
+    }
+}
+
+/// Append the encoding of every column of `row` to `buf`; returns the
+/// row's wire bytes, summed per value as [`Tuple::wire_size`] sums them.
+fn encode_row<R: Columns + ?Sized>(row: &R, buf: &mut Vec<u8>) -> usize {
+    let arity = row.arity();
+    buf.extend_from_slice(&(arity as u32).to_le_bytes());
+    let mut wire = TUPLE_HEADER_BYTES;
+    for i in 0..arity {
+        let v = row.col(i);
+        wire += v.wire_size();
+        encode_value(v, buf);
+    }
+    wire
 }
 
 /// The column count an encoded tuple opens with.
@@ -117,7 +122,7 @@ fn read_arity(bytes: &[u8]) -> Option<usize> {
 /// Read the encoded value that starts at `pos`, borrowing a string from
 /// `bytes`; returns it with the position of the next value. `None` on an
 /// unknown tag, a value running past the buffer, or a string that is not
-/// UTF-8 — the one definition of well-formed that [`Tuple::decode_into`]
+/// UTF-8 — the one definition of well-formed that [`Tuple::decode_from`]
 /// and [`RowRef`] share.
 fn read_value(bytes: &[u8], mut pos: usize) -> Option<(ValRef<'_>, usize)> {
     let tag = *bytes.get(pos)?;
@@ -153,22 +158,103 @@ fn read_value(bytes: &[u8], mut pos: usize) -> Option<(ValRef<'_>, usize)> {
     Some((v, pos))
 }
 
-/// Anything that can hand out a column as a borrowed value — what an
-/// [`crate::expr::Expr`] is evaluated over. A column index past the end
-/// reads as NULL.
+/// A row of columns, wherever it lies: a [`Tuple`], an encoded row read
+/// in place ([`RowRef`]), or a view over one — two rows side by side
+/// ([`Concat`]), some of a row's columns ([`Select`]), expressions
+/// evaluated over a row ([`crate::expr::Projection`]). What an
+/// [`crate::expr::Expr`] is evaluated over and what a [`FlatRow`] is
+/// encoded from. A column index past the end reads as NULL.
 pub trait Columns {
+    /// How many columns the row has.
+    fn arity(&self) -> usize;
+
+    /// Column `i`, borrowed.
     fn col(&self, i: usize) -> ValRef<'_>;
+
+    /// Column `i`, owned. A row that already holds owned values shares
+    /// their strings; one read in place copies them.
+    fn value(&self, i: usize) -> Value {
+        self.col(i).to_value()
+    }
+
+    /// The row as a tuple of owned values.
+    fn to_tuple(&self) -> Tuple {
+        Tuple::new((0..self.arity()).map(|i| self.value(i)).collect())
+    }
 }
 
 impl<R: Columns + ?Sized> Columns for &R {
+    fn arity(&self) -> usize {
+        (**self).arity()
+    }
     fn col(&self, i: usize) -> ValRef<'_> {
         (**self).col(i)
+    }
+    fn value(&self, i: usize) -> Value {
+        (**self).value(i)
     }
 }
 
 impl Columns for Tuple {
+    fn arity(&self) -> usize {
+        self.vals.len()
+    }
     fn col(&self, i: usize) -> ValRef<'_> {
         self.vals.get(i).map_or(ValRef::Null, Value::as_ref)
+    }
+    fn value(&self, i: usize) -> Value {
+        self.vals.get(i).cloned().unwrap_or(Value::Null)
+    }
+}
+
+/// Two encoded rows read as their concatenation — a join's output
+/// before anything is projected out of it.
+#[derive(Clone, Copy)]
+pub struct Concat<'a> {
+    left: RowRef<'a>,
+    right: RowRef<'a>,
+}
+
+impl<'a> Concat<'a> {
+    pub fn new(left: RowRef<'a>, right: RowRef<'a>) -> Concat<'a> {
+        Concat { left, right }
+    }
+}
+
+impl Columns for Concat<'_> {
+    fn arity(&self) -> usize {
+        self.left.arity + self.right.arity
+    }
+    fn col(&self, i: usize) -> ValRef<'_> {
+        match i.checked_sub(self.left.arity) {
+            None => self.left.get(i),
+            Some(j) => self.right.get(j),
+        }
+    }
+}
+
+/// The listed columns of a row, in the listed order: a projection read
+/// in place.
+pub struct Select<'a, R: ?Sized> {
+    row: &'a R,
+    cols: &'a [usize],
+}
+
+impl<'a, R: Columns + ?Sized> Select<'a, R> {
+    pub fn new(row: &'a R, cols: &'a [usize]) -> Self {
+        Select { row, cols }
+    }
+}
+
+impl<R: Columns + ?Sized> Columns for Select<'_, R> {
+    fn arity(&self) -> usize {
+        self.cols.len()
+    }
+    fn col(&self, i: usize) -> ValRef<'_> {
+        self.cols.get(i).map_or(ValRef::Null, |&c| self.row.col(c))
+    }
+    fn value(&self, i: usize) -> Value {
+        self.cols.get(i).map_or(Value::Null, |&c| self.row.value(c))
     }
 }
 
@@ -219,6 +305,9 @@ impl<'a> RowRef<'a> {
 }
 
 impl Columns for RowRef<'_> {
+    fn arity(&self) -> usize {
+        self.arity
+    }
     fn col(&self, i: usize) -> ValRef<'_> {
         self.get(i)
     }
@@ -270,7 +359,7 @@ pub fn wire_of_encoded(bytes: &[u8]) -> Option<usize> {
 
 thread_local! {
     /// Reusable encode scratch: one heap buffer per thread serves every
-    /// [`FlatRow::from_tuple`] on the publish/rehash/ship hot paths.
+    /// [`FlatRow::from_columns`] on the publish/rehash/ship hot paths.
     static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -287,14 +376,16 @@ pub struct FlatRow {
 }
 
 impl FlatRow {
-    /// Encode a tuple through the thread-local scratch buffer.
-    pub fn from_tuple(t: &Tuple) -> FlatRow {
+    /// Encode any row of columns through the thread-local scratch
+    /// buffer: a tuple, a stored row's kept columns ([`Select`] over a
+    /// [`RowRef`]), a join match, expressions evaluated over one
+    /// ([`crate::expr::Projection`]). The one allocation is the row's.
+    pub fn from_columns<R: Columns + ?Sized>(row: &R) -> FlatRow {
         ENCODE_BUF.with(|cell| {
             let mut buf = cell.borrow_mut();
             buf.clear();
-            t.encode_into(&mut buf);
-            let wire = wire_of_encoded(&buf).expect("self-produced encoding is well-formed");
-            debug_assert_eq!(wire, t.wire_size());
+            let wire = encode_row(row, &mut buf);
+            debug_assert_eq!(wire_of_encoded(&buf), Some(wire));
             FlatRow {
                 bytes: Arc::from(&buf[..]),
                 wire: wire as u32,
@@ -302,19 +393,16 @@ impl FlatRow {
         })
     }
 
+    /// [`Self::from_columns`] of a tuple.
+    pub fn from_tuple(t: &Tuple) -> FlatRow {
+        Self::from_columns(t)
+    }
+
     /// Materialize the tuple (probe and match sites).
     pub fn decode(&self) -> Tuple {
         Tuple::decode_from(&self.bytes)
             .expect("FlatRow holds a well-formed encoding")
             .0
-    }
-
-    /// [`Self::decode`] into a reused scratch tuple (see
-    /// [`Tuple::decode_into`]).
-    pub fn decode_into(&self, scratch: &mut Tuple) {
-        scratch
-            .decode_into(&self.bytes)
-            .expect("FlatRow holds a well-formed encoding");
     }
 
     /// Read the row where it lies (see [`RowRef`]).

@@ -398,3 +398,129 @@ fn malformed_join_descriptors_are_counted_drops() {
         );
     }
 }
+
+/// Rows of the wrong width — another publisher's schema under the same
+/// table name, a stage row of another plan under a colliding namespace —
+/// are skipped where a node first views them. Read on, a missing column
+/// would be a NULL group or a NULL join value; decoded, as they once
+/// were, they indexed past the tuple and killed the node. Delivered to a
+/// flat aggregate and a join aggregate both before install (the install
+/// scan) and after (`newData`), and straight into the join's stage
+/// namespace on both sides: no panic, and every epoch after the last
+/// publish reports the oracle's answer over the well-formed rows.
+#[test]
+fn rows_of_the_wrong_width_are_skipped() {
+    use pier_core::catalog::Catalog;
+    use pier_core::item::{PierMsg, QpItem, Side};
+    use pier_core::plan::qns;
+    use pier_core::semantics::reference_eval;
+    use pier_core::sql::parse_continuous_query;
+    use pier_core::tuple::FlatRow;
+    use pier_dht::{key_of, DhtMsg, Entry};
+    use pier_simnet::{App, NodeId};
+    use std::collections::HashMap;
+
+    let intrusions = |ids: std::ops::Range<i64>| -> Vec<Tuple> {
+        ids.map(|i| {
+            let (fp, addr) = (format!("sig-{:04}", i % 2), format!("10.0.0.{}", i % 5));
+            tuple![i, fp.as_str(), addr.as_str()]
+        })
+        .collect()
+    };
+    // Each passes the fingerprint selection: the column it lacks is the
+    // group's (intrusions) or the aggregated one's (advisories).
+    let short_intrusions =
+        |ids: std::ops::Range<i64>| -> Vec<Tuple> { ids.map(|i| tuple![i, "sig-0001"]).collect() };
+    let advisories = vec![tuple!["sig-0001", 3i64], tuple!["sig-0000", 5i64]];
+    let short_advisories = vec![tuple!["sig-0001"]];
+
+    let (n, epoch, life) = (8, Dur::from_secs(20), Dur::from_secs(3600));
+    let query = |qid: u64, sql: &str| {
+        let cat = Catalog::intrusion();
+        let strategy = JoinStrategy::SymmetricHash;
+        let mut desc = parse_continuous_query(sql, &cat, strategy, qid, 0).unwrap();
+        desc.n_nodes = n as u32;
+        desc
+    };
+    let (flat, joined) = (71, 72);
+    let queries = [
+        query(
+            flat,
+            "SELECT address, count(*) FROM intrusions WHERE fingerprint = 'sig-0001' \
+             GROUP BY address EPOCH 20 SECONDS",
+        ),
+        query(
+            joined,
+            "SELECT I.address, count(*), max(A.severity) FROM intrusions I, advisories A \
+             WHERE I.fingerprint = A.fingerprint AND I.fingerprint = 'sig-0001' \
+             GROUP BY I.address EPOCH 20 SECONDS",
+        ),
+    ];
+    let mut tables = HashMap::new();
+    tables.insert("intrusions".to_string(), intrusions(0..60));
+    tables.insert("advisories".to_string(), advisories.clone());
+    let expected: Vec<Vec<Tuple>> = queries
+        .iter()
+        .map(|d| reference_eval(&d.op, &tables))
+        .collect();
+    assert!(expected.iter().all(|e| e.len() == 5), "{expected:?}");
+
+    let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(8));
+    publish_round_robin(&mut sim, "intrusions", &intrusions(0..40), 0, life);
+    publish_round_robin(&mut sim, "intrusions", &short_intrusions(100..110), 0, life);
+    publish_round_robin(&mut sim, "advisories", &advisories, 0, life);
+    publish_round_robin(&mut sim, "advisories", &short_advisories, 0, life);
+    settle_publish(&mut sim);
+    let t0 = sim.now();
+    for desc in queries.iter().cloned() {
+        sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+    }
+
+    sim.run_for(Dur::from_secs(7));
+    publish_round_robin(&mut sim, "intrusions", &intrusions(40..60), 0, life);
+    publish_round_robin(&mut sim, "intrusions", &short_intrusions(110..120), 0, life);
+    // Stage rows one column short of the join's pruned layout, on either
+    // side, under the join value that has partners.
+    let ns = qns::rehash(joined);
+    let join = Value::str("sig-0001");
+    let rid = join.hash64();
+    for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
+        let val = QpItem::Tagged {
+            qid: joined,
+            side,
+            join: join.clone(),
+            row: FlatRow::from_tuple(&tuple!["sig-0001"]),
+        };
+        let entry = Entry {
+            ns,
+            rid,
+            iid: (1 << 20) + i as u32,
+            key: key_of(ns, rid),
+            expires: sim.now() + life,
+            val,
+        };
+        for id in 0..n as NodeId {
+            let msg = PierMsg::Dht(DhtMsg::Put {
+                entry: entry.clone(),
+            });
+            sim.with_app(id, |node, ctx| node.on_message(ctx, id, msg));
+        }
+    }
+
+    sim.run_for(Dur::from_secs(60) - sim.now().since(t0));
+    for (desc, expected) in queries.iter().zip(&expected) {
+        let results = sim.app(0).unwrap().query_results(desc.qid);
+        for k in 1..3u64 {
+            let in_epoch: Vec<Tuple> = results
+                .iter()
+                .filter(|(t, _)| t.since(t0).as_micros() / epoch.as_micros() == k)
+                .map(|(_, r)| r.clone())
+                .collect();
+            assert!(
+                same_multiset(expected, &in_epoch),
+                "query {} epoch {k}: expected {expected:?} got {in_epoch:?}",
+                desc.qid
+            );
+        }
+    }
+}

@@ -4,7 +4,10 @@
 //! catalog's maximum width — and of the view that reads an encoded row
 //! in place: it accepts exactly what the decoder accepts, every column
 //! it hands out is the decoded one, and an expression evaluates over it
-//! to what it evaluates to over the decoded tuple.
+//! to what it evaluates to over the decoded tuple. What the executor
+//! builds from views is what the oracles build from tuples: the same
+//! bytes for a projection or an evaluation, the same columns for a
+//! concatenation, the same verdict and bytes from a join stage.
 
 mod common;
 
@@ -12,7 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pier_core::tuple::{wire_of_encoded, FlatRow, RowRef, Tuple};
+use pier_core::expr::Projection;
+use pier_core::plan::StageView;
+use pier_core::tuple::{wire_of_encoded, Columns, Concat, FlatRow, RowRef, Select, Tuple};
 use pier_core::{ColType, Value};
 
 /// The view and the decoder agree on `bytes`: both refuse it, or both
@@ -45,6 +50,21 @@ fn view_is_the_decoder(bytes: &[u8]) -> Result<(), String> {
             decoded.is_some()
         )),
     }
+}
+
+/// `Debug` form of a value: tells `-0.0` from `0.0` and NaN from NaN.
+fn exact(v: &Value) -> String {
+    format!("{v:?}")
+}
+
+/// Up to six column indices below `bound`, repeats allowed.
+fn random_cols(rng: &mut SmallRng, bound: usize) -> Vec<usize> {
+    if bound == 0 {
+        return Vec::new();
+    }
+    (0..rng.gen_range(0..7usize))
+        .map(|_| rng.gen_range(0..bound))
+        .collect()
 }
 
 /// A random stage schema: per-column (type, catalog width). Width only
@@ -209,5 +229,79 @@ proptest! {
         let (on_row, on_tuple) = (e.eval_ref(&view).to_value(), e.eval(&t));
         prop_assert_eq!(format!("{on_row:?}"), format!("{on_tuple:?}"), "{} @ {}", e, t);
         prop_assert_eq!(e.matches(&view), e.matches(&t));
+    }
+
+    #[test]
+    fn a_row_encoded_from_a_view_is_the_tuples_encoding(seed in any::<u64>()) {
+        // Listed columns (past the end too: NULL) and evaluated
+        // expressions of a stored row, encoded without decoding it, are
+        // byte for byte what encoding the decoded row's projection or
+        // evaluation gives.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let t = common::random_tuple(&mut rng);
+        let flat = FlatRow::from_tuple(&t);
+        let view = flat.view();
+
+        let cols = random_cols(&mut rng, t.arity() + 2);
+        let by_view = FlatRow::from_columns(&Select::new(&view, &cols));
+        let picked = cols.iter().map(|&c| t.vals.get(c).cloned().unwrap_or(Value::Null));
+        let by_tuple = FlatRow::from_tuple(&Tuple::new(picked.collect()));
+        prop_assert_eq!(by_view.encoded(), by_tuple.encoded(), "{:?} of {}", cols, t);
+        prop_assert_eq!(by_view.wire(), by_tuple.wire());
+
+        let exprs: Vec<_> = (0..rng.gen_range(0..4usize))
+            .map(|_| common::random_expr(&mut rng, 3))
+            .collect();
+        let by_view = FlatRow::from_columns(&Projection::new(&exprs, &view));
+        let evaluated = Tuple::new(exprs.iter().map(|e| e.eval(&t)).collect());
+        let by_tuple = FlatRow::from_tuple(&evaluated);
+        prop_assert_eq!(by_view.encoded(), by_tuple.encoded(), "{:?} of {}", exprs, t);
+        prop_assert_eq!(by_view.wire(), by_tuple.wire());
+    }
+
+    #[test]
+    fn two_rows_side_by_side_read_as_their_concatenation(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (a, b) = (common::random_tuple(&mut rng), common::random_tuple(&mut rng));
+        let (fa, fb) = (FlatRow::from_tuple(&a), FlatRow::from_tuple(&b));
+        let side_by_side = Concat::new(fa.view(), fb.view());
+        let joined = a.concat(&b);
+        prop_assert_eq!(side_by_side.arity(), joined.arity());
+        for i in 0..joined.arity() + 2 {
+            let want = joined.vals.get(i).cloned().unwrap_or(Value::Null);
+            prop_assert_eq!(exact(&side_by_side.value(i)), exact(&want), "column {}", i);
+        }
+    }
+
+    #[test]
+    fn a_stage_passes_and_emits_the_same_over_views(seed in any::<u64>()) {
+        // One join stage's verdict and outgoing row over two stored rows
+        // read side by side, against the oracle's concatenated tuple.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (a, b) = (common::random_tuple(&mut rng), common::random_tuple(&mut rng));
+        let arity = a.arity() + b.arity();
+        let stage = StageView {
+            keep_right: Vec::new(),
+            join_idx_left: 0,
+            join_idx_right: 0,
+            join_col_right: 0,
+            pred: (rng.gen_range(0..4u32) > 0).then(|| common::random_expr(&mut rng, 3)),
+            emit: random_cols(&mut rng, arity),
+            out_globals: Vec::new(),
+        };
+        let joined = a.concat(&b);
+        let oracle = stage
+            .pass(&joined)
+            .map(|emit| FlatRow::from_tuple(&joined.project(emit)));
+        let (fa, fb) = (FlatRow::from_tuple(&a), FlatRow::from_tuple(&b));
+        let side_by_side = Concat::new(fa.view(), fb.view());
+        let executor = stage
+            .pass(&side_by_side)
+            .map(|emit| FlatRow::from_columns(&Select::new(&side_by_side, emit)));
+        prop_assert_eq!(
+            oracle.as_ref().map(FlatRow::encoded),
+            executor.as_ref().map(FlatRow::encoded),
+            "{:?} over {}", stage.pred, joined
+        );
     }
 }

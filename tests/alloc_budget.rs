@@ -5,10 +5,13 @@
 //! overlay stays inside a bytes-per-node budget, a small join inside a
 //! pinned bytes-per-event budget, a row is read where it lies — a scan
 //! allocates nothing for a row its predicate turns away, and a `newData`
-//! upcall nobody registered for is not built — and a group is built once
+//! upcall nobody registered for is not built — a group is built once
 //! and handed on: renewing an unchanged group's partial allocates
 //! nothing, a changed one copies its accumulators once, and a harvested
-//! result costs the row that leaves.
+//! result costs the row that leaves — and rows stay encoded from the
+//! store to the sink: a rehashed row costs the row it ships, a probe
+//! match what it republishes, and a row folded into an existing group
+//! nothing.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -20,11 +23,14 @@ use std::sync::Arc;
 
 use pier::qp::agg::GroupAccs;
 use pier::qp::expr::{Expr, Func};
-use pier::qp::plan::{AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
+use pier::qp::plan::{
+    AggCall, AggFunc, AggSpec, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
+};
 use pier::qp::semantics::same_multiset;
+use pier::qp::sql::parse_continuous_query;
 use pier::qp::testkit::*;
 use pier::qp::tuple::FlatRow;
-use pier::qp::{tuple, PierMsg, PierNode, QpItem, Tuple, Value};
+use pier::qp::{tuple, Catalog, PierMsg, PierNode, QpItem, Tuple, Value};
 use pier::simnet::time::{Dur, Time};
 use pier::simnet::topology::FullMesh;
 use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
@@ -598,4 +604,123 @@ fn a_harvested_result_costs_the_row_that_leaves() {
         (1.0..=1.25).contains(&per_group),
         "{per_group:.2} allocations per harvested group"
     );
+}
+
+// ---------------------------------------------------------------------
+// (vii) rows stay encoded from the store to the sink
+// ---------------------------------------------------------------------
+
+/// `L(k, j)` rows, every one on join value 7, so that all of them rehash
+/// under one resourceID.
+fn join_rows(n: usize) -> Vec<Tuple> {
+    (0..n).map(|k| tuple![k as i64, 7i64]).collect()
+}
+
+/// A join's install rehashes the stored rows of its tables, the kept
+/// columns encoded straight from the stored bytes: a row costs the one
+/// `FlatRow` it ships (its put stores it under a resourceID the earlier
+/// rows already opened, and its upcall probes a side with no partners).
+/// (Projected into a `Tuple` first, each cost a `Vec` more.)
+#[test]
+fn rehashing_a_stored_row_costs_the_row_it_ships() {
+    let install_allocs = |rows: usize| {
+        let mut sim = lone_node();
+        sim.with_app(0, |node, ctx| {
+            node.publish_rows(ctx, "L", join_rows(rows), 0, Dur::from_secs(100_000))
+        });
+        let left = ScanSpec::new("L", 2, 0).with_join_col(1);
+        let right = ScanSpec::new("Rt", 2, 0).with_join_col(1);
+        let mut join = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+        join.project = vec![Expr::col(0), Expr::col(2)];
+        let desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
+        let ((), allocs, _) = counted(|| install(&mut sim, desc));
+        allocs
+    };
+    let per_row = (install_allocs(1_000) - install_allocs(100)) as f64 / 900.0;
+    assert!(
+        (1.0..1.05).contains(&per_row),
+        "{per_row:.3} allocations per rehashed row"
+    );
+}
+
+/// `intrusions ⋈ advisories` on the fingerprint, per address — the
+/// severity tenant of `standing_tenants` — and with `reputation` joined
+/// in on the address, its triage tenant; both standing, unwindowed,
+/// their first epoch an hour away.
+fn standing_join(qid: u64, triage: bool) -> QueryDesc {
+    let sql = if triage {
+        "SELECT I.address, count(*), max(A.severity) \
+         FROM intrusions I, advisories A, reputation R \
+         WHERE I.fingerprint = A.fingerprint AND I.address = R.address \
+         GROUP BY I.address EPOCH 3600 SECONDS"
+    } else {
+        "SELECT I.address, count(*), max(A.severity) FROM intrusions I, advisories A \
+         WHERE I.fingerprint = A.fingerprint GROUP BY I.address EPOCH 3600 SECONDS"
+    };
+    let catalog = Catalog::intrusion();
+    parse_continuous_query(sql, &catalog, JoinStrategy::SymmetricHash, qid, 0).unwrap()
+}
+
+/// What publishing one `sig-0001` report from 10.0.0.7 costs on a lone
+/// node running `desc`, with `partners` advisories of that fingerprint
+/// stored (and one of `sig-0002`), after a `sig-0002` report from the
+/// same address when `warm_up` — which starts the address's group.
+/// Up to three partners, nothing the report touches outgrows its first
+/// buffer.
+fn report_allocs(desc: QueryDesc, partners: usize, warm_up: bool) -> u64 {
+    let mut sim = lone_node();
+    let life = Dur::from_secs(100_000);
+    let mut advisories: Vec<Tuple> = (0..partners)
+        .map(|s| tuple!["sig-0001", s as i64])
+        .collect();
+    advisories.push(tuple!["sig-0002", 9i64]);
+    sim.with_app(0, |node, ctx| {
+        node.publish_rows(ctx, "advisories", advisories, 0, life)
+    });
+    install(&mut sim, desc);
+    let report = |id: i64, fp: &str| vec![tuple![id, fp, "10.0.0.7"]];
+    if warm_up {
+        publish(&mut sim, report(1, "sig-0002"));
+    }
+    let ((), allocs, _) = counted(|| publish(&mut sim, report(2, "sig-0001")));
+    allocs
+}
+
+/// A report probing stage 0 of the triage pipeline matches each stored
+/// advisory, and each match is encoded once, as what it republishes into
+/// stage 1 (where nothing waits for it yet): a match costs that row, its
+/// join value there — the address, a string — and the upcall list its
+/// put raises. A final match folds into its group where it lies: into a
+/// group that exists and was not handed on since its last row, it
+/// allocates nothing. (Decoded first, each partner cost a `Vec` and a
+/// string and joining it two `Vec`s more, concatenated and projected: a
+/// republishing match cost 6, a folded one 5 with its output row.)
+#[test]
+fn a_probe_match_costs_what_it_republishes_and_a_folded_one_nothing() {
+    let per_match = |triage: bool, warm_up: bool| {
+        let one = report_allocs(standing_join(1, triage), 1, warm_up);
+        let three = report_allocs(standing_join(1, triage), 3, warm_up);
+        (three - one) as f64 / 2.0
+    };
+    assert_eq!(per_match(true, false), 3.0, "a republished intermediate");
+    assert_eq!(per_match(false, true), 0.0, "a folded match");
+}
+
+/// A standing aggregate's install folds every stored row its predicate
+/// selects, each read where it lies and its group found by the columns
+/// as they lie: over 1 000 matching rows in four groups it allocates
+/// what it does over 100. (Decoded first, each row cost its two
+/// strings.)
+#[test]
+fn an_install_scan_folds_matching_rows_without_allocating() {
+    let install_allocs = |rows: usize| {
+        let mut sim = lone_node();
+        let matching = (0..rows)
+            .map(|i| tuple![i as i64, "sig-0001", format!("10.0.{}.7", i % 4).as_str()])
+            .collect();
+        publish(&mut sim, matching);
+        let ((), allocs, _) = counted(|| install(&mut sim, standing_count(1, "sig-0001")));
+        allocs
+    };
+    assert_eq!(install_allocs(100), install_allocs(1_000));
 }
