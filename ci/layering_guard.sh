@@ -1,19 +1,28 @@
 #!/usr/bin/env bash
-# Layering guard: the provider does not know its overlay.
-#
-# crates/dht/src/dht.rs is the provider of §3.2.3: pending lookups,
-# both stores, replication, repair, re-homing, multicast dedup. What it
-# asks of the routing layer goes through the methods of `Overlay`
-# (crates/dht/src/overlay.rs, the paper's Table 1), each a two-arm
-# delegation to CanState / ChordState. The provider file therefore names
-# no geometry type and no overlay message, never matches on the overlay
-# and needs no `unreachable!` to hand a message to its own helper; the
-# only two places it may name a variant are the `with_can` /
-# `with_chord` constructors. Comment lines are not checked: prose may
+# Layering guard, two rules. Comment lines are not checked: prose may
 # name what code may not.
+#
+# 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
+#    provider of §3.2.3: pending lookups, both stores, replication,
+#    repair, re-homing, multicast dedup. What it asks of the routing
+#    layer goes through the methods of `Overlay` (crates/dht/src/overlay.rs,
+#    the paper's Table 1), each a two-arm delegation to CanState /
+#    ChordState. The provider file therefore names no geometry type and
+#    no overlay message, never matches on the overlay and needs no
+#    `unreachable!` to hand a message to its own helper; the only two
+#    places it may name a variant are the `with_can` / `with_chord`
+#    constructors.
+# 2. A node reads the certified plan and never builds one. A query's
+#    certificate and pruning plan are compiled once, beside the
+#    descriptor (`QueryDesc::certified`, crates/core/src/plan.rs), and
+#    shared by every node the descriptor is multicast to; no code under
+#    crates/core/src/node/ names `PipelineSchema::new` or calls `.check()`
+#    on a descriptor or its join.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+status=0
 
 FILE=crates/dht/src/dht.rs
 FORBIDDEN='CanMsg|ChordMsg|FindPurpose|ring_of_key|geom::|\bZone\b|\bPoint\b|unreachable!|match &(mut )?self\.overlay|let Overlay::'
@@ -23,7 +32,6 @@ code=$(grep -nvE '^[[:space:]]*//' "$FILE")
 hits=$(echo "$code" | grep -E "$FORBIDDEN" || true)
 variants=$(echo "$code" | grep -E "$VARIANT" || true)
 
-status=0
 if [ -n "$hits" ]; then
     echo "layering guard: $FILE names overlay internals — that code belongs behind a method of Overlay (crates/dht/src/overlay.rs), implemented in can.rs / chord.rs" >&2
     echo "$hits" >&2
@@ -34,7 +42,17 @@ if [ "$(echo -n "$variants" | grep -c '')" -gt 2 ]; then
     echo "$variants" >&2
     status=1
 fi
+
+NODE=crates/core/src/node
+builds=$(grep -rnE 'PipelineSchema::new|\.check\(\)' "$NODE" --include='*.rs' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$builds" ]; then
+    echo "layering guard: $NODE builds or re-checks a plan — read QueryDesc::certified (crates/core/src/plan.rs), which compiles it once per query" >&2
+    echo "$builds" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan)"
 fi
 exit "$status"

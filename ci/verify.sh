@@ -4,7 +4,11 @@
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins CI re-runs by name are in it: cross_engine,
 # frontend_pin, agg_pin, dataflow_pin, wire_audit), the lints, the three
-# source guards, the performance ledger's own tests, its join smoke, its
+# source guards (the layering guard's two rules: the DHT provider names
+# no overlay internals, and no code under crates/core/src/node/ names
+# `PipelineSchema::new` or calls `.check()` on a descriptor — a node
+# reads the plan `QueryDesc::certified` compiled once per query), the
+# performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.
 # Run from anywhere; takes a few minutes.

@@ -20,11 +20,11 @@ impl BloomFilter {
     /// `n_bits` is rounded up to a multiple of 64. Typical workload use:
     /// ~8 bits per expected key and 3–4 hashes for ≈2–3 % false positives.
     pub fn new(n_bits: u32, n_hashes: u32) -> Self {
-        let words = n_bits.div_ceil(64).max(1);
+        let (n_bits, n_hashes) = shape(n_bits, n_hashes);
         BloomFilter {
-            bits: vec![0; words as usize],
-            n_bits: words * 64,
-            n_hashes: n_hashes.clamp(1, 16),
+            bits: vec![0; n_bits as usize / 64],
+            n_bits,
+            n_hashes,
         }
     }
 
@@ -33,28 +33,32 @@ impl BloomFilter {
         BloomFilter::new((expected_keys as u32).saturating_mul(8).max(64), 4)
     }
 
-    fn positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n_bits as u64;
-        (0..self.n_hashes as u64)
+    /// Is this the filter `BloomFilter::new(n_bits, n_hashes)` builds —
+    /// can it be OR-ed into one ([`Self::union`])?
+    pub fn has_shape(&self, n_bits: u32, n_hashes: u32) -> bool {
+        (self.n_bits, self.n_hashes) == shape(n_bits, n_hashes)
+    }
+
+    fn positions(n_bits: u32, n_hashes: u32, key: u64) -> impl Iterator<Item = usize> {
+        let n = n_bits as u64;
+        (0..n_hashes as u64)
             .map(move |i| (splitmix64(key ^ (i.wrapping_mul(0xA5A5_5A5A_0F0F_F0F0))) % n) as usize)
     }
 
     pub fn insert(&mut self, key: u64) {
-        let pos: Vec<usize> = self.positions(key).collect();
-        for p in pos {
+        for p in Self::positions(self.n_bits, self.n_hashes, key) {
             self.bits[p / 64] |= 1u64 << (p % 64);
         }
     }
 
     /// May return false positives; never false negatives.
     pub fn contains(&self, key: u64) -> bool {
-        self.positions(key)
-            .collect::<Vec<_>>()
-            .into_iter()
+        Self::positions(self.n_bits, self.n_hashes, key)
             .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
     }
 
-    /// OR in another filter (must have the same shape).
+    /// OR in another filter (must have the same shape: a collector asks
+    /// [`Self::has_shape`] of a fragment first).
     pub fn union(&mut self, other: &BloomFilter) {
         assert_eq!(self.n_bits, other.n_bits, "bloom shape mismatch");
         assert_eq!(self.n_hashes, other.n_hashes, "bloom shape mismatch");
@@ -77,6 +81,12 @@ impl BloomFilter {
     pub fn wire_size(&self) -> usize {
         8 + self.bits.len() * 8
     }
+}
+
+/// The shape a requested one is built as: bits rounded up to whole
+/// 64-bit words (at least one), hashes clamped to 1–16.
+fn shape(n_bits: u32, n_hashes: u32) -> (u32, u32) {
+    (n_bits.div_ceil(64).max(1) * 64, n_hashes.clamp(1, 16))
 }
 
 #[cfg(test)]
@@ -125,6 +135,15 @@ mod tests {
         let mut a = BloomFilter::new(128, 3);
         let b = BloomFilter::new(256, 3);
         a.union(&b);
+    }
+
+    #[test]
+    fn shape_test_asks_for_what_new_builds() {
+        let f = BloomFilter::new(100, 3);
+        assert!(f.has_shape(100, 3) && f.has_shape(128, 3));
+        assert!(!f.has_shape(256, 3) && !f.has_shape(128, 4));
+        assert!(BloomFilter::new(0, 0).has_shape(64, 1));
+        assert!(BloomFilter::new(1 << 16, 40).has_shape(1 << 16, 16));
     }
 
     #[test]

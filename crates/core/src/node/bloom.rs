@@ -19,6 +19,10 @@ const BLOOM_WAIT: Dur = Dur(10 * 1_000_000);
 /// How many times a collector extends its deadline for slow fragments.
 const MAX_DEADLINE_EXTENSIONS: u8 = 60;
 
+/// Hash functions per filter; with `JoinSpec::bloom_bits`, the shape
+/// every fragment of a query shares.
+const BLOOM_HASHES: u32 = 4;
+
 impl PierNode {
     pub(super) fn bloom_start(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         let Some((desc, view)) = self.join_plan(qid) else {
@@ -34,7 +38,7 @@ impl PierNode {
         let lifetime = Self::query_horizon(&desc).max(BLOOM_WAIT.saturating_mul(64));
         let mut work = Vec::new();
         for side in [Side::Left, Side::Right] {
-            let mut filter = BloomFilter::new(j.bloom_bits, 4);
+            let mut filter = BloomFilter::new(j.bloom_bits, BLOOM_HASHES);
             let (_, _, join_col) = view.table_role(side as usize);
             for_each_live(&self.dht, j.table(side as usize), ctx.now, |_, _, row| {
                 filter.insert(row.get(join_col).hash64());
@@ -89,9 +93,32 @@ impl PierNode {
     /// Is this collector still waiting for fragments of `side`? `None`
     /// when it cannot tell (query gone, or participant count unknown).
     fn fragments_missing(&self, qid: u64, side: Side) -> Option<bool> {
-        let expecting = self.reg.queries.get(&qid)?.desc.n_nodes as usize;
-        let have = self.dht.store.ns_len(qns::bloom(qid, side == Side::Right));
+        let desc = &self.reg.queries.get(&qid)?.desc;
+        let expecting = desc.n_nodes as usize;
+        let have = self
+            .fragments(qid, side, desc.op.join()?.bloom_bits)
+            .count();
         (expecting > 0).then_some(have < expecting)
+    }
+
+    /// The stored fragments of `side` that can be OR-ed into the query's
+    /// filter. A fragment of another shape is skipped where it would be
+    /// counted or merged — OR-ed in, it tripped `BloomFilter::union`'s
+    /// shape assertion — and uncounted until the node has a
+    /// dropped-row counter (`foreign_fragment`).
+    fn fragments(
+        &self,
+        qid: u64,
+        side: Side,
+        bloom_bits: u32,
+    ) -> impl Iterator<Item = &BloomFilter> {
+        let ns = qns::bloom(qid, side == Side::Right);
+        self.dht.store.lscan(ns).filter_map(move |e| match &e.val {
+            QpItem::Bloom { filter, .. } if filter.has_shape(bloom_bits, BLOOM_HASHES) => {
+                Some(filter)
+            }
+            _ => None,
+        })
     }
 
     /// A collector's deadline: if fragments are known to be still in
@@ -122,14 +149,9 @@ impl PierNode {
         if std::mem::replace(&mut inst.bloom_flushed[side as usize], true) {
             return;
         }
-        let mut filter = BloomFilter::new(bloom_bits, 4);
-        for e in self.dht.store.lscan(qns::bloom(qid, side == Side::Right)) {
-            if let QpItem::Bloom {
-                filter: fragment, ..
-            } = &e.val
-            {
-                filter.union(fragment);
-            }
+        let mut filter = BloomFilter::new(bloom_bits, BLOOM_HASHES);
+        for fragment in self.fragments(qid, side, bloom_bits) {
+            filter.union(fragment);
         }
         // "The filters are OR-ed together and then multicast to all nodes
         // storing the opposite table" — our multicast reaches all nodes;

@@ -104,8 +104,9 @@ impl TimerAction {
     }
 }
 
-/// What a join handler works from: the descriptor and the checked
-/// schema built from it at install (two refcount bumps).
+/// What a join handler works from: the multicast descriptor and the
+/// plan certified beside it ([`QueryDesc::certified`]), both shared by
+/// every node running the query (two refcount bumps).
 type JoinPlan = (Arc<QueryDesc>, Arc<PipelineSchema>);
 
 /// Per-query operator state at one node.
@@ -116,8 +117,9 @@ struct QueryInstance {
     desc: Arc<QueryDesc>,
     /// Joins only: the schema-aware projection plan — what every
     /// rehash, stage republish, and initiator ship carries, with
-    /// expressions remapped onto the pruned layouts. Built (and the
-    /// descriptor's join spec thereby checked) once, at install.
+    /// expressions remapped onto the pruned layouts. The descriptor's
+    /// certified plan itself, built once per query by the first node to
+    /// install it and shared, like `desc`, by every node's instance.
     view: Option<Arc<PipelineSchema>>,
     /// Whether the OR-ed Bloom filter over each side has arrived (and
     /// gated the opposite side's rehash).
@@ -491,16 +493,15 @@ impl PierNode {
             // install must not resurrect a torn-down query.
             return;
         }
-        // A descriptor comes from the network: certify it once, here —
-        // every index it carries against the arity it is evaluated over
-        // — and refuse a malformed one as a counted drop. Everything
-        // downstream reads the checked descriptor (a join, through its
-        // schema) instead of re-validating or unwrapping per event.
-        let view = desc.check().and_then(|()| {
-            let view = |j| PipelineSchema::new(j, desc.prune).map(Arc::new);
-            desc.op.join().map(view).transpose()
-        });
-        let Ok(view) = view else {
+        // A descriptor comes from the network: it is certified once per
+        // query — every index it carries against the arity it is
+        // evaluated over, and a join's plan built — by whichever node
+        // installs the shared multicast `Arc` first; this node reads the
+        // cached verdict and refuses a malformed one as its own counted
+        // drop. Everything downstream reads the checked descriptor (a
+        // join, through its plan) instead of re-validating or unwrapping
+        // per event.
+        let Ok(view) = desc.certified() else {
             self.metrics.malformed_installs += 1;
             return;
         };

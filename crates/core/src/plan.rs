@@ -11,7 +11,11 @@
 //! on the wire is [`crate::catalog::TableDef::ship_bytes`]'s job). The
 //! §4.2 lesson — on a DHT, *what bytes you rehash* dominates cost — is
 //! thereby an architectural invariant: no operator ships a column
-//! nobody downstream reads.
+//! nobody downstream reads. The plan is a function of the descriptor
+//! alone, so it is compiled once per query, beside the descriptor
+//! ([`QueryDesc::certified`]), and every node shares it.
+
+use std::sync::{Arc, OnceLock};
 
 use pier_dht::{ns_of, Ns};
 use pier_simnet::time::Dur;
@@ -194,9 +198,9 @@ impl JoinSpec {
     /// Is the spec executable — the join shape sound, and every index it
     /// carries (join columns, primary keys, the columns of scan and
     /// stage predicates and of the projection) inside the arity it is
-    /// evaluated over? The constructors assert it; a node checks it once
-    /// per descriptor arriving from the network ([`QueryDesc::check`]),
-    /// so no handler re-checks per event.
+    /// evaluated over? The constructors assert it; a descriptor arriving
+    /// from the network is checked once per query, for every node
+    /// ([`QueryDesc::certified`]), so no handler re-checks per event.
     pub fn check(&self) -> Result<(), &'static str> {
         if self.stages.is_empty() {
             return Err("a join needs at least two tables");
@@ -376,8 +380,13 @@ impl QueryOp {
     }
 }
 
+/// What [`QueryDesc::certified`] yields: the reason a descriptor is
+/// refused, or the join's shared plan (`None` for a scan or a flat
+/// aggregate).
+pub type Certified = Result<Option<Arc<PipelineSchema>>, &'static str>;
+
 /// A complete query as multicast to all nodes.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct QueryDesc {
     pub qid: u64,
     pub initiator: NodeId,
@@ -407,6 +416,29 @@ pub struct QueryDesc {
     /// ([`crate::tenant::TenantGovernor`]). Tenant 0 is the default;
     /// tenants without a registered quota are unlimited.
     pub tenant: u32,
+    /// The certificate and plan, filled by the first [`Self::certified`]
+    /// call. Derived, so it is not on the wire.
+    plan: OnceLock<Certified>,
+}
+
+/// A copy starts with an empty plan cell: its fields are public and may
+/// be edited, so it certifies from what it holds, never from the
+/// original's cached plan.
+impl Clone for QueryDesc {
+    fn clone(&self) -> Self {
+        QueryDesc {
+            qid: self.qid,
+            initiator: self.initiator,
+            op: self.op.clone(),
+            continuous: self.continuous,
+            window: self.window,
+            renew_every: self.renew_every,
+            n_nodes: self.n_nodes,
+            prune: self.prune,
+            tenant: self.tenant,
+            plan: OnceLock::new(),
+        }
+    }
 }
 
 impl QueryDesc {
@@ -421,6 +453,7 @@ impl QueryDesc {
             n_nodes: 0,
             prune: true,
             tenant: 0,
+            plan: OnceLock::new(),
         }
     }
 
@@ -484,6 +517,27 @@ impl QueryDesc {
                 agg.as_ref().map_or(Ok(()), |a| a.check(join.project.len()))
             }
         }
+    }
+
+    /// The descriptor's certificate ([`Self::check`]) and, for a join,
+    /// its [`PipelineSchema`], in one pass that checks the join once.
+    /// Computed at the first call and cached: a multicast delivers one
+    /// `Arc<QueryDesc>` to every node, so the first node to install it
+    /// compiles the plan and every other node clones the `Arc` (on
+    /// `Sim`, `ShardedSim` and `Cluster` alike). Refusal stays per node:
+    /// each reads the same cached `Err` and counts its own drop.
+    ///
+    /// The cell is meant to be filled only through that shared multicast
+    /// `Arc`, which nobody can edit. An owned descriptor certified and
+    /// then edited keeps the stale plan; a clone starts with an empty
+    /// cell and certifies from what it holds.
+    pub fn certified(&self) -> Certified {
+        let plan = self.plan.get_or_init(|| {
+            self.check()?;
+            let build = |j| Arc::new(PipelineSchema::build(j, self.prune));
+            Ok(self.op.join().map(build))
+        });
+        plan.clone()
     }
 
     /// Rough wire size of the descriptor for the multicast payload.
@@ -622,11 +676,13 @@ impl StageView {
 /// SELECT (or GROUP BY / aggregate-argument) columns — computed by a
 /// backward pass, then every expression is remapped onto the pruned
 /// layouts by a forward pass. Built deterministically from the shipped
-/// spec, so every node derives the same layouts without coordination.
+/// spec, so every node would derive the same layouts without
+/// coordination — and so none has to: [`QueryDesc::certified`] builds it
+/// once per descriptor and every node shares it.
 ///
 /// Holding one also certifies the spec it was built from: construction
-/// runs [`JoinSpec::check`], so the executor reads join columns from
-/// here instead of re-validating the descriptor on every event.
+/// runs after [`JoinSpec::check`], so the executor reads join columns
+/// from here instead of re-validating the descriptor on every event.
 #[derive(Clone, Debug)]
 pub struct PipelineSchema {
     /// Columns of the pipeline head (the base / left table) kept when
@@ -645,6 +701,12 @@ impl PipelineSchema {
     /// that fails [`JoinSpec::check`].
     pub fn new(j: &JoinSpec, prune: bool) -> Result<PipelineSchema, &'static str> {
         j.check()?;
+        Ok(Self::build(j, prune))
+    }
+
+    /// [`Self::new`] past the check: `j` must have passed
+    /// [`JoinSpec::check`], or a join column it names may be missing.
+    fn build(j: &JoinSpec, prune: bool) -> PipelineSchema {
         let n = j.stages.len();
         let right_col = |k: usize| j.stages[k].right.join_col.expect("checked");
         // Global offset of each stage's right table.
@@ -730,7 +792,7 @@ impl PipelineSchema {
             in_left = out_globals;
         }
         let pos = |g: usize| in_left.iter().position(|&b| b == g);
-        Ok(PipelineSchema {
+        PipelineSchema {
             keep_base,
             project: j
                 .project
@@ -739,7 +801,7 @@ impl PipelineSchema {
                 .collect(),
             stages: views,
             join_col_base: j.stages[0].left_col,
-        })
+        }
     }
 
     /// How pipeline table `t` enters the dataflow: the stage whose
@@ -943,6 +1005,63 @@ mod tests {
         let full = PipelineSchema::new(&m, false).unwrap();
         assert_eq!(def(0).ship_bytes(full.keep_for_table(0)), 4 + 32 + 1000);
         assert!(full.stages[0].out_globals.contains(&4));
+    }
+
+    fn join_desc(join: JoinSpec) -> QueryDesc {
+        QueryDesc::one_shot(9, 0, QueryOp::Join { join, agg: None })
+    }
+
+    #[test]
+    fn certified_plan_is_built_once_and_shared() {
+        let d = join_desc(workload_join(JoinStrategy::SymmetricHash));
+        let first = d.certified().unwrap().expect("a join has a plan");
+        let second = d.certified().unwrap().expect("a join has a plan");
+        assert!(Arc::ptr_eq(&first, &second));
+        // It is the plan `PipelineSchema::new` builds from the same spec.
+        let fresh = PipelineSchema::new(d.op.join().unwrap(), d.prune).unwrap();
+        assert_eq!(format!("{first:?}"), format!("{fresh:?}"));
+        let scan = QueryOp::Scan {
+            scan: ScanSpec::new("R", 5, 0),
+            project: vec![Expr::col(4)],
+        };
+        assert!(QueryDesc::one_shot(10, 0, scan)
+            .certified()
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn a_malformed_descriptor_caches_the_refusal_check_gives() {
+        let mut j = workload_join(JoinStrategy::SymmetricHash);
+        j.project.push(Expr::col(8)); // one past R ++ S
+        let d = join_desc(j);
+        let why = d.check().expect_err("malformed");
+        assert_eq!(d.certified().err(), Some(why));
+        let cached = d.plan.get().and_then(|c| c.as_ref().err().copied());
+        assert_eq!(cached, Some(why), "the refusal is cached");
+        assert_eq!(d.certified().err(), Some(why));
+    }
+
+    #[test]
+    fn a_clone_certifies_from_its_own_op() {
+        let d = join_desc(workload_join(JoinStrategy::SymmetricHash));
+        let plan = d.certified().unwrap().unwrap();
+        let mut copy = d.clone();
+        assert!(
+            copy.plan.get().is_none(),
+            "a clone starts with an empty cell"
+        );
+        let QueryOp::Join { join, .. } = &mut copy.op else {
+            unreachable!()
+        };
+        join.project = vec![Expr::col(0)];
+        let edited = copy.certified().unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&plan, &edited));
+        // Nothing projects R.pad any more, so R stops shipping it.
+        assert_eq!(plan.keep_base, vec![0, 1, 3, 4]);
+        assert_eq!(edited.keep_base, vec![0, 1, 3]);
+        // The original still holds its own plan.
+        assert!(Arc::ptr_eq(&plan, &d.certified().unwrap().unwrap()));
     }
 
     #[test]

@@ -524,3 +524,81 @@ fn rows_of_the_wrong_width_are_skipped() {
         }
     }
 }
+
+/// A Bloom fragment of another shape in a query's collector namespace —
+/// another plan's filter under a colliding namespace, or a corrupt one —
+/// is skipped where the collector counts and ORs its fragments. OR-ed
+/// in, it tripped `BloomFilter::union`'s shape assertion and killed the
+/// collector; counted, it would let the collector flush before every
+/// node's fragment was in. Delivered to every node on both sides, before
+/// the query is submitted and again while its multicast is in flight:
+/// no panic, and the oracle's answer.
+#[test]
+fn bloom_fragments_of_another_shape_are_skipped() {
+    use pier_core::bloom::BloomFilter;
+    use pier_core::item::{PierMsg, QpItem, Side};
+    use pier_core::plan::qns;
+    use pier_core::PierNode;
+    use pier_dht::{key_of, DhtMsg, Entry};
+    use pier_simnet::{App, NodeId, Sim};
+
+    let n = 8;
+    let left_rows: Vec<Tuple> = (0..40i64).map(|k| tuple![k, k % 7]).collect();
+    let right_rows: Vec<Tuple> = (0..5i64).map(|k| tuple![100 + k, k]).collect();
+    let left = ScanSpec::new("L", 2, 0).with_join_col(1);
+    let right = ScanSpec::new("Rt", 2, 0).with_join_col(1);
+    let mut j = JoinSpec::new(JoinStrategy::BloomFilter, left, right);
+    j.project = vec![Expr::col(0), Expr::col(2)];
+    let expected = reference_join(&j, &left_rows, &right_rows);
+    assert!(!expected.is_empty());
+
+    let qid = 80;
+    let mut foreign = BloomFilter::new(128, 4);
+    foreign.insert(1);
+    assert!(!foreign.has_shape(j.bloom_bits, 4));
+    // Instance ids no node's own fragment (its node id) can take.
+    let deliver = |sim: &mut Sim<PierNode>, iid: u32| {
+        for side in [Side::Left, Side::Right] {
+            let ns = qns::bloom(qid, side == Side::Right);
+            let entry = Entry {
+                ns,
+                rid: 0,
+                iid: iid + side as u32,
+                key: key_of(ns, 0),
+                expires: sim.now() + Dur::from_secs(3600),
+                val: QpItem::Bloom {
+                    qid,
+                    side,
+                    filter: foreign.clone(),
+                },
+            };
+            for id in 0..n as NodeId {
+                let msg = PierMsg::Dht(DhtMsg::Put {
+                    entry: entry.clone(),
+                });
+                sim.with_app(id, |node, ctx| node.on_message(ctx, id, msg));
+            }
+        }
+    };
+
+    let mut sim = setup(n, 12, &[("L", &left_rows), ("Rt", &right_rows)]);
+    deliver(&mut sim, 1 << 30);
+    let mut desc = QueryDesc::one_shot(qid, 0, QueryOp::Join { join: j, agg: None });
+    desc.n_nodes = n as u32;
+    sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+    deliver(&mut sim, (1 << 30) + 2);
+    sim.run_for(Dur::from_secs(60));
+    let got: Vec<Tuple> = sim
+        .app(0)
+        .unwrap()
+        .query_results(qid)
+        .iter()
+        .map(|(_, r)| r.clone())
+        .collect();
+    assert!(
+        same_multiset(&expected, &got),
+        "expected {} got {}",
+        expected.len(),
+        got.len()
+    );
+}

@@ -11,7 +11,8 @@
 //! result costs the row that leaves — and rows stay encoded from the
 //! store to the sink: a rehashed row costs the row it ships, a probe
 //! match what it republishes, and a row folded into an existing group
-//! nothing.
+//! nothing — and a query has one plan: a node installing a join does
+//! not build it, and a Bloom filter is set and tested in place.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -30,7 +31,7 @@ use pier::qp::semantics::same_multiset;
 use pier::qp::sql::parse_continuous_query;
 use pier::qp::testkit::*;
 use pier::qp::tuple::FlatRow;
-use pier::qp::{tuple, Catalog, PierMsg, PierNode, QpItem, Tuple, Value};
+use pier::qp::{tuple, BloomFilter, Catalog, PierMsg, PierNode, QpItem, Tuple, Value};
 use pier::simnet::time::{Dur, Time};
 use pier::simnet::topology::FullMesh;
 use pier::simnet::{App, Ctx, NetConfig, NodeId, ShardMap, ShardedSim, Sim, Wire};
@@ -217,7 +218,8 @@ fn install_multicast_shares_one_descriptor() {
     // The flood is over, so the holders are the N instances and `shared`.
     assert_eq!(Arc::strong_count(&shared), N + 1);
     // What is left per node is the install itself: registry and routing
-    // entries, the pruned schema, metrics, the multicast dedup record.
+    // entries, metrics, the multicast dedup record. The pruned plan is
+    // the descriptor's, built once (section (viii)).
     let per_node = allocs as f64 / N as f64;
     assert!(
         per_node <= INSTALL_ALLOCS_PER_NODE,
@@ -228,8 +230,9 @@ fn install_multicast_shares_one_descriptor() {
     assert!(per_node + deep_copy as f64 > INSTALL_ALLOCS_PER_NODE);
 }
 
-/// Measured: 28.2; the budget is about 20 % above.
-const INSTALL_ALLOCS_PER_NODE: f64 = 34.0;
+/// Measured: 9.2 (28.2 while every node built its own plan); the budget
+/// is about 20 % above.
+const INSTALL_ALLOCS_PER_NODE: f64 = 11.0;
 
 // ---------------------------------------------------------------------
 // (iii) the CAN neighbour maps
@@ -723,4 +726,62 @@ fn an_install_scan_folds_matching_rows_without_allocating() {
         allocs
     };
     assert_eq!(install_allocs(100), install_allocs(1_000));
+}
+
+// ---------------------------------------------------------------------
+// (viii) one plan per query
+// ---------------------------------------------------------------------
+
+/// What the install multicast of `desc` allocates on an `n`-node overlay
+/// that stores no rows, from the submit to every node holding it.
+fn overlay_install_allocs(n: usize, desc: &QueryDesc) -> u64 {
+    let cfg = DhtConfig {
+        tick: Dur::from_secs(3600),
+        ..DhtConfig::default()
+    };
+    let mut sim = stabilized_pier_sim(n, cfg, NetConfig::latency_only(17));
+    let desc = desc.clone();
+    let ((), allocs, _) = counted(|| {
+        sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+        sim.run_for(Dur::from_secs(30));
+    });
+    assert!((0..n as NodeId).all(|id| sim.app(id).unwrap().has_query(1)));
+    allocs
+}
+
+/// A join's plan is compiled once per query, beside the descriptor, and
+/// every node shares it, so what one more node costs to install a join
+/// does not depend on the plan: a three-table pipeline costs a node
+/// exactly its two more routed namespaces (one route list each) over a
+/// two-table join. (Each node building its own plan, the pipeline's
+/// longer plan cost every node its extra stage's vectors as well.)
+#[test]
+fn a_node_installs_a_join_without_building_its_plan() {
+    let wl = RsWorkload::generate(RsParams {
+        s_rows: 8,
+        seed: 3,
+        ..Default::default()
+    });
+    let per_extra_node = |desc: &QueryDesc| {
+        (overlay_install_allocs(64, desc) - overlay_install_allocs(16, desc)) as f64 / 48.0
+    };
+    let join = wl.query(1, 0, JoinStrategy::SymmetricHash);
+    let pipeline = wl.multi_query(1, 0);
+    let (two, three) = (per_extra_node(&join), per_extra_node(&pipeline));
+    assert_eq!(
+        three - two,
+        2.0,
+        "a node installs a 2-table join with {two:.2} allocations, a 3-table pipeline with {three:.2}"
+    );
+}
+
+/// Setting and testing a Bloom filter's bits only computes positions.
+#[test]
+fn bloom_insert_and_contains_allocate_nothing() {
+    let mut filter = BloomFilter::new(1 << 16, 4);
+    let ((), allocs, _) = counted(|| (0..1_000u64).for_each(|k| filter.insert(k)));
+    assert_eq!(allocs, 0, "insert");
+    let (hits, allocs, _) = counted(|| (0..2_000u64).filter(|&k| filter.contains(k)).count());
+    assert_eq!(allocs, 0, "contains");
+    assert!((1_000..1_100).contains(&hits), "{hits} hits");
 }
