@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, two rules. Comment lines are not checked: prose may
+# Layering guard, three rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -18,6 +18,11 @@
 #    shared by every node the descriptor is multicast to; no code under
 #    crates/core/src/node/ names `PipelineSchema::new` or calls `.check()`
 #    on a descriptor or its join.
+# 3. A node's upcall lists are drained, not dropped. Every provider call
+#    under crates/core/src/node/ goes through `PierNode::dht_op`, which
+#    takes its list from a per-thread pool and gives it back drained; no
+#    line above a file's test module builds one by hand
+#    (`events = Vec::new()` / `vec![]`).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,7 +57,17 @@ if [ -n "$builds" ]; then
     status=1
 fi
 
+lists=$(awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && !/^[[:space:]]*\/\// && /events[[:space:]]*=[[:space:]]*(&mut )?(Vec::(new|with_capacity)|vec!\[)/ {
+        print FILENAME ":" FNR ":" $0
+    }' "$NODE"/*.rs)
+if [ -n "$lists" ]; then
+    echo "layering guard: $NODE builds an upcall list by hand — call the provider through PierNode::dht_op, which lends a drained list from the per-thread pool" >&2
+    echo "$lists" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan and drains its upcall lists)"
 fi
 exit "$status"

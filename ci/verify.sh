@@ -2,12 +2,16 @@
 # The whole `Verify:` chain, in order, stopping at the first failure —
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
-# and test (the pins CI re-runs by name are in it: cross_engine,
-# frontend_pin, agg_pin, dataflow_pin, wire_audit), the lints, the three
-# source guards (the layering guard's two rules: the DHT provider names
-# no overlay internals, and no code under crates/core/src/node/ names
-# `PipelineSchema::new` or calls `.check()` on a descriptor — a node
-# reads the plan `QueryDesc::certified` compiled once per query), the
+# and test (the pins and budgets CI re-runs by name are in it:
+# cross_engine, frontend_pin, agg_pin, dataflow_pin, wire_audit,
+# alloc_budget), the lints, the three source guards (the layering
+# guard's three rules: the DHT provider names no overlay internals; no
+# code under crates/core/src/node/ names `PipelineSchema::new` or calls
+# `.check()` on a descriptor — a node reads the plan
+# `QueryDesc::certified` compiled once per query; and no non-test line
+# there builds an upcall list by hand — a node calls its provider
+# through `PierNode::dht_op`, whose lists come drained from a per-thread
+# pool), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

@@ -300,29 +300,26 @@ impl PierNode {
     /// renewing a group that received no row since the last flush costs
     /// the put and nothing else.
     pub(super) fn flush_partials(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, agg: &AggSpec) {
-        let now = ctx.now;
-        let inst = self.reg.queries.get_mut(&qid);
-        let built = inst.and_then(|inst| inst.build_report(agg, now));
-        let Some(inst) = self.reg.queries.get(&qid) else {
-            return;
-        };
-        let groups = built.as_ref().unwrap_or(&inst.run_groups);
         let na = qns::agg(qid);
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
-        let me = self.dht.me();
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        for (group, accs) in groups {
-            let partial = QpItem::Partial {
-                qid,
-                group: Arc::clone(group),
-                accs: Arc::clone(accs),
+        self.dht_op(ctx, |node, ctx, events| {
+            let inst = node.reg.queries.get_mut(&qid);
+            let built = inst.and_then(|inst| inst.build_report(agg, ctx.now));
+            let Some(inst) = node.reg.queries.get(&qid) else {
+                return;
             };
-            let rid = group_rid(group);
-            self.dht
-                .put(&mut env, na, rid, me, partial, lifetime, &mut events);
-        }
-        self.pump(ctx, events);
+            let groups = built.as_ref().unwrap_or(&inst.run_groups);
+            let (env, me) = (&mut node.reg.env(ctx), node.dht.me());
+            for (group, accs) in groups {
+                let partial = QpItem::Partial {
+                    qid,
+                    group: Arc::clone(group),
+                    accs: Arc::clone(accs),
+                };
+                let rid = group_rid(group);
+                node.dht.put(env, na, rid, me, partial, lifetime, events);
+            }
+        });
     }
 
     pub(super) fn schedule_agg_timers(

@@ -36,15 +36,14 @@ impl PierNode {
         // `BLOOM_WAIT`) — so a slow collector never ORs an
         // already-expired fragment set.
         let lifetime = Self::query_horizon(&desc).max(BLOOM_WAIT.saturating_mul(64));
-        let mut work = Vec::new();
-        for side in [Side::Left, Side::Right] {
+        let filters = [Side::Left, Side::Right].map(|side| {
             let mut filter = BloomFilter::new(j.bloom_bits, BLOOM_HASHES);
             let (_, _, join_col) = view.table_role(side as usize);
             for_each_live(&self.dht, j.table(side as usize), ctx.now, |_, _, row| {
                 filter.insert(row.get(join_col).hash64());
             });
-            work.push((side, filter));
-        }
+            (side, filter)
+        });
         // Register for the collector namespaces before anything is put
         // into them: `newData` is raised only for a routed namespace, and
         // where this node is the collector its own fragment is stored
@@ -55,31 +54,23 @@ impl PierNode {
             self.reg
                 .route(bloom_ns(side), qid, NsRole::BloomCollector(side));
         }
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        for (side, filter) in work {
-            let ns = bloom_ns(side);
-            let me = self.dht.me();
-            self.dht.put(
-                &mut env,
-                ns,
-                0,
-                me,
-                QpItem::Bloom { qid, side, filter },
-                lifetime,
-                &mut events,
-            );
-        }
-        // If we own a collector key, schedule the OR-and-multicast: a
-        // deadline as fallback, plus an early flush once fragments from
-        // every node have arrived (see `on_bloom_fragment`).
-        for side in [Side::Left, Side::Right] {
-            if self.dht.owns_key(pier_dht::key_of(bloom_ns(side), 0)) {
-                let action = TimerAction::BloomFlush { qid, side };
-                self.arm_timer(ctx, qid, BLOOM_WAIT, action);
+        self.dht_op(ctx, |node, ctx, events| {
+            let (env, me) = (&mut node.reg.env(ctx), node.dht.me());
+            for (side, filter) in filters {
+                let item = QpItem::Bloom { qid, side, filter };
+                node.dht
+                    .put(env, bloom_ns(side), 0, me, item, lifetime, events);
             }
-        }
-        self.pump(ctx, events);
+            // If we own a collector key, schedule the OR-and-multicast: a
+            // deadline as fallback, plus an early flush once fragments
+            // from every node have arrived (see `on_bloom_fragment`).
+            for side in [Side::Left, Side::Right] {
+                if node.dht.owns_key(pier_dht::key_of(bloom_ns(side), 0)) {
+                    let action = TimerAction::BloomFlush { qid, side };
+                    node.arm_timer(ctx, qid, BLOOM_WAIT, action);
+                }
+            }
+        });
     }
 
     /// A fragment landed at this collector: flush early once every
@@ -156,11 +147,7 @@ impl PierNode {
         // "The filters are OR-ed together and then multicast to all nodes
         // storing the opposite table" — our multicast reaches all nodes;
         // non-holders simply have nothing to rehash.
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        self.dht
-            .multicast(&mut env, QpItem::Bloom { qid, side, filter }, &mut events);
-        self.pump(ctx, events);
+        self.multicast(ctx, QpItem::Bloom { qid, side, filter });
     }
 
     /// The OR-ed filter over `side`'s keys arrived: it gates the rehash

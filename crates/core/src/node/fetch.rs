@@ -7,11 +7,10 @@
 //! pipeline's last stage.
 
 use pier_dht::msg::Entry;
-use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
-use super::{for_each_live, live_row, GetPurpose, PairFetch, PierNode};
+use super::{for_each_live, live_row, take, GetPurpose, PairFetch, PierNode, REHASH_BATCHES};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::{qns, ScanSpec};
 use crate::tuple::{Columns, Concat, FlatRow};
@@ -35,26 +34,20 @@ impl PierNode {
             rows.push((rid, iid, expires, FlatRow::from_columns(&row)));
         });
         let right_ns = j.stages[0].right.ns;
-        let mut work = Vec::new();
-        for (rid, left_iid, left_expires, left_row) in rows {
-            let token = self.token();
-            self.get_purpose.insert(
-                token,
-                GetPurpose::FmProbe {
+        self.dht_op(ctx, |node, ctx, events| {
+            for (rid, left_iid, left_expires, left_row) in rows {
+                let token = node.token();
+                let purpose = GetPurpose::FmProbe {
                     qid,
                     left_iid,
                     left_expires,
                     left_row,
-                },
-            );
-            work.push((rid, token));
-        }
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        for (rid, token) in work {
-            self.dht.get(&mut env, right_ns, rid, token, &mut events);
-        }
-        self.pump(ctx, events);
+                };
+                node.get_purpose.insert(token, purpose);
+                node.dht
+                    .get(&mut node.reg.env(ctx), right_ns, rid, token, events);
+            }
+        });
     }
 
     pub(super) fn fm_complete(
@@ -109,7 +102,7 @@ impl PierNode {
         let scan = j.table(t);
         let (_, _, join_col) = view.table_role(t);
         // Two passes, as in `rehash_table`.
-        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        let mut puts = take(&REHASH_BATCHES);
         for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
             let join = row.get(join_col).to_value();
             let pkey = row.get(scan.pkey_col).to_value();
@@ -127,8 +120,9 @@ impl PierNode {
     }
 
     /// Pair an arriving mini with the live opposite-side minis of the
-    /// same join value (expired-but-unswept projections must not pair,
-    /// same as [`Self::probe`]).
+    /// same join value (expired-but-unswept projections must not pair),
+    /// walking the bucket in place as [`Self::probe`] does: what a pair
+    /// sets off only fetches.
     pub(super) fn probe_mini(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -138,24 +132,19 @@ impl PierNode {
         pkey: &Value,
         join: &Value,
     ) {
-        let now = ctx.now;
-        let partners: Vec<(u32, Value)> = self
-            .dht
-            .store
-            .get(entry.ns, entry.rid)
-            .iter()
-            .filter(|e| e.iid != entry.iid && e.expires > now)
-            .filter_map(|e| match &e.val {
+        let mut i = 0;
+        while let Some(e) = self.dht.store.get(entry.ns, entry.rid).get(i) {
+            i += 1;
+            let live = e.iid != entry.iid && e.expires > ctx.now;
+            let (partner_iid, partner) = match &e.val {
                 QpItem::Mini {
                     side: s,
-                    pkey: pk,
+                    pkey,
                     join: jv,
                     ..
-                } if *s == side.opposite() && jv == join => Some((e.iid, pk.clone())),
-                _ => None,
-            })
-            .collect();
-        for (partner_iid, partner) in partners {
+                } if live && *s != side && jv == join => (e.iid, pkey.clone()),
+                _ => continue,
+            };
             let (pk_l, pk_r) = match side {
                 Side::Left => (pkey.clone(), partner),
                 Side::Right => (partner, pkey.clone()),
@@ -199,15 +188,15 @@ impl PierNode {
                 ident,
             },
         );
-        let mut events = Vec::new();
-        for (side, ns, rid) in [(Side::Left, left_ns, rid_l), (Side::Right, right_ns, rid_r)] {
-            let token = self.token();
-            self.get_purpose
-                .insert(token, GetPurpose::SemiFetch { qid, pair, side });
-            let env = &mut self.reg.env(ctx);
-            self.dht.get(env, ns, rid, token, &mut events);
-        }
-        self.pump(ctx, events);
+        self.dht_op(ctx, |node, ctx, events| {
+            for (side, ns, rid) in [(Side::Left, left_ns, rid_l), (Side::Right, right_ns, rid_r)] {
+                let token = node.token();
+                node.get_purpose
+                    .insert(token, GetPurpose::SemiFetch { qid, pair, side });
+                let env = &mut node.reg.env(ctx);
+                node.dht.get(env, ns, rid, token, events);
+            }
+        });
     }
 
     pub(super) fn semi_complete(

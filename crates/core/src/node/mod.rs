@@ -24,12 +24,14 @@ use renewal::{PubRecord, SoftPub};
 
 pub use service::{NodeRequest, NodeResponse, PublishReport};
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use pier_dht::event::DhtEvent;
 use pier_dht::msg::{DhtMsg, Entry};
-use pier_dht::{CtxEnv, Dht, DhtConfig, DhtEnv, Ns, DHT_TICK_TOKEN};
+use pier_dht::{CtxEnv, Dht, DhtConfig, DhtEnv, Ns, Rid, DHT_TICK_TOKEN};
 use pier_simnet::app::{App, Ctx};
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::NodeId;
@@ -108,6 +110,34 @@ impl TimerAction {
 /// plan certified beside it ([`QueryDesc::certified`]), both shared by
 /// every node running the query (two refcount bumps).
 type JoinPlan = (Arc<QueryDesc>, Arc<PipelineSchema>);
+
+/// The upcalls one DHT operation raised, in order.
+type Upcalls = Vec<DhtEvent<QpItem>>;
+
+/// A bulk rehash's item: resourceID, the *base* row's instanceID, item.
+type RehashPut = (Rid, u32, QpItem);
+
+/// A per-thread stack of emptied buffers: an operation [`take`]s one and
+/// gives it back drained, and one nested inside it takes the next, so
+/// the buffer at each depth is the same one every time and allocates
+/// only until it holds what its depth asks of it. A node carries none.
+type Pool<T> = LocalKey<RefCell<Vec<Vec<T>>>>;
+
+thread_local! {
+    /// Upcall lists ([`PierNode::dht_op`]).
+    static UPCALLS: RefCell<Vec<Upcalls>> = RefCell::default();
+    /// Bulk rehash batches ([`PierNode::put_rehashed`]).
+    static REHASH_BATCHES: RefCell<Vec<Vec<RehashPut>>> = RefCell::default();
+}
+
+fn take<T>(pool: &'static Pool<T>) -> Vec<T> {
+    pool.with_borrow_mut(Vec::pop).unwrap_or_default()
+}
+
+fn give_back<T>(pool: &'static Pool<T>, mut buf: Vec<T>) {
+    buf.clear();
+    pool.with_borrow_mut(|bufs| bufs.push(buf));
+}
 
 /// Per-query operator state at one node.
 struct QueryInstance {
@@ -466,9 +496,30 @@ impl PierNode {
         }
     }
 
-    /// React to the upcalls one DHT operation produced.
-    fn pump(&mut self, ctx: &mut Ctx<PierMsg>, events: Vec<DhtEvent<QpItem>>) {
-        for ev in events {
+    /// The one way a node calls its provider: run one DHT operation, or a
+    /// batch with node state in between, with an upcall list from this
+    /// thread's pool, and [`Self::pump`] what it raised.
+    fn dht_op(
+        &mut self,
+        ctx: &mut Ctx<PierMsg>,
+        op: impl FnOnce(&mut Self, &mut Ctx<PierMsg>, &mut Upcalls),
+    ) {
+        let mut events = take(&UPCALLS);
+        op(self, ctx, &mut events);
+        self.pump(ctx, events);
+    }
+
+    /// Multicast `item` to every node, this one included.
+    fn multicast(&mut self, ctx: &mut Ctx<PierMsg>, item: QpItem) {
+        self.dht_op(ctx, |node, ctx, events| {
+            node.dht.multicast(&mut node.reg.env(ctx), item, events)
+        });
+    }
+
+    /// React to the upcalls, in order (a reaction that calls the provider
+    /// takes a list of its own), and give the drained list back.
+    fn pump(&mut self, ctx: &mut Ctx<PierMsg>, mut events: Upcalls) {
+        for ev in events.drain(..) {
             match ev {
                 DhtEvent::Multicast { origin: _, payload } => match payload {
                     QpItem::Query(desc) => self.install_query(ctx, desc),
@@ -483,6 +534,7 @@ impl PierNode {
                 DhtEvent::Joined | DhtEvent::LocationMapChanged => {}
             }
         }
+        give_back(&UPCALLS, events);
     }
 
     fn install_query(&mut self, ctx: &mut Ctx<PierMsg>, desc: Arc<QueryDesc>) {
@@ -711,7 +763,7 @@ impl PierNode {
         if initiator == ctx.me {
             let row = row.to_tuple();
             self.metrics.on_result(qid, row.wire_size());
-            self.log_result(ctx.now, qid, ident, row);
+            self.log_result(ctx.now, qid, ident, || row);
         } else {
             self.emit_encoded(ctx, qid, initiator, ident, FlatRow::from_columns(row));
         }
@@ -728,17 +780,18 @@ impl PierNode {
     ) {
         self.metrics.on_result(qid, row.wire());
         if initiator == ctx.me {
-            self.log_result(ctx.now, qid, ident, row.decode());
+            self.log_result(ctx.now, qid, ident, || row.decode());
         } else {
             ctx.send(initiator, PierMsg::Result { qid, ident, row });
         }
     }
 
     /// The initiator's result log: the one place a result is kept as a
-    /// tuple.
-    fn log_result(&mut self, now: Time, qid: u64, ident: u64, row: Tuple) {
+    /// tuple, built once the result is admitted — whether it was made
+    /// here or arrived.
+    fn log_result(&mut self, now: Time, qid: u64, ident: u64, row: impl FnOnce() -> Tuple) {
         if self.record_result(qid, ident) {
-            self.results.entry(qid).or_default().push((now, row));
+            self.results.entry(qid).or_default().push((now, row()));
         }
     }
 
@@ -802,19 +855,12 @@ impl App for PierNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, msg: PierMsg) {
         match msg {
-            PierMsg::Dht(m) => {
-                let mut events = Vec::new();
-                self.dht
-                    .handle_message(&mut self.reg.env(ctx), from, m, &mut events);
-                self.pump(ctx, events);
-            }
+            PierMsg::Dht(m) => self.dht_op(ctx, |node, ctx, events| {
+                node.dht
+                    .handle_message(&mut node.reg.env(ctx), from, m, events)
+            }),
             PierMsg::Result { qid, ident, row } => {
-                if self.record_result(qid, ident) {
-                    self.results
-                        .entry(qid)
-                        .or_default()
-                        .push((ctx.now, row.decode()));
-                }
+                self.log_result(ctx.now, qid, ident, || row.decode())
             }
             PierMsg::AggUp { qid, group, accs } => self.on_agg_up(qid, group, accs),
         }
@@ -822,11 +868,9 @@ impl App for PierNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<PierMsg>, token: u64) {
         if token == DHT_TICK_TOKEN {
-            let mut events = Vec::new();
-            self.dht
-                .handle_timer(&mut self.reg.env(ctx), token, &mut events);
-            self.pump(ctx, events);
-            return;
+            return self.dht_op(ctx, |node, ctx, events| {
+                node.dht.handle_timer(&mut node.reg.env(ctx), token, events);
+            });
         }
         let fired = self.timer_actions.remove(&token);
         if let Some(qid) = fired.as_ref().and_then(TimerAction::qid) {

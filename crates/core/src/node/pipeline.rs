@@ -9,7 +9,7 @@ use pier_dht::{Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, JoinPlan, PierNode};
+use super::{for_each_live, give_back, take, JoinPlan, PierNode, RehashPut, REHASH_BATCHES};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::{qns, PipelineSchema};
@@ -50,7 +50,7 @@ impl PierNode {
         let keep = view.keep_for_table(t);
         // The store cannot be scanned and put into at once: pass one
         // builds the items, `put_rehashed` names and puts them.
-        let mut puts: Vec<(Rid, u32, QpItem)> = Vec::new();
+        let mut puts = take(&REHASH_BATCHES);
         for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, row| {
             let join = row.col(join_col);
             if filter.is_some_and(|f| !f.contains(join.hash64())) {
@@ -72,7 +72,8 @@ impl PierNode {
 
     /// Second pass of a bulk rehash: give each item the scan built its
     /// instanceID — derived from the *base* row's, which is what `puts`
-    /// carries — and put it into `ns`, in scan order.
+    /// carries — and put it into `ns`, in scan order. The batch goes
+    /// back to its pool drained.
     pub(super) fn put_rehashed(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -80,16 +81,17 @@ impl PierNode {
         ns: Ns,
         salt: u64,
         lifetime: Dur,
-        puts: Vec<(Rid, u32, QpItem)>,
+        mut puts: Vec<RehashPut>,
     ) {
-        let mut events = Vec::new();
-        for (rid, base_iid, item) in puts {
-            let iid = self.derived_iid(base_iid, salt);
-            self.record_rehash(qid, ns, rid, iid, &item);
-            let env = &mut self.reg.env(ctx);
-            self.dht.put(env, ns, rid, iid, item, lifetime, &mut events);
-        }
-        self.pump(ctx, events);
+        self.dht_op(ctx, |node, ctx, events| {
+            for (rid, base_iid, item) in puts.drain(..) {
+                let iid = node.derived_iid(base_iid, salt);
+                node.record_rehash(qid, ns, rid, iid, &item);
+                let env = &mut node.reg.env(ctx);
+                node.dht.put(env, ns, rid, iid, item, lifetime, events);
+            }
+            give_back(&REHASH_BATCHES, puts);
+        });
     }
 
     /// Put one item of a query's stage soft state and react to whatever
@@ -106,10 +108,10 @@ impl PierNode {
         lifetime: Dur,
     ) {
         self.record_rehash(qid, ns, rid, iid, &item);
-        let mut events = Vec::new();
-        let env = &mut self.reg.env(ctx);
-        self.dht.put(env, ns, rid, iid, item, lifetime, &mut events);
-        self.pump(ctx, events);
+        self.dht_op(ctx, |node, ctx, events| {
+            let env = &mut node.reg.env(ctx);
+            node.dht.put(env, ns, rid, iid, item, lifetime, events);
+        });
     }
 
     /// Continuous joins: one newly published base tuple of table `t`,
@@ -171,26 +173,25 @@ impl PierNode {
             return;
         };
         // Expired-but-unswept partners (the sweep runs on the
-        // maintenance tick) must not join. The store cannot be read
-        // while a match is put: the partners' rows are held by refcount.
-        let now = ctx.now;
-        let partners: Vec<(u32, FlatRow, Time)> = self
-            .dht
-            .store
-            .get(entry.ns, entry.rid)
-            .iter()
-            .filter(|e| e.iid != entry.iid && e.expires > now)
-            .filter_map(|e| match &e.val {
+        // maintenance tick) must not join. The bucket is re-read at every
+        // step, not copied: nothing below a probe puts into stage k's
+        // namespace (a match republishes into stage k + 1 or reaches the
+        // sink) and only the tick sweeps, so the bucket stands still
+        // while it is walked. The store cannot be read while a match is
+        // put: the partner's row is held by refcount.
+        let mut i = 0;
+        while let Some(e) = self.dht.store.get(entry.ns, entry.rid).get(i) {
+            i += 1;
+            let live = e.iid != entry.iid && e.expires > ctx.now;
+            let (other_iid, other_expires, other) = match &e.val {
                 QpItem::Tagged {
                     side: s,
                     join: jv,
-                    row: r,
+                    row,
                     ..
-                } if *s == side.opposite() && jv == join => Some((e.iid, r.clone(), e.expires)),
-                _ => None,
-            })
-            .collect();
-        for (other_iid, other, other_expires) in partners {
+                } if live && *s != side && jv == join => (e.iid, e.expires, row.clone()),
+                _ => continue,
+            };
             let Some(other) = stage_row(view, k, side.opposite(), &other) else {
                 continue;
             };

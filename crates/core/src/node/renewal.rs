@@ -82,30 +82,30 @@ impl PierNode {
     ) -> PublishReport {
         let ns = pier_dht::ns_of(table);
         let mut report = PublishReport::default();
-        let mut events = Vec::new();
-        for row in rows {
-            let rid = row.get(pkey_col).hash64();
-            let item = QpItem::Row(FlatRow::from_tuple(&row));
-            let bytes = item.wire_size();
-            if !self.governor.try_publish(tenant, ctx.now, bytes as f64) {
-                self.metrics.on_shed(bytes);
-                report.shed += 1;
-                continue;
+        self.dht_op(ctx, |node, ctx, events| {
+            for row in rows {
+                let rid = row.get(pkey_col).hash64();
+                let item = QpItem::Row(FlatRow::from_tuple(&row));
+                let bytes = item.wire_size();
+                if !node.governor.try_publish(tenant, ctx.now, bytes as f64) {
+                    node.metrics.on_shed(bytes);
+                    report.shed += 1;
+                    continue;
+                }
+                let iid = node.fresh_iid();
+                let env = &mut node.reg.env(ctx);
+                node.dht
+                    .put(env, ns, rid, iid, item.clone(), lifetime, events);
+                node.published.push(PubRecord {
+                    ns,
+                    rid,
+                    iid,
+                    item,
+                    lifetime,
+                });
+                report.accepted += 1;
             }
-            let iid = self.fresh_iid();
-            let env = &mut self.reg.env(ctx);
-            self.dht
-                .put(env, ns, rid, iid, item.clone(), lifetime, &mut events);
-            self.published.push(PubRecord {
-                ns,
-                rid,
-                iid,
-                item,
-                lifetime,
-            });
-            report.accepted += 1;
-        }
-        self.pump(ctx, events);
+        });
         report
     }
 
@@ -119,21 +119,15 @@ impl PierNode {
     }
 
     pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        for rec in &self.published {
-            self.dht.renew(
-                &mut env,
-                rec.ns,
-                rec.rid,
-                rec.iid,
-                rec.item.clone(),
-                rec.lifetime,
-                &mut events,
-            );
-        }
-        self.start_renewals(ctx, every);
-        self.pump(ctx, events);
+        self.dht_op(ctx, |node, ctx, events| {
+            let env = &mut node.reg.env(ctx);
+            for rec in &node.published {
+                let item = rec.item.clone();
+                node.dht
+                    .renew(env, rec.ns, rec.rid, rec.iid, item, rec.lifetime, events);
+            }
+            node.start_renewals(ctx, every);
+        });
     }
 
     /// Soft-state horizon of one query when no window applies: three of
@@ -173,28 +167,22 @@ impl PierNode {
     /// re-arm. Renewal replaces the same (ns, rid, iid) without
     /// re-firing `newData`, so no probe runs twice.
     pub(super) fn renew_query(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let Some(inst) = self.reg.queries.get(&qid) else {
-            return; // uninstalled between arm and fire
-        };
-        let Some(every) = period(&inst.desc) else {
-            return;
-        };
-        let horizon = Self::query_horizon(&inst.desc);
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        for rec in &inst.rehash_pubs {
-            self.dht.renew(
-                &mut env,
-                rec.ns,
-                rec.rid,
-                rec.iid,
-                rec.item.clone(),
-                horizon,
-                &mut events,
-            );
-        }
-        self.metrics.on_renewal(qid, ctx.now);
-        self.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
-        self.pump(ctx, events);
+        self.dht_op(ctx, |node, ctx, events| {
+            let Some(inst) = node.reg.queries.get(&qid) else {
+                return; // uninstalled between arm and fire
+            };
+            let Some(every) = period(&inst.desc) else {
+                return;
+            };
+            let horizon = Self::query_horizon(&inst.desc);
+            let env = &mut node.reg.env(ctx);
+            for rec in &inst.rehash_pubs {
+                let item = rec.item.clone();
+                node.dht
+                    .renew(env, rec.ns, rec.rid, rec.iid, item, horizon, events);
+            }
+            node.metrics.on_renewal(qid, ctx.now);
+            node.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
+        });
     }
 }

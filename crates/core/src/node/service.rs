@@ -18,11 +18,7 @@ impl PierNode {
     /// Submit a query: multicast the descriptor to all nodes (§3.3).
     pub fn submit(&mut self, ctx: &mut Ctx<PierMsg>, desc: QueryDesc) {
         self.results.entry(desc.qid).or_default();
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        self.dht
-            .multicast(&mut env, QpItem::Query(Arc::new(desc)), &mut events);
-        self.pump(ctx, events);
+        self.multicast(ctx, QpItem::Query(Arc::new(desc)));
     }
 
     /// Quota-governed submission: price the descriptor with the PR 3
@@ -59,11 +55,7 @@ impl PierNode {
     /// within one lifetime (§3.2.3 reclamation-by-expiry). Results
     /// already collected at the initiator stay readable.
     pub fn cancel(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
-        let mut env = self.reg.env(ctx);
-        let mut events = Vec::new();
-        self.dht
-            .multicast(&mut env, QpItem::Cancel { qid }, &mut events);
-        self.pump(ctx, events);
+        self.multicast(ctx, QpItem::Cancel { qid });
     }
 
     // ------------------------------------------------------------------

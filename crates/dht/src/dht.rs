@@ -35,6 +35,28 @@ use crate::{key_of, DhtConfig, Ns, Rid, DHT_TICK_TOKEN};
 /// this long (lookups back off exponentially from here).
 const LOOKUP_RETRY: Dur = Dur(4 * 1_000_000);
 
+/// How many times an unanswered lookup is re-issued before it is
+/// abandoned.
+const LOOKUP_RETRIES: u32 = 12;
+
+/// How long a lookup waits before its `retries`-th re-issue: doubling
+/// from [`LOOKUP_RETRY`], capped at 32 ×.
+const fn lookup_backoff(retries: u32) -> Dur {
+    Dur(LOOKUP_RETRY.0 << if retries < 5 { retries } else { 5 })
+}
+
+/// How long after it was sent a lookup is abandoned, every backoff
+/// waited out (about 19 minutes); a `get` shipped to an owner that never
+/// answers is forgotten after as long.
+const LOOKUP_GIVE_UP: Dur = {
+    let (mut total, mut r) = (0, 0);
+    while r <= LOOKUP_RETRIES {
+        total += lookup_backoff(r).0;
+        r += 1;
+    }
+    Dur(total)
+};
+
 /// Lend the routing layer — or one of the provider's own sends — what
 /// it needs for one call. A macro, not a method: the borrows must stay
 /// field-wise, so `self.overlay` can be borrowed beside them.
@@ -74,7 +96,9 @@ pub struct Dht<V> {
     pub meter: TrafficMeter,
     me: NodeId,
     pending: BTreeMap<u64, PendingOp<V>>,
-    awaiting_get: BTreeMap<u64, u64>,
+    /// `get`s shipped to their owner, by lookup token: the caller's
+    /// token and when the request was sent.
+    awaiting_get: BTreeMap<u64, (u64, Time)>,
     next_token: u64,
     seen_mcast: BTreeMap<u64, Time>,
     bootstrap: Option<NodeId>,
@@ -400,7 +424,7 @@ impl<V: Wire + Clone> Dht<V> {
                         items,
                     });
                 } else {
-                    self.awaiting_get.insert(token, user_token);
+                    self.awaiting_get.insert(token, (user_token, env.now()));
                     let origin = self.me;
                     lend!(self, env, events).send(
                         owner,
@@ -471,7 +495,7 @@ impl<V: Wire + Clone> Dht<V> {
                 lend!(self, env, events).send(origin, DhtMsg::GetReply { token, items });
             }
             DhtMsg::GetReply { token, items } => {
-                if let Some(user_token) = self.awaiting_get.remove(&token) {
+                if let Some((user_token, _)) = self.awaiting_get.remove(&token) {
                     events.push(DhtEvent::GetResult {
                         token: user_token,
                         items,
@@ -666,39 +690,52 @@ impl<V: Wire + Clone> Dht<V> {
 
         // Retry stale lookups with exponential backoff: under congestion
         // a reply may sit minutes deep in an inbound queue, and dropping
-        // the op would lose data. Abandon only after ~10 minutes.
-        let stale: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| {
-                let backoff = LOOKUP_RETRY.saturating_mul(1u64 << p.retries.min(5));
-                now.since(p.issued) > backoff
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stale {
-            let (key, give_up) = {
-                let p = self.pending.get_mut(&token).unwrap();
-                p.retries += 1;
-                p.issued = now;
-                (p.key, p.retries > 12)
-            };
-            if give_up {
-                self.pending.remove(&token);
-                self.awaiting_get.remove(&token);
-            } else {
-                // Resolves here if ownership shifted to us meanwhile.
-                self.send_lookup(env, key, token, events);
+        // the op would lose data. Abandon only after `LOOKUP_GIVE_UP`.
+        // Each pass below is skipped when it has nothing to look at.
+        if !self.pending.is_empty() {
+            let stale: Vec<u64> = self
+                .pending
+                .iter()
+                .filter(|(_, p)| now.since(p.issued) > lookup_backoff(p.retries))
+                .map(|(&t, _)| t)
+                .collect();
+            for token in stale {
+                let (key, give_up) = {
+                    let p = self
+                        .pending
+                        .get_mut(&token)
+                        .expect("read from pending above");
+                    p.retries += 1;
+                    p.issued = now;
+                    (p.key, p.retries > LOOKUP_RETRIES)
+                };
+                if give_up {
+                    self.pending.remove(&token);
+                } else {
+                    // Resolves here if ownership shifted to us meanwhile.
+                    self.send_lookup(env, key, token, events);
+                }
             }
         }
+        // A get left `pending` when it was shipped to its owner; one the
+        // owner never answers (it died, or the request was lost) is
+        // forgotten at the same horizon.
+        self.awaiting_get
+            .retain(|_, (_, sent)| now.since(*sent) <= LOOKUP_GIVE_UP);
 
         // Drop old multicast dedup records.
-        let horizon = Dur::from_secs(120);
-        self.seen_mcast.retain(|_, t| now.since(*t) < horizon);
+        if !self.seen_mcast.is_empty() {
+            let horizon = Dur::from_secs(120);
+            self.seen_mcast.retain(|_, t| now.since(*t) < horizon);
+        }
 
         // Re-home items we no longer own (every few ticks): the
         // self-healing that follows overlay churn.
-        if self.cfg.maintenance && self.is_joined() && self.tick_count.is_multiple_of(4) {
+        if self.cfg.maintenance
+            && self.is_joined()
+            && self.tick_count.is_multiple_of(4)
+            && !self.store.is_empty()
+        {
             let not_mine: std::collections::HashSet<u64> = self
                 .store
                 .iter_all()
@@ -713,5 +750,52 @@ impl<V: Wire + Clone> Dht<V> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::env::RecordingEnv;
+
+    /// A `get` shipped to its owner leaves `pending` for `awaiting_get`,
+    /// which the tick's retries never see. One whose owner never answers
+    /// is forgotten at the horizon a lookup is abandoned at, and a reply
+    /// arriving after that raises nothing.
+    #[test]
+    fn a_get_its_owner_never_answers_is_forgotten_at_the_give_up_horizon() {
+        let cfg = DhtConfig::static_network();
+        let mut nodes = Dht::<Vec<u8>>::stabilized(2, &cfg);
+        let owner = nodes.pop().expect("node 1");
+        let mut dht = nodes.pop().expect("node 0");
+        let (ns, mut env, events) = (7, RecordingEnv::new(0), &mut Vec::new());
+        let rid = (0..).find(|&rid| owner.owns_key(key_of(ns, rid))).unwrap();
+        dht.get(&mut env, ns, rid, 42, events);
+        // Resolved at once or forwarded: either way the owner's answer to
+        // the lookup ships the get.
+        if let Some(&token) = dht.pending.keys().next() {
+            let key = key_of(ns, rid);
+            dht.handle_message(&mut env, 1, DhtMsg::LookupReply { token, key }, events);
+        }
+        let Some((1, DhtMsg::Get { token, .. })) = env.sent.last() else {
+            panic!("the get went to its owner: {:?}", env.sent.last());
+        };
+        let token = *token;
+        assert!(dht.pending.is_empty());
+        assert_eq!(dht.awaiting_get.len(), 1);
+
+        let sent = env.now;
+        let mut tick_at = |dht: &mut Dht<Vec<u8>>, at: Time| {
+            env.now = at;
+            dht.handle_timer(&mut env, DHT_TICK_TOKEN, events);
+        };
+        tick_at(&mut dht, sent + LOOKUP_GIVE_UP);
+        assert_eq!(dht.awaiting_get.len(), 1, "kept up to the horizon");
+        tick_at(&mut dht, sent + LOOKUP_GIVE_UP + cfg.tick);
+        assert!(dht.awaiting_get.is_empty(), "forgotten past it");
+
+        let items = Vec::new();
+        dht.handle_message(&mut env, 1, DhtMsg::GetReply { token, items }, events);
+        assert!(events.is_empty(), "a late reply raises nothing");
     }
 }
