@@ -17,7 +17,7 @@ use pier_core::semantics::TimedRows;
 use pier_core::Tuple;
 use pier_simnet::time::Time;
 use pier_workload::RsParams;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One runnable experiment: `pier_bench <name>` calls `run`, which
 /// writes `results/BENCH_<name>.json`.
@@ -118,9 +118,9 @@ fn intrusion_tables(
     reports: TimedRows,
     advisories: &[Tuple],
     reputation: &[Tuple],
-) -> HashMap<String, TimedRows> {
+) -> BTreeMap<String, TimedRows> {
     let at_zero = |rows: &[Tuple]| rows.iter().map(|r| (Time::ZERO, r.clone())).collect();
-    HashMap::from([
+    BTreeMap::from([
         ("intrusions".to_string(), reports),
         ("advisories".to_string(), at_zero(advisories)),
         ("reputation".to_string(), at_zero(reputation)),

@@ -13,7 +13,7 @@ use pier_dht::DhtConfig;
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NetConfig, NodeId, Sim};
 use pier_workload::intrusion;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use super::intrusion_tables;
 use crate::{full_scale, Artifact, Cell};
@@ -365,7 +365,7 @@ pub fn multitenant() {
     for i in 0..n_tenants {
         let desc = parse_continuous_query(&sql_of(i), &catalog, strategy, qid_of(i), 0).unwrap();
         let install = install_at(i);
-        let rel_tables: HashMap<String, TimedRows> = timed
+        let rel_tables: BTreeMap<String, TimedRows> = timed
             .iter()
             .map(|(name, rows)| {
                 let shifted: TimedRows = rows

@@ -132,19 +132,23 @@ impl PierNode {
         pkey: &Value,
         join: &Value,
     ) {
-        let mut i = 0;
-        while let Some(e) = self.dht.store.get(entry.ns, entry.rid).get(i) {
-            i += 1;
-            let live = e.iid != entry.iid && e.expires > ctx.now;
-            let (partner_iid, partner) = match &e.val {
-                QpItem::Mini {
-                    side: s,
-                    pkey,
-                    join: jv,
-                    ..
-                } if live && *s != side && jv == join => (e.iid, pkey.clone()),
-                _ => continue,
-            };
+        let now = ctx.now;
+        let partner = |e: &Entry<QpItem>| match &e.val {
+            QpItem::Mini {
+                side: s,
+                pkey: theirs,
+                join: jv,
+                ..
+            } if e.iid != entry.iid && e.expires > now && *s != side && jv == join => {
+                Some((e.iid, theirs.clone()))
+            }
+            _ => None,
+        };
+        let mut cursor = 0;
+        while let Some((next, (partner_iid, partner))) =
+            self.dht.store.next_in(entry.ns, entry.rid, cursor, partner)
+        {
+            cursor = next;
             let (pk_l, pk_r) = match side {
                 Side::Left => (pkey.clone(), partner),
                 Side::Right => (partner, pkey.clone()),

@@ -173,25 +173,31 @@ impl PierNode {
             return;
         };
         // Expired-but-unswept partners (the sweep runs on the
-        // maintenance tick) must not join. The bucket is re-read at every
-        // step, not copied: nothing below a probe puts into stage k's
-        // namespace (a match republishes into stage k + 1 or reaches the
-        // sink) and only the tick sweeps, so the bucket stands still
-        // while it is walked. The store cannot be read while a match is
-        // put: the partner's row is held by refcount.
-        let mut i = 0;
-        while let Some(e) = self.dht.store.get(entry.ns, entry.rid).get(i) {
-            i += 1;
-            let live = e.iid != entry.iid && e.expires > ctx.now;
-            let (other_iid, other_expires, other) = match &e.val {
-                QpItem::Tagged {
-                    side: s,
-                    join: jv,
-                    row,
-                    ..
-                } if live && *s != side && jv == join => (e.iid, e.expires, row.clone()),
-                _ => continue,
-            };
+        // maintenance tick) must not join. The bucket is walked by a
+        // cursor, not copied: each partner found costs one descent of the
+        // store, and the items between partners are passed over where
+        // they lie. Nothing below a probe puts into stage k's namespace
+        // (a match republishes into stage k + 1 or reaches the sink) and
+        // only the tick sweeps, so the bucket stands still while it is
+        // walked. The store cannot be read while a match is put: the
+        // partner's row is held by refcount.
+        let now = ctx.now;
+        let partner = |e: &Entry<QpItem>| match &e.val {
+            QpItem::Tagged {
+                side: s,
+                join: jv,
+                row: theirs,
+                ..
+            } if e.iid != entry.iid && e.expires > now && *s != side && jv == join => {
+                Some((e.iid, e.expires, theirs.clone()))
+            }
+            _ => None,
+        };
+        let mut cursor = 0;
+        while let Some((next, (other_iid, other_expires, other))) =
+            self.dht.store.next_in(entry.ns, entry.rid, cursor, partner)
+        {
+            cursor = next;
             let Some(other) = stage_row(view, k, side.opposite(), &other) else {
                 continue;
             };

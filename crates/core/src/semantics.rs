@@ -6,7 +6,8 @@
 //! by evaluating the same query descriptor centrally over the published
 //! tables, plus multiset recall/precision between expected and actual.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
 
 use pier_simnet::time::{Dur, Time};
 
@@ -21,6 +22,46 @@ pub type TimedRows = Vec<(Time, Tuple)>;
 
 /// One pipeline table's rows with their publication instants.
 type Timed<'a> = Vec<(Time, &'a Tuple)>;
+
+/// Named base tables, as the oracles read them: a map from table name to
+/// rows. An oracle only looks tables up by name, so any such map serves;
+/// a caller on an emission path holds a `BTreeMap`.
+pub trait Tables<R> {
+    /// The rows of table `name`, or none when the set has no such table.
+    fn rows(&self, name: &str) -> &[R];
+    /// Every table of the set, by name, in the map's order.
+    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
+    where
+        R: 'a;
+}
+
+impl<R> Tables<R> for BTreeMap<String, Vec<R>> {
+    fn rows(&self, name: &str) -> &[R] {
+        self.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
+    where
+        R: 'a,
+    {
+        self.iter()
+            .map(|(name, rows)| (name.as_str(), rows.as_slice()))
+    }
+}
+
+impl<R, S: BuildHasher> Tables<R> for HashMap<String, Vec<R>, S> {
+    fn rows(&self, name: &str) -> &[R] {
+        self.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
+    where
+        R: 'a,
+    {
+        self.iter()
+            .map(|(name, rows)| (name.as_str(), rows.as_slice()))
+    }
+}
 
 /// The one centralized join evaluator behind the four oracles below:
 /// left-deep nested loops over `rows[t]` (pipeline table `t`), exactly
@@ -72,16 +113,13 @@ fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
 }
 
 /// The rows of each pipeline table, looked up by name.
-fn tables_of<'a, R>(
+fn tables_of<'a, R: 'a>(
     j: &JoinSpec,
-    tables: &'a HashMap<String, Vec<R>>,
+    tables: &'a impl Tables<R>,
     timed: impl Fn(&'a R) -> (Time, &'a Tuple),
 ) -> Vec<Timed<'a>> {
     (0..j.n_tables())
-        .map(|t| {
-            let rows = tables.get(&j.table(t).table);
-            rows.into_iter().flatten().map(&timed).collect()
-        })
+        .map(|t| tables.rows(&j.table(t).table).iter().map(&timed).collect())
         .collect()
 }
 
@@ -94,7 +132,7 @@ pub fn reference_join(j: &JoinSpec, left: &[Tuple], right: &[Tuple]) -> Vec<Tupl
 }
 
 /// Centralized left-deep evaluation of a join over named base tables.
-pub fn reference_multijoin(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+pub fn reference_multijoin(j: &JoinSpec, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
     eval_join(j, &tables_of(j, tables, |r| (Time::ZERO, r)), None)
 }
 
@@ -116,7 +154,7 @@ pub fn reference_windowed_join(
 /// base tables.
 pub fn reference_windowed_multijoin(
     j: &JoinSpec,
-    tables: &HashMap<String, TimedRows>,
+    tables: &impl Tables<(Time, Tuple)>,
     window: Dur,
 ) -> Vec<Tuple> {
     eval_join(j, &tables_of(j, tables, |(t, r)| (*t, r)), Some(window))
@@ -129,14 +167,14 @@ pub fn reference_windowed_multijoin(
 /// [`reference_multijoin`] (which works over full-width concatenations)
 /// certifies that projection pushdown preserves the result multiset —
 /// the invariant the proptests pin.
-pub fn reference_pipeline(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+pub fn reference_pipeline(j: &JoinSpec, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
     let v = PipelineSchema::new(j, true).expect("well-formed join spec");
     // Each table's rehash: scan predicate on the full row, then project.
     let shipped = |t: usize| -> Vec<Tuple> {
         let scan = j.table(t);
-        let rows = tables.get(&scan.table);
-        rows.into_iter()
-            .flatten()
+        tables
+            .rows(&scan.table)
+            .iter()
             .filter(|r| scan.pred.as_ref().is_none_or(|p| p.matches(r)))
             .map(|r| r.project(v.keep_for_table(t)))
             .collect()
@@ -171,7 +209,7 @@ pub fn reference_pipeline(j: &JoinSpec, tables: &HashMap<String, Vec<Tuple>>) ->
 /// by `floor(arrival / epoch)` line up with this oracle's epochs.
 pub fn reference_epochs(
     op: &QueryOp,
-    tables: &HashMap<String, TimedRows>,
+    tables: &impl Tables<(Time, Tuple)>,
     window: Option<Dur>,
     epoch: Dur,
     n_epochs: usize,
@@ -190,22 +228,22 @@ pub fn reference_epochs(
 /// standing query's lifetime.
 pub fn reference_epochs_at(
     op: &QueryOp,
-    tables: &HashMap<String, TimedRows>,
+    tables: &impl Tables<(Time, Tuple)>,
     window: Option<Dur>,
     instants: &[Time],
 ) -> Vec<Vec<Tuple>> {
     instants
         .iter()
         .map(|&at| {
-            let snap: HashMap<String, Vec<Tuple>> = tables
-                .iter()
+            let snap: BTreeMap<String, Vec<Tuple>> = tables
+                .each()
                 .map(|(name, rows)| {
                     let live: Vec<Tuple> = rows
                         .iter()
                         .filter(|(t, _)| *t <= at && window.is_none_or(|w| *t + w > at))
                         .map(|(_, r)| r.clone())
                         .collect();
-                    (name.clone(), live)
+                    (name.to_string(), live)
                 })
                 .collect();
             reference_eval(op, &snap)
@@ -237,17 +275,17 @@ pub fn reference_agg(agg: &AggSpec, rows: &[Tuple]) -> Vec<Tuple> {
 }
 
 /// Centralized evaluation of a whole query op over named base tables.
-pub fn reference_eval(op: &QueryOp, tables: &HashMap<String, Vec<Tuple>>) -> Vec<Tuple> {
-    let empty: Vec<Tuple> = Vec::new();
-    let get = |name: &str| tables.get(name).unwrap_or(&empty);
+pub fn reference_eval(op: &QueryOp, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
     match op {
-        QueryOp::Scan { scan, project } => get(&scan.table)
+        QueryOp::Scan { scan, project } => tables
+            .rows(&scan.table)
             .iter()
             .filter(|t| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
             .map(|t| Tuple::new(project.iter().map(|e| e.eval(t)).collect()))
             .collect(),
         QueryOp::Agg { scan, agg } => {
-            let rows: Vec<Tuple> = get(&scan.table)
+            let rows: Vec<Tuple> = tables
+                .rows(&scan.table)
                 .iter()
                 .filter(|t| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
                 .cloned()

@@ -304,7 +304,6 @@ impl<V: Wire + Clone> Dht<V> {
         let mut items: Vec<Entry<V>> = self
             .store
             .get(ns, rid)
-            .iter()
             .filter(|e| e.expires > now)
             .cloned()
             .collect();

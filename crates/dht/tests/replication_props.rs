@@ -114,7 +114,6 @@ fn audit_exclusive(sim: &Sim<DhtNode<V>>, ns: Ns) -> usize {
                     .dht
                     .store
                     .get(ns, rid)
-                    .iter()
                     .any(|e| e.expires > now)
             })
             .count();

@@ -14,7 +14,9 @@
 //! nothing — and a query has one plan: a node installing a join does
 //! not build it, and a Bloom filter is set and tested in place — and an
 //! upcall is drained, not dropped: its list comes from a per-thread
-//! pool, and a probe walks its partners where they lie.
+//! pool, and a probe walks its partners where they lie — and a stored
+//! item costs its slot in the store's one ordered map, with no container
+//! of its own.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -396,18 +398,23 @@ fn warm_up() {
 fn deliver_rows(sim: &mut Sim<PierNode>, table: &str, rows: Vec<Tuple>) {
     let ns = ns_of(table);
     for (i, row) in rows.iter().enumerate() {
-        let rid = row.get(0).hash64();
-        let entry = Entry {
-            ns,
-            rid,
-            iid: u32::MAX - i as u32,
-            key: key_of(ns, rid),
-            expires: Time::ZERO + Dur::from_secs(100_000),
-            val: QpItem::Row(FlatRow::from_tuple(row)),
-        };
-        let put = PierMsg::Dht(DhtMsg::Put { entry });
+        let put = put_of(ns, i, row);
         sim.with_app(0, |node, ctx| node.on_message(ctx, 0, put));
     }
+}
+
+/// Row `i` of namespace `ns` as a put arriving from the network.
+fn put_of(ns: u64, i: usize, row: &Tuple) -> PierMsg {
+    let rid = row.get(0).hash64();
+    let entry = Entry {
+        ns,
+        rid,
+        iid: u32::MAX - i as u32,
+        key: key_of(ns, rid),
+        expires: Time::ZERO + Dur::from_secs(100_000),
+        val: QpItem::Row(FlatRow::from_tuple(row)),
+    };
+    PierMsg::Dht(DhtMsg::Put { entry })
 }
 
 /// `standing_tenants`' rows: an id and two strings.
@@ -678,9 +685,13 @@ fn join_rows(n: usize) -> Vec<Tuple> {
 
 /// A join's install rehashes the stored rows of its tables, the kept
 /// columns encoded straight from the stored bytes: a row costs the one
-/// `FlatRow` it ships (its put stores it under a resourceID the earlier
-/// rows already opened, and its upcall probes a side with no partners).
-/// (Projected into a `Tuple` first, each cost a `Vec` more.)
+/// `FlatRow` it ships and its share of a leaf of the store's map, where
+/// its put stores it beside the earlier rows of its resourceID (its
+/// upcall probes a side with no partners). A leaf of half-full slots
+/// holds five or six items, so the share is about a sixth. (Projected
+/// into a `Tuple` first, each row cost a `Vec` more; stored in a bucket
+/// `Vec` of its own, the row paid that `Vec`'s doublings instead of a
+/// leaf share.)
 #[test]
 fn rehashing_a_stored_row_costs_the_row_it_ships() {
     warm_up();
@@ -699,7 +710,7 @@ fn rehashing_a_stored_row_costs_the_row_it_ships() {
     };
     let per_row = (install_allocs(1_000) - install_allocs(100)) as f64 / 900.0;
     assert!(
-        (1.0..1.05).contains(&per_row),
+        (1.0..1.25).contains(&per_row),
         "{per_row:.3} allocations per rehashed row"
     );
 }
@@ -751,23 +762,28 @@ fn report_allocs(desc: QueryDesc, partners: usize, strangers: i64, grouped: bool
 
 /// A report probing stage 0 of the triage pipeline matches each stored
 /// advisory, and each match is encoded once, as what it republishes into
-/// stage 1 (where nothing waits for it yet): a match costs that row and
-/// its join value there — the address, a string. A final match folds
-/// into its group where it lies: into a group that exists and was not
-/// handed on since its last row, it allocates nothing. (Decoded first,
-/// each partner cost a `Vec` and a string and joining it two `Vec`s
-/// more, concatenated and projected: a republishing match cost 6, a
-/// folded one 5 with its output row. With a fresh upcall list for each
-/// put, a republishing match cost 3.)
+/// stage 1 (where nothing waits for it yet): a match costs that row, its
+/// join value there — the address, a string — and its share of a leaf
+/// of the store's map, taken over 64 matches so that the share shows as
+/// a fraction. A final match folds into its group where it lies: into a
+/// group that exists and was not handed on since its last row, it
+/// allocates nothing. (Decoded first, each partner cost a `Vec` and a
+/// string and joining it two `Vec`s more, concatenated and projected: a
+/// republishing match cost 6, a folded one 5 with its output row. With a
+/// fresh upcall list for each put, a republishing match cost 3.)
 #[test]
 fn a_probe_match_costs_what_it_republishes_and_a_folded_one_nothing() {
     warm_up();
     let per_match = |triage: bool, grouped: bool| {
         let one = report_allocs(standing_join(1, triage), 1, 0, grouped);
-        let three = report_allocs(standing_join(1, triage), 3, 0, grouped);
-        (three - one) as f64 / 2.0
+        let many = report_allocs(standing_join(1, triage), 65, 0, grouped);
+        (many - one) as f64 / 64.0
     };
-    assert_eq!(per_match(true, false), 2.0, "a republished intermediate");
+    let republished = per_match(true, false);
+    assert!(
+        (2.0..=2.25).contains(&republished),
+        "{republished:.3} allocations per republished intermediate"
+    );
     assert_eq!(per_match(false, true), 0.0, "a folded match");
 }
 
@@ -853,6 +869,57 @@ fn a_node_installs_a_join_without_building_its_plan() {
         "a node installs a 2-table join with {two:.2} allocations, a 3-table pipeline with {three:.2}"
     );
 }
+
+// ---------------------------------------------------------------------
+// (ix) one map per store
+// ---------------------------------------------------------------------
+
+/// An item stored under a resourceID of its own costs its slot in a
+/// leaf of the store's one ordered map and nothing else: no allocation
+/// of its own, and in bytes held its share of the map's nodes — a leaf
+/// is 11 slots of a 24-byte key and a 104-byte entry, about seven of them
+/// full when keys arrive in hash order. The puts are built before the
+/// count, so what is counted is the store's and not the row's.
+#[test]
+fn a_stored_item_costs_no_allocation_of_its_own() {
+    warm_up();
+    let stored = |rows: usize| {
+        let mut sim = lone_node();
+        let ns = ns_of("intrusions");
+        let rows = intrusion_rows(rows);
+        let mut puts: Vec<PierMsg> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| put_of(ns, i, row))
+            .collect();
+        let before = LIVE.get();
+        let ((), allocs, _) = counted(|| {
+            for put in puts.drain(..) {
+                sim.with_app(0, |node, ctx| node.on_message(ctx, 0, put));
+            }
+        });
+        let held = LIVE.get().wrapping_sub(before);
+        assert_eq!(sim.app(0).unwrap().dht.store.ns_len(ns), rows.len());
+        (allocs, held)
+    };
+    let ((a100, b100), (a1000, b1000)) = (stored(100), stored(1_000));
+    let per_item = (a1000 - a100) as f64 / 900.0;
+    let bytes_per_item = b1000.wrapping_sub(b100) as f64 / 900.0;
+    assert!(
+        per_item <= STORED_ITEM_ALLOCS,
+        "{per_item:.3} allocations per stored item"
+    );
+    assert!(
+        bytes_per_item <= STORED_ITEM_BYTES,
+        "{bytes_per_item:.0} bytes held per stored item"
+    );
+}
+
+/// Measured: 0.137 allocations (a leaf split per seven items) and 196 B;
+/// in a bucket `Vec` of its own (room for four entries, 416 B) an item
+/// cost 1.137 and held 468 B. The byte budget is about 10 % above.
+const STORED_ITEM_ALLOCS: f64 = 0.25;
+const STORED_ITEM_BYTES: f64 = 215.0;
 
 /// Setting and testing a Bloom filter's bits only computes positions.
 #[test]
