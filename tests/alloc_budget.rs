@@ -687,8 +687,9 @@ fn join_rows(n: usize) -> Vec<Tuple> {
 /// columns encoded straight from the stored bytes: a row costs the one
 /// `FlatRow` it ships and its share of a leaf of the store's map, where
 /// its put stores it beside the earlier rows of its resourceID (its
-/// upcall probes a side with no partners). A leaf of half-full slots
-/// holds five or six items, so the share is about a sixth. (Projected
+/// upcall probes a side with no partners). Rows arriving in key order
+/// leave each leaf about half full, five or six items, so the share is
+/// about a sixth. (Projected
 /// into a `Tuple` first, each row cost a `Vec` more; stored in a bucket
 /// `Vec` of its own, the row paid that `Vec`'s doublings instead of a
 /// leaf share.)
