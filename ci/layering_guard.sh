@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, three rules. Comment lines are not checked: prose may
+# Layering guard, four rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -23,6 +23,10 @@
 #    takes its list from a per-thread pool and gives it back drained; no
 #    line above a file's test module builds one by hand
 #    (`events = Vec::new()` / `vec![]`).
+# 4. The tenant governor holds no per-query state. Quotas, table rates
+#    and token buckets are its own; what is committed is the node's
+#    query registry, which `TenantGovernor::check` is handed. No line of
+#    crates/core/src/tenant.rs above its test module names `qid`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,7 +71,17 @@ if [ -n "$lists" ]; then
     status=1
 fi
 
+TENANT=crates/core/src/tenant.rs
+ledger=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// && /qid/ {
+        print FILENAME ":" FNR ":" $0
+    }' "$TENANT")
+if [ -n "$ledger" ]; then
+    echo "layering guard: $TENANT keeps per-query state — what is committed is the node's query registry, passed to TenantGovernor::check" >&2
+    echo "$ledger" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan and drains its upcall lists)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan and drains its upcall lists; $TENANT holds no per-query state)"
 fi
 exit "$status"

@@ -27,7 +27,6 @@
 //! operator-facing catalogue of every metric here lives in
 //! `MONITORING.md` at the repository root.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pier_dht::Ns;
@@ -97,7 +96,9 @@ impl QueryMetrics {
 /// the typed `NodeRequest::Metrics` client surface.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
-    queries: BTreeMap<u64, QueryMetrics>,
+    /// Every query ever installed here, sorted by qid: an audit log that
+    /// outlives uninstall.
+    queries: Vec<(u64, QueryMetrics)>,
     /// Installs admitted by the tenant governor on this node.
     pub admitted_installs: u64,
     /// Installs rejected by quota (admission control) on this node.
@@ -113,23 +114,34 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    fn find(&self, qid: u64) -> Result<usize, usize> {
+        self.queries.binary_search_by_key(&qid, |&(q, _)| q)
+    }
+
+    fn get_mut(&mut self, qid: u64) -> Option<&mut QueryMetrics> {
+        self.find(qid).ok().map(|at| &mut self.queries[at].1)
+    }
+
     /// Record an admitted install.
     pub fn on_install(&mut self, qid: u64, tenant: u32, priced_bytes_per_sec: f64, now: Time) {
         self.admitted_installs += 1;
-        self.queries
-            .insert(qid, QueryMetrics::new(tenant, priced_bytes_per_sec, now));
+        let q = QueryMetrics::new(tenant, priced_bytes_per_sec, now);
+        match self.find(qid) {
+            Ok(at) => self.queries[at].1 = q,
+            Err(at) => self.queries.insert(at, (qid, q)),
+        }
     }
 
     /// Record an uninstall — counters survive, `live` flips.
     pub fn on_uninstall(&mut self, qid: u64) {
-        if let Some(q) = self.queries.get_mut(&qid) {
+        if let Some(q) = self.get_mut(qid) {
             q.live = false;
         }
     }
 
     /// Record one put of derived (rehash-layer) soft state.
     pub fn on_rehash(&mut self, qid: u64, bytes: usize) {
-        if let Some(q) = self.queries.get_mut(&qid) {
+        if let Some(q) = self.get_mut(qid) {
             q.rehash_puts += 1;
             q.rehash_bytes += bytes as u64;
         }
@@ -137,7 +149,7 @@ impl MetricsRegistry {
 
     /// Record one result tuple emitted toward the initiator.
     pub fn on_result(&mut self, qid: u64, bytes: usize) {
-        if let Some(q) = self.queries.get_mut(&qid) {
+        if let Some(q) = self.get_mut(qid) {
             q.results_shipped += 1;
             q.result_bytes += bytes as u64;
         }
@@ -145,7 +157,7 @@ impl MetricsRegistry {
 
     /// Record a completed renewal round.
     pub fn on_renewal(&mut self, qid: u64, now: Time) {
-        if let Some(q) = self.queries.get_mut(&qid) {
+        if let Some(q) = self.get_mut(qid) {
             q.renewals += 1;
             q.last_renewal = now;
         }
@@ -159,12 +171,12 @@ impl MetricsRegistry {
 
     /// One query's counters, if it was ever installed here.
     pub fn query(&self, qid: u64) -> Option<&QueryMetrics> {
-        self.queries.get(&qid)
+        self.find(qid).ok().map(|at| &self.queries[at].1)
     }
 
     /// All per-query counters, ordered by qid.
     pub fn queries(&self) -> impl Iterator<Item = (&u64, &QueryMetrics)> {
-        self.queries.iter()
+        self.queries.iter().map(|(qid, q)| (qid, q))
     }
 }
 
@@ -244,7 +256,7 @@ impl MetricsSnapshot {
 
     /// Render the snapshot as hand-formatted JSON (the container is
     /// offline — no serde). Keys are emitted in a fixed order and
-    /// collections in deterministic (BTreeMap / node-id) order, so two
+    /// collections in deterministic (sorted / node-id) order, so two
     /// snapshots of identical state render identically.
     pub fn to_json(&self) -> String {
         let mut out = String::new();

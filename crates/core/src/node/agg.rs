@@ -215,7 +215,7 @@ impl PierNode {
     ) {
         let (qid, now) = (desc.qid, ctx.now);
         let replicated = self.replicated();
-        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+        if let Some(inst) = self.reg.get_mut(qid) {
             for_each_live(&self.dht, scan, now, |iid, expires, row| {
                 let valid = base_valid(desc.window, now, expires);
                 inst.accumulate(replicated, agg, &row, valid, iid as u64);
@@ -261,7 +261,7 @@ impl PierNode {
         ident: u64,
     ) {
         let replicated = self.replicated();
-        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+        if let Some(inst) = self.reg.get_mut(qid) {
             inst.accumulate(replicated, agg, row, valid_until, ident);
         }
     }
@@ -303,9 +303,9 @@ impl PierNode {
         let na = qns::agg(qid);
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
         self.dht_op(ctx, |node, ctx, events| {
-            let inst = node.reg.queries.get_mut(&qid);
+            let inst = node.reg.get_mut(qid);
             let built = inst.and_then(|inst| inst.build_report(agg, ctx.now));
-            let Some(inst) = node.reg.queries.get(&qid) else {
+            let Some(inst) = node.reg.get(qid) else {
                 return;
             };
             let groups = built.as_ref().unwrap_or(&inst.run_groups);
@@ -356,7 +356,7 @@ impl PierNode {
     /// non-continuous descriptor does not re-arm: the query emits one
     /// round and falls silent like any other one-shot.
     pub(super) fn rearm_epoch(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, action: TimerAction) {
-        let Some(inst) = self.reg.queries.get(&qid) else {
+        let Some(inst) = self.reg.get(qid) else {
             return;
         };
         if !inst.desc.continuous {
@@ -422,7 +422,7 @@ impl PierNode {
         let QueryOp::Agg { agg, .. } = &desc.op else {
             return;
         };
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         // Sent or emitted, the report leaves this node: with nothing
@@ -444,7 +444,7 @@ impl PierNode {
     /// A child's partial, kept until this node's own tree flush — unless
     /// it is not shaped like this query's ([`fits`]).
     pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<GroupAccs>) {
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         let agg = inst.desc.op.agg();

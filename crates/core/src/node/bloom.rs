@@ -84,7 +84,7 @@ impl PierNode {
     /// Is this collector still waiting for fragments of `side`? `None`
     /// when it cannot tell (query gone, or participant count unknown).
     fn fragments_missing(&self, qid: u64, side: Side) -> Option<bool> {
-        let desc = &self.reg.queries.get(&qid)?.desc;
+        let desc = &self.reg.get(qid)?.desc;
         let expecting = desc.n_nodes as usize;
         let have = self
             .fragments(qid, side, desc.op.join()?.bloom_bits)
@@ -117,7 +117,7 @@ impl PierNode {
     /// truncated filter.
     pub(super) fn bloom_deadline(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
         let missing = self.fragments_missing(qid, side) == Some(true);
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         let s = side as usize;
@@ -131,7 +131,7 @@ impl PierNode {
 
     /// OR the collected fragments of `side` and multicast the result.
     fn bloom_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, side: Side) {
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         let Some(bloom_bits) = inst.desc.op.join().map(|j| j.bloom_bits) else {
@@ -159,7 +159,7 @@ impl PierNode {
         side: Side,
         filter: BloomFilter,
     ) {
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         if std::mem::replace(&mut inst.got_filter[side as usize], true) {

@@ -171,7 +171,7 @@ impl PierNode {
     ) {
         let replicated = self.replicated();
         let pair = self.token();
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         let Some(j) = inst.desc.op.join() else { return };
@@ -215,7 +215,7 @@ impl PierNode {
             return;
         };
         let Some(j) = desc.op.join() else { return };
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         let Some(p) = inst.pairs.get_mut(&pair) else {

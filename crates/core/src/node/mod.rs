@@ -40,7 +40,7 @@ use crate::expr::{Expr, Projection};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
 use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
-use crate::tenant::TenantGovernor;
+use crate::tenant::{TenantGovernor, TenantId};
 use crate::tuple::{Columns, FlatRow, RowRef, Tuple};
 use crate::value::Value;
 
@@ -191,13 +191,17 @@ struct QueryInstance {
     /// all (removes their [`TimerAction`]s), so a torn-down query holds
     /// no entry in any node-level map.
     timers: Vec<u64>,
+    /// The bytes/sec admission charged against the query's tenant: what
+    /// [`TenantGovernor::check`] reads as committed while it stays.
+    priced: f64,
 }
 
 impl QueryInstance {
-    fn new(desc: Arc<QueryDesc>, view: Option<Arc<PipelineSchema>>) -> Self {
+    fn new(desc: Arc<QueryDesc>, view: Option<Arc<PipelineSchema>>, priced: f64) -> Self {
         QueryInstance {
             desc,
             view,
+            priced,
             got_filter: [false, false],
             bloom_flushed: [false, false],
             bloom_waits: [0, 0],
@@ -240,29 +244,72 @@ enum NsRole {
 
 /// The node's ledger of installed queries: every per-query structure —
 /// operator state, rehash publications, timer tokens (inside each
-/// [`QueryInstance`]) and the namespace routing table — lives here, so
-/// install and uninstall are single entry points and a torn-down query
-/// leaves nothing behind. Teardown is driven by [`PierNode::cancel`] (any shape) or by
-/// one-shot aggregates retiring at their terminal harvest; a one-shot
-/// *join* has no terminal event — its results trickle until the soft
-/// state ages out — so it stays installed until explicitly cancelled.
+/// [`QueryInstance`]), admission's committed budget and the namespace
+/// routing table — lives here, so install and uninstall are single entry
+/// points and a torn-down query leaves nothing behind. Teardown is driven
+/// by [`PierNode::cancel`] (any shape) or by one-shot aggregates retiring
+/// at their terminal harvest; a one-shot *join* has no terminal event —
+/// its results trickle until the soft state ages out — so it stays
+/// installed until explicitly cancelled.
+///
+/// An installed query is one slot in each of two sorted lists, so a node
+/// holding one query holds two small allocations, not a map node each.
 #[derive(Default)]
 struct QueryRegistry {
-    queries: BTreeMap<u64, QueryInstance>,
+    /// Sorted by qid. Grows one slot at a time, never shrinks: a node's
+    /// capacity is its installed peak.
+    queries: Vec<QueryInstance>,
     /// Why each namespace is interesting, and to which queries: drives
-    /// `newData` dispatch; stripped per query at uninstall.
-    ns_routes: BTreeMap<Ns, Vec<(u64, NsRole)>>,
+    /// `newData` dispatch. Sorted by namespace, and within a namespace in
+    /// the order routed; stripped per query at uninstall.
+    routes: Vec<(Ns, u64, NsRole)>,
 }
 
 impl QueryRegistry {
-    fn install(&mut self, qid: u64, inst: QueryInstance) {
-        self.queries.insert(qid, inst);
+    fn find(&self, qid: u64) -> Result<usize, usize> {
+        self.queries.binary_search_by_key(&qid, |i| i.desc.qid)
+    }
+
+    fn get(&self, qid: u64) -> Option<&QueryInstance> {
+        self.find(qid).ok().map(|at| &self.queries[at])
+    }
+
+    fn get_mut(&mut self, qid: u64) -> Option<&mut QueryInstance> {
+        self.find(qid).ok().map(|at| &mut self.queries[at])
+    }
+
+    /// Install a query not installed yet.
+    fn install(&mut self, inst: QueryInstance) {
+        let (Ok(at) | Err(at)) = self.find(inst.desc.qid);
+        if self.queries.len() == self.queries.capacity() {
+            self.queries.reserve_exact(1);
+        }
+        self.queries.insert(at, inst);
+    }
+
+    /// What admission has committed: every installed query's tenant and
+    /// priced bytes/sec, in qid order.
+    fn committed(&self) -> impl Iterator<Item = (TenantId, f64)> + '_ {
+        self.queries.iter().map(|i| (i.desc.tenant, i.priced))
+    }
+
+    /// The routes of `ns`, as indices into `routes`.
+    fn run(&self, ns: Ns) -> std::ops::Range<usize> {
+        let lo = self.routes.partition_point(|r| r.0 < ns);
+        lo..lo + self.routes[lo..].partition_point(|r| r.0 == ns)
+    }
+
+    /// The `k`-th query routed on `ns`, in the order routed.
+    fn route_at(&self, ns: Ns, k: usize) -> Option<(u64, NsRole)> {
+        self.routes[self.run(ns)]
+            .get(k)
+            .map(|&(_, qid, role)| (qid, role))
     }
 
     fn route(&mut self, ns: Ns, qid: u64, role: NsRole) {
-        let routes = self.ns_routes.entry(ns).or_default();
-        if !routes.contains(&(qid, role)) {
-            routes.push((qid, role));
+        let run = self.run(ns);
+        if !self.routes[run.clone()].contains(&(ns, qid, role)) {
+            self.routes.insert(run.end, (ns, qid, role));
         }
     }
 
@@ -280,11 +327,8 @@ impl QueryRegistry {
     /// Remove a query and every route pointing at it. Returns the
     /// instance so the caller can cancel its timers.
     fn uninstall(&mut self, qid: u64) -> Option<QueryInstance> {
-        let inst = self.queries.remove(&qid)?;
-        self.ns_routes.retain(|_, routes| {
-            routes.retain(|&(q, _)| q != qid);
-            !routes.is_empty()
-        });
+        let inst = self.queries.remove(self.find(qid).ok()?);
+        self.routes.retain(|r| r.1 != qid);
         Some(inst)
     }
 }
@@ -319,7 +363,7 @@ impl DhtEnv<QpItem> for NodeEnv<'_, '_> {
         DhtEnv::<QpItem>::rand64(&mut self.host)
     }
     fn wants_new_data(&self, ns: Ns) -> bool {
-        self.reg.ns_routes.contains_key(&ns)
+        !self.reg.run(ns).is_empty()
     }
 }
 
@@ -443,7 +487,6 @@ impl PierNode {
     /// not the only path. A bounded tombstone guards against a `Cancel`
     /// overtaking its query's still-in-flight install multicast.
     fn uninstall_query(&mut self, qid: u64) {
-        self.governor.release(qid);
         self.metrics.on_uninstall(qid);
         if self.cancelled.len() == CANCEL_TOMBSTONES {
             self.cancelled.pop_front();
@@ -467,12 +510,7 @@ impl PierNode {
     /// so `timer_actions`, the registry, and the routing table return to
     /// baseline instead of growing for the process lifetime.
     fn retire_if_one_shot(&mut self, qid: u64) {
-        if self
-            .reg
-            .queries
-            .get(&qid)
-            .is_some_and(|i| !i.desc.continuous)
-        {
+        if self.reg.get(qid).is_some_and(|i| !i.desc.continuous) {
             self.uninstall_query(qid);
         }
     }
@@ -482,7 +520,7 @@ impl PierNode {
     fn arm_timer(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, after: Dur, action: TimerAction) {
         let token = self.token();
         self.timer_actions.insert(token, action);
-        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+        if let Some(inst) = self.reg.get_mut(qid) {
             inst.timers.push(token);
         }
         ctx.set_timer(after, token);
@@ -491,7 +529,7 @@ impl PierNode {
     /// Forget a fired token on its owning query (the timer no longer
     /// needs cancelling at uninstall).
     fn release_timer(&mut self, qid: u64, token: u64) {
-        if let Some(inst) = self.reg.queries.get_mut(&qid) {
+        if let Some(inst) = self.reg.get_mut(qid) {
             inst.timers.retain(|&t| t != token);
         }
     }
@@ -539,7 +577,7 @@ impl PierNode {
 
     fn install_query(&mut self, ctx: &mut Ctx<PierMsg>, desc: Arc<QueryDesc>) {
         let qid = desc.qid;
-        if self.reg.queries.contains_key(&qid) || self.cancelled.contains(&qid) {
+        if self.reg.get(qid).is_some() || self.cancelled.contains(&qid) {
             // Duplicate multicast delivery, or a descriptor whose Cancel
             // (or one-shot retirement) already happened here — a late
             // install must not resurrect a torn-down query.
@@ -557,14 +595,15 @@ impl PierNode {
             self.metrics.malformed_installs += 1;
             return;
         };
-        // Admission control: commit the query's priced budget against
-        // its tenant's quota, or refuse the install outright. Every node
-        // runs the same check on the same descriptor against the same
-        // quota table, so the overlay-wide verdict is uniform; the
-        // initiator's `try_submit` dry-run means a rejection here is
-        // only reachable when quotas changed mid-flight or the submitter
-        // bypassed governance with a raw `submit`.
-        let priced = match self.governor.admit(&desc) {
+        // Admission control: charge the query's priced budget against
+        // its tenant's quota — what the registry already holds for the
+        // tenant — or refuse the install outright. Every node runs the
+        // same check on the same descriptor against the same quota table,
+        // so the overlay-wide verdict is uniform; the initiator's
+        // `try_submit` dry-run means a rejection here is only reachable
+        // when quotas changed mid-flight or the submitter bypassed
+        // governance with a raw `submit`.
+        let priced = match self.governor.check(&desc, self.reg.committed()) {
             Ok(priced) => priced,
             Err(_) => {
                 self.metrics.rejected_installs += 1;
@@ -573,7 +612,7 @@ impl PierNode {
         };
         self.metrics.on_install(qid, desc.tenant, priced, ctx.now);
         self.reg
-            .install(qid, QueryInstance::new(Arc::clone(&desc), view));
+            .install(QueryInstance::new(Arc::clone(&desc), view, priced));
         // A standing unwindowed query carrying a renewal period renews
         // its own rehash state from install on.
         if let Some(every) = renewal::period(&desc) {
@@ -643,24 +682,23 @@ impl PierNode {
     /// from it, which keeps `self` free for the `&mut` calls the
     /// dataflow makes.
     pub fn query_desc(&self, qid: u64) -> Option<Arc<QueryDesc>> {
-        self.reg.queries.get(&qid).map(|i| Arc::clone(&i.desc))
+        self.reg.get(qid).map(|i| Arc::clone(&i.desc))
     }
 
     /// The plan of an installed join — `None` for a query that is gone
     /// or not a join.
     fn join_plan(&self, qid: u64) -> Option<JoinPlan> {
-        let inst = self.reg.queries.get(&qid)?;
+        let inst = self.reg.get(qid)?;
         Some((Arc::clone(&inst.desc), Arc::clone(inst.view.as_ref()?)))
     }
 
     fn on_new_data(&mut self, ctx: &mut Ctx<PierMsg>, entry: Entry<QpItem>) {
-        // The route list is re-read at every step, not copied: nothing
-        // below installs or uninstalls a query (only a multicast or a
-        // timer does), so the list stands still while it is walked.
-        let route = |reg: &QueryRegistry, i: usize| reg.ns_routes.get(&entry.ns)?.get(i).copied();
-        let mut i = 0;
-        while let Some((qid, role)) = route(&self.reg, i) {
-            i += 1;
+        // The namespace's routes are re-read at every step, not copied:
+        // nothing below installs or uninstalls a query (only a multicast
+        // or a timer does), so they stand still while they are walked.
+        let mut k = 0;
+        while let Some((qid, role)) = self.reg.route_at(entry.ns, k) {
+            k += 1;
             match role {
                 NsRole::Stage(k) => self.probe(ctx, qid, k as usize, &entry),
                 NsRole::Base(t) => self.on_base_new_data(ctx, qid, t as usize, &entry),
@@ -678,7 +716,7 @@ impl PierNode {
         t: usize,
         entry: &Entry<QpItem>,
     ) {
-        let Some(inst) = self.reg.queries.get(&qid) else {
+        let Some(inst) = self.reg.get(qid) else {
             return;
         };
         if !inst.desc.continuous {
@@ -910,6 +948,7 @@ impl App for PierNode {
 mod tests {
     use super::*;
     use crate::agg::GroupAccs;
+    use crate::plan::JoinSpec;
     use crate::testkit::stabilized_pier_sim;
     use pier_simnet::NetConfig;
 
@@ -922,10 +961,27 @@ mod tests {
         }
     }
 
+    /// A put of `item` into `ns` stores it and builds no upcall: the
+    /// `events` list is not even allocated.
+    fn assert_no_upcall(node: &mut PierNode, ctx: &mut Ctx<PierMsg>, ns: Ns, item: QpItem) {
+        let mut events = Vec::new();
+        let env = &mut node.reg.env(ctx);
+        assert!(!env.wants_new_data(ns));
+        let stored = node.dht.lscan(ns).count();
+        let life = Dur::from_secs(60);
+        node.dht.put(env, ns, 1, 0, item, life, &mut events);
+        assert!(events.is_empty());
+        assert_eq!(events.capacity(), 0);
+        assert_eq!(
+            node.dht.lscan(ns).count(),
+            stored + 1,
+            "stored all the same"
+        );
+    }
+
     /// `newData` is a subscription: a put into a namespace no installed
-    /// query routed stores the item and builds no upcall — the `events`
-    /// list is not even allocated — while the same put into a routed
-    /// namespace raises it.
+    /// query routed stores the item and builds no upcall, while the same
+    /// put into a routed namespace raises it.
     #[test]
     fn new_data_is_raised_only_for_a_routed_namespace() {
         let mut sim =
@@ -933,17 +989,12 @@ mod tests {
         let (unrouted, routed) = (qns::agg(7), qns::agg(8));
         sim.with_app(0, |node, ctx| {
             assert_eq!(node.installed_query_count(), 0);
-            let mut events = Vec::new();
-            let life = Dur::from_secs(60);
-            let env = &mut node.reg.env(ctx);
-            node.dht
-                .put(env, unrouted, 1, 0, partial(7), life, &mut events);
-            assert!(events.is_empty());
-            assert_eq!(events.capacity(), 0);
-            assert_eq!(node.dht.lscan(unrouted).count(), 1, "stored all the same");
+            assert_no_upcall(node, ctx, unrouted, partial(7));
 
             node.reg.route(routed, 8, NsRole::Stage(0));
+            let mut events = Vec::new();
             let env = &mut node.reg.env(ctx);
+            let life = Dur::from_secs(60);
             node.dht
                 .put(env, routed, 1, 0, partial(8), life, &mut events);
             assert!(matches!(
@@ -951,5 +1002,85 @@ mod tests {
                 [DhtEvent::NewData { entry }] if entry.ns == routed
             ));
         });
+    }
+
+    /// A standing join of `L(k, j)` with `Rt(k, j)` on `j`.
+    fn standing_join(qid: u64) -> QueryDesc {
+        let left = ScanSpec::new("L", 2, 0).with_join_col(1);
+        let right = ScanSpec::new("Rt", 2, 0).with_join_col(1);
+        let mut join = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+        join.project = vec![Expr::col(0), Expr::col(2)];
+        QueryDesc::standing(qid, 0, QueryOp::Join { join, agg: None }, None)
+    }
+
+    /// Two standing queries routed on one namespace receive its `newData`
+    /// in the order they were installed, not in qid order — the first
+    /// rehashes a new row before the second, so its copy has the smaller
+    /// instanceID; once the first is uninstalled the second still receives
+    /// it; and once both are, the namespace raises no upcall at all.
+    #[test]
+    fn new_data_reaches_routed_queries_in_install_order() {
+        let mut sim =
+            stabilized_pier_sim(1, DhtConfig::static_network(), NetConfig::latency_only(3));
+        let table = pier_dht::ns_of("L");
+        let rehashed = |node: &PierNode, qid: u64| -> Vec<u32> {
+            let stage = qns::stage_of(qid, 1, 0);
+            node.dht.lscan(stage).map(|e| e.iid).collect()
+        };
+        sim.with_app(0, |node, ctx| {
+            let life = Dur::from_secs(600);
+            for qid in [2, 1] {
+                node.submit(ctx, standing_join(qid));
+            }
+            let firsts = [(2, NsRole::Base(0)), (1, NsRole::Base(0))];
+            assert_eq!(
+                [0, 1].map(|k| node.reg.route_at(table, k)),
+                firsts.map(Some)
+            );
+
+            node.publish_rows(
+                ctx,
+                "L",
+                vec![Tuple::new(vec![Value::I64(0), Value::I64(7)])],
+                0,
+                life,
+            );
+            let (by_2, by_1) = (rehashed(node, 2), rehashed(node, 1));
+            assert!(by_2.len() == 1 && by_1.len() == 1);
+            assert!(
+                by_2[0] < by_1[0],
+                "query 2, installed first, rehashed first"
+            );
+
+            node.uninstall_query(2);
+            node.publish_rows(
+                ctx,
+                "L",
+                vec![Tuple::new(vec![Value::I64(1), Value::I64(7)])],
+                0,
+                life,
+            );
+            assert_eq!(rehashed(node, 1).len(), 2, "query 1 still receives newData");
+
+            node.uninstall_query(1);
+            assert!(node.reg.routes.is_empty());
+            assert_no_upcall(node, ctx, table, partial(1));
+        });
+    }
+
+    /// Routing a query on a namespace it is already routed on, in the
+    /// same role, adds nothing; another role or query is another route.
+    #[test]
+    fn a_duplicate_route_adds_nothing() {
+        let mut reg = QueryRegistry::default();
+        let ns = qns::agg(8);
+        reg.route(ns, 8, NsRole::Stage(0));
+        reg.route(ns, 8, NsRole::Stage(0));
+        assert_eq!(reg.routes, [(ns, 8, NsRole::Stage(0))]);
+        reg.route(ns, 8, NsRole::Base(0));
+        reg.route(ns, 3, NsRole::Stage(0));
+        assert_eq!(reg.route_at(ns, 1), Some((8, NsRole::Base(0))));
+        assert_eq!(reg.route_at(ns, 2), Some((3, NsRole::Stage(0))));
+        assert_eq!(reg.route_at(ns, 3), None);
     }
 }

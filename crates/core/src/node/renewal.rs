@@ -149,7 +149,7 @@ impl PierNode {
     /// renew it ([`period`]).
     pub(super) fn record_rehash(&mut self, qid: u64, ns: Ns, rid: Rid, iid: u32, item: &QpItem) {
         self.metrics.on_rehash(qid, item.wire_size());
-        let Some(inst) = self.reg.queries.get_mut(&qid) else {
+        let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
         if period(&inst.desc).is_some() {
@@ -168,7 +168,7 @@ impl PierNode {
     /// re-firing `newData`, so no probe runs twice.
     pub(super) fn renew_query(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         self.dht_op(ctx, |node, ctx, events| {
-            let Some(inst) = node.reg.queries.get(&qid) else {
+            let Some(inst) = node.reg.get(qid) else {
                 return; // uninstalled between arm and fire
             };
             let Some(every) = period(&inst.desc) else {

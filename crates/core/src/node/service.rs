@@ -28,15 +28,15 @@ impl PierNode {
     /// [`AdmissionError`] — no multicast, no partial install — and
     /// counted in this node's `rejected_installs`. On admission the
     /// multicast proceeds; each receiving node (this one included, via
-    /// its own multicast delivery) re-checks and commits the budget at
-    /// install time, so the ledger converges overlay-wide.
+    /// its own multicast delivery) re-checks at install time against its
+    /// own registry, so the verdict is the same overlay-wide.
     /// Returns the priced bytes/sec charged against the quota.
     pub fn try_submit(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         desc: QueryDesc,
     ) -> Result<f64, AdmissionError> {
-        match self.governor.check(&desc) {
+        match self.governor.check(&desc, self.reg.committed()) {
             Ok(priced) => {
                 self.submit(ctx, desc);
                 Ok(priced)
@@ -85,7 +85,7 @@ impl PierNode {
 
     /// Is a query currently installed here?
     pub fn has_query(&self, qid: u64) -> bool {
-        self.reg.queries.contains_key(&qid)
+        self.reg.get(qid).is_some()
     }
 
     /// Outstanding deferred-work timers (renewal loop included) — the
@@ -96,10 +96,7 @@ impl PierNode {
 
     /// Rehash publications this node would renew for a query.
     pub fn rehash_pub_count(&self, qid: u64) -> usize {
-        self.reg
-            .queries
-            .get(&qid)
-            .map_or(0, |i| i.rehash_pubs.len())
+        self.reg.get(qid).map_or(0, |i| i.rehash_pubs.len())
     }
 
     /// Storage audit: items still stored here under any of the query's

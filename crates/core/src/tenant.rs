@@ -11,11 +11,12 @@
 //!   cost model via [`crate::optimizer::price_query`]. A query's
 //!   admission cost is the bytes/sec the optimizer predicts it will
 //!   put on the wire, not a guess;
-//! * a [`TenantGovernor`] — the bookkeeping that turns quotas into
-//!   decisions: [`TenantGovernor::check`] is a side-effect-free dry
-//!   run (the typed-rejection surface for `try_submit`),
-//!   [`TenantGovernor::admit`] commits budget at install time, and
-//!   [`TenantGovernor::release`] returns it at uninstall;
+//! * a [`TenantGovernor`] — quotas, table rates and buckets, which turn
+//!   into decisions through [`TenantGovernor::check`]: a side-effect-free
+//!   verdict on one query against what is already committed, which the
+//!   caller passes in. A node's committed budget is its query registry
+//!   (every installed query and its price), so the governor keeps no
+//!   per-query state of its own;
 //! * a deterministic [`TokenBucket`] per tenant — publish-side
 //!   backpressure. A tenant whose publish rate outruns its
 //!   `publish_bytes_per_sec` has the overflow *shed* at the
@@ -167,6 +168,7 @@ impl TokenBucket {
 /// meters publishes. Owned by each `PierNode`; decisions are local,
 /// but because every node sees the same install multicast and the same
 /// quota table, the whole overlay converges on the same verdict.
+/// What is committed is the caller's to say ([`Self::check`]).
 #[derive(Debug, Clone, Default)]
 pub struct TenantGovernor {
     /// Base-table arrival rates used to price queries. Keyed by the
@@ -176,9 +178,6 @@ pub struct TenantGovernor {
     default_rate: TableRate,
     /// Registered quotas; absent tenants are unlimited.
     quotas: BTreeMap<TenantId, Quota>,
-    /// qid -> (tenant, priced bytes/sec) for every admitted standing
-    /// query — the committed ledger that `release` unwinds.
-    committed: BTreeMap<u64, (TenantId, f64)>,
     /// Publish-side token buckets, created lazily per tenant.
     buckets: BTreeMap<TenantId, TokenBucket>,
 }
@@ -219,29 +218,24 @@ impl TenantGovernor {
         })
     }
 
-    /// Standing queries currently committed for `tenant`.
-    pub fn standing_count(&self, tenant: TenantId) -> usize {
-        self.committed
-            .values()
-            .filter(|(t, _)| *t == tenant)
-            .count()
-    }
-
-    /// Priced bytes/sec currently committed for `tenant`.
-    pub fn committed_bytes_per_sec(&self, tenant: TenantId) -> f64 {
-        self.committed
-            .values()
-            .filter(|(t, _)| *t == tenant)
-            .map(|(_, b)| b)
-            .sum()
-    }
-
-    /// Dry-run admission: would `desc` be admitted right now? No state
-    /// changes — this is the typed-rejection surface for `try_submit`.
-    pub fn check(&self, desc: &QueryDesc) -> Result<f64, AdmissionError> {
+    /// Would `desc` be admitted beside `committed` — the tenant and
+    /// priced bytes/sec of every query already installed, in qid order?
+    /// Returns the query's price. No state changes: the same verdict
+    /// serves `try_submit`'s dry run and the install itself.
+    pub fn check(
+        &self,
+        desc: &QueryDesc,
+        committed: impl IntoIterator<Item = (TenantId, f64)>,
+    ) -> Result<f64, AdmissionError> {
         let tenant = desc.tenant;
         let quota = self.quota(tenant);
-        let installed = self.standing_count(tenant);
+        let mut installed = 0;
+        let committed: f64 = committed
+            .into_iter()
+            .filter(|&(t, _)| t == tenant)
+            .inspect(|_| installed += 1)
+            .map(|(_, b)| b)
+            .sum();
         if installed >= quota.max_standing {
             return Err(AdmissionError::StandingQueries {
                 tenant,
@@ -250,7 +244,6 @@ impl TenantGovernor {
             });
         }
         let priced = self.price(desc);
-        let committed = self.committed_bytes_per_sec(tenant);
         if committed + priced > quota.max_priced_bytes_per_sec {
             return Err(AdmissionError::PricedTraffic {
                 tenant,
@@ -260,23 +253,6 @@ impl TenantGovernor {
             });
         }
         Ok(priced)
-    }
-
-    /// Admission at install time: check, then commit the priced budget
-    /// under `desc.qid`. Re-admitting an already-committed qid is a
-    /// no-op success (installs arrive via multicast and may repeat).
-    pub fn admit(&mut self, desc: &QueryDesc) -> Result<f64, AdmissionError> {
-        if let Some((_, priced)) = self.committed.get(&desc.qid) {
-            return Ok(*priced);
-        }
-        let priced = self.check(desc)?;
-        self.committed.insert(desc.qid, (desc.tenant, priced));
-        Ok(priced)
-    }
-
-    /// Return a query's budget at uninstall. Unknown qids are ignored.
-    pub fn release(&mut self, qid: u64) {
-        self.committed.remove(&qid);
     }
 
     /// Publish-side backpressure: may `tenant` publish `bytes` now?
@@ -333,19 +309,22 @@ mod tests {
                 ..Quota::unlimited()
             },
         );
-        g.admit(&scan_desc(1, 7)).expect("first query admitted");
-        let err = g.admit(&scan_desc(2, 7)).unwrap_err();
+        // Another tenant's queries do not count against tenant 7.
+        let others = [(3, 10.0), (8, 10.0)];
+        g.check(&scan_desc(1, 7), others)
+            .expect("first query admitted");
+        let err = g.check(&scan_desc(2, 7), [(3, 10.0), (7, 0.0), (8, 10.0)]);
         assert_eq!(
-            err,
+            err.unwrap_err(),
             AdmissionError::StandingQueries {
                 tenant: 7,
                 installed: 1,
                 limit: 1
             }
         );
-        // Release frees the slot.
-        g.release(1);
-        g.admit(&scan_desc(2, 7)).expect("admitted after release");
+        // A query gone from what is committed frees its slot.
+        g.check(&scan_desc(2, 7), others)
+            .expect("admitted once the first is gone");
     }
 
     #[test]
@@ -367,29 +346,28 @@ mod tests {
                 ..Quota::unlimited()
             },
         );
-        g.admit(&scan_desc(1, 3)).expect("within budget");
-        let err = g.admit(&scan_desc(2, 3)).unwrap_err();
-        match err {
+        assert_eq!(g.check(&scan_desc(1, 3), []), Ok(priced), "within budget");
+        // What is committed is summed over the tenant's own queries only.
+        let committed = [(3, priced * 0.25), (4, priced), (3, priced * 0.5)];
+        let err = g.check(&scan_desc(2, 3), committed).unwrap_err();
+        assert_eq!(
+            err,
             AdmissionError::PricedTraffic {
-                tenant,
-                committed,
-                budget,
-                ..
-            } => {
-                assert_eq!(tenant, 3);
-                assert!((committed - priced).abs() < 1e-9);
-                assert!((budget - priced * 1.5).abs() < 1e-9);
+                tenant: 3,
+                priced,
+                committed: priced * 0.75,
+                budget: priced * 1.5,
             }
-            other => panic!("wrong rejection: {other:?}"),
-        }
+        );
         // Display is operator-readable.
-        assert!(g
-            .check(&scan_desc(2, 3))
-            .unwrap_err()
-            .to_string()
-            .contains("over budget"));
+        assert!(err.to_string().contains("over budget"));
     }
 
+    /// The governor holds nothing per query: a verdict is a function of
+    /// the quota table and what the caller says is committed, so checking
+    /// a query any number of times commits nothing and leaves the next
+    /// verdict as it was. (Re-delivered installs are idempotent in the
+    /// node, whose registry holds a qid once.)
     #[test]
     fn readmitting_a_committed_qid_is_idempotent() {
         let mut g = TenantGovernor::new();
@@ -400,18 +378,23 @@ mod tests {
                 ..Quota::unlimited()
             },
         );
-        g.admit(&scan_desc(9, 1)).unwrap();
-        // The install multicast re-delivers: same qid must not double-count.
-        g.admit(&scan_desc(9, 1)).expect("idempotent re-admit");
-        assert_eq!(g.standing_count(1), 1);
+        for _ in 0..3 {
+            g.check(&scan_desc(9, 1), [])
+                .expect("nothing committed yet");
+        }
+        let err = g.check(&scan_desc(9, 1), [(1, 0.0)]).unwrap_err();
+        assert!(matches!(
+            err,
+            AdmissionError::StandingQueries { installed: 1, .. }
+        ));
     }
 
     #[test]
     fn unquotad_tenants_are_unlimited() {
         let mut g = TenantGovernor::new();
-        for qid in 0..100 {
-            g.admit(&scan_desc(qid, 42)).expect("no quota, no limit");
-        }
+        let committed: Vec<(TenantId, f64)> = (0..100).map(|_| (42, 1e12)).collect();
+        g.check(&scan_desc(100, 42), committed)
+            .expect("no quota, no limit");
         assert!(g.try_publish(42, Time(0), 1e12));
     }
 }

@@ -150,6 +150,48 @@ fn install_rejected_when_priced_over_budget() {
     ));
 }
 
+/// A query is committed once however often its install arrives: the same
+/// qid submitted twice (a re-delivered multicast) installs once on every
+/// node, counts one admitted install and no rejection, and holds the
+/// tenant's one standing slot, so a second qid is refused.
+#[test]
+fn a_resubmitted_qid_installs_once_and_holds_its_slot() {
+    let n = 4;
+    let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(5));
+    sim.run_for(Dur::from_secs(2));
+    let quota = Quota {
+        max_standing: 1,
+        ..Quota::unlimited()
+    };
+    for id in 0..n as NodeId {
+        sim.with_node(id, |node, _| node.governor.set_quota(3, quota));
+    }
+    let admitted = sim.with_node(0, |node, ctx| {
+        node.try_submit(ctx, scan_query(31, 0, "T", 3))
+    });
+    assert!(admitted.unwrap().is_ok());
+    sim.run_for(Dur::from_secs(5));
+    sim.with_node(0, |node, ctx| node.submit(ctx, scan_query(31, 0, "T", 3)));
+    sim.run_for(Dur::from_secs(5));
+    for id in 0..n as NodeId {
+        let node = sim.node(id).unwrap();
+        assert_eq!(node.installed_query_count(), 1, "node {id}");
+        assert_eq!(node.metrics.admitted_installs, 1, "node {id}");
+        assert_eq!(node.metrics.rejected_installs, 0, "node {id}");
+    }
+    let refused = sim.with_node(0, |node, ctx| {
+        node.try_submit(ctx, scan_query(32, 0, "T", 3))
+    });
+    assert_eq!(
+        refused.unwrap(),
+        Err(AdmissionError::StandingQueries {
+            tenant: 3,
+            installed: 1,
+            limit: 1
+        })
+    );
+}
+
 // ---------------------------------------------------------------------
 // Backpressure: hot-tenant flood vs co-tenant recall
 // ---------------------------------------------------------------------
