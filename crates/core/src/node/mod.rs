@@ -299,13 +299,6 @@ impl QueryRegistry {
         lo..lo + self.routes[lo..].partition_point(|r| r.0 == ns)
     }
 
-    /// The `k`-th query routed on `ns`, in the order routed.
-    fn route_at(&self, ns: Ns, k: usize) -> Option<(u64, NsRole)> {
-        self.routes[self.run(ns)]
-            .get(k)
-            .map(|&(_, qid, role)| (qid, role))
-    }
-
     fn route(&mut self, ns: Ns, qid: u64, role: NsRole) {
         let run = self.run(ns);
         if !self.routes[run.clone()].contains(&(ns, qid, role)) {
@@ -694,11 +687,15 @@ impl PierNode {
 
     fn on_new_data(&mut self, ctx: &mut Ctx<PierMsg>, entry: Entry<QpItem>) {
         // The namespace's routes are re-read at every step, not copied:
-        // nothing below installs or uninstalls a query (only a multicast
-        // or a timer does), so they stand still while they are walked.
-        let mut k = 0;
-        while let Some((qid, role)) = self.reg.route_at(entry.ns, k) {
-            k += 1;
+        // nothing below routes, installs or uninstalls a query (only a
+        // multicast or a timer does), so they stand still while they are
+        // walked.
+        let mut at = self.reg.routes.partition_point(|r| r.0 < entry.ns);
+        while let Some(&(ns, qid, role)) = self.reg.routes.get(at) {
+            if ns != entry.ns {
+                break;
+            }
+            at += 1;
             match role {
                 NsRole::Stage(k) => self.probe(ctx, qid, k as usize, &entry),
                 NsRole::Base(t) => self.on_base_new_data(ctx, qid, t as usize, &entry),
@@ -1032,11 +1029,9 @@ mod tests {
             for qid in [2, 1] {
                 node.submit(ctx, standing_join(qid));
             }
-            let firsts = [(2, NsRole::Base(0)), (1, NsRole::Base(0))];
-            assert_eq!(
-                [0, 1].map(|k| node.reg.route_at(table, k)),
-                firsts.map(Some)
-            );
+            let firsts = [(table, 2, NsRole::Base(0)), (table, 1, NsRole::Base(0))];
+            let run = node.reg.run(table);
+            assert_eq!(node.reg.routes[run], firsts);
 
             node.publish_rows(
                 ctx,
@@ -1079,8 +1074,11 @@ mod tests {
         assert_eq!(reg.routes, [(ns, 8, NsRole::Stage(0))]);
         reg.route(ns, 8, NsRole::Base(0));
         reg.route(ns, 3, NsRole::Stage(0));
-        assert_eq!(reg.route_at(ns, 1), Some((8, NsRole::Base(0))));
-        assert_eq!(reg.route_at(ns, 2), Some((3, NsRole::Stage(0))));
-        assert_eq!(reg.route_at(ns, 3), None);
+        let routed = [
+            (8, NsRole::Stage(0)),
+            (8, NsRole::Base(0)),
+            (3, NsRole::Stage(0)),
+        ];
+        assert_eq!(reg.routes, routed.map(|(q, role)| (ns, q, role)));
     }
 }
