@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, four rules. Comment lines are not checked: prose may
+# Layering guard, five rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -27,6 +27,16 @@
 #    and token buckets are its own; what is committed is the node's
 #    query registry, which `TenantGovernor::check` is handed. No line of
 #    crates/core/src/tenant.rs above its test module names `qid`.
+# 5. Rows encoded together share one buffer. Under crates/core/src/node/
+#    a row is encoded alone (`FlatRow::from_columns`) only where a
+#    handler has one row to encode: `rehash_one`, `advance` and
+#    `emit_result`. `FlatRow::from_columns` once had six sites here:
+#    those three, `rehash_table`, `install_query`'s scan ship and
+#    `fm_start`'s copy of a row it already held; `publish_rows_from`
+#    encoded through `FlatRow::from_tuple` and `emit_groups` through
+#    `emit_result`. The bulk ones now encode into a `RowBatch`, and
+#    `fm_start` shares the stored row. A new bulk encoder uses a
+#    `RowBatch`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,7 +91,19 @@ if [ -n "$ledger" ]; then
     status=1
 fi
 
+ONE_ROW='rehash_one|advance|emit_result'
+alone=$(awk -v allowed="^($ONE_ROW)\$" 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /FlatRow::from_(columns|tuple)/ && fn !~ allowed {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ -n "$alone" ]; then
+    echo "layering guard: $NODE encodes a row alone outside the one-row sites ($ONE_ROW) — encode many rows into one RowBatch (crates/core/src/tuple.rs)" >&2
+    echo "$alone" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan and drains its upcall lists; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites; $TENANT holds no per-query state)"
 fi
 exit "$status"

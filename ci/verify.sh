@@ -4,15 +4,17 @@
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
 # cross_engine, frontend_pin, agg_pin, store_pin, registry_pin,
-# dataflow_pin, wire_audit, alloc_budget), the lints, the three source
-# guards (the layering guard's four rules: the DHT provider names no
-# overlay internals; no code under crates/core/src/node/ names
+# publish_pin, dataflow_pin, wire_audit, alloc_budget), the lints, the
+# three source guards (the layering guard's five rules: the DHT provider
+# names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
 # non-test line there builds an upcall list by hand — a node calls its
 # provider through `PierNode::dht_op`, whose lists come drained from a
-# per-thread pool; and crates/core/src/tenant.rs holds no per-query
-# state — what is committed is the node's query registry), the
+# per-thread pool; crates/core/src/tenant.rs holds no per-query state —
+# what is committed is the node's query registry; and under node/ a row
+# is encoded alone only at the three one-row sites, `rehash_one`,
+# `advance` and `emit_result` — many rows go into one `RowBatch`), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

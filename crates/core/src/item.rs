@@ -93,7 +93,7 @@ pub enum QpItem {
 impl Wire for QpItem {
     fn wire_size(&self) -> usize {
         match self {
-            QpItem::Row(t) => 2 + t.wire(),
+            QpItem::Row(t) => row_item_wire(t.wire()),
             QpItem::Tagged { join, row, .. } => 11 + join.wire_size() + row.wire(),
             QpItem::Mini { pkey, join, .. } => 11 + pkey.wire_size() + join.wire_size(),
             QpItem::Bloom { filter, .. } => 11 + filter.wire_size(),
@@ -104,6 +104,12 @@ impl Wire for QpItem {
             QpItem::Cancel { .. } => 10,
         }
     }
+}
+
+/// Wire bytes of a [`QpItem::Row`] whose row is `row` wire bytes: what a
+/// publish charges its tenant before the item is built.
+pub(crate) fn row_item_wire(row: usize) -> usize {
+    2 + row
 }
 
 /// The complete message type of a PIER node: the DHT sublayer's protocol

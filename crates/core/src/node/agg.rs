@@ -18,7 +18,7 @@ use crate::agg::GroupAccs;
 use crate::expr::Projection;
 use crate::item::{PierMsg, QpItem};
 use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
-use crate::tuple::{Columns, Select, Tuple};
+use crate::tuple::{Columns, RowBatch, Select, Tuple};
 use crate::value::{ValRef, Value};
 
 /// resourceID of a group's partials: hash of the group values.
@@ -216,7 +216,7 @@ impl PierNode {
         let (qid, now) = (desc.qid, ctx.now);
         let replicated = self.replicated();
         if let Some(inst) = self.reg.get_mut(qid) {
-            for_each_live(&self.dht, scan, now, |iid, expires, row| {
+            for_each_live(&self.dht, scan, now, |iid, expires, _, row| {
                 let valid = base_valid(desc.window, now, expires);
                 inst.accumulate(replicated, agg, &row, valid, iid as u64);
             });
@@ -268,10 +268,10 @@ impl PierNode {
 
     /// Finalize groups: apply HAVING, evaluate the output expressions,
     /// ship to the initiator — each group finalized into one reused
-    /// virtual row and the output evaluated over it as it is encoded, so
-    /// a result costs the copy that leaves. Aggregate emissions
-    /// legitimately repeat every epoch: ident 0 exempts them from
-    /// initiator-side dedup.
+    /// virtual row and the output evaluated over it as it is encoded into
+    /// one batch, so the results cost the one buffer that leaves. Aggregate
+    /// emissions legitimately repeat every epoch: ident 0 exempts them
+    /// from initiator-side dedup.
     fn emit_groups(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -282,14 +282,22 @@ impl PierNode {
         // Taken out for the duration: nothing on the way re-enters (if
         // something did, it would find an empty row and allocate its own).
         let mut virt = VIRT.take();
+        let (remote, mut batch) = (desc.initiator != ctx.me, RowBatch::default());
         for (group, accs) in groups {
             accs.output_row(group, &mut virt);
             if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
                 let out = Projection::new(&agg.output, &virt);
-                self.emit_result(ctx, desc.qid, desc.initiator, 0, &out);
+                if remote {
+                    batch.push(&out);
+                } else {
+                    self.emit_result(ctx, desc.qid, desc.initiator, 0, &out);
+                }
             }
         }
         VIRT.set(virt);
+        for row in batch.seal().iter() {
+            self.emit_encoded(ctx, desc.qid, desc.initiator, 0, row);
+        }
     }
 
     /// Push local partials into the NA namespace (flat aggregation).

@@ -39,7 +39,8 @@ impl PierNode {
         let filters = [Side::Left, Side::Right].map(|side| {
             let mut filter = BloomFilter::new(j.bloom_bits, BLOOM_HASHES);
             let (_, _, join_col) = view.table_role(side as usize);
-            for_each_live(&self.dht, j.table(side as usize), ctx.now, |_, _, row| {
+            let scan = j.table(side as usize);
+            for_each_live(&self.dht, scan, ctx.now, |_, _, _, row| {
                 filter.insert(row.get(join_col).hash64());
             });
             (side, filter)

@@ -10,10 +10,10 @@ use pier_dht::msg::Entry;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
-use super::{for_each_live, live_row, take, GetPurpose, PairFetch, PierNode, REHASH_BATCHES};
+use super::{for_each_live, live_row, take, GetPurpose, PairFetch, Pending, PierNode, BULK_PUTS};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::{qns, ScanSpec};
-use crate::tuple::{Columns, Concat, FlatRow};
+use crate::tuple::{Columns, Concat, FlatRow, Rows};
 use crate::value::{ValRef, Value};
 
 impl PierNode {
@@ -27,11 +27,11 @@ impl PierNode {
         };
         let Some(j) = desc.op.join() else { return };
         let (_, _, join_col) = view.table_role(0);
-        // Each probing row is kept, encoded, until its fetch completes.
+        // Each probing row is kept, as stored, until its fetch completes.
         let mut rows = Vec::new();
-        for_each_live(&self.dht, &j.left, ctx.now, |iid, expires, row| {
+        for_each_live(&self.dht, &j.left, ctx.now, |iid, expires, flat, row| {
             let rid = row.col(join_col).hash64();
-            rows.push((rid, iid, expires, FlatRow::from_columns(&row)));
+            rows.push((rid, iid, expires, flat.clone()));
         });
         let right_ns = j.stages[0].right.ns;
         self.dht_op(ctx, |node, ctx, events| {
@@ -102,8 +102,8 @@ impl PierNode {
         let scan = j.table(t);
         let (_, _, join_col) = view.table_role(t);
         // Two passes, as in `rehash_table`.
-        let mut puts = take(&REHASH_BATCHES);
-        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, row| {
+        let mut puts = take(&BULK_PUTS);
+        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, _, row| {
             let join = row.get(join_col).to_value();
             let pkey = row.get(scan.pkey_col).to_value();
             let rid = Self::rehash_rid(&join, j.computation_nodes);
@@ -113,10 +113,10 @@ impl PierNode {
                 pkey,
                 join,
             };
-            puts.push((rid, base_iid, item));
+            puts.push((rid, base_iid, Pending::Item(item)));
         });
-        let lifetime = Self::soft_lifetime(&desc);
-        self.put_rehashed(ctx, qid, qns::rehash(qid), t as u64, lifetime, puts);
+        let (ns, lifetime) = (qns::rehash(qid), Self::soft_lifetime(&desc));
+        self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts, &Rows::default());
     }
 
     /// Pair an arriving mini with the live opposite-side minis of the

@@ -41,7 +41,7 @@ use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
 use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
 use crate::tenant::{TenantGovernor, TenantId};
-use crate::tuple::{Columns, FlatRow, RowRef, Tuple};
+use crate::tuple::{Columns, FlatRow, RowBatch, RowRef, Rows, Slot, Tuple};
 use crate::value::Value;
 
 /// What an outstanding DHT `get` was issued for.
@@ -114,8 +114,35 @@ type JoinPlan = (Arc<QueryDesc>, Arc<PipelineSchema>);
 /// The upcalls one DHT operation raised, in order.
 type Upcalls = Vec<DhtEvent<QpItem>>;
 
-/// A bulk rehash's item: resourceID, the *base* row's instanceID, item.
-type RehashPut = (Rid, u32, QpItem);
+/// A bulk put (rehash, publish) staged while its rows are encoded:
+/// resourceID, instanceID (a rehash's base row's) and the item.
+type BulkPut = (Rid, u32, Pending);
+
+/// A staged item, its row still a slot of the batch: a base row, a stage
+/// row (qid, side, join value) or an item without a row (a mini).
+enum Pending {
+    Row(Slot),
+    Tagged(u64, Side, Value, Slot),
+    Item(QpItem),
+}
+
+impl Pending {
+    fn item(self, rows: &Rows) -> QpItem {
+        match self {
+            Pending::Row(slot) => QpItem::Row(rows.row(slot)),
+            Pending::Tagged(qid, side, join, slot) => {
+                let row = rows.row(slot);
+                QpItem::Tagged {
+                    qid,
+                    side,
+                    join,
+                    row,
+                }
+            }
+            Pending::Item(item) => item,
+        }
+    }
+}
 
 /// A per-thread stack of emptied buffers: an operation [`take`]s one and
 /// gives it back drained, and one nested inside it takes the next, so
@@ -126,8 +153,8 @@ type Pool<T> = LocalKey<RefCell<Vec<Vec<T>>>>;
 thread_local! {
     /// Upcall lists ([`PierNode::dht_op`]).
     static UPCALLS: RefCell<Vec<Upcalls>> = RefCell::default();
-    /// Bulk rehash batches ([`PierNode::put_rehashed`]).
-    static REHASH_BATCHES: RefCell<Vec<Vec<RehashPut>>> = RefCell::default();
+    /// Bulk put lists ([`PierNode::put_rehashed`], publish).
+    static BULK_PUTS: RefCell<Vec<Vec<BulkPut>>> = RefCell::default();
 }
 
 fn take<T>(pool: &'static Pool<T>) -> Vec<T> {
@@ -615,13 +642,14 @@ impl PierNode {
         match &desc.op {
             QueryOp::Scan { scan, project } => {
                 self.reg.route(scan.ns, qid, NsRole::Base(0));
-                // Encoded as they will ship while the store is borrowed;
+                // Encoded into one batch while the store is borrowed;
                 // shipped (or logged, at the initiator) after.
-                let mut outs = Vec::new();
-                for_each_live(&self.dht, scan, ctx.now, |iid, _, row| {
-                    outs.push((iid, FlatRow::from_columns(&Projection::new(project, &row))));
+                let (mut batch, mut iids) = (RowBatch::default(), Vec::new());
+                for_each_live(&self.dht, scan, ctx.now, |iid, _, _, row| {
+                    batch.push(&Projection::new(project, &row));
+                    iids.push(iid);
                 });
-                for (iid, out) in outs {
+                for (iid, out) in iids.into_iter().zip(batch.seal().iter()) {
                     self.emit_encoded(ctx, qid, desc.initiator, iid as u64, out);
                 }
             }
@@ -855,15 +883,15 @@ fn live_row<'a>(scan: &ScanSpec, flat: &'a FlatRow) -> Option<RowRef<'a>> {
 }
 
 /// Stream the locally stored, live rows of a base table that `scan`
-/// selects ([`live_row`]) to `f` as `(instanceID, expiry, row)`, in
-/// `lscan` order, each read where it lies: nothing is decoded, so a
-/// consumer allocates only what it keeps. Expired-but-unswept rows (the
+/// selects ([`live_row`]) to `f` as `(instanceID, expiry, stored row,
+/// its view)`, in `lscan` order, each read where it lies: nothing is
+/// decoded, so a consumer allocates only what it keeps. Expired-but-unswept rows (the
 /// sweep runs on the maintenance tick) never enter a dataflow.
 fn for_each_live<'a>(
     dht: &'a Dht<QpItem>,
     scan: &ScanSpec,
     now: Time,
-    mut f: impl FnMut(u32, Time, RowRef<'a>),
+    mut f: impl FnMut(u32, Time, &'a FlatRow, RowRef<'a>),
 ) {
     for e in dht.lscan(scan.ns) {
         let QpItem::Row(flat) = &e.val else { continue };
@@ -871,7 +899,7 @@ fn for_each_live<'a>(
             continue;
         }
         if let Some(row) = live_row(scan, flat) {
-            f(e.iid, e.expires, row);
+            f(e.iid, e.expires, flat, row);
         }
     }
 }

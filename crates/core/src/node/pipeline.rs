@@ -9,11 +9,11 @@ use pier_dht::{Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, give_back, take, JoinPlan, PierNode, RehashPut, REHASH_BATCHES};
+use super::{for_each_live, give_back, take, BulkPut, JoinPlan, Pending, PierNode, BULK_PUTS};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::{qns, PipelineSchema};
-use crate::tuple::{Columns, Concat, FlatRow, RowRef, Select};
+use crate::tuple::{Columns, Concat, FlatRow, RowBatch, RowRef, Rows, Select};
 use crate::value::Scalar;
 
 impl PierNode {
@@ -49,31 +49,32 @@ impl PierNode {
         let (k, side, join_col) = view.table_role(t);
         let keep = view.keep_for_table(t);
         // The store cannot be scanned and put into at once: pass one
-        // builds the items, `put_rehashed` names and puts them.
-        let mut puts = take(&REHASH_BATCHES);
-        for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, row| {
+        // stages the items, their rows encoded into one batch, and
+        // `put_rehashed` names and puts them.
+        let (mut batch, mut puts) = (RowBatch::default(), take(&BULK_PUTS));
+        for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, _, row| {
             let join = row.col(join_col);
             if filter.is_some_and(|f| !f.contains(join.hash64())) {
                 return;
             }
             let rid = Self::rehash_rid(&join, j.computation_nodes);
-            let item = QpItem::Tagged {
-                qid,
-                side,
-                join: join.to_value(),
-                row: FlatRow::from_columns(&Select::new(&row, keep)),
-            };
-            puts.push((rid, base_iid, item));
+            let row = batch.push(&Select::new(&row, keep));
+            puts.push((
+                rid,
+                base_iid,
+                Pending::Tagged(qid, side, join.to_value(), row),
+            ));
         });
         let ns = qns::stage_of(qid, j.stages.len(), k);
         let lifetime = Self::soft_lifetime(&desc);
-        self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts);
+        self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts, &batch.seal());
     }
 
-    /// Second pass of a bulk rehash: give each item the scan built its
+    /// Second pass of a bulk rehash: give each item the scan staged its
     /// instanceID — derived from the *base* row's, which is what `puts`
-    /// carries — and put it into `ns`, in scan order. The batch goes
-    /// back to its pool drained.
+    /// carries — and its row out of `rows`, and put it into `ns`, in scan
+    /// order. The list goes back to its pool drained.
+    #[allow(clippy::too_many_arguments)] // Table 3's put, in bulk, plus the owning query
     pub(super) fn put_rehashed(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -81,16 +82,18 @@ impl PierNode {
         ns: Ns,
         salt: u64,
         lifetime: Dur,
-        mut puts: Vec<RehashPut>,
+        mut puts: Vec<BulkPut>,
+        rows: &Rows,
     ) {
         self.dht_op(ctx, |node, ctx, events| {
             for (rid, base_iid, item) in puts.drain(..) {
                 let iid = node.derived_iid(base_iid, salt);
+                let item = item.item(rows);
                 node.record_rehash(qid, ns, rid, iid, &item);
                 let env = &mut node.reg.env(ctx);
                 node.dht.put(env, ns, rid, iid, item, lifetime, events);
             }
-            give_back(&REHASH_BATCHES, puts);
+            give_back(&BULK_PUTS, puts);
         });
     }
 

@@ -10,10 +10,10 @@ use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 use pier_simnet::Wire;
 
-use super::{PierNode, PublishReport, TimerAction};
-use crate::item::{PierMsg, QpItem};
+use super::{give_back, take, Pending, PierNode, PublishReport, TimerAction, BULK_PUTS};
+use crate::item::{row_item_wire, PierMsg, QpItem};
 use crate::plan::QueryDesc;
-use crate::tuple::{FlatRow, Tuple};
+use crate::tuple::{RowBatch, Tuple};
 
 /// A published item retained for renewal.
 pub(super) struct PubRecord {
@@ -82,17 +82,25 @@ impl PierNode {
     ) -> PublishReport {
         let ns = pier_dht::ns_of(table);
         let mut report = PublishReport::default();
+        // Pass one encodes the rows into one batch and asks the governor
+        // of each; a row it sheds is taken back out, so it costs nothing.
+        let (mut batch, mut puts) = (RowBatch::default(), take(&BULK_PUTS));
+        for row in &rows {
+            let slot = batch.push(row);
+            let bytes = row_item_wire(slot.wire as usize);
+            if !self.governor.try_publish(tenant, ctx.now, bytes as f64) {
+                batch.pop(slot);
+                self.metrics.on_shed(bytes);
+                report.shed += 1;
+                continue;
+            }
+            let rid = row.get(pkey_col).hash64();
+            puts.push((rid, self.fresh_iid(), Pending::Row(slot)));
+        }
+        let rows = batch.seal();
         self.dht_op(ctx, |node, ctx, events| {
-            for row in rows {
-                let rid = row.get(pkey_col).hash64();
-                let item = QpItem::Row(FlatRow::from_tuple(&row));
-                let bytes = item.wire_size();
-                if !node.governor.try_publish(tenant, ctx.now, bytes as f64) {
-                    node.metrics.on_shed(bytes);
-                    report.shed += 1;
-                    continue;
-                }
-                let iid = node.fresh_iid();
+            for (rid, iid, item) in puts.drain(..) {
+                let item = item.item(&rows);
                 let env = &mut node.reg.env(ctx);
                 node.dht
                     .put(env, ns, rid, iid, item.clone(), lifetime, events);
@@ -105,6 +113,7 @@ impl PierNode {
                 });
                 report.accepted += 1;
             }
+            give_back(&BULK_PUTS, puts);
         });
         report
     }

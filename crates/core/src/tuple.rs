@@ -74,7 +74,7 @@ impl Tuple {
 }
 
 /// Append the encoding of one value to `buf` — the one value encoder
-/// behind [`Tuple::encode_into`] and [`FlatRow::from_columns`].
+/// behind [`Tuple::encode_into`] and [`RowBatch::push`].
 fn encode_value(v: ValRef<'_>, buf: &mut Vec<u8>) {
     match v {
         ValRef::Null => buf.push(TAG_NULL),
@@ -358,39 +358,106 @@ pub fn wire_of_encoded(bytes: &[u8]) -> Option<usize> {
 }
 
 thread_local! {
-    /// Reusable encode scratch: one heap buffer per thread serves every
-    /// [`FlatRow::from_columns`] on the publish/rehash/ship hot paths.
-    static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// Emptied [`RowBatch`] buffers, one per depth of nesting.
+    static BATCH_BUFS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Where [`RowBatch::push`] encoded a row.
+#[derive(Clone, Copy, Debug)]
+pub struct Slot {
+    at: u32,
+    /// The row's wire bytes, as [`FlatRow::wire`] will read them.
+    pub wire: u32,
+}
+
+/// Rows encoded back to back into a scratch buffer from a per-thread
+/// pool, then sealed into one shared allocation that each row is a slice
+/// of, as in `bytes::Bytes` or an Arrow record batch.
+pub struct RowBatch {
+    buf: Vec<u8>,
+}
+
+impl Default for RowBatch {
+    fn default() -> Self {
+        let buf = BATCH_BUFS.with_borrow_mut(Vec::pop).unwrap_or_default();
+        RowBatch { buf }
+    }
+}
+
+impl RowBatch {
+    /// Encode any row of columns (a tuple, a view) at the end.
+    pub fn push<R: Columns + ?Sized>(&mut self, row: &R) -> Slot {
+        let at = self.buf.len();
+        let wire = encode_row(row, &mut self.buf);
+        debug_assert_eq!(wire_of_encoded(&self.buf[at..]), Some(wire));
+        let (at, wire) = (at as u32, wire as u32);
+        Slot { at, wire }
+    }
+
+    /// Take back the last row pushed: it leaves no trace.
+    pub fn pop(&mut self, slot: Slot) {
+        self.buf.truncate(slot.at as usize);
+    }
+
+    /// The rows in one immutable allocation — none if there is no row.
+    pub fn seal(mut self) -> Rows {
+        let bytes = (!self.buf.is_empty()).then(|| Arc::from(&self.buf[..]));
+        self.buf.clear();
+        BATCH_BUFS.with_borrow_mut(|bufs| bufs.push(self.buf));
+        Rows { bytes }
+    }
+}
+
+/// A sealed [`RowBatch`]: it lives until its last row is dropped.
+#[derive(Default)]
+pub struct Rows {
+    bytes: Option<Arc<[u8]>>,
+}
+
+impl Rows {
+    /// The row pushed at `slot`, sharing the batch (a refcount bump).
+    pub fn row(&self, Slot { at, wire }: Slot) -> FlatRow {
+        let bytes = Arc::clone(self.bytes.as_ref().expect("a slot of this batch"));
+        FlatRow { bytes, at, wire }
+    }
+
+    /// Every row, in the order pushed.
+    pub fn iter(&self) -> impl Iterator<Item = FlatRow> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let rest = &self.bytes.as_ref()?[at as usize..];
+            let len = RowRef::new(rest)?.bytes.len() as u32;
+            let wire = wire_of_encoded(rest)? as u32;
+            let row = self.row(Slot { at, wire });
+            at += len;
+            Some(row)
+        })
+    }
 }
 
 /// A tuple in flat wire form: the shipped representation of every row
-/// that enters the DHT (rehash, stage republish, initiator ship).
-/// Cloning is a refcount bump — renewing, replicating, or re-homing a
-/// published row never re-copies its values — and `wire` caches the
-/// byte count [`wire_of_encoded`] derives from the same layout, so the
-/// traffic model cannot disagree with what is actually shipped.
+/// that enters the DHT (rehash, stage republish, initiator ship), at an
+/// offset in a shared, immutable buffer — its [`RowBatch`]'s. Cloning is
+/// a refcount bump — renewing, replicating, or re-homing a published row
+/// never re-copies its values — and `wire` caches the byte count
+/// [`wire_of_encoded`] derives from the same layout, so the traffic
+/// model cannot disagree with what is actually shipped.
 #[derive(Clone)]
 pub struct FlatRow {
     bytes: Arc<[u8]>,
+    at: u32,
     wire: u32,
 }
 
+// Inline in every `QpItem` that carries a row.
+const _: () = assert!(std::mem::size_of::<FlatRow>() == 24);
+
 impl FlatRow {
-    /// Encode any row of columns through the thread-local scratch
-    /// buffer: a tuple, a stored row's kept columns ([`Select`] over a
-    /// [`RowRef`]), a join match, expressions evaluated over one
-    /// ([`crate::expr::Projection`]). The one allocation is the row's.
+    /// Encode any row of columns, as a batch of one.
     pub fn from_columns<R: Columns + ?Sized>(row: &R) -> FlatRow {
-        ENCODE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.clear();
-            let wire = encode_row(row, &mut buf);
-            debug_assert_eq!(wire_of_encoded(&buf), Some(wire));
-            FlatRow {
-                bytes: Arc::from(&buf[..]),
-                wire: wire as u32,
-            }
-        })
+        let mut batch = RowBatch::default();
+        let slot = batch.push(row);
+        batch.seal().row(slot)
     }
 
     /// [`Self::from_columns`] of a tuple.
@@ -400,14 +467,14 @@ impl FlatRow {
 
     /// Materialize the tuple (probe and match sites).
     pub fn decode(&self) -> Tuple {
-        Tuple::decode_from(&self.bytes)
+        Tuple::decode_from(&self.bytes[self.at as usize..])
             .expect("FlatRow holds a well-formed encoding")
             .0
     }
 
     /// Read the row where it lies (see [`RowRef`]).
     pub fn view(&self) -> RowRef<'_> {
-        RowRef::new(&self.bytes).expect("FlatRow holds a well-formed encoding")
+        RowRef::new(&self.bytes[self.at as usize..]).expect("FlatRow holds a well-formed encoding")
     }
 
     /// Wire bytes of the row, identical to `self.decode().wire_size()`.
@@ -415,9 +482,9 @@ impl FlatRow {
         self.wire as usize
     }
 
-    /// The raw encoded bytes.
+    /// The row's own bytes, found by walking it, without its batch-mates'.
     pub fn encoded(&self) -> &[u8] {
-        &self.bytes
+        self.view().bytes
     }
 }
 

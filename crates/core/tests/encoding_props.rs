@@ -7,7 +7,8 @@
 //! to what it evaluates to over the decoded tuple. What the executor
 //! builds from views is what the oracles build from tuples: the same
 //! bytes for a projection or an evaluation, the same columns for a
-//! concatenation, the same verdict and bytes from a join stage.
+//! concatenation, the same verdict and bytes from a join stage. Rows
+//! encoded together into one batch are, each, the row encoded alone.
 
 mod common;
 
@@ -17,7 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use pier_core::expr::Projection;
 use pier_core::plan::StageView;
-use pier_core::tuple::{wire_of_encoded, Columns, Concat, FlatRow, RowRef, Select, Tuple};
+use pier_core::tuple::{
+    wire_of_encoded, Columns, Concat, FlatRow, RowBatch, RowRef, Select, Tuple,
+};
 use pier_core::{ColType, Value};
 
 /// The view and the decoder agree on `bytes`: both refuse it, or both
@@ -303,5 +306,47 @@ proptest! {
             executor.as_ref().map(FlatRow::encoded),
             "{:?} over {}", stage.pred, joined
         );
+    }
+
+    #[test]
+    fn a_batchs_rows_are_the_rows_encoded_alone(seed in any::<u64>()) {
+        // Rows pushed into one batch, some taken back out as soon as
+        // pushed (a shed publish), each read out of the sealed batch:
+        // its bytes, wire, columns and decoding are those of the row
+        // encoded alone, with nothing of the rows after it, and a row
+        // taken back leaves no trace.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut batch = RowBatch::default();
+        let mut kept = Vec::new();
+        for _ in 0..rng.gen_range(0..8usize) {
+            let t = common::random_tuple(&mut rng);
+            let slot = batch.push(&t);
+            prop_assert_eq!(slot.wire as usize, t.wire_size());
+            if rng.gen_range(0..3u32) == 0 {
+                batch.pop(slot);
+            } else {
+                kept.push((t, slot));
+            }
+        }
+        let rows = batch.seal();
+        for (t, slot) in &kept {
+            let (row, alone) = (rows.row(*slot), FlatRow::from_columns(t));
+            prop_assert_eq!(row.encoded(), alone.encoded(), "{}", t);
+            prop_assert_eq!(row.wire(), alone.wire());
+            let (view, decoded) = (row.view(), row.decode());
+            for i in 0..t.arity() + 2 {
+                let want = t.vals.get(i).cloned().unwrap_or(Value::Null);
+                prop_assert_eq!(exact(&view.value(i)), exact(&want), "column {}", i);
+            }
+            prop_assert_eq!(format!("{decoded:?}"), format!("{t:?}"));
+            let consumed = Tuple::decode_from(row.encoded()).map(|(_, n)| n);
+            prop_assert_eq!(consumed, Some(row.encoded().len()), "trailing bytes");
+        }
+        let walked: Vec<Vec<u8>> = rows.iter().map(|r| r.encoded().to_vec()).collect();
+        let alone: Vec<Vec<u8>> = kept
+            .iter()
+            .map(|(t, _)| FlatRow::from_columns(t).encoded().to_vec())
+            .collect();
+        prop_assert_eq!(walked, alone);
     }
 }
