@@ -885,8 +885,9 @@ fn live_row<'a>(scan: &ScanSpec, flat: &'a FlatRow) -> Option<RowRef<'a>> {
 /// Stream the locally stored, live rows of a base table that `scan`
 /// selects ([`live_row`]) to `f` as `(instanceID, expiry, stored row,
 /// its view)`, in `lscan` order, each read where it lies: nothing is
-/// decoded, so a consumer allocates only what it keeps. Expired-but-unswept rows (the
-/// sweep runs on the maintenance tick) never enter a dataflow.
+/// decoded, so a consumer allocates only what it keeps. Expired but
+/// unswept rows (the sweep runs on the maintenance tick) never enter a
+/// dataflow.
 fn for_each_live<'a>(
     dht: &'a Dht<QpItem>,
     scan: &ScanSpec,

@@ -59,11 +59,8 @@ impl PierNode {
             }
             let rid = Self::rehash_rid(&join, j.computation_nodes);
             let row = batch.push(&Select::new(&row, keep));
-            puts.push((
-                rid,
-                base_iid,
-                Pending::Tagged(qid, side, join.to_value(), row),
-            ));
+            let item = Pending::Tagged(qid, side, join.to_value(), row);
+            puts.push((rid, base_iid, item));
         });
         let ns = qns::stage_of(qid, j.stages.len(), k);
         let lifetime = Self::soft_lifetime(&desc);

@@ -87,7 +87,7 @@ impl PierNode {
         let (mut batch, mut puts) = (RowBatch::default(), take(&BULK_PUTS));
         for row in &rows {
             let slot = batch.push(row);
-            let bytes = row_item_wire(slot.wire as usize);
+            let bytes = row_item_wire(slot.wire());
             if !self.governor.try_publish(tenant, ctx.now, bytes as f64) {
                 batch.pop(slot);
                 self.metrics.on_shed(bytes);

@@ -366,8 +366,14 @@ thread_local! {
 #[derive(Clone, Copy, Debug)]
 pub struct Slot {
     at: u32,
+    wire: u32,
+}
+
+impl Slot {
     /// The row's wire bytes, as [`FlatRow::wire`] will read them.
-    pub wire: u32,
+    pub fn wire(&self) -> usize {
+        self.wire as usize
+    }
 }
 
 /// Rows encoded back to back into a scratch buffer from a per-thread
@@ -390,6 +396,7 @@ impl RowBatch {
         let at = self.buf.len();
         let wire = encode_row(row, &mut self.buf);
         debug_assert_eq!(wire_of_encoded(&self.buf[at..]), Some(wire));
+        u32::try_from(self.buf.len()).expect("a batch is under 4 GiB");
         let (at, wire) = (at as u32, wire as u32);
         Slot { at, wire }
     }

@@ -321,7 +321,7 @@ proptest! {
         for _ in 0..rng.gen_range(0..8usize) {
             let t = common::random_tuple(&mut rng);
             let slot = batch.push(&t);
-            prop_assert_eq!(slot.wire as usize, t.wire_size());
+            prop_assert_eq!(slot.wire(), t.wire_size());
             if rng.gen_range(0..3u32) == 0 {
                 batch.pop(slot);
             } else {
