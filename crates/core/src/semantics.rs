@@ -5,6 +5,8 @@
 //! the reachable snapshot (§5.6). This module computes the ground truth
 //! by evaluating the same query descriptor centrally over the published
 //! tables, plus multiset recall/precision between expected and actual.
+//! A join probes each table through an index built once per call: an
+//! index narrows, `==` decides.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
@@ -13,7 +15,7 @@ use pier_simnet::time::{Dur, Time};
 
 use crate::plan::{AggSpec, JoinSpec, PipelineSchema, QueryOp};
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{JoinKey, Value};
 
 /// Rows of one table with their publication instants (relative to the
 /// query's submission) — the input shape of the windowed and per-epoch
@@ -64,19 +66,25 @@ impl<R, S: BuildHasher> Tables<R> for HashMap<String, Vec<R>, S> {
 }
 
 /// The one centralized join evaluator behind the four oracles below:
-/// left-deep nested loops over `rows[t]` (pipeline table `t`), exactly
-/// mirroring the distributed dataflow's concatenation order, predicates,
-/// and final projection. With a `window`, a result exists iff every
+/// left-deep over `rows[t]` (pipeline table `t`), exactly mirroring the
+/// distributed dataflow's concatenation order, predicates, and final
+/// projection. An index narrows, `==` decides: each stage's right table
+/// is indexed once, from [`Value::join_key`] to the ascending positions
+/// of the rows passing its scan predicate, and a probe visits only the
+/// positions under its key, in order, so rows come out as a nested loop
+/// would emit them. With a `window`, a result exists iff every
 /// constituent was simultaneously inside it, i.e. `max(t) − min(t) <
 /// window`: the later arrival probes while the earlier one's rehashed
 /// soft state (lifetime = window) is still live, and intermediates
 /// inherit the shortest-lived constituent's remaining lifetime, so the
 /// pairwise rule composes across stages into exactly this span check.
 fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
+    /// Stage `k`'s right rows by join key.
+    type Index<'a> = HashMap<JoinKey<'a>, Vec<usize>>;
     /// Extend one accumulated row, whose constituents were published
     /// within `lo..=hi`, through stages `k..`.
     fn extend(
-        (j, rows, window): (&JoinSpec, &[Timed], Option<Dur>),
+        (j, rows, index, window): (&JoinSpec, &[Timed], &[Index], Option<Dur>),
         k: usize,
         (lo, hi, acc): (Time, Time, &Tuple),
         out: &mut Vec<Tuple>,
@@ -86,11 +94,13 @@ fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
             return;
         };
         let jr = st.right.join_col.expect("join col");
-        for &(at, r) in &rows[k + 1] {
-            if acc.get(st.left_col) != r.get(jr) {
-                continue;
-            }
-            if !st.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
+        let left = acc.get(st.left_col);
+        let Some(hits) = left.join_key().and_then(|key| index[k].get(&key)) else {
+            return;
+        };
+        for &pos in hits {
+            let (at, r) = rows[k + 1][pos];
+            if left != r.get(jr) {
                 continue;
             }
             let (lo, hi) = (lo.min(at), hi.max(at));
@@ -99,14 +109,32 @@ fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
             }
             let joined = acc.concat(r);
             if st.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
-                extend((j, rows, window), k + 1, (lo, hi, &joined), out);
+                extend((j, rows, index, window), k + 1, (lo, hi, &joined), out);
             }
         }
     }
+    let index: Vec<Index> = j
+        .stages
+        .iter()
+        .zip(&rows[1..])
+        .map(|(st, right)| {
+            let jr = st.right.join_col.expect("join col");
+            let mut by_key = Index::new();
+            for (pos, &(_, r)) in right.iter().enumerate() {
+                let Some(key) = r.get(jr).join_key() else {
+                    continue; // NaN: equal to nothing
+                };
+                if st.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
+                    by_key.entry(key).or_default().push(pos);
+                }
+            }
+            by_key
+        })
+        .collect();
     let mut out = Vec::new();
     for &(at, l) in &rows[0] {
         if j.left.pred.as_ref().is_none_or(|p| p.matches(l)) {
-            extend((j, rows, window), 0, (at, at, l), &mut out);
+            extend((j, rows, &index, window), 0, (at, at, l), &mut out);
         }
     }
     out

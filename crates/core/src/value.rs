@@ -84,7 +84,7 @@ impl<S: AsRef<str>> Scalar<S> {
     }
 
     /// Numeric view (for arithmetic and cross-type comparison).
-    #[inline] // with `eq`: the oracle's nested-loop join compares keys 10^8 times
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Scalar::I64(i) => Some(*i as f64),
@@ -122,6 +122,26 @@ impl<S: AsRef<str>> Scalar<S> {
         }
     }
 
+    /// A key two values share exactly when they are `==`, for indexing
+    /// an equi-join: a number of any kind keys by the bits of its numeric
+    /// view with −0.0 folded to 0.0 (so `Bool(true)`, `I64(1)` and
+    /// `F64(1.0)` share one key, as do `I64(2^53)` and `I64(2^53 + 1)`),
+    /// and NaN, equal to nothing, gets none.
+    pub fn join_key(&self) -> Option<JoinKey<'_>> {
+        Some(match self {
+            Scalar::Null => JoinKey::Null,
+            Scalar::Str(s) => JoinKey::Str(s.as_ref()),
+            Scalar::Pad(n) => JoinKey::Pad(*n),
+            Scalar::Bool(_) | Scalar::I64(_) | Scalar::F64(_) => {
+                let x = self.as_f64()?;
+                if x.is_nan() {
+                    return None;
+                }
+                JoinKey::Num(if x == 0.0 { 0 } else { x.to_bits() })
+            }
+        })
+    }
+
     /// Stable 64-bit hash — the basis of DHT resourceIDs for tuples.
     pub fn hash64(&self) -> u64 {
         use pier_dht::geom::{hash2, hash_str};
@@ -155,6 +175,20 @@ impl<S: AsRef<str>> PartialEq for Scalar<S> {
 
 impl<S: AsRef<str>> Eq for Scalar<S> {}
 
+/// What [`Scalar::join_key`] returns: a value's kind, with every number
+/// one kind, and what it holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum JoinKey<'a> {
+    Null,
+    /// The canonical `f64` bits of a `Bool`, `I64` or `F64`.
+    Num(u64),
+    Str(&'a str),
+    Pad(u32),
+}
+
+// `Hash` is `hash64`, which hashes each kind apart: `I64(3) == F64(3.0)`
+// yet they hash differently, so it must never key an index probed with
+// `==` (an oracle's join), only a DHT placement. Index by `join_key`.
 impl<S: AsRef<str>> Hash for Scalar<S> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash64());

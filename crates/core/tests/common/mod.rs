@@ -59,6 +59,35 @@ pub fn random_value(rng: &mut SmallRng) -> Value {
     }
 }
 
+/// Twenty values, two or more of every kind, where `==` is easy to get
+/// wrong: ±0.0 beside `I64(0)` and `Bool(false)`, NaN, `I64(2^53 + 1)`
+/// beside `I64(2^53)` and `F64(2^53)`, the empty and a non-ASCII string.
+/// (`expr_pin.rs` pins `==`, `cmp` and `hash64` over the same list.)
+pub fn zoo() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::I64(-1),
+        Value::I64(0),
+        Value::I64(1),
+        Value::I64(3),
+        Value::F64(3.0),
+        Value::F64(-0.0),
+        Value::F64(0.5),
+        Value::F64(f64::NAN),
+        Value::I64(1 << 53),
+        Value::I64((1 << 53) + 1),
+        Value::F64(9_007_199_254_740_992.0),
+        Value::str(""),
+        Value::str("a"),
+        Value::str("ab"),
+        Value::str("é"),
+        Value::Pad(0),
+        Value::Pad(8),
+    ]
+}
+
 /// Mostly six columns, sometimes fewer; [`random_expr`] refers to seven.
 pub fn random_tuple(rng: &mut SmallRng) -> Tuple {
     let arity = [0, 1, 3, 5, 6, 6, 6, 6][rng.gen_range(0..8usize)];

@@ -7,8 +7,6 @@
 //! successor lists, periodic stabilization, and a finger-tree broadcast
 //! standing in for CAN's directed-flood multicast.
 
-use std::collections::HashMap;
-
 use pier_simnet::time::Time;
 use pier_simnet::{NodeId, Wire};
 
@@ -531,18 +529,18 @@ impl ChordState {
 pub fn balanced_chord_overlay(n: usize, now: Time) -> Vec<ChordState> {
     let mut order: Vec<(u64, NodeId)> = (0..n as NodeId).map(|i| (ring_of_node(i), i)).collect();
     order.sort_unstable();
-    let pos_of: HashMap<NodeId, usize> = order
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, id))| (id, i))
-        .collect();
+    // Ids are `0..n`: where each sits in the sorted ring, by id.
+    let mut pos_of = vec![0; n];
+    for (i, &(_, id)) in order.iter().enumerate() {
+        pos_of[id as usize] = i;
+    }
     (0..n as NodeId)
         .map(|me| {
             let mut s = ChordState::new(me);
             s.joined = true;
             s.succ_last_seen = now;
             s.pred_last_seen = now;
-            let i = pos_of[&me];
+            let i = pos_of[me as usize];
             if n > 1 {
                 s.predecessor = Some(order[(i + n - 1) % n]);
                 s.successors = (1..=SUCC_LIST.min(n - 1))

@@ -154,24 +154,37 @@ impl Zone {
         (self.hi[i] % SPACE) == other.lo[i] || (other.hi[i] % SPACE) == self.lo[i]
     }
 
-    /// CAN neighbor relation: the zones share a (d-1)-dimensional face —
-    /// they abut in exactly one dimension and overlap in all others.
-    pub fn is_neighbor(&self, other: &Zone, d: usize) -> bool {
+    /// In how many dimensions the boxes abut without overlapping, when
+    /// they overlap in all the others and abut in at most one; `None`
+    /// when some dimension keeps them apart or they abut in two.
+    #[inline]
+    fn abut_dims(&self, other: &Zone, d: usize) -> Option<usize> {
         let mut abut_dims = 0;
         for i in 0..d {
             if self.overlaps_dim(other, i) {
                 continue;
             }
-            if self.abuts_dim(other, i) {
-                abut_dims += 1;
-                if abut_dims > 1 {
-                    return false;
-                }
-            } else {
-                return false;
+            if abut_dims == 1 || !self.abuts_dim(other, i) {
+                return None;
             }
+            abut_dims = 1;
         }
-        abut_dims == 1
+        Some(abut_dims)
+    }
+
+    /// CAN neighbor relation: the zones share a (d-1)-dimensional face —
+    /// they abut in exactly one dimension and overlap in all others.
+    pub fn is_neighbor(&self, other: &Zone, d: usize) -> bool {
+        self.abut_dims(other, d) == Some(1)
+    }
+
+    /// Whether this box can hold a CAN neighbor of `zone`: it overlaps
+    /// `zone` in every dimension but at most one, and abuts it (across
+    /// the torus seam too) in that one. Every box holding a zone that
+    /// shares a face with `zone` passes, so a search over nested boxes
+    /// may skip any box that fails.
+    pub fn reaches(&self, zone: &Zone, d: usize) -> bool {
+        self.abut_dims(zone, d).is_some()
     }
 
     /// Whether the zones overlap in every dimension (share interior).
