@@ -128,18 +128,15 @@ impl<S: AsRef<str>> Scalar<S> {
     /// `F64(1.0)` share one key, as do `I64(2^53)` and `I64(2^53 + 1)`),
     /// and NaN, equal to nothing, gets none.
     pub fn join_key(&self) -> Option<JoinKey<'_>> {
-        Some(match self {
-            Scalar::Null => JoinKey::Null,
-            Scalar::Str(s) => JoinKey::Str(s.as_ref()),
-            Scalar::Pad(n) => JoinKey::Pad(*n),
-            Scalar::Bool(_) | Scalar::I64(_) | Scalar::F64(_) => {
-                let x = self.as_f64()?;
-                if x.is_nan() {
-                    return None;
-                }
-                JoinKey::Num(if x == 0.0 { 0 } else { x.to_bits() })
-            }
-        })
+        match self {
+            Scalar::Null => Some(JoinKey::Null),
+            Scalar::Str(s) => Some(JoinKey::Str(s.as_ref())),
+            Scalar::Pad(n) => Some(JoinKey::Pad(*n)),
+            num => num
+                .as_f64()
+                .filter(|x| !x.is_nan())
+                .map(|x| JoinKey::Num(if x == 0.0 { 0 } else { x.to_bits() })),
+        }
     }
 
     /// Stable 64-bit hash — the basis of DHT resourceIDs for tuples.

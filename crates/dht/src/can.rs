@@ -810,8 +810,7 @@ fn bisect(n: usize, d: usize) -> (Vec<Zone>, Vec<Cell>) {
 /// A node's neighbors are found by descending the bisection tree as a
 /// k-d tree (Bentley, CACM 1975): a box that does not
 /// [`Zone::reaches`] the node's zone holds none of them, and
-/// `Zone::is_neighbor` decides at each zone reached. At 10^4 nodes that
-/// is a few hundred boxes a node instead of 10^4 zones.
+/// `Zone::is_neighbor` decides at each zone reached.
 pub fn balanced_overlay(n: usize, d: usize, now: Time) -> Vec<CanState> {
     let (zones, cells) = bisect(n, d);
     let mut stack = Vec::new();
