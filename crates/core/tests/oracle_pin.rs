@@ -1,6 +1,8 @@
-//! Pin of the centralized join oracles: what `reference_join`,
-//! `reference_multijoin` and `reference_windowed_join` return, in order,
-//! one row a line in `Debug` form.
+//! Pin of the centralized oracles: what the join oracles
+//! (`reference_join`, `reference_multijoin`, `reference_windowed_join`)
+//! return, in order, one row a line in `Debug` form; and what the epoch
+//! oracles (`reference_epochs`, `reference_epochs_at`) and
+//! `reference_eval` return, rows sorted per epoch.
 //!
 //! The join keys are the values whose equality is easy to get wrong:
 //! integers on both sides of 2^53 (where `I64(2^53 + 1) == I64(2^53)`
@@ -8,12 +10,24 @@
 //! numbers, `Null`, the empty and non-ASCII strings, and `Pad`. The
 //! oracle suites compare answers as multisets; only this file sees the
 //! order an oracle emits rows in, and every `==` it settles.
+//!
+//! The epoch pins run one table `E(id, grp, x)` of unsorted publication
+//! instants through a scan, a grouped aggregate, 2- and 3-way joins
+//! feeding aggregates, and a self-join whose two positions filter `E`
+//! differently; windowed and running, at epoch boundaries and at
+//! unsorted, repeated instants. Group `a`'s `x` values (1e16, 1, −1e16,
+//! 0.5) sum to 0.5 only when folded in table order, so a `sum` or `avg`
+//! here pins the order an aggregate folds its rows in. Every group
+//! column holds one value kind.
 
 use std::collections::BTreeMap;
 
 use pier_core::expr::Expr;
-use pier_core::plan::{JoinSpec, JoinStage, ScanSpec};
-use pier_core::semantics::{reference_join, reference_multijoin, reference_windowed_join};
+use pier_core::plan::{AggCall, AggFunc, AggSpec, JoinSpec, JoinStage, QueryOp, ScanSpec};
+use pier_core::semantics::{
+    reference_epochs, reference_epochs_at, reference_eval, reference_join, reference_multijoin,
+    reference_windowed_join, TimedRows,
+};
 use pier_core::{BinOp, JoinStrategy, Tuple, Value};
 use pier_simnet::time::{Dur, Time};
 
@@ -243,3 +257,631 @@ fn reference_windowed_join_in_order() {
     ));
     assert_eq!(now, WINDOWED, "now:\n{now}");
 }
+
+/// `E(id, grp, x)`, `D(grp, sev)` and `T(sev, tag)` with their
+/// publication instants, in seconds, not sorted by time.
+fn timed_tables() -> BTreeMap<String, TimedRows> {
+    let at = |s: u64| Time(s * 1_000_000);
+    let e = [
+        (0, "a", 1e16),
+        (5, "b", 2.0),
+        (10, "a", 1.0),
+        (10, "c", 3.5),
+        (25, "a", -1e16),
+        (40, "b", -7.25),
+        (30, "a", 0.5),
+        (55, "c", 1.0),
+        (60, "é", 4.0),
+        (75, "b", 0.125),
+        (90, "a", 2.0),
+        (0, "c", 6.0),
+    ];
+    let d = [
+        (0, "a", 3),
+        (20, "b", 5),
+        (50, "c", 1),
+        (70, "a", 7),
+        (10, "z", 9),
+    ];
+    let t = [
+        (0, 3, "low"),
+        (35, 5, "mid"),
+        (0, 7, "high"),
+        (45, 1, "min"),
+        (80, 5, "mid2"),
+    ];
+    let e = e
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, grp, x))| {
+            let row = vec![Value::I64(i as i64), Value::str(grp), Value::F64(x)];
+            (at(s), Tuple::new(row))
+        })
+        .collect();
+    let d = d
+        .iter()
+        .map(|&(s, grp, sev)| (at(s), Tuple::new(vec![Value::str(grp), Value::I64(sev)])))
+        .collect();
+    let t = t
+        .iter()
+        .map(|&(s, sev, tag)| (at(s), Tuple::new(vec![Value::I64(sev), Value::str(tag)])))
+        .collect();
+    BTreeMap::from([
+        ("E".to_string(), e),
+        ("D".to_string(), d),
+        ("T".to_string(), t),
+    ])
+}
+
+fn call(func: AggFunc, arg: Option<usize>) -> AggCall {
+    AggCall {
+        func,
+        arg: arg.map(Expr::col),
+    }
+}
+
+/// The five ops the epoch pins evaluate, by name.
+fn epoch_ops() -> Vec<(&'static str, QueryOp)> {
+    let e = || ScanSpec::new("E", 3, 0);
+    // SELECT * FROM E WHERE x >= 1
+    let scan = QueryOp::Scan {
+        scan: e().with_pred(Expr::bin(BinOp::Ge, Expr::col(2), Expr::lit(1.0))),
+        project: all_cols(3),
+    };
+    // SELECT grp, count(*), sum(x), min(x), max(x), avg(x) FROM E GROUP BY grp
+    let agg = QueryOp::Agg {
+        scan: e(),
+        agg: AggSpec::new(
+            vec![1],
+            vec![
+                call(AggFunc::Count, None),
+                call(AggFunc::Sum, Some(2)),
+                call(AggFunc::Min, Some(2)),
+                call(AggFunc::Max, Some(2)),
+                call(AggFunc::Avg, Some(2)),
+            ],
+        ),
+    };
+    // E ⋈ D on grp: per E.grp, count(*), max(D.sev), sum(E.x)
+    let d = ScanSpec::new("D", 2, 0).with_join_col(0);
+    let mut j2 = JoinSpec::new(JoinStrategy::SymmetricHash, e().with_join_col(1), d.clone());
+    j2.project = all_cols(5);
+    let join2 = QueryOp::Join {
+        join: j2,
+        agg: Some(AggSpec::new(
+            vec![1],
+            vec![
+                call(AggFunc::Count, None),
+                call(AggFunc::Max, Some(4)),
+                call(AggFunc::Sum, Some(2)),
+            ],
+        )),
+    };
+    // E ⋈ D on grp ⋈ T on sev: per T.tag, count(*), sum(E.x)
+    let s1 = JoinStage {
+        right: d,
+        left_col: 1,
+        stage_pred: None,
+    };
+    let s2 = JoinStage {
+        right: ScanSpec::new("T", 2, 0).with_join_col(0),
+        left_col: 4,
+        stage_pred: None,
+    };
+    let mut j3 = JoinSpec::pipeline(e(), vec![s1, s2]);
+    j3.project = all_cols(7);
+    let join3 = QueryOp::Join {
+        join: j3,
+        agg: Some(AggSpec::new(
+            vec![6],
+            vec![call(AggFunc::Count, None), call(AggFunc::Sum, Some(2))],
+        )),
+    };
+    // E (x > 0) ⋈ E (id < 6) on grp: per left grp, count(*), sum(right x)
+    let left = e()
+        .with_join_col(1)
+        .with_pred(Expr::gt(Expr::col(2), Expr::lit(0.0)));
+    let right = e()
+        .with_join_col(1)
+        .with_pred(Expr::bin(BinOp::Lt, Expr::col(0), Expr::lit(6i64)));
+    let mut js = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+    js.project = all_cols(6);
+    let self_join = QueryOp::Join {
+        join: js,
+        agg: Some(AggSpec::new(
+            vec![1],
+            vec![call(AggFunc::Count, None), call(AggFunc::Sum, Some(5))],
+        )),
+    };
+    vec![
+        ("scan", scan),
+        ("agg", agg),
+        ("join2", join2),
+        ("join3", join3),
+        ("self_join", self_join),
+    ]
+}
+
+/// One epoch's rows, one a line in `Debug` form, sorted.
+fn sorted(rows: &[Tuple]) -> String {
+    let mut lines: Vec<String> = rows.iter().map(|r| format!("{:?}\n", r.vals)).collect();
+    lines.sort();
+    lines.concat()
+}
+
+fn epochs_text(name: &str, epochs: &[Vec<Tuple>]) -> String {
+    epochs
+        .iter()
+        .enumerate()
+        .map(|(k, rows)| format!("{name} @{k}\n{}", sorted(rows)))
+        .collect()
+}
+
+#[test]
+fn epoch_oracles_per_epoch() {
+    let tables = timed_tables();
+    let epoch = Dur::from_secs(20);
+    let window = Dur::from_secs(30);
+    let at = |s: u64| Time(s * 1_000_000);
+    let instants = [at(50), at(0), at(20), at(20), at(95), at(10)];
+    let mut now = String::new();
+    for (name, op) in epoch_ops() {
+        for (mode, w) in [("running", None), ("windowed", Some(window))] {
+            let by_epoch = reference_epochs(&op, &tables, w, epoch, 6);
+            now += &epochs_text(&format!("{name} {mode} epochs"), &by_epoch);
+            let by_instant = reference_epochs_at(&op, &tables, w, &instants);
+            now += &epochs_text(&format!("{name} {mode} instants"), &by_instant);
+        }
+    }
+    assert_eq!(now, EPOCHS, "now:\n{now}");
+}
+
+#[test]
+fn reference_eval_over_whole_tables() {
+    let tables: BTreeMap<String, Vec<Tuple>> = timed_tables()
+        .into_iter()
+        .map(|(name, rows)| (name, rows.into_iter().map(|(_, r)| r).collect()))
+        .collect();
+    let now: String = epoch_ops()
+        .iter()
+        .map(|(name, op)| format!("{name}\n{}", sorted(&reference_eval(op, &tables))))
+        .collect();
+    assert_eq!(now, EVAL, "now:\n{now}");
+}
+
+const EPOCHS: &str = r#"scan running epochs @0
+[I64(0), Str("a"), F64(1e16)]
+[I64(11), Str("c"), F64(6.0)]
+scan running epochs @1
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan running epochs @2
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan running epochs @3
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan running epochs @4
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan running epochs @5
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(10), Str("a"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan running instants @0
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan running instants @1
+[I64(0), Str("a"), F64(1e16)]
+[I64(11), Str("c"), F64(6.0)]
+scan running instants @2
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan running instants @3
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan running instants @4
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(10), Str("a"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan running instants @5
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan windowed epochs @0
+[I64(0), Str("a"), F64(1e16)]
+[I64(11), Str("c"), F64(6.0)]
+scan windowed epochs @1
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan windowed epochs @2
+scan windowed epochs @3
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan windowed epochs @4
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+scan windowed epochs @5
+[I64(10), Str("a"), F64(2.0)]
+scan windowed instants @0
+scan windowed instants @1
+[I64(0), Str("a"), F64(1e16)]
+[I64(11), Str("c"), F64(6.0)]
+scan windowed instants @2
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan windowed instants @3
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+scan windowed instants @4
+[I64(10), Str("a"), F64(2.0)]
+scan windowed instants @5
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+agg running epochs @0
+[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
+[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
+agg running epochs @1
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg running epochs @2
+[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
+[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg running epochs @3
+[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
+[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
+[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg running epochs @4
+[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
+[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
+[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg running epochs @5
+[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
+[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
+[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg running instants @0
+[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
+[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg running instants @1
+[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
+[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
+agg running instants @2
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg running instants @3
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg running instants @4
+[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
+[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
+[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg running instants @5
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg windowed epochs @0
+[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
+[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
+agg windowed epochs @1
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg windowed epochs @2
+[Str("a"), I64(2), F64(-1e16), F64(-1e16), F64(0.5), F64(-5000000000000000.0)]
+[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
+agg windowed epochs @3
+[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
+[Str("c"), I64(1), I64(1), F64(1.0), F64(1.0), F64(1.0)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg windowed epochs @4
+[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
+[Str("c"), I64(1), I64(1), F64(1.0), F64(1.0), F64(1.0)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+agg windowed epochs @5
+[Str("a"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
+agg windowed instants @0
+[Str("a"), I64(2), F64(-1e16), F64(-1e16), F64(0.5), F64(-5000000000000000.0)]
+[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
+agg windowed instants @1
+[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
+[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
+agg windowed instants @2
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg windowed instants @3
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+agg windowed instants @4
+[Str("a"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
+agg windowed instants @5
+[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
+[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
+[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
+join2 running epochs @0
+[Str("a"), I64(1), I64(3), F64(1e16)]
+join2 running epochs @1
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 running epochs @2
+[Str("a"), I64(4), I64(3), F64(0.5)]
+[Str("b"), I64(2), I64(5), F64(-5.25)]
+join2 running epochs @3
+[Str("a"), I64(4), I64(3), F64(0.5)]
+[Str("b"), I64(2), I64(5), F64(-5.25)]
+[Str("c"), I64(3), I64(1), F64(10.5)]
+join2 running epochs @4
+[Str("a"), I64(8), I64(7), I64(1)]
+[Str("b"), I64(3), I64(5), F64(-5.125)]
+[Str("c"), I64(3), I64(1), F64(10.5)]
+join2 running epochs @5
+[Str("a"), I64(10), I64(7), I64(5)]
+[Str("b"), I64(3), I64(5), F64(-5.125)]
+[Str("c"), I64(3), I64(1), F64(10.5)]
+join2 running instants @0
+[Str("a"), I64(4), I64(3), F64(0.5)]
+[Str("b"), I64(2), I64(5), F64(-5.25)]
+[Str("c"), I64(2), I64(1), F64(9.5)]
+join2 running instants @1
+[Str("a"), I64(1), I64(3), F64(1e16)]
+join2 running instants @2
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 running instants @3
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 running instants @4
+[Str("a"), I64(10), I64(7), I64(5)]
+[Str("b"), I64(3), I64(5), F64(-5.125)]
+[Str("c"), I64(3), I64(1), F64(10.5)]
+join2 running instants @5
+[Str("a"), I64(2), I64(3), F64(1e16)]
+join2 windowed epochs @0
+[Str("a"), I64(1), I64(3), F64(1e16)]
+join2 windowed epochs @1
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 windowed epochs @2
+[Str("b"), I64(1), I64(5), F64(-7.25)]
+join2 windowed epochs @3
+[Str("c"), I64(1), I64(1), I64(1)]
+join2 windowed epochs @4
+join2 windowed epochs @5
+join2 windowed instants @0
+join2 windowed instants @1
+[Str("a"), I64(1), I64(3), F64(1e16)]
+join2 windowed instants @2
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 windowed instants @3
+[Str("a"), I64(2), I64(3), F64(1e16)]
+[Str("b"), I64(1), I64(5), I64(2)]
+join2 windowed instants @4
+[Str("a"), I64(1), I64(7), I64(2)]
+join2 windowed instants @5
+[Str("a"), I64(2), I64(3), F64(1e16)]
+join3 running epochs @0
+[Str("low"), I64(1), F64(1e16)]
+join3 running epochs @1
+[Str("low"), I64(2), F64(1e16)]
+join3 running epochs @2
+[Str("low"), I64(4), F64(0.5)]
+[Str("mid"), I64(2), F64(-5.25)]
+join3 running epochs @3
+[Str("low"), I64(4), F64(0.5)]
+[Str("mid"), I64(2), F64(-5.25)]
+[Str("min"), I64(3), F64(10.5)]
+join3 running epochs @4
+[Str("high"), I64(4), F64(0.5)]
+[Str("low"), I64(4), F64(0.5)]
+[Str("mid"), I64(3), F64(-5.125)]
+[Str("mid2"), I64(3), F64(-5.125)]
+[Str("min"), I64(3), F64(10.5)]
+join3 running epochs @5
+[Str("high"), I64(5), F64(2.5)]
+[Str("low"), I64(5), F64(2.5)]
+[Str("mid"), I64(3), F64(-5.125)]
+[Str("mid2"), I64(3), F64(-5.125)]
+[Str("min"), I64(3), F64(10.5)]
+join3 running instants @0
+[Str("low"), I64(4), F64(0.5)]
+[Str("mid"), I64(2), F64(-5.25)]
+[Str("min"), I64(2), F64(9.5)]
+join3 running instants @1
+[Str("low"), I64(1), F64(1e16)]
+join3 running instants @2
+[Str("low"), I64(2), F64(1e16)]
+join3 running instants @3
+[Str("low"), I64(2), F64(1e16)]
+join3 running instants @4
+[Str("high"), I64(5), F64(2.5)]
+[Str("low"), I64(5), F64(2.5)]
+[Str("mid"), I64(3), F64(-5.125)]
+[Str("mid2"), I64(3), F64(-5.125)]
+[Str("min"), I64(3), F64(10.5)]
+join3 running instants @5
+[Str("low"), I64(2), F64(1e16)]
+join3 windowed epochs @0
+[Str("low"), I64(1), F64(1e16)]
+join3 windowed epochs @1
+[Str("low"), I64(2), F64(1e16)]
+join3 windowed epochs @2
+[Str("mid"), I64(1), F64(-7.25)]
+join3 windowed epochs @3
+[Str("min"), I64(1), I64(1)]
+join3 windowed epochs @4
+join3 windowed epochs @5
+join3 windowed instants @0
+join3 windowed instants @1
+[Str("low"), I64(1), F64(1e16)]
+join3 windowed instants @2
+[Str("low"), I64(2), F64(1e16)]
+join3 windowed instants @3
+[Str("low"), I64(2), F64(1e16)]
+join3 windowed instants @4
+join3 windowed instants @5
+[Str("low"), I64(2), F64(1e16)]
+self_join running epochs @0
+[Str("a"), I64(1), F64(1e16)]
+self_join running epochs @1
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join running epochs @2
+[Str("a"), I64(9), I64(0)]
+[Str("b"), I64(2), F64(-5.25)]
+[Str("c"), I64(2), I64(7)]
+self_join running epochs @3
+[Str("a"), I64(9), I64(0)]
+[Str("b"), I64(2), F64(-5.25)]
+[Str("c"), I64(3), F64(10.5)]
+self_join running epochs @4
+[Str("a"), I64(9), I64(0)]
+[Str("b"), I64(4), F64(-10.5)]
+[Str("c"), I64(3), F64(10.5)]
+self_join running epochs @5
+[Str("a"), I64(12), I64(0)]
+[Str("b"), I64(4), F64(-10.5)]
+[Str("c"), I64(3), F64(10.5)]
+self_join running instants @0
+[Str("a"), I64(9), I64(0)]
+[Str("b"), I64(2), F64(-5.25)]
+[Str("c"), I64(2), I64(7)]
+self_join running instants @1
+[Str("a"), I64(1), F64(1e16)]
+self_join running instants @2
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join running instants @3
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join running instants @4
+[Str("a"), I64(12), I64(0)]
+[Str("b"), I64(4), F64(-10.5)]
+[Str("c"), I64(3), F64(10.5)]
+self_join running instants @5
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join windowed epochs @0
+[Str("a"), I64(1), F64(1e16)]
+self_join windowed epochs @1
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join windowed epochs @2
+[Str("a"), I64(1), F64(-1e16)]
+self_join windowed epochs @3
+self_join windowed epochs @4
+self_join windowed epochs @5
+self_join windowed instants @0
+[Str("a"), I64(1), F64(-1e16)]
+self_join windowed instants @1
+[Str("a"), I64(1), F64(1e16)]
+self_join windowed instants @2
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join windowed instants @3
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+self_join windowed instants @4
+self_join windowed instants @5
+[Str("a"), I64(4), F64(2e16)]
+[Str("b"), I64(1), I64(2)]
+[Str("c"), I64(2), I64(7)]
+"#;
+
+const EVAL: &str = r#"scan
+[I64(0), Str("a"), F64(1e16)]
+[I64(1), Str("b"), F64(2.0)]
+[I64(10), Str("a"), F64(2.0)]
+[I64(11), Str("c"), F64(6.0)]
+[I64(2), Str("a"), F64(1.0)]
+[I64(3), Str("c"), F64(3.5)]
+[I64(7), Str("c"), F64(1.0)]
+[I64(8), Str("é"), F64(4.0)]
+agg
+[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
+[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
+[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
+[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
+join2
+[Str("a"), I64(10), I64(7), I64(5)]
+[Str("b"), I64(3), I64(5), F64(-5.125)]
+[Str("c"), I64(3), I64(1), F64(10.5)]
+join3
+[Str("high"), I64(5), F64(2.5)]
+[Str("low"), I64(5), F64(2.5)]
+[Str("mid"), I64(3), F64(-5.125)]
+[Str("mid2"), I64(3), F64(-5.125)]
+[Str("min"), I64(3), F64(10.5)]
+self_join
+[Str("a"), I64(12), I64(0)]
+[Str("b"), I64(4), F64(-10.5)]
+[Str("c"), I64(3), F64(10.5)]
+"#;
