@@ -5,15 +5,19 @@
 //! the reachable snapshot (§5.6). This module computes the ground truth
 //! by evaluating the same query descriptor centrally over the published
 //! tables, plus multiset recall/precision between expected and actual.
-//! A join probes each table through an index built once per call: an
-//! index narrows, `==` decides.
+//! Every oracle reads rows where they lie: each input position of a
+//! query gets its table's rows once per call, by reference, with that
+//! position's scan predicate applied there. A join probes each table
+//! through an index built once per evaluation: an index narrows, `==`
+//! decides.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 
 use pier_simnet::time::{Dur, Time};
 
-use crate::plan::{AggSpec, JoinSpec, PipelineSchema, QueryOp};
+use crate::agg::GroupAccs;
+use crate::plan::{AggSpec, JoinSpec, PipelineSchema, QueryOp, ScanSpec};
 use crate::tuple::Tuple;
 use crate::value::{JoinKey, Value};
 
@@ -22,7 +26,8 @@ use crate::value::{JoinKey, Value};
 /// oracles.
 pub type TimedRows = Vec<(Time, Tuple)>;
 
-/// One pipeline table's rows with their publication instants.
+/// One input position's rows with their publication instants: the rows
+/// of the table it scans that pass its predicate, in table order.
 type Timed<'a> = Vec<(Time, &'a Tuple)>;
 
 /// Named base tables, as the oracles read them: a map from table name to
@@ -31,23 +36,11 @@ type Timed<'a> = Vec<(Time, &'a Tuple)>;
 pub trait Tables<R> {
     /// The rows of table `name`, or none when the set has no such table.
     fn rows(&self, name: &str) -> &[R];
-    /// Every table of the set, by name, in the map's order.
-    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
-    where
-        R: 'a;
 }
 
 impl<R> Tables<R> for BTreeMap<String, Vec<R>> {
     fn rows(&self, name: &str) -> &[R] {
         self.get(name).map_or(&[], Vec::as_slice)
-    }
-
-    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
-    where
-        R: 'a,
-    {
-        self.iter()
-            .map(|(name, rows)| (name.as_str(), rows.as_slice()))
     }
 }
 
@@ -55,26 +48,68 @@ impl<R, S: BuildHasher> Tables<R> for HashMap<String, Vec<R>, S> {
     fn rows(&self, name: &str) -> &[R] {
         self.get(name).map_or(&[], Vec::as_slice)
     }
+}
 
-    fn each<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a [R])>
-    where
-        R: 'a,
-    {
-        self.iter()
-            .map(|(name, rows)| (name.as_str(), rows.as_slice()))
+/// A row of a table without instants, as published at the start.
+fn at_zero(row: &Tuple) -> (Time, &Tuple) {
+    (Time::ZERO, row)
+}
+
+/// A timed row, borrowed.
+fn by_ref((at, row): &(Time, Tuple)) -> (Time, &Tuple) {
+    (*at, row)
+}
+
+/// The rows of `rows` that pass `scan`'s predicate, by reference, in
+/// order: what input position `scan` reads.
+fn passing<'a, R>(
+    scan: &ScanSpec,
+    rows: &'a [R],
+    timed: impl Fn(&'a R) -> (Time, &'a Tuple),
+) -> Timed<'a> {
+    rows.iter()
+        .map(timed)
+        .filter(|(_, r)| scan.pred.as_ref().is_none_or(|p| p.matches(r)))
+        .collect()
+}
+
+/// What each input position of `scans` reads from `tables`. Positions
+/// are kept apart, not merged by table name, so a table read at two
+/// positions under different predicates gives each its own rows.
+fn read<'a, 's, R: 'a>(
+    scans: impl IntoIterator<Item = &'s ScanSpec>,
+    tables: &'a impl Tables<R>,
+    timed: impl Fn(&'a R) -> (Time, &'a Tuple) + Copy,
+) -> Vec<Timed<'a>> {
+    scans
+        .into_iter()
+        .map(|scan| passing(scan, tables.rows(&scan.table), timed))
+        .collect()
+}
+
+/// The input positions of a join: pipeline table `t` at position `t`.
+fn join_scans(j: &JoinSpec) -> impl Iterator<Item = &ScanSpec> {
+    (0..j.n_tables()).map(|t| j.table(t))
+}
+
+/// The input positions of a whole query op.
+fn op_scans(op: &QueryOp) -> Vec<&ScanSpec> {
+    match op {
+        QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => vec![scan],
+        QueryOp::Join { join, .. } => join_scans(join).collect(),
     }
 }
 
-/// The one centralized join evaluator behind the four oracles below:
-/// left-deep over `rows[t]` (pipeline table `t`), exactly mirroring the
-/// distributed dataflow's concatenation order, predicates, and final
-/// projection. An index narrows, `==` decides: each stage's right table
-/// is indexed once, from [`Value::join_key`] to the ascending positions
-/// of the rows passing its scan predicate, and a probe visits only the
-/// positions under its key, in order, so rows come out as a nested loop
-/// would emit them. With a `window`, a result exists iff every
-/// constituent was simultaneously inside it, i.e. `max(t) − min(t) <
-/// window`: the later arrival probes while the earlier one's rehashed
+/// The one centralized join evaluator behind the four join oracles
+/// below: left-deep over `rows[t]` (pipeline table `t`'s rows, already
+/// past its scan predicate), exactly mirroring the distributed
+/// dataflow's concatenation order, predicates, and final projection. An
+/// index narrows, `==` decides: each stage's right rows are indexed once,
+/// from [`Value::join_key`] to their ascending positions, and a probe
+/// visits only the positions under its key, in order, so rows come out
+/// as a nested loop would emit them. With a `window`, a result exists iff
+/// every constituent was simultaneously inside it, i.e. `max(t) − min(t)
+/// < window`: the later arrival probes while the earlier one's rehashed
 /// soft state (lifetime = window) is still live, and intermediates
 /// inherit the shortest-lived constituent's remaining lifetime, so the
 /// pairwise rule composes across stages into exactly this span check.
@@ -121,10 +156,8 @@ fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
             let jr = st.right.join_col.expect("join col");
             let mut by_key = Index::new();
             for (pos, &(_, r)) in right.iter().enumerate() {
-                let Some(key) = r.get(jr).join_key() else {
-                    continue; // NaN: equal to nothing
-                };
-                if st.right.pred.as_ref().is_none_or(|p| p.matches(r)) {
+                // NaN has no key: it is equal to nothing.
+                if let Some(key) = r.get(jr).join_key() {
                     by_key.entry(key).or_default().push(pos);
                 }
             }
@@ -133,35 +166,23 @@ fn eval_join(j: &JoinSpec, rows: &[Timed], window: Option<Dur>) -> Vec<Tuple> {
         .collect();
     let mut out = Vec::new();
     for &(at, l) in &rows[0] {
-        if j.left.pred.as_ref().is_none_or(|p| p.matches(l)) {
-            extend((j, rows, &index, window), 0, (at, at, l), &mut out);
-        }
+        extend((j, rows, &index, window), 0, (at, at, l), &mut out);
     }
     out
 }
 
-/// The rows of each pipeline table, looked up by name.
-fn tables_of<'a, R: 'a>(
-    j: &JoinSpec,
-    tables: &'a impl Tables<R>,
-    timed: impl Fn(&'a R) -> (Time, &'a Tuple),
-) -> Vec<Timed<'a>> {
-    (0..j.n_tables())
-        .map(|t| tables.rows(&j.table(t).table).iter().map(&timed).collect())
-        .collect()
-}
-
 /// Centralized evaluation of a two-table join over full tables.
 pub fn reference_join(j: &JoinSpec, left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
-    fn at_zero(rows: &[Tuple]) -> Timed<'_> {
-        rows.iter().map(|r| (Time::ZERO, r)).collect()
-    }
-    eval_join(j, &[at_zero(left), at_zero(right)], None)
+    let rows = [
+        passing(j.table(0), left, at_zero),
+        passing(j.table(1), right, at_zero),
+    ];
+    eval_join(j, &rows, None)
 }
 
 /// Centralized left-deep evaluation of a join over named base tables.
 pub fn reference_multijoin(j: &JoinSpec, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
-    eval_join(j, &tables_of(j, tables, |r| (Time::ZERO, r)), None)
+    eval_join(j, &read(join_scans(j), tables, at_zero), None)
 }
 
 /// Centralized evaluation of a continuous *windowed* two-table join: a
@@ -172,10 +193,11 @@ pub fn reference_windowed_join(
     right: &TimedRows,
     window: Dur,
 ) -> Vec<Tuple> {
-    fn by_ref(rows: &TimedRows) -> Timed<'_> {
-        rows.iter().map(|(t, r)| (*t, r)).collect()
-    }
-    eval_join(j, &[by_ref(left), by_ref(right)], Some(window))
+    let rows = [
+        passing(j.table(0), left, by_ref),
+        passing(j.table(1), right, by_ref),
+    ];
+    eval_join(j, &rows, Some(window))
 }
 
 /// Centralized evaluation of a continuous *windowed* join over named
@@ -185,7 +207,7 @@ pub fn reference_windowed_multijoin(
     tables: &impl Tables<(Time, Tuple)>,
     window: Dur,
 ) -> Vec<Tuple> {
-    eval_join(j, &tables_of(j, tables, |(t, r)| (*t, r)), Some(window))
+    eval_join(j, &read(join_scans(j), tables, by_ref), Some(window))
 }
 
 /// Centralized evaluation of a join *through the pruned dataflow*:
@@ -254,45 +276,64 @@ pub fn reference_epochs(
 /// its install), and nothing past its teardown is ever expected. This
 /// is what restricts a multi-tenant workload's ground truth to each
 /// standing query's lifetime.
+///
+/// Each input position reads its rows once per call, past its scan
+/// predicate; an instant keeps, by reference and in table order, the
+/// ones live at it, and evaluates the op over those. No row is copied,
+/// so an instant costs what the op's own output and groups cost.
 pub fn reference_epochs_at(
     op: &QueryOp,
     tables: &impl Tables<(Time, Tuple)>,
     window: Option<Dur>,
     instants: &[Time],
 ) -> Vec<Vec<Tuple>> {
+    let inputs = read(op_scans(op), tables, by_ref);
+    let mut live: Vec<Timed> = vec![Vec::new(); inputs.len()];
     instants
         .iter()
         .map(|&at| {
-            let snap: BTreeMap<String, Vec<Tuple>> = tables
-                .each()
-                .map(|(name, rows)| {
-                    let live: Vec<Tuple> = rows
-                        .iter()
-                        .filter(|(t, _)| *t <= at && window.is_none_or(|w| *t + w > at))
-                        .map(|(_, r)| r.clone())
-                        .collect();
-                    (name.to_string(), live)
-                })
-                .collect();
-            reference_eval(op, &snap)
+            for (live, rows) in live.iter_mut().zip(&inputs) {
+                live.clear();
+                live.extend(
+                    rows.iter()
+                        .filter(|(t, _)| *t <= at && window.is_none_or(|w| *t + w > at)),
+                );
+            }
+            eval_op(op, &live)
         })
         .collect()
 }
 
 /// Centralized evaluation of grouped aggregation over input rows.
 pub fn reference_agg(agg: &AggSpec, rows: &[Tuple]) -> Vec<Tuple> {
-    let mut groups: HashMap<Vec<Value>, crate::agg::GroupAccs> = HashMap::new();
+    aggregate(agg, rows)
+}
+
+/// Grouped aggregation over `rows`, folded in the order given. Groups
+/// are keyed as a node keys them (`node::agg`'s `Groups`): by their
+/// values in `[Value]`'s order, so numbers `==` across kinds fold into
+/// one group, and groups come out in key order. A row's key is written
+/// into one scratch buffer and the map probed with it borrowed; only a
+/// new group allocates its key.
+fn aggregate<'a>(agg: &AggSpec, rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<Tuple> {
+    let mut groups: BTreeMap<Vec<Value>, GroupAccs> = BTreeMap::new();
+    let mut key: Vec<Value> = Vec::new();
     for row in rows {
-        let key: Vec<Value> = agg.group_cols.iter().map(|&c| row.get(c).clone()).collect();
-        groups
-            .entry(key)
-            .or_insert_with(|| crate::agg::GroupAccs::new(&agg.aggs))
-            .update(&agg.aggs, row);
+        key.clear();
+        key.extend(agg.group_cols.iter().map(|&c| row.get(c).clone()));
+        match groups.get_mut(key.as_slice()) {
+            Some(accs) => accs.update(&agg.aggs, row),
+            None => {
+                let mut accs = GroupAccs::new(&agg.aggs);
+                accs.update(&agg.aggs, row);
+                groups.insert(key.clone(), accs);
+            }
+        }
     }
     let mut out = Vec::new();
     let mut virt = Tuple::new(Vec::new());
-    for (key, accs) in groups {
-        accs.output_row(&key, &mut virt);
+    for (key, accs) in &groups {
+        accs.output_row(key, &mut virt);
         if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
             out.push(Tuple::new(
                 agg.output.iter().map(|e| e.eval(&virt)).collect(),
@@ -302,32 +343,29 @@ pub fn reference_agg(agg: &AggSpec, rows: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
-/// Centralized evaluation of a whole query op over named base tables.
-pub fn reference_eval(op: &QueryOp, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
+/// The one evaluator of a whole query op, over what each of its input
+/// positions reads (`inputs[t]`, past that position's scan predicate):
+/// a snapshot, so a join applies no window.
+fn eval_op(op: &QueryOp, inputs: &[Timed]) -> Vec<Tuple> {
     match op {
-        QueryOp::Scan { scan, project } => tables
-            .rows(&scan.table)
+        QueryOp::Scan { project, .. } => inputs[0]
             .iter()
-            .filter(|t| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
-            .map(|t| Tuple::new(project.iter().map(|e| e.eval(t)).collect()))
+            .map(|&(_, r)| Tuple::new(project.iter().map(|e| e.eval(r)).collect()))
             .collect(),
-        QueryOp::Agg { scan, agg } => {
-            let rows: Vec<Tuple> = tables
-                .rows(&scan.table)
-                .iter()
-                .filter(|t| scan.pred.as_ref().is_none_or(|p| p.matches(t)))
-                .cloned()
-                .collect();
-            reference_agg(agg, &rows)
-        }
+        QueryOp::Agg { agg, .. } => aggregate(agg, inputs[0].iter().map(|&(_, r)| r)),
         QueryOp::Join { join, agg } => {
-            let joined = reference_multijoin(join, tables);
+            let joined = eval_join(join, inputs, None);
             match agg {
-                Some(agg) => reference_agg(agg, &joined),
+                Some(agg) => aggregate(agg, &joined),
                 None => joined,
             }
         }
     }
+}
+
+/// Centralized evaluation of a whole query op over named base tables.
+pub fn reference_eval(op: &QueryOp, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
+    eval_op(op, &read(op_scans(op), tables, at_zero))
 }
 
 /// Multiset counts of tuples (display form as key: Values are hashable
@@ -546,6 +584,49 @@ mod tests {
             .map(|rows| rows.first().map_or(0, |r| r.get(1).as_i64().unwrap()))
             .collect();
         assert_eq!(counts, vec![1, 1, 2, 3, 3]);
+    }
+
+    /// Groups are keyed as a node keys them: numbers `==` across kinds
+    /// share a group (under the key the first of its rows brought), and
+    /// groups come out in key order.
+    #[test]
+    fn agg_groups_numbers_equal_across_kinds_together() {
+        use crate::plan::{AggCall, AggFunc};
+        let agg = AggSpec::new(
+            vec![0],
+            vec![
+                AggCall {
+                    func: AggFunc::Count,
+                    arg: None,
+                },
+                AggCall {
+                    func: AggFunc::Sum,
+                    arg: Some(Expr::col(1)),
+                },
+            ],
+        );
+        let rows = [
+            tuple![Value::str("a"), 64i64],
+            tuple![3i64, 1i64],
+            tuple![3.0f64, 2i64],
+            tuple![1i64, 4i64],
+            tuple![true, 8i64],
+            tuple![-0.0f64, 16i64],
+            tuple![0i64, 32i64],
+        ];
+        let out: Vec<String> = reference_agg(&agg, &rows)
+            .iter()
+            .map(|r| format!("{:?}", r.vals))
+            .collect();
+        assert_eq!(
+            out,
+            [
+                "[F64(-0.0), I64(2), I64(48)]",
+                "[I64(1), I64(2), I64(12)]",
+                "[I64(3), I64(2), I64(3)]",
+                "[Str(\"a\"), I64(1), I64(64)]",
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! item costs its slot in the store's one ordered map, with no container
 //! of its own — and rows encoded together share one buffer: a rehash, a
 //! publish and an emission cost a buffer each, not a row each, and an
-//! empty batch costs nothing.
+//! empty batch costs nothing — and an oracle reads rows where they lie:
+//! the epoch oracle copies no row its scan rejects.
 //!
 //! The counters are per thread. The test harness runs every test on a
 //! thread of its own and a one-core `Sim` runs on its caller's, so the
@@ -35,7 +36,7 @@ use pier::qp::expr::{Expr, Func};
 use pier::qp::plan::{
     qns, AggCall, AggFunc, AggSpec, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
 };
-use pier::qp::semantics::same_multiset;
+use pier::qp::semantics::{reference_epochs_at, same_multiset, TimedRows};
 use pier::qp::sql::parse_continuous_query;
 use pier::qp::testkit::*;
 use pier::qp::tuple::{FlatRow, RowBatch};
@@ -1076,4 +1077,33 @@ fn bloom_insert_and_contains_allocate_nothing() {
     let (hits, allocs, _) = counted(|| (0..2_000u64).filter(|&k| filter.contains(k)).count());
     assert_eq!(allocs, 0, "contains");
     assert!((1_000..1_100).contains(&hits), "{hits} hits");
+}
+
+// ---------------------------------------------------------------------
+// (x) the oracles read rows where they lie
+// ---------------------------------------------------------------------
+
+/// The epoch oracle applies each scan's predicate once per call, to rows
+/// read where they lie, and evaluates every instant over references to
+/// the rows that passed: a count query whose predicate turns away every
+/// row allocates, at four instants, what it does over 100 rows. (With a
+/// copy of every live row per instant, each rejected row cost its clone
+/// at every instant.)
+#[test]
+fn an_epoch_oracle_allocates_nothing_for_a_row_its_scan_rejects() {
+    let desc = standing_count(1, "sig-none");
+    let instants: Vec<Time> = (0..4).map(|k| Time(k * 30_000_000)).collect();
+    let oracle_allocs = |rows: usize| {
+        let timed: TimedRows = intrusion_rows(rows)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (Time(i as u64 * 1_000), r))
+            .collect();
+        let tables = std::collections::BTreeMap::from([("intrusions".to_string(), timed)]);
+        let (epochs, allocs, _) =
+            counted(|| reference_epochs_at(&desc.op, &tables, None, &instants));
+        assert!(epochs.iter().all(Vec::is_empty));
+        allocs
+    };
+    assert_eq!(oracle_allocs(100), oracle_allocs(1_000));
 }
