@@ -81,6 +81,44 @@ fn random_spec(rng: &mut SmallRng) -> JoinSpec {
     m
 }
 
+/// A random binary symmetric-hash join A ⨝ B: random join columns, a
+/// random optional stage predicate, and a random SELECT subset.
+fn random_binary(rng: &mut SmallRng) -> JoinSpec {
+    let left = ScanSpec::new("A", 3, 0).with_join_col(rng.gen_range(0..3));
+    let right = ScanSpec::new("B", 3, 0).with_join_col(rng.gen_range(0..3));
+    let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+    if rng.gen_range(0..2) == 1 {
+        j.stages[0].stage_pred = Some(Expr::gt(
+            Expr::col(rng.gen_range(0..6)),
+            Expr::lit(rng.gen_range(0..4i64)),
+        ));
+    }
+    j.project = (0..rng.gen_range(1..4usize))
+        .map(|_| Expr::col(rng.gen_range(0..6)))
+        .collect();
+    j
+}
+
+/// The all-columns model of a join's layout: `keep_base`, then each
+/// stage's `keep_right` and `emit`, with every column on every edge.
+type Layout = (Vec<usize>, Vec<(Vec<usize>, Vec<usize>)>);
+
+fn full_width(j: &JoinSpec) -> Layout {
+    let stages = (0..j.stages.len())
+        .map(|k| {
+            let keep_right = (0..j.stages[k].right.arity).collect();
+            (keep_right, (0..j.arity_after(k)).collect())
+        })
+        .collect();
+    ((0..j.left.arity).collect(), stages)
+}
+
+fn layout(v: &PipelineSchema) -> Layout {
+    let stages = v.stages.iter();
+    let stages = stages.map(|st| (st.keep_right.clone(), st.emit.clone()));
+    (v.keep_base.clone(), stages.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -105,18 +143,7 @@ proptest! {
     fn pruned_binary_join_matches_full_reference(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let tabs = tables(&mut rng);
-        let left = ScanSpec::new("A", 3, 0).with_join_col(rng.gen_range(0..3));
-        let right = ScanSpec::new("B", 3, 0).with_join_col(rng.gen_range(0..3));
-        let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
-        if rng.gen_range(0..2) == 1 {
-            j.stages[0].stage_pred = Some(Expr::gt(
-                Expr::col(rng.gen_range(0..6)),
-                Expr::lit(rng.gen_range(0..4i64)),
-            ));
-        }
-        j.project = (0..rng.gen_range(1..4usize))
-            .map(|_| Expr::col(rng.gen_range(0..6)))
-            .collect();
+        let j = random_binary(&mut rng);
         let full = pier_core::semantics::reference_join(&j, &tabs["A"], &tabs["B"]);
         // Walk the pruned dataflow centrally.
         let v = PipelineSchema::new(&j, true).unwrap();
@@ -138,6 +165,24 @@ proptest! {
             }
         }
         prop_assert!(same_multiset(&full, &pruned));
+    }
+
+    /// A SELECT that reads every column leaves nothing to prune: a
+    /// random 2- or 3-way spec so projected compiles to the full-width
+    /// layout, every column on every edge.
+    #[test]
+    fn every_column_select_gets_the_full_width_layout(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut j = if rng.gen_range(0..2) == 1 {
+            random_binary(&mut rng)
+        } else {
+            random_spec(&mut rng)
+        };
+        j.project = (0..j.arity()).map(Expr::col).collect();
+        let v = PipelineSchema::new(&j, true).unwrap();
+        prop_assert_eq!(layout(&v), full_width(&j), "seed {}", seed);
+        let old = PipelineSchema::new(&j, false).unwrap();
+        prop_assert_eq!(format!("{v:?}"), format!("{old:?}"), "seed {}", seed);
     }
 }
 

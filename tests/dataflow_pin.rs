@@ -10,7 +10,8 @@
 //! merged into one pipeline; every `replication = 1` row held across
 //! that merge without edits.
 
-use pier::qp::plan::QueryDesc;
+use pier::qp::expr::Expr;
+use pier::qp::plan::{QueryDesc, QueryOp};
 use pier::qp::sql::parse_continuous_query;
 use pier::qp::testkit::*;
 use pier::qp::{parse_query, Catalog, JoinStrategy, PierNode};
@@ -160,17 +161,18 @@ fn join_agg_one_shot_and_epoch() {
     assert_eq!(standing(desc), (6005, 2725, 445112, 66));
 }
 
+/// The narrow 3-way pipeline, and the same query with a SELECT that
+/// reads every column of R ++ S ++ T: nothing is left to prune, so it
+/// runs the full-width layout (the §4.2 byte baseline).
 #[test]
 fn three_way_pipeline_pruned_and_full_width() {
     let wl = workload();
-    assert_eq!(
-        one_shot(wl.multi_query_narrow(6, 0, true)),
-        (5243, 2107, 399161, 13)
-    );
-    assert_eq!(
-        one_shot(wl.multi_query_narrow(7, 0, false)),
-        (5228, 2092, 547992, 13)
-    );
+    let narrow = wl.multi_join_spec_narrow();
+    let mut every_column = narrow.clone();
+    every_column.project = (0..11).map(Expr::col).collect();
+    let desc = |qid, join| QueryDesc::one_shot(qid, 0, QueryOp::Join { join, agg: None });
+    assert_eq!(one_shot(desc(6, narrow)), (5243, 2107, 399161, 13));
+    assert_eq!(one_shot(desc(7, every_column)), (5228, 2092, 562176, 13));
 }
 
 #[test]
