@@ -3,6 +3,7 @@
 use pier_core::plan::JoinStrategy;
 use pier_simnet::time::Dur;
 use pier_simnet::NetConfig;
+use pier_workload::RsWorkload;
 
 use super::{params_for_nodes, seeds};
 use crate::{average, full_scale, run_join, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
@@ -33,7 +34,10 @@ pub fn multiway() {
             run
         };
         let two: Vec<RunMetrics> = seeds().iter().map(|&s| run_join(&cfg(s))).collect();
-        let three: Vec<RunMetrics> = seeds().iter().map(|&s| run_multi_join(&cfg(s))).collect();
+        let three: Vec<RunMetrics> = seeds()
+            .iter()
+            .map(|&s| run_multi_join(&cfg(s), RsWorkload::multi_join_spec))
+            .collect();
         art.row([
             ("nodes", n.into()),
             ("2way_t_last_s", Cell::f(average(&two, |m| m.t_last), 2)),

@@ -31,7 +31,8 @@ pub use artifact::{Artifact, Cell};
 
 use std::path::PathBuf;
 
-use pier_core::plan::{JoinStrategy, QueryDesc, QueryOp};
+use pier_core::plan::{JoinSpec, JoinStrategy, QueryDesc, QueryOp};
+use pier_core::semantics::reference_multijoin;
 use pier_core::testkit::{
     publish_round_robin, rows_of, run_query, settle_publish, stabilized_pier_sim, time_to_kth,
     time_to_last,
@@ -104,57 +105,36 @@ pub fn run_join(cfg: &JoinRun) -> RunMetrics {
     let expected = wl.expected(cfg.strategy);
     let mut join = wl.join_spec(cfg.strategy);
     join.computation_nodes = cfg.computation_nodes;
-    execute_workload_query(
-        cfg,
-        &wl,
-        QueryOp::Join { join, agg: None },
-        expected,
-        false,
-        true,
-    )
+    execute_workload_query(cfg, &wl, join, expected)
 }
 
-/// Execute the 3-way pipeline extension of the workload (R ⨝ S ⨝ T as
-/// chained symmetric-hash stages) and collect the same metrics.
-/// `strategy` and `computation_nodes` of the run config do not apply.
-pub fn run_multi_join(cfg: &JoinRun) -> RunMetrics {
+/// Execute a 3-way pipeline over the workload (R ⨝ S ⨝ T as chained
+/// symmetric-hash stages) and collect the same metrics, recall against
+/// [`reference_multijoin`]. `spec` picks the query:
+/// [`RsWorkload::multi_join_spec`], or the `pruning` experiment's narrow
+/// SELECT and its every-column baseline. `strategy` and
+/// `computation_nodes` of the run config do not apply.
+pub fn run_multi_join(cfg: &JoinRun, spec: fn(&RsWorkload) -> JoinSpec) -> RunMetrics {
     let wl = RsWorkload::generate(cfg.params);
-    let expected = wl.expected_multi();
-    let op = QueryOp::Join {
-        join: wl.multi_join_spec(),
-        agg: None,
-    };
-    execute_workload_query(cfg, &wl, op, expected, true, true)
+    let join = spec(&wl);
+    let expected = reference_multijoin(&join, &wl.tables());
+    execute_workload_query(cfg, &wl, join, expected)
 }
 
-/// Execute the narrow-SELECT 3-way pipeline (`R.pad` published but read
-/// by nobody downstream) with schema-aware pruning on or off — the
-/// `pruning` experiment's measurement core.
-pub fn run_multi_join_pruning(cfg: &JoinRun, prune: bool) -> RunMetrics {
-    let wl = RsWorkload::generate(cfg.params);
-    let expected = wl.expected_multi_narrow();
-    let op = QueryOp::Join {
-        join: wl.multi_join_spec_narrow(),
-        agg: None,
-    };
-    execute_workload_query(cfg, &wl, op, expected, true, prune)
-}
-
-/// Shared measurement core: publish the workload tables, snapshot the
-/// traffic meters, run one query, and extract the §5 metrics.
+/// Shared measurement core: publish the workload tables the join reads,
+/// snapshot the traffic meters, run the join once, and extract the §5
+/// metrics.
 fn execute_workload_query(
     cfg: &JoinRun,
     wl: &RsWorkload,
-    op: QueryOp,
+    join: JoinSpec,
     expected: Vec<pier_core::Tuple>,
-    with_t: bool,
-    prune: bool,
 ) -> RunMetrics {
     let mut sim: Sim<PierNode> = stabilized_pier_sim(cfg.n_nodes, cfg.dht.clone(), cfg.net.clone());
-    publish_round_robin(&mut sim, "R", &wl.r, 0, Dur::from_secs(100_000));
-    publish_round_robin(&mut sim, "S", &wl.s, 0, Dur::from_secs(100_000));
-    if with_t {
-        publish_round_robin(&mut sim, "T", &wl.t, 0, Dur::from_secs(100_000));
+    for (name, rows) in [("R", &wl.r), ("S", &wl.s), ("T", &wl.t)] {
+        if (0..join.n_tables()).any(|t| join.table(t).table == name) {
+            publish_round_robin(&mut sim, name, rows, 0, Dur::from_secs(100_000));
+        }
     }
     settle_publish(&mut sim);
     sim.run_for(Dur::from_secs(30));
@@ -165,7 +145,7 @@ fn execute_workload_query(
         .map(|i| sim.app(i as u32).unwrap().dht.meter.query_traffic())
         .sum();
 
-    let mut desc = QueryDesc::one_shot(1, 0, op).with_prune(prune);
+    let mut desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
     desc.n_nodes = cfg.n_nodes as u32;
     let results = run_query(&mut sim, 0, desc, cfg.settle);
 

@@ -226,6 +226,15 @@ impl RsWorkload {
         Self::one_shot(qid, initiator, self.multi_join_spec_narrow()).with_prune(prune)
     }
 
+    /// The 3-way query with a SELECT over every column of R ++ S ++ T:
+    /// no column is left to prune, so every edge carries full-width
+    /// rows — the byte baseline of `pier_bench pruning`.
+    pub fn multi_join_spec_every_column(&self) -> JoinSpec {
+        let mut m = self.multi_join_spec();
+        m.project = (0..m.arity()).map(Expr::col).collect();
+        m
+    }
+
     /// Ground-truth multiset for [`Self::multi_join_spec_narrow`].
     pub fn expected_multi_narrow(&self) -> Vec<Tuple> {
         pier_core::semantics::reference_multijoin(&self.multi_join_spec_narrow(), &self.tables())
