@@ -52,8 +52,8 @@ pub struct JoinStats {
     pub rows_r: f64,
     pub rows_s: f64,
     /// On-the-wire sizes of *full* base tuples — what a Fetch Matches
-    /// get or a semi-join fetch moves (those retrieve published rows,
-    /// which the query cannot prune).
+    /// get or a semi-join fetch moves (those retrieve published rows
+    /// whole: no query prunes them).
     pub bytes_r: f64,
     pub bytes_s: f64,
     /// On-the-wire sizes of the *pruned* rehash projections — what the

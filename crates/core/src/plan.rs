@@ -406,12 +406,6 @@ pub struct QueryDesc {
     /// How many nodes participate (used by hierarchical aggregation to
     /// shape its tree; harnesses set it when building the query).
     pub n_nodes: u32,
-    /// Schema-aware column pruning: when set (the default), every
-    /// rehash, stage republish, and initiator ship carries only the
-    /// columns some downstream operator still reads
-    /// ([`PipelineSchema`]). `false` reinstates full-width
-    /// intermediates — kept as a measurable baseline (`exp_pruning`).
-    pub prune: bool,
     /// Owning tenant, for admission control and per-tenant metrics
     /// ([`crate::tenant::TenantGovernor`]). Tenant 0 is the default;
     /// tenants without a registered quota are unlimited.
@@ -434,7 +428,6 @@ impl Clone for QueryDesc {
             window: self.window,
             renew_every: self.renew_every,
             n_nodes: self.n_nodes,
-            prune: self.prune,
             tenant: self.tenant,
             plan: OnceLock::new(),
         }
@@ -451,7 +444,6 @@ impl QueryDesc {
             window: None,
             renew_every: None,
             n_nodes: 0,
-            prune: true,
             tenant: 0,
             plan: OnceLock::new(),
         }
@@ -468,12 +460,6 @@ impl QueryDesc {
             continuous: true,
             ..Self::one_shot(qid, initiator, op)
         }
-    }
-
-    /// Toggle schema-aware pruning (`true` is the default).
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
-        self
     }
 
     /// Assign the query to a tenant (admission control and metrics
@@ -534,7 +520,7 @@ impl QueryDesc {
     pub fn certified(&self) -> Certified {
         let plan = self.plan.get_or_init(|| {
             self.check()?;
-            let build = |j| Arc::new(PipelineSchema::build(j, self.prune));
+            let build = |j| Arc::new(PipelineSchema::build(j));
             Ok(self.op.join().map(build))
         });
         plan.clone()
@@ -696,17 +682,16 @@ pub struct PipelineSchema {
 }
 
 impl PipelineSchema {
-    /// The pruning plan of a join; `prune = false` keeps every column on
-    /// every edge (the measurable full-width baseline). Refuses a spec
-    /// that fails [`JoinSpec::check`].
-    pub fn new(j: &JoinSpec, prune: bool) -> Result<PipelineSchema, &'static str> {
+    /// The pruning plan of a join. Refuses a spec that fails
+    /// [`JoinSpec::check`].
+    pub fn new(j: &JoinSpec) -> Result<PipelineSchema, &'static str> {
         j.check()?;
-        Ok(Self::build(j, prune))
+        Ok(Self::build(j))
     }
 
     /// [`Self::new`] past the check: `j` must have passed
     /// [`JoinSpec::check`], or a join column it names may be missing.
-    fn build(j: &JoinSpec, prune: bool) -> PipelineSchema {
+    fn build(j: &JoinSpec) -> PipelineSchema {
         let n = j.stages.len();
         let right_col = |k: usize| j.stages[k].right.join_col.expect("checked");
         // Global offset of each stage's right table.
@@ -724,34 +709,25 @@ impl PipelineSchema {
         }
         for k in (0..n).rev() {
             let st = &j.stages[k];
-            if prune {
-                let mut in_play = needed_after[k].clone();
-                if let Some(p) = &st.stage_pred {
-                    p.columns(&mut in_play);
-                }
-                in_play.push(st.left_col);
-                in_play.push(offsets[k] + right_col(k));
-                in_play.sort_unstable();
-                in_play.dedup();
-                keep_right[k] = in_play
-                    .iter()
-                    .copied()
-                    .filter(|&c| c >= offsets[k])
-                    .map(|c| c - offsets[k])
-                    .collect();
-                let need_left: Vec<usize> =
-                    in_play.into_iter().filter(|&c| c < offsets[k]).collect();
-                if k > 0 {
-                    needed_after[k - 1] = need_left;
-                } else {
-                    keep_base = need_left;
-                }
+            let mut in_play = needed_after[k].clone();
+            if let Some(p) = &st.stage_pred {
+                p.columns(&mut in_play);
+            }
+            in_play.push(st.left_col);
+            in_play.push(offsets[k] + right_col(k));
+            in_play.sort_unstable();
+            in_play.dedup();
+            keep_right[k] = in_play
+                .iter()
+                .copied()
+                .filter(|&c| c >= offsets[k])
+                .map(|c| c - offsets[k])
+                .collect();
+            let need_left: Vec<usize> = in_play.into_iter().filter(|&c| c < offsets[k]).collect();
+            if k > 0 {
+                needed_after[k - 1] = need_left;
             } else {
-                needed_after[k] = (0..offsets[k] + st.right.arity).collect();
-                keep_right[k] = (0..st.right.arity).collect();
-                if k == 0 {
-                    keep_base = (0..j.left.arity).collect();
-                }
+                keep_base = need_left;
             }
         }
 
@@ -859,27 +835,34 @@ mod tests {
         j
     }
 
+    /// `j` with a SELECT over every column of its tables.
+    fn every_column(mut j: JoinSpec) -> JoinSpec {
+        j.project = (0..j.arity()).map(Expr::col).collect();
+        j
+    }
+
     #[test]
     fn binary_schema_keeps_only_relevant_columns() {
         let j = workload_join(JoinStrategy::SymmetricHash);
-        let v = PipelineSchema::new(&j, true).unwrap();
+        let v = PipelineSchema::new(&j).unwrap();
         // Left keeps pkey(0), num1(1, join), num3(3), pad(4).
         assert_eq!(v.keep_base, vec![0, 1, 3, 4]);
         // Right keeps pkey(0, join+projected), num3(2).
         assert_eq!(v.stages[0].keep_right, vec![0, 2]);
         assert_eq!(v.stages[0].join_idx_left, 1);
         assert_eq!(v.stages[0].join_idx_right, 0);
-        // Unpruned baseline keeps everything in place.
-        let full = PipelineSchema::new(&j, false).unwrap();
+        // A SELECT over every column keeps everything in place.
+        let every = every_column(j);
+        let full = PipelineSchema::new(&every).unwrap();
         assert_eq!(full.keep_base, vec![0, 1, 2, 3, 4]);
         assert_eq!(full.stages[0].keep_right, vec![0, 1, 2]);
-        assert_eq!(full.project, j.project);
+        assert_eq!(full.project, every.project);
     }
 
     #[test]
     fn binary_schema_remaps_exprs_consistently() {
         let j = workload_join(JoinStrategy::SymmetricHash);
-        let v = PipelineSchema::new(&j, true).unwrap();
+        let v = PipelineSchema::new(&j).unwrap();
         // Build a full joined row and its projected counterpart; both
         // evaluations must agree.
         let full = crate::tuple![1i64, 10i64, 60i64, 7i64, 1000i64, 10i64, 60i64, 8i64];
@@ -905,7 +888,7 @@ mod tests {
     fn pipeline_schema_drops_pad_nobody_reads() {
         // workload_multi projects R.pkey, S.pkey, T.num2 — never R.pad.
         let m = workload_multi();
-        let v = PipelineSchema::new(&m, true).unwrap();
+        let v = PipelineSchema::new(&m).unwrap();
         // R ships only pkey (projected) and num1 (stage-0 join key).
         assert_eq!(v.keep_base, vec![0, 1]);
         // S ships pkey (join + projected) and num3 (stage-1 join key).
@@ -923,7 +906,7 @@ mod tests {
     #[test]
     fn pipeline_schema_matches_full_evaluation() {
         let m = workload_multi();
-        let v = PipelineSchema::new(&m, true).unwrap();
+        let v = PipelineSchema::new(&m).unwrap();
         // One full R ++ S ++ T row that survives the stage predicate.
         let full = crate::tuple![
             1i64, 10i64, 60i64, 7i64, 1000i64, // R
@@ -963,7 +946,7 @@ mod tests {
         use crate::catalog::{Catalog, TableStats};
         use crate::tuple::{ColType, TUPLE_HEADER_BYTES};
         let m = workload_multi();
-        let v = PipelineSchema::new(&m, true).unwrap();
+        let v = PipelineSchema::new(&m).unwrap();
         // A catalog whose R statistics equal the real row: the residual
         // of `avg_tuple_bytes` lands on the pad, so every width is exact.
         let mut catalog = Catalog::workload();
@@ -1001,8 +984,8 @@ mod tests {
             assert_eq!(mid_bytes(mid), 4 + 24, "stage {k}");
             assert!(!mid.contains(&4), "pad is on no edge");
         }
-        // Unpruned, the same edges carry the pad.
-        let full = PipelineSchema::new(&m, false).unwrap();
+        // Read every column, and the same edges carry the pad.
+        let full = PipelineSchema::new(&every_column(m.clone())).unwrap();
         assert_eq!(def(0).ship_bytes(full.keep_for_table(0)), 4 + 32 + 1000);
         assert!(full.stages[0].out_globals.contains(&4));
     }
@@ -1018,7 +1001,7 @@ mod tests {
         let second = d.certified().unwrap().expect("a join has a plan");
         assert!(Arc::ptr_eq(&first, &second));
         // It is the plan `PipelineSchema::new` builds from the same spec.
-        let fresh = PipelineSchema::new(d.op.join().unwrap(), d.prune).unwrap();
+        let fresh = PipelineSchema::new(d.op.join().unwrap()).unwrap();
         assert_eq!(format!("{first:?}"), format!("{fresh:?}"));
         let scan = QueryOp::Scan {
             scan: ScanSpec::new("R", 5, 0),

@@ -218,7 +218,7 @@ pub fn reference_windowed_multijoin(
 /// certifies that projection pushdown preserves the result multiset —
 /// the invariant the proptests pin.
 pub fn reference_pipeline(j: &JoinSpec, tables: &impl Tables<Tuple>) -> Vec<Tuple> {
-    let v = PipelineSchema::new(j, true).expect("well-formed join spec");
+    let v = PipelineSchema::new(j).expect("well-formed join spec");
     // Each table's rehash: scan predicate on the full row, then project.
     let shipped = |t: usize| -> Vec<Tuple> {
         let scan = j.table(t);

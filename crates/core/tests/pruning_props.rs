@@ -146,7 +146,7 @@ proptest! {
         let j = random_binary(&mut rng);
         let full = pier_core::semantics::reference_join(&j, &tabs["A"], &tabs["B"]);
         // Walk the pruned dataflow centrally.
-        let v = PipelineSchema::new(&j, true).unwrap();
+        let v = PipelineSchema::new(&j).unwrap();
         let st = &v.stages[0];
         let mut pruned = Vec::new();
         for a in &tabs["A"] {
@@ -179,10 +179,8 @@ proptest! {
             random_spec(&mut rng)
         };
         j.project = (0..j.arity()).map(Expr::col).collect();
-        let v = PipelineSchema::new(&j, true).unwrap();
+        let v = PipelineSchema::new(&j).unwrap();
         prop_assert_eq!(layout(&v), full_width(&j), "seed {}", seed);
-        let old = PipelineSchema::new(&j, false).unwrap();
-        prop_assert_eq!(format!("{v:?}"), format!("{old:?}"), "seed {}", seed);
     }
 }
 

@@ -53,7 +53,7 @@ fn pad_value_contributes_exact_wire_bytes() {
 #[test]
 fn symmetric_hash_rehash_bytes_reflect_dropped_columns() {
     let j = workload_join(JoinStrategy::SymmetricHash);
-    let v = PipelineSchema::new(&j, true).unwrap();
+    let v = PipelineSchema::new(&j).unwrap();
     // R keeps pkey, num1, num3, pad (num2 was consumed by the pushed
     // scan predicate): 4 + 3·8 + 1000 bytes projected.
     let projected = r_row().project(&v.keep_base);
@@ -120,11 +120,13 @@ fn narrow_multi() -> JoinSpec {
 #[test]
 fn stage_republish_bytes_exclude_the_pad() {
     let m = narrow_multi();
-    let v = PipelineSchema::new(&m, true).unwrap();
+    let v = PipelineSchema::new(&m).unwrap();
     // R's rehash: pkey + num1 only — 1008 bytes lighter than unpruned.
     let projected = r_row().project(&v.keep_base);
     assert_eq!(projected.wire_size(), 4 + 2 * 8);
-    let full = PipelineSchema::new(&m, false).unwrap();
+    let mut every_column = m.clone();
+    every_column.project = (0..m.arity()).map(Expr::col).collect();
+    let full = PipelineSchema::new(&every_column).unwrap();
     assert_eq!(
         r_row().project(&full.keep_base).wire_size(),
         4 + 4 * 8 + 1000
@@ -145,7 +147,7 @@ fn stage_republish_bytes_exclude_the_pad() {
 #[test]
 fn stage_schema_predictions_match_shipped_bytes() {
     let m = narrow_multi();
-    let v = PipelineSchema::new(&m, true).unwrap();
+    let v = PipelineSchema::new(&m).unwrap();
     // A catalog whose R statistics equal the real row: the residual of
     // `avg_tuple_bytes` lands on the pad, so every width is exact.
     let mut catalog = Catalog::workload();

@@ -209,7 +209,7 @@ impl RsWorkload {
 
     /// The 3-way query with a narrow SELECT — `R.pad` is published with
     /// every R tuple but read by nobody downstream, the projection-
-    /// pushdown showcase (`exp_pruning`):
+    /// pushdown showcase (`pier_bench pruning`):
     ///
     /// ```sql
     /// SELECT R.pkey, S.pkey, T.pkey FROM R, S, T ...
@@ -220,12 +220,6 @@ impl RsWorkload {
         m
     }
 
-    /// A one-shot descriptor for [`Self::multi_join_spec_narrow`];
-    /// `prune = false` reinstates full-width intermediates (baseline).
-    pub fn multi_query_narrow(&self, qid: u64, initiator: u32, prune: bool) -> QueryDesc {
-        Self::one_shot(qid, initiator, self.multi_join_spec_narrow()).with_prune(prune)
-    }
-
     /// The 3-way query with a SELECT over every column of R ++ S ++ T:
     /// no column is left to prune, so every edge carries full-width
     /// rows — the byte baseline of `pier_bench pruning`.
@@ -233,11 +227,6 @@ impl RsWorkload {
         let mut m = self.multi_join_spec();
         m.project = (0..m.arity()).map(Expr::col).collect();
         m
-    }
-
-    /// Ground-truth multiset for [`Self::multi_join_spec_narrow`].
-    pub fn expected_multi_narrow(&self) -> Vec<Tuple> {
-        pier_core::semantics::reference_multijoin(&self.multi_join_spec_narrow(), &self.tables())
     }
 
     /// The base tables keyed by name, as the reference evaluator wants.
