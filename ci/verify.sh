@@ -4,8 +4,8 @@
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
 # cross_engine, frontend_pin, agg_pin, store_pin, overlay_pin,
-# registry_pin, oracle_pin, publish_pin, dataflow_pin, wire_audit,
-# alloc_budget), the lints, the
+# registry_pin, oracle_pin, publish_pin, dataflow_pin with pruning and
+# pruning_props, wire_audit, alloc_budget), the lints, the
 # three source guards (the layering guard's five rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node

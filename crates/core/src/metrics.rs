@@ -21,9 +21,9 @@
 //!   function a harness can apply to the engine's own counters, so
 //!   "snapshot matches ground truth" is checkable byte-for-byte.
 //!
-//! The experiment binaries read this surface instead of keeping ad-hoc
-//! tallies (`exp_multitenant`, `exp_continuous`), so the numbers CI
-//! gates on and the numbers an operator sees cannot drift apart. The
+//! The experiments read this surface instead of keeping ad-hoc tallies
+//! (`pier_bench multitenant`, `pier_bench continuous`), so the numbers
+//! CI gates on and the numbers an operator sees cannot drift apart. The
 //! operator-facing catalogue of every metric here lives in
 //! `MONITORING.md` at the repository root.
 

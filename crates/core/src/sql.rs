@@ -1008,7 +1008,7 @@ mod tests {
     use crate::semantics::{reference_eval, same_multiset};
     use crate::tuple;
     use crate::tuple::Tuple;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn catalogs() -> (Catalog, Catalog) {
         (Catalog::workload(), Catalog::intrusion())
@@ -1109,7 +1109,7 @@ mod tests {
             .map(|k| tuple![k, k % 7, (k * 13) % 100, k % 5, crate::value::Value::Pad(8)])
             .collect();
         let s: Vec<Tuple> = (0..7i64).map(|k| tuple![k, 10i64, k + 100]).collect();
-        let mut tables = HashMap::new();
+        let mut tables = BTreeMap::new();
         tables.insert("R".to_string(), r.clone());
         tables.insert("S".to_string(), s.clone());
         let out = reference_eval(&op, &tables);
@@ -1203,7 +1203,7 @@ mod tests {
             .collect();
         let s: Vec<Tuple> = (0..7i64).map(|k| tuple![k, 10i64, k % 3]).collect();
         let t: Vec<Tuple> = (0..3i64).map(|k| tuple![k, 50i64, k + 200]).collect();
-        let mut tables = HashMap::new();
+        let mut tables = BTreeMap::new();
         tables.insert("R".to_string(), r);
         tables.insert("S".to_string(), s);
         tables.insert("T".to_string(), t);

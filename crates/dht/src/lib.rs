@@ -90,7 +90,7 @@ pub struct DhtConfig {
     /// successors). The paper runs k = 1 — soft state lost on failure is
     /// simply re-published at the next renewal — and k = 1 preserves that
     /// behavior exactly; k > 1 trades replica traffic for recall under
-    /// churn (the frontier measured by `exp_churn_slo`).
+    /// churn (the frontier measured by `pier_bench churn_slo`).
     pub replication: usize,
 }
 
