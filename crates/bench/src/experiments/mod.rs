@@ -43,7 +43,7 @@ pub const EXPERIMENTS: &[Experiment] = registry![
     paper::fig7: "Fig. 7 — scale-up on the transit-stub topology",
     paper::fig8: "Fig. 8 — the Cluster deployment, 2 to 1 024 nodes (wall-clock, host cells)",
     multiway::multiway: "binary workload join vs its 3-way pipeline extension",
-    pruning::pruning: "projection pushdown: rehash traffic, pruning on vs off (committed)",
+    pruning::pruning: "projection pushdown: rehash traffic, narrow SELECT vs every column (committed)",
     continuous::continuous: "standing 3-way triage over 3+ soft-state horizons (committed)",
     multitenant::multitenant: "500+ quota-governed standing queries, install to reclaim (committed)",
     churn_slo::churn_slo: "scan recall under scripted kills, replication k = 1..3 (committed)",
