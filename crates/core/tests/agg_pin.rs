@@ -9,6 +9,9 @@
 //!
 //! Taken before group keys and accumulators were shared between the
 //! fold, the store and the wire; that change left every line as it was.
+//! The last four shapes (qids 7, 8, 9 and 11) were taken before a
+//! windowed aggregate folded its rows into panes instead of buffering
+//! them, and before child partials joined those panes.
 
 use std::fmt::Write;
 
@@ -208,6 +211,43 @@ fn join_aggregate_with_halfway_flush() {
 fn having_and_computed_output_epoch() {
     let desc = standing(&format!("{HAVING_SQL} EPOCH 20 SECONDS"), 6);
     assert_transcript(desc, HAVING_EPOCH);
+}
+
+/// A tree node's child partials under a window: each epoch's report
+/// climbs the tree once, and the install-time rows age out of it.
+#[test]
+fn hierarchical_windowed_epoch() {
+    let sql = format!("{FLAT_SQL} WINDOW 30 SECONDS EPOCH 20 SECONDS");
+    let mut desc = standing(&sql, 7);
+    agg_of(&mut desc).hierarchical = true;
+    assert_transcript(desc, HIERARCHICAL_WINDOWED_EPOCH);
+}
+
+/// A windowed join aggregate: a join output counts as long as its
+/// shortest-lived constituent is inside the window.
+#[test]
+fn windowed_join_aggregate_epoch() {
+    let sql = format!("{JOIN_SQL} WINDOW 30 SECONDS EPOCH 20 SECONDS");
+    assert_transcript(standing(&sql, 8), WINDOWED_JOIN_EPOCH);
+}
+
+/// A one-shot tree: partials climb as `AggUp` with no epoch, the root
+/// emits once, and every node retires at its flush.
+#[test]
+fn hierarchical_one_shot() {
+    let mut desc = one_shot(FLAT_SQL, 9);
+    let agg = agg_of(&mut desc);
+    agg.hierarchical = true;
+    agg.harvest = Dur::from_secs(20);
+    assert_transcript(desc, HIERARCHICAL_ONE_SHOT);
+}
+
+/// A window shorter than the epoch: a row published between two flushes
+/// ages out before the next one and is never reported.
+#[test]
+fn window_shorter_than_epoch() {
+    let desc = standing(&format!("{FLAT_SQL} WINDOW 7 SECONDS EPOCH 20 SECONDS"), 11);
+    assert_transcript(desc, SHORT_WINDOW_EPOCH);
 }
 
 const FLAT_ONE_SHOT: &str = r#"stored at t=16.000000s
@@ -466,4 +506,109 @@ results
   t=58.700000s ('fp1', 72)
   t=58.700000s ('fp2', 60)
 pin (2647, 375, 34749, 8)
+"#;
+const HIERARCHICAL_WINDOWED_EPOCH: &str = r#"stored at t=16.000000s
+stored at t=24.000000s
+stored at t=36.000000s
+stored at t=56.000000s
+results
+  t=23.085714s ('fp0', 4, '10.0.0.0', 4.5)
+  t=23.085714s ('fp1', 4, '10.0.0.0', 5.5)
+  t=23.085714s ('fp2', 4, '10.0.0.0', 6.5)
+  t=43.085714s ('fp0', 5, '10.0.0.0', 6)
+  t=43.085714s ('fp1', 5, '10.0.0.0', 7)
+  t=43.085714s ('fp2', 5, '10.0.0.0', 8)
+  t=43.085714s ('fp3', 1, '10.0.0.0', 15)
+  t=63.085714s ('fp0', 1, '10.0.0.1', 16)
+  t=63.085714s ('fp1', 1, '10.0.0.2', 17)
+  t=63.085714s ('fp2', 1, '10.0.0.3', 18)
+  t=63.085714s ('fp3', 1, '10.0.0.4', 19)
+pin (2387, 163, 17264, 11)
+"#;
+const WINDOWED_JOIN_EPOCH: &str = r#"stored at t=16.000000s
+  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
+  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
+  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
+  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
+  node 12 iid 3: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
+  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
+  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
+stored at t=24.000000s
+  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
+  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
+  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
+  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
+  node 12 iid 3: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
+  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
+  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
+  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
+stored at t=36.000000s
+  node 3 iid 3: ('fp3') [Count(1), SumF(1.0)] 35 B, expires t=53.600000s
+  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
+  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
+  node 4 iid 0: ('fp1') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
+  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
+  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
+  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
+  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
+  node 12 iid 3: ('fp2') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
+  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
+  node 13 iid 13: ('fp0') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
+  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
+  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
+stored at t=56.000000s
+results
+  t=18.600000s ('fp0', 4, 6)
+  t=18.700000s ('fp2', 4, 7)
+  t=18.800000s ('fp1', 4, 8)
+  t=38.600000s ('fp0', 5, 9)
+  t=38.700000s ('fp3', 1, 1)
+  t=38.700000s ('fp2', 5, 9)
+  t=38.800000s ('fp1', 5, 9)
+pin (2583, 311, 29279, 7)
+"#;
+const HIERARCHICAL_ONE_SHOT: &str = r#"stored at t=16.000000s
+stored at t=24.000000s
+stored at t=36.000000s
+stored at t=56.000000s
+results
+  t=23.085714s ('fp0', 4, '10.0.0.0', 4.5)
+  t=23.085714s ('fp1', 4, '10.0.0.0', 5.5)
+  t=23.085714s ('fp2', 4, '10.0.0.0', 6.5)
+pin (2319, 127, 13440, 3)
+"#;
+const SHORT_WINDOW_EPOCH: &str = r#"stored at t=16.000000s
+  node 4 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
+  node 4 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
+  node 4 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
+  node 7 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
+  node 7 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
+  node 7 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
+  node 8 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
+  node 8 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
+  node 8 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
+  node 8 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
+stored at t=24.000000s
+  node 4 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
+  node 4 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
+  node 4 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
+  node 7 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
+  node 7 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
+  node 7 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
+  node 8 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
+  node 8 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
+  node 8 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
+  node 8 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
+stored at t=36.000000s
+stored at t=56.000000s
+results
+  t=18.600000s ('fp1', 4, '10.0.0.0', 5.5)
+  t=18.800000s ('fp0', 4, '10.0.0.0', 4.5)
+  t=18.800000s ('fp2', 4, '10.0.0.0', 6.5)
+pin (2422, 150, 15269, 3)
 "#;
