@@ -8,7 +8,6 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pier_dht::msg::Entry;
 use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
@@ -144,12 +143,11 @@ fn fits(agg: &AggSpec, group: &[Value], accs: &GroupAccs) -> bool {
 }
 
 impl QueryInstance {
-    /// Fold one input row into the query's aggregation state. One-shot
-    /// aggregates fold directly into the (drained-at-flush) group
-    /// accumulators. Windowed epoch queries buffer `(valid_until, row)`
-    /// so each epoch flush can re-aggregate exactly the contributions
-    /// still inside the window; unwindowed epoch queries fold into
-    /// persistent running accumulators snapshotted at each flush.
+    /// Fold one input row, counted at every flush before `valid_until`,
+    /// into the query's aggregation state: under an epoch, a row that
+    /// stops counting folds into the pane of the flush it stops at;
+    /// every other row (one-shot inputs included) into the running
+    /// totals.
     pub(super) fn accumulate<R: Columns + ?Sized>(
         &mut self,
         replicated: bool,
@@ -165,33 +163,42 @@ impl QueryInstance {
         if replicated && ident != 0 && !self.acc_seen.insert(ident) {
             return;
         }
-        if agg.epoch.is_none() {
-            fold(&mut self.local_groups, agg, row);
-        } else if self.desc.window.is_some() {
-            self.win_rows.push((valid_until, row.to_tuple()));
-        } else {
-            fold(&mut self.run_groups, agg, row);
+        match agg.epoch {
+            Some(epoch) if valid_until < Time::MAX => fold(self.pane(epoch, valid_until), agg, row),
+            _ => fold(&mut self.run_groups, agg, row),
         }
     }
 
-    /// Groups to report at a flush instant, where they have to be built:
-    /// the transient accumulators drained (one-shot inputs; received
-    /// hierarchical child partials), a fresh aggregation of every window
-    /// contribution still alive (expired contributions thereby age out
-    /// of the window between epochs), and the running totals merged in.
-    /// `None` when there is nothing transient — an unwindowed epoch
-    /// query: its running totals are the report as they stand.
-    fn build_report(&mut self, agg: &AggSpec, now: Time) -> Option<Groups> {
-        self.win_rows.retain(|(valid, _)| *valid > now);
-        if self.local_groups.is_empty() && self.win_rows.is_empty() {
+    /// The pane closing at the first flush at or after `until`, on the
+    /// grid of flushes every `epoch` from the next one.
+    fn pane(&mut self, epoch: Dur, until: Time) -> &mut Groups {
+        let late = until.since(self.next_flush).as_micros();
+        let epochs = late.div_ceil(epoch.as_micros().max(1));
+        let closes = self.next_flush + epoch.saturating_mul(epochs);
+        let at = match self.panes.binary_search_by_key(&closes, |p| p.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.panes.insert(at, (closes, Groups::new()));
+                at
+            }
+        };
+        &mut self.panes[at].1
+    }
+
+    /// Groups to report at a flush instant: the closed panes dropped, and
+    /// the open ones merged with the running totals. `None` when no pane
+    /// is open: the running totals are the report as they stand.
+    fn build_report(&mut self, now: Time) -> Option<Groups> {
+        let closed = self.panes.partition_point(|p| p.0 <= now);
+        self.panes.drain(..closed);
+        if self.panes.is_empty() {
             return None;
         }
-        let mut groups = std::mem::take(&mut self.local_groups);
-        for (_, row) in &self.win_rows {
-            fold(&mut groups, agg, row);
-        }
-        for (group, accs) in &self.run_groups {
-            merge(&mut groups, group, accs);
+        let mut groups = Groups::new();
+        for pane in self.panes.iter().map(|p| &p.1).chain([&self.run_groups]) {
+            for (group, accs) in pane {
+                merge(&mut groups, group, accs);
+            }
         }
         Some(groups)
     }
@@ -199,13 +206,13 @@ impl QueryInstance {
 
 /// How long a base row counts toward a windowed aggregate: `window`
 /// after it is first seen, and never past its own expiry.
-fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
+pub(super) fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
     window.map_or(Time::MAX, |w| expires.min(now + w))
 }
 
 impl PierNode {
-    /// Install-time half of a single-table aggregation: fold the local
-    /// fragment, then flush (or schedule the tree / epoch flushes).
+    /// Install-time half of a single-table aggregation: schedule the
+    /// flushes, fold the local fragment, and flush a flat one-shot.
     pub(super) fn agg_start(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -214,6 +221,7 @@ impl PierNode {
         agg: &AggSpec,
     ) {
         let (qid, now) = (desc.qid, ctx.now);
+        self.schedule_agg_timers(ctx, desc, agg);
         let replicated = self.replicated();
         if let Some(inst) = self.reg.get_mut(qid) {
             for_each_live(&self.dht, scan, now, |iid, expires, _, row| {
@@ -221,33 +229,9 @@ impl PierNode {
                 inst.accumulate(replicated, agg, &row, valid, iid as u64);
             });
         }
-        if agg.hierarchical {
-            self.schedule_hier_flush(ctx, desc, agg);
-        } else {
-            if agg.epoch.is_none() {
-                // Epoch queries flush on their timer instead.
-                self.flush_partials(ctx, qid, agg);
-            }
-            self.schedule_agg_timers(ctx, qid, agg, false);
-        }
-    }
-
-    /// Epoch-driven continuous aggregation: a newly published base row
-    /// (already past the scan predicate) joins the window and is
-    /// (re-)reported at the next epoch flush. Without an epoch the
-    /// aggregate stays one-shot — there is no re-emission to carry the
-    /// update.
-    pub(super) fn agg_new_row(
-        &mut self,
-        now: Time,
-        desc: &QueryDesc,
-        agg: &AggSpec,
-        entry: &Entry<QpItem>,
-        row: &impl Columns,
-    ) {
-        if agg.epoch.is_some() {
-            let valid = base_valid(desc.window, now, entry.expires);
-            self.accumulate(desc.qid, agg, row, valid, entry.iid as u64);
+        if !agg.hierarchical && agg.epoch.is_none() {
+            // Epoch queries and trees flush on their timer instead.
+            self.flush_partials(ctx, qid, agg);
         }
     }
 
@@ -312,7 +296,7 @@ impl PierNode {
         let lifetime = agg.epoch.unwrap_or_else(|| agg.harvest.saturating_mul(4));
         self.dht_op(ctx, |node, ctx, events| {
             let inst = node.reg.get_mut(qid);
-            let built = inst.and_then(|inst| inst.build_report(agg, ctx.now));
+            let built = inst.and_then(|inst| inst.build_report(ctx.now));
             let Some(inst) = node.reg.get(qid) else {
                 return;
             };
@@ -330,13 +314,29 @@ impl PierNode {
         });
     }
 
+    /// Arm an aggregate's flush and harvest timers. A tree staggers its
+    /// flushes so deeper nodes send before their parents, merging along a
+    /// binary tree over node ids, within each epoch; it has no harvest.
     pub(super) fn schedule_agg_timers(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
-        qid: u64,
+        desc: &QueryDesc,
         agg: &AggSpec,
-        joinagg: bool,
     ) {
+        let qid = desc.qid;
+        let joinagg = matches!(desc.op, QueryOp::Join { .. });
+        if agg.hierarchical && !joinagg {
+            let n = desc.n_nodes.max(1);
+            let max_depth = 64 - (n as u64).leading_zeros() as u64;
+            let me = self.dht.me() as u64;
+            let depth = 64 - (me + 1).leading_zeros() as u64;
+            // Deeper levels flush earlier.
+            let slot = max_depth.saturating_sub(depth) + 1;
+            let span = agg.epoch.unwrap_or(agg.harvest);
+            let delay = Dur::from_micros(span.as_micros() * slot / (max_depth + 2));
+            self.arm_timer(ctx, qid, delay, TimerAction::Flush { qid });
+            return;
+        }
         if let Some(epoch) = agg.epoch {
             // Epoch-driven continuous aggregation: partials flush just
             // after each epoch boundary (the short lag lets the join
@@ -346,7 +346,7 @@ impl PierNode {
             // epoch later. Both timers re-arm on fire, so the standing
             // query never tears down.
             let lag = Dur::from_micros((epoch.as_micros() / 4).min(5_000_000));
-            self.arm_timer(ctx, qid, lag, TimerAction::PartialFlush { qid });
+            self.arm_timer(ctx, qid, lag, TimerAction::Flush { qid });
             let half = Dur::from_micros(epoch.as_micros() / 2);
             self.arm_timer(ctx, qid, half, TimerAction::AggHarvest { qid });
             return;
@@ -354,7 +354,7 @@ impl PierNode {
         if joinagg {
             // NQ nodes accumulate join outputs, then flush halfway.
             let half = Dur::from_micros(agg.harvest.as_micros() / 2);
-            self.arm_timer(ctx, qid, half, TimerAction::PartialFlush { qid });
+            self.arm_timer(ctx, qid, half, TimerAction::Flush { qid });
         }
         self.arm_timer(ctx, qid, agg.harvest, TimerAction::AggHarvest { qid });
     }
@@ -402,45 +402,41 @@ impl PierNode {
         self.emit_groups(ctx, &desc, agg, &merged);
     }
 
-    /// Hierarchical aggregation: stagger flushes so deeper nodes send
-    /// before their parents, merging along a binary tree over node ids.
-    /// Epoch queries stagger within each epoch and re-arm every epoch.
-    pub(super) fn schedule_hier_flush(
-        &mut self,
-        ctx: &mut Ctx<PierMsg>,
-        desc: &QueryDesc,
-        agg: &AggSpec,
-    ) {
-        let qid = desc.qid;
-        let n = desc.n_nodes.max(1);
-        let max_depth = 64 - (n as u64).leading_zeros() as u64;
-        let me = self.dht.me() as u64;
-        let depth = 64 - (me + 1).leading_zeros() as u64;
-        // Deeper levels flush earlier.
-        let slot = max_depth.saturating_sub(depth) + 1;
-        let span = agg.epoch.unwrap_or(agg.harvest);
-        let delay = Dur::from_micros(span.as_micros() * slot / (max_depth + 2));
-        self.arm_timer(ctx, qid, delay, TimerAction::HierFlush { qid });
-    }
-
-    pub(super) fn hier_flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+    /// A flush timer fired: report the aggregation state to the tree
+    /// parent or into `NA`, and re-arm. A one-shot tree flush is this
+    /// node's terminal event (parents flush after their children sent
+    /// partials up).
+    pub(super) fn flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let QueryOp::Agg { agg, .. } = &desc.op else {
-            return;
-        };
+        match &desc.op {
+            QueryOp::Agg { agg, .. } if agg.hierarchical => {
+                self.hier_flush(ctx, &desc, agg);
+                self.rearm_epoch(ctx, qid, TimerAction::Flush { qid });
+                self.retire_if_one_shot(qid);
+            }
+            QueryOp::Agg { agg, .. } | QueryOp::Join { agg: Some(agg), .. } => {
+                self.flush_partials(ctx, qid, agg);
+                self.rearm_epoch(ctx, qid, TimerAction::Flush { qid });
+            }
+            _ => {}
+        }
+    }
+
+    fn hier_flush(&mut self, ctx: &mut Ctx<PierMsg>, desc: &QueryDesc, agg: &AggSpec) {
+        let qid = desc.qid;
         let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
-        // Sent or emitted, the report leaves this node: with nothing
-        // transient it is the running totals, shared.
-        let built = inst.build_report(agg, ctx.now);
+        // Sent or emitted, the report leaves this node: with no pane open
+        // it is the running totals, shared.
+        let built = inst.build_report(ctx.now);
         let groups = built.unwrap_or_else(|| inst.run_groups.clone());
         let me = self.dht.me();
         if me == 0 {
             // Root: finalize.
-            self.emit_groups(ctx, &desc, agg, &groups);
+            self.emit_groups(ctx, desc, agg, &groups);
         } else {
             let parent = (me - 1) / 2;
             for (group, accs) in groups {
@@ -449,19 +445,21 @@ impl PierNode {
         }
     }
 
-    /// A child's partial, kept until this node's own tree flush — unless
-    /// it is not shaped like this query's ([`fits`]).
+    /// A child's partial, counted at this node's next tree flush only —
+    /// under an epoch, in the pane closing one epoch after it — unless it
+    /// is not shaped like this query's ([`fits`]).
     pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<GroupAccs>) {
         let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
-        let agg = inst.desc.op.agg();
-        if !agg.is_some_and(|agg| fits(agg, &group, &accs)) {
+        let agg = inst.desc.op.agg().filter(|agg| fits(agg, &group, &accs));
+        let Some(epoch) = agg.map(|agg| agg.epoch) else {
             return;
-        }
-        inst.local_groups
-            .entry(group)
-            .and_modify(|m| Arc::make_mut(m).merge(&accs))
-            .or_insert(accs);
+        };
+        let groups = match epoch {
+            Some(epoch) => inst.pane(epoch, inst.next_flush + epoch),
+            None => &mut inst.run_groups,
+        };
+        merge(groups, &group, &accs);
     }
 }

@@ -76,12 +76,10 @@ enum TimerAction {
     /// Flat aggregation: finalize locally-owned groups, emit results.
     /// Re-armed every epoch for continuous aggregation.
     AggHarvest { qid: u64 },
-    /// Push locally accumulated partials into `NA` (join-aggregation
-    /// halfway flush; epoch-boundary flush for continuous aggregates).
-    PartialFlush { qid: u64 },
-    /// Hierarchical aggregation: send merged partials to the tree
-    /// parent. Re-armed every epoch for continuous aggregation.
-    HierFlush { qid: u64 },
+    /// Report the local aggregation state: put it into `NA`, or send it
+    /// to the tree parent under hierarchical aggregation (a join
+    /// aggregate's halfway flush; every epoch for a continuous one).
+    Flush { qid: u64 },
     /// Republish this node's published base rows, every `every` (the
     /// renewal loop of §3.2.3 / Fig. 6).
     Renew { every: Dur },
@@ -98,8 +96,7 @@ impl TimerAction {
         match self {
             TimerAction::BloomFlush { qid, .. }
             | TimerAction::AggHarvest { qid }
-            | TimerAction::PartialFlush { qid }
-            | TimerAction::HierFlush { qid }
+            | TimerAction::Flush { qid }
             | TimerAction::RenewQuery { qid } => Some(*qid),
             TimerAction::Renew { .. } => None,
         }
@@ -189,21 +186,20 @@ struct QueryInstance {
     bloom_waits: [u8; 2],
     /// Semi-join pair assembly.
     pairs: BTreeMap<u64, PairFetch>,
-    /// Local pre-aggregation (join-agg at NQ nodes, hierarchical agg).
-    local_groups: agg::Groups,
-    /// Epoch-driven *windowed* aggregation: every input contribution (a
-    /// base row or a join output) with the instant it ages out of the
-    /// sliding window. The per-epoch flush re-aggregates the still-live
-    /// contributions, so expired ones fall out of the window between
-    /// epochs. Bounded by the window length.
-    win_rows: Vec<(Time, Tuple)>,
-    /// Epoch-driven *unwindowed* aggregation: persistent running
-    /// accumulators, folded incrementally and snapshotted (not drained)
-    /// at each epoch flush — O(groups) state, O(new rows) per epoch,
-    /// where a contribution buffer would grow forever. The snapshot
-    /// shares a group's key and accumulators; the group's next row
-    /// copies the accumulators before it writes.
+    /// The aggregation state, under one rule: a contribution counts at
+    /// every flush before its `valid_until`. Those that never stop
+    /// counting fold into `run_groups`, snapshotted (not drained) at each
+    /// flush: the snapshot shares a group's key and accumulators, and the
+    /// group's next row copies the accumulators before it writes.
     run_groups: agg::Groups,
+    /// Those that stop at a known flush (windowed contributions, child
+    /// partials under an epoch) fold on arrival into the pane that closes
+    /// at that flush, sorted by closing flush. A flush drops the closed
+    /// panes and merges the rest with `run_groups`: O(groups) state per
+    /// pane, at most a window's worth of panes.
+    panes: Vec<(Time, agg::Groups)>,
+    /// The next flush armed for the query: where the pane grid starts.
+    next_flush: Time,
     /// Rehash / stage soft state this node published for the query and
     /// renews ([`PierNode::record_rehash`]; empty unless the query
     /// carries a renewal period). Dropped at uninstall, so renewal
@@ -233,9 +229,9 @@ impl QueryInstance {
             bloom_flushed: [false, false],
             bloom_waits: [0, 0],
             pairs: BTreeMap::new(),
-            local_groups: BTreeMap::new(),
-            win_rows: Vec::new(),
             run_groups: BTreeMap::new(),
+            panes: Vec::new(),
+            next_flush: Time::ZERO,
             rehash_pubs: Vec::new(),
             acc_seen: BTreeSet::new(),
             timers: Vec::new(),
@@ -536,13 +532,17 @@ impl PierNode {
     }
 
     /// Arm a timer owned by one query: the token is recorded on the
-    /// instance so uninstall can cancel it.
+    /// instance so uninstall can cancel it, and a flush's instant as the
+    /// query's next flush.
     fn arm_timer(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, after: Dur, action: TimerAction) {
         let token = self.token();
-        self.timer_actions.insert(token, action);
         if let Some(inst) = self.reg.get_mut(qid) {
             inst.timers.push(token);
+            if let TimerAction::Flush { .. } = action {
+                inst.next_flush = ctx.now + after;
+            }
         }
+        self.timer_actions.insert(token, action);
         ctx.set_timer(after, token);
     }
 
@@ -654,6 +654,11 @@ impl PierNode {
                 }
             }
             QueryOp::Join { join: j, agg } => {
+                // Flush timers first: the pane grid is known before the
+                // dataflow below folds its first output.
+                if let Some(agg) = agg {
+                    self.schedule_agg_timers(ctx, &desc, agg);
+                }
                 let n = j.stages.len();
                 for k in 0..n {
                     self.reg
@@ -685,9 +690,6 @@ impl PierNode {
                 // Replay stage state that arrived before installation.
                 for (k, stored) in raced {
                     self.replay(ctx, qid, k, stored);
-                }
-                if let Some(agg) = agg {
-                    self.schedule_agg_timers(ctx, qid, agg, true);
                 }
             }
             QueryOp::Agg { scan, agg } => {
@@ -765,7 +767,14 @@ impl PierNode {
                 self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, &out);
             }
             QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
-            QueryOp::Agg { agg, .. } => self.agg_new_row(ctx.now, &desc, agg, entry, &row),
+            // Without an epoch the aggregate stays one-shot: there is no
+            // re-emission to carry the update.
+            QueryOp::Agg { agg, .. } => {
+                if agg.epoch.is_some() {
+                    let valid = agg::base_valid(desc.window, ctx.now, entry.expires);
+                    self.accumulate(qid, agg, &row, valid, entry.iid as u64);
+                }
+            }
         }
     }
 
@@ -948,21 +957,7 @@ impl App for PierNode {
                 // The harvest is a one-shot aggregate's terminal event.
                 self.retire_if_one_shot(qid);
             }
-            Some(TimerAction::PartialFlush { qid }) => {
-                if let Some(desc) = self.query_desc(qid) {
-                    if let Some(agg) = desc.op.agg() {
-                        self.flush_partials(ctx, qid, agg);
-                    }
-                }
-                self.rearm_epoch(ctx, qid, TimerAction::PartialFlush { qid });
-            }
-            Some(TimerAction::HierFlush { qid }) => {
-                self.hier_flush(ctx, qid);
-                self.rearm_epoch(ctx, qid, TimerAction::HierFlush { qid });
-                // A one-shot tree flush is this node's terminal event
-                // (parents flush after their children sent partials up).
-                self.retire_if_one_shot(qid);
-            }
+            Some(TimerAction::Flush { qid }) => self.flush(ctx, qid),
             Some(TimerAction::Renew { every }) => self.renew_all(ctx, every),
             Some(TimerAction::RenewQuery { qid }) => self.renew_query(ctx, qid),
             None => {}
