@@ -211,9 +211,13 @@ impl<S: AsRef<str>> Ord for Scalar<S> {
         match (self, other) {
             (Scalar::Str(a), Scalar::Str(b)) => a.as_ref().cmp(b.as_ref()),
             (Scalar::Pad(a), Scalar::Pad(b)) => a.cmp(b),
+            // NaN sorts after every number and ties only with NaN, so
+            // the order is total (a group key, a `BTreeMap` key) while
+            // `==` stays IEEE.
             (a, b) if rank(a) == 1 && rank(b) == 1 => {
                 let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+                x.partial_cmp(&y)
+                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
             }
             (a, b) => rank(a).cmp(&rank(b)),
         }

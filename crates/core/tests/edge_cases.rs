@@ -1,10 +1,13 @@
 //! Edge cases of distributed execution: duplicate join values,
 //! resourceID collisions (forced via tiny bucket counts), concurrent
-//! queries, duplicate query delivery, string keys, and NULL handling.
+//! queries, duplicate query delivery, string keys, NULL handling, and
+//! NaN group keys.
 
 use pier_core::expr::Expr;
-use pier_core::plan::{JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
-use pier_core::semantics::{reference_join, same_multiset};
+use pier_core::plan::{
+    AggCall, AggFunc, AggSpec, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
+};
+use pier_core::semantics::{reference_agg, reference_join, same_multiset};
 use pier_core::testkit::*;
 use pier_core::tuple;
 use pier_core::tuple::Tuple;
@@ -223,6 +226,55 @@ fn null_join_values_behave_consistently() {
     let desc = QueryDesc::one_shot(40, 0, QueryOp::Join { join: j, agg: None });
     let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
     assert!(same_multiset(&expected, &rows_of(&results)));
+}
+
+/// `count(*) GROUP BY k` over keys `1.0, NaN, 2.0`, arriving in three
+/// orders: a NaN key is one group of its own whatever the order, both
+/// in the oracle and on a node folding the rows as they arrive, because
+/// NaN sorts after every number and ties only with NaN. (Tied with every
+/// number, it joined whichever group it met first, or swallowed the
+/// rest.) Compared by `Debug` text, since `NaN != NaN`.
+#[test]
+fn nan_group_keys_are_a_group_of_their_own_in_any_order() {
+    let count = AggCall {
+        func: AggFunc::Count,
+        arg: None,
+    };
+    let agg = AggSpec::new(vec![1], vec![count]);
+    let want = "[Tuple { vals: [F64(1.0), I64(1)] }, Tuple { vals: [F64(2.0), I64(1)] }, \
+                Tuple { vals: [F64(NaN), I64(1)] }]";
+    let orders = [
+        [1.0, f64::NAN, 2.0],
+        [f64::NAN, 1.0, 2.0],
+        [2.0, 1.0, f64::NAN],
+    ];
+    for (qid, keys) in (1..).zip(orders) {
+        let rows: Vec<Tuple> = (0i64..).zip(keys).map(|(id, k)| tuple![id, k]).collect();
+        assert_eq!(
+            format!("{:?}", reference_agg(&agg, &rows)),
+            want,
+            "{keys:?}"
+        );
+
+        // Installed first, so each row folds as it arrives, in order.
+        let mut sim = setup(1, 3, &[]);
+        let scan = ScanSpec::new("K", 2, 0);
+        let op = QueryOp::Agg {
+            scan,
+            agg: agg.clone().with_epoch(Dur::from_secs(20)),
+        };
+        let desc = QueryDesc::standing(qid, 0, op, None);
+        sim.with_app(0, |node, ctx| {
+            node.submit(ctx, desc);
+            for row in rows {
+                node.publish_rows(ctx, "K", vec![row], 0, Dur::from_secs(600));
+            }
+        });
+        sim.run_for(Dur::from_secs(12));
+        let results = sim.node(0).unwrap().query_results(qid);
+        let got: Vec<&Tuple> = results.iter().map(|(_, row)| row).collect();
+        assert_eq!(format!("{got:?}"), want, "{keys:?} on a node");
+    }
 }
 
 /// A join whose predicate rejects everything yields nothing but
