@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, five rules. Comment lines are not checked: prose may
+# Layering guard, six rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -37,6 +37,12 @@
 #    `emit_result`. The bulk ones now encode into a `RowBatch`, and
 #    `fm_start` shares the stored row. A new bulk encoder uses a
 #    `RowBatch`.
+# 6. A node keeps no row as a tuple. Under crates/core/src/node/ a row
+#    is built into a `Tuple` (`.to_tuple()`) only in `emit_result`, for
+#    the initiator's result log. A windowed aggregate once buffered every
+#    live contribution as a tuple and re-folded them all at each flush;
+#    it now folds each row on arrival into the pane of the flush it
+#    stops counting at.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -103,7 +109,19 @@ if [ -n "$alone" ]; then
     status=1
 fi
 
+TUPLE_SITE='emit_result'
+kept=$(awk -v allowed="^($TUPLE_SITE)\$" 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /\.to_tuple\(\)/ && fn !~ allowed {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ -n "$kept" ]; then
+    echo "layering guard: $NODE builds a row into a Tuple outside $TUPLE_SITE — fold it where it lies (an aggregate's panes), or keep it encoded" >&2
+    echo "$kept" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites and builds a tuple only in $TUPLE_SITE; $TENANT holds no per-query state)"
 fi
 exit "$status"
