@@ -90,6 +90,19 @@ pub enum QpItem {
     Cancel { qid: u64 },
 }
 
+impl QpItem {
+    /// The side and join value of a rehashed join item, `Tagged` or
+    /// `Mini`: what a probe matches partners by.
+    pub fn join_key(&self) -> Option<(Side, &Value)> {
+        match self {
+            QpItem::Tagged { side, join, .. } | QpItem::Mini { side, join, .. } => {
+                Some((*side, join))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl Wire for QpItem {
     fn wire_size(&self) -> usize {
         match self {

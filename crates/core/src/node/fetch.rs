@@ -12,9 +12,9 @@ use pier_simnet::time::Time;
 
 use super::{for_each_live, live_row, take, GetPurpose, PairFetch, Pending, PierNode, BULK_PUTS};
 use crate::item::{PierMsg, QpItem, Side};
-use crate::plan::{qns, ScanSpec};
+use crate::plan::qns;
 use crate::tuple::{Columns, Concat, FlatRow, Rows};
-use crate::value::{ValRef, Value};
+use crate::value::Value;
 
 impl PierNode {
     // ------------------------------------------------------------------
@@ -119,45 +119,6 @@ impl PierNode {
         self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts, &Rows::default());
     }
 
-    /// Pair an arriving mini with the live opposite-side minis of the
-    /// same join value (expired-but-unswept projections must not pair),
-    /// walking the bucket in place as [`Self::probe`] does: what a pair
-    /// sets off only fetches.
-    pub(super) fn probe_mini(
-        &mut self,
-        ctx: &mut Ctx<PierMsg>,
-        qid: u64,
-        entry: &Entry<QpItem>,
-        side: Side,
-        pkey: &Value,
-        join: &Value,
-    ) {
-        let now = ctx.now;
-        let partner = |e: &Entry<QpItem>| match &e.val {
-            QpItem::Mini {
-                side: s,
-                pkey: theirs,
-                join: jv,
-                ..
-            } if e.iid != entry.iid && e.expires > now && *s != side && jv == join => {
-                Some((e.iid, theirs.clone()))
-            }
-            _ => None,
-        };
-        let mut cursor = 0;
-        while let Some((next, (partner_iid, partner))) =
-            self.dht.store.next_in(entry.ns, entry.rid, cursor, partner)
-        {
-            cursor = next;
-            let (pk_l, pk_r) = match side {
-                Side::Left => (pkey.clone(), partner),
-                Side::Right => (partner, pkey.clone()),
-            };
-            let ident = Self::pair_ident(entry.iid, partner_iid);
-            self.semi_pair(ctx, qid, pk_l, pk_r, ident);
-        }
-    }
-
     /// Issue the two parallel full-tuple fetches for a matched mini pair
     /// ("we issue the two joins' fetches in parallel since we know both
     /// fetches will succeed", §4.2).
@@ -211,7 +172,7 @@ impl PierNode {
         side: Side,
         items: Vec<Entry<QpItem>>,
     ) {
-        let Some((desc, _)) = self.join_plan(qid) else {
+        let Some((desc, view)) = self.join_plan(qid) else {
             return;
         };
         let Some(j) = desc.op.join() else { return };
@@ -221,17 +182,19 @@ impl PierNode {
         let Some(p) = inst.pairs.get_mut(&pair) else {
             return;
         };
-        // Only the rows the mini named (a resourceID may collide), and
-        // only of the table's width.
+        // Only the rows the mini named (a resourceID may collide) that
+        // the scan selects (§4.1: selections on non-DHT attributes are
+        // evaluated after the fetch).
         let scan = j.table(side as usize);
         let pkey = p.pkeys[side as usize].as_ref();
         p.rows[side as usize] = Some(
             items
                 .into_iter()
                 .filter_map(|e| match e.val {
-                    QpItem::Row(t) if named(scan, &t, pkey) => Some((e.expires, t)),
+                    QpItem::Row(t) => Some((e.expires, t)),
                     _ => None,
                 })
+                .filter(|(_, t)| live_row(scan, t).is_some_and(|r| r.get(scan.pkey_col) == pkey))
                 .collect(),
         );
         if p.rows.iter().any(Option::is_none) {
@@ -246,9 +209,16 @@ impl PierNode {
             return;
         };
         let post = &j.stages[0].stage_pred;
+        let (_, _, left_col) = view.table_role(0);
+        let (_, _, right_col) = view.table_role(1);
         for (li, (l_expires, l)) in lefts.iter().enumerate() {
+            let l = l.view();
             for (ri, (r_expires, r)) in rights.iter().enumerate() {
-                let joined = Concat::new(l.view(), r.view());
+                let r = r.view();
+                if l.get(left_col) != r.get(right_col) {
+                    continue; // another row under the same primary key
+                }
+                let joined = Concat::new(l, r);
                 if post.as_ref().is_none_or(|pp| pp.matches(&joined)) {
                     // One mini pair normally yields one row per side
                     // (resourceID = primary key); the index mix only
@@ -260,10 +230,4 @@ impl PierNode {
             }
         }
     }
-}
-
-/// Is a fetched row one of `scan`'s, with the primary key a mini named?
-fn named(scan: &ScanSpec, row: &FlatRow, pkey: ValRef<'_>) -> bool {
-    let row = row.view();
-    row.arity() == scan.arity && row.get(scan.pkey_col) == pkey
 }

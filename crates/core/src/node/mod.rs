@@ -242,9 +242,9 @@ impl QueryInstance {
 /// Semi-join: the two full-tuple fetches of one matched mini pair,
 /// indexed by [`Side`].
 struct PairFetch {
-    /// Fetched rows (with their expiry) whose primary key is the one
-    /// the mini named, as stored; `None` until that side's fetch
-    /// completes.
+    /// Fetched rows (with their expiry) that the side's scan selects,
+    /// under the primary key the mini named, as stored; `None` until
+    /// that side's fetch completes.
     rows: [Option<Vec<(Time, FlatRow)>>; 2],
     pkeys: [Value; 2],
     /// Identity of the mini pair that triggered the fetches — the
@@ -667,13 +667,25 @@ impl PierNode {
                 for t in 0..=n {
                     self.reg.route(j.table(t).ns, qid, NsRole::Base(t as u16));
                 }
-                // Snapshot per-stage rehash state that raced ahead of the
-                // query multicast, *before* our own rehash adds to it.
-                let stored = |k| self.dht.store.lscan(qns::stage_of(qid, n, k));
-                let raced: Vec<(usize, Vec<Entry<QpItem>>)> = (0..n)
-                    .map(|k| (k, stored(k).cloned().collect::<Vec<_>>()))
-                    .filter(|(_, stored)| !stored.is_empty())
-                    .collect();
+                // Stage state that raced ahead of the query multicast is
+                // probed before this node's own rehash, as if every raced
+                // `Left` entry had arrived first: each live raced `Right`
+                // entry probes, so a raced pair is found once, from its
+                // right row. Last stage first: a match republished into
+                // stage k + 1 meets only state already probed there.
+                for k in (0..n).rev() {
+                    let ns = qns::stage_of(qid, n, k);
+                    let raced: Vec<Entry<QpItem>> = self
+                        .dht
+                        .lscan(ns)
+                        .filter(|e| e.expires > ctx.now)
+                        .filter(|e| matches!(e.val.join_key(), Some((Side::Right, _))))
+                        .cloned()
+                        .collect();
+                    for entry in &raced {
+                        self.probe(ctx, qid, k, entry);
+                    }
+                }
                 match j.strategy {
                     JoinStrategy::SymmetricHash => {
                         for t in 0..=n {
@@ -686,10 +698,6 @@ impl PierNode {
                         self.semi_rehash(ctx, qid, Side::Right);
                     }
                     JoinStrategy::BloomFilter => self.bloom_start(ctx, qid),
-                }
-                // Replay stage state that arrived before installation.
-                for (k, stored) in raced {
-                    self.replay(ctx, qid, k, stored);
                 }
             }
             QueryOp::Agg { scan, agg } => {

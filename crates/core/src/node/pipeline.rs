@@ -148,7 +148,8 @@ impl PierNode {
     /// (§4.1): "each node registers ... a newData callback; when a tuple
     /// arrives, a get is issued to find matches in the other table; this
     /// get is expected to stay local." Each pair is joined where both
-    /// rows lie.
+    /// rows lie, or, for a semi-join's minis, sets off the fetch of both
+    /// full tuples.
     pub(super) fn probe(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -156,40 +157,35 @@ impl PierNode {
         k: usize,
         entry: &Entry<QpItem>,
     ) {
-        let (side, join, row) = match &entry.val {
-            QpItem::Tagged {
-                side, join, row, ..
-            } => (*side, join, row),
-            QpItem::Mini {
-                side, pkey, join, ..
-            } => return self.probe_mini(ctx, qid, entry, *side, pkey, join),
-            _ => return,
+        let Some((side, join)) = entry.val.join_key() else {
+            return;
         };
         let Some(plan) = self.join_plan(qid) else {
             return;
         };
         let (_, view) = &plan;
-        let Some(row) = stage_row(view, k, side, row) else {
-            return;
+        // The arriving row, viewed once: a stage row not as wide as its
+        // side's layout probes nothing. A mini carries no row.
+        let mine = match &entry.val {
+            QpItem::Tagged { row, .. } => match stage_row(view, k, side, row) {
+                None => return,
+                row => row,
+            },
+            _ => None,
         };
         // Expired-but-unswept partners (the sweep runs on the
         // maintenance tick) must not join. The bucket is walked by a
         // cursor, not copied: each partner found costs one descent of the
         // store, and the items between partners are passed over where
         // they lie. Nothing below a probe puts into stage k's namespace
-        // (a match republishes into stage k + 1 or reaches the sink) and
-        // only the tick sweeps, so the bucket stands still while it is
-        // walked. The store cannot be read while a match is put: the
-        // partner's row is held by refcount.
+        // (a match republishes into stage k + 1, reaches the sink or only
+        // fetches) and only the tick sweeps, so the bucket stands still
+        // while it is walked. The store cannot be read while a match is
+        // put: the partner is held by refcount.
         let now = ctx.now;
-        let partner = |e: &Entry<QpItem>| match &e.val {
-            QpItem::Tagged {
-                side: s,
-                join: jv,
-                row: theirs,
-                ..
-            } if e.iid != entry.iid && e.expires > now && *s != side && jv == join => {
-                Some((e.iid, e.expires, theirs.clone()))
+        let partner = |e: &Entry<QpItem>| match e.val.join_key() {
+            Some((s, jv)) if e.iid != entry.iid && e.expires > now && s != side && jv == join => {
+                Some((e.iid, e.expires, e.val.clone()))
             }
             _ => None,
         };
@@ -198,17 +194,29 @@ impl PierNode {
             self.dht.store.next_in(entry.ns, entry.rid, cursor, partner)
         {
             cursor = next;
-            let Some(other) = stage_row(view, k, side.opposite(), &other) else {
-                continue;
-            };
-            // The accumulated intermediate is always the left operand.
-            let joined = match side {
-                Side::Left => Concat::new(row, other),
-                Side::Right => Concat::new(other, row),
-            };
-            let until = entry.expires.min(other_expires);
             let ident = Self::pair_ident(entry.iid, other_iid);
-            self.join_pair(ctx, &plan, k, &joined, until, ident);
+            match (&entry.val, mine, other) {
+                (_, Some(mine), QpItem::Tagged { row, .. }) => {
+                    let Some(theirs) = stage_row(view, k, side.opposite(), &row) else {
+                        continue;
+                    };
+                    // The accumulated intermediate is always the left operand.
+                    let joined = match side {
+                        Side::Left => Concat::new(mine, theirs),
+                        Side::Right => Concat::new(theirs, mine),
+                    };
+                    let until = entry.expires.min(other_expires);
+                    self.join_pair(ctx, &plan, k, &joined, until, ident);
+                }
+                (QpItem::Mini { pkey, .. }, _, QpItem::Mini { pkey: theirs, .. }) => {
+                    let (pk_l, pk_r) = match side {
+                        Side::Left => (pkey.clone(), theirs),
+                        Side::Right => (theirs, pkey.clone()),
+                    };
+                    self.semi_pair(ctx, qid, pk_l, pk_r, ident);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -276,84 +284,6 @@ impl PierNode {
         };
         let ns = qns::stage_of(qid, j.stages.len(), k + 1);
         self.put_soft(ctx, qid, ns, rid, iid, item, until.since(ctx.now));
-    }
-
-    /// Probe stage-`k` entries that were stored before this node learned
-    /// about the query (multicast races the first rehash puts). Entries
-    /// are replayed in a fixed order, each pairing only with its
-    /// predecessors — replaying the i-th entry against a store holding
-    /// all of them would double-count.
-    pub(super) fn replay(
-        &mut self,
-        ctx: &mut Ctx<PierMsg>,
-        qid: u64,
-        k: usize,
-        mut entries: Vec<Entry<QpItem>>,
-    ) {
-        let Some(plan) = self.join_plan(qid) else {
-            return;
-        };
-        let (_, view) = &plan;
-        entries.sort_by_key(|e| (e.rid, e.iid));
-        for i in 0..entries.len() {
-            for p in 0..i {
-                let (a, b) = (&entries[i], &entries[p]);
-                if a.rid != b.rid {
-                    continue;
-                }
-                let ident = Self::pair_ident(a.iid, b.iid);
-                match (&a.val, &b.val) {
-                    (
-                        QpItem::Tagged {
-                            side: sa,
-                            join: ja,
-                            row: ra,
-                            ..
-                        },
-                        QpItem::Tagged {
-                            side: sb,
-                            join: jb,
-                            row: rb,
-                            ..
-                        },
-                    ) if sa != sb && ja == jb => {
-                        let (l, r) = if *sa == Side::Left {
-                            (ra, rb)
-                        } else {
-                            (rb, ra)
-                        };
-                        let l = stage_row(view, k, Side::Left, l);
-                        let r = stage_row(view, k, Side::Right, r);
-                        if let (Some(l), Some(r)) = (l, r) {
-                            let until = a.expires.min(b.expires);
-                            self.join_pair(ctx, &plan, k, &Concat::new(l, r), until, ident);
-                        }
-                    }
-                    (
-                        QpItem::Mini {
-                            side: sa,
-                            pkey: pa,
-                            join: ja,
-                            ..
-                        },
-                        QpItem::Mini {
-                            side: sb,
-                            pkey: pb,
-                            join: jb,
-                            ..
-                        },
-                    ) if sa != sb && ja == jb && a.expires.min(b.expires) > ctx.now => {
-                        let (pk_l, pk_r) = if *sa == Side::Left {
-                            (pa, pb)
-                        } else {
-                            (pb, pa)
-                        };
-                        self.semi_pair(ctx, qid, pk_l.clone(), pk_r.clone(), ident);
-                    }
-                    _ => {}
-                }
-            }
-        }
     }
 }
 

@@ -82,6 +82,32 @@ fn single_bucket_rehash_survives_rid_collisions() {
     assert!(same_multiset(&expected, &rows_of(&results)));
 }
 
+/// The semi-join fetches a side's full tuples by the primary key its
+/// mini named, and a fetch returns every row stored under that key:
+/// only one the scan selects, with the join value the minis matched on,
+/// may join.
+#[test]
+fn semi_join_fetch_joins_only_selected_rows_of_the_join_value() {
+    let left_rows = vec![
+        tuple![1i64, 7i64, 5i64],
+        tuple![1i64, 8i64, 5i64],
+        tuple![1i64, 7i64, -5i64],
+    ];
+    let right_rows = vec![tuple![10i64, 7i64]];
+    let left = ScanSpec::new("L", 3, 0)
+        .with_pred(Expr::gt(Expr::col(2), Expr::lit(0i64)))
+        .with_join_col(1);
+    let right = ScanSpec::new("Rt", 2, 0).with_join_col(1);
+    let mut j = JoinSpec::new(JoinStrategy::SymmetricSemiJoin, left, right);
+    j.project = (0..4).map(Expr::col).collect();
+    let expected = reference_join(&j, &left_rows, &right_rows);
+    assert_eq!(expected, vec![tuple![1i64, 7i64, 5i64, 10i64]]);
+    let mut sim = setup(4, 13, &[("L", &left_rows), ("Rt", &right_rows)]);
+    let desc = QueryDesc::one_shot(13, 0, QueryOp::Join { join: j, agg: None });
+    let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
+    assert_eq!(rows_of(&results), expected);
+}
+
 /// Two different queries over the same tables run concurrently without
 /// crosstalk (distinct query namespaces).
 #[test]
