@@ -622,16 +622,8 @@ impl<V: Wire + Clone> Dht<V> {
     /// its replicas).
     fn promote_replicas(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
         let now = env.now();
-        let owned: std::collections::HashSet<u64> = self
-            .replicas
-            .iter_all()
-            .map(|e| e.key)
-            .filter(|&k| self.owns_key(k))
-            .collect();
-        if owned.is_empty() {
-            return;
-        }
-        let promoted = self.replicas.extract_not_owned(|k| !owned.contains(&k));
+        let overlay = &self.overlay;
+        let promoted = self.replicas.extract_not_owned(|k| !overlay.owns(k));
         for entry in promoted {
             if entry.expires > now {
                 self.replicate(env, &entry, events);
@@ -735,18 +727,10 @@ impl<V: Wire + Clone> Dht<V> {
             && self.tick_count.is_multiple_of(4)
             && !self.store.is_empty()
         {
-            let not_mine: std::collections::HashSet<u64> = self
-                .store
-                .iter_all()
-                .filter(|e| !self.owns_key(e.key))
-                .map(|e| e.key)
-                .collect();
-            if !not_mine.is_empty() {
-                let moved = self.store.extract_not_owned(|k| !not_mine.contains(&k));
-                for entry in moved {
-                    let key = entry.key;
-                    self.lookup(env, key, Pending::Put(entry), events);
-                }
+            let overlay = &self.overlay;
+            for entry in self.store.extract_not_owned(|k| overlay.owns(k)) {
+                let key = entry.key;
+                self.lookup(env, key, Pending::Put(entry), events);
             }
         }
     }
