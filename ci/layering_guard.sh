@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, six rules. Comment lines are not checked: prose may
+# Layering guard, seven rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -43,6 +43,11 @@
 #    live contribution as a tuple and re-folded them all at each flush;
 #    it now folds each row on arrival into the pane of the flush it
 #    stops counting at.
+# 7. One probe walks a stage bucket. Under crates/core/src/node/ a
+#    bucket is walked by `StorageManager::next_in` exactly once, in
+#    `probe`, so the partner test exists once: a semi-join mini pairs
+#    there as a stage row does, and stage state that raced the install
+#    multicast is handed to the same probe.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -121,7 +126,19 @@ if [ -n "$kept" ]; then
     status=1
 fi
 
+PROBE_SITE='probe'
+walks=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /next_in\(/ {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ "$(echo -n "$walks" | grep -c '')" -ne 1 ] || ! echo "$walks" | grep -q ": in $PROBE_SITE: "; then
+    echo "layering guard: $NODE walks a stage bucket outside $PROBE_SITE, or not exactly once — pair every arrival, raced state included, through PierNode::probe" >&2
+    echo "$walks" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites and builds a tuple only in $TUPLE_SITE; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE and walks a bucket only in $PROBE_SITE; $TENANT holds no per-query state)"
 fi
 exit "$status"
