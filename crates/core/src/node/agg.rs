@@ -334,7 +334,7 @@ impl PierNode {
             let slot = max_depth.saturating_sub(depth) + 1;
             let span = agg.epoch.unwrap_or(agg.harvest);
             let delay = Dur::from_micros(span.as_micros() * slot / (max_depth + 2));
-            self.arm_timer(ctx, qid, delay, TimerAction::Flush { qid });
+            self.arm_timer(ctx, delay, TimerAction::Flush { qid });
             return;
         }
         if let Some(epoch) = agg.epoch {
@@ -346,17 +346,17 @@ impl PierNode {
             // epoch later. Both timers re-arm on fire, so the standing
             // query never tears down.
             let lag = Dur::from_micros((epoch.as_micros() / 4).min(5_000_000));
-            self.arm_timer(ctx, qid, lag, TimerAction::Flush { qid });
+            self.arm_timer(ctx, lag, TimerAction::Flush { qid });
             let half = Dur::from_micros(epoch.as_micros() / 2);
-            self.arm_timer(ctx, qid, half, TimerAction::AggHarvest { qid });
+            self.arm_timer(ctx, half, TimerAction::AggHarvest { qid });
             return;
         }
         if joinagg {
             // NQ nodes accumulate join outputs, then flush halfway.
             let half = Dur::from_micros(agg.harvest.as_micros() / 2);
-            self.arm_timer(ctx, qid, half, TimerAction::Flush { qid });
+            self.arm_timer(ctx, half, TimerAction::Flush { qid });
         }
-        self.arm_timer(ctx, qid, agg.harvest, TimerAction::AggHarvest { qid });
+        self.arm_timer(ctx, agg.harvest, TimerAction::AggHarvest { qid });
     }
 
     /// Continuous aggregation re-arms its timers every epoch instead of
@@ -371,7 +371,7 @@ impl PierNode {
             return;
         }
         if let Some(epoch) = inst.desc.op.agg().and_then(|a| a.epoch) {
-            self.arm_timer(ctx, qid, epoch, action);
+            self.arm_timer(ctx, epoch, action);
         }
     }
 

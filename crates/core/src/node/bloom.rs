@@ -68,7 +68,7 @@ impl PierNode {
             for side in [Side::Left, Side::Right] {
                 if node.dht.owns_key(pier_dht::key_of(bloom_ns(side), 0)) {
                     let action = TimerAction::BloomFlush { qid, side };
-                    node.arm_timer(ctx, qid, BLOOM_WAIT, action);
+                    node.arm_timer(ctx, BLOOM_WAIT, action);
                 }
             }
         });
@@ -124,7 +124,7 @@ impl PierNode {
         let s = side as usize;
         if missing && inst.bloom_waits[s] < MAX_DEADLINE_EXTENSIONS && !inst.bloom_flushed[s] {
             inst.bloom_waits[s] += 1;
-            self.arm_timer(ctx, qid, BLOOM_WAIT, TimerAction::BloomFlush { qid, side });
+            self.arm_timer(ctx, BLOOM_WAIT, TimerAction::BloomFlush { qid, side });
         } else {
             self.bloom_flush(ctx, qid, side);
         }

@@ -210,10 +210,6 @@ struct QueryInstance {
     /// healed replica must not double-count a join output or base row
     /// the dead primary's probe already accumulated here.
     acc_seen: BTreeSet<u64>,
-    /// Outstanding timer tokens of this query. Uninstall cancels them
-    /// all (removes their [`TimerAction`]s), so a torn-down query holds
-    /// no entry in any node-level map.
-    timers: Vec<u64>,
     /// The bytes/sec admission charged against the query's tenant: what
     /// [`TenantGovernor::check`] reads as committed while it stays.
     priced: f64,
@@ -234,7 +230,6 @@ impl QueryInstance {
             next_flush: Time::ZERO,
             rehash_pubs: Vec::new(),
             acc_seen: BTreeSet::new(),
-            timers: Vec::new(),
         }
     }
 }
@@ -266,10 +261,11 @@ enum NsRole {
 }
 
 /// The node's ledger of installed queries: every per-query structure —
-/// operator state, rehash publications, timer tokens (inside each
-/// [`QueryInstance`]), admission's committed budget and the namespace
-/// routing table — lives here, so install and uninstall are single entry
-/// points and a torn-down query leaves nothing behind. Teardown is driven
+/// operator state, rehash publications, admission's committed budget and
+/// the namespace routing table — lives here, so install and uninstall
+/// are single entry points and a torn-down query leaves nothing behind
+/// (the node's two request maps name their query in each entry, and
+/// uninstall drops them by qid). Teardown is driven
 /// by [`PierNode::cancel`] (any shape) or by one-shot aggregates retiring
 /// at their terminal harvest; a one-shot *join* has no terminal event —
 /// its results trickle until the soft state ages out — so it stays
@@ -341,7 +337,7 @@ impl QueryRegistry {
     }
 
     /// Remove a query and every route pointing at it. Returns the
-    /// instance so the caller can cancel its timers.
+    /// instance so the caller can purge its derived namespaces.
     fn uninstall(&mut self, qid: u64) -> Option<QueryInstance> {
         let inst = self.queries.remove(self.find(qid).ok()?);
         self.routes.retain(|r| r.1 != qid);
@@ -398,6 +394,10 @@ pub struct PierNode {
     /// probe the dead primary already answered re-sends the same
     /// logical result; the initiator drops the re-emission here.
     results_seen: BTreeMap<u64, BTreeSet<u64>>,
+    /// The node's requests in flight, by token: DHT `get`s awaiting
+    /// their answer (the DHT answers every one, an abandoned one empty)
+    /// and armed timers. Each names its query; uninstall drops a
+    /// query's by qid.
     get_purpose: BTreeMap<u64, GetPurpose>,
     timer_actions: BTreeMap<u64, TimerAction>,
     /// Recently cancelled qids (bounded FIFO): a `Cancel` that overtakes
@@ -511,14 +511,12 @@ impl PierNode {
             self.cancelled.push_back(qid);
         }
         if let Some(inst) = self.reg.uninstall(qid) {
-            for token in inst.timers {
-                self.timer_actions.remove(&token);
-            }
             let stages = inst.desc.op.join().map_or(0, |j| j.stages.len());
             for ns in qns::all(qid, stages) {
                 self.dht.store.remove_ns(ns);
             }
         }
+        self.timer_actions.retain(|_, a| a.qid() != Some(qid));
         self.get_purpose.retain(|_, p| p.qid() != qid);
     }
 
@@ -531,27 +529,17 @@ impl PierNode {
         }
     }
 
-    /// Arm a timer owned by one query: the token is recorded on the
-    /// instance so uninstall can cancel it, and a flush's instant as the
-    /// query's next flush.
-    fn arm_timer(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, after: Dur, action: TimerAction) {
+    /// Arm a timer for `action`, and record a flush's instant as its
+    /// query's next flush. Uninstall drops the query's actions.
+    fn arm_timer(&mut self, ctx: &mut Ctx<PierMsg>, after: Dur, action: TimerAction) {
         let token = self.token();
-        if let Some(inst) = self.reg.get_mut(qid) {
-            inst.timers.push(token);
-            if let TimerAction::Flush { .. } = action {
+        if let TimerAction::Flush { qid } = action {
+            if let Some(inst) = self.reg.get_mut(qid) {
                 inst.next_flush = ctx.now + after;
             }
         }
         self.timer_actions.insert(token, action);
         ctx.set_timer(after, token);
-    }
-
-    /// Forget a fired token on its owning query (the timer no longer
-    /// needs cancelling at uninstall).
-    fn release_timer(&mut self, qid: u64, token: u64) {
-        if let Some(inst) = self.reg.get_mut(qid) {
-            inst.timers.retain(|&t| t != token);
-        }
     }
 
     /// The one way a node calls its provider: run one DHT operation, or a
@@ -636,7 +624,7 @@ impl PierNode {
         // A standing unwindowed query carrying a renewal period renews
         // its own rehash state from install on.
         if let Some(every) = renewal::period(&desc) {
-            self.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
+            self.arm_timer(ctx, every, TimerAction::RenewQuery { qid });
         }
 
         match &desc.op {
@@ -953,11 +941,7 @@ impl App for PierNode {
                 node.dht.handle_timer(&mut node.reg.env(ctx), token, events);
             });
         }
-        let fired = self.timer_actions.remove(&token);
-        if let Some(qid) = fired.as_ref().and_then(TimerAction::qid) {
-            self.release_timer(qid, token);
-        }
-        match fired {
+        match self.timer_actions.remove(&token) {
             Some(TimerAction::BloomFlush { qid, side }) => self.bloom_deadline(ctx, qid, side),
             Some(TimerAction::AggHarvest { qid }) => {
                 self.agg_harvest(ctx, qid);

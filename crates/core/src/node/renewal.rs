@@ -121,10 +121,7 @@ impl PierNode {
     /// Start the renewal loop: republish every published base row every
     /// `every`.
     pub fn start_renewals(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
-        let token = self.token();
-        self.timer_actions
-            .insert(token, TimerAction::Renew { every });
-        ctx.set_timer(every, token);
+        self.arm_timer(ctx, every, TimerAction::Renew { every });
     }
 
     pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
@@ -191,7 +188,7 @@ impl PierNode {
                     .renew(env, rec.ns, rec.rid, rec.iid, item, horizon, events);
             }
             node.metrics.on_renewal(qid, ctx.now);
-            node.arm_timer(ctx, qid, every, TimerAction::RenewQuery { qid });
+            node.arm_timer(ctx, every, TimerAction::RenewQuery { qid });
         });
     }
 }

@@ -88,10 +88,11 @@ impl PierNode {
         self.reg.get(qid).is_some()
     }
 
-    /// Outstanding deferred-work timers (renewal loop included) — the
-    /// map the one-shot-timer regression pins to baseline.
-    pub fn timer_action_count(&self) -> usize {
-        self.timer_actions.len()
+    /// Outstanding requests: deferred-work timers (renewal loop
+    /// included) and `get`s awaiting their answer — what the lifecycle
+    /// tests pin to baseline.
+    pub fn outstanding_requests(&self) -> usize {
+        self.timer_actions.len() + self.get_purpose.len()
     }
 
     /// Rehash publications this node would renew for a query.
@@ -184,7 +185,7 @@ pub enum NodeResponse {
     TimedResults(Vec<(Time, Tuple)>),
     Audit {
         installed: usize,
-        timers: usize,
+        requests: usize,
         residuals: Vec<usize>,
     },
     /// Admission verdict for a [`NodeRequest::TrySubmit`]: the priced
@@ -215,14 +216,14 @@ impl NodeResponse {
         }
     }
 
-    /// Unwrap a [`NodeResponse::Audit`] as `(installed, timers, residuals)`.
+    /// Unwrap a [`NodeResponse::Audit`] as `(installed, requests, residuals)`.
     pub fn into_audit(self) -> (usize, usize, Vec<usize>) {
         match self {
             NodeResponse::Audit {
                 installed,
-                timers,
+                requests,
                 residuals,
-            } => (installed, timers, residuals),
+            } => (installed, requests, residuals),
             other => panic!("expected Audit, got {other:?}"),
         }
     }
@@ -284,7 +285,7 @@ impl pier_simnet::Service for PierNode {
             }
             NodeRequest::LifecycleAudit { qids, max_stages } => NodeResponse::Audit {
                 installed: self.installed_query_count(),
-                timers: self.timer_action_count(),
+                requests: self.outstanding_requests(),
                 residuals: qids
                     .iter()
                     .map(|&qid| self.query_soft_state(ctx.now, qid, max_stages))

@@ -630,7 +630,7 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
         assert!(!node.has_query(200), "node {i} still has the query");
         assert_eq!(node.rehash_pub_count(200), 0, "renewal ledger freed");
         assert_eq!(
-            node.timer_action_count(),
+            node.outstanding_requests(),
             1,
             "node {i}: only the surviving tenant's renewal timer remains"
         );
@@ -763,7 +763,7 @@ fn one_shot_queries_release_timers_and_instances() {
     publish_round_robin(&mut sim, "F", &rows, 0, Dur::from_secs(100_000));
     settle_publish(&mut sim);
     let baseline: Vec<usize> = (0..n as NodeId)
-        .map(|i| sim.app(i).unwrap().timer_action_count())
+        .map(|i| sim.app(i).unwrap().outstanding_requests())
         .collect();
     assert!(baseline.iter().all(|&c| c == 0));
 
@@ -814,7 +814,7 @@ fn one_shot_queries_release_timers_and_instances() {
     for i in 0..n as NodeId {
         let node = sim.app(i).unwrap();
         assert_eq!(
-            node.timer_action_count(),
+            node.outstanding_requests(),
             baseline[i as usize],
             "node {i}: timer_actions must return to baseline"
         );
@@ -827,6 +827,51 @@ fn one_shot_queries_release_timers_and_instances() {
     // The queries actually produced results before retiring.
     assert!(!sim.app(0).unwrap().query_results(220).is_empty());
     assert!(!sim.app(0).unwrap().query_results(226).is_empty());
+}
+
+/// A `get` the DHT abandons is answered, empty, so the node that asked
+/// drops its request instead of holding it for ever. A one-shot Fetch
+/// Matches join runs with node 1 dead: the gets routed through it or
+/// owned by it are never answered, and past the give-up horizon no live
+/// node holds one, while the query stays installed and its results
+/// stand.
+#[test]
+fn abandoned_gets_are_answered_and_forgotten() {
+    let n = 6;
+    let mut sim: Sim<PierNode> =
+        stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(5));
+    let r: Vec<Tuple> = (0..60i64).map(|k| tuple![k, k % 20]).collect();
+    let s: Vec<Tuple> = (0..20i64).map(|k| tuple![k, k]).collect();
+    publish_round_robin(&mut sim, "R", &r, 0, Dur::from_secs(100_000));
+    publish_round_robin(&mut sim, "S", &s, 0, Dur::from_secs(100_000));
+    settle_publish(&mut sim);
+    sim.fail_node(1);
+
+    let left = ScanSpec::new("R", 2, 0).with_join_col(1);
+    let right = ScanSpec::new("S", 2, 0).with_join_col(0);
+    let mut j = JoinSpec::new(JoinStrategy::FetchMatches, left, right);
+    j.project = vec![Expr::col(0), Expr::col(3)];
+    let desc = QueryDesc::one_shot(77, 0, QueryOp::Join { join: j, agg: None });
+    sim.with_app(0, |node, ctx| node.submit(ctx, desc));
+    let live = [0, 2, 3, 4, 5];
+    let outstanding = |sim: &Sim<PierNode>| -> usize {
+        let nodes = live.iter().map(|&i| sim.app(i).unwrap());
+        nodes.map(PierNode::outstanding_requests).sum()
+    };
+
+    sim.run_for(Dur::from_secs(30));
+    assert_eq!(outstanding(&sim), 7, "gets the dead node never answers");
+    assert_eq!(sim.app(0).unwrap().query_results(77).len(), 44);
+
+    sim.run_for(Dur::from_secs(1_200));
+    assert_eq!(outstanding(&sim), 0, "every abandoned get answered");
+    for &i in &live {
+        assert!(
+            sim.app(i).unwrap().has_query(77),
+            "node {i} keeps the query"
+        );
+    }
+    assert_eq!(sim.app(0).unwrap().query_results(77).len(), 44);
 }
 
 /// The workload crate owns the canonical standing-triage SQL; tests in

@@ -433,7 +433,7 @@ proptest! {
         for i in 0..8 as NodeId {
             let node = sim.app(i).unwrap();
             prop_assert_eq!(node.installed_query_count(), 0, "node {} registry", i);
-            prop_assert_eq!(node.timer_action_count(), 0, "node {} timers", i);
+            prop_assert_eq!(node.outstanding_requests(), 0, "node {} requests", i);
             for t in 0..n_tenants {
                 let left = node.query_soft_state(now, 300 + t as u64, 2);
                 prop_assert_eq!(left, 0, "node {} tenant {} residual {}", i, t, left);
@@ -494,7 +494,7 @@ proptest! {
         // One horizon (50 × 20 ms = 1 s) plus sweep ticks and margin.
         cluster.settle(Dur::from_millis(TENANT_HORIZON_UNITS * 20 + 500));
         for i in 0..n as NodeId {
-            let (installed, timers, residuals) = cluster
+            let (installed, requests, residuals) = cluster
                 .request(i, NodeRequest::LifecycleAudit {
                     qids: (0..n_tenants).map(|t| 400 + t as u64).collect(),
                     max_stages: 2,
@@ -502,7 +502,7 @@ proptest! {
                 .expect("node alive")
                 .into_audit();
             prop_assert_eq!(installed, 0, "node {} registry", i);
-            prop_assert_eq!(timers, 0, "node {} timers", i);
+            prop_assert_eq!(requests, 0, "node {} requests", i);
             for (t, left) in residuals.into_iter().enumerate() {
                 prop_assert_eq!(left, 0, "node {} tenant {} residual {}", i, t, left);
             }

@@ -47,7 +47,7 @@ const fn lookup_backoff(retries: u32) -> Dur {
 
 /// How long after it was sent a lookup is abandoned, every backoff
 /// waited out (about 19 minutes); a `get` shipped to an owner that never
-/// answers is forgotten after as long.
+/// answers is abandoned after as long.
 const LOOKUP_GIVE_UP: Dur = {
     let (mut total, mut r) = (0, 0);
     while r <= LOOKUP_RETRIES {
@@ -73,13 +73,22 @@ macro_rules! lend {
 
 enum Pending<V> {
     Put(Entry<V>),
-    Get { ns: Ns, rid: Rid, user_token: u64 },
+    Get {
+        ns: Ns,
+        rid: Rid,
+        user_token: u64,
+    },
+    /// A get shipped to its owner, awaiting the `GetReply`.
+    Shipped(u64),
 }
 
+/// An op in flight: re-issued when `due` passes while it has retries
+/// left, abandoned when it has none — an abandoned get is answered
+/// empty, so its caller's request is never left open.
 struct PendingOp<V> {
     key: u64,
-    issued: Time,
-    retries: u32,
+    due: Time,
+    retries_left: u32,
     op: Pending<V>,
 }
 
@@ -95,10 +104,8 @@ pub struct Dht<V> {
     pub replicas: StorageManager<V>,
     pub meter: TrafficMeter,
     me: NodeId,
+    /// Every op in flight, by lookup token.
     pending: BTreeMap<u64, PendingOp<V>>,
-    /// `get`s shipped to their owner, by lookup token: the caller's
-    /// token and when the request was sent.
-    awaiting_get: BTreeMap<u64, (u64, Time)>,
     next_token: u64,
     seen_mcast: BTreeMap<u64, Time>,
     bootstrap: Option<NodeId>,
@@ -143,7 +150,6 @@ impl<V: Wire + Clone> Dht<V> {
             meter: TrafficMeter::default(),
             me,
             pending: BTreeMap::new(),
-            awaiting_get: BTreeMap::new(),
             next_token: 1,
             seen_mcast: BTreeMap::new(),
             bootstrap: None,
@@ -370,8 +376,8 @@ impl<V: Wire + Clone> Dht<V> {
             token,
             PendingOp {
                 key,
-                issued: env.now(),
-                retries: 0,
+                due: env.now() + lookup_backoff(0),
+                retries_left: LOOKUP_RETRIES,
                 op,
             },
         );
@@ -401,40 +407,48 @@ impl<V: Wire + Clone> Dht<V> {
         events: &mut Vec<DhtEvent<V>>,
     ) {
         let Some(p) = self.pending.remove(&token) else {
-            return; // duplicate or expired reply
+            return; // expired reply
         };
         match p.op {
-            Pending::Put(entry) => {
-                if owner == self.me {
-                    self.store_entry(env, entry, events);
-                } else {
-                    lend!(self, env, events).send(owner, DhtMsg::Put { entry });
-                }
+            Pending::Put(entry) if owner == self.me => self.store_entry(env, entry, events),
+            Pending::Put(entry) => lend!(self, env, events).send(owner, DhtMsg::Put { entry }),
+            Pending::Get {
+                ns,
+                rid,
+                user_token,
+            } if owner == self.me => {
+                let items = self.live_items(ns, rid, env.now());
+                events.push(DhtEvent::GetResult {
+                    token: user_token,
+                    items,
+                });
             }
             Pending::Get {
                 ns,
                 rid,
                 user_token,
             } => {
-                if owner == self.me {
-                    let items = self.live_items(ns, rid, env.now());
-                    events.push(DhtEvent::GetResult {
-                        token: user_token,
-                        items,
-                    });
-                } else {
-                    self.awaiting_get.insert(token, (user_token, env.now()));
-                    let origin = self.me;
-                    lend!(self, env, events).send(
-                        owner,
-                        DhtMsg::Get {
-                            ns,
-                            rid,
-                            token,
-                            origin,
-                        },
-                    );
-                }
+                let origin = self.me;
+                let get = DhtMsg::Get {
+                    ns,
+                    rid,
+                    token,
+                    origin,
+                };
+                lend!(self, env, events).send(owner, get);
+                // Never re-issued: an owner that never answers is given
+                // up on at the horizon a lookup is.
+                let shipped = PendingOp {
+                    due: env.now() + LOOKUP_GIVE_UP,
+                    retries_left: 0,
+                    op: Pending::Shipped(user_token),
+                    ..p
+                };
+                self.pending.insert(token, shipped);
+            }
+            // A duplicate reply: the get already left.
+            Pending::Shipped(_) => {
+                self.pending.insert(token, p);
             }
         }
     }
@@ -494,7 +508,13 @@ impl<V: Wire + Clone> Dht<V> {
                 lend!(self, env, events).send(origin, DhtMsg::GetReply { token, items });
             }
             DhtMsg::GetReply { token, items } => {
-                if let Some((user_token, _)) = self.awaiting_get.remove(&token) {
+                // It answers only a get shipped under its token.
+                if let Some(&PendingOp {
+                    op: Pending::Shipped(user_token),
+                    ..
+                }) = self.pending.get(&token)
+                {
+                    self.pending.remove(&token);
                     events.push(DhtEvent::GetResult {
                         token: user_token,
                         items,
@@ -679,40 +699,38 @@ impl<V: Wire + Clone> Dht<V> {
             }
         }
 
-        // Retry stale lookups with exponential backoff: under congestion
-        // a reply may sit minutes deep in an inbound queue, and dropping
-        // the op would lose data. Abandon only after `LOOKUP_GIVE_UP`.
-        // Each pass below is skipped when it has nothing to look at.
+        // Re-issue overdue lookups with exponential backoff: under
+        // congestion a reply may sit minutes deep in an inbound queue,
+        // and dropping the op would lose data. An op out of retries is
+        // abandoned `LOOKUP_GIVE_UP` after it was sent, and an abandoned
+        // get is answered empty. Each pass below is skipped when it has
+        // nothing to look at.
         if !self.pending.is_empty() {
-            let stale: Vec<u64> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| now.since(p.issued) > lookup_backoff(p.retries))
-                .map(|(&t, _)| t)
-                .collect();
-            for token in stale {
-                let (key, give_up) = {
-                    let p = self
-                        .pending
-                        .get_mut(&token)
-                        .expect("read from pending above");
-                    p.retries += 1;
-                    p.issued = now;
-                    (p.key, p.retries > LOOKUP_RETRIES)
-                };
-                if give_up {
-                    self.pending.remove(&token);
-                } else {
+            let mut due = Vec::new();
+            for (&token, p) in self.pending.iter_mut().filter(|(_, p)| now > p.due) {
+                due.push((token, p.key, p.retries_left > 0));
+                if p.retries_left > 0 {
+                    p.retries_left -= 1;
+                    p.due = now + lookup_backoff(LOOKUP_RETRIES - p.retries_left);
+                }
+            }
+            for (token, key, retry) in due {
+                if retry {
                     // Resolves here if ownership shifted to us meanwhile.
                     self.send_lookup(env, key, token, events);
+                } else if let Some(PendingOp {
+                    op: Pending::Get { user_token, .. } | Pending::Shipped(user_token),
+                    ..
+                }) = self.pending.remove(&token)
+                {
+                    let token = user_token;
+                    events.push(DhtEvent::GetResult {
+                        token,
+                        items: Vec::new(),
+                    });
                 }
             }
         }
-        // A get left `pending` when it was shipped to its owner; one the
-        // owner never answers (it died, or the request was lost) is
-        // forgotten at the same horizon.
-        self.awaiting_get
-            .retain(|_, (_, sent)| now.since(*sent) <= LOOKUP_GIVE_UP);
 
         // Drop old multicast dedup records.
         if !self.seen_mcast.is_empty() {
@@ -741,10 +759,55 @@ mod tests {
     use super::*;
     use crate::env::RecordingEnv;
 
-    /// A `get` shipped to its owner leaves `pending` for `awaiting_get`,
-    /// which the tick's retries never see. One whose owner never answers
-    /// is forgotten at the horizon a lookup is abandoned at, and a reply
-    /// arriving after that raises nothing.
+    /// The ops in flight at `dht`, as (retries left, what).
+    fn in_flight(dht: &Dht<Vec<u8>>) -> Vec<(u32, Option<u64>)> {
+        let shipped = |op: &Pending<Vec<u8>>| match op {
+            Pending::Shipped(user_token) => Some(*user_token),
+            _ => None,
+        };
+        dht.pending
+            .values()
+            .map(|p| (p.retries_left, shipped(&p.op)))
+            .collect()
+    }
+
+    /// Node 0 of 16 stabilized stacks, and a key of namespace 7 whose
+    /// lookup node 0 forwards: (node 0, the key's rid, its owner).
+    fn a_forwarded_key() -> (Dht<Vec<u8>>, Rid, NodeId) {
+        let cfg = DhtConfig::static_network();
+        let nodes = Dht::<Vec<u8>>::stabilized(16, &cfg);
+        let forwarded = |rid: &Rid| {
+            let step = nodes[0]
+                .overlay
+                .lookup_step::<Vec<u8>>(key_of(7, *rid), 1, 0);
+            matches!(step, LookupStep::Forward(..))
+        };
+        let rid = (0..).find(forwarded).unwrap();
+        let owner = nodes.iter().position(|n| n.owns_key(key_of(7, rid)));
+        let owner = owner.expect("every key has an owner") as NodeId;
+        (nodes.into_iter().next().unwrap(), rid, owner)
+    }
+
+    /// Run `dht`'s tick at `at`.
+    fn tick_at(
+        dht: &mut Dht<Vec<u8>>,
+        env: &mut RecordingEnv<Vec<u8>>,
+        at: Time,
+        events: &mut Vec<DhtEvent<Vec<u8>>>,
+    ) {
+        env.now = at;
+        dht.handle_timer(env, DHT_TICK_TOKEN, events);
+    }
+
+    /// `events` is exactly one empty answer to the caller's `token`.
+    fn empty_answer(events: &[DhtEvent<Vec<u8>>], token: u64) -> bool {
+        matches!(events, [DhtEvent::GetResult { token: t, items }] if *t == token && items.is_empty())
+    }
+
+    /// A `get` shipped to its owner stays in `pending` with no retries,
+    /// which the tick never re-issues. One whose owner never answers is
+    /// abandoned at the horizon a lookup is, and answered empty; a
+    /// reply arriving after that raises nothing.
     #[test]
     fn a_get_its_owner_never_answers_is_forgotten_at_the_give_up_horizon() {
         let cfg = DhtConfig::static_network();
@@ -764,21 +827,75 @@ mod tests {
             panic!("the get went to its owner: {:?}", env.sent.last());
         };
         let token = *token;
-        assert!(dht.pending.is_empty());
-        assert_eq!(dht.awaiting_get.len(), 1);
+        assert_eq!(in_flight(&dht), [(0, Some(42))], "shipped, no retries");
 
         let sent = env.now;
-        let mut tick_at = |dht: &mut Dht<Vec<u8>>, at: Time| {
-            env.now = at;
-            dht.handle_timer(&mut env, DHT_TICK_TOKEN, events);
-        };
-        tick_at(&mut dht, sent + LOOKUP_GIVE_UP);
-        assert_eq!(dht.awaiting_get.len(), 1, "kept up to the horizon");
-        tick_at(&mut dht, sent + LOOKUP_GIVE_UP + cfg.tick);
-        assert!(dht.awaiting_get.is_empty(), "forgotten past it");
+        tick_at(&mut dht, &mut env, sent + LOOKUP_GIVE_UP, events);
+        assert_eq!(dht.pending.len(), 1, "kept up to the horizon");
+        assert!(events.is_empty());
+        tick_at(&mut dht, &mut env, sent + LOOKUP_GIVE_UP + cfg.tick, events);
+        assert!(dht.pending.is_empty(), "forgotten past it");
+        assert!(empty_answer(events, 42), "answered empty: {events:?}");
 
         let items = Vec::new();
         dht.handle_message(&mut env, 1, DhtMsg::GetReply { token, items }, events);
-        assert!(events.is_empty(), "a late reply raises nothing");
+        assert_eq!(events.len(), 1, "a late reply raises nothing");
+    }
+
+    /// A `get` whose lookup no node ever answers is re-issued until its
+    /// retries run out — 13 lookups in all — and then answered once,
+    /// empty, like a get that finds nothing.
+    #[test]
+    fn a_get_whose_lookup_is_never_answered_is_answered_empty() {
+        let (mut dht, rid, _) = a_forwarded_key();
+        let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
+        dht.get(&mut env, 7, rid, 42, events);
+        let tick = dht.cfg.tick;
+        while env.now < Time::ZERO + LOOKUP_GIVE_UP + LOOKUP_GIVE_UP {
+            let next = env.now + tick;
+            tick_at(&mut dht, &mut env, next, events);
+        }
+        // Maintenance is off: every routing-layer message sent is a lookup.
+        let lookups = env.sent.iter();
+        let lookups = lookups.filter(|(_, m)| matches!(m, DhtMsg::Can(_)));
+        assert_eq!(lookups.count(), 13);
+        assert!(empty_answer(events, 42), "answered once, empty: {events:?}");
+        assert!(dht.pending.is_empty());
+    }
+
+    /// A lookup answered twice ships its get once, and the owner's
+    /// answer to that get raises one result.
+    #[test]
+    fn a_second_lookup_reply_ships_nothing_more() {
+        let (mut dht, rid, owner) = a_forwarded_key();
+        let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
+        dht.get(&mut env, 7, rid, 42, events);
+        let token = *dht.pending.keys().next().expect("a lookup in flight");
+        let key = key_of(7, rid);
+        for _ in 0..2 {
+            let reply = DhtMsg::LookupReply { token, key };
+            dht.handle_message(&mut env, owner, reply, events);
+        }
+        let gets = env.sent.iter();
+        let gets = gets.filter(|(to, m)| *to == owner && matches!(m, DhtMsg::Get { .. }));
+        assert_eq!(gets.count(), 1);
+        assert_eq!(in_flight(&dht), [(0, Some(42))]);
+
+        let (iid, expires, val) = (3, Time::MAX, vec![1]);
+        let found = Entry {
+            ns: 7,
+            rid,
+            iid,
+            key,
+            expires,
+            val,
+        };
+        let items = vec![found];
+        dht.handle_message(&mut env, owner, DhtMsg::GetReply { token, items }, events);
+        assert!(
+            matches!(events.as_slice(), [DhtEvent::GetResult { token: 42, items }] if items.len() == 1),
+            "{events:?}"
+        );
+        assert!(dht.pending.is_empty());
     }
 }
