@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, seven rules. Comment lines are not checked: prose may
+# Layering guard, eight rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -48,6 +48,13 @@
 #    `probe`, so the partner test exists once: a semi-join mini pairs
 #    there as a stage row does, and stage state that raced the install
 #    multicast is handed to the same probe.
+# 8. A node arms a timer in one place. Under crates/core/src/node/
+#    `set_timer(` appears exactly twice: in `arm_timer`, which files
+#    every deferred action in `timer_actions`, where uninstall drops a
+#    query's by owner, and in `on_start`, for the DHT's maintenance
+#    tick. A query once kept its own list of timer tokens beside that
+#    map, and the renewal loop armed its timer by a private copy of
+#    `arm_timer`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -138,7 +145,19 @@ if [ "$(echo -n "$walks" | grep -c '')" -ne 1 ] || ! echo "$walks" | grep -q ": 
     status=1
 fi
 
+TIMER_SITES='arm_timer on_start'
+arms=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /set_timer\(/ {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ "$(echo "$arms" | sed -n 's/.*: in \([a-z_0-9]*\): .*/\1/p' | sort | xargs)" != "$TIMER_SITES" ]; then
+    echo "layering guard: $NODE arms a timer outside $TIMER_SITES, or not once in each — arm deferred work through PierNode::arm_timer, whose map uninstall drops by owner" >&2
+    echo "$arms" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE and walks a bucket only in $PROBE_SITE; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES; $TENANT holds no per-query state)"
 fi
 exit "$status"

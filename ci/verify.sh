@@ -3,10 +3,12 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
-# cross_engine, frontend_pin, agg_pin, raced_pin, store_pin, overlay_pin,
-# registry_pin, oracle_pin, expr_pin, publish_pin, dataflow_pin with
-# pruning and pruning_props, wire_audit, alloc_budget), the lints, the
-# three source guards (the layering guard's seven rules: the DHT provider
+# cross_engine, frontend_pin, agg_pin, raced_pin, the abandoned-get
+# tests — `-p pier_dht --lib dht::tests` and `-p pier_core --test
+# lifecycle abandoned_gets` —, store_pin, overlay_pin, registry_pin,
+# oracle_pin, expr_pin, publish_pin, dataflow_pin with pruning and
+# pruning_props, wire_audit, alloc_budget), the lints, the three source
+# guards (the layering guard's eight rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -19,7 +21,9 @@
 # under node/ a row becomes a `Tuple` only in `emit_result`, for the
 # initiator's log — an aggregate folds rows where they lie; and under
 # node/ a stage bucket is walked by `next_in` only in `probe` — raced
-# stage state and semi-join minis pair through it too), the
+# stage state and semi-join minis pair through it too; and under node/
+# `set_timer(` appears only in `arm_timer` and `on_start`'s DHT tick —
+# uninstall drops a query's timers and gets by owner), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

@@ -264,9 +264,9 @@ enum NsRole {
 /// operator state, rehash publications, admission's committed budget and
 /// the namespace routing table — lives here, so install and uninstall
 /// are single entry points and a torn-down query leaves nothing behind
-/// (the node's two request maps name their query in each entry, and
-/// uninstall drops them by qid). Teardown is driven
-/// by [`PierNode::cancel`] (any shape) or by one-shot aggregates retiring
+/// (each entry of the node's two request maps names its query, and
+/// uninstall drops them by qid). Teardown is driven by
+/// [`PierNode::cancel`] (any shape) or by one-shot aggregates retiring
 /// at their terminal harvest; a one-shot *join* has no terminal event —
 /// its results trickle until the soft state ages out — so it stays
 /// installed until explicitly cancelled.
