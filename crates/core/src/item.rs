@@ -33,8 +33,9 @@ impl Side {
 /// One `QpItem` sits inline in every store slot, queued event, `Action`
 /// and pending DHT op, so its size is paid per item *held*, whatever the
 /// variant. The hot variants (`Row`, `Tagged`, `Mini`, `Partial`) fit 64
-/// bytes; anything cold and fat goes behind an `Arc` — see the guards
-/// below the message types.
+/// bytes, so an `Entry` is 104 and a `PierMsg` 144 (its largest variant
+/// is CAN's multicast, with its 64-byte zone); anything cold and fat goes
+/// behind an `Arc` — see the guards below the message types.
 #[derive(Clone, Debug)]
 pub enum QpItem {
     /// A base-table tuple published by a wrapper (§2.2's "natural
@@ -181,7 +182,7 @@ impl Wire for PierMsg {
 // an `Arc` (or `Box`), not inline.
 const _: () = assert!(size_of::<QpItem>() <= 64);
 const _: () = assert!(size_of::<Entry<QpItem>>() <= 104);
-const _: () = assert!(size_of::<PierMsg>() <= 208);
+const _: () = assert!(size_of::<PierMsg>() <= 144);
 
 #[cfg(test)]
 mod tests {

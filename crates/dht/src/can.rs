@@ -398,7 +398,7 @@ impl CanState {
         };
         let zone = self.zones[idx];
         let dim = zone.split_dim(self.d);
-        if zone.hi[dim] - zone.lo[dim] < 2 {
+        if zone.hi(dim) - zone.lo(dim) < 2 {
             return; // cannot split further (never happens at sane scales)
         }
         let (a, b) = zone.split(dim);
@@ -988,10 +988,8 @@ mod tests {
         assert!(c.neighbors.contains_key(&5));
         // A faraway sliver not adjacent to us: neighbor dropped.
         let mut far = b;
-        far.lo[0] = b.lo[0] + SPACE / 8;
-        far.hi[0] = b.lo[0] + SPACE / 4;
-        far.lo[1] = 0;
-        far.hi[1] = SPACE / 4;
+        far.set(0, b.lo(0) + SPACE / 8, b.lo(0) + SPACE / 4);
+        far.set(1, 0, SPACE / 4);
         c.integrate_announcement(Time(2), 5, vec![far], None);
         assert!(!c.neighbors.contains_key(&5));
     }

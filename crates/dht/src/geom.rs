@@ -2,11 +2,14 @@
 //!
 //! CAN (§3.1.1) partitions a logical d-dimensional Cartesian torus into
 //! hyper-rectangular *zones*, one owner per zone. Coordinates are 32-bit
-//! per dimension; zone bounds are kept as `u64` in `[0, 2^32]` so that the
-//! exclusive upper bound of the full space is representable. Zones are
-//! produced only by bisection of the full space, so an individual zone
-//! never wraps around the torus — but *adjacency* and *distance* are
-//! toroidal.
+//! per dimension, and a zone is held at that width: per dimension its
+//! lowest and its last (inclusive) coordinate, two `u32`s, so a zone is
+//! 64 bytes — one cache line — at `MAX_D`. Its half-open bounds are read
+//! as `u64`s through [`Zone::lo`] and [`Zone::hi`], where the exclusive
+//! upper bound of the full space, `2^32`, is representable; all geometry
+//! is arithmetic on those. Zones are produced only by bisection of the
+//! full space, so an individual zone never wraps around the torus — but
+//! *adjacency* and *distance* are toroidal.
 
 /// Extent of each dimension: coordinates live in `[0, SPACE)`.
 pub const SPACE: u64 = 1 << 32;
@@ -42,30 +45,54 @@ pub fn circle_dist(a: u64, b: u64) -> u64 {
     fwd.min(bwd)
 }
 
-/// A zone: the half-open box `[lo, hi)` per dimension, `hi <= SPACE`.
+/// A zone: the half-open box `[lo, hi)` per dimension, `lo < hi <= SPACE`,
+/// stored as `lo` and `last = hi - 1`, which fit 32 bits where `hi` may not.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Zone {
-    pub lo: [u64; MAX_D],
-    pub hi: [u64; MAX_D],
+    lo: [u32; MAX_D],
+    last: [u32; MAX_D],
 }
 
+const _: () = assert!(std::mem::size_of::<Zone>() == 64);
+
 impl Zone {
-    /// The entire coordinate space for dimensionality `d`.
+    /// The entire coordinate space for dimensionality `d`: `[0, 1)` in
+    /// the unused dimensions, so volume stays sane.
     pub fn whole(d: usize) -> Zone {
         let mut z = Zone {
             lo: [0; MAX_D],
-            hi: [1; MAX_D], // degenerate in unused dims so volume stays sane
+            last: [0; MAX_D],
         };
         for i in 0..d {
-            z.hi[i] = SPACE;
+            z.set(i, 0, SPACE);
         }
         z
+    }
+
+    /// Lower bound in dimension `i` (inclusive).
+    #[inline]
+    pub fn lo(&self, i: usize) -> u64 {
+        self.lo[i] as u64
+    }
+
+    /// Upper bound in dimension `i` (exclusive), at most `SPACE`.
+    #[inline]
+    pub fn hi(&self, i: usize) -> u64 {
+        self.last[i] as u64 + 1
+    }
+
+    /// Make dimension `i` the half-open interval `[lo, hi)`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, lo: u64, hi: u64) {
+        assert!(lo < hi && hi <= SPACE, "empty or oversized extent");
+        self.lo[i] = lo as u32;
+        self.last[i] = (hi - 1) as u32;
     }
 
     pub fn contains(&self, p: Point, d: usize) -> bool {
         (0..d).all(|i| {
             let c = p.c[i] as u64;
-            self.lo[i] <= c && c < self.hi[i]
+            self.lo(i) <= c && c < self.hi(i)
         })
     }
 
@@ -77,7 +104,7 @@ impl Zone {
         let shift = Self::volume_shift(d);
         let mut v: u128 = 1;
         for i in 0..d {
-            v = v.saturating_mul(((self.hi[i] - self.lo[i]) >> shift) as u128);
+            v = v.saturating_mul(((self.hi(i) - self.lo(i)) >> shift) as u128);
         }
         v
     }
@@ -92,7 +119,7 @@ impl Zone {
     pub fn center(&self, d: usize) -> Point {
         let mut c = [0u32; MAX_D];
         for (i, ci) in c.iter_mut().enumerate().take(d) {
-            *ci = ((self.lo[i] + self.hi[i]) / 2).min(SPACE - 1) as u32;
+            *ci = ((self.lo(i) + self.hi(i)) / 2).min(SPACE - 1) as u32;
         }
         Point { c }
     }
@@ -104,10 +131,10 @@ impl Zone {
         let mut sum: u128 = 0;
         for i in 0..d {
             let c = p.c[i] as u64;
-            if self.lo[i] <= c && c < self.hi[i] {
+            if self.lo(i) <= c && c < self.hi(i) {
                 continue;
             }
-            let dd = circle_dist(c, self.lo[i]).min(circle_dist(c, self.hi[i] - 1));
+            let dd = circle_dist(c, self.lo(i)).min(circle_dist(c, self.hi(i) - 1));
             sum += (dd as u128) * (dd as u128);
         }
         sum
@@ -121,7 +148,7 @@ impl Zone {
         let mut best = 0;
         let mut best_ext = 0u64;
         for i in 0..d {
-            let ext = self.hi[i] - self.lo[i];
+            let ext = self.hi(i) - self.lo(i);
             if ext > best_ext {
                 best_ext = ext;
                 best = i;
@@ -132,26 +159,26 @@ impl Zone {
 
     /// Bisect into (lower, upper) halves along `dim`.
     pub fn split(&self, dim: usize) -> (Zone, Zone) {
-        debug_assert!(self.hi[dim] - self.lo[dim] >= 2, "zone too thin to split");
-        let mid = self.lo[dim] + (self.hi[dim] - self.lo[dim]) / 2;
+        debug_assert!(self.hi(dim) - self.lo(dim) >= 2, "zone too thin to split");
+        let mid = self.lo(dim) + (self.hi(dim) - self.lo(dim)) / 2;
         let mut lower = *self;
         let mut upper = *self;
-        lower.hi[dim] = mid;
-        upper.lo[dim] = mid;
+        lower.set(dim, self.lo(dim), mid);
+        upper.set(dim, mid, self.hi(dim));
         (lower, upper)
     }
 
     /// Standard (non-toroidal) interval overlap in dimension `i`.
     #[inline]
     fn overlaps_dim(&self, other: &Zone, i: usize) -> bool {
-        self.lo[i].max(other.lo[i]) < self.hi[i].min(other.hi[i])
+        self.lo(i).max(other.lo(i)) < self.hi(i).min(other.hi(i))
     }
 
     /// Whether the intervals abut in dimension `i`, including across the
     /// torus seam (`SPACE` wraps to 0).
     #[inline]
     fn abuts_dim(&self, other: &Zone, i: usize) -> bool {
-        (self.hi[i] % SPACE) == other.lo[i] || (other.hi[i] % SPACE) == self.lo[i]
+        (self.hi(i) % SPACE) == other.lo(i) || (other.hi(i) % SPACE) == self.lo(i)
     }
 
     /// In how many dimensions the boxes abut without overlapping, when
@@ -199,8 +226,7 @@ impl Zone {
         }
         let mut z = *self;
         for i in 0..d {
-            z.lo[i] = self.lo[i].max(other.lo[i]);
-            z.hi[i] = self.hi[i].min(other.hi[i]);
+            z.set(i, self.lo(i).max(other.lo(i)), self.hi(i).min(other.hi(i)));
         }
         Some(z)
     }
@@ -217,17 +243,17 @@ impl Zone {
             let i = cut / 2;
             let mut slab = cur;
             if cut % 2 == 0 {
-                if cur.lo[i] >= inner.lo[i] {
+                if cur.lo(i) >= inner.lo(i) {
                     return None;
                 }
-                slab.hi[i] = inner.lo[i];
-                cur.lo[i] = inner.lo[i];
+                slab.set(i, cur.lo(i), inner.lo(i));
+                cur.set(i, inner.lo(i), cur.hi(i));
             } else {
-                if inner.hi[i] >= cur.hi[i] {
+                if inner.hi(i) >= cur.hi(i) {
                     return None;
                 }
-                slab.lo[i] = inner.hi[i];
-                cur.hi[i] = inner.hi[i];
+                slab.set(i, inner.hi(i), cur.hi(i));
+                cur.set(i, cur.lo(i), inner.hi(i));
             }
             Some(slab)
         })
@@ -238,13 +264,13 @@ impl Zone {
     pub fn try_merge(&self, other: &Zone, d: usize) -> Option<Zone> {
         let mut diff = None;
         for i in 0..d {
-            if self.lo[i] == other.lo[i] && self.hi[i] == other.hi[i] {
+            if self.lo(i) == other.lo(i) && self.hi(i) == other.hi(i) {
                 continue;
             }
             if diff.is_some() {
                 return None;
             }
-            if self.hi[i] == other.lo[i] || other.hi[i] == self.lo[i] {
+            if self.hi(i) == other.lo(i) || other.hi(i) == self.lo(i) {
                 diff = Some(i);
             } else {
                 return None;
@@ -252,8 +278,7 @@ impl Zone {
         }
         let i = diff?;
         let mut z = *self;
-        z.lo[i] = self.lo[i].min(other.lo[i]);
-        z.hi[i] = self.hi[i].max(other.hi[i]);
+        z.set(i, self.lo(i).min(other.lo(i)), self.hi(i).max(other.hi(i)));
         Some(z)
     }
 }
@@ -329,20 +354,20 @@ mod tests {
     fn neighbor_relation_wraps_around_the_torus() {
         // Two slabs at opposite ends of dim 0.
         let mut a = Zone::whole(D);
-        a.hi[0] = SPACE / 4;
+        a.set(0, 0, SPACE / 4);
         let mut b = Zone::whole(D);
-        b.lo[0] = 3 * SPACE / 4;
+        b.set(0, 3 * SPACE / 4, SPACE);
         assert!(a.is_neighbor(&b, D), "abut across the seam");
         // Shrink b in dim 1 so they still overlap there: still neighbors.
-        b.hi[1] = SPACE / 2;
+        b.set(1, 0, SPACE / 2);
         assert!(a.is_neighbor(&b, D));
         // Disjoint in dim 1 and abutting in dim 0 and dim 1: corner
         // contact only — not neighbors.
         let mut c = Zone::whole(D);
-        c.lo[0] = 3 * SPACE / 4;
-        c.lo[1] = SPACE / 2;
+        c.set(0, 3 * SPACE / 4, SPACE);
+        c.set(1, SPACE / 2, SPACE);
         let mut a2 = a;
-        a2.hi[1] = SPACE / 2;
+        a2.set(1, 0, SPACE / 2);
         assert!(!a2.is_neighbor(&c, D));
     }
 
@@ -370,16 +395,14 @@ mod tests {
     fn subtract_covers_exactly_the_difference() {
         let outer = Zone::whole(2);
         let mut inner = outer;
-        inner.lo[0] = SPACE / 4;
-        inner.hi[0] = SPACE / 2;
-        inner.lo[1] = SPACE / 8;
-        inner.hi[1] = SPACE / 2;
+        inner.set(0, SPACE / 4, SPACE / 2);
+        inner.set(1, SPACE / 8, SPACE / 2);
         let parts: Vec<Zone> = outer.subtract(&inner, 2).collect();
         // Per dimension, the slab below `inner` and then the one above.
-        let cuts: Vec<(u64, u64)> = parts.iter().map(|z| (z.lo[0], z.hi[0])).collect();
+        let cuts: Vec<(u64, u64)> = parts.iter().map(|z| (z.lo(0), z.hi(0))).collect();
         let (q, h) = (SPACE / 4, SPACE / 2);
         assert_eq!(cuts, [(0, q), (h, SPACE), (q, h), (q, h)]);
-        assert_eq!((parts[2].hi[1], parts[3].lo[1]), (SPACE / 8, h));
+        assert_eq!((parts[2].hi(1), parts[3].lo(1)), (SPACE / 8, h));
         let vol: u128 = parts.iter().map(|z| z.volume(2)).sum();
         assert_eq!(vol + inner.volume(2), outer.volume(2));
         // Parts are pairwise disjoint and disjoint from inner.

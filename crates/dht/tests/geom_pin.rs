@@ -21,7 +21,7 @@ use pier_simnet::time::Time;
 
 /// A zone's half-open extent `[lo, hi)` in dimension `i`.
 fn bounds(z: &Zone, i: usize) -> (u64, u64) {
-    (z.lo[i], z.hi[i])
+    (z.lo(i), z.hi(i))
 }
 
 /// FNV-1a over 64-bit words: stable across platforms and toolchains.

@@ -117,8 +117,8 @@ proptest! {
         let zones = random_partition(16, seed, D);
         for z in &zones {
             for i in D..MAX_D {
-                prop_assert_eq!(z.lo[i], 0);
-                prop_assert_eq!(z.hi[i], 1);
+                prop_assert_eq!(z.lo(i), 0);
+                prop_assert_eq!(z.hi(i), 1);
             }
         }
     }

@@ -27,8 +27,8 @@ impl Fnv {
         self.word(zones.len() as u64);
         for z in zones {
             for i in 0..d {
-                self.word(z.lo[i]);
-                self.word(z.hi[i]);
+                self.word(z.lo(i));
+                self.word(z.hi(i));
             }
         }
     }

@@ -105,24 +105,21 @@ fn bucket_of(at: Time) -> u64 {
     at.as_micros() >> BUCKET_BITS
 }
 
-/// Total order on events that is invariant under sharding: time first,
-/// then the node that *created* the event, then that node's private
-/// event counter. `(origin, oseq)` is unique, so the order is total.
+/// A queue entry: the ordering key `(at, origin, oseq)` plus the index
+/// of the event payload in the [`EventSlab`]. The key is the total order
+/// on events that is invariant under sharding: time first, then the node
+/// that *created* the event, then that node's private event counter.
+/// `(origin, oseq)` is unique, so Ord, derived on field order, is decided
+/// by the key and `slot` never ties. `origin` and `slot` share a word.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EvKey {
+struct EvRef {
     at: Time,
     origin: NodeId,
     oseq: u64,
-}
-
-/// A queue entry: ordering key plus the index of the event payload in
-/// the [`EventSlab`]. Ord derives on field order, so `key` decides and
-/// `slot` never ties (the key is unique).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EvRef {
-    key: EvKey,
     slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<EvRef>() == 24);
 
 /// Pooled event payloads: freed slots are recycled so the steady-state
 /// hot path (timer fires, re-arms; message delivered, reply sent) does
@@ -206,7 +203,7 @@ impl CalendarQueue {
     }
 
     fn push(&mut self, ev: EvRef) {
-        let b = bucket_of(ev.key.at);
+        let b = bucket_of(ev.at);
         debug_assert!(b >= self.cursor, "push into the past");
         if b >= self.cursor + N_BUCKETS as u64 {
             self.far.push(Reverse(ev));
@@ -262,7 +259,7 @@ impl CalendarQueue {
             // Far-jump: the ring is empty, so the earliest overflow
             // event defines the new current bucket.
             let Reverse(min) = *self.far.peek()?;
-            self.advance_to(bucket_of(min.key.at));
+            self.advance_to(bucket_of(min.at));
         } else if self.ring[(self.cursor % N_BUCKETS as u64) as usize].is_empty() {
             let mut b = self.cursor + 1;
             while self.ring[(b % N_BUCKETS as u64) as usize].is_empty() {
@@ -294,10 +291,10 @@ impl CalendarQueue {
         while self
             .far
             .peek()
-            .is_some_and(|Reverse(ev)| bucket_of(ev.key.at) < horizon)
+            .is_some_and(|Reverse(ev)| bucket_of(ev.at) < horizon)
         {
             let Reverse(ev) = self.far.pop().expect("peeked above");
-            self.bucket_mut(bucket_of(ev.key.at)).push(ev);
+            self.bucket_mut(bucket_of(ev.at)).push(ev);
             self.ring_len += 1;
         }
         let slot = (self.cursor % N_BUCKETS as u64) as usize;
@@ -613,7 +610,7 @@ impl<A: App> EngineCore<A> {
         }
         let t = self.outbound[0].sent_at;
         debug_assert!(self.outbound.iter().all(|r| r.sent_at == t));
-        if self.queue.peek().is_some_and(|ev| ev.key.at <= t) {
+        if self.queue.peek().is_some_and(|ev| ev.at <= t) {
             return;
         }
         // Routing only enqueues deliveries, so `outbound` stays empty
@@ -627,7 +624,9 @@ impl<A: App> EngineCore<A> {
     fn push_event(&mut self, at: Time, origin: NodeId, oseq: u64, kind: EventKind<A::Msg>) {
         let slot = self.slab.alloc(kind);
         self.queue.push(EvRef {
-            key: EvKey { at, origin, oseq },
+            at,
+            origin,
+            oseq,
             slot,
         });
     }
@@ -635,7 +634,7 @@ impl<A: App> EngineCore<A> {
     /// Time of the earliest queued event (buffered sends excluded —
     /// their delivery time is not known until they are routed).
     pub(crate) fn next_at(&self) -> Option<Time> {
-        self.queue.peek().map(|e| e.key.at)
+        self.queue.peek().map(|e| e.at)
     }
 
     /// Process the next queued event — and, for a delivery, the run of
@@ -654,8 +653,8 @@ impl<A: App> EngineCore<A> {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.key.at >= self.now, "time went backwards");
-        self.now = ev.key.at;
+        debug_assert!(ev.at >= self.now, "time went backwards");
+        self.now = ev.at;
         self.events_processed += 1;
         match self.slab.take(ev.slot) {
             EventKind::Deliver { from, to, msg } => {
@@ -668,8 +667,8 @@ impl<A: App> EngineCore<A> {
                 }
                 batch.push((from, msg));
                 while self.queue.peek().is_some_and(|next| {
-                    next.key.at == ev.key.at
-                        && next.key.origin <= to
+                    next.at == ev.at
+                        && next.origin <= to
                         && matches!(
                             self.slab.get(next.slot),
                             EventKind::Deliver { to: t, .. } if *t == to
@@ -722,7 +721,7 @@ impl<A: App> EngineCore<A> {
     /// number of events processed.
     pub(crate) fn execute_window(&mut self, end: Time) -> u64 {
         let before = self.events_processed;
-        while self.queue.peek().is_some_and(|ev| ev.key.at < end) {
+        while self.queue.peek().is_some_and(|ev| ev.at < end) {
             self.step_inner();
         }
         self.events_processed - before
@@ -1195,11 +1194,9 @@ mod tests {
         const NODES: u64 = 10_000;
         const PERIOD: u64 = 500_000;
         let tick = |round: u64, node: u64| EvRef {
-            key: EvKey {
-                at: Time(round * PERIOD),
-                origin: node as NodeId,
-                oseq: round,
-            },
+            at: Time(round * PERIOD),
+            origin: node as NodeId,
+            oseq: round,
             slot: node as u32,
         };
         let mut queue = CalendarQueue::new();
@@ -1257,7 +1254,7 @@ mod tests {
                         // A bounded run ends: the clock rises, never
                         // past the earliest pending event.
                         let to = now + r % (2 * LAP);
-                        now = queue.peek().map_or(to, |ev| to.min(ev.key.at.as_micros()));
+                        now = queue.peek().map_or(to, |ev| to.min(ev.at.as_micros()));
                         continue;
                     }
                     _ => {
@@ -1266,8 +1263,8 @@ mod tests {
                         let got = queue.pop();
                         prop_assert!(got == want);
                         if let Some(ev) = got {
-                            prop_assert!(ev.key.at.as_micros() >= now);
-                            now = ev.key.at.as_micros();
+                            prop_assert!(ev.at.as_micros() >= now);
+                            now = ev.at.as_micros();
                             popped += 1;
                         }
                         continue;
@@ -1281,11 +1278,9 @@ mod tests {
                 }
                 oseq += 1;
                 let ev = EvRef {
-                    key: EvKey {
-                        at: Time(at),
-                        origin: (r >> 32) as NodeId % 4,
-                        oseq,
-                    },
+                    at: Time(at),
+                    origin: (r >> 32) as NodeId % 4,
+                    oseq,
                     slot: oseq as u32,
                 };
                 queue.push(ev);

@@ -316,9 +316,10 @@ fn resting_overlay_stays_inside_its_bytes_per_node_budget() {
     drop(sim);
 }
 
-/// Measured: 4 280 (with a copy of its map at every neighbour: 13 784);
-/// the budget is about 20 % above.
-const REST_BYTES_PER_NODE: f64 = 5_200.0;
+/// Measured: 3 052 with 64-byte zones (4 232 with 128-byte ones; with a
+/// copy of its map at every neighbour, 13 784 then); the budget is about
+/// 20 % above.
+const REST_BYTES_PER_NODE: f64 = 3_700.0;
 
 // ---------------------------------------------------------------------
 // (iv) a small join
@@ -352,8 +353,9 @@ fn small_join_stays_inside_its_byte_budget() {
     );
 }
 
-/// Measured: 531; the budget is about 20 % above.
-const JOIN_BYTES_PER_EVENT: f64 = 640.0;
+/// Measured: 98 with 64-byte zones and 24-byte queue entries (145 with
+/// 128-byte zones and 32-byte entries); the budget is about 20 % above.
+const JOIN_BYTES_PER_EVENT: f64 = 120.0;
 
 // ---------------------------------------------------------------------
 // (v) rows are read where they lie
