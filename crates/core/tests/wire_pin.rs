@@ -16,7 +16,7 @@ use pier_core::tuple::FlatRow;
 use pier_core::value::Value;
 use pier_core::BloomFilter;
 use pier_dht::geom::{Point, Zone};
-use pier_dht::msg::{CanMsg, ChordMsg, DhtMsg, Entry, RepairScope};
+use pier_dht::msg::{CanMsg, ChordMsg, DhtMsg, Entry, RepairScope, Zones};
 use pier_simnet::time::Time;
 use pier_simnet::Wire;
 
@@ -88,8 +88,11 @@ fn two_entries() -> Vec<Entry<QpItem>> {
     vec![entry(QpItem::Row(wide_row())), entry(tagged())]
 }
 
-fn neighbors() -> Vec<(u32, Vec<Zone>)> {
-    vec![(1, vec![Zone::whole(4)]), (2, vec![Zone::whole(4); 2])]
+fn neighbors() -> Vec<(u32, Zones)> {
+    vec![
+        (1, vec![Zone::whole(4)].into()),
+        (2, vec![Zone::whole(4); 2].into()),
+    ]
 }
 
 #[test]
@@ -235,7 +238,7 @@ fn every_variant_keeps_its_wire_size() {
         (
             "DhtMsg::RepairRequest (zones)",
             DhtMsg::<QpItem>::RepairRequest {
-                scope: RepairScope::Zones(vec![Zone::whole(4); 3]),
+                scope: RepairScope::Zones(vec![Zone::whole(4); 3].into()),
             }
             .wire_size(),
             244,
@@ -280,7 +283,7 @@ fn every_variant_keeps_its_wire_size() {
         (
             "CanMsg::NeighborUpdate",
             CanMsg::<QpItem>::NeighborUpdate {
-                zones: vec![Zone::whole(4); 2],
+                zones: vec![Zone::whole(4); 2].into(),
             }
             .wire_size(),
             132,
@@ -288,7 +291,7 @@ fn every_variant_keeps_its_wire_size() {
         (
             "CanMsg::Heartbeat",
             CanMsg::<QpItem>::Heartbeat {
-                zones: vec![Zone::whole(4)],
+                zones: vec![Zone::whole(4)].into(),
                 neighbors: neighbors().into(),
             }
             .wire_size(),
@@ -298,7 +301,7 @@ fn every_variant_keeps_its_wire_size() {
             "CanMsg::Takeover",
             CanMsg::<QpItem>::Takeover {
                 dead: 3,
-                zones: vec![Zone::whole(4); 2],
+                zones: vec![Zone::whole(4); 2].into(),
             }
             .wire_size(),
             132,
@@ -306,7 +309,7 @@ fn every_variant_keeps_its_wire_size() {
         (
             "CanMsg::Leave",
             CanMsg::Leave {
-                zones: vec![Zone::whole(4)],
+                zones: vec![Zone::whole(4)].into(),
                 items: two_entries(),
                 neighbors: vec![1, 2, 3],
             }

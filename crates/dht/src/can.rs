@@ -23,14 +23,16 @@ use pier_simnet::{NodeId, Wire};
 use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::{Point, Zone};
-use crate::msg::{CanMsg, DhtMsg, Entry, NeighborMap, RepairScope};
+use crate::msg::{CanMsg, DhtMsg, Entry, NeighborMap, RepairScope, Zones};
 use crate::overlay::{LookupStep, Routed};
 use crate::{DhtConfig, ROUTE_TTL};
 
 /// What this node knows about one neighbor.
 #[derive(Debug, Clone)]
 pub struct NeighborInfo {
-    pub zones: Vec<Zone>,
+    /// The neighbor's own zone list, shared with it and with every
+    /// other holder.
+    pub zones: Zones,
     pub last_seen: Time,
     /// The neighbor's own neighbor map, from its last heartbeat. This is
     /// the shared candidate set for takeover election when it fails —
@@ -39,7 +41,7 @@ pub struct NeighborInfo {
 }
 
 impl NeighborInfo {
-    pub fn new(zones: Vec<Zone>, last_seen: Time) -> Self {
+    pub fn new(zones: Zones, last_seen: Time) -> Self {
         NeighborInfo {
             zones,
             last_seen,
@@ -53,8 +55,9 @@ impl NeighborInfo {
 pub struct CanState {
     pub d: usize,
     pub me: NodeId,
-    /// Zones currently owned (several after takeovers/absorbs).
-    pub zones: Vec<Zone>,
+    /// Zones currently owned (several after takeovers/absorbs). Every
+    /// announcement and neighbor entry holds this one list.
+    pub zones: Zones,
     pub neighbors: BTreeMap<NodeId, NeighborInfo>,
     pub joined: bool,
     last_heartbeat: Time,
@@ -76,7 +79,7 @@ enum Route {
 
 #[derive(Debug, Clone)]
 struct PendingClaim {
-    zones: Vec<Zone>,
+    zones: Zones,
     /// Candidates ordered by (volume, id); index 0 was elected first.
     candidates: Vec<(u128, NodeId)>,
     attempt: usize,
@@ -89,7 +92,7 @@ impl CanState {
         CanState {
             d,
             me,
-            zones: Vec::new(),
+            zones: Zones::default(),
             neighbors: BTreeMap::new(),
             joined: false,
             last_heartbeat: Time::ZERO,
@@ -99,7 +102,7 @@ impl CanState {
 
     /// Become the first node of a new overlay: own the whole space.
     pub fn start_first(&mut self) {
-        self.zones = vec![Zone::whole(self.d)];
+        self.zones = [Zone::whole(self.d)].into();
         self.joined = true;
     }
 
@@ -233,7 +236,7 @@ impl CanState {
         &mut self,
         now: Time,
         from: NodeId,
-        zones: Vec<Zone>,
+        zones: Zones,
         their_neighbors: Option<NeighborMap>,
     ) {
         if from == self.me {
@@ -243,7 +246,7 @@ impl CanState {
             let entry = self
                 .neighbors
                 .entry(from)
-                .or_insert_with(|| NeighborInfo::new(Vec::new(), now));
+                .or_insert_with(|| NeighborInfo::new(Zones::clone(&zones), now));
             entry.zones = zones;
             entry.last_seen = now;
             if let Some(tn) = their_neighbors {
@@ -407,18 +410,20 @@ impl CanState {
         } else {
             (a, b)
         };
-        self.zones[idx] = mine;
+        let mut kept: Vec<Zone> = self.zones.to_vec();
+        kept[idx] = mine;
+        self.zones = kept.into();
 
         // Hand off stored items no longer covered by our zones.
         let d = self.d;
-        let zones = self.zones.clone();
+        let zones = &self.zones;
         let items = io.store.extract_not_owned(|key| {
             let pt = Point::from_key(key, d);
             zones.iter().any(|z| z.contains(pt, d))
         });
 
         // Candidate neighbor set for the joiner: us plus our neighbors.
-        let mut candidates: Vec<(NodeId, Vec<Zone>)> = vec![(self.me, self.zones.clone())];
+        let mut candidates: Vec<(NodeId, Zones)> = vec![(self.me, self.zones.clone())];
         candidates.extend(
             self.neighbors
                 .iter()
@@ -438,14 +443,13 @@ impl CanState {
         // stale entry that would later trigger a bogus takeover.
         let now = io.env.now();
         self.neighbors
-            .insert(joiner, NeighborInfo::new(vec![theirs], now));
+            .insert(joiner, NeighborInfo::new([theirs].into(), now));
         self.announce(io);
-        let my_zones = self.zones.clone();
-        let dd = self.d;
+        let my_zones = &self.zones;
         self.neighbors.retain(|_, info| {
             info.zones
                 .iter()
-                .any(|z| my_zones.iter().any(|m| m.is_neighbor(z, dd)))
+                .any(|z| my_zones.iter().any(|m| m.is_neighbor(z, d)))
         });
         io.events.push(DhtEvent::LocationMapChanged);
     }
@@ -456,13 +460,13 @@ impl CanState {
         &mut self,
         io: &mut Lend<'_, V>,
         zone: Zone,
-        candidates: Vec<(NodeId, Vec<Zone>)>,
+        candidates: Vec<(NodeId, Zones)>,
         items: Vec<Entry<V>>,
     ) {
         if self.joined {
             return; // duplicate offer from a retried join
         }
-        self.zones = vec![zone];
+        self.zones = [zone].into();
         self.joined = true;
         let now = io.env.now();
         for (id, zones) in candidates {
@@ -500,7 +504,7 @@ impl CanState {
         io: &mut Lend<'_, V>,
         from: NodeId,
         dead: NodeId,
-        zones: Vec<Zone>,
+        zones: Zones,
     ) {
         self.neighbors.remove(&dead);
         self.pending_claims.remove(&dead);
@@ -510,9 +514,9 @@ impl CanState {
             // rather than comparing boxes for equality.
             let mut changed = false;
             let mut kept: Vec<Zone> = Vec::with_capacity(self.zones.len());
-            for z in self.zones.drain(..) {
+            for &z in self.zones.iter() {
                 let mut parts = vec![z];
-                for claimed in &zones {
+                for claimed in zones.iter() {
                     let mut next = Vec::with_capacity(parts.len());
                     for part in parts {
                         match part.intersection(claimed, self.d) {
@@ -527,8 +531,9 @@ impl CanState {
                 }
                 kept.extend(parts);
             }
-            self.zones = kept;
+            // Unchanged, `kept` is our list as it was: keep the shared one.
             if changed {
+                self.zones = kept.into();
                 io.events.push(DhtEvent::LocationMapChanged);
             }
         }
@@ -553,13 +558,14 @@ impl CanState {
         );
         // Tell everyone else we are gone (an empty-zones takeover makes
         // them drop us immediately instead of waiting out the keepalive).
+        let none = Zones::default();
         for id in neighbor_ids {
             if id != target {
                 io.send(
                     id,
                     DhtMsg::Can(CanMsg::Takeover {
                         dead: self.me,
-                        zones: Vec::new(),
+                        zones: none.clone(),
                     }),
                 );
             }
@@ -597,12 +603,12 @@ impl CanState {
         &mut self,
         io: &mut Lend<'_, V>,
         from: NodeId,
-        zones: Vec<Zone>,
+        zones: Zones,
         items: Vec<Entry<V>>,
         leaver_neighbors: Vec<NodeId>,
     ) {
         self.neighbors.remove(&from);
-        self.absorb_zones(zones);
+        self.absorb_zones(&zones);
         for e in items {
             io.store.store(e);
         }
@@ -625,20 +631,17 @@ impl CanState {
         io.events.push(DhtEvent::LocationMapChanged);
     }
 
-    fn absorb_zones(&mut self, zones: Vec<Zone>) {
+    fn absorb_zones(&mut self, zones: &[Zone]) {
+        let mut mine: Vec<Zone> = self.zones.to_vec();
         for z in zones {
             // Merge with an existing zone when the union is a box.
-            if let Some(i) = self
-                .zones
-                .iter()
-                .position(|m| m.try_merge(&z, self.d).is_some())
-            {
-                let merged = self.zones[i].try_merge(&z, self.d).unwrap();
-                self.zones[i] = merged;
+            if let Some(i) = mine.iter().position(|m| m.try_merge(z, self.d).is_some()) {
+                mine[i] = mine[i].try_merge(z, self.d).unwrap();
             } else {
-                self.zones.push(z);
+                mine.push(*z);
             }
         }
+        self.zones = mine.into();
     }
 
     /// Periodic maintenance: keepalives out, failure detection + takeover
@@ -737,10 +740,10 @@ impl CanState {
         &mut self,
         io: &mut Lend<'_, V>,
         dead_id: NodeId,
-        zones: Vec<Zone>,
+        zones: Zones,
         extra_audience: &[NodeId],
     ) {
-        self.absorb_zones(zones);
+        self.absorb_zones(&zones);
         io.events.push(DhtEvent::LocationMapChanged);
         let mut audience: Vec<NodeId> = self.neighbors.keys().copied().collect();
         for &id in extra_audience {
@@ -811,15 +814,19 @@ fn bisect(n: usize, d: usize) -> (Vec<Zone>, Vec<Cell>) {
 /// k-d tree (Bentley, CACM 1975): a box that does not
 /// [`Zone::reaches`] the node's zone holds none of them, and
 /// `Zone::is_neighbor` decides at each zone reached.
+///
+/// Each node's zone list is built once: the node and every neighbor
+/// that names it hold that one [`Zones`].
 pub fn balanced_overlay(n: usize, d: usize, now: Time) -> Vec<CanState> {
     let (zones, cells) = bisect(n, d);
+    let lists: Vec<Zones> = zones.iter().map(|&z| Zones::from([z])).collect();
     let mut stack = Vec::new();
     let mut states: Vec<CanState> = zones
         .iter()
         .enumerate()
         .map(|(i, &zone)| {
             let mut s = CanState::new(d, i as NodeId);
-            s.zones = vec![zone];
+            s.zones = lists[i].clone();
             s.joined = true;
             stack.push((0, Zone::whole(d)));
             while let Some((cell, bx)) = stack.pop() {
@@ -827,7 +834,7 @@ pub fn balanced_overlay(n: usize, d: usize, now: Time) -> Vec<CanState> {
                     Cell::Zone(j) => {
                         if j != i && zone.is_neighbor(&zones[j], d) {
                             s.neighbors
-                                .insert(j as NodeId, NeighborInfo::new(vec![zones[j]], now));
+                                .insert(j as NodeId, NeighborInfo::new(lists[j].clone(), now));
                         }
                     }
                     Cell::Split { lower } => {
@@ -956,7 +963,7 @@ mod tests {
         joiner.handle_join_offer(
             &mut rig.io(),
             b,
-            vec![(0, vec![a])],
+            vec![(0, vec![a].into())],
             vec![Entry {
                 ns: 1,
                 rid: 9,
@@ -967,7 +974,7 @@ mod tests {
             }],
         );
         assert!(joiner.joined);
-        assert_eq!(joiner.zones, vec![b]);
+        assert_eq!(joiner.zones[..], [b]);
         assert!(joiner.neighbors.contains_key(&0));
         assert_eq!(rig.store.len(), 1);
         assert!(rig.events.iter().any(|e| matches!(e, DhtEvent::Joined)));
@@ -983,14 +990,14 @@ mod tests {
         let mut c = CanState::new(2, 0);
         c.start_first();
         let (a, b) = Zone::whole(2).split(0);
-        c.zones = vec![a];
-        c.integrate_announcement(Time(1), 5, vec![b], None);
+        c.zones = vec![a].into();
+        c.integrate_announcement(Time(1), 5, vec![b].into(), None);
         assert!(c.neighbors.contains_key(&5));
         // A faraway sliver not adjacent to us: neighbor dropped.
         let mut far = b;
         far.set(0, b.lo(0) + SPACE / 8, b.lo(0) + SPACE / 4);
         far.set(1, 0, SPACE / 4);
-        c.integrate_announcement(Time(2), 5, vec![far], None);
+        c.integrate_announcement(Time(2), 5, vec![far].into(), None);
         assert!(!c.neighbors.contains_key(&5));
     }
 
@@ -1002,10 +1009,10 @@ mod tests {
         let whole = Zone::whole(2);
         let (left, right) = whole.split(0);
         let mut c = CanState::new(2, 0);
-        c.zones = vec![left];
+        c.zones = vec![left].into();
         c.joined = true;
         c.neighbors
-            .insert(5, NeighborInfo::new(vec![right], Time(0)));
+            .insert(5, NeighborInfo::new(vec![right].into(), Time(0)));
         let mut rig = Rig::new(0);
         // Pick a point in the left half to force a split of our zone.
         let mut p = Point { c: [0; 8] };
@@ -1029,17 +1036,17 @@ mod tests {
         let cfg = DhtConfig::default();
         let (a, b) = Zone::whole(2).split(0);
         let mut c = CanState::new(2, 0);
-        c.zones = vec![a];
+        c.zones = vec![a].into();
         c.joined = true;
-        let mut info = NeighborInfo::new(vec![b], Time::ZERO);
-        info.their_neighbors = vec![(0, vec![a])].into();
+        let mut info = NeighborInfo::new(vec![b].into(), Time::ZERO);
+        info.their_neighbors = vec![(0, vec![a].into())].into();
         c.neighbors.insert(1, info);
         let mut rig = Rig::new(0);
         rig.env.now = Time::ZERO + cfg.fail_after + Dur::from_secs(1);
         c.tick(&mut rig.io(), &cfg);
         assert!(!c.neighbors.contains_key(&1));
         // We absorbed the dead zone; zones merged back to the whole space.
-        assert_eq!(c.zones, vec![Zone::whole(2)]);
+        assert_eq!(c.zones[..], [Zone::whole(2)]);
         assert!(rig
             .events
             .iter()
@@ -1057,7 +1064,7 @@ mod tests {
         let dead_zone = zones[3];
         let shared_map: NeighborMap = (0..3u32)
             .filter(|&i| dead_zone.is_neighbor(&zones[i as usize], d))
-            .map(|i| (i, vec![zones[i as usize]]))
+            .map(|i| (i, vec![zones[i as usize]].into()))
             .collect();
         assert!(shared_map.len() >= 2, "need at least two candidates");
         let cfg = DhtConfig::default();
@@ -1067,9 +1074,9 @@ mod tests {
                 continue;
             }
             let mut c = CanState::new(d, me);
-            c.zones = vec![zones[me as usize]];
+            c.zones = vec![zones[me as usize]].into();
             c.joined = true;
-            let mut info = NeighborInfo::new(vec![dead_zone], Time::ZERO);
+            let mut info = NeighborInfo::new(vec![dead_zone].into(), Time::ZERO);
             info.their_neighbors = shared_map.clone();
             c.neighbors.insert(dead_id, info);
             let mut rig = Rig::new(me);
@@ -1087,10 +1094,10 @@ mod tests {
         let cfg = DhtConfig::default();
         let (a, b) = Zone::whole(2).split(0);
         let mut c = CanState::new(2, 0);
-        c.zones = vec![a];
+        c.zones = vec![a].into();
         c.joined = true;
         c.neighbors
-            .insert(1, NeighborInfo::new(vec![b], Time::ZERO));
+            .insert(1, NeighborInfo::new(vec![b].into(), Time::ZERO));
         let mut rig = Rig::new(0);
         rig.env.now = Time::ZERO + cfg.keepalive + Dur::from_millis(1);
         c.neighbors.get_mut(&1).unwrap().last_seen = rig.env.now;

@@ -15,11 +15,18 @@ pub const HEADER_BYTES: usize = 48;
 /// the paper-default d = 4).
 const ZONE_BYTES: usize = 64;
 
+/// One CAN node's zone list, one immutable allocation. The owner builds
+/// a new list only when its region changes (a join split, a takeover,
+/// an absorb, a leave); every neighbor entry, second-hop map and
+/// announcement that names it holds a refcount on that one list.
+pub type Zones = Arc<[Zone]>;
+
 /// One CAN node's neighbor table as it advertises it: each neighbor and
 /// its zones. Built once per keepalive and held by reference — the
 /// heartbeat to every neighbor and the second-hop view each of them
-/// keeps are refcounts on the sender's one map, not copies of it.
-pub type NeighborMap = Arc<[(NodeId, Vec<Zone>)]>;
+/// keeps are refcounts on the sender's one map, not copies of it, and
+/// each entry's zones are the neighbor's own [`Zones`].
+pub type NeighborMap = Arc<[(NodeId, Zones)]>;
 
 /// A stored DHT object: the provider naming scheme of §3.2.3.
 ///
@@ -53,24 +60,24 @@ pub enum CanMsg<V> {
     /// and the stored items that fall into the transferred zone.
     JoinOffer {
         zone: Zone,
-        neighbors: Vec<(NodeId, Vec<Zone>)>,
+        neighbors: Vec<(NodeId, Zones)>,
         items: Vec<Entry<V>>,
     },
     /// Sender announces its current zone list (join/leave/takeover).
-    NeighborUpdate { zones: Vec<Zone> },
+    NeighborUpdate { zones: Zones },
     /// Periodic liveness beacon carrying the sender's zones and its
     /// neighbor map (second-hop information, which gives all neighbors of
     /// a failed node a *consistent* candidate set for takeover election).
     Heartbeat {
-        zones: Vec<Zone>,
+        zones: Zones,
         neighbors: NeighborMap,
     },
     /// Claimant absorbed a dead node's zones.
-    Takeover { dead: NodeId, zones: Vec<Zone> },
+    Takeover { dead: NodeId, zones: Zones },
     /// Graceful departure: hand zones and items to a neighbor, who
     /// announces itself to the leaver's old neighborhood.
     Leave {
-        zones: Vec<Zone>,
+        zones: Zones,
         items: Vec<Entry<V>>,
         neighbors: Vec<NodeId>,
     },
@@ -133,7 +140,7 @@ pub enum ChordMsg<V> {
 #[derive(Clone, Debug)]
 pub enum RepairScope {
     /// CAN: the requester's zone list after a takeover/absorption.
-    Zones(Vec<Zone>),
+    Zones(Zones),
     /// Chord: ring interval `(from, to]` the requester now owns
     /// (`from == to` means the whole ring, matching `in_open_closed`).
     Ring { from: u64, to: u64 },

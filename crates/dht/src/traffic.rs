@@ -115,7 +115,7 @@ mod tests {
             ttl: 8,
         });
         let hb: DhtMsg<Vec<u8>> = DhtMsg::Can(CanMsg::Heartbeat {
-            zones: vec![],
+            zones: vec![].into(),
             neighbors: Default::default(),
         });
         m.record(&put);

@@ -505,7 +505,7 @@ fn message_for_the_other_overlay_is_dropped() {
             ttl: 8,
         }),
         DhtMsg::Can(CanMsg::NeighborUpdate {
-            zones: vec![Zone::whole(4)],
+            zones: vec![Zone::whole(4)].into(),
         }),
         DhtMsg::Can(CanMsg::Mcast {
             id: 3,

@@ -144,7 +144,7 @@ fn line(n: usize, d: usize) -> String {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut c = Counts::default();
     for s in &states {
-        for z in &s.zones {
+        for z in s.zones.iter() {
             h.zone(z);
             h.wide(z.volume(d));
             h.point(z.center(d));

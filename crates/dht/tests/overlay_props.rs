@@ -1,7 +1,8 @@
 //! Properties of the stabilized CAN bootstrap: `balanced_overlay` finds
 //! exactly the neighbors an all-pairs `is_neighbor` scan finds, the
 //! relation is symmetric, every node holds one shared second-hop map per
-//! neighbor, and `balanced_zones` splits as a largest-first linear scan
+//! neighbor, every holder of a node's zone list holds the node's own
+//! list, and `balanced_zones` splits as a largest-first linear scan
 //! would.
 
 use std::collections::BTreeMap;
@@ -9,7 +10,7 @@ use std::sync::Arc;
 
 use pier_dht::can::{balanced_overlay, balanced_zones};
 use pier_dht::geom::Zone;
-use pier_dht::msg::NeighborMap;
+use pier_dht::msg::{NeighborMap, Zones};
 use pier_simnet::time::Time;
 use pier_simnet::NodeId;
 use proptest::prelude::*;
@@ -59,14 +60,16 @@ proptest! {
         let mut shared: BTreeMap<NodeId, &NeighborMap> = BTreeMap::new();
         for (i, s) in states.iter().enumerate() {
             prop_assert_eq!(s.me, i as NodeId);
-            prop_assert_eq!(&s.zones, &vec![zones[i]]);
+            prop_assert_eq!(&s.zones[..], &[zones[i]][..]);
             let got: Vec<NodeId> = s.neighbors.keys().copied().collect();
             prop_assert_eq!(&got, &want[i]);
             for (&j, info) in &s.neighbors {
                 prop_assert!(states[j as usize].neighbors.contains_key(&(i as NodeId)));
-                prop_assert_eq!(&info.zones, &vec![zones[j as usize]]);
+                prop_assert_eq!(&info.zones[..], &[zones[j as usize]][..]);
+                // The neighbor's zones are its own list, not a copy.
+                prop_assert!(Arc::ptr_eq(&states[j as usize].zones, &info.zones));
                 // The second-hop map is the neighbor's own table...
-                let table: Vec<(NodeId, Vec<Zone>)> = states[j as usize]
+                let table: Vec<(NodeId, Zones)> = states[j as usize]
                     .neighbors
                     .iter()
                     .map(|(&k, nk)| (k, nk.zones.clone()))
@@ -75,6 +78,10 @@ proptest! {
                 // ...and one allocation, whoever holds it.
                 let first = shared.entry(j).or_insert(&info.their_neighbors);
                 prop_assert!(Arc::ptr_eq(first, &info.their_neighbors));
+                // ...whose entries are the named nodes' own lists.
+                for (k, zk) in info.their_neighbors.iter() {
+                    prop_assert!(Arc::ptr_eq(&states[*k as usize].zones, zk));
+                }
             }
         }
     }
