@@ -5,8 +5,9 @@
 # and test (the pins and budgets CI re-runs by name are in it:
 # cross_engine, frontend_pin, agg_pin, raced_pin, the abandoned-get
 # tests — `-p pier_dht --lib dht::tests` and `-p pier_core --test
-# lifecycle abandoned_gets` —, store_pin, geom_pin with overlay_pin and
-# alloc_budget's resting_overlay and small_join, registry_pin,
+# lifecycle abandoned_gets` —, store_pin, geom_pin with overlay_pin
+# (the bootstrap and the churned overlay) and alloc_budget's keepalive,
+# resting_overlay and small_join, registry_pin,
 # oracle_pin, expr_pin, publish_pin, dataflow_pin with pruning and
 # pruning_props, wire_audit, alloc_budget), the lints, the three source
 # guards (the layering guard's eight rules: the DHT provider
