@@ -1,17 +1,21 @@
 //! What a grouped aggregate puts, stores and emits, in order: on a
 //! 16-node `Sim` at one seed, every aggregate shape runs three epochs
-//! with a publish between them, and this file holds the whole transcript
-//! — the engine totals in `dataflow_pin.rs`'s format, the initiator's
-//! result log in arrival order, and what every node stores in
-//! `qns::agg(qid)` after each flush, in `lscan` order. The oracle suites
-//! compare answers as multisets; nothing else sees the order of puts and
-//! emissions, or what a stored partial holds.
+//! with a publish between them, and `tests/pins/agg_pin/<test>.txt`
+//! holds the whole transcript — the engine totals in `dataflow_pin.rs`'s
+//! format, the initiator's result log in arrival order, and what every
+//! node stores in `qns::agg(qid)` after each flush, in `lscan` order. The
+//! oracle suites compare answers as multisets; nothing else sees the
+//! order of puts and emissions, or what a stored partial holds.
 //!
 //! Taken before group keys and accumulators were shared between the
 //! fold, the store and the wire; that change left every line as it was.
 //! The last four shapes (qids 7, 8, 9 and 11) were taken before a
 //! windowed aggregate folded its rows into panes instead of buffering
 //! them, and before child partials joined those panes.
+
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
 
 use std::fmt::Write;
 
@@ -148,12 +152,6 @@ fn agg_of(desc: &mut QueryDesc) -> &mut pier_core::AggSpec {
     }
 }
 
-#[track_caller]
-fn assert_transcript(desc: QueryDesc, want: &str) {
-    let got = transcript(desc);
-    assert!(got == want, "the transcript moved; it now reads:\n{got}");
-}
-
 const FLAT_SQL: &str = "SELECT fingerprint, count(*), min(address), avg(id) \
                         FROM intrusions GROUP BY fingerprint";
 const JOIN_SQL: &str = "SELECT I.fingerprint, count(*), sum(R.weight) \
@@ -169,7 +167,7 @@ const HAVING_SQL: &str = "SELECT I.fingerprint, count(*) * sum(R.weight) AS wcnt
 fn flat_one_shot() {
     let mut desc = one_shot(FLAT_SQL, 1);
     agg_of(&mut desc).harvest = Dur::from_secs(20);
-    assert_transcript(desc, FLAT_ONE_SHOT);
+    pin!("flat_one_shot", transcript(desc));
 }
 
 /// Running totals: every epoch each node re-puts one partial per group
@@ -177,14 +175,14 @@ fn flat_one_shot() {
 #[test]
 fn flat_unwindowed_epoch() {
     let desc = standing(&format!("{FLAT_SQL} EPOCH 20 SECONDS"), 2);
-    assert_transcript(desc, FLAT_EPOCH);
+    pin!("flat_unwindowed_epoch", transcript(desc));
 }
 
 /// A 30 s window: the install-time rows have aged out by the third epoch.
 #[test]
 fn windowed_epoch() {
     let desc = standing(&format!("{FLAT_SQL} WINDOW 30 SECONDS EPOCH 20 SECONDS"), 3);
-    assert_transcript(desc, WINDOWED_EPOCH);
+    pin!("windowed_epoch", transcript(desc));
 }
 
 /// Partials climb the tree as `AggUp` messages; nothing is stored in NA
@@ -193,7 +191,7 @@ fn windowed_epoch() {
 fn hierarchical_epoch() {
     let mut desc = standing(&format!("{FLAT_SQL} EPOCH 20 SECONDS"), 4);
     agg_of(&mut desc).hierarchical = true;
-    assert_transcript(desc, HIERARCHICAL_EPOCH);
+    pin!("hierarchical_epoch", transcript(desc));
 }
 
 /// Join outputs accumulate at the NQ nodes and are flushed halfway to
@@ -202,7 +200,7 @@ fn hierarchical_epoch() {
 fn join_aggregate_with_halfway_flush() {
     let mut desc = one_shot(JOIN_SQL, 5);
     agg_of(&mut desc).harvest = Dur::from_secs(20);
-    assert_transcript(desc, JOIN_ONE_SHOT);
+    pin!("join_aggregate_with_halfway_flush", transcript(desc));
 }
 
 /// `HAVING` over a computed output column, standing: a group is emitted
@@ -210,7 +208,7 @@ fn join_aggregate_with_halfway_flush() {
 #[test]
 fn having_and_computed_output_epoch() {
     let desc = standing(&format!("{HAVING_SQL} EPOCH 20 SECONDS"), 6);
-    assert_transcript(desc, HAVING_EPOCH);
+    pin!("having_and_computed_output_epoch", transcript(desc));
 }
 
 /// A tree node's child partials under a window: each epoch's report
@@ -220,7 +218,7 @@ fn hierarchical_windowed_epoch() {
     let sql = format!("{FLAT_SQL} WINDOW 30 SECONDS EPOCH 20 SECONDS");
     let mut desc = standing(&sql, 7);
     agg_of(&mut desc).hierarchical = true;
-    assert_transcript(desc, HIERARCHICAL_WINDOWED_EPOCH);
+    pin!("hierarchical_windowed_epoch", transcript(desc));
 }
 
 /// A windowed join aggregate: a join output counts as long as its
@@ -228,7 +226,10 @@ fn hierarchical_windowed_epoch() {
 #[test]
 fn windowed_join_aggregate_epoch() {
     let sql = format!("{JOIN_SQL} WINDOW 30 SECONDS EPOCH 20 SECONDS");
-    assert_transcript(standing(&sql, 8), WINDOWED_JOIN_EPOCH);
+    pin!(
+        "windowed_join_aggregate_epoch",
+        transcript(standing(&sql, 8))
+    );
 }
 
 /// A one-shot tree: partials climb as `AggUp` with no epoch, the root
@@ -239,7 +240,7 @@ fn hierarchical_one_shot() {
     let agg = agg_of(&mut desc);
     agg.hierarchical = true;
     agg.harvest = Dur::from_secs(20);
-    assert_transcript(desc, HIERARCHICAL_ONE_SHOT);
+    pin!("hierarchical_one_shot", transcript(desc));
 }
 
 /// A window shorter than the epoch: a row published between two flushes
@@ -247,368 +248,5 @@ fn hierarchical_one_shot() {
 #[test]
 fn window_shorter_than_epoch() {
     let desc = standing(&format!("{FLAT_SQL} WINDOW 7 SECONDS EPOCH 20 SECONDS"), 11);
-    assert_transcript(desc, SHORT_WINDOW_EPOCH);
+    pin!("window_shorter_than_epoch", transcript(desc));
 }
-
-const FLAT_ONE_SHOT: &str = r#"stored at t=16.000000s
-  node 8 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=88.600000s
-  node 8 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=88.700000s
-  node 8 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=88.600000s
-  node 14 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=88.500000s
-  node 14 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=88.600000s
-  node 14 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=88.700000s
-  node 15 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=88.500000s
-  node 15 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=88.600000s
-  node 15 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=88.600000s
-  node 15 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=88.700000s
-stored at t=24.000000s
-  node 8 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=88.600000s
-  node 8 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=88.700000s
-  node 8 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=88.600000s
-  node 14 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=88.500000s
-  node 14 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=88.600000s
-  node 14 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=88.700000s
-  node 15 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=88.500000s
-  node 15 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=88.600000s
-  node 15 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=88.600000s
-  node 15 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=88.700000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=28.500000s ('fp2', 4, '10.0.0.0', 6.5)
-  t=28.600000s ('fp1', 4, '10.0.0.0', 5.5)
-  t=28.800000s ('fp0', 4, '10.0.0.0', 4.5)
-pin (2338, 146, 14837, 3)
-"#;
-const FLAT_EPOCH: &str = r#"stored at t=16.000000s
-  node 0 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-  node 0 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 0 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 3 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 3 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 3 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 14 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 14 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 14 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-stored at t=24.000000s
-  node 0 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-  node 0 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 0 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 3 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 3 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 3 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 14 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 14 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 14 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-stored at t=36.000000s
-  node 0 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=53.700000s
-  node 0 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=53.600000s
-  node 0 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=53.500000s
-  node 0 iid 15: ('fp1') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 13.0, n: 1 }] 56 B, expires t=53.400000s
-  node 2 iid 5: ('fp3') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 15.0, n: 1 }] 56 B, expires t=53.600000s
-  node 3 iid 3: ('fp0') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 12.0, n: 1 }] 56 B, expires t=53.600000s
-  node 3 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=53.600000s
-  node 3 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=53.600000s
-  node 3 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=53.700000s
-  node 14 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=53.600000s
-  node 14 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=53.500000s
-  node 14 iid 3: ('fp2') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 14.0, n: 1 }] 56 B, expires t=53.600000s
-  node 14 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=53.700000s
-  node 14 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=53.600000s
-stored at t=56.000000s
-  node 0 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=73.700000s
-  node 0 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=73.600000s
-  node 0 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=73.500000s
-  node 0 iid 15: ('fp1') [Count(2), Min(Some(Str("10.0.0.2"))), Avg { sum: 30.0, n: 2 }] 56 B, expires t=73.400000s
-  node 2 iid 5: ('fp3') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 15.0, n: 1 }] 56 B, expires t=73.600000s
-  node 2 iid 12: ('fp3') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 19.0, n: 1 }] 56 B, expires t=73.600000s
-  node 3 iid 3: ('fp0') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 12.0, n: 1 }] 56 B, expires t=73.600000s
-  node 3 iid 11: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 16.0, n: 1 }] 56 B, expires t=73.500000s
-  node 3 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=73.600000s
-  node 3 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=73.600000s
-  node 3 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=73.700000s
-  node 14 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=73.600000s
-  node 14 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=73.500000s
-  node 14 iid 3: ('fp2') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 14.0, n: 1 }] 56 B, expires t=73.600000s
-  node 14 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=73.700000s
-  node 14 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=73.600000s
-  node 14 iid 1: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 18.0, n: 1 }] 56 B, expires t=73.700000s
-results
-  t=18.600000s ('fp2', 4, '10.0.0.0', 6.5)
-  t=18.700000s ('fp0', 4, '10.0.0.0', 4.5)
-  t=18.800000s ('fp1', 4, '10.0.0.0', 5.5)
-  t=38.600000s ('fp2', 5, '10.0.0.0', 8)
-  t=38.700000s ('fp0', 5, '10.0.0.0', 6)
-  t=38.800000s ('fp1', 5, '10.0.0.0', 7)
-  t=38.800000s ('fp3', 1, '10.0.0.0', 15)
-  t=58.600000s ('fp2', 6, '10.0.0.0', 9.666666666666666)
-  t=58.700000s ('fp0', 6, '10.0.0.0', 7.666666666666667)
-  t=58.800000s ('fp1', 6, '10.0.0.0', 8.666666666666666)
-  t=58.800000s ('fp3', 2, '10.0.0.0', 17)
-pin (2557, 285, 26804, 11)
-"#;
-const WINDOWED_EPOCH: &str = r#"stored at t=16.000000s
-  node 1 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 1 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 1 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 1 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-  node 1 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 1 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 1 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 14 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-stored at t=24.000000s
-  node 1 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 1 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 1 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 1 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-  node 1 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 1 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 1 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 14 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 14 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-stored at t=36.000000s
-  node 1 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=53.600000s
-  node 1 iid 3: ('fp0') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 12.0, n: 1 }] 56 B, expires t=53.600000s
-  node 1 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=53.700000s
-  node 1 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=53.600000s
-  node 1 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=53.600000s
-  node 1 iid 3: ('fp2') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 14.0, n: 1 }] 56 B, expires t=53.600000s
-  node 1 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=53.500000s
-  node 1 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=53.700000s
-  node 1 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=53.600000s
-  node 10 iid 5: ('fp3') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 15.0, n: 1 }] 56 B, expires t=53.600000s
-  node 14 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=53.500000s
-  node 14 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=53.600000s
-  node 14 iid 15: ('fp1') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 13.0, n: 1 }] 56 B, expires t=53.400000s
-  node 14 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=53.700000s
-stored at t=56.000000s
-  node 1 iid 11: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 16.0, n: 1 }] 56 B, expires t=73.500000s
-  node 1 iid 1: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 18.0, n: 1 }] 56 B, expires t=73.700000s
-  node 10 iid 12: ('fp3') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 19.0, n: 1 }] 56 B, expires t=73.600000s
-  node 14 iid 15: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 17.0, n: 1 }] 56 B, expires t=73.400000s
-results
-  t=18.600000s ('fp1', 4, '10.0.0.0', 5.5)
-  t=18.800000s ('fp0', 4, '10.0.0.0', 4.5)
-  t=18.800000s ('fp2', 4, '10.0.0.0', 6.5)
-  t=38.600000s ('fp1', 5, '10.0.0.0', 7)
-  t=38.700000s ('fp3', 1, '10.0.0.0', 15)
-  t=38.800000s ('fp0', 5, '10.0.0.0', 6)
-  t=38.800000s ('fp2', 5, '10.0.0.0', 8)
-  t=58.600000s ('fp1', 1, '10.0.0.2', 17)
-  t=58.700000s ('fp3', 1, '10.0.0.4', 19)
-  t=58.800000s ('fp0', 1, '10.0.0.1', 16)
-  t=58.800000s ('fp2', 1, '10.0.0.3', 18)
-pin (2487, 215, 21107, 11)
-"#;
-const HIERARCHICAL_EPOCH: &str = r#"stored at t=16.000000s
-stored at t=24.000000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=23.085714s ('fp0', 4, '10.0.0.0', 4.5)
-  t=23.085714s ('fp1', 4, '10.0.0.0', 5.5)
-  t=23.085714s ('fp2', 4, '10.0.0.0', 6.5)
-  t=43.085714s ('fp0', 5, '10.0.0.0', 6)
-  t=43.085714s ('fp1', 5, '10.0.0.0', 7)
-  t=43.085714s ('fp2', 5, '10.0.0.0', 8)
-  t=43.085714s ('fp3', 1, '10.0.0.0', 15)
-  t=63.085714s ('fp0', 6, '10.0.0.0', 7.666666666666667)
-  t=63.085714s ('fp1', 6, '10.0.0.0', 8.666666666666666)
-  t=63.085714s ('fp2', 6, '10.0.0.0', 9.666666666666666)
-  t=63.085714s ('fp3', 2, '10.0.0.0', 17)
-pin (2403, 179, 18896, 11)
-"#;
-const JOIN_ONE_SHOT: &str = r#"stored at t=16.000000s
-stored at t=24.000000s
-  node 5 iid 7: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=98.500000s
-  node 5 iid 11: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=98.500000s
-  node 5 iid 12: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=98.600000s
-  node 5 iid 14: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=98.500000s
-  node 9 iid 11: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=98.500000s
-  node 9 iid 7: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=98.500000s
-  node 9 iid 14: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=98.500000s
-  node 9 iid 0: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=98.800000s
-  node 11 iid 7: ('fp1') [Count(1), SumF(1.0)] 35 B, expires t=98.500000s
-  node 11 iid 14: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=98.500000s
-  node 11 iid 12: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=98.600000s
-  node 11 iid 0: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=98.800000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=28.600000s ('fp1', 4, 8)
-  t=28.700000s ('fp0', 4, 6)
-  t=28.700000s ('fp2', 4, 7)
-pin (2434, 226, 22274, 3)
-"#;
-const HAVING_EPOCH: &str = r#"stored at t=16.000000s
-  node 9 iid 13: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.500000s
-  node 9 iid 3: ('fp1') [Count(2), SumF(4.0)] 35 B, expires t=33.600000s
-  node 9 iid 6: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 10 iid 3: ('fp2') [Count(2), SumF(4.0)] 35 B, expires t=33.600000s
-  node 10 iid 6: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 10 iid 4: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.700000s
-  node 11 iid 3: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
-  node 11 iid 13: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.500000s
-  node 11 iid 6: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 11 iid 4: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.700000s
-stored at t=24.000000s
-  node 9 iid 13: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.500000s
-  node 9 iid 3: ('fp1') [Count(2), SumF(4.0)] 35 B, expires t=33.600000s
-  node 9 iid 6: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 10 iid 3: ('fp2') [Count(2), SumF(4.0)] 35 B, expires t=33.600000s
-  node 10 iid 6: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 10 iid 4: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.700000s
-  node 11 iid 3: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
-  node 11 iid 13: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.500000s
-  node 11 iid 6: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 11 iid 4: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.700000s
-stored at t=36.000000s
-  node 9 iid 3: ('fp1') [Count(2), SumF(4.0)] 35 B, expires t=53.600000s
-  node 9 iid 13: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=53.500000s
-  node 9 iid 4: ('fp1') [Count(1), SumF(1.0)] 35 B, expires t=53.700000s
-  node 9 iid 6: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 10 iid 3: ('fp2') [Count(2), SumF(4.0)] 35 B, expires t=53.600000s
-  node 10 iid 6: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 10 iid 13: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=53.500000s
-  node 10 iid 4: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=53.700000s
-  node 10 iid 3: ('fp3') [Count(1), SumF(1.0)] 35 B, expires t=53.600000s
-  node 11 iid 3: ('fp0') [Count(2), SumF(4.0)] 35 B, expires t=53.600000s
-  node 11 iid 13: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=53.500000s
-  node 11 iid 6: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 11 iid 4: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=53.700000s
-stored at t=56.000000s
-  node 9 iid 3: ('fp1') [Count(3), SumF(7.0)] 35 B, expires t=73.600000s
-  node 9 iid 13: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=73.500000s
-  node 9 iid 4: ('fp1') [Count(1), SumF(1.0)] 35 B, expires t=73.700000s
-  node 9 iid 6: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=73.600000s
-  node 10 iid 3: ('fp2') [Count(2), SumF(4.0)] 35 B, expires t=73.600000s
-  node 10 iid 6: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=73.600000s
-  node 10 iid 13: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=73.500000s
-  node 10 iid 4: ('fp2') [Count(2), SumF(2.0)] 35 B, expires t=73.700000s
-  node 10 iid 3: ('fp3') [Count(1), SumF(1.0)] 35 B, expires t=73.600000s
-  node 10 iid 13: ('fp3') [Count(1), SumF(2.0)] 35 B, expires t=73.500000s
-  node 11 iid 3: ('fp0') [Count(2), SumF(4.0)] 35 B, expires t=73.600000s
-  node 11 iid 13: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=73.500000s
-  node 11 iid 6: ('fp0') [Count(2), SumF(4.0)] 35 B, expires t=73.600000s
-  node 11 iid 4: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=73.700000s
-results
-  t=18.700000s ('fp1', 32)
-  t=18.700000s ('fp2', 28)
-  t=38.600000s ('fp0', 45)
-  t=38.700000s ('fp1', 45)
-  t=38.700000s ('fp2', 45)
-  t=58.600000s ('fp0', 66)
-  t=58.700000s ('fp1', 72)
-  t=58.700000s ('fp2', 60)
-pin (2647, 375, 34749, 8)
-"#;
-const HIERARCHICAL_WINDOWED_EPOCH: &str = r#"stored at t=16.000000s
-stored at t=24.000000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=23.085714s ('fp0', 4, '10.0.0.0', 4.5)
-  t=23.085714s ('fp1', 4, '10.0.0.0', 5.5)
-  t=23.085714s ('fp2', 4, '10.0.0.0', 6.5)
-  t=43.085714s ('fp0', 5, '10.0.0.0', 6)
-  t=43.085714s ('fp1', 5, '10.0.0.0', 7)
-  t=43.085714s ('fp2', 5, '10.0.0.0', 8)
-  t=43.085714s ('fp3', 1, '10.0.0.0', 15)
-  t=63.085714s ('fp0', 1, '10.0.0.1', 16)
-  t=63.085714s ('fp1', 1, '10.0.0.2', 17)
-  t=63.085714s ('fp2', 1, '10.0.0.3', 18)
-  t=63.085714s ('fp3', 1, '10.0.0.4', 19)
-pin (2387, 163, 17264, 11)
-"#;
-const WINDOWED_JOIN_EPOCH: &str = r#"stored at t=16.000000s
-  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
-  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
-  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
-  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
-  node 12 iid 3: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
-  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
-  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
-stored at t=24.000000s
-  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
-  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
-  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=33.500000s
-  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
-  node 12 iid 3: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=33.600000s
-  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=33.600000s
-  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=33.600000s
-  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=33.800000s
-stored at t=36.000000s
-  node 3 iid 3: ('fp3') [Count(1), SumF(1.0)] 35 B, expires t=53.600000s
-  node 4 iid 5: ('fp1') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 4 iid 13: ('fp1') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
-  node 4 iid 0: ('fp1') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
-  node 4 iid 3: ('fp1') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
-  node 12 iid 5: ('fp2') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 12 iid 13: ('fp2') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
-  node 12 iid 0: ('fp2') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
-  node 12 iid 3: ('fp2') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
-  node 13 iid 5: ('fp0') [Count(1), SumF(2.0)] 35 B, expires t=53.600000s
-  node 13 iid 13: ('fp0') [Count(1), SumF(3.0)] 35 B, expires t=53.500000s
-  node 13 iid 3: ('fp0') [Count(2), SumF(3.0)] 35 B, expires t=53.600000s
-  node 13 iid 0: ('fp0') [Count(1), SumF(1.0)] 35 B, expires t=53.800000s
-stored at t=56.000000s
-results
-  t=18.600000s ('fp0', 4, 6)
-  t=18.700000s ('fp2', 4, 7)
-  t=18.800000s ('fp1', 4, 8)
-  t=38.600000s ('fp0', 5, 9)
-  t=38.700000s ('fp3', 1, 1)
-  t=38.700000s ('fp2', 5, 9)
-  t=38.800000s ('fp1', 5, 9)
-pin (2583, 311, 29279, 7)
-"#;
-const HIERARCHICAL_ONE_SHOT: &str = r#"stored at t=16.000000s
-stored at t=24.000000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=23.085714s ('fp0', 4, '10.0.0.0', 4.5)
-  t=23.085714s ('fp1', 4, '10.0.0.0', 5.5)
-  t=23.085714s ('fp2', 4, '10.0.0.0', 6.5)
-pin (2319, 127, 13440, 3)
-"#;
-const SHORT_WINDOW_EPOCH: &str = r#"stored at t=16.000000s
-  node 4 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 4 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 4 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 7 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 7 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 7 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-  node 8 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 8 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 8 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 8 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-stored at t=24.000000s
-  node 4 iid 4: ('fp0') [Count(1), Min(Some(Str("10.0.0.4"))), Avg { sum: 9.0, n: 1 }] 56 B, expires t=33.700000s
-  node 4 iid 5: ('fp0') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 3.0, n: 2 }] 56 B, expires t=33.600000s
-  node 4 iid 10: ('fp0') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 6.0, n: 1 }] 56 B, expires t=33.600000s
-  node 7 iid 14: ('fp1') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 1.0, n: 1 }] 56 B, expires t=33.500000s
-  node 7 iid 10: ('fp1') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 7.0, n: 1 }] 56 B, expires t=33.600000s
-  node 7 iid 8: ('fp1') [Count(2), Min(Some(Str("10.0.0.0"))), Avg { sum: 14.0, n: 2 }] 56 B, expires t=33.700000s
-  node 8 iid 10: ('fp2') [Count(1), Min(Some(Str("10.0.0.2"))), Avg { sum: 2.0, n: 1 }] 56 B, expires t=33.600000s
-  node 8 iid 11: ('fp2') [Count(1), Min(Some(Str("10.0.0.1"))), Avg { sum: 11.0, n: 1 }] 56 B, expires t=33.500000s
-  node 8 iid 4: ('fp2') [Count(1), Min(Some(Str("10.0.0.3"))), Avg { sum: 8.0, n: 1 }] 56 B, expires t=33.700000s
-  node 8 iid 5: ('fp2') [Count(1), Min(Some(Str("10.0.0.0"))), Avg { sum: 5.0, n: 1 }] 56 B, expires t=33.600000s
-stored at t=36.000000s
-stored at t=56.000000s
-results
-  t=18.600000s ('fp1', 4, '10.0.0.0', 5.5)
-  t=18.800000s ('fp0', 4, '10.0.0.0', 4.5)
-  t=18.800000s ('fp2', 4, '10.0.0.0', 6.5)
-pin (2422, 150, 15269, 3)
-"#;

@@ -7,6 +7,10 @@
 //!
 //! A moved line here is a semantics change: name what moved it.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 mod common;
 
 use proptest::prelude::*;
@@ -21,6 +25,7 @@ use pier_core::expr::{BinOp, Expr, Func};
 use pier_core::{Tuple, Value};
 
 use common::{random_expr, random_tuple};
+use pin::Fnv;
 
 fn show_row(t: &Tuple) -> String {
     let vals: Vec<String> = t.vals.iter().map(|v| format!("{v:?}")).collect();
@@ -35,61 +40,20 @@ fn case(seed: u64) -> String {
     format!("{e} @ {} => {:?}", show_row(&t), e.eval(&t))
 }
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
-/// Seeds 0..32, in full.
-const TABLE: [&str; 32] = [
-    "#3 @ [I64(3), F64(1e18), F64(1.0), F64(-1e18), I64(3), Str(\"a\")] => F64(-1e18)",
-    "NOT (('ab' Or NOT (#0))) @ [Str(\"\"), I64(9007199254740991), I64(-2305843009213693952), Bool(false), I64(9007199254740992)] => Bool(false)",
-    "Max(((#4 Ge <pad:1000>) Gt (#2 And #5)), #5, #3) @ [F64(9007199254740994.0), I64(100), F64(7.0)] => Bool(false)",
-    "(WorkloadF(#4, #1, #0) Eq WorkloadF()) @ [I64(-2305843009213693952)] => Bool(true)",
-    "('sig-0001' Gt NOT ((#6 Ne #5))) @ [I64(9007199254740991)] => Bool(true)",
-    "((WorkloadF() Lt (#5 Mod 'é')) Add NOT (Abs())) @ [I64(-2305843009213693952), Str(\"sig-0002\"), F64(9007199254740994.0), F64(7.0), I64(1), Bool(true)] => F64(1.0)",
-    "NOT ((Abs(#2) Add (#2 Mod #6))) @ [Pad(1000), F64(-0.0), F64(2.5), I64(7), I64(1), Str(\"ab\")] => Bool(true)",
-    "(0 Sub ((#0 Gt #3) Lt NOT (#2))) @ [I64(-1), Str(\"sig-0001\"), F64(0.0), F64(9007199254740994.0), Str(\"a\"), Str(\"a\")] => F64(-1.0)",
-    "WorkloadF(#4, 0, #1) @ [I64(2), F64(9007199254740994.0), Null] => Null",
-    "Abs(#3, (('é' Le #3) Ne Abs(#2))) @ [Null, I64(100), Bool(false), I64(1), Bool(true)] => I64(1)",
-    "(((#1 Gt #2) Mod (#5 Gt <pad:8>)) Le (NOT (#5) And Min())) @ [F64(2.5), F64(9007199254740992.0), Str(\"é\"), I64(1), F64(2.5), Bool(true)] => Bool(true)",
-    "#2 @ [] => Null",
-    "NOT ((Abs(#1, 9007199254740994) Add (#1 Add #3))) @ [Str(\"é\"), F64(0.0), Bool(false), F64(7.0), I64(-40)] => Bool(false)",
-    "(#6 Mod #1) @ [I64(0), F64(-1e18), I64(3), I64(-2305843009213693952), Pad(8), F64(-0.5)] => Null",
-    "NOT (NOT ((#6 Eq #5))) @ [Bool(true)] => Bool(true)",
-    "Abs() @ [I64(3)] => Null",
-    "Abs(0) @ [F64(9007199254740992.0), Null, I64(-40), F64(-0.5), Null] => I64(0)",
-    "(Abs() Ne (#4 Ne (#1 Mod #0))) @ [F64(1e18), I64(2), Pad(1000), Str(\"ab\"), I64(9007199254740993), Bool(true)] => Bool(true)",
-    "Abs(((#0 Mod NULL) Le (#5 Ne #5)), #3) @ [Bool(false), I64(-40), Pad(0), Str(\"\"), I64(-1), I64(3)] => Null",
-    "#4 @ [Bool(false), F64(-1e18), F64(-0.0), F64(9007199254740994.0), I64(0), Null] => I64(0)",
-    "(Min(#6, Abs(#1)) Mul Min(Min(NULL, 9007199254740991))) @ [] => Null",
-    "(-0 And WorkloadF(-0)) @ [I64(1), Str(\"é\"), F64(-0.0), I64(-1), F64(3.0), I64(1)] => Bool(false)",
-    "(Max((#4 Ge #2), #6, #2) And #5) @ [Pad(8), Str(\"sig-0002\"), I64(2), I64(100), Null, F64(-0.0)] => Bool(false)",
-    "(Abs((#6 Le #3), #6) Add WorkloadF()) @ [F64(0.0), F64(NaN), I64(100), I64(9007199254740992), Str(\"\"), I64(9007199254740992)] => Null",
-    "Abs() @ [I64(3)] => Null",
-    "(((#0 Le #0) Ne (#6 Ne -2305843009213693952)) Eq ((#3 And #3) Gt (#1 Mod #5))) @ [] => Bool(false)",
-    "(Max(#6, #2) Eq Max((#6 Ge 0), NOT (#6))) @ [F64(-1e18), F64(1e18), I64(9007199254740991), I64(100), Str(\"日本\"), Null] => Bool(false)",
-    "(((#6 Or #5) Or Abs(#4, #4)) Div (#6 Add (9007199254740992 Mod #6))) @ [] => Null",
-    "NOT ((NOT ('日本') Gt ('ab' Add #3))) @ [] => Bool(false)",
-    "Abs(NOT ((#3 Div #3)), (NOT (#5) Mul 'a')) @ [Pad(0), Pad(0), F64(-1e18), Null, I64(3), Bool(true)] => Null",
-    "((#2 Div (#1 Or #5)) Eq 'sig-0002') @ [Null, Bool(false), I64(2), Bool(false), I64(7), I64(-2305843009213693952)] => Bool(false)",
-    "WorkloadF(#0) @ [] => Null",
-];
-
-/// FNV-1a over the lines of seeds 0..4096.
-const DIGEST_4096: u64 = 0xb53b6a04182603de;
-
 #[test]
 fn fixed_seed_table_of_absolute_outputs() {
-    let lines: Vec<String> = (0..TABLE.len() as u64).map(case).collect();
-    for (seed, (got, want)) in lines.iter().zip(TABLE).enumerate() {
-        assert_eq!(got, want, "seed {seed}; the table now reads:\n{lines:#?}");
+    // Seeds 0..32 in full, and an FNV-1a digest of the lines of seeds
+    // 0..4096.
+    let lines: Vec<String> = (0..32).map(case).collect();
+    let mut digest = Fnv::default();
+    for seed in 0..4096 {
+        digest.bytes(case(seed).as_bytes());
+        digest.bytes(b"\n");
     }
-    let digest = (0..4096).fold(0xCBF2_9CE4_8422_2325, |h, seed| {
-        fnv1a(fnv1a(h, case(seed).as_bytes()), b"\n")
-    });
-    assert_eq!(digest, DIGEST_4096, "digest is now {digest:#018x}");
+    pin!(
+        "table", lines.join("\n");
+        "digest_4096", format!("{:#018x}", digest.finish())
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -328,80 +292,10 @@ fn zoo() -> Vec<Value> {
     ]
 }
 
-/// Row `i`, column `j`: `zoo[i] == zoo[j]`.
-const ZOO_EQ: [&str; 20] = [
-    "=...................",
-    ".=..=...=...........",
-    "..=..=..............",
-    "...=................",
-    ".=..=...=...........",
-    "..=..=..............",
-    "......==............",
-    "......==............",
-    ".=..=...=...........",
-    ".........=..........",
-    "....................",
-    "...........===......",
-    "...........===......",
-    "...........===......",
-    "..............=.....",
-    "...............=....",
-    "................=...",
-    ".................=..",
-    "..................=.",
-    "...................=",
-];
-
-/// Row `i`, column `j`: `zoo[i].cmp(&zoo[j])`.
-const ZOO_CMP: [&str; 20] = [
-    "=<<<<<<<<<<<<<<<<<<<",
-    ">=<>=<<<=<<<<<<<<<<<",
-    ">>=>>=<<>><<<<<<<<<<",
-    "><<=<<<<<<<<<<<<<<<<",
-    ">=<>=<<<=<<<<<<<<<<<",
-    ">>=>>=<<>><<<<<<<<<<",
-    ">>>>>>==>><<<<<<<<<<",
-    ">>>>>>==>><<<<<<<<<<",
-    ">=<>=<<<=<<<<<<<<<<<",
-    ">><>><<<>=<<<<<<<<<<",
-    ">>>>>>>>>>=>>><<<<<<",
-    ">>>>>>>>>><===<<<<<<",
-    ">>>>>>>>>><===<<<<<<",
-    ">>>>>>>>>><===<<<<<<",
-    ">>>>>>>>>>>>>>=<<<<<",
-    ">>>>>>>>>>>>>>>=<<<<",
-    ">>>>>>>>>>>>>>>>=<<<",
-    ">>>>>>>>>>>>>>>>>=<<",
-    ">>>>>>>>>>>>>>>>>>=<",
-    ">>>>>>>>>>>>>>>>>>>=",
-];
-
-const ZOO_HASH: [u64; 20] = [
-    0x6e756c6c,
-    0x5e41ab087439611e,
-    0x210aee97dce61845,
-    0xfc071b2cceca31ad,
-    0x64684c4f0fd784b4,
-    0x31d421fcb662c30e,
-    0xc389e93d048103a,
-    0x63708ffc1843f04b,
-    0x3f3f6af7e896b8cb,
-    0xc02556c4614fd712,
-    0xb5f10bd9b3baaa90,
-    0xc999f603b63e983c,
-    0x1d06c6a81ab59baf,
-    0xc84797501e3e196,
-    0x97d11ffdf03194f8,
-    0x4b974a915eca3cb5,
-    0x1d821b5e28c7768b,
-    0xb48bf929cdd290fd,
-    0xfad6e24671254235,
-    0x3d620131d61538c9,
-];
-
 #[test]
 fn zoo_equality_order_and_hash() {
     let zoo = zoo();
+    // Row `i`, column `j`: `zoo[i] == zoo[j]`, then `zoo[i].cmp(&zoo[j])`.
     let eq: Vec<String> = zoo
         .iter()
         .map(|a| zoo.iter().map(|b| if a == b { '=' } else { '.' }).collect())
@@ -418,10 +312,12 @@ fn zoo_equality_order_and_hash() {
                 .collect()
         })
         .collect();
-    let hash: Vec<u64> = zoo.iter().map(Value::hash64).collect();
-    assert_eq!(eq, ZOO_EQ, "now:\n{eq:#?}");
-    assert_eq!(cmp, ZOO_CMP, "now:\n{cmp:#?}");
-    assert_eq!(hash, ZOO_HASH, "now:\n{hash:#x?}");
+    let hash: Vec<String> = zoo.iter().map(|v| format!("{:#x}", v.hash64())).collect();
+    pin!(
+        "zoo_eq", eq.join("\n");
+        "zoo_cmp", cmp.join("\n");
+        "zoo_hash", hash.join("\n")
+    );
     // What the tables say, said again: `partial_cmp` is `cmp`, and
     // std's `Hash` feeds `hash64` and nothing else.
     for a in &zoo {
@@ -450,31 +346,8 @@ fn truthiness_views_and_wire_sizes_of_the_zoo() {
             )
         })
         .collect();
-    assert_eq!(shown, ZOO_VIEWS, "now:\n{shown:#?}");
+    pin!("zoo_views", shown.join("\n"));
 }
-
-const ZOO_VIEWS: [&str; 20] = [
-    "Null: false None None None 1",
-    "Bool(false): false Some(0.0) Some(0) None 1",
-    "Bool(true): true Some(1.0) Some(1) None 1",
-    "I64(-1): true Some(-1.0) Some(-1) None 8",
-    "I64(0): false Some(0.0) Some(0) None 8",
-    "I64(1): true Some(1.0) Some(1) None 8",
-    "I64(3): true Some(3.0) Some(3) None 8",
-    "F64(3.0): true Some(3.0) Some(3) None 8",
-    "F64(-0.0): false Some(-0.0) Some(0) None 8",
-    "F64(0.5): true Some(0.5) Some(0) None 8",
-    "F64(NaN): true Some(NaN) Some(0) None 8",
-    "I64(9007199254740992): true Some(9007199254740992.0) Some(9007199254740992) None 8",
-    "I64(9007199254740993): true Some(9007199254740992.0) Some(9007199254740993) None 8",
-    "F64(9007199254740992.0): true Some(9007199254740992.0) Some(9007199254740992) None 8",
-    "Str(\"\"): false None None Some(\"\") 4",
-    "Str(\"a\"): true None None Some(\"a\") 5",
-    "Str(\"ab\"): true None None Some(\"ab\") 6",
-    "Str(\"é\"): true None None Some(\"é\") 6",
-    "Pad(0): true None None None 0",
-    "Pad(8): true None None None 8",
-];
 
 // ---------------------------------------------------------------------
 // Properties over the generators

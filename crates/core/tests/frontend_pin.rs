@@ -19,6 +19,10 @@
 //! depends on this crate, so it cannot be imported here), and the table
 //! rates are the ones `pier_bench multitenant` derives from its seed.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 use pier_core::catalog::{Catalog, TableStats};
 use pier_core::optimizer::{CostParams, Objective, TableRate};
 use pier_core::plan::{JoinStrategy, QueryDesc, QueryOp};
@@ -26,13 +30,9 @@ use pier_core::planner::plan_sql;
 use pier_core::sql::{parse_continuous_query, parse_query};
 use pier_core::tenant::TenantGovernor;
 
-const SHJ: JoinStrategy = JoinStrategy::SymmetricHash;
+use pin::Fnv;
 
-fn fnv1a64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+const SHJ: JoinStrategy = JoinStrategy::SymmetricHash;
 
 /// `tables|strategy|wire_size|debug len|debug hash` of a descriptor.
 fn line(desc: &QueryDesc) -> String {
@@ -52,11 +52,13 @@ fn line(desc: &QueryDesc) -> String {
         let to = from + text[from..].find("bloom_bits: ").unwrap();
         text.replace_range(from..to, "");
     }
+    let mut h = Fnv::default();
+    h.bytes(text.as_bytes());
     format!(
         "{tables}|{strategy}|{}|{}|{:016x}",
         desc.wire_size(),
         text.len(),
-        fnv1a64(&text)
+        h.finish()
     )
 }
 
@@ -77,10 +79,6 @@ fn standing(sql: &str, catalog: &Catalog) -> String {
         ),
         Err(why) => format!("ERR {why}"),
     }
-}
-
-fn assert_lines(got: &[String], want: &[&str]) {
-    assert_eq!(got, want, "\ngot:\n{}\n", got.join("\n"));
 }
 
 /// Every ordering of three FROM items, as FROM-clause text.
@@ -113,15 +111,7 @@ fn workload_query_under_every_strategy() {
         .into_iter()
         .map(|s| one_shot(parse_query(WORKLOAD_SQL, &wl, s)))
         .collect();
-    assert_lines(
-        &got,
-        &[
-            "R,S|symmetric hash|162|534|699c66c5b5e3299b",
-            "R,S|fetch matches|162|533|b329c8c3e5bf7237",
-            "R,S|symmetric semi-join|162|538|a08981b13e59836d",
-            "R,S|bloom filter|162|532|d2d6ca8fb10caee1",
-        ],
-    );
+    pin!("workload_query_under_every_strategy", got.join("\n"));
 }
 
 #[test]
@@ -138,17 +128,7 @@ fn three_table_chain_under_every_from_order() {
             one_shot(parse_query(&sql, &wl, SHJ))
         })
         .collect();
-    assert_lines(
-        &got,
-        &[
-            "R,S,T|symmetric hash|211|690|9caf3badcdf4547d",
-            "ERR no equality join predicate connects table 'T' to the preceding tables (cross products are unsupported)",
-            "S,R,T|symmetric hash|211|690|725359f8e6cb3f2e",
-            "S,T,R|symmetric hash|211|690|db151b405363ffed",
-            "ERR no equality join predicate connects table 'R' to the preceding tables (cross products are unsupported)",
-            "T,S,R|symmetric hash|211|690|46dbf5d381a15eaf",
-        ],
-    );
+    pin!("three_table_chain_under_every_from_order", got.join("\n"));
 }
 
 #[test]
@@ -167,16 +147,9 @@ fn three_table_star_with_aggregation_under_every_from_order() {
             one_shot(parse_query(&sql, &intr, SHJ))
         })
         .collect();
-    assert_lines(
-        &got,
-        &[
-            "intrusions,advisories,reputation|symmetric hash|264|897|103ba3f608284c9f",
-            "intrusions,reputation,advisories|symmetric hash|264|897|9aa31c1017c830e1",
-            "advisories,intrusions,reputation|symmetric hash|264|897|946698a75b9490c6",
-            "ERR no equality join predicate connects table 'reputation' to the preceding tables (cross products are unsupported)",
-            "reputation,intrusions,advisories|symmetric hash|264|897|210c83b3a3ea75d5",
-            "ERR no equality join predicate connects table 'advisories' to the preceding tables (cross products are unsupported)",
-        ],
+    pin!(
+        "three_table_star_with_aggregation_under_every_from_order",
+        got.join("\n")
     );
 }
 
@@ -204,14 +177,7 @@ fn the_three_intrusion_queries() {
             JoinStrategy::SymmetricSemiJoin,
         )),
     ];
-    assert_lines(
-        &got,
-        &[
-            "intrusions|-|106|325|a0b6fc74e8d7a6ec",
-            "intrusions,reputation|symmetric hash|185|701|be1a7fc7ab83f4dd",
-            "spamGateways,robots|symmetric semi-join|125|420|dc51663fa490da9b",
-        ],
-    );
+    pin!("the_three_intrusion_queries", got.join("\n"));
 }
 
 // Verbatim from `pier_workload::intrusion`.
@@ -263,16 +229,7 @@ fn standing_tenant_queries() {
         standing(&triage_standing_sql(None, 30), &intr),
         standing(&triage_standing_sql(Some(120), 30), &intr),
     ];
-    assert_lines(
-        &got,
-        &[
-            "intrusions|-|118|345|b08b56154b690799|w=None|r=None",
-            "intrusions,advisories|symmetric hash|198|692|549e16f64bc1322f|w=None|r=Some(40.000000s)",
-            "intrusions,advisories,reputation|symmetric hash|256|858|8760285880e2960b|w=None|r=Some(40.000000s)",
-            "intrusions,advisories,reputation|symmetric hash|230|819|f4e31b1c75225f66|w=None|r=None",
-            "intrusions,advisories,reputation|symmetric hash|230|819|f4e31b1c75225f66|w=Some(120.000000s)|r=None",
-        ],
-    );
+    pin!("standing_tenant_queries", got.join("\n"));
 }
 
 /// The three tenant classes priced as `pier_bench multitenant` prices
@@ -304,10 +261,7 @@ fn tenant_class_prices() {
         price(tenant_severity_sql(1, 30, 40)),
         price(tenant_count_sql(3, 30)),
     ];
-    assert_lines(
-        &got,
-        &["405af82fc962fc96", "4049588888888889", "40235dddddddddde"],
-    );
+    pin!("tenant_class_prices", got.join("\n"));
 }
 
 /// R huge and 1 KB wide, S medium, T small — the statistics of
@@ -339,17 +293,8 @@ fn cost_based_plans_under_both_objectives_and_two_catalogs() {
             }
         }
     }
-    assert_lines(
-        &got,
-        &[
-            "R,S|symmetric hash|162|534|699c66c5b5e3299b",
-            "R,S|fetch matches|162|533|b329c8c3e5bf7237",
-            "R,S,T|symmetric hash|211|690|9caf3badcdf4547d",
-            "R,S,T|symmetric hash|211|690|9caf3badcdf4547d",
-            "R,S|symmetric hash|162|534|699c66c5b5e3299b",
-            "R,S|fetch matches|162|533|b329c8c3e5bf7237",
-            "T,S,R|symmetric hash|211|690|46dbf5d381a15eaf",
-            "T,S,R|symmetric hash|211|690|46dbf5d381a15eaf",
-        ],
+    pin!(
+        "cost_based_plans_under_both_objectives_and_two_catalogs",
+        got.join("\n")
     );
 }

@@ -20,6 +20,10 @@
 //! here pins the order an aggregate folds its rows in. Every group
 //! column holds one value kind.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 use std::collections::BTreeMap;
 
 use pier_core::expr::Expr;
@@ -126,85 +130,10 @@ fn text(rows: &[Tuple]) -> String {
     rows.iter().map(|r| format!("{:?}\n", r.vals)).collect()
 }
 
-const JOIN: &str = r#"[I64(0), I64(9007199254740991), I64(9007199254740991), I64(119), I64(19)]
-[I64(1), I64(9007199254740992), F64(9007199254740992.0), I64(116), I64(16)]
-[I64(1), I64(9007199254740992), I64(9007199254740993), I64(117), I64(17)]
-[I64(1), I64(9007199254740992), I64(9007199254740992), I64(118), I64(-1)]
-[I64(2), I64(9007199254740993), F64(9007199254740992.0), I64(116), I64(16)]
-[I64(2), I64(9007199254740993), I64(9007199254740993), I64(117), I64(17)]
-[I64(2), I64(9007199254740993), I64(9007199254740992), I64(118), I64(-1)]
-[I64(3), F64(9007199254740992.0), F64(9007199254740992.0), I64(116), I64(16)]
-[I64(3), F64(9007199254740992.0), I64(9007199254740993), I64(117), I64(17)]
-[I64(3), F64(9007199254740992.0), I64(9007199254740992), I64(118), I64(-1)]
-[I64(4), F64(0.0), Bool(false), I64(112), I64(-1)]
-[I64(4), F64(0.0), I64(0), I64(113), I64(13)]
-[I64(4), F64(0.0), F64(-0.0), I64(114), I64(14)]
-[I64(4), F64(0.0), F64(0.0), I64(115), I64(-1)]
-[I64(5), F64(-0.0), Bool(false), I64(112), I64(-1)]
-[I64(5), F64(-0.0), I64(0), I64(113), I64(13)]
-[I64(5), F64(-0.0), F64(-0.0), I64(114), I64(14)]
-[I64(5), F64(-0.0), F64(0.0), I64(115), I64(-1)]
-[I64(6), I64(0), Bool(false), I64(112), I64(-1)]
-[I64(6), I64(0), I64(0), I64(113), I64(13)]
-[I64(6), I64(0), F64(-0.0), I64(114), I64(14)]
-[I64(6), I64(0), F64(0.0), I64(115), I64(-1)]
-[I64(7), Bool(false), Bool(false), I64(112), I64(-1)]
-[I64(7), Bool(false), I64(0), I64(113), I64(13)]
-[I64(7), Bool(false), F64(-0.0), I64(114), I64(14)]
-[I64(7), Bool(false), F64(0.0), I64(115), I64(-1)]
-[I64(8), Bool(true), I64(1), I64(109), I64(-1)]
-[I64(8), Bool(true), F64(1.0), I64(110), I64(10)]
-[I64(8), Bool(true), Bool(true), I64(111), I64(11)]
-[I64(8), Bool(true), Bool(true), I64(120), I64(5)]
-[I64(9), F64(1.0), I64(1), I64(109), I64(-1)]
-[I64(9), F64(1.0), F64(1.0), I64(110), I64(10)]
-[I64(9), F64(1.0), Bool(true), I64(111), I64(11)]
-[I64(9), F64(1.0), Bool(true), I64(120), I64(5)]
-[I64(10), I64(1), I64(1), I64(109), I64(-1)]
-[I64(10), I64(1), F64(1.0), I64(110), I64(10)]
-[I64(10), I64(1), Bool(true), I64(111), I64(11)]
-[I64(10), I64(1), Bool(true), I64(120), I64(5)]
-[I64(12), Null, Null, I64(107), I64(7)]
-[I64(12), Null, Null, I64(121), I64(7)]
-[I64(13), Str(""), Str(""), I64(106), I64(-1)]
-[I64(14), Str("é"), Str("é"), I64(105), I64(5)]
-[I64(15), Str("日本"), Str("日本"), I64(104), I64(4)]
-[I64(16), Str("a"), Str("a"), I64(103), I64(-1)]
-[I64(17), Pad(0), Pad(0), I64(102), I64(2)]
-[I64(18), Pad(8), Pad(8), I64(101), I64(1)]
-[I64(19), I64(-1), I64(-1), I64(100), I64(-1)]
-[I64(20), F64(-0.0), Bool(false), I64(112), I64(-1)]
-[I64(20), F64(-0.0), I64(0), I64(113), I64(13)]
-[I64(20), F64(-0.0), F64(-0.0), I64(114), I64(14)]
-[I64(20), F64(-0.0), F64(0.0), I64(115), I64(-1)]
-[I64(21), Str(""), Str(""), I64(106), I64(-1)]
-"#;
-
-const MULTIJOIN: &str = r#"[I64(8), I64(120), I64(5), Str("five")]
-[I64(9), I64(120), I64(5), Str("five")]
-[I64(10), I64(120), I64(5), Str("five")]
-[I64(12), I64(107), I64(7), Str("seven")]
-[I64(12), I64(121), I64(7), Str("seven")]
-[I64(14), I64(105), I64(5), Str("five")]
-[I64(15), I64(104), I64(4), Str("four")]
-[I64(17), I64(102), F64(2.0), Str("two")]
-[I64(18), I64(101), Bool(true), Str("one")]
-"#;
-
-const WINDOWED: &str = r#"[I64(10), I64(1), I64(1), I64(109), I64(-1)]
-[I64(12), Null, Null, I64(107), I64(7)]
-[I64(13), Str(""), Str(""), I64(106), I64(-1)]
-[I64(14), Str("é"), Str("é"), I64(105), I64(5)]
-[I64(15), Str("日本"), Str("日本"), I64(104), I64(4)]
-[I64(20), F64(-0.0), Bool(false), I64(112), I64(-1)]
-[I64(20), F64(-0.0), I64(0), I64(113), I64(13)]
-[I64(20), F64(-0.0), F64(-0.0), I64(114), I64(14)]
-"#;
-
 #[test]
 fn reference_join_in_order() {
     let now = text(&reference_join(&two_table(), &left(), &right()));
-    assert_eq!(now, JOIN, "now:\n{now}");
+    pin!("reference_join_in_order", now);
 }
 
 #[test]
@@ -232,7 +161,7 @@ fn reference_multijoin_in_order() {
         ("C".to_string(), third()),
     ]);
     let now = text(&reference_multijoin(&m, &tables));
-    assert_eq!(now, MULTIJOIN, "now:\n{now}");
+    pin!("reference_multijoin_in_order", now);
 }
 
 #[test]
@@ -255,7 +184,7 @@ fn reference_windowed_join_in_order() {
         &r,
         Dur::from_secs(9),
     ));
-    assert_eq!(now, WINDOWED, "now:\n{now}");
+    pin!("reference_windowed_join_in_order", now);
 }
 
 /// `E(id, grp, x)`, `D(grp, sev)` and `T(sev, tag)` with their
@@ -433,7 +362,7 @@ fn epoch_oracles_per_epoch() {
             now += &epochs_text(&format!("{name} {mode} instants"), &by_instant);
         }
     }
-    assert_eq!(now, EPOCHS, "now:\n{now}");
+    pin!("epoch_oracles_per_epoch", now);
 }
 
 #[test]
@@ -446,442 +375,5 @@ fn reference_eval_over_whole_tables() {
         .iter()
         .map(|(name, op)| format!("{name}\n{}", sorted(&reference_eval(op, &tables))))
         .collect();
-    assert_eq!(now, EVAL, "now:\n{now}");
+    pin!("reference_eval_over_whole_tables", now);
 }
-
-const EPOCHS: &str = r#"scan running epochs @0
-[I64(0), Str("a"), F64(1e16)]
-[I64(11), Str("c"), F64(6.0)]
-scan running epochs @1
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan running epochs @2
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan running epochs @3
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan running epochs @4
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan running epochs @5
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(10), Str("a"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan running instants @0
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan running instants @1
-[I64(0), Str("a"), F64(1e16)]
-[I64(11), Str("c"), F64(6.0)]
-scan running instants @2
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan running instants @3
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan running instants @4
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(10), Str("a"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan running instants @5
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan windowed epochs @0
-[I64(0), Str("a"), F64(1e16)]
-[I64(11), Str("c"), F64(6.0)]
-scan windowed epochs @1
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan windowed epochs @2
-scan windowed epochs @3
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan windowed epochs @4
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-scan windowed epochs @5
-[I64(10), Str("a"), F64(2.0)]
-scan windowed instants @0
-scan windowed instants @1
-[I64(0), Str("a"), F64(1e16)]
-[I64(11), Str("c"), F64(6.0)]
-scan windowed instants @2
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan windowed instants @3
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-scan windowed instants @4
-[I64(10), Str("a"), F64(2.0)]
-scan windowed instants @5
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-agg running epochs @0
-[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
-[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
-agg running epochs @1
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg running epochs @2
-[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
-[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg running epochs @3
-[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
-[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
-[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg running epochs @4
-[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
-[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
-[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg running epochs @5
-[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
-[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
-[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg running instants @0
-[Str("a"), I64(4), F64(0.5), F64(-1e16), F64(1e16), F64(0.125)]
-[Str("b"), I64(2), F64(-5.25), F64(-7.25), F64(2.0), F64(-2.625)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg running instants @1
-[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
-[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
-agg running instants @2
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg running instants @3
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg running instants @4
-[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
-[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
-[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg running instants @5
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg windowed epochs @0
-[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
-[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
-agg windowed epochs @1
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg windowed epochs @2
-[Str("a"), I64(2), F64(-1e16), F64(-1e16), F64(0.5), F64(-5000000000000000.0)]
-[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
-agg windowed epochs @3
-[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
-[Str("c"), I64(1), I64(1), F64(1.0), F64(1.0), F64(1.0)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg windowed epochs @4
-[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
-[Str("c"), I64(1), I64(1), F64(1.0), F64(1.0), F64(1.0)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-agg windowed epochs @5
-[Str("a"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
-agg windowed instants @0
-[Str("a"), I64(2), F64(-1e16), F64(-1e16), F64(0.5), F64(-5000000000000000.0)]
-[Str("b"), I64(1), F64(-7.25), F64(-7.25), F64(-7.25), F64(-7.25)]
-agg windowed instants @1
-[Str("a"), I64(1), F64(1e16), F64(1e16), F64(1e16), F64(1e16)]
-[Str("c"), I64(1), I64(6), F64(6.0), F64(6.0), F64(6.0)]
-agg windowed instants @2
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg windowed instants @3
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-agg windowed instants @4
-[Str("a"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("b"), I64(1), F64(0.125), F64(0.125), F64(0.125), F64(0.125)]
-agg windowed instants @5
-[Str("a"), I64(2), F64(1e16), F64(1.0), F64(1e16), F64(5000000000000000.0)]
-[Str("b"), I64(1), I64(2), F64(2.0), F64(2.0), F64(2.0)]
-[Str("c"), I64(2), F64(9.5), F64(3.5), F64(6.0), F64(4.75)]
-join2 running epochs @0
-[Str("a"), I64(1), I64(3), F64(1e16)]
-join2 running epochs @1
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 running epochs @2
-[Str("a"), I64(4), I64(3), F64(0.5)]
-[Str("b"), I64(2), I64(5), F64(-5.25)]
-join2 running epochs @3
-[Str("a"), I64(4), I64(3), F64(0.5)]
-[Str("b"), I64(2), I64(5), F64(-5.25)]
-[Str("c"), I64(3), I64(1), F64(10.5)]
-join2 running epochs @4
-[Str("a"), I64(8), I64(7), I64(1)]
-[Str("b"), I64(3), I64(5), F64(-5.125)]
-[Str("c"), I64(3), I64(1), F64(10.5)]
-join2 running epochs @5
-[Str("a"), I64(10), I64(7), I64(5)]
-[Str("b"), I64(3), I64(5), F64(-5.125)]
-[Str("c"), I64(3), I64(1), F64(10.5)]
-join2 running instants @0
-[Str("a"), I64(4), I64(3), F64(0.5)]
-[Str("b"), I64(2), I64(5), F64(-5.25)]
-[Str("c"), I64(2), I64(1), F64(9.5)]
-join2 running instants @1
-[Str("a"), I64(1), I64(3), F64(1e16)]
-join2 running instants @2
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 running instants @3
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 running instants @4
-[Str("a"), I64(10), I64(7), I64(5)]
-[Str("b"), I64(3), I64(5), F64(-5.125)]
-[Str("c"), I64(3), I64(1), F64(10.5)]
-join2 running instants @5
-[Str("a"), I64(2), I64(3), F64(1e16)]
-join2 windowed epochs @0
-[Str("a"), I64(1), I64(3), F64(1e16)]
-join2 windowed epochs @1
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 windowed epochs @2
-[Str("b"), I64(1), I64(5), F64(-7.25)]
-join2 windowed epochs @3
-[Str("c"), I64(1), I64(1), I64(1)]
-join2 windowed epochs @4
-join2 windowed epochs @5
-join2 windowed instants @0
-join2 windowed instants @1
-[Str("a"), I64(1), I64(3), F64(1e16)]
-join2 windowed instants @2
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 windowed instants @3
-[Str("a"), I64(2), I64(3), F64(1e16)]
-[Str("b"), I64(1), I64(5), I64(2)]
-join2 windowed instants @4
-[Str("a"), I64(1), I64(7), I64(2)]
-join2 windowed instants @5
-[Str("a"), I64(2), I64(3), F64(1e16)]
-join3 running epochs @0
-[Str("low"), I64(1), F64(1e16)]
-join3 running epochs @1
-[Str("low"), I64(2), F64(1e16)]
-join3 running epochs @2
-[Str("low"), I64(4), F64(0.5)]
-[Str("mid"), I64(2), F64(-5.25)]
-join3 running epochs @3
-[Str("low"), I64(4), F64(0.5)]
-[Str("mid"), I64(2), F64(-5.25)]
-[Str("min"), I64(3), F64(10.5)]
-join3 running epochs @4
-[Str("high"), I64(4), F64(0.5)]
-[Str("low"), I64(4), F64(0.5)]
-[Str("mid"), I64(3), F64(-5.125)]
-[Str("mid2"), I64(3), F64(-5.125)]
-[Str("min"), I64(3), F64(10.5)]
-join3 running epochs @5
-[Str("high"), I64(5), F64(2.5)]
-[Str("low"), I64(5), F64(2.5)]
-[Str("mid"), I64(3), F64(-5.125)]
-[Str("mid2"), I64(3), F64(-5.125)]
-[Str("min"), I64(3), F64(10.5)]
-join3 running instants @0
-[Str("low"), I64(4), F64(0.5)]
-[Str("mid"), I64(2), F64(-5.25)]
-[Str("min"), I64(2), F64(9.5)]
-join3 running instants @1
-[Str("low"), I64(1), F64(1e16)]
-join3 running instants @2
-[Str("low"), I64(2), F64(1e16)]
-join3 running instants @3
-[Str("low"), I64(2), F64(1e16)]
-join3 running instants @4
-[Str("high"), I64(5), F64(2.5)]
-[Str("low"), I64(5), F64(2.5)]
-[Str("mid"), I64(3), F64(-5.125)]
-[Str("mid2"), I64(3), F64(-5.125)]
-[Str("min"), I64(3), F64(10.5)]
-join3 running instants @5
-[Str("low"), I64(2), F64(1e16)]
-join3 windowed epochs @0
-[Str("low"), I64(1), F64(1e16)]
-join3 windowed epochs @1
-[Str("low"), I64(2), F64(1e16)]
-join3 windowed epochs @2
-[Str("mid"), I64(1), F64(-7.25)]
-join3 windowed epochs @3
-[Str("min"), I64(1), I64(1)]
-join3 windowed epochs @4
-join3 windowed epochs @5
-join3 windowed instants @0
-join3 windowed instants @1
-[Str("low"), I64(1), F64(1e16)]
-join3 windowed instants @2
-[Str("low"), I64(2), F64(1e16)]
-join3 windowed instants @3
-[Str("low"), I64(2), F64(1e16)]
-join3 windowed instants @4
-join3 windowed instants @5
-[Str("low"), I64(2), F64(1e16)]
-self_join running epochs @0
-[Str("a"), I64(1), F64(1e16)]
-self_join running epochs @1
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join running epochs @2
-[Str("a"), I64(9), I64(0)]
-[Str("b"), I64(2), F64(-5.25)]
-[Str("c"), I64(2), I64(7)]
-self_join running epochs @3
-[Str("a"), I64(9), I64(0)]
-[Str("b"), I64(2), F64(-5.25)]
-[Str("c"), I64(3), F64(10.5)]
-self_join running epochs @4
-[Str("a"), I64(9), I64(0)]
-[Str("b"), I64(4), F64(-10.5)]
-[Str("c"), I64(3), F64(10.5)]
-self_join running epochs @5
-[Str("a"), I64(12), I64(0)]
-[Str("b"), I64(4), F64(-10.5)]
-[Str("c"), I64(3), F64(10.5)]
-self_join running instants @0
-[Str("a"), I64(9), I64(0)]
-[Str("b"), I64(2), F64(-5.25)]
-[Str("c"), I64(2), I64(7)]
-self_join running instants @1
-[Str("a"), I64(1), F64(1e16)]
-self_join running instants @2
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join running instants @3
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join running instants @4
-[Str("a"), I64(12), I64(0)]
-[Str("b"), I64(4), F64(-10.5)]
-[Str("c"), I64(3), F64(10.5)]
-self_join running instants @5
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join windowed epochs @0
-[Str("a"), I64(1), F64(1e16)]
-self_join windowed epochs @1
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join windowed epochs @2
-[Str("a"), I64(1), F64(-1e16)]
-self_join windowed epochs @3
-self_join windowed epochs @4
-self_join windowed epochs @5
-self_join windowed instants @0
-[Str("a"), I64(1), F64(-1e16)]
-self_join windowed instants @1
-[Str("a"), I64(1), F64(1e16)]
-self_join windowed instants @2
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join windowed instants @3
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-self_join windowed instants @4
-self_join windowed instants @5
-[Str("a"), I64(4), F64(2e16)]
-[Str("b"), I64(1), I64(2)]
-[Str("c"), I64(2), I64(7)]
-"#;
-
-const EVAL: &str = r#"scan
-[I64(0), Str("a"), F64(1e16)]
-[I64(1), Str("b"), F64(2.0)]
-[I64(10), Str("a"), F64(2.0)]
-[I64(11), Str("c"), F64(6.0)]
-[I64(2), Str("a"), F64(1.0)]
-[I64(3), Str("c"), F64(3.5)]
-[I64(7), Str("c"), F64(1.0)]
-[I64(8), Str("é"), F64(4.0)]
-agg
-[Str("a"), I64(5), F64(2.5), F64(-1e16), F64(1e16), F64(0.5)]
-[Str("b"), I64(3), F64(-5.125), F64(-7.25), F64(2.0), F64(-1.7083333333333333)]
-[Str("c"), I64(3), F64(10.5), F64(1.0), F64(6.0), F64(3.5)]
-[Str("é"), I64(1), I64(4), F64(4.0), F64(4.0), F64(4.0)]
-join2
-[Str("a"), I64(10), I64(7), I64(5)]
-[Str("b"), I64(3), I64(5), F64(-5.125)]
-[Str("c"), I64(3), I64(1), F64(10.5)]
-join3
-[Str("high"), I64(5), F64(2.5)]
-[Str("low"), I64(5), F64(2.5)]
-[Str("mid"), I64(3), F64(-5.125)]
-[Str("mid2"), I64(3), F64(-5.125)]
-[Str("min"), I64(3), F64(10.5)]
-self_join
-[Str("a"), I64(12), I64(0)]
-[Str("b"), I64(4), F64(-10.5)]
-[Str("c"), I64(3), F64(10.5)]
-"#;

@@ -5,6 +5,10 @@
 //! *held* (boxed, shared, reordered) that moves one of them has changed
 //! the model, not just the representation.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 use std::sync::Arc;
 
 use pier_core::agg::GroupAccs;
@@ -97,10 +101,10 @@ fn neighbors() -> Vec<(u32, Zones)> {
 
 #[test]
 fn every_variant_keeps_its_wire_size() {
-    let table: Vec<(&str, usize, usize)> = vec![
+    let table: Vec<(&str, usize)> = vec![
         // ---- QpItem
-        ("QpItem::Row", QpItem::Row(wide_row()).wire_size(), 1038),
-        ("QpItem::Tagged", tagged().wire_size(), 47),
+        ("QpItem::Row", QpItem::Row(wide_row()).wire_size()),
+        ("QpItem::Tagged", tagged().wire_size()),
         (
             "QpItem::Mini",
             QpItem::Mini {
@@ -110,7 +114,6 @@ fn every_variant_keeps_its_wire_size() {
                 join: Value::I64(3),
             }
             .wire_size(),
-            27,
         ),
         (
             "QpItem::Bloom",
@@ -120,7 +123,6 @@ fn every_variant_keeps_its_wire_size() {
                 filter: BloomFilter::new(1024, 4),
             }
             .wire_size(),
-            147,
         ),
         (
             "QpItem::Partial",
@@ -130,10 +132,9 @@ fn every_variant_keeps_its_wire_size() {
                 accs: accs().into(),
             }
             .wire_size(),
-            34,
         ),
-        ("QpItem::Query", query().wire_size(), 143),
-        ("QpItem::Cancel", QpItem::Cancel { qid: 1 }.wire_size(), 10),
+        ("QpItem::Query", query().wire_size()),
+        ("QpItem::Cancel", QpItem::Cancel { qid: 1 }.wire_size()),
         // ---- PierMsg
         (
             "PierMsg::Dht",
@@ -141,7 +142,6 @@ fn every_variant_keeps_its_wire_size() {
                 entry: entry(tagged()),
             })
             .wire_size(),
-            131,
         ),
         (
             "PierMsg::Result",
@@ -151,7 +151,6 @@ fn every_variant_keeps_its_wire_size() {
                 row: wide_row(),
             }
             .wire_size(),
-            1100,
         ),
         (
             "PierMsg::AggUp",
@@ -161,7 +160,6 @@ fn every_variant_keeps_its_wire_size() {
                 accs: accs().into(),
             }
             .wire_size(),
-            80,
         ),
         // ---- DhtMsg
         (
@@ -173,7 +171,6 @@ fn every_variant_keeps_its_wire_size() {
                 ttl: 64,
             })
             .wire_size(),
-            70,
         ),
         (
             "DhtMsg::Chord",
@@ -184,12 +181,10 @@ fn every_variant_keeps_its_wire_size() {
                 limit: 7,
             })
             .wire_size(),
-            211,
         ),
         (
             "DhtMsg::LookupReply",
             DhtMsg::<QpItem>::LookupReply { token: 1, key: 2 }.wire_size(),
-            64,
         ),
         (
             "DhtMsg::Put",
@@ -197,7 +192,6 @@ fn every_variant_keeps_its_wire_size() {
                 entry: entry(QpItem::Row(wide_row())),
             }
             .wire_size(),
-            1122,
         ),
         (
             "DhtMsg::Get",
@@ -208,7 +202,6 @@ fn every_variant_keeps_its_wire_size() {
                 origin: 0,
             }
             .wire_size(),
-            76,
         ),
         (
             "DhtMsg::GetReply",
@@ -217,7 +210,6 @@ fn every_variant_keeps_its_wire_size() {
                 items: two_entries(),
             }
             .wire_size(),
-            1213,
         ),
         (
             "DhtMsg::MoveItems",
@@ -225,7 +217,6 @@ fn every_variant_keeps_its_wire_size() {
                 items: two_entries(),
             }
             .wire_size(),
-            1205,
         ),
         (
             "DhtMsg::Replicate",
@@ -233,7 +224,6 @@ fn every_variant_keeps_its_wire_size() {
                 entry: entry(tagged()),
             }
             .wire_size(),
-            131,
         ),
         (
             "DhtMsg::RepairRequest (zones)",
@@ -241,7 +231,6 @@ fn every_variant_keeps_its_wire_size() {
                 scope: RepairScope::Zones(vec![Zone::whole(4); 3].into()),
             }
             .wire_size(),
-            244,
         ),
         (
             "DhtMsg::RepairRequest (ring)",
@@ -249,7 +238,6 @@ fn every_variant_keeps_its_wire_size() {
                 scope: RepairScope::Ring { from: 1, to: 2 },
             }
             .wire_size(),
-            64,
         ),
         (
             "DhtMsg::RepairReply",
@@ -257,7 +245,6 @@ fn every_variant_keeps_its_wire_size() {
                 items: two_entries(),
             }
             .wire_size(),
-            1205,
         ),
         // ---- CanMsg
         (
@@ -268,7 +255,6 @@ fn every_variant_keeps_its_wire_size() {
                 ttl: 64,
             }
             .wire_size(),
-            38,
         ),
         (
             "CanMsg::JoinOffer",
@@ -278,7 +264,6 @@ fn every_variant_keeps_its_wire_size() {
                 items: two_entries(),
             }
             .wire_size(),
-            1421,
         ),
         (
             "CanMsg::NeighborUpdate",
@@ -286,7 +271,6 @@ fn every_variant_keeps_its_wire_size() {
                 zones: vec![Zone::whole(4); 2].into(),
             }
             .wire_size(),
-            132,
         ),
         (
             "CanMsg::Heartbeat",
@@ -295,7 +279,6 @@ fn every_variant_keeps_its_wire_size() {
                 neighbors: neighbors().into(),
             }
             .wire_size(),
-            268,
         ),
         (
             "CanMsg::Takeover",
@@ -304,7 +287,6 @@ fn every_variant_keeps_its_wire_size() {
                 zones: vec![Zone::whole(4); 2].into(),
             }
             .wire_size(),
-            132,
         ),
         (
             "CanMsg::Leave",
@@ -314,7 +296,6 @@ fn every_variant_keeps_its_wire_size() {
                 neighbors: vec![1, 2, 3],
             }
             .wire_size(),
-            1237,
         ),
         (
             "CanMsg::Lookup",
@@ -325,7 +306,6 @@ fn every_variant_keeps_its_wire_size() {
                 ttl: 64,
             }
             .wire_size(),
-            22,
         ),
         (
             "CanMsg::Mcast",
@@ -337,13 +317,11 @@ fn every_variant_keeps_its_wire_size() {
                 ttl: 64,
             }
             .wire_size(),
-            221,
         ),
     ];
-    let moved: Vec<String> = table
+    let sizes: Vec<String> = table
         .iter()
-        .filter(|(_, got, pinned)| got != pinned)
-        .map(|(name, got, pinned)| format!("{name}: {got} B, pinned {pinned} B"))
+        .map(|(name, bytes)| format!("{name} {bytes}"))
         .collect();
-    assert!(moved.is_empty(), "wire sizes moved:\n{}", moved.join("\n"));
+    pin!("every_variant_keeps_its_wire_size", sizes.join("\n"));
 }

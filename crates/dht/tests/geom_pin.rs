@@ -15,26 +15,22 @@
 //! Bounds are read through [`bounds`] alone, so a change of how a zone
 //! stores them touches that helper and no expected line.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 use pier_dht::can::{balanced_overlay, CanState};
 use pier_dht::geom::{splitmix64, Point, Zone, MAX_D};
 use pier_simnet::time::Time;
+
+use pin::Fnv;
 
 /// A zone's half-open extent `[lo, hi)` in dimension `i`.
 fn bounds(z: &Zone, i: usize) -> (u64, u64) {
     (z.lo(i), z.hi(i))
 }
 
-/// FNV-1a over 64-bit words: stable across platforms and toolchains.
-struct Fnv(u64);
-
 impl Fnv {
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
     fn wide(&mut self, w: u128) {
         self.word(w as u64);
         self.word((w >> 64) as u64);
@@ -141,7 +137,7 @@ fn relations(h: &mut Fnv, c: &mut Counts, n: usize, d: usize) {
 /// `n d zones hops neighbors intersections slabs merges digest`.
 fn line(n: usize, d: usize) -> String {
     let states = balanced_overlay(n, d, Time::ZERO);
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv::default();
     let mut c = Counts::default();
     for s in &states {
         for z in s.zones.iter() {
@@ -155,27 +151,18 @@ fn line(n: usize, d: usize) -> String {
     relations(&mut h, &mut c, n, d);
     format!(
         "{n} {d} {} {} {} {} {} {} {:016x}",
-        c.zones, c.hops, c.neighbors, c.intersections, c.slabs, c.merges, h.0
+        c.zones,
+        c.hops,
+        c.neighbors,
+        c.intersections,
+        c.slabs,
+        c.merges,
+        h.finish()
     )
 }
 
 const NS: [usize; 2] = [257, 1_000];
 const DS: [usize; 6] = [1, 2, 3, 4, 6, 8];
-
-const PIN: [&str; 12] = [
-    "257 1 257 280232 588 1755 1385 550 a91ebad463d4a3dc",
-    "257 2 257 34593 1658 1983 2589 390 eb8819ecd0d57994",
-    "257 3 257 21930 2862 1655 2369 386 4980a795e4845b2b",
-    "257 4 257 17311 3656 1771 2997 388 a3519f11ab004c36",
-    "257 6 257 17316 3766 1675 2921 348 a1b18174b53bb32c",
-    "257 8 257 17487 4114 1775 3380 370 29b4a99f7e2e6af9",
-    "1000 1 1000 4057144 584 1743 1363 522 198aa4122f37d570",
-    "1000 2 1000 249320 1724 1891 2505 400 435483126a21ef50",
-    "1000 3 1000 123808 2868 2187 3647 376 117a0730ef5d1fe8",
-    "1000 4 1000 93737 3472 1595 2465 396 91500bb13ccf4c7b",
-    "1000 6 1000 79125 3990 1719 3132 398 e194e4e2d0f4fc87",
-    "1000 8 1000 79619 4102 1847 3689 362 9cfc423784318c33",
-];
 
 #[test]
 fn zone_geometry_digests() {
@@ -183,5 +170,5 @@ fn zone_geometry_digests() {
         .iter()
         .flat_map(|&n| DS.iter().map(move |&d| line(n, d)))
         .collect();
-    assert_eq!(now, PIN, "now:\n{now:#?}");
+    pin!("zone_geometry_digests", now.join("\n"));
 }

@@ -16,6 +16,10 @@
 //! Taken on the three-level store (a `Vec` per bucket), before the store
 //! became one ordered map.
 
+#[macro_use]
+#[path = "../../../tests/pin/mod.rs"]
+mod pin;
+
 use std::fmt::Write;
 
 use pier_dht::{Entry, Ns, Rid, StorageManager};
@@ -166,204 +170,5 @@ fn transcript() -> String {
 
 #[test]
 fn one_scripted_sequence() {
-    let got = transcript();
-    assert!(
-        got == TRANSCRIPT,
-        "the transcript moved; it now reads:\n{got}"
-    );
+    pin!("one_scripted_sequence", transcript());
 }
-
-const TRANSCRIPT: &str = r#"stores
-  store_new 1/10/0 -> Some("1/10/0 key 110 exp 500 val 1")
-  store_new 1/10/1 -> Some("1/10/1 key 110 exp 300 val 2")
-  store_new 2/5/0 -> Some("2/5/0 key 205 exp 800 val 3")
-  store_new 1/10/2 -> Some("1/10/2 key 110 exp 700 val 4")
-  store_new 1/3/0 -> Some("1/3/0 key 103 exp 200 val 5")
-  store_new 1/10/3 -> Some("1/10/3 key 110 exp 400 val 6")
-  store_new 3/7/0 -> Some("3/7/0 key 307 exp 900 val 7")
-  store_new 2/5/1 -> Some("2/5/1 key 205 exp 100 val 8")
-  store_new 1/10/4 -> Some("1/10/4 key 110 exp 600 val 9")
-  store_new 2/6/0 -> Some("2/6/0 key 206 exp 250 val 10")
-  store_new 3/7/1 -> Some("3/7/1 key 307 exp 350 val 11")
-  len 11 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (5): [1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 300 val 2, 1/10/2 key 110 exp 700 val 4, 1/10/3 key 110 exp 400 val 6, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (2): [2/5/0 key 205 exp 800 val 3, 2/5/1 key 205 exp 100 val 8]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (0): []
-  lscan 1 (6, 6 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 300 val 2, 1/10/2 key 110 exp 700 val 4, 1/10/3 key 110 exp 400 val 6, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (3, 3 live): [2/5/0 key 205 exp 800 val 3, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (0, 0 live): []
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 300 val 2, 1/10/2 key 110 exp 700 val 4, 1/10/3 key 110 exp 400 val 6, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 3, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  occupancy at 0: [(1, 6), (2, 3), (3, 2)]
-renewals
-  store 1/10/1 exp 1000 -> false
-  store 1/10/2 exp 150 -> false
-  store 2/5/0 exp 800 -> false
-  store_new 1/10/3 exp 450 -> None
-  len 11 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (5): [1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (2): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (0): []
-  lscan 1 (6, 6 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (3, 3 live): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (0, 0 live): []
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 500 val 1, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  occupancy at 0: [(1, 6), (2, 3), (3, 2)]
-store_no_regress
-  1/10/0 exp 400 -> None
-  1/10/0 exp 500 -> None
-  1/10/0 exp 550 -> Some(false)
-  2/6/1 exp 50 -> Some(true)
-  9/1/0 exp 1200 -> Some(true)
-  len 13 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (5): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (2): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8]
-  get 2/6 (2): [2/6/0 key 206 exp 250 val 10, 2/6/1 key 206 exp 50 val 19]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (6, 6 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (4, 2 live): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10, 2/6/1 key 206 exp 50 val 19]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10, 2/6/1 key 206 exp 50 val 19, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 120: [(1, 6), (2, 2), (3, 2), (9, 1)]
-sweep at 99 -> 1
-  len 12 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (5): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (2): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (6, 6 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (3, 3 live): [2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/5/1 key 205 exp 100 val 8, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 99: [(1, 6), (2, 3), (3, 2), (9, 1)]
-sweep at 100 -> 1
-  len 11 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (5): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (1): [2/5/0 key 205 exp 800 val 14]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (6, 6 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (2, 2 live): [2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/2 key 110 exp 150 val 13, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 100: [(1, 6), (2, 2), (3, 2), (9, 1)]
-sweep at 160 -> 1
-  len 10 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (4): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (1): [2/5/0 key 205 exp 800 val 14]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (5, 5 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (2, 2 live): [2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 160: [(1, 5), (2, 2), (3, 2), (9, 1)]
-sweep at 160 -> 0
-  len 10 empty false
-  get 1/3 (1): [1/3/0 key 103 exp 200 val 5]
-  get 1/10 (4): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (1): [2/5/0 key 205 exp 800 val 14]
-  get 2/6 (1): [2/6/0 key 206 exp 250 val 10]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (5, 5 live): [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (2, 2 live): [2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/0 key 103 exp 200 val 5, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 250 val 10, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 160: [(1, 5), (2, 2), (3, 2), (9, 1)]
-sweep at 260 -> 2
-  len 8 empty false
-  get 1/3 (0): []
-  get 1/10 (4): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  get 2/5 (1): [2/5/0 key 205 exp 800 val 14]
-  get 2/6 (0): []
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (4, 4 live): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9]
-  lscan 2 (1, 1 live): [2/5/0 key 205 exp 800 val 14]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 2/5/0 key 205 exp 800 val 14, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 260: [(1, 4), (2, 1), (3, 2), (9, 1)]
-stores after the sweeps
-  store_new 1/10/2 -> Some("1/10/2 key 110 exp 800 val 21")
-  store_new 1/3/1 -> Some("1/3/1 key 103 exp 900 val 22")
-  store_new 2/6/0 -> Some("2/6/0 key 206 exp 900 val 23")
-  len 11 empty false
-  get 1/3 (1): [1/3/1 key 103 exp 900 val 22]
-  get 1/10 (5): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21]
-  get 2/5 (1): [2/5/0 key 205 exp 800 val 14]
-  get 2/6 (1): [2/6/0 key 206 exp 900 val 23]
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (6, 6 live): [1/3/1 key 103 exp 900 val 22, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21]
-  lscan 2 (2, 2 live): [2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 900 val 23]
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/1 key 103 exp 900 val 22, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21, 2/5/0 key 205 exp 800 val 14, 2/6/0 key 206 exp 900 val 23, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 260: [(1, 6), (2, 2), (3, 2), (9, 1)]
-remove_ns 2 -> 2
-remove_ns 4 -> 0
-  len 9 empty false
-  get 1/3 (1): [1/3/1 key 103 exp 900 val 22]
-  get 1/10 (5): [1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21]
-  get 2/5 (0): []
-  get 2/6 (0): []
-  get 3/7 (2): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (6, 6 live): [1/3/1 key 103 exp 900 val 22, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21]
-  lscan 2 (0, 0 live): []
-  lscan 3 (2, 2 live): [3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/1 key 103 exp 900 val 22, 1/10/0 key 110 exp 550 val 18, 1/10/1 key 110 exp 1000 val 12, 1/10/3 key 110 exp 450 val 15, 1/10/4 key 110 exp 600 val 9, 1/10/2 key 110 exp 800 val 21, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 260: [(1, 6), (3, 2), (9, 1)]
-extract_not_owned (moves 1/10, 3/7) -> [1/10/0 key 110 exp 550 val 18, 1/10/2 key 110 exp 800 val 21, 1/10/4 key 110 exp 600 val 9, 1/10/3 key 110 exp 450 val 15, 1/10/1 key 110 exp 1000 val 12, 3/7/0 key 307 exp 900 val 7, 3/7/1 key 307 exp 350 val 11]
-  len 2 empty false
-  get 1/3 (1): [1/3/1 key 103 exp 900 val 22]
-  get 1/10 (0): []
-  get 2/5 (0): []
-  get 2/6 (0): []
-  get 3/7 (0): []
-  get 9/1 (1): [9/1/0 key 901 exp 1200 val 20]
-  lscan 1 (1, 1 live): [1/3/1 key 103 exp 900 val 22]
-  lscan 2 (0, 0 live): []
-  lscan 3 (0, 0 live): []
-  lscan 9 (1, 1 live): [9/1/0 key 901 exp 1200 val 20]
-  iter_all: [1/3/1 key 103 exp 900 val 22, 9/1/0 key 901 exp 1200 val 20]
-  occupancy at 260: [(1, 1), (9, 1)]
-extract_not_owned (moves the rest) -> [1/3/1 key 103 exp 900 val 22, 9/1/0 key 901 exp 1200 val 20]
-  len 0 empty true
-  get 1/3 (0): []
-  get 1/10 (0): []
-  get 2/5 (0): []
-  get 2/6 (0): []
-  get 3/7 (0): []
-  get 9/1 (0): []
-  lscan 1 (0, 0 live): []
-  lscan 2 (0, 0 live): []
-  lscan 3 (0, 0 live): []
-  lscan 9 (0, 0 live): []
-  iter_all: []
-  occupancy at 260: []
-sweep at 2000 -> 0
-"#;

@@ -1,7 +1,8 @@
 //! Absolute per-operator-shape pins: on a 16-node `Sim` at one seed,
 //! every join dataflow shape must process exactly this many engine
 //! events, move exactly this many messages and bytes, and deliver
-//! exactly this many results. The cross-engine suites compare engines
+//! exactly this many results, one row per run under
+//! `tests/pins/dataflow_pin/`. The cross-engine suites compare engines
 //! to each other and the `benchmark/` continuity pins cover three
 //! workloads; this table is what makes a change to rehash, probe,
 //! replay, stage republish or the result sink visible per shape.
@@ -9,6 +10,9 @@
 //! The numbers were taken before the binary and N-way executors were
 //! merged into one pipeline; every `replication = 1` row held across
 //! that merge without edits.
+
+#[macro_use]
+mod pin;
 
 use pier::qp::expr::Expr;
 use pier::qp::plan::{QueryDesc, QueryOp};
@@ -107,27 +111,23 @@ fn sql_one_shot(sql: &str, qid: u64) -> QueryDesc {
 #[test]
 fn one_shot_join_per_strategy() {
     let wl = workload();
-    let want: [Pin; 4] = [
-        (4888, 1752, 501721, 30),
-        (4950, 1814, 398678, 30),
-        (5425, 2289, 493147, 30),
-        (4852, 1714, 465724, 30),
-    ];
-    for (strategy, want) in JoinStrategy::ALL.into_iter().zip(want) {
-        let mut desc = wl.query(1, 0, strategy);
-        desc.n_nodes = N as u32;
-        assert_eq!(one_shot(desc), want, "{}", strategy.name());
-    }
+    let rows: Vec<String> = JoinStrategy::ALL
+        .into_iter()
+        .map(|strategy| {
+            let mut desc = wl.query(1, 0, strategy);
+            desc.n_nodes = N as u32;
+            format!("{} {:?}", strategy.name(), one_shot(desc))
+        })
+        .collect();
+    pin!("one_shot_join_per_strategy", rows.join("\n"));
 }
 
 #[test]
 fn standing_join_rehashes_late_rows() {
     let wl = workload();
     let op = wl.query(2, 0, JoinStrategy::SymmetricHash).op;
-    assert_eq!(
-        standing(QueryDesc::standing(2, 0, op, None)),
-        (4872, 1736, 492314, 30)
-    );
+    let got = standing(QueryDesc::standing(2, 0, op, None));
+    pin!("standing_join_rehashes_late_rows", format!("{got:?}"));
 }
 
 #[test]
@@ -136,18 +136,13 @@ fn windowed_standing_join() {
     let op = wl.query(3, 0, JoinStrategy::SymmetricHash).op;
     // The window (20 s) is shorter than the run: state rehashed at
     // install has aged out by the time the last rows could meet it.
-    assert_eq!(
-        standing(QueryDesc::standing(3, 0, op, Some(Dur::from_secs(20)))),
-        (4854, 1718, 479847, 17)
-    );
+    let got = standing(QueryDesc::standing(3, 0, op, Some(Dur::from_secs(20))));
+    pin!("windowed_standing_join", format!("{got:?}"));
 }
 
 #[test]
 fn join_agg_one_shot_and_epoch() {
-    assert_eq!(
-        one_shot(sql_one_shot(JOIN_AGG_SQL, 4)),
-        (5551, 2383, 419797, 22)
-    );
+    let once = one_shot(sql_one_shot(JOIN_AGG_SQL, 4));
     let sql = format!("{JOIN_AGG_SQL} EPOCH 20 SECONDS");
     let mut desc = parse_continuous_query(
         &sql,
@@ -158,7 +153,11 @@ fn join_agg_one_shot_and_epoch() {
     )
     .unwrap();
     desc.n_nodes = N as u32;
-    assert_eq!(standing(desc), (6005, 2725, 445112, 66));
+    let epoch = standing(desc);
+    pin!(
+        "join_agg_one_shot_and_epoch",
+        format!("one-shot {once:?}\nepoch {epoch:?}")
+    );
 }
 
 /// The narrow 3-way pipeline, and the same query with a SELECT that
@@ -171,26 +170,29 @@ fn three_way_pipeline_pruned_and_full_width() {
     let mut every_column = narrow.clone();
     every_column.project = (0..11).map(Expr::col).collect();
     let desc = |qid, join| QueryDesc::one_shot(qid, 0, QueryOp::Join { join, agg: None });
-    assert_eq!(one_shot(desc(6, narrow)), (5243, 2107, 399161, 13));
-    assert_eq!(one_shot(desc(7, every_column)), (5228, 2092, 562176, 13));
+    let narrow = one_shot(desc(6, narrow));
+    let every_column = one_shot(desc(7, every_column));
+    pin!(
+        "three_way_pipeline_pruned_and_full_width",
+        format!("narrow {narrow:?}\nevery column {every_column:?}")
+    );
 }
 
 #[test]
 fn standing_three_way_pipeline_rehashes_late_rows() {
     let wl = workload();
     let op = wl.multi_query(10, 0).op;
-    assert_eq!(
-        standing(QueryDesc::standing(10, 0, op, None)),
-        (5237, 2101, 557906, 13)
+    let got = standing(QueryDesc::standing(10, 0, op, None));
+    pin!(
+        "standing_three_way_pipeline_rehashes_late_rows",
+        format!("{got:?}")
     );
 }
 
 #[test]
 fn three_way_pipeline_with_aggregation() {
-    assert_eq!(
-        one_shot(sql_one_shot(MULTI_AGG_SQL, 8)),
-        (6603, 3435, 502609, 10)
-    );
+    let got = one_shot(sql_one_shot(MULTI_AGG_SQL, 8));
+    pin!("three_way_pipeline_with_aggregation", format!("{got:?}"));
 }
 
 /// The 2-table join at `replication = 2`: the node holding the most
@@ -220,5 +222,9 @@ fn replicated_join_with_one_kill() {
     sim.fail_node(victim);
     sim.run_for(Dur::from_secs(60));
     assert_eq!(wl.expected(JoinStrategy::SymmetricHash).len(), 30);
-    assert_eq!((victim, read(&sim, qid)), (14, (11426, 8385, 3463694, 30)));
+    let got = read(&sim, qid);
+    pin!(
+        "replicated_join_with_one_kill",
+        format!("victim {victim} {got:?}")
+    );
 }

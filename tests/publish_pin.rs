@@ -3,8 +3,8 @@
 //! one script publishes an unmetered batch, a batch a tenant's publish
 //! quota sheds part of (a wide row shed between narrow ones it admits),
 //! a batch that quota sheds whole, and an empty batch, then runs a
-//! renewal round. This file holds the whole transcript. After each step
-//! it records:
+//! renewal round. `tests/pins/publish_pin/` holds the whole transcript.
+//! After each step it records:
 //!
 //! - the publish's `PublishReport`;
 //! - every node's shed counters;
@@ -12,6 +12,9 @@
 //!   namespace, resourceID, instanceID, expiry, wire bytes and the row
 //!   decoded. The instanceIDs show the order in which a batch's puts
 //!   and the rehashes they set off drew them.
+
+#[macro_use]
+mod pin;
 
 use std::fmt::Write;
 
@@ -168,105 +171,5 @@ fn transcript() -> String {
 
 #[test]
 fn publish_transcript() {
-    let got = transcript();
-    assert!(
-        got == TRANSCRIPT,
-        "the transcript moved; it now reads:\n{got}"
-    );
+    pin!("publish_transcript", transcript());
 }
-
-const TRANSCRIPT: &str = r#"publish 6 rows from node 1 as tenant 0: PublishReport { accepted: 6, shed: 0 }
-== unmetered (t=28.000000s)
-node 0: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 31d421fcb662c30e iid 262147 expires t=618.000000s wire 28 (1, 1, 'n1')
-  Rt ns 9f67d18cc44c2557 rid 49a3633e8855b77b iid 786433 expires t=600.000000s wire 22 (103, 3)
-  Rt ns 9f67d18cc44c2557 rid 533e1142b7f7852c iid 524289 expires t=600.000000s wire 22 (102, 2)
-node 1: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 40b972ae4fc6d263 iid 262148 expires t=618.000000s wire 73 (2, 2, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid 64684c4f0fd784b4 iid 262146 expires t=618.000000s wire 28 (0, 0, 'n0')
-node 2: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 3cdf996835138bda iid 262150 expires t=618.000000s wire 28 (4, 0, 'n4')
-  Rt ns 9f67d18cc44c2557 rid 89644f7ebbb00d97 iid 262145 expires t=600.000000s wire 22 (101, 1)
-node 3: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 0c389e93d048103a iid 262149 expires t=618.000000s wire 28 (3, 3, 'n3')
-  L ns a98e9e631c6a6d6b rid 2431f0f3a9e32907 iid 262151 expires t=618.000000s wire 76 (5, 1, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  Rt ns 9f67d18cc44c2557 rid a2afd9959d8346e4 iid 1 expires t=600.000000s wire 22 (100, 0)
-quota tenant 7 at node 2: Quota { max_standing: 18446744073709551615, max_priced_bytes_per_sec: inf, publish_bytes_per_sec: 0.5, publish_burst_bytes: 100.0 }
-publish 6 rows from node 2 as tenant 7: PublishReport { accepted: 3, shed: 3 }
-== shed mid-way (t=38.000000s)
-node 0: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 31d421fcb662c30e iid 262147 expires t=618.000000s wire 28 (1, 1, 'n1')
-  L ns a98e9e631c6a6d6b rid 9fec93f3afd2ab24 iid 524292 expires t=628.000000s wire 28 (6, 2, 'n6')
-  Rt ns 9f67d18cc44c2557 rid 49a3633e8855b77b iid 786433 expires t=600.000000s wire 22 (103, 3)
-  Rt ns 9f67d18cc44c2557 rid 533e1142b7f7852c iid 524289 expires t=600.000000s wire 22 (102, 2)
-node 1: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 40b972ae4fc6d263 iid 262148 expires t=618.000000s wire 73 (2, 2, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid 64684c4f0fd784b4 iid 262146 expires t=618.000000s wire 28 (0, 0, 'n0')
-node 2: shed_publishes 3, shed_bytes 190
-  L ns a98e9e631c6a6d6b rid 3cdf996835138bda iid 262150 expires t=618.000000s wire 28 (4, 0, 'n4')
-  Rt ns 9f67d18cc44c2557 rid 89644f7ebbb00d97 iid 262145 expires t=600.000000s wire 22 (101, 1)
-node 3: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 0c389e93d048103a iid 262149 expires t=618.000000s wire 28 (3, 3, 'n3')
-  L ns a98e9e631c6a6d6b rid 0c71eb6f808d16f0 iid 524293 expires t=628.000000s wire 28 (7, 3, 'n7')
-  L ns a98e9e631c6a6d6b rid 2431f0f3a9e32907 iid 262151 expires t=618.000000s wire 76 (5, 1, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid a6376d15925c2e5b iid 524294 expires t=628.000000s wire 28 (9, 1, 'n9')
-  Rt ns 9f67d18cc44c2557 rid a2afd9959d8346e4 iid 1 expires t=600.000000s wire 22 (100, 0)
-publish 3 rows from node 2 as tenant 7: PublishReport { accepted: 0, shed: 3 }
-== shed whole (t=48.000000s)
-node 0: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 31d421fcb662c30e iid 262147 expires t=618.000000s wire 28 (1, 1, 'n1')
-  L ns a98e9e631c6a6d6b rid 9fec93f3afd2ab24 iid 524292 expires t=628.000000s wire 28 (6, 2, 'n6')
-  Rt ns 9f67d18cc44c2557 rid 49a3633e8855b77b iid 786433 expires t=600.000000s wire 22 (103, 3)
-  Rt ns 9f67d18cc44c2557 rid 533e1142b7f7852c iid 524289 expires t=600.000000s wire 22 (102, 2)
-node 1: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 40b972ae4fc6d263 iid 262148 expires t=618.000000s wire 73 (2, 2, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid 64684c4f0fd784b4 iid 262146 expires t=618.000000s wire 28 (0, 0, 'n0')
-node 2: shed_publishes 6, shed_bytes 333
-  L ns a98e9e631c6a6d6b rid 3cdf996835138bda iid 262150 expires t=618.000000s wire 28 (4, 0, 'n4')
-  Rt ns 9f67d18cc44c2557 rid 89644f7ebbb00d97 iid 262145 expires t=600.000000s wire 22 (101, 1)
-node 3: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 0c389e93d048103a iid 262149 expires t=618.000000s wire 28 (3, 3, 'n3')
-  L ns a98e9e631c6a6d6b rid 0c71eb6f808d16f0 iid 524293 expires t=628.000000s wire 28 (7, 3, 'n7')
-  L ns a98e9e631c6a6d6b rid 2431f0f3a9e32907 iid 262151 expires t=618.000000s wire 76 (5, 1, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid a6376d15925c2e5b iid 524294 expires t=628.000000s wire 28 (9, 1, 'n9')
-  Rt ns 9f67d18cc44c2557 rid a2afd9959d8346e4 iid 1 expires t=600.000000s wire 22 (100, 0)
-publish 0 rows from node 3 as tenant 0: PublishReport { accepted: 0, shed: 0 }
-== empty (t=58.000000s)
-node 0: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 31d421fcb662c30e iid 262147 expires t=618.000000s wire 28 (1, 1, 'n1')
-  L ns a98e9e631c6a6d6b rid 9fec93f3afd2ab24 iid 524292 expires t=628.000000s wire 28 (6, 2, 'n6')
-  Rt ns 9f67d18cc44c2557 rid 49a3633e8855b77b iid 786433 expires t=600.000000s wire 22 (103, 3)
-  Rt ns 9f67d18cc44c2557 rid 533e1142b7f7852c iid 524289 expires t=600.000000s wire 22 (102, 2)
-node 1: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 40b972ae4fc6d263 iid 262148 expires t=618.000000s wire 73 (2, 2, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid 64684c4f0fd784b4 iid 262146 expires t=618.000000s wire 28 (0, 0, 'n0')
-node 2: shed_publishes 6, shed_bytes 333
-  L ns a98e9e631c6a6d6b rid 3cdf996835138bda iid 262150 expires t=618.000000s wire 28 (4, 0, 'n4')
-  Rt ns 9f67d18cc44c2557 rid 89644f7ebbb00d97 iid 262145 expires t=600.000000s wire 22 (101, 1)
-node 3: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 0c389e93d048103a iid 262149 expires t=618.000000s wire 28 (3, 3, 'n3')
-  L ns a98e9e631c6a6d6b rid 0c71eb6f808d16f0 iid 524293 expires t=628.000000s wire 28 (7, 3, 'n7')
-  L ns a98e9e631c6a6d6b rid 2431f0f3a9e32907 iid 262151 expires t=618.000000s wire 76 (5, 1, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid a6376d15925c2e5b iid 524294 expires t=628.000000s wire 28 (9, 1, 'n9')
-  Rt ns 9f67d18cc44c2557 rid a2afd9959d8346e4 iid 1 expires t=600.000000s wire 22 (100, 0)
-renewals every 4 s
-== renewal round (t=68.000000s)
-node 0: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 31d421fcb662c30e iid 262147 expires t=666.000000s wire 28 (1, 1, 'n1')
-  L ns a98e9e631c6a6d6b rid 9fec93f3afd2ab24 iid 524292 expires t=666.000000s wire 28 (6, 2, 'n6')
-  Rt ns 9f67d18cc44c2557 rid 49a3633e8855b77b iid 786433 expires t=666.000000s wire 22 (103, 3)
-  Rt ns 9f67d18cc44c2557 rid 533e1142b7f7852c iid 524289 expires t=666.000000s wire 22 (102, 2)
-node 1: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 40b972ae4fc6d263 iid 262148 expires t=666.000000s wire 73 (2, 2, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid 64684c4f0fd784b4 iid 262146 expires t=666.000000s wire 28 (0, 0, 'n0')
-node 2: shed_publishes 6, shed_bytes 333
-  L ns a98e9e631c6a6d6b rid 3cdf996835138bda iid 262150 expires t=666.000000s wire 28 (4, 0, 'n4')
-  Rt ns 9f67d18cc44c2557 rid 89644f7ebbb00d97 iid 262145 expires t=666.000000s wire 22 (101, 1)
-node 3: shed_publishes 0, shed_bytes 0
-  L ns a98e9e631c6a6d6b rid 0c389e93d048103a iid 262149 expires t=666.000000s wire 28 (3, 3, 'n3')
-  L ns a98e9e631c6a6d6b rid 0c71eb6f808d16f0 iid 524293 expires t=666.000000s wire 28 (7, 3, 'n7')
-  L ns a98e9e631c6a6d6b rid 2431f0f3a9e32907 iid 262151 expires t=666.000000s wire 76 (5, 1, 'wide-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx')
-  L ns a98e9e631c6a6d6b rid a6376d15925c2e5b iid 524294 expires t=666.000000s wire 28 (9, 1, 'n9')
-  Rt ns 9f67d18cc44c2557 rid a2afd9959d8346e4 iid 1 expires t=666.000000s wire 22 (100, 0)
-pin (707, 155, 13509)
-"#;

@@ -5,8 +5,9 @@
 //! scans of the same table; runs `try_submit` against a
 //! standing-count quota and a priced-traffic quota, and a raw `submit`
 //! past them; re-submits a descriptor already installed; cancels one
-//! query and the Bloom join; and publishes rows between the steps. This file holds the
-//! whole transcript. After each step it records:
+//! query and the Bloom join; and publishes rows between the steps.
+//! `tests/pins/registry_pin/` holds the whole transcript. After each
+//! step it records:
 //!
 //! - every node's installed-query count;
 //! - every admission verdict, its floats as bits;
@@ -16,6 +17,9 @@
 //!   upcall reached the queries routed on its namespace shows;
 //! - the results each query's initiator logged since the step before,
 //!   in arrival order.
+
+#[macro_use]
+mod pin;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
@@ -319,263 +323,5 @@ fn transcript() -> String {
 
 #[test]
 fn registry_transcript() {
-    let got = transcript();
-    assert!(
-        got == TRANSCRIPT,
-        "the transcript moved; it now reads:\n{got}"
-    );
+    pin!("registry_transcript", transcript());
 }
-
-const TRANSCRIPT: &str = r#"try_submit 2: admitted, priced 409cc00000000000
-== two-table join (t=18.000000s)
-installed [1, 1, 1, 1]
-  node 0: "admitted_installs": 1, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 78, "rehash_puts": 2, "results_shipped": 3, "result_bytes": 72, "renewals": 0, "renewal_lag_s": 9.600}
-  node 1: "admitted_installs": 1, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 160, "rehash_puts": 4, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.700}
-  node 2: "admitted_installs": 1, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 2 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 2, "result_bytes": 48, "renewals": 0, "renewal_lag_s": 9.700}
-  node 3: "admitted_installs": 1, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 72, "renewals": 0, "renewal_lag_s": 9.800}
-  state q2 node 0: 5 6 524293 524294
-  state q2 node 2: 524295 262150 262152
-  state q2 node 3: 262149 262151 524296 524297
-  result q2 t=8.400000s ('10.0.0.0', 2)
-  result q2 t=8.600000s ('10.0.0.3', 2)
-  result q2 t=8.600000s ('10.0.0.1', 2)
-  result q2 t=8.700000s ('10.0.0.3', 1)
-  result q2 t=8.700000s ('10.0.0.0', 1)
-  result q2 t=8.700000s ('10.0.0.2', 1)
-  result q2 t=8.800000s ('10.0.0.2', 3)
-  result q2 t=8.800000s ('10.0.0.1', 3)
-try_submit 1: admitted, priced 40aed80000000000
-== three-table pipeline (t=28.000000s)
-installed [2, 2, 2, 2]
-  node 0: "admitted_installs": 2, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 180, "rehash_puts": 4, "results_shipped": 2, "result_bytes": 56, "renewals": 0, "renewal_lag_s": 9.600},
-  node 1: "admitted_installs": 2, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 184, "rehash_puts": 4, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.700},
-  node 2: "admitted_installs": 2, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 2 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 657, "rehash_puts": 13, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.700},
-  node 3: "admitted_installs": 2, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 110, "rehash_puts": 2, "results_shipped": 6, "result_bytes": 168, "renewals": 0, "renewal_lag_s": 9.800},
-  state q1 node 0: 9 524306 524309
-  state q1 node 2: 524301 524302 262153 262155 524298 524299 7 8
-  state q1 node 3: 262154 262156 524300 786436 524304 524307 786437 524303 10 524305 524308 524310
-  result q1 t=18.700000s (5, 3, 2)
-  result q1 t=18.900000s (2, 3, 1)
-  result q1 t=18.900000s (6, 1, 1)
-  result q1 t=19.000000s (7, 2, 2)
-  result q1 t=19.000000s (3, 1, 2)
-  result q1 t=19.100000s (1, 2, 2)
-  result q1 t=19.100000s (4, 2, 1)
-  result q1 t=19.100000s (0, 1, 1)
-try_submit 3: admitted, priced 40e0db8000000000
-== Bloom join (t=38.000000s)
-installed [3, 3, 3, 3]
-  node 0: "admitted_installs": 3, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q3: {"qid": 3, "tenant": 2, "live": true, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 74, "rehash_puts": 2, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.600}
-  node 1: "admitted_installs": 3, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q3: {"qid": 3, "tenant": 2, "live": true, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 148, "rehash_puts": 4, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.700}
-  node 2: "admitted_installs": 3, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 2 q3: {"qid": 3, "tenant": 2, "live": true, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 185, "rehash_puts": 5, "results_shipped": 2, "result_bytes": 40, "renewals": 0, "renewal_lag_s": 9.700}
-  node 3: "admitted_installs": 3, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q3: {"qid": 3, "tenant": 2, "live": true, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 6, "result_bytes": 120, "renewals": 0, "renewal_lag_s": 9.800}
-  state q3 node 2: 524314 262157 262159 2 3 0 1 2 3 0 1
-  state q3 node 3: 262158 262160 524311 524315 524312 524313 11 12
-  result q3 t=29.300000s (3, 1)
-  result q3 t=29.300000s (0, 1)
-  result q3 t=29.300000s (6, 1)
-  result q3 t=29.400000s (2, 3)
-  result q3 t=29.400000s (5, 3)
-  result q3 t=29.500000s (7, 2)
-  result q3 t=29.500000s (1, 2)
-  result q3 t=29.500000s (4, 2)
-try_submit 4: admitted, priced 4079000000000000
-== standing aggregate (t=48.000000s)
-installed [4, 4, 4, 4]
-  node 0: "admitted_installs": 4, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 19, "renewals": 0, "renewal_lag_s": 9.600}
-  node 1: "admitted_installs": 4, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 19, "renewals": 0, "renewal_lag_s": 9.700}
-  node 2: "admitted_installs": 4, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 2 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.700}
-  node 3: "admitted_installs": 4, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 19, "renewals": 0, "renewal_lag_s": 9.800}
-  state q4 node 0: 1 2
-  state q4 node 1: 1 2
-  state q4 node 3: 2 0
-  result q4 t=43.300000s ('fp1', 3)
-  result q4 t=43.400000s ('fp0', 3)
-  result q4 t=43.400000s ('fp2', 2)
-try_submit 5: admitted, priced 4079000000000000
-try_submit 6: admitted, priced 4079000000000000
-== two scans of one table (t=58.000000s)
-installed [6, 6, 6, 6]
-  node 0: "admitted_installs": 6, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 2, "result_bytes": 38, "renewals": 0, "renewal_lag_s": 19.600},
-  node 0 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 24, "renewals": 0, "renewal_lag_s": 9.600},
-  node 0 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 24, "renewals": 0, "renewal_lag_s": 9.600}
-  node 1: "admitted_installs": 6, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 2, "result_bytes": 38, "renewals": 0, "renewal_lag_s": 19.700},
-  node 1 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 72, "renewals": 0, "renewal_lag_s": 9.700},
-  node 1 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 72, "renewals": 0, "renewal_lag_s": 9.700}
-  node 2: "admitted_installs": 6, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 2 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 9.700},
-  node 2 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 9.700}
-  node 3: "admitted_installs": 6, "rejected_installs": 0, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 2, "result_bytes": 38, "renewals": 0, "renewal_lag_s": 19.800},
-  node 3 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.800},
-  node 3 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 9.800}
-  result q4 t=53.300000s ('fp1', 3)
-  result q4 t=53.400000s ('fp0', 3)
-  result q4 t=53.400000s ('fp2', 2)
-  result q5 t=48.400000s (3, '10.0.0.3')
-  result q5 t=48.400000s (5, '10.0.0.1')
-  result q5 t=48.400000s (0, '10.0.0.0')
-  result q5 t=48.400000s (4, '10.0.0.0')
-  result q5 t=48.400000s (7, '10.0.0.3')
-  result q5 t=48.400000s (1, '10.0.0.1')
-  result q5 t=48.400000s (2, '10.0.0.2')
-  result q5 t=48.400000s (6, '10.0.0.2')
-  result q6 t=48.400000s (3, '10.0.0.3')
-  result q6 t=48.400000s (5, '10.0.0.1')
-  result q6 t=48.400000s (0, '10.0.0.0')
-  result q6 t=48.400000s (4, '10.0.0.0')
-  result q6 t=48.400000s (7, '10.0.0.3')
-  result q6 t=48.400000s (1, '10.0.0.1')
-  result q6 t=48.400000s (2, '10.0.0.2')
-  result q6 t=48.400000s (6, '10.0.0.2')
-publish intrusions 8..12 from node 2
-== publish (t=68.000000s)
-installed [6, 6, 6, 6]
-  node 0 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 327, "rehash_puts": 7, "results_shipped": 3, "result_bytes": 84, "renewals": 0, "renewal_lag_s": 49.600},
-  node 0 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 59.600},
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 57, "renewals": 0, "renewal_lag_s": 29.600},
-  node 0 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 19.600},
-  node 0 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 19.600}
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 57, "renewals": 0, "renewal_lag_s": 29.700},
-  node 2 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 767, "rehash_puts": 15, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 49.700},
-  node 2 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 59.700},
-  node 3 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 269, "rehash_puts": 5, "results_shipped": 9, "result_bytes": 252, "renewals": 0, "renewal_lag_s": 49.800},
-  node 3 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 41, "rehash_puts": 1, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 59.800},
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 57, "renewals": 0, "renewal_lag_s": 29.800},
-  node 3 q5: {"qid": 5, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 24, "renewals": 0, "renewal_lag_s": 19.800},
-  node 3 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 24, "renewals": 0, "renewal_lag_s": 19.800}
-  state q1 node 0: 9 524306 524309 786440
-  state q1 node 2: 524301 524302 262153 262155 16 524298 524299 7 8 18
-  state q1 node 3: 262154 262156 524300 786439 14 786436 524304 524307 524320 786437 524303 10 524321 524305 524308 524310 786441
-  state q2 node 0: 5 6 524293 524294 17
-  state q2 node 2: 524295 262150 262152 13 786438
-  state q2 node 3: 262149 262151 524296 524297 15
-  state q4 node 0: 0 1 2
-  state q4 node 1: 1 3 0 2
-  result q1 t=58.700000s (11, 3, 2)
-  result q1 t=58.800000s (8, 3, 1)
-  result q1 t=59.000000s (9, 1, 2)
-  result q1 t=59.000000s (10, 2, 1)
-  result q2 t=58.300000s ('10.0.0.2', 2)
-  result q2 t=58.700000s ('10.0.0.0', 3)
-  result q2 t=58.700000s ('10.0.0.3', 3)
-  result q2 t=58.800000s ('10.0.0.1', 1)
-  result q4 t=63.300000s ('fp1', 4)
-  result q4 t=63.400000s ('fp0', 4)
-  result q4 t=63.400000s ('fp2', 4)
-  result q5 t=58.300000s (8, '10.0.0.0')
-  result q5 t=58.300000s (9, '10.0.0.1')
-  result q5 t=58.300000s (10, '10.0.0.2')
-  result q5 t=58.400000s (11, '10.0.0.3')
-  result q6 t=58.300000s (8, '10.0.0.0')
-  result q6 t=58.300000s (9, '10.0.0.1')
-  result q6 t=58.300000s (10, '10.0.0.2')
-  result q6 t=58.400000s (11, '10.0.0.3')
-quota tenant 1: Quota { max_standing: 2, max_priced_bytes_per_sec: inf, publish_bytes_per_sec: inf, publish_burst_bytes: inf }
-quota tenant 4: Quota { max_standing: 18446744073709551615, max_priced_bytes_per_sec: 1000.0, publish_bytes_per_sec: inf, publish_burst_bytes: inf }
-try_submit 7: StandingQueries { tenant: 1, installed: 2, limit: 2 }
-try_submit 8: PricedTraffic { tenant: 4, priced: 4079000000000000, committed: 4089000000000000, budget: 408f400000000000 }
-submit 9
-== quotas (t=78.000000s)
-installed [6, 6, 6, 6]
-  node 0: "admitted_installs": 6, "rejected_installs": 3, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 76, "renewals": 0, "renewal_lag_s": 39.600},
-  node 1: "admitted_installs": 6, "rejected_installs": 1, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 76, "renewals": 0, "renewal_lag_s": 39.700},
-  node 2: "admitted_installs": 6, "rejected_installs": 1, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3: "admitted_installs": 6, "rejected_installs": 1, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 76, "renewals": 0, "renewal_lag_s": 39.800},
-  result q4 t=73.300000s ('fp1', 4)
-  result q4 t=73.400000s ('fp0', 4)
-  result q4 t=73.400000s ('fp2', 4)
-try_submit 4: admitted, priced 4079000000000000
-try_submit 5: PricedTraffic { tenant: 4, priced: 4079000000000000, committed: 4089000000000000, budget: 408f400000000000 }
-submit 2
-== re-submitted (t=88.000000s)
-installed [6, 6, 6, 6]
-  node 0: "admitted_installs": 6, "rejected_installs": 4, "malformed_installs": 0, "shed_publishes": 0, "shed_bytes": 0,
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 5, "result_bytes": 95, "renewals": 0, "renewal_lag_s": 49.600},
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 5, "result_bytes": 95, "renewals": 0, "renewal_lag_s": 49.700},
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 5, "result_bytes": 95, "renewals": 0, "renewal_lag_s": 49.800},
-  result q4 t=83.300000s ('fp1', 4)
-  result q4 t=83.400000s ('fp0', 4)
-  result q4 t=83.400000s ('fp2', 4)
-cancel 5
-cancel 3
-== cancel (t=98.000000s)
-installed [4, 4, 4, 4]
-  node 0 q3: {"qid": 3, "tenant": 2, "live": false, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 74, "rehash_puts": 2, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 69.600},
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 6, "result_bytes": 114, "renewals": 0, "renewal_lag_s": 59.600},
-  node 0 q5: {"qid": 5, "tenant": 4, "live": false, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 49.600},
-  node 1 q3: {"qid": 3, "tenant": 2, "live": false, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 148, "rehash_puts": 4, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 69.700},
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 6, "result_bytes": 114, "renewals": 0, "renewal_lag_s": 59.700},
-  node 1 q5: {"qid": 5, "tenant": 4, "live": false, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 3, "result_bytes": 72, "renewals": 0, "renewal_lag_s": 49.700},
-  node 2 q3: {"qid": 3, "tenant": 2, "live": false, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 185, "rehash_puts": 5, "results_shipped": 2, "result_bytes": 40, "renewals": 0, "renewal_lag_s": 69.700},
-  node 2 q5: {"qid": 5, "tenant": 4, "live": false, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 49.700},
-  node 3 q3: {"qid": 3, "tenant": 2, "live": false, "priced_bytes_per_sec": 34524.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 6, "result_bytes": 120, "renewals": 0, "renewal_lag_s": 69.800},
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 6, "result_bytes": 114, "renewals": 0, "renewal_lag_s": 59.800},
-  node 3 q5: {"qid": 5, "tenant": 4, "live": false, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 1, "result_bytes": 24, "renewals": 0, "renewal_lag_s": 49.800},
-  state q3 node 2: gone
-  state q3 node 3: gone
-  result q4 t=93.300000s ('fp1', 4)
-  result q4 t=93.400000s ('fp0', 4)
-  result q4 t=93.400000s ('fp2', 4)
-publish intrusions 12..16 from node 1
-== publish after cancel (t=108.000000s)
-installed [4, 4, 4, 4]
-  node 0 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 327, "rehash_puts": 7, "results_shipped": 4, "result_bytes": 112, "renewals": 0, "renewal_lag_s": 89.600},
-  node 0 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 5, "result_bytes": 120, "renewals": 0, "renewal_lag_s": 99.600},
-  node 0 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 7, "result_bytes": 133, "renewals": 0, "renewal_lag_s": 69.600},
-  node 1 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 233, "rehash_puts": 5, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 89.700},
-  node 1 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 99.700},
-  node 1 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 7, "result_bytes": 133, "renewals": 0, "renewal_lag_s": 69.700},
-  node 1 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 59.700}
-  node 2 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 932, "rehash_puts": 18, "results_shipped": 0, "result_bytes": 0, "renewals": 0, "renewal_lag_s": 89.700},
-  node 2 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 201, "rehash_puts": 5, "results_shipped": 5, "result_bytes": 120, "renewals": 0, "renewal_lag_s": 99.700},
-  node 3 q1: {"qid": 1, "tenant": 1, "live": true, "priced_bytes_per_sec": 3948.0000, "rehash_bytes": 471, "rehash_puts": 9, "results_shipped": 12, "result_bytes": 336, "renewals": 0, "renewal_lag_s": 89.800},
-  node 3 q2: {"qid": 2, "tenant": 1, "live": true, "priced_bytes_per_sec": 1840.0000, "rehash_bytes": 164, "rehash_puts": 4, "results_shipped": 6, "result_bytes": 144, "renewals": 0, "renewal_lag_s": 99.800},
-  node 3 q4: {"qid": 4, "tenant": 3, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 7, "result_bytes": 133, "renewals": 0, "renewal_lag_s": 69.800},
-  node 3 q6: {"qid": 6, "tenant": 4, "live": true, "priced_bytes_per_sec": 400.0000, "rehash_bytes": 0, "rehash_puts": 0, "results_shipped": 4, "result_bytes": 96, "renewals": 0, "renewal_lag_s": 59.800}
-  state q1 node 0: 9 524306 524309 786440 524322
-  state q1 node 2: 524301 524302 262153 262155 16 262166 786443 524298 524299 7 8 18 786445
-  state q1 node 3: 262154 262156 524300 786439 14 786447 786436 524304 524307 524320 524324 786437 524303 10 524321 786448 524305 524308 524310 786441 524323
-  state q2 node 0: 5 6 524293 524294 17 786444
-  state q2 node 2: 524295 262150 262152 13 786438 786446
-  state q2 node 3: 262149 262151 524296 524297 15 786442 262165
-  state q4 node 0: 0 1 2 3
-  state q4 node 3: 3 2 0
-  result q1 t=98.400000s (14, 3, 1)
-  result q1 t=98.700000s (15, 1, 2)
-  result q1 t=99.000000s (12, 1, 1)
-  result q1 t=99.000000s (13, 2, 2)
-  result q2 t=98.400000s ('10.0.0.0', 1)
-  result q2 t=98.400000s ('10.0.0.3', 1)
-  result q2 t=98.700000s ('10.0.0.2', 3)
-  result q2 t=98.700000s ('10.0.0.1', 2)
-  result q4 t=103.300000s ('fp1', 5)
-  result q4 t=103.400000s ('fp0', 6)
-  result q4 t=103.400000s ('fp2', 5)
-  result q6 t=98.100000s (15, '10.0.0.3')
-  result q6 t=98.400000s (12, '10.0.0.0')
-  result q6 t=98.400000s (13, '10.0.0.1')
-  result q6 t=98.400000s (14, '10.0.0.2')
-pin (1451, 529, 167055)
-"#;
