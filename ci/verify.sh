@@ -9,8 +9,10 @@
 # (the bootstrap and the churned overlay) and alloc_budget's keepalive,
 # resting_overlay and small_join, registry_pin,
 # oracle_pin, expr_pin, publish_pin, dataflow_pin with pruning and
-# pruning_props, wire_audit, alloc_budget), the lints, the three source
-# guards (the layering guard's eight rules: the DHT provider
+# pruning_props, wire_audit, alloc_budget, pin_harness), the lints, the
+# four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
+# is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
+# no `.txt.new`; the layering guard's eight rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -53,6 +55,7 @@ RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps
 step ci/determinism_guard.sh
 step ci/sleep_guard.sh
 step ci/layering_guard.sh
+step ci/pin_guard.sh
 step cargo test --offline --manifest-path benchmark/Cargo.toml
 # The paper's R ⋈ S on 256 nodes: its continuity pins (582 413 events,
 # 4 748 results) and its answer against the oracle.

@@ -127,11 +127,6 @@ impl<V: Wire + Clone> Dht<V> {
         Self::with_overlay(cfg, me, Overlay::Can(can))
     }
 
-    /// Construct a node with a pre-stabilized Chord state.
-    pub fn with_chord(cfg: DhtConfig, me: NodeId, chord: ChordState) -> Self {
-        Self::with_overlay(cfg, me, Overlay::Chord(chord))
-    }
-
     /// Pre-stabilized stacks for ids `0..n` on the overlay `cfg` names.
     pub fn stabilized(n: usize, cfg: &DhtConfig) -> Vec<Self> {
         Overlay::stabilized(n, cfg)

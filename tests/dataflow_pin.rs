@@ -1,11 +1,11 @@
 //! Absolute per-operator-shape pins: on a 16-node `Sim` at one seed,
 //! every join dataflow shape must process exactly this many engine
 //! events, move exactly this many messages and bytes, and deliver
-//! exactly this many results, one row per run under
-//! `tests/pins/dataflow_pin/`. The cross-engine suites compare engines
-//! to each other and the `benchmark/` continuity pins cover three
-//! workloads; this table is what makes a change to rehash, probe,
-//! replay, stage republish or the result sink visible per shape.
+//! exactly this many results, one `(events, messages, bytes, results)`
+//! row per run under `tests/pins/dataflow_pin/`. The cross-engine suites
+//! compare engines to each other and the `benchmark/` continuity pins
+//! cover three workloads; these rows make a change to rehash, probe,
+//! stage republish, the result sink or replica repair visible per shape.
 //!
 //! The numbers were taken before the binary and N-way executors were
 //! merged into one pipeline; every `replication = 1` row held across

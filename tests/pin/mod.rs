@@ -6,7 +6,7 @@
 //! beside the expected file and panics, naming the file, both line counts
 //! and the first line that differs. A test never writes an expected file:
 //! `ci/retake_pins.sh` re-takes by moving every `.txt.new` over its
-//! `.txt`, so a re-take is a reviewable `git diff -- '*/tests/pins/'`.
+//! `.txt`, so a re-take is a reviewable `git diff -- '*tests/pins/*'`.
 //!
 //! `pin!(a, text_a; b, text_b)` checks several pins of one test and
 //! fails once, after writing a `.txt.new` for each that moved, so one
@@ -14,7 +14,8 @@
 //!
 //! Included by every test tree: `tests/*.rs` as `mod pin;`,
 //! `crates/*/tests/*.rs` through `#[path = "../../../tests/pin/mod.rs"]`.
-#![allow(dead_code)]
+// Each test crate includes the whole module and uses a part of it.
+#![allow(dead_code, unused_macros)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -56,13 +57,13 @@ pub fn check(dir: &Path, pins: &[(&str, &str)]) {
         fs::write(&new, &text).expect("write the .txt.new file");
         failures.push(match want {
             None => format!(
-                "{} is missing; the text now reads {} lines, written to {}",
+                "{} is missing; the text now reads {} lines\n  new text: {}",
                 path.display(),
                 text.lines().count(),
                 new.display()
             ),
             Some(want) => format!(
-                "{} moved: {} lines expected, {} now; {}; the new text is in {}",
+                "{} moved: {} lines expected, {} now; {}\n  new text: {}",
                 path.display(),
                 want.lines().count(),
                 text.lines().count(),
