@@ -130,6 +130,18 @@ fn standing_join_rehashes_late_rows() {
     pin!("standing_join_rehashes_late_rows", format!("{got:?}"));
 }
 
+/// The same join under `RENEW 30 SECONDS`: the run lasts past two of
+/// its renewal rounds, which republish the rehashed state without
+/// probing it again.
+#[test]
+fn renewed_standing_join() {
+    let wl = workload();
+    let op = wl.query(11, 0, JoinStrategy::SymmetricHash).op;
+    let desc = QueryDesc::standing(11, 0, op, None).with_renewal(Dur::from_secs(30));
+    let got = standing(desc);
+    pin!("renewed_standing_join", format!("{got:?}"));
+}
+
 #[test]
 fn windowed_standing_join() {
     let wl = workload();
