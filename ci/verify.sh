@@ -9,7 +9,9 @@
 # (the bootstrap and the churned overlay) and alloc_budget's keepalive,
 # resting_overlay and small_join, registry_pin,
 # oracle_pin, expr_pin, publish_pin, dataflow_pin with pruning and
-# pruning_props, wire_audit, alloc_budget, pin_harness), the lints, the
+# pruning_props, wire_audit, alloc_budget, pin_harness, and the query
+# lifetimes: edge_cases' malformed descriptors, lifecycle and
+# replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
 # no `.txt.new`; the layering guard's eight rules: the DHT provider

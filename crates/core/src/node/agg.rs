@@ -225,7 +225,7 @@ impl PierNode {
         let replicated = self.replicated();
         if let Some(inst) = self.reg.get_mut(qid) {
             for_each_live(&self.dht, scan, now, |iid, expires, _, row| {
-                let valid = base_valid(desc.window, now, expires);
+                let valid = base_valid(desc.tenure.window(), now, expires);
                 inst.accumulate(replicated, agg, &row, valid, iid as u64);
             });
         }
@@ -360,17 +360,11 @@ impl PierNode {
     }
 
     /// Continuous aggregation re-arms its timers every epoch instead of
-    /// tearing the query down after one harvest. An epoch spec inside a
-    /// non-continuous descriptor does not re-arm: the query emits one
-    /// round and falls silent like any other one-shot.
+    /// tearing the query down after one harvest (an epoch is certified
+    /// standing, [`crate::plan::Tenure::check`]).
     pub(super) fn rearm_epoch(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, action: TimerAction) {
-        let Some(inst) = self.reg.get(qid) else {
-            return;
-        };
-        if !inst.desc.continuous {
-            return;
-        }
-        if let Some(epoch) = inst.desc.op.agg().and_then(|a| a.epoch) {
+        let epoch = self.reg.get(qid).and_then(|i| i.desc.op.agg()?.epoch);
+        if let Some(epoch) = epoch {
             self.arm_timer(ctx, epoch, action);
         }
     }

@@ -30,12 +30,11 @@ impl PierNode {
         };
         let Some(j) = desc.op.join() else { return };
         // Publish a filter fragment per local side. Fragments are
-        // collector metadata, not window or renewal state: whatever the
-        // query's horizon, they must outlive the collector's flush
+        // collector metadata: they must outlive the collector's flush
         // deadline — including every congestion extension (≤ 60 ×
         // `BLOOM_WAIT`) — so a slow collector never ORs an
         // already-expired fragment set.
-        let lifetime = Self::query_horizon(&desc).max(BLOOM_WAIT.saturating_mul(64));
+        let lifetime = BLOOM_WAIT.saturating_mul(64);
         let filters = [Side::Left, Side::Right].map(|side| {
             let mut filter = BloomFilter::new(j.bloom_bits, BLOOM_HASHES);
             let (_, _, join_col) = view.table_role(side as usize);

@@ -29,21 +29,16 @@ impl PierNode {
         let (_, _, join_col) = view.table_role(0);
         // Each probing row is kept, as stored, until its fetch completes.
         let mut rows = Vec::new();
-        for_each_live(&self.dht, &j.left, ctx.now, |iid, expires, flat, row| {
+        for_each_live(&self.dht, &j.left, ctx.now, |iid, _, flat, row| {
             let rid = row.col(join_col).hash64();
-            rows.push((rid, iid, expires, flat.clone()));
+            rows.push((rid, (iid, flat.clone())));
         });
         let right_ns = j.stages[0].right.ns;
         self.dht_op(ctx, |node, ctx, events| {
-            for (rid, left_iid, left_expires, left_row) in rows {
+            for (rid, left) in rows {
                 let token = node.token();
-                let purpose = GetPurpose::FmProbe {
-                    qid,
-                    left_iid,
-                    left_expires,
-                    left_row,
-                };
-                node.get_purpose.insert(token, purpose);
+                node.get_purpose
+                    .insert(token, GetPurpose::FmProbe { qid, left });
                 node.dht
                     .get(&mut node.reg.env(ctx), right_ns, rid, token, events);
             }
@@ -54,7 +49,7 @@ impl PierNode {
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         qid: u64,
-        (left_iid, left_expires, left_row): (u32, Time, FlatRow),
+        (left_iid, left_row): (u32, FlatRow),
         items: Vec<Entry<QpItem>>,
     ) {
         let Some((desc, view)) = self.join_plan(qid) else {
@@ -82,8 +77,7 @@ impl PierNode {
             let joined = Concat::new(left_row, right_row);
             if stage.stage_pred.as_ref().is_none_or(|p| p.matches(&joined)) {
                 let ident = Self::pair_ident(left_iid, e.iid);
-                let until = left_expires.min(e.expires);
-                self.finish(ctx, &desc, &joined, &j.project, ident, until);
+                self.finish(ctx, &desc, &joined, &j.project, ident, Time::MAX);
             }
         }
     }
@@ -191,10 +185,10 @@ impl PierNode {
             items
                 .into_iter()
                 .filter_map(|e| match e.val {
-                    QpItem::Row(t) => Some((e.expires, t)),
+                    QpItem::Row(t) => Some(t),
                     _ => None,
                 })
-                .filter(|(_, t)| live_row(scan, t).is_some_and(|r| r.get(scan.pkey_col) == pkey))
+                .filter(|t| live_row(scan, t).is_some_and(|r| r.get(scan.pkey_col) == pkey))
                 .collect(),
         );
         if p.rows.iter().any(Option::is_none) {
@@ -211,9 +205,9 @@ impl PierNode {
         let post = &j.stages[0].stage_pred;
         let (_, _, left_col) = view.table_role(0);
         let (_, _, right_col) = view.table_role(1);
-        for (li, (l_expires, l)) in lefts.iter().enumerate() {
+        for (li, l) in lefts.iter().enumerate() {
             let l = l.view();
-            for (ri, (r_expires, r)) in rights.iter().enumerate() {
+            for (ri, r) in rights.iter().enumerate() {
                 let r = r.view();
                 if l.get(left_col) != r.get(right_col) {
                     continue; // another row under the same primary key
@@ -224,8 +218,7 @@ impl PierNode {
                     // (resourceID = primary key); the index mix only
                     // disambiguates pkey-collision multiplicities.
                     let ident = pier_dht::geom::hash2(ident, ((li as u64) << 32) | ri as u64);
-                    let until = *l_expires.min(r_expires);
-                    self.finish(ctx, &desc, &joined, &j.project, ident, until);
+                    self.finish(ctx, &desc, &joined, &j.project, ident, Time::MAX);
                 }
             }
         }

@@ -20,7 +20,7 @@ mod pipeline;
 mod renewal;
 mod service;
 
-use renewal::{PubRecord, SoftPub};
+use renewal::SoftPub;
 
 pub use service::{NodeRequest, NodeResponse, PublishReport};
 
@@ -39,23 +39,17 @@ use pier_simnet::NodeId;
 use crate::expr::{Expr, Projection};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
-use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec};
+use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec, Tenure};
 use crate::tenant::{TenantGovernor, TenantId};
 use crate::tuple::{Columns, FlatRow, RowBatch, RowRef, Rows, Slot, Tuple};
 use crate::value::Value;
 
 /// What an outstanding DHT `get` was issued for.
 enum GetPurpose {
-    /// Fetch Matches: probing the right table for one left tuple
-    /// (`left_iid` is the probing tuple's instanceID, kept so the
-    /// result identity can name both constituents; `left_expires` so a
-    /// windowed aggregate knows how long the result stays valid).
-    FmProbe {
-        qid: u64,
-        left_iid: u32,
-        left_expires: Time,
-        left_row: FlatRow,
-    },
+    /// Fetch Matches: probing the right table for one left tuple, kept
+    /// with its instanceID so the result identity can name both
+    /// constituents.
+    FmProbe { qid: u64, left: (u32, FlatRow) },
     /// Symmetric semi-join: fetching one side of a matched pair.
     SemiFetch { qid: u64, pair: u64, side: Side },
 }
@@ -84,7 +78,7 @@ enum TimerAction {
     /// renewal loop of §3.2.3 / Fig. 6).
     Renew { every: Dur },
     /// Republish one standing query's rehash soft state every
-    /// [`QueryDesc::renew_every`]. Cancelled by uninstall, so renewal
+    /// [`Tenure::Unwindowed`] period. Cancelled by uninstall, so renewal
     /// stops and the query's DHT state ages out within one horizon.
     RenewQuery { qid: u64 },
 }
@@ -237,10 +231,10 @@ impl QueryInstance {
 /// Semi-join: the two full-tuple fetches of one matched mini pair,
 /// indexed by [`Side`].
 struct PairFetch {
-    /// Fetched rows (with their expiry) that the side's scan selects,
-    /// under the primary key the mini named, as stored; `None` until
-    /// that side's fetch completes.
-    rows: [Option<Vec<(Time, FlatRow)>>; 2],
+    /// Fetched rows that the side's scan selects, under the primary key
+    /// the mini named, as stored; `None` until that side's fetch
+    /// completes.
+    rows: [Option<Vec<FlatRow>>; 2],
     pkeys: [Value; 2],
     /// Identity of the mini pair that triggered the fetches — the
     /// emitted results inherit it for initiator-side dedup.
@@ -405,7 +399,7 @@ pub struct PierNode {
     /// late-arriving descriptor resurrect the query and renew forever.
     cancelled: VecDeque<u64>,
     next_token: u64,
-    published: Vec<PubRecord>,
+    published: Vec<(Dur, SoftPub)>,
     iid_seq: u32,
     /// Tenancy governance: admission control at install time and
     /// publish-side token buckets ([`crate::tenant`]). Harnesses
@@ -524,7 +518,7 @@ impl PierNode {
     /// so `timer_actions`, the registry, and the routing table return to
     /// baseline instead of growing for the process lifetime.
     fn retire_if_one_shot(&mut self, qid: u64) {
-        if self.reg.get(qid).is_some_and(|i| !i.desc.continuous) {
+        if let Some(Tenure::OneShot) = self.reg.get(qid).map(|i| i.desc.tenure) {
             self.uninstall_query(qid);
         }
     }
@@ -623,7 +617,7 @@ impl PierNode {
             .install(QueryInstance::new(Arc::clone(&desc), view, priced));
         // A standing unwindowed query carrying a renewal period renews
         // its own rehash state from install on.
-        if let Some(every) = renewal::period(&desc) {
+        if let Some(every) = desc.tenure.renew_every() {
             self.arm_timer(ctx, every, TimerAction::RenewQuery { qid });
         }
 
@@ -742,7 +736,7 @@ impl PierNode {
         let Some(inst) = self.reg.get(qid) else {
             return;
         };
-        if !inst.desc.continuous {
+        if inst.desc.tenure == Tenure::OneShot {
             return;
         }
         let QpItem::Row(flat) = &entry.val else {
@@ -767,7 +761,7 @@ impl PierNode {
             // re-emission to carry the update.
             QueryOp::Agg { agg, .. } => {
                 if agg.epoch.is_some() {
-                    let valid = agg::base_valid(desc.window, ctx.now, entry.expires);
+                    let valid = agg::base_valid(desc.tenure.window(), ctx.now, entry.expires);
                     self.accumulate(qid, agg, &row, valid, entry.iid as u64);
                 }
             }
@@ -776,12 +770,7 @@ impl PierNode {
 
     fn on_get_result(&mut self, ctx: &mut Ctx<PierMsg>, token: u64, items: Vec<Entry<QpItem>>) {
         match self.get_purpose.remove(&token) {
-            Some(GetPurpose::FmProbe {
-                qid,
-                left_iid,
-                left_expires,
-                left_row,
-            }) => self.fm_complete(ctx, qid, (left_iid, left_expires, left_row), items),
+            Some(GetPurpose::FmProbe { qid, left }) => self.fm_complete(ctx, qid, left, items),
             Some(GetPurpose::SemiFetch { qid, pair, side }) => {
                 self.semi_complete(ctx, qid, pair, side, items)
             }
@@ -811,7 +800,7 @@ impl PierNode {
         let out = Projection::new(project, row);
         match desc.op.agg() {
             Some(agg) => {
-                let valid = desc.window.map_or(Time::MAX, |_| valid_until);
+                let valid = desc.tenure.window().map_or(Time::MAX, |_| valid_until);
                 self.accumulate(desc.qid, agg, &out, valid, ident);
             }
             None => self.emit_result(ctx, desc.qid, desc.initiator, ident, &out),

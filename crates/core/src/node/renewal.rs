@@ -5,29 +5,20 @@
 //! [`TimerAction::RenewQuery`] loop, at the period its descriptor
 //! carries.
 
-use pier_dht::{Ns, Rid};
+use pier_dht::{Dht, Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 use pier_simnet::Wire;
 
-use super::{give_back, take, Pending, PierNode, PublishReport, TimerAction, BULK_PUTS};
+use super::BULK_PUTS;
+use super::{give_back, take, NodeEnv, Pending, PierNode, PublishReport, TimerAction, Upcalls};
 use crate::item::{row_item_wire, PierMsg, QpItem};
-use crate::plan::QueryDesc;
+use crate::plan::{QueryDesc, Tenure};
 use crate::tuple::{RowBatch, Tuple};
 
-/// A published item retained for renewal.
-pub(super) struct PubRecord {
-    ns: Ns,
-    rid: Rid,
-    iid: u32,
-    item: QpItem,
-    lifetime: Dur,
-}
-
-/// Rehash / stage-namespace soft state this node published on behalf of
-/// a continuous, unwindowed query — republished by the query's renewal
-/// loop so a standing join outlives one horizon (lifetime is derived at
-/// renewal time from the renewal period).
+/// A put this node renews: a base row it published (with the lifetime
+/// it was published for), or rehash / stage soft state of a standing
+/// query that renews its own ([`Tenure::Unwindowed`]).
 pub(super) struct SoftPub {
     ns: Ns,
     rid: Rid,
@@ -35,17 +26,22 @@ pub(super) struct SoftPub {
     item: QpItem,
 }
 
+/// Renew each record for its lifetime, in order.
+fn renew_each<'a>(
+    dht: &mut Dht<QpItem>,
+    env: &mut NodeEnv,
+    recs: impl Iterator<Item = (Dur, &'a SoftPub)>,
+    events: &mut Upcalls,
+) {
+    for (lifetime, rec) in recs {
+        let item = rec.item.clone();
+        dht.renew(env, rec.ns, rec.rid, rec.iid, item, lifetime, events);
+    }
+}
+
 /// Lifetime of rehash-layer soft state of a query that carries neither
 /// a window nor a renewal period: long enough for any one-shot.
 const REHASH_HORIZON: Dur = Dur(600_000_000);
-
-/// The period at which a query renews its rehash-layer state, if it
-/// does: continuous and unwindowed only — windowed state must age out,
-/// and a one-shot completes well inside one horizon.
-pub(super) fn period(desc: &QueryDesc) -> Option<Dur> {
-    desc.renew_every
-        .filter(|_| desc.continuous && desc.window.is_none())
-}
 
 impl PierNode {
     /// Publish rows of a table into the DHT, resourceID = primary key.
@@ -104,13 +100,8 @@ impl PierNode {
                 let env = &mut node.reg.env(ctx);
                 node.dht
                     .put(env, ns, rid, iid, item.clone(), lifetime, events);
-                node.published.push(PubRecord {
-                    ns,
-                    rid,
-                    iid,
-                    item,
-                    lifetime,
-                });
+                node.published
+                    .push((lifetime, SoftPub { ns, rid, iid, item }));
                 report.accepted += 1;
             }
             give_back(&BULK_PUTS, puts);
@@ -126,39 +117,33 @@ impl PierNode {
 
     pub(super) fn renew_all(&mut self, ctx: &mut Ctx<PierMsg>, every: Dur) {
         self.dht_op(ctx, |node, ctx, events| {
-            let env = &mut node.reg.env(ctx);
-            for rec in &node.published {
-                let item = rec.item.clone();
-                node.dht
-                    .renew(env, rec.ns, rec.rid, rec.iid, item, rec.lifetime, events);
-            }
+            let recs = node.published.iter().map(|(life, rec)| (*life, rec));
+            renew_each(&mut node.dht, &mut node.reg.env(ctx), recs, events);
             node.start_renewals(ctx, every);
         });
     }
 
-    /// Soft-state horizon of one query when no window applies: three of
+    /// Lifetime of rehash / stage / semi-join soft state for a query:
+    /// the sliding window (windowed state must age out), else three of
     /// its own renewal periods (state must comfortably outlive the gap
     /// between renewals), else the fixed [`REHASH_HORIZON`].
-    pub(super) fn query_horizon(desc: &QueryDesc) -> Dur {
-        desc.renew_every
-            .map_or(REHASH_HORIZON, |every| every.saturating_mul(3))
-    }
-
-    /// Lifetime of rehash / stage / semi-join soft state for a query:
-    /// the sliding window when set (windowed state must age out), else
-    /// the renewal-derived horizon.
     pub(super) fn soft_lifetime(desc: &QueryDesc) -> Dur {
-        desc.window.unwrap_or_else(|| Self::query_horizon(desc))
+        match desc.tenure {
+            Tenure::Windowed(window) => window,
+            tenure => tenure
+                .renew_every()
+                .map_or(REHASH_HORIZON, |every| every.saturating_mul(3)),
+        }
     }
 
     /// Account a rehash-layer put, and retain it when the query will
-    /// renew it ([`period`]).
+    /// renew it.
     pub(super) fn record_rehash(&mut self, qid: u64, ns: Ns, rid: Rid, iid: u32, item: &QpItem) {
         self.metrics.on_rehash(qid, item.wire_size());
         let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };
-        if period(&inst.desc).is_some() {
+        if inst.desc.tenure.renew_every().is_some() {
             inst.rehash_pubs.push(SoftPub {
                 ns,
                 rid,
@@ -177,16 +162,12 @@ impl PierNode {
             let Some(inst) = node.reg.get(qid) else {
                 return; // uninstalled between arm and fire
             };
-            let Some(every) = period(&inst.desc) else {
+            let Some(every) = inst.desc.tenure.renew_every() else {
                 return;
             };
-            let horizon = Self::query_horizon(&inst.desc);
-            let env = &mut node.reg.env(ctx);
-            for rec in &inst.rehash_pubs {
-                let item = rec.item.clone();
-                node.dht
-                    .renew(env, rec.ns, rec.rid, rec.iid, item, horizon, events);
-            }
+            let horizon = Self::soft_lifetime(&inst.desc);
+            let recs = inst.rehash_pubs.iter().map(|rec| (horizon, rec));
+            renew_each(&mut node.dht, &mut node.reg.env(ctx), recs, events);
             node.metrics.on_renewal(qid, ctx.now);
             node.arm_timer(ctx, every, TimerAction::RenewQuery { qid });
         });

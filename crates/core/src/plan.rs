@@ -297,7 +297,7 @@ pub struct AggSpec {
     /// queries over streams"): when set, the flush/harvest timers re-arm
     /// every epoch and every surviving group is re-emitted, instead of
     /// the query tearing down after one harvest. Combined with
-    /// [`QueryDesc::window`], contributions age out of the sliding
+    /// [`Tenure::Windowed`], contributions age out of the sliding
     /// window between epochs; without a window the aggregate is a
     /// running total over everything the standing query has seen.
     pub epoch: Option<Dur>,
@@ -380,6 +380,54 @@ impl QueryOp {
     }
 }
 
+/// How long a query runs and its rehashed soft state lives. A standing
+/// query stays installed, and rows published after install flow through
+/// it (§7 "continuous queries over streams").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tenure {
+    /// Runs once over the tables at rest; its state lives 600 s.
+    OneShot,
+    /// Standing; rehashed state ages out this long after its put.
+    Windowed(Dur),
+    /// Standing (SQL `RENEW n SECONDS`): rehashed state is republished
+    /// every `renew_every` with a 3× horizon; unrenewed, it lives 600 s.
+    Unwindowed { renew_every: Option<Dur> },
+}
+
+impl Tenure {
+    pub fn window(self) -> Option<Dur> {
+        match self {
+            Tenure::Windowed(window) => Some(window),
+            _ => None,
+        }
+    }
+
+    pub fn renew_every(self) -> Option<Dur> {
+        match self {
+            Tenure::Unwindowed { renew_every } => renew_every,
+            _ => None,
+        }
+    }
+
+    /// Can `op` run this long? Only the symmetric hash join has an
+    /// arrival path; the other three strategies run once over tables at
+    /// rest. An epoch re-emits a standing aggregate.
+    pub fn check(self, op: &QueryOp) -> Result<(), &'static str> {
+        let standing = self != Tenure::OneShot;
+        if standing
+            && op
+                .join()
+                .is_some_and(|j| j.strategy != JoinStrategy::SymmetricHash)
+        {
+            Err("a standing join runs only under symmetric hash")
+        } else if !standing && op.agg().is_some_and(|a| a.epoch.is_some()) {
+            Err("an aggregation epoch needs a standing query")
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// What [`QueryDesc::certified`] yields: the reason a descriptor is
 /// refused, or the join's shared plan (`None` for a scan or a flat
 /// aggregate).
@@ -391,18 +439,8 @@ pub struct QueryDesc {
     pub qid: u64,
     pub initiator: NodeId,
     pub op: QueryOp,
-    /// Continuous query: stays installed; newly published base tuples
-    /// flow through incrementally (§7 "continuous queries over streams").
-    pub continuous: bool,
-    /// For continuous joins: rehashed state ages out of the DHT after
-    /// this long, implementing a sliding time window via soft state.
-    pub window: Option<Dur>,
-    /// Per-query renewal period (SQL: `RENEW n SECONDS`): an unwindowed
-    /// standing query republishes its rehash soft state this often, with
-    /// a 3× horizon derived from it, so tenants with different liveness
-    /// needs coexist. `None` means the state is never renewed: it lives
-    /// one fixed horizon (600 s) from its put, enough for a one-shot.
-    pub renew_every: Option<Dur>,
+    /// One-shot, or standing and how its soft state lives.
+    pub tenure: Tenure,
     /// How many nodes participate (used by hierarchical aggregation to
     /// shape its tree; harnesses set it when building the query).
     pub n_nodes: u32,
@@ -424,9 +462,7 @@ impl Clone for QueryDesc {
             qid: self.qid,
             initiator: self.initiator,
             op: self.op.clone(),
-            continuous: self.continuous,
-            window: self.window,
-            renew_every: self.renew_every,
+            tenure: self.tenure,
             n_nodes: self.n_nodes,
             tenant: self.tenant,
             plan: OnceLock::new(),
@@ -440,24 +476,18 @@ impl QueryDesc {
             qid,
             initiator,
             op,
-            continuous: false,
-            window: None,
-            renew_every: None,
+            tenure: Tenure::OneShot,
             n_nodes: 0,
             tenant: 0,
             plan: OnceLock::new(),
         }
     }
 
-    /// A standing (continuous) query: stays installed after the initial
-    /// dataflow; newly published base tuples flow through incrementally,
-    /// and `window` bounds the lifetime of rehashed soft state (a
-    /// sliding time window). Unwindowed continuous state is kept alive
-    /// past one horizon by per-query renewal ([`Self::with_renewal`]).
+    /// A standing query, [`Tenure::Windowed`] by `window` or else
+    /// [`Tenure::Unwindowed`] without renewal ([`Self::with_renewal`]).
     pub fn standing(qid: u64, initiator: NodeId, op: QueryOp, window: Option<Dur>) -> Self {
         QueryDesc {
-            window,
-            continuous: true,
+            tenure: window.map_or(Tenure::Unwindowed { renew_every: None }, Tenure::Windowed),
             ..Self::one_shot(qid, initiator, op)
         }
     }
@@ -469,11 +499,13 @@ impl QueryDesc {
         self
     }
 
-    /// Give a standing unwindowed query its own renewal period (see
-    /// [`QueryDesc::renew_every`]). Windowed state must age out, so the
-    /// combination with a window is rejected at the SQL layer.
+    /// Give a standing unwindowed query its own renewal period. Panics on
+    /// any other tenure: windowed state must age out.
     pub fn with_renewal(mut self, every: Dur) -> Self {
-        self.renew_every = Some(every);
+        let Tenure::Unwindowed { renew_every } = &mut self.tenure else {
+            panic!("malformed tenure: renewal on a {:?} query", self.tenure);
+        };
+        *renew_every = Some(every);
         self
     }
 
@@ -484,8 +516,9 @@ impl QueryDesc {
     /// lies inside the arity of the tuple it will be evaluated over, and
     /// a join's shape is executable ([`JoinSpec::check`]). Past it, no
     /// handler can index a tuple out of range on this descriptor's
-    /// account.
+    /// account, nor run an operator longer than it can ([`Tenure::check`]).
     pub fn check(&self) -> Result<(), &'static str> {
+        self.tenure.check(&self.op)?;
         match &self.op {
             QueryOp::Scan { scan, project } => {
                 scan.check()?;
@@ -556,7 +589,7 @@ impl QueryDesc {
                 + a.having.as_ref().map_or(0, Expr::wire_size)
                 + if a.epoch.is_some() { 8 } else { 0 }
         }
-        24 + if self.renew_every.is_some() { 8 } else { 0 }
+        24 + 8 * self.tenure.renew_every().is_some() as usize
             + match &self.op {
                 QueryOp::Scan { scan, project } => {
                     scan_sz(scan) + project.iter().map(Expr::wire_size).sum::<usize>()
@@ -1134,6 +1167,14 @@ mod tests {
         assert_eq!(spec.output.len(), 2);
         assert_eq!(spec.output[0], Expr::Col(0));
         assert_eq!(spec.output[1], Expr::Col(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed tenure")]
+    fn windowed_state_is_never_renewed() {
+        let d = join_desc(workload_join(JoinStrategy::SymmetricHash));
+        let windowed = QueryDesc::standing(9, 0, d.op, Some(Dur::from_secs(30)));
+        let _ = windowed.with_renewal(Dur::from_secs(10));
     }
 
     #[test]

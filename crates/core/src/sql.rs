@@ -37,8 +37,8 @@
 //! sliding time window), `EPOCH` — aggregates only — re-emits every
 //! surviving group each epoch ([`crate::plan::AggSpec::epoch`]), and
 //! `RENEW` — unwindowed queries only — gives the query its own renewal
-//! period for that soft state ([`crate::plan::QueryDesc::renew_every`]),
-//! which is the only thing that renews it.
+//! period for that soft state ([`crate::plan::Tenure::Unwindowed`]),
+//! which is the only thing that renews it. A standing join runs symmetric hash.
 //! Use [`parse_continuous_query`] to get the full [`QueryDesc`];
 //! [`parse_query`] (and the planner) reject all three clauses since a
 //! bare [`QueryOp`] cannot honor them.
@@ -978,7 +978,8 @@ pub fn parse_query(
 /// epoch bound to the aggregation spec (per-epoch re-emission), and the
 /// renewal period bound to the descriptor (per-query soft-state
 /// renewal). Plain SQL parses too — the result is then a continuous
-/// query with no window, epoch, or renewal period.
+/// query with no window, epoch, or renewal period, and a join under another
+/// strategy than symmetric hash is refused ([`crate::plan::Tenure::check`]).
 pub fn parse_continuous_query(
     sql: &str,
     catalog: &Catalog,
@@ -998,17 +999,26 @@ pub fn parse_continuous_query(
     let order: Vec<usize> = (0..parsed.tables.len()).collect();
     let op = lower_parsed(&parsed, &order, strategy)?;
     let mut desc = QueryDesc::standing(qid, initiator, op, parsed.window);
-    desc.renew_every = parsed.renew;
+    if let Some(every) = parsed.renew {
+        desc = desc.with_renewal(every);
+    }
+    desc.tenure.check(&desc.op)?;
     Ok(desc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Tenure;
     use crate::semantics::{reference_eval, same_multiset};
     use crate::tuple;
     use crate::tuple::Tuple;
     use std::collections::BTreeMap;
+
+    /// [`super::parse_continuous_query`] under symmetric hash, from node 0.
+    fn standing(sql: &str, catalog: &Catalog, qid: u64) -> Result<QueryDesc, String> {
+        super::parse_continuous_query(sql, catalog, JoinStrategy::SymmetricHash, qid, 0)
+    }
 
     fn catalogs() -> (Catalog, Catalog) {
         (Catalog::workload(), Catalog::intrusion())
@@ -1240,76 +1250,44 @@ mod tests {
             3,
         )
         .unwrap();
-        assert!(desc.continuous);
         assert_eq!(desc.qid, 7);
         assert_eq!(desc.initiator, 3);
-        assert_eq!(desc.window, Some(pier_simnet::time::Dur::from_secs(90)));
+        assert_eq!(desc.tenure, Tenure::Windowed(Dur::from_secs(90)));
         let QueryOp::Agg { agg, .. } = &desc.op else {
             panic!("expected agg")
         };
         assert_eq!(agg.epoch, Some(pier_simnet::time::Dur::from_secs(30)));
 
         // Units: MS and MINUTES; bare numbers default to seconds.
-        let desc = super::parse_continuous_query(
-            "SELECT count(*) FROM intrusions WINDOW 2 MINUTES EPOCH 500 MS",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            8,
-            0,
-        )
-        .unwrap();
-        assert_eq!(desc.window, Some(pier_simnet::time::Dur::from_secs(120)));
+        let sql = "SELECT count(*) FROM intrusions WINDOW 2 MINUTES EPOCH 500 MS";
+        let desc = standing(sql, &intr, 8).unwrap();
+        assert_eq!(desc.tenure, Tenure::Windowed(Dur::from_secs(120)));
         let QueryOp::Agg { agg, .. } = &desc.op else {
             panic!()
         };
         assert_eq!(agg.epoch, Some(pier_simnet::time::Dur::from_millis(500)));
 
         // Plain SQL through the continuous entry: standing, unwindowed.
-        let desc = super::parse_continuous_query(
-            "SELECT address FROM intrusions",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            9,
-            0,
-        )
-        .unwrap();
-        assert!(desc.continuous && desc.window.is_none());
+        let desc = standing("SELECT address FROM intrusions", &intr, 9).unwrap();
+        assert_eq!(desc.tenure, Tenure::Unwindowed { renew_every: None });
     }
 
     #[test]
     fn renew_clause_binds_a_per_query_renewal_period() {
         let (_, intr) = catalogs();
-        let desc = super::parse_continuous_query(
-            "SELECT I.address, count(*) FROM intrusions I, advisories A \
-             WHERE I.fingerprint = A.fingerprint \
-             GROUP BY I.address EPOCH 30 SECONDS RENEW 45 SECONDS",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            11,
-            0,
-        )
-        .unwrap();
-        assert!(desc.continuous);
-        assert_eq!(
-            desc.renew_every,
-            Some(pier_simnet::time::Dur::from_secs(45))
-        );
+        let sql = "SELECT I.address, count(*) FROM intrusions I, advisories A \
+                   WHERE I.fingerprint = A.fingerprint \
+                   GROUP BY I.address EPOCH 30 SECONDS RENEW 45 SECONDS";
+        let desc = standing(sql, &intr, 11).unwrap();
+        let renew_every = Some(Dur::from_secs(45));
+        assert_eq!(desc.tenure, Tenure::Unwindowed { renew_every });
 
         // RENEW alone makes a query standing (a renewed continuous join).
-        let desc = super::parse_continuous_query(
-            "SELECT I.address, R.weight FROM intrusions I, reputation R \
-             WHERE I.address = R.address RENEW 20 SECONDS",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            12,
-            0,
-        )
-        .unwrap();
-        assert_eq!(
-            desc.renew_every,
-            Some(pier_simnet::time::Dur::from_secs(20))
-        );
-        assert!(desc.window.is_none());
+        let sql = "SELECT I.address, R.weight FROM intrusions I, reputation R \
+                   WHERE I.address = R.address RENEW 20 SECONDS";
+        let desc = standing(sql, &intr, 12).unwrap();
+        let renew_every = Some(Dur::from_secs(20));
+        assert_eq!(desc.tenure, Tenure::Unwindowed { renew_every });
 
         // One-shot entry points reject it…
         let err = parse_query(
@@ -1320,29 +1298,18 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("parse_continuous_query"), "{err}");
         // …and a window excludes renewal (windowed state must age out).
-        let err = super::parse_continuous_query(
-            "SELECT count(*) FROM intrusions WINDOW 60 SECONDS EPOCH 30 SECONDS RENEW 10 SECONDS",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            13,
-            0,
-        )
-        .unwrap_err();
+        let sql =
+            "SELECT count(*) FROM intrusions WINDOW 60 SECONDS EPOCH 30 SECONDS RENEW 10 SECONDS";
+        let err = standing(sql, &intr, 13).unwrap_err();
         assert!(err.contains("unwindowed"), "{err}");
         // Zero renewal periods are rejected like any other duration.
-        assert!(super::parse_continuous_query(
-            "SELECT count(*) FROM intrusions EPOCH 30 SECONDS RENEW 0",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            14,
-            0,
-        )
-        .is_err());
+        let sql = "SELECT count(*) FROM intrusions EPOCH 30 SECONDS RENEW 0";
+        assert!(standing(sql, &intr, 14).is_err());
     }
 
     #[test]
     fn epoch_requires_aggregation_and_window_requires_continuous() {
-        let (_, intr) = catalogs();
+        let (wl, intr) = catalogs();
         // Through the one-shot entry points both clauses are rejected.
         let err = parse_query(
             "SELECT address FROM intrusions EPOCH 10 SECONDS",
@@ -1352,14 +1319,8 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("parse_continuous_query"), "{err}");
         // EPOCH on a non-aggregate query is rejected at lowering.
-        let err = super::parse_continuous_query(
-            "SELECT address FROM intrusions EPOCH 10 SECONDS",
-            &intr,
-            JoinStrategy::SymmetricHash,
-            1,
-            0,
-        )
-        .unwrap_err();
+        let err =
+            standing("SELECT address FROM intrusions EPOCH 10 SECONDS", &intr, 1).unwrap_err();
         assert!(err.contains("EPOCH requires aggregation"), "{err}");
         let err = parse_query(
             "SELECT address FROM intrusions WINDOW 10 SECONDS",
@@ -1368,15 +1329,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("parse_continuous_query"), "{err}");
-        // Zero and negative durations are rejected.
-        assert!(super::parse_continuous_query(
-            "SELECT count(*) FROM intrusions EPOCH 0",
-            &intr,
-            JoinStrategy::SymmetricHash,
+        // A standing join runs symmetric hash: under Fetch Matches it is
+        // refused with the reason a node counts the drop under.
+        let err = super::parse_continuous_query(
+            "SELECT R.pkey, S.pkey FROM R, S WHERE R.num1 = S.pkey",
+            &wl,
+            JoinStrategy::FetchMatches,
             1,
             0,
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(err, "a standing join runs only under symmetric hash");
+        // Zero and negative durations are rejected.
+        assert!(standing("SELECT count(*) FROM intrusions EPOCH 0", &intr, 1).is_err());
     }
 
     #[test]
@@ -1424,8 +1389,7 @@ mod tests {
         assert_eq!(vals[..3], [Value::I64(-10), Value::I64(5), Value::I64(3)]);
         // A sign still needs an operand, and durations stay unsigned.
         assert!(parse_query("SELECT pkey FROM S WHERE num2 > -", &wl, shj).is_err());
-        let windowed = "SELECT pkey FROM S WINDOW -5 SECONDS";
-        assert!(super::parse_continuous_query(windowed, &wl, shj, 1, 0).is_err());
+        assert!(standing("SELECT pkey FROM S WINDOW -5 SECONDS", &wl, 1).is_err());
     }
 
     #[test]

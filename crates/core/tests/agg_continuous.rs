@@ -6,7 +6,9 @@ use std::collections::HashMap;
 use pier_core::agg::{AggState, GroupAccs};
 use pier_core::catalog::Catalog;
 use pier_core::expr::Expr;
-use pier_core::plan::{qns, AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
+use pier_core::plan::{
+    qns, AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec, Tenure,
+};
 use pier_core::semantics::{reference_eval, same_multiset};
 use pier_core::sql::{parse_continuous_query, parse_query};
 use pier_core::testkit::*;
@@ -140,47 +142,39 @@ fn weighted_reputation_join_aggregate_via_sql() {
 #[test]
 fn epoch_join_aggregate_under_fetch_matches() {
     // The same weighted query as a standing epoch aggregate, joined by
-    // Fetch Matches (reputation is hashed on its address): fetched
-    // matches must fold into the aggregation like any other strategy's
-    // join output, and every epoch re-emits the running totals.
-    let epoch = Dur::from_secs(20);
-    let mut desc = parse_continuous_query(
-        "SELECT I.fingerprint, count(*) * sum(R.weight) AS wcnt \
-         FROM intrusions I, reputation R WHERE R.address = I.address \
-         GROUP BY I.fingerprint EPOCH 20 SECONDS",
-        &Catalog::intrusion(),
-        JoinStrategy::FetchMatches,
-        46,
-        1,
-    )
-    .unwrap();
+    // Fetch Matches (reputation is hashed on its address). Fetch Matches
+    // runs once over the tables at rest: rows published after install
+    // would never reach the aggregate. The SQL front end refuses the
+    // query, and a node that receives the descriptor anyway counts it
+    // as a malformed install and runs nothing. (That Fetch Matches
+    // output folds into a one-shot aggregation is
+    // `sql_matrix::plain_join_each_strategy`'s to check.)
+    let sql = "SELECT I.fingerprint, count(*) * sum(R.weight) AS wcnt \
+               FROM intrusions I, reputation R WHERE R.address = I.address \
+               GROUP BY I.fingerprint EPOCH 20 SECONDS";
+    let parse = |strategy| parse_continuous_query(sql, &Catalog::intrusion(), strategy, 46, 1);
+    let why = parse(JoinStrategy::FetchMatches).unwrap_err();
+    assert_eq!(why, "a standing join runs only under symmetric hash");
+
+    let mut desc = parse(JoinStrategy::SymmetricHash).unwrap();
     desc.n_nodes = 10;
+    if let QueryOp::Join { join, .. } = &mut desc.op {
+        join.strategy = JoinStrategy::FetchMatches;
+    }
     let intrusions = intrusion_rows(60);
     let reputation: Vec<Tuple> = (0..13)
         .map(|i| tuple![format!("10.0.0.{i}").as_str(), (i % 3) as i64])
         .collect();
-    let mut tables = HashMap::new();
-    tables.insert("intrusions".to_string(), intrusions.clone());
-    tables.insert("reputation".to_string(), reputation.clone());
-    let expected = reference_eval(&desc.op, &tables);
-    assert_eq!(expected.len(), 7, "one group per fingerprint");
-
     let mut sim = stabilized_pier_sim(10, DhtConfig::static_network(), NetConfig::latency_only(6));
     publish_round_robin(&mut sim, "intrusions", &intrusions, 0, Dur::from_secs(3600));
     publish_round_robin(&mut sim, "reputation", &reputation, 0, Dur::from_secs(3600));
     settle_publish(&mut sim);
     let results = run_query(&mut sim, 1, desc, Dur::from_secs(60));
-    for k in 0..3u64 {
-        let in_epoch: Vec<Tuple> = results
-            .iter()
-            .filter(|(t, _)| t.as_micros() / epoch.as_micros() == k)
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert!(
-            same_multiset(&expected, &in_epoch),
-            "epoch {k}: expected {expected:?} got {in_epoch:?}"
-        );
-    }
+    assert!(results.is_empty(), "{results:?}");
+    let snap = metrics_snapshot(&sim);
+    let dropped = |n: &pier_core::NodeMetrics| n.registry.malformed_installs;
+    assert_eq!(snap.nodes.iter().map(dropped).sum::<u64>(), 10);
+    assert!(snap.nodes.iter().all(|n| n.installed_queries == 0));
 }
 
 /// Partials that are not shaped like the query's own — what a peer on
@@ -278,7 +272,7 @@ fn continuous_selection_streams_new_rows() {
     let scan = ScanSpec::new("feed", 2, 0).with_pred(Expr::gt(Expr::col(1), Expr::lit(5i64)));
     let project = vec![Expr::col(0), Expr::col(1)];
     let mut desc = QueryDesc::one_shot(50, 0, QueryOp::Scan { scan, project });
-    desc.continuous = true;
+    desc.tenure = Tenure::Unwindowed { renew_every: None };
 
     let mut sim = stabilized_pier_sim(8, DhtConfig::static_network(), NetConfig::latency_only(7));
     settle_publish(&mut sim);
@@ -310,8 +304,7 @@ fn continuous_windowed_join_evicts_old_state() {
     let mut j = pier_core::plan::JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     j.project = vec![Expr::col(0), Expr::col(2)];
     let mut desc = QueryDesc::one_shot(60, 0, QueryOp::Join { join: j, agg: None });
-    desc.continuous = true;
-    desc.window = Some(Dur::from_secs(30));
+    desc.tenure = Tenure::Windowed(Dur::from_secs(30));
 
     let mut sim = stabilized_pier_sim(8, DhtConfig::static_network(), NetConfig::latency_only(8));
     settle_publish(&mut sim);

@@ -324,14 +324,16 @@ fn fully_selective_predicates_yield_empty_results() {
 }
 
 /// A descriptor arrives from the network: a malformed one — a broken
-/// join shape, or any index past the arity of the tuple it would be
+/// join shape, any index past the arity of the tuple it would be
 /// evaluated over (built here as struct literals, bypassing the
-/// asserting constructors) — must be refused at install as a counted
-/// drop on every node — never a panic at some later event — and must
-/// not disturb a well-formed query installed beside it.
+/// asserting constructors), or a lifetime its operator cannot run for
+/// (a standing join under a strategy with no arrival path, an epoch on
+/// a one-shot) — must be refused at install as a counted drop on every
+/// node — never a panic at some later event — and must not disturb a
+/// well-formed query installed beside it.
 #[test]
 fn malformed_join_descriptors_are_counted_drops() {
-    use pier_core::plan::{AggCall, AggFunc, AggSpec, JoinStage};
+    use pier_core::plan::{AggCall, AggFunc, AggSpec, JoinStage, Tenure};
     let left_rows: Vec<Tuple> = (0..6i64).map(|k| tuple![k, k % 3]).collect();
     let right_rows: Vec<Tuple> = (0..3i64).map(|k| tuple![k, k]).collect();
     let good = || {
@@ -365,24 +367,33 @@ fn malformed_join_descriptors_are_counted_drops() {
         AggSpec::new(vec![group_col], vec![count])
     };
     let shj = JoinStrategy::SymmetricHash;
+    let (once, standing) = (Tenure::OneShot, Tenure::Unwindowed { renew_every: None });
     let malformed = [
-        ("no stage", with(shj, vec![])),
-        ("no right join column", with(shj, vec![stage(None, 1)])),
+        ("no stage", with(shj, vec![]), once),
+        (
+            "no right join column",
+            with(shj, vec![stage(None, 1)]),
+            once,
+        ),
         (
             "right join column out of range",
             with(shj, vec![stage(Some(2), 1)]),
+            once,
         ),
         (
             "left join column out of range",
             with(shj, vec![stage(Some(0), 2)]),
+            once,
         ),
         (
             "second stage's left column out of range",
             with(shj, vec![stage(Some(0), 1), stage(Some(0), 4)]),
+            once,
         ),
         (
             "Fetch Matches on a non-key column",
             with(JoinStrategy::FetchMatches, vec![stage(Some(1), 1)]),
+            once,
         ),
         (
             "a semi-join pipeline",
@@ -390,6 +401,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 JoinStrategy::SymmetricSemiJoin,
                 vec![stage(Some(0), 1), stage(Some(0), 1)],
             ),
+            once,
         ),
         (
             "projected column past the concatenated arity",
@@ -400,6 +412,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 },
                 agg: None,
             },
+            once,
         ),
         (
             "stage predicate column past the concatenated arity",
@@ -410,6 +423,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                     ..stage(Some(0), 1)
                 }],
             ),
+            once,
         ),
         (
             "group column past the scan's arity",
@@ -417,6 +431,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 scan: ScanSpec::new("L", 2, 0),
                 agg: count_by(2),
             },
+            once,
         ),
         (
             "group column past the join's projected arity",
@@ -424,6 +439,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 join: good(),
                 agg: Some(count_by(2)),
             },
+            once,
         ),
         (
             "primary key past the arity under the semi-join rewrite",
@@ -438,6 +454,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 },
                 agg: None,
             },
+            once,
         ),
         (
             "scan projection past the arity",
@@ -445,6 +462,7 @@ fn malformed_join_descriptors_are_counted_drops() {
                 scan: ScanSpec::new("L", 2, 0),
                 project: vec![Expr::col(2)],
             },
+            once,
         ),
         (
             "HAVING column past the aggregation's output row",
@@ -455,13 +473,38 @@ fn malformed_join_descriptors_are_counted_drops() {
                     ..count_by(1)
                 },
             },
+            once,
+        ),
+        (
+            "a standing Fetch Matches join",
+            with(JoinStrategy::FetchMatches, vec![stage(Some(0), 1)]),
+            standing,
+        ),
+        (
+            "a standing semi-join",
+            with(JoinStrategy::SymmetricSemiJoin, vec![stage(Some(0), 1)]),
+            standing,
+        ),
+        (
+            "a windowed Bloom join",
+            with(JoinStrategy::BloomFilter, vec![stage(Some(0), 1)]),
+            Tenure::Windowed(Dur::from_secs(60)),
+        ),
+        (
+            "an epoch on a one-shot aggregate",
+            QueryOp::Agg {
+                scan: ScanSpec::new("L", 2, 0),
+                agg: count_by(1).with_epoch(Dur::from_secs(10)),
+            },
+            once,
         ),
     ];
     let expected = reference_join(&good(), &left_rows, &right_rows);
     assert_eq!(expected.len(), 6);
-    for (what, op) in malformed {
+    for (what, op, tenure) in malformed {
         let mut sim = setup(4, 9, &[("L", &left_rows), ("Rt", &right_rows)]);
-        let bad = QueryDesc::one_shot(61, 1, op);
+        let mut bad = QueryDesc::one_shot(61, 1, op);
+        bad.tenure = tenure;
         sim.with_node(1, |node, ctx| node.submit(ctx, bad));
         let join = good();
         let ok = QueryDesc::one_shot(62, 0, QueryOp::Join { join, agg: None });

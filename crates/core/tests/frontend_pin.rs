@@ -74,8 +74,8 @@ fn standing(sql: &str, catalog: &Catalog) -> String {
         Ok(desc) => format!(
             "{}|w={:?}|r={:?}",
             line(&desc),
-            desc.window,
-            desc.renew_every
+            desc.tenure.window(),
+            desc.tenure.renew_every()
         ),
         Err(why) => format!("ERR {why}"),
     }

@@ -574,32 +574,29 @@ fn residual(sim: &Sim<PierNode>, qid: u64, stages: usize) -> usize {
 
 #[test]
 fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
-    // Two standing unwindowed joins, each renewing every 30 s (horizon
-    // 3 × 30 = 90 s), share an overlay. Cancelling one
-    // must (a) stop its dataflow, (b) cancel its timers and free its
-    // renewal ledger everywhere, (c) leave zero residual soft state in
-    // its qns::* namespaces one horizon later, and (d) leave the other
-    // tenant at full recall — teardown is per-query, not per-node. The
-    // cancelled tenant runs the Bloom strategy, so the reclamation also
-    // covers the long-lived collector-fragment namespaces.
-    let mk = |qid: u64, strategy: JoinStrategy, left: &str, right: &str| {
+    // Two joins share an overlay: a one-shot Bloom join and a standing
+    // unwindowed one renewing every 30 s (horizon 3 × 30 = 90 s).
+    // Cancelling the Bloom join must (a) stop its dataflow, (b) cancel
+    // its timers and leave no renewal ledger anywhere, (c) leave zero
+    // residual soft state in its qns::* namespaces — the long-lived
+    // (640 s) collector fragments included — and (d) leave the other
+    // tenant at full recall: teardown is per-query, not per-node.
+    let join = |strategy: JoinStrategy, left: &str, right: &str| {
         let l = ScanSpec::new(left, 2, 0).with_join_col(1);
         let r = ScanSpec::new(right, 2, 0).with_join_col(1);
         let mut j = JoinSpec::new(strategy, l, r);
         j.project = vec![Expr::col(0), Expr::col(2)];
-        QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, None)
-            .with_renewal(Dur::from_secs(30))
+        QueryOp::Join { join: j, agg: None }
     };
+    let bloom = QueryDesc::one_shot(200, 0, join(JoinStrategy::BloomFilter, "A", "B"));
+    let shj = join(JoinStrategy::SymmetricHash, "C", "D");
+    let standing = QueryDesc::standing(201, 0, shj, None).with_renewal(Dur::from_secs(30));
     let n = 8;
     let mut sim: Sim<PierNode> =
         stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(53));
     sim.run_for(Dur::from_secs(2));
-    sim.with_app(0, |node, ctx| {
-        node.submit(ctx, mk(200, JoinStrategy::BloomFilter, "A", "B"))
-    });
-    sim.with_app(0, |node, ctx| {
-        node.submit(ctx, mk(201, JoinStrategy::SymmetricHash, "C", "D"))
-    });
+    sim.with_app(0, |node, ctx| node.submit(ctx, bloom));
+    sim.with_app(0, |node, ctx| node.submit(ctx, standing));
     sim.run_for(Dur::from_secs(3));
 
     publish_round_robin(
@@ -619,7 +616,7 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
     sim.run_for(Dur::from_secs(5));
     assert!(
         residual(&sim, 200, 0) > 0,
-        "standing state exists pre-cancel"
+        "collector fragments exist pre-cancel"
     );
 
     // Tear query 200 down.
@@ -685,9 +682,11 @@ fn per_query_renewal_outlives_horizon_without_node_loop() {
         let r = ScanSpec::new(right, 2, 0).with_join_col(1);
         let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, l, r);
         j.project = vec![Expr::col(0), Expr::col(2)];
-        let mut d = QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, None);
-        d.renew_every = renew;
-        d
+        let d = QueryDesc::standing(qid, 0, QueryOp::Join { join: j, agg: None }, None);
+        match renew {
+            Some(every) => d.with_renewal(every),
+            None => d,
+        }
     };
     let mut sim: Sim<PierNode> =
         stabilized_pier_sim(8, DhtConfig::static_network(), NetConfig::latency_only(59));

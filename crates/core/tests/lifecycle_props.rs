@@ -286,7 +286,7 @@ fn tenant_desc(kind: TenantKind, qid: u64, rng: &mut SmallRng, scale_us: u64) ->
     let windowed = rng.gen_range(0..2) == 0;
     let window = windowed.then(|| d(rng.gen_range(10..30u64)));
     let renew = (!windowed).then(|| d(rng.gen_range(5..15u64)));
-    let mut desc = match kind {
+    let desc = match kind {
         TenantKind::Binary => {
             let l = ScanSpec::new("A", 2, 0).with_join_col(1);
             let r = ScanSpec::new("B", 2, 0).with_join_col(0);
@@ -330,8 +330,10 @@ fn tenant_desc(kind: TenantKind, qid: u64, rng: &mut SmallRng, scale_us: u64) ->
             )
         }
     };
-    desc.renew_every = renew;
-    desc
+    match renew {
+        Some(every) => desc.with_renewal(every),
+        None => desc,
+    }
 }
 
 /// The longest soft-state lifetime any tenant built by [`tenant_desc`]

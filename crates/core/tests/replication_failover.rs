@@ -1,5 +1,5 @@
 //! Query-layer failover under soft-state replication (k = 2): a node
-//! holding rehash state is killed mid-standing-query, anti-entropy
+//! holding rehash state is killed mid-query, anti-entropy
 //! heals its soft state at the takeover node, and the healed copies
 //! re-fire `newData` → re-probe. These tests pin the *exact* result
 //! multiset across that kill/heal cycle — full recall (the replicas
@@ -48,10 +48,13 @@ fn join_spec(strategy: JoinStrategy) -> JoinSpec {
     j
 }
 
-/// Install a standing join at k = 2, kill the node holding the most
-/// query soft state once the initial dataflow has completed, run well
-/// past detection + takeover + anti-entropy, and require the initiator's
-/// multiset to still be *exactly* the reference join.
+/// Install a join at k = 2 (standing under symmetric hash, one-shot
+/// under the semi-join, which has no arrival path — every row is
+/// published before install, so both see the same run), kill the node
+/// holding the most query soft state once the initial dataflow has
+/// completed, run well past detection + takeover + anti-entropy, and
+/// require the initiator's multiset to still be *exactly* the
+/// reference join.
 fn kill_heal_exact(strategy: JoinStrategy, qid: u64, seed: u64) {
     let (a, b) = tables();
     let spec = join_spec(strategy);
@@ -62,15 +65,14 @@ fn kill_heal_exact(strategy: JoinStrategy, qid: u64, seed: u64) {
     publish_round_robin(&mut sim, "A", &a, 0, Dur::from_secs(3600));
     publish_round_robin(&mut sim, "B", &b, 0, Dur::from_secs(3600));
     settle_publish(&mut sim);
-    let desc = QueryDesc::standing(
-        qid,
-        0,
-        QueryOp::Join {
-            join: spec,
-            agg: None,
-        },
-        None,
-    );
+    let op = QueryOp::Join {
+        join: spec,
+        agg: None,
+    };
+    let desc = match strategy {
+        JoinStrategy::SymmetricHash => QueryDesc::standing(qid, 0, op, None),
+        _ => QueryDesc::one_shot(qid, 0, op),
+    };
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(30));
     let got: Vec<Tuple> = sim

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use pier_core::catalog::{Catalog, TableStats};
 use pier_core::optimizer::{CostParams, Objective};
-use pier_core::plan::{JoinStrategy, QueryDesc, QueryOp};
+use pier_core::plan::{JoinStrategy, QueryDesc, QueryOp, Tenure};
 use pier_core::planner::plan_sql;
 use pier_core::semantics::{reference_eval, same_multiset};
 use pier_core::sql::{parse_continuous_query, parse_query};
@@ -338,7 +338,7 @@ proptest! {
         }
         if let Ok(desc) = parse_continuous_query(&sql, &catalog, SHJ, 7, 0) {
             prop_assert_eq!(desc.check(), Ok(()), "seed {}: {}", seed, sql);
-            prop_assert!(desc.continuous);
+            prop_assert_ne!(desc.tenure, Tenure::OneShot);
         }
         let net = CostParams::paper_baseline(64.0);
         prop_assert_eq!(parse_query(&sql, &catalog, SHJ).is_err(), standing);

@@ -243,8 +243,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(desc.continuous);
-        assert!(desc.window.is_some());
+        assert!(desc.tenure.window().is_some());
         let QueryOp::Join {
             join,
             agg: Some(agg),
@@ -268,7 +267,7 @@ mod tests {
 
     #[test]
     fn tenant_sql_parses_with_per_query_renewal() {
-        use pier_core::plan::QueryOp;
+        use pier_core::plan::{QueryOp, Tenure};
         let catalog = pier_core::catalog::Catalog::intrusion();
         let parse = |sql: &str, qid| {
             pier_core::sql::parse_continuous_query(
@@ -281,13 +280,13 @@ mod tests {
             .unwrap()
         };
         let flat = parse(&tenant_count_sql(3, 30), 1);
-        assert!(flat.continuous && flat.renew_every.is_none());
+        assert_eq!(flat.tenure, Tenure::Unwindowed { renew_every: None });
         assert!(matches!(flat.op, QueryOp::Agg { .. }));
         let two = parse(&tenant_severity_sql(3, 30, 40), 2);
-        assert_eq!(two.renew_every.unwrap().as_secs_f64(), 40.0);
+        assert_eq!(two.tenure.renew_every().unwrap().as_secs_f64(), 40.0);
         assert!(matches!(two.op, QueryOp::Join { agg: Some(_), .. }));
         let three = parse(&tenant_triage_sql(3, 30, 40), 3);
-        assert_eq!(three.renew_every.unwrap().as_secs_f64(), 40.0);
+        assert_eq!(three.tenure.renew_every().unwrap().as_secs_f64(), 40.0);
         let QueryOp::Join { join, agg: Some(_) } = &three.op else {
             panic!("expected a 3-way join aggregate")
         };

@@ -8,7 +8,7 @@
 //! ```
 
 use pier::qp::expr::Expr;
-use pier::qp::plan::{JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
+use pier::qp::plan::{JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec, Tenure};
 use pier::qp::testkit::*;
 use pier::simnet::time::Dur;
 use pier::simnet::NetConfig;
@@ -32,8 +32,7 @@ fn main() {
     let mut join = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
     join.project = vec![Expr::col(1), Expr::col(6), Expr::col(3)];
     let mut desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
-    desc.continuous = true;
-    desc.window = Some(Dur::from_secs(60));
+    desc.tenure = Tenure::Windowed(Dur::from_secs(60));
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(5));
 

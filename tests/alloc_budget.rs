@@ -36,7 +36,7 @@ use std::sync::Arc;
 use pier::qp::agg::GroupAccs;
 use pier::qp::expr::{Expr, Func};
 use pier::qp::plan::{
-    qns, AggCall, AggFunc, AggSpec, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec,
+    qns, AggCall, AggFunc, AggSpec, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec, Tenure,
 };
 use pier::qp::semantics::{reference_epochs_at, same_multiset, TimedRows};
 use pier::qp::sql::parse_continuous_query;
@@ -990,7 +990,7 @@ fn a_windowed_install_scan_folds_matching_rows_without_buffering_them() {
         let mut sim = lone_node();
         publish(&mut sim, four_groups(rows));
         let mut desc = standing_count(1, "sig-0001");
-        desc.window = Some(Dur::from_secs(7200));
+        desc.tenure = Tenure::Windowed(Dur::from_secs(7200));
         let before = LIVE.get();
         let ((), allocs, _) = counted(|| install(&mut sim, desc));
         (allocs, LIVE.get().wrapping_sub(before))

@@ -2,7 +2,7 @@
 //! simulated overlays and checked against the centralized reference
 //! evaluator by multiset equality.
 
-use pier::qp::plan::QueryDesc;
+use pier::qp::plan::{QueryDesc, Tenure};
 use pier::qp::semantics::{reference_eval, same_multiset};
 use pier::qp::testkit::*;
 use pier::qp::{
@@ -183,8 +183,7 @@ fn windowed_pipeline_caps_intermediate_lifetime() {
         publish_round_robin(&mut sim, "R", &wl.r, 0, life);
         settle_publish(&mut sim);
         let mut desc = wl.multi_query(qid, 0);
-        desc.continuous = true;
-        desc.window = Some(window);
+        desc.tenure = Tenure::Windowed(window);
         sim.with_app(0, |node, ctx| node.submit(ctx, desc));
         sim.run_for(Dur::from_secs(s_delay));
         publish_round_robin(&mut sim, "S", &wl.s, 0, life);
@@ -223,7 +222,7 @@ fn continuous_multiway_picks_up_late_tuples() {
     settle_publish(&mut sim);
 
     let mut desc = wl.multi_query(5, 0);
-    desc.continuous = true;
+    desc.tenure = Tenure::Unwindowed { renew_every: None };
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(60));
     let mid = sim.app(0).unwrap().query_results(5).len();
