@@ -59,8 +59,10 @@ pub struct RunMetrics {
     pub t_30th: f64,
     /// Seconds to the last result tuple (Table 4 / Fig. 5 metric).
     pub t_last: f64,
-    /// Aggregate query traffic in MB (Fig. 4 metric): lookups, rehash
-    /// and fetch data, multicasts — overlay upkeep excluded.
+    /// Aggregate query traffic in MB (Fig. 4 metric): every byte the
+    /// engine delivers once the query is submitted — lookups, rehash and
+    /// fetch data, multicasts, result shipping. The network is static,
+    /// so no overlay upkeep is among them.
     pub traffic_mb: f64,
     /// DHT-layer query traffic only (rehash puts, stage republishes,
     /// lookups, fetches) — the direct result-delivery bytes excluded,
@@ -130,6 +132,9 @@ fn execute_workload_query(
     join: JoinSpec,
     expected: Vec<pier_core::Tuple>,
 ) -> RunMetrics {
+    // Every byte the engine delivers after the snapshot is query traffic
+    // only while no overlay upkeep runs.
+    assert!(!cfg.dht.maintenance, "query traffic needs a static network");
     let mut sim: Sim<PierNode> = stabilized_pier_sim(cfg.n_nodes, cfg.dht.clone(), cfg.net.clone());
     for (name, rows) in [("R", &wl.r), ("S", &wl.s), ("T", &wl.t)] {
         if (0..join.n_tables()).any(|t| join.table(t).table == name) {
@@ -156,13 +161,7 @@ fn execute_workload_query(
                 .unwrap_or(0)
         })
         .sum();
-    // Query traffic = DHT-layer query bytes + direct result bytes.
     let engine = sim.stats().since(&pre_stats);
-    let result_bytes: u64 = results
-        .iter()
-        .map(|(_, r)| (pier_dht::msg::HEADER_BYTES + 8 + r.wire_size()) as u64)
-        .sum();
-    let traffic = (meter_post - meter_pre) + result_bytes;
 
     let actual = rows_of(&results);
     RunMetrics {
@@ -171,7 +170,7 @@ fn execute_workload_query(
         expected: expected.len(),
         t_30th: time_to_kth(&results, 30).map_or(f64::NAN, |d| d.as_secs_f64()),
         t_last: time_to_last(&results).map_or(f64::NAN, |d| d.as_secs_f64()),
-        traffic_mb: traffic as f64 / 1e6,
+        traffic_mb: engine.bytes as f64 / 1e6,
         rehash_mb: (meter_post - meter_pre) as f64 / 1e6,
         max_inbound_mb: engine.max_inbound() as f64 / 1e6,
         recall: pier_core::semantics::recall(&expected, &actual),
