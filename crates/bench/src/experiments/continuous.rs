@@ -14,7 +14,7 @@ use pier_simnet::{NetConfig, Sim};
 use pier_workload::intrusion;
 
 use super::intrusion_tables;
-use crate::{full_scale, Artifact, Cell};
+use crate::{Artifact, Cell};
 
 /// The §2.1 intrusion triage run as a *standing* 3-way join-aggregate:
 /// reports trickle in every epoch while the query re-emits per-attacker
@@ -27,8 +27,8 @@ use crate::{full_scale, Artifact, Cell};
 pub fn continuous() {
     let n = 16usize;
     let epoch = Dur::from_secs(120);
-    // 16 epochs × 120 s = 1920 s ≈ 3.2 × the unrenewed 600 s horizon.
-    let n_epochs: usize = if full_scale() { 24 } else { 16 };
+    // 24 epochs × 120 s = 2880 s = 4.8 × the unrenewed 600 s horizon.
+    let n_epochs: usize = 24;
     let legacy_horizon_s = 600.0;
     let per_batch = 24usize;
     let distinct_fp = 10u64;

@@ -12,7 +12,7 @@ mod scaleup;
 
 pub use paper::deployed_join_run;
 
-use crate::{full_scale, results_dir};
+use crate::results_dir;
 use pier_core::semantics::TimedRows;
 use pier_core::Tuple;
 use pier_simnet::time::Time;
@@ -36,7 +36,7 @@ macro_rules! registry {
 /// Every experiment `pier_bench` can run, in `pier_bench all` order.
 pub const EXPERIMENTS: &[Experiment] = registry![
     paper::centralized: "§5.3 — centralized vs distributed join: inbound load per computation node",
-    paper::fig3: "Fig. 3 — scale-up: time to 30th tuple, load proportional to nodes",
+    paper::fig3: "Fig. 3 — scale-up, 2→2 048 nodes: time to 30th tuple, load proportional to nodes",
     paper::table4: "Table 4 — join strategies at infinite bandwidth: measured vs analytical",
     paper::fig4_5: "Fig. 4 + 5 — selectivity sweep: traffic and time to last tuple per strategy",
     paper::fig6: "Fig. 6 — recall under churn per soft-state refresh period",
@@ -45,7 +45,7 @@ pub const EXPERIMENTS: &[Experiment] = registry![
     multiway::multiway: "binary workload join vs its 3-way pipeline extension",
     pruning::pruning: "projection pushdown: rehash traffic, narrow SELECT vs every column (committed)",
     continuous::continuous: "standing 3-way triage over 3+ soft-state horizons (committed)",
-    multitenant::multitenant: "500+ quota-governed standing queries, install to reclaim (committed)",
+    multitenant::multitenant: "1 000 quota-governed standing queries, install to reclaim (committed)",
     churn_slo::churn_slo: "scan recall under scripted kills, replication k = 1..3 (committed)",
     scaleup::scaleup: "engine scale-up to 10^4 nodes, W-sweep bit-identity (committed)",
     ablations::ablation_dims: "CAN dimensionality: hops and time to 30th tuple",
@@ -70,9 +70,6 @@ pub fn select<S: AsRef<str>>(args: &[S]) -> Result<Vec<&'static Experiment>, Str
     for arg in args.iter().map(AsRef::as_ref) {
         match arg {
             "all" => chosen.extend(EXPERIMENTS),
-            "gated" if full_scale() => {
-                return Err("gated: committed artifacts are smoke-scale; unset PIER_FULL".into())
-            }
             "gated" => chosen.extend(EXPERIMENTS.iter().filter(|e| {
                 let artifact = format!("BENCH_{}.json", e.name);
                 results_dir().join(artifact).exists()
@@ -92,13 +89,8 @@ pub fn select<S: AsRef<str>>(args: &[S]) -> Result<Vec<&'static Experiment>, Str
     Ok(chosen)
 }
 
-fn seeds() -> &'static [u64] {
-    if full_scale() {
-        &[11, 22, 33]
-    } else {
-        &[11, 22]
-    }
-}
+/// The workload seeds a multi-seed experiment averages over.
+const SEEDS: &[u64] = &[11, 22];
 
 fn params_for_nodes(n: usize, seed: u64) -> RsParams {
     // Load proportional to the network size (each node contributes a

@@ -16,10 +16,10 @@ use pier_workload::intrusion;
 use std::collections::BTreeMap;
 
 use super::intrusion_tables;
-use crate::{full_scale, Artifact, Cell};
+use crate::{Artifact, Cell};
 
 /// The "millions of users" scale path, miniaturized *and governed*:
-/// hundreds of staggered standing queries — flat per-fingerprint
+/// a thousand staggered standing queries — flat per-fingerprint
 /// aggregates plus 2-way and 3-way join aggregates carrying per-query
 /// `RENEW` periods — are installed in waves, live for 3–5 epochs while
 /// reports stream in, and are uninstalled again, continuously, over a
@@ -28,7 +28,7 @@ use crate::{full_scale, Artifact, Cell};
 /// through the typed admission surface ([`PierNode::try_submit`]).
 /// Hard-asserts (CI gate):
 ///
-/// * ≥ 500 quota-governed tenants, per-epoch recall and precision 1.0
+/// * 1 000 quota-governed tenants, per-epoch recall and precision 1.0
 ///   for every tenant while it is live (oracle:
 ///   [`pier_core::semantics::reference_epochs_at`] restricted to each
 ///   query's own install→uninstall span);
@@ -50,7 +50,7 @@ pub fn multitenant() {
     let n = 12usize;
     let epoch = Dur::from_secs(30);
     let per_wave = 12usize;
-    let n_tenants: usize = if full_scale() { 1000 } else { 516 };
+    let n_tenants: usize = 1000;
     let distinct_fp = 10u64;
     let distinct_addr = 16u64;
     let renew_secs = 40u64; // per-query horizon: 3 × 40 = 120 s
@@ -403,7 +403,6 @@ pub fn multitenant() {
             );
         }
     }
-    assert!(n_tenants >= 500, "the scale path needs ≥ 500 tenants");
     assert!(
         nonempty * 10 >= tenant_epochs * 3,
         "the workload must keep most tenants busy ({nonempty}/{tenant_epochs} non-empty)"

@@ -5,8 +5,8 @@ use pier_simnet::time::Dur;
 use pier_simnet::NetConfig;
 use pier_workload::RsWorkload;
 
-use super::{params_for_nodes, seeds};
-use crate::{average, full_scale, run_join, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
+use super::{params_for_nodes, SEEDS};
+use crate::{average, run_join, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
 
 /// Binary workload join vs the 3-way pipeline extension across network
 /// sizes: time-to-last, aggregate query traffic, and recall. The
@@ -14,13 +14,8 @@ use crate::{average, full_scale, run_join, run_multi_join, Artifact, Cell, JoinR
 /// pipelined, so its latency grows by roughly one stage depth, not
 /// multiplicatively.
 pub fn multiway() {
-    let node_counts: Vec<usize> = if full_scale() {
-        vec![16, 64, 256, 1024]
-    } else {
-        vec![8, 16, 32]
-    };
     let mut art = Artifact::new("multiway");
-    for &n in &node_counts {
+    for n in [16usize, 64, 256, 1024] {
         let cfg = |seed| {
             let mut params = params_for_nodes(n, seed);
             params.t_rows = 80;
@@ -33,8 +28,8 @@ pub fn multiway() {
             run.settle = Dur::from_secs(600);
             run
         };
-        let two: Vec<RunMetrics> = seeds().iter().map(|&s| run_join(&cfg(s))).collect();
-        let three: Vec<RunMetrics> = seeds()
+        let two: Vec<RunMetrics> = SEEDS.iter().map(|&s| run_join(&cfg(s))).collect();
+        let three: Vec<RunMetrics> = SEEDS
             .iter()
             .map(|&s| run_multi_join(&cfg(s), RsWorkload::multi_join_spec))
             .collect();

@@ -16,8 +16,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-use super::{params_for_nodes, seeds};
-use crate::{average, full_scale, run_join, strategy_label, Artifact, Cell, JoinRun};
+use super::{params_for_nodes, SEEDS};
+use crate::{average, run_join, strategy_label, Artifact, Cell, JoinRun};
 
 /// §5.3, centralized vs distributed: the analytic inbound load per
 /// computation node, then a simulator cross-check (the rows with
@@ -75,15 +75,13 @@ pub fn fig3() {
         (Some(16), "m=16"),
         (None, "m=N"),
     ];
-    scaleup_sweep("fig3", &[2048, 8192], &confined, |_, seed| {
-        NetConfig::paper_baseline(seed)
-    });
+    scaleup_sweep("fig3", &confined, |_, seed| NetConfig::paper_baseline(seed));
 }
 
 /// Figure 7: the same sweep on the transit-stub topology.
 pub fn fig7() {
     let confined = [(Some(1), "m=1"), (None, "m=N")];
-    scaleup_sweep("fig7", &[2048], &confined, |n, seed| NetConfig {
+    scaleup_sweep("fig7", &confined, |n, seed| NetConfig {
         topology: Arc::new(TransitStub::paper_default(n as u32, seed)),
         inbound_bps: Some(10e6),
         seed,
@@ -91,23 +89,17 @@ pub fn fig7() {
 }
 
 /// Time to the 30th tuple per node count (load proportional to nodes)
-/// and per computation-node limit, on the network `net(n, seed)` builds;
-/// `full_only` are the node counts added at paper scale.
+/// and per computation-node limit, on the network `net(n, seed)` builds.
 fn scaleup_sweep(
     name: &'static str,
-    full_only: &[usize],
     confined: &[(Option<u32>, &'static str)],
     net: impl Fn(usize, u64) -> NetConfig,
 ) {
-    let mut node_counts = vec![2usize, 8, 32, 128, 512];
-    if full_scale() {
-        node_counts.extend(full_only);
-    }
     let mut art = Artifact::new(name);
-    for n in node_counts {
+    for n in [2usize, 8, 32, 128, 512, 2048] {
         let mut cells = vec![("nodes", n.into())];
         for &(m, col) in confined {
-            let t = average(seeds(), |seed| {
+            let t = average(SEEDS, |seed| {
                 let mut run = JoinRun::new(
                     n,
                     JoinStrategy::SymmetricHash,
@@ -137,11 +129,11 @@ fn scaleup_sweep(
 /// Table 4: the join strategies at infinite bandwidth, measured time to
 /// the last tuple against the optimizer's analytical latency model.
 pub fn table4() {
-    let n = if full_scale() { 1024 } else { 256 };
+    let n = 1024;
     let mut art = Artifact::new("table4");
     let p = optimizer::CostParams::paper_baseline(n as f64);
     for strategy in JoinStrategy::ALL {
-        let t = average(seeds(), |seed| {
+        let t = average(SEEDS, |seed| {
             let run = JoinRun::new(
                 n,
                 strategy,
@@ -170,14 +162,9 @@ pub fn table4() {
 /// (`*_MB`) and time to the last tuple (`*_s`) for each strategy, from
 /// the same runs.
 pub fn fig4_5() {
-    let n = if full_scale() { 512 } else { 128 };
-    let sels: Vec<u32> = if full_scale() {
-        (1..=10).map(|k| k * 10).collect()
-    } else {
-        vec![10, 40, 70, 100]
-    };
+    let n = 512;
     let mut art = Artifact::new("fig4_5");
-    for sel in sels {
+    for sel in (1..=10).map(|k| k * 10) {
         let metrics = JoinStrategy::ALL.map(|strategy| {
             // The paper joins ~100 GB over 10 Mbps links; we keep the
             // data:bandwidth ratio (hence the bottleneck structure)
@@ -191,7 +178,7 @@ pub fn fig4_5() {
                 n,
                 strategy,
                 RsParams {
-                    s_rows: if full_scale() { 600 } else { 300 },
+                    s_rows: 600,
                     sel_s_pct: sel,
                     seed: 42,
                     ..Default::default()
@@ -217,24 +204,42 @@ pub fn fig4_5() {
 }
 
 /// Figure 6: recall under churn for different soft-state refresh periods.
+/// Asserts the paper's shape: recall never rises with a longer refresh
+/// period (along a row) or with a higher failure rate (down a column).
 pub fn fig6() {
-    let n = if full_scale() { 512 } else { 160 };
+    let n = 512;
     // The paper's x-axis reaches 240 failures/min on 4096 nodes (~5.9 %
     // churn/min). We apply the same *fractional* churn to our smaller
     // network so the soft-state dynamics (loss window vs renewal period)
     // stay comparable; rows are labeled in paper-equivalent rates.
-    let rates: Vec<u32> = vec![0, 60, 120, 240];
-    let refreshes: Vec<u64> = vec![30, 60, 150, 225];
+    let rates = [0u32, 60, 120, 240];
+    let refreshes = [30u64, 60, 150, 225];
     let cols = ["refresh_30s", "refresh_60s", "refresh_150s", "refresh_225s"];
-    let mut art = Artifact::new("fig6");
-    for &rate in &rates {
+    let recall = rates.map(|rate| {
         let scaled =
             ((rate as f64 * n as f64 / 4096.0).round() as u32).max(if rate > 0 { 1 } else { 0 });
-        let mut cells = vec![("failures_per_min", rate.into())];
-        for (&refresh, col) in refreshes.iter().zip(cols) {
-            cells.push((col, Cell::f(churn_recall(n, scaled, refresh) * 100.0, 1)));
+        refreshes.map(|refresh| churn_recall(n, scaled, refresh) * 100.0)
+    });
+    for (r, row) in recall.iter().enumerate() {
+        for c in 0..cols.len() {
+            let at = format!("{} failures/min, {}", rates[r], cols[c]);
+            assert!(
+                c == 0 || row[c] <= row[c - 1],
+                "fig6: recall rises with the refresh period at {at}: {row:?}"
+            );
+            assert!(
+                r == 0 || row[c] <= recall[r - 1][c],
+                "fig6: recall rises with the failure rate at {at}: {recall:?}"
+            );
         }
-        art.row(cells);
+    }
+    let mut art = Artifact::new("fig6");
+    for (rate, row) in rates.into_iter().zip(recall) {
+        let cells = cols
+            .into_iter()
+            .zip(row)
+            .map(|(col, v)| (col, Cell::f(v, 1)));
+        art.row(std::iter::once(("failures_per_min", rate.into())).chain(cells));
     }
     art.emit();
 }

@@ -5,8 +5,8 @@ use pier_simnet::time::Dur;
 use pier_simnet::NetConfig;
 use pier_workload::RsWorkload;
 
-use super::{params_for_nodes, seeds};
-use crate::{average, full_scale, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
+use super::{params_for_nodes, SEEDS};
+use crate::{average, run_multi_join, Artifact, Cell, JoinRun, RunMetrics};
 
 /// The 3-way padded workload (`R` carries a 1 KB pad nobody downstream
 /// reads) against the same query reading every column, which leaves
@@ -15,11 +15,6 @@ use crate::{average, full_scale, run_multi_join, Artifact, Cell, JoinRun, RunMet
 /// pad. Hard-asserts the win and both queries' results, so the gate
 /// fails if the optimization silently regresses.
 pub fn pruning() {
-    let node_counts: Vec<usize> = if full_scale() {
-        vec![16, 64, 256]
-    } else {
-        vec![8, 16]
-    };
     let mut art = Artifact::new("pruning");
     art.meta(
         "query",
@@ -30,7 +25,7 @@ pub fn pruning() {
         "the same query with SELECT R.*, S.*, T.* (every column, so every edge full-width)",
     );
     art.meta("metric", "aggregate DHT-layer rehash traffic, MB");
-    for &n in &node_counts {
+    for n in [16usize, 64, 256] {
         let measure = |spec: fn(&RsWorkload) -> JoinSpec| -> Vec<RunMetrics> {
             let run = |&seed: &u64| {
                 let mut params = params_for_nodes(n, seed);
@@ -44,7 +39,7 @@ pub fn pruning() {
                 run.settle = Dur::from_secs(600);
                 run_multi_join(&run, spec)
             };
-            seeds().iter().map(run).collect()
+            SEEDS.iter().map(run).collect()
         };
         let pruned = measure(RsWorkload::multi_join_spec_narrow);
         let baseline = measure(RsWorkload::multi_join_spec_every_column);

@@ -13,10 +13,9 @@
 //! [`Artifact`], which prints a table and writes
 //! `results/BENCH_<name>.json`; a committed artifact holds only
 //! seed-determined values, so the regression gate is
-//! `pier_bench gated && git diff --exit-code -- results/`. Run
-//! parameters default to minutes-scale networks; [`full_scale`]
-//! (`PIER_FULL=1`) switches to paper-scale ones, written under
-//! `results/full/`.
+//! `pier_bench gated && git diff --exit-code -- results/`. There is no
+//! switch: each experiment has one parameter set, and that gate re-runs
+//! every committed artifact.
 //!
 //! The building blocks here — [`JoinRun`] describing one distributed
 //! join run and [`RunMetrics`] carrying its measured outcomes
@@ -42,12 +41,6 @@ use pier_dht::DhtConfig;
 use pier_simnet::time::Dur;
 use pier_simnet::{NetConfig, Sim};
 use pier_workload::{RsParams, RsWorkload};
-
-/// Scale of an experiment run. `PIER_FULL=1` selects paper-scale
-/// parameters; the default keeps every binary under a few minutes.
-pub fn full_scale() -> bool {
-    std::env::var("PIER_FULL").is_ok_and(|v| v == "1")
-}
 
 /// Metrics from one distributed join run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -192,17 +185,10 @@ pub fn average<T: Copy>(items: &[T], f: impl Fn(T) -> f64) -> f64 {
     }
 }
 
-/// Where artifacts land: the workspace `results/`, or `results/full/`
-/// at paper scale so a `PIER_FULL=1` run cannot overwrite the committed
-/// smoke-scale artifacts.
+/// Where artifacts land: the workspace `results/`.
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
-    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if full_scale() {
-        results.join("full")
-    } else {
-        results
-    }
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
 /// Paper-style label for a strategy (figure legends).

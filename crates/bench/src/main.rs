@@ -7,9 +7,11 @@
 //! pier_bench gated              run those whose artifact is committed
 //! ```
 //!
-//! `PIER_FULL=1` switches to paper-scale parameters (artifacts then go
-//! to `results/full/`). An unknown name exits 2 with the index.
+//! There is no switch: each experiment runs its one parameter set. Each
+//! prints its own wall seconds, and a run of several prints the total;
+//! neither goes into an artifact. An unknown name exits 2 with the index.
 use pier_bench::experiments::{index, select};
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,10 +23,15 @@ fn main() {
         eprintln!("{message}");
         std::process::exit(2);
     });
-    let t0 = std::time::Instant::now();
-    for experiment in chosen {
+    let t0 = Instant::now();
+    for experiment in &chosen {
+        let start = Instant::now();
         (experiment.run)();
-        let at = t0.elapsed().as_secs_f64();
-        eprintln!("{} done at {at:.0}s", experiment.name);
+        let secs = start.elapsed().as_secs_f64();
+        println!("{}: {secs:.1} s", experiment.name);
+    }
+    if chosen.len() > 1 {
+        let secs = t0.elapsed().as_secs_f64();
+        println!("total: {secs:.1} s, {} experiments", chosen.len());
     }
 }
