@@ -3,13 +3,14 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
-# cross_engine, frontend_pin, agg_pin, raced_pin, the abandoned-get
-# tests — `-p pier_dht --lib dht::tests` and `-p pier_core --test
-# lifecycle abandoned_gets` —, store_pin, geom_pin with overlay_pin
-# (the bootstrap and the churned overlay) and alloc_budget's keepalive,
-# resting_overlay and small_join, registry_pin,
-# oracle_pin, expr_pin, publish_pin, dataflow_pin with pruning and
-# pruning_props, wire_audit, alloc_budget, pin_harness, and the query
+# cross_engine with the engine's delivery_pin, frontend_pin, agg_pin,
+# raced_pin, the abandoned-get tests — `-p pier_dht --lib dht::tests`
+# and `-p pier_core --test lifecycle abandoned_gets` —, store_pin,
+# geom_pin with overlay_pin (the bootstrap and the churned overlay) and
+# alloc_budget's keepalive, resting_overlay and small_join,
+# registry_pin, oracle_pin, expr_pin, publish_pin, dataflow_pin with
+# pruning and pruning_props, wire_audit, alloc_budget with
+# a_send_burst_holds_one_copy_per_message, pin_harness, and the query
 # lifetimes: edge_cases' malformed descriptors, lifecycle and
 # replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt

@@ -252,27 +252,30 @@ impl<A: Service> Worker<A> {
     /// addressed to. An id nobody lives at counts as a dead one, as it
     /// does on the simulator.
     fn hand_off(&mut self) {
-        let mut outbound = self.core.drain_outbound().peekable();
-        if outbound.peek().is_none() {
+        if !self.core.has_outbound() {
             return;
         }
         let shared = &*self.shared;
         let mut stats = shared.stats[self.index]
             .lock()
             .expect("no handler runs under the stats lock");
-        for rec in outbound {
-            let Some(life) = shared.lives.get(rec.to as usize) else {
-                stats.land(rec.to, &rec.msg, false);
-                continue;
-            };
-            let epoch = life.epoch.load(Ordering::SeqCst);
-            if stats.admit(life.dropping.load(Ordering::Relaxed))
-                && stats.land(rec.to, &rec.msg, epoch.is_multiple_of(2))
-            {
-                life.depth.fetch_add(1, Ordering::Relaxed);
-                let _ = shared.post(rec.to, Item::Deliver { epoch, rec });
-            }
-        }
+        // Every send crosses an inbox, this worker's own included.
+        self.core.drain_outbound(
+            |_| false,
+            |rec| {
+                let Some(life) = shared.lives.get(rec.to as usize) else {
+                    stats.land(rec.to, &rec.msg, false);
+                    return;
+                };
+                let epoch = life.epoch.load(Ordering::SeqCst);
+                if stats.admit(life.dropping.load(Ordering::Relaxed))
+                    && stats.land(rec.to, &rec.msg, epoch.is_multiple_of(2))
+                {
+                    life.depth.fetch_add(1, Ordering::Relaxed);
+                    let _ = shared.post(rec.to, Item::Deliver { epoch, rec });
+                }
+            },
+        );
     }
 
     /// The one loop: wait for the next inbox item or the next due event,

@@ -39,10 +39,20 @@
 //! The same reasoning forces *routing* (the flow-level bandwidth model,
 //! which reserves the receiver's inbound link in send order) to happen in
 //! key order rather than in handler-emission order: inter-node sends are
-//! buffered as `SendRec`s and flushed key-sorted once the engine moves
+//! buffered as `SendKey`s and flushed key-sorted once the engine moves
 //! past their send instant. Per-node RNG streams are seeded from the run
 //! seed and the `NodeId` alone, so a node draws the same randomness under
 //! any shard map.
+//!
+//! # A message is stored once
+//!
+//! A send's message goes into its event-slab slot when the handler
+//! emits it and leaves that slot when it is delivered (or dropped at
+//! admission). What waits for routing is a 32-byte key naming the slot;
+//! routing reads the wire size there and queues the same slot as the
+//! delivery. Only a send that crosses to another core leaves its slot
+//! early, as a `SendRec` built by `EngineCore::drain_outbound`, and is
+//! filed into a slot of the receiving core when that core routes it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -145,6 +155,11 @@ impl<M> EventSlab<M> {
             self.slots.push(Some(kind));
             (self.slots.len() - 1) as u32
         }
+    }
+
+    /// Slots holding a payload.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
     fn take(&mut self, i: u32) -> EventKind<M> {
@@ -301,6 +316,11 @@ impl CalendarQueue {
         self.ring[slot].sort_unstable_by(|a, b| b.cmp(a));
     }
 
+    /// Events queued, in the ring and beyond its horizon.
+    fn len(&self) -> usize {
+        self.ring_len + self.far.len()
+    }
+
     /// Buffers of at least `min` capacity the queue holds, in slots and
     /// on the spare list alike.
     #[cfg(test)]
@@ -327,22 +347,38 @@ struct Slot<A> {
 }
 
 /// A buffered inter-node send, not yet run through the flow-level
-/// network model. `(sent_at, from, oseq)` is the routing key: both
-/// engines route sends in this order, so the receiver's inbound-link
-/// reservations — and therefore delivery times — are identical no
-/// matter which shard (or flush batch) a send travelled through.
+/// network model: its message waits in event-slab slot `slot`.
+/// `(sent_at, from, oseq)` is the routing key: every loop routes sends
+/// in this order, so the receiver's inbound-link reservations — and
+/// therefore delivery times — are identical no matter which shard (or
+/// flush batch) a send travelled through.
+#[derive(Clone, Copy)]
+struct SendKey {
+    sent_at: Time,
+    from: NodeId,
+    to: NodeId,
+    oseq: u64,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SendKey>() == 32);
+
+impl SendKey {
+    fn key(&self) -> (Time, NodeId, u64) {
+        (self.sent_at, self.from, self.oseq)
+    }
+}
+
+/// A send on its way to another core, its message out of the slab:
+/// built only by [`EngineCore::drain_outbound`], filed back into a slot
+/// by the receiving core's [`EngineCore::route_batch`] (or dispatched
+/// straight from a [`crate::Cluster`] worker's inbox).
 pub(crate) struct SendRec<M> {
     pub(crate) sent_at: Time,
     pub(crate) from: NodeId,
     pub(crate) oseq: u64,
     pub(crate) to: NodeId,
     pub(crate) msg: M,
-}
-
-impl<M> SendRec<M> {
-    fn key(&self) -> (Time, NodeId, u64) {
-        (self.sent_at, self.from, self.oseq)
-    }
 }
 
 /// The shard-runnable heart of the engine: event queue, slab, node
@@ -364,10 +400,10 @@ pub(crate) struct EngineCore<A: App> {
     nodes: Vec<Option<Box<Slot<A>>>>,
     stats: NetStats,
     events_processed: u64,
-    /// Inter-node sends awaiting key-sorted routing; the inline loop
-    /// flushes them as soon as the clock moves past their send instant,
-    /// the windowed loop at the next barrier.
-    outbound: Vec<SendRec<A::Msg>>,
+    /// Inter-node sends awaiting key-sorted routing, their messages in
+    /// the slab; the inline loop flushes them as soon as the clock moves
+    /// past their send instant, the windowed loop at the next barrier.
+    outbound: Vec<SendKey>,
     scratch: Vec<Action<A::Msg>>,
     batch: Vec<(NodeId, A::Msg)>,
 }
@@ -528,13 +564,7 @@ impl<A: App> EngineCore<A> {
                         // link in (sent_at, from, oseq) order, which is
                         // not emission order when several nodes send at
                         // the same instant.
-                        self.outbound.push(SendRec {
-                            sent_at: self.now,
-                            from,
-                            oseq,
-                            to,
-                            msg,
-                        });
+                        self.buffer_send(self.now, from, to, oseq, msg);
                     }
                 }
                 Action::Timer { after, token } => {
@@ -547,57 +577,128 @@ impl<A: App> EngineCore<A> {
     }
 
     /// Apply the flow-level network model to one buffered send and
-    /// enqueue the delivery. The receiver must be owned by this core.
-    fn route_rec(&mut self, rec: SendRec<A::Msg>) {
-        let SendRec {
+    /// queue its slot as the delivery, or free the slot of a send the
+    /// receiver's drop window discards. The receiver must be owned by
+    /// this core.
+    fn route_key(&mut self, key: SendKey) {
+        let SendKey {
             sent_at,
             from,
-            oseq,
             to,
-            msg,
-        } = rec;
+            oseq,
+            slot,
+        } = key;
         let dest = self.nodes.get(to as usize).and_then(|s| s.as_ref());
         if !self.stats.admit(dest.is_some_and(|s| s.inbound_drop)) {
+            self.slab.take(slot);
             return;
         }
         let latency = self.cfg.topology.latency(from, to);
         let link_arrival = sent_at + latency;
-        let deliver_at = match self.cfg.inbound_bps {
+        let at = match self.cfg.inbound_bps {
             None => link_arrival,
             // A dead destination's link must not stay "busy": the drop
             // is classified at propagation arrival and no bandwidth is
             // reserved, so a later revival at this id starts clean.
             Some(_) if !self.alive(to) => link_arrival,
             Some(bps) => {
-                let bytes = msg.wire_size();
-                let transmit = Dur::from_secs_f64(bytes as f64 * 8.0 / bps);
-                let slot = self.nodes[to as usize]
+                let EventKind::Deliver { msg, .. } = self.slab.get(slot) else {
+                    unreachable!("a send key names a delivery");
+                };
+                let transmit = Dur::from_secs_f64(msg.wire_size() as f64 * 8.0 / bps);
+                let node = self.nodes[to as usize]
                     .as_mut()
                     .expect("alive receiver has a slot");
-                let start = slot.inbound_free.max(link_arrival);
-                let done = start + transmit;
-                slot.inbound_free = done;
-                done
+                let start = node.inbound_free.max(link_arrival);
+                node.inbound_free = start + transmit;
+                node.inbound_free
             }
         };
-        self.push_event(deliver_at, from, oseq, EventKind::Deliver { from, to, msg });
+        self.queue.push(EvRef {
+            at,
+            origin: from,
+            oseq,
+            slot,
+        });
     }
 
-    /// Route a batch of buffered sends in key order, leaving `batch`
-    /// empty with its capacity intact. Receivers must all be owned by
-    /// this core (the sharded barrier partitions by destination shard
-    /// before calling this).
+    /// Route the buffered sends together with `batch`, the sends other
+    /// cores addressed to this core's nodes, in one key order, leaving
+    /// `batch` empty with its capacity intact. (The windowed barrier
+    /// partitions by destination shard before calling this.)
     pub(crate) fn route_batch(&mut self, batch: &mut Vec<SendRec<A::Msg>>) {
-        batch.sort_unstable_by_key(SendRec::key);
         for rec in batch.drain(..) {
-            self.route_rec(rec);
+            self.buffer_send(rec.sent_at, rec.from, rec.to, rec.oseq, rec.msg);
         }
+        self.route_outbound();
     }
 
-    /// Hand the accumulated inter-node sends to the caller (the sharded
-    /// barrier), leaving the buffer empty but allocated.
-    pub(crate) fn drain_outbound(&mut self) -> std::vec::Drain<'_, SendRec<A::Msg>> {
-        self.outbound.drain(..)
+    /// Put a send's message into the slab slot it will be delivered
+    /// from, and buffer its key for routing.
+    fn buffer_send(&mut self, sent_at: Time, from: NodeId, to: NodeId, oseq: u64, msg: A::Msg) {
+        let slot = self.slab.alloc(EventKind::Deliver { from, to, msg });
+        self.outbound.push(SendKey {
+            sent_at,
+            from,
+            to,
+            oseq,
+            slot,
+        });
+    }
+
+    /// Route every buffered send in key order. Routing only queues
+    /// deliveries, so `outbound` stays empty while its buffer is out;
+    /// handing it back keeps the capacity for the next batch.
+    fn route_outbound(&mut self) {
+        let mut keys = std::mem::take(&mut self.outbound);
+        keys.sort_unstable_by_key(SendKey::key);
+        for key in keys.drain(..) {
+            self.route_key(key);
+        }
+        self.outbound = keys;
+        debug_assert!(self.slots_accounted(), "a slab slot leaked in routing");
+    }
+
+    /// Hand `cross` every buffered send whose receiver `local` does not
+    /// claim, its message taken out of the slab — the one place a
+    /// `SendRec` is built. Sends to local receivers stay buffered as
+    /// keys, in order. (The windowed barrier claims its own shard's
+    /// nodes; a [`crate::Cluster`] worker claims none, since its
+    /// deliveries go through the inboxes.)
+    pub(crate) fn drain_outbound(
+        &mut self,
+        local: impl Fn(NodeId) -> bool,
+        mut cross: impl FnMut(SendRec<A::Msg>),
+    ) {
+        let slab = &mut self.slab;
+        self.outbound.retain(|key| {
+            if local(key.to) {
+                return true;
+            }
+            let EventKind::Deliver { msg, .. } = slab.take(key.slot) else {
+                unreachable!("a send key names a delivery");
+            };
+            cross(SendRec {
+                sent_at: key.sent_at,
+                from: key.from,
+                oseq: key.oseq,
+                to: key.to,
+                msg,
+            });
+            false
+        });
+        debug_assert!(self.slots_accounted(), "a slab slot leaked in a drain");
+    }
+
+    /// Whether any send waits for routing or a drain.
+    pub(crate) fn has_outbound(&self) -> bool {
+        !self.outbound.is_empty()
+    }
+
+    /// No slab slot leaked: there are as many live slots as queued
+    /// events and buffered send keys, each of which names one.
+    fn slots_accounted(&self) -> bool {
+        self.slab.live() == self.queue.len() + self.outbound.len()
     }
 
     /// Inline-loop flush: once every event at the send instant has
@@ -609,16 +710,11 @@ impl<A: App> EngineCore<A> {
             return;
         }
         let t = self.outbound[0].sent_at;
-        debug_assert!(self.outbound.iter().all(|r| r.sent_at == t));
+        debug_assert!(self.outbound.iter().all(|k| k.sent_at == t));
         if self.queue.peek().is_some_and(|ev| ev.at <= t) {
             return;
         }
-        // Routing only enqueues deliveries, so `outbound` stays empty
-        // while its buffer is out; handing it back keeps the capacity
-        // for the next send instant.
-        let mut batch = std::mem::take(&mut self.outbound);
-        self.route_batch(&mut batch);
-        self.outbound = batch;
+        self.route_outbound();
     }
 
     fn push_event(&mut self, at: Time, origin: NodeId, oseq: u64, kind: EventKind<A::Msg>) {
@@ -1181,6 +1277,52 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Every live slab slot is named by one queued event or one buffered
+    /// send key, however a send ends — delivered, discarded by a drop
+    /// window at admission, landed on a dead node, sent to a revived
+    /// one — inline and with sends crossing shards; and a drained engine
+    /// holds no slot at all.
+    #[test]
+    fn no_slab_slot_outlives_its_send() {
+        let accounted = |sim: &Sim<Ping>| sim.cores.iter().all(EngineCore::slots_accounted);
+        let live = |sim: &Sim<Ping>| sim.cores.iter().map(|c| c.slab.live()).sum::<usize>();
+        let engines = [
+            Sim::new(mesh_cfg(Some(10e6))),
+            Sim::sharded(mesh_cfg(Some(10e6)), ShardMap::round_robin(2)),
+        ];
+        for mut sim in engines {
+            let responders: Vec<NodeId> = (0..3).map(|_| sim.add_node(Ping::responder())).collect();
+            let sender = sim.add_node(Ping::initiator(responders[0]));
+            let burst = |sim: &mut Sim<Ping>| {
+                sim.with_app(sender, |_, ctx| {
+                    for to in [0, 1, 2, sender] {
+                        ctx.send(to, Num(1, 1_000));
+                    }
+                });
+            };
+            sim.set_inbound_drop(responders[1], true);
+            sim.fail_node(responders[2]);
+            burst(&mut sim);
+            assert!(accounted(&sim) && live(&sim) > 0);
+            assert!(sim.run_idle(100));
+            assert!(accounted(&sim));
+            assert_eq!(live(&sim), 0, "a drained engine holds no slot");
+            let stats = sim.stats();
+            assert_eq!((stats.dropped_in_window, stats.dropped_to_failed), (1, 1));
+
+            sim.set_inbound_drop(responders[1], false);
+            assert!(sim.revive(responders[2], Ping::responder()));
+            burst(&mut sim);
+            sim.run_for(Dur::from_millis(150));
+            assert!(accounted(&sim) && live(&sim) > 0, "replies in flight");
+            assert!(sim.run_idle(100));
+            assert_eq!(live(&sim), 0);
+            // The start-up ping's reply; each burst's self-send and the
+            // replies of the responders that heard it.
+            assert_eq!(sim.app(sender).unwrap().got.len(), 1 + 2 + 4);
+        }
     }
 
     /// The 10^4-node maintenance tick as the queue sees it: every event

@@ -17,7 +17,8 @@
 //!   3. every shard executes its events in [T, H) in parallel, where
 //!      H = min(T + lookahead, deadline+1µs) and lookahead is
 //!      Topology::min_latency(); inter-node sends are buffered
-//!   4. buffered sends are partitioned by destination shard → step 1
+//!   4. buffered cross-shard sends are partitioned by destination
+//!      shard (same-shard ones stay buffered as keys) → step 1
 //! ```
 //!
 //! # Why this is bit-identical to the one-core loop
@@ -112,11 +113,13 @@ impl ShardMap {
 /// side, drained on the other, handed back empty — so a window costs no
 /// allocation once their capacity has settled.
 enum Cmd<M> {
-    /// Route these sends (addressed to this shard's nodes), then report
-    /// the earliest queued event time.
+    /// Route these sends (addressed to this shard's nodes) together
+    /// with the shard's own same-shard sends, then report the earliest
+    /// queued event time.
     Route(Vec<SendRec<M>>),
-    /// Execute the window `[now, H)`, then hand back the outbound sends
-    /// partitioned by destination shard into these (empty) buffers.
+    /// Execute the window `[now, H)`, then hand back the cross-shard
+    /// sends partitioned by destination shard into these (empty)
+    /// buffers.
     Execute(Time, Vec<Vec<SendRec<M>>>),
     /// Run is over: return the core through the join handle.
     Exit,
@@ -148,13 +151,15 @@ pub(crate) fn run_windowed<A: App>(cores: &mut Vec<EngineCore<A>>, map: &ShardMa
     let w = cores.len();
     // Sends injected since the last run (add_node / with_app /
     // revive on_start actions) sit in the cores' outbound buffers;
-    // partition them by destination shard so the first Route phase
-    // sees them — otherwise the gmin scan could miss pending work.
+    // hand the cross-shard ones to their destination shard so the first
+    // Route phase sees them — otherwise the gmin scan could miss pending
+    // work. Same-shard sends stay buffered where they are.
     let mut inbound: Vec<Vec<SendRec<A::Msg>>> = (0..w).map(|_| Vec::new()).collect();
-    for core in cores.iter_mut() {
-        for rec in core.drain_outbound() {
-            inbound[map.shard_of(rec.to)].push(rec);
-        }
+    for (s, core) in cores.iter_mut().enumerate() {
+        core.drain_outbound(
+            |to| map.shard_of(to) == s,
+            |rec| inbound[map.shard_of(rec.to)].push(rec),
+        );
     }
     // Per-worker destination buffers for the Execute phase.
     let mut parts_of: Vec<Vec<Vec<SendRec<A::Msg>>>> = (0..w)
@@ -168,7 +173,7 @@ pub(crate) fn run_windowed<A: App>(cores: &mut Vec<EngineCore<A>>, map: &ShardMa
         let mut cmd_txs: Vec<Sender<Cmd<A::Msg>>> = Vec::with_capacity(w);
         let mut reply_rxs: Vec<Receiver<Reply<A::Msg>>> = Vec::with_capacity(w);
         let mut handles = Vec::with_capacity(w);
-        for mut core in std::mem::take(cores) {
+        for (s, mut core) in std::mem::take(cores).into_iter().enumerate() {
             let (cmd_tx, cmd_rx) = unbounded::<Cmd<A::Msg>>();
             let (reply_tx, reply_rx) = unbounded::<Reply<A::Msg>>();
             cmd_txs.push(cmd_tx);
@@ -182,9 +187,10 @@ pub(crate) fn run_windowed<A: App>(cores: &mut Vec<EngineCore<A>>, map: &ShardMa
                         }
                         Cmd::Execute(h, mut parts) => {
                             core.execute_window(h);
-                            for rec in core.drain_outbound() {
-                                parts[map.shard_of(rec.to)].push(rec);
-                            }
+                            core.drain_outbound(
+                                |to| map.shard_of(to) == s,
+                                |rec| parts[map.shard_of(rec.to)].push(rec),
+                            );
                             let _ = reply_tx.send(Reply::Outbound(parts));
                         }
                         Cmd::Exit => break,
