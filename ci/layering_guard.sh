@@ -37,11 +37,13 @@
 #    `fm_start` shares the stored row. A new bulk encoder uses a
 #    `RowBatch`.
 # 6. A node keeps no row as a tuple. Under crates/core/src/node/ a row
-#    is built into a `Tuple` (`.to_tuple()`) only in `emit_result`, for
-#    the initiator's result log. A windowed aggregate once buffered every
+#    is built into a `Tuple` (`.to_tuple()`, `.decode()`) only in
+#    service.rs, the client surface, where a client reads or drains the
+#    initiator's result log. A windowed aggregate once buffered every
 #    live contribution as a tuple and re-folded them all at each flush;
 #    it now folds each row on arrival into the pane of the flush it
-#    stops counting at.
+#    stops counting at. The initiator once decoded every result into its
+#    log as it arrived; the log now keeps the row it received.
 # 7. One probe walks a stage bucket. Under crates/core/src/node/ a
 #    bucket is walked by `StorageManager::next_in` exactly once, in
 #    `probe`, so the partner test exists once: a semi-join mini pairs
@@ -120,14 +122,13 @@ if [ -n "$alone" ]; then
     status=1
 fi
 
-TUPLE_SITE='emit_result'
-kept=$(awk -v allowed="^($TUPLE_SITE)\$" 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
-    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    !test && !/^[[:space:]]*\/\// && /\.to_tuple\(\)/ && fn !~ allowed {
-        print FILENAME ":" FNR ": in " fn ": " $0
+TUPLE_SITE=$NODE/service.rs
+kept=$(awk -v allowed="$TUPLE_SITE" 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && !/^[[:space:]]*\/\// && /\.(to_tuple|decode)\(\)/ && FILENAME != allowed {
+        print FILENAME ":" FNR ": " $0
     }' "$NODE"/*.rs)
 if [ -n "$kept" ]; then
-    echo "layering guard: $NODE builds a row into a Tuple outside $TUPLE_SITE — fold it where it lies (an aggregate's panes), or keep it encoded" >&2
+    echo "layering guard: $NODE builds a row into a Tuple outside $TUPLE_SITE — fold it where it lies (an aggregate's panes), or keep it encoded until a client reads it" >&2
     echo "$kept" >&2
     status=1
 fi

@@ -8,7 +8,9 @@
 # and `-p pier_core --test lifecycle abandoned_gets` —, store_pin,
 # geom_pin with overlay_pin (the bootstrap and the churned overlay) and
 # alloc_budget's keepalive, resting_overlay and small_join,
-# registry_pin, oracle_pin, expr_pin, publish_pin, dataflow_pin with
+# registry_pin, result_log_pin with alloc_budget's
+# a_drained_standing_query_keeps_the_initiator_flat, oracle_pin,
+# expr_pin, publish_pin, dataflow_pin with
 # pruning and pruning_props, wire_audit, alloc_budget with
 # a_send_burst_holds_one_copy_per_message, pin_harness, and the query
 # lifetimes: edge_cases' malformed descriptors, lifecycle and
@@ -25,8 +27,9 @@
 # what is committed is the node's query registry; under node/ a row
 # is encoded alone only at the three one-row sites, `rehash_one`,
 # `advance` and `emit_result` — many rows go into one `RowBatch`;
-# under node/ a row becomes a `Tuple` only in `emit_result`, for the
-# initiator's log — an aggregate folds rows where they lie; and under
+# under node/ a row becomes a `Tuple` (`.to_tuple()`, `.decode()`) only
+# in service.rs, the client surface — the initiator's log keeps rows
+# encoded and an aggregate folds rows where they lie; and under
 # node/ a stage bucket is walked by `next_in` only in `probe` — raced
 # stage state and semi-join minis pair through it too; and under node/
 # `set_timer(` appears only in `arm_timer` and `on_start`'s DHT tick —

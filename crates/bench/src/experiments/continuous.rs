@@ -104,7 +104,7 @@ pub fn continuous() {
     for (at, row) in sim.app(0).unwrap().query_results(1010) {
         let k = (at.since(t0).as_micros() / epoch.as_micros()) as usize;
         if k < n_epochs {
-            got[k].push(row.clone());
+            got[k].push(row);
         }
     }
 

@@ -377,7 +377,7 @@ pub fn multitenant() {
         for (t, row) in sim.app(0).unwrap().query_results(qid_of(i)) {
             let e = (t.since(install).as_micros() / epoch.as_micros()) as usize;
             if *t >= install && e < k {
-                got[e].push(row.clone());
+                got[e].push(row);
             }
         }
         let entry = per_class

@@ -32,7 +32,7 @@ pub use catalog::{Catalog, TableDef, TableStats};
 pub use expr::{BinOp, Expr, Func};
 pub use item::{PierMsg, QpItem, Side};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, NodeMetrics, QueryMetrics};
-pub use node::{NodeRequest, NodeResponse, PierNode, PublishReport};
+pub use node::{NodeRequest, NodeResponse, PierNode, PublishReport, Results};
 pub use optimizer::{
     choose_strategy, greedy_join_order, price_query, CostParams, JoinStats, Objective, TableCard,
     TableRate,

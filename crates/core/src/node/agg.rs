@@ -251,9 +251,10 @@ impl PierNode {
     }
 
     /// Finalize groups: apply HAVING, evaluate the output expressions,
-    /// ship to the initiator — each group finalized into one reused
-    /// virtual row and the output evaluated over it as it is encoded into
-    /// one batch, so the results cost the one buffer that leaves. Aggregate
+    /// ship to the initiator (or log, at the initiator) — each group
+    /// finalized into one reused virtual row and the output evaluated
+    /// over it as it is encoded into one batch, so the results cost the
+    /// one buffer that leaves. Aggregate
     /// emissions legitimately repeat every epoch: ident 0 exempts them
     /// from initiator-side dedup.
     fn emit_groups(
@@ -266,16 +267,11 @@ impl PierNode {
         // Taken out for the duration: nothing on the way re-enters (if
         // something did, it would find an empty row and allocate its own).
         let mut virt = VIRT.take();
-        let (remote, mut batch) = (desc.initiator != ctx.me, RowBatch::default());
+        let mut batch = RowBatch::default();
         for (group, accs) in groups {
             accs.output_row(group, &mut virt);
             if agg.having.as_ref().is_none_or(|h| h.matches(&virt)) {
-                let out = Projection::new(&agg.output, &virt);
-                if remote {
-                    batch.push(&out);
-                } else {
-                    self.emit_result(ctx, desc.qid, desc.initiator, 0, &out);
-                }
+                batch.push(&Projection::new(&agg.output, &virt));
             }
         }
         VIRT.set(virt);

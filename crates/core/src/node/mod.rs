@@ -22,7 +22,7 @@ mod service;
 
 use renewal::SoftPub;
 
-pub use service::{NodeRequest, NodeResponse, PublishReport};
+pub use service::{NodeRequest, NodeResponse, PublishReport, Results, ResultsIter};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -41,7 +41,7 @@ use crate::item::{PierMsg, QpItem, Side};
 use crate::metrics::MetricsRegistry;
 use crate::plan::{qns, JoinStrategy, PipelineSchema, QueryDesc, QueryOp, ScanSpec, Tenure};
 use crate::tenant::{TenantGovernor, TenantId};
-use crate::tuple::{Columns, FlatRow, RowBatch, RowRef, Rows, Slot, Tuple};
+use crate::tuple::{Columns, FlatRow, RowBatch, RowRef, Rows, Slot};
 use crate::value::Value;
 
 /// What an outstanding DHT `get` was issued for.
@@ -379,10 +379,12 @@ pub struct PierNode {
     bootstrap: Option<NodeId>,
     /// Every installed query's state, owned in one place.
     reg: QueryRegistry,
-    /// Result log at the initiator: arrival time and tuple, per query.
-    /// Survives uninstall, so an initiator can tear a query down and
-    /// still read what it produced.
-    pub results: BTreeMap<u64, Vec<(Time, Tuple)>>,
+    /// Result log at the initiator: arrival time and the row as it
+    /// arrived, encoded, per query; decoded only when a client reads it
+    /// ([`Self::query_results`], [`Self::drain_results`]). Survives
+    /// uninstall, so an initiator can tear a query down and still read
+    /// what it produced; a drain frees what it hands over.
+    results: BTreeMap<u64, Vec<(Time, FlatRow)>>,
     /// Result identities already logged, per query (`replication > 1`
     /// only — see [`PierMsg::Result`]). A healed replica re-running a
     /// probe the dead primary already answered re-sends the same
@@ -481,11 +483,6 @@ impl PierNode {
     fn pair_ident(a: u32, b: u32) -> u64 {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         ((lo as u64) << 32) | hi as u64
-    }
-
-    /// Results received so far for a query this node initiated.
-    pub fn query_results(&self, qid: u64) -> &[(Time, Tuple)] {
-        self.results.get(&qid).map_or(&[], |v| v.as_slice())
     }
 
     /// Local uninstall: remove the query from the registry (dropping its
@@ -807,8 +804,8 @@ impl PierNode {
         }
     }
 
-    /// Deliver one result row to the initiator: encoded once and shipped,
-    /// or — when this node is the initiator — built into its result log.
+    /// Deliver one result row to the initiator: encoded once, then shipped
+    /// or — when this node is the initiator — logged as it would arrive.
     fn emit_result<R: Columns + ?Sized>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -817,13 +814,7 @@ impl PierNode {
         ident: u64,
         row: &R,
     ) {
-        if initiator == ctx.me {
-            let row = row.to_tuple();
-            self.metrics.on_result(qid, row.wire_size());
-            self.log_result(ctx.now, qid, ident, || row);
-        } else {
-            self.emit_encoded(ctx, qid, initiator, ident, FlatRow::from_columns(row));
-        }
+        self.emit_encoded(ctx, qid, initiator, ident, FlatRow::from_columns(row));
     }
 
     /// [`Self::emit_result`] of a row already in its shipped form.
@@ -837,18 +828,18 @@ impl PierNode {
     ) {
         self.metrics.on_result(qid, row.wire());
         if initiator == ctx.me {
-            self.log_result(ctx.now, qid, ident, || row.decode());
+            self.log_result(ctx.now, qid, ident, row);
         } else {
             ctx.send(initiator, PierMsg::Result { qid, ident, row });
         }
     }
 
-    /// The initiator's result log: the one place a result is kept as a
-    /// tuple, built once the result is admitted — whether it was made
-    /// here or arrived.
-    fn log_result(&mut self, now: Time, qid: u64, ident: u64, row: impl FnOnce() -> Tuple) {
+    /// The initiator's result log: a result is kept as it arrived, in
+    /// its wire form, once it is admitted — whether it was made here or
+    /// arrived. It becomes a tuple only when a client reads it.
+    fn log_result(&mut self, now: Time, qid: u64, ident: u64, row: FlatRow) {
         if self.record_result(qid, ident) {
-            self.results.entry(qid).or_default().push((now, row()));
+            self.results.entry(qid).or_default().push((now, row));
         }
     }
 
@@ -917,9 +908,7 @@ impl App for PierNode {
                 node.dht
                     .handle_message(&mut node.reg.env(ctx), from, m, events)
             }),
-            PierMsg::Result { qid, ident, row } => {
-                self.log_result(ctx.now, qid, ident, || row.decode())
-            }
+            PierMsg::Result { qid, ident, row } => self.log_result(ctx.now, qid, ident, row),
             PierMsg::AggUp { qid, group, accs } => self.on_agg_up(qid, group, accs),
         }
     }
@@ -952,6 +941,7 @@ mod tests {
     use crate::agg::GroupAccs;
     use crate::plan::JoinSpec;
     use crate::testkit::stabilized_pier_sim;
+    use crate::tuple::Tuple;
     use pier_simnet::NetConfig;
 
     /// One group's partial, as `flush_partials` puts it.

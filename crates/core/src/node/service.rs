@@ -1,7 +1,13 @@
-//! What a client does with a node: submit and cancel queries, audit a
-//! node's lifecycle state, and the typed request surface the actor
-//! runtime executes those through.
+//! What a client does with a node: submit and cancel queries, read and
+//! drain their results, audit a node's lifecycle state, and the typed
+//! request surface the actor runtime executes those through.
+//!
+//! This is the client boundary: the one place under `node/` where a
+//! row becomes a [`Tuple`]. The initiator keeps each result as it
+//! arrived ([`FlatRow`]); [`Results`] and [`PierNode::drain_results`]
+//! decode it as it is read.
 
+use std::slice;
 use std::sync::Arc;
 
 use pier_simnet::app::Ctx;
@@ -12,7 +18,7 @@ use crate::item::{PierMsg, QpItem};
 use crate::metrics::NodeMetrics;
 use crate::plan::{qns, QueryDesc};
 use crate::tenant::AdmissionError;
-use crate::tuple::Tuple;
+use crate::tuple::{FlatRow, Tuple};
 
 impl PierNode {
     /// Submit a query: multicast the descriptor to all nodes (§3.3).
@@ -53,9 +59,28 @@ impl PierNode {
     /// uninstalls the query. There is no distributed delete — peers stop
     /// renewing and probing, and the query's DHT soft state ages out
     /// within one lifetime (§3.2.3 reclamation-by-expiry). Results
-    /// already collected at the initiator stay readable.
+    /// already collected at the initiator stay readable until drained
+    /// ([`Self::drain_results`]).
     pub fn cancel(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         self.multicast(ctx, QpItem::Cancel { qid });
+    }
+
+    /// Results received so far for a query this node initiated, in
+    /// arrival order; each row is decoded as it is read.
+    pub fn query_results(&self, qid: u64) -> Results<'_> {
+        let log = self.results.get(&qid).map_or(&[][..], Vec::as_slice);
+        Results { log }
+    }
+
+    /// Hand over the results received so far for a query, decoded, in
+    /// arrival order, and free them: the log holds nothing for the query
+    /// until its next result. The identities of results already logged
+    /// are kept, so a re-emission of a drained result (`replication > 1`)
+    /// is still dropped.
+    pub fn drain_results(&mut self, qid: u64) -> Vec<(Time, Tuple)> {
+        let log = self.results.get_mut(&qid).map(std::mem::take);
+        let log = log.unwrap_or_default().into_iter();
+        log.map(|(at, row)| (at, row.decode())).collect()
     }
 
     // ------------------------------------------------------------------
@@ -108,6 +133,61 @@ impl PierNode {
         qns::all(qid, max_stages)
             .map(|ns| self.dht.store.ns_len_live(ns, now))
             .sum()
+    }
+}
+
+/// A query's result log as its initiator holds it — each row as it
+/// arrived, encoded — read as `(arrival, tuple)` pairs: every read
+/// decodes the row it reads and allocates nothing else.
+#[derive(Clone, Copy)]
+pub struct Results<'a> {
+    log: &'a [(Time, FlatRow)],
+}
+
+impl<'a> Results<'a> {
+    /// How many results are logged.
+    pub fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Is nothing logged?
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
+    }
+
+    /// Each result in arrival order, decoded as it is reached.
+    pub fn iter(&self) -> ResultsIter<'a> {
+        ResultsIter(self.log.iter())
+    }
+
+    /// Every result, decoded.
+    pub fn to_vec(&self) -> Vec<(Time, Tuple)> {
+        self.iter().map(|(at, row)| (*at, row)).collect()
+    }
+}
+
+impl<'a> IntoIterator for Results<'a> {
+    type Item = (&'a Time, Tuple);
+    type IntoIter = ResultsIter<'a>;
+    fn into_iter(self) -> ResultsIter<'a> {
+        self.iter()
+    }
+}
+
+/// [`Results::iter`]: arrival time and the row, decoded.
+pub struct ResultsIter<'a>(slice::Iter<'a, (Time, FlatRow)>);
+
+impl<'a> Iterator for ResultsIter<'a> {
+    type Item = (&'a Time, Tuple);
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(at, row)| (at, row.decode()))
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+    /// Skips `n` rows without decoding them.
+    fn nth(&mut self, n: usize) -> Option<Self::Item> {
+        self.0.nth(n).map(|(at, row)| (at, row.decode()))
     }
 }
 
@@ -171,6 +251,10 @@ pub enum NodeRequest {
     ResultCount(u64),
     /// The collected result tuples with their arrival times.
     TimedResults(u64),
+    /// The collected result tuples with their arrival times, handed
+    /// over and freed at the node ([`PierNode::drain_results`]); answered
+    /// as [`NodeResponse::TimedResults`].
+    Drain(u64),
     /// Lifecycle audit: installed queries, outstanding timers, and the
     /// per-query soft-state residual over `max_stages` join stages.
     LifecycleAudit { qids: Vec<u64>, max_stages: usize },
@@ -283,6 +367,7 @@ impl pier_simnet::Service for PierNode {
             NodeRequest::TimedResults(qid) => {
                 NodeResponse::TimedResults(self.query_results(qid).to_vec())
             }
+            NodeRequest::Drain(qid) => NodeResponse::TimedResults(self.drain_results(qid)),
             NodeRequest::LifecycleAudit { qids, max_stages } => NodeResponse::Audit {
                 installed: self.installed_query_count(),
                 requests: self.outstanding_requests(),

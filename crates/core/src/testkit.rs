@@ -213,7 +213,7 @@ pub fn run_query(
         .map(|node| {
             node.query_results(qid)
                 .iter()
-                .map(|(t, row)| (t.since(t0), row.clone()))
+                .map(|(t, row)| (t.since(t0), row))
                 .collect()
         })
         .unwrap_or_default()

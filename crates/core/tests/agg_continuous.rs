@@ -257,7 +257,7 @@ fn foreign_shaped_partials_are_skipped() {
             let in_epoch: Vec<Tuple> = results
                 .iter()
                 .filter(|(t, _)| t.since(t0).as_micros() / epoch.as_micros() == k)
-                .map(|(_, r)| r.clone())
+                .map(|(_, r)| r)
                 .collect();
             assert!(
                 same_multiset(&expected, &in_epoch),

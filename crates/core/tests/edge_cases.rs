@@ -164,14 +164,14 @@ fn concurrent_queries_are_isolated() {
         .unwrap()
         .query_results(10)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     let r2: Vec<Tuple> = sim
         .app(5)
         .unwrap()
         .query_results(11)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(same_multiset(&e1, &r1), "q1: {} vs {}", e1.len(), r1.len());
     assert!(same_multiset(&e2, &r2), "q2: {} vs {}", e2.len(), r2.len());
@@ -200,7 +200,7 @@ fn duplicate_query_submission_does_not_duplicate_results() {
         .unwrap()
         .query_results(20)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&expected, &got),
@@ -298,7 +298,7 @@ fn nan_group_keys_are_a_group_of_their_own_in_any_order() {
         });
         sim.run_for(Dur::from_secs(12));
         let results = sim.node(0).unwrap().query_results(qid);
-        let got: Vec<&Tuple> = results.iter().map(|(_, row)| row).collect();
+        let got: Vec<Tuple> = results.iter().map(|(_, row)| row).collect();
         assert_eq!(format!("{got:?}"), want, "{keys:?} on a node");
     }
 }
@@ -714,7 +714,7 @@ fn bloom_fragments_of_another_shape_are_skipped() {
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&expected, &got),

@@ -106,7 +106,7 @@ fn binary_probe_skips_expired_unswept_partner() {
         .unwrap()
         .query_results(90)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(same_multiset(&rows, &[tuple![3i64, 4i64]]));
 }
@@ -184,7 +184,7 @@ fn final_stage_match_against_expired_intermediate_is_dropped() {
         .unwrap()
         .query_results(91)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(same_multiset(&rows, &[tuple![2i64, 200i64]]));
 }
@@ -299,7 +299,7 @@ fn flat_epoch_aggregate_reemits_and_matches_oracle() {
         .unwrap()
         .query_results(93)
         .iter()
-        .map(|(t, r)| (t.since(t0), r.clone()))
+        .map(|(t, r)| (t.since(t0), r))
         .collect();
     let got = per_epoch(&results, epoch, 3);
     assert_epochs_match(&got, &expected);
@@ -358,7 +358,7 @@ fn windowed_epoch_aggregate_ages_contributions_out() {
         .unwrap()
         .query_results(94)
         .iter()
-        .map(|(t, r)| (t.since(t0), r.clone()))
+        .map(|(t, r)| (t.since(t0), r))
         .collect();
     let got = per_epoch(&results, epoch, 4);
     assert_epochs_match(&got, &expected);
@@ -407,7 +407,7 @@ fn hierarchical_epoch_aggregate_reemits_per_epoch() {
         .unwrap()
         .query_results(95)
         .iter()
-        .map(|(t, r)| (t.since(t0), r.clone()))
+        .map(|(t, r)| (t.since(t0), r))
         .collect();
     let got = per_epoch(&results, Dur::from_secs(30), 3);
     let count_sum =
@@ -467,7 +467,7 @@ fn standing_binary_join_renews_post_install_rehash_state() {
         .unwrap()
         .query_results(97)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&rows, &[tuple![1i64, 2i64]]),
@@ -553,7 +553,7 @@ fn standing_triage_joinagg_outlives_fallback_horizon() {
         .unwrap()
         .query_results(96)
         .iter()
-        .map(|(t, r)| (t.since(t0), r.clone()))
+        .map(|(t, r)| (t.since(t0), r))
         .collect();
     let got = per_epoch(&results, epoch, n_epochs);
     assert_epochs_match(&got, &expected);
@@ -663,7 +663,7 @@ fn uninstall_reclaims_state_and_leaves_other_tenants_running() {
         .unwrap()
         .query_results(201)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(same_multiset(&rows, &[tuple![5i64, 6i64]]));
 
@@ -732,7 +732,7 @@ fn per_query_renewal_outlives_horizon_without_node_loop() {
         .unwrap()
         .query_results(210)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&rows, &[tuple![1i64, 2i64]]),

@@ -72,7 +72,7 @@ fn run_schedule(
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect()
 }
 

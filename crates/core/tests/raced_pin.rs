@@ -57,12 +57,7 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 
 fn results(sim: &Sim<PierNode>, qid: u64) -> Vec<Tuple> {
     let node = sim.app(0).unwrap();
-    sorted(
-        node.query_results(qid)
-            .iter()
-            .map(|(_, r)| r.clone())
-            .collect(),
-    )
+    sorted(node.query_results(qid).iter().map(|(_, r)| r).collect())
 }
 
 /// `A(a,x) ⋈ B(b,x,y) ⋈ C(c,y)`: raced entries on both sides of both

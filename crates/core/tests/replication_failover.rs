@@ -80,7 +80,7 @@ fn kill_heal_exact(strategy: JoinStrategy, qid: u64, seed: u64) {
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&expected, &got),
@@ -109,7 +109,7 @@ fn kill_heal_exact(strategy: JoinStrategy, qid: u64, seed: u64) {
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     assert!(
         same_multiset(&expected, &got),
@@ -128,6 +128,48 @@ fn symmetric_hash_join_multiset_exact_across_kill_and_heal() {
 #[test]
 fn semi_join_multiset_exact_across_kill_and_heal() {
     kill_heal_exact(JoinStrategy::SymmetricSemiJoin, 911, 32);
+}
+
+/// A drain frees the rows it hands over but keeps their identities: the
+/// initiator drains the whole answer before the kill, and what the
+/// healed replica re-sends after it is dropped, not logged again.
+#[test]
+fn a_drained_result_re_sent_by_a_healed_replica_is_still_dropped() {
+    let qid = 912;
+    let (a, b) = tables();
+    let mut sim = stabilized_pier_sim(N, replicated_cfg(2), NetConfig::latency_only(31));
+    publish_round_robin(&mut sim, "A", &a, 0, Dur::from_secs(3600));
+    publish_round_robin(&mut sim, "B", &b, 0, Dur::from_secs(3600));
+    settle_publish(&mut sim);
+    let op = QueryOp::Join {
+        join: join_spec(JoinStrategy::SymmetricHash),
+        agg: None,
+    };
+    sim.with_app(0, |node, ctx| {
+        node.submit(ctx, QueryDesc::standing(qid, 0, op, None))
+    });
+    sim.run_for(Dur::from_secs(30));
+    let drained = sim.with_app(0, |node, _| node.drain_results(qid)).unwrap();
+    assert_eq!(drained.len(), 36);
+    assert!(sim.app(0).unwrap().query_results(qid).is_empty());
+
+    let shipped = |sim: &pier_simnet::Sim<pier_core::PierNode>| -> u64 {
+        (0..N as NodeId)
+            .filter_map(|i| sim.app(i)?.metrics.query(qid).map(|m| m.results_shipped))
+            .sum()
+    };
+    let before = shipped(&sim);
+    let now = sim.now();
+    let victim = (1..N as NodeId)
+        .max_by_key(|&i| sim.app(i).unwrap().query_soft_state(now, qid, 0))
+        .unwrap();
+    sim.fail_node(victim);
+    sim.run_for(Dur::from_secs(60));
+    assert!(shipped(&sim) > before, "the healed replica re-sends");
+    assert!(
+        sim.app(0).unwrap().query_results(qid).is_empty(),
+        "a re-sent result the initiator drained is dropped"
+    );
 }
 
 /// Standing epoch aggregate (the multitenant shape: COUNT per group,
@@ -177,7 +219,7 @@ fn epoch_counts_after_kill(k: usize, seed: u64) -> (Vec<Tuple>, usize) {
         .query_results(qid)
         .iter()
         .filter(|(t, _)| t.since(t0).as_micros() > cut)
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     (last, lost)
 }

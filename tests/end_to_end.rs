@@ -114,7 +114,7 @@ fn query_during_churn_degrades_gracefully() {
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     let r = recall(&expected, &results);
     let p = pier::qp::semantics::precision(&expected, &results);

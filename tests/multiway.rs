@@ -234,7 +234,7 @@ fn continuous_multiway_picks_up_late_tuples() {
         .unwrap()
         .query_results(5)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     let expected = wl.expected_multi();
     assert!(

@@ -256,7 +256,7 @@ impl Script {
         let initiator = self.sim.node(0).unwrap();
         for (i, qid) in QIDS.into_iter().enumerate() {
             let log = initiator.query_results(qid);
-            for (at, row) in &log[self.shown[i]..] {
+            for (at, row) in log.iter().skip(self.shown[i]) {
                 writeln!(self.out, "  result q{qid} {at:?} {row}").unwrap();
             }
             self.shown[i] = log.len();

@@ -45,7 +45,7 @@ fn churn_cell(strategy: JoinStrategy, seed: u64, kill: &[u32], fail_after: Dur) 
         .unwrap()
         .query_results(qid)
         .iter()
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
     (recall(&expected, &results), precision(&expected, &results))
 }
