@@ -779,7 +779,8 @@ fn a_harvested_result_costs_the_row_that_leaves() {
     warm_up();
     let harvest = |groups: usize| {
         let mut sim = standing_groups(groups);
-        // The first harvest sized the result log; the second is counted.
+        // The first harvest grew what the second reuses; the drain frees
+        // the log, so the counted harvest regrows it.
         run_to(&mut sim, 5399);
         sim.with_app(0, |node, _| assert_eq!(node.drain_results(1).len(), groups));
         let ((), allocs, _) = counted(|| run_to(&mut sim, 5401));
@@ -799,7 +800,7 @@ fn a_harvested_result_costs_the_row_that_leaves() {
 /// every epoch's 16 rows: 94 096 bytes more after the 100th epoch than
 /// after the 10th: 90 batches of 16 rows, 440 bytes each, and the log's
 /// doubling, 57 344, less the 2 848 bytes both runs free at the 28th
-/// epoch, once the published rows' first 100 000 s lifetime is over.
+/// epoch, just after the published rows' 100 000 s lifetime.
 #[test]
 fn a_drained_standing_query_keeps_the_initiator_flat() {
     const GROUPS: usize = 16;
