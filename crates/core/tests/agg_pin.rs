@@ -11,7 +11,9 @@
 //! fold, the store and the wire; that change left every line as it was.
 //! The last four shapes (qids 7, 8, 9 and 11) were taken before a
 //! windowed aggregate folded its rows into panes instead of buffering
-//! them, and before child partials joined those panes.
+//! them, and before child partials joined those panes. The owner-merge
+//! shape (qid 12, its own transcript) was taken while a harvest still
+//! merged its partials into a scratch map.
 
 #[macro_use]
 #[path = "../../../tests/pin/mod.rs"]
@@ -19,12 +21,13 @@ mod pin;
 
 use std::fmt::Write;
 
-use pier_core::plan::{qns, QueryDesc, QueryOp};
+use pier_core::expr::Expr;
+use pier_core::plan::{qns, AggCall, AggFunc, AggSpec, QueryDesc, QueryOp, ScanSpec};
 use pier_core::sql::parse_continuous_query;
 use pier_core::testkit::*;
 use pier_core::tuple;
-use pier_core::{parse_query, Catalog, JoinStrategy, PierNode, QpItem, Tuple};
-use pier_dht::DhtConfig;
+use pier_core::{parse_query, Catalog, JoinStrategy, PierNode, QpItem, Tuple, Value};
+use pier_dht::{key_of, ns_of, DhtConfig};
 use pier_simnet::time::Dur;
 use pier_simnet::{NetConfig, NodeId, Sim, Wire};
 
@@ -60,8 +63,7 @@ fn stored_partials(sim: &Sim<PierNode>, qid: u64, out: &mut String) {
                 panic!("a non-partial in NA: {:?}", e.val);
             };
             let group: Vec<String> = group.iter().map(|v| v.to_string()).collect();
-            let states: Vec<String> = accs.states.iter().map(|s| format!("{s:?}")).collect();
-            let (group, states) = (group.join(", "), states.join(", "));
+            let (group, states) = (group.join(", "), states_of(accs));
             let (size, expires) = (e.val.wire_size(), e.expires);
             writeln!(
                 out,
@@ -71,6 +73,12 @@ fn stored_partials(sim: &Sim<PierNode>, qid: u64, out: &mut String) {
             .unwrap();
         }
     }
+}
+
+/// A stored partial's states, as `Debug` text.
+fn states_of(accs: &pier_core::agg::GroupAccs) -> String {
+    let states: Vec<String> = accs.states.iter().map(|s| format!("{s:?}")).collect();
+    states.join(", ")
 }
 
 /// Twelve rows before the install; the query submitted at node 0 (8 s on
@@ -249,4 +257,128 @@ fn hierarchical_one_shot() {
 fn window_shorter_than_epoch() {
     let desc = standing(&format!("{FLAT_SQL} WINDOW 7 SECONDS EPOCH 20 SECONDS"), 11);
     pin!("window_shorter_than_epoch", transcript(desc));
+}
+
+/// What each publisher of `merge_at_the_owner` holds: an `F64` whose
+/// sum with the others' depends on the order they are added in.
+const PUBLISHED: [f64; 4] = [1e16, 1.0, -1e16, 0.5];
+
+/// Four publishers into the same eight groups, merged where the owners
+/// store them. Publisher `p` (node `3 p + 1`) holds one `readings` row
+/// per key `k` in 0..8, valued `PUBLISHED[p]`, its key an `I64` or an
+/// `F64` by the parity of `p + k`: the two kinds tie as group keys but
+/// hash apart, so each key's partials are put under two resourceIDs.
+/// Where both land at one owner, its harvest merges all four partials
+/// into one group keyed as its first partial in `lscan` order, and the
+/// sums and averages show the order they merged in (1e16 + 1 is 1e16).
+/// The partials stored after the first flush, and every result, are
+/// printed with their kinds.
+fn merge_at_the_owner_transcript() -> String {
+    const PUBLISHERS: usize = 4;
+    let mut sim = stabilized_pier_sim(
+        N,
+        DhtConfig::static_network(),
+        NetConfig::latency_only(SEED),
+    );
+    let ns = ns_of("readings");
+    let mut id = 0i64;
+    let mut rows = Vec::new();
+    for (p, val) in PUBLISHED.iter().enumerate() {
+        let node = sim.node(3 * p as NodeId + 1).unwrap();
+        for k in 0..8i64 {
+            while !node.dht.owns_key(key_of(ns, Value::I64(id).hash64())) {
+                id += 1;
+            }
+            let key = if (p as i64 + k) % 2 == 0 {
+                Value::I64(k)
+            } else {
+                Value::F64(k as f64)
+            };
+            rows.push(tuple![id, key, *val]);
+            id += 1;
+        }
+    }
+    assert_eq!(rows.len(), 8 * PUBLISHERS);
+    sim.with_node(0, |node, ctx| {
+        node.publish_rows(ctx, "readings", rows, 0, LIFE)
+    });
+    settle_publish(&mut sim);
+
+    let qid = 12;
+    let col = |i| Some(Expr::col(i));
+    let calls = vec![
+        AggCall {
+            func: AggFunc::Count,
+            arg: None,
+        },
+        AggCall {
+            func: AggFunc::Sum,
+            arg: col(2),
+        },
+        AggCall {
+            func: AggFunc::Avg,
+            arg: col(2),
+        },
+        AggCall {
+            func: AggFunc::Min,
+            arg: col(2),
+        },
+    ];
+    let scan = ScanSpec::new("readings", 3, 0);
+    let agg = AggSpec::new(vec![1], calls).with_epoch(Dur::from_secs(20));
+    let mut desc = QueryDesc::standing(qid, 0, QueryOp::Agg { scan, agg }, None);
+    desc.n_nodes = N as u32;
+    let t0 = sim.now();
+    sim.with_node(0, |node, ctx| node.submit(ctx, desc));
+
+    let mut out = String::new();
+    sim.run_for(Dur::from_secs(8));
+    writeln!(out, "stored at {:?}", sim.now()).unwrap();
+    let mut owners_merging_a_tie = 0;
+    for id in 0..N as NodeId {
+        let mut keys = Vec::new();
+        for e in sim.node(id).unwrap().dht.lscan(qns::agg(qid)) {
+            let QpItem::Partial { group, accs, .. } = &e.val else {
+                panic!("a non-partial in NA: {:?}", e.val);
+            };
+            writeln!(
+                out,
+                "  node {id} iid {}: {group:?} [{}]",
+                e.iid,
+                states_of(accs)
+            )
+            .unwrap();
+            keys.push(group[0].clone());
+        }
+        let int = |k: &Value| matches!(k, Value::I64(_));
+        let tied = keys
+            .iter()
+            .any(|a| keys.iter().any(|b| a == b && int(a) != int(b)));
+        owners_merging_a_tie += tied as usize;
+    }
+    assert!(
+        owners_merging_a_tie > 0,
+        "no owner stores both kinds of a key"
+    );
+    sim.run_for(Dur::from_secs(60) - sim.now().since(t0));
+
+    let results = sim.node(0).unwrap().query_results(qid);
+    writeln!(out, "results").unwrap();
+    for (at, row) in results {
+        writeln!(out, "  {at:?} {:?}", row.vals).unwrap();
+    }
+    let stats = sim.stats();
+    let pin = (
+        sim.events_processed(),
+        stats.messages,
+        stats.bytes,
+        results.len(),
+    );
+    writeln!(out, "pin {pin:?}").unwrap();
+    out
+}
+
+#[test]
+fn merge_at_the_owner() {
+    pin!("merge_at_the_owner", merge_at_the_owner_transcript());
 }
