@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, eight rules. Comment lines are not checked: prose may
+# Layering guard, nine rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -56,6 +56,13 @@
 #    tick. A query once kept its own list of timer tokens beside that
 #    map, and the renewal loop armed its timer by a private copy of
 #    `arm_timer`.
+# 9. A harvest copies nothing. Under crates/core/src/node/ accumulators
+#    are copied on write (`make_mut`) only in node/agg.rs's `fold` and
+#    `merge`: where a row folds into a group that a partial still shares,
+#    and where a report merges panes or a child's partials. An owner's
+#    harvest reads the stored partials where they lie and merges a
+#    group's into one reused accumulator (`agg::Harvest`); it once merged
+#    them into a scratch map, copying each group's first partial.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -157,7 +164,20 @@ if [ "$(echo "$arms" | sed -n 's/.*: in \([a-z_0-9]*\): .*/\1/p' | sort | xargs)
     status=1
 fi
 
+COW_SITES='fold merge'
+cows=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /make_mut/ {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ "$(echo "$cows" | sed -n "s|^$NODE/agg.rs:[0-9]*: in \([a-z_0-9]*\): .*|\1|p" | sort -u | xargs)" != "$COW_SITES" ] ||
+    [ -n "$(echo "$cows" | grep -v "^$NODE/agg.rs:" || true)" ]; then
+    echo "layering guard: $NODE copies accumulators on write outside node/agg.rs's $COW_SITES, or not in each — a harvest merges partials where they lie (agg::Harvest)" >&2
+    echo "$cows" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES; $TENANT holds no per-query state)"
 fi
 exit "$status"

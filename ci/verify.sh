@@ -3,8 +3,9 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
-# cross_engine with the engine's delivery_pin, frontend_pin, agg_pin,
-# raced_pin, the abandoned-get tests — `-p pier_dht --lib dht::tests`
+# cross_engine with the engine's delivery_pin, frontend_pin, agg_pin
+# with harvest_props and alloc_budget's
+# a_harvest_over_many_publishers_copies_nothing, raced_pin, the abandoned-get tests — `-p pier_dht --lib dht::tests`
 # and `-p pier_core --test lifecycle abandoned_gets` —, store_pin,
 # geom_pin with overlay_pin (the bootstrap and the churned overlay) and
 # alloc_budget's keepalive, resting_overlay and small_join,
@@ -17,7 +18,7 @@
 # replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's eight rules: the DHT provider
+# no `.txt.new`; the layering guard's nine rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -33,7 +34,9 @@
 # node/ a stage bucket is walked by `next_in` only in `probe` — raced
 # stage state and semi-join minis pair through it too; and under node/
 # `set_timer(` appears only in `arm_timer` and `on_start`'s DHT tick —
-# uninstall drops a query's timers and gets by owner), the
+# uninstall drops a query's timers and gets by owner; and under node/
+# accumulators are copied on write (`make_mut`) only in agg.rs's `fold`
+# and `merge` — a harvest merges stored partials where they lie), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

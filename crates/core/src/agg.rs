@@ -2,6 +2,8 @@
 //! basis of both flat DHT-based grouping and hierarchical (in-network)
 //! aggregation.
 
+use std::sync::Arc;
+
 use crate::plan::{AggCall, AggFunc};
 use crate::tuple::{Columns, Tuple};
 use crate::value::{ValRef, Value};
@@ -136,11 +138,56 @@ impl AggState {
     }
 }
 
-/// A group's accumulators across all aggregate calls of a query. Plain
-/// and owned: the oracles fold through it at full speed. Where a group
-/// is handed on — a node's running totals, the partial put from them,
-/// the copy an owner stores — it travels as an `Arc<GroupAccs>` and the
-/// sharing is the node's business (`node::agg`).
+/// One group's accumulators, a state per aggregate call, as a slice:
+/// what a [`GroupAccs`] owns, and what a node shares as an
+/// `Arc<[AggState]>` — one allocation, copied on write
+/// (`Arc::make_mut`) by the node (`node::agg`).
+pub trait Accs {
+    /// Does this partial hold one state per call of `calls`, each of the
+    /// call's kind? What a partial that arrived from the network is
+    /// asked before it is merged with a query's own.
+    fn fits(&self, calls: &[AggCall]) -> bool;
+    /// Fold an input row into every accumulator: a tuple, or a row read
+    /// where it lies. Arguments are evaluated borrowed.
+    fn update<R: Columns + ?Sized>(&mut self, calls: &[AggCall], row: &R);
+    fn merge(&mut self, other: &[AggState]);
+    /// Write the virtual output row `[group values..., finalized
+    /// aggs...]` into `row`, reusing its buffer.
+    fn output_row(&self, group: &[Value], row: &mut Tuple);
+    fn wire_size(&self) -> usize;
+}
+
+impl Accs for [AggState] {
+    fn fits(&self, calls: &[AggCall]) -> bool {
+        self.len() == calls.len() && self.iter().zip(calls).all(|(s, c)| s.is_of(c.func))
+    }
+
+    fn update<R: Columns + ?Sized>(&mut self, calls: &[AggCall], row: &R) {
+        for (state, call) in self.iter_mut().zip(calls) {
+            state.update(call.arg.as_ref().map(|e| e.eval_ref(row)));
+        }
+    }
+
+    fn merge(&mut self, other: &[AggState]) {
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge(b);
+        }
+    }
+
+    fn output_row(&self, group: &[Value], row: &mut Tuple) {
+        row.vals.clear();
+        row.vals.extend_from_slice(group);
+        row.vals.extend(self.iter().map(AggState::finalize));
+    }
+
+    fn wire_size(&self) -> usize {
+        self.iter().map(AggState::wire_size).sum()
+    }
+}
+
+/// A group's accumulators across all aggregate calls of a query, plain
+/// and owned: the oracles fold through it at full speed. Its methods are
+/// the slice's ([`Accs`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GroupAccs {
     pub states: Vec<AggState>,
@@ -153,38 +200,89 @@ impl GroupAccs {
         }
     }
 
-    /// Does this partial hold one state per call of `calls`, each of the
-    /// call's kind? What a partial that arrived from the network is
-    /// asked before it is merged with a query's own.
-    pub fn fits(&self, calls: &[AggCall]) -> bool {
-        self.states.len() == calls.len()
-            && self.states.iter().zip(calls).all(|(s, c)| s.is_of(c.func))
-    }
-
-    /// Fold an input row into every accumulator: a tuple, or a row read
-    /// where it lies. Arguments are evaluated borrowed.
     pub fn update<R: Columns + ?Sized>(&mut self, calls: &[AggCall], row: &R) {
-        for (state, call) in self.states.iter_mut().zip(calls) {
-            state.update(call.arg.as_ref().map(|e| e.eval_ref(row)));
-        }
+        self.states.update(calls, row)
     }
 
     pub fn merge(&mut self, other: &GroupAccs) {
-        for (a, b) in self.states.iter_mut().zip(&other.states) {
-            a.merge(b);
-        }
+        self.states.merge(&other.states)
     }
 
-    /// Write the virtual output row `[group values..., finalized
-    /// aggs...]` into `row`, reusing its buffer.
     pub fn output_row(&self, group: &[Value], row: &mut Tuple) {
-        row.vals.clear();
-        row.vals.extend_from_slice(group);
-        row.vals.extend(self.states.iter().map(AggState::finalize));
+        self.states.output_row(group, row)
+    }
+}
+
+/// A group's accumulators as a node shares them: one allocation.
+impl From<GroupAccs> for Arc<[AggState]> {
+    fn from(accs: GroupAccs) -> Self {
+        accs.states.into()
+    }
+}
+
+/// The partials an owner harvests, merged where they lie: each is held
+/// by a refcount, never copied, and a group's partials are merged into
+/// a reused buffer only where there are two or more. Kept per
+/// thread by the node and reused, so a harvest allocates nothing here
+/// once it has grown.
+#[derive(Default)]
+pub struct Harvest {
+    partials: Vec<Held>,
+    /// The merged accumulators of each group with more than one partial,
+    /// in group order, one state per call each.
+    merged: Vec<AggState>,
+}
+
+/// A partial as a [`Harvest`] holds it: its key, its place in push
+/// order, its accumulators.
+type Held = (Arc<[Value]>, u32, Arc<[AggState]>);
+
+impl Harvest {
+    /// Add one group's partial; they merge in the order they are pushed.
+    pub fn push(&mut self, group: &Arc<[Value]>, accs: &Arc<[AggState]>) {
+        let at = self.partials.len() as u32;
+        self.partials
+            .push((Arc::clone(group), at, Arc::clone(accs)));
     }
 
-    pub fn wire_size(&self) -> usize {
-        self.states.iter().map(AggState::wire_size).sum()
+    /// Every group pushed, in `[Value]`'s order: its key as first pushed
+    /// and its partials merged in push order — the first one's states,
+    /// the others merged into them one by one. Keys that tie (`I64(3)`
+    /// and `F64(3.0)`, integers that round to one `f64`, NaNs) are one
+    /// group. This is what merging the partials, in push order, into a
+    /// map keyed by group gives, and in that map's order.
+    pub fn groups(&mut self) -> impl Iterator<Item = (&[Value], &[AggState])> {
+        // Sorted by key, ties in push order: a stable sort that needs
+        // no scratch buffer.
+        self.partials
+            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let same = |a: &Held, b: &Held| a.0.cmp(&b.0).is_eq();
+        self.merged.clear();
+        for run in self.partials.chunk_by(same).filter(|run| run.len() > 1) {
+            let from = self.merged.len();
+            self.merged.extend_from_slice(&run[0].2);
+            for (_, _, accs) in &run[1..] {
+                self.merged[from..].merge(accs);
+            }
+        }
+        let mut merged = &self.merged[..];
+        self.partials.chunk_by(same).map(move |run| {
+            let states = match run {
+                [(_, _, only)] => &only[..],
+                _ => {
+                    let (states, rest) = merged.split_at(run[0].2.len());
+                    merged = rest;
+                    states
+                }
+            };
+            (&run[0].0[..], states)
+        })
+    }
+
+    /// Let go of every partial pushed, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.partials.clear();
+        self.merged.clear();
     }
 }
 
@@ -325,11 +423,17 @@ mod tests {
         let calls = calls();
         let mut g = GroupAccs::new(&calls);
         g.update(&calls, &tuple![3i64]);
-        assert!(g.fits(&calls));
-        assert!(!g.fits(&calls[..4]), "a state too many");
-        assert!(!GroupAccs::new(&calls[..4]).fits(&calls), "a state short");
+        assert!(g.states.fits(&calls));
+        assert!(!g.states.fits(&calls[..4]), "a state too many");
+        assert!(
+            !GroupAccs::new(&calls[..4]).states.fits(&calls),
+            "a state short"
+        );
         let swapped: Vec<AggCall> = calls.iter().rev().cloned().collect();
-        assert!(!g.fits(&swapped), "the right count of the wrong kinds");
-        assert!(GroupAccs::new(&[]).fits(&[]));
+        assert!(
+            !g.states.fits(&swapped),
+            "the right count of the wrong kinds"
+        );
+        assert!(GroupAccs::new(&[]).states.fits(&[]));
     }
 }

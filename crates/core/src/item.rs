@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pier_dht::msg::{DhtMsg, Entry};
 use pier_simnet::Wire;
 
-use crate::agg::GroupAccs;
+use crate::agg::{Accs, AggState};
 use crate::bloom::BloomFilter;
 use crate::plan::QueryDesc;
 use crate::tuple::FlatRow;
@@ -71,14 +71,15 @@ pub enum QpItem {
     /// node first saw the group — its running totals are keyed by it,
     /// every epoch's put carries it, and the owner's store and harvest
     /// hold it — and `accs` is the publisher's accumulators as they stood
-    /// at the flush. A stored partial is an immutable snapshot: the
-    /// publisher's next row copies the accumulators before it writes
-    /// (`Arc::make_mut` where it folds), and an owner merging stored
-    /// partials writes into a copy of its own.
+    /// at the flush, one allocation. A stored partial is an immutable
+    /// snapshot: the publisher's next row copies the accumulators before
+    /// it writes (`Arc::make_mut` where it folds), and an owner's harvest
+    /// reads the stored partials where they lie, merging a group's into
+    /// one accumulator of its own.
     Partial {
         qid: u64,
         group: Arc<[Value]>,
-        accs: Arc<GroupAccs>,
+        accs: Arc<[AggState]>,
     },
     /// A query descriptor (multicast payload). One per query install
     /// and ~0.5 KB, so it is shared: the multicast to N nodes and the N
@@ -150,7 +151,7 @@ pub enum PierMsg {
     AggUp {
         qid: u64,
         group: Arc<[Value]>,
-        accs: Arc<GroupAccs>,
+        accs: Arc<[AggState]>,
     },
 }
 

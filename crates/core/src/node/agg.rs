@@ -13,7 +13,7 @@ use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
 use super::{for_each_live, PierNode, QueryInstance, TimerAction};
-use crate::agg::GroupAccs;
+use crate::agg::{Accs, AggState, Harvest};
 use crate::expr::Projection;
 use crate::item::{PierMsg, QpItem};
 use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
@@ -31,13 +31,13 @@ fn group_rid(group: &[Value]) -> Rid {
 
 /// Accumulators by group key, in key order. The key is allocated once,
 /// when the node first sees the group, and shared from there on: by the
-/// scratch maps a flush or harvest builds, by every partial put or sent
-/// for the group, and by the owner's store. The accumulators are shared
-/// the same way and copied on write (`Arc::make_mut`): a flush's
-/// snapshot is a refcount bump, what is stored or in flight never
-/// changes, and only a group that received a row since its last flush
-/// copies its accumulators, once, at that row.
-pub(super) type Groups = BTreeMap<Arc<[Value]>, Arc<GroupAccs>>;
+/// scratch map a flush's report builds, by every partial put or sent for
+/// the group, by the owner's store and its harvest. The accumulators are
+/// one allocation, shared the same way and copied on write
+/// (`Arc::make_mut`): a flush's snapshot is a refcount bump, what is
+/// stored or in flight never changes, and only a group that received a
+/// row since its last flush copies its accumulators, once, at that row.
+pub(super) type Groups = BTreeMap<Arc<[Value]>, Arc<[AggState]>>;
 
 /// A group key the map can be probed with: a stored key, or the group
 /// columns of the row being folded, read where they lie. Ordered as
@@ -102,6 +102,9 @@ thread_local! {
     /// emitted group is finalized into: per thread, so a node carries
     /// none. It keeps the last group's values until it is next filled.
     static VIRT: RefCell<Tuple> = RefCell::default();
+    /// The partials a harvest merges: per thread and reused, like `VIRT`,
+    /// and empty between harvests, so it holds no partial alive.
+    static HARVEST: RefCell<Harvest> = RefCell::default();
 }
 
 /// Fold one input row, read where it lies, into its group's
@@ -113,10 +116,12 @@ fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
     match groups.get_mut(&key as &dyn GroupKey) {
         Some(accs) => Arc::make_mut(accs).update(&agg.aggs, row),
         None => {
-            let mut accs = GroupAccs::new(&agg.aggs);
-            accs.update(&agg.aggs, row);
+            // Fresh, so unique: `make_mut` writes in place.
+            let mut accs: Arc<[AggState]> =
+                agg.aggs.iter().map(|c| AggState::new(c.func)).collect();
+            Arc::make_mut(&mut accs).update(&agg.aggs, row);
             let key = (0..key.arity()).map(|i| key.value(i)).collect();
-            groups.insert(key, Arc::new(accs));
+            groups.insert(key, accs);
         }
     }
 }
@@ -124,7 +129,7 @@ fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
 /// Merge one group's partial accumulators into `groups`. A group not
 /// there yet shares the partial's key and accumulators; the first merge
 /// into it afterwards copies them, once.
-fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<GroupAccs>) {
+fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<[AggState]>) {
     match groups.get_mut(&**group) {
         Some(g) => Arc::make_mut(g).merge(accs),
         None => {
@@ -138,7 +143,7 @@ fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<GroupAccs>) {
 /// arity under a colliding namespace, a peer running another plan) is
 /// skipped where it would be merged: zipped against states of other
 /// kinds it would be silently truncated or mis-added.
-fn fits(agg: &AggSpec, group: &[Value], accs: &GroupAccs) -> bool {
+fn fits(agg: &AggSpec, group: &[Value], accs: &[AggState]) -> bool {
     group.len() == agg.group_cols.len() && accs.fits(&agg.aggs)
 }
 
@@ -250,19 +255,19 @@ impl PierNode {
         }
     }
 
-    /// Finalize groups: apply HAVING, evaluate the output expressions,
-    /// ship to the initiator (or log, at the initiator) — each group
-    /// finalized into one reused virtual row and the output evaluated
-    /// over it as it is encoded into one batch, so the results cost the
-    /// one buffer that leaves. Aggregate
-    /// emissions legitimately repeat every epoch: ident 0 exempts them
-    /// from initiator-side dedup.
-    fn emit_groups(
+    /// Finalize groups, given in emission order with their accumulators:
+    /// apply HAVING, evaluate the output expressions, ship to the
+    /// initiator (or log, at the initiator) — each group finalized into
+    /// one reused virtual row and the output evaluated over it as it is
+    /// encoded into one batch, so the results cost the one buffer that
+    /// leaves. Aggregate emissions legitimately repeat every epoch:
+    /// ident 0 exempts them from initiator-side dedup.
+    fn emit_groups<'g>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         desc: &QueryDesc,
         agg: &AggSpec,
-        groups: &Groups,
+        groups: impl Iterator<Item = (&'g [Value], &'g [AggState])>,
     ) {
         // Taken out for the duration: nothing on the way re-enters (if
         // something did, it would find an empty row and allocate its own).
@@ -366,14 +371,17 @@ impl PierNode {
     }
 
     /// Finalize every group whose partials landed here; apply HAVING;
-    /// ship results to the initiator.
+    /// ship results to the initiator. The partials are merged where they
+    /// lie, in `lscan` order, and none is copied: a group with one
+    /// partial is finalized from it, one with more from its merge in a
+    /// reused buffer ([`Harvest`]).
     pub(super) fn agg_harvest(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         let Some(desc) = self.query_desc(qid) else {
             return;
         };
         let Some(agg) = desc.op.agg() else { return };
         let now = ctx.now;
-        let mut merged = Groups::new();
+        let mut harvest = HARVEST.take();
         // Expired partials (a publisher whose group aged out of its
         // window, or a dead node) are skipped even before the sweep
         // collects them; so is one that is not shaped like this query's.
@@ -384,12 +392,14 @@ impl PierNode {
                     accs,
                     qid: q,
                 } if *q == qid && e.expires > now && fits(agg, group, accs) => {
-                    merge(&mut merged, group, accs)
+                    harvest.push(group, accs)
                 }
                 _ => {}
             }
         }
-        self.emit_groups(ctx, &desc, agg, &merged);
+        self.emit_groups(ctx, &desc, agg, harvest.groups());
+        harvest.clear();
+        HARVEST.set(harvest);
     }
 
     /// A flush timer fired: report the aggregation state to the tree
@@ -426,7 +436,8 @@ impl PierNode {
         let me = self.dht.me();
         if me == 0 {
             // Root: finalize.
-            self.emit_groups(ctx, desc, agg, &groups);
+            let pairs = groups.iter().map(|(group, accs)| (&group[..], &accs[..]));
+            self.emit_groups(ctx, desc, agg, pairs);
         } else {
             let parent = (me - 1) / 2;
             for (group, accs) in groups {
@@ -438,7 +449,7 @@ impl PierNode {
     /// A child's partial, counted at this node's next tree flush only —
     /// under an epoch, in the pane closing one epoch after it — unless it
     /// is not shaped like this query's ([`fits`]).
-    pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<GroupAccs>) {
+    pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<[AggState]>) {
         let Some(inst) = self.reg.get_mut(qid) else {
             return;
         };

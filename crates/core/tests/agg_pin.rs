@@ -76,8 +76,8 @@ fn stored_partials(sim: &Sim<PierNode>, qid: u64, out: &mut String) {
 }
 
 /// A stored partial's states, as `Debug` text.
-fn states_of(accs: &pier_core::agg::GroupAccs) -> String {
-    let states: Vec<String> = accs.states.iter().map(|s| format!("{s:?}")).collect();
+fn states_of(accs: &[pier_core::agg::AggState]) -> String {
+    let states: Vec<String> = accs.iter().map(|s| format!("{s:?}")).collect();
     states.join(", ")
 }
 
