@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, nine rules. Comment lines are not checked: prose may
+# Layering guard, ten rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -28,14 +28,15 @@
 #    crates/core/src/tenant.rs above its test module names `qid`.
 # 5. Rows encoded together share one buffer. Under crates/core/src/node/
 #    a row is encoded alone (`FlatRow::from_columns`) only where a
-#    handler has one row to encode: `rehash_one`, `advance` and
-#    `emit_result`. `FlatRow::from_columns` once had six sites here:
-#    those three, `rehash_table`, `install_query`'s scan ship and
-#    `fm_start`'s copy of a row it already held; `publish_rows_from`
-#    encoded through `FlatRow::from_tuple` and `emit_groups` through
-#    `emit_result`. The bulk ones now encode into a `RowBatch`, and
-#    `fm_start` shares the stored row. A new bulk encoder uses a
-#    `RowBatch`.
+#    handler has one row to encode: `advance` and `finish`.
+#    `FlatRow::from_columns` once had six sites here: `rehash_one` (a
+#    standing join's arrival), `advance`, `emit_result`, `rehash_table`,
+#    `install_query`'s scan ship and `fm_start`'s copy of a row it
+#    already held; `publish_rows_from` encoded through
+#    `FlatRow::from_tuple` and `emit_groups` through `emit_result`. The
+#    bulk ones now encode into a `RowBatch`, `fm_start` shares the stored
+#    row, and an arriving row takes its install's batch (`rehash_table`,
+#    `ship_scan`). A new bulk encoder uses a `RowBatch`.
 # 6. A node keeps no row as a tuple. Under crates/core/src/node/ a row
 #    is built into a `Tuple` (`.to_tuple()`, `.decode()`) only in
 #    service.rs, the client surface, where a client reads or drains the
@@ -63,6 +64,14 @@
 #    harvest reads the stored partials where they lie and merges a
 #    group's into one reused accumulator (`agg::Harvest`); it once merged
 #    them into a scratch map, copying each group's first partial.
+# 10. A base row is tested on its way into a query in one place. Under
+#    crates/core/src/node/ `live_row(` appears only in `for_each_live`,
+#    which reads the rows stored at install (`Source::Stored`) and the
+#    one row a `newData` upcall brings (`Source::Arrived`) alike, and in
+#    fetch.rs's `fm_complete` and `semi_complete`, which check rows a
+#    `get` fetched. An arrival once had a path of its own
+#    (`on_base_new_data` into `rehash_one`), which skipped the expiry
+#    test the install applied.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -117,7 +126,7 @@ if [ -n "$ledger" ]; then
     status=1
 fi
 
-ONE_ROW='rehash_one|advance|emit_result'
+ONE_ROW='advance|finish'
 alone=$(awk -v allowed="^($ONE_ROW)\$" 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
     !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
     !test && !/^[[:space:]]*\/\// && /FlatRow::from_(columns|tuple)/ && fn !~ allowed {
@@ -177,7 +186,19 @@ if [ "$(echo "$cows" | sed -n "s|^$NODE/agg.rs:[0-9]*: in \([a-z_0-9]*\): .*|\1|
     status=1
 fi
 
+ROW_TESTS="$NODE/fetch.rs:fm_complete $NODE/fetch.rs:semi_complete $NODE/mod.rs:for_each_live"
+tests=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /live_row\(/ {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$NODE"/*.rs)
+if [ "$(echo "$tests" | sed -n 's/^\([^:]*\):[0-9]*: in \([a-z_0-9]*\): .*/\1:\2/p' | sort -u | xargs)" != "$ROW_TESTS" ]; then
+    echo "layering guard: $NODE tests a base row outside for_each_live and fetch.rs's completions, or not in each — take rows into a query through for_each_live, from Source::Stored at install or Source::Arrived on newData" >&2
+    echo "$tests" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state)"
 fi
 exit "$status"

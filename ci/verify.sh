@@ -5,7 +5,9 @@
 # and test (the pins and budgets CI re-runs by name are in it:
 # cross_engine with the engine's delivery_pin, frontend_pin, agg_pin
 # with harvest_props and alloc_budget's
-# a_harvest_over_many_publishers_copies_nothing, raced_pin, the abandoned-get tests — `-p pier_dht --lib dht::tests`
+# a_harvest_over_many_publishers_copies_nothing, raced_pin, the arrivals —
+# lifecycle's an_expired_arrival_enters_no_standing_query and
+# alloc_budget's an_arriving_row_costs_what_it_did —, the abandoned-get tests — `-p pier_dht --lib dht::tests`
 # and `-p pier_core --test lifecycle abandoned_gets` —, store_pin,
 # geom_pin with overlay_pin (the bootstrap and the churned overlay) and
 # alloc_budget's keepalive, resting_overlay and small_join,
@@ -18,7 +20,7 @@
 # replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's nine rules: the DHT provider
+# no `.txt.new`; the layering guard's ten rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -26,8 +28,8 @@
 # provider through `PierNode::dht_op`, whose lists come drained from a
 # per-thread pool; crates/core/src/tenant.rs holds no per-query state —
 # what is committed is the node's query registry; under node/ a row
-# is encoded alone only at the three one-row sites, `rehash_one`,
-# `advance` and `emit_result` — many rows go into one `RowBatch`;
+# is encoded alone only at the two one-row sites, `advance` and
+# `finish` — many rows go into one `RowBatch`;
 # under node/ a row becomes a `Tuple` (`.to_tuple()`, `.decode()`) only
 # in service.rs, the client surface — the initiator's log keeps rows
 # encoded and an aggregate folds rows where they lie; and under
@@ -36,7 +38,10 @@
 # `set_timer(` appears only in `arm_timer` and `on_start`'s DHT tick —
 # uninstall drops a query's timers and gets by owner; and under node/
 # accumulators are copied on write (`make_mut`) only in agg.rs's `fold`
-# and `merge` — a harvest merges stored partials where they lie), the
+# and `merge` — a harvest merges stored partials where they lie; and
+# under node/ `live_row(` appears only in `for_each_live` and fetch.rs's
+# `fm_complete` and `semi_complete` — a base row enters a query, stored
+# or arriving, through `for_each_live`, which tests its expiry), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

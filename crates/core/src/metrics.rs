@@ -103,8 +103,10 @@ pub struct MetricsRegistry {
     pub admitted_installs: u64,
     /// Installs rejected by quota (admission control) on this node.
     pub rejected_installs: u64,
-    /// Install multicasts dropped because the descriptor's join spec was
-    /// malformed (it would have panicked an operator).
+    /// Install multicasts dropped because the descriptor failed its
+    /// certificate (`QueryDesc::certified`): an index out of range, a
+    /// join shape that cannot run, or a lifetime its operator cannot run
+    /// for. Run, it would have panicked an operator or answered wrong.
     pub malformed_installs: u64,
     /// Publishes shed by per-tenant token-bucket backpressure.
     pub shed_publishes: u64,

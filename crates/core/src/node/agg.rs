@@ -12,7 +12,7 @@ use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, PierNode, QueryInstance, TimerAction};
+use super::{for_each_live, PierNode, QueryInstance, Source, TimerAction};
 use crate::agg::{Accs, AggState, Harvest};
 use crate::expr::Projection;
 use crate::item::{PierMsg, QpItem};
@@ -211,7 +211,7 @@ impl QueryInstance {
 
 /// How long a base row counts toward a windowed aggregate: `window`
 /// after it is first seen, and never past its own expiry.
-pub(super) fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
+fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
     window.map_or(Time::MAX, |w| expires.min(now + w))
 }
 
@@ -225,34 +225,33 @@ impl PierNode {
         scan: &ScanSpec,
         agg: &AggSpec,
     ) {
-        let (qid, now) = (desc.qid, ctx.now);
         self.schedule_agg_timers(ctx, desc, agg);
-        let replicated = self.replicated();
-        if let Some(inst) = self.reg.get_mut(qid) {
-            for_each_live(&self.dht, scan, now, |iid, expires, _, row| {
-                let valid = base_valid(desc.tenure.window(), now, expires);
-                inst.accumulate(replicated, agg, &row, valid, iid as u64);
-            });
-        }
+        self.agg_fold(ctx.now, desc, scan, agg, Source::Stored);
         if !agg.hierarchical && agg.epoch.is_none() {
             // Epoch queries and trees flush on their timer instead.
-            self.flush_partials(ctx, qid, agg);
+            self.flush_partials(ctx, desc.qid, agg);
         }
     }
 
-    /// [`QueryInstance::accumulate`] on an installed query.
-    pub(super) fn accumulate<R: Columns + ?Sized>(
+    /// Fold the rows of a single-table aggregation's input from `from`
+    /// into the query's aggregation state, each counted while it lives
+    /// ([`base_valid`]).
+    pub(super) fn agg_fold(
         &mut self,
-        qid: u64,
+        now: Time,
+        desc: &QueryDesc,
+        scan: &ScanSpec,
         agg: &AggSpec,
-        row: &R,
-        valid_until: Time,
-        ident: u64,
+        from: Source<'_>,
     ) {
         let replicated = self.replicated();
-        if let Some(inst) = self.reg.get_mut(qid) {
-            inst.accumulate(replicated, agg, row, valid_until, ident);
-        }
+        let Some(inst) = self.reg.get_mut(desc.qid) else {
+            return;
+        };
+        for_each_live(&self.dht, scan, from, now, |iid, expires, _, row| {
+            let valid = base_valid(desc.tenure.window(), now, expires);
+            inst.accumulate(replicated, agg, &row, valid, iid as u64);
+        });
     }
 
     /// Finalize groups, given in emission order with their accumulators:

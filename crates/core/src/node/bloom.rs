@@ -6,7 +6,7 @@
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Dur;
 
-use super::{for_each_live, NsRole, PierNode, TimerAction};
+use super::{for_each_live, NsRole, PierNode, Source, TimerAction};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
@@ -39,7 +39,7 @@ impl PierNode {
             let mut filter = BloomFilter::new(j.bloom_bits, BLOOM_HASHES);
             let (_, _, join_col) = view.table_role(side as usize);
             let scan = j.table(side as usize);
-            for_each_live(&self.dht, scan, ctx.now, |_, _, _, row| {
+            for_each_live(&self.dht, scan, Source::Stored, ctx.now, |_, _, _, row| {
                 filter.insert(row.get(join_col).hash64());
             });
             (side, filter)
@@ -165,6 +165,7 @@ impl PierNode {
         if std::mem::replace(&mut inst.got_filter[side as usize], true) {
             return;
         }
-        self.rehash_table(ctx, qid, side.opposite() as usize, Some(&filter));
+        let t = side.opposite() as usize;
+        self.rehash_table(ctx, qid, t, Source::Stored, Some(&filter));
     }
 }

@@ -10,7 +10,9 @@ use pier_dht::msg::Entry;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::Time;
 
-use super::{for_each_live, live_row, take, GetPurpose, PairFetch, Pending, PierNode, BULK_PUTS};
+use super::{
+    for_each_live, live_row, take, GetPurpose, PairFetch, Pending, PierNode, Source, BULK_PUTS,
+};
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::qns;
 use crate::tuple::{Columns, Concat, FlatRow, Rows};
@@ -28,8 +30,8 @@ impl PierNode {
         let Some(j) = desc.op.join() else { return };
         let (_, _, join_col) = view.table_role(0);
         // Each probing row is kept, as stored, until its fetch completes.
-        let mut rows = Vec::new();
-        for_each_live(&self.dht, &j.left, ctx.now, |iid, _, flat, row| {
+        let (left, mut rows, now) = (&j.left, Vec::new(), ctx.now);
+        for_each_live(&self.dht, left, Source::Stored, now, |iid, _, flat, row| {
             let rid = row.col(join_col).hash64();
             rows.push((rid, (iid, flat.clone())));
         });
@@ -96,8 +98,8 @@ impl PierNode {
         let scan = j.table(t);
         let (_, _, join_col) = view.table_role(t);
         // Two passes, as in `rehash_table`.
-        let mut puts = take(&BULK_PUTS);
-        for_each_live(&self.dht, scan, ctx.now, |base_iid, _, _, row| {
+        let (mut puts, now) = (take(&BULK_PUTS), ctx.now);
+        for_each_live(&self.dht, scan, Source::Stored, now, |iid, _, _, row| {
             let join = row.get(join_col).to_value();
             let pkey = row.get(scan.pkey_col).to_value();
             let rid = Self::rehash_rid(&join, j.computation_nodes);
@@ -107,7 +109,7 @@ impl PierNode {
                 pkey,
                 join,
             };
-            puts.push((rid, base_iid, Pending::Item(item)));
+            puts.push((rid, iid, Pending::Item(item)));
         });
         let (ns, lifetime) = (qns::rehash(qid), Self::soft_lifetime(&desc));
         self.put_rehashed(ctx, qid, ns, t as u64, lifetime, puts, &Rows::default());

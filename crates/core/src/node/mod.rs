@@ -146,6 +146,8 @@ thread_local! {
     static UPCALLS: RefCell<Vec<Upcalls>> = RefCell::default();
     /// Bulk put lists ([`PierNode::put_rehashed`], publish).
     static BULK_PUTS: RefCell<Vec<Vec<BulkPut>>> = RefCell::default();
+    /// The instanceIDs of the rows a scan ships ([`PierNode::ship_scan`]).
+    static SHIPPED_IIDS: RefCell<Vec<Vec<u32>>> = RefCell::default();
 }
 
 fn take<T>(pool: &'static Pool<T>) -> Vec<T> {
@@ -621,16 +623,7 @@ impl PierNode {
         match &desc.op {
             QueryOp::Scan { scan, project } => {
                 self.reg.route(scan.ns, qid, NsRole::Base(0));
-                // Encoded into one batch while the store is borrowed;
-                // shipped (or logged, at the initiator) after.
-                let (mut batch, mut iids) = (RowBatch::default(), Vec::new());
-                for_each_live(&self.dht, scan, ctx.now, |iid, _, _, row| {
-                    batch.push(&Projection::new(project, &row));
-                    iids.push(iid);
-                });
-                for (iid, out) in iids.into_iter().zip(batch.seal().iter()) {
-                    self.emit_encoded(ctx, qid, desc.initiator, iid as u64, out);
-                }
+                self.ship_scan(ctx, &desc, scan, project, Source::Stored);
             }
             QueryOp::Join { join: j, agg } => {
                 // Flush timers first: the pane grid is known before the
@@ -668,7 +661,7 @@ impl PierNode {
                 match j.strategy {
                     JoinStrategy::SymmetricHash => {
                         for t in 0..=n {
-                            self.rehash_table(ctx, qid, t, None);
+                            self.rehash_table(ctx, qid, t, Source::Stored, None);
                         }
                     }
                     JoinStrategy::FetchMatches => self.fm_start(ctx, qid),
@@ -721,8 +714,9 @@ impl PierNode {
         }
     }
 
-    /// Continuous queries: a newly published base tuple flows through the
-    /// installed pipeline incrementally.
+    /// Standing queries: a base row just stored enters the query by the
+    /// function its install took the stored rows by, as
+    /// [`Source::Arrived`].
     fn on_base_new_data(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -730,38 +724,22 @@ impl PierNode {
         t: usize,
         entry: &Entry<QpItem>,
     ) {
-        let Some(inst) = self.reg.get(qid) else {
+        let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        if inst.desc.tenure == Tenure::OneShot {
+        if desc.tenure == Tenure::OneShot {
             return;
         }
-        let QpItem::Row(flat) = &entry.val else {
-            return;
-        };
-        let desc = Arc::clone(&inst.desc);
-        let scan = match &desc.op {
-            QueryOp::Scan { scan, .. } | QueryOp::Agg { scan, .. } => scan,
-            QueryOp::Join { join, .. } => join.table(t),
-        };
-        // The row is read where it lies, all the way to the sink.
-        let Some(row) = live_row(scan, flat) else {
-            return;
-        };
+        let from = Source::Arrived(entry);
         match &desc.op {
-            QueryOp::Scan { project, .. } => {
-                let out = Projection::new(project, &row);
-                self.emit_result(ctx, qid, desc.initiator, entry.iid as u64, &out);
-            }
-            QueryOp::Join { .. } => self.rehash_one(ctx, qid, t, entry.iid, row),
+            QueryOp::Scan { scan, project } => self.ship_scan(ctx, &desc, scan, project, from),
+            QueryOp::Join { .. } => self.rehash_table(ctx, qid, t, from, None),
             // Without an epoch the aggregate stays one-shot: there is no
             // re-emission to carry the update.
-            QueryOp::Agg { agg, .. } => {
-                if agg.epoch.is_some() {
-                    let valid = agg::base_valid(desc.tenure.window(), ctx.now, entry.expires);
-                    self.accumulate(qid, agg, &row, valid, entry.iid as u64);
-                }
+            QueryOp::Agg { scan, agg } if agg.epoch.is_some() => {
+                self.agg_fold(ctx.now, &desc, scan, agg, from)
             }
+            QueryOp::Agg { .. } => {}
         }
     }
 
@@ -798,26 +776,44 @@ impl PierNode {
         match desc.op.agg() {
             Some(agg) => {
                 let valid = desc.tenure.window().map_or(Time::MAX, |_| valid_until);
-                self.accumulate(desc.qid, agg, &out, valid, ident);
+                let replicated = self.replicated();
+                if let Some(inst) = self.reg.get_mut(desc.qid) {
+                    inst.accumulate(replicated, agg, &out, valid, ident);
+                }
             }
-            None => self.emit_result(ctx, desc.qid, desc.initiator, ident, &out),
+            None => {
+                let out = FlatRow::from_columns(&out);
+                self.emit_encoded(ctx, desc.qid, desc.initiator, ident, out);
+            }
         }
     }
 
-    /// Deliver one result row to the initiator: encoded once, then shipped
-    /// or — when this node is the initiator — logged as it would arrive.
-    fn emit_result<R: Columns + ?Sized>(
+    /// A scan's rows from `from`, projected and shipped to the initiator:
+    /// encoded into one batch while the store is borrowed, their
+    /// instanceIDs staged in a list from this thread's pool, and shipped
+    /// (or logged, at the initiator) after.
+    fn ship_scan(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
-        qid: u64,
-        initiator: NodeId,
-        ident: u64,
-        row: &R,
+        desc: &QueryDesc,
+        scan: &ScanSpec,
+        project: &[Expr],
+        from: Source<'_>,
     ) {
-        self.emit_encoded(ctx, qid, initiator, ident, FlatRow::from_columns(row));
+        let (mut batch, mut iids) = (RowBatch::default(), take(&SHIPPED_IIDS));
+        for_each_live(&self.dht, scan, from, ctx.now, |iid, _, _, row| {
+            batch.push(&Projection::new(project, &row));
+            iids.push(iid);
+        });
+        for (&iid, out) in iids.iter().zip(batch.seal().iter()) {
+            self.emit_encoded(ctx, desc.qid, desc.initiator, iid as u64, out);
+        }
+        give_back(&SHIPPED_IIDS, iids);
     }
 
-    /// [`Self::emit_result`] of a row already in its shipped form.
+    /// Deliver one result row, already in its shipped form, to the
+    /// initiator: shipped or — when this node is the initiator — logged
+    /// as it would arrive.
     fn emit_encoded(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -867,26 +863,41 @@ fn live_row<'a>(scan: &ScanSpec, flat: &'a FlatRow) -> Option<RowRef<'a>> {
     wanted.then_some(row)
 }
 
-/// Stream the locally stored, live rows of a base table that `scan`
-/// selects ([`live_row`]) to `f` as `(instanceID, expiry, stored row,
-/// its view)`, in `lscan` order, each read where it lies: nothing is
-/// decoded, so a consumer allocates only what it keeps. Expired but
-/// unswept rows (the sweep runs on the maintenance tick) never enter a
-/// dataflow.
+/// Where a query takes base rows from ([`for_each_live`]).
+enum Source<'a> {
+    /// Every row stored in the table's namespace: the query's install.
+    Stored,
+    /// The one row just stored there: its `newData` upcall.
+    Arrived(&'a Entry<QpItem>),
+}
+
+/// Stream the live base rows of `from` that `scan` selects
+/// ([`live_row`]) to `f` as `(instanceID, expiry, stored row, its
+/// view)`, in `lscan` order, each read where it lies: nothing is
+/// decoded, so a consumer allocates only what it keeps. The one place a
+/// base row is tested on its way into a query: an expired one — unswept
+/// (the sweep runs on the maintenance tick), or one whose lifetime ended
+/// while its put was in flight — enters nothing, whether it was stored
+/// before the install or arrives after.
 fn for_each_live<'a>(
     dht: &'a Dht<QpItem>,
     scan: &ScanSpec,
+    from: Source<'a>,
     now: Time,
     mut f: impl FnMut(u32, Time, &'a FlatRow, RowRef<'a>),
 ) {
-    for e in dht.lscan(scan.ns) {
-        let QpItem::Row(flat) = &e.val else { continue };
+    let mut offer = |e: &'a Entry<QpItem>| {
+        let QpItem::Row(flat) = &e.val else { return };
         if e.expires <= now {
-            continue;
+            return;
         }
         if let Some(row) = live_row(scan, flat) {
             f(e.iid, e.expires, flat, row);
         }
+    };
+    match from {
+        Source::Stored => dht.lscan(scan.ns).for_each(offer),
+        Source::Arrived(e) => offer(e),
     }
 }
 

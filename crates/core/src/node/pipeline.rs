@@ -9,7 +9,9 @@ use pier_dht::{Ns, Rid};
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
-use super::{for_each_live, give_back, take, BulkPut, JoinPlan, Pending, PierNode, BULK_PUTS};
+use super::{
+    for_each_live, give_back, take, BulkPut, JoinPlan, Pending, PierNode, Source, BULK_PUTS,
+};
 use crate::bloom::BloomFilter;
 use crate::item::{PierMsg, QpItem, Side};
 use crate::plan::{qns, PipelineSchema};
@@ -30,16 +32,19 @@ impl PierNode {
         }
     }
 
-    /// Rehash this node's local fragment of pipeline table `t` into its
-    /// stage namespace, projected onto the stage schema: only the
-    /// columns some later stage or the final SELECT reads ship, encoded
-    /// straight from the stored row. The Bloom strategy gates the rehash
-    /// by a filter over the opposite table's keys.
+    /// Rehash the rows of pipeline table `t` from `from` — this node's
+    /// local fragment at install, or the one row just stored, for a
+    /// standing query — into its stage namespace, projected onto the
+    /// stage schema: only the columns some later stage or the final
+    /// SELECT reads ship, encoded straight from the stored row. The Bloom
+    /// strategy gates the rehash by a filter over the opposite table's
+    /// keys.
     pub(super) fn rehash_table(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         qid: u64,
         t: usize,
+        from: Source<'_>,
         filter: Option<&BloomFilter>,
     ) {
         let Some((desc, view)) = self.join_plan(qid) else {
@@ -52,7 +57,7 @@ impl PierNode {
         // stages the items, their rows encoded into one batch, and
         // `put_rehashed` names and puts them.
         let (mut batch, mut puts) = (RowBatch::default(), take(&BULK_PUTS));
-        for_each_live(&self.dht, j.table(t), ctx.now, |base_iid, _, _, row| {
+        for_each_live(&self.dht, j.table(t), from, ctx.now, |iid, _, _, row| {
             let join = row.col(join_col);
             if filter.is_some_and(|f| !f.contains(join.hash64())) {
                 return;
@@ -60,7 +65,7 @@ impl PierNode {
             let rid = Self::rehash_rid(&join, j.computation_nodes);
             let row = batch.push(&Select::new(&row, keep));
             let item = Pending::Tagged(qid, side, join.to_value(), row);
-            puts.push((rid, base_iid, item));
+            puts.push((rid, iid, item));
         });
         let ns = qns::stage_of(qid, j.stages.len(), k);
         let lifetime = Self::soft_lifetime(&desc);
@@ -92,56 +97,6 @@ impl PierNode {
             }
             give_back(&BULK_PUTS, puts);
         });
-    }
-
-    /// Put one item of a query's stage soft state and react to whatever
-    /// the put stirs up locally.
-    #[allow(clippy::too_many_arguments)] // Table 3's put plus the owning query
-    fn put_soft(
-        &mut self,
-        ctx: &mut Ctx<PierMsg>,
-        qid: u64,
-        ns: Ns,
-        rid: Rid,
-        iid: u32,
-        item: QpItem,
-        lifetime: Dur,
-    ) {
-        self.record_rehash(qid, ns, rid, iid, &item);
-        self.dht_op(ctx, |node, ctx, events| {
-            let env = &mut node.reg.env(ctx);
-            node.dht.put(env, ns, rid, iid, item, lifetime, events);
-        });
-    }
-
-    /// Continuous joins: one newly published base tuple of table `t`,
-    /// already past that table's selection, flows into its stage
-    /// namespace — the incremental analogue of [`Self::rehash_table`],
-    /// landing on the same instanceID.
-    pub(super) fn rehash_one(
-        &mut self,
-        ctx: &mut Ctx<PierMsg>,
-        qid: u64,
-        t: usize,
-        base_iid: u32,
-        row: RowRef<'_>,
-    ) {
-        let Some((desc, view)) = self.join_plan(qid) else {
-            return;
-        };
-        let Some(j) = desc.op.join() else { return };
-        let (k, side, join_col) = view.table_role(t);
-        let join = row.col(join_col);
-        let rid = Self::rehash_rid(&join, j.computation_nodes);
-        let iid = self.derived_iid(base_iid, t as u64);
-        let item = QpItem::Tagged {
-            qid,
-            side,
-            join: join.to_value(),
-            row: FlatRow::from_columns(&Select::new(&row, view.keep_for_table(t))),
-        };
-        let ns = qns::stage_of(qid, j.stages.len(), k);
-        self.put_soft(ctx, qid, ns, rid, iid, item, Self::soft_lifetime(&desc));
     }
 
     /// Probe an arriving stage-`k` entry against the opposite side
@@ -283,7 +238,12 @@ impl PierNode {
             row: FlatRow::from_columns(row),
         };
         let ns = qns::stage_of(qid, j.stages.len(), k + 1);
-        self.put_soft(ctx, qid, ns, rid, iid, item, until.since(ctx.now));
+        let lifetime = until.since(ctx.now);
+        self.record_rehash(qid, ns, rid, iid, &item);
+        self.dht_op(ctx, |node, ctx, events| {
+            let env = &mut node.reg.env(ctx);
+            node.dht.put(env, ns, rid, iid, item, lifetime, events);
+        });
     }
 }
 

@@ -216,15 +216,9 @@ pub enum NodeRequest {
     /// the cost model, rejected with a typed [`AdmissionError`] when
     /// the owning tenant is over budget.
     TrySubmit(Box<QueryDesc>),
-    /// Publish rows of a table into the DHT, resourceID = `pkey_col`.
-    PublishRows {
-        table: String,
-        rows: Vec<Tuple>,
-        pkey_col: usize,
-        lifetime: Dur,
-    },
-    /// Tenant-attributed publish with token-bucket backpressure
-    /// ([`PierNode::publish_rows_from`]); answers with the
+    /// Publish rows of a table into the DHT, resourceID = `pkey_col`,
+    /// attributed to `tenant` (0 for untenanted rows) and clipped by its
+    /// token bucket ([`PierNode::publish_rows_from`]); answers with the
     /// accepted/shed split.
     PublishRowsFor {
         tenant: u32,
@@ -332,15 +326,6 @@ impl pier_simnet::Service for PierNode {
                 NodeResponse::Done
             }
             NodeRequest::TrySubmit(desc) => NodeResponse::Admission(self.try_submit(ctx, *desc)),
-            NodeRequest::PublishRows {
-                table,
-                rows,
-                pkey_col,
-                lifetime,
-            } => {
-                self.publish_rows(ctx, &table, rows, pkey_col, lifetime);
-                NodeResponse::Done
-            }
             NodeRequest::PublishRowsFor {
                 tenant,
                 table,

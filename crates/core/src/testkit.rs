@@ -148,7 +148,8 @@ pub fn publish_by_request(
         let table = table.to_string();
         net.request(
             home,
-            NodeRequest::PublishRows {
+            NodeRequest::PublishRowsFor {
+                tenant: 0,
                 table,
                 rows,
                 pkey_col,

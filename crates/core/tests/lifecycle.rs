@@ -426,10 +426,11 @@ fn hierarchical_epoch_aggregate_reemits_per_epoch() {
 
 #[test]
 fn standing_binary_join_renews_post_install_rehash_state() {
-    // Regression: the continuous join newData path (`rehash_one`) must
-    // put with the renewal-derived lifetime AND enroll the state in the
-    // query's renewal loop. A left row published after install joins a
-    // right row arriving well past the query's horizon (3 × 30 s = 90 s).
+    // Regression: the continuous join newData path (`rehash_table` of
+    // the arrived row) must put with the renewal-derived lifetime AND
+    // enroll the state in the query's renewal loop. A left row published
+    // after install joins a right row arriving well past the query's
+    // horizon (3 × 30 s = 90 s).
     let left = ScanSpec::new("A", 2, 0).with_join_col(1);
     let right = ScanSpec::new("B", 2, 0).with_join_col(1);
     let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
@@ -443,7 +444,8 @@ fn standing_binary_join_renews_post_install_rehash_state() {
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(Dur::from_secs(3));
 
-    // Published AFTER install: flows through rehash_one, not rehash_table.
+    // Published AFTER install: enters through its newData upcall, not
+    // the install's scan of the stored rows.
     publish_round_robin(
         &mut sim,
         "A",
@@ -473,6 +475,88 @@ fn standing_binary_join_renews_post_install_rehash_state() {
         same_multiset(&rows, &[tuple![1i64, 2i64]]),
         "post-install rehash state must be renewed past the horizon: {rows:?}"
     );
+}
+
+#[test]
+fn an_expired_arrival_enters_no_standing_query() {
+    // A base row whose lifetime ends while its put is in flight is
+    // expired when it lands: it enters neither a standing scan nor a
+    // standing symmetric-hash join, as a query installed at that instant
+    // would not take it. The rows the publisher stores itself are live
+    // when stored, and enter both.
+    let scan = ScanSpec::new("E", 2, 0);
+    let project = vec![Expr::col(0), Expr::col(1)];
+    let scan_q = QueryDesc::standing(98, 0, QueryOp::Scan { scan, project }, None);
+    let left = ScanSpec::new("E", 2, 0).with_join_col(1);
+    let right = ScanSpec::new("P", 2, 0).with_join_col(1);
+    let mut j = JoinSpec::new(JoinStrategy::SymmetricHash, left, right);
+    j.project = vec![Expr::col(0), Expr::col(2)];
+    let join_q = QueryDesc::standing(99, 0, QueryOp::Join { join: j, agg: None }, None);
+
+    let mut sim: Sim<PierNode> =
+        stabilized_pier_sim(8, lazy_sweep_cfg(), NetConfig::latency_only(5));
+    let partners: Vec<Tuple> = (0..40i64).map(|k| tuple![1000 + k, k]).collect();
+    publish_round_robin(&mut sim, "P", &partners, 0, Dur::from_secs(100_000));
+    settle_publish(&mut sim);
+    sim.with_app(0, |node, ctx| {
+        node.submit(ctx, scan_q);
+        node.submit(ctx, join_q);
+    });
+    sim.run_for(Dur::from_secs(5));
+
+    // Published from node 3 with a 1 ms lifetime: a put that leaves the
+    // node lands after it.
+    let rows: Vec<Tuple> = (0..40i64).map(|k| tuple![k, k]).collect();
+    let ns = pier_dht::ns_of("E");
+    let publisher = &sim.app(3).unwrap().dht;
+    let stored_live: Vec<Tuple> = (rows.iter())
+        .filter(|r| publisher.owns_key(pier_dht::key_of(ns, r.get(0).hash64())))
+        .cloned()
+        .collect();
+    assert!(
+        !stored_live.is_empty() && stored_live.len() < rows.len(),
+        "{} of the rows stored at the publisher",
+        stored_live.len()
+    );
+    sim.with_app(3, |node, ctx| {
+        node.publish_rows(ctx, "E", rows, 0, Dur::from_millis(1))
+    });
+    sim.run_for(Dur::from_secs(10));
+
+    let results = |sim: &Sim<PierNode>, qid| -> Vec<Tuple> {
+        let log = sim.app(0).unwrap().query_results(qid);
+        log.iter().map(|(_, r)| r).collect()
+    };
+    let scanned = results(&sim, 98);
+    assert!(
+        same_multiset(&scanned, &stored_live),
+        "the standing scan took {} rows, {} were live when stored",
+        scanned.len(),
+        stored_live.len()
+    );
+    let pairs: Vec<Tuple> = (stored_live.iter())
+        .map(|r| {
+            tuple![
+                r.get(0).as_i64().unwrap(),
+                1000 + r.get(0).as_i64().unwrap()
+            ]
+        })
+        .collect();
+    let joined = results(&sim, 99);
+    assert!(
+        same_multiset(&joined, &pairs),
+        "the standing join answered {} pairs, {} rows were live when stored",
+        joined.len(),
+        pairs.len()
+    );
+
+    // A scan installed now takes none of them.
+    let scan = ScanSpec::new("E", 2, 0);
+    let project = vec![Expr::col(0)];
+    let late = QueryDesc::one_shot(100, 0, QueryOp::Scan { scan, project });
+    sim.with_app(0, |node, ctx| node.submit(ctx, late));
+    sim.run_for(Dur::from_secs(5));
+    assert!(results(&sim, 100).is_empty());
 }
 
 #[test]

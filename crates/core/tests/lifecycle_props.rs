@@ -481,7 +481,8 @@ proptest! {
                 LifecycleEvent::Publish => {
                     let (table, row) = random_row(&mut rng, &mut next_id);
                     let publisher = rng.gen_range(0..n) as NodeId;
-                    cluster.cast(publisher, NodeRequest::PublishRows {
+                    cluster.cast(publisher, NodeRequest::PublishRowsFor {
+                        tenant: 0,
                         table,
                         rows: vec![row],
                         pkey_col: 0,

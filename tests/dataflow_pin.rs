@@ -53,8 +53,8 @@ fn publish_head(sim: &mut Sim<PierNode>, wl: &RsWorkload, num: usize, den: usize
     settle_publish(sim);
 }
 
-/// Publish the rest of every table from node 3 — after install, so the
-/// rows flow through the incremental `rehash_one` path.
+/// Publish the rest of every table from node 3 — after install, so each
+/// row enters through its `newData` upcall (`Source::Arrived`).
 fn publish_tail(sim: &mut Sim<PierNode>, wl: &RsWorkload, num: usize, den: usize) {
     for (name, rows) in [("R", &wl.r), ("S", &wl.s), ("T", &wl.t)] {
         let tail = rows[rows.len() * num / den..].to_vec();
