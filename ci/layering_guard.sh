@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, ten rules. Comment lines are not checked: prose may
+# Layering guard, eleven rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -72,6 +72,13 @@
 #    `get` fetched. An arrival once had a path of its own
 #    (`on_base_new_data` into `rehash_one`), which skipped the expiry
 #    test the install applied.
+# 11. A handler runs in one place. Under crates/simnet/src/ `Ctx::new(`
+#    appears exactly once, in `EngineCore::with_app`: every handler
+#    (dispatched, started, revived, injected, or answering a request)
+#    runs there, and its `Ctx` files each send and timer into the core's
+#    events as it is made. A handler's effects were once buffered as
+#    actions and applied after it returned, and same-instant deliveries
+#    to one node were dispatched as a batch through one `Ctx`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -198,7 +205,19 @@ if [ "$(echo "$tests" | sed -n 's/^\([^:]*\):[0-9]*: in \([a-z_0-9]*\): .*/\1:\2
     status=1
 fi
 
+SIMNET=crates/simnet/src
+ctxs=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
+    !/^[[:space:]]*\/\// && match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !test && !/^[[:space:]]*\/\// && /Ctx::new\(/ {
+        print FILENAME ":" FNR ": in " fn ": " $0
+    }' "$SIMNET"/*.rs)
+if [ "$(echo -n "$ctxs" | grep -c '')" -ne 1 ] || ! echo "$ctxs" | grep -q "^$SIMNET/engine.rs:[0-9]*: in with_app: "; then
+    echo "layering guard: $SIMNET builds a Ctx outside EngineCore::with_app, or not exactly once — run every handler through with_app, which files its sends and timers one way" >&2
+    echo "$ctxs" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state)"
+    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app)"
 fi
 exit "$status"

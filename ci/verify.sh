@@ -20,7 +20,7 @@
 # replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's ten rules: the DHT provider
+# no `.txt.new`; the layering guard's eleven rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -41,7 +41,10 @@
 # and `merge` — a harvest merges stored partials where they lie; and
 # under node/ `live_row(` appears only in `for_each_live` and fetch.rs's
 # `fm_complete` and `semi_complete` — a base row enters a query, stored
-# or arriving, through `for_each_live`, which tests its expiry), the
+# or arriving, through `for_each_live`, which tests its expiry; and
+# under crates/simnet/src/ `Ctx::new(` appears only in
+# `EngineCore::with_app` — every handler runs there and files its sends
+# and timers into the engine as it makes them), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

@@ -30,8 +30,8 @@ impl Side {
 
 /// Everything PIER stores in or ships through the DHT.
 ///
-/// One `QpItem` sits inline in every store slot, queued event, `Action`
-/// and pending DHT op, so its size is paid per item *held*, whatever the
+/// One `QpItem` sits inline in every store slot, queued event and
+/// pending DHT op, so its size is paid per item *held*, whatever the
 /// variant. The hot variants (`Row`, `Tagged`, `Mini`, `Partial`) fit 64
 /// bytes, so an `Entry` is 104 and a `PierMsg` 144 (its largest variant
 /// is CAN's multicast, with its 64-byte zone); anything cold and fat goes

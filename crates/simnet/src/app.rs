@@ -1,6 +1,7 @@
 //! The node automaton interface shared by both backends: [`App`], the
 //! three event callbacks, and [`Service`], typed requests on top.
 
+use crate::engine::Events;
 use crate::time::{Dur, Time};
 use crate::{NodeId, Wire};
 use rand::rngs::SmallRng;
@@ -54,17 +55,11 @@ pub trait Service: App {
     fn on_request(&mut self, ctx: &mut Ctx<Self::Msg>, req: Self::Req) -> Self::Resp;
 }
 
-/// An action emitted by a node handler, applied by the engine after the
-/// handler returns.
-#[derive(Debug)]
-pub enum Action<M> {
-    /// Send `msg` to node `to` over the network.
-    Send { to: NodeId, msg: M },
-    /// Fire `on_timer(token)` after `after` has elapsed.
-    Timer { after: Dur, token: u64 },
-}
-
 /// Handler context: the node's view of the engine during one callback.
+///
+/// A send or a timer is filed into the engine as the handler makes it,
+/// under the node's next event number, so the order of a handler's
+/// effects is the order of its calls.
 pub struct Ctx<'a, M> {
     /// Current engine time (virtual under simulation, wall-clock offset
     /// since spawn on a `Cluster`).
@@ -73,7 +68,8 @@ pub struct Ctx<'a, M> {
     pub me: NodeId,
     /// Per-node deterministic RNG (seeded from the engine seed and node id).
     pub rng: &'a mut SmallRng,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
+    oseq: &'a mut u64,
+    events: &'a mut Events<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -81,14 +77,22 @@ impl<'a, M> Ctx<'a, M> {
         now: Time,
         me: NodeId,
         rng: &'a mut SmallRng,
-        actions: &'a mut Vec<Action<M>>,
+        oseq: &'a mut u64,
+        events: &'a mut Events<M>,
     ) -> Self {
         Ctx {
             now,
             me,
             rng,
-            actions,
+            oseq,
+            events,
         }
+    }
+
+    /// This node's next event number.
+    fn next_oseq(&mut self) -> u64 {
+        *self.oseq += 1;
+        *self.oseq
     }
 
     /// Queue a message for delivery to `to`. Delivery is asynchronous and
@@ -96,41 +100,15 @@ impl<'a, M> Ctx<'a, M> {
     /// failed node are silently dropped, exactly like UDP datagrams in the
     /// paper's soft-state world.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        let oseq = self.next_oseq();
+        self.events.send(self.now, self.me, to, oseq, msg);
     }
 
     /// Schedule `on_timer(token)` to fire `after` from now. There is no
     /// cancellation; automata are expected to ignore stale tokens (the
     /// idiom used throughout the DHT layer).
     pub fn set_timer(&mut self, after: Dur, token: u64) {
-        self.actions.push(Action::Timer { after, token });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn ctx_buffers_actions_in_order() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut actions: Vec<Action<u32>> = Vec::new();
-        let mut ctx = Ctx::new(Time::ZERO, 0, &mut rng, &mut actions);
-        ctx.send(3, 42);
-        ctx.set_timer(Dur::from_secs(1), 9);
-        ctx.send(1, 7);
-        assert_eq!(actions.len(), 3);
-        match &actions[0] {
-            Action::Send { to, msg } => assert_eq!((*to, *msg), (3, 42)),
-            _ => panic!("expected send"),
-        }
-        match &actions[1] {
-            Action::Timer { after, token } => {
-                assert_eq!(*after, Dur::from_secs(1));
-                assert_eq!(*token, 9);
-            }
-            _ => panic!("expected timer"),
-        }
+        let oseq = self.next_oseq();
+        self.events.timer(self.now + after, self.me, oseq, token);
     }
 }

@@ -47,12 +47,14 @@
 //! # A message is stored once
 //!
 //! A send's message goes into its event-slab slot when the handler
-//! emits it and leaves that slot when it is delivered (or dropped at
-//! admission). What waits for routing is a 32-byte key naming the slot;
-//! routing reads the wire size there and queues the same slot as the
-//! delivery. Only a send that crosses to another core leaves its slot
-//! early, as a `SendRec` built by `EngineCore::drain_outbound`, and is
-//! filed into a slot of the receiving core when that core routes it.
+//! emits it — [`Ctx`] files each send and timer into the core's `Events`
+//! as it is called — and leaves that slot when it is delivered (or
+//! dropped at admission). What waits for routing is a 32-byte key naming
+//! the slot; routing reads the wire size there and queues the same slot
+//! as the delivery. Only a send that crosses to another core leaves its
+//! slot early, as a `SendRec` built by `EngineCore::drain_outbound`, and
+//! is filed into a slot of the receiving core when that core routes it.
+//! Each popped event runs one handler, in key order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,7 +63,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::app::{Action, App, Ctx};
+use crate::app::{App, Ctx};
 use crate::sharded::{run_windowed, ShardMap};
 use crate::stats::NetStats;
 use crate::time::{Dur, Time};
@@ -369,6 +371,65 @@ impl SendKey {
     }
 }
 
+/// What a core has yet to do: the queue, the slab its entries name, and
+/// the inter-node sends awaiting key-sorted routing, their messages in
+/// the slab (the inline loop routes them as soon as the clock moves past
+/// their send instant, the windowed loop at the next barrier). A
+/// handler's [`Ctx`] borrows it to file each send and timer as it is
+/// made.
+pub(crate) struct Events<M> {
+    queue: CalendarQueue,
+    slab: EventSlab<M>,
+    outbound: Vec<SendKey>,
+}
+
+impl<M> Events<M> {
+    fn new() -> Self {
+        Events {
+            queue: CalendarQueue::new(),
+            slab: EventSlab::new(),
+            outbound: Vec::new(),
+        }
+    }
+
+    /// Put a send's message into the slab slot it will be delivered
+    /// from. A self-send is a local hand-off — no latency, no bandwidth,
+    /// not network traffic — and is queued at once; an inter-node send
+    /// waits as a key, because the flow model must reserve the
+    /// receiver's link in `(sent_at, from, oseq)` order, which is not
+    /// emission order when several nodes send at one instant.
+    pub(crate) fn send(&mut self, sent_at: Time, from: NodeId, to: NodeId, oseq: u64, msg: M) {
+        let slot = self.slab.alloc(EventKind::Deliver { from, to, msg });
+        if to == from {
+            self.queue.push(EvRef {
+                at: sent_at,
+                origin: from,
+                oseq,
+                slot,
+            });
+        } else {
+            self.outbound.push(SendKey {
+                sent_at,
+                from,
+                to,
+                oseq,
+                slot,
+            });
+        }
+    }
+
+    /// Queue `node`'s timer `token` to fire at `at`.
+    pub(crate) fn timer(&mut self, at: Time, node: NodeId, oseq: u64, token: u64) {
+        let slot = self.slab.alloc(EventKind::Timer { node, token });
+        self.queue.push(EvRef {
+            at,
+            origin: node,
+            oseq,
+            slot,
+        });
+    }
+}
+
 /// A send on its way to another core, its message out of the slab:
 /// built only by [`EngineCore::drain_outbound`], filed back into a slot
 /// by the receiving core's [`EngineCore::route_batch`] (or dispatched
@@ -392,20 +453,13 @@ pub(crate) struct SendRec<M> {
 pub(crate) struct EngineCore<A: App> {
     cfg: NetConfig,
     now: Time,
-    queue: CalendarQueue,
-    slab: EventSlab<A::Msg>,
+    events: Events<A::Msg>,
     /// Indexed by *global* node id; `None` = not owned by this core
     /// (a foreign shard's node). A failed-but-owned node keeps its
     /// slot with `app: None`.
     nodes: Vec<Option<Box<Slot<A>>>>,
     stats: NetStats,
     events_processed: u64,
-    /// Inter-node sends awaiting key-sorted routing, their messages in
-    /// the slab; the inline loop flushes them as soon as the clock moves
-    /// past their send instant, the windowed loop at the next barrier.
-    outbound: Vec<SendKey>,
-    scratch: Vec<Action<A::Msg>>,
-    batch: Vec<(NodeId, A::Msg)>,
 }
 
 impl<A: App> EngineCore<A> {
@@ -413,14 +467,10 @@ impl<A: App> EngineCore<A> {
         EngineCore {
             cfg,
             now: Time::ZERO,
-            queue: CalendarQueue::new(),
-            slab: EventSlab::new(),
+            events: Events::new(),
             nodes: Vec::new(),
             stats: NetStats::new(0),
             events_processed: 0,
-            outbound: Vec::new(),
-            scratch: Vec::new(),
-            batch: Vec::new(),
         }
     }
 
@@ -519,61 +569,19 @@ impl<A: App> EngineCore<A> {
             .and_then(|s| s.app.as_ref())
     }
 
-    /// Run `f` as one handler of node `id` and apply the actions it
-    /// emits; `None` (and nothing runs) if the node has failed.
+    /// Run `f` as one handler of node `id`, its sends and timers filed
+    /// as it makes them; `None` (and nothing runs) if the node has
+    /// failed. Every handler runs here: dispatched, started, revived,
+    /// injected, or answering a request.
     pub(crate) fn with_app<R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut A, &mut Ctx<A::Msg>) -> R,
     ) -> Option<R> {
-        let slot = self.nodes.get_mut(id as usize)?.as_mut()?;
-        let app = slot.app.as_mut()?;
-        let mut actions = std::mem::take(&mut self.scratch);
-        let r = {
-            let mut ctx = Ctx::new(self.now, id, &mut slot.rng, &mut actions);
-            f(app, &mut ctx)
-        };
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
-        Some(r)
-    }
-
-    /// Allocate the next event-ordering sequence number of node `id`.
-    fn next_oseq(&mut self, id: NodeId) -> u64 {
-        let slot = self.nodes[id as usize]
-            .as_mut()
-            .expect("oseq of an owned node");
-        slot.oseq += 1;
-        slot.oseq
-    }
-
-    fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<Action<A::Msg>>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => {
-                    let oseq = self.next_oseq(from);
-                    if to == from {
-                        // Local hand-off: no latency, no bandwidth, not
-                        // network traffic — deliverable this instant, so
-                        // it goes straight into the queue.
-                        let now = self.now;
-                        self.push_event(now, from, oseq, EventKind::Deliver { from, to, msg });
-                    } else {
-                        // Inter-node sends wait for key-sorted routing:
-                        // the flow model must reserve the receiver's
-                        // link in (sent_at, from, oseq) order, which is
-                        // not emission order when several nodes send at
-                        // the same instant.
-                        self.buffer_send(self.now, from, to, oseq, msg);
-                    }
-                }
-                Action::Timer { after, token } => {
-                    let oseq = self.next_oseq(from);
-                    let at = self.now + after;
-                    self.push_event(at, from, oseq, EventKind::Timer { node: from, token });
-                }
-            }
-        }
+        let Slot { app, rng, oseq, .. } = &mut **self.nodes.get_mut(id as usize)?.as_mut()?;
+        let app = app.as_mut()?;
+        let mut ctx = Ctx::new(self.now, id, rng, oseq, &mut self.events);
+        Some(f(app, &mut ctx))
     }
 
     /// Apply the flow-level network model to one buffered send and
@@ -590,7 +598,7 @@ impl<A: App> EngineCore<A> {
         } = key;
         let dest = self.nodes.get(to as usize).and_then(|s| s.as_ref());
         if !self.stats.admit(dest.is_some_and(|s| s.inbound_drop)) {
-            self.slab.take(slot);
+            self.events.slab.take(slot);
             return;
         }
         let latency = self.cfg.topology.latency(from, to);
@@ -602,7 +610,7 @@ impl<A: App> EngineCore<A> {
             // reserved, so a later revival at this id starts clean.
             Some(_) if !self.alive(to) => link_arrival,
             Some(bps) => {
-                let EventKind::Deliver { msg, .. } = self.slab.get(slot) else {
+                let EventKind::Deliver { msg, .. } = self.events.slab.get(slot) else {
                     unreachable!("a send key names a delivery");
                 };
                 let transmit = Dur::from_secs_f64(msg.wire_size() as f64 * 8.0 / bps);
@@ -614,7 +622,7 @@ impl<A: App> EngineCore<A> {
                 node.inbound_free
             }
         };
-        self.queue.push(EvRef {
+        self.events.queue.push(EvRef {
             at,
             origin: from,
             oseq,
@@ -628,34 +636,22 @@ impl<A: App> EngineCore<A> {
     /// partitions by destination shard before calling this.)
     pub(crate) fn route_batch(&mut self, batch: &mut Vec<SendRec<A::Msg>>) {
         for rec in batch.drain(..) {
-            self.buffer_send(rec.sent_at, rec.from, rec.to, rec.oseq, rec.msg);
+            let SendRec { sent_at, from, .. } = rec;
+            self.events.send(sent_at, from, rec.to, rec.oseq, rec.msg);
         }
         self.route_outbound();
-    }
-
-    /// Put a send's message into the slab slot it will be delivered
-    /// from, and buffer its key for routing.
-    fn buffer_send(&mut self, sent_at: Time, from: NodeId, to: NodeId, oseq: u64, msg: A::Msg) {
-        let slot = self.slab.alloc(EventKind::Deliver { from, to, msg });
-        self.outbound.push(SendKey {
-            sent_at,
-            from,
-            to,
-            oseq,
-            slot,
-        });
     }
 
     /// Route every buffered send in key order. Routing only queues
     /// deliveries, so `outbound` stays empty while its buffer is out;
     /// handing it back keeps the capacity for the next batch.
     fn route_outbound(&mut self) {
-        let mut keys = std::mem::take(&mut self.outbound);
+        let mut keys = std::mem::take(&mut self.events.outbound);
         keys.sort_unstable_by_key(SendKey::key);
         for key in keys.drain(..) {
             self.route_key(key);
         }
-        self.outbound = keys;
+        self.events.outbound = keys;
         debug_assert!(self.slots_accounted(), "a slab slot leaked in routing");
     }
 
@@ -670,8 +666,8 @@ impl<A: App> EngineCore<A> {
         local: impl Fn(NodeId) -> bool,
         mut cross: impl FnMut(SendRec<A::Msg>),
     ) {
-        let slab = &mut self.slab;
-        self.outbound.retain(|key| {
+        let Events { slab, outbound, .. } = &mut self.events;
+        outbound.retain(|key| {
             if local(key.to) {
                 return true;
             }
@@ -692,13 +688,14 @@ impl<A: App> EngineCore<A> {
 
     /// Whether any send waits for routing or a drain.
     pub(crate) fn has_outbound(&self) -> bool {
-        !self.outbound.is_empty()
+        !self.events.outbound.is_empty()
     }
 
     /// No slab slot leaked: there are as many live slots as queued
     /// events and buffered send keys, each of which names one.
     fn slots_accounted(&self) -> bool {
-        self.slab.live() == self.queue.len() + self.outbound.len()
+        let ev = &self.events;
+        ev.slab.live() == ev.queue.len() + ev.outbound.len()
     }
 
     /// Inline-loop flush: once every event at the send instant has
@@ -706,94 +703,45 @@ impl<A: App> EngineCore<A> {
     /// buffer key-sorted. All buffered sends share one send instant —
     /// the clock cannot advance past it without flushing here first.
     fn flush_due(&mut self) {
-        if self.outbound.is_empty() {
+        let Some(first) = self.events.outbound.first() else {
             return;
-        }
-        let t = self.outbound[0].sent_at;
-        debug_assert!(self.outbound.iter().all(|k| k.sent_at == t));
-        if self.queue.peek().is_some_and(|ev| ev.at <= t) {
+        };
+        let t = first.sent_at;
+        debug_assert!(self.events.outbound.iter().all(|k| k.sent_at == t));
+        if self.next_at().is_some_and(|at| at <= t) {
             return;
         }
         self.route_outbound();
     }
 
-    fn push_event(&mut self, at: Time, origin: NodeId, oseq: u64, kind: EventKind<A::Msg>) {
-        let slot = self.slab.alloc(kind);
-        self.queue.push(EvRef {
-            at,
-            origin,
-            oseq,
-            slot,
-        });
-    }
-
     /// Time of the earliest queued event (buffered sends excluded —
     /// their delivery time is not known until they are routed).
     pub(crate) fn next_at(&self) -> Option<Time> {
-        self.queue.peek().map(|e| e.at)
+        self.events.queue.peek().map(|e| e.at)
     }
 
-    /// Process the next queued event — and, for a delivery, the run of
-    /// immediately following same-instant deliveries to the same node
-    /// **from origins at or below it**, dispatched through one borrow
-    /// of the receiver. The origin bound keeps batching invisible to
-    /// the event order: a handler in the batch may enqueue same-instant
-    /// events, but those carry `origin = to` and a higher oseq than
-    /// anything the node has queued, so they cannot sort before any
-    /// admitted member. (A member from `origin > to` *could* be
-    /// preceded by such a self-send in key order, and batch extents
-    /// differ between the sequential queue and a shard's — so admitting
-    /// one would break cross-engine bit-identity.) Returns `false` when
-    /// the queue is empty.
+    /// Process the next queued event: run its one handler. Returns
+    /// `false` when the queue is empty.
     fn step_inner(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(ev) = self.events.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.events_processed += 1;
-        match self.slab.take(ev.slot) {
+        match self.events.slab.take(ev.slot) {
             EventKind::Deliver { from, to, msg } => {
-                // Aliveness is constant across the batch: handlers
-                // cannot fail nodes, and nothing else runs in between.
-                let alive = self.alive(to);
-                let mut batch = std::mem::take(&mut self.batch);
                 if from != to {
-                    self.stats.land(to, &msg, alive);
+                    self.stats.land(to, &msg, self.alive(to));
                 }
-                batch.push((from, msg));
-                while self.queue.peek().is_some_and(|next| {
-                    next.at == ev.at
-                        && next.origin <= to
-                        && matches!(
-                            self.slab.get(next.slot),
-                            EventKind::Deliver { to: t, .. } if *t == to
-                        )
-                }) {
-                    let next = self.queue.pop().expect("peeked above");
-                    let EventKind::Deliver { from, msg, .. } = self.slab.take(next.slot) else {
-                        unreachable!("peek matched a delivery");
-                    };
-                    self.events_processed += 1;
-                    if from != to {
-                        self.stats.land(to, &msg, alive);
-                    }
-                    batch.push((from, msg));
-                }
-                // One `Ctx` for the whole batch: the accumulated actions
-                // apply once, in handler order. (Dead receiver: dropped.)
-                self.with_app(to, |app, ctx| {
-                    for (from, msg) in batch.drain(..) {
-                        app.on_message(ctx, from, msg);
-                    }
-                });
-                batch.clear();
-                self.batch = batch;
+                // A dead receiver: dropped.
+                self.with_app(to, |app, ctx| app.on_message(ctx, from, msg));
             }
             EventKind::Timer { node, token } => {
                 self.with_app(node, |app, ctx| app.on_timer(ctx, token));
             }
         }
+        debug_assert!(self.slots_accounted(), "a slab slot leaked in a handler");
         true
     }
 
@@ -817,7 +765,7 @@ impl<A: App> EngineCore<A> {
     /// number of events processed.
     pub(crate) fn execute_window(&mut self, end: Time) -> u64 {
         let before = self.events_processed;
-        while self.queue.peek().is_some_and(|ev| ev.at < end) {
+        while self.next_at().is_some_and(|at| at < end) {
             self.step_inner();
         }
         self.events_processed - before
@@ -1226,7 +1174,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_deliveries_batch_in_origin_order() {
+    fn same_instant_deliveries_run_in_origin_order() {
         struct Tell {
             target: Option<NodeId>,
             got: Vec<(Time, NodeId)>,
@@ -1256,11 +1204,41 @@ mod tests {
         }
         sim.run_idle(100);
         // All three arrive at the same instant and must be handled in
-        // origin (sender id) order even though they form one dispatch
-        // batch — the shard-invariant ordering key decides.
+        // origin (sender id) order — the shard-invariant ordering key
+        // decides.
         let got = &sim.app(sink).unwrap().got;
         let t = Time::from_secs_f64(0.1);
         assert_eq!(got, &vec![(t, 1), (t, 2), (t, 3)]);
+    }
+
+    /// A handler's effects take event numbers in the order it makes
+    /// them: a self-send, a zero-delay timer and a second self-send,
+    /// all due at the instant they were made, run in that order.
+    #[test]
+    fn a_handlers_effects_run_in_emission_order() {
+        struct Echo {
+            heard: Vec<&'static str>,
+        }
+        impl App for Echo {
+            type Msg = Num;
+            fn on_start(&mut self, _ctx: &mut Ctx<Num>) {}
+            fn on_message(&mut self, _ctx: &mut Ctx<Num>, _from: NodeId, msg: Num) {
+                self.heard.push(["a", "b"][msg.0 as usize]);
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<Num>, _token: u64) {
+                self.heard.push("t");
+            }
+        }
+        let mut sim = Sim::new(mesh_cfg(None));
+        let n = sim.add_node(Echo { heard: vec![] });
+        sim.with_app(n, |_, ctx| {
+            ctx.send(ctx.me, Num(0, 100));
+            ctx.set_timer(Dur::ZERO, 0);
+            ctx.send(ctx.me, Num(1, 100));
+        });
+        assert!(sim.run_idle(10));
+        assert_eq!(sim.app(n).unwrap().heard, ["a", "t", "b"]);
+        assert_eq!(sim.now(), Time::ZERO);
     }
 
     #[test]
@@ -1287,7 +1265,12 @@ mod tests {
     #[test]
     fn no_slab_slot_outlives_its_send() {
         let accounted = |sim: &Sim<Ping>| sim.cores.iter().all(EngineCore::slots_accounted);
-        let live = |sim: &Sim<Ping>| sim.cores.iter().map(|c| c.slab.live()).sum::<usize>();
+        let live = |sim: &Sim<Ping>| {
+            sim.cores
+                .iter()
+                .map(|c| c.events.slab.live())
+                .sum::<usize>()
+        };
         let engines = [
             Sim::new(mesh_cfg(Some(10e6))),
             Sim::sharded(mesh_cfg(Some(10e6)), ShardMap::round_robin(2)),

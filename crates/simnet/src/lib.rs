@@ -42,7 +42,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use app::{Action, App, Ctx, Service};
+pub use app::{App, Ctx, Service};
 pub use cluster::{Cluster, NodeHandle};
 pub use deployment::Deployment;
 pub use engine::{NetConfig, Sim};
