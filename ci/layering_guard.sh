@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, eleven rules. Comment lines are not checked: prose may
+# Layering guard, twelve rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -79,6 +79,12 @@
 #    events as it is made. A handler's effects were once buffered as
 #    actions and applied after it returned, and same-instant deliveries
 #    to one node were dispatched as a batch through one `Ctx`.
+# 12. A table holds what it holds. No field of `struct Dht` in
+#    crates/dht/src/dht.rs names `BTreeMap`: the ops in flight and the
+#    multicast dedup records are `SmallMap`s (crates/dht/src/small_map.rs),
+#    which keep their first two entries in place. Both were `BTreeMap`s,
+#    and every node that had looked anything up or heard a multicast kept
+#    an emptied leaf of each for the rest of the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -217,7 +223,15 @@ if [ "$(echo -n "$ctxs" | grep -c '')" -ne 1 ] || ! echo "$ctxs" | grep -q "^$SI
     status=1
 fi
 
+maps=$(awk '/^pub struct Dht</ { inside = 1; next } inside && /^}/ { inside = 0 }
+    inside && !/^[[:space:]]*\/\// && /BTreeMap/ { print FILENAME ":" FNR ": " $0 }' "$FILE")
+if [ -n "$maps" ]; then
+    echo "layering guard: a field of struct Dht in $FILE is a BTreeMap — keep a provider table in a SmallMap (crates/dht/src/small_map.rs), which holds no emptied leaf" >&2
+    echo "$maps" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app)"
+    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app)"
 fi
 exit "$status"

@@ -8,7 +8,9 @@
 # a_harvest_over_many_publishers_copies_nothing, raced_pin, the arrivals —
 # lifecycle's an_expired_arrival_enters_no_standing_query and
 # alloc_budget's an_arriving_row_costs_what_it_did —, the abandoned-get tests — `-p pier_dht --lib dht::tests`
-# and `-p pier_core --test lifecycle abandoned_gets` —, store_pin,
+# and `-p pier_core --test lifecycle abandoned_gets` —, the small
+# tables — small_map's agrees_with_a_btree_map and alloc_budget's
+# an_answered_lookup_and_a_seen_multicast_hold_nothing —, store_pin,
 # geom_pin with overlay_pin (the bootstrap and the churned overlay) and
 # alloc_budget's keepalive, resting_overlay and small_join,
 # registry_pin, result_log_pin with alloc_budget's
@@ -20,7 +22,7 @@
 # replication_failover), the lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's eleven rules: the DHT provider
+# no `.txt.new`; the layering guard's twelve rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -44,7 +46,10 @@
 # or arriving, through `for_each_live`, which tests its expiry; and
 # under crates/simnet/src/ `Ctx::new(` appears only in
 # `EngineCore::with_app` — every handler runs there and files its sends
-# and timers into the engine as it makes them), the
+# and timers into the engine as it makes them; and no field of
+# `struct Dht` names `BTreeMap` — the provider's ops in flight and its
+# multicast dedup records are `SmallMap`s, whose first two entries sit
+# in place), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

@@ -15,8 +15,6 @@
 //! pending lookups and their retries, both stores, replication,
 //! anti-entropy repair, re-homing, multicast dedup and the tick.
 
-use std::collections::BTreeMap;
-
 use pier_simnet::time::{Dur, Time};
 use pier_simnet::{NodeId, Wire};
 
@@ -27,6 +25,7 @@ use crate::event::DhtEvent;
 use crate::msg::{DhtMsg, Entry};
 pub use crate::overlay::Overlay;
 use crate::overlay::{LookupStep, Routed};
+use crate::small_map::SmallMap;
 use crate::storage::StorageManager;
 use crate::traffic::TrafficMeter;
 use crate::{key_of, DhtConfig, Ns, Rid, DHT_TICK_TOKEN};
@@ -105,9 +104,10 @@ pub struct Dht<V> {
     pub meter: TrafficMeter,
     me: NodeId,
     /// Every op in flight, by lookup token.
-    pending: BTreeMap<u64, PendingOp<V>>,
+    pending: SmallMap<PendingOp<V>>,
     next_token: u64,
-    seen_mcast: BTreeMap<u64, Time>,
+    /// When each multicast id was last delivered, for dedup.
+    seen_mcast: SmallMap<Time>,
     bootstrap: Option<NodeId>,
     join_sent: Time,
     tick_count: u64,
@@ -144,9 +144,9 @@ impl<V: Wire + Clone> Dht<V> {
             replicas: StorageManager::new(),
             meter: TrafficMeter::default(),
             me,
-            pending: BTreeMap::new(),
+            pending: SmallMap::default(),
             next_token: 1,
-            seen_mcast: BTreeMap::new(),
+            seen_mcast: SmallMap::default(),
             bootstrap: None,
             join_sent: Time::ZERO,
             tick_count: 0,
@@ -401,7 +401,7 @@ impl<V: Wire + Clone> Dht<V> {
         owner: NodeId,
         events: &mut Vec<DhtEvent<V>>,
     ) {
-        let Some(p) = self.pending.remove(&token) else {
+        let Some(p) = self.pending.remove(token) else {
             return; // expired reply
         };
         match p.op {
@@ -507,9 +507,9 @@ impl<V: Wire + Clone> Dht<V> {
                 if let Some(&PendingOp {
                     op: Pending::Shipped(user_token),
                     ..
-                }) = self.pending.get(&token)
+                }) = self.pending.get(token)
                 {
-                    self.pending.remove(&token);
+                    self.pending.remove(token);
                     events.push(DhtEvent::GetResult {
                         token: user_token,
                         items,
@@ -702,7 +702,7 @@ impl<V: Wire + Clone> Dht<V> {
         // nothing to look at.
         if !self.pending.is_empty() {
             let mut due = Vec::new();
-            for (&token, p) in self.pending.iter_mut().filter(|(_, p)| now > p.due) {
+            for (token, p) in self.pending.iter_mut().filter(|(_, p)| now > p.due) {
                 due.push((token, p.key, p.retries_left > 0));
                 if p.retries_left > 0 {
                     p.retries_left -= 1;
@@ -716,7 +716,7 @@ impl<V: Wire + Clone> Dht<V> {
                 } else if let Some(PendingOp {
                     op: Pending::Get { user_token, .. } | Pending::Shipped(user_token),
                     ..
-                }) = self.pending.remove(&token)
+                }) = self.pending.remove(token)
                 {
                     let token = user_token;
                     events.push(DhtEvent::GetResult {
@@ -761,8 +761,8 @@ mod tests {
             _ => None,
         };
         dht.pending
-            .values()
-            .map(|p| (p.retries_left, shipped(&p.op)))
+            .iter()
+            .map(|(_, p)| (p.retries_left, shipped(&p.op)))
             .collect()
     }
 
@@ -814,7 +814,8 @@ mod tests {
         dht.get(&mut env, ns, rid, 42, events);
         // Resolved at once or forwarded: either way the owner's answer to
         // the lookup ships the get.
-        if let Some(&token) = dht.pending.keys().next() {
+        let first = dht.pending.iter().next().map(|(token, _)| token);
+        if let Some(token) = first {
             let key = key_of(ns, rid);
             dht.handle_message(&mut env, 1, DhtMsg::LookupReply { token, key }, events);
         }
@@ -826,7 +827,7 @@ mod tests {
 
         let sent = env.now;
         tick_at(&mut dht, &mut env, sent + LOOKUP_GIVE_UP, events);
-        assert_eq!(dht.pending.len(), 1, "kept up to the horizon");
+        assert_eq!(dht.pending.iter().count(), 1, "kept up to the horizon");
         assert!(events.is_empty());
         tick_at(&mut dht, &mut env, sent + LOOKUP_GIVE_UP + cfg.tick, events);
         assert!(dht.pending.is_empty(), "forgotten past it");
@@ -865,7 +866,7 @@ mod tests {
         let (mut dht, rid, owner) = a_forwarded_key();
         let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
         dht.get(&mut env, 7, rid, 42, events);
-        let token = *dht.pending.keys().next().expect("a lookup in flight");
+        let (token, _) = dht.pending.iter().next().expect("a lookup in flight");
         let key = key_of(7, rid);
         for _ in 0..2 {
             let reply = DhtMsg::LookupReply { token, key };

@@ -22,6 +22,7 @@ pub mod geom;
 pub mod harness;
 pub mod msg;
 pub mod overlay;
+mod small_map;
 pub mod storage;
 pub mod traffic;
 
