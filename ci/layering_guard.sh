@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, twelve rules. Comment lines are not checked: prose may
+# Layering guard, thirteen rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -85,6 +85,15 @@
 #    which keep their first two entries in place. Both were `BTreeMap`s,
 #    and every node that had looked anything up or heard a multicast kept
 #    an emptied leaf of each for the rest of the run.
+# 13. One combine tree, and no node reads the network size. No non-comment
+#    line under crates/core/src/node/ names `n_nodes`, and `AggUp`
+#    appears nowhere under crates/: a Bloom join's filters and a
+#    hierarchical aggregate's groups gather along the overlay toward the
+#    query's root key (node/combine.rs), whose root knows a round is
+#    whole by its shares of the key space. The Bloom collector counted
+#    fragments against `QueryDesc::n_nodes` and extended its deadline up
+#    to 60 times, and the aggregation tree was `(me - 1) / 2` over dense
+#    ids, sending one `AggUp` message per group.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -231,7 +240,15 @@ if [ -n "$maps" ]; then
     status=1
 fi
 
+counts=$(grep -rnw 'n_nodes' "$NODE" --include='*.rs' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+aggups=$(grep -rnw 'AggUp' crates --include='*.rs' || true)
+if [ -n "$counts$aggups" ]; then
+    echo "layering guard: a node reads the network size, or a partial climbs the tree as AggUp — gather along the combine tree (node/combine.rs), whose root knows a round is whole by its key-space shares" >&2
+    echo "$counts$aggups" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app)"
+    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app; no node reads n_nodes and no AggUp climbs a tree)"
 fi
 exit "$status"

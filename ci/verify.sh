@@ -19,10 +19,14 @@
 # pruning and pruning_props, wire_audit, alloc_budget with
 # a_send_burst_holds_one_copy_per_message, pin_harness, and the query
 # lifetimes: edge_cases' malformed descriptors, lifecycle and
-# replication_failover), the lints, the
+# replication_failover, and the combine tree — pier_dht's tree_props,
+# strategies' bloom_join_ignores_the_node_count_it_is_told,
+# agg_continuous' a_dead_interior_node_loses_only_its_own_rows and
+# alloc_budget's building_a_stabilized_sim_holds_each_node_once), the
+# lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's twelve rules: the DHT provider
+# no `.txt.new`; the layering guard's thirteen rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -49,7 +53,10 @@
 # and timers into the engine as it makes them; and no field of
 # `struct Dht` names `BTreeMap` — the provider's ops in flight and its
 # multicast dedup records are `SmallMap`s, whose first two entries sit
-# in place), the
+# in place; and no non-comment line under node/ names `n_nodes`, and
+# `AggUp` appears nowhere under crates/ — a Bloom join's filters and a
+# hierarchical aggregate's groups gather along one combine tree, whose
+# root knows a round is whole by its key-space shares), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

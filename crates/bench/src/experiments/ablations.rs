@@ -87,8 +87,8 @@ pub fn chord() {
     art.emit();
 }
 
-/// Flat vs hierarchical DHT aggregation: the tree spreads the inbound
-/// load a single collector would take.
+/// Flat vs hierarchical DHT aggregation: the combine tree spreads the
+/// inbound load the groups' owners would take.
 pub fn agg() {
     let mut art = Artifact::new("agg");
     for n in [64usize, 192] {
@@ -109,8 +109,7 @@ pub fn agg() {
             agg.hierarchical = hier;
             agg.harvest = Dur::from_secs(10);
             let scan = ScanSpec::new("intrusions", 3, 0);
-            let mut desc = QueryDesc::one_shot(9, 0, QueryOp::Agg { scan, agg });
-            desc.n_nodes = n as u32;
+            let desc = QueryDesc::one_shot(9, 0, QueryOp::Agg { scan, agg });
             let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
             let stats = sim.stats().since(&pre);
             let t_last = results.iter().map(|(t, _)| t.as_secs_f64());

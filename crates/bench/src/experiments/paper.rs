@@ -160,7 +160,9 @@ pub fn table4() {
 
 /// Figures 4 and 5, one row per S-selectivity: aggregate traffic
 /// (`*_MB`) and time to the last tuple (`*_s`) for each strategy, from
-/// the same runs.
+/// the same runs. Asserts the paper's Bloom shape: the rewrite ships
+/// less than symmetric hash where S is selective (10 % and 20 %), and its
+/// extra rounds delay the last tuple by at most 2× at any selectivity.
 pub fn fig4_5() {
     let n = 512;
     let mut art = Artifact::new("fig4_5");
@@ -188,6 +190,19 @@ pub fn fig4_5() {
             run.settle = Dur::from_secs(3000);
             run_join(&run)
         });
+        let (shj, bloom) = (&metrics[0], &metrics[3]);
+        assert!(
+            sel > 20 || bloom.traffic_mb < shj.traffic_mb,
+            "fig4_5: Bloom ships {} MB at {sel} %, symmetric hash {}",
+            bloom.traffic_mb,
+            shj.traffic_mb
+        );
+        assert!(
+            bloom.t_last <= 2.0 * shj.t_last,
+            "fig4_5: Bloom's last tuple at {} s at {sel} %, symmetric hash's at {}",
+            bloom.t_last,
+            shj.t_last
+        );
         let traffic = ["shj_MB", "fm_MB", "ssj_MB", "bloom_MB"]
             .into_iter()
             .zip(&metrics);

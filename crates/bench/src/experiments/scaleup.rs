@@ -43,8 +43,7 @@ fn scaleup_drive(sim: &mut impl PierEngine, n: usize, seed: u64) -> ScaleupRun {
     sim.run_for(Dur::from_secs(30));
 
     let expected = wl.expected(JoinStrategy::SymmetricHash);
-    let mut desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
-    desc.n_nodes = n as u32;
+    let desc = wl.query(1, 0, JoinStrategy::SymmetricHash);
     let results = run_query(sim, 0, desc, Dur::from_secs(120));
     let wall = t0.elapsed().as_secs_f64();
     let events = sim.events_processed() - e0;

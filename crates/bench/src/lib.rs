@@ -143,8 +143,7 @@ fn execute_workload_query(
         .map(|i| sim.app(i as u32).unwrap().dht.meter.query_traffic())
         .sum();
 
-    let mut desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
-    desc.n_nodes = cfg.n_nodes as u32;
+    let desc = QueryDesc::one_shot(1, 0, QueryOp::Join { join, agg: None });
     let results = run_query(&mut sim, 0, desc, cfg.settle);
 
     let meter_post: u64 = (0..cfg.n_nodes)

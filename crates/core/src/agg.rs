@@ -2,6 +2,7 @@
 //! basis of both flat DHT-based grouping and hierarchical (in-network)
 //! aggregation.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::plan::{AggCall, AggFunc};
@@ -137,6 +138,17 @@ impl AggState {
         }
     }
 }
+
+/// Accumulators by group key, in key order. The key is allocated once,
+/// when the node first sees the group, and shared from there on: by the
+/// scratch map a flush's report builds, by every partial put or sent for
+/// the group, by the owner's store and its harvest. The accumulators are
+/// one allocation, shared the same way and copied on write
+/// (`Arc::make_mut`, in `node::agg`): a flush's snapshot is a refcount
+/// bump, what is stored or in flight never changes, and only a group
+/// that received a row since its last flush copies its accumulators,
+/// once, at that row.
+pub type Groups = BTreeMap<Arc<[Value]>, Arc<[AggState]>>;
 
 /// One group's accumulators, a state per aggregate call, as a slice:
 /// what a [`GroupAccs`] owns, and what a node shares as an

@@ -1,10 +1,10 @@
 //! Bloom filters for the Bloom-join rewrite (§4.2).
 //!
 //! Each node builds a filter over the join keys of its local fragment,
-//! publishes it to a collector namespace, and the collector ORs all
-//! fragments together before multicasting the result to the nodes holding
-//! the opposite table. Tuples whose keys miss the filter are never
-//! rehashed, trading two extra multicast rounds for rehash bandwidth.
+//! the query's combine tree ORs them on their way to its root, and the
+//! root multicasts the result to the nodes holding the opposite table.
+//! Tuples whose keys miss the filter are never rehashed, trading a tree
+//! round and two multicasts for rehash bandwidth.
 
 use pier_dht::geom::splitmix64;
 
@@ -57,8 +57,8 @@ impl BloomFilter {
             .all(|p| self.bits[p / 64] & (1u64 << (p % 64)) != 0)
     }
 
-    /// OR in another filter (must have the same shape: a collector asks
-    /// [`Self::has_shape`] of a fragment first).
+    /// OR in another filter (must have the same shape: a node asks
+    /// [`Self::has_shape`] of a filter from the network first).
     pub fn union(&mut self, other: &BloomFilter) {
         assert_eq!(self.n_bits, other.n_bits, "bloom shape mismatch");
         assert_eq!(self.n_hashes, other.n_hashes, "bloom shape mismatch");
@@ -71,15 +71,14 @@ impl BloomFilter {
         self.bits.iter().all(|&w| w == 0)
     }
 
-    /// Fraction of set bits (load factor).
-    pub fn load(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.n_bits as f64
-    }
-
-    /// Wire bytes of the filter payload.
+    /// Wire bytes of the filter payload: its shape, then the bitmap or
+    /// the positions of its set bits, whichever is smaller — 2 bytes a
+    /// position up to 65 536 bits, 4 above. A node's filter over a few
+    /// keys ships as those keys' positions.
     pub fn wire_size(&self) -> usize {
-        8 + self.bits.len() * 8
+        let set: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        let position = if self.n_bits <= 1 << 16 { 2 } else { 4 };
+        8 + (self.bits.len() * 8).min(set * position)
     }
 }
 
@@ -144,6 +143,34 @@ mod tests {
         assert!(!f.has_shape(256, 3) && !f.has_shape(128, 4));
         assert!(BloomFilter::new(0, 0).has_shape(64, 1));
         assert!(BloomFilter::new(1 << 16, 40).has_shape(1 << 16, 16));
+    }
+
+    #[test]
+    fn a_sparse_filter_ships_its_set_positions() {
+        let mut f = BloomFilter::new(1 << 16, 4);
+        assert_eq!(f.wire_size(), 8, "nothing set, nothing shipped");
+        f.insert(7);
+        let set = f
+            .bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        assert_eq!(f.wire_size(), 8 + 2 * set);
+        let mut wide = BloomFilter::new((1 << 16) + 64, 4);
+        wide.insert(7);
+        let set = wide
+            .bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        assert_eq!(wide.wire_size(), 8 + 4 * set);
+        let mut dense = BloomFilter::new(256, 4);
+        (0..1000).for_each(|k| dense.insert(splitmix64(k)));
+        assert_eq!(
+            dense.wire_size(),
+            8 + 256 / 8,
+            "a dense one ships its bitmap"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pier_dht::msg::{DhtMsg, Entry};
 use pier_simnet::Wire;
 
-use crate::agg::{Accs, AggState};
+use crate::agg::{Accs, AggState, Groups};
 use crate::bloom::BloomFilter;
 use crate::plan::QueryDesc;
 use crate::tuple::FlatRow;
@@ -59,8 +59,8 @@ pub enum QpItem {
         pkey: Value,
         join: Value,
     },
-    /// A Bloom-filter fragment (en route to a collector) or an OR-ed
-    /// filter (multicast back); `side` names the table it summarizes.
+    /// The OR-ed Bloom filter over one side's join keys, multicast by the
+    /// root of the query's combine tree.
     Bloom {
         qid: u64,
         side: Side,
@@ -112,13 +112,16 @@ impl Wire for QpItem {
             QpItem::Tagged { join, row, .. } => 11 + join.wire_size() + row.wire(),
             QpItem::Mini { pkey, join, .. } => 11 + pkey.wire_size() + join.wire_size(),
             QpItem::Bloom { filter, .. } => 11 + filter.wire_size(),
-            QpItem::Partial { group, accs, .. } => {
-                10 + group.iter().map(Value::wire_size).sum::<usize>() + accs.wire_size()
-            }
+            QpItem::Partial { group, accs, .. } => 10 + group_wire(group) + accs.wire_size(),
             QpItem::Query(d) => d.wire_size(),
             QpItem::Cancel { .. } => 10,
         }
     }
+}
+
+/// Wire bytes of a group's key.
+fn group_wire(group: &[Value]) -> usize {
+    group.iter().map(Value::wire_size).sum()
 }
 
 /// Wire bytes of a [`QpItem::Row`] whose row is `row` wire bytes: what a
@@ -144,15 +147,30 @@ pub enum PierMsg {
         ident: u64,
         row: FlatRow,
     },
-    /// A partial aggregate climbing the hierarchical aggregation tree:
-    /// the child's group key and accumulators, shared as in
-    /// [`QpItem::Partial`]; the parent keys its received partials by the
-    /// same allocation.
-    AggUp {
-        qid: u64,
-        group: Arc<[Value]>,
-        accs: Arc<[AggState]>,
-    },
+    /// One node's report up a query's combine tree (`node::combine`).
+    Report(Box<Report>),
+}
+
+/// What a node sends its parent in a query's combine tree: its own part
+/// for one round, merged with the reports its children sent for it.
+#[derive(Clone, Debug)]
+pub struct Report {
+    pub qid: u64,
+    /// The round: the sender's flush count under an epoch, else 0.
+    pub epoch: u32,
+    /// The summed key-space shares of the nodes whose parts are merged
+    /// in (`pier_dht::overlay::TreeSeat`).
+    pub share: u128,
+    pub part: Part,
+}
+
+/// What one node contributes to a combine tree.
+#[derive(Clone, Debug)]
+pub enum Part {
+    /// Bloom filters over the join keys of each [`Side`], in side order.
+    Bloom([BloomFilter; 2]),
+    /// The groups of one epoch, shared as in [`QpItem::Partial`].
+    Groups(Groups),
 }
 
 /// The DHT sublayer speaks `DhtMsg<QpItem>`; on the wire it travels
@@ -168,12 +186,11 @@ impl Wire for PierMsg {
         match self {
             PierMsg::Dht(m) => m.wire_size(),
             PierMsg::Result { row, .. } => pier_dht::msg::HEADER_BYTES + 16 + row.wire(),
-            PierMsg::AggUp { group, accs, .. } => {
-                pier_dht::msg::HEADER_BYTES
-                    + 8
-                    + group.iter().map(Value::wire_size).sum::<usize>()
-                    + accs.wire_size()
+            PierMsg::Report(r) => match &r.part {
+                Part::Bloom(f) => f.iter().map(BloomFilter::wire_size).sum::<usize>(),
+                Part::Groups(g) => g.iter().map(|(g, a)| group_wire(g) + a.wire_size()).sum(),
             }
+            .saturating_add(pier_dht::msg::HEADER_BYTES + 28),
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Aggregation (flat DHT grouping + hierarchical extension): the
 //! accumulate half of the join sink, the flush/harvest timers, and the
-//! tree variant's flushes.
+//! tree variant's parts (gathered by `combine`).
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pier_dht::Rid;
@@ -13,9 +12,10 @@ use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
 use super::{for_each_live, PierNode, QueryInstance, Source, TimerAction};
+pub(super) use crate::agg::Groups;
 use crate::agg::{Accs, AggState, Harvest};
 use crate::expr::Projection;
-use crate::item::{PierMsg, QpItem};
+use crate::item::{Part, PierMsg, QpItem};
 use crate::plan::{qns, AggSpec, QueryDesc, QueryOp, ScanSpec};
 use crate::tuple::{Columns, RowBatch, Select, Tuple};
 use crate::value::{ValRef, Value};
@@ -28,16 +28,6 @@ fn group_rid(group: &[Value]) -> Rid {
     }
     h
 }
-
-/// Accumulators by group key, in key order. The key is allocated once,
-/// when the node first sees the group, and shared from there on: by the
-/// scratch map a flush's report builds, by every partial put or sent for
-/// the group, by the owner's store and its harvest. The accumulators are
-/// one allocation, shared the same way and copied on write
-/// (`Arc::make_mut`): a flush's snapshot is a refcount bump, what is
-/// stored or in flight never changes, and only a group that received a
-/// row since its last flush copies its accumulators, once, at that row.
-pub(super) type Groups = BTreeMap<Arc<[Value]>, Arc<[AggState]>>;
 
 /// A group key the map can be probed with: a stored key, or the group
 /// columns of the row being folded, read where they lie. Ordered as
@@ -129,7 +119,7 @@ fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
 /// Merge one group's partial accumulators into `groups`. A group not
 /// there yet shares the partial's key and accumulators; the first merge
 /// into it afterwards copies them, once.
-fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<[AggState]>) {
+pub(super) fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<[AggState]>) {
     match groups.get_mut(&**group) {
         Some(g) => Arc::make_mut(g).merge(accs),
         None => {
@@ -143,7 +133,7 @@ fn merge(groups: &mut Groups, group: &Arc<[Value]>, accs: &Arc<[AggState]>) {
 /// arity under a colliding namespace, a peer running another plan) is
 /// skipped where it would be merged: zipped against states of other
 /// kinds it would be silently truncated or mis-added.
-fn fits(agg: &AggSpec, group: &[Value], accs: &[AggState]) -> bool {
+pub(super) fn fits(agg: &AggSpec, group: &[Value], accs: &[AggState]) -> bool {
     group.len() == agg.group_cols.len() && accs.fits(&agg.aggs)
 }
 
@@ -217,7 +207,8 @@ fn base_valid(window: Option<Dur>, now: Time, expires: Time) -> Time {
 
 impl PierNode {
     /// Install-time half of a single-table aggregation: schedule the
-    /// flushes, fold the local fragment, and flush a flat one-shot.
+    /// flushes, fold the local fragment, and report a one-shot: a flat
+    /// one into `NA`, a tree's up the tree.
     pub(super) fn agg_start(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -227,9 +218,9 @@ impl PierNode {
     ) {
         self.schedule_agg_timers(ctx, desc, agg);
         self.agg_fold(ctx.now, desc, scan, agg, Source::Stored);
-        if !agg.hierarchical && agg.epoch.is_none() {
-            // Epoch queries and trees flush on their timer instead.
-            self.flush_partials(ctx, desc.qid, agg);
+        if agg.epoch.is_none() {
+            // Epoch queries flush on their timer instead.
+            self.flush(ctx, desc.qid);
         }
     }
 
@@ -261,7 +252,7 @@ impl PierNode {
     /// encoded into one batch, so the results cost the one buffer that
     /// leaves. Aggregate emissions legitimately repeat every epoch:
     /// ident 0 exempts them from initiator-side dedup.
-    fn emit_groups<'g>(
+    pub(super) fn emit_groups<'g>(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
         desc: &QueryDesc,
@@ -314,9 +305,9 @@ impl PierNode {
         });
     }
 
-    /// Arm an aggregate's flush and harvest timers. A tree staggers its
-    /// flushes so deeper nodes send before their parents, merging along a
-    /// binary tree over node ids, within each epoch; it has no harvest.
+    /// Arm an aggregate's flush and harvest timers. A tree has no
+    /// harvest under an epoch: its root emits each epoch's groups as they
+    /// come in whole; a one-shot tree's harvest is its deadline.
     pub(super) fn schedule_agg_timers(
         &mut self,
         ctx: &mut Ctx<PierMsg>,
@@ -325,18 +316,6 @@ impl PierNode {
     ) {
         let qid = desc.qid;
         let joinagg = matches!(desc.op, QueryOp::Join { .. });
-        if agg.hierarchical && !joinagg {
-            let n = desc.n_nodes.max(1);
-            let max_depth = 64 - (n as u64).leading_zeros() as u64;
-            let me = self.dht.me() as u64;
-            let depth = 64 - (me + 1).leading_zeros() as u64;
-            // Deeper levels flush earlier.
-            let slot = max_depth.saturating_sub(depth) + 1;
-            let span = agg.epoch.unwrap_or(agg.harvest);
-            let delay = Dur::from_micros(span.as_micros() * slot / (max_depth + 2));
-            self.arm_timer(ctx, delay, TimerAction::Flush { qid });
-            return;
-        }
         if let Some(epoch) = agg.epoch {
             // Epoch-driven continuous aggregation: partials flush just
             // after each epoch boundary (the short lag lets the join
@@ -347,8 +326,10 @@ impl PierNode {
             // query never tears down.
             let lag = Dur::from_micros((epoch.as_micros() / 4).min(5_000_000));
             self.arm_timer(ctx, lag, TimerAction::Flush { qid });
-            let half = Dur::from_micros(epoch.as_micros() / 2);
-            self.arm_timer(ctx, half, TimerAction::AggHarvest { qid });
+            if !agg.hierarchical || joinagg {
+                let half = Dur::from_micros(epoch.as_micros() / 2);
+                self.arm_timer(ctx, half, TimerAction::AggHarvest { qid });
+            }
             return;
         }
         if joinagg {
@@ -378,7 +359,14 @@ impl PierNode {
         let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let Some(agg) = desc.op.agg() else { return };
+        let agg = match &desc.op {
+            // A one-shot tree's harvest is its deadline: report what it has.
+            QueryOp::Agg { agg, .. } if agg.hierarchical => {
+                return self.report_rounds(ctx, qid, u32::MAX)
+            }
+            op => op.agg(),
+        };
+        let Some(agg) = agg else { return };
         let now = ctx.now;
         let mut harvest = HARVEST.take();
         // Expired partials (a publisher whose group aged out of its
@@ -401,65 +389,27 @@ impl PierNode {
         HARVEST.set(harvest);
     }
 
-    /// A flush timer fired: report the aggregation state to the tree
-    /// parent or into `NA`, and re-arm. A one-shot tree flush is this
-    /// node's terminal event (parents flush after their children sent
-    /// partials up).
+    /// A flush timer fired: report the aggregation state up the tree or
+    /// into `NA`, and re-arm.
     pub(super) fn flush(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         let Some(desc) = self.query_desc(qid) else {
             return;
         };
         match &desc.op {
             QueryOp::Agg { agg, .. } if agg.hierarchical => {
-                self.hier_flush(ctx, &desc, agg);
-                self.rearm_epoch(ctx, qid, TimerAction::Flush { qid });
-                self.retire_if_one_shot(qid);
+                let Some(inst) = self.reg.get_mut(qid) else {
+                    return;
+                };
+                // With no pane open: the running totals, shared.
+                let built = inst.build_report(ctx.now);
+                let groups = built.unwrap_or_else(|| inst.run_groups.clone());
+                self.contribute(ctx, qid, Part::Groups(groups));
             }
             QueryOp::Agg { agg, .. } | QueryOp::Join { agg: Some(agg), .. } => {
                 self.flush_partials(ctx, qid, agg);
-                self.rearm_epoch(ctx, qid, TimerAction::Flush { qid });
             }
-            _ => {}
+            _ => return,
         }
-    }
-
-    fn hier_flush(&mut self, ctx: &mut Ctx<PierMsg>, desc: &QueryDesc, agg: &AggSpec) {
-        let qid = desc.qid;
-        let Some(inst) = self.reg.get_mut(qid) else {
-            return;
-        };
-        // Sent or emitted, the report leaves this node: with no pane open
-        // it is the running totals, shared.
-        let built = inst.build_report(ctx.now);
-        let groups = built.unwrap_or_else(|| inst.run_groups.clone());
-        let me = self.dht.me();
-        if me == 0 {
-            // Root: finalize.
-            let pairs = groups.iter().map(|(group, accs)| (&group[..], &accs[..]));
-            self.emit_groups(ctx, desc, agg, pairs);
-        } else {
-            let parent = (me - 1) / 2;
-            for (group, accs) in groups {
-                ctx.send(parent, PierMsg::AggUp { qid, group, accs });
-            }
-        }
-    }
-
-    /// A child's partial, counted at this node's next tree flush only —
-    /// under an epoch, in the pane closing one epoch after it — unless it
-    /// is not shaped like this query's ([`fits`]).
-    pub(super) fn on_agg_up(&mut self, qid: u64, group: Arc<[Value]>, accs: Arc<[AggState]>) {
-        let Some(inst) = self.reg.get_mut(qid) else {
-            return;
-        };
-        let agg = inst.desc.op.agg().filter(|agg| fits(agg, &group, &accs));
-        let Some(epoch) = agg.map(|agg| agg.epoch) else {
-            return;
-        };
-        let groups = match epoch {
-            Some(epoch) => inst.pane(epoch, inst.next_flush + epoch),
-            None => &mut inst.run_groups,
-        };
-        merge(groups, &group, &accs);
+        self.rearm_epoch(ctx, qid, TimerAction::Flush { qid });
     }
 }

@@ -3,18 +3,21 @@
 //! The query processor is push-based (§3.3): there is no iterator loop,
 //! only reactions to DHT upcalls — a query multicast installs operator
 //! state, `newData` callbacks drive probing, `get` completions drive
-//! fetching, timers drive Bloom collection and aggregate harvests, and
-//! result tuples flow directly to the initiating node.
+//! fetching, timers drive aggregate flushes and harvests, reports climb
+//! a query's combine tree, and result tuples flow directly to the
+//! initiating node.
 //!
 //! This module holds the node's state, the query lifecycle (install,
 //! uninstall, timers) and the upcall dispatch; the operators live in
 //! plain `impl PierNode` blocks beside it: `pipeline` (the one join
 //! dataflow), `fetch` and `bloom` (the three other strategies of a
-//! two-table join), `agg`, `renewal`, and the typed client surface in
-//! `service`.
+//! two-table join), `agg`, `combine` (the one tree a Bloom join's
+//! filters and a hierarchical aggregate's groups gather along),
+//! `renewal`, and the typed client surface in `service`.
 
 mod agg;
 mod bloom;
+mod combine;
 mod fetch;
 mod pipeline;
 mod renewal;
@@ -26,6 +29,7 @@ pub use service::{NodeRequest, NodeResponse, PublishReport, Results, ResultsIter
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem::size_of;
 use std::sync::Arc;
 use std::thread::LocalKey;
 
@@ -65,13 +69,13 @@ impl GetPurpose {
 
 /// Deferred work bound to a timer token.
 enum TimerAction {
-    /// Bloom collector: OR the collected fragments and multicast.
-    BloomFlush { qid: u64, side: Side },
+    /// A Bloom join's combine-tree deadline: report what the round holds.
+    TreeDue { qid: u64 },
     /// Flat aggregation: finalize locally-owned groups, emit results.
     /// Re-armed every epoch for continuous aggregation.
     AggHarvest { qid: u64 },
-    /// Report the local aggregation state: put it into `NA`, or send it
-    /// to the tree parent under hierarchical aggregation (a join
+    /// Report the local aggregation state: put it into `NA`, or up the
+    /// combine tree under hierarchical aggregation (a join
     /// aggregate's halfway flush; every epoch for a continuous one).
     Flush { qid: u64 },
     /// Republish this node's published base rows, every `every` (the
@@ -88,7 +92,7 @@ impl TimerAction {
     /// exactly these.
     fn qid(&self) -> Option<u64> {
         match self {
-            TimerAction::BloomFlush { qid, .. }
+            TimerAction::TreeDue { qid }
             | TimerAction::AggHarvest { qid }
             | TimerAction::Flush { qid }
             | TimerAction::RenewQuery { qid } => Some(*qid),
@@ -171,15 +175,9 @@ struct QueryInstance {
     /// certified plan itself, built once per query by the first node to
     /// install it and shared, like `desc`, by every node's instance.
     view: Option<Arc<PipelineSchema>>,
-    /// Whether the OR-ed Bloom filter over each side has arrived (and
-    /// gated the opposite side's rehash).
-    got_filter: [bool; 2],
-    /// Whether this node (as collector) already multicast each OR-ed
-    /// filter — set by the early count-based flush or the timer.
-    bloom_flushed: [bool; 2],
-    /// How often the collector deadline has been extended while waiting
-    /// for slow fragments.
-    bloom_waits: [u8; 2],
+    /// A Bloom join's or hierarchical aggregate's combine tree: its open
+    /// rounds and the filters that arrived.
+    tree: Option<Box<combine::Tree>>,
     /// Semi-join pair assembly.
     pairs: BTreeMap<u64, PairFetch>,
     /// The aggregation state, under one rule: a contribution counts at
@@ -188,8 +186,8 @@ struct QueryInstance {
     /// flush: the snapshot shares a group's key and accumulators, and the
     /// group's next row copies the accumulators before it writes.
     run_groups: agg::Groups,
-    /// Those that stop at a known flush (windowed contributions, child
-    /// partials under an epoch) fold on arrival into the pane that closes
+    /// Those that stop at a known flush (windowed contributions) fold on
+    /// arrival into the pane that closes
     /// at that flush, sorted by closing flush. A flush drops the closed
     /// panes and merges the rest with `run_groups`: O(groups) state per
     /// pane, at most a window's worth of panes.
@@ -217,9 +215,7 @@ impl QueryInstance {
             desc,
             view,
             priced,
-            got_filter: [false, false],
-            bloom_flushed: [false, false],
-            bloom_waits: [0, 0],
+            tree: None,
             pairs: BTreeMap::new(),
             run_groups: BTreeMap::new(),
             panes: Vec::new(),
@@ -252,8 +248,6 @@ enum NsRole {
     /// `t >= 1` is join stage `t - 1`'s right input): arrivals flow into
     /// a standing query incrementally.
     Base(u16),
-    /// Bloom collector for the fragments of one side.
-    BloomCollector(Side),
 }
 
 /// The node's ledger of installed queries: every per-query structure —
@@ -378,7 +372,6 @@ impl DhtEnv<QpItem> for NodeEnv<'_, '_> {
 /// One PIER node.
 pub struct PierNode {
     pub dht: Dht<QpItem>,
-    bootstrap: Option<NodeId>,
     /// Every installed query's state, owned in one place.
     reg: QueryRegistry,
     /// Result log at the initiator: arrival time and the row as it
@@ -402,6 +395,8 @@ pub struct PierNode {
     /// its query's still-in-flight install multicast must not let the
     /// late-arriving descriptor resurrect the query and renew forever.
     cancelled: VecDeque<u64>,
+    /// Combine-tree reports that arrived before their query's install.
+    early: Option<Box<combine::Early>>,
     next_token: u64,
     published: Vec<(Dur, SoftPub)>,
     iid_seq: u32,
@@ -415,8 +410,14 @@ pub struct PierNode {
     pub metrics: MetricsRegistry,
 }
 
-/// How many cancelled qids the tombstone FIFO remembers.
+/// How many cancelled qids the tombstone FIFO remembers, and how many
+/// early reports a node keeps.
 const CANCEL_TOMBSTONES: usize = 512;
+
+// Held per node, per query and per timer: a field that widens them is paid 10^4 times.
+const _: () = assert!(size_of::<PierNode>() == 1024);
+const _: () = assert!(size_of::<QueryInstance>() == 160);
+const _: () = assert!(size_of::<TimerAction>() == 16);
 
 impl PierNode {
     /// A node that creates (`bootstrap = None`) or joins an overlay.
@@ -424,17 +425,20 @@ impl PierNode {
         Self::with_dht(Dht::new(cfg, me), bootstrap)
     }
 
-    /// A node with a pre-built DHT stack (balanced bootstrap).
-    pub fn with_dht(dht: Dht<QpItem>, bootstrap: Option<NodeId>) -> Self {
+    /// A node with a pre-built DHT stack (balanced bootstrap). An id of
+    /// 2^14 or more would alias another node's instanceIDs.
+    pub fn with_dht(mut dht: Dht<QpItem>, bootstrap: Option<NodeId>) -> Self {
+        assert!(dht.me() < 1 << 14, "node id {} aliases fresh_iid", dht.me());
+        dht.bootstrap = bootstrap;
         PierNode {
             dht,
-            bootstrap,
             reg: QueryRegistry::default(),
             results: BTreeMap::new(),
             results_seen: BTreeMap::new(),
             get_purpose: BTreeMap::new(),
             timer_actions: BTreeMap::new(),
             cancelled: VecDeque::new(),
+            early: None,
             next_token: 1,
             published: Vec::new(),
             iid_seq: 0,
@@ -614,6 +618,7 @@ impl PierNode {
         self.metrics.on_install(qid, desc.tenant, priced, ctx.now);
         self.reg
             .install(QueryInstance::new(Arc::clone(&desc), view, priced));
+        self.take_early(ctx, qid);
         // A standing unwindowed query carrying a renewal period renews
         // its own rehash state from install on.
         if let Some(every) = desc.tenure.renew_every() {
@@ -709,7 +714,6 @@ impl PierNode {
             match role {
                 NsRole::Stage(k) => self.probe(ctx, qid, k as usize, &entry),
                 NsRole::Base(t) => self.on_base_new_data(ctx, qid, t as usize, &entry),
-                NsRole::BloomCollector(side) => self.on_bloom_fragment(ctx, qid, side),
             }
         }
     }
@@ -905,7 +909,7 @@ impl App for PierNode {
     type Msg = PierMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<PierMsg>) {
-        let bootstrap = self.bootstrap;
+        let bootstrap = self.dht.bootstrap;
         if self.dht.is_joined() {
             ctx.set_timer(self.dht.cfg.tick, DHT_TICK_TOKEN);
         } else {
@@ -920,7 +924,7 @@ impl App for PierNode {
                     .handle_message(&mut node.reg.env(ctx), from, m, events)
             }),
             PierMsg::Result { qid, ident, row } => self.log_result(ctx.now, qid, ident, row),
-            PierMsg::AggUp { qid, group, accs } => self.on_agg_up(qid, group, accs),
+            PierMsg::Report(report) => self.on_report(ctx, from, report),
         }
     }
 
@@ -931,7 +935,7 @@ impl App for PierNode {
             });
         }
         match self.timer_actions.remove(&token) {
-            Some(TimerAction::BloomFlush { qid, side }) => self.bloom_deadline(ctx, qid, side),
+            Some(TimerAction::TreeDue { qid }) => self.report_rounds(ctx, qid, u32::MAX),
             Some(TimerAction::AggHarvest { qid }) => {
                 self.agg_harvest(ctx, qid);
                 self.rearm_epoch(ctx, qid, TimerAction::AggHarvest { qid });
@@ -1067,6 +1071,14 @@ mod tests {
             assert!(node.reg.routes.is_empty());
             assert_no_upcall(node, ctx, table, partial(1));
         });
+    }
+
+    /// A node id of 2^14 or more would share `fresh_iid`'s instanceIDs
+    /// with a smaller one: refused where the node is built.
+    #[test]
+    #[should_panic(expected = "aliases fresh_iid")]
+    fn a_node_id_past_the_instance_id_space_is_refused() {
+        let _ = PierNode::new(DhtConfig::static_network(), 1 << 14, None);
     }
 
     /// Routing a query on a namespace it is already routed on, in the

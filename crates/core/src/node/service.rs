@@ -127,7 +127,7 @@ impl PierNode {
 
     /// Storage audit: items still stored here under any of the query's
     /// derived namespaces ([`qns`]) that are live at `now` — rehash,
-    /// per-stage, both Bloom collectors, and aggregation partials. Zero
+    /// per-stage and aggregation partials. Zero
     /// one lifetime after uninstall is the reclamation invariant.
     pub fn query_soft_state(&self, now: Time, qid: u64, max_stages: usize) -> usize {
         qns::all(qid, max_stages)

@@ -288,8 +288,8 @@ pub struct AggSpec {
     pub output: Vec<Expr>,
     pub having: Option<Expr>,
     /// In-network hierarchical aggregation (§7 future work, built as an
-    /// extension): partials climb a binary tree over node ids instead of
-    /// all landing on the group owner.
+    /// extension): each node's groups climb the query's combine tree
+    /// instead of all landing on the group owner.
     pub hierarchical: bool,
     /// How long owners wait before finalizing groups (one-shot queries).
     pub harvest: Dur,
@@ -441,8 +441,9 @@ pub struct QueryDesc {
     pub op: QueryOp,
     /// One-shot, or standing and how its soft state lives.
     pub tenure: Tenure,
-    /// How many nodes participate (used by hierarchical aggregation to
-    /// shape its tree; harnesses set it when building the query).
+    /// How many nodes the harness built. No node reads it: a combine
+    /// tree knows it is whole by its shares of the key space. It stays
+    /// on the descriptor only because the performance ledger sets it.
     pub n_nodes: u32,
     /// Owning tenant, for admission control and per-tenant metrics
     /// ([`crate::tenant::TenantGovernor`]). Tenant 0 is the default;
@@ -629,9 +630,10 @@ pub mod qns {
         }
     }
 
-    /// Bloom collector namespace for one side.
-    pub fn bloom(qid: u64, side_right: bool) -> Ns {
-        hash2(0x4e42 + side_right as u64, qid)
+    /// The key whose owner roots the query's combine tree (`node::combine`);
+    /// nothing is stored under it.
+    pub fn tree(qid: u64) -> u64 {
+        hash2(0x4e54, qid) // "NT"
     }
 
     /// Aggregation partials namespace `NA`.
@@ -643,7 +645,7 @@ pub mod qns {
     /// derived state in — what uninstall purges and the storage audit
     /// counts.
     pub fn all(qid: u64, n_stages: usize) -> impl Iterator<Item = Ns> {
-        [rehash(qid), agg(qid), bloom(qid, false), bloom(qid, true)]
+        [rehash(qid), agg(qid)]
             .into_iter()
             .chain((0..n_stages).map(move |k| stage(qid, k)))
     }
@@ -1084,14 +1086,13 @@ mod tests {
     fn query_namespaces_are_distinct_per_query() {
         assert_ne!(qns::rehash(1), qns::rehash(2));
         assert_ne!(qns::rehash(1), qns::agg(1));
-        assert_ne!(qns::bloom(1, false), qns::bloom(1, true));
         assert_ne!(qns::stage(1, 0), qns::stage(1, 1));
         assert_ne!(qns::stage(1, 0), qns::stage(2, 0));
         assert_ne!(qns::stage(1, 0), qns::rehash(1));
         // The frozen naming: one stage lives in NQ, more in NS_k.
         assert_eq!(qns::stage_of(1, 1, 0), qns::rehash(1));
         assert_eq!(qns::stage_of(1, 2, 1), qns::stage(1, 1));
-        assert_eq!(qns::all(1, 2).count(), 6);
+        assert_eq!(qns::all(1, 2).count(), 4);
     }
 
     fn workload_multi() -> JoinSpec {

@@ -70,12 +70,10 @@ impl PierEngine for Sim<PierNode> {
 }
 
 /// Pre-stabilized PIER automata for ids `0..n` on the configured
-/// overlay — the common substrate of every engine builder here.
-pub fn stabilized_pier_nodes(n: usize, cfg: &DhtConfig) -> Vec<PierNode> {
-    Dht::stabilized(n, cfg)
-        .into_iter()
-        .map(|dht| PierNode::with_dht(dht, None))
-        .collect()
+/// overlay — the common substrate of every engine builder here — each
+/// built as it is taken, so a sim seats one before the next is built.
+pub fn stabilized_pier_nodes(n: usize, cfg: &DhtConfig) -> impl Iterator<Item = PierNode> {
+    Dht::stabilized(n, cfg).map(|dht| PierNode::with_dht(dht, None))
 }
 
 fn seated(mut sim: Sim<PierNode>, n: usize, cfg: &DhtConfig) -> Sim<PierNode> {
@@ -104,7 +102,7 @@ pub fn stabilized_pier_sharded(
 /// Spawn a wall-clock cluster of `n` PIER nodes on a pre-stabilized
 /// overlay — the same automata [`stabilized_pier_sim`] seats.
 pub fn stabilized_pier_cluster(n: usize, cfg: DhtConfig, seed: u64) -> Cluster<PierNode> {
-    Cluster::spawn(stabilized_pier_nodes(n, &cfg), seed)
+    Cluster::spawn(stabilized_pier_nodes(n, &cfg).collect(), seed)
 }
 
 /// Round-robin partitioning of a table over `n` home nodes: row `i`

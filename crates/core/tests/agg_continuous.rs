@@ -6,6 +6,7 @@ use std::collections::HashMap;
 use pier_core::agg::{AggState, GroupAccs};
 use pier_core::catalog::Catalog;
 use pier_core::expr::Expr;
+use pier_core::item::{Part, Report};
 use pier_core::plan::{
     qns, AggCall, AggFunc, AggSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec, Tenure,
 };
@@ -76,6 +77,46 @@ fn flat_dht_aggregation_matches_reference() {
 #[test]
 fn hierarchical_aggregation_matches_reference() {
     run_agg(true);
+}
+
+/// A hierarchical count loses only the rows a dead node stored. Node 1
+/// of 16 dies and its neighbours take its zone over; a one-shot tree
+/// COUNT submitted afterwards counts every row the live nodes hold —
+/// its tree runs along the overlay as it now stands, so no live node's
+/// part hangs under the dead one.
+#[test]
+fn a_dead_interior_node_loses_only_its_own_rows() {
+    let rows = intrusion_rows(96);
+    let scan = ScanSpec::new("intrusions", 3, 0);
+    let count = AggCall {
+        func: AggFunc::Count,
+        arg: None,
+    };
+    let mut agg = AggSpec::new(vec![1], vec![count]);
+    agg.hierarchical = true;
+    let (n, dead) = (16, 1);
+    let mut sim = stabilized_pier_sim(n, DhtConfig::default(), NetConfig::latency_only(23));
+    publish_round_robin(&mut sim, "intrusions", &rows, 0, Dur::from_secs(3600));
+    settle_publish(&mut sim);
+    sim.fail_node(dead);
+    sim.run_for(Dur::from_secs(60));
+    let ns = pier_dht::ns_of("intrusions");
+    let held: usize = (0..n as NodeId)
+        .filter_map(|id| sim.app(id))
+        .map(|node| node.dht.lscan(ns).count())
+        .sum();
+    assert!(held < rows.len() && held > rows.len() / 2, "{held}");
+
+    let desc = QueryDesc::one_shot(33, 0, QueryOp::Agg { scan, agg });
+    let results = run_query(&mut sim, 0, desc, Dur::from_secs(20));
+    let counted: i64 = rows_of(&results)
+        .iter()
+        .map(|r| r.get(1).as_i64().unwrap())
+        .sum();
+    assert_eq!(
+        counted, held as i64,
+        "every row a live node holds is counted"
+    );
 }
 
 #[test]
@@ -231,7 +272,14 @@ fn foreign_shaped_partials_are_skipped() {
                     let (group, states) = (group.clone().into(), states.clone());
                     let accs = GroupAccs { states }.into();
                     let msg = if hierarchical {
-                        PierMsg::AggUp { qid, group, accs }
+                        let part = Part::Groups([(group, accs)].into());
+                        let (epoch, share) = (k as u32, u128::MAX);
+                        PierMsg::Report(Box::new(Report {
+                            qid,
+                            epoch,
+                            share,
+                            part,
+                        }))
                     } else {
                         let (ns, rid, iid) = (qns::agg(qid), i as u64, 1 << 20);
                         let val = QpItem::Partial { qid, group, accs };

@@ -193,8 +193,8 @@ fn windowed_epoch() {
     pin!("windowed_epoch", transcript(desc));
 }
 
-/// Partials climb the tree as `AggUp` messages; nothing is stored in NA
-/// and the root emits.
+/// Each node's groups climb the combine tree as one report an epoch;
+/// nothing is stored in NA and the root emits.
 #[test]
 fn hierarchical_epoch() {
     let mut desc = standing(&format!("{FLAT_SQL} EPOCH 20 SECONDS"), 4);
@@ -240,8 +240,8 @@ fn windowed_join_aggregate_epoch() {
     );
 }
 
-/// A one-shot tree: partials climb as `AggUp` with no epoch, the root
-/// emits once, and every node retires at its flush.
+/// A one-shot tree: each node reports from install, the root emits once
+/// its shares are whole, and every node retires at its harvest.
 #[test]
 fn hierarchical_one_shot() {
     let mut desc = one_shot(FLAT_SQL, 9);

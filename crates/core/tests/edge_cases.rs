@@ -646,21 +646,18 @@ fn rows_of_the_wrong_width_are_skipped() {
     }
 }
 
-/// A Bloom fragment of another shape in a query's collector namespace —
-/// another plan's filter under a colliding namespace, or a corrupt one —
-/// is skipped where the collector counts and ORs its fragments. OR-ed
-/// in, it tripped `BloomFilter::union`'s shape assertion and killed the
-/// collector; counted, it would let the collector flush before every
-/// node's fragment was in. Delivered to every node on both sides, before
-/// the query is submitted and again while its multicast is in flight:
-/// no panic, and the oracle's answer.
+/// A Bloom report of another shape up a query's combine tree — another
+/// plan's filters under a colliding qid, or a corrupt one — is refused
+/// whole, share included. OR-ed in, it tripped `BloomFilter::union`'s
+/// shape assertion and killed the node merging it; counted, its share
+/// would let the root finish before every node's filters were in.
+/// Delivered to every node before the query is submitted and again
+/// while its multicast is in flight: no panic, and the oracle's answer.
 #[test]
 fn bloom_fragments_of_another_shape_are_skipped() {
     use pier_core::bloom::BloomFilter;
-    use pier_core::item::{PierMsg, QpItem, Side};
-    use pier_core::plan::qns;
+    use pier_core::item::{Part, PierMsg, Report};
     use pier_core::PierNode;
-    use pier_dht::{key_of, DhtMsg, Entry};
     use pier_simnet::{App, NodeId, Sim};
 
     let n = 8;
@@ -677,37 +674,26 @@ fn bloom_fragments_of_another_shape_are_skipped() {
     let mut foreign = BloomFilter::new(128, 4);
     foreign.insert(1);
     assert!(!foreign.has_shape(j.bloom_bits, 4));
-    // Instance ids no node's own fragment (its node id) can take.
-    let deliver = |sim: &mut Sim<PierNode>, iid: u32| {
-        for side in [Side::Left, Side::Right] {
-            let ns = qns::bloom(qid, side == Side::Right);
-            let entry = Entry {
-                ns,
-                rid: 0,
-                iid: iid + side as u32,
-                key: key_of(ns, 0),
-                expires: sim.now() + Dur::from_secs(3600),
-                val: QpItem::Bloom {
-                    qid,
-                    side,
-                    filter: foreign.clone(),
-                },
-            };
-            for id in 0..n as NodeId {
-                let msg = PierMsg::Dht(DhtMsg::Put {
-                    entry: entry.clone(),
-                });
-                sim.with_app(id, |node, ctx| node.on_message(ctx, id, msg));
-            }
+    let deliver = |sim: &mut Sim<PierNode>| {
+        for id in 0..n as NodeId {
+            let part = Part::Bloom([foreign.clone(), foreign.clone()]);
+            let (epoch, share) = (0, u128::MAX);
+            let msg = PierMsg::Report(Box::new(Report {
+                qid,
+                epoch,
+                share,
+                part,
+            }));
+            sim.with_app(id, |node, ctx| node.on_message(ctx, id, msg));
         }
     };
 
     let mut sim = setup(n, 12, &[("L", &left_rows), ("Rt", &right_rows)]);
-    deliver(&mut sim, 1 << 30);
+    deliver(&mut sim);
     let mut desc = QueryDesc::one_shot(qid, 0, QueryOp::Join { join: j, agg: None });
     desc.n_nodes = n as u32;
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
-    deliver(&mut sim, (1 << 30) + 2);
+    deliver(&mut sim);
     sim.run_for(Dur::from_secs(60));
     let got: Vec<Tuple> = sim
         .app(0)

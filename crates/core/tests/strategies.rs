@@ -132,10 +132,8 @@ fn bloom_filter_join_matches_reference() {
     );
 }
 
-/// The collector's own fragment is stored inside `bloom_start`'s `put`;
-/// when it is the one that completes the count — always, on one node —
-/// its `newData` must reach the collector, so the filter is multicast at
-/// once and not at the 10 s fallback deadline.
+/// On one node the root's own filters make its share whole, so the
+/// OR-ed filters are multicast at once and not at the tree's deadline.
 #[test]
 fn bloom_collector_counts_its_own_fragment() {
     let (r, s) = tables(5, 20);
@@ -157,6 +155,45 @@ fn bloom_collector_counts_its_own_fragment() {
         expected.len(),
         results.len()
     );
+}
+
+/// No node reads `QueryDesc::n_nodes`: a 32-node Bloom join answers the
+/// oracle at the same instants whether the descriptor says 0, 1, 32 or
+/// 10 000 nodes. The combine tree's root knows its filters are whole by
+/// the key-space shares they cover.
+#[test]
+fn bloom_join_ignores_the_node_count_it_is_told() {
+    let (r, s) = tables(6, 20);
+    let j = workload_join(JoinStrategy::BloomFilter);
+    let expected = reference_join(&j, &r, &s);
+    assert!(!expected.is_empty());
+    let run = |n_nodes: u32| {
+        let mut sim =
+            stabilized_pier_sim(32, DhtConfig::static_network(), NetConfig::latency_only(6));
+        publish_round_robin(&mut sim, "R", &r, 0, Dur::from_secs(3600));
+        publish_round_robin(&mut sim, "S", &s, 0, Dur::from_secs(3600));
+        settle_publish(&mut sim);
+        let mut desc = QueryDesc::one_shot(
+            56,
+            0,
+            QueryOp::Join {
+                join: j.clone(),
+                agg: None,
+            },
+        );
+        desc.n_nodes = n_nodes;
+        run_query(&mut sim, 0, desc, Dur::from_secs(60))
+    };
+    let told_right = run(32);
+    assert!(
+        same_multiset(&expected, &rows_of(&told_right)),
+        "expected {} got {}",
+        expected.len(),
+        told_right.len()
+    );
+    for n_nodes in [0, 1, 10_000] {
+        assert_eq!(run(n_nodes), told_right, "told n_nodes = {n_nodes}");
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use pier_core::agg::GroupAccs;
 use pier_core::expr::Expr;
-use pier_core::item::{PierMsg, QpItem, Side};
+use pier_core::item::{Part, PierMsg, QpItem, Report, Side};
 use pier_core::plan::{AggCall, AggFunc, JoinSpec, JoinStrategy, QueryDesc, QueryOp, ScanSpec};
 use pier_core::tuple;
 use pier_core::tuple::FlatRow;
@@ -153,12 +153,13 @@ fn every_variant_keeps_its_wire_size() {
             .wire_size(),
         ),
         (
-            "PierMsg::AggUp",
-            PierMsg::AggUp {
+            "PierMsg::Report",
+            PierMsg::Report(Box::new(Report {
                 qid: 1,
-                group: group().into(),
-                accs: accs().into(),
-            }
+                epoch: 2,
+                share: 1 << 64,
+                part: Part::Groups([(group().into(), accs().into())].into()),
+            }))
             .wire_size(),
         ),
         // ---- DhtMsg

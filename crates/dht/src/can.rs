@@ -24,7 +24,7 @@ use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::{Point, Zone};
 use crate::msg::{CanMsg, DhtMsg, Entry, NeighborMap, RepairScope, Zones};
-use crate::overlay::{LookupStep, Routed};
+use crate::overlay::{LookupStep, Routed, TreeSeat};
 use crate::{DhtConfig, ROUTE_TTL};
 
 /// What this node knows about one neighbor.
@@ -48,6 +48,22 @@ impl NeighborInfo {
             their_neighbors: NeighborMap::default(),
         }
     }
+}
+
+/// The candidate whose zones come nearest to `p`, ties to the smaller
+/// id: a node's greedy step, whether it is its own or read off the
+/// neighbor map another node advertised.
+fn nearest<'a>(
+    of: impl Iterator<Item = (NodeId, &'a Zones)>,
+    p: Point,
+    d: usize,
+) -> Option<NodeId> {
+    of.map(|(id, zones)| {
+        let dist = zones.iter().map(|z| z.dist2(p, d)).min();
+        (dist.unwrap_or(u128::MAX), id)
+    })
+    .min()
+    .map(|(_, id)| id)
 }
 
 /// Per-node CAN routing state.
@@ -131,19 +147,28 @@ impl CanState {
     /// Greedy next hop: the neighbor whose zone is nearest to `p`
     /// (deterministic tie-break on node id).
     pub fn next_hop(&self, p: Point) -> Option<NodeId> {
-        self.neighbors
-            .iter()
-            .map(|(&id, info)| {
-                let dist = info
-                    .zones
-                    .iter()
-                    .map(|z| z.dist2(p, self.d))
-                    .min()
-                    .unwrap_or(u128::MAX);
-                (dist, id)
-            })
-            .min()
-            .map(|(_, id)| id)
+        let neighbors = self.neighbors.iter().map(|(&id, info)| (id, &info.zones));
+        nearest(neighbors, p, self.d)
+    }
+
+    /// This node's seat in the combine tree toward `key`'s owner: its
+    /// parent is its next hop, its children the neighbors whose next hop,
+    /// read off the map each advertised, is this node.
+    pub fn tree_seat(&self, key: u64) -> TreeSeat {
+        let p = Point::from_key(key, self.d);
+        let parent = (!self.owns_point(p)).then(|| self.next_hop(p)).flatten();
+        let child = |info: &NeighborInfo| {
+            let theirs = info.their_neighbors.iter().map(|(id, zones)| (*id, zones));
+            !info.zones.iter().any(|z| z.contains(p, self.d))
+                && nearest(theirs, p, self.d) == Some(self.me)
+        };
+        let children = self.neighbors.iter().filter(|(_, info)| child(info));
+        TreeSeat {
+            parent,
+            children: children.map(|(&id, _)| id).collect(),
+            share: self.volume(),
+            whole: Zone::whole(self.d).volume(self.d),
+        }
     }
 
     /// The one routing decision every routed message takes: handle `p`

@@ -14,7 +14,7 @@ use crate::env::Lend;
 use crate::event::DhtEvent;
 use crate::geom::splitmix64;
 use crate::msg::{ChordMsg, DhtMsg, FindPurpose, RepairScope};
-use crate::overlay::{LookupStep, Routed};
+use crate::overlay::{LookupStep, Routed, TreeSeat};
 use crate::{DhtConfig, ROUTE_TTL};
 
 /// Number of finger-table entries (64-bit ring).
@@ -219,6 +219,21 @@ impl ChordState {
                 Some((_, sid)) if sid != self.me => Err(sid),
                 _ => Ok((self.ring, self.me)),
             },
+        }
+    }
+
+    /// This node's seat in the combine tree toward `key`'s owner: the
+    /// parent is the next lookup step. A node cannot name the nodes
+    /// whose step it is, so it names no children. Its share is the arc
+    /// `(predecessor, me]` it owns.
+    pub fn tree_seat(&self, key: u64) -> TreeSeat {
+        let (Ok((_, next)) | Err(next)) = self.find_succ_step(ring_of_key(key));
+        let arc = self.predecessor.map(|(p, _)| self.ring.wrapping_sub(p));
+        TreeSeat {
+            parent: (next != self.me).then_some(next),
+            children: Vec::new(),
+            share: arc.filter(|&arc| arc > 0).map_or(1 << 64, u128::from),
+            whole: 1 << 64,
         }
     }
 

@@ -108,7 +108,8 @@ pub struct Dht<V> {
     next_token: u64,
     /// When each multicast id was last delivered, for dedup.
     seen_mcast: SmallMap<Time>,
-    bootstrap: Option<NodeId>,
+    /// The node this one joins the overlay through; `None` creates one.
+    pub bootstrap: Option<NodeId>,
     join_sent: Time,
     tick_count: u64,
     /// Last anti-entropy pull, for rate limiting repair bursts.
@@ -127,13 +128,14 @@ impl<V: Wire + Clone> Dht<V> {
         Self::with_overlay(cfg, me, Overlay::Can(can))
     }
 
-    /// Pre-stabilized stacks for ids `0..n` on the overlay `cfg` names.
-    pub fn stabilized(n: usize, cfg: &DhtConfig) -> Vec<Self> {
-        Overlay::stabilized(n, cfg)
+    /// Pre-stabilized stacks for ids `0..n` on the overlay `cfg` names,
+    /// each built as it is taken.
+    pub fn stabilized(n: usize, cfg: &DhtConfig) -> impl Iterator<Item = Self> {
+        let cfg = cfg.clone();
+        Overlay::stabilized(n, &cfg)
             .into_iter()
             .enumerate()
-            .map(|(i, overlay)| Self::with_overlay(cfg.clone(), i as NodeId, overlay))
-            .collect()
+            .map(move |(i, overlay)| Self::with_overlay(cfg.clone(), i as NodeId, overlay))
     }
 
     fn with_overlay(cfg: DhtConfig, me: NodeId, overlay: Overlay) -> Self {
@@ -770,7 +772,7 @@ mod tests {
     /// lookup node 0 forwards: (node 0, the key's rid, its owner).
     fn a_forwarded_key() -> (Dht<Vec<u8>>, Rid, NodeId) {
         let cfg = DhtConfig::static_network();
-        let nodes = Dht::<Vec<u8>>::stabilized(16, &cfg);
+        let nodes: Vec<_> = Dht::<Vec<u8>>::stabilized(16, &cfg).collect();
         let forwarded = |rid: &Rid| {
             let step = nodes[0]
                 .overlay
@@ -806,7 +808,7 @@ mod tests {
     #[test]
     fn a_get_its_owner_never_answers_is_forgotten_at_the_give_up_horizon() {
         let cfg = DhtConfig::static_network();
-        let mut nodes = Dht::<Vec<u8>>::stabilized(2, &cfg);
+        let mut nodes: Vec<_> = Dht::<Vec<u8>>::stabilized(2, &cfg).collect();
         let owner = nodes.pop().expect("node 1");
         let mut dht = nodes.pop().expect("node 0");
         let (ns, mut env, events) = (7, RecordingEnv::new(0), &mut Vec::new());

@@ -55,6 +55,18 @@ pub enum Routed<V> {
     },
 }
 
+/// Where a node sits in the tree of greedy routes toward one key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeSeat {
+    /// The next hop toward the key; `None` at its owner.
+    pub parent: Option<NodeId>,
+    /// The nodes whose parent this node is, as far as it can name them.
+    pub children: Vec<NodeId>,
+    /// This node's share of the key space; all nodes' sum to `whole`.
+    pub share: u128,
+    pub whole: u128,
+}
+
 impl Overlay {
     /// An un-joined routing state of the kind `cfg` names.
     pub fn new(cfg: &DhtConfig, me: NodeId) -> Self {
@@ -133,6 +145,14 @@ impl Overlay {
         match self {
             Overlay::Can(c) => c.lookup_step(key, token, origin),
             Overlay::Chord(c) => c.lookup_step(key, token, origin),
+        }
+    }
+
+    /// This node's seat in the combine tree toward `key`.
+    pub fn tree_seat(&self, key: u64) -> TreeSeat {
+        match self {
+            Overlay::Can(c) => c.tree_seat(key),
+            Overlay::Chord(c) => c.tree_seat(key),
         }
     }
 

@@ -516,7 +516,9 @@ fn message_for_the_other_overlay_is_dropped() {
         }),
     ];
     for (kind, msgs) in [(OverlayKind::Can, to_can), (OverlayKind::Chord, to_chord)] {
-        let mut dht: Dht<V> = Dht::stabilized(4, &cfg().with_overlay(kind)).swap_remove(0);
+        let mut dht: Dht<V> = Dht::stabilized(4, &cfg().with_overlay(kind))
+            .next()
+            .unwrap();
         let mut env = RecordingEnv::new(0);
         let mut events = Vec::new();
         for msg in msgs {

@@ -69,8 +69,7 @@ fn main() {
 
     for (qid, (label, sql)) in queries.iter().enumerate() {
         let op = parse_query(sql, &catalog, JoinStrategy::SymmetricHash).expect("parse");
-        let mut desc = QueryDesc::one_shot(qid as u64 + 1, 0, op);
-        desc.n_nodes = n as u32;
+        let desc = QueryDesc::one_shot(qid as u64 + 1, 0, op);
         let results = run_query(&mut sim, 0, desc, Dur::from_secs(60));
         println!("\n=== {label}\n    {sql}");
         let mut rows = rows_of(&results);

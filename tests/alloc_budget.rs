@@ -445,6 +445,29 @@ fn resting_overlay_stays_inside_its_bytes_per_node_budget() {
     drop(sim);
 }
 
+/// Building a sim seats each node as it is built: the build holds at
+/// most [`BUILD_BYTES_PER_NODE`] a node above what the sim keeps. A list
+/// of every built node beside the sim's own held each twice at the peak.
+#[test]
+fn building_a_stabilized_sim_holds_each_node_once() {
+    const N: usize = 10_000;
+    let before = LIVE.get();
+    let (sim, peak) =
+        peak_held(|| stabilized_pier_sim(N, DhtConfig::default(), NetConfig::latency_only(17)));
+    let kept = LIVE.get().wrapping_sub(before);
+    let per_node = peak.saturating_sub(kept) as f64 / N as f64;
+    assert!(
+        per_node <= BUILD_BYTES_PER_NODE,
+        "building a {N}-node sim held {per_node:.0} bytes a node above what it keeps"
+    );
+    drop(sim);
+}
+
+/// Measured: 112, the routing states the balanced bootstrap builds all
+/// at once (`size_of::<Overlay>()`); 1 024 (`size_of::<PierNode>()`) more
+/// with every node built before the first was seated.
+const BUILD_BYTES_PER_NODE: f64 = 128.0;
+
 /// Measured: 2 139 in debug and release builds, with one zone list per
 /// node and room in place for two ops in flight and two multicast dedup
 /// records (1 868 with both tables empty ordered maps; 3 052 with a copy

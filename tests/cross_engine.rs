@@ -90,7 +90,9 @@ fn sim_and_cluster_agree_on_the_workload_join() {
 /// A replacement automaton for `id` — a fresh process at the same
 /// address, the newcomer of a `Fault::Join` on any backend.
 fn replacement_node(id: NodeId, n: usize) -> PierNode {
-    stabilized_pier_nodes(n, &DhtConfig::static_network()).swap_remove(id as usize)
+    stabilized_pier_nodes(n, &DhtConfig::static_network())
+        .nth(id as usize)
+        .unwrap()
 }
 
 /// Replay `script` to its end on idle PIER nodes (no query traffic

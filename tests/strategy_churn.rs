@@ -29,10 +29,9 @@ fn churn_cell(strategy: JoinStrategy, seed: u64, kill: &[u32], fail_after: Dur) 
     assert!(!expected.is_empty());
 
     let qid = 40 + strategy as u64;
-    let mut desc = wl.query(qid, 0, strategy);
-    // Let Bloom collectors flush as soon as every node's fragment is in
-    // (the count-based early flush) instead of sitting on the deadline.
-    desc.n_nodes = n as u32;
+    // No node count: a Bloom join's combine tree finishes when its root
+    // holds the whole key space's filters, not at its deadline.
+    let desc = wl.query(qid, 0, strategy);
     sim.with_app(0, |node, ctx| node.submit(ctx, desc));
     sim.run_for(fail_after);
     for &id in kill {
