@@ -186,11 +186,13 @@ impl Wire for PierMsg {
         match self {
             PierMsg::Dht(m) => m.wire_size(),
             PierMsg::Result { row, .. } => pier_dht::msg::HEADER_BYTES + 16 + row.wire(),
-            PierMsg::Report(r) => match &r.part {
-                Part::Bloom(f) => f.iter().map(BloomFilter::wire_size).sum::<usize>(),
-                Part::Groups(g) => g.iter().map(|(g, a)| group_wire(g) + a.wire_size()).sum(),
+            PierMsg::Report(r) => {
+                let part: usize = match &r.part {
+                    Part::Bloom(f) => f.iter().map(BloomFilter::wire_size).sum(),
+                    Part::Groups(g) => g.iter().map(|(g, a)| group_wire(g) + a.wire_size()).sum(),
+                };
+                pier_dht::msg::HEADER_BYTES + 28 + part // qid 8, epoch 4, share 16
             }
-            .saturating_add(pier_dht::msg::HEADER_BYTES + 28),
         }
     }
 }
