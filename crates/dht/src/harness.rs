@@ -18,25 +18,21 @@ use crate::{DhtConfig, Ns, OverlayKind, Rid};
 /// Test harness automaton: one DHT stack, an event log, nothing else.
 pub struct DhtNode<V: Wire + Clone> {
     pub dht: Dht<V>,
-    pub bootstrap: Option<NodeId>,
     pub events: Vec<(Time, DhtEvent<V>)>,
 }
 
 impl<V: Wire + Clone> DhtNode<V> {
     /// A node that will join via `bootstrap` (or start a new overlay).
     pub fn new(cfg: DhtConfig, me: NodeId, bootstrap: Option<NodeId>) -> Self {
-        DhtNode {
-            dht: Dht::new(cfg, me),
-            bootstrap,
-            events: Vec::new(),
-        }
+        let mut dht = Dht::new(cfg, me);
+        dht.bootstrap = bootstrap;
+        Self::with_dht(dht)
     }
 
     /// A node with a pre-stabilized overlay state.
     pub fn with_dht(dht: Dht<V>) -> Self {
         DhtNode {
             dht,
-            bootstrap: None,
             events: Vec::new(),
         }
     }
@@ -54,7 +50,7 @@ impl<V: Wire + Clone + Send + 'static> App for DhtNode<V> {
     type Msg = DhtMsg<V>;
 
     fn on_start(&mut self, ctx: &mut Ctx<Self::Msg>) {
-        let bootstrap = self.bootstrap;
+        let bootstrap = self.dht.bootstrap;
         let mut env = CtxEnv { ctx };
         // Pre-stabilized nodes still need their tick timer; `start` with
         // no bootstrap is idempotent for an already-joined overlay.
