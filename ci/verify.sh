@@ -21,7 +21,9 @@
 # lifetimes: edge_cases' malformed descriptors, lifecycle and
 # replication_failover, and the combine tree — pier_dht's tree_props,
 # strategies' bloom_join_ignores_the_node_count_it_is_told,
-# agg_continuous' a_dead_interior_node_loses_only_its_own_rows and
+# agg_continuous' a_dead_interior_node_loses_only_its_own_rows,
+# an_interior_node_that_refuses_the_install_loses_only_its_own_rows and
+# the_root_waits_for_what_a_parent_reports_at_its_deadline, and
 # alloc_budget's building_a_stabilized_sim_holds_each_node_once), the
 # lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt

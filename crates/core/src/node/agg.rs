@@ -337,7 +337,13 @@ impl PierNode {
             let half = Dur::from_micros(agg.harvest.as_micros() / 2);
             self.arm_timer(ctx, half, TimerAction::Flush { qid });
         }
-        self.arm_timer(ctx, agg.harvest, TimerAction::AggHarvest { qid });
+        // A one-shot tree's harvest is its deadline: report what it has.
+        let due = if agg.hierarchical && !joinagg {
+            TimerAction::TreeDue { qid }
+        } else {
+            TimerAction::AggHarvest { qid }
+        };
+        self.arm_timer(ctx, agg.harvest, due);
     }
 
     /// Continuous aggregation re-arms its timers every epoch instead of
@@ -359,14 +365,7 @@ impl PierNode {
         let Some(desc) = self.query_desc(qid) else {
             return;
         };
-        let agg = match &desc.op {
-            // A one-shot tree's harvest is its deadline: report what it has.
-            QueryOp::Agg { agg, .. } if agg.hierarchical => {
-                return self.report_rounds(ctx, qid, u32::MAX)
-            }
-            op => op.agg(),
-        };
-        let Some(agg) = agg else { return };
+        let Some(agg) = desc.op.agg() else { return };
         let now = ctx.now;
         let mut harvest = HARVEST.take();
         // Expired partials (a publisher whose group aged out of its

@@ -6,18 +6,32 @@
 //! and a report from every child it can name, or once the round is due.
 //! The root finishes a round — multicasts the OR-ed filters, or emits
 //! the groups — as soon as the key-space shares of what it holds sum to
-//! the whole, so no node needs to know how many nodes there are.
+//! the whole, so no node needs to know how many nodes there are. At a
+//! deadline the root waits one grace, or one epoch, more than the other
+//! nodes, so what they report at the same deadline still counts.
 
 use std::collections::VecDeque;
 
 use pier_dht::overlay::TreeSeat;
 use pier_simnet::app::Ctx;
+use pier_simnet::time::Dur;
 use pier_simnet::NodeId;
 
 use super::bloom::BLOOM_HASHES;
-use super::{agg, PierNode, CANCEL_TOMBSTONES};
+use super::{agg, PierNode, TimerAction};
 use crate::item::{Part, PierMsg, QpItem, Report, Side};
 use crate::plan::{qns, JoinStrategy, QueryDesc, QueryOp};
+
+/// How long past a deadline the root waits to finish a round that is
+/// not whole: other nodes report at their own deadline, which the
+/// install multicast's spread puts seconds after the root's.
+const ROOT_GRACE: Dur = Dur(10 * 1_000_000);
+
+/// How many early reports a node keeps. A CAN node names at most nine
+/// children at up to 1 024 nodes (`tree_props`), so 64 hold a round's
+/// early reports for seven queries installing at once; a Bloom report
+/// holds two filters of 8 KB at the default shape, so about 1 MB at most.
+const EARLY_REPORTS: usize = 64;
 
 /// Reports that arrived before their query's install, with their
 /// senders, oldest first.
@@ -36,6 +50,8 @@ pub(super) struct Tree {
     flushes: u32,
     /// Whether the OR-ed Bloom filter over each side has arrived.
     pub(super) got_filter: [bool; 2],
+    /// Whether the root has taken its grace past the deadline.
+    graced: bool,
 }
 
 /// One open round: whether this node's own part is in, whose reports
@@ -89,13 +105,18 @@ impl PierNode {
     }
 
     /// Add this node's own part as its next round. Every round below it
-    /// is due: a round waits at most one epoch for late children.
+    /// is due: a round waits at most one epoch for late children, and at
+    /// the root one epoch more, for the reports they hold back.
     pub(super) fn contribute(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, part: Part) {
-        let share = self.seat(qid).share;
+        let TreeSeat { parent, share, .. } = self.seat(qid);
         let Some(tree) = self.tree(qid) else { return };
         let epoch = tree.flushes;
         tree.flushes += 1;
-        self.report_rounds(ctx, qid, epoch);
+        let due = match parent {
+            Some(_) => epoch,
+            None => epoch.saturating_sub(1),
+        };
+        self.report_rounds(ctx, qid, due);
         let own = Report {
             qid,
             epoch,
@@ -105,18 +126,19 @@ impl PierNode {
         self.take_in(ctx, None, Box::new(own));
     }
 
-    /// A report arrived. One for a query not installed here yet is kept
-    /// (a bounded FIFO, unless the query was cancelled here) until the
-    /// install: a child can hear the install multicast first.
+    /// A report arrived. One for a query this node cancelled, retired or
+    /// refused goes on to its parent; one for a query not installed here
+    /// yet is kept (a bounded FIFO) until the install: a child can hear
+    /// the install multicast first.
     pub(super) fn on_report(&mut self, ctx: &mut Ctx<PierMsg>, from: NodeId, report: Box<Report>) {
         let qid = report.qid;
         match self.reg.get(qid) {
             Some(inst) if fits(&inst.desc, &report.part) => self.take_in(ctx, Some(from), report),
             Some(_) => {}
-            None if self.cancelled.contains(&qid) => {}
+            None if self.cancelled.contains(&qid) => self.pass_on(ctx, report),
             None => {
                 let early = self.early.get_or_insert_with(Box::default);
-                if early.len() == CANCEL_TOMBSTONES {
+                if early.len() == EARLY_REPORTS {
                     early.pop_front();
                 }
                 early.push_back((from, report));
@@ -124,7 +146,16 @@ impl PierNode {
         }
     }
 
-    /// At install: take in the query's reports that arrived before it.
+    /// Send a report this node does not merge on to its parent. The root
+    /// has nowhere to send it.
+    fn pass_on(&mut self, ctx: &mut Ctx<PierMsg>, report: Box<Report>) {
+        if let Some(parent) = self.seat(report.qid).parent {
+            ctx.send(parent, PierMsg::Report(report));
+        }
+    }
+
+    /// At install, or at a refused one: the query's reports that arrived
+    /// before it are taken in, or go on.
     pub(super) fn take_early(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
         while let Some((from, report)) = self.early.as_mut().and_then(|early| {
             let at = early.iter().position(|(_, r)| r.qid == qid)?;
@@ -134,17 +165,29 @@ impl PierNode {
         }
     }
 
+    /// This node refused to install `desc`. A tree of it is tombstoned
+    /// here, so the reports kept for it, and any that come later, go on
+    /// to the parent and the live subtree below this node still counts.
+    pub(super) fn refuse(&mut self, ctx: &mut Ctx<PierMsg>, desc: &QueryDesc) {
+        let tree = match &desc.op {
+            QueryOp::Join { join: j, .. } => j.strategy == JoinStrategy::BloomFilter,
+            QueryOp::Agg { agg, .. } => agg.hierarchical,
+            QueryOp::Scan { .. } => false,
+        };
+        if tree {
+            self.tombstone(desc.qid);
+            self.take_early(ctx, desc.qid);
+        }
+    }
+
     /// A part from `from` (`None`: this node's own) joins its round. One
-    /// for a round already reported goes on alone: nothing is dropped on
-    /// the way, though the root has nothing left to add it to.
+    /// for a round already reported goes on alone, unless this node is
+    /// the root: past its grace it has nothing left to add it to.
     fn take_in(&mut self, ctx: &mut Ctx<PierMsg>, from: Option<NodeId>, report: Box<Report>) {
         let (qid, epoch) = (report.qid, report.epoch);
         let Some(tree) = self.tree(qid) else { return };
         if epoch < tree.closed {
-            if let Some(parent) = self.seat(qid).parent {
-                ctx.send(parent, PierMsg::Report(report));
-            }
-            return;
+            return self.pass_on(ctx, report);
         }
         let at = match tree.rounds.binary_search_by_key(&epoch, |r| r.report.epoch) {
             Ok(at) => {
@@ -167,12 +210,32 @@ impl PierNode {
         self.report_rounds(ctx, qid, 0);
     }
 
+    /// A round's deadline (a Bloom join's, a one-shot aggregate's
+    /// harvest): report what it holds. The root first waits
+    /// [`ROOT_GRACE`] once, if a round is still open. A one-shot
+    /// aggregate retires here, as a flat one does at its harvest.
+    pub(super) fn tree_due(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64) {
+        let root = self.seat(qid).parent.is_none();
+        let Some(tree) = self.tree(qid) else { return };
+        if root && !tree.rounds.is_empty() && !std::mem::replace(&mut tree.graced, true) {
+            return self.arm_timer(ctx, ROOT_GRACE, TimerAction::TreeDue { qid });
+        }
+        self.report_rounds(ctx, qid, u32::MAX);
+        if self
+            .reg
+            .get(qid)
+            .is_some_and(|i| matches!(i.desc.op, QueryOp::Agg { .. }))
+        {
+            self.retire_if_one_shot(qid);
+        }
+    }
+
     /// Report every round that is ready, lowest first: one below `due`
     /// as it stands, any other once it holds this node's own part and —
     /// at the root — shares summing to the whole, or elsewhere a report
     /// from every child this node can name. The root finishes a round
     /// where another node sends it to its parent.
-    pub(super) fn report_rounds(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, due: u32) {
+    fn report_rounds(&mut self, ctx: &mut Ctx<PierMsg>, qid: u64, due: u32) {
         let seat = self.seat(qid);
         while let Some(tree) = self.tree(qid) {
             let Some(r) = tree.rounds.first() else { return };

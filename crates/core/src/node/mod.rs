@@ -69,7 +69,8 @@ impl GetPurpose {
 
 /// Deferred work bound to a timer token.
 enum TimerAction {
-    /// A Bloom join's combine-tree deadline: report what the round holds.
+    /// A combine tree's deadline (a Bloom join's; a one-shot
+    /// hierarchical aggregate's harvest): report what the round holds.
     TreeDue { qid: u64 },
     /// Flat aggregation: finalize locally-owned groups, emit results.
     /// Re-armed every epoch for continuous aggregation.
@@ -391,9 +392,10 @@ pub struct PierNode {
     /// query's by qid.
     get_purpose: BTreeMap<u64, GetPurpose>,
     timer_actions: BTreeMap<u64, TimerAction>,
-    /// Recently cancelled qids (bounded FIFO): a `Cancel` that overtakes
-    /// its query's still-in-flight install multicast must not let the
-    /// late-arriving descriptor resurrect the query and renew forever.
+    /// Recently cancelled qids, and combine trees refused here (bounded
+    /// FIFO): a `Cancel` that overtakes its query's still-in-flight
+    /// install multicast must not let the late-arriving descriptor
+    /// resurrect the query and renew forever.
     cancelled: VecDeque<u64>,
     /// Combine-tree reports that arrived before their query's install.
     early: Option<Box<combine::Early>>,
@@ -410,8 +412,7 @@ pub struct PierNode {
     pub metrics: MetricsRegistry,
 }
 
-/// How many cancelled qids the tombstone FIFO remembers, and how many
-/// early reports a node keeps.
+/// How many cancelled qids the tombstone FIFO remembers.
 const CANCEL_TOMBSTONES: usize = 512;
 
 // Held per node, per query and per timer: a field that widens them is paid 10^4 times.
@@ -501,11 +502,9 @@ impl PierNode {
     /// overtaking its query's still-in-flight install multicast.
     fn uninstall_query(&mut self, qid: u64) {
         self.metrics.on_uninstall(qid);
-        if self.cancelled.len() == CANCEL_TOMBSTONES {
-            self.cancelled.pop_front();
-        }
-        if !self.cancelled.contains(&qid) {
-            self.cancelled.push_back(qid);
+        self.tombstone(qid);
+        if let Some(early) = &mut self.early {
+            early.retain(|(_, r)| r.qid != qid);
         }
         if let Some(inst) = self.reg.uninstall(qid) {
             let stages = inst.desc.op.join().map_or(0, |j| j.stages.len());
@@ -515,6 +514,17 @@ impl PierNode {
         }
         self.timer_actions.retain(|_, a| a.qid() != Some(qid));
         self.get_purpose.retain(|_, p| p.qid() != qid);
+    }
+
+    /// Remember `qid` as gone here: a late install does not resurrect
+    /// it, and a report for it goes on to the parent.
+    fn tombstone(&mut self, qid: u64) {
+        if self.cancelled.len() == CANCEL_TOMBSTONES {
+            self.cancelled.pop_front();
+        }
+        if !self.cancelled.contains(&qid) {
+            self.cancelled.push_back(qid);
+        }
     }
 
     /// One-shot queries complete at their terminal harvest; retire them
@@ -598,7 +608,7 @@ impl PierNode {
         // per event.
         let Ok(view) = desc.certified() else {
             self.metrics.malformed_installs += 1;
-            return;
+            return self.refuse(ctx, &desc);
         };
         // Admission control: charge the query's priced budget against
         // its tenant's quota — what the registry already holds for the
@@ -612,7 +622,7 @@ impl PierNode {
             Ok(priced) => priced,
             Err(_) => {
                 self.metrics.rejected_installs += 1;
-                return;
+                return self.refuse(ctx, &desc);
             }
         };
         self.metrics.on_install(qid, desc.tenant, priced, ctx.now);
@@ -935,7 +945,7 @@ impl App for PierNode {
             });
         }
         match self.timer_actions.remove(&token) {
-            Some(TimerAction::TreeDue { qid }) => self.report_rounds(ctx, qid, u32::MAX),
+            Some(TimerAction::TreeDue { qid }) => self.tree_due(ctx, qid),
             Some(TimerAction::AggHarvest { qid }) => {
                 self.agg_harvest(ctx, qid);
                 self.rearm_epoch(ctx, qid, TimerAction::AggHarvest { qid });

@@ -12,14 +12,17 @@ use pier_core::plan::{
 };
 use pier_core::semantics::{reference_eval, same_multiset};
 use pier_core::sql::{parse_continuous_query, parse_query};
+use pier_core::tenant::Quota;
 use pier_core::testkit::*;
 use pier_core::tuple;
 use pier_core::tuple::Tuple;
 use pier_core::value::Value;
+use pier_core::PierNode;
 use pier_core::{PierMsg, QpItem};
+use pier_dht::overlay::TreeSeat;
 use pier_dht::{key_of, DhtConfig, DhtMsg, Entry};
 use pier_simnet::time::Dur;
-use pier_simnet::{App, NetConfig, NodeId};
+use pier_simnet::{App, NetConfig, NodeId, Sim};
 
 /// Synthetic intrusion fingerprints: node-spread reports, some frequent.
 fn intrusion_rows(n: usize) -> Vec<Tuple> {
@@ -116,6 +119,120 @@ fn a_dead_interior_node_loses_only_its_own_rows() {
     assert_eq!(
         counted, held as i64,
         "every row a live node holds is counted"
+    );
+}
+
+/// A hierarchical COUNT on 16 nodes with one node out, which `pick`
+/// chooses from the query's tree (every node's seat, and the root) and
+/// `knock_out` takes out: one-shot, or standing under `epoch`. The root
+/// submits the query, so it installs first and its deadlines come
+/// first. Returns the rows the other nodes hold, and what each of the
+/// root's emissions over 110 s counted.
+fn counts_with_one_node_out(
+    qid: u64,
+    epoch: Option<Dur>,
+    pick: impl Fn(&[TreeSeat], usize) -> usize,
+    knock_out: impl FnOnce(&mut Sim<PierNode>, NodeId),
+) -> (i64, Vec<i64>) {
+    let rows = intrusion_rows(96);
+    let scan = ScanSpec::new("intrusions", 3, 0);
+    let count = AggCall {
+        func: AggFunc::Count,
+        arg: None,
+    };
+    let mut agg = AggSpec::new(vec![1], vec![count]);
+    agg.hierarchical = true;
+    agg.epoch = epoch;
+    let n = 16;
+    let mut sim = stabilized_pier_sim(n, DhtConfig::static_network(), NetConfig::latency_only(29));
+    publish_round_robin(&mut sim, "intrusions", &rows, 0, Dur::from_secs(3600));
+    settle_publish(&mut sim);
+    let seats: Vec<TreeSeat> = (0..n as NodeId)
+        .map(|id| sim.app(id).unwrap().dht.overlay.tree_seat(qns::tree(qid)))
+        .collect();
+    let root = seats.iter().position(|s| s.parent.is_none()).unwrap();
+    let out = pick(&seats, root);
+    let ns = pier_dht::ns_of("intrusions");
+    let held = rows.len() - sim.app(out as NodeId).unwrap().dht.lscan(ns).count();
+    knock_out(&mut sim, out as NodeId);
+
+    let root = root as NodeId;
+    let mut desc = QueryDesc::one_shot(qid, root, QueryOp::Agg { scan, agg }).with_tenant(5);
+    if epoch.is_some() {
+        desc.tenure = Tenure::Unwindowed { renew_every: None };
+    }
+    sim.with_node(root, |node, ctx| node.submit(ctx, desc));
+    sim.run_for(Dur::from_secs(110));
+    let mut emissions: Vec<(_, i64)> = Vec::new();
+    for (at, row) in sim.app(root).unwrap().query_results(qid).iter() {
+        let count = row.get(1).as_i64().unwrap();
+        match emissions.last_mut() {
+            Some((last, sum)) if *last == at => *sum += count,
+            _ => emissions.push((at, count)),
+        }
+    }
+    (
+        held as i64,
+        emissions.into_iter().map(|(_, sum)| sum).collect(),
+    )
+}
+
+/// The interior node with the most children in the tree.
+fn busiest_interior(seats: &[TreeSeat], _root: usize) -> usize {
+    (0..seats.len())
+        .filter(|&id| seats[id].parent.is_some() && !seats[id].children.is_empty())
+        .max_by_key(|&id| seats[id].children.len())
+        .unwrap()
+}
+
+/// A node whose parent sits below the root's children, so that the
+/// parent installs after the root and its deadlines come later.
+fn below_the_roots_children(seats: &[TreeSeat], root: usize) -> usize {
+    (0..seats.len())
+        .find(|&id| {
+            let parent = seats[id].parent.map(|p| p as usize);
+            parent.is_some_and(|p| seats[p].parent.is_some_and(|g| g as usize != root))
+        })
+        .unwrap()
+}
+
+/// A hierarchical count loses only the rows of a node that refuses the
+/// install: the busiest interior node rejects it (its tenant may
+/// install nothing there), and the reports of its subtree go on past it
+/// to its parent.
+#[test]
+fn an_interior_node_that_refuses_the_install_loses_only_its_own_rows() {
+    let (held, counts) = counts_with_one_node_out(34, None, busiest_interior, |sim, refuser| {
+        sim.with_node(refuser, |node, _| {
+            let quota = Quota {
+                max_standing: 0,
+                ..Quota::unlimited()
+            };
+            node.governor.set_quota(5, quota);
+        });
+    });
+    assert_eq!(
+        counts,
+        [held],
+        "every row an installing node holds is counted"
+    );
+}
+
+/// A node that dies unnoticed (no failure detection) holds its parent's
+/// round to the parent's deadline, which comes after the root's: the
+/// root waits past its own, past a one-shot harvest by its grace and
+/// under an epoch by one epoch more, so that the parent's report counts.
+#[test]
+fn the_root_waits_for_what_a_parent_reports_at_its_deadline() {
+    let dies = |sim: &mut Sim<PierNode>, dead| sim.fail_node(dead);
+    let (held, counts) = counts_with_one_node_out(35, None, below_the_roots_children, dies);
+    assert_eq!(counts, [held], "one-shot");
+    let epoch = Some(Dur::from_secs(20));
+    let (held, counts) = counts_with_one_node_out(36, epoch, below_the_roots_children, dies);
+    assert!(counts.len() >= 3, "{counts:?}");
+    assert!(
+        counts.iter().all(|&c| c == held),
+        "every epoch: {held}, {counts:?}"
     );
 }
 

@@ -225,14 +225,21 @@ impl ChordState {
     /// This node's seat in the combine tree toward `key`'s owner: the
     /// parent is the next lookup step. A node cannot name the nodes
     /// whose step it is, so it names no children. Its share is the arc
-    /// `(predecessor, me]` it owns.
+    /// `(predecessor, me]` it owns. A node with a successor but no known
+    /// predecessor (one timed out, or none has notified yet) claims every
+    /// key ([`Self::owns_pos`]), so it claims neither the root nor a
+    /// share: it hands what it holds to its successor.
     pub fn tree_seat(&self, key: u64) -> TreeSeat {
         let (Ok((_, next)) | Err(next)) = self.find_succ_step(ring_of_key(key));
-        let arc = self.predecessor.map(|(p, _)| self.ring.wrapping_sub(p));
+        let (next, share) = match (self.predecessor, self.successor()) {
+            (None, Some((_, succ))) if succ != self.me => (succ, 0),
+            (Some((p, _)), _) if p != self.ring => (next, self.ring.wrapping_sub(p).into()),
+            _ => (next, 1 << 64),
+        };
         TreeSeat {
             parent: (next != self.me).then_some(next),
             children: Vec::new(),
-            share: arc.filter(|&arc| arc > 0).map_or(1 << 64, u128::from),
+            share,
             whole: 1 << 64,
         }
     }
