@@ -7,7 +7,7 @@
 # with harvest_props and alloc_budget's
 # a_harvest_over_many_publishers_copies_nothing, raced_pin, the arrivals —
 # lifecycle's an_expired_arrival_enters_no_standing_query and
-# alloc_budget's an_arriving_row_costs_what_it_did —, the abandoned-get tests — `-p pier_dht --lib dht::tests`
+# alloc_budget's an_arriving_row_costs_what_it_did —, the abandoned-get and placement tests — `-p pier_dht --lib dht::tests`
 # and `-p pier_core --test lifecycle abandoned_gets` —, the small
 # tables — small_map's agrees_with_a_btree_map and alloc_budget's
 # an_answered_lookup_and_a_seen_multicast_hold_nothing —, store_pin,
@@ -28,7 +28,7 @@
 # lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's thirteen rules: the DHT provider
+# no `.txt.new`; the layering guard's fourteen rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -58,7 +58,10 @@
 # in place; and no non-comment line under node/ names `n_nodes`, and
 # `AggUp` appears nowhere under crates/ — a Bloom join's filters and a
 # hierarchical aggregate's groups gather along one combine tree, whose
-# root knows a round is whole by its key-space shares), the
+# root knows a round is whole by its key-space shares; and
+# crates/dht/src/dht.rs calls `store.extract_not_owned` only in `place`,
+# the one placement reaction a location-map change or a stray put marks
+# due for the next tick, and no field of `struct Dht` counts ticks), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

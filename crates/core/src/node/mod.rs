@@ -416,7 +416,7 @@ pub struct PierNode {
 const CANCEL_TOMBSTONES: usize = 512;
 
 // Held per node, per query and per timer: a field that widens them is paid 10^4 times.
-const _: () = assert!(size_of::<PierNode>() == 1024);
+const _: () = assert!(size_of::<PierNode>() == 1008);
 const _: () = assert!(size_of::<QueryInstance>() == 160);
 const _: () = assert!(size_of::<TimerAction>() == 16);
 
@@ -584,7 +584,7 @@ impl PierNode {
                 },
                 DhtEvent::NewData { entry } => self.on_new_data(ctx, entry),
                 DhtEvent::GetResult { token, items } => self.on_get_result(ctx, token, items),
-                DhtEvent::Joined | DhtEvent::LocationMapChanged => {}
+                DhtEvent::LocationMapChanged => {}
             }
         }
         give_back(&UPCALLS, events);

@@ -213,13 +213,6 @@ fn every_variant_keeps_its_wire_size() {
             .wire_size(),
         ),
         (
-            "DhtMsg::MoveItems",
-            DhtMsg::MoveItems {
-                items: two_entries(),
-            }
-            .wire_size(),
-        ),
-        (
             "DhtMsg::Replicate",
             DhtMsg::Replicate {
                 entry: entry(tagged()),

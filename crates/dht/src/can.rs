@@ -505,7 +505,6 @@ impl CanState {
             io.store.store(e);
         }
         self.announce(io);
-        io.events.push(DhtEvent::Joined);
         io.events.push(DhtEvent::LocationMapChanged);
     }
 
@@ -1002,7 +1001,7 @@ mod tests {
         assert_eq!(joiner.zones[..], [b]);
         assert!(joiner.neighbors.contains_key(&0));
         assert_eq!(rig.store.len(), 1);
-        assert!(rig.events.iter().any(|e| matches!(e, DhtEvent::Joined)));
+        assert!(matches!(rig.events[..], [DhtEvent::LocationMapChanged]));
         assert!(rig
             .env
             .sent

@@ -385,7 +385,6 @@ impl ChordState {
             self.succ_last_seen = io.env.now();
             io.send(succ, DhtMsg::Chord(ChordMsg::Notify { ring: self.ring }));
         }
-        io.events.push(DhtEvent::Joined);
         io.events.push(DhtEvent::LocationMapChanged);
     }
 
@@ -407,7 +406,7 @@ impl ChordState {
             self.pred_last_seen = now;
             if changed {
                 // Our owned range shrank: keys in (old_pred, new_pred]
-                // now belong elsewhere (re-homed by the provider sweep).
+                // now belong elsewhere (re-homed by the provider's `place`).
                 events.push(DhtEvent::LocationMapChanged);
             }
         }

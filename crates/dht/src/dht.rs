@@ -111,9 +111,9 @@ pub struct Dht<V> {
     /// The node this one joins the overlay through; `None` creates one.
     pub bootstrap: Option<NodeId>,
     join_sent: Time,
-    tick_count: u64,
-    /// Last anti-entropy pull, for rate limiting repair bursts.
-    last_repair: Time,
+    /// The location map changed, or a put arrived for a key this node
+    /// does not own, since the last [`Self::place`].
+    placement_due: bool,
 }
 
 impl<V: Wire + Clone> Dht<V> {
@@ -151,8 +151,7 @@ impl<V: Wire + Clone> Dht<V> {
             seen_mcast: SmallMap::default(),
             bootstrap: None,
             join_sent: Time::ZERO,
-            tick_count: 0,
-            last_repair: Time::ZERO,
+            placement_due: false,
         }
     }
 
@@ -180,7 +179,7 @@ impl<V: Wire + Clone> Dht<V> {
     }
 
     /// Send (or re-send) the join request; the routing layer reports
-    /// success as a `Joined` upcall when the reply arrives.
+    /// success as a `LocationMapChanged` upcall when the reply arrives.
     fn join_via(&mut self, env: &mut dyn DhtEnv<V>, bootstrap: NodeId) {
         self.join_sent = env.now();
         let events = &mut Vec::new(); // a join request raises no upcall
@@ -493,6 +492,8 @@ impl<V: Wire + Clone> Dht<V> {
                 self.resolve_lookup(env, token, from, events);
             }
             DhtMsg::Put { entry } => {
+                // A lookup that went stale on the way routed it here.
+                self.placement_due |= !self.owns_key(entry.key);
                 self.store_entry(env, entry, events);
             }
             DhtMsg::Get {
@@ -518,14 +519,6 @@ impl<V: Wire + Clone> Dht<V> {
                     });
                 }
             }
-            DhtMsg::MoveItems { items } => {
-                for entry in items {
-                    // Re-homed items were announced at their prior home;
-                    // still fire newData if the instance is new here, so
-                    // probes that raced the move are not lost.
-                    self.store_entry(env, entry, events);
-                }
-            }
             DhtMsg::Replicate { entry } => {
                 if self.cfg.replication > 1 {
                     // Standby copy: no newData, no onward fan-out, and a
@@ -549,29 +542,25 @@ impl<V: Wire + Clone> Dht<V> {
                 }
             }
             DhtMsg::RepairReply { items } => {
-                let now = env.now();
                 for entry in items {
-                    // Only adopt items we own *now* — the responder
+                    // Only adopt items we own *now*: the responder
                     // answered against our advertised scope, but routing
                     // may have shifted again while the reply was in
-                    // flight, and a stale copy must not regress a renewal
-                    // that already reached us directly.
-                    if entry.expires > now && self.owns_key(entry.key) {
-                        match self.store.store_no_regress(entry.clone()) {
-                            Some(true) => {
-                                self.replicate(env, &entry, events);
-                                if env.wants_new_data(entry.ns) {
-                                    events.push(DhtEvent::NewData { entry });
-                                }
-                            }
-                            Some(false) => self.replicate(env, &entry, events),
-                            None => {}
-                        }
+                    // flight.
+                    if self.owns_key(entry.key) {
+                        self.adopt(env, entry, events);
                     }
                 }
             }
         }
-        self.maybe_repair(env, before, events);
+        self.note_map_change(&events[before..]);
+    }
+
+    /// Mark placement due if `raised` holds a location-map change.
+    fn note_map_change(&mut self, raised: &[DhtEvent<V>]) {
+        self.placement_due |= raised
+            .iter()
+            .any(|e| matches!(e, DhtEvent::LocationMapChanged));
     }
 
     /// Handle a host timer. Returns `true` if the token belonged to the
@@ -585,40 +574,30 @@ impl<V: Wire + Clone> Dht<V> {
         if token != DHT_TICK_TOKEN {
             return false;
         }
-        let before = events.len();
         self.tick(env, events);
-        self.maybe_repair(env, before, events);
         env.timer(self.cfg.tick, DHT_TICK_TOKEN);
         true
     }
 
-    /// Anti-entropy: if the dispatch that just ran changed this node's
-    /// ownership region (takeover claim, zone absorption, predecessor
-    /// loss, successor promotion — all signalled by
-    /// [`DhtEvent::LocationMapChanged`]), promote matching local replica
-    /// copies to primary and pull the rest of the newly owned region
-    /// from the likely replica holders. This is how rehash/stage/mini
-    /// soft state heals without waiting for the next renewal round.
-    fn maybe_repair(
-        &mut self,
-        env: &mut dyn DhtEnv<V>,
-        before: usize,
-        events: &mut Vec<DhtEvent<V>>,
-    ) {
+    /// The placement reaction, run by the tick once a dispatch raised
+    /// `LocationMapChanged` (Table 1's `locationMapChange`) or a put
+    /// arrived for a key this node does not own: re-home every stored
+    /// item this node no longer owns, then, at k > 1, promote matching
+    /// replica copies, reseed the replica set and pull the rest of the
+    /// owned region from the likely replica holders. Soft state heals
+    /// so without waiting for the next renewal round; changes between
+    /// two ticks are handled together, never dropped.
+    fn place(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
+        if self.is_joined() && !self.store.is_empty() {
+            let overlay = &self.overlay;
+            for entry in self.store.extract_not_owned(|k| overlay.owns(k)) {
+                let key = entry.key;
+                self.lookup(env, key, Pending::Put(entry), events);
+            }
+        }
         if self.cfg.replication <= 1 {
             return;
         }
-        if !events[before..]
-            .iter()
-            .any(|e| matches!(e, DhtEvent::LocationMapChanged))
-        {
-            return;
-        }
-        let now = env.now();
-        if self.last_repair != Time::ZERO && now.since(self.last_repair) < self.cfg.tick {
-            return;
-        }
-        self.last_repair = now;
         self.promote_replicas(env, events);
         self.reseed_replicas(env, events);
         let scope = self.overlay.repair_scope();
@@ -633,23 +612,32 @@ impl<V: Wire + Clone> Dht<V> {
     }
 
     /// Move replica-held items whose key this node now owns into the
-    /// primary store (firing `newData` for instances new here — the
-    /// self-serve half of repair: under the successor/neighbor placement
-    /// rule, the node absorbing a dead peer's region usually *is* one of
-    /// its replicas).
+    /// primary store (the self-serve half of repair: under the
+    /// successor/neighbor placement rule, the node absorbing a dead
+    /// peer's region usually *is* one of its replicas).
     fn promote_replicas(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
-        let now = env.now();
         let overlay = &self.overlay;
-        let promoted = self.replicas.extract_not_owned(|k| !overlay.owns(k));
-        for entry in promoted {
-            if entry.expires > now {
-                self.replicate(env, &entry, events);
-                if self.store.store_no_regress(entry.clone()) == Some(true)
-                    && env.wants_new_data(entry.ns)
-                {
-                    events.push(DhtEvent::NewData { entry });
-                }
-            }
+        for entry in self.replicas.extract_not_owned(|k| !overlay.owns(k)) {
+            self.adopt(env, entry, events);
+        }
+    }
+
+    /// Take a live copy of an item this node owns, from a repair reply
+    /// or its own replica store, into the primary store. It never
+    /// shortens the lifetime already held here: a late copy, or one
+    /// pulled from a peer that missed a renewal, is skipped. What is
+    /// stored is fanned out to the replica set, and raises `newData`
+    /// when the instance is new here.
+    fn adopt(&mut self, env: &mut dyn DhtEnv<V>, entry: Entry<V>, events: &mut Vec<DhtEvent<V>>) {
+        if entry.expires <= env.now() {
+            return;
+        }
+        let Some(is_new) = self.store.store_no_regress(entry.clone()) else {
+            return;
+        };
+        self.replicate(env, &entry, events);
+        if is_new && env.wants_new_data(entry.ns) {
+            events.push(DhtEvent::NewData { entry });
         }
     }
 
@@ -674,11 +662,14 @@ impl<V: Wire + Clone> Dht<V> {
     }
 
     /// Periodic work: overlay maintenance, soft-state expiry, lookup
-    /// retries, re-homing, join retry.
+    /// retries, join retry, and last the placement reaction when it is
+    /// due — so a failure the overlay detects here is repaired in the
+    /// same tick.
     fn tick(&mut self, env: &mut dyn DhtEnv<V>, events: &mut Vec<DhtEvent<V>>) {
-        self.tick_count += 1;
         let now = env.now();
+        let before = events.len();
         self.overlay.tick(lend!(self, env, events), &self.cfg);
+        self.note_map_change(&events[before..]);
         self.store.sweep_expired(now);
         if self.cfg.replication > 1 {
             // Replica copies age out exactly like primaries: a replica
@@ -735,18 +726,8 @@ impl<V: Wire + Clone> Dht<V> {
             self.seen_mcast.retain(|_, t| now.since(*t) < horizon);
         }
 
-        // Re-home items we no longer own (every few ticks): the
-        // self-healing that follows overlay churn.
-        if self.cfg.maintenance
-            && self.is_joined()
-            && self.tick_count.is_multiple_of(4)
-            && !self.store.is_empty()
-        {
-            let overlay = &self.overlay;
-            for entry in self.store.extract_not_owned(|k| overlay.owns(k)) {
-                let key = entry.key;
-                self.lookup(env, key, Pending::Put(entry), events);
-            }
+        if std::mem::take(&mut self.placement_due) {
+            self.place(env, events);
         }
     }
 }
@@ -794,6 +775,20 @@ mod tests {
     ) {
         env.now = at;
         dht.handle_timer(env, DHT_TICK_TOKEN, events);
+    }
+
+    /// Node `id` joins a Chord ring through `pred`, whose successor owns
+    /// `id`'s ring position: the notify it then sends that successor.
+    fn a_joiners_notify(pred: &mut Dht<Vec<u8>>, id: NodeId) -> (NodeId, DhtMsg<Vec<u8>>) {
+        let (mut joiner, events) = (Dht::new(pred.cfg.clone(), id), &mut Vec::new());
+        let (mut env, mut at_pred) = (RecordingEnv::new(id), RecordingEnv::new(pred.me));
+        joiner.start(&mut env, Some(pred.me));
+        let (_, find) = env.sent.pop().expect("a join request");
+        pred.handle_message(&mut at_pred, id, find, events);
+        let (_, found) = at_pred.sent.pop().expect("the joiner's successor");
+        env.sent.clear();
+        joiner.handle_message(&mut env, pred.me, found, events);
+        env.sent.swap_remove(0)
     }
 
     /// `events` is exactly one empty answer to the caller's `token`.
@@ -895,5 +890,80 @@ mod tests {
             "{events:?}"
         );
         assert!(dht.pending.is_empty());
+    }
+
+    /// Two location-map changes less than one tick apart are repaired
+    /// together at the next tick, for the map after the second: two
+    /// nodes join just behind node 0 of a Chord ring at k = 2, 100 ms
+    /// apart, and node 0 asks its replica holders for the range it owns
+    /// after both.
+    #[test]
+    fn two_map_changes_within_a_tick_are_repaired_for_the_second() {
+        let cfg = DhtConfig::static_network()
+            .with_overlay(crate::OverlayKind::Chord)
+            .with_replication(2);
+        let mut nodes: Vec<_> = Dht::<Vec<u8>>::stabilized(16, &cfg).collect();
+        let ring = |id| ChordState::new(id).ring;
+        let chord = nodes[0].chord().expect("a Chord node");
+        let (me, (pring, pred)) = (chord.ring, chord.predecessor.expect("stabilized"));
+        // Two ids between node 0's predecessor and node 0, the nearer last.
+        let behind = |id: &NodeId| ring(*id).wrapping_sub(pring);
+        let inside = |id: &NodeId| (1..me.wrapping_sub(pring)).contains(&behind(id));
+        let mut joiners: Vec<NodeId> = (16..).filter(inside).take(2).collect();
+        joiners.sort_by_key(behind);
+        let notifies: Vec<_> = joiners
+            .iter()
+            .map(|&id| a_joiners_notify(&mut nodes[pred as usize], id))
+            .collect();
+
+        let dht = &mut nodes[0];
+        let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
+        for (i, ((to, notify), &from)) in notifies.into_iter().zip(&joiners).enumerate() {
+            assert_eq!(to, 0, "the joiner's successor is node 0");
+            env.now = Time::ZERO + Dur::from_secs(10) + Dur::from_millis(100 * i as u64);
+            dht.handle_message(&mut env, from, notify, events);
+        }
+        let nearer = joiners[1];
+        let pred_now = dht.chord().and_then(|c| c.predecessor);
+        assert_eq!(pred_now, Some((ring(nearer), nearer)));
+        let scope = format!("{:?}", dht.overlay.repair_scope());
+
+        let next = env.now + dht.cfg.tick;
+        tick_at(dht, &mut env, next, events);
+        let asked = env.sent.iter().filter(
+            |(_, m)| matches!(m, DhtMsg::RepairRequest { scope: s } if format!("{s:?}") == scope),
+        );
+        assert!(asked.count() > 0, "no repair for {scope}: {:?}", env.sent);
+    }
+
+    /// A put that a stale lookup routed to a node that does not own its
+    /// key is re-homed at the next tick, maintenance off too: a lookup
+    /// for it leaves, and the store lets it go.
+    #[test]
+    fn a_put_for_a_key_this_node_does_not_own_is_re_homed_at_the_next_tick() {
+        let (mut dht, rid, owner) = a_forwarded_key();
+        let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
+        let key = key_of(7, rid);
+        let (iid, expires, val) = (3, Time::MAX, vec![1]);
+        let entry = Entry {
+            ns: 7,
+            rid,
+            iid,
+            key,
+            expires,
+            val,
+        };
+        dht.handle_message(&mut env, owner, DhtMsg::Put { entry }, events);
+        assert_eq!(dht.store.len(), 1, "stored where it arrived");
+        assert!(env.sent.is_empty());
+
+        let tick = dht.cfg.tick;
+        tick_at(&mut dht, &mut env, Time::ZERO + tick, events);
+        assert!(dht.store.is_empty(), "re-homed");
+        let put = dht.pending.iter();
+        let put = put.filter(|(_, p)| p.key == key && matches!(p.op, Pending::Put(_)));
+        assert_eq!(put.count(), 1);
+        let lookups = env.sent.iter().filter(|(_, m)| matches!(m, DhtMsg::Can(_)));
+        assert_eq!(lookups.count(), 1, "one lookup left");
     }
 }

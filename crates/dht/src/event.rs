@@ -10,8 +10,6 @@ use pier_simnet::NodeId;
 /// An upcall from the DHT layer.
 #[derive(Clone, Debug)]
 pub enum DhtEvent<V> {
-    /// This node completed its overlay join.
-    Joined,
     /// The set of keys mapped to this node changed (Table 1's
     /// `locationMapChange` callback).
     LocationMapChanged,

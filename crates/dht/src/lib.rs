@@ -81,10 +81,11 @@ pub struct DhtConfig {
     pub keepalive: Dur,
     /// Silence after which a neighbor is declared dead (paper: 15 s).
     pub fail_after: Dur,
-    /// Master switch for background upkeep: heartbeats, failure
-    /// detection, re-homing of stored items whose keys this node no
-    /// longer owns. Experiments on stabilized static networks turn it
-    /// off to isolate query traffic.
+    /// Master switch for overlay upkeep: heartbeats, stabilization and
+    /// failure detection. Experiments on stabilized static networks turn
+    /// it off to isolate query traffic. Re-homing is not upkeep: it
+    /// follows a location-map change, or a put for a key this node does
+    /// not own, either way.
     pub maintenance: bool,
     /// Soft-state replication factor: total live copies per item (the
     /// primary plus `replication - 1` replicas at neighboring zones /
@@ -110,8 +111,9 @@ impl Default for DhtConfig {
 }
 
 impl DhtConfig {
-    /// Static-network profile: no heartbeats, no re-homing — used by the
-    /// traffic/latency experiments on stabilized overlays.
+    /// Static-network profile: no heartbeats, no stabilization, no
+    /// failure detection — used by the traffic/latency experiments on
+    /// stabilized overlays.
     pub fn static_network() -> Self {
         DhtConfig {
             maintenance: false,

@@ -193,10 +193,6 @@ pub enum DhtMsg<V> {
         token: u64,
         items: Vec<Entry<V>>,
     },
-    /// Bulk re-partitioning transfer (zone handoff / re-homing).
-    MoveItems {
-        items: Vec<Entry<V>>,
-    },
     /// Replica copy fanned out by the key's primary owner (`k > 1`).
     /// Stored in the receiver's replica store; never fires `newData`.
     Replicate {
@@ -278,7 +274,6 @@ impl<V: Wire> Wire for DhtMsg<V> {
                 DhtMsg::GetReply { items, .. } => {
                     8 + items.iter().map(Entry::body_size).sum::<usize>()
                 }
-                DhtMsg::MoveItems { items } => items.iter().map(Entry::body_size).sum::<usize>(),
                 DhtMsg::Replicate { entry } => entry.body_size(),
                 DhtMsg::RepairRequest { scope } => scope.wire_size(),
                 DhtMsg::RepairReply { items } => items.iter().map(Entry::body_size).sum::<usize>(),

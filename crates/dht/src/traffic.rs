@@ -53,10 +53,7 @@ impl TrafficMeter {
                     self.maintenance += bytes;
                 }
             }
-            DhtMsg::Put { .. }
-            | DhtMsg::Get { .. }
-            | DhtMsg::GetReply { .. }
-            | DhtMsg::MoveItems { .. } => {
+            DhtMsg::Put { .. } | DhtMsg::Get { .. } | DhtMsg::GetReply { .. } => {
                 self.data += bytes;
             }
             DhtMsg::Replicate { .. }
