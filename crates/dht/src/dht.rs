@@ -492,7 +492,7 @@ impl<V: Wire + Clone> Dht<V> {
                 self.resolve_lookup(env, token, from, events);
             }
             DhtMsg::Put { entry } => {
-                // A lookup that went stale on the way routed it here.
+                // A stale lookup sent it here; the next tick re-homes it.
                 self.placement_due |= !self.owns_key(entry.key);
                 self.store_entry(env, entry, events);
             }
@@ -778,7 +778,8 @@ mod tests {
     }
 
     /// Node `id` joins a Chord ring through `pred`, whose successor owns
-    /// `id`'s ring position: the notify it then sends that successor.
+    /// `id`'s ring position: the first message it sends once in, its
+    /// notify to that successor.
     fn a_joiners_notify(pred: &mut Dht<Vec<u8>>, id: NodeId) -> (NodeId, DhtMsg<Vec<u8>>) {
         let (mut joiner, events) = (Dht::new(pred.cfg.clone(), id), &mut Vec::new());
         let (mut env, mut at_pred) = (RecordingEnv::new(id), RecordingEnv::new(pred.me));
@@ -788,7 +789,7 @@ mod tests {
         let (_, found) = at_pred.sent.pop().expect("the joiner's successor");
         env.sent.clear();
         joiner.handle_message(&mut env, pred.me, found, events);
-        env.sent.swap_remove(0)
+        env.sent.remove(0)
     }
 
     /// `events` is exactly one empty answer to the caller's `token`.
