@@ -96,11 +96,11 @@
 #    ids, sending one `AggUp` message per group.
 # 14. One placement reaction. Outside its test module, crates/dht/src/dht.rs
 #    calls `store.extract_not_owned` exactly once, in `place`, which the
-#    tick runs when a location-map change or a stray put marked it due,
-#    and no field of `struct Dht` counts ticks. The provider once walked
-#    its whole store every fourth tick (`tick_count`), only with
-#    maintenance on, while a separate repair reacted to the map change
-#    under a throttle that dropped a second change within one tick.
+#    tick runs when a location-map change, or an item stored for a key
+#    the node does not own, marked it due. The provider once walked its
+#    whole store every fourth tick (`tick_count`), only with maintenance
+#    on, while a separate repair reacted to the map change under a
+#    throttle that dropped a second change within one tick.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -252,12 +252,9 @@ rehomes=$(awk 'FNR == 1 { test = 0; fn = "" } /^#\[cfg\(test\)\]/ { test = 1 }
     !test && !/^[[:space:]]*\/\// && /store\.extract_not_owned\(/ {
         print FILENAME ":" FNR ": in " fn ": " $0
     }' "$FILE")
-counters=$(awk '/^pub struct Dht</ { inside = 1; next } inside && /^}/ { inside = 0 }
-    inside && !/^[[:space:]]*\/\// && /tick[a-z_]*:[[:space:]]*(u|i)(8|16|32|64|size)/ { print FILENAME ":" FNR ": " $0 }' "$FILE")
-if [ "$(echo -n "$rehomes" | grep -c '')" -ne 1 ] || ! echo "$rehomes" | grep -q ": in place: " || [ -n "$counters" ]; then
-    echo "layering guard: $FILE re-homes stored items outside place, or not exactly once, or counts ticks — mark placement due (a LocationMapChanged, a put for a key not owned) and let the tick run Dht::place" >&2
+if [ "$(echo -n "$rehomes" | grep -c '')" -ne 1 ] || ! echo "$rehomes" | grep -q ": in place: "; then
+    echo "layering guard: $FILE re-homes stored items outside place, or not exactly once — mark placement due (a LocationMapChanged, an item stored for a key not owned) and let the tick run Dht::place" >&2
     echo "$rehomes" >&2
-    [ -z "$counters" ] || echo "$counters" >&2
     status=1
 fi
 
@@ -270,6 +267,6 @@ if [ -n "$counts$aggups" ]; then
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app; no node reads n_nodes and no AggUp climbs a tree; $FILE re-homes only in place and counts no ticks)"
+    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app; no node reads n_nodes and no AggUp climbs a tree; $FILE re-homes only in place)"
 fi
 exit "$status"

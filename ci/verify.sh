@@ -60,8 +60,8 @@
 # hierarchical aggregate's groups gather along one combine tree, whose
 # root knows a round is whole by its key-space shares; and
 # crates/dht/src/dht.rs calls `store.extract_not_owned` only in `place`,
-# the one placement reaction a location-map change or a stray put marks
-# due for the next tick, and no field of `struct Dht` counts ticks), the
+# the one placement reaction that a location-map change, or an item
+# stored for a key the node does not own, marks due for the next tick), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

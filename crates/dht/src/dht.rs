@@ -111,8 +111,8 @@ pub struct Dht<V> {
     /// The node this one joins the overlay through; `None` creates one.
     pub bootstrap: Option<NodeId>,
     join_sent: Time,
-    /// The location map changed, or a put arrived for a key this node
-    /// does not own, since the last [`Self::place`].
+    /// The location map changed, or an item was stored for a key this
+    /// node does not own, since the last [`Self::place`].
     placement_due: bool,
 }
 
@@ -325,9 +325,15 @@ impl<V: Wire + Clone> Dht<V> {
         entry: Entry<V>,
         events: &mut Vec<DhtEvent<V>>,
     ) {
+        // A lookup resolved here on a stale answer: on Chord, a
+        // predecessor that has not yet heard of a joiner names this node.
+        // The next tick looks the owner up again, and the owner raises
+        // `newData` when the item arrives.
+        let owned = self.owns_key(entry.key);
+        self.placement_due |= !owned;
         self.replicate(env, &entry, events);
         if let Some(stored) = self.store.store_new(entry) {
-            if env.wants_new_data(stored.ns) {
+            if owned && env.wants_new_data(stored.ns) {
                 events.push(DhtEvent::NewData {
                     entry: stored.clone(),
                 });
@@ -491,11 +497,11 @@ impl<V: Wire + Clone> Dht<V> {
             DhtMsg::LookupReply { token, .. } => {
                 self.resolve_lookup(env, token, from, events);
             }
-            DhtMsg::Put { entry } => {
-                // A stale lookup sent it here; the next tick re-homes it.
-                self.placement_due |= !self.owns_key(entry.key);
+            DhtMsg::Put { entry } if self.owns_key(entry.key) => {
                 self.store_entry(env, entry, events);
             }
+            // A stale lookup sent it here: look its owner up again.
+            DhtMsg::Put { entry } => self.lookup(env, entry.key, Pending::Put(entry), events),
             DhtMsg::Get {
                 ns,
                 rid,
@@ -580,8 +586,8 @@ impl<V: Wire + Clone> Dht<V> {
     }
 
     /// The placement reaction, run by the tick once a dispatch raised
-    /// `LocationMapChanged` (Table 1's `locationMapChange`) or a put
-    /// arrived for a key this node does not own: re-home every stored
+    /// `LocationMapChanged` (Table 1's `locationMapChange`) or an item
+    /// was stored for a key this node does not own: re-home every stored
     /// item this node no longer owns, then, at k > 1, promote matching
     /// replica copies, reseed the replica set and pull the rest of the
     /// owned region from the likely replica holders. Soft state heals
@@ -938,10 +944,10 @@ mod tests {
     }
 
     /// A put that a stale lookup routed to a node that does not own its
-    /// key is re-homed at the next tick, maintenance off too: a lookup
-    /// for it leaves, and the store lets it go.
+    /// key is sent on at once, maintenance off too: a lookup for it
+    /// leaves, and the node neither stores it nor raises `newData`.
     #[test]
-    fn a_put_for_a_key_this_node_does_not_own_is_re_homed_at_the_next_tick() {
+    fn a_put_for_a_key_this_node_does_not_own_is_sent_on_at_once() {
         let (mut dht, rid, owner) = a_forwarded_key();
         let (mut env, events) = (RecordingEnv::new(0), &mut Vec::new());
         let key = key_of(7, rid);
@@ -955,16 +961,102 @@ mod tests {
             val,
         };
         dht.handle_message(&mut env, owner, DhtMsg::Put { entry }, events);
-        assert_eq!(dht.store.len(), 1, "stored where it arrived");
-        assert!(env.sent.is_empty());
-
-        let tick = dht.cfg.tick;
-        tick_at(&mut dht, &mut env, Time::ZERO + tick, events);
-        assert!(dht.store.is_empty(), "re-homed");
+        assert!(events.is_empty(), "no newData here: {events:?}");
+        assert!(dht.store.is_empty(), "not stored here");
         let put = dht.pending.iter();
         let put = put.filter(|(_, p)| p.key == key && matches!(p.op, Pending::Put(_)));
         assert_eq!(put.count(), 1);
         let lookups = env.sent.iter().filter(|(_, m)| matches!(m, DhtMsg::Can(_)));
         assert_eq!(lookups.count(), 1, "one lookup left");
+    }
+
+    /// On Chord, a node that re-homes an item after a joiner's notify
+    /// may have its lookup answered by a predecessor that has not yet
+    /// heard of the joiner, and that answer names the node itself. The
+    /// item is stored here again, and a later tick looks its owner up
+    /// once more: once the predecessor has stabilized, the item goes to
+    /// the joiner.
+    #[test]
+    fn an_item_a_stale_lookup_resolves_here_is_re_homed_at_a_later_tick() {
+        let cfg = DhtConfig::static_network().with_overlay(crate::OverlayKind::Chord);
+        let mut nodes: Vec<_> = Dht::<Vec<u8>>::stabilized(16, &cfg).collect();
+        let ring = |id| ChordState::new(id).ring;
+        let chord = nodes[0].chord().expect("a Chord node");
+        let (me, (pring, pred)) = (chord.ring, chord.predecessor.expect("stabilized"));
+        let inside =
+            |id: &NodeId| (1..me.wrapping_sub(pring)).contains(&ring(*id).wrapping_sub(pring));
+        let joiner = (16..).find(inside).unwrap();
+        let (to, notify) = a_joiners_notify(&mut nodes[pred as usize], joiner);
+        assert_eq!(to, 0, "the joiner's successor is node 0");
+        let (mut env, mut at_pred) = (RecordingEnv::new(0), RecordingEnv::new(pred));
+        let events = &mut Vec::new();
+        env.now = Time::ZERO + Dur::from_secs(10);
+        nodes[0].handle_message(&mut env, joiner, notify, events);
+
+        // An item node 0 held, whose key the joiner now owns, and which
+        // the predecessor still names node 0 for.
+        let stale = |rid: &Rid| {
+            let key = key_of(7, *rid);
+            let step = nodes[pred as usize]
+                .overlay
+                .lookup_step::<Vec<u8>>(key, 1, pred);
+            !nodes[0].owns_key(key) && matches!(step, LookupStep::Owner(0))
+        };
+        let rid = (0..).find(stale).unwrap();
+        let key = key_of(7, rid);
+        let (iid, expires, val) = (3, Time::MAX, vec![1]);
+        let entry = Entry {
+            ns: 7,
+            rid,
+            iid,
+            key,
+            expires,
+            val,
+        };
+        nodes[0].store.store_new(entry);
+
+        // One round: node 0 ticks, its lookup is handed to the
+        // predecessor, and the predecessor's answer comes back. Returns
+        // the upcalls node 0 raised.
+        let round = |nodes: &mut [Dht<Vec<u8>>], env: &mut RecordingEnv<Vec<u8>>, at| {
+            let (mut at_pred, mut events) = (RecordingEnv::new(pred), Vec::new());
+            let events = &mut events;
+            env.sent.clear();
+            tick_at(&mut nodes[0], env, at, events);
+            let (_, find) = env.sent.pop().expect("a lookup left node 0");
+            assert!(env.sent.is_empty(), "{:?}", env.sent);
+            at_pred.now = at;
+            nodes[pred as usize].handle_message(&mut at_pred, 0, find, events);
+            let (_, found) = at_pred.sent.pop().expect("the predecessor answered");
+            nodes[0].handle_message(env, pred, found, events);
+            std::mem::take(events)
+        };
+        let tick = cfg.tick;
+        let raised = round(&mut nodes, &mut env, Time::ZERO + Dur::from_secs(10) + tick);
+        assert_eq!(nodes[0].store.len(), 1, "stored here again");
+        assert!(env.sent.is_empty(), "{:?}", env.sent);
+        assert!(
+            raised.is_empty(),
+            "no newData at a node that does not own it: {raised:?}"
+        );
+
+        // The predecessor stabilizes: its successor tells it of the joiner.
+        let p = &mut nodes[pred as usize];
+        p.cfg.maintenance = true;
+        tick_at(p, &mut at_pred, Time::ZERO + Dur::from_secs(11), events);
+        let (_, probe) = at_pred.sent.remove(0);
+        nodes[0].handle_message(&mut env, pred, probe, events);
+        let (_, neighborhood) = env.sent.pop().expect("node 0's neighborhood");
+        let p = &mut nodes[pred as usize];
+        p.handle_message(&mut at_pred, 0, neighborhood, events);
+        let succ = p.chord().and_then(|c| c.successor());
+        assert_eq!(succ, Some((ring(joiner), joiner)));
+        p.cfg.maintenance = false;
+
+        round(&mut nodes, &mut env, Time::ZERO + Dur::from_secs(11) + tick);
+        assert!(nodes[0].store.is_empty(), "re-homed");
+        let puts = env.sent.iter();
+        let puts = puts.filter(|(to, m)| *to == joiner && matches!(m, DhtMsg::Put { .. }));
+        assert_eq!(puts.count(), 1, "{:?}", env.sent);
     }
 }

@@ -84,8 +84,8 @@ pub struct DhtConfig {
     /// Master switch for overlay upkeep: heartbeats, stabilization and
     /// failure detection. Experiments on stabilized static networks turn
     /// it off to isolate query traffic. Re-homing is not upkeep: it
-    /// follows a location-map change, or a put for a key this node does
-    /// not own, either way.
+    /// follows a location-map change, or an item stored for a key this
+    /// node does not own, either way.
     pub maintenance: bool,
     /// Soft-state replication factor: total live copies per item (the
     /// primary plus `replication - 1` replicas at neighboring zones /
