@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Layering guard, fourteen rules. Comment lines are not checked: prose may
+# Layering guard, fifteen rules. Comment lines are not checked: prose may
 # name what code may not.
 #
 # 1. The provider does not know its overlay. crates/dht/src/dht.rs is the
@@ -101,6 +101,15 @@
 #    whole store every fourth tick (`tick_count`), only with maintenance
 #    on, while a separate repair reacted to the map change under a
 #    throttle that dropped a second change within one tick.
+# 15. A node holds a string once. Under crates/core/src/node/, above each
+#    file's test module, a value read in place becomes an owned one
+#    (`.to_value()`, a column's `.value(`) only in node/shared.rs, the
+#    node's table of shared strings and group keys, which a new group's
+#    key (`agg::fold`), a join value (`rehash_table`, `advance`,
+#    `semi_rehash`) and a mini's primary key take their values from.
+#    Each of those copied its strings out of the row, and every group
+#    built its own key: once per query and per epoch, for the same few
+#    values.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -258,6 +267,17 @@ if [ "$(echo -n "$rehomes" | grep -c '')" -ne 1 ] || ! echo "$rehomes" | grep -q
     status=1
 fi
 
+TABLE=$NODE/shared.rs
+copies=$(awk -v allowed="$TABLE" 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && !/^[[:space:]]*\/\// && /\.(to_value\(\)|value\()/ && FILENAME != allowed {
+        print FILENAME ":" FNR ": " $0
+    }' "$NODE"/*.rs)
+if [ -n "$copies" ]; then
+    echo "layering guard: $NODE copies a value out of a row outside $TABLE — take it from the node's shared values (SharedValues::share, ::share_key), which hold each string and group key once" >&2
+    echo "$copies" >&2
+    status=1
+fi
+
 counts=$(grep -rnw 'n_nodes' "$NODE" --include='*.rs' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 aggups=$(grep -rnw 'AggUp' crates --include='*.rs' || true)
 if [ -n "$counts$aggups" ]; then
@@ -267,6 +287,6 @@ if [ -n "$counts$aggups" ]; then
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app; no node reads n_nodes and no AggUp climbs a tree; $FILE re-homes only in place)"
+    echo "layering guard: OK ($FILE is overlay-agnostic and keeps its tables in SmallMaps; $NODE reads the certified plan, drains its upcall lists and encodes rows alone only at its one-row sites, builds a tuple only in $TUPLE_SITE, walks a bucket only in $PROBE_SITE and arms timers only in $TIMER_SITES, copies accumulators only in agg.rs's $COW_SITES, tests a base row only in for_each_live and fetch.rs's completions; $TENANT holds no per-query state; $SIMNET builds a Ctx only in with_app; no node reads n_nodes and no AggUp climbs a tree; $FILE re-homes only in place; $NODE copies a value out of a row only in $TABLE)"
 fi
 exit "$status"

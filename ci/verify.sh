@@ -10,7 +10,9 @@
 # alloc_budget's an_arriving_row_costs_what_it_did —, the abandoned-get and placement tests — `-p pier_dht --lib dht::tests`
 # and `-p pier_core --test lifecycle abandoned_gets` —, the small
 # tables — small_map's agrees_with_a_btree_map and alloc_budget's
-# an_answered_lookup_and_a_seen_multicast_hold_nothing —, store_pin,
+# an_answered_lookup_and_a_seen_multicast_hold_nothing —, the shared
+# strings — node::shared's unit tests and alloc_budget's
+# tenants_of_one_fingerprint_share_the_group_key_they_fold —, store_pin,
 # geom_pin with overlay_pin (the bootstrap and the churned overlay) and
 # alloc_budget's keepalive, resting_overlay and small_join,
 # registry_pin, result_log_pin with alloc_budget's
@@ -28,7 +30,7 @@
 # lints, the
 # four source guards (the pin guard: every tests/pins/<stem>/<name>.txt
 # is named by `"<name>"` in its crate's tests/<stem>.rs, and git tracks
-# no `.txt.new`; the layering guard's fourteen rules: the DHT provider
+# no `.txt.new`; the layering guard's fifteen rules: the DHT provider
 # names no overlay internals; no code under crates/core/src/node/ names
 # `PipelineSchema::new` or calls `.check()` on a descriptor — a node
 # reads the plan `QueryDesc::certified` compiled once per query; no
@@ -61,7 +63,10 @@
 # root knows a round is whole by its key-space shares; and
 # crates/dht/src/dht.rs calls `store.extract_not_owned` only in `place`,
 # the one placement reaction that a location-map change, or an item
-# stored for a key the node does not own, marks due for the next tick), the
+# stored for a key the node does not own, marks due for the next tick;
+# and under node/ `.to_value()` and a column's `.value(` appear only in
+# shared.rs — a node holds each string and group key it copies out of a
+# row once), the
 # performance ledger's own tests, its join smoke, its
 # 10^4-node smoke and its traced standing-query smoke, the
 # bench-trajectory gate, and every example.

@@ -130,7 +130,14 @@ impl MetricsRegistry {
         let q = QueryMetrics::new(tenant, priced_bytes_per_sec, now);
         match self.find(qid) {
             Ok(at) => self.queries[at].1 = q,
-            Err(at) => self.queries.insert(at, (qid, q)),
+            Err(at) => {
+                // Most nodes install one query: its record costs one
+                // slot, not the four a first push reserves.
+                if self.queries.capacity() == 0 {
+                    self.queries.reserve_exact(1);
+                }
+                self.queries.insert(at, (qid, q))
+            }
         }
     }
 

@@ -11,6 +11,7 @@ use pier_dht::Rid;
 use pier_simnet::app::Ctx;
 use pier_simnet::time::{Dur, Time};
 
+use super::shared::SharedValues;
 use super::{for_each_live, PierNode, QueryInstance, Source, TimerAction};
 pub(super) use crate::agg::Groups;
 use crate::agg::{Accs, AggState, Harvest};
@@ -34,7 +35,7 @@ fn group_rid(group: &[Value]) -> Rid {
 /// `[Value]` orders itself — element by element with `Scalar::cmp`, then
 /// by length — so a borrowed probe finds exactly the group an owned key
 /// would, and the map's order (put order, emission order) is the keys'.
-trait GroupKey {
+pub(super) trait GroupKey {
     fn len(&self) -> usize;
     fn at(&self, i: usize) -> ValRef<'_>;
 }
@@ -98,10 +99,15 @@ thread_local! {
 }
 
 /// Fold one input row, read where it lies, into its group's
-/// accumulators. The group is found by its columns as they lie; only a
-/// group seen for the first time allocates its (from then on shared)
-/// key.
-fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
+/// accumulators. The group is found by its columns as they lie; a group
+/// seen for the first time takes its key from the node's shared values,
+/// where every other query that folded the same group finds it too.
+fn fold<R: Columns + ?Sized>(
+    groups: &mut Groups,
+    values: &mut SharedValues,
+    agg: &AggSpec,
+    row: &R,
+) {
     let key = Select::new(row, &agg.group_cols);
     match groups.get_mut(&key as &dyn GroupKey) {
         Some(accs) => Arc::make_mut(accs).update(&agg.aggs, row),
@@ -110,8 +116,7 @@ fn fold<R: Columns + ?Sized>(groups: &mut Groups, agg: &AggSpec, row: &R) {
             let mut accs: Arc<[AggState]> =
                 agg.aggs.iter().map(|c| AggState::new(c.func)).collect();
             Arc::make_mut(&mut accs).update(&agg.aggs, row);
-            let key = (0..key.arity()).map(|i| key.value(i)).collect();
-            groups.insert(key, accs);
+            groups.insert(values.share_key(&key), accs);
         }
     }
 }
@@ -145,6 +150,7 @@ impl QueryInstance {
     /// totals.
     pub(super) fn accumulate<R: Columns + ?Sized>(
         &mut self,
+        values: &mut SharedValues,
         replicated: bool,
         agg: &AggSpec,
         row: &R,
@@ -159,8 +165,10 @@ impl QueryInstance {
             return;
         }
         match agg.epoch {
-            Some(epoch) if valid_until < Time::MAX => fold(self.pane(epoch, valid_until), agg, row),
-            _ => fold(&mut self.run_groups, agg, row),
+            Some(epoch) if valid_until < Time::MAX => {
+                fold(self.pane(epoch, valid_until), values, agg, row)
+            }
+            _ => fold(&mut self.run_groups, values, agg, row),
         }
     }
 
@@ -239,9 +247,10 @@ impl PierNode {
         let Some(inst) = self.reg.get_mut(desc.qid) else {
             return;
         };
+        let values = &mut self.values;
         for_each_live(&self.dht, scan, from, now, |iid, expires, _, row| {
             let valid = base_valid(desc.tenure.window(), now, expires);
-            inst.accumulate(replicated, agg, &row, valid, iid as u64);
+            inst.accumulate(values, replicated, agg, &row, valid, iid as u64);
         });
     }
 

@@ -98,10 +98,10 @@ impl PierNode {
         let scan = j.table(t);
         let (_, _, join_col) = view.table_role(t);
         // Two passes, as in `rehash_table`.
-        let (mut puts, now) = (take(&BULK_PUTS), ctx.now);
+        let (mut puts, now, values) = (take(&BULK_PUTS), ctx.now, &mut self.values);
         for_each_live(&self.dht, scan, Source::Stored, now, |iid, _, _, row| {
-            let join = row.get(join_col).to_value();
-            let pkey = row.get(scan.pkey_col).to_value();
+            let join = values.share(row.get(join_col));
+            let pkey = values.share(row.get(scan.pkey_col));
             let rid = Self::rehash_rid(&join, j.computation_nodes);
             let item = QpItem::Mini {
                 qid,

@@ -22,8 +22,10 @@ mod fetch;
 mod pipeline;
 mod renewal;
 mod service;
+mod shared;
 
 use renewal::SoftPub;
+use shared::SharedValues;
 
 pub use service::{NodeRequest, NodeResponse, PublishReport, Results, ResultsIter};
 
@@ -402,6 +404,9 @@ pub struct PierNode {
     next_token: u64,
     published: Vec<(Dur, SoftPub)>,
     iid_seq: u32,
+    /// Every string and group key the node's queries copied out of a
+    /// row, held once ([`shared`]).
+    values: SharedValues,
     /// Tenancy governance: admission control at install time and
     /// publish-side token buckets ([`crate::tenant`]). Harnesses
     /// configure quotas/rates directly (Sim) or via
@@ -416,7 +421,7 @@ pub struct PierNode {
 const CANCEL_TOMBSTONES: usize = 512;
 
 // Held per node, per query and per timer: a field that widens them is paid 10^4 times.
-const _: () = assert!(size_of::<PierNode>() == 1008);
+const _: () = assert!(size_of::<PierNode>() == 1016);
 const _: () = assert!(size_of::<QueryInstance>() == 160);
 const _: () = assert!(size_of::<TimerAction>() == 16);
 
@@ -443,6 +448,7 @@ impl PierNode {
             next_token: 1,
             published: Vec::new(),
             iid_seq: 0,
+            values: SharedValues::default(),
             governor: TenantGovernor::new(),
             metrics: MetricsRegistry::default(),
         }
@@ -792,7 +798,7 @@ impl PierNode {
                 let valid = desc.tenure.window().map_or(Time::MAX, |_| valid_until);
                 let replicated = self.replicated();
                 if let Some(inst) = self.reg.get_mut(desc.qid) {
-                    inst.accumulate(replicated, agg, &out, valid, ident);
+                    inst.accumulate(&mut self.values, replicated, agg, &out, valid, ident);
                 }
             }
             None => {

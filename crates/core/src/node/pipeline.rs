@@ -57,6 +57,7 @@ impl PierNode {
         // stages the items, their rows encoded into one batch, and
         // `put_rehashed` names and puts them.
         let (mut batch, mut puts) = (RowBatch::default(), take(&BULK_PUTS));
+        let values = &mut self.values;
         for_each_live(&self.dht, j.table(t), from, ctx.now, |iid, _, _, row| {
             let join = row.col(join_col);
             if filter.is_some_and(|f| !f.contains(join.hash64())) {
@@ -64,7 +65,7 @@ impl PierNode {
             }
             let rid = Self::rehash_rid(&join, j.computation_nodes);
             let row = batch.push(&Select::new(&row, keep));
-            let item = Pending::Tagged(qid, side, join.to_value(), row);
+            let item = Pending::Tagged(qid, side, values.share(join), row);
             puts.push((rid, iid, item));
         });
         let ns = qns::stage_of(qid, j.stages.len(), k);
@@ -234,7 +235,7 @@ impl PierNode {
         let item = QpItem::Tagged {
             qid,
             side: Side::Left,
-            join: join.to_value(),
+            join: self.values.share(join),
             row: FlatRow::from_columns(row),
         };
         let ns = qns::stage_of(qid, j.stages.len(), k + 1);
