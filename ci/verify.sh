@@ -3,7 +3,10 @@
 # what every CHANGES.md entry asks to stay green and what CI runs split
 # over its three parallel jobs (.github/workflows/ci.yml): tier-1 build
 # and test (the pins and budgets CI re-runs by name are in it:
-# cross_engine with the engine's delivery_pin, frontend_pin, agg_pin
+# cross_engine with the engine's delivery_pin, the engine's capacity
+# tests — engine::tests' resident_queue_and_slab_follow_the_most_events_in_flight,
+# drained_buckets_hand_their_capacity_on and
+# calendar_queue_pops_in_heap_order —, frontend_pin, agg_pin
 # with harvest_props and alloc_budget's
 # a_harvest_over_many_publishers_copies_nothing, raced_pin, the arrivals —
 # lifecycle's an_expired_arrival_enters_no_standing_query and

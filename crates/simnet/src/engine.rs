@@ -133,86 +133,180 @@ struct EvRef {
 
 const _: () = assert!(std::mem::size_of::<EvRef>() == 24);
 
-/// Pooled event payloads: freed slots are recycled so the steady-state
-/// hot path (timer fires, re-arms; message delivered, reply sent) does
-/// not touch the allocator.
+/// Slots in one [`EventSlab`] chunk. A chunk is the slab's unit of
+/// growth and is never moved or freed, so the slab holds the most events
+/// ever in flight rounded up to one chunk. 1 024 slots make a chunk of
+/// ~150 KB for a 152-byte payload: a 10^4-node run's burst of tens of
+/// thousands of events costs a few dozen allocations, while an engine
+/// that never holds more than a handful of events pays for one chunk.
+const CHUNK: usize = 1_024;
+
+/// An end-of-chain index: no slot, no block.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: an event payload, or a link in the chain of free slots.
+enum SlabSlot<M> {
+    Live(EventKind<M>),
+    Free { next: u32 },
+}
+
+/// Pooled event payloads, in fixed chunks of [`CHUNK`] slots that never
+/// move: a freed slot goes on a free chain and is the next one handed
+/// out (last freed, first reused), and only when no slot is free does
+/// the next new index open, a new chunk at each chunk boundary. So the
+/// steady-state hot path (timer fires, re-arms; message delivered,
+/// reply sent) does not touch the allocator, growth copies nothing, and
+/// resident slots are the most events ever in flight rounded up to one
+/// chunk.
 struct EventSlab<M> {
-    slots: Vec<Option<EventKind<M>>>,
-    free: Vec<u32>,
+    chunks: Vec<Box<[SlabSlot<M>]>>,
+    /// The most recently freed slot, or `NIL`.
+    free: u32,
+    /// Slots ever handed out: the next new index.
+    opened: u32,
+    /// Slots holding a payload.
+    live: usize,
 }
 
 impl<M> EventSlab<M> {
     fn new() -> Self {
         EventSlab {
-            slots: Vec::new(),
-            free: Vec::new(),
+            chunks: Vec::new(),
+            free: NIL,
+            opened: 0,
+            live: 0,
         }
     }
 
+    fn slot_mut(&mut self, i: u32) -> &mut SlabSlot<M> {
+        &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
     fn alloc(&mut self, kind: EventKind<M>) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.slots[i as usize] = Some(kind);
+        self.live += 1;
+        let i = if self.free != NIL {
+            let i = self.free;
+            let SlabSlot::Free { next } = *self.slot_mut(i) else {
+                unreachable!("the free chain holds free slots");
+            };
+            self.free = next;
             i
         } else {
-            self.slots.push(Some(kind));
-            (self.slots.len() - 1) as u32
-        }
+            let i = self.opened;
+            self.opened += 1;
+            if i as usize / CHUNK == self.chunks.len() {
+                let chunk = (0..CHUNK).map(|_| SlabSlot::Free { next: NIL });
+                self.chunks.push(chunk.collect());
+            }
+            i
+        };
+        *self.slot_mut(i) = SlabSlot::Live(kind);
+        i
     }
 
     /// Slots holding a payload.
     fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.live
     }
 
     fn take(&mut self, i: u32) -> EventKind<M> {
-        let kind = self.slots[i as usize].take().expect("slab slot live");
-        self.free.push(i);
+        let next = self.free;
+        let SlabSlot::Live(kind) = std::mem::replace(self.slot_mut(i), SlabSlot::Free { next })
+        else {
+            panic!("slab slot {i} is not live");
+        };
+        self.free = i;
+        self.live -= 1;
         kind
     }
 
     fn get(&self, i: u32) -> &EventKind<M> {
-        self.slots[i as usize].as_ref().expect("slab slot live")
+        match &self.chunks[i as usize / CHUNK][i as usize % CHUNK] {
+            SlabSlot::Live(kind) => kind,
+            SlabSlot::Free { .. } => panic!("slab slot {i} is not live"),
+        }
+    }
+
+    /// Bytes of slots the slab holds, live or free.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        self.chunks.len() * CHUNK * std::mem::size_of::<SlabSlot<M>>()
     }
 }
 
+/// Queue entries in one calendar block. A block is the ring's unit of
+/// storage: a bucket is a chain of blocks, all full but its last, so a
+/// populated bucket leaves at most one block partly empty. 64 entries
+/// (1.5 KB) keep that slack small next to the tens of thousands of
+/// events a 10^4-node tick or a publish burst queues, while a
+/// 10 000-event bucket is a chain of 157 blocks rather than 10 000 links.
+const BLOCK: usize = 64;
+
+/// A fixed-capacity run of queue entries in a bucket's chain, or in the
+/// pool's chain of unused blocks. Its buffer is allocated once with room
+/// for [`BLOCK`] entries and is never grown.
+struct Block {
+    evs: Vec<EvRef>,
+    next: u32,
+}
+
+/// A ring bucket: the first and last of its blocks, `NIL` when empty.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Chain = Chain {
+    head: NIL,
+    tail: NIL,
+};
+
 /// Two-level calendar queue: a ring of 16.4 ms buckets covering the
 /// next ~67 s, plus an overflow heap for events beyond the horizon.
-/// Only the *current* bucket is kept sorted (descending, popped from
-/// the back); other ring buckets are unsorted append targets, so the
-/// common enqueue is O(1) instead of the binary heap's O(log n).
+/// Only the *current* bucket is kept sorted, in its own buffer
+/// (descending, popped from the back); the other ring buckets are
+/// unsorted chains of [`BLOCK`]-entry blocks, so the common enqueue is
+/// an O(1) append instead of the binary heap's O(log n).
 ///
 /// Invariants: every ring event's absolute bucket lies in
-/// `[cursor, cursor + N_BUCKETS)`; every `far` event's bucket lies at
-/// or beyond `cursor + N_BUCKETS`; all buckets below `cursor` are
-/// empty. `peek` is read-only — the cursor commits forward only in
-/// `pop`, so pushes racing a raised wall clock (e.g. after `run_until`
-/// advanced `now` past the last event) still land correctly.
+/// `(cursor, cursor + N_BUCKETS)`, and the cursor's own events are in
+/// `current`; every `far` event's bucket lies at or beyond
+/// `cursor + N_BUCKETS`; all buckets below `cursor` are empty. `peek`
+/// is read-only — the cursor commits forward only in `pop`, so pushes
+/// racing a raised wall clock (e.g. after `run_until` advanced `now`
+/// past the last event) still land correctly.
 ///
-/// Bucket capacity follows the events, not the slots: a slot below the
-/// cursor owns no buffer. An empty slot ahead of the cursor has none
-/// until an event lands in it, and when the cursor leaves a drained
-/// bucket its buffer goes to `spare`, from where the next slot to
-/// receive its first event takes it. Resident capacity is therefore
-/// bounded by the peak number of buckets populated at once, however
-/// many slots a run touches, and a periodic load stops allocating once
-/// its buffers have circulated — whether or not its period is a whole
-/// number of buckets.
+/// Capacity follows the events, not the buckets: every block comes from
+/// one pool, and when the cursor reaches a bucket its entries are copied
+/// into `current` and its blocks go back to the pool. A new block is
+/// made only when the pool is empty, so the blocks resident are those
+/// for the most events ever queued in the ring at once plus one partial
+/// block per populated bucket, and `current` holds the largest bucket
+/// the cursor has reached. Which block an entry sits in cannot show in
+/// the pop order: a bucket is sorted when it becomes current.
 struct CalendarQueue {
-    ring: Vec<Vec<EvRef>>,
-    /// Emptied bucket buffers (capacity kept) awaiting a slot.
-    spare: Vec<Vec<EvRef>>,
+    ring: Vec<Chain>,
+    /// Every block made, each in one bucket's chain or in the pool.
+    blocks: Vec<Block>,
+    /// The pool: the chain of unused blocks.
+    free: u32,
+    /// The cursor's bucket, sorted descending.
+    current: Vec<EvRef>,
     far: BinaryHeap<Reverse<EvRef>>,
-    /// Absolute bucket index of the current (sorted) bucket.
+    /// Absolute bucket index of the current bucket.
     cursor: u64,
-    /// Events resident in the ring (excludes `far`).
+    /// Events in the ring's chains (excludes `current` and `far`).
     ring_len: usize,
 }
 
 impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
-            ring: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
+            ring: vec![EMPTY; N_BUCKETS],
+            blocks: Vec::new(),
+            free: NIL,
+            current: Vec::new(),
             far: BinaryHeap::new(),
             cursor: 0,
             ring_len: 0,
@@ -224,85 +318,105 @@ impl CalendarQueue {
         debug_assert!(b >= self.cursor, "push into the past");
         if b >= self.cursor + N_BUCKETS as u64 {
             self.far.push(Reverse(ev));
-            return;
-        }
-        let current = b == self.cursor;
-        let v = self.bucket_mut(b);
-        if current {
-            // Keep the current bucket sorted descending (pop from back).
-            let idx = v.partition_point(|e| *e > ev);
-            v.insert(idx, ev);
+        } else if b == self.cursor {
+            let idx = self.current.partition_point(|e| *e > ev);
+            self.current.insert(idx, ev);
         } else {
-            v.push(ev);
+            self.append(b, ev);
         }
+    }
+
+    /// Append `ev` to ring bucket `b`'s chain, opening a block from the
+    /// pool when its last one is full — `push` and the overflow refill
+    /// both come through here.
+    fn append(&mut self, b: u64, ev: EvRef) {
+        let slot = (b % N_BUCKETS as u64) as usize;
+        let Chain { tail, .. } = self.ring[slot];
+        if tail == NIL || self.blocks[tail as usize].evs.len() == BLOCK {
+            let id = self.open_block();
+            if tail == NIL {
+                self.ring[slot].head = id;
+            } else {
+                self.blocks[tail as usize].next = id;
+            }
+            self.ring[slot].tail = id;
+        }
+        let block = &mut self.blocks[self.ring[slot].tail as usize];
+        debug_assert!(block.evs.len() < BLOCK);
+        block.evs.push(ev);
         self.ring_len += 1;
     }
 
-    /// The buffer of ring bucket `b`, about to receive an event: a slot
-    /// that owns none takes a spare before it would allocate. Which
-    /// buffer a bucket fills cannot show in the pop order — a bucket is
-    /// sorted when it becomes current.
-    fn bucket_mut(&mut self, b: u64) -> &mut Vec<EvRef> {
-        let v = &mut self.ring[(b % N_BUCKETS as u64) as usize];
-        if v.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                *v = spare;
-            }
+    /// An empty block: the pool's first, or a new one if the pool is dry.
+    fn open_block(&mut self) -> u32 {
+        if self.free == NIL {
+            self.blocks.push(Block {
+                evs: Vec::with_capacity(BLOCK),
+                next: NIL,
+            });
+            return (self.blocks.len() - 1) as u32;
         }
-        v
+        let id = self.free;
+        let block = &mut self.blocks[id as usize];
+        self.free = std::mem::replace(&mut block.next, NIL);
+        id
+    }
+
+    /// The first non-empty ring bucket after the cursor; the ring must
+    /// hold an event.
+    fn next_populated(&self) -> u64 {
+        let mut b = self.cursor + 1;
+        while self.ring[(b % N_BUCKETS as u64) as usize].head == NIL {
+            b += 1;
+        }
+        b
     }
 
     /// Earliest pending event, without moving the cursor.
     fn peek(&self) -> Option<EvRef> {
+        if let Some(&ev) = self.current.last() {
+            return Some(ev);
+        }
         if self.ring_len == 0 {
             return self.far.peek().map(|r| r.0);
         }
-        let mut b = self.cursor;
-        loop {
-            let v = &self.ring[(b % N_BUCKETS as u64) as usize];
-            if !v.is_empty() {
-                return if b == self.cursor {
-                    v.last().copied()
-                } else {
-                    v.iter().min().copied()
-                };
-            }
-            b += 1;
-        }
+        let slot = (self.next_populated() % N_BUCKETS as u64) as usize;
+        let chain = self.chain(self.ring[slot].head);
+        chain.flat_map(|block| &block.evs).min().copied()
+    }
+
+    /// The blocks of the chain that starts at block `id`, in order.
+    fn chain(&self, mut id: u32) -> impl Iterator<Item = &Block> {
+        std::iter::from_fn(move || {
+            let block = (id != NIL).then(|| &self.blocks[id as usize])?;
+            id = block.next;
+            Some(block)
+        })
     }
 
     fn pop(&mut self) -> Option<EvRef> {
-        if self.ring_len == 0 {
-            // Far-jump: the ring is empty, so the earliest overflow
-            // event defines the new current bucket.
-            let Reverse(min) = *self.far.peek()?;
-            self.advance_to(bucket_of(min.at));
-        } else if self.ring[(self.cursor % N_BUCKETS as u64) as usize].is_empty() {
-            let mut b = self.cursor + 1;
-            while self.ring[(b % N_BUCKETS as u64) as usize].is_empty() {
-                b += 1;
+        if self.current.is_empty() {
+            if self.ring_len == 0 {
+                // Far-jump: the ring is empty, so the earliest overflow
+                // event defines the new current bucket.
+                let Reverse(min) = *self.far.peek()?;
+                self.advance_to(bucket_of(min.at));
+            } else {
+                self.advance_to(self.next_populated());
             }
-            self.advance_to(b);
         }
-        let slot = (self.cursor % N_BUCKETS as u64) as usize;
-        let ev = self.ring[slot].pop()?;
-        self.ring_len -= 1;
-        Some(ev)
+        self.current.pop()
     }
 
-    /// Commit the cursor to bucket `b`: refill the ring from the
-    /// overflow heap up to the new horizon, then sort the new current
-    /// bucket. Refilled events land only in slots whose previous
-    /// absolute buckets (all `< b`) are already empty, so no slot ever
-    /// mixes two absolute buckets.
+    /// Commit the cursor to bucket `b`, whose predecessors are all
+    /// drained: refill the ring from the overflow heap up to the new
+    /// horizon, then move bucket `b`'s entries into `current`, sorted,
+    /// and its blocks back to the pool. Refilled events land only in
+    /// slots whose previous absolute buckets (all `< b`) are already
+    /// empty, so no slot ever mixes two absolute buckets.
     fn advance_to(&mut self, b: u64) {
-        debug_assert!(b >= self.cursor);
-        // The cursor only ever leaves a drained bucket: shelve its buffer.
-        let left = std::mem::take(&mut self.ring[(self.cursor % N_BUCKETS as u64) as usize]);
-        debug_assert!(left.is_empty());
-        if left.capacity() > 0 {
-            self.spare.push(left);
-        }
+        debug_assert!(b > self.cursor);
+        debug_assert!(self.current.is_empty());
         self.cursor = b;
         let horizon = self.cursor + N_BUCKETS as u64;
         while self
@@ -311,24 +425,35 @@ impl CalendarQueue {
             .is_some_and(|Reverse(ev)| bucket_of(ev.at) < horizon)
         {
             let Reverse(ev) = self.far.pop().expect("peeked above");
-            self.bucket_mut(bucket_of(ev.at)).push(ev);
-            self.ring_len += 1;
+            self.append(bucket_of(ev.at), ev);
         }
         let slot = (self.cursor % N_BUCKETS as u64) as usize;
-        self.ring[slot].sort_unstable_by(|a, b| b.cmp(a));
+        let mut id = std::mem::replace(&mut self.ring[slot], EMPTY).head;
+        // Room for exactly this bucket, should it be the largest yet.
+        let n = self.chain(id).map(|block| block.evs.len()).sum();
+        self.current.reserve_exact(n);
+        while id != NIL {
+            let block = &mut self.blocks[id as usize];
+            self.ring_len -= block.evs.len();
+            self.current.append(&mut block.evs);
+            let next = std::mem::replace(&mut block.next, self.free);
+            self.free = id;
+            id = next;
+        }
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Events queued, in the ring and beyond its horizon.
+    /// Events queued: current, in the ring and beyond its horizon.
     fn len(&self) -> usize {
-        self.ring_len + self.far.len()
+        self.current.len() + self.ring_len + self.far.len()
     }
 
-    /// Buffers of at least `min` capacity the queue holds, in slots and
-    /// on the spare list alike.
+    /// Bytes of queue entries the queue holds room for: every block,
+    /// `current` and the overflow heap.
     #[cfg(test)]
-    fn resident_buffers(&self, min: usize) -> usize {
-        let all = self.ring.iter().chain(&self.spare);
-        all.filter(|v| v.capacity() >= min).count()
+    fn resident_bytes(&self) -> usize {
+        let entries = self.blocks.len() * BLOCK + self.current.capacity() + self.far.capacity();
+        entries * std::mem::size_of::<EvRef>()
     }
 }
 
@@ -1311,9 +1436,9 @@ mod tests {
     /// The 10^4-node maintenance tick as the queue sees it: every event
     /// of a bucket re-arms itself one period on, and the period is not a
     /// whole number of buckets, so each round lands in a slot no earlier
-    /// round touched. A hundred drained buckets later the capacity of
-    /// two is resident — the bucket being drained and the one being
-    /// filled — not of a hundred.
+    /// round touched. A hundred drained buckets later the pool holds the
+    /// blocks of one bucket — the one being filled, while the one being
+    /// drained is in `current` — not of a hundred.
     #[test]
     fn drained_buckets_hand_their_capacity_on() {
         const NODES: u64 = 10_000;
@@ -1334,8 +1459,74 @@ mod tests {
                 queue.push(tick(round + 1, node));
             }
         }
-        assert_eq!(queue.resident_buffers(NODES as usize), 2);
-        assert_eq!(queue.resident_buffers(1), 2);
+        assert_eq!(queue.blocks.len(), (NODES as usize).div_ceil(BLOCK));
+        assert_eq!(queue.current.capacity(), NODES as usize);
+    }
+
+    /// Bursts of up to ~5 000 events into buckets that change from round
+    /// to round, a trickle of one event in each bucket between them, and
+    /// a run loop draining what falls due: the engine holds room for the
+    /// most events ever in flight, not for the history of its buckets.
+    /// The queue's blocks cover the most events ever queued plus one
+    /// partial block per bucket populated at once, `current` the largest
+    /// bucket, and the slab the most events rounded up to one chunk.
+    #[test]
+    fn resident_queue_and_slab_follow_the_most_events_in_flight() {
+        use std::collections::BTreeMap;
+        let mut events: Events<()> = Events::new();
+        // Events per populated bucket, as the queue should see them.
+        let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+        let (mut peak, mut peak_buckets, mut largest) = (0, 0, 0);
+        let (mut now, mut oseq) = (0u64, 0u64);
+        let mut timer = |events: &mut Events<()>, model: &mut BTreeMap<_, _>, at| {
+            oseq += 1;
+            events.timer(Time(at), (oseq % 7) as NodeId, oseq, 0);
+            *model.entry(at >> BUCKET_BITS).or_insert(0) += 1;
+        };
+        for round in 0..64u64 {
+            let burst = 500 + (round * 997) % 4_500;
+            let ahead = 2 + (round * 13) % 40;
+            for i in 0..burst {
+                timer(&mut events, &mut model, now + ahead * WIDTH + i % WIDTH);
+            }
+            for k in 1..=48 {
+                timer(&mut events, &mut model, now + k * WIDTH + round);
+            }
+            peak = peak.max(events.queue.len());
+            peak_buckets = peak_buckets.max(model.len());
+            largest = largest.max(*model.values().max().expect("populated"));
+            let until = now + 24 * WIDTH;
+            while events
+                .queue
+                .peek()
+                .is_some_and(|ev| ev.at.as_micros() < until)
+            {
+                let ev = events.queue.pop().expect("peeked");
+                events.slab.take(ev.slot);
+                let b = bucket_of(ev.at);
+                *model.get_mut(&b).expect("queued") -= 1;
+                if model[&b] == 0 {
+                    model.remove(&b);
+                }
+            }
+            now = until;
+        }
+        // Past a power of two, where a doubling buffer would hold twice.
+        assert!(peak > 4_096, "the most events in flight: {peak}");
+        let entry = std::mem::size_of::<EvRef>();
+        let queue_bound = (peak + BLOCK * peak_buckets + largest) * entry;
+        let queue = events.queue.resident_bytes();
+        assert!(
+            queue <= queue_bound,
+            "queue holds {queue} B for {peak} events in {peak_buckets} buckets, bound {queue_bound} B"
+        );
+        let slot = std::mem::size_of::<SlabSlot<()>>();
+        let slab_bound = peak.div_ceil(CHUNK) * CHUNK * slot;
+        let slab = events.slab.resident_bytes();
+        assert!(
+            slab <= slab_bound,
+            "slab holds {slab} B for {peak} events, bound {slab_bound} B"
+        );
     }
 
     // -----------------------------------------------------------------

@@ -181,10 +181,11 @@ fn steady_state_allocates_nothing(build: impl FnOnce(NetConfig) -> Sim<TimerEcho
             partner: (i + 1) % N,
         });
     }
-    // Warm-up: two periods. The queue holds three bucket buffers (next
-    // timers, pings, pongs) and hands them from drained slot to fresh
-    // slot; they, the event slab and the send/action/batch buffers have
-    // all reached their capacity.
+    // Warm-up: two periods. The queue's blocks for three buckets (next
+    // timers, pings, pongs) go back to its pool as each bucket is
+    // reached and are drawn again for the next; they, the sorted current
+    // bucket, the slab's one chunk and the send buffer have all reached
+    // their capacity.
     sim.run_for(Dur(2 * PERIOD.0));
     let (before, live) = (sim.events_processed(), LIVE.get());
     let ((), allocs, bytes) = counted(|| sim.run_for(Dur::from_secs(199)));
@@ -269,15 +270,16 @@ fn a_send_burst_holds_one_copy_per_message() {
     }
 }
 
-/// Measured: 400 in debug and release builds, for either burst. The
-/// peak falls at the event slab's last doubling, which holds its old and
-/// new buffers (16 384 and 32 768 slots of 152 bytes) beside the 16 384
-/// send keys of 32 bytes buffered by then. With each message copied into
-/// a 168-byte send record besides its slot, the engine held 680; with a
-/// handler's sends buffered as actions until it returned, one handler's
-/// burst held 649. The budget is 20 % above the one copy and well below
-/// the two.
-const BURST_BYTES_PER_SEND: f64 = 480.0;
+/// Measured: 238 in debug and release builds, for either burst. The
+/// peak falls at the send-key buffer's last doubling, which holds its
+/// old and new buffers (16 384 and 32 768 keys of 32 bytes) beside the
+/// slab's 20 chunks of 1 024 slots of 152 bytes. While the slab was one
+/// `Vec` that doubled, its last doubling held 16 384 and 32 768 slots at
+/// once and the burst held 400; with each message copied into a 168-byte
+/// send record besides its slot, the engine held 680; with a handler's
+/// sends buffered as actions until it returned, one handler's burst held
+/// 649. The budget is 20 % above the one copy and well below the two.
+const BURST_BYTES_PER_SEND: f64 = 286.0;
 
 // ---------------------------------------------------------------------
 // (ii) the install multicast
